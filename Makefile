@@ -11,49 +11,33 @@ FUZZTIME ?= 10s
 # regression pass.
 COVERAGE_FLOOR ?= 78.0
 
-.PHONY: all check test race bench bench-json bench-wallclock bench-metrics bench-replica bench-shard bench-cache bench-zipf bench-obs golden-guard vet fmt fuzz cover experiments examples clean
+# The deterministic documents `vbench -<doc> FILE` exports, each pinned
+# byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
+# A14–A19: metrics, replication, sharded engine, lease coherence,
+# population scale, observability).
+GOLDEN_DOCS = metrics replica shard cache zipf obs
+BENCH_DOCS = $(GOLDEN_DOCS:%=bench-%)
+
+.PHONY: all check test race bench bench-json bench-smoke $(BENCH_DOCS) golden-guard vet fmt fuzz cover experiments examples clean
 
 all: vet test
 
-# Full verification gate: static checks, the whole suite under the race
-# detector, the server-team stress tests (many real client goroutines
-# hammering one team per server package), the determinism guarantees
-# (same schedule + seed must give byte-identical event logs, metrics,
-# and A11 team-sweep results), the trace-driven invariant harness
-# (golden canonical trace, trace determinism, per-server invariant
-# tier, traced workload driver, trace-under-chaos), the metrics
-# contract (zero virtual cost + byte-deterministic document), and the
-# coverage floor.
+# Full verification gate. `go test -race ./...` already runs every test
+# once; each later step is kept only because it differs from that in
+# kind, as its comment says.
 check: vet
 	$(GO) test -race ./...
-	$(GO) test -race -run 'TestTeamStress' ./internal/...
-	$(GO) test -race -count=2 -run 'TestChaosScheduleDeterministic|TestA10Deterministic|TestA11Deterministic' ./internal/chaos/ ./internal/experiments/
-	$(GO) test -race -run 'TestCanonicalTraceGolden|TestCanonicalTraceDeterministic|TestA12Decomposition' ./internal/experiments/
-	$(GO) test -race -run 'TestTraceInvariants' ./internal/...
-	$(GO) test -race -run 'TestWorkloadDriverTrace|TestTraceUnderChaos' ./internal/rig/
-	$(GO) test -race -run 'TestParallelDriverEquivalence' ./internal/rig/
-	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence' ./internal/rig/
-	$(GO) test -race -run 'TestShardedEquivalence|TestShardedUnderChaos|TestShardedPartitionMidFlight' ./internal/rig/
-	$(GO) test -race -run 'TestShardedByteIdenticalToSeed|TestShardJSONDeterministic' ./internal/experiments/
-	$(GO) test -race -run 'TestShardedLeaseEquivalence|TestInvalidationUnderChaos' ./internal/rig/
-	$(GO) test -race -run 'TestLeaseExpiryBoundary|TestNegativeCache|TestLeaseSurvivesFlush' ./internal/client/
-	$(GO) test -race -run 'TestTier' ./internal/ncache/
-	$(GO) test -race -run 'TestA17Shape|TestCacheJSONDeterministic' ./internal/experiments/
-	$(GO) test -race -run 'TestA18Shape|TestZipfJSONDeterministic' ./internal/experiments/
-	$(GO) test -race -count=2 -run 'TestZipfDeterministic' ./internal/popgen/
-	$(GO) test -race -run 'TestOpenLoopEquivalence' ./internal/rig/
-	$(GO) test -run 'TestResolve10e5ZeroAlloc' -count=1 ./internal/nametree/
-	$(GO) test -run 'TestSendZeroAllocUntraced' -count=1 ./internal/kernel/
-	$(GO) test -race -run 'TestMetricsZeroCost|TestMetricsDeterministic|TestA14Shape' ./internal/experiments/
-	$(GO) test -race -count=2 -run 'TestReplicaDeterministic' ./internal/rig/
-	$(GO) test -race -run 'TestA15Availability|TestReplicaJSONDeterministic' ./internal/experiments/
-	$(GO) test -race -run 'TestObsZeroCost|TestA19Shape|TestA19Render' ./internal/experiments/
-	$(GO) test -race -count=2 -run 'TestObsJSONDeterministic' ./internal/experiments/
-	$(GO) test -run 'TestRecordZeroAlloc' -count=1 ./internal/flight/
-	$(GO) test -race -run 'TestSealDeterministicAcrossInterleavings' ./internal/flight/
-	$(GO) test -race -run 'TestTopKRecallOnZipf|TestRatesEWMAConvergence' ./internal/namestat/
-	$(GO) test -race -run 'TestSampled' ./internal/trace/
-	$(GO) test -race -run 'TestAutoTuner' ./internal/prefix/
+# Determinism: -count=2 runs each schedule twice in one process, so
+# state leaking between runs (pools, package variables) shows up as a
+# byte difference that a single run cannot see.
+	$(GO) test -race -count=2 -run 'TestChaosScheduleDeterministic|TestA10Deterministic|TestA11Deterministic|TestExperimentsDeterministic|TestObsJSONDeterministic|TestZipfDeterministic|TestReplicaDeterministic' ./internal/chaos/ ./internal/experiments/ ./internal/popgen/ ./internal/rig/
+# Engine equivalence on one P: lanes interleave only where they block,
+# the schedule a multi-CPU race run never produces.
+	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestInvalidationUnderChaos' ./internal/rig/
+# Zero-allocation gates skip themselves under the race detector, whose
+# instrumentation allocates.
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestRecordZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/flight/
+	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
 
@@ -70,86 +54,33 @@ bench:
 bench-json:
 	$(GO) run ./cmd/vbench -json BENCH_vbench.json > vbench_output.txt
 
-# Wall-clock benchmark harness (EXPERIMENTS.md A13): hot-path ns/op and
-# allocs/op plus sequential-vs-parallel driver throughput, written as a
-# self-describing JSON document (records GOMAXPROCS and CPU count).
-bench-wallclock:
-	$(GO) run ./cmd/vbench -wallclock BENCH_wallclock.json
+# Regenerate one deterministic document, e.g. `make bench-cache`.
+# bench-zipf is the slowest (~20 s: the 10⁶-name legs).
+$(BENCH_DOCS): bench-%:
+	$(GO) run ./cmd/vbench -$* BENCH_$*.json
 
-# Deterministic metrics document (EXPERIMENTS.md A14): per-(server,op)
-# latency histograms, counters, per-tick series, and the chaos health
-# report, byte-identical across runs.
-bench-metrics:
-	$(GO) run ./cmd/vbench -metrics BENCH_metrics.json
+# The wall-clock benchmark (BENCHMARK.json, bench/README.md) is a nested
+# module that `go build ./...` and `go test ./...` cannot see: vet it
+# and run its own tests against this tree's rig API (~4 s).
+bench-smoke:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
-# Deterministic replication document (EXPERIMENTS.md A15): the A14
-# chaos schedule against a consensus-replicated fs1 — client-observed
-# availability, failover latency percentiles, and the group's event
-# log, byte-identical across runs.
-bench-replica:
-	$(GO) run ./cmd/vbench -replica BENCH_replica.json
-
-# Deterministic sharded-engine document (EXPERIMENTS.md A16): the
-# conservative engine's shard-count sweep on the shared-prefix topology,
-# each point verified deeply equal to the sequential driver, with the
-# lookahead bound and the confined/shared operation mix. Byte-identical
-# across runs (all virtual time; wall-clock scaling lives in
-# bench-wallclock).
-bench-shard:
-	$(GO) run ./cmd/vbench -shard BENCH_shard.json
-
-# Deterministic lease-coherence document (EXPERIMENTS.md A17): the
-# lease-length hit-rate sweep across the cache hierarchy (with and
-# without the intermediate tier), plus the crash and partition legs
-# whose traces are checked against the lease staleness bound.
-# Byte-identical across runs.
-bench-cache:
-	$(GO) run ./cmd/vbench -cache BENCH_cache.json
-
-# Deterministic population-scale document (EXPERIMENTS.md A18): the
-# radix-vs-flat index cost at 10³–10⁶ names, the open-loop Zipf
-# throughput/latency sweep over population (flat and tiered, each point
-# at or below the equivalence bound verified deeply equal to the
-# sequential driver), the skew sweep, and the traced mid-run
-# redefinition leg checked against the lease staleness bound.
-# Byte-identical across runs. The 10⁶-name legs make this the slowest
-# export (~40 s); it is exercised by golden-guard, not plain `go test`.
-bench-zipf:
-	$(GO) run ./cmd/vbench -zipf BENCH_zipf.json
-
-# Deterministic observability document (EXPERIMENTS.md A19): top-k
-# sketch recall vs exact Zipf counts, EWMA convergence, sampled-vs-full
-# trace agreement on the A12 decomposition with the flight journal's
-# event counts, and the lease auto-tuner against the fixed-lease sweep
-# on the (hit rate, staleness) frontier. Byte-identical across runs.
-bench-obs:
-	$(GO) run ./cmd/vbench -obs BENCH_obs.json
-
-# Byte-identity guard for the committed golden outputs: the wall-clock
-# work must not perturb a single virtual-time result, trace span, or
-# metrics quantile. Regenerating vbench_output.txt with the metrics
-# registry installed doubles as the zero-virtual-cost gate.
-# Regenerates each golden into a scratch dir and compares byte-for-byte.
+# Byte-identity guard for the committed golden outputs: no change may
+# perturb a single virtual-time result, trace span, or metrics quantile.
+# Regenerating vbench_output.txt with the metrics registry installed
+# doubles as the zero-virtual-cost gate. Regenerates every golden into a
+# scratch dir, then compares byte-for-byte.
 golden-guard:
-	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/vbench > $$tmp/vbench_output.txt && \
-	cmp vbench_output.txt $$tmp/vbench_output.txt && \
-	$(GO) run ./cmd/vbench -trace $$tmp/golden_trace.json >/dev/null && \
-	cmp internal/experiments/testdata/golden_trace.json $$tmp/golden_trace.json && \
-	$(GO) run ./cmd/vbench -metrics $$tmp/BENCH_metrics.json >/dev/null && \
-	cmp BENCH_metrics.json $$tmp/BENCH_metrics.json && \
-	$(GO) run ./cmd/vbench -replica $$tmp/BENCH_replica.json >/dev/null && \
-	cmp BENCH_replica.json $$tmp/BENCH_replica.json && \
-	$(GO) run ./cmd/vbench -shard $$tmp/BENCH_shard.json >/dev/null && \
-	cmp BENCH_shard.json $$tmp/BENCH_shard.json && \
-	$(GO) run ./cmd/vbench -cache $$tmp/BENCH_cache.json >/dev/null && \
-	cmp BENCH_cache.json $$tmp/BENCH_cache.json && \
-	$(GO) run ./cmd/vbench -zipf $$tmp/BENCH_zipf.json >/dev/null && \
-	cmp BENCH_zipf.json $$tmp/BENCH_zipf.json && \
-	$(GO) run ./cmd/vbench -obs $$tmp/BENCH_obs.json >/dev/null && \
-	cmp BENCH_obs.json $$tmp/BENCH_obs.json && \
-	echo "golden outputs byte-identical" && rm -rf $$tmp || \
-	{ echo "golden outputs drifted from committed files"; rm -rf $$tmp; exit 1; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/vbench ./cmd/vbench; \
+	$$tmp/vbench > $$tmp/vbench_output.txt; \
+	$$tmp/vbench -trace $$tmp/golden_trace.json >/dev/null; \
+	for d in $(GOLDEN_DOCS); do $$tmp/vbench -$$d $$tmp/BENCH_$$d.json >/dev/null; done; \
+	for f in vbench_output.txt internal/experiments/testdata/golden_trace.json $(GOLDEN_DOCS:%=BENCH_%.json); do \
+		cmp $$f $$tmp/$$(basename $$f) || { echo "golden outputs drifted from committed files"; exit 1; }; \
+	done; \
+	echo "golden outputs byte-identical"
 
 vet:
 	$(GO) vet ./...

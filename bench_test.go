@@ -385,9 +385,8 @@ var defineSeq int
 
 // benchShardedWorkload drives the sharded closed-loop workload once per
 // iteration on a fresh topology (setup excluded from the timer) and
-// reports wall-clock requests per second. workers == 0 selects the
-// sequential driver.
-func benchShardedWorkload(b *testing.B, workers int) {
+// reports wall-clock requests per second.
+func benchShardedWorkload(b *testing.B, drive func([]*rig.WorkloadClient) *rig.WorkloadResult) {
 	cfg := rig.ShardConfig{Shards: 8, ClientsPerShard: 8, Requests: 25, Team: 1, Seed: 42}
 	total := 0
 	b.ReportAllocs()
@@ -399,12 +398,7 @@ func benchShardedWorkload(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		var res *rig.WorkloadResult
-		if workers == 0 {
-			res = rig.RunWorkload(sw.Clients)
-		} else {
-			res = rig.RunWorkloadParallel(sw.Clients, workers)
-		}
+		res := drive(sw.Clients)
 		b.StopTimer()
 		total += res.Requests
 		// Tear down the topology's server goroutines between iterations.
@@ -417,15 +411,16 @@ func benchShardedWorkload(b *testing.B, workers int) {
 }
 
 // BenchmarkWorkloadSequential is the single-threaded driver baseline for
-// the wall-clock scaling comparison (EXPERIMENTS.md A13).
-func BenchmarkWorkloadSequential(b *testing.B) { benchShardedWorkload(b, 0) }
+// the engine comparison below.
+func BenchmarkWorkloadSequential(b *testing.B) { benchShardedWorkload(b, rig.RunWorkload) }
 
-// BenchmarkWorkloadParallel measures the parallel driver's wall-clock
-// throughput at several worker-pool sizes over the same workload. The
+// BenchmarkWorkloadEngine measures the conservative engine's wall-clock
+// throughput over the same workload, one goroutine-lane per shard (real
+// parallelism is bounded by GOMAXPROCS; sweep it with -cpu). The
 // virtual-time results are identical to the sequential driver's (see
 // TestParallelDriverEquivalence); only wall-clock time changes.
-func BenchmarkWorkloadParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchShardedWorkload(b, w) })
-	}
+func BenchmarkWorkloadEngine(b *testing.B) {
+	benchShardedWorkload(b, func(cs []*rig.WorkloadClient) *rig.WorkloadResult {
+		return rig.RunWorkloadEngine(cs, rig.EngineOptions{})
+	})
 }

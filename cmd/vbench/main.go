@@ -17,8 +17,11 @@
 //	vbench -zipf ZIPF.json       # export the A18 population-scale document (deterministic)
 //	vbench -obs OBS.json         # export the A19 observability document (deterministic)
 //	vbench -zipf Z.json -trace T.json  # also export a sampled 10⁶-name population trace
-//	vbench -wallclock W.json -engine sharded         # wall-clock run, one engine's rows
 //	vbench -zipf Z.json -cpuprofile cpu.pprof        # any mode can be profiled
+//
+// Exports given without experiment ids replace the experiment run.
+// Everything here is virtual time; wall-clock measurement is the
+// repository benchmark (bench/README.md).
 package main
 
 import (
@@ -41,21 +44,34 @@ func main() {
 	}
 }
 
+// exports are the deterministic documents vbench can write, in the
+// order they run. Each is byte-identical across runs and pinned by the
+// committed copy at golden (relative to the repository root).
+var exports = []struct {
+	flag    string
+	legs    string // what the producer runs, for the flag's help text
+	label   string // "wrote <label> to FILE"
+	golden  string
+	produce func() ([]byte, error)
+}{
+	{"metrics", "A14 metrics legs", "metrics document", "BENCH_metrics.json", experiments.MetricsJSON},
+	{"replica", "A15 replicated chaos leg", "replication document", "BENCH_replica.json", experiments.ReplicaJSON},
+	{"shard", "A16 sharded-engine sweep", "sharded-engine document", "BENCH_shard.json", experiments.ShardJSON},
+	{"cache", "A17 lease-coherence legs", "lease-coherence document", "BENCH_cache.json", experiments.CacheJSON},
+	{"zipf", "A18 population-scale legs", "population-scale document", "BENCH_zipf.json", experiments.ZipfJSON},
+	{"obs", "A19 observability legs", "observability document", "BENCH_obs.json", experiments.ObsJSON},
+}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vbench", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	score := fs.Bool("score", false, "print the reproduction scorecard and exit")
 	jsonPath := fs.String("json", "", "also write per-experiment results as JSON to this file")
-	tracePath := fs.String("trace", "", "export the canonical single-client trace (span tree + wire frames) as JSON to this file")
-	wallclockPath := fs.String("wallclock", "", "run the wall-clock benchmark harness (A13) and write its JSON to this file; skips the virtual-time experiments")
-	engine := fs.String("engine", "all", "with -wallclock: restrict driver rows to one engine (sequential, lanes, sharded)")
-	shardPath := fs.String("shard", "", "run the A16 sharded-engine sweep and write the deterministic shard document (BENCH_shard.json schema) to this file")
-	cachePath := fs.String("cache", "", "run the A17 lease-coherence legs and write the deterministic cache document (BENCH_cache.json schema) to this file")
-	zipfPath := fs.String("zipf", "", "run the A18 population-scale legs and write the deterministic zipf document (BENCH_zipf.json schema) to this file; with -trace, also export a sampled million-name population trace")
-	obsPath := fs.String("obs", "", "run the A19 observability legs and write the deterministic obs document (BENCH_obs.json schema) to this file")
+	tracePath := fs.String("trace", "", "export the canonical single-client trace (span tree + wire frames) as JSON to this file; with -zipf, a sampled million-name population trace instead")
 	popTrace := fs.Int("population", 1_000_000, "with -zipf and -trace together: population of the sampled trace export")
-	metricsPath := fs.String("metrics", "", "run the A14 metrics legs and write the deterministic metrics document (BENCH_metrics.json schema) to this file")
-	replicaPath := fs.String("replica", "", "run the A15 replicated chaos leg and write the deterministic replication document (BENCH_replica.json schema) to this file")
+	for _, e := range exports {
+		fs.String(e.flag, "", fmt.Sprintf("run the %s and write the deterministic %s (%s schema) to this file", e.legs, e.label, e.golden))
+	}
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	heapProfile := fs.String("heapprofile", "", "write a heap profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
@@ -102,137 +118,27 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	if *wallclockPath != "" {
-		// Wall-clock results are machine-dependent by nature, so they are
-		// kept out of the experiments registry (and out of the byte-pinned
-		// vbench_output.txt): this mode runs only the A13 harness.
-		doc, err := experiments.WallClock(*engine)
-		if err != nil {
-			return fmt.Errorf("wallclock: %w", err)
+	// Exports run first. On their own they replace the experiment run:
+	// vbench continues into the experiments only when ids were named.
+	ids := fs.Args()
+	exported := false
+	for _, e := range exports {
+		path := fs.Lookup(e.flag).Value.String()
+		if path == "" {
+			continue
 		}
-		data, err := json.MarshalIndent(doc, "", "  ")
+		data, err := e.produce()
 		if err != nil {
+			return fmt.Errorf("%s: %w", e.flag, err)
+		}
+		if err := writeExport(w, e.label, path, "", data); err != nil {
 			return err
 		}
-		if err := os.WriteFile(*wallclockPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *wallclockPath, err)
-		}
-		fmt.Fprintf(w, "wrote wall-clock benchmark results to %s (GOMAXPROCS=%d, %d CPUs)\n", *wallclockPath, doc.GOMAXPROCS, doc.NumCPU)
-		for _, hp := range doc.HotPath {
-			fmt.Fprintf(w, "  %-10s %6d ns/op  %4d B/op  %3d allocs/op  (baseline %d allocs/op)\n",
-				hp.Name, hp.NsPerOp, hp.BytesPerOp, hp.AllocsPerOp, doc.Baseline.E1AllocsPerOp)
-		}
-		for _, d := range doc.Driver {
-			label := d.Engine
-			if d.Workers > 0 {
-				label = fmt.Sprintf("%s/%d", d.Engine, d.Workers)
-			}
-			fmt.Fprintf(w, "  driver %-15s %-15s %9.0f req/s wall  (%.2fx vs sequential, makespan %s virtual)\n",
-				d.Topology, label, d.ReqPerSec, d.SpeedupVsSeq, d.VirtualMakespan)
-		}
-		return nil
+		exported = true
 	}
-
-	if *metricsPath != "" {
-		data, err := experiments.MetricsJSON()
-		if err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := os.WriteFile(*metricsPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *metricsPath, err)
-		}
-		fmt.Fprintf(w, "wrote metrics document to %s\n", *metricsPath)
-		// -metrics alone exports the document without running every
-		// experiment (mirrors -trace).
-		if len(fs.Args()) == 0 && *tracePath == "" && *replicaPath == "" && *shardPath == "" && *cachePath == "" && *zipfPath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *replicaPath != "" {
-		data, err := experiments.ReplicaJSON()
-		if err != nil {
-			return fmt.Errorf("replica: %w", err)
-		}
-		if err := os.WriteFile(*replicaPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *replicaPath, err)
-		}
-		fmt.Fprintf(w, "wrote replication document to %s\n", *replicaPath)
-		// -replica alone exports the document without running every
-		// experiment (mirrors -metrics).
-		if len(fs.Args()) == 0 && *tracePath == "" && *shardPath == "" && *cachePath == "" && *zipfPath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *shardPath != "" {
-		data, err := experiments.ShardJSON()
-		if err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		if err := os.WriteFile(*shardPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *shardPath, err)
-		}
-		fmt.Fprintf(w, "wrote sharded-engine document to %s\n", *shardPath)
-		// -shard alone exports the document without running every
-		// experiment (mirrors -metrics).
-		if len(fs.Args()) == 0 && *tracePath == "" && *cachePath == "" && *zipfPath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *cachePath != "" {
-		data, err := experiments.CacheJSON()
-		if err != nil {
-			return fmt.Errorf("cache: %w", err)
-		}
-		if err := os.WriteFile(*cachePath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *cachePath, err)
-		}
-		fmt.Fprintf(w, "wrote lease-coherence document to %s\n", *cachePath)
-		// -cache alone exports the document without running every
-		// experiment (mirrors -metrics).
-		if len(fs.Args()) == 0 && *tracePath == "" && *zipfPath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *zipfPath != "" {
-		data, err := experiments.ZipfJSON()
-		if err != nil {
-			return fmt.Errorf("zipf: %w", err)
-		}
-		if err := os.WriteFile(*zipfPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *zipfPath, err)
-		}
-		fmt.Fprintf(w, "wrote population-scale document to %s\n", *zipfPath)
-		// -zipf alone exports the document without running every
-		// experiment (mirrors -metrics). With -trace it continues into
-		// the sampled population-trace export below.
-		if len(fs.Args()) == 0 && *tracePath == "" && *obsPath == "" {
-			return nil
-		}
-	}
-
-	if *obsPath != "" {
-		data, err := experiments.ObsJSON()
-		if err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-		if err := os.WriteFile(*obsPath, data, 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", *obsPath, err)
-		}
-		fmt.Fprintf(w, "wrote observability document to %s\n", *obsPath)
-		// -obs alone exports the document without running every
-		// experiment (mirrors -metrics).
-		if len(fs.Args()) == 0 && *tracePath == "" {
-			return nil
-		}
-	}
-
-	ids := fs.Args()
 	if *tracePath != "" {
-		if *zipfPath != "" {
+		exported = true
+		if fs.Lookup("zipf").Value.String() != "" {
 			// Combined -zipf -trace: the population-scale acceptance run.
 			// The full tracer is O(ops) and cannot hold a million-name
 			// workload; the sampled tracer retains O(k) spans, so this
@@ -241,25 +147,23 @@ func run(args []string, w io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("population trace: %w", err)
 			}
-			if err := os.WriteFile(*tracePath, data, 0o644); err != nil {
-				return fmt.Errorf("write %s: %w", *tracePath, err)
+			stats := fmt.Sprintf(" (%d names, %d ops, %d/%d roots retained, %d spans)",
+				pt.Population, pt.TotalOps, pt.RootsRetained, pt.RootsSeen, pt.RetainedSpans)
+			if err := writeExport(w, "sampled population trace", *tracePath, stats, data); err != nil {
+				return err
 			}
-			fmt.Fprintf(w, "wrote sampled population trace to %s (%d names, %d ops, %d/%d roots retained, %d spans)\n",
-				*tracePath, pt.Population, pt.TotalOps, pt.RootsRetained, pt.RootsSeen, pt.RetainedSpans)
 		} else {
 			data, err := experiments.CanonicalTrace()
 			if err != nil {
 				return fmt.Errorf("trace: %w", err)
 			}
-			if err := os.WriteFile(*tracePath, data, 0o644); err != nil {
-				return fmt.Errorf("write %s: %w", *tracePath, err)
+			if err := writeExport(w, "canonical trace", *tracePath, "", data); err != nil {
+				return err
 			}
-			fmt.Fprintf(w, "wrote canonical trace to %s\n", *tracePath)
 		}
-		// -trace alone exports the trace without running every experiment.
-		if len(ids) == 0 {
-			return nil
-		}
+	}
+	if exported && len(ids) == 0 {
+		return nil
 	}
 	if len(ids) == 0 {
 		ids = experiments.IDs()
@@ -281,6 +185,15 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("write %s: %w", *jsonPath, err)
 		}
 	}
+	return nil
+}
+
+// writeExport writes one exported document and reports it.
+func writeExport(w io.Writer, label, path, stats string, data []byte) error {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	fmt.Fprintf(w, "wrote %s to %s%s\n", label, path, stats)
 	return nil
 }
 

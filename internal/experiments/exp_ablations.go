@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/client"
 
@@ -402,7 +403,12 @@ func A6() (Result, error) {
 	viaPrefix := (s.Proc().Now() - start) / trials
 
 	// Via multicast to the group: the client sends the CSname request to
-	// the group id; the first member to reply wins.
+	// the group id; the first member to reply wins. The members serve on
+	// their own goroutines, so which reply reserves the shared wire first
+	// (and which the kernel sees first) is real execution order. One P
+	// makes that the run queue's fixed order; across Ps the row drifted
+	// by up to 0.06 ms from run to run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	proc := s.Proc()
 	start = proc.Now()
 	for i := 0; i < trials; i++ {

@@ -25,7 +25,6 @@ package experiments
 // across runs and pinned by golden-guard.
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"time"
@@ -147,7 +146,7 @@ func a17Run(lease time.Duration, tier bool) (CacheRun, error) {
 	if err != nil {
 		return run, err
 	}
-	par := rig.RunWorkloadParallel(parTop.Clients, 0)
+	par := rig.RunWorkloadEngine(parTop.Clients, rig.EngineOptions{})
 
 	run.EqualToSequential = reflect.DeepEqual(seq, par)
 	run.TotalRequests = par.Requests
@@ -378,14 +377,7 @@ func A17() (Result, error) {
 // across runs.
 func CacheJSON() ([]byte, error) {
 	doc, _, err := a17Collect()
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return docJSON(doc, err)
 }
 
 // a17SectionGuard asserts at test time that the A17 registry entry is

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -360,12 +359,5 @@ func A14() (Result, error) {
 // deterministic registry state, byte-identical across runs.
 func MetricsJSON() ([]byte, error) {
 	doc, _, err := a14Collect()
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return docJSON(doc, err)
 }

@@ -28,7 +28,6 @@ package experiments
 // across runs and pinned by golden-guard.
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -679,14 +678,7 @@ func A19() (Result, error) {
 // runs.
 func ObsJSON() ([]byte, error) {
 	doc, _, err := a19Collect()
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return docJSON(doc, err)
 }
 
 // a19SectionGuard asserts at test time that the A19 registry entry is

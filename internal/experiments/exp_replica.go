@@ -11,7 +11,6 @@ package experiments
 // BENCH_replica.json is byte-deterministic.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -184,12 +183,5 @@ func A15() (Result, error) {
 // across runs.
 func ReplicaJSON() ([]byte, error) {
 	doc, _, err := a15Collect()
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return docJSON(doc, err)
 }

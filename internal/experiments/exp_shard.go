@@ -6,12 +6,11 @@ package experiments
 // wire to one prefix server. The engine's whole claim is that going
 // wide changes nothing observable: each sweep point runs the workload
 // both ways and reports the virtual throughput only after checking the
-// two results are deeply equal. Wall-clock scaling lives in
-// BENCH_wallclock.json (vbench -wallclock -engine sharded); everything
+// two results are deeply equal. Wall-clock scaling lives in the
+// repository benchmark (bench/README.md, engine.speedup_pN); everything
 // here is virtual time and therefore byte-deterministic.
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 
@@ -105,7 +104,7 @@ func a16Run(shards int) (ShardRun, error) {
 	if err != nil {
 		return run, err
 	}
-	par := rig.RunWorkloadParallel(parTop.Clients, 0)
+	par := rig.RunWorkloadEngine(parTop.Clients, rig.EngineOptions{})
 
 	run.EqualToSequential = reflect.DeepEqual(seq, par)
 	run.TotalRequests = par.Requests
@@ -164,8 +163,8 @@ func a16Collect() (*ShardDoc, []Row, error) {
 
 // A16 reports the sharded engine sweep. The virtual throughput column
 // is identical whichever driver produces it — that identity is the
-// measurement; wall-clock scaling (flat on 1-CPU runners, like PR 4's
-// lane-driver curve) is reported separately by vbench -wallclock.
+// measurement; wall-clock scaling (flat on 1-CPU runners) is reported
+// separately by the repository benchmark's engine.speedup_pN rows.
 func A16() (Result, error) {
 	_, rows, err := a16Collect()
 	if err != nil {
@@ -183,12 +182,5 @@ func A16() (Result, error) {
 // across runs.
 func ShardJSON() ([]byte, error) {
 	doc, _, err := a16Collect()
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return docJSON(doc, err)
 }

@@ -27,7 +27,6 @@ package experiments
 // across runs and pinned by golden-guard.
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"sort"
@@ -481,14 +480,7 @@ func A18() (Result, error) {
 // runs.
 func ZipfJSON() ([]byte, error) {
 	doc, _, err := a18Collect(a18FullScale)
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return docJSON(doc, err)
 }
 
 // a18SectionGuard asserts at test time that the A18 registry entry

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -140,19 +141,6 @@ func Run(id string) (Result, error) {
 	return r()
 }
 
-// RunAll executes every experiment in canonical order.
-func RunAll() ([]Result, error) {
-	var out []Result
-	for _, id := range IDs() {
-		res, err := Run(id)
-		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", id, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // Print renders a result as an aligned table.
 func Print(w io.Writer, res Result) {
 	fmt.Fprintf(w, "%s — %s (%s)\n", strings.ToUpper(res.ID), res.Title, res.Source)
@@ -171,6 +159,19 @@ func Print(w io.Writer, res Result) {
 		line(r.Label, r.Paper, r.Measured, r.Note)
 	}
 	fmt.Fprintln(w)
+}
+
+// docJSON renders a collected document the way the committed goldens
+// store it: indented JSON with a trailing newline.
+func docJSON(doc any, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // ms renders a virtual duration in the paper's unit.

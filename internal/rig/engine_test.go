@@ -6,6 +6,10 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/kernel"
 )
 
 // sharedPrefixShape is the topology the engine tests drive: enough
@@ -59,7 +63,7 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 		}
 		parTop := buildSharedPrefix(t, team)
-		par := RunWorkloadParallel(parTop.Clients, 0)
+		par := RunWorkloadEngine(parTop.Clients, EngineOptions{})
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("team %d: sharded result differs from sequential\nseq: %+v\npar: %+v", team, seq, par)
 		}
@@ -170,5 +174,55 @@ func TestShardedPartitionMidFlight(t *testing.T) {
 	}
 	if completed == 0 {
 		t.Fatal("no operations completed despite lane-confined cache hits")
+	}
+}
+
+// TestTickOnlyUngated pins the one difference between the two ways the
+// pick-min loop runs: the ungated sequential driver pumps each client's
+// Tick after every iteration, and a lane under an engine.Sync never does
+// (observers are pumped by fences there).
+func TestTickOnlyUngated(t *testing.T) {
+	count := func(drive func([]*WorkloadClient) *WorkloadResult) (ticks, requests int) {
+		sw := buildSharedPrefix(t, 1)
+		for _, c := range sw.Clients {
+			c.Tick = func(time.Duration) { ticks++ }
+		}
+		return ticks, drive(sw.Clients).Requests
+	}
+	if ticks, requests := count(RunWorkload); ticks != requests || requests == 0 {
+		t.Fatalf("sequential driver: %d ticks for %d requests", ticks, requests)
+	}
+	gated := func(cs []*WorkloadClient) *WorkloadResult { return RunWorkloadEngine(cs, EngineOptions{}) }
+	if ticks, requests := count(gated); ticks != 0 || requests == 0 {
+		t.Fatalf("engine driver: %d ticks for %d requests, want none", ticks, requests)
+	}
+}
+
+// TestConfinedOnLocalRoute is the shard-label proof's truth table.
+func TestConfinedOnLocalRoute(t *testing.T) {
+	sw := buildSharedPrefix(t, 1)
+	unlabeled := sw.PrefixHost
+	to := func(pid kernel.PID, ok bool) routeFunc {
+		return func(*client.Session, int) (core.ContextPair, bool) {
+			return core.ContextPair{Server: pid}, ok
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		host  *kernel.Host
+		route routeFunc
+		want  engine.Class
+	}{
+		{"no route", sw.Hosts[0], to(sw.Shards[0].PID(), false), engine.Shared},
+		{"unlabeled server host", sw.Hosts[0], to(sw.Prefix.PID(), true), engine.Shared},
+		{"unlabeled client host", unlabeled, to(sw.Prefix.PID(), true), engine.Shared},
+		{"unknown server", sw.Hosts[0], to(kernel.NilPID, true), engine.Shared},
+		{"foreign shard", sw.Hosts[0], to(sw.Shards[1].PID(), true), engine.Shared},
+		{"co-shard", sw.Hosts[0], to(sw.Shards[0].PID(), true), engine.Confined},
+	} {
+		classify := confinedOnLocalRoute(sw.Kernel, tc.host, tc.route)
+		if got := classify(sw.Clients[0].Session, 0); got != tc.want {
+			t.Errorf("%s: classified %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

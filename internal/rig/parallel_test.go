@@ -52,7 +52,8 @@ func buildShards(t *testing.T, team int, withChaos bool) *ShardedWorkload {
 // TestParallelDriverEquivalence asserts the tentpole guarantee: the
 // parallel driver's WorkloadResult — per-client stats, makespan,
 // throughput — is deeply equal to the sequential driver's, across team
-// sizes and worker-pool sizes.
+// sizes and repeated runs (each run is a fresh real-goroutine
+// interleaving of the lanes).
 func TestParallelDriverEquivalence(t *testing.T) {
 	for _, team := range []int{1, 2, 4} {
 		seq := RunWorkload(buildShards(t, team, false).Clients)
@@ -64,15 +65,15 @@ func TestParallelDriverEquivalence(t *testing.T) {
 				t.Fatalf("team %d: sequential client stats %+v, want 12 completions", team, c)
 			}
 		}
-		for _, workers := range []int{1, 2, 4, 0} {
-			par := RunWorkloadParallel(buildShards(t, team, false).Clients, workers)
+		for run := 0; run < 4; run++ {
+			par := RunWorkloadEngine(buildShards(t, team, false).Clients, EngineOptions{})
 			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("team %d workers %d: parallel result differs\nseq: %+v\npar: %+v",
-					team, workers, seq, par)
+				t.Fatalf("team %d run %d: parallel result differs\nseq: %+v\npar: %+v",
+					team, run, seq, par)
 			}
 			if seq.Throughput() != par.Throughput() {
-				t.Fatalf("team %d workers %d: throughput differs: %v vs %v",
-					team, workers, seq.Throughput(), par.Throughput())
+				t.Fatalf("team %d run %d: throughput differs: %v vs %v",
+					team, run, seq.Throughput(), par.Throughput())
 			}
 		}
 	}
@@ -92,11 +93,11 @@ func TestParallelDriverEquivalenceUnderChaos(t *testing.T) {
 		if errs == 0 {
 			t.Fatalf("team %d: chaos schedule never fired (no errors recorded)", team)
 		}
-		for _, workers := range []int{2, 4} {
-			par := RunWorkloadParallel(buildShards(t, team, true).Clients, workers)
+		for run := 0; run < 2; run++ {
+			par := RunWorkloadEngine(buildShards(t, team, true).Clients, EngineOptions{})
 			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("team %d workers %d: parallel result differs under chaos\nseq: %+v\npar: %+v",
-					team, workers, seq, par)
+				t.Fatalf("team %d run %d: parallel result differs under chaos\nseq: %+v\npar: %+v",
+					team, run, seq, par)
 			}
 		}
 	}

@@ -19,19 +19,10 @@ package rig
 
 import (
 	"fmt"
-
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/engine"
-	"repro/internal/fileserver"
-	"repro/internal/flight"
-	"repro/internal/kernel"
-	"repro/internal/ncache"
-	"repro/internal/netsim"
-	"repro/internal/prefix"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // SharedPrefixConfig shapes a shared-prefix workload.
@@ -78,184 +69,43 @@ type SharedPrefixConfig struct {
 
 // SharedPrefixWorkload is the booted topology.
 type SharedPrefixWorkload struct {
-	Kernel     *kernel.Kernel
-	Net        *netsim.Network
-	PrefixHost *kernel.Host
-	Prefix     *prefix.Server
-	// Tier is the shared intermediate cache (nil unless CacheTier).
-	Tier *ncache.Tier
-	// Tracer is the installed tracer (nil unless Trace).
-	Tracer *trace.Tracer
-	// Flight is the workload's always-on flight recorder (PROTOCOL.md
-	// §15); seal it at fences with SealFlightAtFences.
-	Flight  *flight.Recorder
-	Hosts   []*kernel.Host
-	Shards  []*fileserver.FileServer
-	Clients []*WorkloadClient
+	*topology
 }
 
 // NewSharedPrefixWorkload boots the topology: one prefix host, Shards
 // file-server hosts with ClientsPerShard co-resident clients each, every
 // shard's root bound to the context prefix [shard<i>] on the central
 // prefix server, and every client running the invalidate-and-retry name
-// cache. Clients carry Lane = shard index and a classifier that proves
-// cache-hit queries lane-confined via the host shard labels.
+// cache (or, with Lease, the lease cache). Clients carry Lane = shard
+// index and a classifier that proves cache-hit queries lane-confined via
+// the host shard labels.
 func NewSharedPrefixWorkload(cfg SharedPrefixConfig) (*SharedPrefixWorkload, error) {
-	if cfg.Shards <= 0 || cfg.ClientsPerShard <= 0 || cfg.Requests <= 0 {
-		return nil, fmt.Errorf("shared-prefix workload: shards, clients and requests must be positive")
-	}
-	net := netsim.New(vtime.DefaultModel(), cfg.Seed)
-	k := kernel.New(net)
-	sw := &SharedPrefixWorkload{Kernel: k, Net: net}
-	sw.Flight = flight.New(1 << 14)
-	k.SetFlight(sw.Flight)
-	if cfg.TraceSample != nil {
-		sw.Tracer = trace.NewSampled(*cfg.TraceSample)
-		k.SetTracer(sw.Tracer)
-		net.SetRecorder(sw.Tracer)
-	} else if cfg.Trace {
-		sw.Tracer = trace.New()
-		k.SetTracer(sw.Tracer)
-		net.SetRecorder(sw.Tracer)
-	}
-
-	sw.PrefixHost = k.NewHost("nexus")
-	var popts []prefix.Option
-	if cfg.Lease > 0 && cfg.AutoTuneMax > 0 {
-		popts = append(popts, prefix.WithLeaseAutoTune(cfg.Lease, cfg.AutoTuneMax))
-	} else if cfg.Lease > 0 {
-		popts = append(popts, prefix.WithLease(cfg.Lease))
-	}
-	ps, err := prefix.Start(sw.PrefixHost, "bench", popts...)
+	t, err := bootTopology("shared-prefix workload", "bench", true, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("prefix server: %w", err)
+		return nil, err
 	}
-	sw.Prefix = ps
-
-	// Clients address the resolver: the prefix server itself, or — with
-	// the cache tier interposed — the co-resident ncache front, which
-	// forwards everything it cannot answer from its own leases.
-	resolver := ps.PID()
-	if cfg.CacheTier {
-		if cfg.Lease <= 0 {
-			return nil, fmt.Errorf("shared-prefix workload: CacheTier requires Lease")
-		}
-		tier, err := ncache.Start(sw.PrefixHost, "ncache", ps.PID(), cfg.Lease)
-		if err != nil {
-			return nil, fmt.Errorf("cache tier: %w", err)
-		}
-		sw.Tier = tier
-		resolver = tier.PID()
+	if err := t.seedHotPath(); err != nil {
+		return nil, err
 	}
-
-	payload := make([]byte, 512)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	for s := 0; s < cfg.Shards; s++ {
-		host := k.NewHost(fmt.Sprintf("shard%d", s))
-		host.SetShard(s)
-		opts := []fileserver.Option{}
-		if cfg.Team > 1 {
-			opts = append(opts, fileserver.WithTeam(cfg.Team))
-		}
-		fs, err := fileserver.Start(host, fmt.Sprintf("fs%d", s), opts...)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		if _, err := fs.MkdirAll("/deep/a/b/c/d/e/f", "bench"); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		if err := fs.WriteFile("/"+ShardHotPath, "bench", payload); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		if err := ps.Define(fmt.Sprintf("shard%d", s), fs.RootPair()); err != nil {
+	for s, fs := range t.Shards {
+		if err := t.Prefix.Define(fmt.Sprintf("shard%d", s), fs.RootPair()); err != nil {
 			return nil, fmt.Errorf("shard %d prefix: %w", s, err)
 		}
-		sw.Hosts = append(sw.Hosts, host)
-		sw.Shards = append(sw.Shards, fs)
-
-		name := fmt.Sprintf("[shard%d]%s", s, ShardHotPath)
-		for c := 0; c < cfg.ClientsPerShard; c++ {
-			proc, err := host.NewProcess(fmt.Sprintf("bench%d-%d", s, c))
-			if err != nil {
-				return nil, fmt.Errorf("shard %d client %d: %w", s, c, err)
-			}
-			sess := client.New(proc, resolver, fs.RootPair(), "bench")
-			sess.EnableNameCache(true)
-			flush := cfg.FlushEvery
-			classify := confinedOnCachedLocalRoute(k, host, name, flush)
-			if cfg.Lease > 0 {
-				if err := sess.EnableLeaseCache(); err != nil {
-					return nil, fmt.Errorf("shard %d client %d lease cache: %w", s, c, err)
+	}
+	err = t.addClients(func(shard, _ int) (*WorkloadClient, routeFunc) {
+		name := fmt.Sprintf("[shard%d]%s", shard, ShardHotPath)
+		return &WorkloadClient{
+			Op: func(s *client.Session, iter int) error {
+				if t.flushes(iter) {
+					s.FlushNameCache()
 				}
-				// Lease coherence retires the blind flush: expiry and
-				// callbacks bound staleness instead (PROTOCOL.md §13).
-				flush = 0
-				classify = confinedOnLeasedLocalRoute(k, host, name)
-			}
-			sw.Clients = append(sw.Clients, &WorkloadClient{
-				Session:  sess,
-				Requests: cfg.Requests,
-				Lane:     s,
-				Op: func(s *client.Session, iter int) error {
-					if flush > 0 && iter > 0 && iter%flush == 0 {
-						s.FlushNameCache()
-					}
-					_, err := s.Query(name)
-					return err
-				},
-				Classify: classify,
-			})
-		}
+				_, err := s.Query(name)
+				return err
+			},
+		}, t.cachedRoute(func(int) string { return name })
+	})
+	if err != nil {
+		return nil, err
 	}
-	return sw, nil
-}
-
-// confinedOnCachedLocalRoute classifies a client's next query of `name`:
-// Confined exactly when the name cache will route it to a server whose
-// host carries the same shard label as the client's own host (a local
-// hop touching no cross-lane substrate), Shared otherwise — including
-// every iteration that will first flush its cache and therefore walk the
-// prefix server. The shard-label proof keeps the classifier honest if
-// the topology is ever rewired: an unlabeled or foreign host never
-// classifies as confined.
-// confinedOnLeasedLocalRoute is the lease-cache analogue of
-// confinedOnCachedLocalRoute: Confined exactly when the client holds a
-// positive lease on the name's prefix that will still be valid when the
-// operation runs, routing to a co-shard server. The probe time is the
-// client's clock at classification — the engine publishes that instant
-// as the operation's key and the session re-checks validity at the same
-// clock on entry (client.LeasedRoute), so classifier and operation agree
-// on expiry exactly. A lapsed or absent lease classifies Shared: the
-// revalidation walks the shared wire to the resolver.
-func confinedOnLeasedLocalRoute(k *kernel.Kernel, clientHost *kernel.Host, name string) func(*client.Session, int) engine.Class {
-	return func(s *client.Session, iter int) engine.Class {
-		pair, ok := s.LeasedRoute(name, s.Proc().Now())
-		if !ok {
-			return engine.Shared
-		}
-		h := k.HostOf(pair.Server)
-		if h == nil || h.Shard() < 0 || h.Shard() != clientHost.Shard() {
-			return engine.Shared
-		}
-		return engine.Confined
-	}
-}
-
-func confinedOnCachedLocalRoute(k *kernel.Kernel, clientHost *kernel.Host, name string, flushEvery int) func(*client.Session, int) engine.Class {
-	return func(s *client.Session, iter int) engine.Class {
-		if flushEvery > 0 && iter > 0 && iter%flushEvery == 0 {
-			return engine.Shared // this iteration flushes, then re-resolves
-		}
-		pair, ok := s.CachedRoute(name)
-		if !ok {
-			return engine.Shared
-		}
-		h := k.HostOf(pair.Server)
-		if h == nil || h.Shard() < 0 || h.Shard() != clientHost.Shard() {
-			return engine.Shared
-		}
-		return engine.Confined
-	}
+	return &SharedPrefixWorkload{t}, nil
 }

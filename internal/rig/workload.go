@@ -7,7 +7,7 @@
 // clocks let a server team's workers overlap service in virtual time
 // (the §3.1 concurrency this repo's A11 experiment measures).
 //
-// RunWorkloadParallel extends this to real concurrency: clients are
+// RunWorkloadEngine extends this to real concurrency: clients are
 // partitioned into lanes, each lane runs the same deterministic
 // virtual-time-ordered loop, and lanes execute on real goroutines,
 // synchronized by the conservative engine (internal/engine, PROTOCOL.md
@@ -20,7 +20,6 @@
 package rig
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +53,7 @@ type WorkloadClient struct {
 	// preserves the closed-loop behavior exactly.
 	Arrive func(iter int) time.Duration
 	// Lane assigns the client to a parallel execution lane
-	// (RunWorkloadParallel). Clients in the same lane are stepped
+	// (RunWorkloadEngine). Clients in the same lane are stepped
 	// sequentially in virtual-time order relative to each other; distinct
 	// lanes run on real goroutines. The sequential driver ignores it.
 	Lane int
@@ -124,54 +123,7 @@ func RunWorkload(clients []*WorkloadClient) *WorkloadResult {
 	for i := range clients {
 		all[i] = i
 	}
-	res.Requests = runLane(clients, all, res.Clients)
-	finishResult(res, start)
-	return res
-}
-
-// RunWorkloadParallel drives the clients with real concurrency through
-// the conservative engine: lanes run on real goroutines, shared-substrate
-// operations commit in global virtual-time order, lane-confined ones run
-// ahead. The result is deeply equal to RunWorkload's on any topology —
-// the disjointness precondition the pre-engine driver carried is retired
-// (unclassified operations are simply serialized). workers is retained
-// for call-site compatibility and treated as a hint: the engine runs one
-// goroutine per lane (a bounded pool could hold a runnable lane out of
-// the schedule while a pooled lane blocks on it), and real parallelism
-// is bounded by GOMAXPROCS.
-func RunWorkloadParallel(clients []*WorkloadClient, workers int) *WorkloadResult {
-	_ = workers
-	return RunWorkloadEngine(clients, EngineOptions{})
-}
-
-// RunWorkloadLanes is the pre-engine parallel driver, kept for the
-// wall-clock benchmark's engine comparison: lanes run the deterministic
-// loop on a worker pool of the given size (<=0 means GOMAXPROCS) with no
-// cross-lane synchronization at all. Its equivalence guarantee therefore
-// still carries the PR 4 precondition: lanes must be substrate-disjoint
-// (no shared servers, no shared-wire traffic), or results depend on real
-// execution order. New callers want RunWorkloadParallel.
-func RunWorkloadLanes(clients []*WorkloadClient, workers int) *WorkloadResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res := &WorkloadResult{Clients: make([]ClientStats, len(clients))}
-	start := workloadStart(clients)
-
-	var wg sync.WaitGroup
-	var requests atomic.Int64
-	sem := make(chan struct{}, workers)
-	for _, idxs := range partitionLanes(clients) {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(idxs []int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			requests.Add(int64(runLane(clients, idxs, res.Clients)))
-		}(idxs)
-	}
-	wg.Wait()
-	res.Requests = int(requests.Load())
+	res.Requests = runLane(clients, all, res.Clients, nil, 0)
 	finishResult(res, start)
 	return res
 }
@@ -213,7 +165,7 @@ func RunWorkloadEngine(clients []*WorkloadClient, opts EngineOptions) *WorkloadR
 		wg.Add(1)
 		go func(laneID int, idxs []int) {
 			defer wg.Done()
-			requests.Add(int64(runLaneGated(clients, idxs, res.Clients, es, laneID)))
+			requests.Add(int64(runLane(clients, idxs, res.Clients, es, laneID)))
 		}(laneID, idxs)
 	}
 	wg.Wait()
@@ -292,7 +244,20 @@ func finishResult(res *WorkloadResult, start time.Duration) {
 // runs it to completion. out is indexed by original client index; the
 // lane writes only its own clients' slots. Returns the number of
 // requests issued.
-func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats) int {
+//
+// With es nil this is the ungated sequential reference, and each
+// completed iteration pumps the client's Tick hook. With es set every
+// operation is gated through the conservative engine: the lane publishes
+// the picked operation's key (its client's pre-think clock, the same
+// instant the pick compared, plus the client's global index as the
+// deterministic tie-break) and its class, and blocks until the engine
+// clears it. The pick-min loop makes successive keys non-decreasing,
+// which is what lets the published key stand as the lane's promise of no
+// earlier future activity. Tick is not called under a Sync: a per-op
+// pump would observe nondeterministic lane interleavings, so
+// virtual-time observers are pumped by the engine's fences instead
+// (EngineOptions).
+func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engine.Sync, lane int) int {
 	iters := make([]int, len(idxs))
 	requests := 0
 	for {
@@ -314,6 +279,9 @@ func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats) int {
 		i := idxs[pick]
 		c := clients[i]
 		waitForArrival(c, best)
+		if es != nil {
+			gate(es, lane, engine.Key{T: best, Seq: i}, c, iters[pick])
+		}
 		if c.Think > 0 {
 			c.Session.Proc().ChargeCompute(c.Think)
 		}
@@ -328,85 +296,38 @@ func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats) int {
 		}
 		st.TotalLatency += after - before
 		st.Finish = after
-		if c.Tick != nil {
+		if es == nil && c.Tick != nil {
 			c.Tick(after)
 		}
 		iters[pick]++
 		requests++
 	}
+	if es != nil {
+		es.Done(lane)
+	}
 	return requests
 }
 
-// runLaneGated is runLane with every operation gated through the
-// conservative engine: the lane publishes the picked operation's key
-// (its client's pre-think clock, the same instant the pick compared,
-// plus the client's global index as the deterministic tie-break) and its
-// class, and blocks until the engine clears it. The pick-min loop makes
-// successive keys non-decreasing, which is what lets the published key
-// stand as the lane's promise of no earlier future activity.
-//
-// Tick hooks are not called here: under concurrent lanes a per-op pump
-// would observe nondeterministic interleavings, so virtual-time
-// observers are pumped by the engine's fences instead (EngineOptions).
-func runLaneGated(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engine.Sync, lane int) int {
-	iters := make([]int, len(idxs))
-	requests := 0
-	for {
-		pick := -1
-		var best time.Duration
-		for j, i := range idxs {
-			c := clients[i]
-			if iters[j] >= c.Requests {
-				continue
-			}
-			now := effectiveStart(c, iters[j])
-			if pick == -1 || now < best {
-				pick, best = j, now
-			}
-		}
-		if pick == -1 {
-			break
-		}
-		i := idxs[pick]
-		c := clients[i]
-		waitForArrival(c, best)
-		key := engine.Key{T: best, Seq: i}
-		cls := engine.Shared
-		fseen := 0
-		if c.Classify != nil {
-			fseen = es.FencesFired()
-			cls = c.Classify(c.Session, iters[pick])
-		}
-		fired := es.Gate(lane, key, cls)
-		if cls == engine.Confined && fired != fseen {
-			// A fence fired between classification and clearance. Fence
-			// actions mutate cross-lane substrate at the quiescent cut —
-			// a chaos redefinition revokes leases by callback barrier —
-			// so the Confined proof may no longer hold. Re-prove it; if
-			// the operation now needs the shared wire, re-gate it Shared
-			// so it commits in global key order instead of racing the
-			// other woken lanes for wire slots (PROTOCOL.md §12).
-			if c.Classify(c.Session, iters[pick]) == engine.Shared {
-				es.Gate(lane, key, engine.Shared)
-			}
-		}
-		if c.Think > 0 {
-			c.Session.Proc().ChargeCompute(c.Think)
-		}
-		before := c.Session.Proc().Now()
-		err := c.Op(c.Session, iters[pick])
-		after := c.Session.Proc().Now()
-		st := &out[i]
-		if err != nil {
-			st.Errors++
-		} else {
-			st.Completed++
-		}
-		st.TotalLatency += after - before
-		st.Finish = after
-		iters[pick]++
-		requests++
+// gate classifies client c's iteration iter and blocks until the engine
+// clears it at key.
+func gate(es *engine.Sync, lane int, key engine.Key, c *WorkloadClient, iter int) {
+	if c.Classify == nil {
+		es.Gate(lane, key, engine.Shared)
+		return
 	}
-	es.Done(lane)
-	return requests
+	fseen := es.FencesFired()
+	cls := c.Classify(c.Session, iter)
+	fired := es.Gate(lane, key, cls)
+	if cls == engine.Confined && fired != fseen {
+		// A fence fired between classification and clearance. Fence
+		// actions mutate cross-lane substrate at the quiescent cut —
+		// a chaos redefinition revokes leases by callback barrier —
+		// so the Confined proof may no longer hold. Re-prove it; if
+		// the operation now needs the shared wire, re-gate it Shared
+		// so it commits in global key order instead of racing the
+		// other woken lanes for wire slots (PROTOCOL.md §12).
+		if c.Classify(c.Session, iter) == engine.Shared {
+			es.Gate(lane, key, engine.Shared)
+		}
+	}
 }

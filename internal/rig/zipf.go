@@ -29,16 +29,9 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/engine"
-	"repro/internal/fileserver"
-	"repro/internal/flight"
-	"repro/internal/kernel"
-	"repro/internal/ncache"
-	"repro/internal/netsim"
 	"repro/internal/popgen"
 	"repro/internal/prefix"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // ZipfConfig shapes a population-scale resolution workload.
@@ -83,20 +76,7 @@ type ZipfConfig struct {
 
 // ZipfWorkload is the booted population-scale topology.
 type ZipfWorkload struct {
-	Kernel     *kernel.Kernel
-	Net        *netsim.Network
-	PrefixHost *kernel.Host
-	Prefix     *prefix.Server
-	// Tier is the shared intermediate cache (nil unless CacheTier).
-	Tier *ncache.Tier
-	// Tracer is the installed tracer (nil unless Trace).
-	Tracer *trace.Tracer
-	// Flight is the workload's always-on flight recorder (PROTOCOL.md
-	// §15); seal it at fences with SealFlightAtFences.
-	Flight  *flight.Recorder
-	Hosts   []*kernel.Host
-	Shards  []*fileserver.FileServer
-	Clients []*WorkloadClient
+	*topology
 	// Pop is the bound population (rank order).
 	Pop *popgen.Population
 	// Draws[c][i] is client c's i-th drawn name in bracketed syntax.
@@ -141,11 +121,8 @@ func (zw *ZipfWorkload) OpenLoopSpan() (first, last time.Duration) {
 // global client index — so the sequential and sharded-engine drivers
 // consume identical workloads.
 func NewZipfWorkload(cfg ZipfConfig) (*ZipfWorkload, error) {
-	if cfg.Population <= 0 || cfg.Shards <= 0 || cfg.ClientsPerShard <= 0 || cfg.Arrivals <= 0 {
-		return nil, fmt.Errorf("zipf workload: population, shards, clients and arrivals must be positive")
-	}
-	if cfg.Population < cfg.Shards {
-		return nil, fmt.Errorf("zipf workload: population %d smaller than %d shards", cfg.Population, cfg.Shards)
+	if cfg.Population <= 0 || cfg.Population < cfg.Shards {
+		return nil, fmt.Errorf("zipf workload: population %d must be positive and no smaller than %d shards", cfg.Population, cfg.Shards)
 	}
 	if cfg.Lease <= 0 {
 		return nil, fmt.Errorf("zipf workload: lease length must be positive")
@@ -161,130 +138,62 @@ func NewZipfWorkload(cfg ZipfConfig) (*ZipfWorkload, error) {
 			len(pop.Names), pop.Skew, cfg.Population, cfg.Skew)
 	}
 
-	net := netsim.New(vtime.DefaultModel(), cfg.Seed)
-	k := kernel.New(net)
-	zw := &ZipfWorkload{Kernel: k, Net: net, Pop: pop}
-	zw.Flight = flight.New(1 << 14)
-	k.SetFlight(zw.Flight)
-	if cfg.TraceSample != nil {
-		zw.Tracer = trace.NewSampled(*cfg.TraceSample)
-		k.SetTracer(zw.Tracer)
-		net.SetRecorder(zw.Tracer)
-	} else if cfg.Trace {
-		zw.Tracer = trace.New()
-		k.SetTracer(zw.Tracer)
-		net.SetRecorder(zw.Tracer)
-	}
-
-	zw.PrefixHost = k.NewHost("nexus")
-	popt := prefix.WithLease(cfg.Lease)
-	if cfg.AutoTuneMax > 0 {
-		popt = prefix.WithLeaseAutoTune(cfg.Lease, cfg.AutoTuneMax)
-	}
-	ps, err := prefix.Start(zw.PrefixHost, "pop", popt)
+	t, err := bootTopology("zipf workload", "pop", true, SharedPrefixConfig{
+		Shards: cfg.Shards, ClientsPerShard: cfg.ClientsPerShard, Requests: cfg.Arrivals,
+		Seed: cfg.Seed, Lease: cfg.Lease, CacheTier: cfg.CacheTier, AutoTuneMax: cfg.AutoTuneMax,
+		Trace: cfg.Trace, TraceSample: cfg.TraceSample,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("prefix server: %w", err)
-	}
-	zw.Prefix = ps
-	resolver := ps.PID()
-	if cfg.CacheTier {
-		tier, err := ncache.Start(zw.PrefixHost, "ncache", ps.PID(), cfg.Lease)
-		if err != nil {
-			return nil, fmt.Errorf("cache tier: %w", err)
-		}
-		zw.Tier = tier
-		resolver = tier.PID()
-	}
-
-	for s := 0; s < cfg.Shards; s++ {
-		host := k.NewHost(fmt.Sprintf("shard%d", s))
-		host.SetShard(s)
-		fs, err := fileserver.Start(host, fmt.Sprintf("fs%d", s))
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		zw.Hosts = append(zw.Hosts, host)
-		zw.Shards = append(zw.Shards, fs)
+		return nil, err
 	}
 	// Bind the whole population: rank r lives on shard r mod Shards, so
 	// every shard carries its share of the popularity head and tail.
 	for r, name := range pop.Names {
-		if err := ps.Define(name, zw.Shards[r%cfg.Shards].RootPair()); err != nil {
+		if err := t.Prefix.Define(name, t.Shards[r%cfg.Shards].RootPair()); err != nil {
 			return nil, fmt.Errorf("rank %d (%q): %w", r, name, err)
 		}
 	}
 
 	nclients := cfg.Shards * cfg.ClientsPerShard
-	zw.Draws = make([][]string, nclients)
-	zw.Schedule = make([][]time.Duration, nclients)
-	zw.Latencies = make([][]time.Duration, nclients)
-	for s := 0; s < cfg.Shards; s++ {
-		host := zw.Hosts[s]
-		fs := zw.Shards[s]
-		for c := 0; c < cfg.ClientsPerShard; c++ {
-			ci := s*cfg.ClientsPerShard + c
-			proc, err := host.NewProcess(fmt.Sprintf("pop%d-%d", s, c))
-			if err != nil {
-				return nil, fmt.Errorf("shard %d client %d: %w", s, c, err)
+	zw := &ZipfWorkload{
+		topology:  t,
+		Pop:       pop,
+		Draws:     make([][]string, nclients),
+		Schedule:  make([][]time.Duration, nclients),
+		Latencies: make([][]time.Duration, nclients),
+	}
+	err = t.addClients(func(shard, ci int) (*WorkloadClient, routeFunc) {
+		// Draw and arrival streams are keyed by global client index:
+		// identical across hierarchy variants and driver engines.
+		sampler := pop.Sampler(uint64(ci) + 1)
+		draws := make([]string, cfg.Arrivals)
+		for i := range draws {
+			// Snap the drawn rank to this shard's congruence class: rank
+			// r and its snapped neighbor have near-identical popularity,
+			// so the skew survives, and every draw's binding is the
+			// co-resident shard server (see the package comment for why
+			// equivalence needs this).
+			r := sampler.NextRank()
+			idx := r - r%cfg.Shards + shard
+			if idx >= cfg.Population {
+				idx -= cfg.Shards
 			}
-			sess := client.New(proc, resolver, fs.RootPair(), "pop")
-			if err := sess.EnableLeaseCache(); err != nil {
-				return nil, fmt.Errorf("shard %d client %d lease cache: %w", s, c, err)
-			}
-			// Draw and arrival streams are keyed by global client index:
-			// identical across hierarchy variants and driver engines.
-			sampler := pop.Sampler(uint64(ci) + 1)
-			draws := make([]string, cfg.Arrivals)
-			for i := range draws {
-				// Snap the drawn rank to this shard's congruence class:
-				// rank r and its snapped neighbor have near-identical
-				// popularity, so the skew survives, and every draw's
-				// binding is the co-resident shard server (see the
-				// package comment for why equivalence needs this).
-				r := sampler.NextRank()
-				idx := r - r%cfg.Shards + s
-				if idx >= cfg.Population {
-					idx -= cfg.Shards
-				}
-				draws[i] = prefix.Quote(pop.Names[idx])
-			}
-			sched := popgen.Arrivals(cfg.Arrivals, 0, cfg.Interarrival, uint64(ci)+1)
-			lats := make([]time.Duration, cfg.Arrivals)
-			zw.Draws[ci] = draws
-			zw.Schedule[ci] = sched
-			zw.Latencies[ci] = lats
-			zw.Clients = append(zw.Clients, &WorkloadClient{
-				Session:  sess,
-				Requests: cfg.Arrivals,
-				Lane:     s,
-				Arrive:   func(iter int) time.Duration { return sched[iter] },
-				Op: func(s *client.Session, iter int) error {
-					_, err := s.MapContext(draws[iter])
-					lats[iter] = s.Proc().Now() - sched[iter]
-					return err
-				},
-				Classify: confinedOnLeasedDrawRoute(k, host, draws),
-			})
+			draws[i] = prefix.Quote(pop.Names[idx])
 		}
+		sched := popgen.Arrivals(cfg.Arrivals, 0, cfg.Interarrival, uint64(ci)+1)
+		lats := make([]time.Duration, cfg.Arrivals)
+		zw.Draws[ci], zw.Schedule[ci], zw.Latencies[ci] = draws, sched, lats
+		return &WorkloadClient{
+			Arrive: func(iter int) time.Duration { return sched[iter] },
+			Op: func(s *client.Session, iter int) error {
+				_, err := s.MapContext(draws[iter])
+				lats[iter] = s.Proc().Now() - sched[iter]
+				return err
+			},
+		}, t.cachedRoute(func(iter int) string { return draws[iter] })
+	})
+	if err != nil {
+		return nil, err
 	}
 	return zw, nil
-}
-
-// confinedOnLeasedDrawRoute is confinedOnLeasedLocalRoute for a
-// per-iteration drawn name: Confined exactly when the client holds a
-// positive lease on the draw's prefix, still valid at the operation's
-// effective start (the driver has already advanced the clock to the
-// arrival instant when this runs), routing to a co-shard server.
-func confinedOnLeasedDrawRoute(k *kernel.Kernel, clientHost *kernel.Host, draws []string) func(*client.Session, int) engine.Class {
-	return func(s *client.Session, iter int) engine.Class {
-		pair, ok := s.LeasedRoute(draws[iter], s.Proc().Now())
-		if !ok {
-			return engine.Shared
-		}
-		h := k.HostOf(pair.Server)
-		if h == nil || h.Shard() < 0 || h.Shard() != clientHost.Shard() {
-			return engine.Shared
-		}
-		return engine.Confined
-	}
 }
