@@ -5,11 +5,10 @@ GO ?= go
 # Wall-clock budget for each live fuzz target in `make fuzz`.
 FUZZTIME ?= 10s
 
-# Statement-coverage floor for `make cover`, raised when the
-# observability suites (flight, namestat, sampled tracing, auto-tuner)
-# landed. Raise it when coverage rises; never lower it to make a
-# regression pass.
-COVERAGE_FLOOR ?= 78.0
+# Statement-coverage floor for `make cover`, last raised when the one
+# lease mechanism's failure paths got tests (measured 80.1%). Raise it
+# when coverage rises; never lower it to make a regression pass.
+COVERAGE_FLOOR ?= 80.0
 
 # The deterministic documents `vbench -<doc> FILE` exports, each pinned
 # byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
@@ -69,15 +68,16 @@ bench-smoke:
 # Byte-identity guard for the committed golden outputs: no change may
 # perturb a single virtual-time result, trace span, or metrics quantile.
 # Regenerating vbench_output.txt with the metrics registry installed
-# doubles as the zero-virtual-cost gate. Regenerates every golden into a
-# scratch dir, then compares byte-for-byte.
+# doubles as the zero-virtual-cost gate; the same run's -json results
+# pin BENCH_vbench.json. Regenerates every golden into a scratch dir,
+# then compares byte-for-byte.
 golden-guard:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/vbench ./cmd/vbench; \
-	$$tmp/vbench > $$tmp/vbench_output.txt; \
+	$$tmp/vbench -json $$tmp/BENCH_vbench.json > $$tmp/vbench_output.txt; \
 	$$tmp/vbench -trace $$tmp/golden_trace.json >/dev/null; \
 	for d in $(GOLDEN_DOCS); do $$tmp/vbench -$$d $$tmp/BENCH_$$d.json >/dev/null; done; \
-	for f in vbench_output.txt internal/experiments/testdata/golden_trace.json $(GOLDEN_DOCS:%=BENCH_%.json); do \
+	for f in vbench_output.txt BENCH_vbench.json internal/experiments/testdata/golden_trace.json $(GOLDEN_DOCS:%=BENCH_%.json); do \
 		cmp $$f $$tmp/$$(basename $$f) || { echo "golden outputs drifted from committed files"; exit 1; }; \
 	done; \
 	echo "golden outputs byte-identical"
@@ -108,9 +108,16 @@ fuzz:
 	$(GO) test -fuzz 'FuzzFlightRoundTrip' -fuzztime $(FUZZTIME) ./internal/flight/
 
 # Statement coverage with a recorded floor: fails if total coverage
-# drops below COVERAGE_FLOOR.
+# drops below COVERAGE_FLOOR. COVER_PKGS are printed beside the total:
+# the lease mechanism and its three callers, the packages ROADMAP item 3
+# raised by testing failure paths.
+COVER_PKGS = client ncache prefix lease
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
+	@for p in $(COVER_PKGS); do \
+		awk -v p="$$p" 'NR > 1 && index($$1, "repro/internal/" p "/") == 1 { n += $$2; if ($$3 > 0) c += $$2 } \
+			END { printf "internal/%s coverage: %.1f%%\n", p, n ? 100 * c / n : 0 }' coverage.out; \
+	done
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "total coverage: $$total% (floor $(COVERAGE_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVERAGE_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \

@@ -65,7 +65,8 @@ func TestVbenchScorecard(t *testing.T) {
 }
 
 // TestVbenchGoldens is the byte-identity safety net inside plain
-// `go test`: the full harness output against vbench_output.txt, and,
+// `go test`: the full harness output against vbench_output.txt and, from
+// the same run, its -json results against BENCH_vbench.json; then,
 // driven by the exporter table, each fast deterministic document through
 // the CLI path against its committed copy. BENCH_zipf.json (≈20 s to
 // regenerate; its legs also print in a18's section of the full output)
@@ -85,11 +86,17 @@ func TestVbenchGoldens(t *testing.T) {
 		if testing.Short() {
 			t.Skip("full experiment sweep in -short mode")
 		}
+		tmp := filepath.Join(t.TempDir(), "BENCH_vbench.json")
 		var buf bytes.Buffer
-		if err := run(nil, &buf); err != nil {
+		if err := run([]string{"-json", tmp}, &buf); err != nil {
 			t.Fatal(err)
 		}
 		golden(t, buf.Bytes(), "vbench_output.txt", "bench-json")
+		got, err := os.ReadFile(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden(t, got, "BENCH_vbench.json", "bench-json")
 	})
 	for _, e := range exports {
 		if e.flag == "zipf" {

@@ -15,7 +15,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/lease"
 	"repro/internal/metrics"
+	"repro/internal/namestat"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 	"repro/internal/vio"
@@ -28,26 +30,22 @@ type Session struct {
 	current      core.ContextPair
 	user         string
 
-	// nameCache, when non-nil, caches prefix resolutions client-side and
-	// bypasses the prefix server on hits — the design §2.2 argues
-	// *against* ("caching the name in the client would introduce
-	// inconsistency problems and only benefit the few applications that
-	// reuse names"). It exists so the A8 experiment can quantify both
-	// halves of that sentence.
-	nameCache  map[string]core.ContextPair
+	// cache, when non-nil, is the session's one name cache (lease.go):
+	// prefixed names route through it and bypass the prefix server on
+	// hits. cacheRetry says what a failed use of an entry does: drop it
+	// and re-resolve once (always, under leases), or keep it and surface
+	// the error (the naive §2.2 strawman). staleRates tracks
+	// client-observed per-prefix churn: stale-window widths measured at
+	// the point of failure (PROTOCOL.md §15).
+	cache      *lease.Cache
 	cacheRetry bool
-	cacheStats CacheStats
+	staleRates *namestat.Rates
 
-	// leases, when non-nil, is the lease-coherent cache (lease.go): the
-	// answer to the §2.2 inconsistency objection the naive nameCache
-	// embodies. It takes precedence over nameCache for prefixed names.
-	leases *leaseCache
-
-	// lastRouted records the server pid the most recent send()-routed
-	// attempt actually targeted. With the name cache on, a prefixed
-	// request goes straight to the cached pair's server — not the prefix
-	// server s.route() reports — so fallbacks that need "the server the
-	// request went to" must read this, not re-route the name.
+	// lastRouted records the server pid the most recent routed attempt
+	// actually targeted. With the cache on, a prefixed request goes
+	// straight to the cached pair's server — not the prefix server
+	// s.route() reports — so fallbacks that need "the server the request
+	// went to" must read this, not re-route the name.
 	lastRouted kernel.PID
 
 	// currentName is the CSname the current context was entered by, kept
@@ -61,15 +59,6 @@ type Session struct {
 	// recovery, when non-nil, applies the session's retry/rebind policy
 	// to every operation (resilience.go).
 	recovery *resilience
-}
-
-// CacheStats counts name-cache behaviour for the A8 experiment.
-type CacheStats struct {
-	Hits   int
-	Misses int
-	// Stale counts uses of a cached pair whose server was gone — the
-	// §2.2 inconsistency made visible.
-	Stale int
 }
 
 // New builds a session for a program running as proc, using the given
@@ -110,54 +99,6 @@ func (s *Session) route(name string) (server kernel.PID, ctx core.ContextID) {
 	return s.current.Server, s.current.Ctx
 }
 
-// EnableNameCache turns on client-side caching of prefix resolutions.
-// With retryOnError, a use of a stale entry is retried once through the
-// prefix server; without it, stale entries surface as errors until
-// FlushNameCache.
-func (s *Session) EnableNameCache(retryOnError bool) {
-	s.nameCache = make(map[string]core.ContextPair)
-	s.cacheRetry = retryOnError
-}
-
-// DisableNameCache turns the cache off.
-func (s *Session) DisableNameCache() { s.nameCache = nil }
-
-// FlushNameCache drops every resolution of the plain (non-leased) name
-// cache — the blind flush-by-timer staleness bound workloads used before
-// leases. The lease cache (EnableLeaseCache) never needs it: leased
-// entries revalidate individually when their lease lapses and are
-// dropped by callback invalidation when a binding changes, so this
-// routine deliberately leaves them alone. It survives as the compat knob
-// behind SharedPrefixConfig.FlushEvery and the A8/A14 ablations that
-// quantify what flush-by-timer costs.
-func (s *Session) FlushNameCache() {
-	if s.nameCache != nil {
-		s.nameCache = make(map[string]core.ContextPair)
-	}
-}
-
-// NameCacheStats returns the cache counters.
-func (s *Session) NameCacheStats() CacheStats { return s.cacheStats }
-
-// CachedRoute reports where a prefixed name would be routed right now if
-// the name cache resolves it: the cached (server, context) pair and
-// whether the cache holds the name's prefix. It performs no IPC and
-// charges no virtual time — it is the probe the sharded workload
-// drivers' operation classifiers use to predict whether the next request
-// stays on a cached direct route (a candidate for lane-confined
-// execution) or must walk the prefix server (shared substrate).
-func (s *Session) CachedRoute(name string) (core.ContextPair, bool) {
-	if s.nameCache == nil {
-		return core.ContextPair{}, false
-	}
-	pfx, _, err := cacheKey(name)
-	if err != nil {
-		return core.ContextPair{}, false
-	}
-	pair, ok := s.nameCache[pfx]
-	return pair, ok
-}
-
 // replyErr converts a reply message into an operation error, first
 // capturing the leader hint a ReplyNotLeader redirect carries so the next
 // attempt can re-route to the successor without rediscovery
@@ -180,27 +121,35 @@ func (s *Session) metric(name string) *metrics.Counter {
 // transaction under the session's recovery policy: each attempt re-routes
 // the name, so a retry picks up re-resolved bindings.
 func (s *Session) send(name string, req *proto.Message) (*proto.Message, error) {
-	var reply *proto.Message
-	err := s.withRecovery(name, func() (e error) {
-		reply, e = s.sendOnce(name, req)
-		return
-	})
-	return reply, err
+	return s.withRecovery(name, func() (*proto.Message, error) { return s.sendOnce(name, req) })
 }
 
-// sendOnce is one attempt of send.
+// sendOnce is one attempt of send: prefixed names go through the cache
+// when the session has one.
 func (s *Session) sendOnce(name string, req *proto.Message) (*proto.Message, error) {
-	if s.leases != nil && prefix.HasPrefix(name) {
+	if s.cache != nil && prefix.HasPrefix(name) {
 		return s.sendLeased(name, req, true)
 	}
-	if s.nameCache != nil && prefix.HasPrefix(name) {
-		return s.sendCached(name, req)
-	}
+	return s.sendUncachedOnce(name, req, nil, nil)
+}
+
+// sendUncachedOnce is one attempt of the common routine with the cache
+// out of the way: route, encode the name, let fill append whatever
+// payload rides the segment after it, charge the stub, send (moveDst is
+// the MoveTo buffer, if any) and convert the reply. Requests with a
+// payload after the name must come here and never through the cache,
+// whose SetCSName(name[rest:]) rewrite would wipe it. Name and payload
+// are re-encoded on every attempt: SetCSName resets the segment, and
+// routing may have changed after a rebind.
+func (s *Session) sendUncachedOnce(name string, req *proto.Message, moveDst []byte, fill func(req *proto.Message, ctx uint32)) (*proto.Message, error) {
 	server, ctx := s.route(name)
 	s.lastRouted = server
 	proto.SetCSName(req, uint32(ctx), name)
+	if fill != nil {
+		fill(req, uint32(ctx))
+	}
 	s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-	reply, err := s.proc.Send(req, server)
+	reply, err := s.proc.SendMove(req, server, nil, moveDst)
 	if err != nil {
 		return nil, fmt.Errorf("%q: %w", name, err)
 	}
@@ -210,81 +159,16 @@ func (s *Session) sendOnce(name string, req *proto.Message) (*proto.Message, err
 	return reply, nil
 }
 
-// sendCached routes a prefixed request around the prefix server using a
-// cached (server-pid, context-id) resolution of its prefix.
-func (s *Session) sendCached(name string, req *proto.Message) (*proto.Message, error) {
-	return s.sendCachedAttempt(name, req, true)
-}
-
-// cacheKey derives the name-cache key for a prefixed CSname: the parsed
-// prefix (the key itself) and the index where the server-relative
-// remainder of the name begins.
-func cacheKey(name string) (pfx string, rest int, err error) {
-	if !prefix.HasPrefix(name) {
-		return "", 0, fmt.Errorf("%w: %q has no context prefix", proto.ErrBadArgs, name)
-	}
-	return prefix.Parse(name, 0)
-}
-
-func (s *Session) sendCachedAttempt(name string, req *proto.Message, mayRetry bool) (*proto.Message, error) {
-	pfx, rest, err := cacheKey(name)
-	if err != nil {
-		return nil, fmt.Errorf("%q: %w", name, err)
-	}
-	pair, ok := s.nameCache[pfx]
-	if !ok {
-		s.cacheStats.Misses++
-		s.metric("client_cache_misses_total").Inc()
-		mreq := &proto.Message{Op: proto.OpMapContext}
-		proto.SetCSName(mreq, uint32(core.CtxDefault), prefix.Quote(pfx))
-		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-		mreply, err := s.proc.Send(mreq, s.prefixServer)
-		if err != nil {
-			return nil, fmt.Errorf("%q: %w", name, err)
-		}
-		if err := s.replyErr(mreply); err != nil {
-			return nil, fmt.Errorf("%q: %w", name, err)
-		}
-		pid, ctx := proto.GetMapContextReply(mreply)
-		pair = core.ContextPair{Server: kernel.PID(pid), Ctx: core.ContextID(ctx)}
-		s.nameCache[pfx] = pair
-	} else {
-		s.cacheStats.Hits++
-		s.metric("client_cache_hits_total").Inc()
-	}
-	proto.SetCSName(req, uint32(pair.Ctx), name[rest:])
-	s.lastRouted = pair.Server
-	s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-	reply, err := s.proc.Send(req, pair.Server)
-	if err != nil {
-		// The cached resolution outlived its server: the inconsistency
-		// §2.2 predicts. The naive cache keeps the stale entry (it has
-		// no way to know the failure was the cache's fault); the
-		// invalidate-and-retry variant drops it and re-resolves once.
-		s.cacheStats.Stale++
-		s.metric("client_cache_stale_total").Inc()
-		if s.cacheRetry && mayRetry {
-			delete(s.nameCache, pfx)
-			return s.sendCachedAttempt(name, req, false)
-		}
-		return nil, fmt.Errorf("%q (stale cached resolution): %w", name, err)
-	}
-	if err := s.replyErr(reply); err != nil {
-		return nil, fmt.Errorf("%q: %w", name, err)
-	}
-	return reply, nil
+// sendUncached is sendUncachedOnce under the session's recovery policy.
+func (s *Session) sendUncached(name string, req *proto.Message, moveDst []byte, fill func(req *proto.Message, ctx uint32)) (*proto.Message, error) {
+	return s.withRecovery(name, func() (*proto.Message, error) { return s.sendUncachedOnce(name, req, moveDst, fill) })
 }
 
 // sendTo is send with an explicit destination (non-name operations).
 // Recovery here only waits out transient unreachability — there is no
 // name to re-resolve a fixed pid by.
 func (s *Session) sendTo(server kernel.PID, req *proto.Message) (*proto.Message, error) {
-	var reply *proto.Message
-	err := s.withRecovery("", func() (e error) {
-		reply, e = s.sendToOnce(server, req)
-		return
-	})
-	return reply, err
+	return s.withRecovery("", func() (*proto.Message, error) { return s.sendToOnce(server, req) })
 }
 
 func (s *Session) sendToOnce(server kernel.PID, req *proto.Message) (*proto.Message, error) {
@@ -337,6 +221,12 @@ func (s *Session) List(name string) ([]proto.Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
+	return readRecords(f)
+}
+
+// readRecords reads an open context directory to its end, decodes its
+// description records and closes it.
+func readRecords(f *vio.File) ([]proto.Descriptor, error) {
 	defer f.Close()
 	raw, err := f.ReadAll()
 	if err != nil {
@@ -349,40 +239,18 @@ func (s *Session) List(name string) ([]proto.Descriptor, error) {
 // pattern ('*' and '?' globbing): only matching objects are collated and
 // transmitted — the §5.6 extension.
 func (s *Session) ListPattern(name, pattern string) ([]proto.Descriptor, error) {
-	var reply *proto.Message
-	var owner kernel.PID
-	err := s.withRecovery(name, func() error {
-		// Re-encode per attempt: SetCSName resets the segment the pattern
-		// is appended to, and routing may change after a rebind.
-		req := &proto.Message{Op: proto.OpCreateInstance}
-		server, ctx := s.route(name)
-		proto.SetCSName(req, uint32(ctx), name)
+	reply, err := s.sendUncached(name, &proto.Message{Op: proto.OpCreateInstance}, nil, func(req *proto.Message, _ uint32) {
 		proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
 		proto.SetDirPattern(req, pattern)
-		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-		r, err := s.proc.Send(req, server)
-		if err != nil {
-			return fmt.Errorf("%q: %w", name, err)
-		}
-		if err := s.replyErr(r); err != nil {
-			return fmt.Errorf("%q: %w", name, err)
-		}
-		reply = r
-		if owner = kernel.PID(proto.InstanceOwner(r)); owner == kernel.NilPID {
-			owner = server
-		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	f := vio.NewFile(s.proc, owner, proto.GetInstanceInfo(reply))
-	defer f.Close()
-	raw, err := f.ReadAll()
-	if err != nil {
-		return nil, err
+	owner := kernel.PID(proto.InstanceOwner(reply))
+	if owner == kernel.NilPID {
+		owner = s.lastRouted
 	}
-	return proto.DecodeDescriptors(raw)
+	return readRecords(vio.NewFile(s.proc, owner, proto.GetInstanceInfo(reply)))
 }
 
 // ListPrefixes reads the context directory of the user's prefix server —
@@ -395,13 +263,7 @@ func (s *Session) ListPrefixes() ([]proto.Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := vio.NewFile(s.proc, s.prefixServer, proto.GetInstanceInfo(reply))
-	defer f.Close()
-	raw, err := f.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return proto.DecodeDescriptors(raw)
+	return readRecords(vio.NewFile(s.proc, s.prefixServer, proto.GetInstanceInfo(reply)))
 }
 
 // ReadFile opens, reads and closes the named file.
@@ -441,18 +303,10 @@ func (s *Session) Query(name string) (proto.Descriptor, error) {
 // Modify overwrites the modifiable fields of the named object's
 // description (§5.5).
 func (s *Session) Modify(name string, d proto.Descriptor) error {
-	return s.withRecovery(name, func() error {
-		req := &proto.Message{Op: proto.OpModifyObject}
-		server, ctx := s.route(name)
-		proto.SetCSName(req, uint32(ctx), name)
+	_, err := s.sendUncached(name, &proto.Message{Op: proto.OpModifyObject}, nil, func(req *proto.Message, _ uint32) {
 		req.Segment = d.AppendEncoded(req.Segment)
-		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-		reply, err := s.proc.Send(req, server)
-		if err != nil {
-			return fmt.Errorf("%q: %w", name, err)
-		}
-		return s.replyErr(reply)
 	})
+	return err
 }
 
 // Remove deletes the named object.
@@ -467,6 +321,12 @@ func (s *Session) Remove(name string) error {
 // new name so the final server interprets it in the same rewritten
 // context.
 func (s *Session) Rename(oldName, newName string) error {
+	return s.sendTwoNames(proto.OpRenameObject, "rename", oldName, newName)
+}
+
+// sendTwoNames sends a request carrying a second name after the first
+// (SetRenameNames re-encodes the first with it).
+func (s *Session) sendTwoNames(op proto.Code, what, oldName, newName string) error {
 	if prefix.HasPrefix(oldName) && prefix.HasPrefix(newName) {
 		oldPfx, _, err := prefix.Parse(oldName, 0)
 		if err != nil {
@@ -477,21 +337,14 @@ func (s *Session) Rename(oldName, newName string) error {
 			return err
 		}
 		if oldPfx != newPfx {
-			return fmt.Errorf("%w: rename across context prefixes", proto.ErrIllegalRequest)
+			return fmt.Errorf("%w: %s across context prefixes", proto.ErrIllegalRequest, what)
 		}
 		newName = newName[rest:]
 	}
-	return s.withRecovery(oldName, func() error {
-		req := &proto.Message{Op: proto.OpRenameObject}
-		server, ctx := s.route(oldName)
-		proto.SetRenameNames(req, uint32(ctx), oldName, newName)
-		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-		reply, err := s.proc.Send(req, server)
-		if err != nil {
-			return fmt.Errorf("%q: %w", oldName, err)
-		}
-		return s.replyErr(reply)
+	_, err := s.sendUncached(oldName, &proto.Message{Op: op}, nil, func(req *proto.Message, ctx uint32) {
+		proto.SetRenameNames(req, ctx, oldName, newName)
 	})
+	return err
 }
 
 // MakeContext creates a new (empty) context with the given name — a
@@ -508,31 +361,7 @@ func (s *Session) MakeContext(name string) error {
 // aliasing that makes the §6 inverse mapping many-to-one. Prefix handling
 // follows Rename: a shared prefix is stripped from the new name.
 func (s *Session) Link(oldName, newName string) error {
-	if prefix.HasPrefix(oldName) && prefix.HasPrefix(newName) {
-		oldPfx, _, err := prefix.Parse(oldName, 0)
-		if err != nil {
-			return err
-		}
-		newPfx, rest, err := prefix.Parse(newName, 0)
-		if err != nil {
-			return err
-		}
-		if oldPfx != newPfx {
-			return fmt.Errorf("%w: alias across context prefixes", proto.ErrIllegalRequest)
-		}
-		newName = newName[rest:]
-	}
-	return s.withRecovery(oldName, func() error {
-		req := &proto.Message{Op: proto.OpLinkObject}
-		server, ctx := s.route(oldName)
-		proto.SetRenameNames(req, uint32(ctx), oldName, newName)
-		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-		reply, err := s.proc.Send(req, server)
-		if err != nil {
-			return fmt.Errorf("%q: %w", oldName, err)
-		}
-		return s.replyErr(reply)
-	})
+	return s.sendTwoNames(proto.OpLinkObject, "alias", oldName, newName)
 }
 
 // MapContext resolves a name to a fully-qualified context pair (§5.7).
@@ -609,23 +438,11 @@ func (s *Session) Unlink(name string) error {
 // returning the number of bytes loaded — the diskless workstation program
 // load (§3.1).
 func (s *Session) LoadProgram(name string, buf []byte) (int, error) {
-	var n int
-	err := s.withRecovery(name, func() error {
-		req := &proto.Message{Op: proto.OpLoadProgram}
-		server, ctx := s.route(name)
-		proto.SetCSName(req, uint32(ctx), name)
-		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-		reply, err := s.proc.SendMove(req, server, nil, buf)
-		if err != nil {
-			return fmt.Errorf("%q: %w", name, err)
-		}
-		if err := s.replyErr(reply); err != nil {
-			return fmt.Errorf("%q: %w", name, err)
-		}
-		n = int(reply.F[3])
-		return nil
-	})
-	return n, err
+	reply, err := s.sendUncached(name, &proto.Message{Op: proto.OpLoadProgram}, buf, nil)
+	if err != nil {
+		return 0, err
+	}
+	return int(reply.F[3]), nil
 }
 
 // Exec asks a program manager to execute the named program — e.g.
@@ -635,26 +452,13 @@ func (s *Session) LoadProgram(name string, buf []byte) (int, error) {
 // program starts with the invoker's current context (§6). It returns the
 // program's name in the programs-in-execution context and its pid.
 func (s *Session) Exec(name string) (progName string, pid kernel.PID, err error) {
-	err = s.withRecovery(name, func() error {
-		req := &proto.Message{Op: proto.OpExecProgram}
-		server, ctx := s.route(name)
-		proto.SetCSName(req, uint32(ctx), name)
+	reply, err := s.sendUncached(name, &proto.Message{Op: proto.OpExecProgram}, nil, func(req *proto.Message, _ uint32) {
 		proto.SetExecEnvironment(req, uint32(s.prefixServer), uint32(s.current.Server), uint32(s.current.Ctx))
-		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-		reply, err := s.proc.Send(req, server)
-		if err != nil {
-			return fmt.Errorf("%q: %w", name, err)
-		}
-		if err := s.replyErr(reply); err != nil {
-			return fmt.Errorf("%q: %w", name, err)
-		}
-		progName, pid = string(reply.Segment), kernel.PID(reply.F[1])
-		return nil
 	})
 	if err != nil {
 		return "", kernel.NilPID, err
 	}
-	return progName, pid, nil
+	return string(reply.Segment), kernel.PID(reply.F[1]), nil
 }
 
 // CurrentName reconstructs a CSname for the current context — the §6

@@ -316,7 +316,7 @@ func TestNameCacheHitsAndSpeed(t *testing.T) {
 	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
 		t.Fatal(err)
 	}
-	stats := s.NameCacheStats()
+	stats := s.LeaseCacheStats()
 	if stats.Misses != 1 {
 		t.Fatalf("stats after warm = %+v", stats)
 	}
@@ -326,10 +326,10 @@ func TestNameCacheHitsAndSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached := s.Proc().Now() - start
-	if s.NameCacheStats().Hits == 0 {
+	if s.LeaseCacheStats().Hits == 0 {
 		t.Fatal("second open should hit the cache")
 	}
-	s.DisableNameCache()
+	s.DisableLeaseCache()
 	start = s.Proc().Now()
 	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestNameCacheStaleAndFlush(t *testing.T) {
 	if _, err := s.ReadFile("[storage2]/archive/2026/paper.mss"); err == nil {
 		t.Fatal("naive cache must fail on the stale resolution")
 	}
-	if s.NameCacheStats().Stale == 0 {
+	if s.LeaseCacheStats().Stale == 0 {
 		t.Fatal("stale use not counted")
 	}
 	s.FlushNameCache()
@@ -405,8 +405,8 @@ func TestNameCacheRetryRecovers(t *testing.T) {
 	if err != nil || string(data) != "restored" {
 		t.Fatalf("retry cache did not recover: %q, %v", data, err)
 	}
-	if s.NameCacheStats().Stale != 1 {
-		t.Fatalf("stats = %+v", s.NameCacheStats())
+	if s.LeaseCacheStats().Stale != 1 {
+		t.Fatalf("stats = %+v", s.LeaseCacheStats())
 	}
 }
 
@@ -501,5 +501,141 @@ func TestFileOpsAgainstReferenceModel(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPayloadRoutinesBypassCache exercises each routine whose payload
+// rides the segment after the name — plus the MoveTo program load — with
+// the name cache on and warm for their prefixes: every one must work (a
+// trip through the cache's name rewrite would wipe the payload) and none
+// may touch the cache.
+func TestPayloadRoutinesBypassCache(t *testing.T) {
+	r := boot(t)
+	s := r.WS[0].Session
+	s.EnableNameCache(true)
+	for _, name := range []string{"[home]welcome.txt", "[bin]hello"} {
+		if _, err := s.Query(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteFile("[home]a.mss", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	warm := s.LeaseCacheStats()
+
+	for _, tc := range []struct {
+		label string
+		run   func() error
+	}{
+		{"ListPattern", func() error {
+			records, err := s.ListPattern("[home]", "*.mss")
+			if err == nil && (len(records) != 1 || records[0].Name != "a.mss") {
+				err = fmt.Errorf("matched %+v, want a.mss alone", records)
+			}
+			return err
+		}},
+		{"Modify", func() error {
+			d, err := s.Query("welcome.txt") // relative: not via the cache
+			if err != nil {
+				return err
+			}
+			d.Perms = proto.PermRead
+			if err := s.Modify("[home]welcome.txt", d); err != nil {
+				return err
+			}
+			if d, err = s.Query("welcome.txt"); err == nil && d.Perms != proto.PermRead {
+				err = fmt.Errorf("perms %#x after modify", d.Perms)
+			}
+			return err
+		}},
+		{"Rename", func() error {
+			if err := s.Rename("[home]a.mss", "[home]notes/b.mss"); err != nil {
+				return err
+			}
+			_, err := s.Query("notes/b.mss")
+			return err
+		}},
+		{"Rename across prefixes", func() error {
+			if err := s.Rename("[home]notes/b.mss", "[storage2]b.mss"); !errors.Is(err, proto.ErrIllegalRequest) {
+				return fmt.Errorf("err = %v, want ErrIllegalRequest", err)
+			}
+			return nil
+		}},
+		{"Link", func() error {
+			if err := s.Link("[home]notes/b.mss", "[home]alias.mss"); err != nil {
+				return err
+			}
+			_, err := s.Query("alias.mss")
+			return err
+		}},
+		{"LoadProgram", func() error {
+			buf := make([]byte, 2*1024)
+			n, err := s.LoadProgram("[bin]hello", buf)
+			if err == nil && (n != len(buf) || !strings.HasPrefix(string(buf), "V-PROGRAM:hello")) {
+				err = fmt.Errorf("loaded %d bytes, header %q", n, buf[:16])
+			}
+			return err
+		}},
+		{"Exec", func() error {
+			prog, pid, err := s.Exec("[exec]hello")
+			if err == nil && (prog == "" || pid == 0) {
+				err = fmt.Errorf("started %q pid %v", prog, pid)
+			}
+			return err
+		}},
+		{"Exec of nothing", func() error {
+			if _, _, err := s.Exec("[exec]nosuch"); !errors.Is(err, proto.ErrNotFound) {
+				return fmt.Errorf("err = %v, want ErrNotFound", err)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.LeaseCacheStats(); st != warm {
+				t.Fatalf("cache moved: %+v, was %+v", st, warm)
+			}
+		})
+	}
+}
+
+// TestFlushRacesProbe: the engine classifiers probe LeasedRoute from
+// other goroutines while the session flushes; under -race this fails if
+// the flush ever replaces the table instead of deleting through it.
+func TestFlushRacesProbe(t *testing.T) {
+	r := boot(t)
+	s := r.WS[0].Session
+	s.EnableNameCache(true)
+	home, err := s.MapContext("[home]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got, ok := s.LeasedRoute("[home]welcome.txt", 0); ok && got != home {
+				t.Errorf("probe read a torn route %v, want %v", got, home)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if _, err := s.Query("[home]welcome.txt"); err != nil {
+			t.Fatal(err)
+		}
+		s.FlushNameCache()
+	}
+	close(stop)
+	<-done
+	if _, ok := s.LeasedRoute("[home]welcome.txt", 0); ok {
+		t.Fatal("flush left the unstamped entry behind")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/nametree"
+	"repro/internal/lease"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 )
@@ -47,10 +47,9 @@ func FuzzNegativeCacheKey(f *testing.F) {
 			t.Fatalf("define key %q diverges from cache key %q", addKey, pfx)
 		}
 		// And the callback path drops exactly that entry.
-		lc := &leaseCache{entries: nametree.New[leaseEntry]()}
-		lc.entries.Insert(pfx, leaseEntry{negative: true})
-		lc.drop(addKey)
-		if lc.entries.Len() != 0 {
+		lc := lease.NewCache(lease.NewMeter("client", "fuzz"))
+		lc.Store(pfx, lease.Entry{Negative: true})
+		if !lc.Drop(addKey) {
 			t.Fatalf("invalidation of %q stranded negative entry %q", addKey, pfx)
 		}
 	})

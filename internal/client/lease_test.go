@@ -166,9 +166,10 @@ func TestNegativeCache(t *testing.T) {
 	}
 }
 
-// TestLeaseSurvivesFlush pins the FlushEvery compat contract: the blind
-// flush empties the plain name cache but deliberately leaves leased
-// entries alone — coherence, not flushing, bounds their staleness.
+// TestLeaseSurvivesFlush pins FlushNameCache's one rule — it drops the
+// entries no server will call back about — from the leased side: leased
+// entries stay, because coherence, not flushing, bounds their staleness.
+// (EnableNameCache on a leased session changes nothing: leases win.)
 func TestLeaseSurvivesFlush(t *testing.T) {
 	r := bootLeased(t, 200*time.Millisecond)
 	s := r.WS[0].Session
@@ -193,9 +194,10 @@ func TestLeaseSurvivesFlush(t *testing.T) {
 }
 
 // TestLeaseCacheLifecycle pins the off-switch: DisableLeaseCache
-// destroys the callback process and reverts the session to the
-// validate-on-use path, the probes and stats degrade to their zero
-// values, and a second disable is a no-op.
+// destroys the callback process and leaves the session with no cache at
+// all — every prefixed request walks the prefix server again — the
+// probes and stats degrade to their zero values, and a second disable is
+// a no-op.
 func TestLeaseCacheLifecycle(t *testing.T) {
 	r := bootLeased(t, 200*time.Millisecond)
 	s := r.WS[0].Session
@@ -223,6 +225,6 @@ func TestLeaseCacheLifecycle(t *testing.T) {
 		t.Fatal("lease expiry must vanish with the cache")
 	}
 	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
-		t.Fatalf("validate-on-use read after disable: %v", err)
+		t.Fatalf("uncached read after disable: %v", err)
 	}
 }

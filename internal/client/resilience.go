@@ -131,12 +131,12 @@ func Retryable(err error) bool {
 		errors.Is(err, proto.ErrNotLeader)
 }
 
-// withRecovery runs attempt under the session's policy. Each attempt is
-// expected to redo its own routing (so a retry picks up fresh
-// resolutions). name is the operation's CSname, used to invalidate
-// per-name state between attempts; it may be empty for operations not
-// tied to a name.
-func (s *Session) withRecovery(name string, attempt func() error) error {
+// withRecovery runs attempt under the session's policy and returns its
+// reply. Each attempt is expected to redo its own routing (so a retry
+// picks up fresh resolutions). name is the operation's CSname, used to
+// invalidate per-name state between attempts; it may be empty for
+// operations not tied to a name.
+func (s *Session) withRecovery(name string, attempt func() (*proto.Message, error)) (*proto.Message, error) {
 	tr := s.proc.Tracer()
 	label := name
 	if label == "" {
@@ -146,16 +146,16 @@ func (s *Session) withRecovery(name string, attempt func() error) error {
 	r := s.recovery
 	if r == nil {
 		s.proc.SetCurrentSpan(root)
-		err := attempt()
+		reply, err := attempt()
 		s.proc.SetCurrentSpan(0)
 		tr.Fail(root, s.proc.Now(), failureClass(err))
-		return err
+		return reply, err
 	}
 	r.stats.Ops++
 	s.metric("client_ops_total").Inc()
 	a := tr.Start(root, trace.KindAttempt, "attempt 1", s.proc.Now(), s.proc.TraceID())
 	s.proc.SetCurrentSpan(a)
-	err := attempt()
+	reply, err := attempt()
 	s.proc.SetCurrentSpan(0)
 	tr.Fail(a, s.proc.Now(), failureClass(err))
 	if err == nil || !Retryable(err) {
@@ -164,7 +164,7 @@ func (s *Session) withRecovery(name string, attempt func() error) error {
 			s.metric("client_op_failures_total").Inc()
 		}
 		tr.Fail(root, s.proc.Now(), failureClass(err))
-		return err
+		return reply, err
 	}
 	delay := r.policy.BaseDelay
 	for try := 1; try < r.policy.MaxAttempts; try++ {
@@ -189,14 +189,14 @@ func (s *Session) withRecovery(name string, attempt func() error) error {
 		tr.End(rb, s.proc.Now())
 		a := tr.Start(root, trace.KindAttempt, fmt.Sprintf("attempt %d", try+1), s.proc.Now(), s.proc.TraceID())
 		s.proc.SetCurrentSpan(a)
-		err = attempt()
+		reply, err = attempt()
 		s.proc.SetCurrentSpan(0)
 		tr.Fail(a, s.proc.Now(), failureClass(err))
 		if err == nil {
 			r.stats.Failovers++
 			s.metric("client_failovers_total").Inc()
 			tr.End(root, s.proc.Now())
-			return nil
+			return reply, nil
 		}
 		if !Retryable(err) {
 			break
@@ -205,7 +205,7 @@ func (s *Session) withRecovery(name string, attempt func() error) error {
 	r.stats.OpsFailed++
 	s.metric("client_op_failures_total").Inc()
 	tr.Fail(root, s.proc.Now(), failureClass(err))
-	return err
+	return nil, err
 }
 
 // failureClass classifies an operation-level error for trace spans:
@@ -226,6 +226,12 @@ func failureClass(err error) string {
 // resolution is invalidated, and a current context that has no prefix
 // to fall back on is re-mapped from the name it was entered by.
 func (s *Session) rebind(name string) {
+	pfx, cached := "", false
+	if s.cache != nil && name != "" {
+		if k, _, err := cacheKey(name); err == nil {
+			pfx, cached = k, true
+		}
+	}
 	// A ReplyNotLeader redirect named the successor: re-point whatever
 	// routing state sent the failed attempt to the deposed member. Context
 	// ids stay valid across a failover — the group replicates the name
@@ -234,75 +240,53 @@ func (s *Session) rebind(name string) {
 	if hint := s.leaderHint; hint != kernel.NilPID {
 		s.leaderHint = kernel.NilPID
 		if s.proc.Kernel().ProcessAlive(hint) {
-			applied := false
-			if name != "" && prefix.HasPrefix(name) && s.nameCache != nil {
-				if pfx, _, err := cacheKey(name); err == nil {
-					if pair, ok := s.nameCache[pfx]; ok && pair.Server != hint {
-						pair.Server = hint
-						s.nameCache[pfx] = pair
-						applied = true
-					}
+			if cached {
+				if e, ok := s.cache.Peek(pfx); ok && !e.Negative && e.Pair.Server != hint {
+					e.Pair.Server = hint
+					s.cache.Store(pfx, e)
+					s.rebound()
+					return
 				}
 			} else if name != "" && !prefix.HasPrefix(name) && s.current.Server != hint {
 				s.current.Server = hint
-				applied = true
-			}
-			if applied {
-				s.recovery.stats.Rebinds++
-				s.metric("client_rebinds_total").Inc()
+				s.rebound()
 				return
 			}
 		}
 	}
 	if name != "" && prefix.HasPrefix(name) {
-		if s.nameCache != nil {
-			if pfx, _, err := cacheKey(name); err == nil {
-				if _, ok := s.nameCache[pfx]; ok {
-					delete(s.nameCache, pfx)
-					s.recovery.stats.Rebinds++
-					s.metric("client_rebinds_total").Inc()
-				}
-			}
-		}
-		// A leased resolution the failed attempt may have used is dropped
-		// the same way: the next attempt revalidates and re-leases.
-		if s.leases != nil {
-			if pfx, _, err := cacheKey(name); err == nil {
-				s.leases.drop(pfx)
-			}
-		}
 		// Prefixed names re-route through the prefix server on the next
-		// attempt; its dynamic bindings re-resolve by GetPid per use.
+		// attempt; its dynamic bindings re-resolve by GetPid per use. A
+		// cached resolution the failed attempt may have used is dropped
+		// first, so that attempt re-resolves.
+		if cached && s.cache.Drop(pfx) {
+			s.rebound()
+		}
 		return
 	}
 	// A plain name is interpreted in the current context. If that
 	// context's server died, re-map the context through the prefix
 	// server (GetPid rebinding happens there) using the name it was
 	// entered by.
-	if s.currentName == "" || !s.proc.Kernel().ProcessAlive(s.current.Server) {
-		if s.currentName == "" {
-			return
-		}
+	if s.currentName != "" && !s.proc.Kernel().ProcessAlive(s.current.Server) {
 		if pair, err := s.mapContextDirect(s.currentName); err == nil {
 			s.current = pair
-			s.recovery.stats.Rebinds++
-			s.metric("client_rebinds_total").Inc()
+			s.rebound()
 		}
 	}
+}
+
+// rebound counts one re-resolution performed by rebind.
+func (s *Session) rebound() {
+	s.recovery.stats.Rebinds++
+	s.metric("client_rebinds_total").Inc()
 }
 
 // mapContextDirect resolves a name to a context pair without recovery
 // (used inside the recovery path itself).
 func (s *Session) mapContextDirect(name string) (core.ContextPair, error) {
-	req := &proto.Message{Op: proto.OpMapContext}
-	server, ctx := s.route(name)
-	proto.SetCSName(req, uint32(ctx), name)
-	s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-	reply, err := s.proc.Send(req, server)
+	reply, err := s.sendUncachedOnce(name, &proto.Message{Op: proto.OpMapContext}, nil, nil)
 	if err != nil {
-		return core.ContextPair{}, err
-	}
-	if err := s.replyErr(reply); err != nil {
 		return core.ContextPair{}, err
 	}
 	pid, c := proto.GetMapContextReply(reply)

@@ -102,7 +102,7 @@ func TestResilienceRecoversNaiveCacheStaleness(t *testing.T) {
 	if st.Rebinds == 0 || st.Failovers == 0 {
 		t.Fatalf("rebind not recorded: %+v", st)
 	}
-	if cs := s.NameCacheStats(); cs.Stale == 0 {
+	if cs := s.LeaseCacheStats(); cs.Stale == 0 {
 		t.Fatalf("staleness should have been observed: %+v", cs)
 	}
 }

@@ -129,23 +129,6 @@ func (c *serverCounters) load() ServerStats {
 	}
 }
 
-// Snapshot returns a torn-read-resistant copy of the counters: each
-// field is an atomic load, and the whole set is re-read until two
-// consecutive passes agree (bounded, falling back to the last read
-// under sustained traffic). A mid-run reader therefore never sees a
-// request counted whose CSname/failure classification is not.
-func (c *serverCounters) Snapshot() ServerStats {
-	prev := c.load()
-	for i := 0; i < 3; i++ {
-		cur := c.load()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
-}
-
 // NewServer assembles a CSNH server from its process, store and handler.
 func NewServer(proc *kernel.Process, store ContextStore, handler Handler, opts ...Option) *Server {
 	var o serverOptions
@@ -204,10 +187,18 @@ func (s *Server) Err() error { return s.team.Err() }
 // cause and trace event are recorded (see Team.Exited).
 func (s *Server) Exited() <-chan struct{} { return s.team.Exited() }
 
-// Stats returns a stabilized snapshot of the server's protocol counters
-// (see serverCounters.Snapshot).
-func (s *Server) Stats() ServerStats {
-	return s.stats.Snapshot()
+// Stats returns a stabilized snapshot of the server's protocol counters:
+// a mid-run reader never sees a request counted whose CSname/failure
+// classification is not.
+func (s *Server) Stats() ServerStats { return metrics.Stable(s.stats.load) }
+
+// ReplyClass is the failure classification a serve span gets from the
+// reply that ends it: empty for ReplyOK, else the reply code's name.
+func ReplyClass(reply *proto.Message) string {
+	if reply.Op == proto.ReplyOK {
+		return ""
+	}
+	return reply.Op.String()
 }
 
 // serveOne processes a single request on the serving process p and
@@ -234,11 +225,7 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 		// path below otherwise swallows — to the serve span, and end it
 		// before the Reply unblocks the client, so a snapshot taken the
 		// moment the client resumes never sees a half-open serve.
-		class := ""
-		if reply.Op != proto.ReplyOK {
-			class = reply.Op.String()
-		}
-		tr.Fail(sp, p.Now(), class)
+		tr.Fail(sp, p.Now(), ReplyClass(reply))
 	}
 	// A failed reply means the sender died or became unreachable; the
 	// transaction is already failed on the sender side (and the reply

@@ -584,7 +584,7 @@ func A8() (Result, error) {
 				return 0, 0, 0, err
 			}
 		}
-		return per, failures, s.NameCacheStats().Stale, nil
+		return per, failures, s.LeaseCacheStats().Stale, nil
 	}
 
 	plainPer, plainFail, _, err := variant(nil)

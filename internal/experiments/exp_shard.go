@@ -116,7 +116,7 @@ func a16Run(shards int) (ShardRun, error) {
 		run.PerLaneOps[parTop.Clients[i].Lane] += st.Completed
 	}
 	for _, c := range parTop.Clients {
-		st := c.Session.NameCacheStats()
+		st := c.Session.LeaseCacheStats()
 		run.ConfinedOps += st.Hits
 		run.SharedOps += st.Misses
 	}

@@ -1,0 +1,422 @@
+// Package lease is the one implementation of lease-coherent name
+// caching (PROTOCOL.md §13), instantiated at every tier of the cache
+// hierarchy: client.Session holds leases, ncache.Tier holds them upstream
+// and grants sub-leases downstream, prefix.Server grants them. Only this
+// package knows the lease wire encoding — the lease-flagged bare-prefix
+// MapContext, the stamped reply, the OpCacheInvalidate callback — and the
+// expiry rule: an entry is valid strictly before its Expire.
+//
+// The holder side is a Cache; the granter side is Wanted, Grant and
+// Holders; a Meter shared by both counts what happened and fans each
+// event out to the registry, the tracer and the flight recorder.
+//
+// The paper's §2.2 strawman — cache a resolution and trust it until a
+// use fails — is the degenerate policy of the same mechanism: a Cache
+// with no callback process asks for no lease, so what it stores is
+// unstamped (Expire == Never), no server will ever call back about it,
+// and only its holder's own failures (or a blind Flush) remove it.
+package lease
+
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/flight"
+	"repro/internal/kernel"
+	"repro/internal/metrics"
+	"repro/internal/nametree"
+	"repro/internal/proto"
+	"repro/internal/trace"
+)
+
+// Never is the expiry of an unstamped entry, and the upstream bound of a
+// granter that is itself the authority.
+const Never = time.Duration(math.MaxInt64)
+
+// Entry is one cached resolution. A Negative entry records the absence of
+// the name: lookups are answered locally until the lease expires or a
+// define invalidates it.
+type Entry struct {
+	Pair     core.ContextPair
+	Grant    time.Duration // holder-observed grant time
+	Expire   time.Duration // absolute virtual-time expiry; Never if unstamped
+	Negative bool
+}
+
+// Stamped reports whether a granting server bounded e and will call back
+// about it.
+func (e Entry) Stamped() bool { return e.Expire != Never }
+
+// Event is one thing that happens to a lease, on either side of the
+// protocol. Each indexes a Meter counter.
+type Event uint8
+
+const (
+	Hit             Event = iota // holder: served from a valid entry
+	NegativeHit                  // holder: known-absent name answered locally
+	Miss                         // holder: no entry, resolve upstream
+	Renewal                      // holder: entry lapsed, dropped, revalidate
+	Acquired                     // holder: stored the answer to a Miss
+	Renewed                      // holder: stored the answer to a Renewal
+	Invalidation                 // holder: callback dropped the entry
+	Stale                        // holder: cached server gone before any callback
+	Granted                      // granter: first positive stamp of a name
+	Regranted                    // granter: positive stamp of a name leased before
+	GrantedNegative              // granter: NotFound stamp
+	Commit                       // granter: a binding change committed
+	Notified                     // granter: holders that acknowledged a Commit
+	numEvents
+)
+
+// events says where each Event goes besides its counter.
+var events = [numEvents]struct {
+	metric string      // registry counter, labelled {server, class}
+	span   string      // trace lease-event name; "" records none
+	stamp  bool        // the span carries the entry's grant/expire stamp
+	kind   flight.Kind // flight-journal record; 0 records none
+	detail string
+}{
+	Hit:             {metric: "lease_hits_total", span: "hit", stamp: true},
+	NegativeHit:     {metric: "lease_negative_hits_total", span: "negative-hit", stamp: true},
+	Miss:            {metric: "lease_misses_total"},
+	Renewal:         {metric: "lease_renewals_total", span: "expired", stamp: true, kind: flight.KindLeaseRenew, detail: "expired"},
+	Acquired:        {metric: "lease_acquired_total", span: "grant", stamp: true},
+	Renewed:         {metric: "lease_renewed_total", span: "renew", stamp: true},
+	Invalidation:    {metric: "lease_invalidations_total", span: "callback", kind: flight.KindInvalidate, detail: "callback"},
+	Stale:           {metric: "lease_stale_total", kind: flight.KindFailover, detail: "stale"},
+	Granted:         {metric: "lease_grants_total", span: "grant", stamp: true, kind: flight.KindLeaseGrant},
+	Regranted:       {metric: "lease_regrants_total", span: "grant", stamp: true, kind: flight.KindLeaseRenew},
+	GrantedNegative: {metric: "lease_negative_grants_total", span: "grant", stamp: true, kind: flight.KindLeaseGrant, detail: "negative"},
+	Commit:          {metric: "lease_commits_total", span: "invalidate"},
+	Notified:        {metric: "lease_holders_notified_total"},
+}
+
+// Stats is a snapshot of a Meter's counters, indexed by Event.
+type Stats [numEvents]uint64
+
+// Meter counts one tier's lease events and publishes them. Counters are
+// atomics: a callback process bumps Invalidation concurrently with the
+// serving goroutine's hit path.
+type Meter struct {
+	class, owner string
+	n            [numEvents]atomic.Uint64
+}
+
+// NewMeter returns a meter publishing under class ("client", "tier" or
+// "prefix") in owner's name.
+func NewMeter(class, owner string) *Meter { return &Meter{class: class, owner: owner} }
+
+func (m *Meter) load() (s Stats) {
+	for i := range s {
+		s[i] = m.n[i].Load()
+	}
+	return s
+}
+
+// Snapshot returns a torn-read-resistant copy of the counters.
+func (m *Meter) Snapshot() Stats { return metrics.Stable(m.load) }
+
+// add bumps ev's counter and registry series by n.
+func (m *Meter) add(p *kernel.Process, ev Event, n uint64) {
+	m.n[ev].Add(n)
+	p.Kernel().Metrics().Counter(events[ev].metric, metrics.Labels{Server: m.owner, Class: m.class}).Add(n)
+}
+
+// Observe records one ev about name at virtual time at: counter,
+// registry series, flight record and zero-length trace span, as the event
+// calls for. A stamped span carries e's lease; an unstamped entry has no
+// stamp to carry and records none, so the staleness invariant
+// (trace.CheckOptions.LeaseBound) only ever sees real leases.
+func (m *Meter) Observe(p *kernel.Process, ev Event, name string, at time.Duration, e Entry) {
+	m.add(p, ev, 1)
+	d := &events[ev]
+	if d.kind != 0 {
+		p.Kernel().Flight().Record(at, d.kind, name, m.owner, d.detail)
+	}
+	if tr := p.Tracer(); tr != nil && d.span != "" && (!d.stamp || e.Stamped()) {
+		sp := tr.Event(p.CurrentSpan(), trace.KindLease, d.span+" "+name, at, p.TraceID(), "")
+		if d.stamp {
+			tr.SetLease(sp, e.Grant, e.Expire)
+		}
+	}
+}
+
+// State is a Lookup outcome.
+type State int
+
+const (
+	Absent  State = iota // no entry
+	Valid                // entry returned; its lease covers now
+	Expired              // entry returned, already dropped: its lease lapsed
+)
+
+// Cache is the holder side: one tier's table of leases, read lock-free
+// off the index's COW root by the serving goroutine, the callback
+// process and the engine classifiers alike.
+type Cache struct {
+	*Meter
+	entries *nametree.Tree[Entry]
+	// callback receives OpCacheInvalidate; its pid rides every Acquire so
+	// servers know whom to call back. Nil selects the unstamped policy.
+	callback  *kernel.Process
+	propagate func(p *kernel.Process, name string, commit time.Duration)
+}
+
+// NewCache returns an empty cache under the unstamped policy.
+func NewCache(m *Meter) *Cache {
+	return &Cache{Meter: m, entries: nametree.New[Entry]()}
+}
+
+// Listen switches the cache to the leased policy by spawning its
+// callback process on host. propagate, if non-nil, runs after each
+// applied invalidation and before its acknowledgement: a tier hands the
+// invalidation on to its own holders there, so the upstream barrier
+// covers the whole subtree. The callback must be a process of its own —
+// the serving process may be blocked in Acquire while the granter waits
+// on this callback, and one process doing both would deadlock the barrier.
+func (c *Cache) Listen(host *kernel.Host, name string, propagate func(p *kernel.Process, name string, commit time.Duration)) (err error) {
+	c.propagate = propagate
+	c.callback, err = host.Spawn(name, c.serveCallbacks)
+	return err
+}
+
+// Callback returns the pid of the callback process (NilPID under the
+// unstamped policy).
+func (c *Cache) Callback() kernel.PID {
+	if c.callback == nil {
+		return kernel.NilPID
+	}
+	return c.callback.PID()
+}
+
+// Close destroys the callback process; it leaves its holder groups via
+// the kernel's destroy path, so granting servers stop waiting on it.
+func (c *Cache) Close() {
+	if c.callback != nil {
+		c.callback.Destroy()
+	}
+}
+
+// serveCallbacks is the callback process body. Replying only after the
+// entry is gone is what makes a granter's SendGroupAll a barrier: when
+// its define or delete returns, this holder has already dropped the name.
+func (c *Cache) serveCallbacks(p *kernel.Process) {
+	for {
+		msg, from, err := p.Receive()
+		if err != nil {
+			return
+		}
+		// The lease event hangs off the granter's transaction. A holder
+		// that propagates also sends from here, and opens a serve span for
+		// those sends to nest under.
+		tr := p.Tracer()
+		var sp trace.SpanID
+		if tr != nil {
+			sp = p.PendingSpan(from)
+			if c.propagate != nil {
+				sp = tr.Start(sp, trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
+			}
+			p.SetCurrentSpan(sp)
+		}
+		reply := &proto.Message{Op: proto.ReplyOK}
+		if msg.Op != proto.OpCacheInvalidate {
+			reply.Op = proto.ReplyIllegalRequest
+		} else if name, commit, err := proto.CacheInvalidate(msg); err != nil {
+			reply.Op = proto.ReplyBadArgs
+		} else {
+			c.entries.Delete(name)
+			c.Observe(p, Invalidation, name, p.Now(), Entry{})
+			if c.propagate != nil {
+				c.propagate(p, name, time.Duration(commit))
+			}
+		}
+		if tr != nil {
+			if c.propagate != nil {
+				tr.Fail(sp, p.Now(), core.ReplyClass(reply))
+			}
+			p.SetCurrentSpan(0)
+		}
+		if p.Reply(reply, from) != nil {
+			return
+		}
+	}
+}
+
+// Lookup classifies the cache's answer for name at virtual time now and
+// records it (Hit, NegativeHit, Renewal or Miss). A lapsed entry is
+// dropped: the Acquire that follows either re-grants it or it is gone.
+func (c *Cache) Lookup(p *kernel.Process, name string, now time.Duration) (Entry, State) {
+	e, ok := c.entries.Get(name)
+	switch {
+	case !ok:
+		c.Observe(p, Miss, name, now, e)
+		return e, Absent
+	case now >= e.Expire:
+		c.entries.Delete(name)
+		c.Observe(p, Renewal, name, now, e)
+		return e, Expired
+	case e.Negative:
+		c.Observe(p, NegativeHit, name, now, e)
+	default:
+		c.Observe(p, Hit, name, now, e)
+	}
+	return e, Valid
+}
+
+// Peek returns name's entry, lapsed or not: a pure probe — no IPC, no
+// virtual time, no mutation, no event.
+func (c *Cache) Peek(name string) (Entry, bool) { return c.entries.Get(name) }
+
+// Route is Peek for the engine classifiers: the pair a use of name at
+// virtual time at would be sent to, if a valid positive entry holds it.
+func (c *Cache) Route(name string, at time.Duration) (core.ContextPair, bool) {
+	e, ok := c.entries.Get(name)
+	if !ok || e.Negative || at >= e.Expire {
+		return core.ContextPair{}, false
+	}
+	return e.Pair, true
+}
+
+// Store (re)places name's entry.
+func (c *Cache) Store(name string, e Entry) { c.entries.Insert(name, e) }
+
+// Drop removes name's entry, reporting whether there was one.
+func (c *Cache) Drop(name string) bool { return c.entries.Delete(name) }
+
+// Flush drops every entry no server will call back about. Stamped
+// entries stay: expiry and callbacks bound their staleness. Entries go
+// one by one through the index's COW root, so a concurrent Route sees
+// each either present or absent, never a torn table.
+func (c *Cache) Flush() {
+	c.entries.Walk(func(name string, e Entry) bool {
+		if !e.Stamped() {
+			c.entries.Delete(name)
+		}
+		return true
+	})
+}
+
+// Acquire resolves name through server after a Lookup that returned
+// prior, with one MapContext of bare — name's bare-prefix CSname —
+// flagged as a lease request when the cache listens for callbacks. It
+// returns the entry the reply describes, the reply, and whether the cache
+// now holds the entry: a stamped ReplyOK (a lease) or ReplyNotFound (a
+// negative one) always; an unstamped ReplyOK only under the unstamped
+// policy — a listening cache uses it for this request but keeps nothing
+// nobody will call back about. Any other reply is the caller's to relay
+// or report. err is the transport failure of the Send.
+func (c *Cache) Acquire(p *kernel.Process, server kernel.PID, name, bare string, prior State) (e Entry, reply *proto.Message, held bool, err error) {
+	req := &proto.Message{Op: proto.OpMapContext}
+	proto.SetCSName(req, uint32(core.CtxDefault), bare)
+	if c.callback != nil {
+		proto.SetLeaseRequest(req, uint32(c.callback.PID()))
+	}
+	if reply, err = p.Send(req, server); err != nil {
+		return e, nil, false, err
+	}
+	e = Entry{Grant: p.Now(), Expire: Never}
+	expire, stamped := proto.LeaseGrant(reply)
+	if stamped {
+		e.Expire = time.Duration(expire)
+	}
+	switch {
+	case reply.Op == proto.ReplyOK:
+		pid, ctx := proto.GetMapContextReply(reply)
+		e.Pair = core.ContextPair{Server: kernel.PID(pid), Ctx: core.ContextID(ctx)}
+	case reply.Op == proto.ReplyNotFound && stamped:
+		e.Negative = true
+	default:
+		return e, reply, false, nil
+	}
+	if !stamped && c.callback != nil {
+		return e, reply, false, nil
+	}
+	c.entries.Insert(name, e)
+	ev := Acquired
+	if prior == Expired {
+		ev = Renewed
+	}
+	c.Observe(p, ev, name, e.Grant, e)
+	return e, reply, true, nil
+}
+
+// Wanted reports whether msg, whose CSname's prefix ends at rest, is a
+// lease request its receiver can answer from its own table — a flagged
+// MapContext of the bare prefix — and the callback pid it names.
+func Wanted(msg *proto.Message, name string, rest int) (kernel.PID, bool) {
+	if msg.Op != proto.OpMapContext || rest < len(name) {
+		return kernel.NilPID, false
+	}
+	cb, ok := proto.LeaseRequest(msg)
+	return kernel.PID(cb), ok
+}
+
+// Grant stamps reply with a lease of length from now, cut short at
+// upstream — the expiry of the lease backing the granter's own answer
+// (Never for the authority) — so no tier widens the staleness bound. It
+// returns the expiry stamped.
+func Grant(reply *proto.Message, now, length, upstream time.Duration) time.Duration {
+	expire := now + length
+	if upstream < expire {
+		expire = upstream
+	}
+	proto.SetLeaseGrant(reply, int64(expire))
+	return expire
+}
+
+// Holders is a granter's memory of whom to call back: per name, the
+// kernel group of callback pids holding a lease on it. Membership
+// survives invalidations — a holder that re-leases is already in the
+// group — and destroyed processes leave via the kernel's destroy path.
+type Holders struct {
+	*Meter
+	mu     sync.Mutex
+	groups map[string]kernel.PID
+}
+
+// NewHolders returns an empty holder table.
+func NewHolders(m *Meter) *Holders {
+	return &Holders{Meter: m, groups: make(map[string]kernel.PID)}
+}
+
+// Join adds cb to name's group, creating the group on first use.
+func (h *Holders) Join(k *kernel.Kernel, name string, cb kernel.PID) {
+	h.mu.Lock()
+	gid, ok := h.groups[name]
+	if !ok {
+		gid = k.CreateGroup()
+		h.groups[name] = gid
+	}
+	h.mu.Unlock()
+	_ = k.JoinGroup(gid, cb) // a holder that died since asking has nothing to drop
+}
+
+// Invalidate calls back every holder of name; see Notify. A name nobody
+// holds is a no-op.
+func (h *Holders) Invalidate(p *kernel.Process, name string, commit time.Duration) int {
+	h.mu.Lock()
+	gid, ok := h.groups[name]
+	h.mu.Unlock()
+	if !ok {
+		return 0
+	}
+	return h.Notify(p, gid, name, commit)
+}
+
+// Notify multicasts OpCacheInvalidate for name, committed at commit, to
+// the holder group gid and waits for every reachable holder to apply it.
+// It returns how many acknowledged; holders it cannot reach are bounded
+// by their lease expiry instead.
+func (m *Meter) Notify(p *kernel.Process, gid kernel.PID, name string, commit time.Duration) int {
+	msg := &proto.Message{}
+	proto.SetCacheInvalidate(msg, name, int64(commit))
+	n, err := p.SendGroupAll(msg, gid)
+	if err != nil || n <= 0 {
+		return 0
+	}
+	m.add(p, Notified, uint64(n))
+	return n
+}

@@ -62,6 +62,23 @@ func (k instKey) less(o instKey) bool {
 	return k.labels.less(o.labels)
 }
 
+// Stable returns a torn-read-resistant result of load, a function that
+// reads a set of atomic counters one field at a time: the whole set is
+// re-read until two consecutive passes agree (bounded, falling back to
+// the last read under sustained traffic), so a mid-run reader never sees
+// one counter of a pair bumped and not the other.
+func Stable[T comparable](load func() T) T {
+	prev := load()
+	for i := 0; i < 3; i++ {
+		cur := load()
+		if cur == prev {
+			return cur
+		}
+		prev = cur
+	}
+	return prev
+}
+
 // Counter is a monotonically increasing atomic counter. All methods are
 // nil-safe no-ops so instrument sites need no registry-presence checks.
 type Counter struct {

@@ -16,24 +16,19 @@
 // (kernel.SendGroupAll) before the tier acknowledges — the prefix
 // server's define/delete therefore still returns only after every
 // reachable cache in the hierarchy, shared or per-client, has dropped
-// the name. The callback process is deliberately distinct from the
-// serving process: the serving process may be blocked inside an
-// upstream Send while the prefix server waits on the tier's callback,
-// and a single-process tier would deadlock that barrier.
+// the name (lease.Cache.Listen says why that takes a second process).
 package ncache
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flight"
 	"repro/internal/kernel"
+	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/namestat"
-	"repro/internal/nametree"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -43,7 +38,8 @@ import (
 type Stats struct {
 	// Hits served a lease request from a valid tier entry.
 	Hits uint64
-	// Misses walked the upstream prefix server for a fresh lease.
+	// Misses walked the upstream prefix server for a fresh lease,
+	// whether no entry existed or the one that did had lapsed.
 	Misses uint64
 	// NegativeHits answered a known-absent name from a negative entry.
 	NegativeHits uint64
@@ -58,38 +54,18 @@ type Stats struct {
 	Forwards uint64
 }
 
-// entry is one upstream lease held by the tier.
-type entry struct {
-	pair     core.ContextPair
-	grant    time.Duration
-	expire   time.Duration
-	negative bool
-}
-
-type counters struct {
-	hits, misses, negHits, renewals atomic.Uint64
-	invalidations, propagated, fwds atomic.Uint64
-}
-
-// Tier is one shared intermediate name cache.
+// Tier is one shared intermediate name cache: a lease.Cache holding
+// upstream leases, and the lease.Holders of the sub-leases granted from
+// them, on one meter.
 type Tier struct {
 	name     string
 	proc     *kernel.Process
-	callback *kernel.Process
 	upstream kernel.PID
 	leaseLen time.Duration
 
-	// entries is the tier's lease table on the shared radix index
-	// (PROTOCOL.md §14): the hit-path lookup is a lock-free descent, so
-	// the serving process never contends with the callback process
-	// dropping entries. mu guards only the holders map.
-	entries *nametree.Tree[entry]
-	mu      sync.Mutex
-	// holders maps each prefix name to the kernel group of downstream
-	// callback pids holding a sub-lease on it.
-	holders map[string]kernel.PID
-
-	ctr counters
+	cache   *lease.Cache
+	holders *lease.Holders
+	fwds    atomic.Uint64
 
 	// topk is the tier's always-on hot-name sketch (PROTOCOL.md §15):
 	// which prefixes this tier is actually absorbing load for.
@@ -104,22 +80,26 @@ func Start(host *kernel.Host, name string, upstream kernel.PID, leaseLen time.Du
 	if leaseLen <= 0 {
 		return nil, fmt.Errorf("ncache: sub-lease length must be positive")
 	}
+	meter := lease.NewMeter("tier", name)
 	t := &Tier{
 		name:     name,
 		upstream: upstream,
 		leaseLen: leaseLen,
-		entries:  nametree.New[entry](),
-		holders:  make(map[string]kernel.PID),
+		cache:    lease.NewCache(meter),
+		holders:  lease.NewHolders(meter),
 		topk:     namestat.NewTopK(32),
 	}
-	cb, err := host.Spawn(name+"/upstream-cb", t.serveUpstream)
+	// An upstream invalidation propagates to the tier's own holders —
+	// waiting for every reachable one — before it is acknowledged.
+	err := t.cache.Listen(host, name+"/upstream-cb", func(p *kernel.Process, name string, commit time.Duration) {
+		t.holders.Invalidate(p, name, commit)
+	})
 	if err != nil {
 		return nil, err
 	}
-	t.callback = cb
 	main, err := host.Spawn(name, t.serve)
 	if err != nil {
-		cb.Destroy()
+		t.cache.Close()
 		return nil, err
 	}
 	t.proc = main
@@ -130,26 +110,24 @@ func Start(host *kernel.Host, name string, upstream kernel.PID, leaseLen time.Du
 // server address.
 func (t *Tier) PID() kernel.PID { return t.proc.PID() }
 
-// Callback returns the pid of the tier's upstream-callback process.
-func (t *Tier) Callback() kernel.PID { return t.callback.PID() }
-
 // Stop destroys both tier processes (leaving their group memberships via
 // the kernel's destroy path).
 func (t *Tier) Stop() {
 	t.proc.Destroy()
-	t.callback.Destroy()
+	t.cache.Close()
 }
 
 // Stats returns a snapshot of the tier counters.
 func (t *Tier) Stats() Stats {
+	st := t.cache.Snapshot()
 	return Stats{
-		Hits:          t.ctr.hits.Load(),
-		Misses:        t.ctr.misses.Load(),
-		NegativeHits:  t.ctr.negHits.Load(),
-		Renewals:      t.ctr.renewals.Load(),
-		Invalidations: t.ctr.invalidations.Load(),
-		Propagated:    t.ctr.propagated.Load(),
-		Forwards:      t.ctr.fwds.Load(),
+		Hits:          st[lease.Hit],
+		Misses:        st[lease.Miss] + st[lease.Renewal],
+		NegativeHits:  st[lease.NegativeHit],
+		Renewals:      st[lease.Renewal],
+		Invalidations: st[lease.Invalidation],
+		Propagated:    st[lease.Notified],
+		Forwards:      t.fwds.Load(),
 	}
 }
 
@@ -185,8 +163,8 @@ func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) 
 
 	pfx, cb, ok := t.leaseWanted(msg)
 	if !ok {
-		t.ctr.fwds.Add(1)
-		t.metric(p, "ncache_forwards_total").Inc()
+		t.fwds.Add(1)
+		p.Kernel().Metrics().Counter("ncache_forwards_total", metrics.Labels{Server: t.name, Class: "tier"}).Inc()
 		_ = p.Forward(msg, from, t.upstream)
 		if tr != nil {
 			tr.End(sp, p.Now())
@@ -197,11 +175,7 @@ func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) 
 
 	reply := t.serveLease(p, pfx, cb)
 	if tr != nil {
-		class := ""
-		if reply.Op != proto.ReplyOK {
-			class = reply.Op.String()
-		}
-		tr.Fail(sp, p.Now(), class)
+		tr.Fail(sp, p.Now(), core.ReplyClass(reply))
 	}
 	_ = p.Reply(reply, from)
 	if tr != nil {
@@ -210,25 +184,18 @@ func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) 
 }
 
 // leaseWanted reports whether msg is a lease request the tier can serve
-// from its table: a MapContext of a bare prefix carrying a lease
-// request.
+// from its table, and the prefix and callback it names.
 func (t *Tier) leaseWanted(msg *proto.Message) (string, kernel.PID, bool) {
-	if msg.Op != proto.OpMapContext {
-		return "", kernel.NilPID, false
-	}
-	cb, ok := proto.LeaseRequest(msg)
-	if !ok {
-		return "", kernel.NilPID, false
-	}
 	name, index, err := proto.CSName(msg)
 	if err != nil || index >= len(name) || name[index] != prefix.Marker {
 		return "", kernel.NilPID, false
 	}
 	pfx, rest, err := prefix.Parse(name, index)
-	if err != nil || rest < len(name) {
+	if err != nil {
 		return "", kernel.NilPID, false
 	}
-	return pfx, kernel.PID(cb), true
+	cb, ok := lease.Wanted(msg, name, rest)
+	return pfx, cb, ok
 }
 
 // serveLease answers one lease request, from the tier table on a hit or
@@ -238,157 +205,36 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 	p.ChargeCompute(p.Kernel().Model().PrefixRewriteCost)
 	now := p.Now()
 	t.topk.Observe(pfx)
-	e, found := t.entries.Get(pfx)
-	if found && now >= e.expire {
-		t.entries.Delete(pfx)
-		found = false
-		t.ctr.renewals.Add(1)
-	}
-
-	if found {
-		if e.negative {
-			t.ctr.negHits.Add(1)
-			t.metric(p, "ncache_negative_hits_total").Inc()
-			t.leaseEvent(p, "negative-hit", pfx, now, e)
-			reply := core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, proto.ErrNotFound))
-			t.subGrant(p, reply, pfx, cb, now, e)
+	e, state := t.cache.Lookup(p, pfx, now)
+	var reply *proto.Message
+	switch {
+	case state != lease.Valid:
+		// Take a fresh upstream lease in the tier's own name — the
+		// upstream callback is the tier's, not the client's — then relay
+		// the reply downstream. An answer the tier does not hold (an
+		// upstream without lease support, a reply that is neither a
+		// binding nor its absence) is relayed as it came: the client will
+		// use it without caching, and the tier sub-leases nothing it
+		// cannot be called back about.
+		var held bool
+		var err error
+		e, reply, held, err = t.cache.Acquire(p, t.upstream, pfx, prefix.Quote(pfx), state)
+		if err != nil {
+			return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, err))
+		}
+		if !held {
 			return reply
 		}
-		t.ctr.hits.Add(1)
-		t.metric(p, "ncache_hits_total").Inc()
-		t.leaseEvent(p, "hit", pfx, now, e)
-		reply := core.OkReply()
-		proto.SetMapContextReply(reply, uint32(e.pair.Server), uint32(e.pair.Ctx))
-		t.subGrant(p, reply, pfx, cb, now, e)
-		return reply
-	}
-
-	// Miss (or lapsed entry): take a fresh upstream lease in the tier's
-	// own name — the upstream callback is the tier's, not the client's —
-	// then relay the reply downstream under a sub-lease.
-	t.ctr.misses.Add(1)
-	t.metric(p, "ncache_misses_total").Inc()
-	mreq := &proto.Message{Op: proto.OpMapContext}
-	proto.SetCSName(mreq, uint32(core.CtxDefault), prefix.Quote(pfx))
-	proto.SetLeaseRequest(mreq, uint32(t.callback.PID()))
-	mreply, err := p.Send(mreq, t.upstream)
-	if err != nil {
-		return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, err))
-	}
-	granted := p.Now()
-	expire, stamped := proto.LeaseGrant(mreply)
-	if !stamped {
-		// An upstream without lease support: relay the answer unstamped —
-		// the client will use it without caching, and the tier caches
-		// nothing it cannot be called back about.
-		return mreply
-	}
-	ne := entry{grant: granted, expire: time.Duration(expire)}
-	switch {
-	case mreply.Op == proto.ReplyOK:
-		pid, ctx := proto.GetMapContextReply(mreply)
-		ne.pair = core.ContextPair{Server: kernel.PID(pid), Ctx: core.ContextID(ctx)}
-	case mreply.Op == proto.ReplyNotFound:
-		ne.negative = true
+		now = e.Grant
+	case e.Negative:
+		reply = core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, proto.ErrNotFound))
 	default:
-		return mreply // stamped but not cacheable: relay as-is
+		reply = core.OkReply()
+		proto.SetMapContextReply(reply, uint32(e.Pair.Server), uint32(e.Pair.Ctx))
 	}
-	t.entries.Insert(pfx, ne)
-	t.leaseEvent(p, "grant", pfx, granted, ne)
-	t.subGrant(p, mreply, pfx, cb, granted, ne)
-	return mreply
-}
-
-// subGrant stamps reply with a sub-lease expiring at the earlier of the
-// tier's sub-lease length and the backing upstream lease, and registers
-// the downstream callback as a holder.
-func (t *Tier) subGrant(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, now time.Duration, e entry) {
-	sub := now + t.leaseLen
-	if e.expire < sub {
-		sub = e.expire
-	}
-	proto.SetLeaseGrant(reply, int64(sub))
-	k := p.Kernel()
-	t.mu.Lock()
-	gid, ok := t.holders[pfx]
-	if !ok {
-		gid = k.CreateGroup()
-		t.holders[pfx] = gid
-	}
-	t.mu.Unlock()
-	_ = k.JoinGroup(gid, cb)
-}
-
-// serveUpstream is the callback process body: an OpCacheInvalidate from
-// the upstream server drops the tier entry and propagates to the tier's
-// own holders — waiting for every reachable one — before acknowledging,
-// so the upstream barrier covers the whole subtree.
-func (t *Tier) serveUpstream(p *kernel.Process) {
-	for {
-		msg, from, err := p.Receive()
-		if err != nil {
-			return
-		}
-		tr := p.Tracer()
-		var sp trace.SpanID
-		if tr != nil {
-			sp = tr.Start(p.PendingSpan(from), trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
-			p.SetCurrentSpan(sp)
-		}
-		reply := &proto.Message{Op: proto.ReplyOK}
-		if msg.Op == proto.OpCacheInvalidate {
-			name, commit, derr := proto.CacheInvalidate(msg)
-			if derr != nil {
-				reply.Op = proto.ReplyBadArgs
-			} else {
-				t.entries.Delete(name)
-				t.mu.Lock()
-				gid, held := t.holders[name]
-				t.mu.Unlock()
-				t.ctr.invalidations.Add(1)
-				t.metric(p, "ncache_invalidations_total").Inc()
-				p.Kernel().Flight().Record(p.Now(), flight.KindInvalidate, name, t.name, "tier")
-				if tr != nil {
-					tr.Event(sp, trace.KindLease, "callback "+name, p.Now(), p.TraceID(), "")
-				}
-				if held {
-					fwd := &proto.Message{}
-					proto.SetCacheInvalidate(fwd, name, commit)
-					if n, err := p.SendGroupAll(fwd, gid); err == nil && n > 0 {
-						t.ctr.propagated.Add(uint64(n))
-						t.metric(p, "ncache_propagated_total").Add(uint64(n))
-					}
-				}
-			}
-		} else {
-			reply.Op = proto.ReplyIllegalRequest
-		}
-		if tr != nil {
-			class := ""
-			if reply.Op != proto.ReplyOK {
-				class = reply.Op.String()
-			}
-			tr.Fail(sp, p.Now(), class)
-			p.SetCurrentSpan(0)
-		}
-		if p.Reply(reply, from) != nil {
-			return
-		}
-	}
-}
-
-// leaseEvent records a zero-length lease span carrying the entry stamp.
-func (t *Tier) leaseEvent(p *kernel.Process, event, pfx string, at time.Duration, e entry) {
-	tr := p.Tracer()
-	if tr == nil {
-		return
-	}
-	sp := tr.Event(p.CurrentSpan(), trace.KindLease, event+" "+pfx, at, p.TraceID(), "")
-	tr.SetLease(sp, e.grant, e.expire)
-}
-
-// metric resolves a tier counter labelled with the tier process and tier
-// class.
-func (t *Tier) metric(p *kernel.Process, name string) *metrics.Counter {
-	return p.Kernel().Metrics().Counter(name, metrics.Labels{Server: t.name, Class: "tier"})
+	// The sub-lease expires at the earlier of the tier's own length and
+	// the backing upstream lease.
+	lease.Grant(reply, now, t.leaseLen, e.Expire)
+	t.holders.Join(p.Kernel(), pfx, cb)
+	return reply
 }

@@ -1,10 +1,14 @@
 package ncache_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/kernel"
+	"repro/internal/ncache"
+	"repro/internal/proto"
 	"repro/internal/rig"
 )
 
@@ -122,5 +126,160 @@ func TestTierInvalidationChain(t *testing.T) {
 		if sw.Clients[i].Session.LeaseCacheStats().Invalidations != 0 {
 			t.Fatalf("shard1 client %d wrongly called back", i)
 		}
+	}
+}
+
+// TestTierForwardsEverythingElse: a client with no lease cache behind
+// the tier sees the plain protocol unchanged — named requests, unflagged
+// bare-prefix maps and prefix-table reads are all forwarded upstream,
+// and none of them touches the tier's lease table.
+func TestTierForwardsEverythingElse(t *testing.T) {
+	sw := bootTiered(t, 500*time.Millisecond)
+	proc, err := sw.Hosts[0].NewProcess("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := client.New(proc, sw.Tier.PID(), sw.Shards[0].RootPair(), "plain")
+	if _, err := s.Query("[shard0]" + rig.ShardHotPath); err != nil {
+		t.Fatal(err)
+	}
+	if pair, err := s.MapContext("[shard1]"); err != nil || pair != sw.Shards[1].RootPair() {
+		t.Fatalf("unflagged map through the tier = %v, %v", pair, err)
+	}
+	records, err := s.ListPrefixes()
+	if err != nil || len(records) != 2 {
+		t.Fatalf("prefix table through the tier: %d records, %v", len(records), err)
+	}
+	if _, err := s.Query("[nosuch]x"); !errors.Is(err, proto.ErrNotFound) {
+		t.Fatalf("absent prefix through the tier: %v", err)
+	}
+	ts := sw.Tier.Stats()
+	if ts.Forwards < 4 || ts.Hits+ts.Misses+ts.NegativeHits != 0 {
+		t.Fatalf("tier stats %+v, want only forwards", ts)
+	}
+	if got := sw.Prefix.Stats().Forwards; got != 2 {
+		t.Fatalf("prefix server forwarded %d requests, want the query and the map", got)
+	}
+}
+
+// TestTierLapseAndAbsence: a lapsed tier entry is renewed (a miss that
+// the tier also counts as a renewal), and an absent name is held
+// negatively — the second client to ask is answered by the tier.
+func TestTierLapseAndAbsence(t *testing.T) {
+	lease := 100 * time.Millisecond
+	sw := bootTiered(t, lease)
+	a, b := sw.Clients[0].Session, sw.Clients[1].Session
+	name := "[shard0]" + rig.ShardHotPath
+	if _, err := a.Query(name); err != nil {
+		t.Fatal(err)
+	}
+	a.Proc().ChargeCompute(2 * lease)
+	if _, err := a.Query(name); err != nil {
+		t.Fatal(err)
+	}
+	ts := sw.Tier.Stats()
+	if ts.Misses != 2 || ts.Renewals != 1 || ts.Hits != 0 {
+		t.Fatalf("tier stats after a lapse %+v, want 2 misses of which 1 renewal", ts)
+	}
+	if cs := a.LeaseCacheStats(); cs.Misses != 1 || cs.Renewals != 1 {
+		t.Fatalf("client stats after a lapse %+v, want 1 miss and 1 renewal", cs)
+	}
+
+	b.Proc().ChargeCompute(a.Proc().Now() - b.Proc().Now())
+	for _, s := range []*client.Session{a, b} {
+		if _, err := s.Query("[nosuch]x"); !errors.Is(err, proto.ErrNotFound) {
+			t.Fatalf("absent prefix: %v", err)
+		}
+	}
+	ts = sw.Tier.Stats()
+	if ts.NegativeHits != 1 || ts.Misses != 3 {
+		t.Fatalf("tier stats after two absent lookups %+v, want 1 negative hit, 3 misses", ts)
+	}
+	if srv := sw.Prefix.LeaseStats(); srv.Negatives != 1 {
+		t.Fatalf("upstream stamped %d negative leases, want 1", srv.Negatives)
+	}
+	// Both clients hold sub-leases cut from the one negative upstream
+	// lease: a repeat is answered without leaving the client.
+	if _, err := b.Query("[nosuch]x"); !errors.Is(err, proto.ErrNotFound) {
+		t.Fatal(err)
+	}
+	if cs := b.LeaseCacheStats(); cs.NegativeHits != 1 {
+		t.Fatalf("client stats %+v, want the repeat answered locally", cs)
+	}
+}
+
+// TestTierStop: a stopped tier is gone from both sides — clients fail
+// fast instead of hanging, and the upstream server's next invalidation
+// finds no holder to wait for.
+func TestTierStop(t *testing.T) {
+	sw := bootTiered(t, 500*time.Millisecond)
+	rig.RunWorkload(sw.Clients)
+	sw.Tier.Stop()
+	if sw.Kernel.ProcessAlive(sw.Tier.PID()) {
+		t.Fatal("tier serving process survived Stop")
+	}
+	if _, err := sw.Clients[0].Session.Query("[shard1]" + rig.ShardHotPath); !errors.Is(err, kernel.ErrNonexistentProcess) {
+		t.Fatalf("lookup through a stopped tier: %v", err)
+	}
+	proc, err := sw.PrefixHost.NewProcess("admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := client.New(proc, sw.Prefix.PID(), sw.Shards[0].RootPair(), "admin")
+	if err := admin.DeleteName("shard0"); err != nil {
+		t.Fatal(err)
+	}
+	if srv := sw.Prefix.LeaseStats(); srv.Invalidations != 1 || srv.HoldersNotified != 0 {
+		t.Fatalf("upstream lease stats %+v: the stopped tier's callback must have left its groups", srv)
+	}
+}
+
+// TestTierNeedsALease: a tier with nothing to grant is a configuration
+// error, not a pass-through.
+func TestTierNeedsALease(t *testing.T) {
+	sw := bootTiered(t, 500*time.Millisecond)
+	if _, err := ncache.Start(sw.PrefixHost, "bad", sw.Prefix.PID(), 0); err == nil {
+		t.Fatal("Start accepted a zero sub-lease length")
+	}
+}
+
+// TestTierBeforeLeaselessUpstream: in front of a prefix server that
+// grants no leases the tier relays answers unstamped and keeps nothing —
+// it will not sub-lease what it cannot be called back about — and the
+// client uses each answer once without caching it.
+func TestTierBeforeLeaselessUpstream(t *testing.T) {
+	sw, err := rig.NewSharedPrefixWorkload(rig.SharedPrefixConfig{
+		Shards: 1, ClientsPerShard: 1, Requests: 1, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier, err := ncache.Start(sw.PrefixHost, "ncache", sw.Prefix.PID(), 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Stop()
+	proc, err := sw.Hosts[0].NewProcess("leased")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := client.New(proc, tier.PID(), sw.Shards[0].RootPair(), "leased")
+	if err := s.EnableLeaseCache(); err != nil {
+		t.Fatal(err)
+	}
+	name := "[shard0]" + rig.ShardHotPath
+	for i := 0; i < 3; i++ {
+		if _, err := s.Query(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ts := tier.Stats(); ts.Misses != 3 || ts.Hits != 0 {
+		t.Fatalf("tier stats %+v, want every lookup a miss", ts)
+	}
+	if cs := s.LeaseCacheStats(); cs.Misses != 3 || cs.Hits != 0 {
+		t.Fatalf("client stats %+v, want every lookup a miss", cs)
+	}
+	if _, ok := s.LeaseExpiry(name); ok {
+		t.Fatal("client cached an unstamped answer")
 	}
 }

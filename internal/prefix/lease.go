@@ -23,9 +23,8 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/kernel"
-	"repro/internal/metrics"
+	"repro/internal/lease"
 	"repro/internal/proto"
-	"repro/internal/trace"
 )
 
 // WithLease enables lease granting with the given lease length. Zero
@@ -35,9 +34,6 @@ import (
 func WithLease(d time.Duration) Option {
 	return func(s *Server) { s.leaseLen = d }
 }
-
-// LeaseLength returns the configured lease length (0 when disabled).
-func (s *Server) LeaseLength() time.Duration { return s.leaseLen }
 
 // LeaseStats counts the server's lease activity.
 type LeaseStats struct {
@@ -55,32 +51,21 @@ type LeaseStats struct {
 
 // LeaseStats returns a snapshot of the lease counters.
 func (s *Server) LeaseStats() LeaseStats {
+	st := s.leases.Snapshot()
 	return LeaseStats{
-		Grants:          s.leaseCtr.grants.Load(),
-		Negatives:       s.leaseCtr.negatives.Load(),
-		Invalidations:   s.leaseCtr.invalidations.Load(),
-		HoldersNotified: s.leaseCtr.notified.Load(),
+		Grants:          st[lease.Granted] + st[lease.Regranted],
+		Negatives:       st[lease.GrantedNegative],
+		Invalidations:   st[lease.Commit],
+		HoldersNotified: st[lease.Notified],
 	}
 }
 
-// leaseWanted reports whether msg is a grantable lease request: the
-// server has leases enabled, the request asks for one, and it is a
-// MapContext of the bare prefix (rest empty) — the only shape the server
-// can answer from its own table without forwarding.
-func (s *Server) leaseWanted(msg *proto.Message, name string, rest int) (kernel.PID, bool) {
-	if s.leaseLen <= 0 || msg.Op != proto.OpMapContext || rest < len(name) {
-		return kernel.NilPID, false
-	}
-	cb, ok := proto.LeaseRequest(msg)
-	return kernel.PID(cb), ok
-}
-
-// stampLease stamps reply with a lease expiring leaseLen from p's
-// current clock and registers the callback as a holder of pfx. negative
-// marks a NotFound stamp. hint is the holder group read off the index
-// node during the resolution descent (NilPID when the node has none
-// yet, or on a negative stamp): when set, the grant needs no second
-// table lookup — grant+lookup is one descent.
+// stampLease stamps reply with a lease from p's current clock and
+// registers the callback as a holder of pfx. negative marks a NotFound
+// stamp. hint is the holder group read off the index node during the
+// resolution descent (NilPID when the node has none yet, or on a
+// negative stamp): when set, the grant needs no second table lookup —
+// grant+lookup is one descent.
 func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, negative bool, hint kernel.PID) {
 	now := p.Now()
 	length := s.leaseLen
@@ -90,30 +75,21 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 		// tuner has no estimator for yet.
 		length = s.tuner.leaseFor(pfx, s.rates)
 	}
-	expire := now + length
-	proto.SetLeaseGrant(reply, int64(expire))
+	// The prefix server is the authority: nothing upstream bounds it.
+	stamp := lease.Entry{Grant: now, Expire: lease.Grant(reply, now, length, lease.Never)}
 	s.joinHolders(p, pfx, cb, hint)
-	if negative {
-		s.leaseCtr.negatives.Add(1)
-		s.leaseMetric(p, "prefix_lease_negatives_total").Inc()
-		p.Kernel().Flight().Record(now, flight.KindLeaseGrant, pfx, s.proc.Name(), "negative")
-	} else {
-		s.leaseCtr.grants.Add(1)
-		s.leaseMetric(p, "prefix_lease_grants_total").Inc()
-		if hint != kernel.NilPID {
-			// The holder group predates this grant: some holder leased the
-			// name before, so this grant re-validates — the closest the
-			// granting side comes to seeing a renewal.
-			s.rates.ObserveRenewal(pfx, now)
-			p.Kernel().Flight().Record(now, flight.KindLeaseRenew, pfx, s.proc.Name(), "")
-		} else {
-			p.Kernel().Flight().Record(now, flight.KindLeaseGrant, pfx, s.proc.Name(), "")
-		}
+	ev := lease.Granted
+	switch {
+	case negative:
+		ev = lease.GrantedNegative
+	case hint != kernel.NilPID:
+		// The holder group predates this grant: some holder leased the
+		// name before, so this grant re-validates — the closest the
+		// granting side comes to seeing a renewal.
+		ev = lease.Regranted
+		s.rates.ObserveRenewal(pfx, now)
 	}
-	if tr := p.Tracer(); tr != nil {
-		sp := tr.Event(p.CurrentSpan(), trace.KindLease, "grant "+pfx, now, p.TraceID(), "")
-		tr.SetLease(sp, now, expire)
-	}
+	s.leases.Observe(p, ev, pfx, now, stamp)
 }
 
 // joinHolders adds cb to pfx's holder group, creating the group on first
@@ -157,18 +133,14 @@ func (s *Server) joinHolders(p *kernel.Process, pfx string, cb kernel.PID, hint 
 func (s *Server) invalidateName(p *kernel.Process, name string) {
 	// The redefinition is journaled and estimated whether or not leases
 	// are on — churn analytics do not depend on the coherence protocol.
-	s.rates.ObserveRedefinition(name, p.Now())
+	commit := p.Now()
+	s.rates.ObserveRedefinition(name, commit)
 	s.tuner.observeRedefinition(name)
-	p.Kernel().Flight().Record(p.Now(), flight.KindRedefine, name, s.proc.Name(), "")
+	p.Kernel().Flight().Record(commit, flight.KindRedefine, name, s.proc.Name(), "")
 	if s.leaseLen <= 0 {
 		return
 	}
-	commit := p.Now()
-	s.leaseCtr.invalidations.Add(1)
-	s.leaseMetric(p, "prefix_lease_invalidations_total").Inc()
-	if tr := p.Tracer(); tr != nil {
-		tr.Event(p.CurrentSpan(), trace.KindLease, "invalidate "+name, commit, p.TraceID(), "")
-	}
+	s.leases.Observe(p, lease.Commit, name, commit, lease.Entry{})
 	s.mu.Lock()
 	gid := kernel.NilPID
 	if e, ok := s.index.Get(name); ok && e.holders != kernel.NilPID {
@@ -180,11 +152,7 @@ func (s *Server) invalidateName(p *kernel.Process, name string) {
 	if gid == kernel.NilPID {
 		return
 	}
-	msg := &proto.Message{}
-	proto.SetCacheInvalidate(msg, name, int64(commit))
-	if n, err := p.SendGroupAll(msg, gid); err == nil && n > 0 {
-		s.leaseCtr.notified.Add(uint64(n))
-		s.leaseMetric(p, "prefix_lease_holders_notified_total").Add(uint64(n))
+	if n := s.leases.Notify(p, gid, name, commit); n > 0 {
 		s.rates.ObserveInvalidation(name, commit, n)
 	}
 }
@@ -201,8 +169,4 @@ func (s *Server) drainDirty(p *kernel.Process) {
 	for _, name := range dirty {
 		s.invalidateName(p, name)
 	}
-}
-
-func (s *Server) leaseMetric(p *kernel.Process, name string) *metrics.Counter {
-	return p.Kernel().Metrics().Counter(name, metrics.Labels{Server: s.proc.Name(), Class: "prefix"})
 }

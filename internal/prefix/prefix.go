@@ -27,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/kernel"
+	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/namestat"
 	"repro/internal/nametree"
@@ -148,8 +149,9 @@ type Server struct {
 	dirty    []string
 
 	// stats counters are atomics: team workers bump them concurrently.
-	stats    statsCounters
-	leaseCtr leaseCounters
+	// leases counts and publishes the granting side of the lease protocol.
+	stats  statsCounters
+	leases *lease.Meter
 
 	// Observability (PROTOCOL.md §15): always-on hot-name sketch and
 	// per-name churn estimators — observers, zero virtual cost — plus
@@ -157,14 +159,6 @@ type Server struct {
 	topk  *namestat.TopK
 	rates *namestat.Rates
 	tuner *autoTuner
-}
-
-// leaseCounters is the lock-free backing store for LeaseStats.
-type leaseCounters struct {
-	grants        atomic.Uint64
-	negatives     atomic.Uint64
-	invalidations atomic.Uint64
-	notified      atomic.Uint64
 }
 
 // statsCounters is the lock-free backing store for Stats.
@@ -180,21 +174,6 @@ func (c *statsCounters) load() Stats {
 		Rebinds:     c.rebinds.Load(),
 		DeadTargets: c.deadTargets.Load(),
 	}
-}
-
-// Snapshot returns a torn-read-resistant copy of the counters: each
-// field is an atomic load, re-read until two consecutive passes agree
-// (bounded, falling back to the last read under sustained traffic).
-func (c *statsCounters) Snapshot() Stats {
-	prev := c.load()
-	for i := 0; i < 3; i++ {
-		cur := c.load()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
 }
 
 // tableEntry is one prefix table slot: the binding plus the name's
@@ -217,6 +196,7 @@ func New(proc *kernel.Process, owner string, opts ...Option) *Server {
 		reverse:      nametree.NewReverse[core.ContextPair](),
 		lastResolved: make(map[string]kernel.PID),
 		orphans:      make(map[string]kernel.PID),
+		leases:       lease.NewMeter("prefix", proc.Name()),
 		topk:         namestat.NewTopK(32),
 		rates:        namestat.NewRates(0),
 	}
@@ -358,11 +338,7 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	if tr != nil {
 		// Classify non-OK replies on the serve span and end it before the
 		// Reply unblocks the client (snapshot consistency — see core).
-		class := ""
-		if reply.Op != proto.ReplyOK {
-			class = reply.Op.String()
-		}
-		tr.Fail(sp, p.Now(), class)
+		tr.Fail(sp, p.Now(), core.ReplyClass(reply))
 	}
 	if reg != nil {
 		// Mirrors core.Server.instrumentServe: recorded before the Reply
@@ -422,7 +398,8 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	// yields the binding and the node's holder group together.
 	e, ok := s.index.Get(pfx)
 	b := e.b
-	cb, wantLease := s.leaseWanted(msg, name, rest)
+	cb, wantLease := lease.Wanted(msg, name, rest)
+	wantLease = wantLease && s.leaseLen > 0
 	if !ok {
 		reply := core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, proto.ErrNotFound))
 		if wantLease {
@@ -490,10 +467,8 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 }
 
 // Stats returns a stabilized snapshot of the forwarding and recovery
-// counters (see statsCounters.Snapshot).
-func (s *Server) Stats() Stats {
-	return s.stats.Snapshot()
-}
+// counters.
+func (s *Server) Stats() Stats { return metrics.Stable(s.stats.load) }
 
 // TopNames returns the server's hot-name sketch, count-descending.
 func (s *Server) TopNames() []namestat.Item { return s.topk.Snapshot() }

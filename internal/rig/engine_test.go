@@ -36,7 +36,7 @@ func buildSharedPrefix(t *testing.T, team int) *SharedPrefixWorkload {
 // the test's proof that both operation classes actually ran.
 func cacheTotals(sw *SharedPrefixWorkload) (hits, misses int) {
 	for _, c := range sw.Clients {
-		st := c.Session.NameCacheStats()
+		st := c.Session.LeaseCacheStats()
 		hits += st.Hits
 		misses += st.Misses
 	}

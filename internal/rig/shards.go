@@ -194,25 +194,20 @@ func (t *topology) addClients(mk func(shard, ci int) (*WorkloadClient, routeFunc
 }
 
 // cachedRoute is the route probe for a client querying name(iter)
-// through its one cache. Leased clients probe at their own clock: the
-// driver has already advanced it to the operation's effective start, the
-// engine publishes that instant as the operation's key, and the session
+// through its one cache. Clients probe at their own clock: the driver has
+// already advanced it to the operation's effective start, the engine
+// publishes that instant as the operation's key, and the session
 // re-checks validity at the same clock on entry (client.LeasedRoute), so
 // classifier and operation agree on expiry exactly; a lapsed or absent
-// lease must revalidate over the shared wire. Name-cache clients flush
+// entry must resolve over the shared wire. Name-cache clients flush
 // every FlushEvery iterations (flushes, below), and an iteration that
 // flushes re-resolves whatever the cache holds now.
 func (t *topology) cachedRoute(name func(iter int) string) routeFunc {
-	if t.cfg.Lease > 0 {
-		return func(s *client.Session, iter int) (core.ContextPair, bool) {
-			return s.LeasedRoute(name(iter), s.Proc().Now())
-		}
-	}
 	return func(s *client.Session, iter int) (core.ContextPair, bool) {
 		if t.flushes(iter) {
 			return core.ContextPair{}, false
 		}
-		return s.CachedRoute(name(iter))
+		return s.LeasedRoute(name(iter), s.Proc().Now())
 	}
 }
 
