@@ -35,7 +35,7 @@ check: vet
 	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestInvalidationUnderChaos' ./internal/rig/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestRecordZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/flight/
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
@@ -110,8 +110,9 @@ fuzz:
 # Statement coverage with a recorded floor: fails if total coverage
 # drops below COVERAGE_FLOOR. COVER_PKGS are printed beside the total:
 # the lease mechanism and its three callers, the packages ROADMAP item 3
-# raised by testing failure paths.
-COVER_PKGS = client ncache prefix lease
+# raised by testing failure paths, and the three observers whose storage
+# ROADMAP item 5(a) rewrote.
+COVER_PKGS = client ncache prefix lease trace flight namestat
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	@for p in $(COVER_PKGS); do \

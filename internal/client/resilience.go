@@ -19,7 +19,7 @@ package client
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -131,6 +131,14 @@ func Retryable(err error) bool {
 		errors.Is(err, proto.ErrNotLeader)
 }
 
+// numbered names a retry-loop span "<what> <n>"; the number is formatted
+// only if the tracer keeps the span, never on an untraced retry.
+func numbered(what string, n int) trace.Name {
+	return trace.Name{Head: what, Sep: " ", Render: decimal, Arg: uint32(n)}
+}
+
+func decimal(n uint32) string { return strconv.Itoa(int(n)) }
+
 // withRecovery runs attempt under the session's policy and returns its
 // reply. Each attempt is expected to redo its own routing (so a retry
 // picks up fresh resolutions). name is the operation's CSname, used to
@@ -173,7 +181,7 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 		r.stats.Retries++
 		s.metric("client_retries_total").Inc()
 		r.stats.Downtime += delay
-		b := tr.Start(root, trace.KindBackoff, fmt.Sprintf("backoff %d", try), s.proc.Now(), s.proc.TraceID())
+		b := tr.StartName(root, trace.KindBackoff, numbered("backoff", try), s.proc.Now(), s.proc.TraceID())
 		s.proc.ChargeCompute(delay)
 		tr.End(b, s.proc.Now())
 		if r.observer != nil {
@@ -187,7 +195,7 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 		s.rebind(name)
 		s.proc.SetCurrentSpan(0)
 		tr.End(rb, s.proc.Now())
-		a := tr.Start(root, trace.KindAttempt, fmt.Sprintf("attempt %d", try+1), s.proc.Now(), s.proc.TraceID())
+		a := tr.StartName(root, trace.KindAttempt, numbered("attempt", try+1), s.proc.Now(), s.proc.TraceID())
 		s.proc.SetCurrentSpan(a)
 		reply, err = attempt()
 		s.proc.SetCurrentSpan(0)

@@ -150,7 +150,7 @@ func (t *Team) run() {
 		w := t.workers[next%len(t.workers)]
 		next++
 		if tr := t.recept.Tracer(); tr != nil {
-			sp := tr.Start(t.recept.PendingSpan(from), trace.KindHandoff, "handoff -> "+w.Name(), t.recept.Now(), t.recept.TraceID())
+			sp := tr.StartName(t.recept.PendingSpan(from), trace.KindHandoff, trace.Name{Head: "handoff", Sep: " -> ", Tail: w.Name()}, t.recept.Now(), t.recept.TraceID())
 			// The handoff span covers the dispatch decision and ends before
 			// the Forward: a fast worker can unblock the client before this
 			// goroutine runs again, and a snapshot then must never see a
@@ -202,7 +202,7 @@ func (t *Team) recordExit(err error) {
 	// synchronizing on either is guaranteed to see the event in a
 	// snapshot — team death is asynchronous real time even though it is
 	// instantaneous virtual time.
-	t.recept.Tracer().Event(0, trace.KindServerExit, t.recept.Name(),
+	t.recept.Tracer().Event(0, trace.KindServerExit, trace.Name{Head: t.recept.Name()},
 		t.recept.Now(), t.recept.TraceID(), kernel.FailureClass(err))
 	close(t.exited)
 }

@@ -24,10 +24,12 @@
 package flight
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -97,23 +99,23 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// less orders events canonically: by time, then kind, name, process and
-// detail. Events equal under this order are interchangeable, which is
-// what makes a sealed journal deterministic at quiescent cuts.
-func (e Event) less(o Event) bool {
-	if e.At != o.At {
-		return e.At < o.At
+// compare orders events canonically: by time, then kind, name, process
+// and detail. Events equal under this order are interchangeable, which
+// is what makes a sealed journal deterministic at quiescent cuts.
+func compare(e, o Event) int {
+	if c := cmp.Compare(e.At, o.At); c != 0 {
+		return c
 	}
-	if e.Kind != o.Kind {
-		return e.Kind < o.Kind
+	if c := cmp.Compare(e.Kind, o.Kind); c != 0 {
+		return c
 	}
-	if e.Name != o.Name {
-		return e.Name < o.Name
+	if c := strings.Compare(e.Name, o.Name); c != 0 {
+		return c
 	}
-	if e.Proc != o.Proc {
-		return e.Proc < o.Proc
+	if c := strings.Compare(e.Proc, o.Proc); c != 0 {
+		return c
 	}
-	return e.Detail < o.Detail
+	return strings.Compare(e.Detail, o.Detail)
 }
 
 // DefaultCapacity is the ring size used when New is given n <= 0.
@@ -128,8 +130,14 @@ type Recorder struct {
 	n       int     // live events in the ring (≤ len(buf))
 	total   uint64  // events ever recorded
 	dropped uint64  // events overwritten before being sealed or read
-	sealed  []Event // fence-drained journal, canonical order
-	sealCap int     // bound on len(sealed); older sealed events drop
+
+	// The fence-drained journal, canonical order: a second ring, grown
+	// on demand (a recorder nobody seals holds none of it) up to sealCap
+	// events, past which each sealed event overwrites the oldest.
+	sealed   []Event
+	sealHead int // index of the oldest sealed event
+	sealN    int // sealed events held (≤ len(sealed))
+	sealCap  int
 }
 
 // New returns a recorder with the given ring capacity (DefaultCapacity
@@ -169,7 +177,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n + len(r.sealed)
+	return r.n + r.sealN
 }
 
 // Total returns the number of events ever recorded.
@@ -193,41 +201,56 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// ringLocked copies the live ring contents in record order. Caller
-// holds r.mu.
-func (r *Recorder) ringLocked() []Event {
-	out := make([]Event, 0, r.n)
-	start := r.head - r.n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
-	}
-	return out
-}
-
 // Seal drains the ring into the sealed journal in canonical order and
 // records the fence itself, returning the number of events sealed.
 // Called at engine fences — globally quiescent cuts — so the sealed
 // batch is a deterministic set regardless of how the lanes interleaved.
+// A fence costs O(batch): the batch is sorted where it lies and copied
+// once, and the journal already sealed is not touched.
 func (r *Recorder) Seal(at time.Duration) int {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	batch := r.ringLocked()
-	r.n, r.head = 0, 0
-	sort.Slice(batch, func(i, j int) bool { return batch[i].less(batch[j]) })
-	r.sealed = append(r.sealed, batch...)
-	r.sealed = append(r.sealed, Event{At: at, Kind: KindFence, Proc: "engine"})
-	r.total++
-	if over := len(r.sealed) - r.sealCap; over > 0 {
-		r.dropped += uint64(over)
-		r.sealed = append(r.sealed[:0], r.sealed[over:]...)
+	// The ring restarts at slot 0 after every Seal, so its live events
+	// are buf[:n] as a set — wrapped or not — and the canonical order
+	// does not depend on the order they were recorded in.
+	batch := r.buf[:r.n]
+	slices.SortFunc(batch, compare)
+	for _, e := range batch {
+		r.seal(e)
 	}
+	r.seal(Event{At: at, Kind: KindFence, Proc: "engine"})
+	r.total++
+	r.n, r.head = 0, 0
 	return len(batch)
+}
+
+// seal appends one event to the sealed journal, evicting (and counting
+// as dropped) the oldest once sealCap are held. Caller holds r.mu.
+func (r *Recorder) seal(e Event) {
+	if r.sealN == len(r.sealed) {
+		if r.sealN == r.sealCap {
+			r.sealed[r.sealHead] = e
+			r.sealHead = (r.sealHead + 1) % r.sealCap
+			r.dropped++
+			return
+		}
+		// Double (from a first 64 events) up to the bound.
+		grown := make([]Event, min(max(2*r.sealN, 64), r.sealCap))
+		r.sealedInto(grown)
+		r.sealed, r.sealHead = grown, 0
+	}
+	r.sealed[(r.sealHead+r.sealN)%len(r.sealed)] = e
+	r.sealN++
+}
+
+// sealedInto copies the sealed journal, oldest first, into dst and
+// returns the number of events copied. Caller holds r.mu.
+func (r *Recorder) sealedInto(dst []Event) int {
+	n := copy(dst, r.sealed[r.sealHead:min(r.sealHead+r.sealN, len(r.sealed))])
+	return n + copy(dst[n:r.sealN], r.sealed)
 }
 
 // Journal returns the recorder's contents: the sealed journal followed
@@ -239,11 +262,11 @@ func (r *Recorder) Journal() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tail := r.ringLocked()
-	sort.Slice(tail, func(i, j int) bool { return tail[i].less(tail[j]) })
-	out := make([]Event, 0, len(r.sealed)+len(tail))
-	out = append(out, r.sealed...)
-	return append(out, tail...)
+	out := make([]Event, r.sealN+r.n)
+	tail := out[r.sealedInto(out):]
+	copy(tail, r.buf[:r.n])
+	slices.SortFunc(tail, compare)
+	return out
 }
 
 // Counts tallies the journal by kind (index = Kind).

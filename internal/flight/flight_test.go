@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/popgen"
+	"repro/internal/raceflag"
 )
 
 func TestNilRecorderIsNoOp(t *testing.T) {
@@ -252,5 +256,104 @@ func TestDefaultsAndLen(t *testing.T) {
 	var nilRec *Recorder
 	if nilRec.Len() != 0 {
 		t.Fatal("nil recorder Len != 0")
+	}
+}
+
+// refRecorder is the recorder's previous journal — the drained batch
+// appended to one slice and the whole slice shifted down on eviction —
+// kept as the model the sealed ring must equal.
+type refRecorder struct {
+	ring    []Event // live events, oldest first, at most ringCap
+	ringCap int
+	sealed  []Event
+	dropped uint64
+}
+
+func (m *refRecorder) record(e Event) {
+	if len(m.ring) == m.ringCap {
+		m.ring = m.ring[1:]
+		m.dropped++
+	}
+	m.ring = append(m.ring, e)
+}
+
+func (m *refRecorder) sorted() []Event {
+	batch := append([]Event(nil), m.ring...)
+	sort.SliceStable(batch, func(i, j int) bool { return compare(batch[i], batch[j]) < 0 })
+	return batch
+}
+
+func (m *refRecorder) seal(at time.Duration) {
+	m.sealed = append(append(m.sealed, m.sorted()...), Event{At: at, Kind: KindFence, Proc: "engine"})
+	m.ring = m.ring[:0]
+	if over := len(m.sealed) - 4*m.ringCap; over > 0 {
+		m.dropped += uint64(over)
+		m.sealed = append(m.sealed[:0], m.sealed[over:]...)
+	}
+}
+
+func (m *refRecorder) journal() []Event { return append(append([]Event{}, m.sealed...), m.sorted()...) }
+
+func TestSealedRingMatchesShiftingJournal(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		next := popgen.NewRand(seed).Intn
+		ringCap := 1 + next(12)
+		r, m := New(ringCap), &refRecorder{ringCap: ringCap}
+		at := time.Duration(0)
+		for step := 0; step < 600; step++ {
+			// Mostly records, in bursts that sometimes overrun the ring,
+			// with fences often enough to wrap the sealed journal many times.
+			if next(8) == 0 {
+				r.Seal(at)
+				m.seal(at)
+			} else {
+				e := Event{At: at + time.Duration(next(5)), Kind: Kind(1 + next(int(kindMax))),
+					Name: fmt.Sprintf("n%d", next(4)), Proc: fmt.Sprintf("p%d", next(3))}
+				r.Record(e.At, e.Kind, e.Name, e.Proc, e.Detail)
+				m.record(e)
+			}
+			at += time.Duration(next(3))
+			if got, want := r.Journal(), m.journal(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: journal diverged from the model:\n got %+v\nwant %+v", seed, step, got, want)
+			}
+			if r.Len() != len(m.sealed)+len(m.ring) || r.Dropped() != m.dropped {
+				t.Fatalf("seed %d step %d: Len %d Dropped %d, model %d %d",
+					seed, step, r.Len(), r.Dropped(), len(m.sealed)+len(m.ring), m.dropped)
+			}
+		}
+		if m.dropped == 0 {
+			t.Fatalf("seed %d: stream never evicted; the test lost its point", seed)
+		}
+	}
+}
+
+func TestUnsealedRecorderHoldsNoJournal(t *testing.T) {
+	r := New(1 << 10)
+	for i := 0; i < 5000; i++ {
+		r.Record(time.Duration(i), KindResolution, "n", "p", "")
+	}
+	if r.sealed != nil {
+		t.Fatalf("a recorder nobody sealed holds a %d-event sealed journal", len(r.sealed))
+	}
+}
+
+func TestSealSteadyStateZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	r := New(64) // sealCap 256
+	at := time.Duration(0)
+	fence := func() {
+		for i := 0; i < 40; i++ {
+			at++
+			r.Record(at, KindResolution, "[home]mann/notes", "ws-mann", "")
+		}
+		r.Seal(at)
+	}
+	for r.Dropped() == 0 { // grow the sealed ring to its bound first
+		fence()
+	}
+	if allocs := testing.AllocsPerRun(100, fence); allocs != 0 {
+		t.Fatalf("a steady-state fence allocates %.1f times, want 0", allocs)
 	}
 }

@@ -170,7 +170,7 @@ func (p *Process) sendGroup(msg *proto.Message, gid PID, moveSrc, moveDst []byte
 	tr := k.Tracer()
 	var sp trace.SpanID
 	if tr != nil {
-		sp = tr.Start(p.CurrentSpan(), trace.KindSend, msg.Op.String()+" -> "+gid.String(), p.clock.Now(), p.TraceID())
+		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, " -> ", gid), p.clock.Now(), p.TraceID())
 		tr.SetGroup(sp)
 	}
 	members, err := k.GroupMembers(gid)
@@ -248,7 +248,7 @@ func (p *Process) SendGroupAll(msg *proto.Message, gid PID) (int, error) {
 	tr := k.Tracer()
 	var sp trace.SpanID
 	if tr != nil {
-		sp = tr.Start(p.CurrentSpan(), trace.KindSend, msg.Op.String()+" ->* "+gid.String(), p.clock.Now(), p.TraceID())
+		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, " ->* ", gid), p.clock.Now(), p.TraceID())
 		tr.SetGroup(sp)
 	}
 	members, err := k.GroupMembers(gid)

@@ -138,8 +138,9 @@ type Process struct {
 	crashed bool              // died with its host, not by clean Destroy
 	pending map[PID]*envelope // received but not yet replied, by origin pid
 	// curSpan is the span this process's own activity currently nests
-	// under (a serve, handoff or client-op span).
-	curSpan trace.SpanID
+	// under (a serve, handoff or client-op span): a trace.SpanID, atomic
+	// because every traced Send, Reply and Forward reads it.
+	curSpan atomic.Uint64
 }
 
 // PID returns the process identifier.
@@ -191,20 +192,21 @@ func (p *Process) TraceID() trace.ProcID {
 
 // CurrentSpan returns the span this process's activity currently nests
 // under (0 when none).
-func (p *Process) CurrentSpan() trace.SpanID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.curSpan
-}
+func (p *Process) CurrentSpan() trace.SpanID { return trace.SpanID(p.curSpan.Load()) }
 
 // SetCurrentSpan sets (or, with 0, clears) the process's current span.
 // Servers set it around serving a request so the kernel primitives they
 // invoke parent their spans correctly.
-func (p *Process) SetCurrentSpan(id trace.SpanID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.curSpan = id
+func (p *Process) SetCurrentSpan(id trace.SpanID) { p.curSpan.Store(uint64(id)) }
+
+// opTo names a transaction span "<op><sep><pid>" by its parts: the
+// concatenation and PID.String's formatting run only if the tracer keeps
+// the span (trace.Name).
+func opTo(op proto.Code, sep string, dst PID) trace.Name {
+	return trace.Name{Head: op.String(), Sep: sep, Render: pidTail, Arg: uint32(dst)}
 }
+
+func pidTail(v uint32) string { return PID(v).String() }
 
 // PendingSpan returns the transaction span of the received-but-unreplied
 // message from origin, for servers starting a serve span.
@@ -235,12 +237,9 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 	}
 	k := p.host.kernel
 	tr := k.Tracer()
-	// Span names are built only when tracing is on: the concatenations
-	// (and PID.String's formatting) are the dominant allocations on the
-	// untraced send path.
 	var sp trace.SpanID
 	if tr != nil {
-		sp = tr.Start(p.CurrentSpan(), trace.KindSend, msg.Op.String()+" -> "+dst.String(), p.clock.Now(), p.TraceID())
+		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, " -> ", dst), p.clock.Now(), p.TraceID())
 	}
 	// Metrics, like the tracer, charge zero virtual time. The start time
 	// is read before any cost accrues so the histogram sees the full
@@ -417,7 +416,7 @@ func (p *Process) Reply(msg *proto.Message, to PID) error {
 		if parent == 0 {
 			parent = env.span
 		}
-		sp = tr.Start(parent, trace.KindReply, msg.Op.String()+" -> "+env.origin.String(), p.clock.Now(), p.TraceID())
+		sp = tr.StartName(parent, trace.KindReply, opTo(msg.Op, " -> ", env.origin), p.clock.Now(), p.TraceID())
 	}
 	d, det, err := k.net.UnicastDetail(p.host.id, env.origin.Host(), msg.WireSize(), p.clock.Now())
 	if err != nil {
@@ -457,7 +456,7 @@ func (p *Process) Forward(msg *proto.Message, from PID, to PID) error {
 		if parent == 0 {
 			parent = env.span
 		}
-		sp = tr.Start(parent, trace.KindForward, msg.Op.String()+" -> "+to.String(), p.clock.Now(), p.TraceID())
+		sp = tr.StartName(parent, trace.KindForward, opTo(msg.Op, " -> ", to), p.clock.Now(), p.TraceID())
 	}
 	if to.IsGroup() {
 		return p.forwardGroup(env, msg, to, sp)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/proto"
+	"repro/internal/raceflag"
 	"repro/internal/vtime"
 )
 
@@ -15,7 +16,7 @@ import (
 // kernel itself — the envelope pool, the mailbox, the pending table, or
 // the clock.
 func TestSendZeroAllocUntraced(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
 	k := New(netsim.New(vtime.DefaultModel(), 1))
@@ -55,5 +56,22 @@ func TestSendZeroAllocUntraced(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced same-host Send allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSpanNamesRenderAsBefore pins the lazily rendered transaction span
+// names to the strings Send, Reply, Forward and the group sends used to
+// concatenate on every call.
+func TestSpanNamesRenderAsBefore(t *testing.T) {
+	for _, dst := range []PID{MakePID(3, 17), MakePID(groupHostField, 5), NilPID} {
+		for _, sep := range []string{" -> ", " ->* "} {
+			want := proto.OpMapContext.String() + sep + dst.String()
+			if got := opTo(proto.OpMapContext, sep, dst).String(); got != want {
+				t.Errorf("span name %q, want %q", got, want)
+			}
+		}
+	}
+	if got := opTo(proto.ReplyOK, " -> ", MakePID(1, 2)).String(); got != "OK -> pid(1.2)" {
+		t.Errorf("span name %q", got)
 	}
 }

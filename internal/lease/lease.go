@@ -137,7 +137,7 @@ func (m *Meter) Observe(p *kernel.Process, ev Event, name string, at time.Durati
 		p.Kernel().Flight().Record(at, d.kind, name, m.owner, d.detail)
 	}
 	if tr := p.Tracer(); tr != nil && d.span != "" && (!d.stamp || e.Stamped()) {
-		sp := tr.Event(p.CurrentSpan(), trace.KindLease, d.span+" "+name, at, p.TraceID(), "")
+		sp := tr.Event(p.CurrentSpan(), trace.KindLease, trace.Name{Head: d.span, Sep: " ", Tail: name}, at, p.TraceID(), "")
 		if d.stamp {
 			tr.SetLease(sp, e.Grant, e.Expire)
 		}

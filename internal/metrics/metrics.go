@@ -324,12 +324,15 @@ func (r *Registry) Timeline(name string, l Labels) *Timeline {
 	return t
 }
 
+// copyMap copies old with room for the one instrument the caller adds,
+// so registering the n-th instrument never regrows the table mid-copy.
 func copyMap[V any](old *map[instKey]V) map[instKey]V {
-	next := make(map[instKey]V, 8)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
+	if old == nil {
+		return make(map[instKey]V, 1)
+	}
+	next := make(map[instKey]V, len(*old)+1)
+	for k, v := range *old {
+		next[k] = v
 	}
 	return next
 }

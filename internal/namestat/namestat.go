@@ -36,16 +36,25 @@ import (
 )
 
 // TopK is a space-saving top-k sketch. All methods are nil-safe.
+//
+// The k entries live by value in a fixed array; heap is a min-heap of
+// their indices ordered by (count, name), so the entry a full sketch
+// replaces — the minimum count, ties broken by the smaller name, which
+// keeps the sketch's evolution independent of storage order — is always
+// heap[0]. Observe allocates nothing.
 type TopK struct {
-	mu     sync.Mutex
-	k      int
-	counts map[string]*topEntry
-	total  uint64
+	mu    sync.Mutex
+	slot  map[string]int32 // name → index into ents
+	ents  []topEntry       // at most cap(ents) = k, never reordered
+	heap  []int32          // ents indices, min (count, name) first
+	total uint64
 }
 
 type topEntry struct {
+	name  string
 	count uint64
 	err   uint64 // overestimate bound inherited at replacement
+	at    int32  // this entry's index in heap
 }
 
 // Item is one sketch entry: Count overestimates the true count by at
@@ -61,11 +70,14 @@ func NewTopK(k int) *TopK {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK{k: k, counts: make(map[string]*topEntry, k)}
+	return &TopK{
+		slot: make(map[string]int32, k),
+		ents: make([]topEntry, 0, k),
+		heap: make([]int32, 0, k),
+	}
 }
 
-// Observe records one occurrence of name. O(1) on a hit, O(k) when a
-// full sketch replaces its minimum entry.
+// Observe records one occurrence of name: O(log k), no allocation.
 func (t *TopK) Observe(name string) {
 	if t == nil {
 		return
@@ -73,25 +85,71 @@ func (t *TopK) Observe(name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total++
-	if e, ok := t.counts[name]; ok {
-		e.count++
+	if i, ok := t.slot[name]; ok {
+		t.ents[i].count++
+		t.down(int(t.ents[i].at))
 		return
 	}
-	if len(t.counts) < t.k {
-		t.counts[name] = &topEntry{count: 1}
+	if len(t.ents) < cap(t.ents) {
+		i := int32(len(t.ents))
+		t.ents = append(t.ents, topEntry{name: name, count: 1, at: i})
+		t.heap = append(t.heap, i)
+		t.slot[name] = i
+		t.up(int(i))
 		return
 	}
-	// Replace the minimum entry; break count ties by name so the sketch
-	// evolves identically regardless of map iteration order.
-	var victim string
-	var min *topEntry
-	for n, e := range t.counts {
-		if min == nil || e.count < min.count || (e.count == min.count && n < victim) {
-			victim, min = n, e
+	// Replace the minimum entry; the newcomer inherits its count as the
+	// error bound.
+	i := t.heap[0]
+	e := &t.ents[i]
+	delete(t.slot, e.name)
+	t.slot[name] = i
+	e.name, e.err = name, e.count
+	e.count++
+	t.down(0)
+}
+
+// before reports whether the entry at heap index a orders before the
+// one at b.
+func (t *TopK) before(a, b int) bool {
+	x, y := &t.ents[t.heap[a]], &t.ents[t.heap[b]]
+	if x.count != y.count {
+		return x.count < y.count
+	}
+	return x.name < y.name
+}
+
+func (t *TopK) swap(a, b int) {
+	t.heap[a], t.heap[b] = t.heap[b], t.heap[a]
+	t.ents[t.heap[a]].at, t.ents[t.heap[b]].at = int32(a), int32(b)
+}
+
+func (t *TopK) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(i, parent) {
+			return
 		}
+		t.swap(i, parent)
+		i = parent
 	}
-	delete(t.counts, victim)
-	t.counts[name] = &topEntry{count: min.count + 1, err: min.count}
+}
+
+func (t *TopK) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(t.heap) {
+			return
+		}
+		if c+1 < len(t.heap) && t.before(c+1, c) {
+			c++
+		}
+		if !t.before(c, i) {
+			return
+		}
+		t.swap(i, c)
+		i = c
+	}
 }
 
 // Total returns the number of observations ever made.
@@ -111,7 +169,7 @@ func (t *TopK) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.counts)
+	return len(t.ents)
 }
 
 // Snapshot returns the sketch sorted by count descending, ties by name
@@ -121,9 +179,9 @@ func (t *TopK) Snapshot() []Item {
 		return nil
 	}
 	t.mu.Lock()
-	items := make([]Item, 0, len(t.counts))
-	for n, e := range t.counts {
-		items = append(items, Item{Name: n, Count: e.count, Err: e.err})
+	items := make([]Item, 0, len(t.ents))
+	for _, e := range t.ents {
+		items = append(items, Item{Name: e.name, Count: e.count, Err: e.err})
 	}
 	t.mu.Unlock()
 	sort.Slice(items, func(i, j int) bool {

@@ -1,11 +1,14 @@
 package namestat
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/popgen"
+	"repro/internal/raceflag"
 )
 
 func TestNilSketchesAreNoOps(t *testing.T) {
@@ -233,5 +236,106 @@ func TestConstructorClamps(t *testing.T) {
 	r.ObserveResolution("[x]", 0)
 	if len(r.Snapshot()) != 1 {
 		t.Fatalf("bound=-1 rates table rejected an observation")
+	}
+}
+
+// refTopK is the sketch's previous implementation — a map scanned in
+// full for the (count, name) minimum on every replacement — kept as the
+// reference the heap must match step for step.
+type refTopK struct {
+	k      int
+	counts map[string]*[2]uint64 // count, err
+}
+
+func (r *refTopK) observe(name string) {
+	if e, ok := r.counts[name]; ok {
+		e[0]++
+		return
+	}
+	if len(r.counts) < r.k {
+		r.counts[name] = &[2]uint64{1, 0}
+		return
+	}
+	var victim string
+	var min *[2]uint64
+	for n, e := range r.counts {
+		if min == nil || e[0] < min[0] || (e[0] == min[0] && n < victim) {
+			victim, min = n, e
+		}
+	}
+	delete(r.counts, victim)
+	r.counts[name] = &[2]uint64{min[0] + 1, min[0]}
+}
+
+func (r *refTopK) snapshot() []Item {
+	items := make([]Item, 0, len(r.counts))
+	for n, e := range r.counts {
+		items = append(items, Item{Name: n, Count: e[0], Err: e[1]})
+	}
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].Count != items[j].Count {
+			return items[i].Count > items[j].Count
+		}
+		return items[i].Name < items[j].Name
+	})
+	return items
+}
+
+func TestTopKMatchesReference(t *testing.T) {
+	streams := map[string]func(r *popgen.Rand) string{
+		// Zipf-ish: a hot head the sketch keeps, a long tail churning the minimum.
+		"random": func(r *popgen.Rand) string {
+			if r.Intn(3) == 0 {
+				return fmt.Sprintf("hot%d", r.Intn(6))
+			}
+			return fmt.Sprintf("n%d", r.Intn(400))
+		},
+		// Tie-heavy: near-uniform draws keep every count within one of the
+		// minimum, so the name tie-break decides almost every victim.
+		"ties": func(r *popgen.Rand) string { return fmt.Sprintf("t%02d", r.Intn(24)) },
+	}
+	for label, draw := range streams {
+		for _, k := range []int{1, 2, 7, 16} {
+			rng := popgen.NewRand(uint64(k) + 17)
+			tk, ref := NewTopK(k), &refTopK{k: k, counts: map[string]*[2]uint64{}}
+			for step := 0; step < 3000; step++ {
+				name := draw(rng)
+				tk.Observe(name)
+				ref.observe(name)
+				got, want := tk.Snapshot(), ref.snapshot()
+				if len(got) != len(want) {
+					t.Fatalf("%s k=%d step %d: %d items, reference has %d", label, k, step, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s k=%d step %d item %d: %+v, reference %+v", label, k, step, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestObserveZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	tk := NewTopK(32)
+	names := make([]string, 4096)
+	for i := range names {
+		names[i] = fmt.Sprintf("[home]user%04d/notes", i)
+	}
+	// Every draw past the first 32 misses the sketch and replaces its
+	// minimum: the path that used to allocate an entry per call.
+	i := 0
+	observe := func() {
+		tk.Observe(names[i%len(names)])
+		i++
+	}
+	for range names {
+		observe()
+	}
+	if allocs := testing.AllocsPerRun(20000, observe); allocs != 0 {
+		t.Fatalf("Observe allocates %.2f per op, want 0", allocs)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/raceflag"
 )
 
 // population builds n hierarchical names of the shape the popgen
@@ -26,7 +28,7 @@ func population(n int) (names []string, probes []string) {
 // hit-path Get against a 10⁵-name index performs zero heap allocations.
 // Skipped under -race (the detector's instrumentation allocates).
 func TestResolve10e5ZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
 	names, probes := population(100_000)

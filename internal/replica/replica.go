@@ -211,7 +211,7 @@ func (r *Replica) dispatch(p *kernel.Process, msg *proto.Message, from kernel.PI
 		return
 	}
 	tr := p.Tracer()
-	sp := tr.Start(p.PendingSpan(from), trace.KindServe, "replica:"+msg.Op.String(), p.Now(), p.TraceID())
+	sp := tr.StartName(p.PendingSpan(from), trace.KindServe, trace.Name{Head: "replica:", Tail: msg.Op.String()}, p.Now(), p.TraceID())
 	class := ""
 	if reply.Op != proto.ReplyOK {
 		class = "replica-" + reply.Op.String()

@@ -16,9 +16,10 @@ import (
 //   - Head sampling by client lane: each process's root spans are
 //     counted, and every HeadEvery-th root (the 1st, the
 //     HeadEvery+1-th, ...) is retained in full. Roots are counted per
-//     process, and each lane's operations start in its own program
-//     order, so the set of head-retained roots is deterministic even
-//     when lanes interleave.
+//     process (the whole ProcID: same-named processes on different
+//     hosts count apart), and each lane's operations start in its own
+//     program order, so the set of head-retained roots is deterministic
+//     even when lanes interleave.
 //
 //   - Tail retention of anomalies: a root whose subtree recorded any
 //     failure classification, or whose total duration reached SlowOver,
@@ -42,126 +43,222 @@ func NewSampled(cfg SampleConfig) *Tracer {
 	}
 	return &Tracer{s: &sampleState{
 		cfg:        cfg,
-		live:       make(map[SpanID]*Span),
-		rootOf:     make(map[SpanID]SpanID),
-		roots:      make(map[SpanID]*rootState),
-		seenByProc: make(map[string]uint64),
+		open:       spanIndex{tab: make([]spanSlot, 64)},
+		seenByProc: make(map[ProcID]*uint64),
 	}}
 }
 
 // Sampled reports whether the tracer is in sampled mode.
 func (t *Tracer) Sampled() bool { return t != nil && t.s != nil }
 
-// rootState tracks one open root subtree until its last span ends.
-type rootState struct {
-	spans    []SpanID // subtree members in creation order
-	open     int      // spans not yet ended
+// openSpan is a span of a still-open subtree: the record with its name
+// unrendered.
+type openSpan struct {
+	Span
+	name Name
+}
+
+// subtree holds one open root's spans by value, in creation order (the
+// root first), until its last span ends. Retired subtrees are recycled,
+// slab and all, so in steady state opening a span allocates nothing.
+type subtree struct {
+	spans    []openSpan
+	open     int // spans not yet ended
 	headKeep bool
 	anomaly  bool
 }
 
-// sampleState is the sampled-mode storage: open subtrees live in maps,
-// finished subtrees either move to retained or vanish.
+// sampleState is the sampled-mode storage: spans of open subtrees live
+// in their root's slab, found through one id index; finished subtrees
+// either move to retained (names rendered then, and only then) or vanish.
 type sampleState struct {
 	cfg           SampleConfig
 	nextID        SpanID
-	live          map[SpanID]*Span
-	rootOf        map[SpanID]SpanID
-	roots         map[SpanID]*rootState
-	seenByProc    map[string]uint64
-	retained      []*Span
+	open          spanIndex
+	free          []*subtree
+	seenByProc    map[ProcID]*uint64 // roots started, per process
+	retained      []Span
 	rootsSeen     uint64
 	rootsRetained uint64
 }
 
 // start allocates a span in sampled mode. Caller holds t.mu.
-func (s *sampleState) start(parent SpanID, kind Kind, name string, at int64, who ProcID) SpanID {
+func (s *sampleState) start(parent SpanID, kind Kind, name Name, at int64, who ProcID) *Span {
 	s.nextID++
-	sp := &Span{
-		ID:     s.nextID,
-		Parent: parent,
-		Kind:   kind,
-		Name:   name,
-		Proc:   who.Name,
-		PID:    who.PID,
-		Host:   who.Host,
-		Start:  at,
-	}
-	root, ok := s.rootOf[parent]
-	if !ok {
+	st, _ := s.open.get(parent)
+	if st == nil {
 		// A new root — or a span whose parent already retired, which
 		// starts a subtree of its own so retained trees stay complete.
-		sp.Parent = 0
-		root = sp.ID
+		parent = 0
 		s.rootsSeen++
-		n := s.seenByProc[who.Name]
-		s.seenByProc[who.Name] = n + 1
-		s.roots[root] = &rootState{headKeep: n%uint64(s.cfg.HeadEvery) == 0}
+		seen := s.seenByProc[who]
+		if seen == nil {
+			seen = new(uint64)
+			s.seenByProc[who] = seen
+		}
+		*seen++
+		if last := len(s.free) - 1; last >= 0 {
+			st, s.free = s.free[last], s.free[:last]
+		} else {
+			st = &subtree{}
+		}
+		// A recycled slab's stale records are overwritten before they
+		// are read; until then they pin only strings callers hold anyway.
+		*st = subtree{spans: st.spans[:0], headKeep: (*seen-1)%uint64(s.cfg.HeadEvery) == 0}
 	}
-	s.live[sp.ID] = sp
-	s.rootOf[sp.ID] = root
-	rs := s.roots[root]
-	rs.spans = append(rs.spans, sp.ID)
-	rs.open++
-	return sp.ID
+	st.spans = append(st.spans, openSpan{
+		Span: Span{
+			ID:     s.nextID,
+			Parent: parent,
+			Kind:   kind,
+			Proc:   who.Name,
+			PID:    who.PID,
+			Host:   who.Host,
+			Start:  at,
+		},
+		name: name,
+	})
+	st.open++
+	i := len(st.spans) - 1
+	s.open.put(s.nextID, st, i)
+	return &st.spans[i].Span
+}
+
+// span returns the addressable span with the given id: one of a
+// still-open subtree, or nil.
+func (s *sampleState) span(id SpanID) *Span {
+	if st, i := s.open.get(id); st != nil {
+		return &st.spans[i].Span
+	}
+	return nil
 }
 
 // fail ends a span in sampled mode. Caller holds t.mu.
 func (s *sampleState) fail(id SpanID, at int64, class string) {
-	sp := s.live[id]
-	if sp == nil || sp.ended {
+	st, i := s.open.get(id)
+	if st == nil {
+		return
+	}
+	sp := &st.spans[i]
+	if sp.ended {
 		return
 	}
 	sp.End = at
 	sp.Err = class
 	sp.ended = true
-	root := s.rootOf[id]
-	rs := s.roots[root]
 	if class != "" {
-		rs.anomaly = true
+		st.anomaly = true
 	}
-	rs.open--
-	if rs.open == 0 {
-		s.finish(root, rs)
+	st.open--
+	if st.open == 0 {
+		s.finish(st)
 	}
 }
 
 // finish retires a drained subtree: retained in full or dropped whole.
 // Caller holds t.mu.
-func (s *sampleState) finish(root SpanID, rs *rootState) {
-	rootSpan := s.live[root]
-	slow := s.cfg.SlowOver > 0 && time.Duration(rootSpan.End-rootSpan.Start) >= s.cfg.SlowOver
-	keep := rs.headKeep || rs.anomaly || slow
-	for _, id := range rs.spans {
+func (s *sampleState) finish(st *subtree) {
+	root := &st.spans[0]
+	slow := s.cfg.SlowOver > 0 && time.Duration(root.End-root.Start) >= s.cfg.SlowOver
+	keep := st.headKeep || st.anomaly || slow
+	for i := range st.spans {
+		sp := &st.spans[i]
 		if keep {
-			s.retained = append(s.retained, s.live[id])
+			s.retained = append(s.retained, sp.rendered())
 		}
-		delete(s.live, id)
-		delete(s.rootOf, id)
+		s.open.del(sp.ID)
 	}
-	delete(s.roots, root)
 	if keep {
 		s.rootsRetained++
 	}
+	s.free = append(s.free, st)
+}
+
+// rendered returns the span as it is exported, its name rendered.
+func (sp *openSpan) rendered() Span {
+	out := sp.Span
+	out.Name = sp.name.String()
+	return out
 }
 
 // snapshot copies retained spans in id order, then any still-open
 // subtree members (marked Incomplete) so a mid-run dump is honest.
 // Caller holds t.mu.
 func (s *sampleState) snapshot() []Span {
-	out := make([]Span, 0, len(s.retained)+len(s.live))
-	for _, sp := range s.retained {
-		out = append(out, *sp)
-	}
-	for _, sp := range s.live {
-		c := *sp
-		if !sp.ended {
-			c.Incomplete = true
+	out := make([]Span, 0, len(s.retained)+s.open.n)
+	out = append(out, s.retained...)
+	for _, e := range s.open.tab {
+		if e.id == 0 {
+			continue
 		}
-		out = append(out, c)
+		sp := e.st.spans[e.i].rendered()
+		sp.Incomplete = !sp.ended
+		out = append(out, sp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// spanIndex finds the spans of open subtrees by id: an open-addressed
+// table (ids are dense, so id modulo the table size is the hash) with
+// linear probing and backward-shift deletion, holding only live spans —
+// a span that never ends costs one slot, not a growing window.
+type spanIndex struct {
+	tab []spanSlot // len is a power of two, at most half full
+	n   int
+}
+
+type spanSlot struct {
+	id SpanID // 0: empty
+	st *subtree
+	i  int32
+}
+
+// find returns the slot holding id, or the empty slot that ends its
+// probe run (which is where get(0) lands, too).
+func (x *spanIndex) find(id SpanID) int {
+	mask := len(x.tab) - 1
+	h := int(id) & mask
+	for x.tab[h].id != id && x.tab[h].id != 0 {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+func (x *spanIndex) get(id SpanID) (*subtree, int) {
+	e := &x.tab[x.find(id)]
+	return e.st, int(e.i)
+}
+
+func (x *spanIndex) put(id SpanID, st *subtree, i int) {
+	if 2*(x.n+1) > len(x.tab) {
+		old := x.tab
+		x.tab, x.n = make([]spanSlot, 2*len(old)), 0
+		for _, e := range old {
+			if e.id != 0 {
+				x.put(e.id, e.st, int(e.i))
+			}
+		}
+	}
+	x.tab[x.find(id)] = spanSlot{id: id, st: st, i: int32(i)}
+	x.n++
+}
+
+func (x *spanIndex) del(id SpanID) {
+	h := x.find(id)
+	if x.tab[h].id == 0 {
+		return
+	}
+	x.n--
+	// Close the gap: pull back each later entry of the run whose home
+	// slot does not lie strictly between the gap and where it sits.
+	mask := len(x.tab) - 1
+	for j := (h + 1) & mask; x.tab[j].id != 0; j = (j + 1) & mask {
+		if home := int(x.tab[j].id) & mask; (j-home)&mask >= (j-h)&mask {
+			x.tab[h], h = x.tab[j], j
+		}
+	}
+	x.tab[h] = spanSlot{}
 }
 
 // RootsSeen returns how many root spans the sampled tracer observed

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/popgen"
+	"repro/internal/raceflag"
 	"repro/internal/vtime"
 )
 
@@ -112,9 +114,10 @@ func TestSampledMemoryBounded(t *testing.T) {
 	if got := tr.Len(); got != 40 {
 		t.Fatalf("Len = %d, want 40 — discarded subtrees still resident", got)
 	}
-	if len(tr.s.live) != 0 || len(tr.s.roots) != 0 || len(tr.s.rootOf) != 0 {
-		t.Fatalf("open-subtree maps not drained: live=%d roots=%d rootOf=%d",
-			len(tr.s.live), len(tr.s.roots), len(tr.s.rootOf))
+	// Every subtree retired: the index is empty and one recycled slab
+	// served all thousand roots.
+	if tr.s.open.n != 0 || len(tr.s.free) != 1 {
+		t.Fatalf("open-subtree storage not drained: %d indexed spans, %d slabs", tr.s.open.n, len(tr.s.free))
 	}
 }
 
@@ -165,5 +168,131 @@ func TestFullModeUnchanged(t *testing.T) {
 	tr.RecordFrame(netsim.FrameEvent{Bytes: 64})
 	if len(tr.Frames()) != 1 {
 		t.Fatalf("full mode dropped a frame")
+	}
+}
+
+// TestSampledKeysHeadCountByProcess pins SampleConfig's "per process":
+// two processes with one name on different hosts each get their own
+// root counter, so which roots are kept does not depend on how their
+// lanes interleave.
+func TestSampledKeysHeadCountByProcess(t *testing.T) {
+	a := ProcID{Name: "client", PID: 1<<16 | 1, Host: "ws0"}
+	b := ProcID{Name: "client", PID: 2<<16 | 1, Host: "ws1"}
+	orders := [][]ProcID{
+		{a, b, a, b, a, b, a, b},
+		{a, a, a, a, b, b, b, b},
+		{b, a, a, b, b, a, b, a},
+	}
+	for _, order := range orders {
+		tr := NewSampled(SampleConfig{HeadEvery: 2})
+		nth := map[ProcID]int{}
+		for _, who := range order {
+			// The root's start time records which of its process's roots it is.
+			id := tr.Start(0, KindClientOp, "op", vtime.Time(nth[who]), who)
+			tr.End(id, vtime.Time(nth[who]))
+			nth[who]++
+		}
+		kept := map[ProcID][]int64{}
+		for _, sp := range tr.Snapshot() {
+			who := ProcID{Name: sp.Proc, PID: sp.PID, Host: sp.Host}
+			kept[who] = append(kept[who], sp.Start)
+		}
+		for _, who := range []ProcID{a, b} {
+			if got := kept[who]; len(got) != 2 || got[0] != 0 || got[1] != 2 {
+				t.Fatalf("order %v: %s on %s kept roots %v, want its 1st and 3rd", order, who.Name, who.Host, got)
+			}
+		}
+	}
+}
+
+// TestSampledDroppedRootZeroAlloc pins what a discarded operation costs:
+// once the slabs and the index have grown, a whole client-op → send →
+// wire → serve → lease → reply subtree that head sampling drops
+// allocates nothing and renders no name.
+func TestSampledDroppedRootZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	rendered := 0
+	pid := func(uint32) string { rendered++; return "pid(1.2)" }
+	cl := ProcID{Name: "client", PID: 1<<16 | 2, Host: "ws"}
+	srv := ProcID{Name: "prefix", PID: 2<<16 | 1, Host: "pfx"}
+	tr := NewSampled(SampleConfig{HeadEvery: 1 << 30, SlowOver: time.Second})
+	at := vtime.Time(0)
+	op := func() {
+		at += time.Millisecond
+		root := tr.Start(0, KindClientOp, "[home]notes", at, cl)
+		send := tr.StartName(root, KindSend, Name{Head: "MapContext", Sep: " -> ", Render: pid, Arg: srv.PID}, at, cl)
+		tr.Wire(send, "request", at, 100*time.Microsecond, 64, netsim.HopDetail{Packets: 1}, false, false)
+		serve := tr.Start(send, KindServe, "MapContext", at, srv)
+		lease := tr.Event(serve, KindLease, Name{Head: "grant", Sep: " ", Tail: "[home]notes"}, at, srv, "")
+		tr.SetLease(lease, at, at+time.Second)
+		reply := tr.StartName(serve, KindReply, Name{Head: "OK", Sep: " -> ", Render: pid, Arg: cl.PID}, at, srv)
+		tr.Wire(reply, "reply", at, 100*time.Microsecond, 64, netsim.HopDetail{Packets: 1}, false, false)
+		tr.End(reply, at)
+		tr.End(serve, at)
+		tr.End(send, at)
+		tr.End(root, at)
+	}
+	op() // the first root of a process is always kept
+	kept, names := tr.Len(), rendered
+	if kept != 7 || names != 2 {
+		t.Fatalf("head-kept root: %d spans, %d names rendered, want 7 and 2", kept, names)
+	}
+	op() // grows the recycled slab to the subtree's size
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+		t.Fatalf("a dropped subtree allocates %.1f times, want 0", allocs)
+	}
+	if tr.Len() != kept || rendered != names {
+		t.Fatalf("dropped subtrees left %d spans and rendered %d names", tr.Len()-kept, rendered-names)
+	}
+}
+
+// TestSpanIndexMatchesMap drives the open-subtree index with the id
+// pattern the tracer produces — dense increasing ids, most retired soon,
+// a few (leaked spans) never — against a plain map.
+func TestSpanIndexMatchesMap(t *testing.T) {
+	x := spanIndex{tab: make([]spanSlot, 4)}
+	ref := map[SpanID]int{}
+	var live []SpanID
+	st := &subtree{}
+	next := popgen.NewRand(1).Intn
+	check := func(id SpanID) {
+		t.Helper()
+		got, i := x.get(id)
+		want, ok := ref[id]
+		if (got != nil) != ok || (ok && (got != st || i != want)) {
+			t.Fatalf("get(%d) = (%v, %d), map has (%d, %v)", id, got != nil, i, want, ok)
+		}
+	}
+	for id := SpanID(1); id <= 5000; id++ {
+		x.put(id, st, int(id)%7)
+		ref[id] = int(id) % 7
+		if id%97 != 0 { // every 97th span leaks
+			live = append(live, id)
+		}
+		for len(live) > 0 && next(3) != 0 { // retire, usually oldest-first
+			k := 0
+			if next(4) == 0 {
+				k = next(len(live))
+			}
+			x.del(live[k])
+			delete(ref, live[k])
+			check(live[k])
+			live = append(live[:k], live[k+1:]...)
+		}
+		check(0)
+		check(id)
+		check(SpanID(1 + next(int(id))))
+		if x.n != len(ref) {
+			t.Fatalf("after id %d: index holds %d, map %d", id, x.n, len(ref))
+		}
+	}
+	for id := range ref {
+		check(id)
+	}
+	x.del(SpanID(6000)) // absent: a no-op
+	if x.n != len(ref) {
+		t.Fatalf("deleting an absent id changed the count")
 	}
 }

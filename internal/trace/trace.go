@@ -80,6 +80,30 @@ const (
 	KindLease Kind = "lease"
 )
 
+// Name is a span name held unrendered: Head, Sep, then Tail — or, when
+// Render is set, Render(Arg) in Tail's place. The concatenation (and
+// whatever formatting Render does, e.g. the kernel's "pid(h.l)") runs
+// only when String is called, which a sampled tracer does for retained
+// and snapshotted spans alone: naming a span that is thrown away costs
+// a struct copy. Render must be a pure function of Arg.
+type Name struct {
+	Head, Sep, Tail string
+	Render          func(uint32) string
+	Arg             uint32
+}
+
+// String renders the name.
+func (n Name) String() string {
+	tail := n.Tail
+	if n.Render != nil {
+		tail = n.Render(n.Arg)
+	}
+	if n.Sep == "" && tail == "" {
+		return n.Head
+	}
+	return n.Head + n.Sep + tail
+}
+
 // ProcID names the process a span ran on. The zero value marks spans
 // that belong to no process clock (wire spans).
 type ProcID struct {
@@ -159,28 +183,41 @@ type Tracer struct {
 // New returns an empty tracer in full-retention mode.
 func New() *Tracer { return &Tracer{} }
 
-// Start opens a span and returns its id. parent 0 makes it a root.
+// Start opens a span named by a plain string and returns its id.
+// parent 0 makes it a root.
 func (t *Tracer) Start(parent SpanID, kind Kind, name string, at vtime.Time, who ProcID) SpanID {
+	return t.StartName(parent, kind, Name{Head: name}, at, who)
+}
+
+// StartName is Start with a name rendered only if the span is kept:
+// call sites whose names are concatenated or formatted pass the parts.
+func (t *Tracer) StartName(parent SpanID, kind Kind, name Name, at vtime.Time, who ProcID) SpanID {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.start(parent, kind, name, int64(at), who).ID
+}
+
+// start opens a span; the pointer is good until the next start. Caller
+// holds t.mu.
+func (t *Tracer) start(parent SpanID, kind Kind, name Name, at int64, who ProcID) *Span {
 	if t.s != nil {
-		return t.s.start(parent, kind, name, int64(at), who)
+		return t.s.start(parent, kind, name, at, who)
 	}
 	sp := &Span{
 		ID:     SpanID(len(t.spans) + 1),
 		Parent: parent,
 		Kind:   kind,
-		Name:   name,
+		Name:   name.String(),
 		Proc:   who.Name,
 		PID:    who.PID,
 		Host:   who.Host,
-		Start:  int64(at),
+		Start:  at,
 	}
 	t.spans = append(t.spans, sp)
-	return sp.ID
+	return sp
 }
 
 // End closes a span at the given virtual time.
@@ -194,23 +231,33 @@ func (t *Tracer) Fail(id SpanID, at vtime.Time, class string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.fail(id, int64(at), class)
+}
+
+// fail closes a span. Caller holds t.mu.
+func (t *Tracer) fail(id SpanID, at int64, class string) {
 	if t.s != nil {
-		t.s.fail(id, int64(at), class)
+		t.s.fail(id, at, class)
 		return
 	}
 	sp := t.span(id)
 	if sp == nil || sp.ended {
 		return
 	}
-	sp.End = int64(at)
+	sp.End = at
 	sp.Err = class
 	sp.ended = true
 }
 
 // Event records a zero-length span (server exits, annotations).
-func (t *Tracer) Event(parent SpanID, kind Kind, name string, at vtime.Time, who ProcID, class string) SpanID {
-	id := t.Start(parent, kind, name, at, who)
-	t.Fail(id, at, class)
+func (t *Tracer) Event(parent SpanID, kind Kind, name Name, at vtime.Time, who ProcID, class string) SpanID {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	id := t.start(parent, kind, name, int64(at), who).ID
+	t.fail(id, int64(at), class)
 	return id
 }
 
@@ -219,19 +266,17 @@ func (t *Tracer) Wire(parent SpanID, name string, start vtime.Time, dur time.Dur
 	if t == nil {
 		return 0
 	}
-	id := t.Start(parent, KindWire, name, start, ProcID{})
 	t.mu.Lock()
-	if sp := t.span(id); sp != nil {
-		sp.Bytes = bytes
-		sp.Packets = det.Packets
-		sp.Retrans = det.Retransmits
-		sp.Queue = int64(det.Queue)
-		sp.Local = local
-		sp.Bcast = bcast
-	}
-	t.mu.Unlock()
-	// End through Fail so sampled-mode subtree accounting sees it.
-	t.End(id, start+dur)
+	defer t.mu.Unlock()
+	sp := t.start(parent, KindWire, Name{Head: name}, int64(start), ProcID{})
+	sp.Bytes = bytes
+	sp.Packets = det.Packets
+	sp.Retrans = det.Retransmits
+	sp.Queue = int64(det.Queue)
+	sp.Local = local
+	sp.Bcast = bcast
+	id := sp.ID // ending the span may retire its subtree and recycle sp
+	t.fail(id, int64(start+dur), "")
 	return id
 }
 
@@ -278,7 +323,7 @@ func (t *Tracer) SetTransfer(id SpanID, bytes int) {
 // annotations on retired spans are dropped.
 func (t *Tracer) span(id SpanID) *Span {
 	if t.s != nil {
-		return t.s.live[id]
+		return t.s.span(id)
 	}
 	if id == 0 || int(id) > len(t.spans) {
 		return nil
@@ -320,7 +365,7 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.s != nil {
-		return len(t.s.retained) + len(t.s.live)
+		return len(t.s.retained) + t.s.open.n
 	}
 	return len(t.spans)
 }

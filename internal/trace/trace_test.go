@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -260,5 +261,34 @@ func TestEmptyTracerJSONHasEmptyArrays(t *testing.T) {
 	s := string(data)
 	if !strings.Contains(s, `"spans": []`) || !strings.Contains(s, `"frames": []`) {
 		t.Fatalf("empty trace rendered null arrays:\n%s", s)
+	}
+}
+
+// TestNameRendersAsConcatenation pins the lazy names to the strings the
+// call sites used to build eagerly.
+func TestNameRendersAsConcatenation(t *testing.T) {
+	worker := func(n uint32) string { return "w" + strconv.Itoa(int(n)) }
+	for _, c := range []struct {
+		name Name
+		want string
+	}{
+		{Name{Head: "MapContext"}, "MapContext"},
+		{Name{Head: "handoff", Sep: " -> ", Tail: "w"}, "handoff -> w"},
+		{Name{Head: "grant", Sep: " ", Tail: "[p]"}, "grant [p]"},
+		{Name{Head: "replica:", Tail: "Append"}, "replica:Append"},
+		{Name{Head: "Query", Sep: " ->* ", Render: worker, Arg: 7}, "Query ->* w7"},
+		{Name{}, ""},
+	} {
+		if got := c.name.String(); got != c.want {
+			t.Errorf("%+v renders %q, want %q", c.name, got, c.want)
+		}
+	}
+	// Both modes render the same name for the same parts.
+	for _, tr := range []*Tracer{New(), NewSampled(SampleConfig{})} {
+		id := tr.StartName(0, KindHandoff, Name{Head: "handoff", Sep: " -> ", Tail: "w"}, 0, ProcID{})
+		tr.End(id, 1)
+		if got := tr.Snapshot()[0].Name; got != "handoff -> w" {
+			t.Errorf("sampled=%v: span named %q", tr.Sampled(), got)
+		}
 	}
 }
