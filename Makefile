@@ -17,7 +17,7 @@ COVERAGE_FLOOR ?= 80.0
 GOLDEN_DOCS = metrics replica shard cache zipf obs
 BENCH_DOCS = $(GOLDEN_DOCS:%=bench-%)
 
-.PHONY: all check test race bench bench-json bench-smoke $(BENCH_DOCS) golden-guard vet fmt fuzz cover experiments examples clean
+.PHONY: all check test race bench bench-json bench-smoke $(BENCH_DOCS) golden-guard vet fmt fuzz cover loc experiments examples clean
 
 all: vet test
 
@@ -29,10 +29,10 @@ check: vet
 # Determinism: -count=2 runs each schedule twice in one process, so
 # state leaking between runs (pools, package variables) shows up as a
 # byte difference that a single run cannot see.
-	$(GO) test -race -count=2 -run 'TestChaosScheduleDeterministic|TestA10Deterministic|TestA11Deterministic|TestExperimentsDeterministic|TestObsJSONDeterministic|TestZipfDeterministic|TestReplicaDeterministic' ./internal/chaos/ ./internal/experiments/ ./internal/popgen/ ./internal/rig/
+	$(GO) test -race -count=2 -run 'TestChaosScheduleDeterministic|TestA10Deterministic|TestA11Deterministic|TestExperimentsDeterministic|TestObsJSONDeterministic|TestZipfDeterministic|TestReplicaDeterministic|TestScenarioIsPlainData|TestRunScenarioDeterministic' ./internal/chaos/ ./internal/experiments/ ./internal/popgen/ ./internal/rig/
 # Engine equivalence on one P: lanes interleave only where they block,
 # the schedule a multi-CPU race run never produces.
-	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestInvalidationUnderChaos' ./internal/rig/
+	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates.
 	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/
@@ -123,6 +123,11 @@ cover:
 	echo "total coverage: $$total% (floor $(COVERAGE_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVERAGE_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 	{ echo "coverage $$total% fell below floor $(COVERAGE_FLOOR)%"; exit 1; }
+
+# The size every simplicity PR quotes (ROADMAP "small"): non-test Go
+# lines outside the nested benchmark module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # Regenerate every paper table and figure (paper vs. measured).
 experiments:

@@ -387,13 +387,13 @@ var defineSeq int
 // iteration on a fresh topology (setup excluded from the timer) and
 // reports wall-clock requests per second.
 func benchShardedWorkload(b *testing.B, drive func([]*rig.WorkloadClient) *rig.WorkloadResult) {
-	cfg := rig.ShardConfig{Shards: 8, ClientsPerShard: 8, Requests: 25, Team: 1, Seed: 42}
+	sc := rig.Scenario{Kind: rig.Direct, Shards: 8, ClientsPerShard: 8, Requests: 25, Team: 1, Seed: 42}
 	total := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sw, err := rig.NewShardedWorkload(cfg)
+		sw, err := sc.Boot()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,21 +45,22 @@ func main() {
 }
 
 // exports are the deterministic documents vbench can write, in the
-// order they run. Each is byte-identical across runs and pinned by the
-// committed copy at golden (relative to the repository root).
+// order they run: experiments.DocJSON(id). Each is byte-identical across
+// runs and pinned by the committed copy at golden (relative to the
+// repository root).
 var exports = []struct {
-	flag    string
-	legs    string // what the producer runs, for the flag's help text
-	label   string // "wrote <label> to FILE"
-	golden  string
-	produce func() ([]byte, error)
+	flag   string
+	id     string // the experiment that collects the document
+	legs   string // what it runs, for the flag's help text
+	label  string // "wrote <label> to FILE"
+	golden string
 }{
-	{"metrics", "A14 metrics legs", "metrics document", "BENCH_metrics.json", experiments.MetricsJSON},
-	{"replica", "A15 replicated chaos leg", "replication document", "BENCH_replica.json", experiments.ReplicaJSON},
-	{"shard", "A16 sharded-engine sweep", "sharded-engine document", "BENCH_shard.json", experiments.ShardJSON},
-	{"cache", "A17 lease-coherence legs", "lease-coherence document", "BENCH_cache.json", experiments.CacheJSON},
-	{"zipf", "A18 population-scale legs", "population-scale document", "BENCH_zipf.json", experiments.ZipfJSON},
-	{"obs", "A19 observability legs", "observability document", "BENCH_obs.json", experiments.ObsJSON},
+	{"metrics", "a14", "A14 metrics legs", "metrics document", "BENCH_metrics.json"},
+	{"replica", "a15", "A15 replicated chaos leg", "replication document", "BENCH_replica.json"},
+	{"shard", "a16", "A16 sharded-engine sweep", "sharded-engine document", "BENCH_shard.json"},
+	{"cache", "a17", "A17 lease-coherence legs", "lease-coherence document", "BENCH_cache.json"},
+	{"zipf", "a18", "A18 population-scale legs", "population-scale document", "BENCH_zipf.json"},
+	{"obs", "a19", "A19 observability legs", "observability document", "BENCH_obs.json"},
 }
 
 func run(args []string, w io.Writer) error {
@@ -127,7 +128,7 @@ func run(args []string, w io.Writer) error {
 		if path == "" {
 			continue
 		}
-		data, err := e.produce()
+		data, err := experiments.DocJSON(e.id)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.flag, err)
 		}

@@ -47,16 +47,6 @@ func main() {
 	}
 }
 
-// schedule is the A14 crash/restart schedule: two 500 ms FS1 outages.
-func schedule() []chaos.Event {
-	return []chaos.Event{
-		{At: 300 * time.Millisecond, Action: chaos.Crash, Host: "fs1", Note: "first outage"},
-		{At: 800 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-		{At: 1600 * time.Millisecond, Action: chaos.Crash, Host: "fs1", Note: "second outage"},
-		{At: 2100 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-	}
-}
-
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vstat", flag.ContinueOnError)
 	prom := fs.Bool("prom", false, "render the snapshot as Prometheus-style text exposition")
@@ -101,7 +91,7 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		s.EnableNameCache(true)
-		eng = r.NewChaos(schedule())
+		eng = r.NewChaos(chaos.TwoOutages("fs1"))
 		pump = func(now vtime.Time) {
 			eng.AdvanceTo(now)
 			r.Sampler.AdvanceTo(now)

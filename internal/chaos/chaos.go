@@ -45,27 +45,38 @@ const (
 	// new pids — the §4.2 rebinding scenario). The engine's RestartHook,
 	// if set, then re-creates the host's servers.
 	Restart
-	// Custom runs the event's Do function.
-	Custom
+	// Redefine deletes and re-adds the context prefix Name, bound to
+	// shard Shard's root, through an admin session on the prefix host —
+	// the mid-run rebinding whose invalidation barrier the lease
+	// experiments measure. Only the rig knows where the prefix server
+	// and the shards live, so the engine's RedefineHook executes it.
+	Redefine
 )
+
+// actionNames are the actions' String and JSON names, indexed by Action.
+var actionNames = [...]string{"set-loss", "partition", "heal", "crash", "restart", "redefine"}
 
 // String names the action for event logs.
 func (a Action) String() string {
-	switch a {
-	case SetLoss:
-		return "set-loss"
-	case Partition:
-		return "partition"
-	case Heal:
-		return "heal"
-	case Crash:
-		return "crash"
-	case Restart:
-		return "restart"
-	case Custom:
-		return "custom"
+	if a >= 0 && int(a) < len(actionNames) {
+		return actionNames[a]
 	}
 	return fmt.Sprintf("action(%d)", int(a))
+}
+
+// MarshalText renders the action as its String name, so a schedule
+// serializes legibly.
+func (a Action) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText parses a String name back into the action.
+func (a *Action) UnmarshalText(text []byte) error {
+	for i, name := range actionNames {
+		if name == string(text) {
+			*a = Action(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("chaos: unknown action %q", text)
 }
 
 // Event is one scheduled fault. Only the fields its Action reads are
@@ -84,8 +95,16 @@ type Event struct {
 	Rate float64
 	// Note is free text appended to the log line.
 	Note string
-	// Do is the body of a Custom event.
-	Do func() error
+	// Name is the context prefix a Redefine rebinds, and Shard the shard
+	// whose root it is rebound to.
+	Name  string
+	Shard int
+	// AtEventTime makes a Redefine commit at the event's own time: the
+	// admin's clock is advanced to At first. Without it the mutation
+	// commits at the prefix server's clock, which stalls while the server
+	// is partitioned away — A17's partition leg measures its stale window
+	// from that stalled commit, A19's frontier from the scheduled one.
+	AtEventTime bool
 }
 
 // Engine fires a sorted schedule of events as virtual time passes.
@@ -102,6 +121,9 @@ type Engine struct {
 	// RestartHook) with the event's exact virtual time; the replicated
 	// rig re-creates and rejoins the host's replica here.
 	RestartedHook func(host string, at vtime.Time) error
+	// RedefineHook executes a Redefine event. The sharded rig installs it
+	// (rig.Run); without it the event logs an error.
+	RedefineHook func(ev Event) error
 
 	k      *kernel.Kernel
 	mu     sync.Mutex
@@ -154,6 +176,7 @@ func (e *Engine) fireLocked(ev Event) {
 	// on the health timeline.
 	reg := e.k.Metrics()
 	reg.Counter("chaos_events_total", metrics.Labels{Class: ev.Action.String()}).Inc()
+	label := ev.Action.String()
 	var outcome string
 	switch ev.Action {
 	case SetLoss:
@@ -198,17 +221,20 @@ func (e *Engine) fireLocked(ev Event) {
 		} else {
 			outcome = fmt.Sprintf("host=%s unknown", ev.Host)
 		}
-	case Custom:
+	case Redefine:
+		// The committed BENCH_cache.json and BENCH_zipf.json pin the log
+		// line of the closure event this action replaced.
+		label = "custom"
 		outcome = "ok"
-		if ev.Do == nil {
-			outcome = "no-op"
-		} else if err := ev.Do(); err != nil {
+		if e.RedefineHook == nil {
+			outcome = "error=no redefine hook installed"
+		} else if err := e.RedefineHook(ev); err != nil {
 			outcome = "error=" + err.Error()
 		}
 	default:
 		outcome = "unknown action"
 	}
-	line := fmt.Sprintf("t=%08dus %-9s %s", ev.At.Microseconds(), ev.Action, outcome)
+	line := fmt.Sprintf("t=%08dus %-9s %s", ev.At.Microseconds(), label, outcome)
 	if ev.Note != "" {
 		line += " (" + ev.Note + ")"
 	}
@@ -240,11 +266,15 @@ func (e *Engine) NextEventAt() (vtime.Time, bool) {
 	return e.events[e.next].At, true
 }
 
-// Fired returns how many events have fired so far.
-func (e *Engine) Fired() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.next
+// TwoOutages is the fixed schedule the A14 health report is pinned
+// against, aimed at host: two crash/restart outages, 500 ms each.
+func TwoOutages(host string) []Event {
+	return []Event{
+		{At: 300 * time.Millisecond, Action: Crash, Host: host, Note: "first outage"},
+		{At: 800 * time.Millisecond, Action: Restart, Host: host},
+		{At: 1600 * time.Millisecond, Action: Crash, Host: host, Note: "second outage"},
+		{At: 2100 * time.Millisecond, Action: Restart, Host: host},
+	}
 }
 
 // Profile parameterizes the random-chaos generator: repeated host
@@ -252,7 +282,10 @@ func (e *Engine) Fired() int {
 // (loss at LossRate for LossPulseLength, then clean), with the gaps
 // jittered around their means.
 type Profile struct {
-	// Duration is the schedule's length; no event fires after it.
+	// Duration is the schedule's length: no outage or loss pulse starts
+	// after it. One that starts inside still ends — its Restart or
+	// clearing SetLoss may land up to OutageLength or LossPulseLength
+	// past Duration, so no host stays down and no pulse stays on.
 	Duration time.Duration
 	// Hosts are the outage candidates, picked uniformly per outage.
 	Hosts []string

@@ -28,19 +28,19 @@ func TestEngineFiresInOrder(t *testing.T) {
 	})
 
 	e.AdvanceTo(50 * time.Millisecond)
-	if e.Fired() != 0 || !h.Alive() {
-		t.Fatalf("nothing should fire before its time (fired=%d)", e.Fired())
+	if len(e.Log()) != 0 || !h.Alive() {
+		t.Fatalf("nothing should fire before its time (fired=%d)", len(e.Log()))
 	}
 
 	e.AdvanceTo(150 * time.Millisecond)
-	if e.Fired() != 1 || h.Alive() {
-		t.Fatalf("crash should have fired (fired=%d alive=%v)", e.Fired(), h.Alive())
+	if len(e.Log()) != 1 || h.Alive() {
+		t.Fatalf("crash should have fired (fired=%d alive=%v)", len(e.Log()), h.Alive())
 	}
 
 	e.AdvanceTo(400 * time.Millisecond)
-	if e.Fired() != 3 || !h.Alive() || k.Network().DropRate() != 0.5 {
+	if len(e.Log()) != 3 || !h.Alive() || k.Network().DropRate() != 0.5 {
 		t.Fatalf("all events should have fired (fired=%d alive=%v rate=%v)",
-			e.Fired(), h.Alive(), k.Network().DropRate())
+			len(e.Log()), h.Alive(), k.Network().DropRate())
 	}
 
 	log := e.Log()
@@ -93,5 +93,69 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a[i].At < a[i-1].At {
 			t.Fatalf("schedule not sorted at %d: %v then %v", i, a[i-1].At, a[i].At)
 		}
+	}
+}
+
+// TestGenerateEndsWhatItStarts pins the Profile.Duration contract: no
+// outage or pulse starts after Duration, but every one that starts is
+// also ended — each Crash has a later Restart of the same host and each
+// loss pulse a later clearing SetLoss — even when that lands past
+// Duration.
+func TestGenerateEndsWhatItStarts(t *testing.T) {
+	p := Profile{
+		Duration:           time.Second,
+		Hosts:              []string{"fs1", "fs2"},
+		MeanOutageEvery:    300 * time.Millisecond,
+		OutageLength:       400 * time.Millisecond,
+		MeanLossPulseEvery: 250 * time.Millisecond,
+		LossPulseLength:    350 * time.Millisecond,
+		LossRate:           0.3,
+	}
+	pastDuration := false
+	for seed := int64(1); seed <= 20; seed++ {
+		events := Generate(seed, p)
+		for i, ev := range events {
+			starts := ev.Action == Crash || (ev.Action == SetLoss && ev.Rate > 0)
+			if !starts {
+				pastDuration = pastDuration || ev.At > p.Duration
+				continue
+			}
+			if ev.At >= p.Duration {
+				t.Fatalf("seed %d: %v starts at %v, past Duration", seed, ev.Action, ev.At)
+			}
+			ended := false
+			for _, later := range events[i+1:] {
+				if ev.Action == Crash {
+					ended = ended || (later.Action == Restart && later.Host == ev.Host && later.At > ev.At)
+				} else {
+					ended = ended || (later.Action == SetLoss && later.Rate == 0 && later.At > ev.At)
+				}
+			}
+			if !ended {
+				t.Fatalf("seed %d: %v at %v is never ended:\n%v", seed, ev.Action, ev.At, events)
+			}
+		}
+	}
+	if !pastDuration {
+		t.Fatal("no ending event landed past Duration; the profile no longer exercises the contract")
+	}
+}
+
+// TestActionTextRoundTrip: every action marshals as its String name and
+// parses back; an unknown name is an error.
+func TestActionTextRoundTrip(t *testing.T) {
+	for a := SetLoss; a <= Redefine; a++ {
+		text, err := a.MarshalText()
+		if err != nil || string(text) != a.String() {
+			t.Fatalf("%v marshals as %q, %v", a, text, err)
+		}
+		var back Action
+		if err := back.UnmarshalText(text); err != nil || back != a {
+			t.Fatalf("%q parses as %v, %v", text, back, err)
+		}
+	}
+	var a Action
+	if err := a.UnmarshalText([]byte("custom")); err == nil {
+		t.Fatal("unknown action name accepted")
 	}
 }

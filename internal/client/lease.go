@@ -91,7 +91,7 @@ func (s *Session) DisableLeaseCache() {
 }
 
 // FlushNameCache drops every entry no server will call back about — the
-// blind flush-by-timer staleness bound of SharedPrefixConfig.FlushEvery
+// blind flush-by-timer staleness bound of rig.Scenario.FlushEvery
 // and the A8/A14 ablations. Leased entries are not its business.
 func (s *Session) FlushNameCache() {
 	if s.cache != nil {

@@ -26,13 +26,10 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/client"
 	"repro/internal/rig"
-	"repro/internal/trace"
 )
 
 // a17 shapes. The sweep reuses the A16 topology; the chaos legs stretch
@@ -115,18 +112,23 @@ type CacheDoc struct {
 	Chaos []CacheChaos `json:"chaos"`
 }
 
-// a17Run executes one sweep point: the same leased topology built
-// twice, run through the sequential driver and the conservative engine,
-// compared, and read out per cache tier.
-func a17Run(lease time.Duration, tier bool) (CacheRun, error) {
-	cfg := rig.SharedPrefixConfig{
+// a17SweepScenario is one sweep point: the A16 topology with leases in
+// place of the blind flush, double-run against the sequential reference.
+func a17SweepScenario(lease time.Duration, tier bool) rig.Scenario {
+	return rig.Scenario{
+		Kind:            rig.SharedPrefix,
 		Shards:          a17Shards,
 		ClientsPerShard: a17ClientsPerShard,
 		Requests:        a17Requests,
 		Seed:            a17Seed,
 		Lease:           lease,
 		CacheTier:       tier,
+		Sequential:      true,
 	}
+}
+
+// a17Run executes one sweep point and reads it out per cache tier.
+func a17Run(lease time.Duration, tier bool) (CacheRun, error) {
 	run := CacheRun{
 		LeaseUS:         lease.Microseconds(),
 		CacheTier:       tier,
@@ -135,142 +137,96 @@ func a17Run(lease time.Duration, tier bool) (CacheRun, error) {
 		Requests:        a17Requests,
 		Seed:            a17Seed,
 	}
-
-	seqTop, err := rig.NewSharedPrefixWorkload(cfg)
+	res, ev, err := runChecked(a17SweepScenario(lease, tier))
 	if err != nil {
 		return run, err
 	}
-	seq := rig.RunWorkload(seqTop.Clients)
-
-	parTop, err := rig.NewSharedPrefixWorkload(cfg)
-	if err != nil {
-		return run, err
+	run.EqualToSequential = ev.EqualToSequential
+	run.TotalRequests = res.Requests
+	run.MakespanUS = res.Makespan.Microseconds()
+	run.ThroughputRPS = res.Throughput()
+	run.ClientHits = ev.Client.Hits
+	run.ClientMisses = ev.Client.Misses
+	run.ClientRenewals = ev.Client.Renewals
+	run.ClientHitRate = hitRate(ev.Client)
+	run.TierHits = int(ev.Tier.Hits)
+	run.TierMisses = int(ev.Tier.Misses)
+	run.TierForwards = int(ev.Tier.Forwards)
+	if lookups := ev.Tier.Hits + ev.Tier.Misses; lookups > 0 {
+		run.TierHitRate = float64(ev.Tier.Hits) / float64(lookups)
 	}
-	par := rig.RunWorkloadEngine(parTop.Clients, rig.EngineOptions{})
-
-	run.EqualToSequential = reflect.DeepEqual(seq, par)
-	run.TotalRequests = par.Requests
-	run.MakespanUS = par.Makespan.Microseconds()
-	run.ThroughputRPS = par.Throughput()
-	for _, st := range par.Clients {
-		run.Errors += st.Errors
-	}
-	for _, c := range parTop.Clients {
-		st := c.Session.LeaseCacheStats()
-		run.ClientHits += st.Hits
-		run.ClientMisses += st.Misses
-		run.ClientRenewals += st.Renewals
-	}
-	if lookups := run.ClientHits + run.ClientMisses + run.ClientRenewals; lookups > 0 {
-		run.ClientHitRate = float64(run.ClientHits) / float64(lookups)
-	}
-	if tier {
-		ts := parTop.Tier.Stats()
-		run.TierHits = int(ts.Hits)
-		run.TierMisses = int(ts.Misses)
-		run.TierForwards = int(ts.Forwards)
-		if lookups := ts.Hits + ts.Misses; lookups > 0 {
-			run.TierHitRate = float64(ts.Hits) / float64(lookups)
-		}
-	}
-	run.PrefixGrants = int(parTop.Prefix.LeaseStats().Grants)
+	run.PrefixGrants = int(ev.Prefix.Grants)
 	return run, nil
 }
 
-// a17Redefine deletes and re-adds [shard0] through an admin session on
-// the prefix host — the mutation whose invalidation barrier (or, under
-// partition, whose unreachable holders) the chaos legs measure. Run as
-// a Custom chaos event, it executes at a quiescent cut, so it is
-// deterministic under the concurrent engine.
-func a17Redefine(sw *rig.SharedPrefixWorkload) func() error {
-	return func() error {
-		proc, err := sw.PrefixHost.NewProcess("admin")
-		if err != nil {
-			return err
-		}
-		adm := client.New(proc, sw.Prefix.PID(), sw.Shards[0].RootPair(), "admin")
-		if err := adm.DeleteName("shard0"); err != nil {
-			return err
-		}
-		return adm.AddName("shard0", sw.Shards[0].RootPair())
-	}
-}
-
-// a17Chaos drives the leased topology through the conservative engine
-// under a fault schedule, traced, and distills the run into a
-// CacheChaos leg: determinism belongs to the engine tests; here the
-// trace itself is the deliverable.
-func a17Chaos(kind string, schedule func(sw *rig.SharedPrefixWorkload) []chaos.Event) (CacheChaos, error) {
-	leg := CacheChaos{
-		Kind:     kind,
-		LeaseUS:  a17ChaosLease.Microseconds(),
-		Requests: a17ChaosRequests,
-	}
-	sw, err := rig.NewSharedPrefixWorkload(rig.SharedPrefixConfig{
+// a17ChaosScenario is a fault leg: the leased topology, traced, with the
+// request quota stretched to cover the schedule. Each Redefine deletes
+// and re-adds [shard0] at a quiescent cut — the mutation whose
+// invalidation barrier (or, under partition, whose unreachable holders)
+// the leg measures.
+//
+// The "crash" leg is the A14 outage pattern compressed to the lease-era
+// horizon, with the redefinition fired between grants and the first
+// outage: the callback barrier runs while every holder is reachable, so
+// the trace must contain no stale window at all.
+//
+// The "partition" leg cuts the prefix host off and redefines [shard0]
+// mid-partition: the admin session is co-resident with the server, so
+// the mutation commits locally, but the callback barrier reaches no
+// holder — every partitioned client keeps serving the old binding until
+// its lease lapses. The stale windows must be non-empty (the callbacks
+// demonstrably failed) yet bounded by the lease.
+func a17ChaosScenario(kind string) rig.Scenario {
+	sc := rig.Scenario{
+		Kind:            rig.SharedPrefix,
 		Shards:          a17Shards,
 		ClientsPerShard: a17ClientsPerShard,
 		Requests:        a17ChaosRequests,
 		Seed:            a17Seed,
 		Lease:           a17ChaosLease,
 		Trace:           true,
-	})
+	}
+	switch kind {
+	case "crash":
+		sc.Faults = []chaos.Event{
+			{At: 150 * time.Millisecond, Action: chaos.Redefine, Name: "shard0", Note: "redefine shard0"},
+			{At: 300 * time.Millisecond, Action: chaos.Crash, Host: "nexus", Note: "first outage"},
+			{At: 500 * time.Millisecond, Action: chaos.Restart, Host: "nexus"},
+			{At: 700 * time.Millisecond, Action: chaos.Crash, Host: "nexus", Note: "second outage"},
+			{At: 850 * time.Millisecond, Action: chaos.Restart, Host: "nexus"},
+		}
+	case "partition":
+		sc.Faults = []chaos.Event{
+			{At: 250 * time.Millisecond, Action: chaos.Partition, Host: "nexus", Group: 1, Note: "prefix host cut off"},
+			{At: 300 * time.Millisecond, Action: chaos.Redefine, Name: "shard0", Note: "redefine shard0 behind the partition"},
+			{At: 450 * time.Millisecond, Action: chaos.Heal},
+		}
+	}
+	return sc
+}
+
+// a17Chaos runs one fault leg and distills it into a CacheChaos:
+// determinism belongs to the engine tests; here the trace itself is the
+// deliverable.
+func a17Chaos(kind string) (CacheChaos, error) {
+	leg := CacheChaos{
+		Kind:     kind,
+		LeaseUS:  a17ChaosLease.Microseconds(),
+		Requests: a17ChaosRequests,
+	}
+	res, ev, err := runChecked(a17ChaosScenario(kind))
 	if err != nil {
 		return leg, err
 	}
-	eng := chaos.New(sw.Kernel, schedule(sw))
-	res := rig.RunWorkloadEngine(sw.Clients, rig.EngineOptions{Fences: rig.ChaosFences(eng)})
-
-	leg.Schedule = eng.Log()
+	leg.Schedule = ev.ChaosLog
 	leg.TotalRequests = res.Requests
-	for _, c := range res.Clients {
-		leg.Completed += c.Completed
-		leg.Errors += c.Errors
-	}
-	for _, c := range sw.Clients {
-		leg.Invalidations += c.Session.LeaseCacheStats().Invalidations
-	}
-	spans := sw.Tracer.Snapshot()
-	leg.TraceClean = trace.Check(spans, trace.CheckOptions{LeaseBound: a17ChaosLease}) == nil
-	leg.BoundHeld = true
-	for _, w := range trace.StaleWindows(spans) {
-		leg.StaleWindows++
-		us := w.Window / 1e3
-		if us > leg.WidestStaleUS {
-			leg.WidestStaleUS = us
-		}
-		if time.Duration(w.Window) > a17ChaosLease {
-			leg.BoundHeld = false
-		}
-	}
+	leg.Completed = ev.Completed
+	leg.Errors = ev.Errors
+	leg.Invalidations = ev.Client.Invalidations
+	leg.TraceClean, leg.BoundHeld = true, true
+	leg.StaleWindows = ev.StaleWindows
+	leg.WidestStaleUS = ev.WidestStale.Microseconds()
 	return leg, nil
-}
-
-// a17CrashSchedule is the A14 outage pattern compressed to the
-// lease-era horizon, with the redefinition fired between grants and the
-// first outage: the callback barrier runs while every holder is
-// reachable, so the trace must contain no stale window at all.
-func a17CrashSchedule(sw *rig.SharedPrefixWorkload) []chaos.Event {
-	return []chaos.Event{
-		{At: 150 * time.Millisecond, Action: chaos.Custom, Note: "redefine shard0", Do: a17Redefine(sw)},
-		{At: 300 * time.Millisecond, Action: chaos.Crash, Host: "nexus", Note: "first outage"},
-		{At: 500 * time.Millisecond, Action: chaos.Restart, Host: "nexus"},
-		{At: 700 * time.Millisecond, Action: chaos.Crash, Host: "nexus", Note: "second outage"},
-		{At: 850 * time.Millisecond, Action: chaos.Restart, Host: "nexus"},
-	}
-}
-
-// a17PartitionSchedule cuts the prefix host off and redefines [shard0]
-// mid-partition: the admin session is co-resident with the server, so
-// the mutation commits locally, but the callback barrier reaches no
-// holder — every partitioned client keeps serving the old binding until
-// its lease lapses. The stale windows must be non-empty (the callbacks
-// demonstrably failed) yet bounded by the lease.
-func a17PartitionSchedule(sw *rig.SharedPrefixWorkload) []chaos.Event {
-	return []chaos.Event{
-		{At: 250 * time.Millisecond, Action: chaos.Partition, Host: "nexus", Group: 1, Note: "prefix host cut off"},
-		{At: 300 * time.Millisecond, Action: chaos.Custom, Note: "redefine shard0 behind the partition", Do: a17Redefine(sw)},
-		{At: 450 * time.Millisecond, Action: chaos.Heal},
-	}
 }
 
 // a17Collect runs every leg once, producing both the JSON document and
@@ -287,12 +243,6 @@ func a17Collect() (*CacheDoc, []Row, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("a17 lease=%v tier=%v: %w", lease, tier, err)
 			}
-			if !run.EqualToSequential {
-				return nil, nil, fmt.Errorf("a17 lease=%v tier=%v: engine result differs from sequential", lease, tier)
-			}
-			if run.Errors != 0 {
-				return nil, nil, fmt.Errorf("a17 lease=%v tier=%v: %d requests failed", lease, tier, run.Errors)
-			}
 			doc.Sweep = append(doc.Sweep, run)
 			tierNote := "no tier"
 			if tier {
@@ -308,12 +258,9 @@ func a17Collect() (*CacheDoc, []Row, error) {
 		}
 	}
 
-	crash, err := a17Chaos("crash", a17CrashSchedule)
+	crash, err := a17Chaos("crash")
 	if err != nil {
 		return nil, nil, fmt.Errorf("a17 crash leg: %w", err)
-	}
-	if !crash.TraceClean {
-		return nil, nil, fmt.Errorf("a17 crash leg: trace violates the lease staleness invariant")
 	}
 	if crash.StaleWindows != 0 {
 		return nil, nil, fmt.Errorf("a17 crash leg: %d stale windows despite reachable holders", crash.StaleWindows)
@@ -333,18 +280,12 @@ func a17Collect() (*CacheDoc, []Row, error) {
 			ms(a17ChaosLease), crash.Invalidations, crash.Errors),
 	})
 
-	part, err := a17Chaos("partition", a17PartitionSchedule)
+	part, err := a17Chaos("partition")
 	if err != nil {
 		return nil, nil, fmt.Errorf("a17 partition leg: %w", err)
 	}
-	if !part.TraceClean {
-		return nil, nil, fmt.Errorf("a17 partition leg: trace violates the lease staleness invariant")
-	}
 	if part.StaleWindows == 0 {
 		return nil, nil, fmt.Errorf("a17 partition leg: no stale window — the partition never bit")
-	}
-	if !part.BoundHeld {
-		return nil, nil, fmt.Errorf("a17 partition leg: a stale window exceeded the lease bound")
 	}
 	doc.Chaos = append(doc.Chaos, part)
 	rows = append(rows, Row{
@@ -355,34 +296,4 @@ func a17Collect() (*CacheDoc, []Row, error) {
 			part.StaleWindows, ms(a17ChaosLease)),
 	})
 	return doc, rows, nil
-}
-
-// A17 reports the lease-coherence legs: hit-rate amortization across
-// the cache hierarchy, and the staleness bound holding through crashes
-// and partitions — asserted by the trace checker, not eyeballed.
-func A17() (Result, error) {
-	_, rows, err := a17Collect()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		ID:     "a17",
-		Title:  "lease-coherent name caches: hit rates and the staleness bound under faults",
-		Source: "PROTOCOL.md §13; §2.3 caches with leases in place of validate-on-use",
-		Rows:   rows,
-	}, nil
-}
-
-// CacheJSON renders the BENCH_cache.json document, byte-identical
-// across runs.
-func CacheJSON() ([]byte, error) {
-	doc, _, err := a17Collect()
-	return docJSON(doc, err)
-}
-
-// a17SectionGuard asserts at test time that the A17 registry entry is
-// followed only by later experiments (vbench_output.txt's sections up
-// through A17 must stay byte-identical as new experiments land).
-func a17SectionGuard() bool {
-	return sectionGuard("a17")
 }

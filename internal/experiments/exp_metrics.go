@@ -200,17 +200,6 @@ func a14Team(team int) (MetricsLeg, metrics.HistPoint, error) {
 	return leg, p, nil
 }
 
-// a14ChaosSchedule is the FS1 crash/restart schedule the health report
-// is pinned against: two outages, 500 ms each.
-func a14ChaosSchedule() []chaos.Event {
-	return []chaos.Event{
-		{At: 300 * time.Millisecond, Action: chaos.Crash, Host: "fs1", Note: "first outage"},
-		{At: 800 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-		{At: 1600 * time.Millisecond, Action: chaos.Crash, Host: "fs1", Note: "second outage"},
-		{At: 2100 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-	}
-}
-
 // a14Chaos runs the A10 failover workload (dynamic [bin] binding, FS2
 // replica, recovery policy on) under the fixed crash/restart schedule
 // and derives the health report: FS1's availability windows must match
@@ -237,7 +226,7 @@ func a14Chaos() (MetricsLeg, float64, error) {
 		return leg, 0, err
 	}
 	s.EnableNameCache(true)
-	eng := r.NewChaos(a14ChaosSchedule())
+	eng := r.NewChaos(chaos.TwoOutages("fs1"))
 	pump := func(now vtime.Time) {
 		eng.AdvanceTo(now)
 		r.Sampler.AdvanceTo(now)
@@ -339,25 +328,4 @@ func a14Collect() (*MetricsDoc, []Row, error) {
 			Note:     "dynamic binding + retry cache-free failover to FS2"},
 	)
 	return doc, rows, nil
-}
-
-// A14 reports the distribution view of the paper's latency tables.
-func A14() (Result, error) {
-	_, rows, err := a14Collect()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		ID:     "a14",
-		Title:  "metrics: latency distributions, team scaling, health under faults",
-		Source: "§3.1 latencies as distributions; §4.2 faults as an SLO report",
-		Rows:   rows,
-	}, nil
-}
-
-// MetricsJSON renders the BENCH_metrics.json document: the A14 legs'
-// deterministic registry state, byte-identical across runs.
-func MetricsJSON() ([]byte, error) {
-	doc, _, err := a14Collect()
-	return docJSON(doc, err)
 }

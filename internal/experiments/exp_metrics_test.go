@@ -38,11 +38,11 @@ func TestMetricsZeroCost(t *testing.T) {
 // -race in make check, so it also exercises the registry's concurrent
 // update paths.
 func TestMetricsDeterministic(t *testing.T) {
-	first, err := MetricsJSON()
+	first, err := DocJSON("a14")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := MetricsJSON()
+	second, err := DocJSON("a14")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMetricsDeterministic(t *testing.T) {
 // the acceptance criteria call for, the paper's remote transaction at
 // the distribution median, and a health report that felt both outages.
 func TestA14Shape(t *testing.T) {
-	data, err := MetricsJSON()
+	data, err := DocJSON("a14")
 	if err != nil {
 		t.Fatal(err)
 	}

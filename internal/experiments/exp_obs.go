@@ -28,11 +28,11 @@ package experiments
 // across runs and pinned by golden-guard.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/client"
 	"repro/internal/flight"
 	"repro/internal/kernel"
 	"repro/internal/namestat"
@@ -117,13 +117,8 @@ type ObsSampling struct {
 	Agrees  bool      `json:"agrees"`
 
 	// The open-loop Zipf workload under head sampling.
-	Population    int   `json:"population"`
-	HeadEvery     int   `json:"head_every"`
-	TotalOps      int   `json:"total_ops"`
-	RootsSeen     int64 `json:"roots_seen"`
-	RootsRetained int64 `json:"roots_retained"`
-	RetainedSpans int   `json:"retained_spans"`
-	TraceClean    bool  `json:"trace_clean"`
+	PopTrace
+	TraceClean bool `json:"trace_clean"`
 	// HottestInTopK asserts the population's true hottest name shows up
 	// in the prefix server's hot-name sketch.
 	HottestInTopK bool `json:"hottest_in_topk"`
@@ -345,8 +340,7 @@ func a19Echo(sampled bool) (ObsDecomp, error) {
 
 // a19Sampling runs both halves of the sampled-tracing leg.
 func a19Sampling() (ObsSampling, error) {
-	leg := ObsSampling{Population: a19SamplePop, HeadEvery: a19SampleHeadEvery}
-
+	var leg ObsSampling
 	full, err := a19Echo(false)
 	if err != nil {
 		return leg, err
@@ -361,62 +355,26 @@ func a19Sampling() (ObsSampling, error) {
 		return leg, fmt.Errorf("a19 sampling: sampled decomposition %+v differs from full %+v", sampled, full)
 	}
 
-	// The open-loop Zipf workload, head-sampled, with the hottest name
-	// redefined at a quiescent cut (the a18 traced-leg shape) and the
-	// flight ring sealed at every fence.
 	pop := popgen.NewPopulation(a19SamplePop, a18Skew, a18PopSeed)
-	cfg := a18Config(pop, a18Skew, false)
-	cfg.TraceSample = &trace.SampleConfig{HeadEvery: a19SampleHeadEvery}
-	zw, err := rig.NewZipfWorkload(cfg)
+	sc := a19SampledScenario(pop)
+	sc.Pop = pop
+	pt, ev, err := sampledRun(sc)
 	if err != nil {
-		return leg, err
+		return leg, fmt.Errorf("a19 sampling: %w", err)
 	}
-	hot := pop.Names[0]
-	redefine := func() error {
-		proc, err := zw.PrefixHost.NewProcess("admin")
-		if err != nil {
-			return err
-		}
-		adm := client.New(proc, zw.Prefix.PID(), zw.Shards[0].RootPair(), "admin")
-		if err := adm.DeleteName(hot); err != nil {
-			return err
-		}
-		return adm.AddName(hot, zw.Shards[0].RootPair())
-	}
-	eng := chaos.New(zw.Kernel, []chaos.Event{
-		{At: 100 * time.Millisecond, Action: chaos.Custom, Note: "redefine hottest name", Do: redefine},
-	})
-	fences := rig.SealFlightAtFences(rig.ChaosFences(eng), zw.Flight)
-	res := rig.RunWorkloadEngine(zw.Clients, rig.EngineOptions{Fences: fences})
-
-	leg.TotalOps = res.Requests
-	leg.RootsSeen = int64(zw.Tracer.RootsSeen())
-	leg.RootsRetained = int64(zw.Tracer.RootsRetained())
-	spans := zw.Tracer.Snapshot()
-	leg.RetainedSpans = len(spans)
-	leg.TraceClean = trace.Check(spans, trace.CheckOptions{}) == nil
-	for _, it := range zw.Prefix.TopNames() {
-		if it.Name == hot {
+	leg.PopTrace, leg.TraceClean = pt, true
+	for _, it := range ev.Topology.Prefix.TopNames() {
+		if it.Name == pop.Names[0] {
 			leg.HottestInTopK = true
 		}
 	}
 
-	journal := zw.Flight.Journal()
-	counts := flight.Counts(journal)
-	leg.FlightEvents = int64(len(journal))
+	counts := flight.Counts(ev.Journal)
+	leg.FlightEvents = int64(len(ev.Journal))
 	leg.FlightResolutions = int64(counts[flight.KindResolution])
 	leg.FlightRedefines = int64(counts[flight.KindRedefine])
-	leg.FlightDropped = int64(zw.Flight.Dropped())
+	leg.FlightDropped = int64(ev.Topology.Flight.Dropped())
 
-	if !leg.TraceClean {
-		return leg, fmt.Errorf("a19 sampling: sampled trace violates the span invariants")
-	}
-	if leg.RootsRetained == 0 || leg.RetainedSpans == 0 {
-		return leg, fmt.Errorf("a19 sampling: head sampling retained nothing")
-	}
-	if leg.RootsRetained*8 > leg.RootsSeen {
-		return leg, fmt.Errorf("a19 sampling: retained %d of %d roots — not O(k)", leg.RootsRetained, leg.RootsSeen)
-	}
 	if !leg.HottestInTopK {
 		return leg, fmt.Errorf("a19 sampling: hottest name missing from the prefix server's sketch")
 	}
@@ -426,55 +384,53 @@ func a19Sampling() (ObsSampling, error) {
 	return leg, nil
 }
 
-// a19Redefine is a17Redefine with the admin's clock advanced to the
-// scheduled event time first. A fresh process starts at virtual zero
-// and a partitioned server's clock stalls, so without the advance the
-// redefinition would commit at the server's stalled clock (the A17
-// behaviour) instead of at the schedule's — and the commit instant is
-// exactly what the staleness frontier below is measured against.
-func a19Redefine(sw *rig.SharedPrefixWorkload, at time.Duration) func() error {
-	return func() error {
-		proc, err := sw.PrefixHost.NewProcess("admin")
-		if err != nil {
-			return err
-		}
-		if wait := at - proc.Now(); wait > 0 {
-			proc.ChargeCompute(wait)
-		}
-		adm := client.New(proc, sw.Prefix.PID(), sw.Shards[0].RootPair(), "admin")
-		if err := adm.DeleteName("shard0"); err != nil {
-			return err
-		}
-		return adm.AddName("shard0", sw.Shards[0].RootPair())
+// sampledRun runs a head-sampled scenario and summarizes what the tracer
+// kept: the retained subtrees must pass the span invariant checker
+// (runChecked) and stay O(k) in the sampling budget.
+func sampledRun(sc rig.Scenario) (PopTrace, rig.Evidence, error) {
+	pt := PopTrace{Population: sc.Population, HeadEvery: sc.TraceSample.HeadEvery}
+	res, ev, err := runChecked(sc)
+	if err != nil {
+		return pt, ev, err
 	}
+	pt.TotalOps = res.Requests
+	pt.RootsSeen = int64(ev.Topology.Tracer.RootsSeen())
+	pt.RootsRetained = int64(ev.Topology.Tracer.RootsRetained())
+	pt.RetainedSpans = ev.Spans
+	switch {
+	case pt.RootsRetained == 0 || pt.RetainedSpans == 0:
+		err = errors.New("head sampling retained nothing")
+	case pt.RootsRetained*8 > pt.RootsSeen:
+		err = fmt.Errorf("retained %d of %d roots — not O(k)", pt.RootsRetained, pt.RootsSeen)
+	}
+	return pt, ev, err
 }
 
-// a19TuneSchedule is the A17 partition schedule preceded by two
-// redefinitions of [shard0] that train the tuner: shard0's estimator
-// goes hot (lease pinned to the floor) while the quiet shards grow
-// toward the cap, before the partition makes the staleness trade bite.
-func a19TuneSchedule(sw *rig.SharedPrefixWorkload) []chaos.Event {
-	return []chaos.Event{
-		{At: 60 * time.Millisecond, Action: chaos.Custom, Note: "redefine shard0 (train tuner)", Do: a19Redefine(sw, 60*time.Millisecond)},
-		{At: 120 * time.Millisecond, Action: chaos.Custom, Note: "redefine shard0 again", Do: a19Redefine(sw, 120*time.Millisecond)},
-		{At: 250 * time.Millisecond, Action: chaos.Partition, Host: "nexus", Group: 1, Note: "prefix host cut off"},
-		{At: 300 * time.Millisecond, Action: chaos.Custom, Note: "redefine shard0 behind the partition", Do: a19Redefine(sw, 300*time.Millisecond)},
-		{At: 450 * time.Millisecond, Action: chaos.Heal},
-	}
+// a19SampledScenario is the a18 traced leg — the open-loop Zipf
+// workload with the hottest name redefined at a quiescent cut — under
+// head sampling instead of the full tracer.
+func a19SampledScenario(pop *popgen.Population) rig.Scenario {
+	sc := a18TraceScenario(pop)
+	sc.Trace = false
+	sc.TraceSample = &trace.SampleConfig{HeadEvery: a19SampleHeadEvery}
+	return sc
 }
 
-// a19Tune runs one policy point: a fixed lease (cap 0) or the
-// auto-tuner over [lease, cap].
-func a19Tune(policy string, lease, cap time.Duration) (ObsTuneRun, error) {
-	run := ObsTuneRun{
-		Policy:   policy,
-		LeaseUS:  lease.Microseconds(),
-		Requests: a19TuneRequests,
+// a19TuneScenario is one policy point — a fixed lease (cap 0) or the
+// auto-tuner over [lease, cap] — on the A17 chaos shape. Its schedule is
+// the A17 partition schedule preceded by two redefinitions of [shard0]
+// that train the tuner: shard0's estimator goes hot (lease pinned to the
+// floor) while the quiet shards grow toward the cap, before the
+// partition makes the staleness trade bite. The redefinitions commit at
+// their scheduled times (AtEventTime), not at the partitioned server's
+// stalled clock as A17's does: the commit instant is exactly what the
+// staleness frontier is measured against.
+func a19TuneScenario(lease, cap time.Duration) rig.Scenario {
+	redefine := func(at time.Duration, note string) chaos.Event {
+		return chaos.Event{At: at, Action: chaos.Redefine, Name: "shard0", AtEventTime: true, Note: note}
 	}
-	if cap > 0 {
-		run.CapUS = cap.Microseconds()
-	}
-	sw, err := rig.NewSharedPrefixWorkload(rig.SharedPrefixConfig{
+	return rig.Scenario{
+		Kind:            rig.SharedPrefix,
 		Shards:          a17Shards,
 		ClientsPerShard: a17ClientsPerShard,
 		Requests:        a19TuneRequests,
@@ -482,60 +438,45 @@ func a19Tune(policy string, lease, cap time.Duration) (ObsTuneRun, error) {
 		Lease:           lease,
 		AutoTuneMax:     cap,
 		Trace:           true,
-	})
+		Faults: []chaos.Event{
+			redefine(60*time.Millisecond, "redefine shard0 (train tuner)"),
+			redefine(120*time.Millisecond, "redefine shard0 again"),
+			{At: 250 * time.Millisecond, Action: chaos.Partition, Host: "nexus", Group: 1, Note: "prefix host cut off"},
+			redefine(300*time.Millisecond, "redefine shard0 behind the partition"),
+			{At: 450 * time.Millisecond, Action: chaos.Heal},
+		},
+	}
+}
+
+// a19Tune runs one policy point.
+func a19Tune(policy string, lease, cap time.Duration) (ObsTuneRun, error) {
+	run := ObsTuneRun{
+		Policy:   policy,
+		LeaseUS:  lease.Microseconds(),
+		CapUS:    cap.Microseconds(),
+		Requests: a19TuneRequests,
+	}
+	_, ev, err := runChecked(a19TuneScenario(lease, cap))
 	if err != nil {
-		return run, err
+		return run, fmt.Errorf("a19 tune %s lease=%v: %w", policy, lease, err)
 	}
-	eng := chaos.New(sw.Kernel, a19TuneSchedule(sw))
-	fences := rig.SealFlightAtFences(rig.ChaosFences(eng), sw.Flight)
-	res := rig.RunWorkloadEngine(sw.Clients, rig.EngineOptions{Fences: fences})
+	run.Errors = ev.Errors
+	run.Hits = ev.Client.Hits
+	run.Misses = ev.Client.Misses
+	run.Renewals = ev.Client.Renewals
+	run.Invalidations = ev.Client.Invalidations
+	run.HitRate = hitRate(ev.Client)
 
-	for _, c := range res.Clients {
-		run.Errors += c.Errors
-	}
-	for _, c := range sw.Clients {
-		st := c.Session.LeaseCacheStats()
-		run.Hits += st.Hits
-		run.Misses += st.Misses
-		run.Renewals += st.Renewals
-		run.Invalidations += st.Invalidations
-	}
-	if lookups := run.Hits + run.Misses + run.Renewals; lookups > 0 {
-		run.HitRate = float64(run.Hits) / float64(lookups)
-	}
-
-	// Trace invariant #7: the staleness bound is the widest lease the
-	// server can have granted — the cap when tuning, else the fixed
-	// length.
-	bound := lease
+	run.BoundUS = ev.Bound.Microseconds()
+	run.TraceClean, run.BoundHeld = true, true
+	run.StaleWindows = ev.StaleWindows
+	run.WidestStaleUS = ev.WidestStale.Microseconds()
 	if cap > 0 {
-		bound = cap
+		run.TunedShard0US = ev.Topology.Prefix.TunedLease("shard0").Microseconds()
+		run.TunedShard1US = ev.Topology.Prefix.TunedLease("shard1").Microseconds()
 	}
-	run.BoundUS = bound.Microseconds()
-	spans := sw.Tracer.Snapshot()
-	run.TraceClean = trace.Check(spans, trace.CheckOptions{LeaseBound: bound}) == nil
-	run.BoundHeld = true
-	for _, w := range trace.StaleWindows(spans) {
-		run.StaleWindows++
-		if us := w.Window / 1e3; us > run.WidestStaleUS {
-			run.WidestStaleUS = us
-		}
-		if time.Duration(w.Window) > bound {
-			run.BoundHeld = false
-		}
-	}
-	if cap > 0 {
-		run.TunedShard0US = sw.Prefix.TunedLease("shard0").Microseconds()
-		run.TunedShard1US = sw.Prefix.TunedLease("shard1").Microseconds()
-	}
-	run.FlightRedefines = int64(flight.Counts(sw.Flight.Journal())[flight.KindRedefine])
+	run.FlightRedefines = int64(flight.Counts(ev.Journal)[flight.KindRedefine])
 
-	if !run.TraceClean {
-		return run, fmt.Errorf("a19 tune %s lease=%v: trace violates the staleness invariant", policy, lease)
-	}
-	if !run.BoundHeld {
-		return run, fmt.Errorf("a19 tune %s lease=%v: a stale window exceeded the bound", policy, lease)
-	}
 	// Each chaos redefinition is a delete + a re-add, two invalidation
 	// commits — so the three scheduled events journal six.
 	if run.FlightRedefines != 6 {
@@ -658,35 +599,6 @@ func a19Collect() (*ObsDoc, []Row, error) {
 	return doc, rows, nil
 }
 
-// A19 reports the observability legs: sketch fidelity, estimator
-// convergence, sampled-trace agreement, and the auto-tuner beating the
-// fixed-lease trade — each asserted, not eyeballed.
-func A19() (Result, error) {
-	_, rows, err := a19Collect()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		ID:     "a19",
-		Title:  "population-scale observability and the lease auto-tuner",
-		Source: "PROTOCOL.md §15; §13 staleness bound with the cap in place of the fixed length",
-		Rows:   rows,
-	}, nil
-}
-
-// ObsJSON renders the BENCH_obs.json document, byte-identical across
-// runs.
-func ObsJSON() ([]byte, error) {
-	doc, _, err := a19Collect()
-	return docJSON(doc, err)
-}
-
-// a19SectionGuard asserts at test time that the A19 registry entry is
-// followed only by later experiments.
-func a19SectionGuard() bool {
-	return sectionGuard("a19")
-}
-
 // PopTrace summarizes a sampled population-scale trace export
 // (`vbench -zipf Z.json -trace T.json`).
 type PopTrace struct {
@@ -705,31 +617,13 @@ type PopTrace struct {
 // in the sampling budget. The retained subtrees still pass the span
 // invariant checker.
 func PopulationTrace(population int) ([]byte, PopTrace, error) {
-	pt := PopTrace{Population: population, HeadEvery: a19SampleHeadEvery}
-	pop := popgen.NewPopulation(population, a18Skew, a18PopSeed)
-	cfg := a18Config(pop, a18Skew, false)
-	cfg.TraceSample = &trace.SampleConfig{HeadEvery: a19SampleHeadEvery}
-	zw, err := rig.NewZipfWorkload(cfg)
+	sc := a18Scenario(population, a18Skew, false)
+	sc.Sequential = false
+	sc.TraceSample = &trace.SampleConfig{HeadEvery: a19SampleHeadEvery}
+	pt, ev, err := sampledRun(sc)
 	if err != nil {
 		return nil, pt, err
 	}
-	fences := rig.SealFlightAtFences(rig.ChaosFences(nil), zw.Flight)
-	res := rig.RunWorkloadEngine(zw.Clients, rig.EngineOptions{Fences: fences})
-
-	pt.TotalOps = res.Requests
-	pt.RootsSeen = int64(zw.Tracer.RootsSeen())
-	pt.RootsRetained = int64(zw.Tracer.RootsRetained())
-	spans := zw.Tracer.Snapshot()
-	pt.RetainedSpans = len(spans)
-	if err := trace.Check(spans, trace.CheckOptions{}); err != nil {
-		return nil, pt, fmt.Errorf("population trace: invariants: %w", err)
-	}
-	if pt.RootsRetained*8 > pt.RootsSeen {
-		return nil, pt, fmt.Errorf("population trace: retained %d of %d roots — not O(k)", pt.RootsRetained, pt.RootsSeen)
-	}
-	data, err := zw.Tracer.JSON()
-	if err != nil {
-		return nil, pt, err
-	}
-	return data, pt, nil
+	data, err := ev.Topology.Tracer.JSON()
+	return data, pt, err
 }

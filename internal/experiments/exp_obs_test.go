@@ -33,11 +33,11 @@ func TestObsZeroCost(t *testing.T) {
 // check, so it also exercises the recorder's and the sketches'
 // concurrent update paths end to end.
 func TestObsJSONDeterministic(t *testing.T) {
-	first, err := ObsJSON()
+	first, err := DocJSON("a19")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := ObsJSON()
+	second, err := DocJSON("a19")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,7 @@ func TestObsJSONDeterministic(t *testing.T) {
 // flight journal, and an auto-tuned point dominating at least one fixed
 // lease from the A17 sweep.
 func TestA19Shape(t *testing.T) {
-	if !a19SectionGuard() {
-		t.Fatal("a19 is no longer the last registry section; move its golden pin")
-	}
-	data, err := ObsJSON()
+	data, err := DocJSON("a19")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -80,7 +81,7 @@ func a15Collect() (*ReplicaDoc, []Row, error) {
 		return nil, nil, err
 	}
 	s.EnableNameCache(true)
-	eng := r.NewChaos(a14ChaosSchedule())
+	eng := r.NewChaos(chaos.TwoOutages("fs1"))
 	pump := func(now vtime.Time) {
 		eng.AdvanceTo(now)
 		r.PumpGroups(now)
@@ -116,6 +117,9 @@ func a15Collect() (*ReplicaDoc, []Row, error) {
 	}
 	if fs1 == nil {
 		return nil, nil, fmt.Errorf("a15: health report has no fs1 entry")
+	}
+	if ok != ops {
+		return nil, nil, fmt.Errorf("a15: %d/%d operations failed under replication", ops-ok, ops)
 	}
 
 	doc := &ReplicaDoc{
@@ -159,29 +163,4 @@ func a15Collect() (*ReplicaDoc, []Row, error) {
 			Note:     "the host still takes both scheduled outages — the service no longer cares"},
 	}
 	return doc, rows, nil
-}
-
-// A15 reports the replicated name service's availability under the A14
-// fault schedule.
-func A15() (Result, error) {
-	doc, rows, err := a15Collect()
-	if err != nil {
-		return Result{}, err
-	}
-	if doc.OpsFailed != 0 {
-		return Result{}, fmt.Errorf("a15: %d/%d operations failed under replication", doc.OpsFailed, doc.OpsTotal)
-	}
-	return Result{
-		ID:     "a15",
-		Title:  "replication: consensus-replicated fs1 under the A14 fault schedule",
-		Source: "§4.2 rebinding generalized: no single host owns a name",
-		Rows:   rows,
-	}, nil
-}
-
-// ReplicaJSON renders the BENCH_replica.json document, byte-identical
-// across runs.
-func ReplicaJSON() ([]byte, error) {
-	doc, _, err := a15Collect()
-	return docJSON(doc, err)
 }

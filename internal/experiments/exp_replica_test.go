@@ -37,11 +37,11 @@ func TestReplicaJSONDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full chaos legs")
 	}
-	d1, err := ReplicaJSON()
+	d1, err := DocJSON("a15")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ReplicaJSON()
+	d2, err := DocJSON("a15")
 	if err != nil {
 		t.Fatal(err)
 	}

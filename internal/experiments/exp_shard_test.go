@@ -23,11 +23,11 @@ func TestA16Shape(t *testing.T) {
 }
 
 func TestShardJSONDeterministic(t *testing.T) {
-	b1, err := ShardJSON()
+	b1, err := DocJSON("a16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := ShardJSON()
+	b2, err := DocJSON("a16")
 	if err != nil {
 		t.Fatal(err)
 	}

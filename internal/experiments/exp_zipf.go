@@ -28,16 +28,13 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/client"
 	"repro/internal/nametree"
 	"repro/internal/popgen"
 	"repro/internal/rig"
-	"repro/internal/trace"
 )
 
 // a18 shapes. The workload shape is fixed across every leg; only the
@@ -207,31 +204,35 @@ func a18Index(pop *popgen.Population) ZipfIndexPoint {
 // distinct from every client stream (those are 1..nclients).
 const a18IndexStream = 1 << 20
 
-// a18Config is the common workload shape over a shared population.
-func a18Config(pop *popgen.Population, skew float64, tier bool) rig.ZipfConfig {
-	return rig.ZipfConfig{
-		Population:      len(pop.Names),
+// a18Scenario is the common workload shape over an n-name population.
+// Populations at or below a18EquivMax are double-run (sequential and
+// engine) and compared including the per-op latency matrix; larger ones
+// run engine-only.
+func a18Scenario(n int, skew float64, tier bool) rig.Scenario {
+	return rig.Scenario{
+		Kind:            rig.Zipf,
+		Population:      n,
 		Skew:            skew,
-		Pop:             pop,
 		PopSeed:         a18PopSeed,
 		Shards:          a18Shards,
 		ClientsPerShard: a18ClientsPerShard,
-		Arrivals:        a18Arrivals,
+		Requests:        a18Arrivals,
 		Interarrival:    a18Interarrival,
 		Lease:           a18Lease,
 		CacheTier:       tier,
 		Seed:            a18Seed,
+		Sequential:      n <= a18EquivMax,
 	}
 }
 
-// a18Run executes one workload point. Populations at or below
-// a18EquivMax are double-run (sequential and engine) and deep-compared
-// including the per-op latency matrix; larger ones run engine-only.
-func a18Run(pop *popgen.Population, skew float64, tier bool) (ZipfRun, error) {
-	cfg := a18Config(pop, skew, tier)
+// a18Run executes one workload point over an already generated
+// population.
+func a18Run(pop *popgen.Population, tier bool) (ZipfRun, error) {
+	sc := a18Scenario(len(pop.Names), pop.Skew, tier)
+	sc.Pop = pop
 	run := ZipfRun{
-		Population:      cfg.Population,
-		Skew:            skew,
+		Population:      sc.Population,
+		Skew:            pop.Skew,
 		CacheTier:       tier,
 		Shards:          a18Shards,
 		ClientsPerShard: a18ClientsPerShard,
@@ -240,59 +241,32 @@ func a18Run(pop *popgen.Population, skew float64, tier bool) (ZipfRun, error) {
 		LeaseUS:         a18Lease.Microseconds(),
 		Seed:            a18Seed,
 	}
-
-	var seqRes *rig.WorkloadResult
-	var seqLat [][]time.Duration
-	if cfg.Population <= a18EquivMax {
-		seqTop, err := rig.NewZipfWorkload(cfg)
-		if err != nil {
-			return run, err
-		}
-		seqRes = rig.RunWorkload(seqTop.Clients)
-		seqLat = seqTop.Latencies
-	}
-
-	zw, err := rig.NewZipfWorkload(cfg)
+	res, ev, err := runChecked(sc)
 	if err != nil {
 		return run, err
 	}
-	res := rig.RunWorkloadEngine(zw.Clients, rig.EngineOptions{})
-	if seqRes != nil {
-		run.EquivalenceChecked = true
-		run.EqualToSequential = reflect.DeepEqual(seqRes, res) &&
-			reflect.DeepEqual(seqLat, zw.Latencies)
-	}
+	run.EquivalenceChecked = sc.Sequential
+	run.EqualToSequential = ev.EqualToSequential
 
 	run.TotalRequests = res.Requests
-	for _, st := range res.Clients {
-		run.Errors += st.Errors
-	}
-	first, last := zw.OpenLoopSpan()
+	first, last := ev.Topology.OpenLoopSpan()
 	span := last - first
 	run.SpanUS = span.Microseconds()
 	if span > 0 {
 		run.ThroughputRPS = float64(res.Requests) / span.Seconds()
 	}
-	p50, p99 := a18Percentiles(zw.Latencies)
+	p50, p99 := a18Percentiles(ev.Topology.Latencies)
 	run.P50US = p50.Microseconds()
 	run.P99US = p99.Microseconds()
 
-	for _, s := range zw.Sessions() {
-		st := s.LeaseCacheStats()
-		run.ClientHits += st.Hits
-		run.ClientMisses += st.Misses
-		run.ClientRenewals += st.Renewals
-	}
-	if lookups := run.ClientHits + run.ClientMisses + run.ClientRenewals; lookups > 0 {
-		run.ClientHitRate = float64(run.ClientHits) / float64(lookups)
-	}
-	if tier {
-		ts := zw.Tier.Stats()
-		run.TierHits = int(ts.Hits)
-		run.TierMisses = int(ts.Misses)
-	}
-	run.PrefixGrants = int(zw.Prefix.LeaseStats().Grants)
-	run.TableBytes = zw.Prefix.TableBytes()
+	run.ClientHits = ev.Client.Hits
+	run.ClientMisses = ev.Client.Misses
+	run.ClientRenewals = ev.Client.Renewals
+	run.ClientHitRate = hitRate(ev.Client)
+	run.TierHits = int(ev.Tier.Hits)
+	run.TierMisses = int(ev.Tier.Misses)
+	run.PrefixGrants = int(ev.Prefix.Grants)
+	run.TableBytes = ev.Topology.Prefix.TableBytes()
 	return run, nil
 }
 
@@ -306,48 +280,38 @@ func a18Percentiles(lat [][]time.Duration) (p50, p99 time.Duration) {
 	return all[len(all)*50/100], all[len(all)*99/100]
 }
 
-// a18Trace runs the traced leg: the open-loop workload with the
-// hottest name redefined at a quiescent cut mid-run. The callback
-// barrier reaches every holder, so the trace must be clean under the
-// lease staleness invariant with zero stale windows.
+// a18TraceScenario is the traced leg: the open-loop workload with the
+// hottest name (rank 0, so bound to shard 0) redefined at a quiescent
+// cut mid-run.
+func a18TraceScenario(pop *popgen.Population) rig.Scenario {
+	sc := a18Scenario(len(pop.Names), a18Skew, false)
+	sc.Sequential = false
+	sc.Trace = true
+	sc.Faults = []chaos.Event{
+		{At: 100 * time.Millisecond, Action: chaos.Redefine, Name: pop.Names[0], Note: "redefine hottest name"},
+	}
+	return sc
+}
+
+// a18Trace runs the traced leg. The callback barrier reaches every
+// holder, so the trace must be clean under the lease staleness invariant
+// with zero stale windows.
 func a18Trace(tracePop int) (ZipfTrace, error) {
 	leg := ZipfTrace{Population: tracePop, LeaseUS: a18Lease.Microseconds()}
 	pop := popgen.NewPopulation(tracePop, a18Skew, a18PopSeed)
-	cfg := a18Config(pop, a18Skew, false)
-	cfg.Trace = true
-	zw, err := rig.NewZipfWorkload(cfg)
+	sc := a18TraceScenario(pop)
+	sc.Pop = pop
+	res, ev, err := runChecked(sc)
 	if err != nil {
 		return leg, err
 	}
-	hot := pop.Names[0]
-	redefine := func() error {
-		proc, err := zw.PrefixHost.NewProcess("admin")
-		if err != nil {
-			return err
-		}
-		adm := client.New(proc, zw.Prefix.PID(), zw.Shards[0].RootPair(), "admin")
-		if err := adm.DeleteName(hot); err != nil {
-			return err
-		}
-		return adm.AddName(hot, zw.Shards[0].RootPair())
-	}
-	eng := chaos.New(zw.Kernel, []chaos.Event{
-		{At: 100 * time.Millisecond, Action: chaos.Custom, Note: "redefine hottest name", Do: redefine},
-	})
-	res := rig.RunWorkloadEngine(zw.Clients, rig.EngineOptions{Fences: rig.ChaosFences(eng)})
-
-	leg.Schedule = eng.Log()
+	leg.Schedule = ev.ChaosLog
 	leg.TotalRequests = res.Requests
-	for _, c := range res.Clients {
-		leg.Completed += c.Completed
-		leg.Errors += c.Errors
-	}
-	for _, s := range zw.Sessions() {
-		leg.Invalidations += s.LeaseCacheStats().Invalidations
-	}
-	spans := zw.Tracer.Snapshot()
-	leg.TraceClean = trace.Check(spans, trace.CheckOptions{LeaseBound: a18Lease}) == nil
-	leg.StaleWindows = len(trace.StaleWindows(spans))
+	leg.Completed = ev.Completed
+	leg.Errors = ev.Errors
+	leg.Invalidations = ev.Client.Invalidations
+	leg.TraceClean = true
+	leg.StaleWindows = ev.StaleWindows
 	return leg, nil
 }
 
@@ -385,15 +349,9 @@ func a18Collect(scale a18Scale) (*ZipfDoc, []Row, error) {
 
 	for _, tier := range []bool{false, true} {
 		for _, n := range scale.pops {
-			run, err := a18Run(pops[n], a18Skew, tier)
+			run, err := a18Run(pops[n], tier)
 			if err != nil {
 				return nil, nil, fmt.Errorf("a18 n=%d tier=%v: %w", n, tier, err)
-			}
-			if run.EquivalenceChecked && !run.EqualToSequential {
-				return nil, nil, fmt.Errorf("a18 n=%d tier=%v: engine result differs from sequential", n, tier)
-			}
-			if run.Errors != 0 {
-				return nil, nil, fmt.Errorf("a18 n=%d tier=%v: %d arrivals failed", n, tier, run.Errors)
 			}
 			doc.Sweep = append(doc.Sweep, run)
 			equiv := "engine-only"
@@ -416,15 +374,9 @@ func a18Collect(scale a18Scale) (*ZipfDoc, []Row, error) {
 		if pop == nil || pop.Skew != skew {
 			pop = popgen.NewPopulation(scale.skewPop, skew, a18PopSeed)
 		}
-		run, err := a18Run(pop, skew, false)
+		run, err := a18Run(pop, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("a18 skew=%v: %w", skew, err)
-		}
-		if run.EquivalenceChecked && !run.EqualToSequential {
-			return nil, nil, fmt.Errorf("a18 skew=%v: engine result differs from sequential", skew)
-		}
-		if run.Errors != 0 {
-			return nil, nil, fmt.Errorf("a18 skew=%v: %d arrivals failed", skew, run.Errors)
 		}
 		doc.SkewSweep = append(doc.SkewSweep, run)
 		rows = append(rows, Row{
@@ -439,9 +391,6 @@ func a18Collect(scale a18Scale) (*ZipfDoc, []Row, error) {
 	tr, err := a18Trace(scale.tracePop)
 	if err != nil {
 		return nil, nil, fmt.Errorf("a18 trace leg: %w", err)
-	}
-	if !tr.TraceClean {
-		return nil, nil, fmt.Errorf("a18 trace leg: trace violates the lease staleness invariant")
 	}
 	if tr.StaleWindows != 0 {
 		return nil, nil, fmt.Errorf("a18 trace leg: %d stale windows despite reachable holders", tr.StaleWindows)
@@ -458,34 +407,4 @@ func a18Collect(scale a18Scale) (*ZipfDoc, []Row, error) {
 			ms(a18Lease), tr.Invalidations),
 	})
 	return doc, rows, nil
-}
-
-// A18 reports the population-scale legs: the radix index's descent cost
-// against the flat search it replaced, and open-loop throughput and
-// latency percentiles as the table grows to 10⁶ names.
-func A18() (Result, error) {
-	_, rows, err := a18Collect(a18FullScale)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		ID:     "a18",
-		Title:  "population-scale resolution: radix index and open-loop Zipf load",
-		Source: "PROTOCOL.md §14; §6's 2.6 KB table grown to a user population",
-		Rows:   rows,
-	}, nil
-}
-
-// ZipfJSON renders the BENCH_zipf.json document, byte-identical across
-// runs.
-func ZipfJSON() ([]byte, error) {
-	doc, _, err := a18Collect(a18FullScale)
-	return docJSON(doc, err)
-}
-
-// a18SectionGuard asserts at test time that the A18 registry entry
-// appends after every pre-existing experiment id (vbench_output.txt's
-// earlier sections must stay byte-identical when A18 lands).
-func a18SectionGuard() bool {
-	return sectionGuard("a18")
 }

@@ -10,13 +10,14 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/client"
+	"repro/internal/rig"
 	"repro/internal/vtime"
 )
 
@@ -36,109 +37,111 @@ type Result struct {
 	Rows   []Row  `json:"rows"`
 }
 
-// Runner produces one experiment result.
-type Runner func() (Result, error)
-
-// registry maps experiment ids to runners.
-var registry = map[string]Runner{
-	"e1":  E1,
-	"e2":  E2,
-	"e3":  E3,
-	"t1":  T1,
-	"e5":  E5,
-	"a1":  A1,
-	"a2":  A2,
-	"a3":  A3,
-	"a4":  A4,
-	"a5":  A5,
-	"a6":  A6,
-	"a7":  A7,
-	"a8":  A8,
-	"a9":  A9,
-	"a10": A10,
-	"a11": A11,
-	"a12": A12,
-	"a14": A14,
-	"a15": A15,
-	"a16": A16,
-	"a17": A17,
-	"a18": A18,
-	"a19": A19,
+// experiment is one registry entry. E1…A12 render their own Result
+// (run). A14…A19 collect a golden-pinned document and their rows in one
+// pass (collect), from which Run takes the rows and DocJSON the document;
+// their title and source live here.
+type experiment struct {
+	id            string
+	run           func() (Result, error)
+	title, source string
+	collect       func() (doc any, rows []Row, err error)
 }
 
-// sectionGuard reports whether experiment id is followed only by
-// later-numbered a-series experiments in canonical order — the
-// condition under which the byte-pinned vbench_output.txt sections
-// preceding (and including) id cannot shift when new experiments land.
-func sectionGuard(id string) bool {
-	ids := IDs()
-	pos := -1
-	for i, have := range ids {
-		if have == id {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		return false
-	}
-	num, err := strconv.Atoi(id[1:])
-	if err != nil {
-		return false
-	}
-	for _, later := range ids[pos+1:] {
-		if later[0] != 'a' {
-			return false
-		}
-		n, err := strconv.Atoi(later[1:])
-		if err != nil || n <= num {
-			return false
-		}
-	}
-	return true
+// collector adapts a typed collect function to the registry's.
+func collector[D any](f func() (D, []Row, error)) func() (any, []Row, error) {
+	return func() (any, []Row, error) { return f() }
+}
+
+// registry lists the experiments in canonical order — E-series,
+// T-series, A-series, numerically within each — which is the section
+// order vbench_output.txt pins: new experiments append.
+var registry = []experiment{
+	{id: "e1", run: E1}, {id: "e2", run: E2}, {id: "e3", run: E3}, {id: "e5", run: E5},
+	{id: "t1", run: T1},
+	{id: "a1", run: A1}, {id: "a2", run: A2}, {id: "a3", run: A3}, {id: "a4", run: A4},
+	{id: "a5", run: A5}, {id: "a6", run: A6}, {id: "a7", run: A7}, {id: "a8", run: A8},
+	{id: "a9", run: A9}, {id: "a10", run: A10}, {id: "a11", run: A11}, {id: "a12", run: A12},
+	{id: "a14", collect: collector(a14Collect),
+		title:  "metrics: latency distributions, team scaling, health under faults",
+		source: "§3.1 latencies as distributions; §4.2 faults as an SLO report"},
+	{id: "a15", collect: collector(a15Collect),
+		title:  "replication: consensus-replicated fs1 under the A14 fault schedule",
+		source: "§4.2 rebinding generalized: no single host owns a name"},
+	{id: "a16", collect: collector(a16Collect),
+		title:  "sharded engine: per-lane event engines with conservative lookahead",
+		source: "PROTOCOL.md §12; client name caches (§2.3) decide each op's class"},
+	{id: "a17", collect: collector(a17Collect),
+		title:  "lease-coherent name caches: hit rates and the staleness bound under faults",
+		source: "PROTOCOL.md §13; §2.3 caches with leases in place of validate-on-use"},
+	{id: "a18", collect: func() (any, []Row, error) { return a18Collect(a18FullScale) },
+		title:  "population-scale resolution: radix index and open-loop Zipf load",
+		source: "PROTOCOL.md §14; §6's 2.6 KB table grown to a user population"},
+	{id: "a19", collect: collector(a19Collect),
+		title:  "population-scale observability and the lease auto-tuner",
+		source: "PROTOCOL.md §15; §13 staleness bound with the cap in place of the fixed length"},
 }
 
 // IDs returns the experiment ids in canonical order.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
-	sort.Strings(ids)
-	// Canonical order: E-series, T-series, A-series, numerically within
-	// each series (so a10 follows a9).
-	sort.Slice(ids, func(i, j int) bool {
-		rank := func(s string) string {
-			series := "2"
-			switch s[0] {
-			case 'e':
-				series = "0"
-			case 't':
-				series = "1"
-			}
-			num := s[1:]
-			for len(num) < 3 {
-				num = "0" + num
-			}
-			return series + num
-		}
-		return rank(ids[i]) < rank(ids[j])
-	})
 	return ids
 }
 
-// Run executes one experiment by id. "chaos" is accepted as an alias
-// for the A10 fault-injection sweep (`vbench chaos`).
-func Run(id string) (Result, error) {
+// lookup finds an experiment by id. "chaos" is accepted as an alias for
+// the A10 fault-injection sweep (`vbench chaos`).
+func lookup(id string) (experiment, error) {
 	id = strings.ToLower(id)
 	if id == "chaos" {
 		id = "a10"
 	}
-	r, ok := registry[id]
-	if !ok {
-		return Result{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
+	for _, e := range registry {
+		if e.id == id {
+			return e, nil
+		}
 	}
-	return r()
+	return experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
+}
+
+// Run executes one experiment by id.
+func Run(id string) (Result, error) {
+	e, err := lookup(id)
+	if err != nil {
+		return Result{}, err
+	}
+	if e.collect == nil {
+		return e.run()
+	}
+	_, rows, err := e.collect()
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{ID: e.id, Title: e.title, Source: e.source, Rows: rows}, nil
+}
+
+// DocJSON renders the deterministic document experiment id collects
+// (A14…A19) the way the committed BENCH_<doc>.json goldens store it:
+// indented JSON with a trailing newline, byte-identical across runs.
+func DocJSON(id string) ([]byte, error) {
+	e, err := lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	if e.collect == nil {
+		return nil, fmt.Errorf("experiments: %s collects no document", e.id)
+	}
+	doc, _, err := e.collect()
+	if err != nil {
+		return nil, err
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // Print renders a result as an aligned table.
@@ -161,25 +164,33 @@ func Print(w io.Writer, res Result) {
 	fmt.Fprintln(w)
 }
 
-// docJSON renders a collected document the way the committed goldens
-// store it: indented JSON with a trailing newline.
-func docJSON(doc any, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // ms renders a virtual duration in the paper's unit.
 func ms(d time.Duration) string { return vtime.Milliseconds(d) }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// runChecked runs a scenario and holds it to every oracle that applies:
+// without faults no operation may fail; where the scenario asks for the
+// sequential reference the engine must equal it; a recorded trace must
+// satisfy the span invariants and every stale window the lease bound.
+func runChecked(sc rig.Scenario) (*rig.WorkloadResult, rig.Evidence, error) {
+	res, ev, err := rig.Run(sc)
+	switch {
+	case err != nil:
+	case len(sc.Faults) == 0 && ev.Errors != 0:
+		err = fmt.Errorf("%d requests failed", ev.Errors)
+	case sc.Sequential && !ev.EqualToSequential:
+		err = errors.New("engine result differs from sequential")
+	case ev.TraceErr != nil:
+		err = fmt.Errorf("trace violates the span or lease staleness invariants: %w", ev.TraceErr)
+	case ev.WidestStale > ev.Bound && ev.Bound > 0:
+		err = fmt.Errorf("stale window %v exceeds the bound %v", ev.WidestStale, ev.Bound)
 	}
-	return b
+	return res, ev, err
+}
+
+// hitRate is the share of client cache lookups answered locally.
+func hitRate(st client.LeaseStats) float64 {
+	if lookups := st.Hits + st.Misses + st.Renewals; lookups > 0 {
+		return float64(st.Hits) / float64(lookups)
+	}
+	return 0
 }

@@ -490,15 +490,6 @@ func (h *Host) SetPid(service Service, pid PID, vis Scope) error {
 	return nil
 }
 
-// ClearPid removes a service registration.
-func (h *Host) ClearPid(service Service) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.storeServices(func(m map[Service]svcEntry) {
-		delete(m, service)
-	})
-}
-
 // lookupService consults this host's kernel table. remoteQuery selects
 // whether the query arrived by broadcast from another host.
 func (h *Host) lookupService(service Service, remoteQuery bool) (PID, bool) {

@@ -15,12 +15,12 @@ import (
 // bootTiered builds the shared-prefix topology with the lease hierarchy
 // and the intermediate tier interposed: every client addresses the tier,
 // which holds the upstream leases.
-func bootTiered(t *testing.T, lease time.Duration) *rig.SharedPrefixWorkload {
+func bootTiered(t *testing.T, lease time.Duration) *rig.Topology {
 	t.Helper()
-	sw, err := rig.NewSharedPrefixWorkload(rig.SharedPrefixConfig{
-		Shards: 2, ClientsPerShard: 3, Requests: 8, Seed: 11,
+	sw, err := rig.Scenario{
+		Kind: rig.SharedPrefix, Shards: 2, ClientsPerShard: 3, Requests: 8, Seed: 11,
 		Lease: lease, CacheTier: true,
-	})
+	}.Boot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +248,7 @@ func TestTierNeedsALease(t *testing.T) {
 // it will not sub-lease what it cannot be called back about — and the
 // client uses each answer once without caching it.
 func TestTierBeforeLeaselessUpstream(t *testing.T) {
-	sw, err := rig.NewSharedPrefixWorkload(rig.SharedPrefixConfig{
-		Shards: 1, ClientsPerShard: 1, Requests: 1, Seed: 3,
-	})
+	sw, err := rig.Scenario{Kind: rig.SharedPrefix, Shards: 1, ClientsPerShard: 1, Requests: 1, Seed: 3}.Boot()
 	if err != nil {
 		t.Fatal(err)
 	}

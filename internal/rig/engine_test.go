@@ -17,30 +17,27 @@ import (
 // prefix server every cache miss must cross the wire to reach, and a
 // periodic cache flush so Shared re-resolutions recur throughout the
 // run instead of clustering at iteration 0.
-var sharedPrefixShape = SharedPrefixConfig{
-	Shards: 4, ClientsPerShard: 4, Requests: 40, Seed: 7, FlushEvery: 6,
+var sharedPrefixShape = Scenario{
+	Kind: SharedPrefix, Shards: 4, ClientsPerShard: 4, Requests: 40, Seed: 7, FlushEvery: 6,
 }
 
-func buildSharedPrefix(t *testing.T, team int) *SharedPrefixWorkload {
+func buildSharedPrefix(t *testing.T) *Topology {
 	t.Helper()
-	cfg := sharedPrefixShape
-	cfg.Team = team
-	sw, err := NewSharedPrefixWorkload(cfg)
+	sw, err := sharedPrefixShape.Boot()
 	if err != nil {
 		t.Fatalf("build shared-prefix workload: %v", err)
 	}
 	return sw
 }
 
-// cacheTotals sums hits and misses across the workload's sessions —
-// the test's proof that both operation classes actually ran.
-func cacheTotals(sw *SharedPrefixWorkload) (hits, misses int) {
-	for _, c := range sw.Clients {
-		st := c.Session.LeaseCacheStats()
-		hits += st.Hits
-		misses += st.Misses
+// mustRun runs sc and fails the test if it cannot boot.
+func mustRun(t *testing.T, sc Scenario) (*WorkloadResult, Evidence) {
+	t.Helper()
+	res, ev, err := Run(sc)
+	if err != nil {
+		t.Fatalf("run %s scenario: %v", sc.Kind, err)
 	}
-	return hits, misses
+	return res, ev
 }
 
 // TestShardedEquivalence asserts the tentpole guarantee on the topology
@@ -51,84 +48,46 @@ func cacheTotals(sw *SharedPrefixWorkload) (hits, misses int) {
 // machine's CPU count.
 func TestShardedEquivalence(t *testing.T) {
 	for _, team := range []int{1, 2, 4} {
-		seqTop := buildSharedPrefix(t, team)
-		seq := RunWorkload(seqTop.Clients)
-		want := sharedPrefixShape.Shards * sharedPrefixShape.ClientsPerShard * sharedPrefixShape.Requests
-		if seq.Requests != want {
-			t.Fatalf("team %d: sequential driver issued %d requests, want %d", team, seq.Requests, want)
+		sc := sharedPrefixShape
+		sc.Team, sc.Sequential = team, true
+		res, ev := mustRun(t, sc)
+		if want := sc.Shards * sc.ClientsPerShard * sc.Requests; res.Requests != want {
+			t.Fatalf("team %d: issued %d requests, want %d", team, res.Requests, want)
 		}
-		for i, c := range seq.Clients {
-			if c.Errors != 0 {
-				t.Fatalf("team %d: sequential client %d saw %d errors", team, i, c.Errors)
-			}
+		if ev.Errors != 0 {
+			t.Fatalf("team %d: %d errors", team, ev.Errors)
 		}
-		parTop := buildSharedPrefix(t, team)
-		par := RunWorkloadEngine(parTop.Clients, EngineOptions{})
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("team %d: sharded result differs from sequential\nseq: %+v\npar: %+v", team, seq, par)
+		if !ev.EqualToSequential {
+			t.Fatalf("team %d: sharded result differs from sequential\npar: %+v", team, res)
 		}
-		if seq.Throughput() != par.Throughput() {
-			t.Fatalf("team %d: throughput differs: %v vs %v", team, seq.Throughput(), par.Throughput())
-		}
-		hits, misses := cacheTotals(parTop)
-		if hits == 0 || misses == 0 {
-			t.Fatalf("team %d: degenerate class mix (hits=%d misses=%d); the test needs both", team, hits, misses)
+		if ev.Client.Hits == 0 || ev.Client.Misses == 0 {
+			t.Fatalf("team %d: degenerate class mix (%+v); the test needs both", team, ev.Client)
 		}
 	}
 }
 
-// nexusChaosSchedule is the A14 crash/restart schedule (two outages,
-// 500 ms each, at the same virtual times) aimed at the topology's
-// shared prefix host: the server every lane's cache misses depend on,
-// the role fs1 plays in A14.
-func nexusChaosSchedule() []chaos.Event {
-	return []chaos.Event{
-		{At: 300 * time.Millisecond, Action: chaos.Crash, Host: "nexus", Note: "first outage"},
-		{At: 800 * time.Millisecond, Action: chaos.Restart, Host: "nexus"},
-		{At: 1600 * time.Millisecond, Action: chaos.Crash, Host: "nexus", Note: "second outage"},
-		{At: 2100 * time.Millisecond, Action: chaos.Restart, Host: "nexus"},
-	}
-}
-
-// chaosRun drives the shared-prefix workload through the conservative
-// engine with the A14 schedule wired in as fences.
-func chaosRun(t *testing.T, requests int) (*SharedPrefixWorkload, *chaos.Engine, *WorkloadResult) {
-	t.Helper()
-	cfg := sharedPrefixShape
-	cfg.Requests = requests
-	sw, err := NewSharedPrefixWorkload(cfg)
-	if err != nil {
-		t.Fatalf("build shared-prefix workload: %v", err)
-	}
-	eng := chaos.New(sw.Kernel, nexusChaosSchedule())
-	res := RunWorkloadEngine(sw.Clients, EngineOptions{Fences: ChaosFences(eng)})
-	return sw, eng, res
-}
-
-// TestShardedUnderChaos runs the A14 crash schedule on the sharded
-// engine: the central prefix host crashes and restarts mid-run while the
+// TestShardedUnderChaos runs the A14 crash schedule (two outages, 500 ms
+// each) against the topology's shared prefix host — the server every
+// lane's cache misses depend on, the role fs1 plays in A14 — while the
 // lanes execute concurrently. Events fire at global fences (quiescent
 // cuts), so two runs must agree byte-for-byte — same per-client stats,
 // same fired-event log — and the outages must be client-visible (cache
 // flushes during an outage hit a dead or empty prefix host).
 func TestShardedUnderChaos(t *testing.T) {
-	const requests = 40
-	_, eng1, res1 := chaosRun(t, requests)
-	_, eng2, res2 := chaosRun(t, requests)
+	sc := sharedPrefixShape
+	sc.Faults = chaos.TwoOutages("nexus")
+	res1, ev1 := mustRun(t, sc)
+	res2, ev2 := mustRun(t, sc)
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatalf("sharded chaos run not deterministic\nrun1: %+v\nrun2: %+v", res1, res2)
 	}
-	if !reflect.DeepEqual(eng1.Log(), eng2.Log()) {
-		t.Fatalf("chaos logs differ:\n%v\nvs\n%v", eng1.Log(), eng2.Log())
+	if !reflect.DeepEqual(ev1.ChaosLog, ev2.ChaosLog) {
+		t.Fatalf("chaos logs differ:\n%v\nvs\n%v", ev1.ChaosLog, ev2.ChaosLog)
 	}
-	if eng1.Fired() == 0 {
+	if len(ev1.ChaosLog) == 0 {
 		t.Fatal("no chaos events fired; schedule missed the workload horizon")
 	}
-	errs := 0
-	for _, c := range res1.Clients {
-		errs += c.Errors
-	}
-	if errs == 0 {
+	if ev1.Errors == 0 {
 		t.Fatal("prefix-host outages were never client-visible (no errors recorded)")
 	}
 }
@@ -140,39 +99,26 @@ func TestShardedUnderChaos(t *testing.T) {
 // ordering must keep the run race-free (this test runs under -race in
 // make check) and byte-deterministic.
 func TestShardedPartitionMidFlight(t *testing.T) {
-	schedule := []chaos.Event{
+	sc := sharedPrefixShape
+	sc.Faults = []chaos.Event{
 		{At: 150 * time.Millisecond, Action: chaos.Partition, Host: "nexus", Group: 1, Note: "prefix host cut off"},
 		{At: 350 * time.Millisecond, Action: chaos.Heal},
 	}
-	run := func() (*chaos.Engine, *WorkloadResult) {
-		sw, err := NewSharedPrefixWorkload(sharedPrefixShape)
-		if err != nil {
-			t.Fatalf("build shared-prefix workload: %v", err)
-		}
-		eng := chaos.New(sw.Kernel, schedule)
-		res := RunWorkloadEngine(sw.Clients, EngineOptions{Fences: ChaosFences(eng)})
-		return eng, res
-	}
-	eng1, res1 := run()
-	eng2, res2 := run()
+	res1, ev1 := mustRun(t, sc)
+	res2, ev2 := mustRun(t, sc)
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatalf("partition run not deterministic\nrun1: %+v\nrun2: %+v", res1, res2)
 	}
-	if !reflect.DeepEqual(eng1.Log(), eng2.Log()) {
-		t.Fatalf("chaos logs differ:\n%v\nvs\n%v", eng1.Log(), eng2.Log())
+	if !reflect.DeepEqual(ev1.ChaosLog, ev2.ChaosLog) {
+		t.Fatalf("chaos logs differ:\n%v\nvs\n%v", ev1.ChaosLog, ev2.ChaosLog)
 	}
-	if eng1.Fired() != 2 {
-		t.Fatalf("fired %d events, want 2 (partition + heal)", eng1.Fired())
+	if len(ev1.ChaosLog) != 2 {
+		t.Fatalf("fired %d events, want 2 (partition + heal)", len(ev1.ChaosLog))
 	}
-	errs, completed := 0, 0
-	for _, c := range res1.Clients {
-		errs += c.Errors
-		completed += c.Completed
-	}
-	if errs == 0 {
+	if ev1.Errors == 0 {
 		t.Fatal("partition was never client-visible (no errors recorded)")
 	}
-	if completed == 0 {
+	if ev1.Completed == 0 {
 		t.Fatal("no operations completed despite lane-confined cache hits")
 	}
 }
@@ -183,7 +129,7 @@ func TestShardedPartitionMidFlight(t *testing.T) {
 // (observers are pumped by fences there).
 func TestTickOnlyUngated(t *testing.T) {
 	count := func(drive func([]*WorkloadClient) *WorkloadResult) (ticks, requests int) {
-		sw := buildSharedPrefix(t, 1)
+		sw := buildSharedPrefix(t)
 		for _, c := range sw.Clients {
 			c.Tick = func(time.Duration) { ticks++ }
 		}
@@ -200,7 +146,7 @@ func TestTickOnlyUngated(t *testing.T) {
 
 // TestConfinedOnLocalRoute is the shard-label proof's truth table.
 func TestConfinedOnLocalRoute(t *testing.T) {
-	sw := buildSharedPrefix(t, 1)
+	sw := buildSharedPrefix(t)
 	unlabeled := sw.PrefixHost
 	to := func(pid kernel.PID, ok bool) routeFunc {
 		return func(*client.Session, int) (core.ContextPair, bool) {

@@ -43,13 +43,6 @@ func SealFlightAtFences(f engine.Fences, rec *flight.Recorder) engine.Fences {
 	return f
 }
 
-// ChaosFences builds a fence schedule from a chaos engine alone, for
-// standalone topologies (NewShardedWorkload, NewSharedPrefixWorkload)
-// that carry no sampler or replication groups.
-func ChaosFences(eng *chaos.Engine) engine.Fences {
-	return MergeFences(eng, nil, nil)
-}
-
 // MergeFences merges a chaos schedule and a sampler into one fence
 // source, firing chaos events, then the groups hook (when non-nil), then
 // the sampler, at every fence time. Any argument may be nil.

@@ -14,15 +14,9 @@ import (
 // their own shard host mid-workload, pumped from that lane's clients
 // only, so the fault stays lane-local and the parallel driver's
 // equivalence guarantee holds under it.
-func buildShards(t *testing.T, team int, withChaos bool) *ShardedWorkload {
+func buildShards(t *testing.T, team int, withChaos bool) *Topology {
 	t.Helper()
-	sw, err := NewShardedWorkload(ShardConfig{
-		Shards:          4,
-		ClientsPerShard: 4,
-		Requests:        12,
-		Team:            team,
-		Seed:            7,
-	})
+	sw, err := Scenario{Kind: Direct, Shards: 4, ClientsPerShard: 4, Requests: 12, Team: team, Seed: 7}.Boot()
 	if err != nil {
 		t.Fatalf("build sharded workload: %v", err)
 	}

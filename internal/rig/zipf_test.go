@@ -1,7 +1,6 @@
 package rig
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -67,58 +66,22 @@ func TestZipfWorkloadSmoke(t *testing.T) {
 }
 
 // TestOpenLoopEquivalence is the sharded-equivalence gate for the
-// open-loop Zipf workload: the conservative-engine run is deeply equal
-// to the sequential run — same per-client stats and the same per-op
-// open-loop latencies.
+// open-loop Zipf workload, flat and with the ncache tier interposed: the
+// conservative-engine run equals the sequential run — same per-client
+// stats, same per-op open-loop latencies, same cache counters.
 func TestOpenLoopEquivalence(t *testing.T) {
-	cfg := zipfTestConfig()
-	seq, err := NewZipfWorkload(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRes := RunWorkload(seq.Clients)
-
-	par, err := NewZipfWorkload(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes := RunWorkloadEngine(par.Clients, EngineOptions{})
-
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Fatalf("engine result differs from sequential:\nseq: %+v\npar: %+v", seqRes, parRes)
-	}
-	if !reflect.DeepEqual(seq.Latencies, par.Latencies) {
-		for c := range seq.Latencies {
-			for i := range seq.Latencies[c] {
-				if seq.Latencies[c][i] != par.Latencies[c][i] {
-					t.Fatalf("latency[%d][%d]: seq %v, engine %v", c, i, seq.Latencies[c][i], par.Latencies[c][i])
-				}
-			}
+	for _, tier := range []bool{false, true} {
+		res, ev := mustRun(t, Scenario{
+			Kind: Zipf, Population: 500, Skew: 0.99, PopSeed: 1,
+			Shards: 3, ClientsPerShard: 2, Requests: 40, Interarrival: 2 * time.Millisecond,
+			Lease: 80 * time.Millisecond, CacheTier: tier, Seed: 42, Sequential: true,
+		})
+		if !ev.EqualToSequential {
+			t.Fatalf("tier=%v: engine result or latency matrix differs from sequential:\npar: %+v", tier, res)
 		}
-		t.Fatal("latency matrices differ")
-	}
-}
-
-// TestOpenLoopEquivalenceTiered repeats the equivalence check with the
-// ncache tier interposed.
-func TestOpenLoopEquivalenceTiered(t *testing.T) {
-	cfg := zipfTestConfig()
-	cfg.CacheTier = true
-	seq, err := NewZipfWorkload(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRes := RunWorkload(seq.Clients)
-	par, err := NewZipfWorkload(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes := RunWorkloadEngine(par.Clients, EngineOptions{})
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Fatalf("tiered engine result differs from sequential:\nseq: %+v\npar: %+v", seqRes, parRes)
-	}
-	if !reflect.DeepEqual(seq.Latencies, par.Latencies) {
-		t.Fatal("tiered latency matrices differ")
+		if res.Requests != 3*2*40 || len(ev.Topology.Latencies) != 3*2 {
+			t.Fatalf("tier=%v: ran %d requests over %d latency rows", tier, res.Requests, len(ev.Topology.Latencies))
+		}
 	}
 }
 
