@@ -17,7 +17,7 @@ COVERAGE_FLOOR ?= 80.0
 GOLDEN_DOCS = metrics replica shard cache zipf obs
 BENCH_DOCS = $(GOLDEN_DOCS:%=bench-%)
 
-.PHONY: all check test race bench bench-json bench-smoke $(BENCH_DOCS) golden-guard vet fmt fuzz cover loc experiments examples clean
+.PHONY: all check test race bench profile bench-json bench-smoke $(BENCH_DOCS) golden-guard vet fmt fuzz cover loc experiments examples clean
 
 all: vet test
 
@@ -35,7 +35,7 @@ check: vet
 	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched' ./internal/nametree/ ./internal/kernel/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
@@ -48,6 +48,20 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Where does the time go? CPU and allocation profiles of one root-module
+# benchmark — W=ZipfMiss and W=ZipfHit are the ledger's resolve_miss and
+# resolve_hit shapes at a tenth of the size, on one P as the ledger pins
+# it — kept in a temp dir, hottest 25 by cumulative share printed. Read
+# this before attributing a remainder bench/'s probes leave unexplained.
+W ?= ZipfMiss
+profile:
+	@set -e; tmp=$$(mktemp -d); \
+	$(GO) test -run '^$$' -bench 'Benchmark$(W)$$' -benchtime 20x -cpu 1 \
+		-cpuprofile $$tmp/cpu.pprof -memprofile $$tmp/mem.pprof -o $$tmp/repro.test .; \
+	$(GO) tool pprof -top -cum -nodecount 25 $$tmp/repro.test $$tmp/cpu.pprof; \
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 $$tmp/repro.test $$tmp/mem.pprof; \
+	echo "profiles kept in $$tmp"
 
 # Machine-readable per-experiment results (the perf trajectory).
 bench-json:

@@ -9,6 +9,7 @@ package repro
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fileserver"
@@ -313,7 +314,10 @@ func BenchmarkA6Multicast(b *testing.B) {
 	if err := r.FS2.WriteFile("/bin/hello", "system", []byte("replica")); err != nil {
 		b.Fatal(err)
 	}
-	gid := r.Kernel.CreateGroup()
+	gid, err := r.Kernel.CreateGroup()
+	if err != nil {
+		b.Fatal(err)
+	}
 	if err := r.Kernel.JoinGroup(gid, r.FS1.PID()); err != nil {
 		b.Fatal(err)
 	}
@@ -383,17 +387,16 @@ func BenchmarkE5PrefixTable(b *testing.B) {
 // defineSeq keeps prefix names unique across benchmark rounds.
 var defineSeq int
 
-// benchShardedWorkload drives the sharded closed-loop workload once per
-// iteration on a fresh topology (setup excluded from the timer) and
-// reports wall-clock requests per second.
-func benchShardedWorkload(b *testing.B, drive func([]*rig.WorkloadClient) *rig.WorkloadResult) {
-	sc := rig.Scenario{Kind: rig.Direct, Shards: 8, ClientsPerShard: 8, Requests: 25, Team: 1, Seed: 42}
+// benchTopology drives one sharded workload per iteration on a freshly
+// booted topology (setup excluded from the timer) and reports wall-clock
+// requests per second.
+func benchTopology(b *testing.B, boot func() (*rig.Topology, error), drive func([]*rig.WorkloadClient) *rig.WorkloadResult) {
 	total := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sw, err := sc.Boot()
+		sw, err := boot()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -405,9 +408,23 @@ func benchShardedWorkload(b *testing.B, drive func([]*rig.WorkloadClient) *rig.W
 		for _, h := range sw.Hosts {
 			h.Crash()
 		}
+		if sw.PrefixHost != nil {
+			sw.PrefixHost.Crash()
+		}
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "req/s")
+}
+
+// benchShardedWorkload is benchTopology over the sharded closed-loop
+// workload.
+func benchShardedWorkload(b *testing.B, drive func([]*rig.WorkloadClient) *rig.WorkloadResult) {
+	sc := rig.Scenario{Kind: rig.Direct, Shards: 8, ClientsPerShard: 8, Requests: 25, Team: 1, Seed: 42}
+	benchTopology(b, sc.Boot, drive)
+}
+
+func runEngine(cs []*rig.WorkloadClient) *rig.WorkloadResult {
+	return rig.RunWorkloadEngine(cs, rig.EngineOptions{})
 }
 
 // BenchmarkWorkloadSequential is the single-threaded driver baseline for
@@ -419,8 +436,26 @@ func BenchmarkWorkloadSequential(b *testing.B) { benchShardedWorkload(b, rig.Run
 // parallelism is bounded by GOMAXPROCS; sweep it with -cpu). The
 // virtual-time results are identical to the sequential driver's (see
 // TestParallelDriverEquivalence); only wall-clock time changes.
-func BenchmarkWorkloadEngine(b *testing.B) {
-	benchShardedWorkload(b, func(cs []*rig.WorkloadClient) *rig.WorkloadResult {
-		return rig.RunWorkloadEngine(cs, rig.EngineOptions{})
-	})
+func BenchmarkWorkloadEngine(b *testing.B) { benchShardedWorkload(b, runEngine) }
+
+// benchZipf is benchTopology over one open-loop population workload on
+// the repository benchmark's 4 shards x 2 clients, through the engine.
+func benchZipf(b *testing.B, cfg rig.ZipfConfig) {
+	cfg.Shards, cfg.ClientsPerShard, cfg.Seed = 4, 2, 42
+	benchTopology(b, func() (*rig.Topology, error) { return rig.NewZipfWorkload(cfg) }, runEngine)
+}
+
+// BenchmarkZipfMiss and BenchmarkZipfHit are the repository benchmark's
+// resolve_miss and resolve_hit shapes (bench/zipf.go) at a tenth of the
+// size, inside the root module where `go test` can profile them: `make
+// profile W=ZipfMiss`. bench/ stays the ledger; these exist so a claim
+// about where its time goes starts from a profile.
+func BenchmarkZipfMiss(b *testing.B) {
+	benchZipf(b, rig.ZipfConfig{Population: 10_000, Skew: 0.5, Lease: 20 * time.Millisecond,
+		Interarrival: 56 * time.Millisecond, Arrivals: 1_500})
+}
+
+func BenchmarkZipfHit(b *testing.B) {
+	benchZipf(b, rig.ZipfConfig{Population: 10_000, Skew: 1.3, Lease: 10 * time.Second,
+		Interarrival: 20 * time.Millisecond, Arrivals: 6_000})
 }

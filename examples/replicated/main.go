@@ -48,7 +48,10 @@ func run() error {
 
 	// Form a storage group and bind a prefix straight to the group id:
 	// the prefix server forwards by multicast; the first member replies.
-	gid := r.Kernel.CreateGroup()
+	gid, err := r.Kernel.CreateGroup()
+	if err != nil {
+		return err
+	}
 	if err := r.Kernel.JoinGroup(gid, r.FS1.PID()); err != nil {
 		return err
 	}

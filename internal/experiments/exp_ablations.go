@@ -380,7 +380,10 @@ func A6() (Result, error) {
 	if err := r.FS2.WriteFile("/bin/hello", "system", []byte("hello replica")); err != nil {
 		return Result{}, err
 	}
-	gid := r.Kernel.CreateGroup()
+	gid, err := r.Kernel.CreateGroup()
+	if err != nil {
+		return Result{}, err
+	}
 	if err := r.Kernel.JoinGroup(gid, r.FS1.PID()); err != nil {
 		return Result{}, err
 	}

@@ -164,8 +164,8 @@ type ZipfDoc struct {
 // prefix server used before the radix index replaced it.
 func a18Index(pop *popgen.Population) ZipfIndexPoint {
 	tree := nametree.New[int]()
-	for r, name := range pop.Names {
-		tree.Insert(name, r)
+	if err := tree.Load(pop.Names, func(r int) int { return r }); err != nil {
+		panic("a18: " + err.Error())
 	}
 	sorted := append([]string(nil), pop.Names...)
 	sort.Strings(sorted)

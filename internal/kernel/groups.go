@@ -22,17 +22,22 @@ type group struct {
 }
 
 // CreateGroup allocates a new, empty process group and returns its group
-// identifier, which can be used anywhere a pid can.
-func (k *Kernel) CreateGroup() PID {
+// identifier, which can be used anywhere a pid can. Groups live as long
+// as the kernel, so an identifier is never issued twice: when all
+// maxGroups are out, CreateGroup fails with ErrNoGroupID.
+func (k *Kernel) CreateGroup() (PID, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	if k.nextGrp == maxGroups {
+		return NilPID, fmt.Errorf("%w: all %d are in use", ErrNoGroupID, maxGroups)
+	}
 	k.nextGrp++
 	g := &group{
-		id:      MakePID(groupHostField, k.nextGrp),
+		id:      groupPID(k.nextGrp),
 		members: make(map[PID]struct{}),
 	}
-	k.groups[k.nextGrp] = g
-	return g.id
+	k.groups[g.id] = g
+	return g.id, nil
 }
 
 func (k *Kernel) group(gid PID) (*group, error) {
@@ -41,7 +46,7 @@ func (k *Kernel) group(gid PID) (*group, error) {
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	g, ok := k.groups[gid.Local()]
+	g, ok := k.groups[gid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchGroup, gid)
 	}

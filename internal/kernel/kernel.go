@@ -32,6 +32,9 @@ var (
 	ErrHostDown = errors.New("kernel: host down")
 	// ErrNoSuchGroup is returned for operations on unknown group ids.
 	ErrNoSuchGroup = errors.New("kernel: no such group")
+	// ErrNoGroupID is returned by CreateGroup when every group
+	// identifier has been issued.
+	ErrNoGroupID = errors.New("kernel: no group identifier left")
 	// ErrUnreachable wraps network partition failures.
 	ErrUnreachable = netsim.ErrUnreachable
 )
@@ -95,8 +98,8 @@ type Kernel struct {
 
 	mu       sync.Mutex
 	nextHost uint16
-	groups   map[uint16]*group
-	nextGrp  uint16
+	groups   map[PID]*group
+	nextGrp  uint32 // number of the last group created
 }
 
 // New creates a V domain over the given network.
@@ -104,7 +107,7 @@ func New(n *netsim.Network) *Kernel {
 	k := &Kernel{
 		net:    n,
 		model:  n.Model(),
-		groups: make(map[uint16]*group),
+		groups: make(map[PID]*group),
 	}
 	hosts := make(map[netsim.HostID]*Host)
 	k.hosts.Store(&hosts)

@@ -662,11 +662,20 @@ func TestPartitionFailsSend(t *testing.T) {
 	}
 }
 
+func newGroup(t testing.TB, k *Kernel) PID {
+	t.Helper()
+	gid, err := k.CreateGroup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gid
+}
+
 func TestGroupSendFirstReplyWins(t *testing.T) {
 	k := newDomain(t)
 	h1, h2, h3 := k.NewHost("a"), k.NewHost("b"), k.NewHost("c")
 	s1, s2 := spawnEcho(t, h2), spawnEcho(t, h3)
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	if !gid.IsGroup() {
 		t.Fatal("group id not marked as group")
 	}
@@ -691,7 +700,7 @@ func TestGroupSendSurvivesDeadMember(t *testing.T) {
 	h1, h2, h3 := k.NewHost("a"), k.NewHost("b"), k.NewHost("c")
 	dead, _ := h2.NewProcess("dead")
 	live := spawnEcho(t, h3)
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	_ = k.JoinGroup(gid, dead.PID())
 	_ = k.JoinGroup(gid, live.PID())
 	dead.Destroy()
@@ -705,7 +714,7 @@ func TestGroupSendEmptyGroupFails(t *testing.T) {
 	k := newDomain(t)
 	h := k.NewHost("a")
 	client := newClient(t, h, "client")
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, gid); !errors.Is(err, ErrNonexistentProcess) {
 		t.Fatalf("err = %v", err)
 	}
@@ -716,7 +725,7 @@ func TestGroupMembership(t *testing.T) {
 	h := k.NewHost("a")
 	p1, _ := h.NewProcess("p1")
 	p2, _ := h.NewProcess("p2")
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	_ = k.JoinGroup(gid, p1.PID())
 	_ = k.JoinGroup(gid, p2.PID())
 	members, err := k.GroupMembers(gid)
@@ -745,6 +754,50 @@ func TestGroupOpsOnBadID(t *testing.T) {
 	}
 	if err := k.JoinGroup(MakePID(groupHostField, 999), p.PID()); !errors.Is(err, ErrNoSuchGroup) {
 		t.Fatalf("join unknown group err = %v", err)
+	}
+}
+
+// TestGroupIDsNeverAlias: the 65 537th group used to get the first one's
+// identifier and replace it, emptying its membership. Identifiers are 24
+// bits now: the first 2¹⁶−1 keep the pid and the rendering they had, later
+// ones take the next reserved host value, and when none is left
+// CreateGroup says so instead of wrapping.
+func TestGroupIDsNeverAlias(t *testing.T) {
+	k := newDomain(t)
+	p, _ := k.NewHost("a").NewProcess("p")
+	first := newGroup(t, k)
+	if err := k.JoinGroup(first, p.PID()); err != nil {
+		t.Fatal(err)
+	}
+	if first != MakePID(groupHostField, 1) || first.String() != "group(1)" {
+		t.Fatalf("first group is %v (%#x)", first, uint32(first))
+	}
+	seen := map[PID]bool{first: true}
+	var last PID
+	for i := 2; i <= 70_000; i++ {
+		last = newGroup(t, k)
+		if seen[last] || !last.IsGroup() {
+			t.Fatalf("group %d got %v (%#x): reissued or not a group id", i, last, uint32(last))
+		}
+		seen[last] = true
+	}
+	if last.String() != "group(70000)" {
+		t.Fatalf("70 000th group renders as %v", last)
+	}
+	if members, err := k.GroupMembers(first); err != nil || len(members) != 1 || members[0] != p.PID() {
+		t.Fatalf("first group after 70 000 creations: members %v, err %v", members, err)
+	}
+	if k.HostOf(last) != nil || MakePID(groupHostField-groupHosts, 7).IsGroup() {
+		t.Fatal("group range and host range overlap")
+	}
+
+	k.nextGrp = maxGroups - 1
+	top := newGroup(t, k)
+	if !top.IsGroup() || top.Host() != groupHostField-groupHosts+1 {
+		t.Fatalf("last group id is %#x", uint32(top))
+	}
+	if gid, err := k.CreateGroup(); !errors.Is(err, ErrNoGroupID) || gid != NilPID {
+		t.Fatalf("CreateGroup past the last id = %v, %v", gid, err)
 	}
 }
 
@@ -827,7 +880,7 @@ func TestForwardToGroup(t *testing.T) {
 	k := newDomain(t)
 	h1, h2, h3, h4 := k.NewHost("a"), k.NewHost("b"), k.NewHost("c"), k.NewHost("d")
 	s1, s2 := spawnEcho(t, h3), spawnEcho(t, h4)
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	if err := k.JoinGroup(gid, s1.PID()); err != nil {
 		t.Fatal(err)
 	}
@@ -865,7 +918,7 @@ func TestForwardToGroupSurvivesDeadMember(t *testing.T) {
 	h1, h2, h3 := k.NewHost("a"), k.NewHost("b"), k.NewHost("c")
 	dead, _ := h3.NewProcess("dead")
 	live := spawnEcho(t, h3)
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	_ = k.JoinGroup(gid, dead.PID())
 	_ = k.JoinGroup(gid, live.PID())
 	dead.Destroy()
@@ -893,7 +946,7 @@ func TestForwardToGroupSurvivesDeadMember(t *testing.T) {
 func TestForwardToEmptyGroupFailsSender(t *testing.T) {
 	k := newDomain(t)
 	h1, h2 := k.NewHost("a"), k.NewHost("b")
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	fwd, err := h2.Spawn("fwd", func(p *Process) {
 		for {
 			msg, from, err := p.Receive()
@@ -921,7 +974,7 @@ func TestConcurrentGroupSendsWithChurn(t *testing.T) {
 	for i := range hosts {
 		hosts[i] = k.NewHost("h")
 	}
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	var members []*Process
 	for i := 0; i < 4; i++ {
 		m := spawnEcho(t, hosts[i])

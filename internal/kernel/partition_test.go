@@ -18,7 +18,7 @@ func TestSendGroupUnderPartition(t *testing.T) {
 	h1, h2, h3 := k.NewHost("ws"), k.NewHost("a"), k.NewHost("b")
 	cli := newClient(t, h1, "cli")
 	ea, eb := spawnEcho(t, h2), spawnEcho(t, h3)
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	if err := k.JoinGroup(gid, ea.PID()); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPartitionHealRacingGroupIPC(t *testing.T) {
 	h1, h2, h3 := k.NewHost("ws"), k.NewHost("a"), k.NewHost("b")
 	cli := newClient(t, h1, "cli")
 	ea, eb := spawnEcho(t, h2), spawnEcho(t, h3)
-	gid := k.CreateGroup()
+	gid := newGroup(t, k)
 	if err := k.JoinGroup(gid, ea.PID()); err != nil {
 		t.Fatal(err)
 	}

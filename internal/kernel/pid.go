@@ -24,10 +24,22 @@ type PID uint32
 // NilPID is the zero process identifier, which never names a process.
 const NilPID PID = 0
 
-// groupHostField is the reserved logical-host value marking group
+// The top groupHosts logical-host values are reserved for group
 // identifiers, so that a group can be addressed by Send exactly like a
-// process (§7).
-const groupHostField = 0xFFFF
+// process (§7). A group's number is 24 bits: the low 16 ride the local
+// field and the high 8 count the host field down from groupHostField,
+// so the first 2¹⁶−1 groups have the pids they had when the host field
+// was the one value. Hosts number up from 1 and never get that far.
+const (
+	groupHostField = 0xFFFF
+	groupHosts     = 256
+	maxGroups      = groupHosts<<16 - 1
+)
+
+// groupPID returns the pid of group number n, 1 ≤ n ≤ maxGroups.
+func groupPID(n uint32) PID {
+	return MakePID(groupHostField-netsim.HostID(n>>16), uint16(n))
+}
 
 // MakePID assembles a pid from its logical-host and local subfields.
 func MakePID(host netsim.HostID, local uint16) PID {
@@ -43,7 +55,7 @@ func (p PID) Local() uint16 { return uint16(p) }
 
 // IsGroup reports whether p names a process group rather than a single
 // process.
-func (p PID) IsGroup() bool { return p.Host() == groupHostField && p != NilPID }
+func (p PID) IsGroup() bool { return p.Host() > groupHostField-groupHosts }
 
 // String renders the pid as host.local for diagnostics.
 func (p PID) String() string {
@@ -51,7 +63,7 @@ func (p PID) String() string {
 		return "pid(nil)"
 	}
 	if p.IsGroup() {
-		return fmt.Sprintf("group(%d)", p.Local())
+		return fmt.Sprintf("group(%d)", uint32(groupHostField-p.Host())<<16|uint32(p.Local()))
 	}
 	return fmt.Sprintf("pid(%d.%d)", p.Host(), p.Local())
 }

@@ -27,7 +27,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
-	"repro/internal/nametree"
 	"repro/internal/proto"
 	"repro/internal/trace"
 )
@@ -153,12 +152,14 @@ const (
 	Expired              // entry returned, already dropped: its lease lapsed
 )
 
-// Cache is the holder side: one tier's table of leases, read lock-free
-// off the index's COW root by the serving goroutine, the callback
-// process and the engine classifiers alike.
+// Cache is the holder side: one tier's table of leases. Every use is by
+// a whole name — nothing asks it for a prefix or an order — so it is an
+// exact-match table under a lock the serving goroutine, the callback
+// process and the engine classifiers share.
 type Cache struct {
 	*Meter
-	entries *nametree.Tree[Entry]
+	mu      sync.RWMutex
+	entries map[string]Entry
 	// callback receives OpCacheInvalidate; its pid rides every Acquire so
 	// servers know whom to call back. Nil selects the unstamped policy.
 	callback  *kernel.Process
@@ -167,7 +168,7 @@ type Cache struct {
 
 // NewCache returns an empty cache under the unstamped policy.
 func NewCache(m *Meter) *Cache {
-	return &Cache{Meter: m, entries: nametree.New[Entry]()}
+	return &Cache{Meter: m, entries: make(map[string]Entry)}
 }
 
 // Listen switches the cache to the leased policy by spawning its
@@ -227,7 +228,7 @@ func (c *Cache) serveCallbacks(p *kernel.Process) {
 		} else if name, commit, err := proto.CacheInvalidate(msg); err != nil {
 			reply.Op = proto.ReplyBadArgs
 		} else {
-			c.entries.Delete(name)
+			c.Drop(name)
 			c.Observe(p, Invalidation, name, p.Now(), Entry{})
 			if c.propagate != nil {
 				c.propagate(p, name, time.Duration(commit))
@@ -249,13 +250,13 @@ func (c *Cache) serveCallbacks(p *kernel.Process) {
 // records it (Hit, NegativeHit, Renewal or Miss). A lapsed entry is
 // dropped: the Acquire that follows either re-grants it or it is gone.
 func (c *Cache) Lookup(p *kernel.Process, name string, now time.Duration) (Entry, State) {
-	e, ok := c.entries.Get(name)
+	e, ok := c.Peek(name)
 	switch {
 	case !ok:
 		c.Observe(p, Miss, name, now, e)
 		return e, Absent
 	case now >= e.Expire:
-		c.entries.Delete(name)
+		c.Drop(name)
 		c.Observe(p, Renewal, name, now, e)
 		return e, Expired
 	case e.Negative:
@@ -268,12 +269,17 @@ func (c *Cache) Lookup(p *kernel.Process, name string, now time.Duration) (Entry
 
 // Peek returns name's entry, lapsed or not: a pure probe — no IPC, no
 // virtual time, no mutation, no event.
-func (c *Cache) Peek(name string) (Entry, bool) { return c.entries.Get(name) }
+func (c *Cache) Peek(name string) (Entry, bool) {
+	c.mu.RLock()
+	e, ok := c.entries[name]
+	c.mu.RUnlock()
+	return e, ok
+}
 
 // Route is Peek for the engine classifiers: the pair a use of name at
 // virtual time at would be sent to, if a valid positive entry holds it.
 func (c *Cache) Route(name string, at time.Duration) (core.ContextPair, bool) {
-	e, ok := c.entries.Get(name)
+	e, ok := c.Peek(name)
 	if !ok || e.Negative || at >= e.Expire {
 		return core.ContextPair{}, false
 	}
@@ -281,22 +287,32 @@ func (c *Cache) Route(name string, at time.Duration) (core.ContextPair, bool) {
 }
 
 // Store (re)places name's entry.
-func (c *Cache) Store(name string, e Entry) { c.entries.Insert(name, e) }
+func (c *Cache) Store(name string, e Entry) {
+	c.mu.Lock()
+	c.entries[name] = e
+	c.mu.Unlock()
+}
 
 // Drop removes name's entry, reporting whether there was one.
-func (c *Cache) Drop(name string) bool { return c.entries.Delete(name) }
+func (c *Cache) Drop(name string) bool {
+	c.mu.Lock()
+	n := len(c.entries)
+	delete(c.entries, name)
+	dropped := len(c.entries) < n
+	c.mu.Unlock()
+	return dropped
+}
 
 // Flush drops every entry no server will call back about. Stamped
-// entries stay: expiry and callbacks bound their staleness. Entries go
-// one by one through the index's COW root, so a concurrent Route sees
-// each either present or absent, never a torn table.
+// entries stay: expiry and callbacks bound their staleness.
 func (c *Cache) Flush() {
-	c.entries.Walk(func(name string, e Entry) bool {
+	c.mu.Lock()
+	for name, e := range c.entries {
 		if !e.Stamped() {
-			c.entries.Delete(name)
+			delete(c.entries, name)
 		}
-		return true
-	})
+	}
+	c.mu.Unlock()
 }
 
 // Acquire resolves name through server after a Lookup that returned
@@ -334,7 +350,7 @@ func (c *Cache) Acquire(p *kernel.Process, server kernel.PID, name, bare string,
 	if !stamped && c.callback != nil {
 		return e, reply, false, nil
 	}
-	c.entries.Insert(name, e)
+	c.Store(name, e)
 	ev := Acquired
 	if prior == Expired {
 		ev = Renewed
@@ -382,16 +398,21 @@ func NewHolders(m *Meter) *Holders {
 	return &Holders{Meter: m, groups: make(map[string]kernel.PID)}
 }
 
-// Join adds cb to name's group, creating the group on first use.
-func (h *Holders) Join(k *kernel.Kernel, name string, cb kernel.PID) {
+// Join adds cb to name's group, creating the group on first use. It
+// fails when the kernel has no group left to create: nobody would call
+// that holder back, so it must be granted no time.
+func (h *Holders) Join(k *kernel.Kernel, name string, cb kernel.PID) error {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	gid, ok := h.groups[name]
 	if !ok {
-		gid = k.CreateGroup()
+		var err error
+		if gid, err = k.CreateGroup(); err != nil {
+			return err
+		}
 		h.groups[name] = gid
 	}
-	h.mu.Unlock()
-	_ = k.JoinGroup(gid, cb) // a holder that died since asking has nothing to drop
+	return k.JoinGroup(gid, cb)
 }
 
 // Invalidate calls back every holder of name; see Notify. A name nobody

@@ -2,6 +2,7 @@ package lease
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/proto"
+	"repro/internal/raceflag"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -452,5 +454,95 @@ func TestFlushKeepsLeases(t *testing.T) {
 	}
 	if _, ok := c.Peek("leased"); !ok {
 		t.Fatal("Flush dropped a leased entry")
+	}
+}
+
+// TestStoreHeldNameZeroAlloc is the gate on the holder table's contract:
+// it is an exact-match table, so putting a fresh lease on a name it holds
+// — every renewal, every rebind — overwrites the entry where it lies and
+// allocates nothing. Skipped under -race (the detector's instrumentation
+// allocates).
+func TestStoreHeldNameZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	c := NewCache(NewMeter("client", "holder"))
+	names := make([]string, 1000)
+	for i := range names {
+		names[i] = "proj.user" + strconv.Itoa(i) + ".src"
+		c.Store(names[i], Entry{Pair: pair, Expire: 100 * ms})
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Store(names[i%len(names)], Entry{Pair: pair, Grant: time.Duration(i), Expire: 200 * ms})
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("re-storing a held name allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestCallbacksRaceTheHolder runs the table's three users at once, as a
+// sharded run does: the serving goroutine looking names up and storing
+// fresh leases, an engine classifier probing routes, and the callback
+// process dropping names a granter invalidates. Every probe must read a
+// whole entry or none, and every callback must be applied and counted.
+// Run under -race this is the table's locking test.
+func TestCallbacksRaceTheHolder(t *testing.T) {
+	r := newRig(t)
+	c := r.cache(t, true, nil)
+	granter, err := r.host.NewProcess("granter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer granter.Destroy()
+	names := []string{"home", "pub", "mail", "src"}
+	const rounds = 500
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(2)
+	go func() { // the granter: one invalidation after another
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < rounds; i++ {
+			msg := &proto.Message{}
+			proto.SetCacheInvalidate(msg, names[i%len(names)], int64(i))
+			if reply, err := granter.Send(msg, c.Callback()); err != nil || reply.Op != proto.ReplyOK {
+				t.Errorf("callback %d: reply %v, err %v", i, reply, err)
+				return
+			}
+		}
+	}()
+	go func() { // the classifier
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got, ok := c.Route(names[i%len(names)], 1); ok && got != pair {
+				t.Errorf("classifier read a torn entry: %v", got)
+				return
+			}
+		}
+	}()
+	for i := 0; ; i++ { // the serving goroutine
+		select {
+		case <-stop:
+			wg.Wait()
+			if st := c.Snapshot(); st[Invalidation] != rounds {
+				t.Fatalf("%d of %d callbacks counted", st[Invalidation], rounds)
+			}
+			return
+		default:
+		}
+		name := names[i%len(names)]
+		if e, state := c.Lookup(r.holder, name, 1); state == Valid && e.Pair != pair {
+			t.Fatalf("Lookup read a torn entry: %+v", e)
+		} else if state != Valid {
+			c.Store(name, Entry{Pair: pair, Expire: 100 * ms})
+		}
 	}
 }

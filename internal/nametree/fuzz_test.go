@@ -33,6 +33,31 @@ func FuzzNametreeLookup(f *testing.F) {
 				t.Fatalf("Insert(%q) replaced=%v, map had=%v", k, replaced, had)
 			}
 			ref[k] = i
+			checkTree(t, tr)
+		}
+		// The same keys in one Load build the same tree, or — when one
+		// repeats — nothing.
+		bulk := New[int]()
+		err := bulk.Load(keys, func(i int) int { return i })
+		checkTree(t, bulk)
+		switch {
+		case len(ref) < len(keys):
+			if err == nil || bulk.Len() != 0 {
+				t.Fatalf("Load of repeated keys: err=%v, Len=%d", err, bulk.Len())
+			}
+		case err != nil:
+			t.Fatalf("Load: %v", err)
+		default:
+			if w1, w2 := walkKeys(tr), walkKeys(bulk); strings.Join(w1, "|") != strings.Join(w2, "|") {
+				t.Fatalf("Walk: Insert built %q, Load %q", w1, w2)
+			}
+			for _, k := range keys {
+				_, _, s1 := tr.GetSteps(k)
+				_, ok, s2 := bulk.GetSteps(k)
+				if !ok || s1 != s2 {
+					t.Fatalf("GetSteps(%q): %d steps after Insert, (%v, %d) after Load", k, s1, ok, s2)
+				}
+			}
 		}
 		if tr.Len() != len(ref) {
 			t.Fatalf("Len=%d, map %d", tr.Len(), len(ref))
@@ -61,8 +86,7 @@ func FuzzNametreeLookup(f *testing.F) {
 			}
 		}
 		// Walk must visit the map's keys in sorted order.
-		var walked []string
-		tr.Walk(func(k string, _ int) bool { walked = append(walked, k); return true })
+		walked := walkKeys(tr)
 		wantKeys := make([]string, 0, len(ref))
 		for k := range ref {
 			wantKeys = append(wantKeys, k)
@@ -84,6 +108,7 @@ func FuzzNametreeLookup(f *testing.F) {
 				t.Fatalf("Delete(%q)=%v, map had=%v", k, removed, had)
 			}
 			delete(ref, k)
+			checkTree(t, tr)
 		}
 		if tr.Len() != 0 || tr.KeyBytes() != 0 {
 			t.Fatalf("drained tree: Len=%d KeyBytes=%d", tr.Len(), tr.KeyBytes())

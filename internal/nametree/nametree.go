@@ -25,27 +25,44 @@
 //   - Len and KeyBytes are atomic counters, so table-size probes
 //     (prefix.TableBytes) cost two loads instead of an O(n) scan.
 //
-// Writers (Insert, Delete) serialize on an internal mutex and publish
-// by path-copying the affected spine and atomically swapping the root;
-// readers therefore never observe a partially applied mutation, and a
-// read overlapped by a write sees exactly the tree before or after it —
-// the same semantics a mutex would give, without the reader ever
-// blocking.
+// Writers (Insert, Delete, Load) serialize on an internal mutex and
+// publish by atomically swapping the root; readers therefore never
+// observe a partially applied mutation, and a read overlapped by a write
+// sees exactly the tree before or after it — the same semantics a mutex
+// would give, without the reader ever blocking. Insert and Delete
+// path-copy the affected spine; Load builds a whole table out of sight,
+// editing its own nodes in place, and publishes it once.
 package nametree
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// node is one immutable radix node: the compressed edge label from its
-// parent, an optional value, and children sorted by the first byte of
-// their labels (sibling labels never share a first byte).
+// node is one radix node, immutable once published: the compressed edge
+// label from its parent, an optional value, and children sorted by the
+// first byte of their labels (sibling labels never share a first byte).
+//
+// text is the label followed by those first bytes, one per child in
+// child order, so the descent picks a child by scanning bytes that sit
+// together instead of dereferencing one child and its label per probe.
+// split is len(label). Keeping both in one string and split in hasVal's
+// padding keeps the node in the size class it had without the bytes.
 type node[V any] struct {
-	label    string
+	text     string
 	hasVal   bool
+	split    uint32
 	val      V
 	children []*node[V]
+}
+
+func (n *node[V]) label() string { return n.text[:n.split] }
+
+// leaf returns a childless node holding v under label.
+func leaf[V any](label string, v V) *node[V] {
+	return &node[V]{text: label, split: uint32(len(label)), hasVal: true, val: v}
 }
 
 // Tree is a copy-on-write compressed radix tree from string keys to V.
@@ -71,20 +88,16 @@ func (t *Tree[V]) Len() int { return int(t.count.Load()) }
 // load) — the table-size counter servers report without scanning.
 func (t *Tree[V]) KeyBytes() int { return int(t.keyBytes.Load()) }
 
-// child returns n's child whose label starts with b, by binary search
-// over the sorted child slice.
+// childIndex returns the position of n's child whose label starts with
+// b, or -1.
+func (n *node[V]) childIndex(b byte) int {
+	return strings.IndexByte(n.text[n.split:], b)
+}
+
+// child returns n's child whose label starts with b.
 func (n *node[V]) child(b byte) *node[V] {
-	lo, hi := 0, len(n.children)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.children[mid].label[0] < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.children) && n.children[lo].label[0] == b {
-		return n.children[lo]
+	if i := n.childIndex(b); i >= 0 {
+		return n.children[i]
 	}
 	return nil
 }
@@ -102,11 +115,11 @@ func (t *Tree[V]) Get(key string) (V, bool) {
 			return zero, false
 		}
 		c := n.child(key[0])
-		if c == nil || len(key) < len(c.label) || key[:len(c.label)] != c.label {
+		if c == nil || !strings.HasPrefix(key, c.label()) {
 			var zero V
 			return zero, false
 		}
-		key = key[len(c.label):]
+		key = key[c.split:]
 		n = c
 	}
 }
@@ -126,10 +139,10 @@ func (t *Tree[V]) GetSteps(key string) (v V, ok bool, steps int) {
 			return v, false, steps
 		}
 		c := n.child(key[0])
-		if c == nil || len(key) < len(c.label) || key[:len(c.label)] != c.label {
+		if c == nil || !strings.HasPrefix(key, c.label()) {
 			return v, false, steps
 		}
-		key = key[len(c.label):]
+		key = key[c.split:]
 		n = c
 		steps++
 	}
@@ -147,14 +160,10 @@ func (t *Tree[V]) LongestPrefix(query string) (n int, v V, ok bool) {
 	}
 	for consumed < len(query) {
 		c := cur.child(query[consumed])
-		if c == nil {
+		if c == nil || !strings.HasPrefix(query[consumed:], c.label()) {
 			break
 		}
-		rest := query[consumed:]
-		if len(rest) < len(c.label) || rest[:len(c.label)] != c.label {
-			break
-		}
-		consumed += len(c.label)
+		consumed += int(c.split)
 		cur = c
 		if cur.hasVal {
 			n, v, ok = consumed, cur.val, true
@@ -185,32 +194,120 @@ func insert[V any](n *node[V], key string, v V) (*node[V], bool) {
 		cp.hasVal, cp.val = true, v
 		return &cp, replaced
 	}
-	c := n.child(key[0])
-	if c == nil {
-		leaf := &node[V]{label: key, hasVal: true, val: v}
-		return withChild(n, nil, leaf), false
+	i := n.childIndex(key[0])
+	if i < 0 {
+		cp := *n
+		cp.addChild(leaf(key, v))
+		return &cp, false
 	}
-	common := commonPrefix(key, c.label)
-	if common == len(c.label) {
-		nc, replaced := insert(c, key[common:], v)
-		return withChild(n, c, nc), replaced
-	}
-	// The key diverges inside c's label: split the edge at the fork.
-	tail := *c
-	tail.label = c.label[common:]
-	mid := &node[V]{label: c.label[:common]}
-	if common == len(key) {
-		mid.hasVal, mid.val = true, v
-		mid.children = []*node[V]{&tail}
+	c := n.children[i]
+	common := commonPrefix(key, c.label())
+	nc, replaced := c, false
+	if common == len(c.label()) {
+		nc, replaced = insert(c, key[common:], v)
 	} else {
-		leaf := &node[V]{label: key[common:], hasVal: true, val: v}
-		if leaf.label[0] < tail.label[0] {
-			mid.children = []*node[V]{leaf, &tail}
-		} else {
-			mid.children = []*node[V]{&tail, leaf}
-		}
+		// The key diverges inside c's label: split a copy of the edge.
+		tail := *c
+		nc = fork(&tail, key, common, v)
 	}
-	return withChild(n, c, mid), false
+	return n.withChild(i, nc), replaced
+}
+
+// withChild returns a copy of n whose i-th child is c, which starts with
+// the byte the old one did.
+func (n *node[V]) withChild(i int, c *node[V]) *node[V] {
+	cp := *n
+	cp.children = make([]*node[V], len(n.children))
+	copy(cp.children, n.children)
+	cp.children[i] = c
+	return &cp
+}
+
+// fork splits tail's edge where key leaves it, after at bytes, and
+// stores v under key there. It edits tail in place into the lower half
+// and returns the new upper half, which holds v itself when key ends at
+// the split and a leaf for the rest of key beside tail when it does not.
+func fork[V any](tail *node[V], key string, at int, v V) *node[V] {
+	mid := &node[V]{split: uint32(at)}
+	label := tail.text[:at]
+	tail.text, tail.split = tail.text[at:], tail.split-uint32(at)
+	if at == len(key) {
+		mid.hasVal, mid.val = true, v
+		mid.text = label + tail.text[:1]
+		mid.children = []*node[V]{tail}
+		return mid
+	}
+	lf := leaf(key[at:], v)
+	if lf.text[0] < tail.text[0] {
+		mid.text = label + lf.text[:1] + tail.text[:1]
+		mid.children = []*node[V]{lf, tail}
+	} else {
+		mid.text = label + tail.text[:1] + lf.text[:1]
+		mid.children = []*node[V]{tail, lf}
+	}
+	return mid
+}
+
+// addChild adds c to n in sorted position, editing n in place but never
+// the slice or string n had: a copy of a published node can take it.
+func (n *node[V]) addChild(c *node[V]) {
+	b := c.text[0]
+	keys := n.text[n.split:]
+	pos := 0
+	for pos < len(keys) && keys[pos] < b {
+		pos++
+	}
+	children := make([]*node[V], 0, len(n.children)+1)
+	children = append(children, n.children[:pos]...)
+	children = append(children, c)
+	n.children = append(children, n.children[pos:]...)
+	at := int(n.split) + pos
+	n.text = n.text[:at] + c.text[:1] + n.text[at:]
+}
+
+// Load replaces the tree's contents with keys, key i bound to val(i):
+// all of them or, if a key repeats, none. The new table is built out of
+// sight — its nodes edited in place, no path copied per key — and
+// published with one root swap, so a concurrent reader sees the whole
+// old table or the whole new one.
+func (t *Tree[V]) Load(keys []string, val func(i int) V) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	root := &node[V]{}
+	bytes := 0
+	for i, key := range keys {
+		if load(root, key, val(i)) {
+			return fmt.Errorf("nametree: load: key %q repeats", key)
+		}
+		bytes += len(key)
+	}
+	t.root.Store(root)
+	t.count.Store(int64(len(keys)))
+	t.keyBytes.Store(int64(bytes))
+	return nil
+}
+
+// load stores v under key in the unpublished tree below n, in place. It
+// reports whether key was already there.
+func load[V any](n *node[V], key string, v V) (dup bool) {
+	for len(key) > 0 {
+		i := n.childIndex(key[0])
+		if i < 0 {
+			n.addChild(leaf(key, v))
+			return false
+		}
+		c := n.children[i]
+		common := commonPrefix(key, c.label())
+		if common < len(c.label()) {
+			n.children[i] = fork(c, key, common, v)
+			return false
+		}
+		key = key[common:]
+		n = c
+	}
+	dup = n.hasVal
+	n.hasVal, n.val = true, v
+	return dup
 }
 
 // Delete removes key, reporting whether it was present.
@@ -240,55 +337,36 @@ func remove[V any](n *node[V], key string) (*node[V], bool) {
 		cp.val = zero
 		return &cp, true
 	}
-	c := n.child(key[0])
-	if c == nil || len(key) < len(c.label) || key[:len(c.label)] != c.label {
+	i := n.childIndex(key[0])
+	if i < 0 {
 		return n, false
 	}
-	nc, removed := remove(c, key[len(c.label):])
+	c := n.children[i]
+	if !strings.HasPrefix(key, c.label()) {
+		return n, false
+	}
+	nc, removed := remove(c, key[c.split:])
 	if !removed {
 		return n, false
 	}
-	switch {
-	case !nc.hasVal && len(nc.children) == 0:
-		nc = nil // prune the emptied leaf
-	case !nc.hasVal && len(nc.children) == 1:
+	if !nc.hasVal && len(nc.children) == 0 {
+		// Prune the emptied leaf.
+		cp := *n
+		cp.children = make([]*node[V], 0, len(n.children)-1)
+		cp.children = append(cp.children, n.children[:i]...)
+		cp.children = append(cp.children, n.children[i+1:]...)
+		at := int(n.split) + i
+		cp.text = n.text[:at] + n.text[at+1:]
+		return &cp, true
+	}
+	if !nc.hasVal && len(nc.children) == 1 {
 		// Re-compress: a valueless single-child node merges with it.
 		merged := *nc.children[0]
-		merged.label = nc.label + merged.label
+		merged.text = nc.label() + merged.text
+		merged.split += nc.split
 		nc = &merged
 	}
-	return withChild(n, c, nc), true
-}
-
-// withChild returns a copy of n with child old replaced by nw (old nil
-// inserts nw in sorted position; nw nil deletes old).
-func withChild[V any](n *node[V], old, nw *node[V]) *node[V] {
-	cp := *n
-	if old == nil {
-		pos := 0
-		for pos < len(n.children) && n.children[pos].label[0] < nw.label[0] {
-			pos++
-		}
-		cp.children = make([]*node[V], 0, len(n.children)+1)
-		cp.children = append(cp.children, n.children[:pos]...)
-		cp.children = append(cp.children, nw)
-		cp.children = append(cp.children, n.children[pos:]...)
-		return &cp
-	}
-	pos := 0
-	for n.children[pos] != old {
-		pos++
-	}
-	if nw == nil {
-		cp.children = make([]*node[V], 0, len(n.children)-1)
-		cp.children = append(cp.children, n.children[:pos]...)
-		cp.children = append(cp.children, n.children[pos+1:]...)
-		return &cp
-	}
-	cp.children = make([]*node[V], len(n.children))
-	copy(cp.children, n.children)
-	cp.children[pos] = nw
-	return &cp
+	return n.withChild(i, nc), true
 }
 
 // commonPrefix returns the length of the longest common prefix of a
@@ -313,7 +391,7 @@ func (t *Tree[V]) Walk(fn func(key string, v V) bool) {
 }
 
 func walk[V any](n *node[V], key []byte, fn func(key string, v V) bool) bool {
-	key = append(key, n.label...)
+	key = append(key, n.label()...)
 	if n.hasVal && !fn(string(key), n.val) {
 		return false
 	}

@@ -6,7 +6,57 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// checkTree asserts what every mutation must leave true of the whole
+// tree: a node's child bytes are its children's first label bytes,
+// strictly sorted; below the root no label is empty and no valueless
+// node has fewer than two children (the tree is canonical, so its shape
+// depends on the key set alone); Len and KeyBytes count what a walk
+// would find.
+func checkTree[V any](t testing.TB, tr *Tree[V]) {
+	t.Helper()
+	count, bytes := 0, 0
+	var visit func(n *node[V], depth int)
+	visit = func(n *node[V], depth int) {
+		depth += len(n.label())
+		keys := n.text[n.split:]
+		if len(keys) != len(n.children) {
+			t.Fatalf("node %q: %d child bytes for %d children", n.label(), len(keys), len(n.children))
+		}
+		for i, c := range n.children {
+			if c.split == 0 || c.text[0] != keys[i] {
+				t.Fatalf("node %q: child %d has label %q under byte %q", n.label(), i, c.label(), keys[i])
+			}
+			if i > 0 && keys[i-1] >= keys[i] {
+				t.Fatalf("node %q: child bytes %q not strictly sorted", n.label(), keys)
+			}
+			if !c.hasVal && len(c.children) < 2 {
+				t.Fatalf("node %q: valueless with %d children", c.label(), len(c.children))
+			}
+			visit(c, depth)
+		}
+		if n.hasVal {
+			count++
+			bytes += depth
+		}
+	}
+	root := tr.root.Load()
+	if root.split != 0 {
+		t.Fatalf("root has label %q", root.label())
+	}
+	visit(root, 0)
+	if tr.Len() != count || tr.KeyBytes() != bytes {
+		t.Fatalf("Len=%d KeyBytes=%d, tree holds %d keys of %d bytes", tr.Len(), tr.KeyBytes(), count, bytes)
+	}
+}
+
+// walkKeys returns the tree's keys in Walk order.
+func walkKeys[V any](tr *Tree[V]) (keys []string) {
+	tr.Walk(func(k string, _ V) bool { keys = append(keys, k); return true })
+	return keys
+}
 
 // model is the naive reference: a plain map plus a sort on demand.
 type model map[string]int
@@ -60,6 +110,7 @@ func TestPropertyVsModel(t *testing.T) {
 				t.Fatalf("step %d: Insert(%q) replaced=%v, model had=%v", step, key, replaced, had)
 			}
 			ref[key] = step
+			checkTree(t, tr)
 		case 5, 6: // delete
 			removed := tr.Delete(key)
 			_, had := ref[key]
@@ -67,6 +118,7 @@ func TestPropertyVsModel(t *testing.T) {
 				t.Fatalf("step %d: Delete(%q) removed=%v, model had=%v", step, key, removed, had)
 			}
 			delete(ref, key)
+			checkTree(t, tr)
 		default: // lookup + LPM on a fresh query
 			q := genKey(r)
 			got, ok := tr.Get(q)
@@ -177,16 +229,112 @@ func TestConcurrentReaders(t *testing.T) {
 			}
 		}(int64(g))
 	}
+	distinct := map[string]bool{}
+	for _, k := range keys {
+		distinct[k] = true
+	}
 	for i := 0; i < 5000; i++ {
 		k := keys[i%len(keys)]
-		if i%3 == 0 {
+		switch {
+		case i%1000 == 999:
+			// A whole-table replacement is published like any other write.
+			all := make([]string, 0, len(distinct))
+			for k := range distinct {
+				all = append(all, k)
+			}
+			if err := tr.Load(all, func(j int) int { return j }); err != nil {
+				t.Fatal(err)
+			}
+		case i%3 == 0:
 			tr.Delete(k)
-		} else {
+		default:
 			tr.Insert(k, i%(1<<20))
 		}
 	}
 	close(stop)
 	wg.Wait()
+	checkTree(t, tr)
+}
+
+// TestLoadMatchesInsert: Load installs exactly the tree the same keys
+// build one Insert at a time — same Walk, same descent length per key —
+// whatever was there before, and installs nothing when a key repeats.
+func TestLoadMatchesInsert(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	names, _ := population(3000)
+	seen := map[string]bool{}
+	var keys []string
+	for _, k := range names {
+		seen[k] = true
+		keys = append(keys, k)
+	}
+	for i := 0; i < 3000; i++ {
+		if k := genKey(r); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+
+	one := New[int]()
+	for i, k := range keys {
+		one.Insert(k, i)
+	}
+	bulk := New[int]()
+	bulk.Insert("gone.after.load", -1)
+	if err := bulk.Load(keys, func(i int) int { return i }); err != nil {
+		t.Fatal(err)
+	}
+	checkTree(t, one)
+	checkTree(t, bulk)
+	if _, ok := bulk.Get("gone.after.load"); ok {
+		t.Fatal("Load kept a key of the table it replaced")
+	}
+	w1, w2 := walkKeys(one), walkKeys(bulk)
+	if len(w1) != len(keys) || len(w2) != len(keys) {
+		t.Fatalf("walked %d and %d keys, want %d", len(w1), len(w2), len(keys))
+	}
+	for i := range w1 {
+		if w1[i] != w2[i] {
+			t.Fatalf("Walk[%d]: Insert built %q, Load %q", i, w1[i], w2[i])
+		}
+	}
+	for i, k := range keys {
+		v1, _, s1 := one.GetSteps(k)
+		v2, ok, s2 := bulk.GetSteps(k)
+		if !ok || v1 != i || v2 != i || s1 != s2 {
+			t.Fatalf("GetSteps(%q): Insert (%d, %d steps), Load (%d, %v, %d steps)", k, v1, s1, v2, ok, s2)
+		}
+	}
+
+	if err := bulk.Load(append(keys[:10:10], keys[3]), func(i int) int { return -i }); err == nil {
+		t.Fatal("Load accepted a repeated key")
+	}
+	if v, ok := bulk.Get(keys[3]); !ok || v != 3 || bulk.Len() != len(keys) {
+		t.Fatalf("failed Load changed the table: Get = (%d, %v), Len = %d", v, ok, bulk.Len())
+	}
+	// Loaded nodes are ordinary nodes: single-key writes go on from them.
+	bulk.Delete(keys[0])
+	bulk.Insert("after.load", 1)
+	checkTree(t, bulk)
+}
+
+// TestNodeSizeClass pins the node of a prefix-table-sized value (24
+// bytes, 4-byte aligned: prefix's TestTableEntrySize) in the 80-byte
+// allocator class: the child bytes share the label's string and split
+// sits in hasVal's padding, so the one-line child lookup costs no
+// memory per name.
+func TestNodeSizeClass(t *testing.T) {
+	type entry struct {
+		dynamic             bool
+		a, b, c, d, slotIdx uint32
+	}
+	if unsafe.Sizeof(entry{}) != 24 {
+		t.Fatalf("stand-in entry is %d bytes, want 24", unsafe.Sizeof(entry{}))
+	}
+	if sz := unsafe.Sizeof(node[entry]{}); sz <= 64 || sz > 80 {
+		t.Fatalf("node of a 24-byte value is %d bytes, want the 80-byte class", sz)
+	}
 }
 
 // TestReverseFirstMatchesSortedScan checks the O(1) inverse index gives

@@ -233,8 +233,12 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 		proto.SetMapContextReply(reply, uint32(e.Pair.Server), uint32(e.Pair.Ctx))
 	}
 	// The sub-lease expires at the earlier of the tier's own length and
-	// the backing upstream lease.
-	lease.Grant(reply, now, t.leaseLen, e.Expire)
-	t.holders.Join(p.Kernel(), pfx, cb)
+	// the backing upstream lease — or at once, when the tier could not
+	// note whom to call back.
+	length := t.leaseLen
+	if t.holders.Join(p.Kernel(), pfx, cb) != nil {
+		length = 0
+	}
+	lease.Grant(reply, now, length, e.Expire)
 	return reply
 }

@@ -62,11 +62,10 @@ func (s *Server) LeaseStats() LeaseStats {
 
 // stampLease stamps reply with a lease from p's current clock and
 // registers the callback as a holder of pfx. negative marks a NotFound
-// stamp. hint is the holder group read off the index node during the
-// resolution descent (NilPID when the node has none yet, or on a
-// negative stamp): when set, the grant needs no second table lookup —
-// grant+lookup is one descent.
-func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, negative bool, hint kernel.PID) {
+// stamp; otherwise slot is the binding's, read off the index node during
+// the resolution descent, so the grant needs no second table lookup and
+// writes nothing to the index.
+func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, negative bool, slot uint32) {
 	now := p.Now()
 	length := s.leaseLen
 	if s.tuner != nil && !negative {
@@ -75,14 +74,19 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 		// tuner has no estimator for yet.
 		length = s.tuner.leaseFor(pfx, s.rates)
 	}
+	regrant, err := s.joinHolders(p, pfx, cb, !negative, slot)
+	if err != nil {
+		// Nobody would call this holder back: it may use the answer now
+		// and keep it for no time at all.
+		length = 0
+	}
 	// The prefix server is the authority: nothing upstream bounds it.
 	stamp := lease.Entry{Grant: now, Expire: lease.Grant(reply, now, length, lease.Never)}
-	s.joinHolders(p, pfx, cb, hint)
 	ev := lease.Granted
 	switch {
 	case negative:
 		ev = lease.GrantedNegative
-	case hint != kernel.NilPID:
+	case regrant:
 		// The holder group predates this grant: some holder leased the
 		// name before, so this grant re-validates — the closest the
 		// granting side comes to seeing a renewal.
@@ -93,34 +97,37 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 }
 
 // joinHolders adds cb to pfx's holder group, creating the group on first
-// use. Membership is idempotent and survives invalidations: a holder
-// that re-leases after a callback is already in the group, and destroyed
-// processes leave every group via the kernel's destroy path. With a
-// non-nil hint (the group read off the index node during resolution)
-// the fast path takes no lock; the slow path creates the group on the
-// node — or in the orphan map when the name has no binding — under mu.
-func (s *Server) joinHolders(p *kernel.Process, pfx string, cb kernel.PID, hint kernel.PID) {
+// use — in the binding's slot when bound, in the orphan map when the name
+// has no binding — and reports whether the group was there already.
+// Membership is idempotent and survives invalidations: a holder that
+// re-leases after a callback is already in the group, and destroyed
+// processes leave every group via the kernel's destroy path.
+func (s *Server) joinHolders(p *kernel.Process, pfx string, cb kernel.PID, bound bool, slot uint32) (regrant bool, err error) {
 	k := p.Kernel()
-	gid := hint
-	if gid == kernel.NilPID {
-		s.mu.Lock()
-		if e, ok := s.index.Get(pfx); ok {
-			if e.holders == kernel.NilPID {
-				e.holders = k.CreateGroup()
-				s.index.Insert(pfx, e)
-			}
-			gid = e.holders
-		} else {
-			g, ok := s.orphans[pfx]
-			if !ok {
-				g = k.CreateGroup()
-				s.orphans[pfx] = g
-			}
-			gid = g
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if bound && s.groups[slot] == retired {
+		// The binding was deleted since resolution read its slot: join
+		// whatever a later change of the name will call back.
+		var e tableEntry
+		e, bound = s.index.Get(pfx)
+		slot = e.slot
 	}
-	_ = k.JoinGroup(gid, cb)
+	gid := s.orphans[pfx]
+	if bound {
+		gid = s.groups[slot]
+	}
+	if regrant = gid != kernel.NilPID; !regrant {
+		if gid, err = k.CreateGroup(); err != nil {
+			return false, err
+		}
+		if bound {
+			s.groups[slot] = gid
+		} else {
+			s.orphans[pfx] = gid
+		}
+	}
+	return regrant, k.JoinGroup(gid, cb)
 }
 
 // invalidateName is the invalidation commit for one name: it records the
@@ -143,10 +150,11 @@ func (s *Server) invalidateName(p *kernel.Process, name string) {
 	s.leases.Observe(p, lease.Commit, name, commit, lease.Entry{})
 	s.mu.Lock()
 	gid := kernel.NilPID
-	if e, ok := s.index.Get(name); ok && e.holders != kernel.NilPID {
-		gid = e.holders
-	} else if g, ok := s.orphans[name]; ok {
-		gid = g
+	if e, ok := s.index.Get(name); ok {
+		gid = s.groups[e.slot]
+	}
+	if gid == kernel.NilPID {
+		gid = s.orphans[name]
 	}
 	s.mu.Unlock()
 	if gid == kernel.NilPID {

@@ -1,13 +1,17 @@
 package prefix
 
 import (
+	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/netsim"
+	"repro/internal/popgen"
 	"repro/internal/proto"
+	"repro/internal/raceflag"
 	"repro/internal/vtime"
 )
 
@@ -90,11 +94,11 @@ func leaseMap(t *testing.T, client *kernel.Process, ps *Server, cb kernel.PID, n
 	return reply
 }
 
-// TestLeaseGrantAndInvalidate walks the whole holder-group life cycle
-// through the radix index: grant onto the node (slow path creating the
-// group, then the descent-hint fast path), deletion parking the group
-// in the orphan map with the callback barrier reaching the holder, and
-// redefinition re-adopting the orphan group so the re-grant reuses it.
+// TestLeaseGrantAndInvalidate walks the whole holder-group life cycle:
+// the first grant creating the group in the binding's slot and the next
+// one finding it there, deletion parking the group in the orphan map
+// with the callback barrier reaching the holder, and redefinition
+// re-adopting the orphan group so the re-grant reuses it.
 func TestLeaseGrantAndInvalidate(t *testing.T) {
 	ps, client, callback, invalidated := newLeaseRig(t)
 
@@ -105,8 +109,7 @@ func TestLeaseGrantAndInvalidate(t *testing.T) {
 	if _, ok := proto.LeaseGrant(reply); !ok {
 		t.Fatal("reply not lease-stamped")
 	}
-	// Second grant: the holder group now lives on the index node, so the
-	// stamp takes the descent-hint fast path.
+	// Second grant: the holder group is in the slot already.
 	leaseMap(t, client, ps, callback.PID(), "[tgt]")
 	if st := ps.LeaseStats(); st.Grants != 2 {
 		t.Fatalf("grants = %d, want 2", st.Grants)
@@ -212,5 +215,151 @@ func TestInvalidateWithoutHolders(t *testing.T) {
 	case name := <-invalidated:
 		t.Fatalf("unexpected callback for %q", name)
 	default:
+	}
+}
+
+// TestGrantLeavesIndexUntouched is the gate on the grant path's contract:
+// stamping a lease finds the holder group through the slot read off the
+// index node and writes nothing to the index. On a 10⁵-name table one
+// Insert copies a spine of about eighteen allocations, which is what a
+// name's first grant used to pay to note its new group on the node; a
+// first grant must now allocate less than that spine (the kernel group
+// and its first member, the reply, the name parsed off the request), and
+// a repeat grant only the last two.
+func TestGrantLeavesIndexUntouched(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	proc, err := k.NewHost("ws").NewProcess("prefix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Destroy()
+	ps := New(proc, "mann", WithLease(time.Second))
+	pop := popgen.NewPopulation(100_000, 0.99, 1)
+	if err := ps.DefineAll(pop.Names, make([]core.ContextPair, len(pop.Names))); err != nil {
+		t.Fatal(err)
+	}
+
+	const leased = 1000
+	reqs := make([]*proto.Message, leased+1) // AllocsPerRun warms up with one extra run
+	for i := range reqs {
+		reqs[i] = &proto.Message{Op: proto.OpMapContext}
+		proto.SetCSName(reqs[i], 0, Quote(pop.Names[i*97]))
+		proto.SetLeaseRequest(reqs[i], uint32(proc.PID()))
+	}
+	i := 0
+	grant := func() {
+		if reply := ps.handleCSName(proc, reqs[i%len(reqs)], kernel.NilPID); reply == nil || reply.Op != proto.ReplyOK {
+			t.Fatalf("grant %d: reply %+v", i, reply)
+		}
+		i++
+	}
+	first := testing.AllocsPerRun(leased, grant)
+	repeat := testing.AllocsPerRun(leased, grant)
+	if st := ps.LeaseStats(); st.Grants != 2*(leased+1) {
+		t.Fatalf("grants = %d, want %d", st.Grants, 2*(leased+1))
+	}
+	e, _ := ps.index.Get(pop.Names[0])
+	spine := testing.AllocsPerRun(100, func() { ps.index.Insert(pop.Names[0], e) })
+	t.Logf("allocs: first grant %.1f, repeat grant %.1f, one Insert spine %.1f", first, repeat, spine)
+	if first >= spine {
+		t.Fatalf("a first grant allocates %.1f, an index Insert %.1f: the grant path writes the index", first, spine)
+	}
+	if repeat > 2 {
+		t.Fatalf("a repeat grant allocates %.1f, want the reply and the parsed name (2)", repeat)
+	}
+}
+
+// TestHolderGroupsBeyond16Bits leases more names than a 16-bit group
+// counter can tell apart, then deletes the first one leased: its holder
+// must still be called back. The 65 537th kernel group used to get the
+// first one's identifier and replace it with an empty group, so the
+// invalidation reached nobody and only the lease's expiry bounded the
+// stale entry.
+func TestHolderGroupsBeyond16Bits(t *testing.T) {
+	ps, client, callback, invalidated := newLeaseRig(t)
+	names := make([]string, 1<<16+8)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i)
+	}
+	if err := ps.DefineAll(names, make([]core.ContextPair, len(names))); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if reply := leaseMap(t, client, ps, callback.PID(), Quote(name)); reply.Op != proto.ReplyOK {
+			t.Fatalf("lease %q: %v", name, reply.Op)
+		}
+	}
+	del := &proto.Message{Op: proto.OpDeleteContextName}
+	proto.SetCSName(del, 0, names[0])
+	if reply, err := client.Send(del, ps.PID()); err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("delete: op=%v err=%v", reply.Op, err)
+	}
+	select {
+	case name := <-invalidated:
+		if name != names[0] {
+			t.Fatalf("invalidated %q, want %q", name, names[0])
+		}
+	default:
+		t.Fatalf("the holder of the first of %d leased names never heard its deletion", len(names))
+	}
+}
+
+// TestGrantAfterDeleteJoinsTheNamesNextLife replays, one step at a time,
+// a grant on one team worker racing a delete on another: resolution reads
+// the binding's slot, the delete retires it, and only then does the grant
+// look for the holder group. The holder must land where the name's next
+// change will find it — parked with the name while it is unbound, in the
+// new binding's slot once it is bound again — never in the dead slot.
+func TestGrantAfterDeleteJoinsTheNamesNextLife(t *testing.T) {
+	ps, client, callback, invalidated := newLeaseRig(t)
+	send := func(op proto.Code, name string) {
+		t.Helper()
+		msg := &proto.Message{Op: op}
+		proto.SetCSName(msg, 0, name)
+		if op == proto.OpAddContextName {
+			proto.SetAddContextTarget(msg, uint32(ps.PID()), 7)
+		}
+		if reply, err := client.Send(msg, ps.PID()); err != nil || reply.Op != proto.ReplyOK {
+			t.Fatalf("%v %q: op=%v err=%v", op, name, reply.Op, err)
+		}
+	}
+	lateGrant := func(name string, slot uint32) {
+		ps.stampLease(client, core.OkReply(), name, callback.PID(), false, slot)
+	}
+	heard := func(when string) {
+		t.Helper()
+		select {
+		case <-invalidated:
+		default:
+			t.Fatalf("%s: the late holder was not called back", when)
+		}
+	}
+
+	stale, _ := ps.index.Get("tgt")
+	send(proto.OpDeleteContextName, "tgt") // unleased: nothing to park, slot retired
+	lateGrant("tgt", stale.slot)
+	send(proto.OpAddContextName, "tgt") // adopts the parked group and invalidates it
+	heard("grant between delete and redefine")
+
+	send(proto.OpAddContextName, "late")
+	stale, _ = ps.index.Get("late")
+	send(proto.OpDeleteContextName, "late")
+	send(proto.OpAddContextName, "late")
+	lateGrant("late", stale.slot)
+	if live, _ := ps.index.Get("late"); live.slot == stale.slot {
+		t.Fatal("a redefinition reused its predecessor's slot")
+	}
+	send(proto.OpDeleteContextName, "late")
+	heard("grant after delete and redefine")
+}
+
+// TestTableEntrySize pins the value nametree's TestNodeSizeClass stands
+// in for: a larger entry would move every index node up a size class.
+func TestTableEntrySize(t *testing.T) {
+	if sz := unsafe.Sizeof(tableEntry{}); sz != 24 {
+		t.Fatalf("tableEntry is %d bytes, want 24", sz)
 	}
 }

@@ -125,13 +125,18 @@ type Server struct {
 	// index is the prefix table: a COW radix tree (PROTOCOL.md §14)
 	// whose reads — resolution, classifier probes, directory walks,
 	// table snapshots — are lock-free against one immutable root. Each
-	// entry carries the binding and the name's lease-holder group, so a
-	// lease grant stamps off the same node the resolution descended:
-	// grant+lookup is one descent. mu serializes mutations of the index
-	// and guards the plain maps below; it is never taken on the
-	// resolution hit path.
+	// entry carries the binding and the slot of its lease-holder group,
+	// so a lease grant finds the group off the same node the resolution
+	// descended and never writes the index. mu serializes mutations of
+	// the index and guards groups and the plain maps below; resolution
+	// takes it only to stamp a lease.
 	index *nametree.Tree[tableEntry]
 	mu    sync.Mutex
+	// groups[slot] is a binding's lease-holder group: NilPID until its
+	// first grant, retired once the binding is deleted unleased. Every
+	// define takes a fresh slot and none is reused, so a slot read off a
+	// node names that binding's group for good.
+	groups []kernel.PID
 	// reverse answers the inverse (binding→name) query with the sorted
 	// first-match semantics the linear scan used to give (§6).
 	reverse *nametree.Reverse[core.ContextPair]
@@ -176,13 +181,19 @@ func (c *statsCounters) load() Stats {
 	}
 }
 
-// tableEntry is one prefix table slot: the binding plus the name's
-// lease-holder group (NilPID until the first grant), co-located on the
-// index node so resolution and lease stamping share one descent.
+// tableEntry is one prefix table entry: the binding plus the index of
+// its lease-holder group in Server.groups, co-located on the index node
+// so resolution and lease stamping share one descent.
 type tableEntry struct {
-	b       Binding
-	holders kernel.PID
+	b    Binding
+	slot uint32
 }
+
+// retired marks the slot of a binding deleted before anyone leased it. A
+// grant that read the slot before the delete must not start a group
+// there, where no later change of the name would find it. Hosts number
+// from 1, so no process or group has this pid.
+const retired = kernel.PID(1)
 
 // New creates a prefix server for the given user on proc. Call Run in the
 // process goroutine.
@@ -248,29 +259,101 @@ func (s *Server) DefineDynamic(name string, service kernel.Service, wellKnown co
 	return s.define(name, Binding{Dynamic: true, Service: service, WellKnown: wellKnown})
 }
 
-func (s *Server) define(name string, b Binding) error {
+// DefineAll creates the static bindings names[i] → pairs[i], all of
+// them or, if one name is malformed, repeated or already bound, none.
+// It is Define for a population: the table is rebuilt out of sight and
+// published once (nametree.Load), where a Define per name would copy a
+// path of the index for each.
+func (s *Server) DefineAll(names []string, pairs []core.ContextPair) error {
+	if len(names) != len(pairs) {
+		return fmt.Errorf("%w: %d names for %d pairs", proto.ErrBadArgs, len(names), len(pairs))
+	}
+	keys := make([]string, len(names))
+	for i, name := range names {
+		var err error
+		if keys[i], err = tableName(name); err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The table Load replaces is part of the one it installs.
+	var old []tableEntry
+	s.index.Walk(func(name string, e tableEntry) bool {
+		keys = append(keys, name)
+		old = append(old, e)
+		return true
+	})
+	base := uint32(len(s.groups))
+	entry := func(i int) tableEntry {
+		if i < len(names) {
+			return tableEntry{b: Binding{Pair: pairs[i]}, slot: base + uint32(i)}
+		}
+		return old[i-len(names)]
+	}
+	if err := s.index.Load(keys, entry); err != nil {
+		return fmt.Errorf("%w: %v", proto.ErrDuplicateName, err)
+	}
+	s.groups = append(s.groups, make([]kernel.PID, len(names))...)
+	for i, name := range keys[:len(names)] {
+		s.bound(name, entry(i))
+	}
+	return nil
+}
+
+// tableName strips the optional brackets off a name being defined and
+// checks what is left can key the table.
+func tableName(name string) (string, error) {
 	name = strings.Trim(name, "[]")
 	if name == "" || strings.ContainsAny(name, "[]/") {
-		return fmt.Errorf("%w: bad prefix name %q", proto.ErrBadArgs, name)
+		return "", fmt.Errorf("%w: bad prefix name %q", proto.ErrBadArgs, name)
+	}
+	return name, nil
+}
+
+func (s *Server) define(name string, b Binding) error {
+	name, err := tableName(name)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.index.Get(name); dup {
 		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
-	// A holder group parked by a negative lease or an earlier delete
-	// moves onto the new node, so the define's invalidation (and every
-	// later grant) keeps the group identity.
-	gid := kernel.NilPID
+	e := tableEntry{b: b, slot: uint32(len(s.groups))}
+	s.groups = append(s.groups, kernel.NilPID)
+	s.index.Insert(name, e)
+	s.bound(name, e)
+	return nil
+}
+
+// bound finishes binding name to e, whose slot is new, after the index
+// has it: a holder group parked by a negative lease or an earlier delete
+// moves into the slot, so the define's invalidation (and every later
+// grant) keeps the group identity. Caller holds mu.
+func (s *Server) bound(name string, e tableEntry) {
 	if g, ok := s.orphans[name]; ok {
-		gid = g
+		s.groups[e.slot] = g
 		delete(s.orphans, name)
 	}
-	s.index.Insert(name, tableEntry{b: b, holders: gid})
-	if !b.Dynamic {
-		s.reverse.Add(b.Pair, name)
+	if !e.b.Dynamic {
+		s.reverse.Add(e.b.Pair, name)
 	}
-	return nil
+}
+
+// unbound is bound's inverse for an entry the index no longer has: its
+// holder group is parked so the invalidation of whatever removed the
+// binding reaches it and a later define re-adopts it. Caller holds mu.
+func (s *Server) unbound(name string, e tableEntry) {
+	if g := s.groups[e.slot]; g != kernel.NilPID {
+		s.orphans[name] = g
+	} else {
+		s.groups[e.slot] = retired
+	}
+	if !e.b.Dynamic {
+		s.reverse.Remove(e.b.Pair, name)
+	}
 }
 
 // Bindings returns a snapshot of the prefix table, read from the
@@ -395,7 +478,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	s.rates.ObserveResolution(pfx, p.Now())
 	p.Kernel().Flight().Record(p.Now(), flight.KindResolution, pfx, s.proc.Name(), "")
 	// The resolution fast path: one lock-free descent of the radix index
-	// yields the binding and the node's holder group together.
+	// yields the binding and its holder group's slot together.
 	e, ok := s.index.Get(pfx)
 	b := e.b
 	cb, wantLease := lease.Wanted(msg, name, rest)
@@ -406,7 +489,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 			// Unknown prefix, lease requested: grant a negative lease so
 			// the holder answers repeated lookups locally until a define
 			// invalidates it (lease.go).
-			s.stampLease(p, reply, pfx, cb, true, kernel.NilPID)
+			s.stampLease(p, reply, pfx, cb, true, 0)
 		}
 		return reply
 	}
@@ -452,7 +535,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 		// protocol would forward it to the target server (lease.go).
 		reply := core.OkReply()
 		proto.SetMapContextReply(reply, uint32(pair.Server), uint32(pair.Ctx))
-		s.stampLease(p, reply, pfx, cb, false, e.holders)
+		s.stampLease(p, reply, pfx, cb, false, e.slot)
 		return reply
 	}
 	proto.RewriteCSName(msg, uint32(pair.Ctx), rest)
@@ -663,14 +746,7 @@ func (s *Server) handleDelete(p *kernel.Process, msg *proto.Message) *proto.Mess
 		return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", key, proto.ErrNotFound))
 	}
 	s.index.Delete(key)
-	if e.holders != kernel.NilPID {
-		// Park the holder group so the delete's invalidation reaches it
-		// and a later redefine re-adopts the same group.
-		s.orphans[key] = e.holders
-	}
-	if !e.b.Dynamic {
-		s.reverse.Remove(e.b.Pair, key)
-	}
+	s.unbound(key, e)
 	delete(s.lastResolved, key)
 	s.mu.Unlock()
 	s.invalidateName(p, key)

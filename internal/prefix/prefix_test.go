@@ -235,6 +235,45 @@ func TestDefineValidation(t *testing.T) {
 	}
 }
 
+// TestDefineAll: a batch binds beside what the table holds — brackets
+// optional, the inverse mapping kept — or, when any name is malformed,
+// repeated or already bound, binds nothing at all.
+func TestDefineAll(t *testing.T) {
+	ps, _, target, _ := newPrefixRig(t)
+	a, b := core.ContextPair{Server: 7, Ctx: 1}, core.ContextPair{Server: 7, Ctx: 2}
+	pairs := []core.ContextPair{a, b, a}
+	for _, bad := range [][]string{
+		{"x", "y"},
+		{"x", "has/slash", "y"},
+		{"x", "", "y"},
+		{"x", "y", "[x]"},
+		{"x", "tgt", "y"},
+	} {
+		err := ps.DefineAll(bad, pairs)
+		if !errors.Is(err, proto.ErrBadArgs) && !errors.Is(err, proto.ErrDuplicateName) {
+			t.Fatalf("DefineAll(%q) err = %v", bad, err)
+		}
+		if got := ps.Bindings(); len(got) != 1 || got["tgt"].Pair.Server != target.PID() {
+			t.Fatalf("DefineAll(%q) failed but left table %+v", bad, got)
+		}
+	}
+	if err := ps.DefineAll([]string{"x", "[y]", "a.first"}, pairs); err != nil {
+		t.Fatal(err)
+	}
+	got := ps.Bindings()
+	if len(got) != 4 || got["x"].Pair != a || got["y"].Pair != b || got["a.first"].Pair != a || got["tgt"].Pair.Server != target.PID() {
+		t.Fatalf("table after DefineAll: %+v", got)
+	}
+	req := &proto.Message{Op: proto.OpGetContextName}
+	req.F[0], req.F[1] = uint32(a.Ctx), uint32(a.Server)
+	if reply := ps.handleInverse(req); string(reply.Segment) != "[a.first]" {
+		t.Fatalf("inverse of %v = %q", a, reply.Segment)
+	}
+	if err := ps.Define("x", a); !errors.Is(err, proto.ErrDuplicateName) {
+		t.Fatalf("Define over a bulk-bound name: %v", err)
+	}
+}
+
 func TestMapContextOfPrefixServerItself(t *testing.T) {
 	ps, client, _, _ := newPrefixRig(t)
 	req := &proto.Message{Op: proto.OpMapContext}

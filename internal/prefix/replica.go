@@ -179,33 +179,28 @@ func (rs *ReplicaService) Restore(p *kernel.Process, data []byte) error {
 	s := rs.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Drop the current table in place (the index pointer itself is
-	// stable for lock-free readers), parking holder groups so
-	// invalidation identity survives the install.
+	// Install the snapshot with one root swap (the index pointer itself
+	// is stable for lock-free readers): a resolution beside the install
+	// finds the old table or the new one, never a half-empty one.
 	var oldNames []string
+	var old []tableEntry
 	s.index.Walk(func(n string, e tableEntry) bool {
-		if e.holders != kernel.NilPID {
-			s.orphans[n] = e.holders
-		}
-		if !e.b.Dynamic {
-			s.reverse.Remove(e.b.Pair, n)
-		}
-		oldNames = append(oldNames, n)
+		oldNames, old = append(oldNames, n), append(old, e)
 		return true
 	})
-	for _, n := range oldNames {
-		s.index.Delete(n)
+	base := uint32(len(s.groups))
+	entry := func(i int) tableEntry { return tableEntry{b: binds[i], slot: base + uint32(i)} }
+	if s.index.Load(names, entry) != nil {
+		return bad
 	}
-	for i, name := range names {
-		gid := kernel.NilPID
-		if g, ok := s.orphans[name]; ok {
-			gid = g
-			delete(s.orphans, name)
-		}
-		s.index.Insert(name, tableEntry{b: binds[i], holders: gid})
-		if !binds[i].Dynamic {
-			s.reverse.Add(binds[i].Pair, name)
-		}
+	// Holder groups are parked and re-adopted by name, so invalidation
+	// identity survives the install.
+	for i, n := range oldNames {
+		s.unbound(n, old[i])
+	}
+	s.groups = append(s.groups, make([]kernel.PID, len(names))...)
+	for i, n := range names {
+		s.bound(n, entry(i))
 	}
 	s.lastResolved = make(map[string]kernel.PID)
 	return nil

@@ -2,7 +2,9 @@ package prefix
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -152,5 +154,70 @@ func TestPrefixSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := dst.Restore(nil, append(append([]byte(nil), img...), 0)); err == nil {
 		t.Fatalf("Restore accepted trailing garbage")
+	}
+}
+
+// TestRestoreIsOneRootSwap: a snapshot install replaces the table with
+// one published root, so a resolution beside it finds a name both tables
+// bind under its old binding or its new one — never missing, as it was
+// while the install emptied the old table a name at a time. Run under
+// -race this is also the publication-safety test of the install.
+func TestRestoreIsOneRootSwap(t *testing.T) {
+	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	image := func(ctx core.ContextID) []byte {
+		proc, err := k.NewHost("src").NewProcess("src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := New(proc, "mann")
+		for i := 0; i < 200; i++ {
+			if err := src.Define(fmt.Sprintf("n%d.%d", i, ctx), core.ContextPair{Server: 9, Ctx: ctx}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := src.Define("kept", core.ContextPair{Server: 9, Ctx: ctx}); err != nil {
+			t.Fatal(err)
+		}
+		return NewReplicaService(src).Snapshot()
+	}
+	images := [][]byte{image(1), image(2)}
+
+	proc, err := k.NewHost("dst").NewProcess("dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewReplicaService(New(proc, "mann"))
+	if err := dst.Restore(nil, images[0]); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e, ok := dst.s.index.Get("kept")
+				if !ok || (e.b.Pair.Ctx != 1 && e.b.Pair.Ctx != 2) {
+					t.Errorf("a resolution beside Restore saw kept = (%+v, %v)", e.b, ok)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 200; i++ {
+		if err := dst.Restore(nil, images[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := dst.s.Bindings(); len(got) != 201 || got["kept"].Pair.Ctx != 1 {
+		t.Fatalf("table after the last install: %d names, kept = %+v", len(got), got["kept"])
 	}
 }

@@ -82,11 +82,15 @@ func NewGroup(monHost *kernel.Host, cfg Config) (*Group, error) {
 		return nil, err
 	}
 	k := monHost.Kernel()
+	gid, err := k.CreateGroup()
+	if err != nil {
+		return nil, err
+	}
 	return &Group{
 		k:         k,
 		cfg:       cfg,
 		mon:       mon,
-		gid:       k.CreateGroup(),
+		gid:       gid,
 		leaderIdx: -1,
 	}, nil
 }

@@ -856,7 +856,10 @@ func TestGroupImplementedContextViaPrefix(t *testing.T) {
 	if err := r.FS2.WriteFile("/bin/hello", "system", []byte("replica image")); err != nil {
 		t.Fatal(err)
 	}
-	gid := r.Kernel.CreateGroup()
+	gid, err := r.Kernel.CreateGroup()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Kernel.JoinGroup(gid, r.FS1.PID()); err != nil {
 		t.Fatal(err)
 	}
@@ -1119,7 +1122,10 @@ func TestGroupOpenLeaksAtLosers(t *testing.T) {
 	if err := r.FS2.WriteFile("/bin/hello", "system", []byte("replica")); err != nil {
 		t.Fatal(err)
 	}
-	gid := r.Kernel.CreateGroup()
+	gid, err := r.Kernel.CreateGroup()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Kernel.JoinGroup(gid, r.FS1.PID()); err != nil {
 		t.Fatal(err)
 	}

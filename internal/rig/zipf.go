@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/popgen"
 	"repro/internal/prefix"
 	"repro/internal/trace"
@@ -111,10 +112,12 @@ func (t *Topology) addZipfClients() error {
 	}
 	// Bind the whole population: rank r lives on shard r mod Shards, so
 	// every shard carries its share of the popularity head and tail.
-	for r, name := range pop.Names {
-		if err := t.Prefix.Define(name, t.Shards[r%sc.Shards].RootPair()); err != nil {
-			return fmt.Errorf("rank %d (%q): %w", r, name, err)
-		}
+	pairs := make([]core.ContextPair, len(pop.Names))
+	for r := range pairs {
+		pairs[r] = t.Shards[r%sc.Shards].RootPair()
+	}
+	if err := t.Prefix.DefineAll(pop.Names, pairs); err != nil {
+		return fmt.Errorf("bind population: %w", err)
 	}
 
 	nclients := sc.Shards * sc.ClientsPerShard
