@@ -130,6 +130,10 @@ type Resolution struct {
 	// component is unbound (the caller decides between create-on-open
 	// and not-found) or when Last is empty.
 	Entry *Entry
+
+	// bound is where Entry points when it is set, so a resolution is one
+	// piece of storage.
+	bound Entry
 }
 
 // ResolvesToContext reports whether the resolution denotes a context on
@@ -206,7 +210,7 @@ func (e *NameError) Unwrap() error { return e.Err }
 // A leading separator resets interpretation to the server's default
 // (root) context, as with absolute pathnames.
 func Interpret(store ContextStore, proc *kernel.Process, name string, index int, ctx ContextID) (*Resolution, *Forward, error) {
-	return interpret(store, proc, name, index, ctx, true)
+	return interpret(new(Resolution), store, proc, name, index, ctx, true)
 }
 
 // InterpretBinding is Interpret for operations on the *binding* of the
@@ -214,10 +218,12 @@ func Interpret(store ContextStore, proc *kernel.Process, name string, index int,
 // §5.7): a final component bound to a remote context resolves here, to
 // the local binding, instead of being forwarded to the remote server.
 func InterpretBinding(store ContextStore, proc *kernel.Process, name string, index int, ctx ContextID) (*Resolution, *Forward, error) {
-	return interpret(store, proc, name, index, ctx, false)
+	return interpret(new(Resolution), store, proc, name, index, ctx, false)
 }
 
-func interpret(store ContextStore, proc *kernel.Process, name string, index int, ctx ContextID, forwardFinal bool) (*Resolution, *Forward, error) {
+// interpret is the procedure behind both: it overwrites res, the storage
+// of the Resolution it returns.
+func interpret(res *Resolution, store ContextStore, proc *kernel.Process, name string, index int, ctx ContextID, forwardFinal bool) (*Resolution, *Forward, error) {
 	model := proc.Kernel().Model()
 	if index < 0 || index > len(name) {
 		return nil, nil, fmt.Errorf("%w: name index %d out of range", proto.ErrBadArgs, index)
@@ -236,7 +242,7 @@ func interpret(store ContextStore, proc *kernel.Process, name string, index int,
 		return nil, nil, err
 	}
 
-	res := &Resolution{Name: name, Index: index, Final: cur}
+	*res = Resolution{Name: name, Index: index, Final: cur}
 	for pos < len(name) {
 		// Scan one component.
 		end := pos
@@ -280,8 +286,8 @@ func interpret(store ContextStore, proc *kernel.Process, name string, index int,
 		if last {
 			res.Final = cur
 			res.Last = component
-			e := entry
-			res.Entry = &e
+			res.bound = entry
+			res.Entry = &res.bound
 			return res, nil, nil
 		}
 		if entry.Local == nil {

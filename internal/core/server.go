@@ -18,9 +18,11 @@ type Request struct {
 	proc *kernel.Process
 
 	// name/res hold the CSname and its resolution once interpretation
-	// completed at this server; the name-fault stage reads them.
-	name string
-	res  *Resolution
+	// completed at this server; the name-fault stage reads them. res
+	// points at resolution, the request's own storage for it.
+	name       string
+	res        *Resolution
+	resolution Resolution
 }
 
 // Server returns the server processing the request.
@@ -104,6 +106,11 @@ type Server struct {
 	handler Handler
 	team    *Team
 	serve   HandlerFunc
+	// req is the receptionist's request storage: a served process
+	// handles one request at a time, so a team of one reuses it instead
+	// of allocating a Request and a Resolution per message. Handlers must
+	// not keep either past their return.
+	req Request
 
 	// stats counters are atomics: team workers bump them concurrently on
 	// every request, so the serving hot path must not share a mutex.
@@ -210,7 +217,13 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 		sp = tr.Start(p.PendingSpan(from), trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
 		p.SetCurrentSpan(sp)
 	}
-	req := &Request{Msg: msg, From: from, srv: s, proc: p}
+	req := &s.req
+	if p != s.proc {
+		// A team worker serves beside its peers.
+		req = new(Request)
+	}
+	req.Msg, req.From, req.srv, req.proc = msg, from, s, p
+	req.name, req.res = "", nil
 	reply := s.serve(req)
 	if reply == nil {
 		// A stage or the handler replied or forwarded itself.
@@ -330,14 +343,11 @@ func (s *Server) serveCSName(req *Request) *proto.Message {
 	if err != nil {
 		return ErrorReplyMsg(err)
 	}
-	interp := Interpret
-	if req.Msg.Op == proto.OpDeleteContextName {
-		// Deleting a context name operates on the binding itself; a
-		// final component that points into another server must not be
-		// forwarded there (§5.7).
-		interp = InterpretBinding
-	}
-	res, fwd, err := interp(s.store, req.Proc(), name, index, ContextID(proto.CSNameContext(req.Msg)))
+	// Deleting a context name operates on the binding itself; a final
+	// component that points into another server must not be forwarded
+	// there (§5.7, InterpretBinding).
+	forwardFinal := req.Msg.Op != proto.OpDeleteContextName
+	res, fwd, err := interpret(&req.resolution, s.store, req.Proc(), name, index, ContextID(proto.CSNameContext(req.Msg)), forwardFinal)
 	if err != nil {
 		return s.faultReply(err)
 	}

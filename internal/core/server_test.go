@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/proto"
+	"repro/internal/raceflag"
 	"repro/internal/vio"
 )
 
@@ -513,5 +514,40 @@ func TestServerStats(t *testing.T) {
 	b := tsB.srv.Stats()
 	if b.Requests != 1 || b.CSNameRequests != 1 || b.Forwarded != 0 || b.Failures != 0 {
 		t.Fatalf("B stats = %+v", b)
+	}
+}
+
+// TestMapContextAllocatesOnlyItsReply pins the serve path's allocation
+// contract: an untraced OpMapContext through a team-of-one Server costs
+// one heap allocation, the reply message — plus, for a name that is not
+// empty, the copy of it CSName takes out of the request's segment. The
+// request and its resolution live in the server's reused storage, and
+// the kernel transaction and the serving turn allocate nothing.
+func TestMapContextAllocatesOnlyItsReply(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	h := newDomain().NewHost("srv")
+	ts := startToyServer(t, h, "toy")
+	ts.store.AddContext(7)
+	if err := ts.store.Bind(CtxDefault, "users", ContextEntry(7)); err != nil {
+		t.Fatal(err)
+	}
+	client := newClientProc(t, h)
+	for name, want := range map[string]float64{"": 1, "users": 2} {
+		req := &proto.Message{Op: proto.OpMapContext}
+		proto.SetCSName(req, uint32(CtxDefault), name)
+		send := func() {
+			if reply, err := client.Send(req, ts.srv.PID()); err != nil || reply.Op != proto.ReplyOK {
+				t.Fatalf("MapContext %q: reply %v, err %v", name, reply, err)
+			}
+		}
+		// Warm the envelope pool and the pending table before counting.
+		for i := 0; i < 64; i++ {
+			send()
+		}
+		if allocs := testing.AllocsPerRun(1000, send); allocs != want {
+			t.Errorf("MapContext %q: %v allocs/op, want %v", name, allocs, want)
+		}
 	}
 }

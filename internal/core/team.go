@@ -43,9 +43,11 @@ type serveFunc func(p *kernel.Process, msg *proto.Message, from kernel.PID)
 // the original sender.
 //
 // Size counts the serving processes. Size 1 is the single-process server:
-// the receptionist serves every request inline, exactly reproducing the
-// pre-team behavior. For size n > 1 the receptionist only receives,
-// charges the dispatch cost, and hands off round-robin to n workers; the
+// the receptionist is a served process (kernel.Process.Serve) whose
+// handler is the serve function, so a request costs its sender a call
+// and no goroutine hand-off. For size n > 1 the receptionist only
+// receives, charges the dispatch cost, and hands off round-robin to n
+// workers, each with a goroutine of its own — they exist to overlap; the
 // intra-host hop is charged at LocalHop by the network layer.
 type Team struct {
 	recept    *kernel.Process
@@ -82,32 +84,54 @@ func (t *Team) Err() error {
 	return t.err
 }
 
-// Start spawns the worker processes (for sizes above 1) and runs the
-// reception loop in its own goroutine. It replaces `go team.Run()` when
-// the caller wants the worker-spawn error.
+// Start begins serving and returns: a team of one installs its handler
+// on the receptionist — before returning, so no request can reach the
+// pid and find nobody serving — and larger teams spawn their workers and
+// run the reception loop in its own goroutine. It replaces
+// `go team.Run()` when the caller wants the worker-spawn error.
 func (t *Team) Start() error {
+	if t.size <= 1 {
+		t.serveAlone()
+		go t.awaitExit()
+		return nil
+	}
 	if err := t.spawnWorkers(); err != nil {
 		return err
 	}
-	go t.run()
+	go t.receive()
 	return nil
 }
 
-// Run spawns the workers and runs the reception loop inline; it returns
-// when the receptionist process is destroyed. Call it from the
-// receptionist's goroutine (Host.Spawn).
+// Run serves until the receptionist process is destroyed. Call it from
+// the receptionist's goroutine (Host.Spawn).
 func (t *Team) Run() {
+	if t.size <= 1 {
+		t.serveAlone()
+		t.awaitExit()
+		return
+	}
 	if err := t.spawnWorkers(); err != nil {
 		t.recordExit(err)
 		return
 	}
-	t.run()
+	t.receive()
+}
+
+// serveAlone makes the receptionist of a team of one a served process.
+func (t *Team) serveAlone() {
+	t.recept.Serve(func(msg *proto.Message, from kernel.PID) {
+		t.serve(t.recept, msg, from)
+	})
+}
+
+// awaitExit records the exit of a team of one, which has no loop to
+// notice that its Receive failed.
+func (t *Team) awaitExit() {
+	<-t.recept.Done()
+	t.recordExit(kernel.ErrProcessDead)
 }
 
 func (t *Team) spawnWorkers() error {
-	if t.size <= 1 {
-		return nil
-	}
 	workers, err := t.recept.Host().SpawnTeam(t.recept.Name(), t.size, t.workerLoop)
 	if err != nil {
 		return fmt.Errorf("spawn team %s: %w", t.recept.Name(), err)
@@ -118,20 +142,10 @@ func (t *Team) spawnWorkers() error {
 	return nil
 }
 
-// run is the reception loop. With no workers the receptionist serves each
-// request itself; with workers it does only the standard dispatch work
-// before handing the transaction off (§3.1).
-func (t *Team) run() {
-	if t.size <= 1 {
-		for {
-			msg, from, err := t.recept.Receive()
-			if err != nil {
-				t.recordExit(err)
-				return
-			}
-			t.serve(t.recept, msg, from)
-		}
-	}
+// receive is the reception loop of a team with workers: the receptionist
+// does only the standard dispatch work before handing the transaction
+// off (§3.1).
+func (t *Team) receive() {
 	model := t.recept.Kernel().Model()
 	next := 0
 	for {

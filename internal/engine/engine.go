@@ -95,8 +95,8 @@ func (c Class) String() string {
 
 // Fences supplies the global fence schedule. Next returns the earliest
 // fence time strictly after `after` (ok=false when none remain); Fire
-// executes the fence — pumping the chaos engine, the replica groups and
-// the sampler, in that order — at the quiescent cut. Fire runs with the
+// executes the fence — pumping the virtual-time observers, the chaos
+// engine first — at the quiescent cut. Fire runs with the
 // Sync lock held and must not call back into the Sync.
 type Fences struct {
 	Next func(after vtime.Time) (vtime.Time, bool)

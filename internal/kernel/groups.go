@@ -154,7 +154,7 @@ func (p *Process) forwardGroup(env *envelope, msg *proto.Message, gid PID, sp tr
 			moveDst: env.moveDst,
 			span:    sp,
 		}
-		if target.deliver(clone) {
+		if p.pass(target, clone) {
 			delivered++
 		}
 	}

@@ -23,6 +23,9 @@ var (
 	// ErrProcessDead is returned to a process's own operations after it
 	// has been destroyed.
 	ErrProcessDead = errors.New("kernel: process destroyed")
+	// ErrServed is returned by Receive on a served process, whose
+	// messages go to its Serve handler instead.
+	ErrServed = errors.New("kernel: process is served")
 	// ErrNotFound is returned by GetPid when no registration matches.
 	ErrNotFound = errors.New("kernel: no process registered for service")
 	// ErrNoPendingMessage is returned by Reply/Forward/Move operations
@@ -353,8 +356,9 @@ func (h *Host) storeProcs(local uint16, p *Process) {
 	h.procs.Store(&procs)
 }
 
-// NewProcess creates a process on this host. The caller drives it (or
-// passes it to a goroutine); see Spawn for the server-loop convenience.
+// NewProcess creates a process on this host. The caller drives it, hands
+// it to a goroutine that loops on Receive (Spawn does both), or makes it
+// a served process with Serve.
 func (h *Host) NewProcess(name string) (*Process, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -6,7 +6,11 @@
 //
 // Every process carries a virtual clock; message deliveries stamp arrival
 // times computed from the netsim cost model, so experiments read latencies
-// off the clocks deterministically.
+// off the clocks deterministically. Because the clocks are per process,
+// not per goroutine, a process need not own a goroutine: a received
+// process loops on Receive in one, a served process (Process.Serve) has
+// its loop body run by whoever delivers to it, and no virtual-time result
+// can tell the two apart.
 package kernel
 
 import (

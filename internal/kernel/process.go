@@ -133,6 +133,16 @@ type Process struct {
 	mbox  chan *envelope
 	done  chan struct{}
 
+	// A served process (Serve) owns no goroutine: handler is the body of
+	// its `for { Receive; handle }` loop, and whoever delivers to it runs
+	// one turn of that loop under serveMu. serving marks the turn in
+	// progress and passed collects the envelopes its handler forwarded;
+	// both belong to the goroutine holding serveMu.
+	handler atomic.Pointer[func(msg *proto.Message, from PID)]
+	serveMu sync.Mutex
+	serving bool
+	passed  []handoff
+
 	mu      sync.Mutex
 	dead    bool
 	crashed bool              // died with its host, not by clean Destroy
@@ -340,22 +350,65 @@ func (p *Process) chargeFailedSend(dst PID, hostUp bool) {
 	}
 }
 
-// deliver enqueues an envelope for the process, failing if it is (or
-// becomes) dead.
+// handoff is an envelope a handler forwarded, waiting for the handler to
+// return before it is delivered to target.
+type handoff struct {
+	target *Process
+	env    *envelope
+}
+
+// Serve makes p a served process: from now on handler runs, on the
+// goroutine of whoever Sends or Forwards to p, for each message p would
+// otherwise have taken with Receive — one at a time, with p's clock
+// having observed the arrival. The handler answers with Reply or Forward
+// as a Receive loop's body would, or returns leaving the sender blocked
+// for a later turn to Reply to. A served process has no thread of its
+// own: its other primitives (Send, Reply, Forward, MoveTo/From) are for
+// its handler to call, and Receive fails with ErrServed.
+//
+// Virtual time cannot tell a served process from a received one: clocks
+// are per process, and the handler's charges land on p's clock whichever
+// goroutine executes them. Messages that reached p before Serve are
+// served before it returns.
+func (p *Process) Serve(handler func(msg *proto.Message, from PID)) {
+	p.handler.Store(&handler)
+	p.serveQueued(handler)
+}
+
+// serveQueued serves what sits in the mailbox of a served process: the
+// messages that arrived between NewProcess and Serve.
+func (p *Process) serveQueued(handler func(msg *proto.Message, from PID)) {
+	for {
+		select {
+		case env := <-p.mbox:
+			p.runTurn(handler, env)
+		default:
+			return
+		}
+	}
+}
+
+// deliver hands an envelope to the process — served at once if the
+// process is served, queued for its Receive otherwise — failing if it is
+// dead. A true result means the envelope's completion is no longer the
+// caller's to produce.
 func (p *Process) deliver(env *envelope) bool {
-	select {
-	case <-p.done:
+	if p.isDead() {
 		return false
-	default:
+	}
+	if h := p.handler.Load(); h != nil {
+		p.runTurn(*h, env)
+		return true
 	}
 	select {
 	case p.mbox <- env:
 		// If the process died between the check and the enqueue, sweep
-		// the mailbox so the sender is not stranded.
-		select {
-		case <-p.done:
+		// the mailbox so the sender is not stranded; if it became served,
+		// nobody will Receive what was just queued.
+		if p.isDead() {
 			p.drainMailbox()
-		default:
+		} else if h := p.handler.Load(); h != nil {
+			p.serveQueued(*h)
 		}
 		return true
 	case <-p.done:
@@ -363,21 +416,78 @@ func (p *Process) deliver(env *envelope) bool {
 	}
 }
 
+// runTurn runs one turn of a served process's loop on the calling
+// goroutine, then delivers what the handler forwarded. The forwards wait
+// for the serve lock to be released because a forward chain may lead
+// back here (A forwards to B forwards to A), which a nested delivery
+// would deadlock on and a mailbox never did.
+func (p *Process) runTurn(handler func(msg *proto.Message, from PID), env *envelope) {
+	var buf [4]handoff // on the stack: a turn forwards once, a group a few times
+	for _, h := range p.turn(handler, env, buf[:0]) {
+		if !h.target.deliver(h.env) {
+			h.env.fail(fmt.Errorf("forward to %v: %w", h.target.pid, ErrNonexistentProcess))
+		}
+	}
+}
+
+// turn is Receive and the loop body under the serve lock. It returns the
+// handler's forwards appended to out. The envelope is not read once the
+// handler has run: a replied-to sender may already have recycled it.
+func (p *Process) turn(handler func(msg *proto.Message, from PID), env *envelope, out []handoff) []handoff {
+	msg, from := env.msg, env.origin
+	p.serveMu.Lock()
+	defer p.serveMu.Unlock()
+	if !p.accept(env) {
+		// Died while the envelope waited its turn: the mailbox sweep.
+		env.fail(ErrNonexistentProcess)
+		return out
+	}
+	p.serving = true
+	handler(msg, from)
+	p.serving = false
+	out = append(out, p.passed...)
+	clear(p.passed)
+	p.passed = p.passed[:0]
+	return out
+}
+
+// pass hands a forwarded envelope on to target: at once, or — from
+// inside a handler — when the handler has returned (runTurn).
+func (p *Process) pass(target *Process, env *envelope) bool {
+	if p.serving {
+		p.passed = append(p.passed, handoff{target, env})
+		return true
+	}
+	return target.deliver(env)
+}
+
+// accept is the arrival of a message: the process's clock observes it
+// and the envelope waits in pending for Reply or Forward. It fails if the
+// process is dead.
+func (p *Process) accept(env *envelope) bool {
+	p.clock.Observe(env.arrival)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.dead {
+		return false
+	}
+	p.pending[env.origin] = env
+	return true
+}
+
 // Receive blocks until a message arrives, returning the message and the
 // pid of the (original) sender. The message must eventually be answered
 // with Reply or passed on with Forward.
 func (p *Process) Receive() (*proto.Message, PID, error) {
+	if p.handler.Load() != nil {
+		return nil, NilPID, ErrServed
+	}
 	select {
 	case env := <-p.mbox:
-		p.clock.Observe(env.arrival)
-		p.mu.Lock()
-		if p.dead {
-			p.mu.Unlock()
+		if !p.accept(env) {
 			env.fail(ErrNonexistentProcess)
 			return nil, NilPID, ErrProcessDead
 		}
-		p.pending[env.origin] = env
-		p.mu.Unlock()
 		return env.msg, env.origin, nil
 	case <-p.done:
 		return nil, NilPID, ErrProcessDead
@@ -490,7 +600,7 @@ func (p *Process) Forward(msg *proto.Message, from PID, to PID) error {
 	// then must not see a half-open forward. If delivery fails below,
 	// the failure classification lands on the root send span instead.
 	tr.End(sp, env.arrival)
-	if !target.deliver(env) {
+	if !p.pass(target, env) {
 		err := fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess)
 		env.fail(err)
 		return err

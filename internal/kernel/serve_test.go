@@ -1,0 +1,442 @@
+package kernel
+
+import (
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/proto"
+	"repro/internal/raceflag"
+	"repro/internal/vtime"
+)
+
+// serveEcho creates a served echo process: the served twin of spawnEcho.
+func serveEcho(t *testing.T, h *Host) *Process {
+	t.Helper()
+	p := newClient(t, h, "echo")
+	p.Serve(func(msg *proto.Message, from PID) {
+		reply := *msg
+		reply.Op = proto.ReplyOK
+		_ = p.Reply(&reply, from)
+	})
+	return p
+}
+
+// within fails the test if f has not returned after two seconds: a hang
+// is this file's usual failure mode.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s: still blocked after 2s", what)
+	}
+}
+
+// TestServedIndistinguishableInVirtualTime is the contract the whole
+// primitive rests on: the same exchanges against a served and a received
+// echo leave every clock involved at the same virtual time.
+func TestServedIndistinguishableInVirtualTime(t *testing.T) {
+	run := func(served bool) (client, server vtime.Time) {
+		k := newDomain(t)
+		h1, h2 := k.NewHost("a"), k.NewHost("b")
+		var echo *Process
+		if served {
+			echo = serveEcho(t, h2)
+		} else {
+			echo = spawnEcho(t, h2)
+		}
+		local := newClient(t, h2, "local")
+		remote := newClient(t, h1, "remote")
+		for i := 0; i < 5; i++ {
+			for _, c := range []*Process{local, remote, remote, local} {
+				if _, err := c.Send(&proto.Message{Op: proto.OpEcho, Segment: make([]byte, 100*i)}, echo.PID()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return local.Now() + remote.Now(), echo.Now()
+	}
+	c1, s1 := run(false)
+	c2, s2 := run(true)
+	if c1 != c2 || s1 != s2 {
+		t.Fatalf("received echo: clients %v server %v; served echo: clients %v server %v", c1, s1, c2, s2)
+	}
+}
+
+func TestServedForwardChainBackToForwarder(t *testing.T) {
+	// A forwards to B forwards back to A, which replies: were B's turn
+	// nested inside A's, the second delivery to A would wait on the serve
+	// lock the first still holds.
+	k := newDomain(t)
+	h := k.NewHost("a")
+	a, b := newClient(t, h, "A"), newClient(t, h, "B")
+	a.Serve(func(msg *proto.Message, from PID) {
+		if msg.F[0] == 0 {
+			msg.F[0] = 1
+			_ = a.Forward(msg, from, b.PID())
+			return
+		}
+		_ = a.Reply(&proto.Message{Op: proto.ReplyOK, F: msg.F}, from)
+	})
+	b.Serve(func(msg *proto.Message, from PID) {
+		msg.F[1] = 1
+		_ = b.Forward(msg, from, a.PID())
+	})
+	client := newClient(t, h, "client")
+	within(t, "A -> B -> A", func() {
+		reply, err := client.Send(&proto.Message{Op: proto.OpEcho}, a.PID())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if reply.F[0] != 1 || reply.F[1] != 1 {
+			t.Errorf("reply fields %v: the chain skipped a hop", reply.F[:2])
+		}
+	})
+	// The forwarder's clock saw both deliveries, B's the one between.
+	if a.Now() <= b.Now() || b.Now() == 0 {
+		t.Fatalf("clocks A %v, B %v: want 0 < B < A", a.Now(), b.Now())
+	}
+}
+
+func TestServedForwardToDeadTargetFailsSender(t *testing.T) {
+	// The target dies between the handler's Forward and the delivery made
+	// once the handler has returned.
+	k := newDomain(t)
+	h := k.NewHost("a")
+	fwd, target := newClient(t, h, "fwd"), serveEcho(t, h)
+	fwd.Serve(func(msg *proto.Message, from PID) {
+		if err := fwd.Forward(msg, from, target.PID()); err != nil {
+			t.Errorf("Forward = %v", err)
+		}
+		target.Destroy()
+	})
+	client := newClient(t, h, "client")
+	within(t, "forward to a process destroyed meanwhile", func() {
+		if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, fwd.PID()); !errors.Is(err, ErrNonexistentProcess) {
+			t.Errorf("err = %v, want ErrNonexistentProcess", err)
+		}
+	})
+}
+
+func TestServedDeferredReply(t *testing.T) {
+	// The first request's handler returns without replying; the second
+	// request's handler answers both.
+	k := newDomain(t)
+	h := k.NewHost("a")
+	srv := newClient(t, h, "srv")
+	var waiting PID
+	parked := make(chan struct{})
+	srv.Serve(func(msg *proto.Message, from PID) {
+		if waiting == NilPID {
+			waiting = from
+			close(parked)
+			return
+		}
+		_ = srv.Reply(&proto.Message{Op: proto.ReplyOK, F: [6]uint32{1}}, waiting)
+		_ = srv.Reply(&proto.Message{Op: proto.ReplyOK, F: [6]uint32{2}}, from)
+	})
+	first, second := newClient(t, h, "first"), newClient(t, h, "second")
+	got := make(chan uint32, 1)
+	go func() {
+		reply, err := first.Send(&proto.Message{Op: proto.OpEcho}, srv.PID())
+		if err != nil {
+			t.Error(err)
+			got <- 0
+			return
+		}
+		got <- reply.F[0]
+	}()
+	<-parked
+	select {
+	case v := <-got:
+		t.Fatalf("first sender unblocked with %d before anyone replied", v)
+	default:
+	}
+	reply, err := second.Send(&proto.Message{Op: proto.OpEcho}, srv.PID())
+	if err != nil || reply.F[0] != 2 {
+		t.Fatalf("second sender: reply %v, err %v", reply, err)
+	}
+	within(t, "deferred reply", func() {
+		if v := <-got; v != 1 {
+			t.Errorf("first sender got %d, want the deferred reply 1", v)
+		}
+	})
+}
+
+func TestReceiveOnServedProcessFails(t *testing.T) {
+	k := newDomain(t)
+	p := serveEcho(t, k.NewHost("a"))
+	within(t, "Receive on a served process", func() {
+		if _, _, err := p.Receive(); !errors.Is(err, ErrServed) {
+			t.Errorf("err = %v, want ErrServed", err)
+		}
+	})
+}
+
+func TestSendBeforeServeIsServed(t *testing.T) {
+	// A message that reaches the pid before its handler is installed must
+	// not sit in a mailbox nobody reads.
+	k := newDomain(t)
+	h := k.NewHost("a")
+	srv, client := newClient(t, h, "srv"), newClient(t, h, "client")
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := client.Send(&proto.Message{Op: proto.OpEcho}, srv.PID())
+		errCh <- err
+	}()
+	for len(srv.mbox) == 0 {
+		runtime.Gosched()
+	}
+	srv.Serve(func(msg *proto.Message, from PID) {
+		_ = srv.Reply(&proto.Message{Op: proto.ReplyOK}, from)
+	})
+	within(t, "send queued before Serve", func() {
+		if err := <-errCh; err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+func TestCrashWhileHandlerParkedInNestedSend(t *testing.T) {
+	k := newDomain(t)
+	h1, h2 := k.NewHost("srv"), k.NewHost("backend")
+	parked, release := make(chan struct{}), make(chan struct{})
+	backend, err := h2.Spawn("backend", func(p *Process) {
+		for {
+			_, from, err := p.Receive()
+			if err != nil {
+				return
+			}
+			close(parked)
+			<-release
+			_ = p.Reply(&proto.Message{Op: proto.ReplyOK}, from)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(backend.Destroy)
+
+	srv := newClient(t, h1, "srv")
+	var lateReply error
+	srv.Serve(func(msg *proto.Message, from PID) {
+		_, _ = srv.Send(&proto.Message{Op: proto.OpEcho}, backend.PID())
+		lateReply = srv.Reply(&proto.Message{Op: proto.ReplyOK}, from)
+	})
+	client := newClient(t, h2, "client")
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := client.Send(&proto.Message{Op: proto.OpEcho}, srv.PID())
+		errCh <- err
+	}()
+	<-parked
+	srv.mu.Lock()
+	env := srv.pending[client.PID()]
+	srv.mu.Unlock()
+	if env == nil {
+		t.Fatal("no pending envelope while the handler runs")
+	}
+	_, _, puts0 := EnvPoolStats()
+
+	h1.Crash()
+	// The crash has failed the transaction, but the sender's goroutine is
+	// the one parked in the handler: it reads the failure once the nested
+	// Send comes back.
+	close(release)
+	within(t, "sender of a crashed served process", func() {
+		if err := <-errCh; !errors.Is(err, ErrNonexistentProcess) {
+			t.Errorf("err = %v, want ErrNonexistentProcess", err)
+		}
+	})
+	if !errors.Is(lateReply, ErrNoPendingMessage) {
+		t.Errorf("the dead handler's Reply = %v, want ErrNoPendingMessage", lateReply)
+	}
+	if !env.shared || len(env.replyCh) != 0 {
+		t.Errorf("outer envelope: shared %v, %d unread events; want retired with its one event consumed", env.shared, len(env.replyCh))
+	}
+	// Only the nested transaction's envelope went back to the pool.
+	if _, _, puts := EnvPoolStats(); puts != puts0+1 {
+		t.Errorf("%d envelopes recycled, want 1", puts-puts0)
+	}
+
+	h1.Restart()
+	again, err := h1.NewProcess("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(again.Destroy)
+	again.Serve(func(msg *proto.Message, from PID) {
+		_ = again.Reply(&proto.Message{Op: proto.ReplyOK}, from)
+	})
+	if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, again.PID()); err != nil {
+		t.Fatalf("restarted server: %v", err)
+	}
+}
+
+func TestServedConcurrentSenders(t *testing.T) {
+	const senders, each = 8, 10000
+	k := newDomain(t)
+	h := k.NewHost("a")
+	srv := newClient(t, h, "srv")
+	var last vtime.Time
+	var turns int
+	srv.Serve(func(msg *proto.Message, from PID) {
+		// One turn at a time: plain variables, for the race detector.
+		turns++
+		if now := srv.Now(); now < last {
+			t.Errorf("server clock went back: %v after %v", now, last)
+		} else {
+			last = now
+		}
+		_ = srv.Reply(&proto.Message{Op: proto.ReplyOK, F: msg.F}, from)
+	})
+	var wg sync.WaitGroup
+	var replies atomic.Int64
+	for s := 0; s < senders; s++ {
+		client := newClient(t, h, "client")
+		wg.Add(1)
+		go func(s uint32) {
+			defer wg.Done()
+			for i := uint32(0); i < each; i++ {
+				reply, err := client.Send(&proto.Message{Op: proto.OpEcho, F: [6]uint32{s, i}}, srv.PID())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if reply.F[0] != s || reply.F[1] != i {
+					t.Errorf("sender %d request %d got the reply to %d/%d", s, i, reply.F[0], reply.F[1])
+					return
+				}
+				replies.Add(1)
+			}
+		}(uint32(s))
+	}
+	wg.Wait()
+	if turns != senders*each || replies.Load() != senders*each {
+		t.Fatalf("%d turns, %d replies, want %d of each", turns, replies.Load(), senders*each)
+	}
+}
+
+func TestServedProcessesOwnNoGoroutine(t *testing.T) {
+	k := newDomain(t)
+	h := k.NewHost("a")
+	client := newClient(t, h, "client")
+	before := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		p, err := h.NewProcess("srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Serve(func(msg *proto.Message, from PID) {
+			_ = p.Reply(&proto.Message{Op: proto.ReplyOK}, from)
+		})
+		if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, p.PID()); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			p.Destroy()
+		}
+	}
+	if during := runtime.NumGoroutine(); during > before {
+		t.Errorf("%d goroutines with 500 served processes alive, %d before", during, before)
+	}
+	h.Crash()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after destroying them, %d before", after, before)
+	}
+}
+
+func TestGroupSendsToServedMembers(t *testing.T) {
+	k := newDomain(t)
+	h := k.NewHost("a")
+	gid, err := k.CreateGroup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served [3]int
+	for i := range served {
+		i := i
+		m := newClient(t, h, "member")
+		m.Serve(func(msg *proto.Message, from PID) {
+			served[i]++
+			_ = m.Reply(&proto.Message{Op: proto.ReplyOK}, from)
+		})
+		if err := k.JoinGroup(gid, m.PID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := newClient(t, h, "client")
+	if n, err := client.SendGroupAll(&proto.Message{Op: proto.OpEcho}, gid); err != nil || n != 3 {
+		t.Fatalf("SendGroupAll = %d, %v; want all 3 members", n, err)
+	}
+	if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, gid); err != nil {
+		t.Fatal(err)
+	}
+	// A served forwarder hands a group its clones once its turn is over.
+	fwd := newClient(t, h, "fwd")
+	fwd.Serve(func(msg *proto.Message, from PID) { _ = fwd.Forward(msg, from, gid) })
+	if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, fwd.PID()); err != nil {
+		t.Fatal(err)
+	}
+	if served != [3]int{3, 3, 3} {
+		t.Fatalf("members served %v messages, want 3 each", served)
+	}
+}
+
+// TestServedSendZeroAllocUntraced is TestSendZeroAllocUntraced for a
+// served echo: Send, the handler and its Reply run on one goroutine and
+// allocate nothing — not the turn's bookkeeping either.
+func TestServedSendZeroAllocUntraced(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	k := New(netsim.New(vtime.DefaultModel(), 1))
+	h := k.NewHost("alloc")
+	echo, err := h.NewProcess("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply proto.Message
+	echo.Serve(func(msg *proto.Message, from PID) {
+		reply = *msg
+		reply.Op = proto.ReplyOK
+		_ = echo.Reply(&reply, from)
+	})
+	fwd, err := h.NewProcess("fwd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd.Serve(func(msg *proto.Message, from PID) { _ = fwd.Forward(msg, from, echo.PID()) })
+	client, err := h.NewProcess("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &proto.Message{Op: proto.OpEcho}
+	for _, dst := range []PID{echo.PID(), fwd.PID()} {
+		// Warm the envelope pool, the pending tables and the forward list.
+		for i := 0; i < 64; i++ {
+			if _, err := client.Send(req, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := client.Send(req, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("untraced Send to served %v allocates %v allocs/op, want 0", dst, allocs)
+		}
+	}
+}

@@ -171,17 +171,22 @@ func NewCache(m *Meter) *Cache {
 	return &Cache{Meter: m, entries: make(map[string]Entry)}
 }
 
-// Listen switches the cache to the leased policy by spawning its
+// Listen switches the cache to the leased policy by creating its
 // callback process on host. propagate, if non-nil, runs after each
 // applied invalidation and before its acknowledgement: a tier hands the
 // invalidation on to its own holders there, so the upstream barrier
 // covers the whole subtree. The callback must be a process of its own —
 // the serving process may be blocked in Acquire while the granter waits
 // on this callback, and one process doing both would deadlock the barrier.
-func (c *Cache) Listen(host *kernel.Host, name string, propagate func(p *kernel.Process, name string, commit time.Duration)) (err error) {
+func (c *Cache) Listen(host *kernel.Host, name string, propagate func(p *kernel.Process, name string, commit time.Duration)) error {
+	p, err := host.NewProcess(name)
+	if err != nil {
+		return err
+	}
 	c.propagate = propagate
-	c.callback, err = host.Spawn(name, c.serveCallbacks)
-	return err
+	c.callback = p
+	p.Serve(func(msg *proto.Message, from kernel.PID) { c.serveCallback(p, msg, from) })
+	return nil
 }
 
 // Callback returns the pid of the callback process (NilPID under the
@@ -201,49 +206,43 @@ func (c *Cache) Close() {
 	}
 }
 
-// serveCallbacks is the callback process body. Replying only after the
-// entry is gone is what makes a granter's SendGroupAll a barrier: when
-// its define or delete returns, this holder has already dropped the name.
-func (c *Cache) serveCallbacks(p *kernel.Process) {
-	for {
-		msg, from, err := p.Receive()
-		if err != nil {
-			return
+// serveCallback is the callback process's handler. Replying only after
+// the entry is gone is what makes a granter's SendGroupAll a barrier:
+// when its define or delete returns, this holder has already dropped the
+// name.
+func (c *Cache) serveCallback(p *kernel.Process, msg *proto.Message, from kernel.PID) {
+	// The lease event hangs off the granter's transaction. A holder
+	// that propagates also sends from here, and opens a serve span for
+	// those sends to nest under.
+	tr := p.Tracer()
+	var sp trace.SpanID
+	if tr != nil {
+		sp = p.PendingSpan(from)
+		if c.propagate != nil {
+			sp = tr.Start(sp, trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
 		}
-		// The lease event hangs off the granter's transaction. A holder
-		// that propagates also sends from here, and opens a serve span for
-		// those sends to nest under.
-		tr := p.Tracer()
-		var sp trace.SpanID
-		if tr != nil {
-			sp = p.PendingSpan(from)
-			if c.propagate != nil {
-				sp = tr.Start(sp, trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
-			}
-			p.SetCurrentSpan(sp)
-		}
-		reply := &proto.Message{Op: proto.ReplyOK}
-		if msg.Op != proto.OpCacheInvalidate {
-			reply.Op = proto.ReplyIllegalRequest
-		} else if name, commit, err := proto.CacheInvalidate(msg); err != nil {
-			reply.Op = proto.ReplyBadArgs
-		} else {
-			c.Drop(name)
-			c.Observe(p, Invalidation, name, p.Now(), Entry{})
-			if c.propagate != nil {
-				c.propagate(p, name, time.Duration(commit))
-			}
-		}
-		if tr != nil {
-			if c.propagate != nil {
-				tr.Fail(sp, p.Now(), core.ReplyClass(reply))
-			}
-			p.SetCurrentSpan(0)
-		}
-		if p.Reply(reply, from) != nil {
-			return
+		p.SetCurrentSpan(sp)
+	}
+	reply := &proto.Message{Op: proto.ReplyOK}
+	if msg.Op != proto.OpCacheInvalidate {
+		reply.Op = proto.ReplyIllegalRequest
+	} else if name, commit, err := proto.CacheInvalidate(msg); err != nil {
+		reply.Op = proto.ReplyBadArgs
+	} else {
+		c.Drop(name)
+		c.Observe(p, Invalidation, name, p.Now(), Entry{})
+		if c.propagate != nil {
+			c.propagate(p, name, time.Duration(commit))
 		}
 	}
+	if tr != nil {
+		if c.propagate != nil {
+			tr.Fail(sp, p.Now(), core.ReplyClass(reply))
+		}
+		p.SetCurrentSpan(0)
+	}
+	// A failed reply has already failed the granter's transaction.
+	_ = p.Reply(reply, from)
 }
 
 // Lookup classifies the cache's answer for name at virtual time now and

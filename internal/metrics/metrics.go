@@ -272,6 +272,40 @@ func (r *Registry) gauge(name string, l Labels, volatile bool) *Gauge {
 	return g
 }
 
+// SetGauges sets every gauge in points, creating the ones the registry
+// lacks — volatile if the point says so — with one copy of the gauge
+// table where a Gauge call apiece would copy it once per new gauge. It
+// is the write side of Snapshot().Gauges, for publishers of a few
+// hundred gauges at a time (namestat.Publish).
+func (r *Registry) SetGauges(points []GaugePoint) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.gauges.Load()
+	var table map[instKey]*Gauge // the published one until a gauge is missing, then its copy
+	if old != nil {
+		table = *old
+	}
+	copied := false
+	for _, p := range points {
+		k := instKey{p.Name, p.Labels}
+		g := table[k]
+		if g == nil {
+			if !copied {
+				table, copied = copyMap(old), true
+			}
+			g = &Gauge{volatile: p.Volatile}
+			table[k] = g
+		}
+		g.Set(p.Value)
+	}
+	if copied {
+		r.gauges.Store(&table)
+	}
+}
+
 // Histogram returns (creating if needed) the named latency histogram.
 func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	if r == nil {

@@ -184,3 +184,34 @@ func TestSamplerNextAt(t *testing.T) {
 		t.Fatalf("default tick = %v, want 50ms", def.Tick())
 	}
 }
+
+func TestSetGaugesMatchesOneByOne(t *testing.T) {
+	points := []GaugePoint{
+		{Name: "top", Labels: Labels{Server: "pfx", Op: "bin"}, Value: 7, Volatile: true},
+		{Name: "rate", Labels: Labels{Server: "pfx", Op: "bin"}, Value: -3, Volatile: true},
+		{Name: "inflight", Labels: Labels{}, Value: 2},
+		{Name: "top", Labels: Labels{Server: "pfx", Op: "bin"}, Value: 9, Volatile: true}, // again: the last value stands
+	}
+	one, batch := New(), New()
+	batch.Gauge("inflight", Labels{}).Set(40) // one gauge exists already
+	before := batch.gauges.Load()
+	for _, p := range points {
+		one.gauge(p.Name, p.Labels, p.Volatile).Set(p.Value)
+	}
+	batch.SetGauges(points)
+	if got, want := batch.Snapshot(), one.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SetGauges left %+v, one by one %+v", got.Gauges, want.Gauges)
+	}
+	// Readers of the table it replaced see no change, and a batch that
+	// creates nothing replaces nothing.
+	if len(*before) != 1 {
+		t.Fatalf("the published table was edited in place: %d gauges", len(*before))
+	}
+	table := batch.gauges.Load()
+	batch.SetGauges(points[:2])
+	if batch.gauges.Load() != table {
+		t.Fatal("SetGauges copied the table to set gauges it already had")
+	}
+	var none *Registry
+	none.SetGauges(points) // must not panic
+}

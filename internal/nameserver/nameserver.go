@@ -43,7 +43,11 @@ func Start(host *kernel.Host) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{proc: proc, table: make(map[string]Binding)}
-	go s.run()
+	model := proc.Kernel().Model()
+	proc.Serve(func(msg *proto.Message, from kernel.PID) {
+		proc.ChargeCompute(model.ServerDispatchCost + model.ContextLookupCost)
+		_ = proc.Reply(s.serve(msg), from)
+	})
 	if err := proc.SetPid(kernel.ServiceNameServer, proc.PID(), kernel.ScopeBoth); err != nil {
 		return nil, err
 	}
@@ -72,18 +76,6 @@ func (s *Server) Entries() map[string]Binding {
 		out[k] = v
 	}
 	return out
-}
-
-func (s *Server) run() {
-	model := s.proc.Kernel().Model()
-	for {
-		msg, from, err := s.proc.Receive()
-		if err != nil {
-			return
-		}
-		s.proc.ChargeCompute(model.ServerDispatchCost + model.ContextLookupCost)
-		_ = s.proc.Reply(s.serve(msg), from)
-	}
 }
 
 func (s *Server) serve(msg *proto.Message) *proto.Message {

@@ -428,15 +428,27 @@ func Publish(reg *metrics.Registry, server string, top *TopK, rates *Rates) {
 	if reg == nil {
 		return
 	}
-	for _, it := range top.Snapshot() {
-		reg.VolatileGauge("namestat_top_count", metrics.Labels{Server: server, Op: it.Name, Class: "namestat"}).Set(int64(it.Count))
+	tops, rateItems := top.Snapshot(), rates.Snapshot()
+	points := make([]metrics.GaugePoint, 0, len(tops)+5*len(rateItems))
+	gauge := func(name, observed string, v int64) {
+		points = append(points, metrics.GaugePoint{
+			Name:     name,
+			Labels:   metrics.Labels{Server: server, Op: observed, Class: "namestat"},
+			Value:    v,
+			Volatile: true,
+		})
 	}
-	for _, it := range rates.Snapshot() {
-		l := metrics.Labels{Server: server, Op: it.Name, Class: "namestat"}
-		reg.VolatileGauge("namestat_res_rate_mhz", l).Set(it.ResRateMilliHz)
-		reg.VolatileGauge("namestat_redef_rate_mhz", l).Set(it.RedefRateMilliHz)
-		reg.VolatileGauge("namestat_renew_rate_mhz", l).Set(it.RenewRateMilliHz)
-		reg.VolatileGauge("namestat_invalidation_fanout_milli", l).Set(it.FanoutMilli)
-		reg.VolatileGauge("namestat_max_stale_us", l).Set(it.MaxStaleUS)
+	for _, it := range tops {
+		gauge("namestat_top_count", it.Name, int64(it.Count))
 	}
+	for _, it := range rateItems {
+		gauge("namestat_res_rate_mhz", it.Name, it.ResRateMilliHz)
+		gauge("namestat_redef_rate_mhz", it.Name, it.RedefRateMilliHz)
+		gauge("namestat_renew_rate_mhz", it.Name, it.RenewRateMilliHz)
+		gauge("namestat_invalidation_fanout_milli", it.Name, it.FanoutMilli)
+		gauge("namestat_max_stale_us", it.Name, it.MaxStaleUS)
+	}
+	// One registration for the lot: a VolatileGauge call apiece copies
+	// the registry's gauge table once per new gauge.
+	reg.SetGauges(points)
 }

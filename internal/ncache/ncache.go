@@ -97,12 +97,13 @@ func Start(host *kernel.Host, name string, upstream kernel.PID, leaseLen time.Du
 	if err != nil {
 		return nil, err
 	}
-	main, err := host.Spawn(name, t.serve)
+	main, err := host.NewProcess(name)
 	if err != nil {
 		t.cache.Close()
 		return nil, err
 	}
 	t.proc = main
+	main.Serve(func(msg *proto.Message, from kernel.PID) { t.serveOne(main, msg, from) })
 	return t, nil
 }
 
@@ -135,17 +136,6 @@ func (t *Tier) Stats() Stats {
 // has served the most lease requests for, by estimated count.
 func (t *Tier) TopNames() []namestat.Item {
 	return t.topk.Snapshot()
-}
-
-// serve is the tier's main loop.
-func (t *Tier) serve(p *kernel.Process) {
-	for {
-		msg, from, err := p.Receive()
-		if err != nil {
-			return
-		}
-		t.serveOne(p, msg, from)
-	}
 }
 
 // serveOne handles one request: lease-flagged bare-prefix MapContexts

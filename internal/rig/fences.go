@@ -1,27 +1,14 @@
 // Fence wiring for the conservative engine (PROTOCOL.md §12): the
-// chaos → groups → sampler pump order of §11.4, generalized from
-// per-operation sequential pumping to global fences fired at the
-// engine's quiescent cuts.
+// sequential driver's per-operation pumping of the chaos engine (§11.4),
+// generalized to global fences fired at the engine's quiescent cuts.
 package rig
 
 import (
 	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/flight"
-	"repro/internal/metrics"
 	"repro/internal/vtime"
 )
-
-// EngineFences builds the standard fence schedule for RunWorkloadEngine
-// on this rig: fence times are the merged chaos-event times and sampler
-// tick boundaries, and each firing pumps the chaos engine first, then
-// every replication group, then the sampler — the fixed observer order
-// that keeps runs deterministic, now anchored at globally quiescent
-// virtual times instead of at whichever lane's operation happened to
-// pump past them. eng may be nil (sampler ticks only).
-func (r *Rig) EngineFences(eng *chaos.Engine) engine.Fences {
-	return SealFlightAtFences(MergeFences(eng, r.Sampler, r.PumpGroups), r.Flight)
-}
 
 // SealFlightAtFences wraps a fence source so every firing also seals the
 // flight recorder's ring at the fence time (PROTOCOL.md §15): the cut is
@@ -43,35 +30,18 @@ func SealFlightAtFences(f engine.Fences, rec *flight.Recorder) engine.Fences {
 	return f
 }
 
-// MergeFences merges a chaos schedule and a sampler into one fence
-// source, firing chaos events, then the groups hook (when non-nil), then
-// the sampler, at every fence time. Any argument may be nil.
-func MergeFences(eng *chaos.Engine, sampler *metrics.Sampler, groups func(vtime.Time)) engine.Fences {
-	next := func(after vtime.Time) (vtime.Time, bool) {
-		var at vtime.Time
-		ok := false
-		if eng != nil {
-			if t, pending := eng.NextEventAt(); pending && t > after {
-				at, ok = t, true
-			}
-		}
-		if sampler != nil {
-			if t := sampler.NextAt(); t > after && (!ok || t < at) {
-				at, ok = t, true
-			}
-		}
-		return at, ok
+// ChaosFences is the fence source of a chaos schedule: a fence at every
+// pending event's time, each firing the events due by then. eng may be
+// nil (no faults, no fences).
+func ChaosFences(eng *chaos.Engine) engine.Fences {
+	if eng == nil {
+		return engine.Fences{}
 	}
-	fire := func(at vtime.Time) {
-		if eng != nil {
-			eng.AdvanceTo(at)
-		}
-		if groups != nil {
-			groups(at)
-		}
-		if sampler != nil {
-			sampler.AdvanceTo(at)
-		}
+	return engine.Fences{
+		Next: func(after vtime.Time) (vtime.Time, bool) {
+			t, pending := eng.NextEventAt()
+			return t, pending && t > after
+		},
+		Fire: eng.AdvanceTo,
 	}
-	return engine.Fences{Next: next, Fire: fire}
 }

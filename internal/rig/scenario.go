@@ -177,7 +177,7 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 		eng = chaos.New(t.Kernel, sc.Faults)
 		eng.RedefineHook = t.redefine
 	}
-	fences := SealFlightAtFences(MergeFences(eng, nil, nil), t.Flight)
+	fences := SealFlightAtFences(ChaosFences(eng), t.Flight)
 	res := RunWorkloadEngine(t.Clients, EngineOptions{Fences: fences})
 
 	ev.Topology = t

@@ -130,9 +130,9 @@ func RunWorkload(clients []*WorkloadClient) *WorkloadResult {
 
 // EngineOptions parameterizes RunWorkloadEngine.
 type EngineOptions struct {
-	// Fences is the global fence schedule (chaos event times, sampler
-	// ticks) fired at quiescent cuts between operations; see
-	// rig.EngineFences for the standard chaos → groups → sampler wiring.
+	// Fences is the global fence schedule fired at quiescent cuts
+	// between operations; rig.Run wires a scenario's chaos events and
+	// flight seals (ChaosFences, SealFlightAtFences).
 	Fences engine.Fences
 	// Lookahead overrides the conservative lookahead bound. Zero derives
 	// it from the clients' own network (netsim.Network.Lookahead); the
