@@ -35,7 +35,7 @@ check: vet
 	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
@@ -50,10 +50,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Where does the time go? CPU and allocation profiles of one root-module
-# benchmark — W=ZipfMiss and W=ZipfHit are the ledger's resolve_miss and
-# resolve_hit shapes at a tenth of the size, on one P as the ledger pins
-# it — kept in a temp dir, hottest 25 by cumulative share printed. Read
-# this before attributing a remainder bench/'s probes leave unexplained.
+# benchmark — W=ZipfMiss, W=ZipfHit and W=FileIO are the ledger's
+# resolve_miss, resolve_hit and paper_fileio shapes at a tenth of the
+# size, on one P as the ledger pins it — kept in a temp dir, hottest 25
+# by cumulative share printed. Read this before attributing a remainder
+# bench/'s probes leave unexplained.
 W ?= ZipfMiss
 profile:
 	@set -e; tmp=$$(mktemp -d); \
@@ -124,9 +125,10 @@ fuzz:
 # Statement coverage with a recorded floor: fails if total coverage
 # drops below COVERAGE_FLOOR. COVER_PKGS are printed beside the total:
 # the lease mechanism and its three callers, the packages ROADMAP item 3
-# raised by testing failure paths, and the three observers whose storage
-# ROADMAP item 5(a) rewrote.
-COVER_PKGS = client ncache prefix lease trace flight namestat
+# raised by testing failure paths, the three observers whose storage
+# ROADMAP item 5(a) rewrote, and vio, whose client side had no test of
+# its own until its ReadAll was rewritten.
+COVER_PKGS = client ncache prefix lease trace flight namestat vio
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	@for p in $(COVER_PKGS); do \

@@ -7,10 +7,15 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
@@ -458,4 +463,113 @@ func BenchmarkZipfMiss(b *testing.B) {
 func BenchmarkZipfHit(b *testing.B) {
 	benchZipf(b, rig.ZipfConfig{Population: 10_000, Skew: 1.3, Lease: 10 * time.Second,
 		Interarrival: 20 * time.Millisecond, Arrivals: 6_000})
+}
+
+// BenchmarkFileIO is the repository benchmark's paper_fileio shape
+// (bench/fileio.go) at a tenth of the size, for `make profile W=FileIO`:
+// the paper's rig, ~2 000 files of 2-6 KB in 20 directories over both
+// file servers seeded through a session, then four closed-loop programs
+// running the fixed mix Query, ReadFile, WriteFile (0.5-1.5 KB), List, all
+// by [prefix]-names, every answer checked. One iteration is 6 000
+// operations. Like the Zipf pair it claims nothing: bench/ is the ledger.
+func BenchmarkFileIO(b *testing.B) {
+	const dirs, opsPerClient, scratchSlots = 20, 1500, 16
+	r := benchRig(b, rig.DefaultConfig())
+	rng := rand.New(rand.NewSource(42))
+	block := make([]byte, 6144)
+	rng.Read(block)
+	// A file's bytes are a prefix of block with its identity stamped over
+	// the first 8, so a read is checked without building what it expects.
+	contents := func(n int, id uint64) []byte {
+		c := append([]byte(nil), block[:n]...)
+		binary.LittleEndian.PutUint64(c, id)
+		return c
+	}
+	seeder := r.WS[0].Session
+	for _, root := range []string{"[storage]bench", "[storage2]bench", "[storage]bench/scratch"} {
+		if err := seeder.MakeContext(root); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dirNames := make([]string, dirs)
+	fileNames := make([][]string, dirs)
+	sizes := make([][]int, dirs)
+	for d := range dirNames {
+		dirNames[d] = fmt.Sprintf("[storage]bench/d%03d", d)
+		if d%2 == 1 {
+			dirNames[d] = fmt.Sprintf("[storage2]bench/d%03d", d)
+		}
+		if err := seeder.MakeContext(dirNames[d]); err != nil {
+			b.Fatal(err)
+		}
+		for f := 0; f < 80+rng.Intn(41); f++ {
+			name, size := fmt.Sprintf("%s/f%03d", dirNames[d], f), 2048+rng.Intn(4097)
+			if err := seeder.WriteFile(name, contents(size, uint64(d)<<16|uint64(f))); err != nil {
+				b.Fatal(err)
+			}
+			fileNames[d] = append(fileNames[d], name)
+			sizes[d] = append(sizes[d], size)
+		}
+	}
+
+	wrong := errors.New("wrong answer")
+	var clients []*rig.WorkloadClient
+	for c := 0; c < 2*len(r.WS); c++ {
+		sess, err := r.NewSession(r.WS[c/2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		draw := rand.New(rand.NewSource(int64(43 + c)))
+		var scratch [scratchSlots]string
+		for slot := range scratch {
+			scratch[slot] = fmt.Sprintf("[storage]bench/scratch/c%d-%02d", c, slot)
+		}
+		clients = append(clients, &rig.WorkloadClient{Session: sess, Requests: opsPerClient,
+			Op: func(s *client.Session, i int) error {
+				d := draw.Intn(dirs)
+				f := draw.Intn(len(fileNames[d]))
+				// The program computes between its I/O calls.
+				s.Proc().ChargeCompute(time.Duration(draw.Intn(int(20 * time.Millisecond))))
+				switch i % 4 {
+				case 0:
+					desc, err := s.Query(fileNames[d][f])
+					if err != nil {
+						return err
+					}
+					if desc.Tag != proto.TagFile || int(desc.Size) != sizes[d][f] {
+						return wrong
+					}
+				case 1:
+					data, err := s.ReadFile(fileNames[d][f])
+					if err != nil {
+						return err
+					}
+					if len(data) != sizes[d][f] || binary.LittleEndian.Uint64(data) != uint64(d)<<16|uint64(f) ||
+						!bytes.Equal(data[8:], block[8:len(data)]) {
+						return wrong
+					}
+				case 2:
+					return s.WriteFile(scratch[i/4%scratchSlots], contents(512+draw.Intn(1025), uint64(i)))
+				case 3:
+					entries, err := s.List(dirNames[d])
+					if err != nil {
+						return err
+					}
+					if len(entries) != len(fileNames[d]) {
+						return wrong
+					}
+				}
+				return nil
+			}})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := rig.RunWorkload(clients)
+		for c, stats := range res.Clients {
+			if stats.Errors != 0 || stats.Completed != opsPerClient {
+				b.Fatalf("client %d: %d of %d operations completed, %d failed", c, stats.Completed, opsPerClient, stats.Errors)
+			}
+		}
+	}
 }

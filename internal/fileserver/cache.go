@@ -1,9 +1,6 @@
 package fileserver
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // blockCache is the file server's buffer cache: pages read from (or
 // written through to) the disk stay in server memory, so repeated access
@@ -13,13 +10,23 @@ import (
 type blockCache struct {
 	mu    sync.Mutex
 	cap   int
-	pages map[pageKey]*list.Element
-	lru   *list.List // front = most recently used; values are pageKey
+	pages map[pageKey]*page
+	files map[uint32]*page // each file's chain of buffered pages
+	lru   page             // ring sentinel: lru.older is the most recently used page
 }
 
 type pageKey struct {
 	ino   uint32
 	block int64
+}
+
+// page is one buffered page. It sits on the cache-wide LRU ring and on
+// the chain of its own file's pages, which is what lets invalidate visit
+// one file's pages and nothing else.
+type page struct {
+	key          pageKey
+	newer, older *page // LRU ring
+	prev, next   *page // file chain, headed at blockCache.files[key.ino]
 }
 
 // defaultCachePages is the default buffer cache size, 256 × 512 B =
@@ -30,11 +37,42 @@ func newBlockCache(capPages int) *blockCache {
 	if capPages <= 0 {
 		capPages = defaultCachePages
 	}
-	return &blockCache{
-		cap:   capPages,
-		pages: make(map[pageKey]*list.Element, capPages),
-		lru:   list.New(),
+	c := &blockCache{cap: capPages}
+	c.reset()
+	return c
+}
+
+func (c *blockCache) reset() {
+	c.pages = make(map[pageKey]*page, c.cap)
+	c.files = make(map[uint32]*page)
+	c.lru.newer, c.lru.older = &c.lru, &c.lru
+}
+
+// touch makes p the most recently used page, linking it into the LRU
+// ring if it is new.
+func (c *blockCache) touch(p *page) {
+	if p.newer != nil {
+		p.newer.older, p.older.newer = p.older, p.newer
 	}
+	p.newer, p.older = &c.lru, c.lru.older
+	p.older.newer, c.lru.older = p, p
+}
+
+// drop unlinks p from the LRU ring, its file's chain and the index.
+func (c *blockCache) drop(p *page) {
+	p.newer.older, p.older.newer = p.older, p.newer
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	switch {
+	case p.prev != nil:
+		p.prev.next = p.next
+	case p.next != nil:
+		c.files[p.key.ino] = p.next
+	default:
+		delete(c.files, p.key.ino)
+	}
+	delete(c.pages, p.key)
 }
 
 // contains reports whether the page is buffered, refreshing its LRU
@@ -42,9 +80,9 @@ func newBlockCache(capPages int) *blockCache {
 func (c *blockCache) contains(ino uint32, block int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.pages[pageKey{ino, block}]
+	p, ok := c.pages[pageKey{ino, block}]
 	if ok {
-		c.lru.MoveToFront(el)
+		c.touch(p)
 	}
 	return ok
 }
@@ -55,27 +93,33 @@ func (c *blockCache) insert(ino uint32, block int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := pageKey{ino, block}
-	if el, ok := c.pages[key]; ok {
-		c.lru.MoveToFront(el)
+	if p, ok := c.pages[key]; ok {
+		c.touch(p)
 		return
 	}
-	c.pages[key] = c.lru.PushFront(key)
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.pages, oldest.Value.(pageKey))
+	var p *page
+	if len(c.pages) < c.cap {
+		p = &page{key: key}
+	} else {
+		// A full cache recycles its victim's page for the newcomer.
+		p = c.lru.newer
+		c.drop(p)
+		*p = page{key: key}
 	}
+	c.touch(p)
+	if p.next = c.files[ino]; p.next != nil {
+		p.next.prev = p
+	}
+	c.files[ino] = p
+	c.pages[key] = p
 }
 
 // invalidate drops all buffered pages of one file (truncate/remove).
 func (c *blockCache) invalidate(ino uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.pages {
-		if key.ino == ino {
-			c.lru.Remove(el)
-			delete(c.pages, key)
-		}
+	for p := c.files[ino]; p != nil; p = c.files[ino] {
+		c.drop(p)
 	}
 }
 
@@ -84,13 +128,12 @@ func (c *blockCache) invalidate(ino uint32) {
 func (c *blockCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pages = make(map[pageKey]*list.Element, c.cap)
-	c.lru.Init()
+	c.reset()
 }
 
 // size returns the number of buffered pages.
 func (c *blockCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return len(c.pages)
 }

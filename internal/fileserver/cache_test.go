@@ -1,0 +1,164 @@
+package fileserver
+
+import (
+	"container/list"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/raceflag"
+)
+
+// flatCache is the buffer cache as it was before it was indexed by file:
+// one map of pages and a container/list LRU, with invalidate scanning the
+// whole map. It is the reference the indexed cache must be
+// indistinguishable from.
+type flatCache struct {
+	cap   int
+	pages map[pageKey]*list.Element
+	lru   *list.List // front = most recently used; values are pageKey
+}
+
+func newFlatCache(capPages int) *flatCache {
+	return &flatCache{cap: capPages, pages: make(map[pageKey]*list.Element), lru: list.New()}
+}
+
+func (c *flatCache) contains(ino uint32, block int64) bool {
+	el, ok := c.pages[pageKey{ino, block}]
+	if ok {
+		c.lru.MoveToFront(el)
+	}
+	return ok
+}
+
+func (c *flatCache) insert(ino uint32, block int64) {
+	key := pageKey{ino, block}
+	if el, ok := c.pages[key]; ok {
+		c.lru.MoveToFront(el)
+		return
+	}
+	c.pages[key] = c.lru.PushFront(key)
+	for c.lru.Len() > c.cap {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.pages, oldest.Value.(pageKey))
+	}
+}
+
+func (c *flatCache) invalidate(ino uint32) {
+	for key, el := range c.pages {
+		if key.ino == ino {
+			c.lru.Remove(el)
+			delete(c.pages, key)
+		}
+	}
+}
+
+func (c *flatCache) clear() {
+	c.pages = make(map[pageKey]*list.Element)
+	c.lru.Init()
+}
+
+// order is the eviction order, most recently used first.
+func (c *flatCache) order() []pageKey {
+	var keys []pageKey
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		keys = append(keys, el.Value.(pageKey))
+	}
+	return keys
+}
+
+// order walks the LRU ring, most recently used first, checking on the way
+// that the ring, the index and the per-file chains describe the same
+// pages.
+func (c *blockCache) order(t *testing.T) []pageKey {
+	t.Helper()
+	var keys []pageKey
+	for p := c.lru.older; p != &c.lru; p = p.older {
+		if p.older.newer != p || c.pages[p.key] != p {
+			t.Fatalf("LRU ring broken at %+v", p.key)
+		}
+		keys = append(keys, p.key)
+	}
+	chained := 0
+	for ino, head := range c.files {
+		if head == nil || head.prev != nil {
+			t.Fatalf("file %d: chain head %+v", ino, head)
+		}
+		for p := head; p != nil; p = p.next {
+			if p.key.ino != ino || c.pages[p.key] != p || (p.next != nil && p.next.prev != p) {
+				t.Fatalf("file %d: chain broken at %+v", ino, p.key)
+			}
+			chained++
+		}
+	}
+	if len(keys) != len(c.pages) || chained != len(c.pages) {
+		t.Fatalf("ring has %d pages, chains %d, index %d", len(keys), chained, len(c.pages))
+	}
+	return keys
+}
+
+// TestBlockCacheAgainstFlatReference: random traffic at a capacity small
+// enough to evict constantly; the two caches must agree on every answer,
+// on their size and on the whole eviction order after every operation.
+func TestBlockCacheAgainstFlatReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c, ref := newBlockCache(8), newFlatCache(8)
+		for step := 0; step < 4000; step++ {
+			ino, block := uint32(rng.Intn(5)), int64(rng.Intn(6))
+			var what string
+			switch op := rng.Intn(40); {
+			case op < 20:
+				what = fmt.Sprintf("insert(%d, %d)", ino, block)
+				c.insert(ino, block)
+				ref.insert(ino, block)
+			case op < 34:
+				what = fmt.Sprintf("contains(%d, %d)", ino, block)
+				if got, want := c.contains(ino, block), ref.contains(ino, block); got != want {
+					t.Fatalf("seed %d step %d: %s = %v, reference %v", seed, step, what, got, want)
+				}
+			case op < 39:
+				what = fmt.Sprintf("invalidate(%d)", ino)
+				c.invalidate(ino)
+				ref.invalidate(ino)
+			default:
+				what = "clear"
+				c.clear()
+				ref.clear()
+			}
+			if got, want := c.order(t), ref.order(); !reflect.DeepEqual(got, want) || c.size() != len(want) {
+				t.Fatalf("seed %d step %d: after %s size %d, order\n got %v\nwant %v", seed, step, what, c.size(), got, want)
+			}
+		}
+	}
+}
+
+// TestInvalidateUncachedFileZeroAlloc: every create and every truncating
+// open invalidates a file that, nearly always, has nothing buffered; that
+// must cost one lookup — no scan of the other files' pages, no allocation
+// — and a full cache must take a new page without allocating either.
+func TestInvalidateUncachedFileZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	c := newBlockCache(defaultCachePages)
+	for i := 0; i < 2*defaultCachePages; i++ {
+		c.insert(uint32(i%40), int64(i))
+	}
+	before := c.order(t)
+	if allocs := testing.AllocsPerRun(1000, func() { c.invalidate(99) }); allocs != 0 {
+		t.Fatalf("invalidate of a file with no buffered pages: %v allocs", allocs)
+	}
+	if after := c.order(t); !reflect.DeepEqual(after, before) {
+		t.Fatal("invalidate of a file with no buffered pages disturbed the cache")
+	}
+	block := int64(0)
+	if allocs := testing.AllocsPerRun(1000, func() { block++; c.insert(7, 1000+block) }); allocs != 0 {
+		t.Fatalf("insert into a full cache: %v allocs", allocs)
+	}
+	if c.size() != defaultCachePages {
+		t.Fatalf("size = %d", c.size())
+	}
+}

@@ -1,0 +1,165 @@
+package fileserver
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/kernel"
+	"repro/internal/proto"
+	"repro/internal/vio"
+)
+
+// An open instance names its file by i-node number and looks the i-node
+// up on every request, so it follows whatever the volume holds under that
+// number now. These tests pin that across the two events that replace or
+// drop i-nodes behind an open instance — snapshot restore and removal —
+// which a pointer held past the volume lock would get wrong.
+
+func openNamed(t *testing.T, client *kernel.Process, fs *FileServer, name string, mode uint32) *vio.File {
+	t.Helper()
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), name)
+	proto.SetOpenMode(req, mode)
+	reply := send(t, client, fs, req)
+	if reply.Op != proto.ReplyOK {
+		t.Fatalf("open %q: %v", name, reply.Op)
+	}
+	return vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+}
+
+func TestOpenInstanceAcrossRestore(t *testing.T) {
+	fs, client := startFS(t)
+	if err := fs.WriteFile("/kept", "o", []byte("snapshot bytes")); err != nil {
+		t.Fatal(err)
+	}
+	img := fs.vol.encode()
+
+	// After the snapshot: /kept is rewritten in place (same i-node) and
+	// /late is created (an i-node the snapshot does not have).
+	if err := fs.WriteFile("/kept", "o", []byte("rewritten after the snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/late", "o", []byte("born late")); err != nil {
+		t.Fatal(err)
+	}
+	kept := openNamed(t, client, fs, "kept", proto.ModeRead)
+	late := openNamed(t, client, fs, "late", proto.ModeRead)
+	if err := fs.restoreVolume(img); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := kept.ReadAll()
+	if err != nil || string(got) != "snapshot bytes" {
+		t.Fatalf("surviving i-node read %q, %v; want the restored bytes", got, err)
+	}
+	if _, err := late.ReadAll(); !errors.Is(err, proto.ErrNotFound) {
+		t.Fatalf("vanished i-node read err = %v, want ErrNotFound", err)
+	}
+	if _, err := late.Write([]byte("x")); !errors.Is(err, proto.ErrModeNotSupported) {
+		t.Fatalf("write through a read instance err = %v", err)
+	}
+	if err := late.Close(); err != nil {
+		t.Fatalf("closing an instance of a vanished i-node: %v", err)
+	}
+}
+
+func TestOpenInstanceAcrossRemove(t *testing.T) {
+	fs, client := startFS(t)
+	if err := fs.WriteFile("/d/doomed", "o", []byte("contents")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/d/stays", "o", []byte("more")); err != nil {
+		t.Fatal(err)
+	}
+	f := openNamed(t, client, fs, "d/doomed", proto.ModeRead|proto.ModeWrite)
+	dir := openNamed(t, client, fs, "d", proto.ModeRead|proto.ModeDirectory)
+
+	rm := &proto.Message{Op: proto.OpRemoveObject}
+	proto.SetCSName(rm, uint32(core.CtxDefault), "d/doomed")
+	if reply := send(t, client, fs, rm); reply.Op != proto.ReplyOK {
+		t.Fatalf("remove: %v", reply.Op)
+	}
+
+	if _, err := f.ReadAll(); !errors.Is(err, proto.ErrNotFound) {
+		t.Fatalf("read of a removed file err = %v, want ErrNotFound", err)
+	}
+	if _, err := f.Write([]byte("x")); !errors.Is(err, proto.ErrNotFound) {
+		t.Fatalf("write to a removed file err = %v, want ErrNotFound", err)
+	}
+
+	// The directory instance is a snapshot fabricated at open (§5.6): it
+	// still lists the removed name, with the description it had then.
+	raw, err := dir.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := proto.DecodeDescriptors(raw)
+	if err != nil || len(records) != 2 || records[0].Name != "doomed" || records[0].Size != 8 || records[1].Name != "stays" {
+		t.Fatalf("directory opened before the remove streams %+v, %v", records, err)
+	}
+	// A directory opened now does not.
+	now, err := openNamed(t, client, fs, "d", proto.ModeRead|proto.ModeDirectory).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records, _ := proto.DecodeDescriptors(now); len(records) != 1 || records[0].Name != "stays" {
+		t.Fatalf("directory opened after the remove streams %+v", records)
+	}
+}
+
+// TestAliasSurvivesRestoreAndRemove: an alias and the name it was made
+// from are two entries for one i-node; restoring a snapshot must rebuild
+// both onto the same restored i-node, and removing one must leave the
+// other describing it.
+func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
+	fs, _ := startFS(t)
+	if err := fs.WriteFile("/a/first", "o", []byte("shared")); err != nil {
+		t.Fatal(err)
+	}
+	first, err := fs.Describe("/a/first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fs.MkdirAll("/b", "o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.vol.addAlias(b, "second", first.ObjectID, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.restoreVolume(fs.vol.encode()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.vol.writeAt(first.ObjectID, 0, []byte("SHARED!"), 0); err != nil {
+		t.Fatal(err)
+	}
+	second, err := fs.Describe("/b/second")
+	if err != nil || second.ObjectID != first.ObjectID || second.Size != 7 || second.TypeSpecific[0] != 2 {
+		t.Fatalf("alias after restore describes %+v, %v", second, err)
+	}
+	a, _ := fs.MkdirAll("/a", "o")
+	if err := fs.vol.remove(a, "first", 0); err != nil {
+		t.Fatal(err)
+	}
+	second, err = fs.Describe("/b/second")
+	if err != nil || second.ObjectID != first.ObjectID || second.Size != 7 || second.TypeSpecific[0] != 1 {
+		t.Fatalf("alias after its other name was removed describes %+v, %v", second, err)
+	}
+
+	// The file's recorded name is still /a/first, which now names a
+	// different file. Removal by UID must not unbind that one, nor delete
+	// the i-node out from under the alias: it refuses.
+	if err := fs.WriteFile("/a/first", "o", []byte("an unrelated newcomer")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.vol.removeByIno(first.ObjectID, 0); !errors.Is(err, proto.ErrIllegalRequest) {
+		t.Fatalf("removeByIno through a stale recorded name: %v", err)
+	}
+	if d, err := fs.Describe("/a/first"); err != nil || d.Size != 21 {
+		t.Fatalf("the newcomer under the recorded name: %+v, %v", d, err)
+	}
+	if d, err := fs.Describe("/b/second"); err != nil || d.ObjectID != first.ObjectID {
+		t.Fatalf("the alias after the refused removal: %+v, %v", d, err)
+	}
+}

@@ -112,22 +112,16 @@ func (v *volume) encode() []byte {
 		e.u64(uint64(n.mtime))
 		e.u64(uint64(n.nlink))
 		if n.kind == kindDir {
-			names := make([]string, 0, len(n.names))
-			for nm := range n.names {
-				names = append(names, nm)
-			}
-			sort.Strings(names)
-			e.u64(uint64(len(names)))
-			for _, nm := range names {
-				de := n.names[nm]
-				e.str(nm)
-				if de.remote != nil {
+			e.u64(uint64(len(n.entries)))
+			for _, de := range n.entries {
+				e.str(de.name)
+				if de.child == nil {
 					e.u64(1)
 					e.u64(uint64(de.remote.Server))
 					e.u64(uint64(de.remote.Ctx))
 				} else {
 					e.u64(0)
-					e.u64(uint64(de.child))
+					e.u64(uint64(de.child.id))
 				}
 			}
 		} else {
@@ -148,11 +142,19 @@ func (v *volume) encode() []byte {
 	return e.b
 }
 
-// decodeVolume parses an encoded volume image.
+// decodeVolume parses an encoded volume image. Entries name their
+// children by i-node number, and a child may follow its directory in the
+// image, so the pointers are linked once every node has been read; an
+// image whose entries are out of name order or name no node is corrupt.
 func decodeVolume(data []byte) (map[ino]*node, ino, map[core.ContextID]ino, error) {
 	d := &dec{b: data}
 	cnt := d.u64()
 	nodes := make(map[ino]*node, cnt)
+	type link struct {
+		e     *dirent
+		child ino
+	}
+	var links []link
 	for i := uint64(0); i < cnt && !d.bad; i++ {
 		n := &node{}
 		n.id = ino(d.u64())
@@ -165,16 +167,22 @@ func decodeVolume(data []byte) (map[ino]*node, ino, map[core.ContextID]ino, erro
 		n.nlink = int(d.u64())
 		if n.kind == kindDir {
 			m := d.u64()
-			n.names = make(map[string]dirent, m)
-			for j := uint64(0); j < m && !d.bad; j++ {
-				nm := d.str()
+			if m > uint64(len(d.b)) {
+				d.bad = true
+				break
+			}
+			n.entries = make([]dirent, m)
+			for j := range n.entries {
+				e := &n.entries[j]
+				e.name = d.str()
+				if j > 0 && e.name <= n.entries[j-1].name {
+					d.bad = true
+				}
 				if d.u64() == 1 {
-					pair := core.ContextPair{}
-					pair.Server = kernel.PID(d.u64())
-					pair.Ctx = core.ContextID(d.u64())
-					n.names[nm] = dirent{remote: &pair}
+					e.remote.Server = kernel.PID(d.u64())
+					e.remote.Ctx = core.ContextID(d.u64())
 				} else {
-					n.names[nm] = dirent{child: ino(d.u64())}
+					links = append(links, link{e, ino(d.u64())})
 				}
 			}
 		} else {
@@ -189,6 +197,11 @@ func decodeVolume(data []byte) (map[ino]*node, ino, map[core.ContextID]ino, erro
 		wk[ctx] = ino(d.u64())
 	}
 	next := ino(d.u64())
+	for _, l := range links {
+		if l.e.child = nodes[l.child]; l.e.child == nil {
+			d.bad = true
+		}
+	}
 	if d.bad || len(d.b) != 0 {
 		return nil, 0, nil, errors.New("fileserver: corrupt volume snapshot")
 	}

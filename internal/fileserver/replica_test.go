@@ -95,6 +95,64 @@ func TestVolumeSnapshotCorrupt(t *testing.T) {
 	}
 }
 
+// TestVolumeSnapshotRejectsBadEntries: a directory in an image must list
+// its entries in strictly ascending name order, as encode writes them, and
+// every local entry must name a node of the image — lookups binary-search
+// the order and follow the link without a check.
+func TestVolumeSnapshotRejectsBadEntries(t *testing.T) {
+	type entry struct {
+		name  string
+		child uint64
+	}
+	// image is a root directory with the given entries beside file 1.
+	image := func(count uint64, entries ...entry) []byte {
+		e := &enc{}
+		e.u64(2)
+		for _, v := range []uint64{0, uint64(kindDir), 0} { // id, kind, parent
+			e.u64(v)
+		}
+		e.str("")
+		e.str("")
+		for _, v := range []uint64{3, 0, 0, count} { // perms, mtime, nlink, entries
+			e.u64(v)
+		}
+		for _, de := range entries {
+			e.str(de.name)
+			e.u64(0)
+			e.u64(de.child)
+		}
+		for _, v := range []uint64{1, uint64(kindFile), 0} {
+			e.u64(v)
+		}
+		e.str("a")
+		e.str("")
+		for _, v := range []uint64{3, 0, 2} {
+			e.u64(v)
+		}
+		e.bytes([]byte("data"))
+		e.u64(0) // well-known aliases
+		e.u64(1) // next
+		return e.b
+	}
+	nodes, _, _, err := decodeVolume(image(2, entry{"a", 1}, entry{"b", 1}))
+	if err != nil {
+		t.Fatalf("well-formed image rejected: %v", err)
+	}
+	if root := nodes[rootIno]; len(root.entries) != 2 || root.entries[0].child != nodes[1] || root.entries[1].child != nodes[1] {
+		t.Fatalf("entries not linked to the decoded node: %+v", root.entries)
+	}
+	for name, img := range map[string][]byte{
+		"out of order":    image(2, entry{"b", 1}, entry{"a", 1}),
+		"repeated name":   image(2, entry{"a", 1}, entry{"a", 1}),
+		"dangling child":  image(2, entry{"a", 1}, entry{"b", 7}),
+		"count too large": image(1<<40, entry{"a", 1}),
+	} {
+		if _, _, _, err := decodeVolume(img); err == nil {
+			t.Errorf("decodeVolume accepted an image with %s entries", name)
+		}
+	}
+}
+
 // replicatedFS is one group member: a local file server fronted by a
 // replica running its ReplicaService.
 type replicatedFS struct {

@@ -16,7 +16,7 @@ package fileserver
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -38,27 +38,32 @@ const (
 	kindDir
 )
 
-// dirent is one directory entry: a name bound to a local i-node or to a
-// context on another server.
+// dirent is one directory entry: a name bound to a local i-node, or, when
+// child is nil, to a context on another server.
 type dirent struct {
-	child  ino
-	remote *core.ContextPair
+	name   string
+	child  *node
+	remote core.ContextPair
 }
 
-// node is one i-node.
+// node is one i-node. The narrow fields sit together so that the struct
+// stays in the 112-byte size class: a volume is mostly nodes.
 type node struct {
 	id     ino
-	kind   nodeKind
-	data   []byte            // files
-	names  map[string]dirent // directories
 	parent ino
-	name   string // a name within parent, for the inverse mapping (§6)
-	owner  string
+	kind   nodeKind
 	perms  uint16
-	mtime  vtime.Time
 	// nlink counts directory entries binding this file; files with
 	// several names make the inverse mapping many-to-one (§6).
 	nlink int
+	data  []byte // files
+	// entries is a directory's bindings in name order: a lookup is a
+	// binary search, the context directory a single pass (§5.6), and the
+	// child is at hand without a second lookup in the i-node table.
+	entries []dirent
+	name    string // a name within parent, for the inverse mapping (§6)
+	owner   string
+	mtime   vtime.Time
 }
 
 // volume is the in-memory file system state. It implements
@@ -78,7 +83,6 @@ func newVolume() *volume {
 	v.nodes[rootIno] = &node{
 		id:    rootIno,
 		kind:  kindDir,
-		names: make(map[string]dirent),
 		perms: proto.PermRead | proto.PermWrite,
 	}
 	v.next = rootIno
@@ -97,11 +101,23 @@ func (v *volume) alloc(kind nodeKind, parent ino, name, owner string, now vtime.
 		mtime:  now,
 		nlink:  1,
 	}
-	if kind == kindDir {
-		n.names = make(map[string]dirent)
-	}
 	v.nodes[n.id] = n
 	return n
+}
+
+// find returns the index of name among the directory's entries and
+// whether it is bound; unbound, the index is where it would be inserted.
+func (n *node) find(name string) (int, bool) {
+	lo, hi := 0, len(n.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.entries[mid].name < name {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(n.entries) && n.entries[lo].name == name
 }
 
 func (v *volume) dir(ctx core.ContextID) (*node, error) {
@@ -142,14 +158,14 @@ func (v *volume) LookupComponent(ctx core.ContextID, component string) (core.Ent
 	if component == ".." {
 		return core.ContextEntry(core.ContextID(d.parent)), nil
 	}
-	e, ok := d.names[component]
+	i, ok := d.find(component)
 	if !ok {
 		return core.Entry{}, fmt.Errorf("%q: %w", component, proto.ErrNotFound)
 	}
-	if e.remote != nil {
-		return core.RemoteEntry(*e.remote), nil
+	child := d.entries[i].child
+	if child == nil {
+		return core.RemoteEntry(d.entries[i].remote), nil
 	}
-	child := v.nodes[e.child]
 	if child.kind == kindDir {
 		return core.ContextEntry(core.ContextID(child.id)), nil
 	}
@@ -174,11 +190,12 @@ func (v *volume) createFile(ctx core.ContextID, name, owner string, now vtime.Ti
 	if err != nil {
 		return nil, err
 	}
-	if _, dup := d.names[name]; dup {
+	i, dup := d.find(name)
+	if dup {
 		return nil, fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
 	n := v.alloc(kindFile, d.id, name, owner, now)
-	d.names[name] = dirent{child: n.id}
+	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
 	d.mtime = now
 	return n, nil
 }
@@ -194,11 +211,12 @@ func (v *volume) mkdir(ctx core.ContextID, name, owner string, now vtime.Time) (
 	if err != nil {
 		return nil, err
 	}
-	if _, dup := d.names[name]; dup {
+	i, dup := d.find(name)
+	if dup {
 		return nil, fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
 	n := v.alloc(kindDir, d.id, name, owner, now)
-	d.names[name] = dirent{child: n.id}
+	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
 	d.mtime = now
 	return n, nil
 }
@@ -222,10 +240,11 @@ func (v *volume) addAlias(ctx core.ContextID, name string, id uint32, now vtime.
 	if n.kind != kindFile {
 		return fmt.Errorf("%w: only files can be aliased", proto.ErrIllegalRequest)
 	}
-	if _, dup := d.names[name]; dup {
+	i, dup := d.find(name)
+	if dup {
 		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
-	d.names[name] = dirent{child: n.id}
+	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
 	n.nlink++
 	d.mtime = now
 	return nil
@@ -243,11 +262,11 @@ func (v *volume) addLink(ctx core.ContextID, name string, target core.ContextPai
 	if err != nil {
 		return err
 	}
-	if _, dup := d.names[name]; dup {
+	i, dup := d.find(name)
+	if dup {
 		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
-	t := target
-	d.names[name] = dirent{remote: &t}
+	d.entries = slices.Insert(d.entries, i, dirent{name: name, remote: target})
 	d.mtime = now
 	return nil
 }
@@ -263,22 +282,21 @@ func (v *volume) remove(ctx core.ContextID, name string, now vtime.Time) error {
 	if err != nil {
 		return err
 	}
-	e, ok := d.names[name]
+	i, ok := d.find(name)
 	if !ok {
 		return fmt.Errorf("%q: %w", name, proto.ErrNotFound)
 	}
-	if e.remote == nil {
-		child := v.nodes[e.child]
-		if child.kind == kindDir && len(child.names) > 0 {
+	if child := d.entries[i].child; child != nil {
+		if child.kind == kindDir && len(child.entries) > 0 {
 			return fmt.Errorf("%q: %w", name, proto.ErrNotEmpty)
 		}
 		child.nlink--
 		if child.nlink <= 0 {
 			// Last name gone: the object dies with it.
-			delete(v.nodes, e.child)
+			delete(v.nodes, child.id)
 		}
 	}
-	delete(d.names, name)
+	d.entries = slices.Delete(d.entries, i, i+1)
 	d.mtime = now
 	return nil
 }
@@ -292,7 +310,7 @@ func (v *volume) removeByIno(id uint32, now vtime.Time) error {
 	if !ok || n.id == rootIno {
 		return fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
 	}
-	if n.kind == kindDir && len(n.names) > 0 {
+	if n.kind == kindDir && len(n.entries) > 0 {
 		return fmt.Errorf("i-node %d: %w", id, proto.ErrNotEmpty)
 	}
 	if n.nlink > 1 {
@@ -301,10 +319,18 @@ func (v *volume) removeByIno(id uint32, now vtime.Time) error {
 		// problem seen from the baseline's side).
 		return fmt.Errorf("i-node %d has %d names: %w", id, n.nlink, proto.ErrIllegalRequest)
 	}
-	if parent, ok := v.nodes[n.parent]; ok {
-		delete(parent.names, n.name)
-		parent.mtime = now
+	parent, ok := v.nodes[n.parent]
+	i := 0
+	if ok {
+		i, ok = parent.find(n.name)
 	}
+	if !ok || parent.entries[i].child != n {
+		// The one name left is an alias: the recorded name was removed or
+		// rebound, so unbinding it would miss this object or hit another.
+		return fmt.Errorf("i-node %d: %w: its recorded name no longer names it", id, proto.ErrIllegalRequest)
+	}
+	parent.entries = slices.Delete(parent.entries, i, i+1)
+	parent.mtime = now
 	delete(v.nodes, n.id)
 	return nil
 }
@@ -325,17 +351,20 @@ func (v *volume) rename(oldCtx core.ContextID, oldName string, newCtx core.Conte
 	if err != nil {
 		return err
 	}
-	e, ok := from.names[oldName]
+	i, ok := from.find(oldName)
 	if !ok {
 		return fmt.Errorf("%q: %w", oldName, proto.ErrNotFound)
 	}
-	if _, dup := to.names[newName]; dup {
+	if _, dup := to.find(newName); dup {
 		return fmt.Errorf("%q: %w", newName, proto.ErrDuplicateName)
 	}
-	delete(from.names, oldName)
-	to.names[newName] = e
-	if e.remote == nil {
-		child := v.nodes[e.child]
+	e := from.entries[i]
+	e.name = newName
+	from.entries = slices.Delete(from.entries, i, i+1)
+	// Found only now: from and to may be one directory.
+	j, _ := to.find(newName)
+	to.entries = slices.Insert(to.entries, j, e)
+	if child := e.child; child != nil {
 		child.parent = to.id
 		child.name = newName
 		child.mtime = now
@@ -428,29 +457,28 @@ func (v *volume) snapshot(id uint32) ([]byte, error) {
 	return out, nil
 }
 
-// describeNode fabricates a descriptor for the node bound as `name` in a
-// directory — names and descriptions are stored separately and joined on
-// demand (§5.6).
-func (v *volume) describeNode(name string, e dirent) proto.Descriptor {
-	if e.remote != nil {
+// describe fabricates a descriptor for the object the entry binds — names
+// and descriptions are stored separately and joined on demand (§5.6).
+func (e *dirent) describe() proto.Descriptor {
+	n := e.child
+	if n == nil {
 		return proto.Descriptor{
 			Tag:          proto.TagLink,
-			Name:         name,
+			Name:         e.name,
 			Perms:        proto.PermRead,
 			TypeSpecific: [2]uint32{uint32(e.remote.Server), uint32(e.remote.Ctx)},
 		}
 	}
-	n := v.nodes[e.child]
 	d := proto.Descriptor{
 		ObjectID: uint32(n.id),
-		Name:     name,
+		Name:     e.name,
 		Owner:    n.owner,
 		Perms:    n.perms,
 		Modified: uint64(n.mtime),
 	}
 	if n.kind == kindDir {
 		d.Tag = proto.TagDirectory
-		d.Size = uint32(len(n.names))
+		d.Size = uint32(len(n.entries))
 	} else {
 		d.Tag = proto.TagFile
 		d.Size = uint32(len(n.data))
@@ -468,17 +496,18 @@ func (v *volume) describe(ctx core.ContextID, name string) (proto.Descriptor, er
 		return proto.Descriptor{}, err
 	}
 	if name == "" {
-		return v.describeNode(d.name, dirent{child: d.id}), nil
+		self := dirent{name: d.name, child: d}
+		return self.describe(), nil
 	}
-	e, ok := d.names[name]
+	i, ok := d.find(name)
 	if !ok {
 		return proto.Descriptor{}, fmt.Errorf("%q: %w", name, proto.ErrNotFound)
 	}
-	return v.describeNode(name, e), nil
+	return d.entries[i].describe(), nil
 }
 
 // list fabricates the context directory of ctx: one descriptor per
-// binding, sorted by name.
+// binding, in name order.
 func (v *volume) list(ctx core.ContextID) ([]proto.Descriptor, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -486,14 +515,9 @@ func (v *volume) list(ctx core.ContextID) ([]proto.Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(d.names))
-	for n := range d.names {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]proto.Descriptor, 0, len(names))
-	for _, n := range names {
-		out = append(out, v.describeNode(n, d.names[n]))
+	out := make([]proto.Descriptor, len(d.entries))
+	for i := range d.entries {
+		out[i] = d.entries[i].describe()
 	}
 	return out, nil
 }
@@ -508,14 +532,14 @@ func (v *volume) modify(ctx core.ContextID, rec proto.Descriptor, now vtime.Time
 	if err != nil {
 		return err
 	}
-	e, ok := d.names[rec.Name]
+	i, ok := d.find(rec.Name)
 	if !ok {
 		return fmt.Errorf("%q: %w", rec.Name, proto.ErrNotFound)
 	}
-	if e.remote != nil {
+	n := d.entries[i].child
+	if n == nil {
 		return fmt.Errorf("%q: %w: cannot modify a remote link's description here", rec.Name, proto.ErrIllegalRequest)
 	}
-	n := v.nodes[e.child]
 	n.perms = rec.Perms
 	if rec.Owner != "" {
 		n.owner = rec.Owner

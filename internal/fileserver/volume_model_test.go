@@ -1,0 +1,437 @@
+package fileserver
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/kernel"
+	"repro/internal/proto"
+	"repro/internal/raceflag"
+	"repro/internal/vtime"
+)
+
+// The reference model of a volume's name space: a directory is a hash map
+// from name to (i-node number | remote pair), a listing is that map's
+// keys put through sort.Strings, and a child is found by a second lookup
+// in the i-node table — the structure the ordered entry slices replaced,
+// kept here as the oracle they are checked against.
+
+type modelEntry struct {
+	child  ino
+	remote *core.ContextPair
+}
+
+type modelNode struct {
+	kind   nodeKind
+	parent ino
+	name   string
+	nlink  int
+	size   int
+	mtime  vtime.Time
+	names  map[string]modelEntry
+}
+
+type model struct {
+	nodes map[ino]*modelNode
+	next  ino
+}
+
+func newModel() *model {
+	return &model{nodes: map[ino]*modelNode{rootIno: {kind: kindDir, names: map[string]modelEntry{}}}}
+}
+
+func (m *model) dir(ctx core.ContextID) (*modelNode, error) {
+	n, ok := m.nodes[ino(ctx)]
+	if !ok || n.kind != kindDir {
+		return nil, proto.ErrBadContext
+	}
+	return n, nil
+}
+
+func badName(name string) bool { return name == "" || name == "." || name == ".." }
+
+func (m *model) create(kind nodeKind, ctx core.ContextID, name string, now vtime.Time) error {
+	if badName(name) {
+		return proto.ErrBadArgs
+	}
+	d, err := m.dir(ctx)
+	if err != nil {
+		return err
+	}
+	if _, dup := d.names[name]; dup {
+		return proto.ErrDuplicateName
+	}
+	m.next++
+	n := &modelNode{kind: kind, parent: ino(ctx), name: name, nlink: 1, mtime: now}
+	if kind == kindDir {
+		n.names = map[string]modelEntry{}
+	}
+	m.nodes[m.next] = n
+	d.names[name] = modelEntry{child: m.next}
+	d.mtime = now
+	return nil
+}
+
+func (m *model) addAlias(ctx core.ContextID, name string, id uint32, now vtime.Time) error {
+	if badName(name) {
+		return proto.ErrBadArgs
+	}
+	d, err := m.dir(ctx)
+	if err != nil {
+		return err
+	}
+	n, ok := m.nodes[ino(id)]
+	switch {
+	case !ok:
+		return proto.ErrNotFound
+	case n.kind != kindFile:
+		return proto.ErrIllegalRequest
+	}
+	if _, dup := d.names[name]; dup {
+		return proto.ErrDuplicateName
+	}
+	d.names[name] = modelEntry{child: ino(id)}
+	n.nlink++
+	d.mtime = now
+	return nil
+}
+
+func (m *model) addLink(ctx core.ContextID, name string, target core.ContextPair, now vtime.Time) error {
+	if name == "" {
+		return proto.ErrBadArgs
+	}
+	d, err := m.dir(ctx)
+	if err != nil {
+		return err
+	}
+	if _, dup := d.names[name]; dup {
+		return proto.ErrDuplicateName
+	}
+	d.names[name] = modelEntry{remote: &target}
+	d.mtime = now
+	return nil
+}
+
+func (m *model) remove(ctx core.ContextID, name string, now vtime.Time) error {
+	d, err := m.dir(ctx)
+	if err != nil {
+		return err
+	}
+	e, ok := d.names[name]
+	if !ok {
+		return proto.ErrNotFound
+	}
+	if e.remote == nil {
+		child := m.nodes[e.child]
+		if child.kind == kindDir && len(child.names) > 0 {
+			return proto.ErrNotEmpty
+		}
+		if child.nlink--; child.nlink <= 0 {
+			delete(m.nodes, e.child)
+		}
+	}
+	delete(d.names, name)
+	d.mtime = now
+	return nil
+}
+
+func (m *model) removeByIno(id uint32, now vtime.Time) error {
+	n, ok := m.nodes[ino(id)]
+	switch {
+	case !ok || ino(id) == rootIno:
+		return proto.ErrNotFound
+	case n.kind == kindDir && len(n.names) > 0:
+		return proto.ErrNotEmpty
+	case n.nlink > 1:
+		return proto.ErrIllegalRequest
+	}
+	// The recorded (parent, name) must still be a binding of this object:
+	// once an alias outlives the name it was made from, it is not.
+	parent, ok := m.nodes[n.parent]
+	if !ok {
+		return proto.ErrIllegalRequest
+	}
+	if e, ok := parent.names[n.name]; !ok || e.remote != nil || e.child != ino(id) {
+		return proto.ErrIllegalRequest
+	}
+	delete(parent.names, n.name)
+	parent.mtime = now
+	delete(m.nodes, ino(id))
+	return nil
+}
+
+func (m *model) rename(oldCtx core.ContextID, oldName string, newCtx core.ContextID, newName string, now vtime.Time) error {
+	if badName(newName) {
+		return proto.ErrBadArgs
+	}
+	from, err := m.dir(oldCtx)
+	if err != nil {
+		return err
+	}
+	to, err := m.dir(newCtx)
+	if err != nil {
+		return err
+	}
+	e, ok := from.names[oldName]
+	if !ok {
+		return proto.ErrNotFound
+	}
+	if _, dup := to.names[newName]; dup {
+		return proto.ErrDuplicateName
+	}
+	delete(from.names, oldName)
+	to.names[newName] = e
+	if e.remote == nil {
+		child := m.nodes[e.child]
+		child.parent, child.name, child.mtime = ino(newCtx), newName, now
+	}
+	from.mtime, to.mtime = now, now
+	return nil
+}
+
+func (m *model) write(id uint32, n int, now vtime.Time) error {
+	f, ok := m.nodes[ino(id)]
+	if !ok || f.kind != kindFile {
+		return proto.ErrNotFound
+	}
+	f.size, f.mtime = max(f.size, n), now
+	return nil
+}
+
+// list is the reference context directory: the names through
+// sort.Strings, each joined with its description by a second lookup.
+func (m *model) list(ctx core.ContextID) []proto.Descriptor {
+	d := m.nodes[ino(ctx)]
+	names := make([]string, 0, len(d.names))
+	for name := range d.names {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]proto.Descriptor, 0, len(names))
+	for _, name := range names {
+		e := d.names[name]
+		if e.remote != nil {
+			out = append(out, proto.Descriptor{Tag: proto.TagLink, Name: name, Perms: proto.PermRead,
+				TypeSpecific: [2]uint32{uint32(e.remote.Server), uint32(e.remote.Ctx)}})
+			continue
+		}
+		n := m.nodes[e.child]
+		rec := proto.Descriptor{ObjectID: uint32(e.child), Name: name, Owner: "o",
+			Perms: proto.PermRead | proto.PermWrite, Modified: uint64(n.mtime)}
+		if n.kind == kindDir {
+			rec.Tag, rec.Size = proto.TagDirectory, uint32(len(n.names))
+		} else {
+			rec.Tag, rec.Size, rec.TypeSpecific[0] = proto.TagFile, uint32(n.size), uint32(n.nlink)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+func (m *model) lookup(ctx core.ContextID, name string) (core.Entry, error) {
+	d := m.nodes[ino(ctx)]
+	if name == ".." {
+		return core.ContextEntry(core.ContextID(d.parent)), nil
+	}
+	e, ok := d.names[name]
+	switch {
+	case !ok:
+		return core.Entry{}, proto.ErrNotFound
+	case e.remote != nil:
+		return core.RemoteEntry(*e.remote), nil
+	case m.nodes[e.child].kind == kindDir:
+		return core.ContextEntry(core.ContextID(e.child)), nil
+	}
+	return core.ObjectEntry(proto.TagFile, uint32(e.child)), nil
+}
+
+// errClass reduces an error to the standard failure it wraps, so the
+// volume's decorated errors compare with the model's bare ones.
+func errClass(err error) error {
+	for _, class := range []error{proto.ErrBadArgs, proto.ErrBadContext, proto.ErrNotFound,
+		proto.ErrDuplicateName, proto.ErrNotEmpty, proto.ErrIllegalRequest} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
+}
+
+// modelNames is the pool random operations draw names from: shared
+// prefixes and neighbours, so insertion points fall at the front, the
+// middle and the end of a directory, plus the three names no entry may
+// have.
+var modelNames = []string{"a", "aa", "ab", "b", "ba", "c", "m", "mm", "x", "y", "z", "zz", "0", "~", "", ".", ".."}
+
+// TestVolumeAgainstMapModel drives the volume and the reference model
+// with the same seeded random operations and requires them to agree on
+// every result, every context directory and every lookup.
+func TestVolumeAgainstMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			fs, _ := startFS(t)
+			rng := rand.New(rand.NewSource(seed))
+			m := newModel()
+			name := func() string { return modelNames[rng.Intn(len(modelNames))] }
+			// node draws an i-node number: mostly a live one of the wanted
+			// kind (0 for any), sometimes one that never existed.
+			node := func(kind nodeKind) ino {
+				var ids []ino
+				for id, n := range m.nodes {
+					if kind == 0 || n.kind == kind {
+						ids = append(ids, id)
+					}
+				}
+				if len(ids) == 0 || rng.Intn(16) == 0 {
+					return m.next + 5
+				}
+				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+				return ids[rng.Intn(len(ids))]
+			}
+			dir := func() core.ContextID { return core.ContextID(node(kindDir)) }
+
+			for step := 1; step <= 400; step++ {
+				now := vtime.Time(step)
+				var what string
+				var got, want error
+				switch op := rng.Intn(20); {
+				case op < 5:
+					d, n := dir(), name()
+					what = fmt.Sprintf("createFile(%d, %q)", d, n)
+					_, got = fs.vol.createFile(d, n, "o", now)
+					want = m.create(kindFile, d, n, now)
+				case op < 8:
+					d, n := dir(), name()
+					what = fmt.Sprintf("mkdir(%d, %q)", d, n)
+					_, got = fs.vol.mkdir(d, n, "o", now)
+					want = m.create(kindDir, d, n, now)
+				case op < 10:
+					d, n, id := dir(), name(), uint32(node(0))
+					what = fmt.Sprintf("addAlias(%d, %q, %d)", d, n, id)
+					got = fs.vol.addAlias(d, n, id, now)
+					want = m.addAlias(d, n, id, now)
+				case op < 11:
+					d, n := dir(), name()
+					target := core.ContextPair{Server: kernel.PID(rng.Intn(9) + 1), Ctx: core.ContextID(rng.Intn(9))}
+					what = fmt.Sprintf("addLink(%d, %q)", d, n)
+					got = fs.vol.addLink(d, n, target, now)
+					want = m.addLink(d, n, target, now)
+				case op < 14:
+					from, to, o, n := dir(), dir(), name(), name()
+					if rng.Intn(2) == 0 {
+						to = from
+					}
+					what = fmt.Sprintf("rename(%d, %q, %d, %q)", from, o, to, n)
+					got = fs.vol.rename(from, o, to, n, now)
+					want = m.rename(from, o, to, n, now)
+				case op < 17:
+					d, n := dir(), name()
+					what = fmt.Sprintf("remove(%d, %q)", d, n)
+					got = fs.vol.remove(d, n, now)
+					want = m.remove(d, n, now)
+				case op < 18:
+					id := uint32(node(0))
+					what = fmt.Sprintf("removeByIno(%d)", id)
+					got = fs.vol.removeByIno(id, now)
+					want = m.removeByIno(id, now)
+				case op < 19:
+					id, n := uint32(node(kindFile)), rng.Intn(2000)
+					what = fmt.Sprintf("writeAt(%d, %d bytes)", id, n)
+					_, got = fs.vol.writeAt(id, 0, make([]byte, n), now)
+					want = m.write(id, n, now)
+				default:
+					what = "encode -> restoreVolume"
+					got = fs.restoreVolume(fs.vol.encode())
+				}
+				if errClass(got) != want {
+					t.Fatalf("step %d %s: volume says %v, model says %v", step, what, got, want)
+				}
+				if step%16 == 0 {
+					compareWithModel(t, fs.vol, m, fmt.Sprintf("step %d %s", step, what))
+				}
+			}
+		})
+	}
+}
+
+func compareWithModel(t *testing.T, v *volume, m *model, when string) {
+	t.Helper()
+	if len(v.nodes) != len(m.nodes) || v.next != m.next {
+		t.Fatalf("%s: i-node table has %d nodes, next %d; model %d, next %d", when, len(v.nodes), v.next, len(m.nodes), m.next)
+	}
+	for id, n := range m.nodes {
+		if n.kind != kindDir {
+			continue
+		}
+		ctx := core.ContextID(id)
+		got, err := v.list(ctx)
+		if err != nil {
+			t.Fatalf("%s: list(%d): %v", when, id, err)
+		}
+		want := m.list(ctx)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: list(%d)\n got %+v\nwant %+v", when, id, got, want)
+		}
+		bound := make(map[string]proto.Descriptor, len(want))
+		for _, rec := range want {
+			bound[rec.Name] = rec
+		}
+		for _, name := range modelNames {
+			e, err := v.LookupComponent(ctx, name)
+			wantE, wantErr := m.lookup(ctx, name)
+			if errClass(err) != wantErr || !reflect.DeepEqual(e, wantE) {
+				t.Fatalf("%s: LookupComponent(%d, %q) = %+v, %v; model %+v, %v", when, id, name, e, err, wantE, wantErr)
+			}
+			rec, err := v.describe(ctx, name)
+			if wantRec, ok := bound[name]; ok {
+				if err != nil || rec != wantRec {
+					t.Fatalf("%s: describe(%d, %q) = %+v, %v; want %+v", when, id, name, rec, err, wantRec)
+				}
+			} else if name == "" {
+				// The empty name describes the directory itself.
+				if err != nil || rec.ObjectID != uint32(id) || rec.Tag != proto.TagDirectory || rec.Size != uint32(len(want)) {
+					t.Fatalf("%s: describe(%d, \"\") = %+v, %v", when, id, rec, err)
+				}
+			} else if errClass(err) != proto.ErrNotFound {
+				t.Fatalf("%s: describe(%d, %q) of an unbound name: %+v, %v", when, id, name, rec, err)
+			}
+		}
+	}
+}
+
+// TestListAllocatesOnlyItsResult: fabricating a context directory is one
+// pass over the directory's entries into one slice — no name list, no
+// sort, no per-entry lookups that allocate.
+func TestListAllocatesOnlyItsResult(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	fs, _ := startFS(t)
+	ctx, err := fs.MkdirAll("/d", "o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := fs.vol.createFile(ctx, fmt.Sprintf("f%03d", i), "o", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.vol.mkdir(ctx, "sub", "o", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.vol.addLink(ctx, "far", core.ContextPair{Server: 7, Ctx: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	var got []proto.Descriptor
+	if allocs := testing.AllocsPerRun(100, func() { got, _ = fs.vol.list(ctx) }); allocs != 1 {
+		t.Fatalf("list of %d entries: %v allocs, want 1", len(got), allocs)
+	}
+	if len(got) != 102 || cap(got) != 102 || got[0].Name != "f000" || got[100].Name != "far" || got[101].Name != "sub" {
+		t.Fatalf("list = %d records (cap %d)", len(got), cap(got))
+	}
+}

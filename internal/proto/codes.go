@@ -158,13 +158,23 @@ func (c Code) IsCSNameOp() bool {
 	return c >= OpMapContext && c <= OpLinkObject
 }
 
-// String names the code for diagnostics.
+// String names the code for diagnostics — and for the metrics label the
+// kernel builds on every Send, so a known code is two array indexings.
 func (c Code) String() string {
-	if s, ok := codeNames[c]; ok {
-		return s
+	if hi, lo := int(c>>8), int(c&0xff); hi < len(codeTable) && lo < len(codeTable[hi]) && codeTable[hi][lo] != "" {
+		return codeTable[hi][lo]
 	}
 	return fmt.Sprintf("Code(0x%04x)", uint16(c))
 }
+
+// codeTable[c>>8][c&0xff] is codeNames[c]: one row per code range
+// (replies, then the four request ranges), wide enough for the longest.
+var codeTable = func() (t [5][32]string) {
+	for c, s := range codeNames {
+		t[c>>8][c&0xff] = s
+	}
+	return t
+}()
 
 var codeNames = map[Code]string{
 	ReplyOK:                 "OK",

@@ -105,13 +105,24 @@ func (d *Descriptor) AppendEncoded(buf []byte) []byte {
 	return buf
 }
 
-// DecodeDescriptor decodes one record from the front of buf, returning the
-// record and the number of bytes consumed.
-func DecodeDescriptor(buf []byte) (Descriptor, int, error) {
+// recordLen returns the size of the record at the front of buf, read from
+// its fixed part, or an error if buf holds less than that.
+func recordLen(buf []byte) (int, error) {
 	if len(buf) < descriptorFixedBytes {
-		return Descriptor{}, 0, fmt.Errorf("%w: descriptor truncated at %d bytes", ErrBadArgs, len(buf))
+		return 0, fmt.Errorf("%w: descriptor truncated at %d bytes", ErrBadArgs, len(buf))
 	}
-	var d Descriptor
+	nameLen := int(binary.BigEndian.Uint16(buf[28:]))
+	ownerLen := int(binary.BigEndian.Uint16(buf[30:]))
+	total := descriptorFixedBytes + nameLen + ownerLen
+	if len(buf) < total {
+		return 0, fmt.Errorf("%w: descriptor strings truncated", ErrBadArgs)
+	}
+	return total, nil
+}
+
+// decode fills d from the record at the front of buf, which recordLen has
+// found whole, and returns the record's size.
+func (d *Descriptor) decode(buf []byte) int {
 	d.Tag = DescriptorTag(binary.BigEndian.Uint16(buf[0:]))
 	d.Perms = binary.BigEndian.Uint16(buf[2:])
 	d.ObjectID = binary.BigEndian.Uint32(buf[4:])
@@ -119,15 +130,22 @@ func DecodeDescriptor(buf []byte) (Descriptor, int, error) {
 	d.Modified = binary.BigEndian.Uint64(buf[12:])
 	d.TypeSpecific[0] = binary.BigEndian.Uint32(buf[20:])
 	d.TypeSpecific[1] = binary.BigEndian.Uint32(buf[24:])
-	nameLen := int(binary.BigEndian.Uint16(buf[28:]))
-	ownerLen := int(binary.BigEndian.Uint16(buf[30:]))
-	total := descriptorFixedBytes + nameLen + ownerLen
-	if len(buf) < total {
-		return Descriptor{}, 0, fmt.Errorf("%w: descriptor strings truncated", ErrBadArgs)
+	nameEnd := descriptorFixedBytes + int(binary.BigEndian.Uint16(buf[28:]))
+	total := nameEnd + int(binary.BigEndian.Uint16(buf[30:]))
+	d.Name = string(buf[descriptorFixedBytes:nameEnd])
+	d.Owner = string(buf[nameEnd:total])
+	return total
+}
+
+// DecodeDescriptor decodes one record from the front of buf, returning the
+// record and the number of bytes consumed.
+func DecodeDescriptor(buf []byte) (Descriptor, int, error) {
+	if _, err := recordLen(buf); err != nil {
+		return Descriptor{}, 0, err
 	}
-	d.Name = string(buf[descriptorFixedBytes : descriptorFixedBytes+nameLen])
-	d.Owner = string(buf[descriptorFixedBytes+nameLen : total])
-	return d, total, nil
+	var d Descriptor
+	n := d.decode(buf)
+	return d, n, nil
 }
 
 // EncodeDescriptors encodes a context directory: the concatenation of the
@@ -144,16 +162,23 @@ func EncodeDescriptors(list []Descriptor) []byte {
 	return buf
 }
 
-// DecodeDescriptors decodes a whole context directory stream.
+// DecodeDescriptors decodes a whole context directory stream. The record
+// lengths are walked first, so the result is allocated once at its size.
 func DecodeDescriptors(buf []byte) ([]Descriptor, error) {
-	var out []Descriptor
-	for len(buf) > 0 {
-		d, n, err := DecodeDescriptor(buf)
+	count := 0
+	for rest := buf; len(rest) > 0; count++ {
+		n, err := recordLen(rest)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, d)
-		buf = buf[n:]
+		rest = rest[n:]
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	out := make([]Descriptor, count)
+	for i := range out {
+		buf = buf[out[i].decode(buf):]
 	}
 	return out, nil
 }

@@ -2,9 +2,12 @@ package proto
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/raceflag"
 )
 
 func TestMessageMarshalRoundTrip(t *testing.T) {
@@ -261,8 +264,80 @@ func TestCodeString(t *testing.T) {
 	if OpCreateInstance.String() != "CreateInstance" {
 		t.Fatalf("String = %q", OpCreateInstance.String())
 	}
-	if !strings.Contains(Code(0x7777).String(), "7777") {
-		t.Fatal("unknown codes should print their value")
+	// The table String indexes is built from codeNames: every entry must
+	// come back out of it.
+	for c, want := range codeNames {
+		if got := c.String(); got != want {
+			t.Errorf("Code(%#04x).String() = %q, want %q", uint16(c), got, want)
+		}
+	}
+	// Codes nobody named — zero, the gap after each range's last code, a
+	// range's far end, the first range past the table, the last code of
+	// all — print their value.
+	for _, c := range []Code{0, ReplyNotLeader + 1, 0x00ff, OpLinkObject + 1, OpCacheInvalidate + 1,
+		OpRemoveByUID + 1, OpReplicaStatus + 1, 0x04ff, 0x0500, 0x0501, 0x7777, 0xffff} {
+		if _, named := codeNames[c]; named {
+			t.Fatalf("test bug: %#04x is a named code", uint16(c))
+		}
+		if got, want := c.String(), fmt.Sprintf("Code(0x%04x)", uint16(c)); got != want {
+			t.Errorf("unnamed code prints %q, want %q", got, want)
+		}
+	}
+}
+
+// TestCodeStringZeroAlloc: the kernel labels a metric with the code's
+// name on every Send and every serve, so naming a known code must cost
+// no allocation (and no map lookup: it is two array indexings).
+func TestCodeStringZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	var sink string
+	if allocs := testing.AllocsPerRun(1000, func() {
+		sink = ReplyOK.String()
+		sink = OpReadInstance.String()
+		sink = OpReplicaStatus.String()
+	}); allocs != 0 {
+		t.Fatalf("Code.String allocates %v times for known codes", allocs)
+	}
+	_ = sink
+}
+
+// TestDecodeDescriptorsAllocatesOnce: a context directory is decoded into
+// one slice sized from the record lengths — no growth by doubling — plus
+// one string per non-empty name or owner.
+func TestDecodeDescriptorsAllocatesOnce(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	list := make([]Descriptor, 100)
+	strs := 0
+	for i := range list {
+		list[i] = Descriptor{Tag: TagFile, ObjectID: uint32(i), Name: fmt.Sprintf("f%03d", i)}
+		strs++
+		if i%10 == 0 {
+			list[i].Owner = "mann"
+			strs++
+		}
+	}
+	buf := EncodeDescriptors(list)
+	var got []Descriptor
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, err = DecodeDescriptors(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(1 + strs); allocs != want {
+		t.Fatalf("DecodeDescriptors of %d records: %v allocs, want %v (one slice + %d strings)", len(list), allocs, want, strs)
+	}
+	if len(got) != len(list) || cap(got) != len(list) {
+		t.Fatalf("decoded len %d cap %d, want exactly %d", len(got), cap(got), len(list))
+	}
+	for i := range list {
+		if got[i] != list[i] {
+			t.Fatalf("record %d: %+v, want %+v", i, got[i], list[i])
+		}
 	}
 }
 

@@ -67,42 +67,50 @@ func (f *File) ReadBlock(block uint32) ([]byte, error) {
 
 // Read implements io.Reader with sequential block requests.
 func (f *File) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
+	out, err := f.appendRead(p[:0], len(p))
+	return len(out), err
+}
+
+// appendRead is Read into the tail of dst: it appends up to limit bytes
+// from the current position and returns the extended slice, which is dst
+// itself whenever dst has the room.
+func (f *File) appendRead(dst []byte, limit int) ([]byte, error) {
 	bs := int64(f.info.BlockSize)
 	if bs == 0 {
 		bs = DefaultBlockSize
 	}
-	total := 0
-	for total < len(p) {
+	for total := 0; total < limit; {
 		block := uint32(f.pos / bs)
 		within := f.pos % bs
 		data, err := f.ReadBlock(block)
 		if err != nil {
 			if errors.Is(err, proto.ErrEndOfFile) && total > 0 {
-				return total, nil
+				return dst, nil
 			}
 			if errors.Is(err, proto.ErrEndOfFile) {
-				return 0, io.EOF
+				return dst, io.EOF
 			}
-			return total, err
+			return dst, err
 		}
 		if int64(len(data)) <= within {
 			if total > 0 {
-				return total, nil
+				return dst, nil
 			}
-			return 0, io.EOF
+			return dst, io.EOF
 		}
-		n := copy(p[total:], data[within:])
-		total += n
-		f.pos += int64(n)
+		chunk := data[within:]
+		if len(chunk) > limit-total {
+			chunk = chunk[:limit-total]
+		}
+		dst = append(dst, chunk...)
+		total += len(chunk)
+		f.pos += int64(len(chunk))
 		if int64(len(data)) < bs {
 			// Short block: end of data.
-			return total, nil
+			return dst, nil
 		}
 	}
-	return total, nil
+	return dst, nil
 }
 
 // ReadRetry reads like Read but backs off and retries when the server
@@ -120,21 +128,28 @@ func (f *File) ReadRetry(p []byte, maxRetries int) (int, error) {
 	}
 }
 
-// ReadAll reads the instance from the current position to EOF.
+// readAllWindow is how much ReadAll asks of each Read. Where a window
+// ends decides which block is requested twice (a short last block is read
+// again before EOF is reported), and every request is a remote
+// transaction in virtual time — so the window is part of the model.
+const readAllWindow = 4096
+
+// ReadAll reads the instance from the current position to EOF. The result
+// is sized once, from the length the instance had at open; it grows only
+// if the object has.
 func (f *File) ReadAll() ([]byte, error) {
 	var out []byte
-	buf := make([]byte, 4096)
+	if left := int64(f.info.SizeBytes) - f.pos; left > 0 {
+		out = make([]byte, 0, left)
+	}
 	for {
-		n, err := f.Read(buf)
-		out = append(out, buf[:n]...)
+		var err error
+		out, err = f.appendRead(out, readAllWindow)
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
-		}
-		if n == 0 {
-			return out, nil
 		}
 	}
 }

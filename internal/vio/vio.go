@@ -137,8 +137,10 @@ func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message) *proto.Messag
 		if err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
+		info := inst.Info()
+		info.ID = uint16(msg.F[0])
 		reply := proto.NewReply(proto.ReplyOK)
-		proto.SetInstanceInfo(reply, inst.Info())
+		proto.SetInstanceInfo(reply, info)
 		return reply
 
 	case proto.OpReadInstance:
