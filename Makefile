@@ -35,7 +35,7 @@ check: vet
 	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
@@ -49,12 +49,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Where does the time go? CPU and allocation profiles of one root-module
-# benchmark — W=ZipfMiss, W=ZipfHit and W=FileIO are the ledger's
-# resolve_miss, resolve_hit and paper_fileio shapes at a tenth of the
-# size, on one P as the ledger pins it — kept in a temp dir, hottest 25
-# by cumulative share printed. Read this before attributing a remainder
-# bench/'s probes leave unexplained.
+# Where does the time go, and what stays? CPU and allocation profiles of
+# one root-module benchmark — W=ZipfMiss, W=ZipfHit, W=ZipfChurn and
+# W=FileIO are the ledger's resolve_miss, resolve_hit, define_churn and
+# paper_fileio shapes at a tenth of the size, on one P as the ledger pins
+# it — kept in a temp dir, hottest 25 by cumulative share printed. Then
+# the live heap: one more iteration with every 512th byte sampled, whose
+# profile is written after a final GC with the booted topology still
+# referenced (benchLive), largest 25 holders printed — the ledger's
+# heap_live_mb point. Read this before attributing a remainder bench/'s
+# probes leave unexplained.
 W ?= ZipfMiss
 profile:
 	@set -e; tmp=$$(mktemp -d); \
@@ -62,6 +66,9 @@ profile:
 		-cpuprofile $$tmp/cpu.pprof -memprofile $$tmp/mem.pprof -o $$tmp/repro.test .; \
 	$(GO) tool pprof -top -cum -nodecount 25 $$tmp/repro.test $$tmp/cpu.pprof; \
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 $$tmp/repro.test $$tmp/mem.pprof; \
+	$$tmp/repro.test -test.run '^$$' -test.bench 'Benchmark$(W)$$' -test.benchtime 1x -test.cpu 1 \
+		-test.memprofilerate 512 -test.memprofile $$tmp/heap.pprof >/dev/null; \
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 $$tmp/repro.test $$tmp/heap.pprof; \
 	echo "profiles kept in $$tmp"
 
 # Machine-readable per-experiment results (the perf trajectory).

@@ -20,6 +20,7 @@ import (
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
 	"repro/internal/nameserver"
+	"repro/internal/popgen"
 	"repro/internal/proto"
 	"repro/internal/rig"
 )
@@ -392,6 +393,11 @@ func BenchmarkE5PrefixTable(b *testing.B) {
 // defineSeq keeps prefix names unique across benchmark rounds.
 var defineSeq int
 
+// benchLive keeps what the last population benchmark drove reachable
+// after it returns, so the heap profile `make profile` takes at the end
+// of the run (after a final GC) shows the booted state's live bytes.
+var benchLive any
+
 // benchTopology drives one sharded workload per iteration on a freshly
 // booted topology (setup excluded from the timer) and reports wall-clock
 // requests per second.
@@ -401,10 +407,12 @@ func benchTopology(b *testing.B, boot func() (*rig.Topology, error), drive func(
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		benchLive = nil
 		sw, err := boot()
 		if err != nil {
 			b.Fatal(err)
 		}
+		benchLive = sw
 		b.StartTimer()
 		res := drive(sw.Clients)
 		b.StopTimer()
@@ -463,6 +471,54 @@ func BenchmarkZipfMiss(b *testing.B) {
 func BenchmarkZipfHit(b *testing.B) {
 	benchZipf(b, rig.ZipfConfig{Population: 10_000, Skew: 1.3, Lease: 10 * time.Second,
 		Interarrival: 20 * time.Millisecond, Arrivals: 6_000})
+}
+
+// BenchmarkZipfChurn is the repository benchmark's define_churn shape
+// (bench/zipf.go) at a tenth of the size, for `make profile W=ZipfChurn`:
+// 3×10⁴ names bulk-bound, eight leased readers, and one admin session on
+// its own host deleting and re-adding Zipf-drawn names — each half of a
+// redefinition runs the invalidation barrier against whoever leased the
+// name. A redefinition revokes leases in every lane, so the single-lane
+// driver runs it, as in the ledger. It claims nothing.
+func BenchmarkZipfChurn(b *testing.B) {
+	const redefines, gap = 1_000, 64 * time.Millisecond
+	cfg := rig.ZipfConfig{Population: 30_000, Skew: 0.99, Lease: 2 * time.Second,
+		Interarrival: gap, Arrivals: 1_125, Shards: 4, ClientsPerShard: 2, Seed: 42}
+	cfg.Pop = popgen.NewPopulation(cfg.Population, cfg.Skew, 1)
+	sched := popgen.Arrivals(redefines, 0, gap, 301)
+	benchTopology(b, func() (*rig.Topology, error) {
+		zw, err := rig.NewZipfWorkload(cfg)
+		if err != nil {
+			return nil, err
+		}
+		host := zw.Kernel.NewHost("admin")
+		proc, err := host.NewProcess("admin")
+		if err != nil {
+			return nil, err
+		}
+		ranks := cfg.Pop.Sampler(300)
+		zw.Hosts = append(zw.Hosts, host)
+		zw.Clients = append(zw.Clients, &rig.WorkloadClient{
+			Session:  client.New(proc, zw.Prefix.PID(), zw.Shards[0].RootPair(), "admin"),
+			Requests: redefines,
+			Lane:     cfg.Shards,
+			Arrive:   func(i int) time.Duration { return sched[i] },
+			Op: func(s *client.Session, i int) error {
+				r := ranks.NextRank()
+				if err := s.DeleteName(cfg.Pop.Names[r]); err != nil {
+					return err
+				}
+				return s.AddName(cfg.Pop.Names[r], zw.Shards[r%cfg.Shards].RootPair())
+			},
+		})
+		return zw, nil
+	}, func(cs []*rig.WorkloadClient) *rig.WorkloadResult {
+		res := rig.RunWorkload(cs)
+		if admin := res.Clients[len(cs)-1]; admin.Errors != 0 || admin.Completed != redefines {
+			b.Fatalf("admin: %d of %d redefinitions completed, %d failed", admin.Completed, redefines, admin.Errors)
+		}
+		return res
+	})
 }
 
 // BenchmarkFileIO is the repository benchmark's paper_fileio shape
@@ -562,6 +618,7 @@ func BenchmarkFileIO(b *testing.B) {
 				return nil
 			}})
 	}
+	benchLive = r
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

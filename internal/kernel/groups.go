@@ -2,7 +2,7 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/netsim"
@@ -15,11 +15,15 @@ import (
 // multi-server contexts: a Send to a group delivers one multicast frame to
 // every member, and the sender unblocks on the first reply.
 type group struct {
-	id PID
-
 	mu      sync.Mutex
-	members map[PID]struct{}
+	members []PID // ascending
 }
+
+// groupChunk is how many groups one chunk of the kernel's group table
+// holds. Group number n (groupPID(n) is its id) lives at index n-1 of
+// the table, chunk (n-1)/groupChunk. A chunk never moves once made, so a
+// *group stays valid, and is locked, outside k.mu.
+const groupChunk = 1024
 
 // CreateGroup allocates a new, empty process group and returns its group
 // identifier, which can be used anywhere a pid can. Groups live as long
@@ -31,29 +35,33 @@ func (k *Kernel) CreateGroup() (PID, error) {
 	if k.nextGrp == maxGroups {
 		return NilPID, fmt.Errorf("%w: all %d are in use", ErrNoGroupID, maxGroups)
 	}
-	k.nextGrp++
-	g := &group{
-		id:      groupPID(k.nextGrp),
-		members: make(map[PID]struct{}),
+	// Chunks are made on demand, by index: a chunk no group was created
+	// in stays nil, and group treats its numbers as never issued.
+	c := int(k.nextGrp / groupChunk)
+	if c >= len(k.groups) {
+		k.groups = append(k.groups, make([]*[groupChunk]group, c+1-len(k.groups))...)
 	}
-	k.groups[g.id] = g
-	return g.id, nil
+	if k.groups[c] == nil {
+		k.groups[c] = new([groupChunk]group)
+	}
+	k.nextGrp++
+	return groupPID(k.nextGrp), nil
 }
 
 func (k *Kernel) group(gid PID) (*group, error) {
 	if !gid.IsGroup() {
 		return nil, fmt.Errorf("%w: %v is not a group id", ErrNoSuchGroup, gid)
 	}
+	i := gid.groupNumber() - 1 // number 0 is nobody's: it wraps past nextGrp
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	g, ok := k.groups[gid]
-	if !ok {
+	if i >= k.nextGrp || k.groups[i/groupChunk] == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchGroup, gid)
 	}
-	return g, nil
+	return &k.groups[i/groupChunk][i%groupChunk], nil
 }
 
-// JoinGroup adds member to the group.
+// JoinGroup adds member to the group; joining twice is joining once.
 func (k *Kernel) JoinGroup(gid, member PID) error {
 	g, err := k.group(gid)
 	if err != nil {
@@ -61,23 +69,34 @@ func (k *Kernel) JoinGroup(gid, member PID) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.members[member] = struct{}{}
+	if i, found := slices.BinarySearch(g.members, member); !found {
+		g.members = slices.Insert(g.members, i, member)
+	}
 	return nil
 }
 
-// LeaveGroup removes member from the group.
+// LeaveGroup removes member from the group, if it is one.
 func (k *Kernel) LeaveGroup(gid, member PID) error {
 	g, err := k.group(gid)
 	if err != nil {
 		return err
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.members, member)
+	g.leave(member)
 	return nil
 }
 
-// GroupMembers returns the group's members in deterministic order.
+func (g *group) leave(member PID) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if i, found := slices.BinarySearch(g.members, member); found {
+		g.members = slices.Delete(g.members, i, i+1)
+	}
+}
+
+// GroupMembers returns the group's members in ascending pid order. The
+// slice is the caller's own: group sends deliver after the group's lock
+// is released, and a served member's handler may join or leave the very
+// group being iterated.
 func (k *Kernel) GroupMembers(gid PID) ([]PID, error) {
 	g, err := k.group(gid)
 	if err != nil {
@@ -85,26 +104,22 @@ func (k *Kernel) GroupMembers(gid PID) ([]PID, error) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]PID, 0, len(g.members))
-	for m := range g.members {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return slices.Clone(g.members), nil
 }
 
-// leaveAllGroups removes a destroyed process from every group.
+// leaveAllGroups removes a destroyed process from every group: one pass
+// over the table as it stood when the process died.
 func (k *Kernel) leaveAllGroups(member PID) {
 	k.mu.Lock()
-	groups := make([]*group, 0, len(k.groups))
-	for _, g := range k.groups {
-		groups = append(groups, g)
-	}
+	chunks := k.groups
 	k.mu.Unlock()
-	for _, g := range groups {
-		g.mu.Lock()
-		delete(g.members, member)
-		g.mu.Unlock()
+	for _, c := range chunks {
+		if c == nil {
+			continue
+		}
+		for i := range c {
+			c[i].leave(member)
+		}
 	}
 }
 

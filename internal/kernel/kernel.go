@@ -101,16 +101,15 @@ type Kernel struct {
 
 	mu       sync.Mutex
 	nextHost uint16
-	groups   map[PID]*group
-	nextGrp  uint32 // number of the last group created
+	groups   []*[groupChunk]group // the group table, in chunks (groups.go)
+	nextGrp  uint32               // number of the last group created
 }
 
 // New creates a V domain over the given network.
 func New(n *netsim.Network) *Kernel {
 	k := &Kernel{
-		net:    n,
-		model:  n.Model(),
-		groups: make(map[PID]*group),
+		net:   n,
+		model: n.Model(),
 	}
 	hosts := make(map[netsim.HostID]*Host)
 	k.hosts.Store(&hosts)

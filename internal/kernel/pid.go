@@ -45,6 +45,11 @@ func groupPID(n uint32) PID {
 	return MakePID(groupHostField-netsim.HostID(n>>16), uint16(n))
 }
 
+// groupNumber is groupPID's inverse, for a pid that IsGroup.
+func (p PID) groupNumber() uint32 {
+	return uint32(groupHostField-p.Host())<<16 | uint32(p.Local())
+}
+
 // MakePID assembles a pid from its logical-host and local subfields.
 func MakePID(host netsim.HostID, local uint16) PID {
 	return PID(uint32(host)<<16 | uint32(local))
@@ -67,7 +72,7 @@ func (p PID) String() string {
 		return "pid(nil)"
 	}
 	if p.IsGroup() {
-		return fmt.Sprintf("group(%d)", uint32(groupHostField-p.Host())<<16|uint32(p.Local()))
+		return fmt.Sprintf("group(%d)", p.groupNumber())
 	}
 	return fmt.Sprintf("pid(%d.%d)", p.Host(), p.Local())
 }

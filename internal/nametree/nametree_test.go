@@ -2,7 +2,9 @@ package nametree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -319,76 +321,148 @@ func TestLoadMatchesInsert(t *testing.T) {
 	checkTree(t, bulk)
 }
 
-// TestNodeSizeClass pins the node of a prefix-table-sized value (24
-// bytes, 4-byte aligned: prefix's TestTableEntrySize) in the 80-byte
+// TestNodeSizeClass pins the node of a prefix-table-sized value (16
+// bytes, 4-byte aligned: prefix's TestTableEntrySize) in the 64-byte
 // allocator class: the child bytes share the label's string and split
 // sits in hasVal's padding, so the one-line child lookup costs no
 // memory per name.
 func TestNodeSizeClass(t *testing.T) {
 	type entry struct {
-		dynamic             bool
-		a, b, c, d, slotIdx uint32
+		a, b, slotIdx uint32
+		dynamic       bool
 	}
-	if unsafe.Sizeof(entry{}) != 24 {
-		t.Fatalf("stand-in entry is %d bytes, want 24", unsafe.Sizeof(entry{}))
+	if unsafe.Sizeof(entry{}) != 16 {
+		t.Fatalf("stand-in entry is %d bytes, want 16", unsafe.Sizeof(entry{}))
 	}
-	if sz := unsafe.Sizeof(node[entry]{}); sz <= 64 || sz > 80 {
-		t.Fatalf("node of a 24-byte value is %d bytes, want the 80-byte class", sz)
+	if sz := unsafe.Sizeof(node[entry]{}); sz <= 48 || sz > 64 {
+		t.Fatalf("node of a 16-byte value is %d bytes, want the 64-byte class", sz)
 	}
 }
 
-// TestReverseFirstMatchesSortedScan checks the O(1) inverse index gives
+// TestReverseFirstMatchesSortedScan checks the inverse index gives
 // exactly the answer a linear first-match scan over the sorted name
-// table would, through adds and removes (including removing the min).
+// table would, under the contract its caller keeps: every add is of a
+// name the tree has just bound, every remove of one it has just
+// unbound. The tree grows to 10⁴ names; every tenth step removes some
+// key's current smallest name, and the step after adds to that key
+// (an unknown smallest must survive an Add). First may walk the tree —
+// seen as calls of the key function — only when a smallest name was
+// removed since First last answered for that key.
 func TestReverseFirstMatchesSortedScan(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	rev := NewReverse[int]()
-	ref := map[int]map[string]bool{}
-	check := func() {
-		t.Helper()
-		for k, set := range ref {
-			var names []string
-			for n := range set {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			got, ok := rev.First(k)
-			if len(names) == 0 {
-				if ok {
-					t.Fatalf("First(%d) = %q, want none", k, got)
-				}
-				continue
-			}
-			if !ok || got != names[0] {
-				t.Fatalf("First(%d) = (%q,%v), want %q", k, got, ok, names[0])
-			}
-			if rev.Count(k) != len(names) {
-				t.Fatalf("Count(%d) = %d, want %d", k, rev.Count(k), len(names))
+	tr := New[int]()
+	keyCalls := 0
+	// Negative values stand for bindings that answer no inverse query.
+	rev := NewReverse(tr, func(v int) (int, bool) { keyCalls++; return v, v >= 0 })
+	const keys = 5
+	ref := map[int][]string{} // the model: key → names bound to it, sorted
+	var names []string        // every name in the tree
+	unknown := map[int]bool{} // keys whose smallest went since First last looked
+	// scan is the oracle: each key's first match in a linear pass over
+	// the sorted name table.
+	scan := func() map[int]string {
+		sorted := slices.Clone(names)
+		sort.Strings(sorted)
+		firsts := map[int]string{}
+		for _, n := range sorted {
+			if k, _ := tr.Get(n); firsts[k] == "" {
+				firsts[k] = n
 			}
 		}
+		return firsts
 	}
-	for step := 0; step < 4000; step++ {
-		k := r.Intn(5)
-		name := genKey(r)
-		if ref[k] == nil {
-			ref[k] = map[string]bool{}
+	smallest := func(k int) string {
+		if len(ref[k]) == 0 {
+			return ""
+		}
+		return ref[k][0]
+	}
+	first := func(k int, want string) {
+		t.Helper()
+		before := keyCalls
+		got, ok := rev.First(k)
+		if ok != (want != "") || got != want {
+			t.Fatalf("First(%d) = (%q,%v), want %q", k, got, ok, want)
+		}
+		if walked := keyCalls > before; walked != unknown[k] {
+			t.Fatalf("First(%d) walked=%v with the smallest unknown=%v", k, walked, unknown[k])
+		}
+		delete(unknown, k)
+	}
+	add := func(k int) {
+		name := genKey(r) + "." + strconv.Itoa(r.Intn(1_000_000))
+		if _, dup := tr.Get(name); dup {
+			return
+		}
+		tr.Insert(name, k)
+		names = append(names, name)
+		if k < 0 {
+			return
+		}
+		i, _ := slices.BinarySearch(ref[k], name)
+		ref[k] = slices.Insert(ref[k], i, name)
+		rev.Add(k, name)
+	}
+	remove := func(i int) {
+		name := names[i]
+		names[i] = names[len(names)-1]
+		names = names[:len(names)-1]
+		k, _ := tr.Get(name)
+		tr.Delete(name)
+		if k < 0 {
+			return
+		}
+		i, _ = slices.BinarySearch(ref[k], name)
+		ref[k] = slices.Delete(ref[k], i, i+1)
+		rev.Remove(k, name)
+		if i == 0 && len(ref[k]) > 0 {
+			unknown[k] = true
+		}
+		if len(ref[k]) == 0 {
+			delete(unknown, k) // a drained key starts fresh
+		}
+	}
+	lastMinKey := -1
+	for step := 0; len(names) < 10_000; step++ {
+		switch {
+		case step%10 == 9 && len(names) > 0:
+			lastMinKey = r.Intn(keys)
+			if min := smallest(lastMinKey); min != "" {
+				remove(slices.Index(names, min))
+			}
+		case step%10 == 0 && lastMinKey >= 0:
+			add(lastMinKey)
+		case r.Intn(4) == 0 && len(names) > 0:
+			remove(r.Intn(len(names)))
+		default:
+			add(r.Intn(keys+1) - 1)
 		}
 		if r.Intn(3) == 0 {
-			rev.Remove(k, name)
-			delete(ref[k], name)
-		} else {
-			rev.Add(k, name)
-			ref[k][name] = true
+			k := r.Intn(keys)
+			first(k, smallest(k))
 		}
-		if step%100 == 0 {
-			check()
+		if step%1000 == 0 {
+			firsts := scan()
+			for k := 0; k < keys; k++ {
+				if firsts[k] != smallest(k) {
+					t.Fatalf("model says %q is the smallest name of %d, a sorted scan %q", smallest(k), k, firsts[k])
+				}
+				first(k, firsts[k])
+				if rev.Count(k) != len(ref[k]) {
+					t.Fatalf("Count(%d) = %d, want %d", k, rev.Count(k), len(ref[k]))
+				}
+			}
 		}
 	}
-	check()
-	if rev.Count(99) != 0 {
-		t.Fatal("Count of unknown key should be 0")
+	for len(names) > 0 {
+		remove(len(names) - 1)
 	}
-	rev.Remove(99, "x") // no-op on unknown key
+	for k := -1; k <= keys; k++ {
+		first(k, "")
+		if rev.Count(k) != 0 {
+			t.Fatalf("Count(%d) = %d after every name left", k, rev.Count(k))
+		}
+	}
 }
 
 // TestEmptyKey pins that the empty string is a legal key (the root).
@@ -409,31 +483,45 @@ func TestEmptyKey(t *testing.T) {
 	}
 }
 
-// TestReverseEdges exercises the non-min removal fast path, removal of
-// unknown names/keys, and First on an unbound key.
+// TestReverseEdges walks one key through every state by hand: unbound,
+// a removal that is not the smallest (no walk), the smallest removed and
+// then a name added — smaller or larger, it is not thereby the smallest
+// — and drained, after which the key starts fresh.
 func TestReverseEdges(t *testing.T) {
-	r := NewReverse[int]()
-	if _, ok := r.First(7); ok {
-		t.Fatal("First on an unbound key")
+	tr := New[int]()
+	walks := 0
+	r := NewReverse(tr, func(v int) (int, bool) { walks++; return v, true })
+	bind := func(name string) { tr.Insert(name, 7); r.Add(7, name) }
+	unbind := func(name string) { tr.Delete(name); r.Remove(7, name) }
+	first := func(want string, walk bool) {
+		t.Helper()
+		before := walks
+		if got, ok := r.First(7); ok != (want != "") || got != want {
+			t.Fatalf("First = (%q,%v), want %q", got, ok, want)
+		}
+		if walks > before != walk {
+			t.Fatalf("First walked=%v, want %v", walks > before, walk)
+		}
 	}
-	r.Add(7, "b")
-	r.Add(7, "a")
-	r.Add(7, "c")
-	r.Remove(7, "c") // non-min removal: no rescan
-	if got, ok := r.First(7); !ok || got != "a" {
-		t.Fatalf("First = %q, %v", got, ok)
-	}
-	r.Remove(7, "zzz") // absent name: no-op
-	r.Remove(9, "a")   // absent key: no-op
-	if got, ok := r.First(7); !ok || got != "a" {
-		t.Fatalf("First after no-ops = %q, %v", got, ok)
-	}
-	r.Remove(7, "a") // min removal: rescan finds "b"
-	if got, ok := r.First(7); !ok || got != "b" {
-		t.Fatalf("First after min removal = %q, %v", got, ok)
-	}
-	r.Remove(7, "b")
-	if _, ok := r.First(7); ok || r.Count(7) != 0 {
+	first("", false)
+	bind("c")
+	bind("b")
+	bind("d")
+	unbind("d") // not the smallest: nothing to look up
+	first("b", false)
+	unbind("b") // the smallest: unknown until First looks
+	bind("e")   // larger than what is left
+	first("c", true)
+	first("c", false)
+	unbind("c")
+	bind("a") // smaller than what is left, still not taken on trust
+	first("a", true)
+	unbind("a")
+	unbind("e")
+	first("", false)
+	if r.Count(7) != 0 {
 		t.Fatal("key not drained")
 	}
+	bind("z") // a drained key's first name is its smallest, known
+	first("z", false)
 }

@@ -86,20 +86,29 @@ func NewPopulation(n int, skew float64, seed uint64) *Population {
 		panic(fmt.Sprintf("popgen: population size %d", n))
 	}
 	r := NewRand(seed)
-	names := make([]string, n)
-	for i := range names {
+	// Every name is a slice of one backing string: a population is
+	// generated, bound and dropped together, and the index's leaf labels
+	// point into its keys, so a string apiece is 3×10⁵ live objects for
+	// nothing.
+	var b []byte
+	ends := make([]int, n)
+	for i := range ends {
 		depth := pickDepth(r)
 		// Shared vocabulary segments plus a unique final segment: names
 		// collide on prefixes (radix compression is real) but never on
 		// the full key.
-		var b []byte
 		for d := 0; d < depth-1; d++ {
 			b = append(b, segments[r.Intn(len(segments))]...)
 			b = append(b, '.')
 		}
 		b = append(b, 'n')
 		b = appendInt(b, i)
-		names[i] = string(b)
+		ends[i] = len(b)
+	}
+	all, start := string(b), 0
+	names := make([]string, n)
+	for i, end := range ends {
+		names[i], start = all[start:end], end
 	}
 	cum := make([]float64, n)
 	total := 0.0

@@ -220,12 +220,13 @@ func TestInvalidateWithoutHolders(t *testing.T) {
 
 // TestGrantLeavesIndexUntouched is the gate on the grant path's contract:
 // stamping a lease finds the holder group through the slot read off the
-// index node and writes nothing to the index. On a 10⁵-name table one
-// Insert copies a spine of about eighteen allocations, which is what a
+// index node and writes nothing to the index, and the kernel group it
+// joins is a record in a table, not a heap of maps. On a 10⁵-name table
+// one Insert copies a spine of over a dozen allocations, which is what a
 // name's first grant used to pay to note its new group on the node; a
-// first grant must now allocate less than that spine (the kernel group
-// and its first member, the reply, the name parsed off the request), and
-// a repeat grant only the last two.
+// first grant now allocates three times (the reply, the name parsed off
+// the request, the group's member slice) and a repeat grant only the
+// first two.
 func TestGrantLeavesIndexUntouched(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
@@ -266,6 +267,9 @@ func TestGrantLeavesIndexUntouched(t *testing.T) {
 	t.Logf("allocs: first grant %.1f, repeat grant %.1f, one Insert spine %.1f", first, repeat, spine)
 	if first >= spine {
 		t.Fatalf("a first grant allocates %.1f, an index Insert %.1f: the grant path writes the index", first, spine)
+	}
+	if first > 3 {
+		t.Fatalf("a first grant allocates %.1f, want the reply, the parsed name and the member slice (3)", first)
 	}
 	if repeat > 2 {
 		t.Fatalf("a repeat grant allocates %.1f, want the reply and the parsed name (2)", repeat)
@@ -359,7 +363,7 @@ func TestGrantAfterDeleteJoinsTheNamesNextLife(t *testing.T) {
 // TestTableEntrySize pins the value nametree's TestNodeSizeClass stands
 // in for: a larger entry would move every index node up a size class.
 func TestTableEntrySize(t *testing.T) {
-	if sz := unsafe.Sizeof(tableEntry{}); sz != 24 {
-		t.Fatalf("tableEntry is %d bytes, want 24", sz)
+	if sz := unsafe.Sizeof(tableEntry{}); sz != 16 {
+		t.Fatalf("tableEntry is %d bytes, want 16", sz)
 	}
 }

@@ -138,8 +138,11 @@ type Server struct {
 	// node names that binding's group for good.
 	groups []kernel.PID
 	// reverse answers the inverse (binding→name) query with the sorted
-	// first-match semantics the linear scan used to give (§6).
-	reverse *nametree.Reverse[core.ContextPair]
+	// first-match semantics the linear scan used to give (§6). It keeps
+	// a count and the smallest name per pair and reads the rest off
+	// index, so it changes under mu in step with index: bound and
+	// unbound are the two places a name enters and leaves it.
+	reverse *nametree.Reverse[core.ContextPair, tableEntry]
 	// lastResolved remembers, per dynamic prefix, the pid its last use
 	// resolved to, so rebinds (§4.2) are observable in Stats.
 	lastResolved map[string]kernel.PID
@@ -183,10 +186,36 @@ func (c *statsCounters) load() Stats {
 
 // tableEntry is one prefix table entry: the binding plus the index of
 // its lease-holder group in Server.groups, co-located on the index node
-// so resolution and lease stamping share one descent.
+// so resolution and lease stamping share one descent. Of the binding it
+// stores the one arm dynamic selects — (server pid, context id) or
+// (service, well-known context id) — which keeps the entry at 16 bytes
+// and the index node in the 64-byte class; binding hands the Binding
+// back.
 type tableEntry struct {
-	b    Binding
-	slot uint32
+	target  [2]uint32
+	slot    uint32
+	dynamic bool
+}
+
+func newEntry(b Binding, slot uint32) tableEntry {
+	if b.Dynamic {
+		return tableEntry{target: [2]uint32{uint32(b.Service), uint32(b.WellKnown)}, slot: slot, dynamic: true}
+	}
+	return tableEntry{target: [2]uint32{uint32(b.Pair.Server), uint32(b.Pair.Ctx)}, slot: slot}
+}
+
+func (e tableEntry) binding() Binding {
+	if e.dynamic {
+		return Binding{Dynamic: true, Service: kernel.Service(e.target[0]), WellKnown: core.ContextID(e.target[1])}
+	}
+	pair, _ := e.pair()
+	return Binding{Pair: pair}
+}
+
+// pair is the reverse index's key for an entry: the context pair a
+// static binding names. A dynamic binding answers no inverse query (§6).
+func (e tableEntry) pair() (core.ContextPair, bool) {
+	return core.ContextPair{Server: kernel.PID(e.target[0]), Ctx: core.ContextID(e.target[1])}, !e.dynamic
 }
 
 // retired marks the slot of a binding deleted before anyone leased it. A
@@ -204,13 +233,13 @@ func New(proc *kernel.Process, owner string, opts ...Option) *Server {
 		reg:          vio.NewRegistry(),
 		teamSize:     1,
 		index:        nametree.New[tableEntry](),
-		reverse:      nametree.NewReverse[core.ContextPair](),
 		lastResolved: make(map[string]kernel.PID),
 		orphans:      make(map[string]kernel.PID),
 		leases:       lease.NewMeter("prefix", proc.Name()),
 		topk:         namestat.NewTopK(32),
 		rates:        namestat.NewRates(0),
 	}
+	s.reverse = nametree.NewReverse(s.index, tableEntry.pair)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -287,7 +316,7 @@ func (s *Server) DefineAll(names []string, pairs []core.ContextPair) error {
 	base := uint32(len(s.groups))
 	entry := func(i int) tableEntry {
 		if i < len(names) {
-			return tableEntry{b: Binding{Pair: pairs[i]}, slot: base + uint32(i)}
+			return newEntry(Binding{Pair: pairs[i]}, base+uint32(i))
 		}
 		return old[i-len(names)]
 	}
@@ -321,7 +350,7 @@ func (s *Server) define(name string, b Binding) error {
 	if _, dup := s.index.Get(name); dup {
 		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
-	e := tableEntry{b: b, slot: uint32(len(s.groups))}
+	e := newEntry(b, uint32(len(s.groups)))
 	s.groups = append(s.groups, kernel.NilPID)
 	s.index.Insert(name, e)
 	s.bound(name, e)
@@ -337,8 +366,8 @@ func (s *Server) bound(name string, e tableEntry) {
 		s.groups[e.slot] = g
 		delete(s.orphans, name)
 	}
-	if !e.b.Dynamic {
-		s.reverse.Add(e.b.Pair, name)
+	if pair, ok := e.pair(); ok {
+		s.reverse.Add(pair, name)
 	}
 }
 
@@ -351,8 +380,8 @@ func (s *Server) unbound(name string, e tableEntry) {
 	} else {
 		s.groups[e.slot] = retired
 	}
-	if !e.b.Dynamic {
-		s.reverse.Remove(e.b.Pair, name)
+	if pair, ok := e.pair(); ok {
+		s.reverse.Remove(pair, name)
 	}
 }
 
@@ -362,7 +391,7 @@ func (s *Server) unbound(name string, e tableEntry) {
 func (s *Server) Bindings() map[string]Binding {
 	out := make(map[string]Binding, s.index.Len())
 	s.index.Walk(func(name string, e tableEntry) bool {
-		out[name] = e.b
+		out[name] = e.binding()
 		return true
 	})
 	return out
@@ -480,7 +509,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	// The resolution fast path: one lock-free descent of the radix index
 	// yields the binding and its holder group's slot together.
 	e, ok := s.index.Get(pfx)
-	b := e.b
+	b := e.binding()
 	cb, wantLease := lease.Wanted(msg, name, rest)
 	wantLease = wantLease && s.leaseLen > 0
 	if !ok {
@@ -601,7 +630,7 @@ func (s *Server) handleOwnName(p *kernel.Process, msg *proto.Message, rest strin
 		}
 		p.ChargeCompute(p.Kernel().Model().DescriptorFabricateCost)
 		reply := core.OkReply()
-		d := s.describe(rest, e.b)
+		d := s.describe(rest, e)
 		reply.Segment = d.AppendEncoded(nil)
 		return reply
 	case proto.OpMapContext:
@@ -618,19 +647,18 @@ func (s *Server) handleOwnName(p *kernel.Process, msg *proto.Message, rest strin
 
 // describe fabricates the description record of one prefix (§5.6).
 // ObjectID 1 marks a dynamic binding; TypeSpecific carries the target
-// pair (static) or the (service, well-known-context) pair (dynamic).
-func (s *Server) describe(name string, b Binding) proto.Descriptor {
+// pair (static) or the (service, well-known-context) pair (dynamic) —
+// the arm the entry stores.
+func (s *Server) describe(name string, e tableEntry) proto.Descriptor {
 	d := proto.Descriptor{
-		Tag:   proto.TagContextPrefix,
-		Name:  name,
-		Owner: s.owner,
-		Perms: proto.PermRead | proto.PermWrite,
+		Tag:          proto.TagContextPrefix,
+		Name:         name,
+		Owner:        s.owner,
+		Perms:        proto.PermRead | proto.PermWrite,
+		TypeSpecific: e.target,
 	}
-	if b.Dynamic {
+	if e.dynamic {
 		d.ObjectID = 1
-		d.TypeSpecific = [2]uint32{uint32(b.Service), uint32(b.WellKnown)}
-	} else {
-		d.TypeSpecific = [2]uint32{uint32(b.Pair.Server), uint32(b.Pair.Ctx)}
 	}
 	return d
 }
@@ -646,7 +674,7 @@ func (s *Server) openDirectory(p *kernel.Process, msg *proto.Message) *proto.Mes
 	// Walk one immutable snapshot in sorted order — no lock, no re-sort.
 	records := make([]proto.Descriptor, 0, s.index.Len())
 	s.index.Walk(func(n string, e tableEntry) bool {
-		records = append(records, s.describe(n, e.b))
+		records = append(records, s.describe(n, e))
 		return true
 	})
 	records = core.FilterRecords(records, pattern)
@@ -673,30 +701,21 @@ func (s *Server) modifyFromRecord(d proto.Descriptor) error {
 	if d.Tag != proto.TagContextPrefix {
 		return fmt.Errorf("%w: record tag %v", proto.ErrBadArgs, d.Tag)
 	}
-	b := Binding{}
-	if d.ObjectID == 1 {
-		b.Dynamic = true
-		b.Service = kernel.Service(d.TypeSpecific[0])
-		b.WellKnown = core.ContextID(d.TypeSpecific[1])
-	} else {
-		b.Pair = core.ContextPair{
-			Server: kernel.PID(d.TypeSpecific[0]),
-			Ctx:    core.ContextID(d.TypeSpecific[1]),
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.index.Get(d.Name)
 	if !ok {
 		return fmt.Errorf("prefix %q: %w", d.Name, proto.ErrNotFound)
 	}
-	if !e.b.Dynamic {
-		s.reverse.Remove(e.b.Pair, d.Name)
+	if pair, ok := e.pair(); ok {
+		s.reverse.Remove(pair, d.Name)
 	}
-	e.b = b
+	// A written record reads as describe wrote it: ObjectID selects the
+	// arm, TypeSpecific holds it.
+	e = tableEntry{target: d.TypeSpecific, slot: e.slot, dynamic: d.ObjectID == 1}
 	s.index.Insert(d.Name, e)
-	if !b.Dynamic {
-		s.reverse.Add(b.Pair, d.Name)
+	if pair, ok := e.pair(); ok {
+		s.reverse.Add(pair, d.Name)
 	}
 	// The vio write handler has no process context: queue the name and
 	// let the serve loop invalidate holders before the write's reply.
@@ -758,8 +777,9 @@ func (s *Server) handleDelete(p *kernel.Process, msg *proto.Message) *proto.Mess
 // names it, in bracketed syntax. As §6 observes this inverts a
 // many-to-one mapping: the first matching (non-dynamic) prefix in sorted
 // order is returned, and there may be none. The reverse index answers
-// with that exact tie-break in O(1) where the old code scanned the
-// sorted name table.
+// with that exact tie-break from the smallest name it keeps per pair,
+// and walks the table in order only for the first query after a pair's
+// smallest name was unbound.
 func (s *Server) handleInverse(msg *proto.Message) *proto.Message {
 	target := core.ContextPair{Server: kernel.PID(msg.F[1]), Ctx: core.ContextID(msg.F[0])}
 	s.mu.Lock()

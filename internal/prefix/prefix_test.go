@@ -1,7 +1,9 @@
 package prefix
 
 import (
+	"encoding/hex"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -381,4 +383,186 @@ func TestPrefixProcessingChargesCalibratedCost(t *testing.T) {
 	if elapsed < model.PrefixRewriteCost {
 		t.Fatalf("prefixed request cost %v, must include the %v prefix processing", elapsed, model.PrefixRewriteCost)
 	}
+}
+
+// TestInverseResolutionEndToEnd follows OpGetContextName through a served
+// prefix server while the names bound to one pair come and go by every
+// route the table has — protocol add and delete, a directory-record
+// write, DefineAll merging into a non-empty table, a snapshot Restore —
+// and requires the sorted first match each time. A dynamic binding whose
+// (service, context) pair reads like the static one, under a name smaller
+// than all of them, is never the answer.
+func TestInverseResolutionEndToEnd(t *testing.T) {
+	pair, other := core.ContextPair{Server: 7, Ctx: 1}, core.ContextPair{Server: 7, Ctx: 2}
+	five := []string{"m3", "m1", "m5", "m2", "m4"}
+	pairs := []core.ContextPair{pair, pair, pair, pair, pair}
+	routes := map[string]func(t *testing.T, ps *Server){
+		"Define": func(t *testing.T, ps *Server) {
+			for _, name := range five {
+				if err := ps.Define(name, pair); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"DefineAll into a non-empty table": func(t *testing.T, ps *Server) {
+			if err := ps.DefineAll(five[:2], pairs[:2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.DefineAll(five[2:], pairs[2:]); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Restore": func(t *testing.T, ps *Server) {
+			// What Restore replaces held the pair too, under a smaller name.
+			if err := ps.Define("a.stale", pair); err != nil {
+				t.Fatal(err)
+			}
+			proc, err := ps.Proc().Kernel().NewHost("peer").NewProcess("peer")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer proc.Destroy()
+			src := New(proc, "mann")
+			if err := src.DefineDynamic("a.dynamic", kernel.Service(pair.Server), pair.Ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.DefineAll(append([]string{"tgt"}, five...), append([]core.ContextPair{other}, pairs...)); err != nil {
+				t.Fatal(err)
+			}
+			if err := NewReplicaService(ps).Restore(nil, NewReplicaService(src).Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for route, bind := range routes {
+		t.Run(route, func(t *testing.T) {
+			ps, client, _, _ := newPrefixRig(t)
+			send := func(req *proto.Message) *proto.Message {
+				t.Helper()
+				reply, err := client.Send(req, ps.PID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return reply
+			}
+			inverse := func(want string) {
+				t.Helper()
+				req := &proto.Message{Op: proto.OpGetContextName}
+				req.F[0], req.F[1] = uint32(pair.Ctx), uint32(pair.Server)
+				reply := send(req)
+				if want == "" && reply.Op == proto.ReplyNotFound {
+					return
+				}
+				if reply.Op != proto.ReplyOK || string(reply.Segment) != want {
+					t.Fatalf("inverse of %v = %v %q, want %q", pair, reply.Op, reply.Segment, want)
+				}
+			}
+			remove := func(name string) {
+				t.Helper()
+				del := &proto.Message{Op: proto.OpDeleteContextName}
+				proto.SetCSName(del, 0, name)
+				if reply := send(del); reply.Op != proto.ReplyOK {
+					t.Fatalf("delete %q: %v", name, reply.Op)
+				}
+			}
+			inverse("")
+			if err := ps.DefineDynamic("a.dynamic", kernel.Service(pair.Server), pair.Ctx); err != nil {
+				t.Fatal(err)
+			}
+			bind(t, ps)
+			inverse("[m1]")
+			remove("m1")
+			inverse("[m2]")
+
+			// Rebind m2 elsewhere by writing its record into the open
+			// context directory (§5.6).
+			open := &proto.Message{Op: proto.OpCreateInstance}
+			proto.SetCSName(open, 0, "")
+			proto.SetOpenMode(open, proto.ModeDirectory|proto.ModeRead|proto.ModeWrite)
+			opened := send(open)
+			if opened.Op != proto.ReplyOK {
+				t.Fatalf("open context directory: %v", opened.Op)
+			}
+			rec := proto.Descriptor{Tag: proto.TagContextPrefix, Name: "m2",
+				TypeSpecific: [2]uint32{uint32(other.Server), uint32(other.Ctx)}}
+			write := &proto.Message{Op: proto.OpWriteInstance, Segment: rec.AppendEncoded(nil)}
+			write.F[0] = uint32(proto.GetInstanceInfo(opened).ID)
+			if reply := send(write); reply.Op != proto.ReplyOK {
+				t.Fatalf("write record: %v", reply.Op)
+			}
+			if got := ps.Bindings()["m2"].Pair; got != other {
+				t.Fatalf("m2 after the record write is bound to %v", got)
+			}
+			inverse("[m3]")
+
+			add := &proto.Message{Op: proto.OpAddContextName}
+			proto.SetCSName(add, 0, "m0")
+			proto.SetAddContextTarget(add, uint32(pair.Server), uint32(pair.Ctx))
+			if reply := send(add); reply.Op != proto.ReplyOK {
+				t.Fatalf("add m0: %v", reply.Op)
+			}
+			inverse("[m0]")
+			for _, name := range []string{"m0", "m3", "m4"} {
+				remove(name)
+			}
+			inverse("[m5]")
+			remove("m5")
+			inverse("")
+			if _, ok := ps.Bindings()["a.dynamic"]; !ok {
+				t.Fatal("the dynamic binding went missing")
+			}
+		})
+	}
+}
+
+// TestPackedEntryDropsNothing: the table stores one arm of a Binding, and
+// every way of making an entry sets one arm, so what comes back out — by
+// Bindings and by Snapshot — is what went in. The snapshot bytes are the
+// ones the same calls produced while the entry still held a whole
+// Binding.
+func TestPackedEntryDropsNothing(t *testing.T) {
+	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	proc, err := k.NewHost("ws").NewProcess("prefix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Destroy()
+	ps := New(proc, "mann")
+	record := func(name string, dynamic uint32, a, b uint32) proto.Descriptor {
+		return proto.Descriptor{Tag: proto.TagContextPrefix, Name: name, ObjectID: dynamic, TypeSpecific: [2]uint32{a, b}}
+	}
+	for _, err := range []error{
+		ps.Define("storage", core.ContextPair{Server: 0x2A0001, Ctx: 7}),
+		ps.DefineDynamic("bin", kernel.ServiceStorage, core.CtxStdPrograms),
+		ps.DefineAll([]string{"x", "[y]"}, []core.ContextPair{{Server: 9, Ctx: 1}, {Server: 9, Ctx: 0xFFFFFFFF}}),
+		ps.modifyFromRecord(record("x", 1, uint32(kernel.ServiceMail), 3)),
+		ps.modifyFromRecord(record("bin", 0, 0x10002, 5)),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]Binding{
+		"bin":     {Pair: core.ContextPair{Server: 0x10002, Ctx: 5}},
+		"storage": {Pair: core.ContextPair{Server: 0x2A0001, Ctx: 7}},
+		"x":       {Dynamic: true, Service: kernel.ServiceMail, WellKnown: 3},
+		"y":       {Pair: core.ContextPair{Server: 9, Ctx: 0xFFFFFFFF}},
+	}
+	const image = "040362696e00828004050773746f72616765008180a80107017801070301790009ffffffff0f"
+	check := func(ps *Server) {
+		t.Helper()
+		if got := ps.Bindings(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("table = %+v, want %+v", got, want)
+		}
+		if got := hex.EncodeToString(NewReplicaService(ps).Snapshot()); got != image {
+			t.Fatalf("snapshot = %s, want %s", got, image)
+		}
+	}
+	check(ps)
+	restored := New(proc, "mann")
+	img, _ := hex.DecodeString(image)
+	if err := NewReplicaService(restored).Restore(nil, img); err != nil {
+		t.Fatal(err)
+	}
+	check(restored)
 }

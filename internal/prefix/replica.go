@@ -104,7 +104,7 @@ func (rs *ReplicaService) Snapshot() []byte {
 	binds := make([]Binding, 0, s.index.Len())
 	s.index.Walk(func(n string, e tableEntry) bool {
 		names = append(names, n)
-		binds = append(binds, e.b)
+		binds = append(binds, e.binding())
 		return true
 	})
 	var buf []byte
@@ -189,7 +189,7 @@ func (rs *ReplicaService) Restore(p *kernel.Process, data []byte) error {
 		return true
 	})
 	base := uint32(len(s.groups))
-	entry := func(i int) tableEntry { return tableEntry{b: binds[i], slot: base + uint32(i)} }
+	entry := func(i int) tableEntry { return newEntry(binds[i], base+uint32(i)) }
 	if s.index.Load(names, entry) != nil {
 		return bad
 	}

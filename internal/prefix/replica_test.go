@@ -203,8 +203,8 @@ func TestRestoreIsOneRootSwap(t *testing.T) {
 				default:
 				}
 				e, ok := dst.s.index.Get("kept")
-				if !ok || (e.b.Pair.Ctx != 1 && e.b.Pair.Ctx != 2) {
-					t.Errorf("a resolution beside Restore saw kept = (%+v, %v)", e.b, ok)
+				if b := e.binding(); !ok || (b.Pair.Ctx != 1 && b.Pair.Ctx != 2) {
+					t.Errorf("a resolution beside Restore saw kept = (%+v, %v)", b, ok)
 					return
 				}
 			}

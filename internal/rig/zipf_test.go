@@ -1,10 +1,12 @@
 package rig
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/popgen"
+	"repro/internal/raceflag"
 )
 
 func zipfTestConfig() ZipfConfig {
@@ -153,4 +155,53 @@ func TestZipfStats(t *testing.T) {
 	if (&WorkloadResult{}).Throughput() != 0 {
 		t.Fatal("throughput of an empty result")
 	}
+}
+
+// TestBoundNameFootprint is the ceiling on what a bound name keeps alive
+// (the paper's whole prefix server was 2.6 KB of data, §6; ROADMAP item
+// 3): the resolve_miss shape — 10⁵ names, skew 0.5, leases too short to
+// hit — booted and driven until about half the names have been leased,
+// then the live heap and object count the repository holds for it, per
+// bound name, the generated population excluded as input. The ceilings
+// sit 10% above what the flat reverse index, the kernel group table, the
+// 16-byte table entry and the shared name string measure together (269 B
+// in 3.34 objects); what they replaced measured 377 B in 4.17.
+func TestBoundNameFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations are not the repository's")
+	}
+	const names, maxBytes, maxObjects = 100_000, 296, 3.68
+	pop := popgen.NewPopulation(names, 0.5, 1)
+	heap := func() (m runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m
+	}
+	before := heap()
+	zw, err := NewZipfWorkload(ZipfConfig{Population: names, Skew: 0.5, Pop: pop, Shards: 4, ClientsPerShard: 2,
+		Arrivals: 12_500, Interarrival: 56 * time.Millisecond, Lease: 20 * time.Millisecond, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := RunWorkload(zw.Clients); res.Requests != 100_000 {
+		t.Fatalf("ran %d requests", res.Requests)
+	}
+	after := heap()
+	// A client's first lease of a name is a miss of its cache, and only
+	// the two clients of a name's shard ever lease it.
+	firsts := 0
+	for _, s := range zw.Sessions() {
+		firsts += s.LeaseCacheStats().Misses
+	}
+	if firsts < names/2 {
+		t.Fatalf("%d first leases: the run leased too few names to price their holder groups", firsts)
+	}
+	bytes := float64(after.HeapAlloc-before.HeapAlloc) / names
+	objects := float64(after.HeapObjects-before.HeapObjects) / names
+	t.Logf("%d names, %d first leases: %.0f live bytes in %.2f live objects per bound name", names, firsts, bytes, objects)
+	if bytes > maxBytes || objects > maxObjects {
+		t.Fatalf("a bound name keeps %.0f bytes in %.2f objects alive, ceilings %d and %.2f", bytes, objects, maxBytes, maxObjects)
+	}
+	runtime.KeepAlive(zw)
 }
