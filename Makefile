@@ -5,10 +5,13 @@ GO ?= go
 # Wall-clock budget for each live fuzz target in `make fuzz`.
 FUZZTIME ?= 10s
 
-# Statement-coverage floor for `make cover`, last raised when the one
-# lease mechanism's failure paths got tests (measured 80.1%). Raise it
-# when coverage rises; never lower it to make a regression pass.
-COVERAGE_FLOOR ?= 80.0
+# Statement-coverage floor for `make cover`: every internal package
+# measured against every test in the tree (-coverpkg), re-based when the
+# seven small servers moved onto core.Flat (measured 89.6%, the floor a
+# little under it because team tests reach a few branches by schedule; at
+# that PR's parent, own tests only read 83.5% where this way read 88.7%).
+# Raise it when coverage rises; never lower it to make a regression pass.
+COVERAGE_FLOOR ?= 89.4
 
 # The deterministic documents `vbench -<doc> FILE` exports, each pinned
 # byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
@@ -130,27 +133,41 @@ fuzz:
 	$(GO) test -fuzz 'FuzzFlightRoundTrip' -fuzztime $(FUZZTIME) ./internal/flight/
 
 # Statement coverage with a recorded floor: fails if total coverage
-# drops below COVERAGE_FLOOR. COVER_PKGS are printed beside the total:
-# the lease mechanism and its three callers, the packages ROADMAP item 3
-# raised by testing failure paths, the three observers whose storage
-# ROADMAP item 5(a) rewrote, and vio, whose client side had no test of
-# its own until its ReadAll was rewritten.
+# drops below COVERAGE_FLOOR. A statement counts as covered when any test
+# in the tree reaches it (-coverpkg=./internal/...), so what is left at
+# 0.0% is code nothing reaches — printed, so dead surface is visible.
+# COVER_PKGS are printed beside the total: the lease mechanism and its
+# three callers, the packages ROADMAP item 3 raised by testing failure
+# paths, the three observers whose storage ROADMAP item 5(a) rewrote, and
+# vio, whose client side had no test of its own until its ReadAll was
+# rewritten. The merged profile repeats each block once per test binary;
+# the awk below folds them.
 COVER_PKGS = client ncache prefix lease trace flight namestat vio
 cover:
-	$(GO) test -coverprofile=coverage.out ./...
+	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/... ./...
 	@for p in $(COVER_PKGS); do \
-		awk -v p="$$p" 'NR > 1 && index($$1, "repro/internal/" p "/") == 1 { n += $$2; if ($$3 > 0) c += $$2 } \
-			END { printf "internal/%s coverage: %.1f%%\n", p, n ? 100 * c / n : 0 }' coverage.out; \
+		awk -v p="$$p" 'NR > 1 && index($$1, "repro/internal/" p "/") == 1 { stmts[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+			END { for (b in stmts) { n += stmts[b]; if (hit[b]) c += stmts[b] } \
+				printf "internal/%s coverage: %.1f%%\n", p, n ? 100 * c / n : 0 }' coverage.out; \
 	done
+	@echo "functions no test reaches:"; \
+	$(GO) tool cover -func=coverage.out | awk '$$3 == "0.0%" { print "  " $$1, $$2 }'
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "total coverage: $$total% (floor $(COVERAGE_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVERAGE_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 	{ echo "coverage $$total% fell below floor $(COVERAGE_FLOOR)%"; exit 1; }
 
 # The size every simplicity PR quotes (ROADMAP "small"): non-test Go
-# lines outside the nested benchmark module.
+# lines outside the nested benchmark module. Then the paper's own measure
+# of uniformity (§6: a prefix server was 4.5 KB of code): the lines each
+# small server adds beyond the protocol, and the shared protocol half.
+SERVER_PKGS = execserver inetserver mailserver pipeserver printserver termserver timeserver
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@for p in $(SERVER_PKGS); do \
+		printf "internal/%s %s\n" $$p $$(cat $$(find internal/$$p -name '*.go' -not -name '*_test.go') | wc -l); \
+	done
+	@printf "internal/core/flat.go %s\n" $$(wc -l < internal/core/flat.go)
 
 # Regenerate every paper table and figure (paper vs. measured).
 experiments:

@@ -1,8 +1,9 @@
 // Command listdir is the paper's single "list directory" command (§6): it
 // lists the objects in any of several different kinds of contexts —
 // disk files, context prefixes, virtual terminals, print jobs, TCP
-// connections, mailboxes, and programs in execution — relying only on the
-// typed description records every CSNH server returns.
+// connections, mailboxes, programs in execution, pipes and the time
+// service's clock — relying only on the typed description records every
+// CSNH server returns.
 //
 // Usage:
 //
@@ -41,7 +42,7 @@ func run(args []string, w io.Writer) error {
 	if len(contexts) == 0 {
 		contexts = []string{
 			"[home]", "[bin]", "[storage]/shared", "[storage2]/archive",
-			"[tty]", "[print]", "[tcp]tcp", "[mail]", "[exec]",
+			"[tty]", "[print]", "[tcp]tcp", "[mail]", "[exec]", "[pipe]", "[time]",
 		}
 	}
 
@@ -100,6 +101,10 @@ func printRecord(w io.Writer, d proto.Descriptor) {
 		fmt.Fprintf(w, "  %-15s %-24s pid=%#x image=%s\n", d.Tag, d.Name, d.TypeSpecific[0], d.Owner)
 	case proto.TagMailbox:
 		fmt.Fprintf(w, "  %-15s %-24s %d message(s)\n", d.Tag, d.Name, d.TypeSpecific[0])
+	case proto.TagPipe:
+		fmt.Fprintf(w, "  %-15s %-24s %6d bytes buffered, %d reader(s), %d writer(s)\n", d.Tag, d.Name, d.Size, d.TypeSpecific[0], d.TypeSpecific[1])
+	case proto.TagServiceBinding:
+		fmt.Fprintf(w, "  %-15s %-24s %d s since boot\n", d.Tag, d.Name, d.Size)
 	default:
 		fmt.Fprintf(w, "  %-15s %-24s size=%d\n", d.Tag, d.Name, d.Size)
 	}
@@ -160,5 +165,16 @@ func seedDemoObjects(r *rig.Rig, ws *rig.Workstation) error {
 	if _, err := mb.Write([]byte("camera-ready due Friday")); err != nil {
 		return err
 	}
-	return mb.Close()
+	if err := mb.Close(); err != nil {
+		return err
+	}
+	// A pipe with bytes waiting for a reader.
+	pipe, err := s.Open("[pipe]ls-to-more", proto.ModeWrite|proto.ModeCreate)
+	if err != nil {
+		return err
+	}
+	if _, err := pipe.Write([]byte("welcome.txt\n")); err != nil {
+		return err
+	}
+	return pipe.Close()
 }

@@ -23,6 +23,8 @@ func TestListdirDefaultTour(t *testing.T) {
 		"tcp-connection", "su-score.arpa:23",
 		"mailbox", "mann@v.stanford.edu", "1 message(s)",
 		"program", "editor.1",
+		"pipe", "ls-to-more", "12 bytes buffered",
+		"service-binding", "clock",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)

@@ -1,0 +1,299 @@
+package core
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+
+	"repro/internal/kernel"
+	"repro/internal/proto"
+	"repro/internal/vio"
+)
+
+// OpenInstance registers inst in reg under the name it was opened by and
+// builds the open reply every CSNH server sends: the instance parameters
+// and the pid of the server implementing it — a team's receptionist, the
+// address instance operations go to (§3.2).
+func OpenInstance(reg *vio.Registry, owner kernel.PID, inst vio.Instance, name string) *proto.Message {
+	id, err := reg.Open(inst, name)
+	if err != nil {
+		return ErrorReplyMsg(err)
+	}
+	info := inst.Info()
+	info.ID = id
+	reply := OkReply()
+	proto.SetInstanceInfo(reply, info)
+	proto.SetInstanceOwner(reply, uint32(owner))
+	return reply
+}
+
+// OpenDirectory answers a directory open (§5.6) from the description
+// records of a context: the records the pattern selects are charged to
+// the serving process p at DescriptorFabricateCost each — before the
+// instance exists, and only those — and opened as a context directory
+// whose written-back records go to modify (nil: read-only).
+func OpenDirectory(p *kernel.Process, reg *vio.Registry, owner kernel.PID, records []proto.Descriptor, pattern, name string, modify func(proto.Descriptor) error) *proto.Message {
+	records = FilterRecords(records, pattern)
+	p.ChargeCompute(time.Duration(len(records)) * p.Kernel().Model().DescriptorFabricateCost)
+	return OpenInstance(reg, owner, vio.NewDirectoryInstance(records, modify), name)
+}
+
+// DirectoryRequest validates a directory-mode open that resolved at this
+// server: the name must denote a context and the pattern must lie inside
+// the segment.
+func DirectoryRequest(msg *proto.Message, res *Resolution) (ContextID, string, error) {
+	ctx, err := res.ContextOf()
+	if err != nil {
+		return 0, "", err
+	}
+	pattern, err := proto.DirPattern(msg)
+	return ctx, pattern, err
+}
+
+// FlatKind is what is particular to one flat server; the protocol half is
+// Flat's.
+type FlatKind[T any] struct {
+	// Tag is the descriptor tag of the objects' bindings.
+	Tag proto.DescriptorTag
+	// Ctx is the context the objects are bound in.
+	Ctx ContextID
+	// Describe fabricates an object's description record. It runs with
+	// Mu held.
+	Describe func(*T) proto.Descriptor
+	// Open is the server's own rule for a non-directory
+	// OpCreateInstance: which names open, which create. Nil means the
+	// objects cannot be opened.
+	Open func(req *Request, res *Resolution, mode uint32) *proto.Message
+	// Order returns the ids a directory lists, in listing order, with Mu
+	// held; a stale id is skipped. Nil lists every object by ascending
+	// id; ByName is the other ready-made order.
+	Order func() []uint32
+}
+
+// Flat is the CSNH server of a flat context of transient objects — the
+// shape of the terminal, program, print, Internet, mail and pipe servers
+// (§6): a table of objects under server-assigned ids, each bound by one
+// name in one context of a MapStore, opened through a vio.Registry. It
+// gives the standard answers (context directory, query, remove, the
+// instance operations); a server adds its object type and FlatKind, and
+// embeds the Flat so that its own HandleNamed or HandleOp, if it needs
+// one, overrides the promoted one.
+type Flat[T any] struct {
+	*Server
+	Store *MapStore
+	reg   *vio.Registry
+
+	// Mu guards the table and, by the servers' convention, the state of
+	// the objects in it: their instances lock it from ReadAt, WriteAt and
+	// Release. Store.Bind and Unbind run outside it.
+	Mu   sync.Mutex
+	objs map[uint32]*T
+	next uint32
+
+	kind FlatKind[T]
+}
+
+// NewFlat creates the server process on host and assembles a flat server
+// around it; h is the embedding server. The caller may add contexts to
+// Store before StartService makes the server reachable.
+func NewFlat[T any](host *kernel.Host, name string, h Handler, kind FlatKind[T], opts ...Option) (*Flat[T], error) {
+	proc, err := host.NewProcess(name)
+	if err != nil {
+		return nil, err
+	}
+	f := &Flat[T]{Store: NewMapStore(), reg: vio.NewRegistry(), objs: make(map[uint32]*T), kind: kind}
+	f.Server = NewServer(proc, f.Store, h, opts...)
+	return f, nil
+}
+
+// Count returns the number of objects in the table.
+func (f *Flat[T]) Count() int {
+	f.Mu.Lock()
+	defer f.Mu.Unlock()
+	return len(f.objs)
+}
+
+// Get returns the object with the given id, or nil. The caller holds Mu.
+func (f *Flat[T]) Get(id uint32) *T { return f.objs[id] }
+
+// Named returns the object name is bound to. The caller holds Mu.
+func (f *Flat[T]) Named(name string) (*T, error) {
+	e, err := f.Store.Lookup(f.kind.Ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	if e.Object != nil {
+		if obj := f.objs[e.Object.ID]; obj != nil {
+			return obj, nil
+		}
+	}
+	return nil, fmt.Errorf("%q: %w", name, proto.ErrNotFound)
+}
+
+// ByName returns the objects' ids in the order of the names bound to
+// them — the Order of a server whose directory lists by name.
+func (f *Flat[T]) ByName() []uint32 {
+	names, _ := f.Store.Names(f.kind.Ctx) // a context never added lists nothing
+	ids := make([]uint32, 0, len(names))
+	for _, n := range names {
+		if e, err := f.Store.Lookup(f.kind.Ctx, n); err == nil && e.Object != nil {
+			ids = append(ids, e.Object.ID)
+		}
+	}
+	return ids
+}
+
+// NewID allocates the next object id. Ids are never reused (§4.3).
+func (f *Flat[T]) NewID() uint32 {
+	f.Mu.Lock()
+	defer f.Mu.Unlock()
+	f.next++
+	return f.next
+}
+
+// Add enters obj in the table under id and binds name to it; a refused
+// bind (a duplicate or empty name) leaves no object behind.
+func (f *Flat[T]) Add(id uint32, name string, obj *T) error {
+	f.Mu.Lock()
+	f.objs[id] = obj
+	f.Mu.Unlock()
+	err := f.Store.Bind(f.kind.Ctx, name, ObjectEntry(f.kind.Tag, id))
+	if err != nil {
+		f.Mu.Lock()
+		delete(f.objs, id)
+		f.Mu.Unlock()
+	}
+	return err
+}
+
+// Remove takes object id out of the table and unbinds name, returning
+// the object.
+func (f *Flat[T]) Remove(id uint32, name string) (*T, error) {
+	f.Mu.Lock()
+	obj := f.objs[id]
+	delete(f.objs, id)
+	f.Mu.Unlock()
+	if obj == nil {
+		return nil, proto.ErrNotFound
+	}
+	return obj, f.Store.Unbind(f.kind.Ctx, name)
+}
+
+// OpenObject opens object id as the instance mk makes of it; mk runs
+// with Mu held.
+func (f *Flat[T]) OpenObject(id uint32, name string, mk func(*T) vio.Instance) *proto.Message {
+	f.Mu.Lock()
+	obj := f.objs[id]
+	if obj == nil {
+		f.Mu.Unlock()
+		return ErrorReplyMsg(proto.ErrNotFound)
+	}
+	inst := mk(obj)
+	f.Mu.Unlock()
+	return OpenInstance(f.reg, f.PID(), inst, name)
+}
+
+// HandleNamed implements Handler with the standard answers.
+func (f *Flat[T]) HandleNamed(req *Request, res *Resolution) *proto.Message {
+	switch req.Msg.Op {
+	case proto.OpCreateInstance:
+		mode := proto.OpenMode(req.Msg)
+		if mode&proto.ModeDirectory != 0 {
+			return f.openDirectory(req, res)
+		}
+		if f.kind.Open == nil {
+			return ErrorReplyMsg(proto.ErrModeNotSupported)
+		}
+		return f.kind.Open(req, res, mode)
+
+	case proto.OpQueryObject:
+		if res.Entry == nil || res.Entry.Object == nil {
+			return ErrorReplyMsg(proto.ErrNotFound)
+		}
+		f.Mu.Lock()
+		obj := f.objs[res.Entry.Object.ID]
+		var d proto.Descriptor
+		if obj != nil {
+			d = f.kind.Describe(obj)
+		}
+		f.Mu.Unlock()
+		if obj == nil {
+			return ErrorReplyMsg(proto.ErrNotFound)
+		}
+		req.Proc().ChargeCompute(req.Proc().Kernel().Model().DescriptorFabricateCost)
+		reply := OkReply()
+		reply.Segment = d.AppendEncoded(nil)
+		return reply
+
+	case proto.OpRemoveObject:
+		if res.Entry == nil || res.Entry.Object == nil {
+			return ErrorReplyMsg(proto.ErrNotFound)
+		}
+		if _, err := f.Remove(res.Entry.Object.ID, res.Last); err != nil {
+			return ErrorReplyMsg(err)
+		}
+		return OkReply()
+
+	default:
+		return ErrorReplyMsg(proto.ErrIllegalRequest)
+	}
+}
+
+// HandleOp implements Handler: the registry's instance operations.
+func (f *Flat[T]) HandleOp(req *Request) *proto.Message {
+	if reply := f.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
+		return reply
+	}
+	return ErrorReplyMsg(proto.ErrIllegalRequest)
+}
+
+func (f *Flat[T]) openDirectory(req *Request, res *Resolution) *proto.Message {
+	ctx, pattern, err := DirectoryRequest(req.Msg, res)
+	if err != nil {
+		return ErrorReplyMsg(err)
+	}
+	var records []proto.Descriptor
+	if ctx == f.kind.Ctx {
+		records = f.describeAll()
+	} else {
+		records = f.describeContexts(ctx)
+	}
+	return OpenDirectory(req.Proc(), f.reg, f.PID(), records, pattern, res.Name, nil)
+}
+
+// describeAll snapshots the objects' records in listing order.
+func (f *Flat[T]) describeAll() []proto.Descriptor {
+	f.Mu.Lock()
+	defer f.Mu.Unlock()
+	var ids []uint32
+	if f.kind.Order != nil {
+		ids = f.kind.Order()
+	} else {
+		ids = make([]uint32, 0, len(f.objs))
+		for id := range f.objs {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	}
+	records := make([]proto.Descriptor, 0, len(ids))
+	for _, id := range ids {
+		if obj := f.objs[id]; obj != nil {
+			records = append(records, f.kind.Describe(obj))
+		}
+	}
+	return records
+}
+
+// describeContexts lists a context above the objects' own — a root whose
+// names are the sub-contexts the server added to Store.
+func (f *Flat[T]) describeContexts(ctx ContextID) []proto.Descriptor {
+	names, _ := f.Store.Names(ctx) // ctx is where the name resolved: it exists
+	records := make([]proto.Descriptor, 0, len(names))
+	for _, n := range names {
+		if e, err := f.Store.Lookup(ctx, n); err == nil && e.Local != nil {
+			records = append(records, proto.Descriptor{Tag: proto.TagDirectory, Name: n, ObjectID: uint32(*e.Local)})
+		}
+	}
+	return records
+}

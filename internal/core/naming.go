@@ -8,8 +8,9 @@
 // the objects it provides, plugging its object model into the engine via
 // the ContextStore interface. The engine imposes only the protocol's
 // minimal restrictions — left-to-right interpretation is the convention
-// for hierarchical servers, but a store is free to consume a whole name
-// any way it likes (§5.4), as the mail server demonstrates.
+// for hierarchical servers, and what a component looks like between
+// separators is the server's business (§5.4), as the mail server's
+// addresses and the Internet server's host:port names demonstrate.
 package core
 
 import (

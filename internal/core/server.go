@@ -25,9 +25,6 @@ type Request struct {
 	resolution Resolution
 }
 
-// Server returns the server processing the request.
-func (r *Request) Server() *Server { return r.srv }
-
 // Proc returns the process serving this request — the receptionist for a
 // single-process server, the handling worker for a team (§3.1). Move
 // operations and clock charges must go through it so one request's waits
@@ -172,6 +169,9 @@ func (s *Server) Pair(ctx ContextID) ContextPair {
 	return ContextPair{Server: s.proc.PID(), Ctx: ctx}
 }
 
+// RootPair returns the pair of the server's default (root) context.
+func (s *Server) RootPair() ContextPair { return s.Pair(CtxDefault) }
+
 // TeamSize returns the number of serving processes.
 func (s *Server) TeamSize() int { return s.team.Size() }
 
@@ -183,6 +183,16 @@ func (s *Server) Run() { s.team.Run() }
 // Start spawns the team workers and runs the reception loop in its own
 // goroutine, returning the worker-spawn error if any.
 func (s *Server) Start() error { return s.team.Start() }
+
+// StartService starts the server and registers it as service. Boot order
+// is pid order — the process, then its team's workers, then the
+// registration — and pids are printed in traces, journals and listings.
+func (s *Server) StartService(service kernel.Service, scope kernel.Scope) error {
+	if err := s.Start(); err != nil {
+		return err
+	}
+	return s.proc.SetPid(service, s.proc.PID(), scope)
+}
 
 // Err reports why the server stopped serving: nil while it is running,
 // kernel.ErrProcessDead after a clean Destroy, and an error wrapping

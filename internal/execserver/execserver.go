@@ -9,15 +9,12 @@ package execserver
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/vio"
 )
 
 // Body is the behaviour of a simulated program: it runs in the program's
@@ -40,66 +37,47 @@ type program struct {
 	sizeText uint32
 }
 
-// Server is the program manager.
+// Server is the program manager: a flat context of programs in
+// execution. A program is made by OpExecProgram, not by opening a name.
 type Server struct {
-	srv   *core.Server
-	proc  *kernel.Process
-	store *core.MapStore
-	reg   *vio.Registry
-	host  *kernel.Host
+	*core.Flat[program]
+	host *kernel.Host
 
 	// programDir is the context the program image names are interpreted
 	// in — normally the standard program directory on a file server.
 	programDir core.ContextPair
 
-	mu            sync.Mutex
-	programs      map[uint32]*program
+	// Guarded by Mu, like the programs.
 	bodies        map[string]Body
 	sessionBodies map[string]SessionBody
-	next          uint32
 }
 
 // Start spawns a program manager on host, loading images from programDir.
 // Options (e.g. core.WithTeam) configure the serving runtime.
 func Start(host *kernel.Host, programDir core.ContextPair, opts ...core.Option) (*Server, error) {
-	proc, err := host.NewProcess("program-manager")
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		proc:          proc,
-		store:         core.NewMapStore(),
-		reg:           vio.NewRegistry(),
 		host:          host,
 		programDir:    programDir,
-		programs:      make(map[uint32]*program),
 		bodies:        make(map[string]Body),
 		sessionBodies: make(map[string]SessionBody),
 	}
-	s.srv = core.NewServer(proc, s.store, s, opts...)
-	if err := s.srv.Start(); err != nil {
+	var err error
+	s.Flat, err = core.NewFlat(host, "program-manager", s,
+		core.FlatKind[program]{Tag: proto.TagProgram, Describe: describe}, opts...)
+	if err != nil {
 		return nil, err
 	}
-	if err := proc.SetPid(kernel.ServiceExec, proc.PID(), kernel.ScopeLocal); err != nil {
+	if err := s.StartService(kernel.ServiceExec, kernel.ScopeLocal); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// PID returns the server's process identifier.
-func (s *Server) PID() kernel.PID { return s.proc.PID() }
-
-// Err reports why the server stopped serving (see core.Server.Err).
-func (s *Server) Err() error { return s.srv.Err() }
-
-// RootPair returns the programs-in-execution context.
-func (s *Server) RootPair() core.ContextPair { return s.srv.Pair(core.CtxDefault) }
-
 // RegisterBody associates behaviour with a program image name; programs
 // without a registered body idle until killed.
 func (s *Server) RegisterBody(image string, b Body) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
 	s.bodies[image] = b
 }
 
@@ -107,19 +85,15 @@ func (s *Server) RegisterBody(image string, b Body) {
 // image name; the body receives a session carrying the invoker's prefix
 // server and current context (§6).
 func (s *Server) RegisterSessionBody(image string, b SessionBody) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
 	s.sessionBodies[image] = b
 }
 
 // Running returns the number of programs in execution.
-func (s *Server) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.programs)
-}
+func (s *Server) Running() int { return s.Count() }
 
-func (s *Server) describe(p *program) proto.Descriptor {
+func describe(p *program) proto.Descriptor {
 	return proto.Descriptor{
 		Tag:          proto.TagProgram,
 		ObjectID:     p.id,
@@ -132,7 +106,8 @@ func (s *Server) describe(p *program) proto.Descriptor {
 	}
 }
 
-// HandleNamed implements core.Handler.
+// HandleNamed implements core.Handler: execution, and removal — which
+// kills — ahead of the standard answers.
 func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
 	switch req.Msg.Op {
 	case proto.OpExecProgram:
@@ -140,38 +115,6 @@ func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Mes
 			return core.ErrorReplyMsg(proto.ErrBadArgs)
 		}
 		return s.exec(req.Proc(), res.Last, req.Msg)
-
-	case proto.OpCreateInstance:
-		if proto.OpenMode(req.Msg)&proto.ModeDirectory == 0 {
-			return core.ErrorReplyMsg(proto.ErrModeNotSupported)
-		}
-		if _, err := res.ContextOf(); err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		pattern, err := proto.DirPattern(req.Msg)
-		if err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		return s.openDirectory(req.Proc(), res.Name, pattern)
-
-	case proto.OpQueryObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		p := s.programs[res.Entry.Object.ID]
-		var d proto.Descriptor
-		if p != nil {
-			d = s.describe(p)
-		}
-		s.mu.Unlock()
-		if p == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		req.Proc().ChargeCompute(req.Proc().Kernel().Model().DescriptorFabricateCost)
-		reply := core.OkReply()
-		reply.Segment = d.AppendEncoded(nil)
-		return reply
 
 	case proto.OpRemoveObject:
 		// Removing a program's name from the context kills it.
@@ -181,30 +124,25 @@ func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Mes
 		return s.kill(res.Entry.Object.ID, res.Last)
 
 	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
+		return s.Flat.HandleNamed(req, res)
 	}
 }
 
 // HandleOp implements core.Handler.
 func (s *Server) HandleOp(req *core.Request) *proto.Message {
-	if reply := s.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
-		return reply
+	if req.Msg.Op != proto.OpKillProgram {
+		return s.Flat.HandleOp(req)
 	}
-	switch req.Msg.Op {
-	case proto.OpKillProgram:
-		s.mu.Lock()
-		var name string
-		if p := s.programs[req.Msg.F[0]]; p != nil {
-			name = p.name
-		}
-		s.mu.Unlock()
-		if name == "" {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		return s.kill(req.Msg.F[0], name)
-	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
+	s.Mu.Lock()
+	var name string
+	if p := s.Get(req.Msg.F[0]); p != nil {
+		name = p.name
 	}
+	s.Mu.Unlock()
+	if name == "" {
+		return core.ErrorReplyMsg(proto.ErrNotFound)
+	}
+	return s.kill(req.Msg.F[0], name)
 }
 
 // exec loads the program image from the program directory and starts it,
@@ -224,12 +162,11 @@ func (s *Server) exec(serving *kernel.Process, image string, req *proto.Message)
 	}
 	loaded := reply.F[3]
 
-	s.mu.Lock()
+	s.Mu.Lock()
 	body := s.bodies[image]
 	sessionBody := s.sessionBodies[image]
-	s.next++
-	id := s.next
-	s.mu.Unlock()
+	s.Mu.Unlock()
+	id := s.NewID()
 	prefixPid, curServer, curCtx := proto.ExecEnvironment(req)
 	if body == nil && sessionBody == nil {
 		body = func(p *kernel.Process) { <-p.Done() }
@@ -257,14 +194,8 @@ func (s *Server) exec(serving *kernel.Process, image string, req *proto.Message)
 		started:  serving.Now(),
 		sizeText: loaded,
 	}
-	s.mu.Lock()
-	s.programs[id] = p
-	s.mu.Unlock()
-	if err := s.store.Bind(core.CtxDefault, p.name, core.ObjectEntry(proto.TagProgram, id)); err != nil {
+	if err := s.Add(id, p.name, p); err != nil {
 		proc.Destroy()
-		s.mu.Lock()
-		delete(s.programs, id)
-		s.mu.Unlock()
 		return core.ErrorReplyMsg(err)
 	}
 
@@ -275,50 +206,18 @@ func (s *Server) exec(serving *kernel.Process, image string, req *proto.Message)
 	return out
 }
 
-// kill destroys a program's process and unbinds its name.
+// kill unbinds a program's name and destroys its process.
 func (s *Server) kill(id uint32, name string) *proto.Message {
-	s.mu.Lock()
-	p := s.programs[id]
-	delete(s.programs, id)
-	s.mu.Unlock()
-	if p == nil {
-		return core.ErrorReplyMsg(proto.ErrNotFound)
+	p, err := s.Remove(id, name)
+	if p != nil {
+		if victim, _ := findProcess(s.host.Kernel(), p.pid); victim != nil {
+			victim.Destroy()
+		}
 	}
-	if victim, _ := findProcess(s.host.Kernel(), p.pid); victim != nil {
-		victim.Destroy()
-	}
-	if err := s.store.Unbind(core.CtxDefault, name); err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	return core.OkReply()
-}
-
-func (s *Server) openDirectory(p *kernel.Process, name, pattern string) *proto.Message {
-	s.mu.Lock()
-	ids := make([]uint32, 0, len(s.programs))
-	for id := range s.programs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	records := make([]proto.Descriptor, 0, len(ids))
-	for _, id := range ids {
-		records = append(records, s.describe(s.programs[id]))
-	}
-	s.mu.Unlock()
-	records = core.FilterRecords(records, pattern)
-	model := p.Kernel().Model()
-	p.ChargeCompute(time.Duration(len(records)) * model.DescriptorFabricateCost)
-	iid, err := s.reg.Open(vio.NewDirectoryInstance(records, nil), name)
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
+	return core.OkReply()
 }
 
 // kernelToProto maps kernel send failures onto protocol errors so exec
@@ -339,5 +238,3 @@ func findProcess(k *kernel.Kernel, pid kernel.PID) (*kernel.Process, error) {
 	}
 	return h.ProcessByPID(pid)
 }
-
-var _ core.Handler = (*Server)(nil)

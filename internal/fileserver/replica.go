@@ -294,9 +294,6 @@ func NewReplicaService(fs *FileServer) *ReplicaService {
 	return &ReplicaService{fs: fs}
 }
 
-// FileServer returns the member-local server behind the front.
-func (rs *ReplicaService) FileServer() *FileServer { return rs.fs }
-
 // replicatedMutation reports whether op changes the name space and so must
 // go through the group log.
 func replicatedMutation(op proto.Code) bool {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -22,16 +21,6 @@ type Option func(*FileServer)
 // cache (on by default). The E3 experiment compares both settings.
 func WithReadAhead(on bool) Option {
 	return func(fs *FileServer) { fs.readAhead = on }
-}
-
-// WithDiskPageTime overrides the simulated disk's page service time.
-func WithDiskPageTime(d time.Duration) Option {
-	return func(fs *FileServer) { fs.disk = disk.New(d) }
-}
-
-// WithBufferCachePages sets the buffer cache size in 512-byte pages.
-func WithBufferCachePages(pages int) Option {
-	return func(fs *FileServer) { fs.cache = newBlockCache(pages) }
 }
 
 // WithTeam sets the server-team size — the number of serving processes
@@ -92,17 +81,11 @@ func (fs *FileServer) Err() error { return fs.srv.Err() }
 // cause and trace event are recorded (see core.Team.Exited).
 func (fs *FileServer) Exited() <-chan struct{} { return fs.srv.Exited() }
 
-// TeamSize returns the number of serving processes.
-func (fs *FileServer) TeamSize() int { return fs.srv.TeamSize() }
-
 // PID returns the server's process identifier.
 func (fs *FileServer) PID() kernel.PID { return fs.proc.PID() }
 
 // Proc returns the server process.
 func (fs *FileServer) Proc() *kernel.Process { return fs.proc }
-
-// Name returns the server's configured name.
-func (fs *FileServer) Name() string { return fs.name }
 
 // RootPair returns the fully-qualified pair of the server's root context.
 func (fs *FileServer) RootPair() core.ContextPair { return fs.srv.Pair(core.CtxDefault) }
@@ -344,16 +327,7 @@ func (fs *FileServer) openFileInstance(p *kernel.Process, id uint32, name string
 		fs.cache.invalidate(id)
 	}
 	inst := &fileInstance{fs: fs, ino: id, mode: mode, prefetchBlock: -1}
-	iid, err := fs.reg.Open(inst, name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(fs.proc.PID()))
-	return reply
+	return core.OpenInstance(fs.reg, fs.proc.PID(), inst, name)
 }
 
 func (fs *FileServer) openDirectoryInstance(p *kernel.Process, ctx core.ContextID, name, pattern string) *proto.Message {
@@ -361,22 +335,9 @@ func (fs *FileServer) openDirectoryInstance(p *kernel.Process, ctx core.ContextI
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	records = core.FilterRecords(records, pattern)
-	model := p.Kernel().Model()
-	p.ChargeCompute(time.Duration(len(records)) * model.DescriptorFabricateCost)
-	inst := vio.NewDirectoryInstance(records, func(rec proto.Descriptor) error {
+	return core.OpenDirectory(p, fs.reg, fs.proc.PID(), records, pattern, name, func(rec proto.Descriptor) error {
 		return fs.vol.modify(ctx, rec, fs.proc.Now())
 	})
-	iid, err := fs.reg.Open(inst, name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(fs.proc.PID()))
-	return reply
 }
 
 func (fs *FileServer) handleQuery(req *core.Request, res *core.Resolution) *proto.Message {

@@ -12,8 +12,6 @@ package inetserver
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -47,83 +45,37 @@ type conn struct {
 	opened   time.Duration
 }
 
-// Server is the Internet server.
+// Server is the Internet server: a flat context of connections, "tcp",
+// under a root that lists it.
 type Server struct {
-	srv     *core.Server
-	proc    *kernel.Process
-	store   *core.MapStore
-	reg     *vio.Registry
+	*core.Flat[conn]
 	respond Responder
-	teamOpt []core.Option
-
-	mu    sync.Mutex
-	conns map[uint32]*conn
-	next  uint32
 }
 
-// Option configures the server.
-type Option func(*Server)
-
-// WithResponder overrides the simulated remote endpoint.
-func WithResponder(r Responder) Option {
-	return func(s *Server) { s.respond = r }
-}
-
-// WithTeam serves requests with a team of n processes (§3.1).
-func WithTeam(n int) Option {
-	return func(s *Server) { s.teamOpt = append(s.teamOpt, core.WithTeam(n)) }
-}
-
-// Start spawns an Internet server on host.
-func Start(host *kernel.Host, opts ...Option) (*Server, error) {
-	proc, err := host.NewProcess("internet-server")
+// Start spawns an Internet server on host. Options (e.g. core.WithTeam)
+// configure the serving runtime.
+func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
+	s := &Server{respond: EchoResponder}
+	var err error
+	s.Flat, err = core.NewFlat(host, "internet-server", s,
+		core.FlatKind[conn]{Tag: proto.TagTCPConnection, Ctx: tcpContext, Describe: describe, Open: s.open}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		proc:    proc,
-		store:   core.NewMapStore(),
-		reg:     vio.NewRegistry(),
-		respond: EchoResponder,
-		conns:   make(map[uint32]*conn),
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	s.store.AddContext(tcpContext)
-	if err := s.store.Bind(core.CtxDefault, "tcp", core.ContextEntry(tcpContext)); err != nil {
+	s.Store.AddContext(tcpContext)
+	if err := s.Store.Bind(core.CtxDefault, "tcp", core.ContextEntry(tcpContext)); err != nil {
 		return nil, err
 	}
-	s.srv = core.NewServer(proc, s.store, s, s.teamOpt...)
-	if err := s.srv.Start(); err != nil {
-		return nil, err
-	}
-	if err := proc.SetPid(kernel.ServiceInternet, proc.PID(), kernel.ScopeBoth); err != nil {
+	if err := s.StartService(kernel.ServiceInternet, kernel.ScopeBoth); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// PID returns the server's process identifier.
-func (s *Server) PID() kernel.PID { return s.proc.PID() }
-
-// Err reports why the server stopped serving (see core.Server.Err).
-func (s *Server) Err() error { return s.srv.Err() }
-
-// RootPair returns the server's root context.
-func (s *Server) RootPair() core.ContextPair { return s.srv.Pair(core.CtxDefault) }
-
-// TCPPair returns the "tcp" connections context.
-func (s *Server) TCPPair() core.ContextPair { return s.srv.Pair(tcpContext) }
-
 // ConnCount returns the number of open connections.
-func (s *Server) ConnCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
+func (s *Server) ConnCount() int { return s.Count() }
 
-func (s *Server) describe(c *conn) proto.Descriptor {
+func describe(c *conn) proto.Descriptor {
 	return proto.Descriptor{
 		Tag:          proto.TagTCPConnection,
 		ObjectID:     c.id,
@@ -135,151 +87,26 @@ func (s *Server) describe(c *conn) proto.Descriptor {
 	}
 }
 
-// HandleNamed implements core.Handler. Connection names are the
-// destination strings ("host:port"), which contain dots and colons the
-// hierarchical separator convention never sees — name syntax under the
-// protocol is server-defined (§5.1).
-func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
-	switch req.Msg.Op {
-	case proto.OpCreateInstance:
-		mode := proto.OpenMode(req.Msg)
-		if mode&proto.ModeDirectory != 0 {
-			ctx, err := res.ContextOf()
-			if err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			pattern, err := proto.DirPattern(req.Msg)
-			if err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			return s.openDirectory(req.Proc(), ctx, res.Name, pattern)
-		}
-		if res.Final != tcpContext {
-			return core.ErrorReplyMsg(fmt.Errorf("%w: connections live in the tcp context", proto.ErrNotFound))
-		}
-		if res.Entry == nil {
-			if mode&proto.ModeCreate == 0 {
-				return core.ErrorReplyMsg(proto.ErrNotFound)
-			}
-			return s.dial(req.Proc(), res.Last)
-		}
-		return s.openConn(res.Entry.Object.ID, res.Last)
-
-	case proto.OpQueryObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		c := s.conns[res.Entry.Object.ID]
-		var d proto.Descriptor
-		if c != nil {
-			d = s.describe(c)
-		}
-		s.mu.Unlock()
-		if c == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		req.Proc().ChargeCompute(req.Proc().Kernel().Model().DescriptorFabricateCost)
-		reply := core.OkReply()
-		reply.Segment = d.AppendEncoded(nil)
-		return reply
-
-	case proto.OpRemoveObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		delete(s.conns, res.Entry.Object.ID)
-		s.mu.Unlock()
-		if err := s.store.Unbind(tcpContext, res.Last); err != nil {
+// open opens a connection, dialling it on request. Connection names are
+// the destination strings ("host:port"), which contain dots and colons
+// the hierarchical separator convention never sees — name syntax under
+// the protocol is server-defined (§5.1).
+func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+	var id uint32
+	switch {
+	case res.Final != tcpContext:
+		return core.ErrorReplyMsg(fmt.Errorf("%w: connections live in the tcp context", proto.ErrNotFound))
+	case res.Entry == nil && mode&proto.ModeCreate == 0:
+		return core.ErrorReplyMsg(proto.ErrNotFound)
+	case res.Entry == nil:
+		id = s.NewID()
+		if err := s.Add(id, res.Last, &conn{id: id, dest: res.Last, opened: req.Proc().Now()}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-		return core.OkReply()
-
 	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
+		id = res.Entry.Object.ID
 	}
-}
-
-// HandleOp implements core.Handler.
-func (s *Server) HandleOp(req *core.Request) *proto.Message {
-	if reply := s.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
-		return reply
-	}
-	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
-}
-
-// dial opens a new connection to dest.
-func (s *Server) dial(p *kernel.Process, dest string) *proto.Message {
-	s.mu.Lock()
-	s.next++
-	c := &conn{id: s.next, dest: dest, opened: p.Now()}
-	s.conns[c.id] = c
-	s.mu.Unlock()
-	if err := s.store.Bind(tcpContext, dest, core.ObjectEntry(proto.TagTCPConnection, c.id)); err != nil {
-		s.mu.Lock()
-		delete(s.conns, c.id)
-		s.mu.Unlock()
-		return core.ErrorReplyMsg(err)
-	}
-	return s.openConn(c.id, dest)
-}
-
-func (s *Server) openConn(id uint32, name string) *proto.Message {
-	s.mu.Lock()
-	c := s.conns[id]
-	s.mu.Unlock()
-	if c == nil {
-		return core.ErrorReplyMsg(proto.ErrNotFound)
-	}
-	iid, err := s.reg.Open(&connInstance{s: s, c: c}, name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
-}
-
-func (s *Server) openDirectory(p *kernel.Process, ctx core.ContextID, name, pattern string) *proto.Message {
-	if ctx == core.CtxDefault {
-		// Root directory: one entry, the tcp context.
-		records := []proto.Descriptor{{Tag: proto.TagDirectory, Name: "tcp", ObjectID: uint32(tcpContext)}}
-		return s.replyDirectory(records, name)
-	}
-	s.mu.Lock()
-	ids := make([]uint32, 0, len(s.conns))
-	for id := range s.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	records := make([]proto.Descriptor, 0, len(ids))
-	for _, id := range ids {
-		records = append(records, s.describe(s.conns[id]))
-	}
-	s.mu.Unlock()
-	records = core.FilterRecords(records, pattern)
-	model := p.Kernel().Model()
-	p.ChargeCompute(time.Duration(len(records)) * model.DescriptorFabricateCost)
-	return s.replyDirectory(records, name)
-}
-
-func (s *Server) replyDirectory(records []proto.Descriptor, name string) *proto.Message {
-	iid, err := s.reg.Open(vio.NewDirectoryInstance(records, nil), name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
+	return s.OpenObject(id, res.Last, func(c *conn) vio.Instance { return &connInstance{s: s, c: c} })
 }
 
 // connInstance adapts a connection to the V I/O instance interface:
@@ -290,8 +117,8 @@ type connInstance struct {
 }
 
 func (ci *connInstance) Info() proto.InstanceInfo {
-	ci.s.mu.Lock()
-	defer ci.s.mu.Unlock()
+	ci.s.Mu.Lock()
+	defer ci.s.Mu.Unlock()
 	return proto.InstanceInfo{
 		SizeBytes: uint32(len(ci.c.inbox)),
 		BlockSize: vio.DefaultBlockSize,
@@ -302,8 +129,8 @@ func (ci *connInstance) Info() proto.InstanceInfo {
 // ReadAt drains from the inbox; offsets are ignored because a connection
 // is a stream.
 func (ci *connInstance) ReadAt(_ *kernel.Process, _ int64, buf []byte) (int, error) {
-	ci.s.mu.Lock()
-	defer ci.s.mu.Unlock()
+	ci.s.Mu.Lock()
+	defer ci.s.Mu.Unlock()
 	if len(ci.c.inbox) == 0 {
 		return 0, proto.ErrEndOfFile
 	}
@@ -314,16 +141,16 @@ func (ci *connInstance) ReadAt(_ *kernel.Process, _ int64, buf []byte) (int, err
 }
 
 func (ci *connInstance) WriteAt(p *kernel.Process, _ int64, data []byte) (int, error) {
-	ci.s.mu.Lock()
+	ci.s.Mu.Lock()
 	responder := ci.s.respond
 	dest := ci.c.dest
-	ci.s.mu.Unlock()
+	ci.s.Mu.Unlock()
 	// The remote round trip is charged at network cost.
 	model := p.Kernel().Model()
 	p.ChargeCompute(2 * model.RemoteHop(len(data)))
 	back := responder(dest, data)
-	ci.s.mu.Lock()
-	defer ci.s.mu.Unlock()
+	ci.s.Mu.Lock()
+	defer ci.s.Mu.Unlock()
 	ci.c.sent += uint64(len(data))
 	ci.c.inbox = append(ci.c.inbox, back...)
 	return len(data), nil
@@ -331,7 +158,4 @@ func (ci *connInstance) WriteAt(p *kernel.Process, _ int64, data []byte) (int, e
 
 func (ci *connInstance) Release() {}
 
-var (
-	_ vio.Instance = (*connInstance)(nil)
-	_ core.Handler = (*Server)(nil)
-)
+var _ vio.Instance = (*connInstance)(nil)

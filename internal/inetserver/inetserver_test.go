@@ -12,7 +12,7 @@ import (
 	"repro/internal/vtime"
 )
 
-func startRig(t *testing.T, opts ...Option) (*Server, *kernel.Process) {
+func startRig(t *testing.T, opts ...core.Option) (*Server, *kernel.Process) {
 	t.Helper()
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
 	host := k.NewHost("services")
@@ -70,9 +70,12 @@ func TestEchoRoundTrip(t *testing.T) {
 }
 
 func TestCustomResponder(t *testing.T) {
-	s, client := startRig(t, WithResponder(func(dest string, sent []byte) []byte {
+	s, client := startRig(t)
+	s.Mu.Lock()
+	s.respond = func(dest string, sent []byte) []byte {
 		return []byte(dest + ":" + strings.ToUpper(string(sent)))
-	}))
+	}
+	s.Mu.Unlock()
 	f := dial(t, client, s, "shout:1")
 	if _, err := f.Write([]byte("hey")); err != nil {
 		t.Fatal(err)
@@ -202,5 +205,29 @@ func TestTrafficCounters(t *testing.T) {
 	}
 	if d.TypeSpecific[0] != 5 || d.TypeSpecific[1] != 5 {
 		t.Fatalf("sent/recv = %v", d.TypeSpecific)
+	}
+}
+
+// TestRootDirectoryHonoursPattern lists the root through the same path as
+// every other context: the pattern filters its one record too.
+func TestRootDirectoryHonoursPattern(t *testing.T) {
+	s, client := startRig(t)
+	for pattern, want := range map[string]int{"t*": 1, "udp*": 0} {
+		req := &proto.Message{Op: proto.OpCreateInstance}
+		proto.SetCSName(req, uint32(core.CtxDefault), "")
+		proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
+		proto.SetDirPattern(req, pattern)
+		reply, err := client.Send(req, s.PID())
+		if err != nil || reply.Op != proto.ReplyOK {
+			t.Fatalf("pattern %q: reply = %v, %v", pattern, reply, err)
+		}
+		raw, err := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply)).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, err := proto.DecodeDescriptors(raw)
+		if err != nil || len(records) != want {
+			t.Fatalf("pattern %q: records = %v, %v; want %d", pattern, records, err, want)
+		}
 	}
 }

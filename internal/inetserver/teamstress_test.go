@@ -17,7 +17,7 @@ import (
 // many concurrent client processes against one internet-server team.
 func TestTeamStressInetServer(t *testing.T) {
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
-	s, err := Start(k.NewHost("services"), WithTeam(3))
+	s, err := Start(k.NewHost("services"), core.WithTeam(3))
 	if err != nil {
 		t.Fatal(err)
 	}

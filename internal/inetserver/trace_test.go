@@ -14,7 +14,7 @@ import (
 // data in a traced domain, then checks the trace invariants.
 func TestTraceInvariantsInetServer(t *testing.T) {
 	d := tracetest.New()
-	s, err := Start(d.K.NewHost("services"), WithTeam(2))
+	s, err := Start(d.K.NewHost("services"), core.WithTeam(2))
 	if err != nil {
 		t.Fatal(err)
 	}

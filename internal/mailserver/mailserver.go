@@ -11,9 +11,7 @@ package mailserver
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -28,97 +26,52 @@ type mailbox struct {
 	messages [][]byte
 }
 
-// store interprets mail addresses: a flat context whose component names
-// are whole addresses. It rejects hierarchical interpretation — an
-// address containing '/' is simply a different mailbox name.
-type store struct {
-	mu    sync.Mutex
-	boxes map[string]*mailbox
-	byID  map[uint32]*mailbox
-	next  uint32
-}
-
-func (st *store) NormalizeContext(ctx core.ContextID) (core.ContextID, error) {
-	if ctx != core.CtxDefault {
-		return 0, fmt.Errorf("%w: %#x", proto.ErrBadContext, uint32(ctx))
-	}
-	return ctx, nil
-}
-
-func (st *store) LookupComponent(_ core.ContextID, component string) (core.Entry, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	mb, ok := st.boxes[component]
-	if !ok {
-		return core.Entry{}, fmt.Errorf("%q: %w", component, proto.ErrNotFound)
-	}
-	return core.ObjectEntry(proto.TagMailbox, mb.id), nil
-}
-
-// Server is the mail registry server.
+// Server is the mail registry server: a flat context whose names are
+// whole addresses, listed in address order.
 type Server struct {
-	srv  *core.Server
-	proc *kernel.Process
-	st   *store
-	reg  *vio.Registry
+	*core.Flat[mailbox]
 }
 
 // Start spawns a mail server on host. Options (e.g. core.WithTeam)
 // configure the serving runtime.
 func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
-	proc, err := host.NewProcess("mail-server")
+	s := &Server{}
+	var err error
+	s.Flat, err = core.NewFlat(host, "mail-server", s,
+		core.FlatKind[mailbox]{Tag: proto.TagMailbox, Describe: describe, Open: s.open,
+			// The directory lists by address, not by age.
+			Order: func() []uint32 { return s.ByName() }}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		proc: proc,
-		st:   &store{boxes: make(map[string]*mailbox), byID: make(map[uint32]*mailbox)},
-		reg:  vio.NewRegistry(),
-	}
-	s.srv = core.NewServer(proc, s.st, s, opts...)
-	if err := s.srv.Start(); err != nil {
-		return nil, err
-	}
-	if err := proc.SetPid(kernel.ServiceMail, proc.PID(), kernel.ScopeBoth); err != nil {
+	if err := s.StartService(kernel.ServiceMail, kernel.ScopeBoth); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// PID returns the server's process identifier.
-func (s *Server) PID() kernel.PID { return s.proc.PID() }
-
-// Err reports why the server stopped serving (see core.Server.Err).
-func (s *Server) Err() error { return s.srv.Err() }
-
-// RootPair returns the server's single context.
-func (s *Server) RootPair() core.ContextPair { return s.srv.Pair(core.CtxDefault) }
-
 // AddMailbox registers an address. Addresses follow the foreign
 // convention local-part@domain; the server validates only that shape.
 func (s *Server) AddMailbox(address string) error {
+	_, err := s.add(address)
+	return err
+}
+
+func (s *Server) add(address string) (uint32, error) {
 	if !ValidAddress(address) {
-		return fmt.Errorf("%w: %q is not a mail address", proto.ErrBadArgs, address)
+		return 0, fmt.Errorf("%w: %q is not a mail address", proto.ErrBadArgs, address)
 	}
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	if _, dup := s.st.boxes[address]; dup {
-		return fmt.Errorf("%q: %w", address, proto.ErrDuplicateName)
-	}
-	s.st.next++
-	mb := &mailbox{id: s.st.next, address: address}
-	s.st.boxes[address] = mb
-	s.st.byID[mb.id] = mb
-	return nil
+	id := s.NewID()
+	return id, s.Add(id, address, &mailbox{id: id, address: address})
 }
 
 // MessageCount returns how many messages address holds.
 func (s *Server) MessageCount(address string) (int, error) {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	mb, ok := s.st.boxes[address]
-	if !ok {
-		return 0, fmt.Errorf("%q: %w", address, proto.ErrNotFound)
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	mb, err := s.Named(address)
+	if err != nil {
+		return 0, err
 	}
 	return len(mb.messages), nil
 }
@@ -144,130 +97,23 @@ func describe(mb *mailbox) proto.Descriptor {
 	}
 }
 
-// HandleNamed implements core.Handler.
-func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
-	switch req.Msg.Op {
-	case proto.OpCreateInstance:
-		mode := proto.OpenMode(req.Msg)
-		if mode&proto.ModeDirectory != 0 {
-			if _, err := res.ContextOf(); err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			pattern, err := proto.DirPattern(req.Msg)
-			if err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			return s.openDirectory(req.Proc(), res.Name, pattern)
-		}
-		if res.Entry == nil {
-			if mode&proto.ModeCreate == 0 {
-				return core.ErrorReplyMsg(proto.ErrNotFound)
-			}
-			if err := s.AddMailbox(res.Last); err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			e, err := s.st.LookupComponent(core.CtxDefault, res.Last)
-			if err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			return s.openMailbox(e.Object.ID, res.Last)
-		}
-		return s.openMailbox(res.Entry.Object.ID, res.Last)
-
-	case proto.OpQueryObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.st.mu.Lock()
-		mb := s.st.byID[res.Entry.Object.ID]
-		var d proto.Descriptor
-		if mb != nil {
-			d = describe(mb)
-		}
-		s.st.mu.Unlock()
-		if mb == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		req.Proc().ChargeCompute(req.Proc().Kernel().Model().DescriptorFabricateCost)
-		reply := core.OkReply()
-		reply.Segment = d.AppendEncoded(nil)
-		return reply
-
-	case proto.OpRemoveObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.st.mu.Lock()
-		mb := s.st.byID[res.Entry.Object.ID]
-		if mb != nil {
-			delete(s.st.boxes, mb.address)
-			delete(s.st.byID, mb.id)
-		}
-		s.st.mu.Unlock()
-		if mb == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		return core.OkReply()
-
-	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
-	}
-}
-
-// HandleOp implements core.Handler.
-func (s *Server) HandleOp(req *core.Request) *proto.Message {
-	if reply := s.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
-		return reply
-	}
-	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
-}
-
-// openMailbox opens a mailbox instance: reads return the concatenated
-// messages (separated by newlines), writes deliver a new message.
-func (s *Server) openMailbox(id uint32, name string) *proto.Message {
-	s.st.mu.Lock()
-	mb := s.st.byID[id]
-	s.st.mu.Unlock()
-	if mb == nil {
+// open opens a mailbox instance — reads return the concatenated messages
+// (separated by newlines), writes deliver a new message — registering the
+// address on request.
+func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+	var id uint32
+	switch {
+	case res.Entry == nil && mode&proto.ModeCreate == 0:
 		return core.ErrorReplyMsg(proto.ErrNotFound)
+	case res.Entry == nil:
+		var err error
+		if id, err = s.add(res.Last); err != nil {
+			return core.ErrorReplyMsg(err)
+		}
+	default:
+		id = res.Entry.Object.ID
 	}
-	iid, err := s.reg.Open(&mailboxInstance{s: s, mb: mb}, name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
-}
-
-func (s *Server) openDirectory(p *kernel.Process, name, pattern string) *proto.Message {
-	s.st.mu.Lock()
-	addrs := make([]string, 0, len(s.st.boxes))
-	for a := range s.st.boxes {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	records := make([]proto.Descriptor, 0, len(addrs))
-	for _, a := range addrs {
-		records = append(records, describe(s.st.boxes[a]))
-	}
-	s.st.mu.Unlock()
-	records = core.FilterRecords(records, pattern)
-	iid, err := s.reg.Open(vio.NewDirectoryInstance(records, nil), name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
+	return s.OpenObject(id, res.Last, func(mb *mailbox) vio.Instance { return &mailboxInstance{s: s, mb: mb} })
 }
 
 // mailboxInstance adapts a mailbox to the V I/O instance interface.
@@ -286,8 +132,8 @@ func (mi *mailboxInstance) flatten() []byte {
 }
 
 func (mi *mailboxInstance) Info() proto.InstanceInfo {
-	mi.s.st.mu.Lock()
-	defer mi.s.st.mu.Unlock()
+	mi.s.Mu.Lock()
+	defer mi.s.Mu.Unlock()
 	return proto.InstanceInfo{
 		SizeBytes: uint32(len(mi.flatten())),
 		BlockSize: vio.DefaultBlockSize,
@@ -296,8 +142,8 @@ func (mi *mailboxInstance) Info() proto.InstanceInfo {
 }
 
 func (mi *mailboxInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (int, error) {
-	mi.s.st.mu.Lock()
-	defer mi.s.st.mu.Unlock()
+	mi.s.Mu.Lock()
+	defer mi.s.Mu.Unlock()
 	flat := mi.flatten()
 	if off >= int64(len(flat)) {
 		return 0, proto.ErrEndOfFile
@@ -307,8 +153,8 @@ func (mi *mailboxInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (int
 
 // WriteAt delivers one message per write, regardless of offset.
 func (mi *mailboxInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, error) {
-	mi.s.st.mu.Lock()
-	defer mi.s.st.mu.Unlock()
+	mi.s.Mu.Lock()
+	defer mi.s.Mu.Unlock()
 	msg := make([]byte, len(data))
 	copy(msg, data)
 	mi.mb.messages = append(mi.mb.messages, msg)
@@ -317,8 +163,4 @@ func (mi *mailboxInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int
 
 func (mi *mailboxInstance) Release() {}
 
-var (
-	_ vio.Instance      = (*mailboxInstance)(nil)
-	_ core.Handler      = (*Server)(nil)
-	_ core.ContextStore = (*store)(nil)
-)
+var _ vio.Instance = (*mailboxInstance)(nil)

@@ -12,9 +12,6 @@ package pipeserver
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -36,55 +33,25 @@ type pipe struct {
 	writers  int
 }
 
-// Server is the pipe server.
+// Server is the pipe server: a flat context of pipes.
 type Server struct {
-	srv   *core.Server
-	proc  *kernel.Process
-	store *core.MapStore
-	reg   *vio.Registry
-
-	mu    sync.Mutex
-	pipes map[uint32]*pipe
-	next  uint32
+	*core.Flat[pipe]
 }
 
 // Start spawns a pipe server on host. Options (e.g. core.WithTeam)
 // configure the serving runtime.
 func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
-	proc, err := host.NewProcess("pipe-server")
+	s := &Server{}
+	var err error
+	s.Flat, err = core.NewFlat(host, "pipe-server", s,
+		core.FlatKind[pipe]{Tag: proto.TagPipe, Describe: describe, Open: s.open}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		proc:  proc,
-		store: core.NewMapStore(),
-		reg:   vio.NewRegistry(),
-		pipes: make(map[uint32]*pipe),
-	}
-	s.srv = core.NewServer(proc, s.store, s, opts...)
-	if err := s.srv.Start(); err != nil {
-		return nil, err
-	}
-	if err := proc.SetPid(kernel.ServicePipe, proc.PID(), kernel.ScopeBoth); err != nil {
+	if err := s.StartService(kernel.ServicePipe, kernel.ScopeBoth); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// PID returns the server's process identifier.
-func (s *Server) PID() kernel.PID { return s.proc.PID() }
-
-// Err reports why the server stopped serving (see core.Server.Err).
-func (s *Server) Err() error { return s.srv.Err() }
-
-// RootPair returns the server's single context.
-func (s *Server) RootPair() core.ContextPair { return s.srv.Pair(core.CtxDefault) }
-
-// Count returns the number of live pipes.
-func (s *Server) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pipes)
 }
 
 func describe(p *pipe) proto.Descriptor {
@@ -98,145 +65,31 @@ func describe(p *pipe) proto.Descriptor {
 	}
 }
 
-// HandleNamed implements core.Handler.
-func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
-	switch req.Msg.Op {
-	case proto.OpCreateInstance:
-		mode := proto.OpenMode(req.Msg)
-		if mode&proto.ModeDirectory != 0 {
-			if _, err := res.ContextOf(); err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			pattern, err := proto.DirPattern(req.Msg)
-			if err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			return s.openDirectory(req.Proc(), res.Name, pattern)
-		}
-		if res.Entry == nil {
-			if mode&proto.ModeCreate == 0 {
-				return core.ErrorReplyMsg(proto.ErrNotFound)
-			}
-			return s.create(res.Last, mode)
-		}
-		if res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotAContext)
-		}
-		return s.openPipe(res.Entry.Object.ID, res.Last, mode)
-
-	case proto.OpQueryObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		p := s.pipes[res.Entry.Object.ID]
-		var d proto.Descriptor
-		if p != nil {
-			d = describe(p)
-		}
-		s.mu.Unlock()
-		if p == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		req.Proc().ChargeCompute(req.Proc().Kernel().Model().DescriptorFabricateCost)
-		reply := core.OkReply()
-		reply.Segment = d.AppendEncoded(nil)
-		return reply
-
-	case proto.OpRemoveObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		delete(s.pipes, res.Entry.Object.ID)
-		s.mu.Unlock()
-		if err := s.store.Unbind(core.CtxDefault, res.Last); err != nil {
+// open opens a pipe end, creating the pipe on request.
+func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+	var id uint32
+	switch {
+	case res.Entry == nil && mode&proto.ModeCreate == 0:
+		return core.ErrorReplyMsg(proto.ErrNotFound)
+	case res.Entry == nil:
+		id = s.NewID()
+		if err := s.Add(id, res.Last, &pipe{id: id, name: res.Last, capacity: DefaultCapacity}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-		return core.OkReply()
-
+	case res.Entry.Object == nil:
+		return core.ErrorReplyMsg(proto.ErrNotAContext)
 	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
+		id = res.Entry.Object.ID
 	}
-}
-
-// HandleOp implements core.Handler.
-func (s *Server) HandleOp(req *core.Request) *proto.Message {
-	if reply := s.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
-		return reply
-	}
-	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
-}
-
-func (s *Server) create(name string, mode uint32) *proto.Message {
-	s.mu.Lock()
-	s.next++
-	p := &pipe{id: s.next, name: name, capacity: DefaultCapacity}
-	s.pipes[p.id] = p
-	s.mu.Unlock()
-	if err := s.store.Bind(core.CtxDefault, name, core.ObjectEntry(proto.TagPipe, p.id)); err != nil {
-		s.mu.Lock()
-		delete(s.pipes, p.id)
-		s.mu.Unlock()
-		return core.ErrorReplyMsg(err)
-	}
-	return s.openPipe(p.id, name, mode)
-}
-
-func (s *Server) openPipe(id uint32, name string, mode uint32) *proto.Message {
-	s.mu.Lock()
-	p := s.pipes[id]
-	if p != nil {
+	return s.OpenObject(id, res.Last, func(p *pipe) vio.Instance {
 		if mode&proto.ModeRead != 0 {
 			p.readers++
 		}
 		if mode&(proto.ModeWrite|proto.ModeAppend) != 0 {
 			p.writers++
 		}
-	}
-	s.mu.Unlock()
-	if p == nil {
-		return core.ErrorReplyMsg(proto.ErrNotFound)
-	}
-	iid, err := s.reg.Open(&pipeInstance{s: s, p: p, mode: mode}, name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
-}
-
-func (s *Server) openDirectory(p *kernel.Process, name, pattern string) *proto.Message {
-	s.mu.Lock()
-	ids := make([]uint32, 0, len(s.pipes))
-	for id := range s.pipes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	records := make([]proto.Descriptor, 0, len(ids))
-	for _, id := range ids {
-		records = append(records, describe(s.pipes[id]))
-	}
-	s.mu.Unlock()
-	records = core.FilterRecords(records, pattern)
-	model := p.Kernel().Model()
-	p.ChargeCompute(time.Duration(len(records)) * model.DescriptorFabricateCost)
-	iid, err := s.reg.Open(vio.NewDirectoryInstance(records, nil), name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
+		return &pipeInstance{s: s, p: p, mode: mode}
+	})
 }
 
 // pipeInstance adapts a pipe end to the V I/O instance interface.
@@ -247,8 +100,8 @@ type pipeInstance struct {
 }
 
 func (pi *pipeInstance) Info() proto.InstanceInfo {
-	pi.s.mu.Lock()
-	defer pi.s.mu.Unlock()
+	pi.s.Mu.Lock()
+	defer pi.s.Mu.Unlock()
 	return proto.InstanceInfo{
 		SizeBytes: uint32(len(pi.p.buf)),
 		BlockSize: vio.DefaultBlockSize,
@@ -259,8 +112,8 @@ func (pi *pipeInstance) Info() proto.InstanceInfo {
 // ReadAt drains the pipe; offsets are meaningless on a stream. An empty
 // open pipe answers Retry; an empty closed pipe answers end-of-file.
 func (pi *pipeInstance) ReadAt(_ *kernel.Process, _ int64, buf []byte) (int, error) {
-	pi.s.mu.Lock()
-	defer pi.s.mu.Unlock()
+	pi.s.Mu.Lock()
+	defer pi.s.Mu.Unlock()
 	p := pi.p
 	if len(p.buf) == 0 {
 		if p.closed {
@@ -275,8 +128,8 @@ func (pi *pipeInstance) ReadAt(_ *kernel.Process, _ int64, buf []byte) (int, err
 
 // WriteAt appends to the pipe; a full pipe answers Retry.
 func (pi *pipeInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, error) {
-	pi.s.mu.Lock()
-	defer pi.s.mu.Unlock()
+	pi.s.Mu.Lock()
+	defer pi.s.Mu.Unlock()
 	p := pi.p
 	if p.closed {
 		return 0, fmt.Errorf("%w: pipe closed", proto.ErrEndOfFile)
@@ -295,8 +148,8 @@ func (pi *pipeInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, e
 // Release closes this end; when the last writer goes, the pipe drains to
 // EOF for readers.
 func (pi *pipeInstance) Release() {
-	pi.s.mu.Lock()
-	defer pi.s.mu.Unlock()
+	pi.s.Mu.Lock()
+	defer pi.s.Mu.Unlock()
 	if pi.mode&proto.ModeRead != 0 && pi.p.readers > 0 {
 		pi.p.readers--
 	}
@@ -308,7 +161,4 @@ func (pi *pipeInstance) Release() {
 	}
 }
 
-var (
-	_ vio.Instance = (*pipeInstance)(nil)
-	_ core.Handler = (*Server)(nil)
-)
+var _ vio.Instance = (*pipeInstance)(nil)

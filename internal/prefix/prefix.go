@@ -263,19 +263,11 @@ func Start(host *kernel.Host, owner string, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// Err reports why the server stopped serving: nil while it is running,
-// kernel.ErrProcessDead after a clean destroy, an error wrapping
-// kernel.ErrHostDown after a host crash.
-func (s *Server) Err() error { return s.team.Err() }
-
 // PID returns the server's process identifier.
 func (s *Server) PID() kernel.PID { return s.proc.PID() }
 
 // Proc returns the server process.
 func (s *Server) Proc() *kernel.Process { return s.proc }
-
-// Owner returns the user the server belongs to.
-func (s *Server) Owner() string { return s.owner }
 
 // Define creates a static prefix binding (boot-time convenience; clients
 // use OpAddContextName).
@@ -404,10 +396,6 @@ func (s *Server) Bindings() map[string]Binding {
 func (s *Server) TableBytes() int {
 	return s.index.KeyBytes() + s.index.Len()*int(unsafe.Sizeof(Binding{}))
 }
-
-// Run is the server main loop; team workers, if configured, are spawned
-// first.
-func (s *Server) Run() { s.team.Run() }
 
 // serveOne processes one request on the serving process p (the
 // receptionist, or a team worker after a §3.1 handoff).
@@ -588,10 +576,6 @@ func (s *Server) TopNames() []namestat.Item { return s.topk.Snapshot() }
 // NameRates returns the server's per-name churn estimators.
 func (s *Server) NameRates() []namestat.RateItem { return s.rates.Snapshot() }
 
-// Rates exposes the estimator table (read-only use: experiments and the
-// tuner verification suite probe individual names).
-func (s *Server) Rates() *namestat.Rates { return s.rates }
-
 // PublishNamestat copies the sketch and estimator state into reg as
 // volatile gauges — on demand, so deterministic metrics documents never
 // see them (namestat.Publish).
@@ -619,7 +603,15 @@ func (s *Server) handleOwnName(p *kernel.Process, msg *proto.Message, rest strin
 	rest = strings.TrimLeft(rest, string(core.Separator))
 	switch msg.Op {
 	case proto.OpCreateInstance:
-		if proto.OpenMode(msg)&proto.ModeDirectory == 0 || rest != "" {
+		if proto.OpenMode(msg)&proto.ModeDirectory == 0 {
+			return core.ErrorReplyMsg(proto.ErrNotFound)
+		}
+		if rest != "" {
+			// A prefix is an object of this context, not a context of
+			// this server: its directory is opened as [prefix].
+			if _, bound := s.index.Get(rest); bound {
+				return core.ErrorReplyMsg(proto.ErrNotAContext)
+			}
 			return core.ErrorReplyMsg(proto.ErrNotFound)
 		}
 		return s.openDirectory(p, msg)
@@ -670,29 +662,13 @@ func (s *Server) openDirectory(p *kernel.Process, msg *proto.Message) *proto.Mes
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	model := p.Kernel().Model()
 	// Walk one immutable snapshot in sorted order — no lock, no re-sort.
 	records := make([]proto.Descriptor, 0, s.index.Len())
 	s.index.Walk(func(n string, e tableEntry) bool {
 		records = append(records, s.describe(n, e))
 		return true
 	})
-	records = core.FilterRecords(records, pattern)
-	p.ChargeCompute(time.Duration(len(records)) * model.DescriptorFabricateCost)
-
-	inst := vio.NewDirectoryInstance(records, func(d proto.Descriptor) error {
-		return s.modifyFromRecord(d)
-	})
-	id, err := s.reg.Open(inst, Quote(""))
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	info := inst.Info()
-	info.ID = id
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
+	return core.OpenDirectory(p, s.reg, s.proc.PID(), records, pattern, Quote(""), s.modifyFromRecord)
 }
 
 // modifyFromRecord applies a written directory record as a modification

@@ -32,9 +32,6 @@ type ReplicaService struct {
 // NewReplicaService builds the front over the member-local server.
 func NewReplicaService(s *Server) *ReplicaService { return &ReplicaService{s: s} }
 
-// Server returns the member-local prefix server behind the front.
-func (rs *ReplicaService) Server() *Server { return rs.s }
-
 // tableMutation reports whether msg defines or deletes a prefix in this
 // server's own table — the operations that must go through the group log.
 // Bracketed add/delete requests are destined for another server's name

@@ -8,7 +8,6 @@ package printserver
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -27,91 +26,57 @@ const (
 	stateDone
 )
 
-func (st jobState) String() string {
-	switch st {
-	case stateSpooling:
-		return "spooling"
-	case stateQueued:
-		return "queued"
-	case statePrinting:
-		return "printing"
-	case stateDone:
-		return "done"
-	default:
-		return "unknown"
-	}
-}
-
 // job is one print job.
 type job struct {
 	id    uint32
 	name  string
-	owner string
 	data  []byte
 	state jobState
 }
 
-// Server is the printer server.
+// Server is the printer server: a flat context of jobs, listed in queue
+// order.
 type Server struct {
-	srv   *core.Server
-	proc  *kernel.Process
-	store *core.MapStore
-	reg   *vio.Registry
+	*core.Flat[job]
 
-	mu      sync.Mutex
-	jobs    map[uint32]*job
+	// Guarded by Mu, like the jobs.
 	queue   []uint32 // queued job ids in submission order
-	next    uint32
 	printed [][]byte // completed output, oldest first
-	// pagesPerJobTime is the simulated print speed applied when the
-	// queue advances.
+	// pageTime is the simulated print speed applied when the queue
+	// advances.
 	pageTime time.Duration
 }
 
 // Start spawns a printer server on host. Options (e.g. core.WithTeam)
 // configure the serving runtime.
 func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
-	proc, err := host.NewProcess("print-server")
+	s := &Server{pageTime: 2 * time.Second}
+	var err error
+	s.Flat, err = core.NewFlat(host, "print-server", s, core.FlatKind[job]{
+		Tag: proto.TagPrintJob, Describe: s.describe, Open: s.open,
+		// Spooling jobs are bound and queryable but not yet in the queue.
+		Order: func() []uint32 { return s.queue },
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		proc:     proc,
-		store:    core.NewMapStore(),
-		reg:      vio.NewRegistry(),
-		jobs:     make(map[uint32]*job),
-		pageTime: 2 * time.Second,
-	}
-	s.srv = core.NewServer(proc, s.store, s, opts...)
-	if err := s.srv.Start(); err != nil {
-		return nil, err
-	}
-	if err := proc.SetPid(kernel.ServicePrinter, proc.PID(), kernel.ScopeBoth); err != nil {
+	if err := s.StartService(kernel.ServicePrinter, kernel.ScopeBoth); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// PID returns the server's process identifier.
-func (s *Server) PID() kernel.PID { return s.proc.PID() }
-
-// Err reports why the server stopped serving (see core.Server.Err).
-func (s *Server) Err() error { return s.srv.Err() }
-
-// RootPair returns the server's single context (the job queue).
-func (s *Server) RootPair() core.ContextPair { return s.srv.Pair(core.CtxDefault) }
-
 // QueueLength returns the number of jobs not yet done.
 func (s *Server) QueueLength() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
 	return len(s.queue)
 }
 
 // Printed returns the payloads printed so far.
 func (s *Server) Printed() [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
 	out := make([][]byte, len(s.printed))
 	for i, p := range s.printed {
 		out[i] = append([]byte(nil), p...)
@@ -123,43 +88,43 @@ func (s *Server) Printed() [][]byte {
 // queue, charging print time to the server clock. It returns the name of
 // the finished job, or "" if the queue is empty.
 func (s *Server) AdvanceQueue() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return ""
+	s.Mu.Lock()
+	var j *job
+	for j == nil && len(s.queue) > 0 {
+		// An id whose job is gone is skipped, not mistaken for the end.
+		j = s.Get(s.queue[0])
+		s.queue = s.queue[1:]
 	}
-	id := s.queue[0]
-	s.queue = s.queue[1:]
-	j := s.jobs[id]
 	if j == nil {
+		s.Mu.Unlock()
 		return ""
 	}
 	pages := (len(j.data) + vio.DefaultBlockSize - 1) / vio.DefaultBlockSize
 	if pages == 0 {
 		pages = 1
 	}
-	s.proc.ChargeCompute(time.Duration(pages) * s.pageTime)
+	s.Proc().ChargeCompute(time.Duration(pages) * s.pageTime)
 	j.state = stateDone
 	s.printed = append(s.printed, j.data)
-	delete(s.jobs, id)
-	_ = s.store.Unbind(core.CtxDefault, j.name)
 	if len(s.queue) > 0 {
-		if head := s.jobs[s.queue[0]]; head != nil {
+		if head := s.Get(s.queue[0]); head != nil {
 			head.state = statePrinting
 		}
 	}
+	s.Mu.Unlock()
+	_, _ = s.Remove(j.id, j.name) // fails only if a cancel got there first
 	return j.name
 }
 
-func (s *Server) describe(j *job, position int) proto.Descriptor {
+// describe runs with Mu held (core.FlatKind).
+func (s *Server) describe(j *job) proto.Descriptor {
 	return proto.Descriptor{
 		Tag:          proto.TagPrintJob,
 		ObjectID:     j.id,
 		Name:         j.name,
-		Owner:        j.owner,
 		Size:         uint32(len(j.data)),
 		Perms:        proto.PermRead | proto.PermWrite,
-		TypeSpecific: [2]uint32{uint32(position), uint32(j.state)},
+		TypeSpecific: [2]uint32{uint32(s.position(j.id)), uint32(j.state)},
 	}
 }
 
@@ -173,142 +138,37 @@ func (s *Server) position(id uint32) int {
 	return 0
 }
 
-// HandleNamed implements core.Handler.
+// HandleNamed implements core.Handler. Cancelling a job is deleting its
+// name from the queue context: the standard remove, once the job is out
+// of the queue.
 func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
-	switch req.Msg.Op {
-	case proto.OpCreateInstance:
-		mode := proto.OpenMode(req.Msg)
-		if mode&proto.ModeDirectory != 0 {
-			if _, err := res.ContextOf(); err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			pattern, err := proto.DirPattern(req.Msg)
-			if err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			return s.openQueueDirectory(req.Proc(), res.Name, pattern)
+	if req.Msg.Op == proto.OpRemoveObject && res.Entry != nil && res.Entry.Object != nil {
+		s.Mu.Lock()
+		if i := s.position(res.Entry.Object.ID); i > 0 {
+			s.queue = append(s.queue[:i-1], s.queue[i:]...)
 		}
-		if res.Entry == nil && mode&proto.ModeCreate != 0 {
-			return s.submit(req, res)
-		}
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		// Re-opening an existing job gives read access to its data.
-		return s.openJob(res.Entry.Object.ID, res.Last, proto.ModeRead)
+		s.Mu.Unlock()
+	}
+	return s.Flat.HandleNamed(req, res)
+}
 
-	case proto.OpQueryObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		j := s.jobs[res.Entry.Object.ID]
-		var d proto.Descriptor
-		if j != nil {
-			d = s.describe(j, s.position(j.id))
-		}
-		s.mu.Unlock()
-		if j == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		req.Proc().ChargeCompute(req.Proc().Kernel().Model().DescriptorFabricateCost)
-		reply := core.OkReply()
-		reply.Segment = d.AppendEncoded(nil)
-		return reply
-
-	case proto.OpRemoveObject:
-		// Cancelling a job is deleting its name from the queue context.
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		id := res.Entry.Object.ID
-		delete(s.jobs, id)
-		for i, q := range s.queue {
-			if q == id {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		if err := s.store.Unbind(core.CtxDefault, res.Last); err != nil {
+// open submits a job — created in spooling state and opened for writing;
+// releasing the instance queues it — or re-opens an existing job, which
+// gives read access to its data.
+func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+	var id uint32
+	switch {
+	case res.Entry == nil && mode&proto.ModeCreate != 0:
+		id, mode = s.NewID(), proto.ModeWrite
+		if err := s.Add(id, res.Last, &job{id: id, name: res.Last, state: stateSpooling}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-		return core.OkReply()
-
-	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
-	}
-}
-
-// HandleOp implements core.Handler.
-func (s *Server) HandleOp(req *core.Request) *proto.Message {
-	if reply := s.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
-		return reply
-	}
-	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
-}
-
-// submit creates a job in spooling state; releasing the instance queues
-// it.
-func (s *Server) submit(req *core.Request, res *core.Resolution) *proto.Message {
-	s.mu.Lock()
-	s.next++
-	j := &job{id: s.next, name: res.Last, state: stateSpooling}
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	if err := s.store.Bind(core.CtxDefault, j.name, core.ObjectEntry(proto.TagPrintJob, j.id)); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		s.mu.Unlock()
-		return core.ErrorReplyMsg(err)
-	}
-	return s.openJob(j.id, j.name, proto.ModeWrite)
-}
-
-func (s *Server) openJob(id uint32, name string, mode uint32) *proto.Message {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
+	case res.Entry == nil || res.Entry.Object == nil:
 		return core.ErrorReplyMsg(proto.ErrNotFound)
+	default:
+		id, mode = res.Entry.Object.ID, proto.ModeRead
 	}
-	iid, err := s.reg.Open(&jobInstance{s: s, j: j, mode: mode}, name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
-}
-
-func (s *Server) openQueueDirectory(p *kernel.Process, name, pattern string) *proto.Message {
-	s.mu.Lock()
-	records := make([]proto.Descriptor, 0, len(s.queue))
-	for _, id := range s.queue {
-		if j := s.jobs[id]; j != nil {
-			records = append(records, s.describe(j, s.position(id)))
-		}
-	}
-	s.mu.Unlock()
-	records = core.FilterRecords(records, pattern)
-	model := p.Kernel().Model()
-	p.ChargeCompute(time.Duration(len(records)) * model.DescriptorFabricateCost)
-	iid, err := s.reg.Open(vio.NewDirectoryInstance(records, nil), name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
+	return s.OpenObject(id, res.Last, func(j *job) vio.Instance { return &jobInstance{s: s, j: j, mode: mode} })
 }
 
 // jobInstance spools data into a job; Release queues it for printing.
@@ -319,8 +179,8 @@ type jobInstance struct {
 }
 
 func (ji *jobInstance) Info() proto.InstanceInfo {
-	ji.s.mu.Lock()
-	defer ji.s.mu.Unlock()
+	ji.s.Mu.Lock()
+	defer ji.s.Mu.Unlock()
 	return proto.InstanceInfo{
 		SizeBytes: uint32(len(ji.j.data)),
 		BlockSize: vio.DefaultBlockSize,
@@ -329,8 +189,8 @@ func (ji *jobInstance) Info() proto.InstanceInfo {
 }
 
 func (ji *jobInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (int, error) {
-	ji.s.mu.Lock()
-	defer ji.s.mu.Unlock()
+	ji.s.Mu.Lock()
+	defer ji.s.Mu.Unlock()
 	if off >= int64(len(ji.j.data)) {
 		return 0, proto.ErrEndOfFile
 	}
@@ -338,8 +198,8 @@ func (ji *jobInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (int, er
 }
 
 func (ji *jobInstance) WriteAt(_ *kernel.Process, off int64, data []byte) (int, error) {
-	ji.s.mu.Lock()
-	defer ji.s.mu.Unlock()
+	ji.s.Mu.Lock()
+	defer ji.s.Mu.Unlock()
 	if ji.j.state != stateSpooling {
 		return 0, fmt.Errorf("%w: job already queued", proto.ErrNoPermission)
 	}
@@ -351,11 +211,12 @@ func (ji *jobInstance) WriteAt(_ *kernel.Process, off int64, data []byte) (int, 
 	return copy(ji.j.data[off:], data), nil
 }
 
-// Release moves a spooling job into the print queue.
+// Release moves a spooling job into the print queue, unless the job was
+// cancelled while it spooled.
 func (ji *jobInstance) Release() {
-	ji.s.mu.Lock()
-	defer ji.s.mu.Unlock()
-	if ji.j.state == stateSpooling {
+	ji.s.Mu.Lock()
+	defer ji.s.Mu.Unlock()
+	if ji.j.state == stateSpooling && ji.s.Get(ji.j.id) == ji.j {
 		ji.j.state = stateQueued
 		ji.s.queue = append(ji.s.queue, ji.j.id)
 		if len(ji.s.queue) == 1 {
@@ -364,7 +225,4 @@ func (ji *jobInstance) Release() {
 	}
 }
 
-var (
-	_ vio.Instance = (*jobInstance)(nil)
-	_ core.Handler = (*Server)(nil)
-)
+var _ vio.Instance = (*jobInstance)(nil)

@@ -197,9 +197,76 @@ func TestQueueDirectoryPositions(t *testing.T) {
 func TestAdvanceChargesPrintTime(t *testing.T) {
 	s, client := startRig(t)
 	submit(t, client, s, "big.ps", make([]byte, 5*vio.DefaultBlockSize))
-	before := s.proc.Now()
+	before := s.Proc().Now()
 	s.AdvanceQueue()
-	if s.proc.Now()-before < 5*s.pageTime {
+	if s.Proc().Now()-before < 5*s.pageTime {
 		t.Fatal("printing must charge per-page time")
+	}
+}
+
+// TestCancelledSpoolingJobLeavesNoGhost cancels a job while it is still
+// open for writing: releasing the instance afterwards must not queue the
+// dead id, which would count in QueueLength, make the next AdvanceQueue
+// report an empty queue and keep the live job from ever printing.
+func TestCancelledSpoolingJobLeavesNoGhost(t *testing.T) {
+	s, client := startRig(t)
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), "x")
+	proto.SetOpenMode(req, proto.ModeWrite|proto.ModeCreate)
+	reply, err := client.Send(req, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("create = %v, %v", reply, err)
+	}
+	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	if _, err := f.Write([]byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	rm := &proto.Message{Op: proto.OpRemoveObject}
+	proto.SetCSName(rm, uint32(core.CtxDefault), "x")
+	if reply, err := client.Send(rm, s.PID()); err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("remove = %v, %v", reply, err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.QueueLength(); n != 0 {
+		t.Fatalf("queue after cancelled spool = %d, want 0", n)
+	}
+
+	submit(t, client, s, "live.ps", []byte("L"))
+	if n := s.QueueLength(); n != 1 {
+		t.Fatalf("queue = %d, want 1", n)
+	}
+	q := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(q, uint32(core.CtxDefault), "live.ps")
+	reply, err = client.Send(q, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("query = %v, %v", reply, err)
+	}
+	d, _, err := proto.DecodeDescriptor(reply.Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.TypeSpecific[0] != 1 || jobState(d.TypeSpecific[1]) != statePrinting {
+		t.Fatalf("live job should be printing at position 1: %+v", d)
+	}
+	if name := s.AdvanceQueue(); name != "live.ps" {
+		t.Fatalf("AdvanceQueue = %q, want live.ps", name)
+	}
+}
+
+// TestAdvanceQueueSkipsStaleID puts an id with no job at the head of the
+// queue: the head of the line being gone is not the end of the line.
+func TestAdvanceQueueSkipsStaleID(t *testing.T) {
+	s, client := startRig(t)
+	submit(t, client, s, "live.ps", []byte("L"))
+	s.Mu.Lock()
+	s.queue = append([]uint32{999}, s.queue...)
+	s.Mu.Unlock()
+	if name := s.AdvanceQueue(); name != "live.ps" {
+		t.Fatalf("AdvanceQueue = %q, want live.ps", name)
+	}
+	if name := s.AdvanceQueue(); name != "" {
+		t.Fatalf("AdvanceQueue on an empty queue = %q", name)
 	}
 }

@@ -317,11 +317,7 @@ func (r *Rig) bootServices(cfg Config) error {
 	if r.Print, err = printserver.Start(r.ServicesHost, team...); err != nil {
 		return err
 	}
-	inetOpts := []inetserver.Option{}
-	if cfg.ServicesTeam > 1 {
-		inetOpts = append(inetOpts, inetserver.WithTeam(cfg.ServicesTeam))
-	}
-	if r.Inet, err = inetserver.Start(r.ServicesHost, inetOpts...); err != nil {
+	if r.Inet, err = inetserver.Start(r.ServicesHost, team...); err != nil {
 		return err
 	}
 	if r.Mail, err = mailserver.Start(r.ServicesHost, team...); err != nil {
@@ -453,9 +449,6 @@ func (r *Rig) NewSession(ws *Workstation) (*client.Session, error) {
 	r.sessMu.Unlock()
 	return s, nil
 }
-
-// Workstation returns the i-th workstation.
-func (r *Rig) Workstation(i int) *Workstation { return r.WS[i] }
 
 // programImage fabricates a deterministic program image of the given
 // size.

@@ -11,9 +11,7 @@ package termserver
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -27,225 +25,80 @@ const CreateName = "new"
 
 // terminal is one virtual terminal: a screen buffer plus an input queue.
 type terminal struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // guards screen; nests inside the table's lock
 	id     uint32
 	name   string
 	screen []byte
-	owner  string
 }
 
-// Server is the virtual graphics terminal server.
+// Server is the virtual graphics terminal server: a flat context of
+// terminals.
 type Server struct {
-	srv   *core.Server
-	proc  *kernel.Process
-	store *core.MapStore
-	reg   *vio.Registry
-
-	mu    sync.Mutex
-	terms map[uint32]*terminal
-	next  uint32
+	*core.Flat[terminal]
 }
 
 // Start spawns a terminal server on host. Options (e.g. core.WithTeam)
 // configure the serving runtime.
 func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
-	proc, err := host.NewProcess("vgt-server")
+	s := &Server{}
+	var err error
+	s.Flat, err = core.NewFlat(host, "vgt-server", s,
+		core.FlatKind[terminal]{Tag: proto.TagTerminal, Describe: describe, Open: s.open}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		proc:  proc,
-		store: core.NewMapStore(),
-		reg:   vio.NewRegistry(),
-		terms: make(map[uint32]*terminal),
-	}
-	s.srv = core.NewServer(proc, s.store, s, opts...)
-	if err := s.srv.Start(); err != nil {
-		return nil, err
-	}
-	if err := proc.SetPid(kernel.ServiceTerminal, proc.PID(), kernel.ScopeLocal); err != nil {
+	if err := s.StartService(kernel.ServiceTerminal, kernel.ScopeLocal); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// PID returns the server's process identifier.
-func (s *Server) PID() kernel.PID { return s.proc.PID() }
-
-// Err reports why the server stopped serving (see core.Server.Err).
-func (s *Server) Err() error { return s.srv.Err() }
-
-// RootPair returns the server's single context.
-func (s *Server) RootPair() core.ContextPair { return s.srv.Pair(core.CtxDefault) }
-
-// Count returns the number of live terminals.
-func (s *Server) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.terms)
-}
-
 // Screen returns a copy of the named terminal's screen contents (test and
 // example support).
 func (s *Server) Screen(name string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range s.terms {
-		if t.name == name {
-			t.mu.Lock()
-			out := append([]byte(nil), t.screen...)
-			t.mu.Unlock()
-			return out, nil
-		}
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	t, err := s.Named(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%q: %w", name, proto.ErrNotFound)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]byte(nil), t.screen...), nil
 }
 
-// create allocates a terminal. Terminal names are derived from the
-// numeric object instance identifier chosen by the server (§4.3).
-func (s *Server) create(owner string) *terminal {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	t := &terminal{id: s.next, name: fmt.Sprintf("vgt%d", s.next), owner: owner}
-	s.terms[t.id] = t
-	if err := s.store.Bind(core.CtxDefault, t.name, core.ObjectEntry(proto.TagTerminal, t.id)); err != nil {
-		// Name collision is impossible: ids are unique.
-		panic(err)
-	}
-	return t
-}
-
-func (s *Server) describe(t *terminal) proto.Descriptor {
+func describe(t *terminal) proto.Descriptor {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return proto.Descriptor{
 		Tag:      proto.TagTerminal,
 		ObjectID: t.id,
 		Name:     t.name,
-		Owner:    t.owner,
 		Size:     uint32(len(t.screen)),
 		Perms:    proto.PermRead | proto.PermWrite,
 	}
 }
 
-// HandleNamed implements core.Handler.
-func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
-	switch req.Msg.Op {
-	case proto.OpCreateInstance:
-		mode := proto.OpenMode(req.Msg)
-		if mode&proto.ModeDirectory != 0 {
-			if _, err := res.ContextOf(); err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			pattern, err := proto.DirPattern(req.Msg)
-			if err != nil {
-				return core.ErrorReplyMsg(err)
-			}
-			return s.openDirectory(req.Proc(), res.Name, pattern)
-		}
-		if res.Last == CreateName && res.Entry == nil && mode&proto.ModeCreate != 0 {
-			t := s.create("")
-			return s.openTerminal(t.id, t.name)
-		}
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		return s.openTerminal(res.Entry.Object.ID, res.Last)
-
-	case proto.OpQueryObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		t := s.terms[res.Entry.Object.ID]
-		s.mu.Unlock()
-		if t == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		req.Proc().ChargeCompute(req.Proc().Kernel().Model().DescriptorFabricateCost)
-		d := s.describe(t)
-		reply := core.OkReply()
-		reply.Segment = d.AppendEncoded(nil)
-		return reply
-
-	case proto.OpRemoveObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		s.mu.Lock()
-		delete(s.terms, res.Entry.Object.ID)
-		s.mu.Unlock()
-		if err := s.store.Unbind(core.CtxDefault, res.Last); err != nil {
+// open opens a terminal as a V I/O instance: reads return the screen
+// contents, writes append to the screen. Opening CreateName with
+// ModeCreate allocates a terminal, whose name is derived from the numeric
+// identifier the server chose for it (§4.3).
+func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+	var id uint32
+	name := res.Last
+	switch {
+	case res.Last == CreateName && res.Entry == nil && mode&proto.ModeCreate != 0:
+		id = s.NewID()
+		name = fmt.Sprintf("vgt%d", id)
+		if err := s.Add(id, name, &terminal{id: id, name: name}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-		return core.OkReply()
-
-	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
-	}
-}
-
-// HandleOp implements core.Handler.
-func (s *Server) HandleOp(req *core.Request) *proto.Message {
-	if reply := s.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
-		return reply
-	}
-	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
-}
-
-// openTerminal opens a terminal as a V I/O instance: reads return the
-// screen contents, writes append to the screen.
-func (s *Server) openTerminal(id uint32, name string) *proto.Message {
-	s.mu.Lock()
-	t := s.terms[id]
-	s.mu.Unlock()
-	if t == nil {
+	case res.Entry == nil || res.Entry.Object == nil:
 		return core.ErrorReplyMsg(proto.ErrNotFound)
+	default:
+		id = res.Entry.Object.ID
 	}
-	iid, err := s.reg.Open(&termInstance{t: t}, name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
-}
-
-func (s *Server) openDirectory(p *kernel.Process, name, pattern string) *proto.Message {
-	s.mu.Lock()
-	ids := make([]uint32, 0, len(s.terms))
-	for id := range s.terms {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	records := make([]proto.Descriptor, 0, len(ids))
-	s.mu.Lock()
-	for _, id := range ids {
-		if t := s.terms[id]; t != nil {
-			records = append(records, s.describe(t))
-		}
-	}
-	s.mu.Unlock()
-	records = core.FilterRecords(records, pattern)
-	model := p.Kernel().Model()
-	p.ChargeCompute(time.Duration(len(records)) * model.DescriptorFabricateCost)
-	iid, err := s.reg.Open(vio.NewDirectoryInstance(records, nil), name)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	inst, _ := s.reg.Get(iid)
-	info := inst.Info()
-	info.ID = iid
-	reply := core.OkReply()
-	proto.SetInstanceInfo(reply, info)
-	proto.SetInstanceOwner(reply, uint32(s.proc.PID()))
-	return reply
+	return s.OpenObject(id, name, func(t *terminal) vio.Instance { return &termInstance{t: t} })
 }
 
 // termInstance adapts a terminal to the V I/O instance interface.
@@ -283,7 +136,4 @@ func (ti *termInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, e
 
 func (ti *termInstance) Release() {}
 
-var (
-	_ vio.Instance = (*termInstance)(nil)
-	_ core.Handler = (*Server)(nil)
-)
+var _ vio.Instance = (*termInstance)(nil)

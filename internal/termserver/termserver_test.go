@@ -158,3 +158,28 @@ func TestScreenOfUnknownTerminal(t *testing.T) {
 		t.Fatal("expected error")
 	}
 }
+
+// TestRefusedBindIsAnErrorReply takes the name the next terminal would
+// get: the create is refused with an error reply — not a panic in the
+// server — leaves no terminal behind, and the next create succeeds.
+func TestRefusedBindIsAnErrorReply(t *testing.T) {
+	s, client := startRig(t)
+	if err := s.Store.Bind(core.CtxDefault, "vgt1", core.ObjectEntry(proto.TagTerminal, 99)); err != nil {
+		t.Fatal(err)
+	}
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), CreateName)
+	proto.SetOpenMode(req, proto.ModeRead|proto.ModeWrite|proto.ModeCreate)
+	reply, err := client.Send(req, s.PID())
+	if err != nil || reply.Op != proto.ReplyDuplicateName {
+		t.Fatalf("reply = %v, %v; want DuplicateName", reply, err)
+	}
+	if s.Count() != 0 {
+		t.Fatalf("refused create left %d terminal(s)", s.Count())
+	}
+	f := open(t, client, s, CreateName, proto.ModeRead|proto.ModeWrite|proto.ModeCreate)
+	defer f.Close()
+	if _, err := s.Screen("vgt2"); err != nil {
+		t.Fatalf("next terminal should be vgt2: %v", err)
+	}
+}

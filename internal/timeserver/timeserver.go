@@ -13,13 +13,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
+	"repro/internal/vio"
 )
 
 // Server is the time server.
 type Server struct {
-	srv   *core.Server
-	proc  *kernel.Process
+	*core.Server
 	store *core.MapStore
+	reg   *vio.Registry
 }
 
 // clockObjectID is the id of the single clock object.
@@ -32,67 +33,77 @@ func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{proc: proc, store: core.NewMapStore()}
+	s := &Server{store: core.NewMapStore(), reg: vio.NewRegistry()}
 	if err := s.store.Bind(core.CtxDefault, "clock",
 		core.ObjectEntry(proto.TagServiceBinding, clockObjectID)); err != nil {
 		return nil, err
 	}
-	s.srv = core.NewServer(proc, s.store, s, opts...)
-	if err := s.srv.Start(); err != nil {
-		return nil, err
-	}
-	if err := proc.SetPid(kernel.ServiceTime, proc.PID(), kernel.ScopeBoth); err != nil {
+	s.Server = core.NewServer(proc, s.store, s, opts...)
+	if err := s.StartService(kernel.ServiceTime, kernel.ScopeBoth); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// PID returns the server's process identifier.
-func (s *Server) PID() kernel.PID { return s.proc.PID() }
+// clock fabricates the clock's description record as of the serving
+// process's now.
+func clock(p *kernel.Process) proto.Descriptor {
+	now := p.Now()
+	return proto.Descriptor{
+		Tag:      proto.TagServiceBinding,
+		ObjectID: clockObjectID,
+		Name:     "clock",
+		Modified: uint64(now),
+		Size:     uint32(now / 1e9), // whole virtual seconds since boot
+	}
+}
 
-// Err reports why the server stopped serving (see core.Server.Err).
-func (s *Server) Err() error { return s.srv.Err() }
-
-// RootPair returns the server's single context.
-func (s *Server) RootPair() core.ContextPair { return s.srv.Pair(core.CtxDefault) }
-
-// HandleNamed implements core.Handler: the clock object answers query.
+// HandleNamed implements core.Handler: the clock object answers query,
+// and the context lists it — the single list-directory command covers
+// this context type too (§6).
 func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
 	switch req.Msg.Op {
-	case proto.OpQueryObject:
+	case proto.OpQueryObject, proto.OpRemoveObject:
 		if res.Entry == nil || res.Entry.Object == nil {
 			return core.ErrorReplyMsg(proto.ErrNotFound)
 		}
-		now := req.Proc().Now()
-		d := proto.Descriptor{
-			Tag:      proto.TagServiceBinding,
-			ObjectID: clockObjectID,
-			Name:     "clock",
-			Modified: uint64(now),
-			Size:     uint32(now / 1e9), // whole virtual seconds since boot
+		if req.Msg.Op == proto.OpRemoveObject {
+			break // the clock is the one name here, and it stays
 		}
+		d := clock(req.Proc())
 		reply := core.OkReply()
 		reply.Segment = d.AppendEncoded(nil)
 		return reply
-	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
+	case proto.OpCreateInstance:
+		if proto.OpenMode(req.Msg)&proto.ModeDirectory == 0 {
+			break // the clock is queried, not opened
+		}
+		_, pattern, err := core.DirectoryRequest(req.Msg, res)
+		if err != nil {
+			return core.ErrorReplyMsg(err)
+		}
+		return core.OpenDirectory(req.Proc(), s.reg, s.PID(),
+			[]proto.Descriptor{clock(req.Proc())}, pattern, res.Name, nil)
 	}
+	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
 }
 
 // HandleOp implements core.Handler: OpEcho doubles as "get time" for the
 // simple per-operation clients §4.2 describes — the reply's F[0]/F[1]
-// carry the server's virtual time.
+// carry the server's virtual time. The rest are the instance operations
+// on an open directory.
 func (s *Server) HandleOp(req *core.Request) *proto.Message {
-	switch req.Msg.Op {
-	case proto.OpEcho:
+	if req.Msg.Op == proto.OpEcho {
 		reply := core.OkReply()
 		now := uint64(req.Proc().Now())
 		reply.F[0] = uint32(now >> 32)
 		reply.F[1] = uint32(now)
 		return reply
-	default:
-		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
 	}
+	if reply := s.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
+		return reply
+	}
+	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
 }
 
 // GetTime is the client stub the paper sketches: GetPid(time service) on
@@ -108,5 +119,3 @@ func GetTime(proc *kernel.Process) (uint64, error) {
 	}
 	return uint64(reply.F[0])<<32 | uint64(reply.F[1]), nil
 }
-
-var _ core.Handler = (*Server)(nil)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/proto"
+	"repro/internal/vio"
 	"repro/internal/vtime"
 )
 
@@ -42,8 +43,8 @@ func TestGetTimeBindsPerUse(t *testing.T) {
 		t.Fatalf("time must advance: %d then %d", t1, t2)
 	}
 	// Per-use binding survives server re-creation (§4.2).
-	host := s.proc.Host()
-	s.proc.Destroy()
+	host := s.Proc().Host()
+	s.Proc().Destroy()
 	s2, err := Start(host)
 	if err != nil {
 		t.Fatal(err)
@@ -88,5 +89,46 @@ func TestClockIsNameableObject(t *testing.T) {
 	proto.SetCSName(req2, uint32(core.CtxDefault), "sundial")
 	if reply, err := client.Send(req2, s.PID()); err != nil || reply.Op != proto.ReplyNotFound {
 		t.Fatalf("reply = %v, %v", reply, err)
+	}
+}
+
+// TestClockContextIsListable opens the server's context directory: one
+// clock record, filtered by the pattern (rig's TestProtocolIsUniform pins
+// the charge).
+func TestClockContextIsListable(t *testing.T) {
+	s, client := startRig(t)
+	list := func(name, pattern string) (*proto.Message, []proto.Descriptor) {
+		t.Helper()
+		req := &proto.Message{Op: proto.OpCreateInstance}
+		proto.SetCSName(req, uint32(core.CtxDefault), name)
+		proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
+		proto.SetDirPattern(req, pattern)
+		reply, err := client.Send(req, s.PID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Op != proto.ReplyOK {
+			return reply, nil
+		}
+		raw, err := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply)).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, err := proto.DecodeDescriptors(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply, records
+	}
+
+	if _, none := list("", "sundial*"); len(none) != 0 {
+		t.Fatalf("pattern matched %v", none)
+	}
+	_, all := list("", "")
+	if len(all) != 1 || all[0].Name != "clock" || all[0].Tag != proto.TagServiceBinding {
+		t.Fatalf("records = %+v", all)
+	}
+	if reply, _ := list("clock", ""); reply.Op != proto.ReplyNotAContext {
+		t.Fatalf("directory open of the clock = %v", reply.Op)
 	}
 }
