@@ -44,25 +44,6 @@ func main() {
 	}
 }
 
-// exports are the deterministic documents vbench can write, in the
-// order they run: experiments.DocJSON(id). Each is byte-identical across
-// runs and pinned by the committed copy at golden (relative to the
-// repository root).
-var exports = []struct {
-	flag   string
-	id     string // the experiment that collects the document
-	legs   string // what it runs, for the flag's help text
-	label  string // "wrote <label> to FILE"
-	golden string
-}{
-	{"metrics", "a14", "A14 metrics legs", "metrics document", "BENCH_metrics.json"},
-	{"replica", "a15", "A15 replicated chaos leg", "replication document", "BENCH_replica.json"},
-	{"shard", "a16", "A16 sharded-engine sweep", "sharded-engine document", "BENCH_shard.json"},
-	{"cache", "a17", "A17 lease-coherence legs", "lease-coherence document", "BENCH_cache.json"},
-	{"zipf", "a18", "A18 population-scale legs", "population-scale document", "BENCH_zipf.json"},
-	{"obs", "a19", "A19 observability legs", "observability document", "BENCH_obs.json"},
-}
-
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vbench", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiment ids and exit")
@@ -70,8 +51,13 @@ func run(args []string, w io.Writer) error {
 	jsonPath := fs.String("json", "", "also write per-experiment results as JSON to this file")
 	tracePath := fs.String("trace", "", "export the canonical single-client trace (span tree + wire frames) as JSON to this file; with -zipf, a sampled million-name population trace instead")
 	popTrace := fs.Int("population", 1_000_000, "with -zipf and -trace together: population of the sampled trace export")
+	// One export flag per experiment that returns a document, each
+	// byte-identical across runs and pinned by the committed
+	// BENCH_<flag>.json.
+	exports := experiments.Exports()
 	for _, e := range exports {
-		fs.String(e.flag, "", fmt.Sprintf("run the %s and write the deterministic %s (%s schema) to this file", e.legs, e.label, e.golden))
+		fs.String(e.Flag, "", fmt.Sprintf("run %s (%s) and write its deterministic document (BENCH_%s.json schema) to this file",
+			strings.ToUpper(e.ID), e.Title, e.Flag))
 	}
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	heapProfile := fs.String("heapprofile", "", "write a heap profile of the run to this file")
@@ -124,15 +110,15 @@ func run(args []string, w io.Writer) error {
 	ids := fs.Args()
 	exported := false
 	for _, e := range exports {
-		path := fs.Lookup(e.flag).Value.String()
+		path := fs.Lookup(e.Flag).Value.String()
 		if path == "" {
 			continue
 		}
-		data, err := experiments.DocJSON(e.id)
+		data, err := experiments.DocJSON(e.ID)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.flag, err)
+			return fmt.Errorf("%s: %w", e.Flag, err)
 		}
-		if err := writeExport(w, e.label, path, "", data); err != nil {
+		if err := writeExport(w, e.Flag+" document", path, "", data); err != nil {
 			return err
 		}
 		exported = true

@@ -31,11 +31,9 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
-	"repro/internal/proto"
 	"repro/internal/rig"
 	"repro/internal/vtime"
 )
@@ -79,49 +77,35 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	var eng *chaos.Engine
-	pump := func(now vtime.Time) { r.Sampler.AdvanceTo(now) }
+	openHello := rig.OpenClose("[bin]hello")
+	load := rig.PacedLoad{
+		Ops: *ops,
+		// Under chaos some operations legitimately fail.
+		Op: func(s *client.Session, i int) error {
+			switch i % 3 {
+			case 0:
+				return openHello(s, i)
+			case 1:
+				_, err := s.ReadFile("[home]welcome.txt")
+				return err
+			default:
+				_, err := s.Query("[home]notes/todo.txt")
+				return err
+			}
+		},
+	}
 	if *withChaos {
 		// The A14 failover topology: FS2 replicates the standard-programs
 		// context; the client caches resolutions so outages are felt.
-		if err := r.FS2.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-			return err
-		}
-		if err := r.FS2.WriteFile("/bin/hello", "system", []byte("hello image")); err != nil {
+		if err := r.MirrorBinOnFS2(); err != nil {
 			return err
 		}
 		s.EnableNameCache(true)
-		eng = r.NewChaos(chaos.TwoOutages("fs1"))
-		pump = func(now vtime.Time) {
-			eng.AdvanceTo(now)
-			r.Sampler.AdvanceTo(now)
-		}
-		s.SetRetryObserver(pump)
+		load.FlushEvery = 25
+		load.Events = chaos.TwoOutages("fs1")
 	}
-
-	for i := 0; i < *ops; i++ {
-		if *withChaos && i > 0 && i%25 == 0 {
-			s.FlushNameCache()
-		}
-		pump(s.Proc().Now())
-		var opErr error
-		switch i % 3 {
-		case 0:
-			if f, err := s.Open("[bin]hello", proto.ModeRead); err == nil {
-				opErr = f.Close()
-			} else {
-				opErr = err
-			}
-		case 1:
-			_, opErr = s.ReadFile("[home]welcome.txt")
-		default:
-			_, opErr = s.Query("[home]notes/todo.txt")
-		}
-		_ = opErr // under chaos some operations legitimately fail
-		s.Proc().ChargeCompute(10 * time.Millisecond)
-	}
+	r.RunPaced(load)
 	horizon := s.Proc().Now()
-	pump(horizon)
 
 	snap := r.Metrics.Snapshot()
 	if *prom {

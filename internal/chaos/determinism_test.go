@@ -31,26 +31,22 @@ func runChaosOnce(t *testing.T) chaosRun {
 		t.Fatal(err)
 	}
 	s := r.WS[0].Session
-	eng := r.NewChaos(chaos.Generate(99, chaos.Profile{
-		Duration:           2 * time.Second,
-		Hosts:              []string{"fs1"},
-		MeanOutageEvery:    500 * time.Millisecond,
-		OutageLength:       150 * time.Millisecond,
-		MeanLossPulseEvery: 700 * time.Millisecond,
-		LossPulseLength:    100 * time.Millisecond,
-		LossRate:           0.25,
-	}))
-	// Faults scheduled during a backoff wait fire while the client waits.
-	s.SetRetryObserver(eng.AdvanceTo)
-
-	ok := 0
-	for i := 0; i < 120; i++ {
-		eng.AdvanceTo(s.Proc().Now())
-		if _, err := s.ReadFile("[bin]hello"); err == nil {
-			ok++
-		}
-		s.Proc().ChargeCompute(10 * time.Millisecond) // workload pacing
-	}
+	ok, eng := r.RunPaced(rig.PacedLoad{
+		Ops: 120,
+		Op: func(s *client.Session, _ int) error {
+			_, err := s.ReadFile("[bin]hello")
+			return err
+		},
+		Events: chaos.Generate(99, chaos.Profile{
+			Duration:           2 * time.Second,
+			Hosts:              []string{"fs1"},
+			MeanOutageEvery:    500 * time.Millisecond,
+			OutageLength:       150 * time.Millisecond,
+			MeanLossPulseEvery: 700 * time.Millisecond,
+			LossPulseLength:    100 * time.Millisecond,
+			LossRate:           0.25,
+		}),
+	})
 	eng.Finish()
 	return chaosRun{
 		log:     strings.Join(eng.Log(), "\n"),

@@ -18,7 +18,7 @@ type Request struct {
 	proc *kernel.Process
 
 	// name/res hold the CSname and its resolution once interpretation
-	// completed at this server; the name-fault stage reads them. res
+	// completed at this server; serve reads them to decorate a failure. res
 	// points at resolution, the request's own storage for it.
 	name       string
 	res        *Resolution
@@ -69,8 +69,7 @@ type ServerStats struct {
 type Option func(*serverOptions)
 
 type serverOptions struct {
-	team  int
-	extra []Middleware
+	team int
 }
 
 // WithTeam sets the number of serving processes (§3.1). 1 — the default —
@@ -82,27 +81,18 @@ func WithTeam(n int) Option {
 	return func(o *serverOptions) { o.team = n }
 }
 
-// WithMiddleware splices extra serving stages between the standard chain
-// (dispatch charge, stats, name-fault decoration) and the route to the
-// handler. Stages run on the serving process and must be safe for
-// concurrent workers.
-func WithMiddleware(stages ...Middleware) Option {
-	return func(o *serverOptions) { o.extra = append(o.extra, stages...) }
-}
-
 // Server is the skeleton every character-string name handling server
 // embeds: it runs the serving team, performs the standard processing any
 // CSNH server can do on any CSname request — validating the standard
 // fields and running the name-mapping procedure, forwarding partially
 // interpreted names to other servers — and dispatches what remains to the
-// Handler (§5.3-5.4). The standard per-request logic is factored into a
-// middleware chain; the team runtime decides which process serves.
+// Handler (§5.3-5.4). The standard per-request logic is serve; the team
+// runtime decides which process serves.
 type Server struct {
 	proc    *kernel.Process
 	store   ContextStore
 	handler Handler
 	team    *Team
-	serve   HandlerFunc
 	// req is the receptionist's request storage: a served process
 	// handles one request at a time, so a team of one reuses it instead
 	// of allocating a Request and a Resolution per message. Handlers must
@@ -140,14 +130,6 @@ func NewServer(proc *kernel.Process, store ContextStore, handler Handler, opts .
 		opt(&o)
 	}
 	s := &Server{proc: proc, store: store, handler: handler}
-	stages := append([]Middleware{
-		s.instrumentServe,
-		s.chargeDispatch,
-		s.countRequests,
-		s.countFailures,
-		s.decorateNameFaults,
-	}, o.extra...)
-	s.serve = Chain(s.route, stages...)
 	s.team = NewTeam(proc, o.team, s.serveOne, func() {
 		s.stats.handoffs.Add(1)
 		s.proc.Kernel().Metrics().
@@ -236,7 +218,7 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	req.name, req.res = "", nil
 	reply := s.serve(req)
 	if reply == nil {
-		// A stage or the handler replied or forwarded itself.
+		// The handler replied or forwarded itself.
 		if tr != nil {
 			tr.End(sp, p.Now())
 			p.SetCurrentSpan(0)
@@ -259,89 +241,57 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	}
 }
 
-// instrumentServe is the outermost stage: when a metrics registry is
-// installed it records the per-(server, op) serve-latency histogram and
-// request/failure counters for every request this server answers
-// itself. Requests that are forwarded or answered inside a handler
-// (reply == nil) are deliberately not recorded here: their terminal
-// server records them, and any bump after the forward could race the
-// resumed client (the counters below always land before serveOne's
-// Reply unblocks it). Recording charges zero virtual time.
-func (s *Server) instrumentServe(next HandlerFunc) HandlerFunc {
-	return func(req *Request) *proto.Message {
-		reg := req.Proc().Kernel().Metrics()
-		if reg == nil {
-			return next(req)
-		}
-		start := req.Proc().Now()
-		reply := next(req)
-		if reply != nil {
-			lbl := metrics.Labels{Server: s.proc.Name(), Op: req.Msg.Op.String()}
-			reg.Histogram("serve_latency", lbl).Record(req.Proc().Now() - start)
-			reg.Counter("server_requests_total", lbl).Inc()
-			if reply.Op != proto.ReplyOK {
-				reg.Counter("server_failures_total", lbl).Inc()
-			}
-		}
-		return reply
+// serve is the standard processing around every request: charge the
+// fixed dispatch cost to the serving process, count the request, route it
+// — CSname requests get the standard name-mapping treatment, everything
+// else goes to the handler — and account for the reply. It returns nil
+// when the request was forwarded or answered inside the handler.
+//
+// A failure reply to a request whose name interpretation completed here
+// means the handler rejected the resolved final component, so it gets
+// this server as the fault site — the client can then explain the failure
+// even after forwarding (§7 deficiency); interpretation failures carry
+// their fault details already.
+//
+// When a metrics registry is installed, the per-(server, op)
+// serve-latency histogram and request/failure counters are recorded only
+// for a reply sent from here: a forwarded request is recorded by its
+// terminal server, and any bump after the forward could race the resumed
+// client (these always land before serveOne's Reply unblocks it).
+// Recording charges zero virtual time.
+func (s *Server) serve(req *Request) *proto.Message {
+	p := req.Proc()
+	start := p.Now()
+	p.ChargeCompute(p.Kernel().Model().ServerDispatchCost)
+	s.stats.requests.Add(1)
+	var reply *proto.Message
+	if req.Msg.Op.IsCSNameOp() {
+		s.stats.csname.Add(1)
+		reply = s.serveCSName(req)
+	} else {
+		reply = s.handler.HandleOp(req)
 	}
-}
-
-// chargeDispatch charges the fixed request-dispatch cost to the serving
-// process.
-func (s *Server) chargeDispatch(next HandlerFunc) HandlerFunc {
-	return func(req *Request) *proto.Message {
-		req.Proc().ChargeCompute(req.Proc().Kernel().Model().ServerDispatchCost)
-		return next(req)
+	if reply == nil {
+		return nil
 	}
-}
-
-// countRequests counts every request, and the CSname subset.
-func (s *Server) countRequests(next HandlerFunc) HandlerFunc {
-	return func(req *Request) *proto.Message {
-		s.stats.requests.Add(1)
-		if req.Msg.Op.IsCSNameOp() {
-			s.stats.csname.Add(1)
-		}
-		return next(req)
-	}
-}
-
-// countFailures counts non-OK replies sent.
-func (s *Server) countFailures(next HandlerFunc) HandlerFunc {
-	return func(req *Request) *proto.Message {
-		reply := next(req)
-		if reply != nil && reply.Op != proto.ReplyOK {
-			s.stats.failures.Add(1)
-		}
-		return reply
-	}
-}
-
-// decorateNameFaults adds name-fault details to failure replies for
-// requests whose name interpretation completed here: the handler rejected
-// the resolved final component, so report this server as the fault site —
-// the client can then explain the failure even after forwarding (§7
-// deficiency). Interpretation failures carry their fault details already.
-func (s *Server) decorateNameFaults(next HandlerFunc) HandlerFunc {
-	return func(req *Request) *proto.Message {
-		reply := next(req)
-		if reply != nil && reply.Op != proto.ReplyOK && req.res != nil {
+	failed := reply.Op != proto.ReplyOK
+	if failed {
+		if req.res != nil {
 			if _, _, _, ok := proto.NameFault(reply); !ok {
 				proto.SetNameFault(reply, len(req.name)-len(req.res.Last), uint32(s.PID()), req.res.Last)
 			}
 		}
-		return reply
+		s.stats.failures.Add(1)
 	}
-}
-
-// route is the terminal stage: CSname requests get the standard
-// name-mapping treatment, everything else goes to the handler.
-func (s *Server) route(req *Request) *proto.Message {
-	if req.Msg.Op.IsCSNameOp() {
-		return s.serveCSName(req)
+	if reg := p.Kernel().Metrics(); reg != nil {
+		lbl := metrics.Labels{Server: s.proc.Name(), Op: req.Msg.Op.String()}
+		reg.Histogram("serve_latency", lbl).Record(p.Now() - start)
+		reg.Counter("server_requests_total", lbl).Inc()
+		if failed {
+			reg.Counter("server_failures_total", lbl).Inc()
+		}
 	}
-	return s.handler.HandleOp(req)
+	return reply
 }
 
 // serveCSName performs the standard CSname processing: even if this server

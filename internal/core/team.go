@@ -9,27 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// HandlerFunc processes one request and returns the reply to send, or nil
-// when the request was already answered (the stage replied or forwarded
-// itself).
-type HandlerFunc func(req *Request) *proto.Message
-
-// Middleware is one composable serving stage wrapped around a
-// HandlerFunc. The standard Server chain factors dispatch-cost charging,
-// request counting, failure counting and name-fault decoration into such
-// stages; WithMiddleware splices additional ones in front of the route.
-type Middleware func(next HandlerFunc) HandlerFunc
-
-// Chain composes stages around terminal. The first stage is outermost:
-// Chain(h, a, b) serves a(b(h)).
-func Chain(terminal HandlerFunc, stages ...Middleware) HandlerFunc {
-	h := terminal
-	for i := len(stages) - 1; i >= 0; i-- {
-		h = stages[i](h)
-	}
-	return h
-}
-
 // serveFunc processes one received message on behalf of the serving
 // process p (the receptionist itself, or a team worker).
 type serveFunc func(p *kernel.Process, msg *proto.Message, from kernel.PID)

@@ -32,56 +32,6 @@ func startToyTeam(t *testing.T, h *kernel.Host, name string, n int) *toyServer {
 	return ts
 }
 
-func TestChainOrdersStagesFirstOutermost(t *testing.T) {
-	var order []string
-	mk := func(tag string) Middleware {
-		return func(next HandlerFunc) HandlerFunc {
-			return func(req *Request) *proto.Message {
-				order = append(order, tag)
-				return next(req)
-			}
-		}
-	}
-	h := Chain(func(*Request) *proto.Message {
-		order = append(order, "terminal")
-		return nil
-	}, mk("a"), mk("b"))
-	h(nil)
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "terminal" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestWithMiddlewareRunsBeforeRoute(t *testing.T) {
-	k := newDomain()
-	h := k.NewHost("srv")
-	ts := &toyServer{store: NewMapStore(), reg: vio.NewRegistry(), objects: make(map[uint32][]byte)}
-	proc, err := h.NewProcess("toy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen int
-	ts.srv = NewServer(proc, ts.store, ts, WithMiddleware(func(next HandlerFunc) HandlerFunc {
-		return func(req *Request) *proto.Message {
-			seen++
-			return next(req)
-		}
-	}))
-	go ts.srv.Run()
-	t.Cleanup(proc.Destroy)
-	ts.addObject(CtxDefault, "x", []byte("1"))
-
-	client := newClientProc(t, k.NewHost("ws"))
-	req := &proto.Message{Op: proto.OpQueryObject}
-	proto.SetCSName(req, uint32(CtxDefault), "x")
-	if _, err := Transact(client, ts.srv.PID(), req); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 1 {
-		t.Fatalf("middleware ran %d times", seen)
-	}
-}
-
 func TestTeamServesAndCountsHandoffs(t *testing.T) {
 	k := newDomain()
 	h := k.NewHost("srv")

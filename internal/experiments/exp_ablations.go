@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"repro/internal/client"
-
 	"repro/internal/core"
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
@@ -14,13 +13,13 @@ import (
 	"repro/internal/rig"
 )
 
-// A1 quantifies the §5.6 argument for context directories: reading one
+// a1 quantifies the §5.6 argument for context directories: reading one
 // directory of N objects versus enumerating names and querying each
 // object individually.
-func A1() (Result, error) {
+func a1() ([]Row, error) {
 	r, err := rig.New(rig.DefaultConfig())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	s := r.WS[0].Session
 
@@ -29,7 +28,7 @@ func A1() (Result, error) {
 		dir := fmt.Sprintf("/users/mann/many%d", n)
 		for i := 0; i < n; i++ {
 			if err := r.FS1.WriteFile(fmt.Sprintf("%s/f%04d", dir, i), "mann", []byte("x")); err != nil {
-				return Result{}, err
+				return nil, err
 			}
 		}
 		name := fmt.Sprintf("[home]many%d", n)
@@ -37,18 +36,18 @@ func A1() (Result, error) {
 		start := s.Proc().Now()
 		records, err := s.List(name)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		dirTime := s.Proc().Now() - start
 		if len(records) != n {
-			return Result{}, fmt.Errorf("directory read returned %d records, want %d", len(records), n)
+			return nil, fmt.Errorf("directory read returned %d records, want %d", len(records), n)
 		}
 
 		// The alternative: use the name list, then query each object.
 		start = s.Proc().Now()
 		for _, d := range records {
 			if _, err := s.Query(name + "/" + d.Name); err != nil {
-				return Result{}, err
+				return nil, err
 			}
 		}
 		queryTime := s.Proc().Now() - start
@@ -67,131 +66,136 @@ func A1() (Result, error) {
 				Note:     fmt.Sprintf("%.1fx the directory read", float64(queryTime)/float64(dirTime)),
 			})
 	}
-	return Result{
-		ID:     "a1",
-		Title:  "context directory vs. per-object query enumeration",
-		Source: "§5.6 (the paper argues this qualitatively)",
-		Rows:   rows,
-	}, nil
+	return rows, nil
 }
 
-// A2 quantifies the §2.2 efficiency argument: the centralized model pays
-// one extra server interaction (the name server) on every reference.
-func A2() (Result, error) {
+// baseline is the §2.2 comparison world: the standard rig plus the
+// centralized name server, with a client of it on the first workstation
+// beside that workstation's own session.
+type baseline struct {
+	r    *rig.Rig
+	s    *client.Session
+	proc *kernel.Process
+	nc   *nameserver.Client
+}
+
+func newBaseline() (*baseline, error) {
 	cfg := rig.DefaultConfig()
 	cfg.Baseline = true
 	r, err := rig.New(cfg)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	s := r.WS[0].Session
+	proc, err := r.WS[0].Host.NewProcess("baseline-client")
+	if err != nil {
+		return nil, err
+	}
+	return &baseline{r: r, s: r.WS[0].Session, proc: proc, nc: nameserver.NewClient(proc, r.NS.PID())}, nil
+}
 
-	// Register the file with the centralized name server.
-	d, err := s.Query("[home]welcome.txt")
+// register advertises the file name in mann's home directory with the
+// centralized name server, under its global name.
+func (b *baseline) register(name string) error {
+	d, err := b.s.Query("[home]" + name)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	nsProc, err := r.WS[0].Host.NewProcess("baseline-client")
+	return b.nc.Register(globalName(name), b.r.FS1.PID(), d.ObjectID)
+}
+
+// globalName is the centralized model's name for a file in mann's home.
+func globalName(name string) string { return "fs1:/users/mann/" + name }
+
+// publish creates the file on fs1 and registers it.
+func (b *baseline) publish(name string) error {
+	if err := b.r.FS1.WriteFile("/users/mann/"+name, "mann", []byte("data")); err != nil {
+		return err
+	}
+	return b.register(name)
+}
+
+// open is the centralized open: name server → owning server, then the
+// release of the instance it opened.
+func (b *baseline) open(name string) error {
+	info, server, err := b.nc.Open(globalName(name), proto.ModeRead)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	nc := nameserver.NewClient(nsProc, r.NS.PID())
-	const gname = "fs1:/users/mann/welcome.txt"
-	if err := nc.Register(gname, r.FS1.PID(), d.ObjectID); err != nil {
-		return Result{}, err
+	rel := &proto.Message{Op: proto.OpReleaseInstance}
+	rel.F[0] = uint32(info.ID)
+	_, err = b.proc.Send(rel, server)
+	return err
+}
+
+// a2 quantifies the §2.2 efficiency argument: the centralized model pays
+// one extra server interaction (the name server) on every reference.
+func a2() ([]Row, error) {
+	b, err := newBaseline()
+	if err != nil {
+		return nil, err
+	}
+	if err := b.register("welcome.txt"); err != nil {
+		return nil, err
 	}
 
 	const trials = 50
 	// Distributed: open in the current context (the common case the V
 	// design optimizes: no third party involved).
-	s.SetCurrent(r.WS[0].HomeCtx)
-	start := s.Proc().Now()
-	for i := 0; i < trials; i++ {
-		f, err := s.Open("welcome.txt", proto.ModeRead)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := f.Close(); err != nil {
-			return Result{}, err
-		}
+	b.s.SetCurrent(b.r.WS[0].HomeCtx)
+	total, err := timeOpens(b.s, "welcome.txt", trials)
+	if err != nil {
+		return nil, err
 	}
-	distributed := (s.Proc().Now() - start) / trials
+	distributed := total / trials
 
 	// Centralized: every open goes name server → owning server.
-	start = nsProc.Now()
+	start := b.proc.Now()
 	for i := 0; i < trials; i++ {
-		info, server, err := nc.Open(gname, proto.ModeRead)
-		if err != nil {
-			return Result{}, err
-		}
-		rel := &proto.Message{Op: proto.OpReleaseInstance}
-		rel.F[0] = uint32(info.ID)
-		if _, err := nsProc.Send(rel, server); err != nil {
-			return Result{}, err
+		if err := b.open("welcome.txt"); err != nil {
+			return nil, err
 		}
 	}
-	centralized := (nsProc.Now() - start) / trials
+	centralized := (b.proc.Now() - start) / trials
 
-	return Result{
-		ID:     "a2",
-		Title:  "open latency: distributed interpretation vs. centralized name server",
-		Source: "§2.2 (efficiency)",
-		Rows: []Row{
-			{Label: "V model, current context", Paper: "-", Measured: ms(distributed),
-				Note: "1 transaction to the object's server"},
-			{Label: "centralized, lookup then open-by-UID", Paper: "-", Measured: ms(centralized),
-				Note: "2 transactions; extra name-server hop"},
-			{Label: "centralized / distributed", Paper: "-",
-				Measured: fmt.Sprintf("%.2fx", float64(centralized)/float64(distributed)),
-				Note:     "the per-reference cost §2.2 predicts"},
-		},
+	return []Row{
+		{Label: "V model, current context", Paper: "-", Measured: ms(distributed),
+			Note: "1 transaction to the object's server"},
+		{Label: "centralized, lookup then open-by-UID", Paper: "-", Measured: ms(centralized),
+			Note: "2 transactions; extra name-server hop"},
+		{Label: "centralized / distributed", Paper: "-",
+			Measured: fmt.Sprintf("%.2fx", float64(centralized)/float64(distributed)),
+			Note:     "the per-reference cost §2.2 predicts"},
 	}, nil
 }
 
-// A3 reproduces the §2.2 consistency argument: a crash between deleting
+// a3 reproduces the §2.2 consistency argument: a crash between deleting
 // an object and updating the name server leaves the system inconsistent;
 // the distributed model has no such window because the name dies with the
 // object, at the same server.
-func A3() (Result, error) {
-	cfg := rig.DefaultConfig()
-	cfg.Baseline = true
-	r, err := rig.New(cfg)
+func a3() ([]Row, error) {
+	b, err := newBaseline()
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	s := r.WS[0].Session
-
-	const total, crashed = 20, 7
-	nsProc, err := r.WS[0].Host.NewProcess("baseline-client")
-	if err != nil {
-		return Result{}, err
-	}
-	nc := nameserver.NewClient(nsProc, r.NS.PID())
+	s := b.s
 
 	// Baseline: create and register files, then delete some with a crash
 	// injected between the two servers' updates.
+	const total, crashed = 20, 7
 	for i := 0; i < total; i++ {
-		path := fmt.Sprintf("/users/mann/ns%02d", i)
-		if err := r.FS1.WriteFile(path, "mann", []byte("data")); err != nil {
-			return Result{}, err
-		}
-		d, err := s.Query(fmt.Sprintf("[home]ns%02d", i))
-		if err != nil {
-			return Result{}, err
-		}
-		if err := nc.Register("fs1:"+path, r.FS1.PID(), d.ObjectID); err != nil {
-			return Result{}, err
+		if err := b.publish(fmt.Sprintf("ns%02d", i)); err != nil {
+			return nil, err
 		}
 	}
 	for i := 0; i < total; i++ {
 		crash := i < crashed
-		if err := nc.Remove(fmt.Sprintf("fs1:/users/mann/ns%02d", i), crash); err != nil {
-			return Result{}, err
+		if err := b.nc.Remove(globalName(fmt.Sprintf("ns%02d", i)), crash); err != nil {
+			return nil, err
 		}
 	}
-	dangling, err := nc.Verify()
+	dangling, err := b.nc.Verify()
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	// Distributed: the same deletions through the V model; a client crash
@@ -199,12 +203,12 @@ func A3() (Result, error) {
 	// by simply observing there is no second step to miss.
 	for i := 0; i < total; i++ {
 		if err := s.WriteFile(fmt.Sprintf("[home]v%02d", i), []byte("data")); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	for i := 0; i < total; i++ {
 		if err := s.Remove(fmt.Sprintf("[home]v%02d", i)); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	vDangling := 0
@@ -214,125 +218,99 @@ func A3() (Result, error) {
 		}
 	}
 
-	return Result{
-		ID:     "a3",
-		Title:  "dangling names after client crashes during delete",
-		Source: "§2.2 (consistency)",
-		Rows: []Row{
-			{Label: fmt.Sprintf("centralized, %d/%d deletes crash mid-way", crashed, total),
-				Paper: "inconsistent", Measured: fmt.Sprintf("%d dangling names", len(dangling)),
-				Note: "name server still advertises dead objects"},
-			{Label: "V model, same workload", Paper: "consistent",
-				Measured: fmt.Sprintf("%d dangling names", vDangling),
-				Note:     "name and object die in one server operation"},
-		},
+	return []Row{
+		{Label: fmt.Sprintf("centralized, %d/%d deletes crash mid-way", crashed, total),
+			Paper: "inconsistent", Measured: fmt.Sprintf("%d dangling names", len(dangling)),
+			Note: "name server still advertises dead objects"},
+		{Label: "V model, same workload", Paper: "consistent",
+			Measured: fmt.Sprintf("%d dangling names", vDangling),
+			Note:     "name and object die in one server operation"},
 	}, nil
 }
 
-// A4 reproduces the §2.2 reliability argument: a name-server failure
+// a4 reproduces the §2.2 reliability argument: a name-server failure
 // makes objects unreachable even though the servers holding them are up.
-func A4() (Result, error) {
-	cfg := rig.DefaultConfig()
-	cfg.Baseline = true
-	r, err := rig.New(cfg)
+func a4() ([]Row, error) {
+	b, err := newBaseline()
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	s := r.WS[0].Session
-
 	const total = 10
-	nsProc, err := r.WS[0].Host.NewProcess("baseline-client")
-	if err != nil {
-		return Result{}, err
-	}
-	nc := nameserver.NewClient(nsProc, r.NS.PID())
 	for i := 0; i < total; i++ {
-		path := fmt.Sprintf("/users/mann/r%02d", i)
-		if err := r.FS1.WriteFile(path, "mann", []byte("data")); err != nil {
-			return Result{}, err
-		}
-		d, err := s.Query(fmt.Sprintf("[home]r%02d", i))
-		if err != nil {
-			return Result{}, err
-		}
-		if err := nc.Register("fs1:"+path, r.FS1.PID(), d.ObjectID); err != nil {
-			return Result{}, err
+		if err := b.publish(fmt.Sprintf("r%02d", i)); err != nil {
+			return nil, err
 		}
 	}
 
 	// Take the name server down. The file server stays up.
-	r.NSHost.Crash()
+	b.r.NSHost.Crash()
 
-	centralOK := 0
+	centralOK, vOK := 0, 0
 	for i := 0; i < total; i++ {
-		if info, server, err := nc.Open(fmt.Sprintf("fs1:/users/mann/r%02d", i), proto.ModeRead); err == nil {
+		if b.open(fmt.Sprintf("r%02d", i)) == nil {
 			centralOK++
-			rel := &proto.Message{Op: proto.OpReleaseInstance}
-			rel.F[0] = uint32(info.ID)
-			if _, err := nsProc.Send(rel, server); err != nil {
-				return Result{}, err
-			}
 		}
 	}
-	vOK := 0
 	for i := 0; i < total; i++ {
-		if data, err := s.ReadFile(fmt.Sprintf("[home]r%02d", i)); err == nil && len(data) > 0 {
+		if data, err := b.s.ReadFile(fmt.Sprintf("[home]r%02d", i)); err == nil && len(data) > 0 {
 			vOK++
 		}
 	}
 
-	return Result{
-		ID:     "a4",
-		Title:  "objects reachable while the name service is down",
-		Source: "§2.2 (reliability)",
-		Rows: []Row{
-			{Label: "centralized: opens that succeed", Paper: "0 (central failure point)",
-				Measured: fmt.Sprintf("%d/%d", centralOK, total),
-				Note:     "file server is up, but nothing can be named"},
-			{Label: "V model: opens that succeed", Paper: "all (name lives with object)",
-				Measured: fmt.Sprintf("%d/%d", vOK, total),
-				Note:     "prefix server is per-user and local"},
-		},
+	return []Row{
+		{Label: "centralized: opens that succeed", Paper: "0 (central failure point)",
+			Measured: fmt.Sprintf("%d/%d", centralOK, total),
+			Note:     "file server is up, but nothing can be named"},
+		{Label: "V model: opens that succeed", Paper: "all (name lives with object)",
+			Measured: fmt.Sprintf("%d/%d", vOK, total),
+			Note:     "prefix server is per-user and local"},
 	}, nil
 }
 
-// A5 reproduces the §4.2/§6 rebinding scenario: the storage server
-// crashes and is re-created with a different pid. Dynamic
-// (service, well-known-context) prefix bindings rebind via GetPid;
-// static (pid, context) bindings dangle.
-func A5() (Result, error) {
-	r, err := rig.New(rig.DefaultConfig())
-	if err != nil {
-		return Result{}, err
-	}
-	ws := r.WS[0]
-	s := ws.Session
-
-	if err := s.AddName("staticbin", r.BinCtx); err != nil {
-		return Result{}, err
-	}
-	if _, err := s.ReadFile("[bin]hello"); err != nil {
-		return Result{}, err
-	}
-	if _, err := s.ReadFile("[staticbin]hello"); err != nil {
-		return Result{}, err
-	}
-
-	oldPid := r.FS1.PID()
+// recreateFS1 crashes the storage server and re-creates it cold on the
+// restarted host — a new pid, holding only /bin/hello (the §4.2
+// rebinding scenario).
+func recreateFS1(r *rig.Rig) (*fileserver.FileServer, error) {
 	r.FS1Host.Crash()
 	r.FS1Host.Restart()
 	fsNew, err := fileserver.Start(r.FS1Host, "fs1")
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := fsNew.Proc().SetPid(kernel.ServiceStorage, fsNew.PID(), kernel.ScopeBoth); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := fsNew.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	if err := fsNew.WriteFile("/bin/hello", "system", []byte("hello image")); err != nil {
-		return Result{}, err
+	return fsNew, fsNew.WriteFile("/bin/hello", "system", []byte("hello image"))
+}
+
+// a5 reproduces the §4.2/§6 rebinding scenario: the storage server
+// crashes and is re-created with a different pid. Dynamic
+// (service, well-known-context) prefix bindings rebind via GetPid;
+// static (pid, context) bindings dangle.
+func a5() ([]Row, error) {
+	r, err := rig.New(rig.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	s := r.WS[0].Session
+
+	if err := s.AddName("staticbin", r.BinCtx); err != nil {
+		return nil, err
+	}
+	if _, err := s.ReadFile("[bin]hello"); err != nil {
+		return nil, err
+	}
+	if _, err := s.ReadFile("[staticbin]hello"); err != nil {
+		return nil, err
+	}
+
+	oldPid := r.FS1.PID()
+	fsNew, err := recreateFS1(r)
+	if err != nil {
+		return nil, err
 	}
 
 	start := s.Proc().Now()
@@ -348,62 +326,50 @@ func A5() (Result, error) {
 	if statErr == nil {
 		statRow = "UNEXPECTEDLY works"
 	}
-	return Result{
-		ID:     "a5",
-		Title:  "service rebinding after server crash and re-creation (new pid)",
-		Source: "§4.2, §6",
-		Rows: []Row{
-			{Label: fmt.Sprintf("dynamic [bin] binding (old pid %v → new %v)", oldPid, fsNew.PID()),
-				Paper: "rebinds via GetPid", Measured: dynRow,
-				Note: fmt.Sprintf("first use after restart: %s", ms(rebindTime))},
-			{Label: "static [staticbin] binding", Paper: "dangles", Measured: statRow,
-				Note: "pid-bound names die with the process"},
-		},
+	return []Row{
+		{Label: fmt.Sprintf("dynamic [bin] binding (old pid %v → new %v)", oldPid, fsNew.PID()),
+			Paper: "rebinds via GetPid", Measured: dynRow,
+			Note: fmt.Sprintf("first use after restart: %s", ms(rebindTime))},
+		{Label: "static [staticbin] binding", Paper: "dangles", Measured: statRow,
+			Note: "pid-bound names die with the process"},
 	}, nil
 }
 
-// A6 explores the §7 future-work direction: a context implemented
+// a6 explores the §7 future-work direction: a context implemented
 // transparently by a group of servers, addressed with multicast Send,
 // compared against reaching the same context through the prefix server.
-func A6() (Result, error) {
+func a6() ([]Row, error) {
 	r, err := rig.New(rig.DefaultConfig())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	ws := r.WS[0]
-	s := ws.Session
+	s := r.WS[0].Session
 
 	// Replicate the program directory on FS2 and form a storage group.
 	if err := r.FS2.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := r.FS2.WriteFile("/bin/hello", "system", []byte("hello replica")); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	gid, err := r.Kernel.CreateGroup()
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := r.Kernel.JoinGroup(gid, r.FS1.PID()); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := r.Kernel.JoinGroup(gid, r.FS2.PID()); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	const trials = 20
 	// Via the prefix server (the present mechanism).
-	start := s.Proc().Now()
-	for i := 0; i < trials; i++ {
-		f, err := s.Open("[bin]hello", proto.ModeRead)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := f.Close(); err != nil {
-			return Result{}, err
-		}
+	total, err := timeOpens(s, "[bin]hello", trials)
+	if err != nil {
+		return nil, err
 	}
-	viaPrefix := (s.Proc().Now() - start) / trials
+	viaPrefix := total / trials
 
 	// Via multicast to the group: the client sends the CSname request to
 	// the group id; the first member to reply wins. The members serve on
@@ -413,64 +379,54 @@ func A6() (Result, error) {
 	// by up to 0.06 ms from run to run.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	proc := s.Proc()
-	start = proc.Now()
-	for i := 0; i < trials; i++ {
+	groupOpen := func() (*proto.Message, error) {
 		req := &proto.Message{Op: proto.OpCreateInstance}
 		proto.SetCSName(req, uint32(core.CtxStdPrograms), "hello")
 		proto.SetOpenMode(req, proto.ModeRead)
-		reply, err := proc.Send(req, gid)
+		return proc.Send(req, gid)
+	}
+	start := proc.Now()
+	for i := 0; i < trials; i++ {
+		reply, err := groupOpen()
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		if err := proto.ReplyError(reply.Op); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		rel := &proto.Message{Op: proto.OpReleaseInstance}
 		rel.F[0] = reply.F[0]
 		owner := kernel.PID(proto.InstanceOwner(reply))
 		if _, err := proc.Send(rel, owner); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	viaGroup := (proc.Now() - start) / trials
 
 	// Availability: with FS1 down, the group still answers.
 	r.FS1Host.Crash()
-	req := &proto.Message{Op: proto.OpCreateInstance}
-	proto.SetCSName(req, uint32(core.CtxStdPrograms), "hello")
-	proto.SetOpenMode(req, proto.ModeRead)
-	reply, err := proc.Send(req, gid)
-	survived := err == nil && reply.Op == proto.ReplyOK
+	survived := "fails"
+	if reply, err := groupOpen(); err == nil && reply.Op == proto.ReplyOK {
+		survived = "succeeds"
+	}
 
-	return Result{
-		ID:     "a6",
-		Title:  "multicast group context vs. prefix-server indirection",
-		Source: "§7 (future work: multicast Send for name mapping)",
-		Rows: []Row{
-			{Label: "open via [bin] prefix", Paper: "-", Measured: ms(viaPrefix),
-				Note: "local hop + prefix processing + forward"},
-			{Label: "open via group multicast", Paper: "-", Measured: ms(viaGroup),
-				Note: "one multicast frame, first reply wins"},
-			{Label: "group open with one replica down", Paper: "transparent", Measured: okString(survived),
-				Note: "the surviving member answers"},
-		},
+	return []Row{
+		{Label: "open via [bin] prefix", Paper: "-", Measured: ms(viaPrefix),
+			Note: "local hop + prefix processing + forward"},
+		{Label: "open via group multicast", Paper: "-", Measured: ms(viaGroup),
+			Note: "one multicast frame, first reply wins"},
+		{Label: "group open with one replica down", Paper: "transparent", Measured: survived,
+			Note: "the surviving member answers"},
 	}, nil
 }
 
-func okString(ok bool) string {
-	if ok {
-		return "succeeds"
-	}
-	return "fails"
-}
-
-// A7 quantifies the §5.6 pattern-matching extension the paper says it was
+// a7 quantifies the §5.6 pattern-matching extension the paper says it was
 // considering: server-side filtering saves collating and transmitting
 // records the client does not want.
-func A7() (Result, error) {
+func a7() ([]Row, error) {
 	r, err := rig.New(rig.DefaultConfig())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	s := r.WS[0].Session
 
@@ -482,53 +438,48 @@ func A7() (Result, error) {
 		}
 		path := fmt.Sprintf("/users/mann/big/f%03d.%s", i, suffix)
 		if err := r.FS1.WriteFile(path, "mann", []byte("x")); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 
 	start := s.Proc().Now()
 	all, err := s.List("[home]big")
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	fullTime := s.Proc().Now() - start
 
 	start = s.Proc().Now()
 	filtered, err := s.ListPattern("[home]big", "*.mss")
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	filteredTime := s.Proc().Now() - start
 	if len(all) != total || len(filtered) != matching {
-		return Result{}, fmt.Errorf("listing sizes %d/%d", len(all), len(filtered))
+		return nil, fmt.Errorf("listing sizes %d/%d", len(all), len(filtered))
 	}
 
 	fullBytes := len(proto.EncodeDescriptors(all))
 	filteredBytes := len(proto.EncodeDescriptors(filtered))
 
-	return Result{
-		ID:     "a7",
-		Title:  "pattern-matched context directories (10 of 200 objects wanted)",
-		Source: "§5.6 (extension the paper proposes)",
-		Rows: []Row{
-			{Label: "full directory read", Paper: "-", Measured: ms(fullTime),
-				Note: fmt.Sprintf("%d records, %d bytes", total, fullBytes)},
-			{Label: "pattern *.mss read", Paper: "-", Measured: ms(filteredTime),
-				Note: fmt.Sprintf("%d records, %d bytes", matching, filteredBytes)},
-			{Label: "transfer saved", Paper: "-",
-				Measured: fmt.Sprintf("%.1f%%", 100*(1-float64(filteredBytes)/float64(fullBytes))),
-				Note:     "server filters before collation"},
-		},
+	return []Row{
+		{Label: "full directory read", Paper: "-", Measured: ms(fullTime),
+			Note: fmt.Sprintf("%d records, %d bytes", total, fullBytes)},
+		{Label: "pattern *.mss read", Paper: "-", Measured: ms(filteredTime),
+			Note: fmt.Sprintf("%d records, %d bytes", matching, filteredBytes)},
+		{Label: "transfer saved", Paper: "-",
+			Measured: fmt.Sprintf("%.1f%%", 100*(1-float64(filteredBytes)/float64(fullBytes))),
+			Note:     "server filters before collation"},
 	}, nil
 }
 
-// A8 quantifies both halves of the §2.2 sentence "Caching the name in
+// a8 quantifies both halves of the §2.2 sentence "Caching the name in
 // the client would introduce inconsistency problems and only benefit the
 // few applications that reuse names": the latency won by a client-side
 // prefix-resolution cache on reuse, and the stale-resolution failures it
 // suffers when a server is re-created. Each variant runs in its own
 // fresh rig so the per-process virtual clocks stay comparable.
-func A8() (Result, error) {
+func a8() ([]Row, error) {
 	const trials = 20
 
 	// variant builds a rig, applies the cache configuration, warms one
@@ -544,37 +495,17 @@ func A8() (Result, error) {
 			configure(s)
 		}
 		// Warm: the first open pays any cache miss.
-		if f, err := s.Open("[bin]hello", proto.ModeRead); err != nil {
-			return 0, 0, 0, err
-		} else if err := f.Close(); err != nil {
+		if _, err := timeOpens(s, "[bin]hello", 1); err != nil {
 			return 0, 0, 0, err
 		}
-		start := s.Proc().Now()
-		for i := 0; i < trials; i++ {
-			f, err := s.Open("[bin]hello", proto.ModeRead)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			if err := f.Close(); err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		per = float64(s.Proc().Now()-start) / float64(trials)
-
-		// The storage server crashes and is re-created with a new pid.
-		r.FS1Host.Crash()
-		r.FS1Host.Restart()
-		fsNew, err := fileserver.Start(r.FS1Host, "fs1")
+		total, err := timeOpens(s, "[bin]hello", trials)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		if err := fsNew.Proc().SetPid(kernel.ServiceStorage, fsNew.PID(), kernel.ScopeBoth); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := fsNew.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := fsNew.WriteFile("/bin/hello", "system", []byte("hello image")); err != nil {
+		per = float64(total) / float64(trials)
+
+		// The storage server crashes and is re-created with a new pid.
+		if _, err := recreateFS1(r); err != nil {
 			return 0, 0, 0, err
 		}
 		for i := 0; i < trials; i++ {
@@ -592,41 +523,33 @@ func A8() (Result, error) {
 
 	plainPer, plainFail, _, err := variant(nil)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	naivePer, naiveFail, _, err := variant(func(s *client.Session) { s.EnableNameCache(false) })
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	_, retryFail, retryStale, err := variant(func(s *client.Session) { s.EnableNameCache(true) })
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
-	return Result{
-		ID:     "a8",
-		Title:  "client-side name caching: benefit on reuse vs. inconsistency",
-		Source: "§2.2 (the paper's argument against client caches)",
-		Rows: []Row{
-			{Label: "open via prefix server, per use", Paper: "-", Measured: msFloat(plainPer),
-				Note: "dynamic [bin]: prefix processing + GetPid each use"},
-			{Label: "open with cached resolution (warm)", Paper: "benefits name reuse", Measured: msFloat(naivePer),
-				Note: fmt.Sprintf("%.1fx faster on reuse", plainPer/naivePer)},
-			{Label: "after server re-creation, no cache", Paper: "-",
-				Measured: fmt.Sprintf("%d/%d opens fail", plainFail, trials),
-				Note:     "prefix server rebinds via GetPid"},
-			{Label: "after server re-creation, naive cache", Paper: "inconsistency problems",
-				Measured: fmt.Sprintf("%d/%d opens fail", naiveFail, trials),
-				Note:     "stale (pid, ctx) until the cache is flushed"},
-			{Label: "cache with invalidate-and-retry", Paper: "-",
-				Measured: fmt.Sprintf("%d/%d fail, %d stale use(s) absorbed", retryFail, trials, retryStale),
-				Note:     "pays a failed transaction per stale entry"},
-		},
+	return []Row{
+		{Label: "open via prefix server, per use", Paper: "-", Measured: msFloat(plainPer),
+			Note: "dynamic [bin]: prefix processing + GetPid each use"},
+		{Label: "open with cached resolution (warm)", Paper: "benefits name reuse", Measured: msFloat(naivePer),
+			Note: fmt.Sprintf("%.1fx faster on reuse", plainPer/naivePer)},
+		{Label: "after server re-creation, no cache", Paper: "-",
+			Measured: fmt.Sprintf("%d/%d opens fail", plainFail, trials),
+			Note:     "prefix server rebinds via GetPid"},
+		{Label: "after server re-creation, naive cache", Paper: "inconsistency problems",
+			Measured: fmt.Sprintf("%d/%d opens fail", naiveFail, trials),
+			Note:     "stale (pid, ctx) until the cache is flushed"},
+		{Label: "cache with invalidate-and-retry", Paper: "-",
+			Measured: fmt.Sprintf("%d/%d fail, %d stale use(s) absorbed", retryFail, trials, retryStale),
+			Note:     "pays a failed transaction per stale entry"},
 	}, nil
 }
-
-// clientSession aliases the client session type for the loop helper.
-type clientSession = client.Session
 
 // msFloat renders a float64 of virtual nanoseconds as milliseconds.
 func msFloat(ns float64) string {

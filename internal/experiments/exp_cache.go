@@ -291,7 +291,7 @@ func a17Collect() (*CacheDoc, []Row, error) {
 	rows = append(rows, Row{
 		Label:    "partition leg: redefine behind partition",
 		Paper:    "-",
-		Measured: fmt.Sprintf("widest stale window %s", ms(time.Duration(part.WidestStaleUS)*time.Microsecond)),
+		Measured: fmt.Sprintf("widest stale window %s", usms(part.WidestStaleUS)),
 		Note: fmt.Sprintf("%d windows, all ≤ %s lease; callbacks reached no holder",
 			part.StaleWindows, ms(a17ChaosLease)),
 	})

@@ -6,12 +6,10 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/proto"
 	"repro/internal/rig"
 )
 
-// A10 sweeps injected fault rate against operation success fraction for
+// a10 sweeps injected fault rate against operation success fraction for
 // the six combinations of {static, dynamic} prefix binding × {no cache,
 // naive cache, invalidate-and-retry cache}, with the client recovery
 // policy enabled throughout. The schedule crashes and re-creates FS1
@@ -19,7 +17,7 @@ import (
 // of the standard-programs context, so a dynamic binding can fail over
 // via GetPid while a static binding keeps naming the dead pid — the
 // §4.2 argument for late binding, measured as availability.
-func A10() (Result, error) {
+func a10() ([]Row, error) {
 	// Light / default / heavy fault rates: mean time between FS1 outages.
 	rates := []time.Duration{
 		1600 * time.Millisecond,
@@ -50,10 +48,7 @@ func A10() (Result, error) {
 
 		// FS2 replicates the standard-programs context so a rebinding
 		// client has somewhere to go during an FS1 outage.
-		if err := r.FS2.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-			return 0, rig.ResilienceSummary{}, err
-		}
-		if err := r.FS2.WriteFile("/bin/hello", "system", []byte("hello image")); err != nil {
+		if err := r.MirrorBinOnFS2(); err != nil {
 			return 0, rig.ResilienceSummary{}, err
 		}
 
@@ -72,29 +67,20 @@ func A10() (Result, error) {
 			s.EnableNameCache(true)
 		}
 
-		eng := r.NewChaos(chaos.Generate(2026, chaos.Profile{
-			Duration:           3 * time.Second,
-			Hosts:              []string{"fs1"},
-			MeanOutageEvery:    outageEvery,
-			OutageLength:       200 * time.Millisecond,
-			MeanLossPulseEvery: 900 * time.Millisecond,
-			LossPulseLength:    120 * time.Millisecond,
-			LossRate:           0.9,
-		}))
-		// Faults scheduled during a backoff wait fire while the client waits.
-		s.SetRetryObserver(eng.AdvanceTo)
-
 		const ops = 150
-		ok := 0
-		for i := 0; i < ops; i++ {
-			eng.AdvanceTo(s.Proc().Now())
-			if f, err := s.Open(name, proto.ModeRead); err == nil {
-				if err := f.Close(); err == nil {
-					ok++
-				}
-			}
-			s.Proc().ChargeCompute(10 * time.Millisecond) // workload pacing
-		}
+		ok, _ := r.RunPaced(rig.PacedLoad{
+			Ops: ops,
+			Op:  rig.OpenClose(name),
+			Events: chaos.Generate(2026, chaos.Profile{
+				Duration:           3 * time.Second,
+				Hosts:              []string{"fs1"},
+				MeanOutageEvery:    outageEvery,
+				OutageLength:       200 * time.Millisecond,
+				MeanLossPulseEvery: 900 * time.Millisecond,
+				LossPulseLength:    120 * time.Millisecond,
+				LossRate:           0.9,
+			}),
+		})
 		return float64(ok) / ops, r.ResilienceSummary(), nil
 	}
 
@@ -105,7 +91,7 @@ func A10() (Result, error) {
 		for i, rate := range rates {
 			frac, sum, err := run(v.static, v.cache, rate)
 			if err != nil {
-				return Result{}, fmt.Errorf("%s @ %v: %w", v.label, rate, err)
+				return nil, fmt.Errorf("%s @ %v: %w", v.label, rate, err)
 			}
 			fracs[i] = fmt.Sprintf("%.2f", frac)
 			if !v.static && v.cache == "retry" && i == 1 {
@@ -133,11 +119,5 @@ func A10() (Result, error) {
 			Measured: ms(key.Client.Downtime),
 			Note:     "backoff charged to the client's virtual clock"},
 	)
-
-	return Result{
-		ID:     "a10",
-		Title:  "chaos sweep: fault rate vs. operation success",
-		Source: "§4.2 (late binding + rebinding) under injected faults",
-		Rows:   rows,
-	}, nil
+	return rows, nil
 }

@@ -1,13 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/rig"
@@ -96,31 +94,17 @@ func a14Uncontended() (MetricsLeg, metrics.HistPoint, error) {
 	if err != nil {
 		return leg, metrics.HistPoint{}, err
 	}
-	echo, err := r.FS1Host.Spawn("echo", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := *msg
-			reply.Op = proto.ReplyOK
-			if err := p.Reply(&reply, from); err != nil {
-				return
-			}
-		}
-	})
+	echo, err := startEcho(r.FS1Host)
 	if err != nil {
 		return leg, metrics.HistPoint{}, err
 	}
-	cli, err := r.WS[0].Host.NewProcess("a14-client")
+	cli, err := r.WS[0].Host.NewProcess("echo-client")
 	if err != nil {
 		return leg, metrics.HistPoint{}, err
 	}
 	const trials = 100
-	for i := 0; i < trials; i++ {
-		if _, err := cli.Send(&proto.Message{Op: proto.OpEcho}, echo.PID()); err != nil {
-			return leg, metrics.HistPoint{}, err
-		}
+	if _, err := echoTimes(cli, echo.PID(), trials); err != nil {
+		return leg, metrics.HistPoint{}, err
 	}
 	snap := r.Metrics.Snapshot().Deterministic()
 	p, ok := findHist(snap, "send_latency", metrics.Labels{Server: "echo", Op: proto.OpEcho.String()})
@@ -144,40 +128,16 @@ func a14Uncontended() (MetricsLeg, metrics.HistPoint, error) {
 // and returns the serve-latency distribution the registry collected.
 func a14Team(team int) (MetricsLeg, metrics.HistPoint, error) {
 	var leg MetricsLeg
-	cfg := rig.DefaultConfig()
-	cfg.Users = []string{"mann"}
-	cfg.FileServerTeam = team
-	r, err := rig.New(cfg)
+	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, FileServerTeam: team})
 	if err != nil {
 		return leg, metrics.HistPoint{}, err
 	}
-	if _, err := r.FS1.MkdirAll("/deep/a/b/c/d/e/f", "system"); err != nil {
+	clients, err := a11HotPhase(r, r.Sampler.AdvanceTo)
+	if err != nil {
 		return leg, metrics.HistPoint{}, err
 	}
-	if err := r.FS1.WriteFile("/"+a11HotPath, "system", make([]byte, 512)); err != nil {
+	if err := noErrors(rig.RunWorkload(clients), fmt.Sprintf("a14 team=%d", team)); err != nil {
 		return leg, metrics.HistPoint{}, err
-	}
-	clients := make([]*rig.WorkloadClient, 0, a11HotClients)
-	for i := 0; i < a11HotClients; i++ {
-		sess, err := a11Session(r, fmt.Sprintf("hot%d", i))
-		if err != nil {
-			return leg, metrics.HistPoint{}, err
-		}
-		clients = append(clients, &rig.WorkloadClient{
-			Session:  sess,
-			Requests: a11HotRequests,
-			Op: func(s *client.Session, iter int) error {
-				_, err := s.Query(a11HotPath)
-				return err
-			},
-			Tick: r.Sampler.AdvanceTo,
-		})
-	}
-	res := rig.RunWorkload(clients)
-	for i, st := range res.Clients {
-		if st.Errors > 0 {
-			return leg, metrics.HistPoint{}, fmt.Errorf("a14 team=%d: client %d: %d requests failed", team, i, st.Errors)
-		}
 	}
 	snap := r.Metrics.Snapshot().Deterministic()
 	// The client-observed transaction latency (send_latency) carries the
@@ -216,41 +176,10 @@ func a14Chaos() (MetricsLeg, float64, error) {
 	if err != nil {
 		return leg, 0, err
 	}
-	s := r.WS[0].Session
-	// FS2 replicates the standard-programs context so the dynamic binding
-	// has somewhere to fail over to during an FS1 outage.
-	if err := r.FS2.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
+	ok, horizon, err := a14ChaosLoad(r)
+	if err != nil {
 		return leg, 0, err
 	}
-	if err := r.FS2.WriteFile("/bin/hello", "system", []byte("hello image")); err != nil {
-		return leg, 0, err
-	}
-	s.EnableNameCache(true)
-	eng := r.NewChaos(chaos.TwoOutages("fs1"))
-	pump := func(now vtime.Time) {
-		eng.AdvanceTo(now)
-		r.Sampler.AdvanceTo(now)
-	}
-	// Faults and samples scheduled during a backoff fire while the client
-	// waits, exactly as in A10.
-	s.SetRetryObserver(pump)
-
-	const ops = 150
-	ok := 0
-	for i := 0; i < ops; i++ {
-		if i > 0 && i%25 == 0 {
-			s.FlushNameCache()
-		}
-		pump(s.Proc().Now())
-		if f, err := s.Open("[bin]hello", proto.ModeRead); err == nil {
-			if err := f.Close(); err == nil {
-				ok++
-			}
-		}
-		s.Proc().ChargeCompute(10 * time.Millisecond) // workload pacing
-	}
-	horizon := s.Proc().Now()
-	pump(horizon)
 
 	snap := r.Metrics.Snapshot().Deterministic()
 	health := metrics.Health(snap, r.Sampler.Samples(), horizon, 0.90)
@@ -265,7 +194,40 @@ func a14Chaos() (MetricsLeg, float64, error) {
 		FailuresPerTick: metrics.CounterSeries(r.Sampler.Samples(), "client_op_failures_total"),
 		Health:          health,
 	}
-	return leg, float64(ok) / ops, nil
+	return leg, float64(ok) / a14ChaosOps, nil
+}
+
+// a14ChaosOps is the chaos leg's operation count.
+const a14ChaosOps = 150
+
+// a14ChaosLoad is the chaos leg's workload, which A15 reruns byte for
+// byte against the replicated rig: the A10 failover shape (dynamic [bin]
+// binding, FS2 mirror, invalidate-and-retry cache flushed every 25
+// operations) under the two-outage schedule. It returns the successful
+// operations and the horizon the run's clock reached.
+func a14ChaosLoad(r *rig.Rig) (ok int, horizon vtime.Time, err error) {
+	if err := r.MirrorBinOnFS2(); err != nil {
+		return 0, 0, err
+	}
+	s := r.WS[0].Session
+	s.EnableNameCache(true)
+	ok, _ = r.RunPaced(rig.PacedLoad{
+		Ops:        a14ChaosOps,
+		Op:         rig.OpenClose("[bin]hello"),
+		FlushEvery: 25,
+		Events:     chaos.TwoOutages("fs1"),
+	})
+	return ok, s.Proc().Now(), nil
+}
+
+// fs1Health finds the fs1 host's entry in a health report.
+func fs1Health(h *metrics.HealthReport) (*metrics.ServerHealth, error) {
+	for i := range h.Servers {
+		if h.Servers[i].Host == "fs1" {
+			return &h.Servers[i], nil
+		}
+	}
+	return nil, errors.New("health report has no fs1 entry")
 }
 
 // a14Collect runs every leg once, producing both the JSON document and
@@ -298,7 +260,7 @@ func a14Collect() (*MetricsDoc, []Row, error) {
 		doc.Legs = append(doc.Legs, leg)
 		rows = append(rows, Row{
 			Label:    fmt.Sprintf("team=%d query latency, p50 / p99", team),
-			Paper:    a11PaperHot(team),
+			Paper:    a11Paper(team, "serializes", "overlaps"),
 			Measured: usms(p.P50US) + " / " + usms(p.P99US),
 			Note:     fmt.Sprintf("send_latency{fs1,QueryObject}, %d requests, 8 clients", p.Count),
 		})
@@ -309,14 +271,9 @@ func a14Collect() (*MetricsDoc, []Row, error) {
 		return nil, nil, err
 	}
 	doc.Legs = append(doc.Legs, cleg)
-	var fs1 *metrics.ServerHealth
-	for i := range cleg.Health.Servers {
-		if cleg.Health.Servers[i].Host == "fs1" {
-			fs1 = &cleg.Health.Servers[i]
-		}
-	}
-	if fs1 == nil {
-		return nil, nil, fmt.Errorf("a14: health report has no fs1 entry")
+	fs1, err := fs1Health(cleg.Health)
+	if err != nil {
+		return nil, nil, fmt.Errorf("a14: %w", err)
 	}
 	rows = append(rows,
 		Row{Label: "fs1 availability under chaos", Paper: "-",

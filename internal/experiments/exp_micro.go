@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
@@ -12,31 +13,56 @@ import (
 	"repro/internal/vtime"
 )
 
-// E1 reproduces the §3.1 / Figure 1 IPC measurement: the time for a
+// e1 reproduces the §3.1 / Figure 1 IPC measurement: the time for a
 // Send-Receive-Reply sequence with 32-byte messages between two processes,
 // on the same and on separate hosts.
-func E1() (Result, error) {
+func e1() ([]Row, error) {
 	remote3, local3, err := e1Measure(nil)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	remote10, _, err := e1Measure(vtime.Model10Mbit())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	return Result{
-		ID:     "e1",
-		Title:  "Send-Receive-Reply message transaction, 32-byte messages",
-		Source: "§3.1, Figure 1",
-		Rows: []Row{
-			{Label: "separate hosts (3 Mbit Ethernet)", Paper: "2.56 ms", Measured: ms(remote3),
-				Note: "100-trial average"},
-			{Label: "separate hosts (10 Mbit Ethernet)", Paper: "-", Measured: ms(remote10),
-				Note: "CPU-bound: the faster wire barely helps"},
-			{Label: "same host", Paper: "-", Measured: ms(local3),
-				Note: "paper reports only the remote case"},
-		},
+	return []Row{
+		{Label: "separate hosts (3 Mbit Ethernet)", Paper: "2.56 ms", Measured: ms(remote3),
+			Note: "100-trial average"},
+		{Label: "separate hosts (10 Mbit Ethernet)", Paper: "-", Measured: ms(remote10),
+			Note: "CPU-bound: the faster wire barely helps"},
+		{Label: "same host", Paper: "-", Measured: ms(local3),
+			Note: "paper reports only the remote case"},
 	}, nil
+}
+
+// startEcho spawns the §3.1 echo server on h: every message it receives
+// comes back as ReplyOK.
+func startEcho(h *kernel.Host) (*kernel.Process, error) {
+	return h.Spawn("echo", func(p *kernel.Process) {
+		for {
+			msg, from, err := p.Receive()
+			if err != nil {
+				return
+			}
+			reply := *msg
+			reply.Op = proto.ReplyOK
+			if err := p.Reply(&reply, from); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// echoTimes runs n 32-byte Send-Receive-Reply transactions from cli to
+// the echo server dst and returns the virtual time they took.
+func echoTimes(cli *kernel.Process, dst kernel.PID, n int) (time.Duration, error) {
+	start := cli.Now()
+	for i := 0; i < n; i++ {
+		if _, err := cli.Send(&proto.Message{Op: proto.OpEcho}, dst); err != nil {
+			return 0, err
+		}
+	}
+	return cli.Now() - start, nil
 }
 
 // e1Measure runs the E1 workload under the given model (nil = default).
@@ -48,22 +74,6 @@ func e1Measure(model *vtime.CostModel) (remote, local time.Duration, err error) 
 		return 0, 0, err
 	}
 	ws := r.WS[0]
-
-	startEcho := func(h *kernel.Host) (*kernel.Process, error) {
-		return h.Spawn("echo", func(p *kernel.Process) {
-			for {
-				msg, from, err := p.Receive()
-				if err != nil {
-					return
-				}
-				reply := *msg
-				reply.Op = proto.ReplyOK
-				if err := p.Reply(&reply, from); err != nil {
-					return
-				}
-			}
-		})
-	}
 	echoRemote, err := startEcho(r.FS1Host)
 	if err != nil {
 		return 0, 0, err
@@ -72,34 +82,24 @@ func e1Measure(model *vtime.CostModel) (remote, local time.Duration, err error) 
 	if err != nil {
 		return 0, 0, err
 	}
-	clientProc, err := ws.Host.NewProcess("e1-client")
+	cli, err := ws.Host.NewProcess("echo-client")
 	if err != nil {
 		return 0, 0, err
 	}
-
-	transaction := func(dst kernel.PID) (time.Duration, error) {
-		const trials = 100
-		start := clientProc.Now()
-		for i := 0; i < trials; i++ {
-			if _, err := clientProc.Send(&proto.Message{Op: proto.OpEcho}, dst); err != nil {
-				return 0, err
-			}
-		}
-		return (clientProc.Now() - start) / trials, nil
-	}
-	if remote, err = transaction(echoRemote.PID()); err != nil {
+	const trials = 100
+	if remote, err = echoTimes(cli, echoRemote.PID(), trials); err != nil {
 		return 0, 0, err
 	}
-	if local, err = transaction(echoLocal.PID()); err != nil {
+	if local, err = echoTimes(cli, echoLocal.PID(), trials); err != nil {
 		return 0, 0, err
 	}
-	return remote, local, nil
+	return remote / trials, local / trials, nil
 }
 
-// E2 reproduces the §3.1 program-load measurement: 64 KB moved by MoveTo
+// e2 reproduces the §3.1 program-load measurement: 64 KB moved by MoveTo
 // from a file server's memory into a diskless workstation, and its
 // distance from the maximum packet write rate.
-func E2() (Result, error) {
+func e2() ([]Row, error) {
 	load := func(model *vtime.CostModel) (time.Duration, float64, error) {
 		cfg := rig.DefaultConfig()
 		cfg.Model = model
@@ -126,32 +126,26 @@ func E2() (Result, error) {
 
 	elapsed3, overhead3, err := load(nil)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	elapsed10, _, err := load(vtime.Model10Mbit())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-
-	return Result{
-		ID:     "e2",
-		Title:  "64 KB program load via MoveTo (program text in server memory)",
-		Source: "§3.1",
-		Rows: []Row{
-			{Label: "64 KB load time (3 Mbit)", Paper: "338 ms", Measured: ms(elapsed3),
-				Note: "request + 128-packet MoveTo + reply"},
-			{Label: "64 KB load time (10 Mbit)", Paper: "-", Measured: ms(elapsed10),
-				Note: "wire-bound: the faster wire pays off"},
-			{Label: "over max packet write rate", Paper: "within 13%", Measured: fmt.Sprintf("%.1f%%", overhead3),
-				Note: "floor = driver cost + wire time"},
-		},
+	return []Row{
+		{Label: "64 KB load time (3 Mbit)", Paper: "338 ms", Measured: ms(elapsed3),
+			Note: "request + 128-packet MoveTo + reply"},
+		{Label: "64 KB load time (10 Mbit)", Paper: "-", Measured: ms(elapsed10),
+			Note: "wire-bound: the faster wire pays off"},
+		{Label: "over max packet write rate", Paper: "within 13%", Measured: fmt.Sprintf("%.1f%%", overhead3),
+			Note: "floor = driver cost + wire time"},
 	}, nil
 }
 
-// E3 reproduces the §3.1 sequential file access measurement: reading a
+// e3 reproduces the §3.1 sequential file access measurement: reading a
 // file in 512-byte pages from a disk that delivers a page every 15 ms,
 // with and without server read-ahead.
-func E3() (Result, error) {
+func e3() ([]Row, error) {
 	run := func(readAhead bool) (time.Duration, error) {
 		cfg := rig.DefaultConfig()
 		cfg.ReadAhead = readAhead
@@ -183,32 +177,40 @@ func E3() (Result, error) {
 
 	with, err := run(true)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	without, err := run(false)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	return Result{
-		ID:     "e3",
-		Title:  "sequential file read, 512-byte pages, 15 ms/page disk",
-		Source: "§3.1",
-		Rows: []Row{
-			{Label: "per page, server read-ahead", Paper: "17.13 ms", Measured: ms(with),
-				Note: "disk-rate bound; transfer overlapped"},
-			{Label: "per page, no read-ahead", Paper: "-", Measured: ms(without),
-				Note: "disk + full request round trip"},
-		},
+	return []Row{
+		{Label: "per page, server read-ahead", Paper: "17.13 ms", Measured: ms(with),
+			Note: "disk-rate bound; transfer overlapped"},
+		{Label: "per page, no read-ahead", Paper: "-", Measured: ms(without),
+			Note: "disk + full request round trip"},
 	}, nil
 }
 
-// T1 reproduces the §6 Open latency table: current context vs. context
+// timeOpens opens name for reading and releases it n times and returns
+// the virtual time the n Open+Release pairs took in total.
+func timeOpens(s *client.Session, name string, n int) (time.Duration, error) {
+	open := rig.OpenClose(name)
+	start := s.Proc().Now()
+	for i := 0; i < n; i++ {
+		if err := open(s, i); err != nil {
+			return 0, fmt.Errorf("open %q: %w", name, err)
+		}
+	}
+	return s.Proc().Now() - start, nil
+}
+
+// t1 reproduces the §6 Open latency table: current context vs. context
 // prefix, file server local vs. remote, and the prefix overhead that is
 // identical in both columns because the prefix server is always local.
-func T1() (Result, error) {
+func t1() ([]Row, error) {
 	r, err := rig.New(rig.DefaultConfig())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	ws := r.WS[0]
 	s := ws.Session
@@ -217,106 +219,84 @@ func T1() (Result, error) {
 	// server requires no other changes).
 	localFS, err := fileserver.Start(ws.Host, "local")
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := localFS.WriteFile("/f.txt", ws.User, []byte("local file")); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := ws.Prefix.Define("local", localFS.RootPair()); err != nil {
-		return Result{}, err
+		return nil, err
+	}
+	localCtx, err := s.MapContext("[local]")
+	if err != nil {
+		return nil, err
+	}
+
+	// Each trial is one Open and one Release; the paper's Open figure
+	// excludes the Release, so measure one to subtract it.
+	closeCost := func(name string) (time.Duration, error) {
+		f, err := s.Open(name, proto.ModeRead)
+		if err != nil {
+			return 0, err
+		}
+		start := s.Proc().Now()
+		err = f.Close()
+		return s.Proc().Now() - start, err
+	}
+	closeLocal, err := closeCost("[local]f.txt")
+	if err != nil {
+		return nil, err
+	}
+	closeRemote, err := closeCost("[home]welcome.txt")
+	if err != nil {
+		return nil, err
 	}
 
 	const trials = 50
-	open := func(name string, current core.ContextPair) (time.Duration, error) {
+	open := func(name string, current core.ContextPair, release time.Duration) (time.Duration, error) {
 		if current != (core.ContextPair{}) {
 			s.SetCurrent(current)
 		}
-		start := s.Proc().Now()
-		for i := 0; i < trials; i++ {
-			f, err := s.Open(name, proto.ModeRead)
-			if err != nil {
-				return 0, fmt.Errorf("open %q: %w", name, err)
-			}
-			if err := f.Close(); err != nil {
-				return 0, err
-			}
-		}
-		// Each trial includes one Open and one Release; subtract the
-		// Release transactions, which the paper's Open figure excludes.
-		total := s.Proc().Now() - start
-		return total / trials, nil
+		total, err := timeOpens(s, name, trials)
+		return total/trials - release, err
+	}
+	curLocal, err := open("f.txt", localCtx, closeLocal)
+	if err != nil {
+		return nil, err
+	}
+	curRemote, err := open("welcome.txt", ws.HomeCtx, closeRemote)
+	if err != nil {
+		return nil, err
+	}
+	pfxLocal, err := open("[local]f.txt", core.ContextPair{}, closeLocal)
+	if err != nil {
+		return nil, err
+	}
+	pfxRemote, err := open("[home]welcome.txt", core.ContextPair{}, closeRemote)
+	if err != nil {
+		return nil, err
 	}
 
-	localCtx, err := s.MapContext("[local]")
-	if err != nil {
-		return Result{}, err
-	}
-	// Measure the close cost to subtract it.
-	f, err := s.Open("[local]f.txt", proto.ModeRead)
-	if err != nil {
-		return Result{}, err
-	}
-	c0 := s.Proc().Now()
-	if err := f.Close(); err != nil {
-		return Result{}, err
-	}
-	closeLocal := s.Proc().Now() - c0
-	f2, err := s.Open("[home]welcome.txt", proto.ModeRead)
-	if err != nil {
-		return Result{}, err
-	}
-	c1 := s.Proc().Now()
-	if err := f2.Close(); err != nil {
-		return Result{}, err
-	}
-	closeRemote := s.Proc().Now() - c1
-
-	curLocal, err := open("f.txt", localCtx)
-	if err != nil {
-		return Result{}, err
-	}
-	curRemote, err := open("welcome.txt", ws.HomeCtx)
-	if err != nil {
-		return Result{}, err
-	}
-	pfxLocal, err := open("[local]f.txt", core.ContextPair{})
-	if err != nil {
-		return Result{}, err
-	}
-	pfxRemote, err := open("[home]welcome.txt", core.ContextPair{})
-	if err != nil {
-		return Result{}, err
-	}
-	curLocal -= closeLocal
-	pfxLocal -= closeLocal
-	curRemote -= closeRemote
-	pfxRemote -= closeRemote
-
-	return Result{
-		ID:     "t1",
-		Title:  "Open latency: current context vs. context prefix, local vs. remote server",
-		Source: "§6",
-		Rows: []Row{
-			{Label: "current context, server local", Paper: "1.21 ms", Measured: ms(curLocal)},
-			{Label: "current context, server remote", Paper: "3.70 ms", Measured: ms(curRemote)},
-			{Label: "via prefix, server local", Paper: "5.14 ms", Measured: ms(pfxLocal)},
-			{Label: "via prefix, server remote", Paper: "7.69 ms", Measured: ms(pfxRemote)},
-			{Label: "prefix overhead (local column)", Paper: "3.94 ms", Measured: ms(pfxLocal - curLocal),
-				Note: "prefix server processing, always local"},
-			{Label: "prefix overhead (remote column)", Paper: "3.99 ms", Measured: ms(pfxRemote - curRemote),
-				Note: "identical within experimental error"},
-		},
+	return []Row{
+		{Label: "current context, server local", Paper: "1.21 ms", Measured: ms(curLocal)},
+		{Label: "current context, server remote", Paper: "3.70 ms", Measured: ms(curRemote)},
+		{Label: "via prefix, server local", Paper: "5.14 ms", Measured: ms(pfxLocal)},
+		{Label: "via prefix, server remote", Paper: "7.69 ms", Measured: ms(pfxRemote)},
+		{Label: "prefix overhead (local column)", Paper: "3.94 ms", Measured: ms(pfxLocal - curLocal),
+			Note: "prefix server processing, always local"},
+		{Label: "prefix overhead (remote column)", Paper: "3.99 ms", Measured: ms(pfxRemote - curRemote),
+			Note: "identical within experimental error"},
 	}, nil
 }
 
-// E5 reproduces the §6 space-cost observation: the context prefix server
+// e5 reproduces the §6 space-cost observation: the context prefix server
 // is small. The paper reports 4.5 KB of MC68000 code and 2.6 KB of data;
 // we report the prefix table's in-memory size at the standard
 // configuration and its growth per entry.
-func E5() (Result, error) {
+func e5() ([]Row, error) {
 	r, err := rig.New(rig.DefaultConfig())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	ws := r.WS[0]
 	base := ws.Prefix.TableBytes()
@@ -326,22 +306,17 @@ func E5() (Result, error) {
 	const extra = 64
 	for i := 0; i < extra; i++ {
 		if err := ws.Prefix.Define(fmt.Sprintf("extra%02d", i), r.FS1.RootPair()); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	grown := ws.Prefix.TableBytes()
 	perEntry := (grown - base) / extra
 
-	return Result{
-		ID:     "e5",
-		Title:  "context prefix server space cost",
-		Source: "§6",
-		Rows: []Row{
-			{Label: "prefix table data", Paper: "2.6 KB", Measured: fmt.Sprintf("%d B (%d prefixes)", base, baseCount),
-				Note: "paper's figure is mostly reserved directory space"},
-			{Label: "per additional prefix", Paper: "-", Measured: fmt.Sprintf("%d B", perEntry)},
-			{Label: "server code", Paper: "4.5 KB (MC68000)", Measured: "n/a",
-				Note: "Go binaries are not comparable; see EXPERIMENTS.md"},
-		},
+	return []Row{
+		{Label: "prefix table data", Paper: "2.6 KB", Measured: fmt.Sprintf("%d B (%d prefixes)", base, baseCount),
+			Note: "paper's figure is mostly reserved directory space"},
+		{Label: "per additional prefix", Paper: "-", Measured: fmt.Sprintf("%d B", perEntry)},
+		{Label: "server code", Paper: "4.5 KB (MC68000)", Measured: "n/a",
+			Note: "Go binaries are not comparable; see EXPERIMENTS.md"},
 	}, nil
 }

@@ -34,14 +34,10 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/flight"
-	"repro/internal/kernel"
 	"repro/internal/namestat"
-	"repro/internal/netsim"
 	"repro/internal/popgen"
-	"repro/internal/proto"
 	"repro/internal/rig"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // a19 shapes.
@@ -256,96 +252,28 @@ func a19Rates() (ObsRates, error) {
 	return leg, nil
 }
 
-// a19Echo runs the A12 echo transaction under the given tracer mode and
-// reads the decomposition off the span tree.
-func a19Echo(sampled bool) (ObsDecomp, error) {
-	var d ObsDecomp
-	model := vtime.DefaultModel()
-	net := netsim.New(model, 1)
-	k := kernel.New(net)
-	var tr *trace.Tracer
-	if sampled {
-		// Head 1/1: sampled-mode accounting with everything retained, so
-		// the decomposition must match the full tracer's exactly.
-		tr = trace.NewSampled(trace.SampleConfig{HeadEvery: 1})
-	} else {
-		tr = trace.New()
-	}
-	k.SetTracer(tr)
-	net.SetRecorder(tr)
-
-	fsHost := k.NewHost("fileserver")
-	wsHost := k.NewHost("ws-mann")
-	echo, err := fsHost.Spawn("echo", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := *msg
-			reply.Op = proto.ReplyOK
-			if err := p.Reply(&reply, from); err != nil {
-				return
-			}
-		}
-	})
-	if err != nil {
-		return d, err
-	}
-	clientProc, err := wsHost.NewProcess("a19-client")
-	if err != nil {
-		return d, err
-	}
-	if _, err := clientProc.Send(&proto.Message{Op: proto.OpEcho}, echo.PID()); err != nil {
-		return d, err
-	}
-
-	spans := tr.Snapshot()
-	find := func(what string, pred func(s trace.Span) bool) (trace.Span, error) {
-		for _, s := range spans {
-			if pred(s) {
-				return s, nil
-			}
-		}
-		return trace.Span{}, fmt.Errorf("a19: no %s span in trace (sampled=%v)", what, sampled)
-	}
-	send, err := find("send", func(s trace.Span) bool { return s.Kind == trace.KindSend })
-	if err != nil {
-		return d, err
-	}
-	reqWire, err := find("request wire", func(s trace.Span) bool {
-		return s.Kind == trace.KindWire && s.Name == "request" && s.Parent == send.ID
-	})
-	if err != nil {
-		return d, err
-	}
-	rep, err := find("reply", func(s trace.Span) bool {
-		return s.Kind == trace.KindReply && s.Parent == send.ID
-	})
-	if err != nil {
-		return d, err
-	}
-	repWire, err := find("reply wire", func(s trace.Span) bool {
-		return s.Kind == trace.KindWire && s.Name == "reply" && s.Parent == rep.ID
-	})
-	if err != nil {
-		return d, err
-	}
-	d.TotalUS = (send.End - send.Start) / 1e3
-	d.RequestHopUS = (reqWire.End - reqWire.Start) / 1e3
-	d.ReplyHopUS = (repWire.End - repWire.Start) / 1e3
-	d.DwellUS = (repWire.Start - reqWire.End) / 1e3
-	return d, nil
+// a19Echo runs the A12 echo transaction under the given tracer and
+// renders its decomposition in the document's microseconds.
+func a19Echo(tr *trace.Tracer) (ObsDecomp, error) {
+	et, err := traceEcho(tr)
+	return ObsDecomp{
+		TotalUS:      et.total.Microseconds(),
+		RequestHopUS: et.reqHop.Microseconds(),
+		DwellUS:      et.dwell.Microseconds(),
+		ReplyHopUS:   et.repHop.Microseconds(),
+	}, err
 }
 
 // a19Sampling runs both halves of the sampled-tracing leg.
 func a19Sampling() (ObsSampling, error) {
 	var leg ObsSampling
-	full, err := a19Echo(false)
+	full, err := a19Echo(trace.New())
 	if err != nil {
 		return leg, err
 	}
-	sampled, err := a19Echo(true)
+	// Head 1/1: sampled-mode accounting with everything retained, so the
+	// decomposition must match the full tracer's exactly.
+	sampled, err := a19Echo(trace.NewSampled(trace.SampleConfig{HeadEvery: 1}))
 	if err != nil {
 		return leg, err
 	}
@@ -528,11 +456,8 @@ func a19Collect() (*ObsDoc, []Row, error) {
 		Label:    "sampled vs full echo decomposition",
 		Paper:    "-",
 		Measured: "identical",
-		Note: fmt.Sprintf("total %s = request %s + dwell %s + reply %s",
-			ms(time.Duration(sampling.Full.TotalUS)*time.Microsecond),
-			ms(time.Duration(sampling.Full.RequestHopUS)*time.Microsecond),
-			ms(time.Duration(sampling.Full.DwellUS)*time.Microsecond),
-			ms(time.Duration(sampling.Full.ReplyHopUS)*time.Microsecond)),
+		Note: fmt.Sprintf("total %s = request %s + dwell %s + reply %s", usms(sampling.Full.TotalUS),
+			usms(sampling.Full.RequestHopUS), usms(sampling.Full.DwellUS), usms(sampling.Full.ReplyHopUS)),
 	})
 	rows = append(rows, Row{
 		Label:    fmt.Sprintf("head-1/%d sampling, %d-name Zipf run", sampling.HeadEvery, sampling.Population),
@@ -556,8 +481,7 @@ func a19Collect() (*ObsDoc, []Row, error) {
 			Paper:    "-",
 			Measured: fmt.Sprintf("%.1f%% hits", 100*run.HitRate),
 			Note: fmt.Sprintf("%d stale windows (widest %s ≤ bound %s); %d renewals",
-				run.StaleWindows, ms(time.Duration(run.WidestStaleUS)*time.Microsecond),
-				ms(time.Duration(run.BoundUS)*time.Microsecond), run.Renewals),
+				run.StaleWindows, usms(run.WidestStaleUS), usms(run.BoundUS), run.Renewals),
 		})
 	}
 	for _, floor := range a19TuneFloors {
@@ -572,9 +496,7 @@ func a19Collect() (*ObsDoc, []Row, error) {
 			Paper:    "-",
 			Measured: fmt.Sprintf("%.1f%% hits", 100*run.HitRate),
 			Note: fmt.Sprintf("%d stale windows (widest %s); churned shard0 at %s, quiet shard1 at %s",
-				run.StaleWindows, ms(time.Duration(run.WidestStaleUS)*time.Microsecond),
-				ms(time.Duration(run.TunedShard0US)*time.Microsecond),
-				ms(time.Duration(run.TunedShard1US)*time.Microsecond)),
+				run.StaleWindows, usms(run.WidestStaleUS), usms(run.TunedShard0US), usms(run.TunedShard1US)),
 		})
 	}
 

@@ -15,13 +15,9 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/proto"
 	"repro/internal/rig"
-	"repro/internal/vtime"
 )
 
 // a15RetryPolicy is the fast recovery policy replicated runs use:
@@ -70,53 +66,21 @@ func a15Collect() (*ReplicaDoc, []Row, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := r.WS[0].Session
-	// Keep the workload byte-for-byte A14's: FS2 still carries the
-	// standard-programs replica (it just never gets the traffic now —
-	// the group's own standbys are closer in GetPid order).
-	if err := r.FS2.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
+	// The workload is byte-for-byte A14's: FS2 still carries the
+	// standard-programs mirror (it just never gets the traffic now — the
+	// group's own standbys are closer in GetPid order).
+	const ops = a14ChaosOps
+	ok, horizon, err := a14ChaosLoad(r)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := r.FS2.WriteFile("/bin/hello", "system", []byte("hello image")); err != nil {
-		return nil, nil, err
-	}
-	s.EnableNameCache(true)
-	eng := r.NewChaos(chaos.TwoOutages("fs1"))
-	pump := func(now vtime.Time) {
-		eng.AdvanceTo(now)
-		r.PumpGroups(now)
-		r.Sampler.AdvanceTo(now)
-	}
-	s.SetRetryObserver(pump)
-
-	const ops = 150
-	ok := 0
-	for i := 0; i < ops; i++ {
-		if i > 0 && i%25 == 0 {
-			s.FlushNameCache()
-		}
-		pump(s.Proc().Now())
-		if f, err := s.Open("[bin]hello", proto.ModeRead); err == nil {
-			if err := f.Close(); err == nil {
-				ok++
-			}
-		}
-		s.Proc().ChargeCompute(10 * time.Millisecond)
-	}
-	horizon := s.Proc().Now()
-	pump(horizon)
 
 	sum := r.ResilienceSummary()
 	snap := r.Metrics.Snapshot().Deterministic()
 	health := metrics.Health(snap, r.Sampler.Samples(), horizon, 0.90)
-	var fs1 *metrics.ServerHealth
-	for i := range health.Servers {
-		if health.Servers[i].Host == "fs1" {
-			fs1 = &health.Servers[i]
-		}
-	}
-	if fs1 == nil {
-		return nil, nil, fmt.Errorf("a15: health report has no fs1 entry")
+	fs1, err := fs1Health(health)
+	if err != nil {
+		return nil, nil, fmt.Errorf("a15: %w", err)
 	}
 	if ok != ops {
 		return nil, nil, fmt.Errorf("a15: %d/%d operations failed under replication", ops-ok, ops)
@@ -137,8 +101,7 @@ func a15Collect() (*ReplicaDoc, []Row, error) {
 		HostAvailability: fs1.Availability,
 	}
 	doc.Availability = 1 - float64(doc.DowntimeUS)/float64(doc.HorizonUS)
-	fos := r.FSR.Group.Failovers()
-	for _, d := range fos {
+	for _, d := range r.FSR.Group.Failovers() {
 		doc.FailoversUS = append(doc.FailoversUS, d.Microseconds())
 	}
 	if n := len(doc.FailoversUS); n > 0 {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/vtime"
 )
 
-// A9 measures shared-Ethernet saturation: N diskless workstations load
+// a9 measures shared-Ethernet saturation: N diskless workstations load
 // 64 KB programs concurrently, each from its own file server, so only
 // the 3 Mbit wire couples them. §3.1's single-load figure (338 ms,
 // within 13% of the maximum packet write rate) already implies the
@@ -30,7 +30,7 @@ import (
 // as one-request clients of the sequential workload driver, so wire
 // reservations happen in client-index order and every run is
 // byte-identical.
-func A9() (Result, error) {
+func a9() ([]Row, error) {
 	const imageBytes = 64 * 1024
 
 	run := func(n int) (worst time.Duration, aggregateMbit, utilization float64, err error) {
@@ -57,7 +57,7 @@ func A9() (Result, error) {
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			if err := ps.Define("bin", pairOf(fs.PID(), binCtx)); err != nil {
+			if err := ps.Define("bin", core.ContextPair{Server: fs.PID(), Ctx: binCtx}); err != nil {
 				return 0, 0, 0, err
 			}
 			proc, err := wsHost.NewProcess("loader")
@@ -65,7 +65,7 @@ func A9() (Result, error) {
 				return 0, 0, 0, err
 			}
 			loaders = append(loaders, &rig.WorkloadClient{
-				Session:  client.New(proc, ps.PID(), pairOf(fs.PID(), 0), ""),
+				Session:  client.New(proc, ps.PID(), fs.RootPair(), ""),
 				Requests: 1,
 				Op: func(s *client.Session, _ int) error {
 					_, err := s.LoadProgram("[bin]editor", make([]byte, imageBytes))
@@ -94,7 +94,7 @@ func A9() (Result, error) {
 	for _, n := range []int{1, 2, 4, 8} {
 		worst, mbit, util, err := run(n)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		paper := "-"
 		if n == 1 {
@@ -107,15 +107,5 @@ func A9() (Result, error) {
 			Note:     fmt.Sprintf("aggregate goodput %.2f Mbit/s, wire %.0f%% busy", mbit, util*100),
 		})
 	}
-	return Result{
-		ID:     "a9",
-		Title:  "shared-Ethernet saturation under concurrent program loads",
-		Source: "§3.1 (the wire-rate ceiling behind the 338 ms / 13% figures)",
-		Rows:   rows,
-	}, nil
-}
-
-// pairOf builds a context pair from raw parts.
-func pairOf(server kernel.PID, ctx core.ContextID) core.ContextPair {
-	return core.ContextPair{Server: server, Ctx: ctx}
+	return rows, nil
 }

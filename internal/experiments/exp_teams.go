@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/rig"
@@ -75,23 +76,46 @@ func a11Session(r *rig.Rig, name string) (*client.Session, error) {
 	return client.New(proc, r.WS[0].Prefix.PID(), r.FS1.RootPair(), "bench"), nil
 }
 
+// a11HotPhase seeds the deep path and builds the cache-hit phase's
+// clients; tick, when non-nil, pumps a virtual-time observer after every
+// completed query.
+func a11HotPhase(r *rig.Rig, tick func(now time.Duration)) ([]*rig.WorkloadClient, error) {
+	if _, err := r.FS1.MkdirAll("/deep/a/b/c/d/e/f", "system"); err != nil {
+		return nil, err
+	}
+	if err := r.FS1.WriteFile("/"+a11HotPath, "system", make([]byte, 512)); err != nil {
+		return nil, err
+	}
+	clients := make([]*rig.WorkloadClient, 0, a11HotClients)
+	for i := 0; i < a11HotClients; i++ {
+		sess, err := a11Session(r, fmt.Sprintf("hot%d", i))
+		if err != nil {
+			return nil, err
+		}
+		clients = append(clients, &rig.WorkloadClient{
+			Session:  sess,
+			Requests: a11HotRequests,
+			Op: func(s *client.Session, iter int) error {
+				_, err := s.Query(a11HotPath)
+				return err
+			},
+			Tick: tick,
+		})
+	}
+	return clients, nil
+}
+
 // a11Run boots a fresh rig with the given file-server team size, drives
 // both phases, and returns their stats.
 func a11Run(team int) (hot, cold a11Stats, err error) {
-	cfg := rig.DefaultConfig()
-	cfg.Users = []string{"mann"}
-	cfg.FileServerTeam = team
 	// Tracing is free in virtual time, so running every sweep point
 	// through the invariant checker costs the measurement nothing.
-	cfg.Trace = true
-	r, err := rig.New(cfg)
+	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, FileServerTeam: team, Trace: true})
 	if err != nil {
 		return hot, cold, err
 	}
-	if _, err := r.FS1.MkdirAll("/deep/a/b/c/d/e/f", "system"); err != nil {
-		return hot, cold, err
-	}
-	if err := r.FS1.WriteFile("/"+a11HotPath, "system", make([]byte, 512)); err != nil {
+	hotClients, err := a11HotPhase(r, nil)
+	if err != nil {
 		return hot, cold, err
 	}
 	// Boot-time writes do not populate the buffer cache, so each cold
@@ -105,27 +129,20 @@ func a11Run(team int) (hot, cold a11Stats, err error) {
 		}
 	}
 
-	hotClients := make([]*rig.WorkloadClient, 0, a11HotClients)
-	for i := 0; i < a11HotClients; i++ {
-		sess, err := a11Session(r, fmt.Sprintf("hot%d", i))
-		if err != nil {
-			return hot, cold, err
+	// phase drives one phase's clients through the driver and holds the
+	// run to its oracles: no failed request, a clean trace.
+	phase := func(clients []*rig.WorkloadClient, what string) (a11Stats, error) {
+		res := a11Driver(clients)
+		if err := noErrors(res, "a11 "+what+" phase"); err != nil {
+			return a11Stats{}, err
 		}
-		hotClients = append(hotClients, &rig.WorkloadClient{
-			Session:  sess,
-			Requests: a11HotRequests,
-			Op: func(s *client.Session, iter int) error {
-				_, err := s.Query(a11HotPath)
-				return err
-			},
-		})
+		if err := r.CheckTrace(); err != nil {
+			return a11Stats{}, fmt.Errorf("%s phase trace: %w", what, err)
+		}
+		return a11Phase(res), nil
 	}
-	hotRes := a11Driver(hotClients)
-	if err := a11Check(hotRes, "cache-hit"); err != nil {
+	if hot, err = phase(hotClients, "cache-hit"); err != nil {
 		return hot, cold, err
-	}
-	if err := r.CheckTrace(); err != nil {
-		return hot, cold, fmt.Errorf("cache-hit phase trace: %w", err)
 	}
 
 	coldClients := make([]*rig.WorkloadClient, 0, a11ColdClients)
@@ -144,26 +161,21 @@ func a11Run(team int) (hot, cold a11Stats, err error) {
 			},
 		})
 	}
-	coldRes := a11Driver(coldClients)
-	if err := a11Check(coldRes, "cold-stream"); err != nil {
-		return hot, cold, err
-	}
-	if err := r.CheckTrace(); err != nil {
-		return hot, cold, fmt.Errorf("cold-stream phase trace: %w", err)
-	}
-	return a11Phase(hotRes), a11Phase(coldRes), nil
+	cold, err = phase(coldClients, "cold-stream")
+	return hot, cold, err
 }
 
-func a11Check(res *rig.WorkloadResult, phase string) error {
+// noErrors holds a fault-free workload to its word: no request may fail.
+func noErrors(res *rig.WorkloadResult, what string) error {
 	for i, st := range res.Clients {
 		if st.Errors > 0 {
-			return fmt.Errorf("a11 %s phase: client %d: %d requests failed", phase, i, st.Errors)
+			return fmt.Errorf("%s: client %d: %d requests failed", what, i, st.Errors)
 		}
 	}
 	return nil
 }
 
-// A11 measures the server-team refactor: file-server throughput and
+// a11 measures the server-team refactor: file-server throughput and
 // latency under concurrent clients as the team size grows. §3.1
 // describes V servers as "implemented as a team of processes" so a
 // receptionist can hand a request to a helper and keep receiving; the
@@ -172,49 +184,40 @@ func a11Check(res *rig.WorkloadResult, phase string) error {
 // figures, so the paper column carries the qualitative claims: lookup
 // compute no longer serializes behind one process, while the single disk
 // arm stays the floor for disk-bound streams.
-func A11() (Result, error) {
-	res := Result{
-		ID:     "a11",
-		Title:  "server teams: file-server throughput vs. team size",
-		Source: "§3.1 (multi-process server teams)",
-	}
+func a11() ([]Row, error) {
+	var rows []Row
 	var baseHot, baseCold a11Stats
 	for _, team := range a11TeamSizes {
 		hot, cold, err := a11Run(team)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		if team == 1 {
 			baseHot, baseCold = hot, cold
 		}
-		res.Rows = append(res.Rows,
+		rows = append(rows,
 			Row{
 				Label:    fmt.Sprintf("team=%d cache-hit queries", team),
-				Paper:    a11PaperHot(team),
+				Paper:    a11Paper(team, "serializes", "overlaps"),
 				Measured: fmt.Sprintf("%.0f req/s, %.2f ms mean", hot.throughput, hot.meanLatency),
 				Note:     fmt.Sprintf("%d clients, %.1fx vs team=1", a11HotClients, hot.throughput/baseHot.throughput),
 			},
 			Row{
 				Label:    fmt.Sprintf("team=%d cold streams", team),
-				Paper:    a11PaperCold(team),
+				Paper:    a11Paper(team, "disk-bound", "disk arm floor"),
 				Measured: fmt.Sprintf("%.0f req/s, %.2f ms mean", cold.throughput, cold.meanLatency),
 				Note:     fmt.Sprintf("%d clients, %.1fx vs team=1", a11ColdClients, cold.throughput/baseCold.throughput),
 			},
 		)
 	}
-	return res, nil
+	return rows, nil
 }
 
-func a11PaperHot(team int) string {
+// a11Paper is the paper column of a team-size row: the paper gives the
+// qualitative claim only, one for the single process and one for a team.
+func a11Paper(team int, single, teamed string) string {
 	if team == 1 {
-		return "serializes"
+		return single
 	}
-	return "overlaps"
-}
-
-func a11PaperCold(team int) string {
-	if team == 1 {
-		return "disk-bound"
-	}
-	return "disk arm floor"
+	return teamed
 }

@@ -14,118 +14,110 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/netsim"
-	"repro/internal/proto"
 	"repro/internal/rig"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
-// A12 traces one remote Send-Receive-Reply transaction (the E1 workload)
-// and decomposes the paper's 2.56 ms total into request hop, server
-// dwell, and reply hop, with the per-hop wire/driver/queueing breakdown
-// read off the wire spans.
-func A12() (Result, error) {
-	model := vtime.DefaultModel()
-	net := netsim.New(model, 1)
+// echoTrace is one remote echo transaction as its span tree tells it:
+// the send span's total, split at the two wire spans into request hop,
+// server dwell and reply hop.
+type echoTrace struct {
+	total, reqHop, dwell, repHop time.Duration
+	reqWire, repWire             trace.Span
+}
+
+// traceEcho boots a bare two-host kernel recording into tr, runs one
+// 32-byte Send-Receive-Reply transaction against an echo server on the
+// other host, and reads the decomposition off the span tree.
+func traceEcho(tr *trace.Tracer) (echoTrace, error) {
+	var et echoTrace
+	net := netsim.New(vtime.DefaultModel(), 1)
 	k := kernel.New(net)
-	tr := trace.New()
 	k.SetTracer(tr)
 	net.SetRecorder(tr)
 
-	fsHost := k.NewHost("fileserver")
-	wsHost := k.NewHost("ws-mann")
-	echo, err := fsHost.Spawn("echo", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := *msg
-			reply.Op = proto.ReplyOK
-			if err := p.Reply(&reply, from); err != nil {
-				return
-			}
-		}
-	})
+	echo, err := startEcho(k.NewHost("fileserver"))
 	if err != nil {
-		return Result{}, err
+		return et, err
 	}
-	clientProc, err := wsHost.NewProcess("a12-client")
+	cli, err := k.NewHost("ws-mann").NewProcess("echo-client")
 	if err != nil {
-		return Result{}, err
+		return et, err
 	}
-	if _, err := clientProc.Send(&proto.Message{Op: proto.OpEcho}, echo.PID()); err != nil {
-		return Result{}, err
+	if _, err := echoTimes(cli, echo.PID(), 1); err != nil {
+		return et, err
 	}
 
+	// find returns the first span of a kind, optionally by name and
+	// parent ("" and 0 match any).
 	spans := tr.Snapshot()
-	if err := trace.Check(spans, trace.CheckOptions{Model: model}); err != nil {
-		return Result{}, fmt.Errorf("a12: trace invariants: %w", err)
-	}
-	find := func(what string, pred func(s trace.Span) bool) (trace.Span, error) {
+	find := func(kind trace.Kind, name string, parent trace.SpanID) (trace.Span, error) {
 		for _, s := range spans {
-			if pred(s) {
+			if s.Kind == kind && (name == "" || s.Name == name) && (parent == 0 || s.Parent == parent) {
 				return s, nil
 			}
 		}
-		return trace.Span{}, fmt.Errorf("a12: no %s span in trace", what)
+		return trace.Span{}, fmt.Errorf("no %s %q span under span %d in the echo trace", kind, name, parent)
 	}
-	send, err := find("send", func(s trace.Span) bool { return s.Kind == trace.KindSend })
+	send, err := find(trace.KindSend, "", 0)
 	if err != nil {
-		return Result{}, err
+		return et, err
 	}
-	reqWire, err := find("request wire", func(s trace.Span) bool {
-		return s.Kind == trace.KindWire && s.Name == "request" && s.Parent == send.ID
-	})
+	if et.reqWire, err = find(trace.KindWire, "request", send.ID); err != nil {
+		return et, err
+	}
+	rep, err := find(trace.KindReply, "", send.ID)
 	if err != nil {
-		return Result{}, err
+		return et, err
 	}
-	rep, err := find("reply", func(s trace.Span) bool {
-		return s.Kind == trace.KindReply && s.Parent == send.ID
-	})
-	if err != nil {
-		return Result{}, err
+	if et.repWire, err = find(trace.KindWire, "reply", rep.ID); err != nil {
+		return et, err
 	}
-	repWire, err := find("reply wire", func(s trace.Span) bool {
-		return s.Kind == trace.KindWire && s.Name == "reply" && s.Parent == rep.ID
-	})
-	if err != nil {
-		return Result{}, err
-	}
+	et.total = time.Duration(send.End - send.Start)
+	et.reqHop = time.Duration(et.reqWire.End - et.reqWire.Start)
+	et.repHop = time.Duration(et.repWire.End - et.repWire.Start)
+	et.dwell = time.Duration(et.repWire.Start - et.reqWire.End)
+	return et, nil
+}
 
-	dur := func(s trace.Span) time.Duration { return time.Duration(s.End - s.Start) }
-	total := dur(send)
-	reqHop := dur(reqWire)
-	repHop := dur(repWire)
-	dwell := time.Duration(repWire.Start - reqWire.End)
-	queue := time.Duration(reqWire.Queue + repWire.Queue)
-	wireTx := model.WireTime(reqWire.Bytes)
+// a12 traces one remote Send-Receive-Reply transaction (the E1 workload)
+// and decomposes the paper's 2.56 ms total into request hop, server
+// dwell, and reply hop, with the per-hop wire/driver/queueing breakdown
+// read off the wire spans.
+func a12() ([]Row, error) {
+	model := vtime.DefaultModel()
+	tr := trace.New()
+	et, err := traceEcho(tr)
+	if err != nil {
+		return nil, err
+	}
+	if err := trace.Check(tr.Snapshot(), trace.CheckOptions{Model: model}); err != nil {
+		return nil, fmt.Errorf("a12: trace invariants: %w", err)
+	}
+	if et.reqHop+et.dwell+et.repHop != et.total {
+		return nil, fmt.Errorf("a12: decomposition %v + %v + %v does not sum to total %v",
+			et.reqHop, et.dwell, et.repHop, et.total)
+	}
+	queue := time.Duration(et.reqWire.Queue + et.repWire.Queue)
+	wireTx := model.WireTime(et.reqWire.Bytes)
 	fixed := model.RemoteDriverFloor + model.RemoteProtocolExtra
-	if reqHop+dwell+repHop != total {
-		return Result{}, fmt.Errorf("a12: decomposition %v + %v + %v does not sum to total %v",
-			reqHop, dwell, repHop, total)
-	}
 
-	return Result{
-		ID:     "a12",
-		Title:  "trace decomposition of the remote message transaction",
-		Source: "§3.1, Figure 1 (components read off the span tree)",
-		Rows: []Row{
-			{Label: "remote transaction (total)", Paper: "2.56 ms", Measured: ms(total),
-				Note: "send span, 32-byte messages"},
-			{Label: "request hop (client to server)", Paper: "-", Measured: ms(reqHop),
-				Note: "request wire span"},
-			{Label: "server dwell", Paper: "-", Measured: ms(dwell),
-				Note: "reply wire start minus request wire end"},
-			{Label: "reply hop (server to client)", Paper: "-", Measured: ms(repHop),
-				Note: "reply wire span"},
-			{Label: "wire transmission per hop", Paper: "-", Measured: ms(wireTx),
-				Note: fmt.Sprintf("%d message bytes on the 3 Mbit wire", reqWire.Bytes)},
-			{Label: "driver + protocol fixed per hop", Paper: "-", Measured: ms(fixed),
-				Note: "per-packet latency floor"},
-			{Label: "wire queueing (both hops)", Paper: "-", Measured: ms(queue),
-				Note: "idle wire: no contention"},
-		},
+	return []Row{
+		{Label: "remote transaction (total)", Paper: "2.56 ms", Measured: ms(et.total),
+			Note: "send span, 32-byte messages"},
+		{Label: "request hop (client to server)", Paper: "-", Measured: ms(et.reqHop),
+			Note: "request wire span"},
+		{Label: "server dwell", Paper: "-", Measured: ms(et.dwell),
+			Note: "reply wire start minus request wire end"},
+		{Label: "reply hop (server to client)", Paper: "-", Measured: ms(et.repHop),
+			Note: "reply wire span"},
+		{Label: "wire transmission per hop", Paper: "-", Measured: ms(wireTx),
+			Note: fmt.Sprintf("%d message bytes on the 3 Mbit wire", et.reqWire.Bytes)},
+		{Label: "driver + protocol fixed per hop", Paper: "-", Measured: ms(fixed),
+			Note: "per-packet latency floor"},
+		{Label: "wire queueing (both hops)", Paper: "-", Measured: ms(queue),
+			Note: "idle wire: no contention"},
 	}, nil
 }
 
@@ -135,11 +127,7 @@ func A12() (Result, error) {
 // the trace `vbench -trace` exports and the golden-trace regression test
 // pins byte-for-byte.
 func CanonicalTrace() ([]byte, error) {
-	cfg := rig.DefaultConfig()
-	cfg.Users = []string{"mann"}
-	cfg.Seed = 1
-	cfg.Trace = true
-	r, err := rig.New(cfg)
+	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Trace: true})
 	if err != nil {
 		return nil, err
 	}

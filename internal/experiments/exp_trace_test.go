@@ -106,7 +106,7 @@ func TestCanonicalTraceValidJSON(t *testing.T) {
 // total) is enforced inside A12 itself, so here we check shape and the
 // headline number.
 func TestA12Decomposition(t *testing.T) {
-	res, err := A12()
+	res, err := Run("a12")
 	if err != nil {
 		t.Fatal(err)
 	}

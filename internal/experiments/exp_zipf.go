@@ -361,9 +361,9 @@ func a18Collect(scale a18Scale) (*ZipfDoc, []Row, error) {
 			rows = append(rows, Row{
 				Label:    fmt.Sprintf("n=%d tier=%v", n, tier),
 				Paper:    "-",
-				Measured: fmt.Sprintf("%.0f req/s, p99 %s", run.ThroughputRPS, ms(time.Duration(run.P99US)*time.Microsecond)),
+				Measured: fmt.Sprintf("%.0f req/s, p99 %s", run.ThroughputRPS, usms(run.P99US)),
 				Note: fmt.Sprintf("p50 %s; %.1f%% client hits; table %d KB; %s",
-					ms(time.Duration(run.P50US)*time.Microsecond), 100*run.ClientHitRate, run.TableBytes/1024, equiv),
+					usms(run.P50US), 100*run.ClientHitRate, run.TableBytes/1024, equiv),
 			})
 		}
 	}
@@ -384,7 +384,7 @@ func a18Collect(scale a18Scale) (*ZipfDoc, []Row, error) {
 			Paper:    "-",
 			Measured: fmt.Sprintf("%.1f%% client hits", 100*run.ClientHitRate),
 			Note: fmt.Sprintf("p50 %s, p99 %s; %d upstream grants",
-				ms(time.Duration(run.P50US)*time.Microsecond), ms(time.Duration(run.P99US)*time.Microsecond), run.PrefixGrants),
+				usms(run.P50US), usms(run.P99US), run.PrefixGrants),
 		})
 	}
 

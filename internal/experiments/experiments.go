@@ -37,19 +37,26 @@ type Result struct {
 	Rows   []Row  `json:"rows"`
 }
 
-// experiment is one registry entry. E1…A12 render their own Result
-// (run). A14…A19 collect a golden-pinned document and their rows in one
-// pass (collect), from which Run takes the rows and DocJSON the document;
-// their title and source live here.
+// experiment is one registry row: what vbench prints above the table,
+// and the script that produces the rows. A script may also return the
+// deterministic document `vbench -<export> FILE` writes, pinned
+// byte-for-byte by the committed BENCH_<export>.json; export is empty for
+// a script that returns none.
 type experiment struct {
-	id            string
-	run           func() (Result, error)
-	title, source string
-	collect       func() (doc any, rows []Row, err error)
+	id, title, source, export string
+	run                       func() (doc any, rows []Row, err error)
 }
 
-// collector adapts a typed collect function to the registry's.
-func collector[D any](f func() (D, []Row, error)) func() (any, []Row, error) {
+// rowsOnly adapts a script that collects no document.
+func rowsOnly(f func() ([]Row, error)) func() (any, []Row, error) {
+	return func() (any, []Row, error) {
+		rows, err := f()
+		return nil, rows, err
+	}
+}
+
+// withDoc adapts a script that returns its document typed.
+func withDoc[D any](f func() (D, []Row, error)) func() (any, []Row, error) {
 	return func() (any, []Row, error) { return f() }
 }
 
@@ -57,29 +64,29 @@ func collector[D any](f func() (D, []Row, error)) func() (any, []Row, error) {
 // T-series, A-series, numerically within each — which is the section
 // order vbench_output.txt pins: new experiments append.
 var registry = []experiment{
-	{id: "e1", run: E1}, {id: "e2", run: E2}, {id: "e3", run: E3}, {id: "e5", run: E5},
-	{id: "t1", run: T1},
-	{id: "a1", run: A1}, {id: "a2", run: A2}, {id: "a3", run: A3}, {id: "a4", run: A4},
-	{id: "a5", run: A5}, {id: "a6", run: A6}, {id: "a7", run: A7}, {id: "a8", run: A8},
-	{id: "a9", run: A9}, {id: "a10", run: A10}, {id: "a11", run: A11}, {id: "a12", run: A12},
-	{id: "a14", collect: collector(a14Collect),
-		title:  "metrics: latency distributions, team scaling, health under faults",
-		source: "§3.1 latencies as distributions; §4.2 faults as an SLO report"},
-	{id: "a15", collect: collector(a15Collect),
-		title:  "replication: consensus-replicated fs1 under the A14 fault schedule",
-		source: "§4.2 rebinding generalized: no single host owns a name"},
-	{id: "a16", collect: collector(a16Collect),
-		title:  "sharded engine: per-lane event engines with conservative lookahead",
-		source: "PROTOCOL.md §12; client name caches (§2.3) decide each op's class"},
-	{id: "a17", collect: collector(a17Collect),
-		title:  "lease-coherent name caches: hit rates and the staleness bound under faults",
-		source: "PROTOCOL.md §13; §2.3 caches with leases in place of validate-on-use"},
-	{id: "a18", collect: func() (any, []Row, error) { return a18Collect(a18FullScale) },
-		title:  "population-scale resolution: radix index and open-loop Zipf load",
-		source: "PROTOCOL.md §14; §6's 2.6 KB table grown to a user population"},
-	{id: "a19", collect: collector(a19Collect),
-		title:  "population-scale observability and the lease auto-tuner",
-		source: "PROTOCOL.md §15; §13 staleness bound with the cap in place of the fixed length"},
+	{"e1", "Send-Receive-Reply message transaction, 32-byte messages", "§3.1, Figure 1", "", rowsOnly(e1)},
+	{"e2", "64 KB program load via MoveTo (program text in server memory)", "§3.1", "", rowsOnly(e2)},
+	{"e3", "sequential file read, 512-byte pages, 15 ms/page disk", "§3.1", "", rowsOnly(e3)},
+	{"e5", "context prefix server space cost", "§6", "", rowsOnly(e5)},
+	{"t1", "Open latency: current context vs. context prefix, local vs. remote server", "§6", "", rowsOnly(t1)},
+	{"a1", "context directory vs. per-object query enumeration", "§5.6 (the paper argues this qualitatively)", "", rowsOnly(a1)},
+	{"a2", "open latency: distributed interpretation vs. centralized name server", "§2.2 (efficiency)", "", rowsOnly(a2)},
+	{"a3", "dangling names after client crashes during delete", "§2.2 (consistency)", "", rowsOnly(a3)},
+	{"a4", "objects reachable while the name service is down", "§2.2 (reliability)", "", rowsOnly(a4)},
+	{"a5", "service rebinding after server crash and re-creation (new pid)", "§4.2, §6", "", rowsOnly(a5)},
+	{"a6", "multicast group context vs. prefix-server indirection", "§7 (future work: multicast Send for name mapping)", "", rowsOnly(a6)},
+	{"a7", "pattern-matched context directories (10 of 200 objects wanted)", "§5.6 (extension the paper proposes)", "", rowsOnly(a7)},
+	{"a8", "client-side name caching: benefit on reuse vs. inconsistency", "§2.2 (the paper's argument against client caches)", "", rowsOnly(a8)},
+	{"a9", "shared-Ethernet saturation under concurrent program loads", "§3.1 (the wire-rate ceiling behind the 338 ms / 13% figures)", "", rowsOnly(a9)},
+	{"a10", "chaos sweep: fault rate vs. operation success", "§4.2 (late binding + rebinding) under injected faults", "", rowsOnly(a10)},
+	{"a11", "server teams: file-server throughput vs. team size", "§3.1 (multi-process server teams)", "", rowsOnly(a11)},
+	{"a12", "trace decomposition of the remote message transaction", "§3.1, Figure 1 (components read off the span tree)", "", rowsOnly(a12)},
+	{"a14", "metrics: latency distributions, team scaling, health under faults", "§3.1 latencies as distributions; §4.2 faults as an SLO report", "metrics", withDoc(a14Collect)},
+	{"a15", "replication: consensus-replicated fs1 under the A14 fault schedule", "§4.2 rebinding generalized: no single host owns a name", "replica", withDoc(a15Collect)},
+	{"a16", "sharded engine: per-lane event engines with conservative lookahead", "PROTOCOL.md §12; client name caches (§2.3) decide each op's class", "shard", withDoc(a16Collect)},
+	{"a17", "lease-coherent name caches: hit rates and the staleness bound under faults", "PROTOCOL.md §13; §2.3 caches with leases in place of validate-on-use", "cache", withDoc(a17Collect)},
+	{"a18", "population-scale resolution: radix index and open-loop Zipf load", "PROTOCOL.md §14; §6's 2.6 KB table grown to a user population", "zipf", func() (any, []Row, error) { return a18Collect(a18FullScale) }},
+	{"a19", "population-scale observability and the lease auto-tuner", "PROTOCOL.md §15; §13 staleness bound with the cap in place of the fixed length", "obs", withDoc(a19Collect)},
 }
 
 // IDs returns the experiment ids in canonical order.
@@ -112,28 +119,44 @@ func Run(id string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if e.collect == nil {
-		return e.run()
-	}
-	_, rows, err := e.collect()
+	_, rows, err := e.run()
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{ID: e.id, Title: e.title, Source: e.source, Rows: rows}, nil
 }
 
-// DocJSON renders the deterministic document experiment id collects
-// (A14…A19) the way the committed BENCH_<doc>.json goldens store it:
-// indented JSON with a trailing newline, byte-identical across runs.
+// Export names one deterministic document: `vbench -<Flag> FILE` writes
+// DocJSON(ID), and the committed BENCH_<Flag>.json pins it.
+type Export struct {
+	Flag, ID, Title string
+}
+
+// Exports lists the registry rows that return a document, in canonical
+// order.
+func Exports() []Export {
+	var out []Export
+	for _, e := range registry {
+		if e.export != "" {
+			out = append(out, Export{Flag: e.export, ID: e.id, Title: e.title})
+		}
+	}
+	return out
+}
+
+// DocJSON runs experiment id and renders the document it returns the way
+// the committed BENCH_<export>.json goldens store it: indented JSON with
+// a trailing newline, byte-identical across runs. An experiment that
+// returns no document is refused without being run.
 func DocJSON(id string) ([]byte, error) {
 	e, err := lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	if e.collect == nil {
-		return nil, fmt.Errorf("experiments: %s collects no document", e.id)
+	if e.export == "" {
+		return nil, fmt.Errorf("experiments: %s returns no document", e.id)
 	}
-	doc, _, err := e.collect()
+	doc, _, err := e.run()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,6 +38,45 @@ func TestIDsCanonicalOrder(t *testing.T) {
 	want := "e1 e2 e3 e5 t1 a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a11 a12 a14 a15 a16 a17 a18 a19"
 	if got := strings.Join(IDs(), " "); got != want {
 		t.Fatalf("order = %s\nwant    %s", got, want)
+	}
+}
+
+// TestRegistryShape: an experiment is a table row and a script — every
+// row carries what vbench prints and one run function; only the rows with
+// an export return a document, and those are exactly the goldens the
+// Makefile regenerates, in its order.
+func TestRegistryShape(t *testing.T) {
+	for _, e := range registry {
+		if e.id == "" || e.title == "" || e.source == "" || e.run == nil {
+			t.Errorf("registry row %+v is incomplete", e)
+		}
+	}
+
+	// A document-less id is refused without being run.
+	prev := registry[0].run
+	defer func() { registry[0].run = prev }()
+	registry[0].run = func() (any, []Row, error) {
+		t.Error("DocJSON ran e1, which returns no document")
+		return nil, nil, nil
+	}
+	if _, err := DocJSON("e1"); err == nil {
+		t.Error("DocJSON(e1) must fail: e1 returns no document")
+	}
+
+	var flags []string
+	for _, e := range Exports() {
+		flags = append(flags, e.Flag)
+	}
+	got := strings.Join(flags, " ")
+	if want := "metrics replica shard cache zipf obs"; got != want {
+		t.Errorf("export flags = %q, want %q", got, want)
+	}
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(mk), "\nGOLDEN_DOCS = "+got+"\n") {
+		t.Errorf("Makefile's GOLDEN_DOCS is not %q", got)
 	}
 }
 

@@ -16,161 +16,98 @@ type Check struct {
 	Upholds bool
 }
 
-// Scorecard runs the anchored experiments and grades the reproduction
-// against the paper's published values and invariants: absolute anchors
-// within tolerance, and the qualitative claims (orderings, equalities,
-// who-wins) that carry the paper's argument.
+// scorecard grades the reproduction against the paper's published values
+// and invariants: absolute anchors within tolerance, and the qualitative
+// claims (orderings, equalities, who-wins) that carry the paper's
+// argument. Each entry reads the rows of experiment id.
+var scorecard = []struct {
+	id, claim, paper string
+	grade            func(rows []Row) (got string, upholds bool)
+}{
+	{"e1", "32-byte remote message transaction", "2.56 ms", func(rows []Row) (string, bool) {
+		remote := msOf(rows[0])
+		return fmt.Sprintf("%.2f ms", remote), within(remote, 2.56, 0.02)
+	}},
+	{"e2", "64 KB program load via MoveTo", "338 ms", func(rows []Row) (string, bool) {
+		load := msOf(rows[0])
+		return fmt.Sprintf("%.2f ms", load), within(load, 338, 0.05)
+	}},
+	{"e3", "sequential read near the 15 ms/page disk rate", "17.13 ms/page", func(rows []Row) (string, bool) {
+		withRA, withoutRA := msOf(rows[0]), msOf(rows[1])
+		return fmt.Sprintf("%.2f-%.2f ms/page envelope", withRA, withoutRA), withRA <= 17.13 && 17.13 <= withoutRA
+	}},
+	{"t1", "Open ordering: current<prefix, local<remote", "1.21 < 3.70 < 5.14* < 7.69", func(rows []Row) (string, bool) {
+		q := [4]float64{msOf(rows[0]), msOf(rows[1]), msOf(rows[2]), msOf(rows[3])}
+		return fmt.Sprintf("%.2f / %.2f / %.2f / %.2f", q[0], q[1], q[2], q[3]),
+			q[0] < q[1] && q[0] < q[2] && q[1] < q[3] && q[2] < q[3]
+	}},
+	{"t1", "prefix overhead identical in both columns", "3.94 ≈ 3.99 ms", func(rows []Row) (string, bool) {
+		dLocal, dRemote := msOf(rows[4]), msOf(rows[5])
+		return fmt.Sprintf("%.2f ≈ %.2f ms", dLocal, dRemote), math.Abs(dLocal-dRemote) <= 0.15
+	}},
+	{"a2", "centralized name server costs an extra interaction", "argued in §2.2", func(rows []Row) (string, bool) {
+		dist, cent := msOf(rows[0]), msOf(rows[1])
+		return fmt.Sprintf("%.2fx the distributed cost", cent/dist), cent > dist
+	}},
+	{"a3", "crash-consistency: names die with objects", "0 dangling (§2.2)", func(rows []Row) (string, bool) {
+		return rows[1].Measured + " (V) vs " + rows[0].Measured + " (centralized)",
+			strings.HasPrefix(rows[1].Measured, "0 ")
+	}},
+	{"a4", "no central naming failure point", "all reachable (§2.2)", func(rows []Row) (string, bool) {
+		return rows[1].Measured + " (V) vs " + rows[0].Measured + " (centralized)",
+			rows[1].Measured == "10/10" && rows[0].Measured == "0/10"
+	}},
+	{"a5", "dynamic service bindings rebind after crash", "GetPid per use (§6)", func(rows []Row) (string, bool) {
+		return rows[0].Measured, rows[0].Measured == "recovers"
+	}},
+	{"a11", "server team overlaps name interpretation", "team of processes (§3.1)", func(rows []Row) (string, bool) {
+		// Rows 0 and 4 are the cache-hit phase at team=1 and team=4.
+		ratio := reqsOf(rows[4]) / reqsOf(rows[0])
+		return fmt.Sprintf("team=4 serves %.1fx team=1 throughput", ratio), ratio >= 2
+	}},
+}
+
+// msOf reads a row measured in the paper's unit ("2.56 ms") back as a
+// number: NaN — which upholds nothing — when the cell is not one.
+func msOf(r Row) float64 {
+	v, err := strconv.ParseFloat(strings.TrimSuffix(r.Measured, " ms"), 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return v
+}
+
+// reqsOf reads the throughput a row leads with ("1234 req/s, …"), NaN
+// likewise.
+func reqsOf(r Row) float64 {
+	var v float64
+	if _, err := fmt.Sscanf(r.Measured, "%f req/s", &v); err != nil {
+		return math.NaN()
+	}
+	return v
+}
+
+func within(got, want, tolerance float64) bool {
+	return math.Abs(got-want) <= want*tolerance
+}
+
+// Scorecard runs each anchored experiment once and grades its rows.
 func Scorecard() ([]Check, error) {
 	var checks []Check
-
-	rowMs := func(res Result, i int) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(res.Rows[i].Measured, " ms"), 64)
-		if err != nil {
-			return 0, fmt.Errorf("row %d of %s: %w", i, res.ID, err)
+	ran := make(map[string][]Row)
+	for _, c := range scorecard {
+		rows, ok := ran[c.id]
+		if !ok {
+			res, err := Run(c.id)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", c.id, err)
+			}
+			rows = res.Rows
+			ran[c.id] = rows
 		}
-		return v, nil
+		got, upholds := c.grade(rows)
+		checks = append(checks, Check{Claim: c.claim, Paper: c.paper, Got: got, Upholds: upholds})
 	}
-	within := func(got, want, tolerance float64) bool {
-		return math.Abs(got-want) <= want*tolerance
-	}
-
-	e1, err := E1()
-	if err != nil {
-		return nil, err
-	}
-	remote, err := rowMs(e1, 0)
-	if err != nil {
-		return nil, err
-	}
-	checks = append(checks, Check{
-		Claim: "32-byte remote message transaction", Paper: "2.56 ms",
-		Got: fmt.Sprintf("%.2f ms", remote), Upholds: within(remote, 2.56, 0.02),
-	})
-
-	e2, err := E2()
-	if err != nil {
-		return nil, err
-	}
-	load, err := rowMs(e2, 0)
-	if err != nil {
-		return nil, err
-	}
-	checks = append(checks, Check{
-		Claim: "64 KB program load via MoveTo", Paper: "338 ms",
-		Got: fmt.Sprintf("%.2f ms", load), Upholds: within(load, 338, 0.05),
-	})
-
-	e3, err := E3()
-	if err != nil {
-		return nil, err
-	}
-	withRA, err := rowMs(e3, 0)
-	if err != nil {
-		return nil, err
-	}
-	withoutRA, err := rowMs(e3, 1)
-	if err != nil {
-		return nil, err
-	}
-	checks = append(checks, Check{
-		Claim: "sequential read near the 15 ms/page disk rate", Paper: "17.13 ms/page",
-		Got:     fmt.Sprintf("%.2f-%.2f ms/page envelope", withRA, withoutRA),
-		Upholds: withRA <= 17.13 && 17.13 <= withoutRA,
-	})
-
-	t1, err := T1()
-	if err != nil {
-		return nil, err
-	}
-	var q [4]float64
-	for i := 0; i < 4; i++ {
-		if q[i], err = rowMs(t1, i); err != nil {
-			return nil, err
-		}
-	}
-	dLocal, err := rowMs(t1, 4)
-	if err != nil {
-		return nil, err
-	}
-	dRemote, err := rowMs(t1, 5)
-	if err != nil {
-		return nil, err
-	}
-	checks = append(checks,
-		Check{
-			Claim: "Open ordering: current<prefix, local<remote", Paper: "1.21 < 3.70 < 5.14* < 7.69",
-			Got:     fmt.Sprintf("%.2f / %.2f / %.2f / %.2f", q[0], q[1], q[2], q[3]),
-			Upholds: q[0] < q[1] && q[0] < q[2] && q[1] < q[3] && q[2] < q[3],
-		},
-		Check{
-			Claim: "prefix overhead identical in both columns", Paper: "3.94 ≈ 3.99 ms",
-			Got:     fmt.Sprintf("%.2f ≈ %.2f ms", dLocal, dRemote),
-			Upholds: math.Abs(dLocal-dRemote) <= 0.15,
-		})
-
-	a2, err := A2()
-	if err != nil {
-		return nil, err
-	}
-	dist, err := rowMs(a2, 0)
-	if err != nil {
-		return nil, err
-	}
-	cent, err := rowMs(a2, 1)
-	if err != nil {
-		return nil, err
-	}
-	checks = append(checks, Check{
-		Claim: "centralized name server costs an extra interaction", Paper: "argued in §2.2",
-		Got:     fmt.Sprintf("%.2fx the distributed cost", cent/dist),
-		Upholds: cent > dist,
-	})
-
-	a3, err := A3()
-	if err != nil {
-		return nil, err
-	}
-	checks = append(checks, Check{
-		Claim: "crash-consistency: names die with objects", Paper: "0 dangling (§2.2)",
-		Got:     a3.Rows[1].Measured + " (V) vs " + a3.Rows[0].Measured + " (centralized)",
-		Upholds: strings.HasPrefix(a3.Rows[1].Measured, "0 "),
-	})
-
-	a4, err := A4()
-	if err != nil {
-		return nil, err
-	}
-	checks = append(checks, Check{
-		Claim: "no central naming failure point", Paper: "all reachable (§2.2)",
-		Got:     a4.Rows[1].Measured + " (V) vs " + a4.Rows[0].Measured + " (centralized)",
-		Upholds: a4.Rows[1].Measured == "10/10" && a4.Rows[0].Measured == "0/10",
-	})
-
-	a5, err := A5()
-	if err != nil {
-		return nil, err
-	}
-	checks = append(checks, Check{
-		Claim: "dynamic service bindings rebind after crash", Paper: "GetPid per use (§6)",
-		Got:     a5.Rows[0].Measured,
-		Upholds: a5.Rows[0].Measured == "recovers",
-	})
-
-	hot1, _, err := a11Run(1)
-	if err != nil {
-		return nil, err
-	}
-	hot4, _, err := a11Run(4)
-	if err != nil {
-		return nil, err
-	}
-	ratio := hot4.throughput / hot1.throughput
-	checks = append(checks, Check{
-		Claim: "server team overlaps name interpretation", Paper: "team of processes (§3.1)",
-		Got:     fmt.Sprintf("team=4 serves %.1fx team=1 throughput", ratio),
-		Upholds: ratio >= 2,
-	})
-
 	return checks, nil
 }
 

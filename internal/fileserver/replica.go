@@ -37,7 +37,7 @@ import (
 	"repro/internal/vtime"
 )
 
-// --- uvarint encoding helpers (snapshot and command codecs) ---
+// --- uvarint encoding helpers (snapshot codec) ---
 
 type enc struct{ b []byte }
 
@@ -225,15 +225,10 @@ func (fs *FileServer) restoreVolume(data []byte) error {
 
 // --- replicated command codec ---
 
-// Command kinds. cmdMessage wraps a client mutation verbatim; the rest are
-// the boot-seeding helpers, so a rig can seed a group through the log.
-const (
-	cmdMessage byte = iota + 1
-	cmdMkdirAll
-	cmdWriteFile
-	cmdWellKnown
-	cmdAddLink
-)
+// cmdMessage is the one log command kind: a client mutation wrapped
+// verbatim. (Boot seeding writes member volumes directly, not through the
+// log.)
+const cmdMessage byte = 1
 
 // CmdMessage wraps a protocol mutation as a log command; applying it runs
 // the message through the member-local server's ordinary handler.
@@ -243,42 +238,6 @@ func CmdMessage(m *proto.Message) ([]byte, error) {
 		return nil, err
 	}
 	return append([]byte{cmdMessage}, buf...), nil
-}
-
-// CmdMkdirAll builds the log command for MkdirAll. The apply reply carries
-// the created context id in F[2].
-func CmdMkdirAll(path, owner string) []byte {
-	e := &enc{b: []byte{cmdMkdirAll}}
-	e.str(path)
-	e.str(owner)
-	return e.b
-}
-
-// CmdWriteFile builds the log command for WriteFile (create or replace).
-func CmdWriteFile(path, owner string, contents []byte) []byte {
-	e := &enc{b: []byte{cmdWriteFile}}
-	e.str(path)
-	e.str(owner)
-	e.bytes(contents)
-	return e.b
-}
-
-// CmdSetWellKnown builds the log command for SetWellKnown.
-func CmdSetWellKnown(ctx core.ContextID, path string) []byte {
-	e := &enc{b: []byte{cmdWellKnown}}
-	e.u64(uint64(ctx))
-	e.str(path)
-	return e.b
-}
-
-// CmdAddLink builds the log command for AddLink.
-func CmdAddLink(dirPath, name string, target core.ContextPair) []byte {
-	e := &enc{b: []byte{cmdAddLink}}
-	e.str(dirPath)
-	e.str(name)
-	e.u64(uint64(target.Server))
-	e.u64(uint64(target.Ctx))
-	return e.b
 }
 
 // --- the replicated front ---
@@ -387,73 +346,21 @@ func (rs *ReplicaService) proxyMapContext(p *kernel.Process, msg *proto.Message,
 	_ = p.Reply(rep, from)
 }
 
-// Apply implements replica.Service: run one committed command against the
-// member-local server.
+// Apply implements replica.Service: run one committed command — a wrapped
+// client mutation — through the member-local server's ordinary handler.
 func (rs *ReplicaService) Apply(p *kernel.Process, cmd []byte) *proto.Message {
-	if len(cmd) == 0 {
+	if len(cmd) == 0 || cmd[0] != cmdMessage {
 		return core.ErrorReplyMsg(proto.ErrBadArgs)
 	}
-	body := cmd[1:]
-	switch cmd[0] {
-	case cmdMessage:
-		m, err := proto.Unmarshal(body)
-		if err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		rep, err := p.Send(m, rs.fs.PID())
-		if err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		return rep
-	case cmdMkdirAll:
-		d := &dec{b: body}
-		path, owner := d.str(), d.str()
-		if d.bad {
-			return core.ErrorReplyMsg(proto.ErrBadArgs)
-		}
-		ctx, err := rs.fs.MkdirAll(path, owner)
-		if err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		rep := core.OkReply()
-		rep.F[2] = uint32(ctx)
-		return rep
-	case cmdWriteFile:
-		d := &dec{b: body}
-		path, owner, contents := d.str(), d.str(), d.take()
-		if d.bad {
-			return core.ErrorReplyMsg(proto.ErrBadArgs)
-		}
-		if err := rs.fs.WriteFile(path, owner, contents); err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		return core.OkReply()
-	case cmdWellKnown:
-		d := &dec{b: body}
-		ctx := core.ContextID(d.u64())
-		path := d.str()
-		if d.bad {
-			return core.ErrorReplyMsg(proto.ErrBadArgs)
-		}
-		if err := rs.fs.SetWellKnown(ctx, path); err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		return core.OkReply()
-	case cmdAddLink:
-		d := &dec{b: body}
-		dirPath, name := d.str(), d.str()
-		target := core.ContextPair{}
-		target.Server = kernel.PID(d.u64())
-		target.Ctx = core.ContextID(d.u64())
-		if d.bad {
-			return core.ErrorReplyMsg(proto.ErrBadArgs)
-		}
-		if err := rs.fs.AddLink(dirPath, name, target); err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		return core.OkReply()
+	m, err := proto.Unmarshal(cmd[1:])
+	if err != nil {
+		return core.ErrorReplyMsg(err)
 	}
-	return core.ErrorReplyMsg(proto.ErrBadArgs)
+	rep, err := p.Send(m, rs.fs.PID())
+	if err != nil {
+		return core.ErrorReplyMsg(err)
+	}
+	return rep
 }
 
 // Snapshot implements replica.Service.

@@ -196,35 +196,17 @@ func startReplicatedFS(t *testing.T, n int) (*replica.Group, []replicatedFS, *ke
 	return g, members, client
 }
 
-// proposeOK proposes a boot command and requires an OK reply.
-func proposeOK(t *testing.T, g *replica.Group, cmd []byte) *proto.Message {
-	t.Helper()
-	rep, err := g.Propose(cmd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Op != proto.ReplyOK {
-		t.Fatalf("propose reply %v", rep.Op)
-	}
-	return rep
-}
-
-// TestReplicatedFileServer drives the full front: boot seeding through
-// the log, client mutations on leader and follower, context-map
-// proxying, and snapshot equality across members.
+// TestReplicatedFileServer drives the full front: client mutations on
+// leader and follower, context-map proxying, and snapshot equality across
+// members.
 func TestReplicatedFileServer(t *testing.T) {
-	g, members, client := startReplicatedFS(t, 3)
+	_, members, client := startReplicatedFS(t, 3)
 
-	// Boot-seed through the log: every command kind once.
-	rep := proposeOK(t, g, CmdMkdirAll("/users/mann/notes", "mann"))
-	if rep.F[2] == 0 {
-		t.Fatalf("CmdMkdirAll reply carries no context id")
+	// Boot-seed every member volume directly with the same sequence, the
+	// way the rig does.
+	for _, m := range members {
+		seedVolume(t, m.fs)
 	}
-	proposeOK(t, g, CmdMkdirAll("/bin", "system"))
-	proposeOK(t, g, CmdWriteFile("/users/mann/notes/todo.txt", "mann", []byte("ship it")))
-	proposeOK(t, g, CmdWriteFile("/bin/hello", "system", []byte("hello image")))
-	proposeOK(t, g, CmdSetWellKnown(core.CtxStdPrograms, "/bin"))
-	proposeOK(t, g, CmdAddLink("/users/mann", "shared", core.ContextPair{Server: 42, Ctx: 7}))
 
 	// A client mutation sent to the leader front replicates everywhere.
 	req := &proto.Message{Op: proto.OpRemoveObject}
@@ -325,7 +307,7 @@ func TestReplicaApplyRejectsGarbage(t *testing.T) {
 	_, members, _ := startReplicatedFS(t, 1)
 	svc := NewReplicaService(members[0].fs)
 	p := members[0].fs.Proc()
-	for _, cmd := range [][]byte{nil, {}, {0xFF}, {cmdMkdirAll}, {cmdWriteFile, 0x02, 'x'}, {cmdWellKnown}, {cmdAddLink, 0x01}} {
+	for _, cmd := range [][]byte{nil, {}, {0xFF}, {cmdMessage + 1}, {cmdMessage + 2, 0x02, 'x'}} {
 		rep := svc.Apply(p, cmd)
 		if rep.Op == proto.ReplyOK {
 			t.Fatalf("Apply(%v) succeeded", cmd)

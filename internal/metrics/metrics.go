@@ -430,22 +430,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	if m := r.counters.Load(); m != nil {
-		for k, c := range *m {
-			s.Counters = append(s.Counters, CounterPoint{Name: k.name, Labels: k.labels, Value: c.Value(), Volatile: c.volatile})
-		}
-		sort.Slice(s.Counters, func(i, j int) bool {
-			return instKey{s.Counters[i].Name, s.Counters[i].Labels}.less(instKey{s.Counters[j].Name, s.Counters[j].Labels})
-		})
-	}
-	if m := r.gauges.Load(); m != nil {
-		for k, g := range *m {
-			s.Gauges = append(s.Gauges, GaugePoint{Name: k.name, Labels: k.labels, Value: g.Value(), Volatile: g.volatile})
-		}
-		sort.Slice(s.Gauges, func(i, j int) bool {
-			return instKey{s.Gauges[i].Name, s.Gauges[i].Labels}.less(instKey{s.Gauges[j].Name, s.Gauges[j].Labels})
-		})
-	}
+	s.Counters, s.Gauges = r.levels()
 	if m := r.hists.Load(); m != nil {
 		for k, h := range *m {
 			s.Histograms = append(s.Histograms, HistPoint{
@@ -473,6 +458,33 @@ func (r *Registry) Snapshot() Snapshot {
 		})
 	}
 	return s
+}
+
+// levels captures the counters and gauges alone — all a sampler tick
+// keeps — without pricing every histogram's quantiles.
+func (r *Registry) levels() (counters []CounterPoint, gauges []GaugePoint) {
+	if r == nil {
+		return nil, nil
+	}
+	if m := r.counters.Load(); m != nil {
+		counters = make([]CounterPoint, 0, len(*m))
+		for k, c := range *m {
+			counters = append(counters, CounterPoint{Name: k.name, Labels: k.labels, Value: c.Value(), Volatile: c.volatile})
+		}
+		sort.Slice(counters, func(i, j int) bool {
+			return instKey{counters[i].Name, counters[i].Labels}.less(instKey{counters[j].Name, counters[j].Labels})
+		})
+	}
+	if m := r.gauges.Load(); m != nil {
+		gauges = make([]GaugePoint, 0, len(*m))
+		for k, g := range *m {
+			gauges = append(gauges, GaugePoint{Name: k.name, Labels: k.labels, Value: g.Value(), Volatile: g.volatile})
+		}
+		sort.Slice(gauges, func(i, j int) bool {
+			return instKey{gauges[i].Name, gauges[i].Labels}.less(instKey{gauges[j].Name, gauges[j].Labels})
+		})
+	}
+	return counters, gauges
 }
 
 // Deterministic strips volatile instruments, leaving only series that

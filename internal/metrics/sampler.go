@@ -100,8 +100,8 @@ func (s *Sampler) AdvanceTo(now vtime.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for at := vtime.Time(s.next) * s.tick; at <= now; at = vtime.Time(s.next) * s.tick {
-		snap := s.reg.Snapshot()
-		sample := Sample{At: at, Counters: snap.Counters, Gauges: snap.Gauges}
+		sample := Sample{At: at}
+		sample.Counters, sample.Gauges = s.reg.levels()
 		if s.pool != nil {
 			sample.PoolGets, sample.PoolNews = s.pool()
 		}

@@ -441,7 +441,7 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 		tr.Fail(sp, p.Now(), core.ReplyClass(reply))
 	}
 	if reg != nil {
-		// Mirrors core.Server.instrumentServe: recorded before the Reply
+		// Mirrors core.Server.serve: recorded before the Reply
 		// unblocks the client, only for requests answered here.
 		lbl := metrics.Labels{Server: s.proc.Name(), Op: msg.Op.String()}
 		reg.Histogram("serve_latency", lbl).Record(p.Now() - serveStart)

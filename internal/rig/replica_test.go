@@ -10,7 +10,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/proto"
 	"repro/internal/replica"
-	"repro/internal/vtime"
 )
 
 // replicaRetryPolicy is the fast recovery policy replicated runs use:
@@ -67,37 +66,25 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
 
-	eng := r.NewChaos([]chaos.Event{
-		{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
-		{At: 400 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-	})
-	pump := func(now vtime.Time) {
-		eng.AdvanceTo(now)
-		r.PumpGroups(now)
-	}
-	s.SetRetryObserver(pump)
-
 	// Pre-crash replicated mutation: the failed-over leader must have it.
 	if err := s.Remove("[home]notes/todo.txt"); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 
-	const ops = 60
-	for i := 0; i < ops; i++ {
-		if i > 0 && i%10 == 0 {
-			s.FlushNameCache()
-		}
-		pump(s.Proc().Now())
-		f, err := s.Open("[bin]hello", proto.ModeRead)
-		if err != nil {
-			t.Fatalf("op %d: Open failed across failover: %v", i, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatalf("op %d: Close: %v", i, err)
-		}
-		s.Proc().ChargeCompute(10 * time.Millisecond)
-	}
-	pump(s.Proc().Now())
+	r.RunPaced(PacedLoad{
+		Ops: 60,
+		Op: func(s *client.Session, i int) error {
+			if err := OpenClose("[bin]hello")(s, i); err != nil {
+				t.Fatalf("op %d: open/close failed across failover: %v", i, err)
+			}
+			return nil
+		},
+		FlushEvery: 10,
+		Events: []chaos.Event{
+			{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
+			{At: 400 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
+		},
+	})
 
 	sum := r.ResilienceSummary()
 	if sum.Client.OpsFailed != 0 {
@@ -125,28 +112,17 @@ func replicatedScenario(t *testing.T) (events []string, statuses []replica.Statu
 	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy})
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
-	eng := r.NewChaos([]chaos.Event{
-		{At: 50 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
-		{At: 300 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-		{At: 500 * time.Millisecond, Action: chaos.Crash, Host: "fs1b"},
-		{At: 700 * time.Millisecond, Action: chaos.Restart, Host: "fs1b"},
+	r.RunPaced(PacedLoad{
+		Ops:        80,
+		Op:         OpenClose("[bin]hello"),
+		FlushEvery: 10,
+		Events: []chaos.Event{
+			{At: 50 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
+			{At: 300 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
+			{At: 500 * time.Millisecond, Action: chaos.Crash, Host: "fs1b"},
+			{At: 700 * time.Millisecond, Action: chaos.Restart, Host: "fs1b"},
+		},
 	})
-	pump := func(now vtime.Time) {
-		eng.AdvanceTo(now)
-		r.PumpGroups(now)
-	}
-	s.SetRetryObserver(pump)
-	for i := 0; i < 80; i++ {
-		if i > 0 && i%10 == 0 {
-			s.FlushNameCache()
-		}
-		pump(s.Proc().Now())
-		if f, err := s.Open("[bin]hello", proto.ModeRead); err == nil {
-			_ = f.Close()
-		}
-		s.Proc().ChargeCompute(10 * time.Millisecond)
-	}
-	pump(s.Proc().Now())
 	return r.FSR.Group.Events(), r.FSR.Group.Statuses(), r.ResilienceSummary().Client.OpsFailed
 }
 

@@ -6,8 +6,8 @@
 // lowest-live-host GetPid selection (§4.2) and the group's
 // transfer-on-rejoin rule agree on the same steady-state leader (slot
 // 0). Prefix members live on the workstation itself plus the services
-// and fs2 machines. The groups have no clocks of their own: workloads
-// pump them — chaos engine first, then PumpGroups, then the samplers
+// and fs2 machines. The groups have no clocks of their own: RunPaced
+// pumps them — chaos engine first, then PumpGroups, then the sampler
 // (§11.4) — and crash/restart instants reach them through the chaos
 // hooks NewChaos wires up.
 package rig
@@ -86,63 +86,10 @@ func fsMemberHost(i int) string {
 	return fmt.Sprintf("fs1%c", 'a'+i)
 }
 
-// bootReplicatedFileServers is bootFileServers for Replicas > 1: the
-// member hosts come first (so the fronts win GetPid's lowest-host
-// preference over fs2), every member volume is seeded identically in a
-// deterministic order, and the group bootstraps with slot 0 leading.
-func (r *Rig) bootReplicatedFileServers(cfg Config) error {
-	fsOpts := []fileserver.Option{fileserver.WithReadAhead(cfg.ReadAhead)}
-	if cfg.FileServerTeam > 1 {
-		fsOpts = append(fsOpts, fileserver.WithTeam(cfg.FileServerTeam))
-	}
-	r.FSR = &ReplicatedFS{fsOpts: fsOpts}
-	for i := 0; i < cfg.Replicas; i++ {
-		m, err := r.startFSMember(r.Kernel.NewHost(fsMemberHost(i)))
-		if err != nil {
-			return err
-		}
-		r.FSR.Members = append(r.FSR.Members, m)
-	}
-	r.FS1Host = r.FSR.Members[0].Host
-	r.FS1 = r.FSR.Members[0].FS
-
-	var err error
-	r.FS2Host = r.Kernel.NewHost("fs2")
-	r.FS2, err = fileserver.Start(r.FS2Host, "fs2", fsOpts...)
-	if err != nil {
-		return err
-	}
-	if err := r.FS2.Proc().SetPid(kernel.ServiceStorage, r.FS2.PID(), kernel.ScopeBoth); err != nil {
-		return err
-	}
-	if err := r.FS2.WriteFile("/archive/2026/paper.mss", "system",
-		[]byte("Uniform Access to Distributed Name Interpretation\n")); err != nil {
-		return err
-	}
-	archiveCtx, err := r.FS2.MkdirAll("/archive", "system")
-	if err != nil {
-		return err
-	}
-
-	// Seed every member volume with the identical helper sequence:
-	// i-node allocation is deterministic, so the volumes — and the
-	// context ids they hand out — are byte-identical across members.
-	binCtx := core.CtxDefault
-	for i, m := range r.FSR.Members {
-		ctx, err := seedFS1Volume(m.FS, cfg.Users, r.FS2.PID(), archiveCtx)
-		if err != nil {
-			return fmt.Errorf("seed %s: %w", m.Name, err)
-		}
-		if i == 0 {
-			binCtx = ctx
-		} else if ctx != binCtx {
-			return fmt.Errorf("seed %s: /bin context %d diverged from slot 0's %d", m.Name, ctx, binCtx)
-		}
-	}
-	r.BinCtx = core.ContextPair{Server: r.FSR.Members[0].Rep.PID(), Ctx: binCtx}
-
-	// The group monitor lives on fs2 — a host the fault schedules never
-	// take down.
+// bootFSGroup forms the replication group over the booted, seeded fs1
+// members, slot 0 leading. The group monitor lives on fs2 — a host the
+// fault schedules never take down.
+func (r *Rig) bootFSGroup(cfg Config) error {
 	g, err := replica.NewGroup(r.FS2Host, replica.Config{Name: "fs1", Seed: cfg.Seed})
 	if err != nil {
 		return err
@@ -176,50 +123,6 @@ func (r *Rig) startFSMember(host *kernel.Host) (*FSMember, error) {
 		return nil, err
 	}
 	return &FSMember{Name: host.Name(), Host: host, FS: fs, Svc: svc, Rep: rep}, nil
-}
-
-// seedFS1Volume writes the standard fs1 contents (bootFileServers'
-// sequence, in a fixed order) into one member volume and returns the
-// /bin context.
-func seedFS1Volume(fs *fileserver.FileServer, users []string, fs2 kernel.PID, archiveCtx core.ContextID) (core.ContextID, error) {
-	binCtx, err := fs.MkdirAll("/bin", "system")
-	if err != nil {
-		return 0, err
-	}
-	if err := fs.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-		return 0, err
-	}
-	if err := fs.SetWellKnown(core.CtxPublic, "/"); err != nil {
-		return 0, err
-	}
-	progs := []struct {
-		name string
-		size int
-	}{{"compiler", 64 * 1024}, {"editor", 64 * 1024}, {"hello", 2 * 1024}}
-	for _, pr := range progs {
-		if err := fs.WriteFile("/bin/"+pr.name, "system", programImage(pr.name, pr.size)); err != nil {
-			return 0, err
-		}
-	}
-	for _, user := range users {
-		base := "/users/" + user
-		if err := fs.WriteFile(base+"/welcome.txt", user,
-			[]byte(fmt.Sprintf("Welcome to the V-System, %s.\n", user))); err != nil {
-			return 0, err
-		}
-		if err := fs.WriteFile(base+"/notes/todo.txt", user,
-			[]byte("- finish the naming paper\n- measure Open latency\n")); err != nil {
-			return 0, err
-		}
-	}
-	if err := fs.SetWellKnown(core.CtxHome, "/users/"+users[0]); err != nil {
-		return 0, err
-	}
-	if err := fs.AddLink("/shared", "archive",
-		core.ContextPair{Server: fs2, Ctx: archiveCtx}); err != nil {
-		return 0, err
-	}
-	return binCtx, nil
 }
 
 // bootReplicatedPrefix builds the workstation's replicated prefix group:
@@ -316,33 +219,10 @@ func (r *Rig) fs1RootPair() core.ContextPair {
 	return pair
 }
 
-// fs1MkdirAll applies MkdirAll to the fs1 service: every member volume
-// when replicated (the deterministic i-node allocator keeps the
-// returned context identical across members), the single server
-// otherwise.
-func (r *Rig) fs1MkdirAll(path, owner string) (core.ContextID, error) {
-	if r.FSR == nil {
-		return r.FS1.MkdirAll(path, owner)
-	}
-	ctx := core.CtxDefault
-	for i, m := range r.FSR.Members {
-		c, err := m.FS.MkdirAll(path, owner)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", m.Name, err)
-		}
-		if i == 0 {
-			ctx = c
-		} else if c != ctx {
-			return 0, fmt.Errorf("%s: context %d diverged from slot 0's %d", m.Name, c, ctx)
-		}
-	}
-	return ctx, nil
-}
-
 // PumpGroups drives every replication group's election timer from a
 // workload clock. Pump order is fixed — the fs group, then each
-// workstation's prefix group in creation order — and callers pump the
-// chaos engine before and the samplers after (§11.4).
+// workstation's prefix group in creation order — and RunPaced pumps the
+// chaos engine before and the sampler after (§11.4).
 func (r *Rig) PumpGroups(now vtime.Time) {
 	if r.FSR != nil {
 		r.FSR.Group.Pump(now)

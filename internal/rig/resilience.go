@@ -6,13 +6,15 @@ package rig
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fileserver"
-	"repro/internal/kernel"
 	"repro/internal/prefix"
+	"repro/internal/proto"
+	"repro/internal/vtime"
 )
 
 // NewChaos builds a chaos engine over this rig's kernel. Its restart
@@ -44,6 +46,74 @@ func (r *Rig) NewChaos(events []chaos.Event) *chaos.Engine {
 		return nil
 	}
 	return e
+}
+
+// PacedLoad is the fault-paced closed loop the availability experiments
+// share: the first workstation's session performs Ops operations, 10 ms
+// of compute after each, while a fault schedule plays out.
+type PacedLoad struct {
+	// Ops is the number of operations; Op performs operation i.
+	Ops int
+	Op  func(s *client.Session, i int) error
+	// FlushEvery, when positive, flushes the session's name cache before
+	// every FlushEvery-th operation — a fresh program instance starts
+	// with an empty cache — so each outage catches a cached resolution
+	// stale.
+	FlushEvery int
+	// Events is the fault schedule; nil runs fault-free.
+	Events []chaos.Event
+}
+
+// RunPaced drives l and returns how many operations succeeded, with the
+// chaos engine that fired the schedule. Everything that has no clock of
+// its own is pumped from the session's — the chaos engine, then the
+// replication groups, then the metrics sampler (PROTOCOL.md §11.4) —
+// before every operation, inside every retry backoff (a fault scheduled
+// during a backoff fires while the client waits, exactly when a real
+// deployment would see it), and once more at the horizon.
+func (r *Rig) RunPaced(l PacedLoad) (ok int, eng *chaos.Engine) {
+	s := r.WS[0].Session
+	eng = r.NewChaos(l.Events)
+	pump := func(now vtime.Time) {
+		eng.AdvanceTo(now)
+		r.PumpGroups(now)
+		r.Sampler.AdvanceTo(now)
+	}
+	s.SetRetryObserver(pump)
+	for i := 0; i < l.Ops; i++ {
+		if l.FlushEvery > 0 && i > 0 && i%l.FlushEvery == 0 {
+			s.FlushNameCache()
+		}
+		pump(s.Proc().Now())
+		if l.Op(s, i) == nil {
+			ok++
+		}
+		s.Proc().ChargeCompute(10 * time.Millisecond) // workload pacing
+	}
+	pump(s.Proc().Now())
+	return ok, eng
+}
+
+// OpenClose is the operation most paced loads run: open name for reading
+// and release it.
+func OpenClose(name string) func(*client.Session, int) error {
+	return func(s *client.Session, _ int) error {
+		f, err := s.Open(name, proto.ModeRead)
+		if err != nil {
+			return err
+		}
+		return f.Close()
+	}
+}
+
+// MirrorBinOnFS2 makes fs2 a second server of the standard-programs
+// context, holding /bin/hello, so a dynamic [bin] binding has somewhere
+// to fail over to during an fs1 outage.
+func (r *Rig) MirrorBinOnFS2() error {
+	if err := r.FS2.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
+		return err
+	}
+	return r.FS2.WriteFile("/bin/hello", "system", []byte("hello image"))
 }
 
 // DrainFS1 waits for a crashed fs1 server team to finish dying. A no-op
@@ -84,11 +154,8 @@ func (r *Rig) RecreateServer(host string, kind ServerKind) error {
 		}
 		switch host {
 		case "fs1":
-			fs, err := fileserver.Start(r.FS1Host, "fs1")
+			fs, err := startStorage(r.FS1Host)
 			if err != nil {
-				return err
-			}
-			if err := fs.Proc().SetPid(kernel.ServiceStorage, fs.PID(), kernel.ScopeBoth); err != nil {
 				return err
 			}
 			if err := fs.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
@@ -100,15 +167,11 @@ func (r *Rig) RecreateServer(host string, kind ServerKind) error {
 			r.FS1 = fs
 			return nil
 		case "fs2":
-			fs, err := fileserver.Start(r.FS2Host, "fs2")
+			fs, err := startStorage(r.FS2Host)
 			if err != nil {
 				return err
 			}
-			if err := fs.Proc().SetPid(kernel.ServiceStorage, fs.PID(), kernel.ScopeBoth); err != nil {
-				return err
-			}
-			if err := fs.WriteFile("/archive/2026/paper.mss", "system",
-				[]byte("Uniform Access to Distributed Name Interpretation\n")); err != nil {
+			if _, err := seedFS2Volume(fs); err != nil {
 				return err
 			}
 			r.FS2 = fs

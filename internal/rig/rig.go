@@ -237,77 +237,142 @@ func MustNew(cfg Config) *Rig {
 	return r
 }
 
+// bootFileServers boots the fs1 service — one server, or Replicas member
+// hosts first so their fronts win GetPid's lowest-host preference over
+// fs2 — then fs2, then seeds every fs1 volume with the same sequence.
 func (r *Rig) bootFileServers(cfg Config) error {
-	if cfg.Replicas > 1 {
-		return r.bootReplicatedFileServers(cfg)
-	}
-	var err error
-	r.FS1Host = r.Kernel.NewHost("fs1")
 	fsOpts := []fileserver.Option{fileserver.WithReadAhead(cfg.ReadAhead)}
 	if cfg.FileServerTeam > 1 {
 		fsOpts = append(fsOpts, fileserver.WithTeam(cfg.FileServerTeam))
 	}
-	r.FS1, err = fileserver.Start(r.FS1Host, "fs1", fsOpts...)
-	if err != nil {
-		return err
+	var err error
+	if cfg.Replicas > 1 {
+		r.FSR = &ReplicatedFS{fsOpts: fsOpts}
+		for i := 0; i < cfg.Replicas; i++ {
+			m, err := r.startFSMember(r.Kernel.NewHost(fsMemberHost(i)))
+			if err != nil {
+				return err
+			}
+			r.FSR.Members = append(r.FSR.Members, m)
+		}
+		r.FS1Host, r.FS1 = r.FSR.Members[0].Host, r.FSR.Members[0].FS
+	} else {
+		r.FS1Host = r.Kernel.NewHost("fs1")
+		if r.FS1, err = startStorage(r.FS1Host, fsOpts...); err != nil {
+			return err
+		}
 	}
-	if err := r.FS1.Proc().SetPid(kernel.ServiceStorage, r.FS1.PID(), kernel.ScopeBoth); err != nil {
-		return err
-	}
-
 	r.FS2Host = r.Kernel.NewHost("fs2")
-	r.FS2, err = fileserver.Start(r.FS2Host, "fs2", fsOpts...)
-	if err != nil {
-		return err
-	}
-	if err := r.FS2.Proc().SetPid(kernel.ServiceStorage, r.FS2.PID(), kernel.ScopeBoth); err != nil {
-		return err
-	}
-
-	// Standard file system contents.
-	binCtx, err := r.FS1.MkdirAll("/bin", "system")
-	if err != nil {
-		return err
-	}
-	r.BinCtx = core.ContextPair{Server: r.FS1.PID(), Ctx: binCtx}
-	if err := r.FS1.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-		return err
-	}
-	if err := r.FS1.SetWellKnown(core.CtxPublic, "/"); err != nil {
-		return err
-	}
-	for name, size := range map[string]int{"hello": 2 * 1024, "editor": 64 * 1024, "compiler": 64 * 1024} {
-		if err := r.FS1.WriteFile("/bin/"+name, "system", programImage(name, size)); err != nil {
-			return err
-		}
-	}
-	for _, user := range cfg.Users {
-		base := "/users/" + user
-		if err := r.FS1.WriteFile(base+"/welcome.txt", user,
-			[]byte(fmt.Sprintf("Welcome to the V-System, %s.\n", user))); err != nil {
-			return err
-		}
-		if err := r.FS1.WriteFile(base+"/notes/todo.txt", user,
-			[]byte("- finish the naming paper\n- measure Open latency\n")); err != nil {
-			return err
-		}
-	}
-	if err := r.FS1.SetWellKnown(core.CtxHome, "/users/"+cfg.Users[0]); err != nil {
+	if r.FS2, err = startStorage(r.FS2Host, fsOpts...); err != nil {
 		return err
 	}
 
 	// FS2 holds the archive tree, reachable from FS1 through a
 	// cross-server link (Figure 4's curved arrow).
-	if err := r.FS2.WriteFile("/archive/2026/paper.mss", "system",
-		[]byte("Uniform Access to Distributed Name Interpretation\n")); err != nil {
-		return err
-	}
-	archiveCtx, err := r.FS2.MkdirAll("/archive", "system")
+	archiveCtx, err := seedFS2Volume(r.FS2)
 	if err != nil {
 		return err
 	}
-	return r.FS1.AddLink("/shared", "archive",
-		core.ContextPair{Server: r.FS2.PID(), Ctx: archiveCtx})
+	archive := core.ContextPair{Server: r.FS2.PID(), Ctx: archiveCtx}
+	binCtx, err := r.onFS1Volumes(func(fs *fileserver.FileServer) (core.ContextID, error) {
+		return seedFS1Volume(fs, cfg.Users, archive)
+	})
+	if err != nil {
+		return err
+	}
+	if r.FSR != nil {
+		if err := r.bootFSGroup(cfg); err != nil {
+			return err
+		}
+	}
+	r.BinCtx = core.ContextPair{Server: r.fs1PID(), Ctx: binCtx}
+	return nil
+}
+
+// startStorage boots a file server named after its host and registers
+// it as the storage service.
+func startStorage(host *kernel.Host, opts ...fileserver.Option) (*fileserver.FileServer, error) {
+	fs, err := fileserver.Start(host, host.Name(), opts...)
+	if err != nil {
+		return nil, err
+	}
+	return fs, fs.Proc().SetPid(kernel.ServiceStorage, fs.PID(), kernel.ScopeBoth)
+}
+
+// seedFS2Volume writes what fs2 holds, at boot and after a cold
+// re-creation, and returns the /archive context.
+func seedFS2Volume(fs *fileserver.FileServer) (core.ContextID, error) {
+	if err := fs.WriteFile("/archive/2026/paper.mss", "system",
+		[]byte("Uniform Access to Distributed Name Interpretation\n")); err != nil {
+		return 0, err
+	}
+	return fs.MkdirAll("/archive", "system")
+}
+
+// onFS1Volumes applies f to every volume of the fs1 service — each
+// member's when replicated, the single server's otherwise (a one-member
+// list) — and returns the context id f produced. I-node allocation is
+// deterministic, so identical calls give identical ids on every member.
+func (r *Rig) onFS1Volumes(f func(*fileserver.FileServer) (core.ContextID, error)) (core.ContextID, error) {
+	vols := []*fileserver.FileServer{r.FS1}
+	if r.FSR != nil {
+		vols = nil
+		for _, m := range r.FSR.Members {
+			vols = append(vols, m.FS)
+		}
+	}
+	var ctx core.ContextID
+	for i, fs := range vols {
+		c, err := f(fs)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", fs.Proc().Name(), err)
+		}
+		if i > 0 && c != ctx {
+			return 0, fmt.Errorf("%s: context %d diverged from slot 0's %d", fs.Proc().Name(), c, ctx)
+		}
+		ctx = c
+	}
+	return ctx, nil
+}
+
+// seedFS1Volume writes the standard fs1 contents into one volume, in a
+// fixed order — i-node numbers are object ids on the wire — and returns
+// the /bin context.
+func seedFS1Volume(fs *fileserver.FileServer, users []string, archive core.ContextPair) (core.ContextID, error) {
+	binCtx, err := fs.MkdirAll("/bin", "system")
+	if err != nil {
+		return 0, err
+	}
+	if err := fs.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
+		return 0, err
+	}
+	if err := fs.SetWellKnown(core.CtxPublic, "/"); err != nil {
+		return 0, err
+	}
+	progs := []struct {
+		name string
+		size int
+	}{{"compiler", 64 * 1024}, {"editor", 64 * 1024}, {"hello", 2 * 1024}}
+	for _, pr := range progs {
+		if err := fs.WriteFile("/bin/"+pr.name, "system", programImage(pr.name, pr.size)); err != nil {
+			return 0, err
+		}
+	}
+	for _, user := range users {
+		base := "/users/" + user
+		if err := fs.WriteFile(base+"/welcome.txt", user,
+			[]byte(fmt.Sprintf("Welcome to the V-System, %s.\n", user))); err != nil {
+			return 0, err
+		}
+		if err := fs.WriteFile(base+"/notes/todo.txt", user,
+			[]byte("- finish the naming paper\n- measure Open latency\n")); err != nil {
+			return 0, err
+		}
+	}
+	if err := fs.SetWellKnown(core.CtxHome, "/users/"+users[0]); err != nil {
+		return 0, err
+	}
+	return binCtx, fs.AddLink("/shared", "archive", archive)
 }
 
 func (r *Rig) bootServices(cfg Config) error {
@@ -378,7 +443,9 @@ func (r *Rig) bootWorkstation(cfg Config, user string) (*Workstation, error) {
 		return nil, err
 	}
 
-	homeCtx, err := r.fs1MkdirAll("/users/"+user, user)
+	homeCtx, err := r.onFS1Volumes(func(fs *fileserver.FileServer) (core.ContextID, error) {
+		return fs.MkdirAll("/users/"+user, user)
+	})
 	if err != nil {
 		return nil, err
 	}

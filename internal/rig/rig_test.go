@@ -39,6 +39,35 @@ func TestBootTopology(t *testing.T) {
 	}
 }
 
+// TestBootIsDeterministic: i-node numbers are object ids on the wire, so
+// every boot must hand /bin's programs the same ones — boot after boot on
+// the single server, and on every member volume of a replicated fs1.
+func TestBootIsDeterministic(t *testing.T) {
+	binIDs := func(fs *fileserver.FileServer) (ids [3]uint32) {
+		t.Helper()
+		for i, name := range []string{"hello", "editor", "compiler"} {
+			d, err := fs.Describe("/bin/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = d.ObjectID
+		}
+		return ids
+	}
+	first := binIDs(boot(t).FS1)
+	for i := 1; i < 8; i++ {
+		if got := binIDs(boot(t).FS1); got != first {
+			t.Fatalf("boot %d: /bin object ids %v, first boot's %v", i, got, first)
+		}
+	}
+	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
+	for _, m := range r.FSR.Members {
+		if got := binIDs(m.FS); got != first {
+			t.Fatalf("member %s: /bin object ids %v, single server's %v", m.Name, got, first)
+		}
+	}
+}
+
 func TestOpenThroughPrefix(t *testing.T) {
 	r := boot(t)
 	s := r.WS[0].Session

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/proto"
 	"repro/internal/trace"
 )
 
@@ -96,23 +95,19 @@ func chaosTraceRun(t *testing.T) (client.ResilienceStats, []trace.Span) {
 	s.EnableNameCache(true)
 	// The A10 chaos profile: fs1 outages plus near-total loss pulses, the
 	// schedule that actually provokes retransmit exhaustion and rebinds.
-	eng := r.NewChaos(chaos.Generate(2026, chaos.Profile{
-		Duration:           2 * time.Second,
-		Hosts:              []string{"fs1"},
-		MeanOutageEvery:    500 * time.Millisecond,
-		OutageLength:       200 * time.Millisecond,
-		MeanLossPulseEvery: 900 * time.Millisecond,
-		LossPulseLength:    120 * time.Millisecond,
-		LossRate:           0.9,
-	}))
-	s.SetRetryObserver(eng.AdvanceTo)
-	for i := 0; i < 120; i++ {
-		eng.AdvanceTo(s.Proc().Now())
-		if f, err := s.Open("[bin]hello", proto.ModeRead); err == nil {
-			_ = f.Close()
-		}
-		s.Proc().ChargeCompute(10 * time.Millisecond)
-	}
+	_, eng := r.RunPaced(PacedLoad{
+		Ops: 120,
+		Op:  OpenClose("[bin]hello"),
+		Events: chaos.Generate(2026, chaos.Profile{
+			Duration:           2 * time.Second,
+			Hosts:              []string{"fs1"},
+			MeanOutageEvery:    500 * time.Millisecond,
+			OutageLength:       200 * time.Millisecond,
+			MeanLossPulseEvery: 900 * time.Millisecond,
+			LossPulseLength:    120 * time.Millisecond,
+			LossRate:           0.9,
+		}),
+	})
 	eng.Finish()
 	// If the schedule left fs1 down, wait for the dying team's exit
 	// event before snapshotting — team death is asynchronous real time.
