@@ -38,7 +38,7 @@ check: vet
 	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
@@ -53,15 +53,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Where does the time go, and what stays? CPU and allocation profiles of
-# one root-module benchmark — W=ZipfMiss, W=ZipfHit, W=ZipfChurn and
-# W=FileIO are the ledger's resolve_miss, resolve_hit, define_churn and
-# paper_fileio shapes at a tenth of the size, on one P as the ledger pins
-# it — kept in a temp dir, hottest 25 by cumulative share printed. Then
-# the live heap: one more iteration with every 512th byte sampled, whose
-# profile is written after a final GC with the booted topology still
-# referenced (benchLive), largest 25 holders printed — the ledger's
-# heap_live_mb point. Read this before attributing a remainder bench/'s
-# probes leave unexplained.
+# one root-module benchmark — W=ZipfMiss, W=ZipfHit, W=ZipfObserved,
+# W=ZipfChurn and W=FileIO are the ledger's resolve_miss, resolve_hit,
+# resolve_observed, define_churn and paper_fileio shapes at a tenth of the
+# size, on one P as the ledger pins it — kept in a temp dir, hottest 25 by
+# cumulative share printed. Then the live heap: one more iteration with
+# every 512th byte sampled, whose profile is written after a final GC with
+# the booted topology still referenced (benchLive), largest 25 holders
+# printed — the ledger's heap_live_mb point. Read this before attributing
+# a remainder bench/'s probes leave unexplained.
 W ?= ZipfMiss
 profile:
 	@set -e; tmp=$$(mktemp -d); \

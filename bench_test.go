@@ -17,12 +17,15 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/nameserver"
 	"repro/internal/popgen"
 	"repro/internal/proto"
 	"repro/internal/rig"
+	"repro/internal/trace"
 )
 
 // benchRig boots a standard rig for benchmarks.
@@ -471,6 +474,39 @@ func BenchmarkZipfMiss(b *testing.B) {
 func BenchmarkZipfHit(b *testing.B) {
 	benchZipf(b, rig.ZipfConfig{Population: 10_000, Skew: 1.3, Lease: 10 * time.Second,
 		Interarrival: 20 * time.Millisecond, Arrivals: 6_000})
+}
+
+// BenchmarkZipfObserved is the repository benchmark's resolve_observed
+// shape (bench/zipf.go) at a tenth of the size, for `make profile
+// W=ZipfObserved`: resolve_miss traffic with every observer on through
+// its public install — the sampled tracer, a registry on kernel and
+// network, the flight recorder sealed at one engine fence per virtual
+// second, the hot-name sketch published after the drive. It claims
+// nothing.
+func BenchmarkZipfObserved(b *testing.B) {
+	cfg := rig.ZipfConfig{Population: 10_000, Skew: 0.5, Lease: 20 * time.Millisecond,
+		Interarrival: 56 * time.Millisecond, Arrivals: 600, Shards: 4, ClientsPerShard: 2, Seed: 42,
+		TraceSample: &trace.SampleConfig{HeadEvery: 32, SlowOver: 50 * time.Millisecond}}
+	var zw *rig.ZipfWorkload
+	var reg *metrics.Registry
+	benchTopology(b, func() (_ *rig.Topology, err error) {
+		if zw, err = rig.NewZipfWorkload(cfg); err != nil {
+			return nil, err
+		}
+		reg = metrics.New()
+		zw.Kernel.SetMetrics(reg)
+		zw.Net.SetMetrics(reg)
+		return zw, nil
+	}, func(cs []*rig.WorkloadClient) *rig.WorkloadResult {
+		fences := rig.SealFlightAtFences(engine.Fences{
+			Next: func(after time.Duration) (time.Duration, bool) {
+				return (after/time.Second + 1) * time.Second, true
+			},
+		}, zw.Flight)
+		res := rig.RunWorkloadEngine(cs, rig.EngineOptions{Fences: fences})
+		zw.Prefix.PublishNamestat(reg)
+		return res
+	})
 }
 
 // BenchmarkZipfChurn is the repository benchmark's define_churn shape

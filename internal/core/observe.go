@@ -1,0 +1,101 @@
+package core
+
+import (
+	"repro/internal/kernel"
+	"repro/internal/metrics"
+	"repro/internal/proto"
+	"repro/internal/trace"
+	"repro/internal/vtime"
+)
+
+// ServeSeries is a server's per-op series in the metrics registry, each
+// looked up by label once per (registry, op): serve_latency and
+// server_requests_total of the requests it answers, server_forwarded_total
+// of those it passes on. Server is the label they carry.
+type ServeSeries struct {
+	Server    string
+	answered  metrics.Handles[answeredOp]
+	forwarded metrics.Handles[*metrics.Counter]
+}
+
+type answeredOp struct {
+	latency  *metrics.Histogram
+	requests *metrics.Counter
+}
+
+// Forwarded counts one request of op passed on to another server.
+// Callers count before the Forward delivers: the terminal server may
+// serve and unblock the client before the forwarder runs again.
+func (ss *ServeSeries) Forwarded(reg *metrics.Registry, op proto.Code) {
+	ss.forwarded.Resolve(reg, uint16(op), func() *metrics.Counter {
+		return reg.Counter("server_forwarded_total", metrics.Labels{Server: ss.Server, Op: op.String()})
+	}).Inc()
+}
+
+// Serving is one request under observation, from the moment its serving
+// process p took it to the Reply or hand-on that ends p's part in it: the
+// KindServe span, which is p's current span while open so the kernel
+// primitives p invokes nest under it, and the serve series. Observation
+// charges zero virtual time.
+type Serving struct {
+	p     *kernel.Process
+	tr    *trace.Tracer
+	span  trace.SpanID
+	op    proto.Code
+	from  kernel.PID
+	start vtime.Time
+}
+
+// BeginServe starts observing p's service of msg, received from from.
+func BeginServe(p *kernel.Process, msg *proto.Message, from kernel.PID) Serving {
+	sv := Serving{p: p, tr: p.Tracer(), op: msg.Op, from: from, start: p.Now()}
+	if sv.tr != nil {
+		sv.span = sv.tr.Start(p.PendingSpan(from), trace.KindServe, msg.Op.String(), sv.start, p.TraceID())
+		p.SetCurrentSpan(sv.span)
+	}
+	return sv
+}
+
+// Passed ends the observation of a request p does not answer: it was
+// forwarded, or the handler replied itself.
+func (sv Serving) Passed() {
+	if sv.tr != nil {
+		sv.tr.End(sv.span, sv.p.Now())
+		sv.p.SetCurrentSpan(0)
+	}
+}
+
+// Reply answers the request. The serve span takes the reply's failure
+// class — the code's name, which the reply path otherwise swallows — and
+// ends before the Reply unblocks the client, so a snapshot taken the
+// moment the client resumes never sees a half-open serve. series, if
+// non-nil, records the request before it for the same reason, and only
+// here: a forwarded request is recorded by the server that answers it.
+// The failure counter is the rare class and keeps the plain lookup.
+func (sv Serving) Reply(reply *proto.Message, series *ServeSeries) {
+	p, class := sv.p, ""
+	if reply.Op != proto.ReplyOK {
+		class = reply.Op.String()
+	}
+	if sv.tr != nil {
+		sv.tr.Fail(sv.span, p.Now(), class)
+	}
+	if reg := p.Kernel().Metrics(); reg != nil && series != nil {
+		a := series.answered.Resolve(reg, uint16(sv.op), func() answeredOp {
+			lbl := metrics.Labels{Server: series.Server, Op: sv.op.String()}
+			return answeredOp{reg.Histogram("serve_latency", lbl), reg.Counter("server_requests_total", lbl)}
+		})
+		a.latency.Record(p.Now() - sv.start)
+		a.requests.Inc()
+		if class != "" {
+			reg.Counter("server_failures_total", metrics.Labels{Server: series.Server, Op: sv.op.String()}).Inc()
+		}
+	}
+	// A failed reply means the sender died or became unreachable; the
+	// transaction is already failed on the sender side (and the reply
+	// span carries the transport failure classification).
+	_ = p.Reply(reply, sv.from)
+	if sv.tr != nil {
+		p.SetCurrentSpan(0)
+	}
+}

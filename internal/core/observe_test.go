@@ -1,0 +1,119 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/kernel"
+	"repro/internal/metrics"
+	"repro/internal/proto"
+)
+
+// query sends n QueryObjects of hello.txt to ts from client.
+func query(t *testing.T, client *kernel.Process, ts *toyServer, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		req := &proto.Message{Op: proto.OpQueryObject}
+		proto.SetCSName(req, uint32(CtxDefault), "hello.txt")
+		if _, err := Transact(client, ts.srv.PID(), req); err != nil {
+			t.Errorf("query %d: %v", i, err)
+			return
+		}
+	}
+}
+
+// served reads what reg holds of the toy server's traffic: the kernel's
+// send_latency and the server's serve series for QueryObject, and the
+// team's handoff counter.
+func served(reg *metrics.Registry) (sends, serves, requests, handoffs uint64) {
+	s := reg.Snapshot()
+	for _, h := range s.Histograms {
+		if h.Labels == (metrics.Labels{Server: "toy", Op: "QueryObject"}) {
+			switch h.Name {
+			case "send_latency":
+				sends = h.Count
+			case "serve_latency":
+				serves = h.Count
+			}
+		}
+	}
+	return sends, serves, s.CounterTotal("server_requests_total"), s.CounterTotal("server_handoffs_total")
+}
+
+// TestSeriesHandlesFollowRegistry swaps the registry under emitters that
+// hold their series as handles: what was resolved from registry A must
+// not be recorded into once A is removed, nothing may panic while there
+// is none, and B sees exactly the traffic after its install. A handle
+// cache that forgets to compare the registry fails the first check.
+func TestSeriesHandlesFollowRegistry(t *testing.T) {
+	k := newDomain()
+	ts := startToyTeam(t, k.NewHost("srv"), "toy", 3)
+	ts.addObject(CtxDefault, "hello.txt", []byte("hello world"))
+	client := newClientProc(t, k.NewHost("ws"))
+
+	a, b := metrics.New(), metrics.New()
+	k.SetMetrics(a)
+	query(t, client, ts, 5)
+	k.SetMetrics(nil)
+	query(t, client, ts, 7)
+	k.SetMetrics(b)
+	query(t, client, ts, 11)
+	for _, c := range []struct {
+		name string
+		reg  *metrics.Registry
+		want uint64
+	}{{"A", a, 5}, {"B", b, 11}} {
+		sends, serves, requests, handoffs := served(c.reg)
+		if sends != c.want || serves != c.want || requests != c.want || handoffs != c.want {
+			t.Errorf("registry %s: %d sends, %d serves, %d requests, %d handoffs recorded, want %d of each",
+				c.name, sends, serves, requests, handoffs, c.want)
+		}
+	}
+}
+
+// TestSeriesHandlesSharedByTeam is the -race leg: three workers record
+// through one server's handles, two clients through one target's, while
+// a fourth goroutine swaps registries. Every event lands in whichever
+// registry was installed when it happened, so the two see all of them.
+func TestSeriesHandlesSharedByTeam(t *testing.T) {
+	k := newDomain()
+	ts := startToyTeam(t, k.NewHost("srv"), "toy", 3)
+	ts.addObject(CtxDefault, "hello.txt", []byte("hello world"))
+	regs := []*metrics.Registry{metrics.New(), metrics.New()}
+	k.SetMetrics(regs[0])
+
+	const clients, each = 2, 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				k.SetMetrics(regs[i%2])
+			}
+		}
+	}()
+	for c := 0; c < clients; c++ {
+		client := newClientProc(t, k.NewHost("ws"))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			query(t, client, ts, each)
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-swapped
+	var requests uint64
+	for _, reg := range regs {
+		_, _, n, _ := served(reg)
+		requests += n
+	}
+	if requests != clients*each {
+		t.Fatalf("%d requests recorded across the two registries, want %d", requests, clients*each)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/proto"
-	"repro/internal/trace"
 )
 
 // Request is one received message being processed by a CSNH server.
@@ -102,6 +101,9 @@ type Server struct {
 	// stats counters are atomics: team workers bump them concurrently on
 	// every request, so the serving hot path must not share a mutex.
 	stats serverCounters
+	// The server's registry series, resolved once per registry.
+	series   ServeSeries
+	handoffs metrics.Handles[*metrics.Counter]
 }
 
 // serverCounters is the lock-free backing store for ServerStats.
@@ -129,11 +131,11 @@ func NewServer(proc *kernel.Process, store ContextStore, handler Handler, opts .
 	for _, opt := range opts {
 		opt(&o)
 	}
-	s := &Server{proc: proc, store: store, handler: handler}
+	s := &Server{proc: proc, store: store, handler: handler, series: ServeSeries{Server: proc.Name()}}
 	s.team = NewTeam(proc, o.team, s.serveOne, func() {
 		s.stats.handoffs.Add(1)
-		s.proc.Kernel().Metrics().
-			Counter("server_handoffs_total", metrics.Labels{Server: s.proc.Name()}).Inc()
+		metrics.CounterIn(&s.handoffs, s.proc.Kernel().Metrics(),
+			"server_handoffs_total", metrics.Labels{Server: s.proc.Name()}).Inc()
 	})
 	return s
 }
@@ -191,24 +193,10 @@ func (s *Server) Exited() <-chan struct{} { return s.team.Exited() }
 // classification is not.
 func (s *Server) Stats() ServerStats { return metrics.Stable(s.stats.load) }
 
-// ReplyClass is the failure classification a serve span gets from the
-// reply that ends it: empty for ReplyOK, else the reply code's name.
-func ReplyClass(reply *proto.Message) string {
-	if reply.Op == proto.ReplyOK {
-		return ""
-	}
-	return reply.Op.String()
-}
-
 // serveOne processes a single request on the serving process p and
 // replies or forwards exactly once.
 func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) {
-	tr := p.Tracer()
-	var sp trace.SpanID
-	if tr != nil {
-		sp = tr.Start(p.PendingSpan(from), trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
-		p.SetCurrentSpan(sp)
-	}
+	sv := BeginServe(p, msg, from)
 	req := &s.req
 	if p != s.proc {
 		// A team worker serves beside its peers.
@@ -216,28 +204,10 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	}
 	req.Msg, req.From, req.srv, req.proc = msg, from, s, p
 	req.name, req.res = "", nil
-	reply := s.serve(req)
-	if reply == nil {
-		// The handler replied or forwarded itself.
-		if tr != nil {
-			tr.End(sp, p.Now())
-			p.SetCurrentSpan(0)
-		}
-		return
-	}
-	if tr != nil {
-		// Attach the per-request failure classification — which the reply
-		// path below otherwise swallows — to the serve span, and end it
-		// before the Reply unblocks the client, so a snapshot taken the
-		// moment the client resumes never sees a half-open serve.
-		tr.Fail(sp, p.Now(), ReplyClass(reply))
-	}
-	// A failed reply means the sender died or became unreachable; the
-	// transaction is already failed on the sender side (and the reply
-	// span carries the transport failure classification).
-	_ = p.Reply(reply, from)
-	if tr != nil {
-		p.SetCurrentSpan(0)
+	if reply := s.serve(req); reply != nil {
+		sv.Reply(reply, &s.series)
+	} else {
+		sv.Passed()
 	}
 }
 
@@ -253,15 +223,10 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 // even after forwarding (§7 deficiency); interpretation failures carry
 // their fault details already.
 //
-// When a metrics registry is installed, the per-(server, op)
-// serve-latency histogram and request/failure counters are recorded only
-// for a reply sent from here: a forwarded request is recorded by its
-// terminal server, and any bump after the forward could race the resumed
-// client (these always land before serveOne's Reply unblocks it).
-// Recording charges zero virtual time.
+// The reply it returns is sent, and recorded in the serve series, by
+// serveOne (Serving.Reply).
 func (s *Server) serve(req *Request) *proto.Message {
 	p := req.Proc()
-	start := p.Now()
 	p.ChargeCompute(p.Kernel().Model().ServerDispatchCost)
 	s.stats.requests.Add(1)
 	var reply *proto.Message
@@ -274,22 +239,13 @@ func (s *Server) serve(req *Request) *proto.Message {
 	if reply == nil {
 		return nil
 	}
-	failed := reply.Op != proto.ReplyOK
-	if failed {
+	if reply.Op != proto.ReplyOK {
 		if req.res != nil {
 			if _, _, _, ok := proto.NameFault(reply); !ok {
 				proto.SetNameFault(reply, len(req.name)-len(req.res.Last), uint32(s.PID()), req.res.Last)
 			}
 		}
 		s.stats.failures.Add(1)
-	}
-	if reg := p.Kernel().Metrics(); reg != nil {
-		lbl := metrics.Labels{Server: s.proc.Name(), Op: req.Msg.Op.String()}
-		reg.Histogram("serve_latency", lbl).Record(p.Now() - start)
-		reg.Counter("server_requests_total", lbl).Inc()
-		if failed {
-			reg.Counter("server_failures_total", lbl).Inc()
-		}
 	}
 	return reply
 }
@@ -313,10 +269,7 @@ func (s *Server) serveCSName(req *Request) *proto.Message {
 	}
 	if fwd != nil {
 		s.stats.forwarded.Add(1)
-		// Counted before the Forward delivers: the terminal server may
-		// serve and unblock the client before this goroutine runs again.
-		req.Proc().Kernel().Metrics().
-			Counter("server_forwarded_total", metrics.Labels{Server: s.proc.Name(), Op: req.Msg.Op.String()}).Inc()
+		s.series.Forwarded(req.Proc().Kernel().Metrics(), req.Msg.Op)
 		proto.RewriteCSName(req.Msg, uint32(fwd.Pair.Ctx), fwd.Index)
 		// A failed forward has already failed the sender's transaction.
 		_ = req.Proc().Forward(req.Msg, req.From, fwd.Pair.Server)

@@ -45,6 +45,7 @@ type FileServer struct {
 	readAhead bool
 	teamSize  int
 	name      string
+	hitMiss   [2]metrics.Handles[*metrics.Counter] // buffer-cache hits, misses: their registry series
 }
 
 // Start spawns a file server process on host and runs it.
@@ -562,13 +563,13 @@ func (fi *fileInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, e
 		// Buffer cache hit: no disk time (§3.1's "already in the file
 		// server's memory buffers").
 		ready = now
-		p.Kernel().Metrics().
-			Counter("fs_cache_hits_total", metrics.Labels{Server: fi.fs.name}).Inc()
+		metrics.CounterIn(&fi.fs.hitMiss[0], p.Kernel().Metrics(),
+			"fs_cache_hits_total", metrics.Labels{Server: fi.fs.name}).Inc()
 	default:
 		ready = fi.fs.disk.Fetch(now)
 		fi.fs.cache.insert(fi.ino, block)
-		p.Kernel().Metrics().
-			Counter("fs_cache_misses_total", metrics.Labels{Server: fi.fs.name}).Inc()
+		metrics.CounterIn(&fi.fs.hitMiss[1], p.Kernel().Metrics(),
+			"fs_cache_misses_total", metrics.Labels{Server: fi.fs.name}).Inc()
 	}
 	clock.Observe(ready)
 	if fi.fs.readAhead {

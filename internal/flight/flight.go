@@ -131,14 +131,20 @@ type Recorder struct {
 	total   uint64  // events ever recorded
 	dropped uint64  // events overwritten before being sealed or read
 
-	// The fence-drained journal, canonical order: a second ring, grown
-	// on demand (a recorder nobody seals holds none of it) up to sealCap
-	// events, past which each sealed event overwrites the oldest.
-	sealed   []Event
-	sealHead int // index of the oldest sealed event
-	sealN    int // sealed events held (≤ len(sealed))
+	// The fence-drained journal, canonical order: a second ring of
+	// sealCap positions, past which each sealed event overwrites the
+	// oldest. Position i is sealed[i/sealChunk][i%sealChunk]; chunks are
+	// added as the journal first fills (a recorder nobody seals holds
+	// none), so growing it never copies what is already sealed.
+	sealed   [][]Event
+	sealHead int // position of the oldest sealed event; 0 until the ring is full
+	sealN    int // sealed events held (≤ sealCap)
 	sealCap  int
 }
+
+// sealChunk is how many events one chunk of the sealed journal holds
+// (32 KB: the largest the allocator still serves from a size class).
+const sealChunk = 512
 
 // New returns a recorder with the given ring capacity (DefaultCapacity
 // when n <= 0). The sealed journal is bounded at 4× the ring.
@@ -230,27 +236,28 @@ func (r *Recorder) Seal(at time.Duration) int {
 // seal appends one event to the sealed journal, evicting (and counting
 // as dropped) the oldest once sealCap are held. Caller holds r.mu.
 func (r *Recorder) seal(e Event) {
-	if r.sealN == len(r.sealed) {
-		if r.sealN == r.sealCap {
-			r.sealed[r.sealHead] = e
-			r.sealHead = (r.sealHead + 1) % r.sealCap
-			r.dropped++
-			return
+	at := r.sealN
+	if r.sealN == r.sealCap {
+		at = r.sealHead
+		r.sealHead = (r.sealHead + 1) % r.sealCap
+		r.dropped++
+	} else {
+		if at == len(r.sealed)*sealChunk {
+			r.sealed = append(r.sealed, make([]Event, min(sealChunk, r.sealCap-at)))
 		}
-		// Double (from a first 64 events) up to the bound.
-		grown := make([]Event, min(max(2*r.sealN, 64), r.sealCap))
-		r.sealedInto(grown)
-		r.sealed, r.sealHead = grown, 0
+		r.sealN++
 	}
-	r.sealed[(r.sealHead+r.sealN)%len(r.sealed)] = e
-	r.sealN++
+	r.sealed[at/sealChunk][at%sealChunk] = e
 }
 
 // sealedInto copies the sealed journal, oldest first, into dst and
 // returns the number of events copied. Caller holds r.mu.
 func (r *Recorder) sealedInto(dst []Event) int {
-	n := copy(dst, r.sealed[r.sealHead:min(r.sealHead+r.sealN, len(r.sealed))])
-	return n + copy(dst[n:r.sealN], r.sealed)
+	for i := 0; i < r.sealN; i++ {
+		at := (r.sealHead + i) % r.sealCap
+		dst[i] = r.sealed[at/sealChunk][at%sealChunk]
+	}
+	return r.sealN
 }
 
 // Journal returns the recorder's contents: the sealed journal followed

@@ -295,12 +295,17 @@ func (m *refRecorder) seal(at time.Duration) {
 func (m *refRecorder) journal() []Event { return append(append([]Event{}, m.sealed...), m.sorted()...) }
 
 func TestSealedRingMatchesShiftingJournal(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
+	for seed := uint64(1); seed <= 22; seed++ {
 		next := popgen.NewRand(seed).Intn
-		ringCap := 1 + next(12)
+		ringCap, steps, every := 1+next(12), 600, 1
+		if seed > 20 {
+			// A journal of three chunks, the last one short: filled across
+			// both chunk boundaries, then wrapped by eviction at sealCap.
+			ringCap, steps, every = (2*sealChunk+next(sealChunk))/4+1, 12*sealChunk, 64
+		}
 		r, m := New(ringCap), &refRecorder{ringCap: ringCap}
 		at := time.Duration(0)
-		for step := 0; step < 600; step++ {
+		for step := 0; step < steps; step++ {
 			// Mostly records, in bursts that sometimes overrun the ring,
 			// with fences often enough to wrap the sealed journal many times.
 			if next(8) == 0 {
@@ -313,6 +318,9 @@ func TestSealedRingMatchesShiftingJournal(t *testing.T) {
 				m.record(e)
 			}
 			at += time.Duration(next(3))
+			if step%every != 0 && step != steps-1 {
+				continue
+			}
 			if got, want := r.Journal(), m.journal(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d: journal diverged from the model:\n got %+v\nwant %+v", seed, step, got, want)
 			}
@@ -321,8 +329,8 @@ func TestSealedRingMatchesShiftingJournal(t *testing.T) {
 					seed, step, r.Len(), r.Dropped(), len(m.sealed)+len(m.ring), m.dropped)
 			}
 		}
-		if m.dropped == 0 {
-			t.Fatalf("seed %d: stream never evicted; the test lost its point", seed)
+		if m.dropped == 0 || (seed > 20 && len(r.sealed) != 3) {
+			t.Fatalf("seed %d: stream never evicted, or sealed %d chunks; the test lost its point", seed, len(r.sealed))
 		}
 	}
 }

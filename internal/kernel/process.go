@@ -147,6 +147,8 @@ type Process struct {
 	dead    bool
 	crashed bool              // died with its host, not by clean Destroy
 	pending map[PID]*envelope // received but not yet replied, by origin pid
+	// sendLat is the send_latency series of sends to this process, by op.
+	sendLat metrics.Handles[*metrics.Histogram]
 	// curSpan is the span this process's own activity currently nests
 	// under (a serve, handoff or client-op span): a trace.SpanID, atomic
 	// because every traced Send, Reply and Forward reads it.
@@ -317,8 +319,9 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 	tr.End(sp, p.clock.Now())
 	if km != nil {
 		km.inflight.Add(-1)
-		km.reg.Histogram("send_latency", metrics.Labels{Server: target.name, Op: msg.Op.String()}).
-			Record(p.clock.Now() - sendStart)
+		target.sendLat.Resolve(km.reg, uint16(msg.Op), func() *metrics.Histogram {
+			return km.reg.Histogram("send_latency", metrics.Labels{Server: target.name, Op: msg.Op.String()})
+		}).Record(p.clock.Now() - sendStart)
 	}
 	return ev.msg, nil
 }

@@ -102,6 +102,8 @@ type Stats [numEvents]uint64
 type Meter struct {
 	class, owner string
 	n            [numEvents]atomic.Uint64
+	// series is n's registry counters by Event, resolved once per registry.
+	series metrics.Handles[*metrics.Counter]
 }
 
 // NewMeter returns a meter publishing under class ("client", "tier" or
@@ -121,7 +123,10 @@ func (m *Meter) Snapshot() Stats { return metrics.Stable(m.load) }
 // add bumps ev's counter and registry series by n.
 func (m *Meter) add(p *kernel.Process, ev Event, n uint64) {
 	m.n[ev].Add(n)
-	p.Kernel().Metrics().Counter(events[ev].metric, metrics.Labels{Server: m.owner, Class: m.class}).Add(n)
+	reg := p.Kernel().Metrics()
+	m.series.Resolve(reg, uint16(ev), func() *metrics.Counter {
+		return reg.Counter(events[ev].metric, metrics.Labels{Server: m.owner, Class: m.class})
+	}).Add(n)
 }
 
 // Observe records one ev about name at virtual time at: counter,
@@ -211,18 +216,25 @@ func (c *Cache) Close() {
 // when its define or delete returns, this holder has already dropped the
 // name.
 func (c *Cache) serveCallback(p *kernel.Process, msg *proto.Message, from kernel.PID) {
-	// The lease event hangs off the granter's transaction. A holder
-	// that propagates also sends from here, and opens a serve span for
-	// those sends to nest under.
-	tr := p.Tracer()
-	var sp trace.SpanID
-	if tr != nil {
-		sp = p.PendingSpan(from)
-		if c.propagate != nil {
-			sp = tr.Start(sp, trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
-		}
-		p.SetCurrentSpan(sp)
+	if c.propagate != nil {
+		// A holder that propagates sends from here: a serve span of its
+		// own for those sends to nest under.
+		core.BeginServe(p, msg, from).Reply(c.applyCallback(p, msg), nil)
+		return
 	}
+	// The lease event hangs off the granter's transaction.
+	if p.Tracer() != nil {
+		p.SetCurrentSpan(p.PendingSpan(from))
+	}
+	reply := c.applyCallback(p, msg)
+	p.SetCurrentSpan(0)
+	// A failed reply has already failed the granter's transaction.
+	_ = p.Reply(reply, from)
+}
+
+// applyCallback drops the entry an OpCacheInvalidate names, then runs
+// propagate; the reply says whether msg was one.
+func (c *Cache) applyCallback(p *kernel.Process, msg *proto.Message) *proto.Message {
 	reply := &proto.Message{Op: proto.ReplyOK}
 	if msg.Op != proto.OpCacheInvalidate {
 		reply.Op = proto.ReplyIllegalRequest
@@ -235,14 +247,7 @@ func (c *Cache) serveCallback(p *kernel.Process, msg *proto.Message, from kernel
 			c.propagate(p, name, time.Duration(commit))
 		}
 	}
-	if tr != nil {
-		if c.propagate != nil {
-			tr.Fail(sp, p.Now(), core.ReplyClass(reply))
-		}
-		p.SetCurrentSpan(0)
-	}
-	// A failed reply has already failed the granter's transaction.
-	_ = p.Reply(reply, from)
+	return reply
 }
 
 // Lookup classifies the cache's answer for name at virtual time now and

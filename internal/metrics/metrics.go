@@ -182,6 +182,7 @@ func (t *Timeline) Points() []StatePoint {
 // stabilize after the first request of each kind).
 type Registry struct {
 	mu        sync.Mutex
+	lookups   atomic.Uint64 // by-label lookups served; see Lookups
 	counters  atomic.Pointer[map[instKey]*Counter]
 	gauges    atomic.Pointer[map[instKey]*Gauge]
 	hists     atomic.Pointer[map[instKey]*Histogram]
@@ -191,85 +192,53 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry { return &Registry{} }
 
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string, l Labels) *Counter {
+// Lookups returns how many by-label lookups (Counter, Gauge, Histogram,
+// Timeline, the volatile forms) the registry has served. An emitter on a
+// hot path holds its series as Handles, so a steady-state run leaves the
+// count where it was (rig.TestSteadyStateResolvesNoSeries).
+func (r *Registry) Lookups() uint64 {
 	if r == nil {
-		return nil
+		return 0
 	}
-	k := instKey{name, l}
-	if m := r.counters.Load(); m != nil {
-		if c, ok := (*m)[k]; ok {
-			return c
-		}
-	}
-	return r.makeCounter(k, false)
+	return r.lookups.Load()
 }
+
+// Counter returns (creating if needed) the named counter.
+func (r *Registry) Counter(name string, l Labels) *Counter { return r.counter(name, l, false) }
 
 // VolatileCounter is Counter for wall-clock-dependent series (e.g. pool
 // reuse): shown live, excluded from deterministic documents.
-func (r *Registry) VolatileCounter(name string, l Labels) *Counter {
+func (r *Registry) VolatileCounter(name string, l Labels) *Counter { return r.counter(name, l, true) }
+
+func (r *Registry) counter(name string, l Labels, volatile bool) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.lookups.Add(1)
 	k := instKey{name, l}
 	if m := r.counters.Load(); m != nil {
 		if c, ok := (*m)[k]; ok {
 			return c
 		}
 	}
-	return r.makeCounter(k, true)
-}
-
-func (r *Registry) makeCounter(k instKey, volatile bool) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.counters.Load()
-	if old != nil {
-		if c, ok := (*old)[k]; ok {
-			return c
-		}
-	}
-	c := &Counter{volatile: volatile}
-	next := copyMap(old)
-	next[k] = c
-	r.counters.Store(&next)
-	return c
+	return create(r, &r.counters, k, func() *Counter { return &Counter{volatile: volatile} })
 }
 
 // Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string, l Labels) *Gauge {
-	return r.gauge(name, l, false)
-}
+func (r *Registry) Gauge(name string, l Labels) *Gauge { return r.gauge(name, l, false) }
 
 // VolatileGauge is Gauge for wall-clock-dependent values (e.g. live
 // mailbox depth).
-func (r *Registry) VolatileGauge(name string, l Labels) *Gauge {
-	return r.gauge(name, l, true)
-}
+func (r *Registry) VolatileGauge(name string, l Labels) *Gauge { return r.gauge(name, l, true) }
 
+// Gauges and timelines are looked up at an install or a fault, not per
+// event, and go straight to the locked path.
 func (r *Registry) gauge(name string, l Labels, volatile bool) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := instKey{name, l}
-	if m := r.gauges.Load(); m != nil {
-		if g, ok := (*m)[k]; ok {
-			return g
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.gauges.Load()
-	if old != nil {
-		if g, ok := (*old)[k]; ok {
-			return g
-		}
-	}
-	g := &Gauge{volatile: volatile}
-	next := copyMap(old)
-	next[k] = g
-	r.gauges.Store(&next)
-	return g
+	r.lookups.Add(1)
+	return create(r, &r.gauges, instKey{name, l}, func() *Gauge { return &Gauge{volatile: volatile} })
 }
 
 // SetGauges sets every gauge in points, creating the ones the registry
@@ -311,25 +280,14 @@ func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.lookups.Add(1)
 	k := instKey{name, l}
 	if m := r.hists.Load(); m != nil {
 		if h, ok := (*m)[k]; ok {
 			return h
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.hists.Load()
-	if old != nil {
-		if h, ok := (*old)[k]; ok {
-			return h
-		}
-	}
-	h := NewHistogram()
-	next := copyMap(old)
-	next[k] = h
-	r.hists.Store(&next)
-	return h
+	return create(r, &r.hists, k, NewHistogram)
 }
 
 // Timeline returns (creating if needed) the named state timeline.
@@ -337,25 +295,27 @@ func (r *Registry) Timeline(name string, l Labels) *Timeline {
 	if r == nil {
 		return nil
 	}
-	k := instKey{name, l}
-	if m := r.timelines.Load(); m != nil {
-		if t, ok := (*m)[k]; ok {
-			return t
-		}
-	}
+	r.lookups.Add(1)
+	return create(r, &r.timelines, instKey{name, l}, func() *Timeline { return &Timeline{} })
+}
+
+// create is the locked half of a by-label lookup: k's instrument, made if
+// table lacks it and published in a copy of table. The lock-free half is
+// written out per kind: a map read through a type parameter costs double.
+func create[V any](r *Registry, table *atomic.Pointer[map[instKey]*V], k instKey, mk func() *V) *V {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.timelines.Load()
+	old := table.Load()
 	if old != nil {
-		if t, ok := (*old)[k]; ok {
-			return t
+		if v, ok := (*old)[k]; ok {
+			return v
 		}
 	}
-	t := &Timeline{}
+	v := mk()
 	next := copyMap(old)
-	next[k] = t
-	r.timelines.Store(&next)
-	return t
+	next[k] = v
+	table.Store(&next)
+	return v
 }
 
 // copyMap copies old with room for the one instrument the caller adds,

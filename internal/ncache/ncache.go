@@ -31,7 +31,6 @@ import (
 	"repro/internal/namestat"
 	"repro/internal/prefix"
 	"repro/internal/proto"
-	"repro/internal/trace"
 )
 
 // Stats counts the tier's serving activity.
@@ -66,6 +65,7 @@ type Tier struct {
 	cache   *lease.Cache
 	holders *lease.Holders
 	fwds    atomic.Uint64
+	series  metrics.Handles[*metrics.Counter] // fwds in the registry
 
 	// topk is the tier's always-on hot-name sketch (PROTOCOL.md §15):
 	// which prefixes this tier is actually absorbing load for.
@@ -143,34 +143,19 @@ func (t *Tier) TopNames() []namestat.Item {
 // (the reply then flows directly from the prefix server to the client,
 // the standard forwarding convention).
 func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) {
-	tr := p.Tracer()
-	var sp trace.SpanID
-	if tr != nil {
-		sp = tr.Start(p.PendingSpan(from), trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
-		p.SetCurrentSpan(sp)
-	}
+	sv := core.BeginServe(p, msg, from)
 	p.ChargeCompute(p.Kernel().Model().ServerDispatchCost)
 
 	pfx, cb, ok := t.leaseWanted(msg)
 	if !ok {
 		t.fwds.Add(1)
-		p.Kernel().Metrics().Counter("ncache_forwards_total", metrics.Labels{Server: t.name, Class: "tier"}).Inc()
+		metrics.CounterIn(&t.series, p.Kernel().Metrics(),
+			"ncache_forwards_total", metrics.Labels{Server: t.name, Class: "tier"}).Inc()
 		_ = p.Forward(msg, from, t.upstream)
-		if tr != nil {
-			tr.End(sp, p.Now())
-			p.SetCurrentSpan(0)
-		}
+		sv.Passed()
 		return
 	}
-
-	reply := t.serveLease(p, pfx, cb)
-	if tr != nil {
-		tr.Fail(sp, p.Now(), core.ReplyClass(reply))
-	}
-	_ = p.Reply(reply, from)
-	if tr != nil {
-		p.SetCurrentSpan(0)
-	}
+	sv.Reply(t.serveLease(p, pfx, cb), nil)
 }
 
 // leaseWanted reports whether msg is a lease request the tier can serve

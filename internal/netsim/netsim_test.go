@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/vtime"
 )
 
@@ -231,3 +233,66 @@ func TestPartitionGroupsArePartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRegistryMirrorsWire drives every wire path with a registry
+// installed: the mirrored series must equal Stats frame for frame — drops
+// under loss, the broadcast and multicast counters, the queueing delay of
+// a contended wire — a frame recorder sees the same frames, and traffic
+// after SetMetrics(nil) reaches Stats alone.
+func TestRegistryMirrorsWire(t *testing.T) {
+	n := newNet()
+	reg := metrics.New()
+	n.SetMetrics(reg)
+	var frames recorded
+	n.SetRecorder(&frames)
+
+	// Three transfers issued at one instant: the second and third queue.
+	for i := 0; i < 3; i++ {
+		if _, err := n.Unicast(1, 2, 2048, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Broadcast(1, 64, time.Second)
+	n.Multicast(2, 64, 2*time.Second)
+	n.SetDropRate(0.5)
+	var lost int
+	for i := 0; i < 100; i++ {
+		if _, err := n.Unicast(1, 2, 32, time.Duration(3+i)*time.Second); err != nil {
+			lost++ // retransmissions exhausted: dropped frames, no delivery
+		}
+	}
+	st, snap := n.Stats(), reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"wire_frames_total": st.Packets, "wire_bytes_total": st.Bytes, "wire_drops_total": st.Drops,
+		"wire_broadcasts_total": st.Broadcasts, "wire_multicasts_total": st.Multicasts,
+	} {
+		if got := snap.CounterTotal(name); got != want || want == 0 {
+			t.Errorf("%s = %d, Stats says %d", name, got, want)
+		}
+	}
+	wait := snap.Histograms[0]
+	if wait.Name != "wire_queue_wait" || wait.Count != uint64(len(frames)) || int(wait.Count) != 5+100-lost {
+		t.Errorf("%s recorded %d waits, %d frames delivered (%d of 105 lost)", wait.Name, wait.Count, len(frames), lost)
+	}
+	// The third transfer waited for two 2 KB occupancies.
+	if want := 2 * n.occupancy(2048); wait.MaxUS != want.Microseconds() || frames[2].Queue != want {
+		t.Errorf("longest queue wait %d us, third frame queued %v, want %v", wait.MaxUS, frames[2].Queue, want)
+	}
+
+	n.SetMetrics(nil)
+	n.SetDropRate(0)
+	if _, err := n.Unicast(1, 2, 32, 200*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	n.Broadcast(1, 64, 201*time.Second)
+	if after := reg.Snapshot(); !reflect.DeepEqual(after, snap) {
+		t.Error("a removed registry was still recorded into")
+	}
+	if n.Stats().Packets != st.Packets+2 {
+		t.Errorf("Stats stopped counting with the registry removed")
+	}
+}
+
+type recorded []FrameEvent
+
+func (r *recorded) RecordFrame(ev FrameEvent) { *r = append(*r, ev) }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/namestat"
 	"repro/internal/nametree"
 	"repro/internal/proto"
-	"repro/internal/trace"
 	"repro/internal/vio"
 )
 
@@ -160,6 +159,9 @@ type Server struct {
 	// leases counts and publishes the granting side of the lease protocol.
 	stats  statsCounters
 	leases *lease.Meter
+	// The server's registry series, resolved once per registry.
+	series    core.ServeSeries
+	forwarded metrics.Handles[*metrics.Counter]
 
 	// Observability (PROTOCOL.md §15): always-on hot-name sketch and
 	// per-name churn estimators — observers, zero virtual cost — plus
@@ -236,6 +238,7 @@ func New(proc *kernel.Process, owner string, opts ...Option) *Server {
 		lastResolved: make(map[string]kernel.PID),
 		orphans:      make(map[string]kernel.PID),
 		leases:       lease.NewMeter("prefix", proc.Name()),
+		series:       core.ServeSeries{Server: proc.Name()},
 		topk:         namestat.NewTopK(32),
 		rates:        namestat.NewRates(0),
 	}
@@ -400,16 +403,8 @@ func (s *Server) TableBytes() int {
 // serveOne processes one request on the serving process p (the
 // receptionist, or a team worker after a §3.1 handoff).
 func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) {
-	tr := p.Tracer()
-	var sp trace.SpanID
-	if tr != nil {
-		sp = tr.Start(p.PendingSpan(from), trace.KindServe, msg.Op.String(), p.Now(), p.TraceID())
-		p.SetCurrentSpan(sp)
-	}
-	model := p.Kernel().Model()
-	reg := p.Kernel().Metrics()
-	serveStart := p.Now()
-	p.ChargeCompute(model.ServerDispatchCost)
+	sv := core.BeginServe(p, msg, from)
+	p.ChargeCompute(p.Kernel().Model().ServerDispatchCost)
 
 	var reply *proto.Message
 	switch {
@@ -429,31 +424,10 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	s.drainDirty(p)
 	if reply == nil {
 		// The request was forwarded along a prefix binding.
-		if tr != nil {
-			tr.End(sp, p.Now())
-			p.SetCurrentSpan(0)
-		}
+		sv.Passed()
 		return
 	}
-	if tr != nil {
-		// Classify non-OK replies on the serve span and end it before the
-		// Reply unblocks the client (snapshot consistency — see core).
-		tr.Fail(sp, p.Now(), core.ReplyClass(reply))
-	}
-	if reg != nil {
-		// Mirrors core.Server.serve: recorded before the Reply
-		// unblocks the client, only for requests answered here.
-		lbl := metrics.Labels{Server: s.proc.Name(), Op: msg.Op.String()}
-		reg.Histogram("serve_latency", lbl).Record(p.Now() - serveStart)
-		reg.Counter("server_requests_total", lbl).Inc()
-		if reply.Op != proto.ReplyOK {
-			reg.Counter("server_failures_total", lbl).Inc()
-		}
-	}
-	_ = p.Reply(reply, from)
-	if tr != nil {
-		p.SetCurrentSpan(0)
-	}
+	sv.Reply(reply, &s.series)
 }
 
 // handleCSName routes any CSname request: a bracketed prefix selects a
@@ -558,9 +532,9 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	proto.RewriteCSName(msg, uint32(pair.Ctx), rest)
 	s.stats.forwards.Add(1)
 	p.Kernel().Flight().Record(p.Now(), flight.KindForward, pfx, s.proc.Name(), "")
-	// Counted before the Forward delivers (see core.serveCSName).
-	p.Kernel().Metrics().
-		Counter("prefix_forwards_total", metrics.Labels{Server: s.proc.Name()}).Inc()
+	// Counted before the Forward delivers (see core.ServeSeries.Forwarded).
+	metrics.CounterIn(&s.forwarded, p.Kernel().Metrics(),
+		"prefix_forwards_total", metrics.Labels{Server: s.proc.Name()}).Inc()
 	// A failed forward already failed the client's transaction.
 	_ = p.Forward(msg, from, pair.Server)
 	return nil

@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/trace"
 )
 
 // Role is a member's current consensus role.
@@ -210,14 +210,9 @@ func (r *Replica) dispatch(p *kernel.Process, msg *proto.Message, from kernel.PI
 		r.svc.Serve(p, r, msg, from)
 		return
 	}
-	tr := p.Tracer()
-	sp := tr.StartName(p.PendingSpan(from), trace.KindServe, trace.Name{Head: "replica:", Tail: msg.Op.String()}, p.Now(), p.TraceID())
-	class := ""
-	if reply.Op != proto.ReplyOK {
-		class = "replica-" + reply.Op.String()
-	}
-	tr.Fail(sp, p.Now(), class)
-	_ = p.Reply(reply, from)
+	// The serve span marks the answer, not the handling: a handler's
+	// replication rounds are transactions of their own.
+	core.BeginServe(p, msg, from).Reply(reply, nil)
 }
 
 // NotLeaderReply builds the standard redirect reply carrying this

@@ -1,0 +1,122 @@
+package rig
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/client"
+	"repro/internal/engine"
+	"repro/internal/metrics"
+	"repro/internal/raceflag"
+	"repro/internal/trace"
+)
+
+// observedZipf boots the ledger's resolve_observed shape at 10⁴ names —
+// every observer on when observed: the sampled tracer, a registry on
+// kernel and network, flight seals at one fence per virtual second — and
+// returns it with the function that drives requests [from, from+n) of
+// every client.
+func observedZipf(t *testing.T, observed bool, arrivals int) (*Topology, *metrics.Registry, func(from, n int) *WorkloadResult) {
+	t.Helper()
+	cfg := ZipfConfig{Population: 10_000, Skew: 0.5, Shards: 4, ClientsPerShard: 2, Arrivals: arrivals,
+		Interarrival: 56 * time.Millisecond, Lease: 20 * time.Millisecond, Seed: 42}
+	var reg *metrics.Registry
+	var opts EngineOptions
+	if observed {
+		cfg.TraceSample = &trace.SampleConfig{HeadEvery: 32, SlowOver: 50 * time.Millisecond}
+	}
+	zw, err := NewZipfWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed {
+		reg = metrics.New()
+		zw.Kernel.SetMetrics(reg)
+		zw.Net.SetMetrics(reg)
+		opts.Fences = SealFlightAtFences(engine.Fences{Next: func(after time.Duration) (time.Duration, bool) {
+			return (after/time.Second + 1) * time.Second, true
+		}}, zw.Flight)
+	}
+	type program struct {
+		op       func(*client.Session, int) error
+		arrive   func(int) time.Duration
+		classify func(*client.Session, int) engine.Class
+	}
+	programs := make([]program, len(zw.Clients))
+	for i, c := range zw.Clients {
+		programs[i] = program{c.Op, c.Arrive, c.Classify}
+	}
+	return zw, reg, func(from, n int) *WorkloadResult {
+		for i, c := range zw.Clients {
+			p := programs[i]
+			c.Requests = n
+			c.Op = func(s *client.Session, iter int) error { return p.op(s, from+iter) }
+			c.Arrive = func(iter int) time.Duration { return p.arrive(from + iter) }
+			c.Classify = func(s *client.Session, iter int) engine.Class { return p.classify(s, from+iter) }
+		}
+		res := RunWorkloadEngine(zw.Clients, opts)
+		for ci, st := range res.Clients {
+			if st.Errors != 0 || st.Completed != n {
+				t.Fatalf("client %d: %d of %d completed, %d failed", ci, st.Completed, n, st.Errors)
+			}
+		}
+		return res
+	}
+}
+
+// TestObservedOpFootprint is the ceiling on what observing an operation
+// allocates: the same seed driven observed and unobserved, the difference
+// in bytes allocated per operation. An observed event costs what it keeps
+// — a retained span in its chunk, a sealed event in its — so the ceiling
+// sits 10% above the 292 B measured; with retention in one growing slice
+// and a doubling journal it measured 735 B.
+func TestObservedOpFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations are not the repository's")
+	}
+	const arrivals, maxBytes = 1_500, 320
+	perOp := func(observed bool) float64 {
+		_, _, drive := observedZipf(t, observed, arrivals)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := drive(0, arrivals)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Requests)
+	}
+	on, off := perOp(true), perOp(false)
+	t.Logf("allocated per operation: %.0f B observed, %.0f B unobserved", on, off)
+	if on-off > maxBytes {
+		t.Fatalf("observing an operation allocates %.0f B, ceiling %d", on-off, maxBytes)
+	}
+}
+
+// TestSteadyStateResolvesNoSeries pins "a series is a handle": once every
+// emitter has seen each of its ops, 10³ more operations look nothing up in
+// the registry by label and create no series.
+func TestSteadyStateResolvesNoSeries(t *testing.T) {
+	const warm, more = 500, 125
+	_, reg, drive := observedZipf(t, true, warm+more)
+	drive(0, warm)
+	series := func() (names []string) {
+		s := reg.Snapshot()
+		for _, c := range s.Counters {
+			names = append(names, c.Name+c.Labels.Server+c.Labels.Op+c.Labels.Class)
+		}
+		for _, h := range s.Histograms {
+			names = append(names, h.Name+h.Labels.Server+h.Labels.Op)
+		}
+		return names
+	}
+	before, lookups := series(), reg.Lookups()
+	if res := drive(warm, more); res.Requests != 8*more {
+		t.Fatalf("ran %d requests", res.Requests)
+	}
+	if got := reg.Lookups() - lookups; got != 0 {
+		t.Fatalf("%d steady-state operations did %d registry lookups", 8*more, got)
+	}
+	if after := series(); !reflect.DeepEqual(after, before) || len(before) == 0 {
+		t.Fatalf("steady state created series: %d before, %d after", len(before), len(after))
+	}
+}

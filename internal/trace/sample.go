@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 )
@@ -16,10 +18,10 @@ import (
 //   - Head sampling by client lane: each process's root spans are
 //     counted, and every HeadEvery-th root (the 1st, the
 //     HeadEvery+1-th, ...) is retained in full. Roots are counted per
-//     process (the whole ProcID: same-named processes on different
-//     hosts count apart), and each lane's operations start in its own
-//     program order, so the set of head-retained roots is deterministic
-//     even when lanes interleave.
+//     process (by PID, which names its host too: same-named processes
+//     on different hosts count apart), and each lane's operations start
+//     in its own program order, so the set of head-retained roots is
+//     deterministic even when lanes interleave.
 //
 //   - Tail retention of anomalies: a root whose subtree recorded any
 //     failure classification, or whose total duration reached SlowOver,
@@ -41,11 +43,7 @@ func NewSampled(cfg SampleConfig) *Tracer {
 	if cfg.HeadEvery < 1 {
 		cfg.HeadEvery = 1
 	}
-	return &Tracer{s: &sampleState{
-		cfg:        cfg,
-		open:       spanIndex{tab: make([]spanSlot, 64)},
-		seenByProc: make(map[ProcID]*uint64),
-	}}
+	return &Tracer{s: &sampleState{cfg: cfg, seenByProc: make(map[uint32]*uint64)}}
 }
 
 // Sampled reports whether the tracer is in sampled mode.
@@ -64,20 +62,21 @@ type openSpan struct {
 type subtree struct {
 	spans    []openSpan
 	open     int // spans not yet ended
+	at       int // where openSet.live holds this subtree
 	headKeep bool
 	anomaly  bool
 }
 
 // sampleState is the sampled-mode storage: spans of open subtrees live
-// in their root's slab, found through one id index; finished subtrees
-// either move to retained (names rendered then, and only then) or vanish.
+// in their root's slab; finished subtrees either move to retained (names
+// rendered then, and only then) or vanish.
 type sampleState struct {
 	cfg           SampleConfig
 	nextID        SpanID
-	open          spanIndex
+	open          openSet
 	free          []*subtree
-	seenByProc    map[ProcID]*uint64 // roots started, per process
-	retained      []Span
+	seenByProc    map[uint32]*uint64 // roots started, by PID (domain-unique)
+	retained      spanStore
 	rootsSeen     uint64
 	rootsRetained uint64
 }
@@ -85,16 +84,16 @@ type sampleState struct {
 // start allocates a span in sampled mode. Caller holds t.mu.
 func (s *sampleState) start(parent SpanID, kind Kind, name Name, at int64, who ProcID) *Span {
 	s.nextID++
-	st, _ := s.open.get(parent)
+	st, _ := s.open.find(parent)
 	if st == nil {
 		// A new root — or a span whose parent already retired, which
 		// starts a subtree of its own so retained trees stay complete.
 		parent = 0
 		s.rootsSeen++
-		seen := s.seenByProc[who]
+		seen := s.seenByProc[who.PID]
 		if seen == nil {
 			seen = new(uint64)
-			s.seenByProc[who] = seen
+			s.seenByProc[who.PID] = seen
 		}
 		*seen++
 		if last := len(s.free) - 1; last >= 0 {
@@ -104,7 +103,8 @@ func (s *sampleState) start(parent SpanID, kind Kind, name Name, at int64, who P
 		}
 		// A recycled slab's stale records are overwritten before they
 		// are read; until then they pin only strings callers hold anyway.
-		*st = subtree{spans: st.spans[:0], headKeep: (*seen-1)%uint64(s.cfg.HeadEvery) == 0}
+		*st = subtree{spans: st.spans, at: len(s.open.live), headKeep: (*seen-1)%uint64(s.cfg.HeadEvery) == 0}
+		s.open.live = append(s.open.live, st)
 	}
 	st.spans = append(st.spans, openSpan{
 		Span: Span{
@@ -120,14 +120,15 @@ func (s *sampleState) start(parent SpanID, kind Kind, name Name, at int64, who P
 	})
 	st.open++
 	i := len(st.spans) - 1
-	s.open.put(s.nextID, st, i)
+	s.open.n++
+	s.open.recent[s.nextID%recentSpans] = spanSlot{st, int32(i)}
 	return &st.spans[i].Span
 }
 
 // span returns the addressable span with the given id: one of a
 // still-open subtree, or nil.
 func (s *sampleState) span(id SpanID) *Span {
-	if st, i := s.open.get(id); st != nil {
+	if st, i := s.open.find(id); st != nil {
 		return &st.spans[i].Span
 	}
 	return nil
@@ -135,7 +136,7 @@ func (s *sampleState) span(id SpanID) *Span {
 
 // fail ends a span in sampled mode. Caller holds t.mu.
 func (s *sampleState) fail(id SpanID, at int64, class string) {
-	st, i := s.open.get(id)
+	st, i := s.open.find(id)
 	if st == nil {
 		return
 	}
@@ -160,105 +161,104 @@ func (s *sampleState) fail(id SpanID, at int64, class string) {
 func (s *sampleState) finish(st *subtree) {
 	root := &st.spans[0]
 	slow := s.cfg.SlowOver > 0 && time.Duration(root.End-root.Start) >= s.cfg.SlowOver
-	keep := st.headKeep || st.anomaly || slow
-	for i := range st.spans {
-		sp := &st.spans[i]
-		if keep {
-			s.retained = append(s.retained, sp.rendered())
+	if st.headKeep || st.anomaly || slow {
+		for i := range st.spans {
+			st.spans[i].renderInto(s.retained.next())
 		}
-		s.open.del(sp.ID)
-	}
-	if keep {
 		s.rootsRetained++
 	}
+	o := &s.open
+	o.n -= len(st.spans)
+	last := len(o.live) - 1
+	o.live[st.at], o.live[last].at = o.live[last], st.at
+	o.live = o.live[:last]
+	// Emptied here, not at reuse: it is what makes a recent entry stale.
+	st.spans = st.spans[:0]
 	s.free = append(s.free, st)
 }
 
-// rendered returns the span as it is exported, its name rendered.
-func (sp *openSpan) rendered() Span {
-	out := sp.Span
+// renderInto writes the span as it is exported, its name rendered.
+func (sp *openSpan) renderInto(out *Span) {
+	*out = sp.Span
 	out.Name = sp.name.String()
-	return out
+}
+
+// retainChunk is how many spans one chunk of the retained store holds
+// (23 KB: the largest the allocator still serves from a size class).
+const retainChunk = 128
+
+// spanStore is the retained spans in retention order, in fixed-size
+// chunks: keeping one more span never copies the ones already kept, so
+// retention costs the bytes it keeps — one growing slice re-copied them
+// several times over on the way up.
+type spanStore struct {
+	chunks [][]Span // retainChunk long each; the last is filled up to n
+	n      int
+}
+
+// next returns the slot of the next retained span.
+func (r *spanStore) next() *Span {
+	if r.n%retainChunk == 0 {
+		r.chunks = append(r.chunks, make([]Span, retainChunk))
+	}
+	r.n++
+	return &r.chunks[(r.n-1)/retainChunk][(r.n-1)%retainChunk]
 }
 
 // snapshot copies retained spans in id order, then any still-open
 // subtree members (marked Incomplete) so a mid-run dump is honest.
 // Caller holds t.mu.
 func (s *sampleState) snapshot() []Span {
-	out := make([]Span, 0, len(s.retained)+s.open.n)
-	out = append(out, s.retained...)
-	for _, e := range s.open.tab {
-		if e.id == 0 {
-			continue
+	out := make([]Span, 0, s.retained.n+s.open.n)
+	for i, c := range s.retained.chunks {
+		out = append(out, c[:min(retainChunk, s.retained.n-i*retainChunk)]...)
+	}
+	for _, st := range s.open.live {
+		for i := range st.spans {
+			out = out[:len(out)+1]
+			sp := &out[len(out)-1]
+			st.spans[i].renderInto(sp)
+			sp.Incomplete = !sp.ended
 		}
-		sp := e.st.spans[e.i].rendered()
-		sp.Incomplete = !sp.ended
-		out = append(out, sp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// spanIndex finds the spans of open subtrees by id: an open-addressed
-// table (ids are dense, so id modulo the table size is the hash) with
-// linear probing and backward-shift deletion, holding only live spans —
-// a span that never ends costs one slot, not a growing window.
-type spanIndex struct {
-	tab []spanSlot // len is a power of two, at most half full
-	n   int
+// openSet finds the spans of open subtrees by id. recent says where the
+// last recentSpans spans were put, by id modulo its size: ids are dense,
+// so a span is found there unless that many were opened since it was;
+// then — or when the entry is stale, its subtree retired — find searches
+// live, the subtrees themselves. A span that never ends costs nothing
+// but that search.
+type openSet struct {
+	recent [recentSpans]spanSlot
+	live   []*subtree
+	n      int // spans in live, ended or not
 }
 
+const recentSpans = 1024
+
 type spanSlot struct {
-	id SpanID // 0: empty
 	st *subtree
 	i  int32
 }
 
-// find returns the slot holding id, or the empty slot that ends its
-// probe run (which is where get(0) lands, too).
-func (x *spanIndex) find(id SpanID) int {
-	mask := len(x.tab) - 1
-	h := int(id) & mask
-	for x.tab[h].id != id && x.tab[h].id != 0 {
-		h = (h + 1) & mask
+// find returns the open subtree that holds span id, and where.
+func (o *openSet) find(id SpanID) (*subtree, int) {
+	if id == 0 {
+		return nil, 0
 	}
-	return h
-}
-
-func (x *spanIndex) get(id SpanID) (*subtree, int) {
-	e := &x.tab[x.find(id)]
-	return e.st, int(e.i)
-}
-
-func (x *spanIndex) put(id SpanID, st *subtree, i int) {
-	if 2*(x.n+1) > len(x.tab) {
-		old := x.tab
-		x.tab, x.n = make([]spanSlot, 2*len(old)), 0
-		for _, e := range old {
-			if e.id != 0 {
-				x.put(e.id, e.st, int(e.i))
-			}
+	if e := o.recent[id%recentSpans]; e.st != nil && int(e.i) < len(e.st.spans) && e.st.spans[e.i].ID == id {
+		return e.st, int(e.i)
+	}
+	for _, st := range o.live {
+		i, ok := slices.BinarySearchFunc(st.spans, id, func(sp openSpan, id SpanID) int { return cmp.Compare(sp.ID, id) })
+		if ok {
+			return st, i
 		}
 	}
-	x.tab[x.find(id)] = spanSlot{id: id, st: st, i: int32(i)}
-	x.n++
-}
-
-func (x *spanIndex) del(id SpanID) {
-	h := x.find(id)
-	if x.tab[h].id == 0 {
-		return
-	}
-	x.n--
-	// Close the gap: pull back each later entry of the run whose home
-	// slot does not lie strictly between the gap and where it sits.
-	mask := len(x.tab) - 1
-	for j := (h + 1) & mask; x.tab[j].id != 0; j = (j + 1) & mask {
-		if home := int(x.tab[j].id) & mask; (j-home)&mask >= (j-h)&mask {
-			x.tab[h], h = x.tab[j], j
-		}
-	}
-	x.tab[h] = spanSlot{}
+	return nil, 0
 }
 
 // RootsSeen returns how many root spans the sampled tracer observed

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/popgen"
 	"repro/internal/raceflag"
 	"repro/internal/vtime"
 )
@@ -245,54 +244,5 @@ func TestSampledDroppedRootZeroAlloc(t *testing.T) {
 	}
 	if tr.Len() != kept || rendered != names {
 		t.Fatalf("dropped subtrees left %d spans and rendered %d names", tr.Len()-kept, rendered-names)
-	}
-}
-
-// TestSpanIndexMatchesMap drives the open-subtree index with the id
-// pattern the tracer produces — dense increasing ids, most retired soon,
-// a few (leaked spans) never — against a plain map.
-func TestSpanIndexMatchesMap(t *testing.T) {
-	x := spanIndex{tab: make([]spanSlot, 4)}
-	ref := map[SpanID]int{}
-	var live []SpanID
-	st := &subtree{}
-	next := popgen.NewRand(1).Intn
-	check := func(id SpanID) {
-		t.Helper()
-		got, i := x.get(id)
-		want, ok := ref[id]
-		if (got != nil) != ok || (ok && (got != st || i != want)) {
-			t.Fatalf("get(%d) = (%v, %d), map has (%d, %v)", id, got != nil, i, want, ok)
-		}
-	}
-	for id := SpanID(1); id <= 5000; id++ {
-		x.put(id, st, int(id)%7)
-		ref[id] = int(id) % 7
-		if id%97 != 0 { // every 97th span leaks
-			live = append(live, id)
-		}
-		for len(live) > 0 && next(3) != 0 { // retire, usually oldest-first
-			k := 0
-			if next(4) == 0 {
-				k = next(len(live))
-			}
-			x.del(live[k])
-			delete(ref, live[k])
-			check(live[k])
-			live = append(live[:k], live[k+1:]...)
-		}
-		check(0)
-		check(id)
-		check(SpanID(1 + next(int(id))))
-		if x.n != len(ref) {
-			t.Fatalf("after id %d: index holds %d, map %d", id, x.n, len(ref))
-		}
-	}
-	for id := range ref {
-		check(id)
-	}
-	x.del(SpanID(6000)) // absent: a no-op
-	if x.n != len(ref) {
-		t.Fatalf("deleting an absent id changed the count")
 	}
 }

@@ -365,7 +365,7 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.s != nil {
-		return len(t.s.retained) + t.s.open.n
+		return t.s.retained.n + t.s.open.n
 	}
 	return len(t.spans)
 }
