@@ -36,6 +36,9 @@ check: vet
 # Engine equivalence on one P: lanes interleave only where they block,
 # the schedule a multi-CPU race run never produces.
 	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
+# Teams, replica members and group sends on four P: every server is
+# served, so these rows may not depend on how many run at once.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS' ./internal/chaos/ ./internal/experiments/ ./internal/rig/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates.
 	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/

@@ -156,16 +156,8 @@ func (s *Server) Pair(ctx ContextID) ContextPair {
 // RootPair returns the pair of the server's default (root) context.
 func (s *Server) RootPair() ContextPair { return s.Pair(CtxDefault) }
 
-// TeamSize returns the number of serving processes.
-func (s *Server) TeamSize() int { return s.team.Size() }
-
-// Run is the server main loop; it returns when the server process is
-// destroyed. Run it in the receptionist's goroutine (Host.Spawn). Team
-// workers, if configured, are spawned first.
-func (s *Server) Run() { s.team.Run() }
-
-// Start spawns the team workers and runs the reception loop in its own
-// goroutine, returning the worker-spawn error if any.
+// Start makes the server serve (Team.Start), returning the worker-spawn
+// error if any.
 func (s *Server) Start() error { return s.team.Start() }
 
 // StartService starts the server and registers it as service. Boot order
@@ -178,15 +170,8 @@ func (s *Server) StartService(service kernel.Service, scope kernel.Scope) error 
 	return s.proc.SetPid(service, s.proc.PID(), scope)
 }
 
-// Err reports why the server stopped serving: nil while it is running,
-// kernel.ErrProcessDead after a clean Destroy, and an error wrapping
-// kernel.ErrHostDown when its host crashed (the Receive error Run used to
-// swallow).
+// Err reports why the server stopped serving (see Team.Err).
 func (s *Server) Err() error { return s.team.Err() }
-
-// Exited is closed once the serving team has stopped, after its exit
-// cause and trace event are recorded (see Team.Exited).
-func (s *Server) Exited() <-chan struct{} { return s.team.Exited() }
 
 // Stats returns a stabilized snapshot of the server's protocol counters:
 // a mid-run reader never sees a request counted whose CSname/failure

@@ -28,19 +28,7 @@ type toyServer struct {
 
 func startToyServer(t *testing.T, h *kernel.Host, name string) *toyServer {
 	t.Helper()
-	ts := &toyServer{
-		store:   NewMapStore(),
-		reg:     vio.NewRegistry(),
-		objects: make(map[uint32][]byte),
-	}
-	proc, err := h.NewProcess(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts.srv = NewServer(proc, ts.store, ts)
-	go ts.srv.Run()
-	t.Cleanup(proc.Destroy)
-	return ts
+	return startToyTeam(t, h, name, 1)
 }
 
 func (ts *toyServer) addObject(ctx ContextID, name string, content []byte) uint32 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/proto"
@@ -21,23 +20,17 @@ type serveFunc func(p *kernel.Process, msg *proto.Message, from kernel.PID)
 // the worker appears to have received the request directly and replies to
 // the original sender.
 //
-// Size counts the serving processes. Size 1 is the single-process server:
-// the receptionist is a served process (kernel.Process.Serve) whose
-// handler is the serve function, so a request costs its sender a call
-// and no goroutine hand-off. For size n > 1 the receptionist only
-// receives, charges the dispatch cost, and hands off round-robin to n
-// workers, each with a goroutine of its own — they exist to overlap; the
-// intra-host hop is charged at LocalHop by the network layer.
+// The size counts the serving processes, each a served process
+// (kernel.Process.Serve) owning no goroutine. Size 1 is the
+// single-process server: the receptionist serves. For size n > 1 the
+// receptionist Forwards round-robin to n workers, which serve on clocks
+// that overlap in virtual time; the intra-host hop is charged at
+// LocalHop by the network layer.
 type Team struct {
 	recept    *kernel.Process
 	size      int
 	serve     serveFunc
 	onHandoff func()
-
-	mu      sync.Mutex
-	workers []*kernel.Process
-	err     error
-	exited  chan struct{}
 }
 
 // NewTeam assembles a team around the receptionist process. serve is
@@ -48,172 +41,72 @@ func NewTeam(recept *kernel.Process, size int, serve serveFunc, onHandoff func()
 	if size < 1 {
 		size = 1
 	}
-	return &Team{recept: recept, size: size, serve: serve, onHandoff: onHandoff, exited: make(chan struct{})}
+	return &Team{recept: recept, size: size, serve: serve, onHandoff: onHandoff}
 }
-
-// Size returns the number of serving processes.
-func (t *Team) Size() int { return t.size }
 
 // Err reports why the team stopped serving: nil while it is running,
 // kernel.ErrProcessDead after a clean Destroy, and an error wrapping
 // kernel.ErrHostDown when the host crashed under it.
-func (t *Team) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
+func (t *Team) Err() error { return t.recept.Err() }
 
-// Start begins serving and returns: a team of one installs its handler
-// on the receptionist — before returning, so no request can reach the
-// pid and find nobody serving — and larger teams spawn their workers and
-// run the reception loop in its own goroutine. It replaces
-// `go team.Run()` when the caller wants the worker-spawn error.
+// Start creates a larger team's workers, in pid order after the
+// receptionist, and serves them all before returning. The team's death
+// is recorded inside the Destroy or Host.Crash that kills the
+// receptionist: a server-exit trace event, classified as Err reports
+// it, and the workers' destruction.
 func (t *Team) Start() error {
-	if t.size <= 1 {
-		t.serveAlone()
-		go t.awaitExit()
+	r := t.recept
+	var workers []*kernel.Process
+	if t.size > 1 {
+		for i := 0; i < t.size; i++ {
+			w, err := r.Host().NewProcess(fmt.Sprintf("%s/worker%d", r.Name(), i))
+			if err != nil {
+				for _, w := range workers {
+					w.Destroy()
+				}
+				return fmt.Errorf("spawn team %s: %w", r.Name(), err)
+			}
+			w.Serve(func(msg *proto.Message, from kernel.PID) { t.serve(w, msg, from) })
+			workers = append(workers, w)
+		}
+	}
+	r.OnExit(func() {
+		r.Tracer().Event(0, trace.KindServerExit, trace.Name{Head: r.Name()}, r.Now(), r.TraceID(), kernel.FailureClass(r.Err()))
+		for _, w := range workers {
+			w.Destroy()
+		}
+	})
+	if workers == nil {
+		r.Serve(func(msg *proto.Message, from kernel.PID) { t.serve(r, msg, from) })
 		return nil
 	}
-	if err := t.spawnWorkers(); err != nil {
-		return err
-	}
-	go t.receive()
-	return nil
-}
-
-// Run serves until the receptionist process is destroyed. Call it from
-// the receptionist's goroutine (Host.Spawn).
-func (t *Team) Run() {
-	if t.size <= 1 {
-		t.serveAlone()
-		t.awaitExit()
-		return
-	}
-	if err := t.spawnWorkers(); err != nil {
-		t.recordExit(err)
-		return
-	}
-	t.receive()
-}
-
-// serveAlone makes the receptionist of a team of one a served process.
-func (t *Team) serveAlone() {
-	t.recept.Serve(func(msg *proto.Message, from kernel.PID) {
-		t.serve(t.recept, msg, from)
-	})
-}
-
-// awaitExit records the exit of a team of one, which has no loop to
-// notice that its Receive failed.
-func (t *Team) awaitExit() {
-	<-t.recept.Done()
-	t.recordExit(kernel.ErrProcessDead)
-}
-
-func (t *Team) spawnWorkers() error {
-	workers, err := t.recept.Host().SpawnTeam(t.recept.Name(), t.size, t.workerLoop)
-	if err != nil {
-		return fmt.Errorf("spawn team %s: %w", t.recept.Name(), err)
-	}
-	t.mu.Lock()
-	t.workers = workers
-	t.mu.Unlock()
-	return nil
-}
-
-// receive is the reception loop of a team with workers: the receptionist
-// does only the standard dispatch work before handing the transaction
-// off (§3.1).
-func (t *Team) receive() {
-	model := t.recept.Kernel().Model()
 	next := 0
-	for {
-		msg, from, err := t.recept.Receive()
-		if err != nil {
-			t.recordExit(err)
-			t.stopWorkers()
-			return
-		}
-		// Reception is serialized at the dispatch cost; everything past
-		// it runs on the worker's clock.
-		t.recept.ChargeCompute(model.ServerDispatchCost)
-		if t.onHandoff != nil {
-			t.onHandoff()
-		}
-		w := t.workers[next%len(t.workers)]
+	r.Serve(func(msg *proto.Message, from kernel.PID) {
+		t.handoff(msg, from, workers[next%len(workers)])
 		next++
-		if tr := t.recept.Tracer(); tr != nil {
-			sp := tr.StartName(t.recept.PendingSpan(from), trace.KindHandoff, trace.Name{Head: "handoff", Sep: " -> ", Tail: w.Name()}, t.recept.Now(), t.recept.TraceID())
-			// The handoff span covers the dispatch decision and ends before
-			// the Forward: a fast worker can unblock the client before this
-			// goroutine runs again, and a snapshot then must never see a
-			// half-open handoff. The forward hop is recorded as its child.
-			tr.End(sp, t.recept.Now())
-			t.recept.SetCurrentSpan(sp)
-			// A failed forward (worker died mid-crash) has already failed
-			// the sender's transaction and classified the forward span.
-			_ = t.recept.Forward(msg, from, w.PID())
-			t.recept.SetCurrentSpan(0)
-			continue
-		}
-		// A failed forward (worker died mid-crash) has already failed
-		// the sender's transaction.
-		_ = t.recept.Forward(msg, from, w.PID())
-	}
+	})
+	return nil
 }
 
-func (t *Team) workerLoop(p *kernel.Process) {
-	for {
-		msg, from, err := p.Receive()
-		if err != nil {
-			t.recordExit(err)
-			return
-		}
-		t.serve(p, msg, from)
+// handoff is the receptionist's turn in a team with workers: only the
+// standard dispatch work before handing the transaction to w (§3.1).
+// Reception is serialized at the dispatch cost; everything past it runs
+// on the worker's clock.
+func (t *Team) handoff(msg *proto.Message, from kernel.PID, w *kernel.Process) {
+	r := t.recept
+	r.ChargeCompute(r.Kernel().Model().ServerDispatchCost)
+	if t.onHandoff != nil {
+		t.onHandoff()
 	}
-}
-
-// recordExit records the first termination cause, classifying a
-// crashed-host shutdown distinctly from a clean destroy.
-func (t *Team) recordExit(err error) {
-	// CrashKilled, not Host().Alive(): the dying goroutine may run only
-	// after the host has already been restarted, and the classification
-	// must reflect how this team died, not the host's current state.
-	if t.recept.CrashKilled() || !t.recept.Host().Alive() {
-		err = fmt.Errorf("%w: host %s under server %s", kernel.ErrHostDown, t.recept.Host().Name(), t.recept.Name())
+	if tr := r.Tracer(); tr != nil {
+		// The handoff span covers the dispatch decision and ends before the
+		// Forward, whose hop is recorded as its child.
+		sp := tr.StartName(r.PendingSpan(from), trace.KindHandoff, trace.Name{Head: "handoff", Sep: " -> ", Tail: w.Name()}, r.Now(), r.TraceID())
+		tr.End(sp, r.Now())
+		r.SetCurrentSpan(sp)
+		defer r.SetCurrentSpan(0)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return
-	}
-	t.err = err
-	// Record why the team stopped, classified: "host-down" for a
-	// crash, "process-dead" for a clean destroy — the distinction
-	// Err() reports, now visible from the trace alone. Recorded before
-	// exited is closed (and before Err can observe the error), so anyone
-	// synchronizing on either is guaranteed to see the event in a
-	// snapshot — team death is asynchronous real time even though it is
-	// instantaneous virtual time.
-	t.recept.Tracer().Event(0, trace.KindServerExit, trace.Name{Head: t.recept.Name()},
-		t.recept.Now(), t.recept.TraceID(), kernel.FailureClass(err))
-	close(t.exited)
-}
-
-// Exited is closed once the team has stopped serving, after the exit
-// cause and its trace event are recorded. It is the synchronization
-// point for observers that need the team's death to be visible —
-// chaos restart hooks, trace snapshots — since the serving goroutines
-// notice a host crash asynchronously.
-func (t *Team) Exited() <-chan struct{} { return t.exited }
-
-// stopWorkers destroys the workers after the receptionist stops; on a
-// host crash the kernel has already terminated them.
-func (t *Team) stopWorkers() {
-	t.mu.Lock()
-	workers := t.workers
-	t.mu.Unlock()
-	for _, w := range workers {
-		w.Destroy()
-	}
+	// A failed forward (worker died mid-crash) has already failed the
+	// sender's transaction and classified the forward span.
+	_ = r.Forward(msg, from, w.PID())
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/proto"
+	"repro/internal/trace"
 	"repro/internal/vio"
 )
 
@@ -59,9 +59,6 @@ func TestTeamServesAndCountsHandoffs(t *testing.T) {
 	if stats.Handoffs != trials {
 		t.Fatalf("Handoffs = %d, want %d", stats.Handoffs, trials)
 	}
-	if ts.srv.TeamSize() != 3 {
-		t.Fatalf("TeamSize = %d", ts.srv.TeamSize())
-	}
 }
 
 func TestTeamSizeOneCountsNoHandoffs(t *testing.T) {
@@ -79,20 +76,6 @@ func TestTeamSizeOneCountsNoHandoffs(t *testing.T) {
 	}
 }
 
-// waitErr polls for the server's recorded termination cause; the run
-// loop records it asynchronously after the receptionist dies.
-func waitErr(t *testing.T, srv *Server) error {
-	t.Helper()
-	for i := 0; i < 200; i++ {
-		if err := srv.Err(); err != nil {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("server never recorded a termination cause")
-	return nil
-}
-
 func TestServerErrNilWhileRunning(t *testing.T) {
 	k := newDomain()
 	ts := startToyServer(t, k.NewHost("srv"), "toy")
@@ -105,7 +88,7 @@ func TestServerErrCleanDestroy(t *testing.T) {
 	k := newDomain()
 	ts := startToyServer(t, k.NewHost("srv"), "toy")
 	ts.srv.Proc().Destroy()
-	err := waitErr(t, ts.srv)
+	err := ts.srv.Err()
 	if !errors.Is(err, kernel.ErrProcessDead) {
 		t.Fatalf("Err = %v, want ErrProcessDead", err)
 	}
@@ -119,7 +102,7 @@ func TestServerErrHostCrash(t *testing.T) {
 	h := k.NewHost("srv")
 	ts := startToyServer(t, h, "toy")
 	h.Crash()
-	err := waitErr(t, ts.srv)
+	err := ts.srv.Err()
 	if !errors.Is(err, kernel.ErrHostDown) {
 		t.Fatalf("Err = %v, want ErrHostDown", err)
 	}
@@ -130,9 +113,112 @@ func TestTeamErrHostCrash(t *testing.T) {
 	h := k.NewHost("srv")
 	ts := startToyTeam(t, h, "toy", 4)
 	h.Crash()
-	err := waitErr(t, ts.srv)
+	err := ts.srv.Err()
 	if !errors.Is(err, kernel.ErrHostDown) {
 		t.Fatalf("Err = %v, want ErrHostDown", err)
+	}
+}
+
+// TestTeamExitIsSynchronous: a team's death is recorded inside the Crash
+// that causes it — the moment Crash returns, Err classifies it and the
+// trace holds its one server-exit event; neither a Restart nor a late
+// Destroy of the dead receptionist changes that.
+func TestTeamExitIsSynchronous(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		k := newDomain()
+		tr := trace.New()
+		k.SetTracer(tr)
+		h := k.NewHost("srv")
+		ts := startToyTeam(t, h, "toy", n)
+		if err := ts.srv.Err(); err != nil {
+			t.Fatalf("team of %d: Err = %v while serving", n, err)
+		}
+		var workers []*kernel.Process
+		for i := 1; n > 1 && i <= n; i++ {
+			w, err := h.ProcessByPID(ts.srv.PID() + kernel.PID(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers = append(workers, w)
+		}
+		h.Crash()
+		if err := ts.srv.Err(); !errors.Is(err, kernel.ErrHostDown) {
+			t.Fatalf("team of %d: Err = %v the moment Crash returned, want ErrHostDown", n, err)
+		}
+		// The receptionist's hook destroys the workers inside the crash:
+		// they died with the host too.
+		for i, w := range workers {
+			if err := w.Err(); !errors.Is(err, kernel.ErrHostDown) {
+				t.Fatalf("team of %d: worker %d Err = %v, want ErrHostDown", n, i, err)
+			}
+		}
+		h.Restart()
+		ts.srv.Proc().Destroy()
+		var exits []trace.Span
+		for _, sp := range tr.Snapshot() {
+			if sp.Kind == trace.KindServerExit {
+				exits = append(exits, sp)
+			}
+		}
+		if len(exits) != 1 || exits[0].Err != "host-down" || exits[0].Proc != "toy" {
+			t.Fatalf("team of %d: server-exit events %+v, want one host-down event for toy", n, exits)
+		}
+		if !errors.Is(ts.srv.Err(), kernel.ErrHostDown) {
+			t.Fatalf("team of %d: Err = %v after Restart and Destroy", n, ts.srv.Err())
+		}
+	}
+}
+
+// TestTeamStartServesWorkers: a team of n creates n served workers, in
+// pid order after the receptionist and named after it, and a clean
+// Destroy of the receptionist destroys them before it returns.
+func TestTeamStartServesWorkers(t *testing.T) {
+	k := newDomain()
+	h := k.NewHost("srv")
+	ts := startToyTeam(t, h, "toy", 4)
+	var workers []*kernel.Process
+	for i := 0; i < 4; i++ {
+		w, err := h.ProcessByPID(ts.srv.PID() + kernel.PID(i+1))
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("toy/worker%d", i); w.Name() != want {
+			t.Fatalf("worker %d named %q, want %q", i, w.Name(), want)
+		}
+		if _, _, err := w.Receive(); !errors.Is(err, kernel.ErrServed) {
+			t.Fatalf("worker %d: Receive = %v, want ErrServed", i, err)
+		}
+		workers = append(workers, w)
+	}
+	ts.srv.Proc().Destroy()
+	for i, w := range workers {
+		if !errors.Is(w.Err(), kernel.ErrProcessDead) {
+			t.Fatalf("worker %d: Err = %v after the receptionist's Destroy", i, w.Err())
+		}
+	}
+}
+
+// TestTeamStartOnCrashedHost: a team cannot start on a crashed host, and
+// the failed Start leaves no worker behind — not even a pid allocated.
+func TestTeamStartOnCrashedHost(t *testing.T) {
+	k := newDomain()
+	h := k.NewHost("srv")
+	recept, err := h.NewProcess("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Crash()
+	team := NewTeam(recept, 3, func(*kernel.Process, *proto.Message, kernel.PID) {}, nil)
+	if err := team.Start(); !errors.Is(err, kernel.ErrHostDown) {
+		t.Fatalf("Start on a crashed host = %v, want ErrHostDown", err)
+	}
+	h.Restart()
+	next, err := h.NewProcess("next")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.PID() != recept.PID()+1 {
+		t.Fatalf("next pid %v after receptionist %v: the failed Start allocated workers", next.PID(), recept.PID())
 	}
 }
 

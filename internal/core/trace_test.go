@@ -15,7 +15,6 @@ func exitClass(t *testing.T, stop func(ts *toyServer)) string {
 	k.SetTracer(tr)
 	ts := startToyServer(t, k.NewHost("srv"), "toy")
 	stop(ts)
-	waitErr(t, ts.srv)
 	for _, sp := range tr.Snapshot() {
 		if sp.Kind == trace.KindServerExit {
 			return sp.Err

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -372,12 +371,8 @@ func a6() ([]Row, error) {
 	viaPrefix := total / trials
 
 	// Via multicast to the group: the client sends the CSname request to
-	// the group id; the first member to reply wins. The members serve on
-	// their own goroutines, so which reply reserves the shared wire first
-	// (and which the kernel sees first) is real execution order. One P
-	// makes that the run queue's fixed order; across Ps the row drifted
-	// by up to 0.06 ms from run to run.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// the group id; the first member to reply wins. Both members are
+	// served, so they answer in pid order on the sender's goroutine.
 	proc := s.Proc()
 	groupOpen := func() (*proto.Message, error) {
 		req := &proto.Message{Op: proto.OpCreateInstance}

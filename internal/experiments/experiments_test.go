@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"os"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -244,6 +246,23 @@ func TestA6Shape(t *testing.T) {
 	}
 	if res.Rows[2].Measured != "succeeds" {
 		t.Fatalf("replica failover = %q", res.Rows[2].Measured)
+	}
+}
+
+// TestA6IndependentOfGOMAXPROCS: A6's group members are served, so the
+// first reply is the first member's in pid order, not the run queue's —
+// the row needs no GOMAXPROCS pin (ROADMAP 1(e)).
+func TestA6IndependentOfGOMAXPROCS(t *testing.T) {
+	rows := func(procs int) []Row {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := a6()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if p1, p4 := rows(1), rows(4); !reflect.DeepEqual(p1, p4) {
+		t.Fatalf("a6 rows differ:\nP=1 %+v\nP=4 %+v", p1, p4)
 	}
 }
 

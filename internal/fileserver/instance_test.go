@@ -33,7 +33,7 @@ func TestOpenInstanceAcrossRestore(t *testing.T) {
 	if err := fs.WriteFile("/kept", "o", []byte("snapshot bytes")); err != nil {
 		t.Fatal(err)
 	}
-	img := fs.vol.encode()
+	img := fs.vol.encode(true)
 
 	// After the snapshot: /kept is rewritten in place (same i-node) and
 	// /late is created (an i-node the snapshot does not have).
@@ -128,7 +128,7 @@ func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
 	if err := fs.vol.addAlias(b, "second", first.ObjectID, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.restoreVolume(fs.vol.encode()); err != nil {
+	if err := fs.restoreVolume(fs.vol.encode(true)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.vol.writeAt(first.ObjectID, 0, []byte("SHARED!"), 0); err != nil {

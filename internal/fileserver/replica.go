@@ -90,8 +90,9 @@ func (d *dec) str() string { return string(d.take()) }
 // encode serializes the volume canonically: nodes in i-node order,
 // directory entries and well-known aliases in sorted order. Two volumes
 // with the same name-space structure and file contents encode to the same
-// bytes (mtimes are carried but server-local; see the package note above).
-func (v *volume) encode() []byte {
+// bytes without mtimes, which are server-local (see the package note
+// above) and written as zero unless times is set.
+func (v *volume) encode(times bool) []byte {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	e := &enc{}
@@ -109,7 +110,11 @@ func (v *volume) encode() []byte {
 		e.str(n.name)
 		e.str(n.owner)
 		e.u64(uint64(n.perms))
-		e.u64(uint64(n.mtime))
+		mtime := n.mtime
+		if !times {
+			mtime = 0
+		}
+		e.u64(uint64(mtime))
 		e.u64(uint64(n.nlink))
 		if n.kind == kindDir {
 			e.u64(uint64(len(n.entries)))
@@ -364,7 +369,10 @@ func (rs *ReplicaService) Apply(p *kernel.Process, cmd []byte) *proto.Message {
 }
 
 // Snapshot implements replica.Service.
-func (rs *ReplicaService) Snapshot() []byte { return rs.fs.vol.encode() }
+func (rs *ReplicaService) Snapshot() []byte { return rs.fs.vol.encode(true) }
+
+// Replicated implements replica.Service: the snapshot without mtimes.
+func (rs *ReplicaService) Replicated() []byte { return rs.fs.vol.encode(false) }
 
 // Restore implements replica.Service.
 func (rs *ReplicaService) Restore(p *kernel.Process, data []byte) error {

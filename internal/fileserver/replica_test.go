@@ -46,7 +46,7 @@ func TestVolumeSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedVolume(t, src)
-	img := src.vol.encode()
+	img := src.vol.encode(true)
 
 	dst, err := Start(k.NewHost("dst"), "dst")
 	if err != nil {
@@ -60,7 +60,7 @@ func TestVolumeSnapshotRoundTrip(t *testing.T) {
 	if err := dst.restoreVolume(img); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.vol.encode(); !bytes.Equal(got, img) {
+	if got := dst.vol.encode(true); !bytes.Equal(got, img) {
 		t.Fatalf("restored volume re-encodes differently (%d vs %d bytes)", len(got), len(img))
 	}
 	d, err := dst.Describe("/users/mann/notes/todo.txt")
@@ -84,7 +84,7 @@ func TestVolumeSnapshotCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedVolume(t, fs)
-	img := fs.vol.encode()
+	img := fs.vol.encode(true)
 	for _, cut := range []int{0, 1, len(img) / 2, len(img) - 1} {
 		if _, _, _, err := decodeVolume(img[:cut]); err == nil {
 			t.Fatalf("decodeVolume accepted a %d-byte truncation", cut)
@@ -281,7 +281,7 @@ func TestReplicatedFileServer(t *testing.T) {
 	// The service snapshot is the volume image; a fresh front over the
 	// same member serves it unchanged (the rejoin path reads this).
 	svc := NewReplicaService(members[0].fs)
-	if !bytes.Equal(svc.Snapshot(), members[0].fs.vol.encode()) {
+	if !bytes.Equal(svc.Snapshot(), members[0].fs.vol.encode(true)) {
 		t.Fatalf("service snapshot differs from the volume encoding")
 	}
 }
@@ -290,7 +290,7 @@ func TestReplicatedFileServer(t *testing.T) {
 // replicas must agree on.
 func structuralImage(t *testing.T, fs *FileServer) []byte {
 	t.Helper()
-	nodes, next, wk, err := decodeVolume(fs.vol.encode())
+	nodes, next, wk, err := decodeVolume(fs.vol.encode(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func structuralImage(t *testing.T, fs *FileServer) []byte {
 		n.mtime = 0
 	}
 	v := &volume{nodes: nodes, next: next, wellKnown: wk}
-	return v.encode()
+	return v.encode(true)
 }
 
 // TestReplicaApplyRejectsGarbage: malformed log commands must come back

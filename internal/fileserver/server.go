@@ -75,12 +75,8 @@ func Start(host *kernel.Host, name string, opts ...Option) (*FileServer, error) 
 	return fs, nil
 }
 
-// Err reports why the server stopped serving (see core.Server.Err).
+// Err reports why the server stopped serving (see core.Team.Err).
 func (fs *FileServer) Err() error { return fs.srv.Err() }
-
-// Exited is closed once the serving team has stopped, after its exit
-// cause and trace event are recorded (see core.Team.Exited).
-func (fs *FileServer) Exited() <-chan struct{} { return fs.srv.Exited() }
 
 // PID returns the server's process identifier.
 func (fs *FileServer) PID() kernel.PID { return fs.proc.PID() }

@@ -346,7 +346,7 @@ func TestVolumeAgainstMapModel(t *testing.T) {
 					want = m.write(id, n, now)
 				default:
 					what = "encode -> restoreVolume"
-					got = fs.restoreVolume(fs.vol.encode())
+					got = fs.restoreVolume(fs.vol.encode(true))
 				}
 				if errClass(got) != want {
 					t.Fatalf("step %d %s: volume says %v, model says %v", step, what, got, want)

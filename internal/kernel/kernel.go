@@ -403,30 +403,10 @@ func (h *Host) Spawn(name string, body func(p *Process)) (*Process, error) {
 	return p, nil
 }
 
-// SpawnTeam creates the worker processes of a multi-process server team
-// (§3.1): n processes on this host, each running body in its own
-// goroutine. Workers are named "<leader>/worker<i>" so traces and
-// process listings identify team membership; the leader (receptionist)
-// process itself is spawned separately by the caller. On error, any
-// workers already created are destroyed.
-func (h *Host) SpawnTeam(leader string, n int, body func(p *Process)) ([]*Process, error) {
-	workers := make([]*Process, 0, n)
-	for i := 0; i < n; i++ {
-		p, err := h.Spawn(fmt.Sprintf("%s/worker%d", leader, i), body)
-		if err != nil {
-			for _, w := range workers {
-				w.Destroy()
-			}
-			return nil, err
-		}
-		workers = append(workers, p)
-	}
-	return workers, nil
-}
-
-// Crash takes the host down: every process on it is destroyed (pending
-// senders get ErrNonexistentProcess) and its kernel service table is
-// cleared. The host keeps its logical-host id and can be Restarted.
+// Crash takes the host down: every process on it is destroyed in pid
+// order (pending senders get ErrNonexistentProcess, exit hooks run before
+// Crash returns) and its kernel service table is cleared. The host keeps
+// its logical-host id and can be Restarted.
 func (h *Host) Crash() {
 	h.mu.Lock()
 	if !h.alive.Load() {
@@ -444,6 +424,7 @@ func (h *Host) Crash() {
 	emptySvcs := make(map[Service]svcEntry)
 	h.services.Store(&emptySvcs)
 	h.mu.Unlock()
+	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
 	for _, p := range procs {
 		p.terminate(true)
 	}

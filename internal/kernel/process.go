@@ -153,6 +153,9 @@ type Process struct {
 	// under (a serve, handoff or client-op span): a trace.SpanID, atomic
 	// because every traced Send, Reply and Forward reads it.
 	curSpan atomic.Uint64
+	// onExit holds the hooks the terminate that kills the process runs;
+	// guarded by mu, and kept off the cache lines the send path reads.
+	onExit []func()
 }
 
 // PID returns the process identifier.
@@ -734,22 +737,41 @@ func (p *Process) Destroy() {
 	h.mu.Unlock()
 	h.deregisterPid(p.pid)
 	h.kernel.leaveAllGroups(p.pid)
-	p.terminate(false)
+	p.terminate(!h.alive.Load()) // from a crash's exit hook: died with the host
 }
 
-// CrashKilled reports whether the process died in a host crash rather
-// than a clean Destroy. Unlike Host.Alive it stays true across a host
-// Restart, so a server team waking up late can still classify its own
-// death correctly (the host may already be back up with a replacement
-// server by the time the dying goroutine runs).
-func (p *Process) CrashKilled() bool {
+// OnExit arranges for f to run once the process dies: inside the Destroy
+// or Host.Crash that kills it, before that call returns — or at once if
+// the process is already dead. A server records its death here, so a
+// crash is fully recorded when Crash returns.
+func (p *Process) OnExit(f func()) {
+	p.mu.Lock()
+	if !p.dead {
+		p.onExit = append(p.onExit, f)
+		p.mu.Unlock()
+		return
+	}
+	p.mu.Unlock()
+	f()
+}
+
+// Err reports how the process died: nil while it is alive,
+// ErrProcessDead after a clean Destroy, and an error wrapping ErrHostDown
+// when its host crashed under it — which stays so across a Restart.
+func (p *Process) Err() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.crashed
+	switch {
+	case !p.dead:
+		return nil
+	case p.crashed:
+		return fmt.Errorf("%w: host %s under %s", ErrHostDown, p.host.name, p.name)
+	}
+	return ErrProcessDead
 }
 
-// terminate marks the process dead and fails every outstanding
-// transaction touching it. crashed records the cause for CrashKilled.
+// terminate marks the process dead, fails every outstanding transaction
+// touching it and runs its exit hooks. crashed records the cause for Err.
 func (p *Process) terminate(crashed bool) {
 	p.mu.Lock()
 	if p.dead {
@@ -758,8 +780,8 @@ func (p *Process) terminate(crashed bool) {
 	}
 	p.dead = true
 	p.crashed = crashed
-	pend := p.pending
-	p.pending = make(map[PID]*envelope)
+	pend, hooks := p.pending, p.onExit
+	p.pending, p.onExit = make(map[PID]*envelope), nil
 	p.mu.Unlock()
 	close(p.done)
 	for _, env := range pend {
@@ -770,6 +792,9 @@ func (p *Process) terminate(crashed bool) {
 		env.fail(ErrNonexistentProcess)
 	}
 	p.drainMailbox()
+	for _, f := range hooks {
+		f()
+	}
 }
 
 func (p *Process) drainMailbox() {

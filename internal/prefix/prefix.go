@@ -226,8 +226,8 @@ func (e tableEntry) pair() (core.ContextPair, bool) {
 // from 1, so no process or group has this pid.
 const retired = kernel.PID(1)
 
-// New creates a prefix server for the given user on proc. Call Run in the
-// process goroutine.
+// New creates a prefix server for the given user on proc; Start, or a
+// replica front serving proc, makes it serve.
 func New(proc *kernel.Process, owner string, opts ...Option) *Server {
 	s := &Server{
 		proc:         proc,

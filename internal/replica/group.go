@@ -135,13 +135,6 @@ func (g *Group) Leader() (string, kernel.PID) {
 	return m.host, m.rep.PID()
 }
 
-// MemberPID returns the pid of the replica currently occupying slot i.
-func (g *Group) MemberPID(i int) kernel.PID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.members[i].rep.PID()
-}
-
 // MemberReplica returns the replica currently occupying the slot of
 // host, or nil.
 func (g *Group) MemberReplica(host string) *Replica {
@@ -393,18 +386,16 @@ func (g *Group) Propose(cmd []byte) (*proto.Message, error) {
 	return rep, nil
 }
 
-// Statuses queries every live member's consensus state in slot order.
+// Statuses reads every live member's consensus state in slot order (a
+// dead member's is zero). It reads rather than sends OpReplicaStatus: a
+// diagnostic must not advance the clocks of the run it looks at.
 func (g *Group) Statuses() []Status {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]Status, len(g.members))
 	for i, m := range g.members {
-		if m.rep == nil || !g.k.ProcessAlive(m.rep.PID()) {
-			continue
-		}
-		st, err := QueryStatus(g.mon, m.rep.PID())
-		if err == nil {
-			out[i] = st
+		if m.rep != nil && g.k.ProcessAlive(m.rep.PID()) {
+			out[i] = m.rep.status()
 		}
 	}
 	return out

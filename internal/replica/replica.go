@@ -7,8 +7,8 @@
 // serving path, which makes every run deterministic under the virtual
 // clock and fully visible to the trace and metrics machinery.
 //
-// A Replica is one group member: a single kernel process whose receive
-// loop dispatches the replication operations (0x0400 range) itself and
+// A Replica is one group member: a single served kernel process whose
+// handler dispatches the replication operations (0x0400 range) itself and
 // hands every other message to the attached Service — the state-machine
 // front (a replicated file server front, a replicated prefix table). The
 // Group (group.go) owns membership, leader bookkeeping and election
@@ -52,7 +52,9 @@ func (r Role) String() string {
 // Service is the replicated state machine attached to a member. Apply,
 // Snapshot and Restore must be deterministic: two replicas applying the
 // same command sequence from the same snapshot must reach byte-identical
-// state.
+// state — or, for a Service whose Snapshot also carries member-local
+// fields, an identical image from its Replicated() []byte method, which
+// the Safety oracle compares instead.
 type Service interface {
 	// Serve handles one non-replication message delivered to the member
 	// process and must complete the transaction (Reply or Forward). The
@@ -91,33 +93,26 @@ type Replica struct {
 	applied  uint32
 	match    map[kernel.PID]uint32 // leader: highest index known replicated per peer
 	snapBuf  []byte                // partial snapshot install
-	exitErr  error
-	exited   chan struct{}
 }
 
-// New builds a member around proc with svc as its state machine. The
-// member joins a group via Group.Add/Rejoin (which calls Bind) and serves
-// once Run is started.
-func New(proc *kernel.Process, svc Service) *Replica {
-	return &Replica{
-		proc:   proc,
-		svc:    svc,
-		role:   RoleFollower,
-		match:  make(map[kernel.PID]uint32),
-		exited: make(chan struct{}),
-	}
-}
-
-// Start creates the member process on host and serves it on its own
-// goroutine. makeSvc builds the state machine around the new process
-// (services typically need the process before they can exist).
+// Start creates the member process on host and serves it with dispatch.
+// makeSvc builds the state machine around the new process (services
+// typically need the process before they can exist). The member joins a
+// group via Group.Add/Rejoin, which calls Bind.
+//
+// A member's handler Sends to its peers (votes, appends, snapshot
+// chunks), each served on the same goroutine under the peer's serve lock.
+// A Send cycle between members — A serving and calling B while B serves
+// and calls A — deadlocks served exactly as it would received, since a V
+// process blocked in Send cannot Receive; no handler here Sends to a
+// member that can call back into the sender.
 func Start(host *kernel.Host, name string, makeSvc func(p *kernel.Process) Service) (*Replica, error) {
 	proc, err := host.NewProcess(name)
 	if err != nil {
 		return nil, err
 	}
-	r := New(proc, makeSvc(proc))
-	go r.Run()
+	r := &Replica{proc: proc, svc: makeSvc(proc), role: RoleFollower, match: make(map[kernel.PID]uint32)}
+	proc.Serve(func(msg *proto.Message, from kernel.PID) { r.dispatch(proc, msg, from) })
 	return r, nil
 }
 
@@ -159,32 +154,9 @@ func (r *Replica) LeaderHint() kernel.PID {
 	return kernel.NilPID
 }
 
-// Exited closes when the member's receive loop stops (crash or destroy).
-func (r *Replica) Exited() <-chan struct{} { return r.exited }
-
-// Err reports why the member stopped serving, nil while running.
-func (r *Replica) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.exitErr
-}
-
-// Run serves the member until its process dies. Call on the member's own
-// goroutine (or via Start).
-func (r *Replica) Run() {
-	p := r.proc
-	for {
-		msg, from, err := p.Receive()
-		if err != nil {
-			r.mu.Lock()
-			r.exitErr = err
-			r.mu.Unlock()
-			close(r.exited)
-			return
-		}
-		r.dispatch(p, msg, from)
-	}
-}
+// Err reports why the member stopped serving (kernel.Process.Err): nil
+// while running, an error wrapping kernel.ErrHostDown after a crash.
+func (r *Replica) Err() error { return r.proc.Err() }
 
 // dispatch charges the dispatch cost and routes one message: replication
 // operations are handled internally, everything else goes to the Service.
@@ -529,7 +501,7 @@ func (r *Replica) replicateTo(p *kernel.Process, pid kernel.PID, commitOverride 
 // majority of the full membership holds it. The reply is the state
 // machine's apply result. Replication is synchronous and in member
 // order, so the round is deterministic. Callers must be running on the
-// member's own process (the serving goroutine).
+// member's own process (inside its handler).
 func (r *Replica) Propose(p *kernel.Process, cmd []byte) (*proto.Message, error) {
 	r.mu.Lock()
 	if r.role != RoleLeader {
@@ -692,38 +664,25 @@ func (r *Replica) handleSnapshot(p *kernel.Process, msg *proto.Message) *proto.M
 
 // handleStatus reports the member's consensus state for diagnostics.
 func (r *Replica) handleStatus() *proto.Message {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	st := r.status()
 	rep := proto.NewReply(proto.ReplyOK)
-	rep.F[0], rep.F[1] = r.term, uint32(r.role)
-	rep.F[2], rep.F[3] = r.commit, r.lastIndexLocked()
-	rep.F[4] = uint32(r.leader)
+	rep.F[0], rep.F[1], rep.F[2] = st.Term, uint32(st.Role), st.Commit
+	rep.F[3], rep.F[4] = st.LastIdx, uint32(st.Leader)
 	return rep
 }
 
-// Status is the decoded OpReplicaStatus reply.
+// status is the member's consensus state, read without a transaction.
+func (r *Replica) status() Status {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return Status{Term: r.term, Role: r.role, Commit: r.commit, LastIdx: r.lastIndexLocked(), Leader: r.leader}
+}
+
+// Status is a member's consensus state, as OpReplicaStatus reports it.
 type Status struct {
 	Term    uint32
 	Role    Role
 	Commit  uint32
 	LastIdx uint32
 	Leader  kernel.PID
-}
-
-// QueryStatus asks member pid for its consensus state from process p.
-func QueryStatus(p *kernel.Process, pid kernel.PID) (Status, error) {
-	rep, err := p.Send(&proto.Message{Op: proto.OpReplicaStatus}, pid)
-	if err != nil {
-		return Status{}, err
-	}
-	if rep.Op != proto.ReplyOK {
-		return Status{}, proto.ReplyError(rep.Op)
-	}
-	return Status{
-		Term:    rep.F[0],
-		Role:    Role(rep.F[1]),
-		Commit:  rep.F[2],
-		LastIdx: rep.F[3],
-		Leader:  kernel.PID(rep.F[4]),
-	}, nil
 }

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -98,6 +99,53 @@ func testGroup(t *testing.T, seed int64, n int) (*kernel.Kernel, *Group, []*kern
 		t.Fatal(err)
 	}
 	return k, g, hosts, svcs
+}
+
+// safeAfter returns the step hook of a test that asserts the safety
+// oracle after every step: it fails the test at the first violation.
+func safeAfter(t *testing.T, g *Group) func(step string) {
+	var s Safety
+	return func(step string) {
+		t.Helper()
+		if err := s.Check(g); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+}
+
+// TestSafetyCatchesViolations: the oracle is not vacuous — a second
+// leader of a term in the event log or in a member's state, a commit
+// index going back and diverged state of synced members are each
+// reported.
+func TestSafetyCatchesViolations(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		corrupt func(g *Group, r *Replica, svc *nullSvc)
+		want    string
+	}{
+		{"logged leader", func(g *Group, _ *Replica, _ *nullSvc) { g.logEvent(0, "leader", "host=m2 term=1") }, "led by"},
+		{"second leader", func(_ *Group, r *Replica, _ *nullSvc) { r.role = RoleLeader }, "led by"},
+		{"commit back", func(_ *Group, r *Replica, _ *nullSvc) { r.commit-- }, "went back"},
+		{"diverged state", func(_ *Group, _ *Replica, svc *nullSvc) { svc.applied = svc.applied[1:] }, "different state"},
+	} {
+		_, g, _, svcs := testGroup(t, 1, 3)
+		var s Safety
+		if _, err := g.Propose([]byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Check(g); err != nil {
+			t.Fatalf("%s: healthy group: %v", c.name, err)
+		}
+		r := g.MemberReplica("m1")
+		g.mu.Lock()
+		r.mu.Lock()
+		c.corrupt(g, r, svcs[1])
+		r.mu.Unlock()
+		g.mu.Unlock()
+		if err := s.Check(g); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Check = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
 }
 
 // TestGroupProposeReplicates checks commit-on-delivery replication:
@@ -221,6 +269,16 @@ func TestLogTruncationOnConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A group that never elects holds the follower for the oracle.
+	g, err := NewGroup(lh, Config{Name: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Add("m0", rep); err != nil {
+		t.Fatal(err)
+	}
+	safe := safeAfter(t, g)
+	safe("boot")
 
 	// Old leader at term 1: three entries, only the first committed.
 	r1, err := lp.Send(appendMsg(1, 0, 0, 1, lp.PID(),
@@ -228,6 +286,7 @@ func TestLogTruncationOnConflict(t *testing.T) {
 	if err != nil || r1.Op != proto.ReplyOK || r1.F[1] != 3 {
 		t.Fatalf("first append: %v %+v", err, r1)
 	}
+	safe("first append")
 
 	// New leader at term 2 diverges after index 1 and commits through 3.
 	r2, err := lp.Send(appendMsg(2, 1, 1, 3, lp.PID(),
@@ -235,6 +294,7 @@ func TestLogTruncationOnConflict(t *testing.T) {
 	if err != nil || r2.Op != proto.ReplyOK || r2.F[1] != 3 {
 		t.Fatalf("conflicting append: %v %+v", err, r2)
 	}
+	safe("conflicting append")
 
 	got := svc.appliedCopy()
 	want := []string{"a", "x", "y"}
@@ -261,6 +321,7 @@ func TestLogTruncationOnConflict(t *testing.T) {
 	if err != nil || r3.Op != proto.ReplyNoPermission {
 		t.Fatalf("stale append: err=%v op=%v, want NoPermission", err, r3.Op)
 	}
+	safe("stale append")
 }
 
 // TestCrashRejoinSnapshotSync drives the full recovery cycle in one
@@ -271,6 +332,8 @@ func TestLogTruncationOnConflict(t *testing.T) {
 // election must hand leadership back to slot 0.
 func TestCrashRejoinSnapshotSync(t *testing.T) {
 	k, g, hosts, svcs := testGroup(t, 3, 3)
+	safe := safeAfter(t, g)
+	safe("boot")
 	if g.GID() == kernel.NilPID || g.Name() != "t" {
 		t.Fatalf("group identity: gid=%v name=%q", g.GID(), g.Name())
 	}
@@ -281,15 +344,21 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 		if _, err := g.Propose([]byte(cmd)); err != nil {
 			t.Fatal(err)
 		}
+		safe("propose " + cmd)
 	}
 
 	// Crash the leader host without a NoteDown: the next Pump must
 	// detect the dead leader itself, then elect once a timeout expires.
+	// The crashed member's death is recorded when Crash returns.
 	hosts[0].Crash()
-	<-g.MemberReplica("m0").Exited()
+	if err := g.MemberReplica("m0").Err(); !errors.Is(err, kernel.ErrHostDown) {
+		t.Fatalf("crashed member Err() = %v, want ErrHostDown", err)
+	}
+	safe("crash")
 	start := vtime.Time(10 * time.Millisecond)
 	for d := start; d < start+50*time.Millisecond; d += time.Millisecond {
 		g.Pump(d)
+		safe(fmt.Sprintf("pump at %v", d))
 		if host, _ := g.Leader(); host != "" {
 			break
 		}
@@ -303,6 +372,7 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	if _, err := g.Propose([]byte("d")); err != nil {
 		t.Fatal(err)
 	}
+	safe("propose d")
 
 	// A follower redirects out-of-band proposals with a leader hint.
 	lead := g.MemberReplica(newLeader)
@@ -327,6 +397,7 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 		t.Fatalf("follower propose reply %v hint %d, want NotLeader hint %d",
 			rep.Op, proto.LeaderHint(rep), lead.PID())
 	}
+	safe("follower propose")
 
 	// Rejoin a fresh, empty member on the restarted host: snapshot
 	// install + tail append rebuild its state machine, and leadership
@@ -340,10 +411,11 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	if err := g.Rejoin("m0", reborn, vtime.Time(100*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
+	safe("rejoin")
 	if host, pid := g.Leader(); host != "m0" || pid != reborn.PID() {
 		t.Fatalf("post-rejoin leader = %s/%v, want m0/%v", host, pid, reborn.PID())
 	}
-	if g.MemberPID(0) != reborn.PID() || g.MemberReplica("m0") != reborn {
+	if g.MemberReplica("m0") != reborn {
 		t.Fatalf("slot 0 not updated to the reborn replica")
 	}
 	want := []string{"a", "b", "c", "d"}
@@ -360,6 +432,7 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	if _, err := g.Propose([]byte("e")); err != nil {
 		t.Fatal(err)
 	}
+	safe("propose e")
 	for i, st := range g.Statuses() {
 		if st.Commit != 5 {
 			t.Fatalf("member %d commit = %d, want 5", i, st.Commit)
@@ -375,5 +448,74 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 		if !strings.Contains(evs, want) {
 			t.Fatalf("event log missing %q:\n%s", want, evs)
 		}
+	}
+}
+
+// TestStatusReplyMatchesStatuses: the OpReplicaStatus reply any process
+// can ask a member for carries what Statuses reads without asking.
+func TestStatusReplyMatchesStatuses(t *testing.T) {
+	k, g, _, _ := testGroup(t, 1, 3)
+	if _, err := g.Propose([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := k.HostByName("mon").NewProcess("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, host := range g.Hosts() {
+		rep, err := probe.Send(&proto.Message{Op: proto.OpReplicaStatus}, g.MemberReplica(host).PID())
+		if err != nil || rep.Op != proto.ReplyOK {
+			t.Fatalf("status of %s: %v %v", host, rep, err)
+		}
+		got := Status{Term: rep.F[0], Role: Role(rep.F[1]), Commit: rep.F[2], LastIdx: rep.F[3], Leader: kernel.PID(rep.F[4])}
+		if want := g.Statuses()[i]; got != want {
+			t.Fatalf("%s: OpReplicaStatus %+v, Statuses %+v", host, got, want)
+		}
+	}
+	if s := fmt.Sprint(RoleLeader, RoleCandidate, RoleFollower, Role(9)); s != "leader candidate follower role(9)" {
+		t.Fatalf("roles print as %q", s)
+	}
+}
+
+// TestElectionStepsDownOnHigherTerm: a candidate whose vote request meets
+// a higher term adopts it and loses, and the group records the loss.
+func TestElectionStepsDownOnHigherTerm(t *testing.T) {
+	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	g, err := NewGroup(k.NewHost("mon"), Config{Name: "t", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps []*Replica
+	for i := 0; i < 3; i++ {
+		rep, err := Start(k.NewHost(fmt.Sprintf("m%d", i)), "rep", func(p *kernel.Process) Service { return &nullSvc{} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Add(fmt.Sprintf("m%d", i), rep); err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	// m1 has heard from a leader of term 9 that the monitor never elected.
+	lp, err := k.NewHost("elsewhere").NewProcess("leader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := lp.Send(appendMsg(9, 0, 0, 0, lp.PID(), nil), reps[1].PID()); err != nil || r.Op != proto.ReplyOK {
+		t.Fatalf("term-9 append: %v %v", r, err)
+	}
+	safe := safeAfter(t, g)
+	if err := g.Bootstrap(0); err != nil {
+		t.Fatal(err)
+	}
+	safe("bootstrap")
+	if host, _ := g.Leader(); host != "" {
+		t.Fatalf("m0 won term 1 against a member at term 9 (leader %s)", host)
+	}
+	if st := g.Statuses()[0]; st.Term != 9 || st.Role != RoleFollower {
+		t.Fatalf("m0 after the lost election: %+v, want a follower at term 9", st)
+	}
+	if evs := strings.Join(g.Events(), "\n"); !strings.Contains(evs, "elect-lost") || !strings.Contains(evs, "term=9") {
+		t.Fatalf("event log does not record the loss:\n%s", evs)
 	}
 }

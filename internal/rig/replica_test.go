@@ -2,7 +2,9 @@ package rig
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -65,15 +67,29 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy})
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
+	// The replica safety oracle watches both groups after every step.
+	var fsSafe, prefixSafe replica.Safety
+	safe := func(step string) {
+		t.Helper()
+		if err := fsSafe.Check(r.FSR.Group); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+		if err := prefixSafe.Check(r.WS[0].PrefixRep.Group); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	safe("boot")
 
 	// Pre-crash replicated mutation: the failed-over leader must have it.
 	if err := s.Remove("[home]notes/todo.txt"); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
+	safe("Remove")
 
 	r.RunPaced(PacedLoad{
 		Ops: 60,
 		Op: func(s *client.Session, i int) error {
+			safe(fmt.Sprintf("the pump before op %d", i))
 			if err := OpenClose("[bin]hello")(s, i); err != nil {
 				t.Fatalf("op %d: open/close failed across failover: %v", i, err)
 			}
@@ -85,6 +101,8 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 			{At: 400 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
 		},
 	})
+
+	safe("the schedule")
 
 	sum := r.ResilienceSummary()
 	if sum.Client.OpsFailed != 0 {
@@ -146,5 +164,34 @@ func TestReplicaDeterministic(t *testing.T) {
 	}
 	if len(ev1) == 0 {
 		t.Fatalf("scenario produced no group events")
+	}
+}
+
+// TestBootedRigOwnsNoGoroutine: every server a rig boots — teams of any
+// size, replica members — is a served process, so booting one leaves no
+// goroutine behind, and its servers die inside the crashes that kill
+// them without starting one.
+func TestBootedRigOwnsNoGoroutine(t *testing.T) {
+	teams := DefaultConfig()
+	teams.FileServerTeam, teams.ServicesTeam, teams.PrefixTeam = 4, 4, 4
+	replicated := DefaultConfig()
+	replicated.Replicas = 3
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"teams of 4", teams}, {"Replicas: 3", replicated}} {
+		// Earlier tests' goroutines may still be winding down, so fewer
+		// is fine; the parent's rigs added 13, 49 and 22.
+		before := runtime.NumGoroutine()
+		r := MustNew(c.cfg)
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after boot, %d before", c.name, after, before)
+		}
+		for _, h := range []string{"fs1", "fs2", "services"} {
+			r.Kernel.HostByName(h).Crash()
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after the crashes, %d before", c.name, after, before)
+		}
 	}
 }

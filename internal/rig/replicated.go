@@ -235,23 +235,16 @@ func (r *Rig) PumpGroups(now vtime.Time) {
 }
 
 // wireReplicaHooks connects a chaos engine to the replication groups:
-// crashes turn into NoteDown at their exact virtual instant (after the
-// dying teams' exits are recorded, so traces stay deterministic), and
-// restarts re-create the member and rejoin it — snapshot-sync plus the
-// transfer election that restores slot order.
+// crashes turn into NoteDown at their exact virtual instant (the dying
+// servers' exits were recorded inside the Crash), and restarts re-create
+// the member and rejoin it — snapshot-sync plus the transfer election
+// that restores slot order.
 func (r *Rig) wireReplicaHooks(e *chaos.Engine) {
 	e.CrashHook = func(host string, at vtime.Time) {
-		if m := r.FSR.Member(host); m != nil {
-			<-m.FS.Exited()
-			<-m.Rep.Exited()
-			r.FSR.Group.NoteDown(host, at)
-		}
+		// NoteDown ignores a host that holds no slot of its group.
+		r.FSR.Group.NoteDown(host, at)
 		for _, ws := range r.WS {
-			if ws.PrefixRep == nil {
-				continue
-			}
-			if m := ws.PrefixRep.Member(host); m != nil {
-				<-m.Rep.Exited()
+			if ws.PrefixRep != nil {
 				ws.PrefixRep.Group.NoteDown(host, at)
 			}
 		}

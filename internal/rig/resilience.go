@@ -11,7 +11,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/fileserver"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 	"repro/internal/vtime"
@@ -32,16 +31,7 @@ func (r *Rig) NewChaos(events []chaos.Event) *chaos.Engine {
 	}
 	e.RestartHook = func(host string) error {
 		if host == "fs1" {
-			// The dying team notices the crash asynchronously (its
-			// goroutines, real time); wait for its exit to be recorded
-			// before the replacement starts so trace snapshots are
-			// deterministic — one server-exit event per scripted crash,
-			// always present.
-			if r.FS1 != nil {
-				<-r.FS1.Exited()
-			}
-			_, err := r.RecreateFS1()
-			return err
+			return r.RecreateServer(host, ServerFile)
 		}
 		return nil
 	}
@@ -114,16 +104,6 @@ func (r *Rig) MirrorBinOnFS2() error {
 		return err
 	}
 	return r.FS2.WriteFile("/bin/hello", "system", []byte("hello image"))
-}
-
-// DrainFS1 waits for a crashed fs1 server team to finish dying. A no-op
-// while the fs1 host is up; after a schedule that ends with fs1 down it
-// blocks until the team's exit (and its trace event) is recorded, so a
-// snapshot taken afterwards is complete and deterministic.
-func (r *Rig) DrainFS1() {
-	if r.FS1 != nil && !r.FS1Host.Alive() {
-		<-r.FS1.Exited()
-	}
 }
 
 // ServerKind names what RecreateServer rebuilds on a restarted host.
@@ -216,16 +196,6 @@ func (r *Rig) RecreateServer(host string, kind ServerKind) error {
 		return fmt.Errorf("rig: no prefix server to recreate on host %q", host)
 	}
 	return fmt.Errorf("rig: unknown server kind %q", kind)
-}
-
-// RecreateFS1 starts a replacement fs1 file server on the (restarted)
-// fs1 host — RecreateServer for the common case, returning the new
-// server.
-func (r *Rig) RecreateFS1() (*fileserver.FileServer, error) {
-	if err := r.RecreateServer("fs1", ServerFile); err != nil {
-		return nil, err
-	}
-	return r.FS1, nil
 }
 
 // ResilienceSummary aggregates the recovery record of a run: every

@@ -825,7 +825,8 @@ func TestE3SequentialReadRate(t *testing.T) {
 // --- helpers that extend the rig for individual tests ---
 
 func bootReplacementFS(r *Rig) (*fileserver.FileServer, error) {
-	return r.RecreateFS1()
+	err := r.RecreateServer("fs1", ServerFile)
+	return r.FS1, err
 }
 
 func bootLocalFS(r *Rig, ws *Workstation) (*fileserver.FileServer, error) {

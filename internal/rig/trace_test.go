@@ -109,9 +109,6 @@ func chaosTraceRun(t *testing.T) (client.ResilienceStats, []trace.Span) {
 		}),
 	})
 	eng.Finish()
-	// If the schedule left fs1 down, wait for the dying team's exit
-	// event before snapshotting — team death is asynchronous real time.
-	r.DrainFS1()
 	if err := r.CheckTrace(); err != nil {
 		t.Fatalf("trace under chaos violates invariants: %v", err)
 	}
