@@ -20,7 +20,7 @@ COVERAGE_FLOOR ?= 89.4
 GOLDEN_DOCS = metrics replica shard cache zipf obs
 BENCH_DOCS = $(GOLDEN_DOCS:%=bench-%)
 
-.PHONY: all check test race bench profile bench-json bench-smoke $(BENCH_DOCS) golden-guard vet fmt fuzz cover reach loc experiments examples clean
+.PHONY: all check test race bench profile bench-json bench-smoke bench-pair bench-gate $(BENCH_DOCS) golden-guard vet fmt fuzz cover reach loc experiments examples clean
 
 all: vet test
 
@@ -40,8 +40,9 @@ check: vet
 # served, so these rows may not depend on how many run at once.
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS' ./internal/chaos/ ./internal/experiments/ ./internal/rig/
 # Zero-allocation gates skip themselves under the race detector, whose
-# instrumentation allocates.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/
+# instrumentation allocates. The last two are the file path's: a block
+# read lands in the reader's buffer, and no block reads Info().
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAllocatesOnlyItsReply|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
@@ -92,6 +93,24 @@ $(BENCH_DOCS): bench-%:
 bench-smoke:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+# Paired wall-clock comparison (cmd/benchpair): the benchmark on BASE and
+# on the working tree, alternating which runs first seed by seed, each run
+# `bash bench/run.sh` at BENCHMARK.json's 20 s; one row per workload —
+# both medians, the base's interquartile range, pairs won, a verdict — is
+# appended to LEDGER.json. BASE and SEEDS are required; W names workloads
+# here only when given on the command line (its default is profile's), and
+# unset, every workload runs; NOTE is recorded in every row. Four seeds are
+# ≈ 3 min a workload; no verdict is a gain on fewer than ten.
+#   make bench-pair BASE=HEAD~1 W=paper_fileio SEEDS=11,12,13,14,15,16,17,18,19,20 NOTE='claim: ...'
+# bench-gate is the same against the previous commit.
+BENCH_W = $(if $(filter command line environment,$(origin W)),$(W))
+bench-pair:
+	@test -n '$(BASE)' -a -n '$(SEEDS)' || { echo 'usage: make bench-pair BASE=<rev> SEEDS=<seed,...> [W=<workload,...>] [NOTE=<text>]' >&2; exit 2; }
+	$(GO) run ./cmd/benchpair -base '$(BASE)' -w '$(BENCH_W)' -seeds '$(SEEDS)' -note '$(NOTE)'
+
+bench-gate:
+	$(MAKE) bench-pair BASE=HEAD~1
 
 # Byte-identity guard for the committed golden outputs: no change may
 # perturb a single virtual-time result, trace span, or metrics quantile.

@@ -16,27 +16,25 @@ import (
 // and the pid of the server implementing it — a team's receptionist, the
 // address instance operations go to (§3.2).
 func OpenInstance(reg *vio.Registry, owner kernel.PID, inst vio.Instance, name string) *proto.Message {
-	id, err := reg.Open(inst, name)
+	info, err := reg.Open(inst, name)
 	if err != nil {
 		return ErrorReplyMsg(err)
 	}
-	info := inst.Info()
-	info.ID = id
 	reply := OkReply()
 	proto.SetInstanceInfo(reply, info)
 	proto.SetInstanceOwner(reply, uint32(owner))
 	return reply
 }
 
-// OpenDirectory answers a directory open (§5.6) from the description
-// records of a context: the records the pattern selects are charged to
-// the serving process p at DescriptorFabricateCost each — before the
-// instance exists, and only those — and opened as a context directory
-// whose written-back records go to modify (nil: read-only).
-func OpenDirectory(p *kernel.Process, reg *vio.Registry, owner kernel.PID, records []proto.Descriptor, pattern, name string, modify func(proto.Descriptor) error) *proto.Message {
-	records = FilterRecords(records, pattern)
-	p.ChargeCompute(time.Duration(len(records)) * p.Kernel().Model().DescriptorFabricateCost)
-	return OpenInstance(reg, owner, vio.NewDirectoryInstance(records, modify), name)
+// OpenDirectory answers a directory open (§5.6) from a context's
+// directory stream: the count records the pattern selected and stream
+// encodes are charged to the serving process p at
+// DescriptorFabricateCost each — before the instance exists, and only
+// those — and opened as a context directory whose written-back records go
+// to modify (nil: read-only).
+func OpenDirectory(p *kernel.Process, reg *vio.Registry, owner kernel.PID, stream []byte, count int, name string, modify func(proto.Descriptor) error) *proto.Message {
+	p.ChargeCompute(time.Duration(count) * p.Kernel().Model().DescriptorFabricateCost)
+	return OpenInstance(reg, owner, vio.NewDirectoryInstance(stream, modify), name)
 }
 
 // DirectoryRequest validates a directory-mode open that resolved at this
@@ -242,7 +240,7 @@ func (f *Flat[T]) HandleNamed(req *Request, res *Resolution) *proto.Message {
 
 // HandleOp implements Handler: the registry's instance operations.
 func (f *Flat[T]) HandleOp(req *Request) *proto.Message {
-	if reply := f.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
+	if reply := f.reg.HandleOp(req.Proc(), req.Msg, req.From); reply != nil {
 		return reply
 	}
 	return ErrorReplyMsg(proto.ErrIllegalRequest)
@@ -259,7 +257,8 @@ func (f *Flat[T]) openDirectory(req *Request, res *Resolution) *proto.Message {
 	} else {
 		records = f.describeContexts(ctx)
 	}
-	return OpenDirectory(req.Proc(), f.reg, f.PID(), records, pattern, res.Name, nil)
+	records = FilterRecords(records, pattern)
+	return OpenDirectory(req.Proc(), f.reg, f.PID(), proto.EncodeDescriptors(records), len(records), res.Name, nil)
 }
 
 // describeAll snapshots the objects' records in listing order.

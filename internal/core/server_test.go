@@ -96,13 +96,10 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 				}
 				records = append(records, d)
 			}
-			id, err := ts.reg.Open(vio.NewDirectoryInstance(records, nil), res.Name)
+			info, err := ts.reg.Open(vio.NewDirectoryInstance(proto.EncodeDescriptors(records), nil), res.Name)
 			if err != nil {
 				return ErrorReplyMsg(err)
 			}
-			inst, _ := ts.reg.Get(id)
-			info := inst.Info()
-			info.ID = id
 			reply := OkReply()
 			proto.SetInstanceInfo(reply, info)
 			return reply
@@ -113,13 +110,10 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 		ts.mu.Lock()
 		content := ts.objects[res.Entry.Object.ID]
 		ts.mu.Unlock()
-		id, err := ts.reg.Open(vio.NewBytesInstance(content), res.Name)
+		info, err := ts.reg.Open(vio.NewBytesInstance(content), res.Name)
 		if err != nil {
 			return ErrorReplyMsg(err)
 		}
-		inst, _ := ts.reg.Get(id)
-		info := inst.Info()
-		info.ID = id
 		reply := OkReply()
 		proto.SetInstanceInfo(reply, info)
 		return reply
@@ -139,7 +133,7 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 }
 
 func (ts *toyServer) HandleOp(req *Request) *proto.Message {
-	if reply := ts.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
+	if reply := ts.reg.HandleOp(req.Proc(), req.Msg, req.From); reply != nil {
 		return reply
 	}
 	return ErrorReplyMsg(proto.ErrIllegalRequest)

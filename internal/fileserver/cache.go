@@ -75,27 +75,20 @@ func (c *blockCache) drop(p *page) {
 	delete(c.pages, p.key)
 }
 
-// contains reports whether the page is buffered, refreshing its LRU
-// position.
-func (c *blockCache) contains(ino uint32, block int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.pages[pageKey{ino, block}]
-	if ok {
-		c.touch(p)
-	}
-	return ok
-}
-
-// insert records the page as buffered, evicting the least recently used
-// page if the budget is exceeded.
-func (c *blockCache) insert(ino uint32, block int64) {
+// access looks the page up once: a buffered page is made the most
+// recently used and access reports a hit; an unbuffered one is recorded as
+// buffered if add is set, evicting the least recently used page if the
+// budget is exceeded.
+func (c *blockCache) access(ino uint32, block int64, add bool) (hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := pageKey{ino, block}
 	if p, ok := c.pages[key]; ok {
 		c.touch(p)
-		return
+		return true
+	}
+	if !add {
+		return false
 	}
 	var p *page
 	if len(c.pages) < c.cap {
@@ -112,6 +105,7 @@ func (c *blockCache) insert(ino uint32, block int64) {
 	}
 	c.files[ino] = p
 	c.pages[key] = p
+	return false
 }
 
 // invalidate drops all buffered pages of one file (truncate/remove).

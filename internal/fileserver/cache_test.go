@@ -46,6 +46,17 @@ func (c *flatCache) insert(ino uint32, block int64) {
 	}
 }
 
+// access is blockCache.access made of the reference's two operations.
+func (c *flatCache) access(ino uint32, block int64, add bool) bool {
+	if c.contains(ino, block) {
+		return true
+	}
+	if add {
+		c.insert(ino, block)
+	}
+	return false
+}
+
 func (c *flatCache) invalidate(ino uint32) {
 	for key, el := range c.pages {
 		if key.ino == ino {
@@ -110,13 +121,10 @@ func TestBlockCacheAgainstFlatReference(t *testing.T) {
 			ino, block := uint32(rng.Intn(5)), int64(rng.Intn(6))
 			var what string
 			switch op := rng.Intn(40); {
-			case op < 20:
-				what = fmt.Sprintf("insert(%d, %d)", ino, block)
-				c.insert(ino, block)
-				ref.insert(ino, block)
 			case op < 34:
-				what = fmt.Sprintf("contains(%d, %d)", ino, block)
-				if got, want := c.contains(ino, block), ref.contains(ino, block); got != want {
+				add := op < 20
+				what = fmt.Sprintf("access(%d, %d, %v)", ino, block, add)
+				if got, want := c.access(ino, block, add), ref.access(ino, block, add); got != want {
 					t.Fatalf("seed %d step %d: %s = %v, reference %v", seed, step, what, got, want)
 				}
 			case op < 39:
@@ -145,7 +153,7 @@ func TestInvalidateUncachedFileZeroAlloc(t *testing.T) {
 	}
 	c := newBlockCache(defaultCachePages)
 	for i := 0; i < 2*defaultCachePages; i++ {
-		c.insert(uint32(i%40), int64(i))
+		c.access(uint32(i%40), int64(i), true)
 	}
 	before := c.order(t)
 	if allocs := testing.AllocsPerRun(1000, func() { c.invalidate(99) }); allocs != 0 {
@@ -155,7 +163,7 @@ func TestInvalidateUncachedFileZeroAlloc(t *testing.T) {
 		t.Fatal("invalidate of a file with no buffered pages disturbed the cache")
 	}
 	block := int64(0)
-	if allocs := testing.AllocsPerRun(1000, func() { block++; c.insert(7, 1000+block) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { block++; c.access(7, 1000+block, true) }); allocs != 0 {
 		t.Fatalf("insert into a full cache: %v allocs", allocs)
 	}
 	if c.size() != defaultCachePages {

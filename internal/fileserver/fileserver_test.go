@@ -357,7 +357,7 @@ func TestReadChargesDiskTime(t *testing.T) {
 	reply := send(t, client, fs, req)
 	f := vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
 	start := client.Now()
-	if _, err := f.ReadBlock(0); err != nil {
+	if _, err := f.ReadBlock(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := client.Now() - start
@@ -542,21 +542,21 @@ func TestBufferCacheInvalidatedByTruncate(t *testing.T) {
 
 func TestBufferCacheLRUEviction(t *testing.T) {
 	c := newBlockCache(2)
-	c.insert(1, 0)
-	c.insert(1, 1)
-	c.insert(1, 2) // evicts (1,0)
-	if c.contains(1, 0) {
+	c.access(1, 0, true)
+	c.access(1, 1, true)
+	c.access(1, 2, true) // evicts (1,0)
+	if c.access(1, 0, false) {
 		t.Fatal("LRU victim still cached")
 	}
-	if !c.contains(1, 1) || !c.contains(1, 2) {
+	if !c.access(1, 1, false) || !c.access(1, 2, false) {
 		t.Fatal("recent pages missing")
 	}
 	// Touch (1,1) so (1,2) becomes the LRU victim of the next insert.
-	if !c.contains(1, 1) {
+	if !c.access(1, 1, false) {
 		t.Fatal("page lost")
 	}
-	c.insert(1, 3)
-	if !c.contains(1, 1) || c.contains(1, 2) {
+	c.access(1, 3, true)
+	if !c.access(1, 1, false) || c.access(1, 2, false) {
 		t.Fatal("LRU order not respected")
 	}
 	c.invalidate(1)

@@ -2,6 +2,7 @@ package fileserver
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -161,5 +162,40 @@ func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
 	}
 	if d, err := fs.Describe("/b/second"); err != nil || d.ObjectID != first.ObjectID {
 		t.Fatalf("the alias after the refused removal: %+v, %v", d, err)
+	}
+}
+
+// TestDirectoryWriteSpansBlocks: writing records back through an opened
+// context directory modifies their objects (§5.6) however File.Write
+// splits the records at block boundaries — 20 records of 44 bytes, two
+// blocks with a record torn across them.
+func TestDirectoryWriteSpansBlocks(t *testing.T) {
+	fs, client := startFS(t)
+	for i := 0; i < 20; i++ {
+		if err := fs.WriteFile(fmt.Sprintf("/d/entry-%03d", i), "abc", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := openNamed(t, client, fs, "d", proto.ModeRead|proto.ModeWrite|proto.ModeDirectory)
+	raw, err := dir.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := proto.DecodeDescriptors(raw)
+	if err != nil || len(records) != 20 {
+		t.Fatalf("directory = %d records, %v", len(records), err)
+	}
+	for i := range records {
+		records[i].Owner, records[i].Perms = "xyz", proto.PermRead
+	}
+	stream := proto.EncodeDescriptors(records)
+	if n, err := dir.Write(stream); n != 880 || len(stream) != 880 || err != nil {
+		t.Fatalf("Write of %d bytes = %d, %v", len(stream), n, err)
+	}
+	for i := 0; i < 20; i++ {
+		d, err := fs.Describe(fmt.Sprintf("/d/entry-%03d", i))
+		if err != nil || d.Owner != "xyz" || d.Perms != proto.PermRead {
+			t.Fatalf("entry-%03d after the write: %+v, %v", i, d, err)
+		}
 	}
 }

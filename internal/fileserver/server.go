@@ -233,7 +233,7 @@ func (fs *FileServer) HandleNamed(req *core.Request, res *core.Resolution) *prot
 
 // HandleOp implements core.Handler for non-name operations.
 func (fs *FileServer) HandleOp(req *core.Request) *proto.Message {
-	if reply := fs.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
+	if reply := fs.reg.HandleOp(req.Proc(), req.Msg, req.From); reply != nil {
 		return reply
 	}
 	switch req.Msg.Op {
@@ -328,11 +328,11 @@ func (fs *FileServer) openFileInstance(p *kernel.Process, id uint32, name string
 }
 
 func (fs *FileServer) openDirectoryInstance(p *kernel.Process, ctx core.ContextID, name, pattern string) *proto.Message {
-	records, err := fs.vol.list(ctx)
+	stream, count, err := fs.vol.appendDirectory(ctx, pattern, nil)
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	return core.OpenDirectory(p, fs.reg, fs.proc.PID(), records, pattern, name, func(rec proto.Descriptor) error {
+	return core.OpenDirectory(p, fs.reg, fs.proc.PID(), stream, count, name, func(rec proto.Descriptor) error {
 		return fs.vol.modify(ctx, rec, fs.proc.Now())
 	})
 }
@@ -531,13 +531,11 @@ func (fi *fileInstance) Info() proto.InstanceInfo {
 // immediately, so a sequential reader finds the next page (nearly) ready
 // — the §3.1 streaming file access.
 func (fi *fileInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, error) {
-	// End-of-file is answered from the i-node, without touching the disk.
-	size, err := fi.fs.vol.size(fi.ino)
+	// The bytes and the length come from the i-node under one volume
+	// lock; end-of-file is answered from it, without touching the disk.
+	n, size, err := fi.fs.vol.readAt(fi.ino, off, buf)
 	if err != nil {
 		return 0, err
-	}
-	if off >= int64(size) {
-		return 0, proto.ErrEndOfFile
 	}
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
@@ -554,8 +552,8 @@ func (fi *fileInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, e
 		if now > ready {
 			ready = now
 		}
-		fi.fs.cache.insert(fi.ino, block)
-	case fi.fs.cache.contains(fi.ino, block):
+		fi.fs.cache.access(fi.ino, block, true)
+	case fi.fs.cache.access(fi.ino, block, true):
 		// Buffer cache hit: no disk time (§3.1's "already in the file
 		// server's memory buffers").
 		ready = now
@@ -563,20 +561,21 @@ func (fi *fileInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, e
 			"fs_cache_hits_total", metrics.Labels{Server: fi.fs.name}).Inc()
 	default:
 		ready = fi.fs.disk.Fetch(now)
-		fi.fs.cache.insert(fi.ino, block)
 		metrics.CounterIn(&fi.fs.hitMiss[1], p.Kernel().Metrics(),
 			"fs_cache_misses_total", metrics.Labels{Server: fi.fs.name}).Inc()
 	}
 	clock.Observe(ready)
 	if fi.fs.readAhead {
+		// A buffered next page is touched even past end-of-file; an
+		// unbuffered one inside the file is fetched ahead.
 		next := block + 1
-		if !fi.fs.cache.contains(fi.ino, next) && int64(size) > next*pageSize {
+		inFile := int64(size) > next*pageSize
+		if !fi.fs.cache.access(fi.ino, next, inFile) && inFile {
 			fi.prefetchBlock = next
 			fi.prefetchDone = fi.fs.disk.Fetch(ready)
-			fi.fs.cache.insert(fi.ino, next)
 		}
 	}
-	return fi.fs.vol.readAt(fi.ino, off, buf)
+	return n, nil
 }
 
 // WriteAt stores data write-behind: the pages go to the buffer cache and
@@ -585,12 +584,12 @@ func (fi *fileInstance) WriteAt(p *kernel.Process, off int64, data []byte) (int,
 	n, err := fi.fs.vol.writeAt(fi.ino, off, data, p.Now())
 	pageSize := int64(p.Kernel().Model().DiskPageSize)
 	for b := off / pageSize; b <= (off+int64(n))/pageSize; b++ {
-		fi.fs.cache.insert(fi.ino, b)
+		fi.fs.cache.access(fi.ino, b, true)
 	}
 	return n, err
 }
 
-func (fi *fileInstance) Release() {}
+func (fi *fileInstance) Release() error { return nil }
 
 var _ vio.Instance = (*fileInstance)(nil)
 var _ core.Handler = (*FileServer)(nil)

@@ -386,18 +386,19 @@ func (v *volume) filePerms(id uint32) (uint16, error) {
 	return n.perms, nil
 }
 
-// readAt copies file bytes at off into buf.
-func (v *volume) readAt(id uint32, off int64, buf []byte) (int, error) {
+// readAt copies file bytes at off into buf, returning the count and the
+// file's length.
+func (v *volume) readAt(id uint32, off int64, buf []byte) (int, int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	n, ok := v.nodes[ino(id)]
 	if !ok || n.kind != kindFile {
-		return 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
+		return 0, 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
 	}
 	if off >= int64(len(n.data)) {
-		return 0, proto.ErrEndOfFile
+		return 0, len(n.data), proto.ErrEndOfFile
 	}
-	return copy(buf, n.data[off:]), nil
+	return copy(buf, n.data[off:]), len(n.data), nil
 }
 
 // writeAt stores bytes into a file at off, growing it as needed.
@@ -487,6 +488,17 @@ func (e *dirent) describe() proto.Descriptor {
 	return d
 }
 
+// encodedSize is the encoded size of the record describe fabricates,
+// without fabricating it: its strings are the entry's name and, for a
+// local object, the owner.
+func (e *dirent) encodedSize() int {
+	rec := proto.Descriptor{Name: e.name}
+	if e.child != nil {
+		rec.Owner = e.child.owner
+	}
+	return rec.EncodedSize()
+}
+
 // describe fabricates the descriptor of the object named `name` in ctx.
 func (v *volume) describe(ctx core.ContextID, name string) (proto.Descriptor, error) {
 	v.mu.Lock()
@@ -506,20 +518,34 @@ func (v *volume) describe(ctx core.ContextID, name string) (proto.Descriptor, er
 	return d.entries[i].describe(), nil
 }
 
-// list fabricates the context directory of ctx: one descriptor per
-// binding, in name order.
-func (v *volume) list(ctx core.ContextID) ([]proto.Descriptor, error) {
+// appendDirectory fabricates the context directory of ctx onto buf: the
+// encoded description record of each binding whose name matches pattern,
+// in name order, in one exactly-sized growth of buf. It returns the
+// extended buf and the number of records.
+func (v *volume) appendDirectory(ctx core.ContextID, pattern string, buf []byte) ([]byte, int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	d, err := v.dir(ctx)
 	if err != nil {
-		return nil, err
+		return buf, 0, err
 	}
-	out := make([]proto.Descriptor, len(d.entries))
+	size, count := 0, 0
 	for i := range d.entries {
-		out[i] = d.entries[i].describe()
+		if core.MatchName(pattern, d.entries[i].name) {
+			size += d.entries[i].encodedSize()
+			count++
+		}
 	}
-	return out, nil
+	if cap(buf)-len(buf) < size {
+		buf = append(make([]byte, 0, len(buf)+size), buf...)
+	}
+	for i := range d.entries {
+		if core.MatchName(pattern, d.entries[i].name) {
+			rec := d.entries[i].describe()
+			buf = rec.AppendEncoded(buf)
+		}
+	}
+	return buf, count, nil
 }
 
 // modify applies the modifiable fields of a written descriptor to the

@@ -369,12 +369,13 @@ func compareWithModel(t *testing.T, v *volume, m *model, when string) {
 			continue
 		}
 		ctx := core.ContextID(id)
-		got, err := v.list(ctx)
+		stream, count, err := v.appendDirectory(ctx, "", nil)
 		if err != nil {
-			t.Fatalf("%s: list(%d): %v", when, id, err)
+			t.Fatalf("%s: appendDirectory(%d): %v", when, id, err)
 		}
+		got, err := proto.DecodeDescriptors(stream)
 		want := m.list(ctx)
-		if !reflect.DeepEqual(got, want) {
+		if err != nil || count != len(want) || len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: list(%d)\n got %+v\nwant %+v", when, id, got, want)
 		}
 		bound := make(map[string]proto.Descriptor, len(want))
@@ -405,8 +406,9 @@ func compareWithModel(t *testing.T, v *volume, m *model, when string) {
 }
 
 // TestListAllocatesOnlyItsResult: fabricating a context directory is one
-// pass over the directory's entries into one slice — no name list, no
-// sort, no per-entry lookups that allocate.
+// pass over the directory's entries encoded into one exactly-sized
+// stream — no descriptor slice, no name list, no sort, no per-entry
+// lookups that allocate — and a pattern selects what is encoded.
 func TestListAllocatesOnlyItsResult(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
@@ -427,11 +429,21 @@ func TestListAllocatesOnlyItsResult(t *testing.T) {
 	if err := fs.vol.addLink(ctx, "far", core.ContextPair{Server: 7, Ctx: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	var got []proto.Descriptor
-	if allocs := testing.AllocsPerRun(100, func() { got, _ = fs.vol.list(ctx) }); allocs != 1 {
-		t.Fatalf("list of %d entries: %v allocs, want 1", len(got), allocs)
+	var (
+		stream []byte
+		count  int
+	)
+	if allocs := testing.AllocsPerRun(100, func() { stream, count, _ = fs.vol.appendDirectory(ctx, "", nil) }); allocs != 1 {
+		t.Fatalf("directory of %d entries: %v allocs, want 1", count, allocs)
 	}
-	if len(got) != 102 || cap(got) != 102 || got[0].Name != "f000" || got[100].Name != "far" || got[101].Name != "sub" {
-		t.Fatalf("list = %d records (cap %d)", len(got), cap(got))
+	got, err := proto.DecodeDescriptors(stream)
+	if err != nil || count != 102 || len(got) != 102 || cap(stream) != len(stream) ||
+		got[0].Name != "f000" || got[100].Name != "far" || got[100].Tag != proto.TagLink || got[101].Name != "sub" {
+		t.Fatalf("directory = %d records (count %d, %d bytes, cap %d), %v", len(got), count, len(stream), cap(stream), err)
+	}
+
+	stream, count, err = fs.vol.appendDirectory(ctx, "f09?", nil)
+	if got, _ := proto.DecodeDescriptors(stream); err != nil || count != 10 || len(got) != 10 || got[0].Name != "f090" || got[9].Name != "f099" {
+		t.Fatalf("pattern f09? = %d records (count %d), %v", len(got), count, err)
 	}
 }

@@ -156,6 +156,6 @@ func (ci *connInstance) WriteAt(p *kernel.Process, _ int64, data []byte) (int, e
 	return len(data), nil
 }
 
-func (ci *connInstance) Release() {}
+func (ci *connInstance) Release() error { return nil }
 
 var _ vio.Instance = (*connInstance)(nil)

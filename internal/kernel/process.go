@@ -673,6 +673,20 @@ func (p *Process) MoveTo(dst PID, offset int, data []byte) (int, error) {
 	return n, nil
 }
 
+// ReplySegment returns the writable segment the blocked sender `to`
+// attached with SendMove, or nil — V's ReplyWithSegment. A handler may
+// fill it before its Reply to `to` and then reply with Segment set to
+// the part it filled: the bytes land where the sender reads them, at no
+// charge, because the reply's wire size prices them. The segment
+// follows the transaction through Forward, and is not the handler's once
+// it has replied.
+func (p *Process) ReplySegment(to PID) []byte {
+	if env := p.peekPending(to); env != nil {
+		return env.moveDst
+	}
+	return nil
+}
+
 // SetPid registers pid as providing service on this process's host (§4.2).
 func (p *Process) SetPid(service Service, pid PID, vis Scope) error {
 	return p.host.SetPid(service, pid, vis)

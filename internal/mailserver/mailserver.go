@@ -161,6 +161,6 @@ func (mi *mailboxInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int
 	return len(data), nil
 }
 
-func (mi *mailboxInstance) Release() {}
+func (mi *mailboxInstance) Release() error { return nil }
 
 var _ vio.Instance = (*mailboxInstance)(nil)

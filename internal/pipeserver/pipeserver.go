@@ -147,7 +147,7 @@ func (pi *pipeInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, e
 
 // Release closes this end; when the last writer goes, the pipe drains to
 // EOF for readers.
-func (pi *pipeInstance) Release() {
+func (pi *pipeInstance) Release() error {
 	pi.s.Mu.Lock()
 	defer pi.s.Mu.Unlock()
 	if pi.mode&proto.ModeRead != 0 && pi.p.readers > 0 {
@@ -159,6 +159,7 @@ func (pi *pipeInstance) Release() {
 			pi.p.closed = true
 		}
 	}
+	return nil
 }
 
 var _ vio.Instance = (*pipeInstance)(nil)

@@ -413,7 +413,7 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	case msg.Op == proto.OpGetContextName:
 		reply = s.handleInverse(msg)
 	default:
-		if r := s.reg.HandleOp(p, msg); r != nil {
+		if r := s.reg.HandleOp(p, msg, from); r != nil {
 			reply = r
 		} else {
 			reply = proto.NewReply(proto.ReplyIllegalRequest)
@@ -642,7 +642,8 @@ func (s *Server) openDirectory(p *kernel.Process, msg *proto.Message) *proto.Mes
 		records = append(records, s.describe(n, e))
 		return true
 	})
-	return core.OpenDirectory(p, s.reg, s.proc.PID(), records, pattern, Quote(""), s.modifyFromRecord)
+	records = core.FilterRecords(records, pattern)
+	return core.OpenDirectory(p, s.reg, s.proc.PID(), proto.EncodeDescriptors(records), len(records), Quote(""), s.modifyFromRecord)
 }
 
 // modifyFromRecord applies a written directory record as a modification

@@ -3,6 +3,7 @@ package prefix
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/proto"
+	"repro/internal/vio"
 	"repro/internal/vtime"
 )
 
@@ -565,4 +567,39 @@ func TestPackedEntryDropsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(restored)
+}
+
+// TestDirectoryWriteSpansBlocks: writing prefix records back through the
+// opened table directory redefines every one of them (§5.6), though
+// File.Write splits the 20 records of 44 bytes at a block boundary inside
+// a record.
+func TestDirectoryWriteSpansBlocks(t *testing.T) {
+	ps, client, target, _ := newPrefixRig(t)
+	records := make([]proto.Descriptor, 20)
+	for i := range records {
+		name := fmt.Sprintf("pfx-%04d", i)
+		if err := ps.Define(name, core.ContextPair{Server: target.PID(), Ctx: 1}); err != nil {
+			t.Fatal(err)
+		}
+		records[i] = proto.Descriptor{Tag: proto.TagContextPrefix, Name: name, Owner: "mann",
+			TypeSpecific: [2]uint32{uint32(target.PID()), uint32(100 + i)}}
+	}
+	open := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(open, 0, "")
+	proto.SetOpenMode(open, proto.ModeDirectory|proto.ModeRead|proto.ModeWrite)
+	opened, err := client.Send(open, ps.PID())
+	if err != nil || opened.Op != proto.ReplyOK {
+		t.Fatalf("open context directory: %v, %v", opened, err)
+	}
+	dir := vio.NewFile(client, ps.PID(), proto.GetInstanceInfo(opened))
+	stream := proto.EncodeDescriptors(records)
+	if n, err := dir.Write(stream); n != 880 || len(stream) != 880 || err != nil {
+		t.Fatalf("Write of %d bytes = %d, %v", len(stream), n, err)
+	}
+	bindings := ps.Bindings()
+	for i, rec := range records {
+		if got := bindings[rec.Name].Pair.Ctx; got != core.ContextID(100+i) {
+			t.Fatalf("%s after the write is bound to context %d, want %d", rec.Name, got, 100+i)
+		}
+	}
 }

@@ -213,7 +213,7 @@ func (ji *jobInstance) WriteAt(_ *kernel.Process, off int64, data []byte) (int, 
 
 // Release moves a spooling job into the print queue, unless the job was
 // cancelled while it spooled.
-func (ji *jobInstance) Release() {
+func (ji *jobInstance) Release() error {
 	ji.s.Mu.Lock()
 	defer ji.s.Mu.Unlock()
 	if ji.j.state == stateSpooling && ji.s.Get(ji.j.id) == ji.j {
@@ -223,6 +223,7 @@ func (ji *jobInstance) Release() {
 			ji.j.state = statePrinting
 		}
 	}
+	return nil
 }
 
 var _ vio.Instance = (*jobInstance)(nil)

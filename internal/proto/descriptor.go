@@ -121,8 +121,10 @@ func recordLen(buf []byte) (int, error) {
 }
 
 // decode fills d from the record at the front of buf, which recordLen has
-// found whole, and returns the record's size.
-func (d *Descriptor) decode(buf []byte) int {
+// found whole, and returns the record's size. The name and owner are
+// sliced from strs, the record's bytes after its fixed part as a string,
+// so a stream's records share one string.
+func (d *Descriptor) decode(buf []byte, strs string) int {
 	d.Tag = DescriptorTag(binary.BigEndian.Uint16(buf[0:]))
 	d.Perms = binary.BigEndian.Uint16(buf[2:])
 	d.ObjectID = binary.BigEndian.Uint32(buf[4:])
@@ -130,21 +132,22 @@ func (d *Descriptor) decode(buf []byte) int {
 	d.Modified = binary.BigEndian.Uint64(buf[12:])
 	d.TypeSpecific[0] = binary.BigEndian.Uint32(buf[20:])
 	d.TypeSpecific[1] = binary.BigEndian.Uint32(buf[24:])
-	nameEnd := descriptorFixedBytes + int(binary.BigEndian.Uint16(buf[28:]))
-	total := nameEnd + int(binary.BigEndian.Uint16(buf[30:]))
-	d.Name = string(buf[descriptorFixedBytes:nameEnd])
-	d.Owner = string(buf[nameEnd:total])
-	return total
+	nameLen := int(binary.BigEndian.Uint16(buf[28:]))
+	strsLen := nameLen + int(binary.BigEndian.Uint16(buf[30:]))
+	d.Name = strs[:nameLen]
+	d.Owner = strs[nameLen:strsLen]
+	return descriptorFixedBytes + strsLen
 }
 
 // DecodeDescriptor decodes one record from the front of buf, returning the
 // record and the number of bytes consumed.
 func DecodeDescriptor(buf []byte) (Descriptor, int, error) {
-	if _, err := recordLen(buf); err != nil {
+	n, err := recordLen(buf)
+	if err != nil {
 		return Descriptor{}, 0, err
 	}
 	var d Descriptor
-	n := d.decode(buf)
+	d.decode(buf, string(buf[descriptorFixedBytes:n]))
 	return d, n, nil
 }
 
@@ -162,8 +165,25 @@ func EncodeDescriptors(list []Descriptor) []byte {
 	return buf
 }
 
-// DecodeDescriptors decodes a whole context directory stream. The record
-// lengths are walked first, so the result is allocated once at its size.
+// WholeRecords returns the length of the longest prefix of buf made of
+// whole description records; what follows it is the start of a record
+// the stream was cut inside, or nothing.
+func WholeRecords(buf []byte) int {
+	whole := 0
+	for {
+		n, err := recordLen(buf[whole:])
+		if err != nil {
+			return whole
+		}
+		whole += n
+	}
+}
+
+// DecodeDescriptors decodes a whole context directory stream in two
+// allocations: the record lengths are walked first, so the result is
+// allocated once at its size, and the stream is converted to a string
+// once, every Name and Owner a slice of it. A decoded string therefore
+// keeps the whole stream alive.
 func DecodeDescriptors(buf []byte) ([]Descriptor, error) {
 	count := 0
 	for rest := buf; len(rest) > 0; count++ {
@@ -177,8 +197,10 @@ func DecodeDescriptors(buf []byte) ([]Descriptor, error) {
 		return nil, nil
 	}
 	out := make([]Descriptor, count)
+	s := string(buf)
+	off := 0
 	for i := range out {
-		buf = buf[out[i].decode(buf):]
+		off += out[i].decode(buf[off:], s[off+descriptorFixedBytes:])
 	}
 	return out, nil
 }

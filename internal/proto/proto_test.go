@@ -303,21 +303,19 @@ func TestCodeStringZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-// TestDecodeDescriptorsAllocatesOnce: a context directory is decoded into
-// one slice sized from the record lengths — no growth by doubling — plus
-// one string per non-empty name or owner.
+// TestDecodeDescriptorsAllocatesOnce: a context directory is decoded in
+// two allocations whatever its length — one slice sized from the record
+// lengths (no growth by doubling) and one string every name and owner is
+// a slice of.
 func TestDecodeDescriptorsAllocatesOnce(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
 	list := make([]Descriptor, 100)
-	strs := 0
 	for i := range list {
 		list[i] = Descriptor{Tag: TagFile, ObjectID: uint32(i), Name: fmt.Sprintf("f%03d", i)}
-		strs++
 		if i%10 == 0 {
 			list[i].Owner = "mann"
-			strs++
 		}
 	}
 	buf := EncodeDescriptors(list)
@@ -328,8 +326,8 @@ func TestDecodeDescriptorsAllocatesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := float64(1 + strs); allocs != want {
-		t.Fatalf("DecodeDescriptors of %d records: %v allocs, want %v (one slice + %d strings)", len(list), allocs, want, strs)
+	if allocs != 2 {
+		t.Fatalf("DecodeDescriptors of %d records: %v allocs, want 2 (one slice, one string)", len(list), allocs)
 	}
 	if len(got) != len(list) || cap(got) != len(list) {
 		t.Fatalf("decoded len %d cap %d, want exactly %d", len(got), cap(got), len(list))
@@ -401,6 +399,28 @@ func TestDescriptorStreamRoundTrip(t *testing.T) {
 	for i := range list {
 		if got[i] != list[i] {
 			t.Fatalf("record %d mismatch: %+v vs %+v", i, got[i], list[i])
+		}
+	}
+}
+
+// TestWholeRecords: a stream cut at any byte keeps the records that end
+// at or before the cut.
+func TestWholeRecords(t *testing.T) {
+	list := []Descriptor{{Tag: TagFile, Name: "a"}, {Tag: TagDirectory, Name: "subdir", Owner: "mann"}, {Tag: TagLink}}
+	stream := EncodeDescriptors(list)
+	var ends []int
+	for i := range list {
+		ends = append(ends, len(EncodeDescriptors(list[:i+1])))
+	}
+	for cut := 0; cut <= len(stream); cut++ {
+		want := 0
+		for _, end := range ends {
+			if end <= cut {
+				want = end
+			}
+		}
+		if got := WholeRecords(stream[:cut]); got != want {
+			t.Fatalf("WholeRecords of the first %d bytes = %d, want %d", cut, got, want)
 		}
 	}
 }

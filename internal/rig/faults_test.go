@@ -78,7 +78,7 @@ func TestCrashDuringOpenInstanceInvalidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.FS1Host.Crash()
-	if _, err := f.ReadBlock(0); !errors.Is(err, kernel.ErrNonexistentProcess) {
+	if _, err := f.ReadBlock(0, nil); !errors.Is(err, kernel.ErrNonexistentProcess) {
 		t.Fatalf("read on dead server err = %v", err)
 	}
 	r.FS1Host.Restart()

@@ -134,6 +134,6 @@ func (ti *termInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, e
 	return len(data), nil
 }
 
-func (ti *termInstance) Release() {}
+func (ti *termInstance) Release() error { return nil }
 
 var _ vio.Instance = (*termInstance)(nil)

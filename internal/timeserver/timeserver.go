@@ -82,8 +82,9 @@ func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Mes
 		if err != nil {
 			return core.ErrorReplyMsg(err)
 		}
+		records := core.FilterRecords([]proto.Descriptor{clock(req.Proc())}, pattern)
 		return core.OpenDirectory(req.Proc(), s.reg, s.PID(),
-			[]proto.Descriptor{clock(req.Proc())}, pattern, res.Name, nil)
+			proto.EncodeDescriptors(records), len(records), res.Name, nil)
 	}
 	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
 }
@@ -100,7 +101,7 @@ func (s *Server) HandleOp(req *core.Request) *proto.Message {
 		reply.F[1] = uint32(now)
 		return reply
 	}
-	if reply := s.reg.HandleOp(req.Proc(), req.Msg); reply != nil {
+	if reply := s.reg.HandleOp(req.Proc(), req.Msg, req.From); reply != nil {
 		return reply
 	}
 	return core.ErrorReplyMsg(proto.ErrIllegalRequest)

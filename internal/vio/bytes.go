@@ -18,7 +18,7 @@ type BytesInstance struct {
 	data      []byte
 	blockSize uint32
 	flags     uint32
-	released  func()
+	released  func() error
 	writeSink func(off int64, data []byte) error
 }
 
@@ -44,8 +44,8 @@ func WithWriteSink(sink func(off int64, data []byte) error) BytesOption {
 	}
 }
 
-// OnRelease registers a release callback.
-func OnRelease(fn func()) BytesOption {
+// OnRelease registers a release callback, whose error Release returns.
+func OnRelease(fn func() error) BytesOption {
 	return func(b *BytesInstance) { b.released = fn }
 }
 
@@ -109,10 +109,13 @@ func (b *BytesInstance) WriteAt(_ *kernel.Process, off int64, data []byte) (int,
 }
 
 // Release implements Instance.
-func (b *BytesInstance) Release() {
+func (b *BytesInstance) Release() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.released != nil {
-		b.released()
+		return b.released()
 	}
+	return nil
 }
 
 // Bytes returns a copy of the current data.
@@ -124,29 +127,55 @@ func (b *BytesInstance) Bytes() []byte {
 	return out
 }
 
-// NewDirectoryInstance fabricates a context directory instance: a
-// read-only stream of the given description records, where writing a
-// record back invokes modify on the corresponding object (§5.6).
-func NewDirectoryInstance(records []proto.Descriptor, modify func(proto.Descriptor) error) *BytesInstance {
-	opts := []BytesOption{}
-	if modify != nil {
-		opts = append(opts, WithWriteSink(func(off int64, data []byte) error {
-			// Each write carries one or more whole description records;
-			// writing a record has the semantics of the modification
-			// operation on the corresponding object.
-			records, err := proto.DecodeDescriptors(data)
-			if err != nil {
+// NewDirectoryInstance serves a context directory: a read-only stream of
+// encoded description records, where writing a record back invokes modify
+// on the corresponding object (§5.6).
+//
+// File.Write splits its data at block boundaries, so a write that ends on
+// one may end inside a record: that torn tail is kept and completes the
+// next write, which must continue at that offset. A write ending elsewhere
+// must end with a whole record, or none of its records is applied. A torn
+// tail nothing completes is reported, never dropped in silence: the next
+// write fails if it starts elsewhere, and Release fails if none comes.
+func NewDirectoryInstance(stream []byte, modify func(proto.Descriptor) error) *BytesInstance {
+	if modify == nil {
+		return NewBytesInstance(stream)
+	}
+	var (
+		torn   []byte
+		tornAt int64 // the offset the write continuing torn starts at
+	)
+	unfinished := func() error {
+		if len(torn) == 0 {
+			return nil
+		}
+		return fmt.Errorf("%w: a description record torn at offset %d was never completed", proto.ErrBadArgs, tornAt)
+	}
+	sink := WithWriteSink(func(off int64, data []byte) error {
+		end := off + int64(len(data))
+		if err := unfinished(); err != nil && off != tornAt {
+			torn = nil
+			return err
+		}
+		if len(torn) > 0 {
+			data, torn = append(torn, data...), nil
+		}
+		whole := proto.WholeRecords(data)
+		if whole < len(data) && end%DefaultBlockSize != 0 {
+			return fmt.Errorf("%w: write ends inside a description record", proto.ErrBadArgs)
+		}
+		records, _ := proto.DecodeDescriptors(data[:whole]) // whole records decode
+		for _, d := range records {
+			if err := modify(d); err != nil {
 				return err
 			}
-			for _, d := range records {
-				if err := modify(d); err != nil {
-					return err
-				}
-			}
-			return nil
-		}))
-	}
-	return NewBytesInstance(proto.EncodeDescriptors(records), opts...)
+		}
+		if whole < len(data) {
+			torn, tornAt = append([]byte(nil), data[whole:]...), end
+		}
+		return nil
+	})
+	return NewBytesInstance(stream, sink, OnRelease(unfinished))
 }
 
 var _ Instance = (*BytesInstance)(nil)

@@ -20,6 +20,9 @@ type File struct {
 	info   proto.InstanceInfo
 	pos    int64
 	closed bool
+	// req is the request message of every instance operation: a
+	// transaction is over when Send returns, so one message serves all.
+	req proto.Message
 }
 
 // NewFile wraps an already-opened instance. Most callers use the client
@@ -37,13 +40,22 @@ func (f *File) Server() kernel.PID { return f.server }
 // InstanceID returns the instance identifier.
 func (f *File) InstanceID() uint16 { return f.info.ID }
 
-// transact sends one instance operation and maps failure replies to
-// errors.
-func (f *File) transact(req *proto.Message) (*proto.Message, error) {
+// request readies the File's request message for one operation on the
+// instance.
+func (f *File) request(op proto.Code) *proto.Message {
+	f.req = proto.Message{Op: op}
+	f.req.F[0] = uint32(f.info.ID)
+	return &f.req
+}
+
+// transact sends the request readied by request, granting the server dst
+// to write a read's bytes into, and maps failure replies to errors.
+func (f *File) transact(dst []byte) (*proto.Message, error) {
 	if f.closed {
 		return nil, fmt.Errorf("%w: instance closed", proto.ErrBadArgs)
 	}
-	reply, err := f.proc.Send(req, f.server)
+	reply, err := f.proc.SendMove(&f.req, f.server, nil, dst)
+	f.req.Segment = nil // a written chunk is the caller's, not the File's to keep
 	if err != nil {
 		return nil, err
 	}
@@ -53,12 +65,14 @@ func (f *File) transact(req *proto.Message) (*proto.Message, error) {
 	return reply, nil
 }
 
-// ReadBlock reads up to one block at the given block index.
-func (f *File) ReadBlock(block uint32) ([]byte, error) {
-	req := &proto.Message{Op: proto.OpReadInstance}
-	req.F[0] = uint32(f.info.ID)
+// ReadBlock reads up to one block at the given block index. A dst that
+// holds a whole block is where the server writes it, and the result is
+// then dst's prefix; otherwise the server answers with a buffer of its
+// own.
+func (f *File) ReadBlock(block uint32, dst []byte) ([]byte, error) {
+	req := f.request(proto.OpReadInstance)
 	req.F[1] = block
-	reply, err := f.transact(req)
+	reply, err := f.transact(dst)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +87,10 @@ func (f *File) Read(p []byte) (int, error) {
 
 // appendRead is Read into the tail of dst: it appends up to limit bytes
 // from the current position and returns the extended slice, which is dst
-// itself whenever dst has the room.
+// itself whenever dst has the room. A block read from its start is
+// granted to the server when both dst's spare room and the limit hold a
+// whole one — never past the limit, so Read writes nothing beyond len(p) —
+// and the server writes it in place, where the append finds it.
 func (f *File) appendRead(dst []byte, limit int) ([]byte, error) {
 	bs := int64(f.info.BlockSize)
 	if bs == 0 {
@@ -82,7 +99,11 @@ func (f *File) appendRead(dst []byte, limit int) ([]byte, error) {
 	for total := 0; total < limit; {
 		block := uint32(f.pos / bs)
 		within := f.pos % bs
-		data, err := f.ReadBlock(block)
+		var grant []byte
+		if within == 0 && int64(cap(dst)-len(dst)) >= bs && int64(limit-total) >= bs {
+			grant = dst[len(dst) : len(dst)+int(bs)]
+		}
+		data, err := f.ReadBlock(block, grant)
 		if err != nil {
 			if errors.Is(err, proto.ErrEndOfFile) && total > 0 {
 				return dst, nil
@@ -168,12 +189,11 @@ func (f *File) Write(p []byte) (int, error) {
 		if max := bs - within; int64(len(chunk)) > max {
 			chunk = chunk[:max]
 		}
-		req := &proto.Message{Op: proto.OpWriteInstance}
-		req.F[0] = uint32(f.info.ID)
+		req := f.request(proto.OpWriteInstance)
 		req.F[1] = block
 		req.F[2] = uint32(within)
 		req.Segment = chunk
-		reply, err := f.transact(req)
+		reply, err := f.transact(nil)
 		if err != nil {
 			return total, err
 		}
@@ -209,9 +229,8 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 
 // Query refreshes and returns the instance parameters.
 func (f *File) Query() (proto.InstanceInfo, error) {
-	req := &proto.Message{Op: proto.OpQueryInstance}
-	req.F[0] = uint32(f.info.ID)
-	reply, err := f.transact(req)
+	f.request(proto.OpQueryInstance)
+	reply, err := f.transact(nil)
 	if err != nil {
 		return proto.InstanceInfo{}, err
 	}
@@ -223,9 +242,8 @@ func (f *File) Query() (proto.InstanceInfo, error) {
 // InstanceName asks the server for the CSname this instance was opened
 // under — the inverse mapping (§5.7).
 func (f *File) InstanceName() (string, error) {
-	req := &proto.Message{Op: proto.OpGetInstanceName}
-	req.F[0] = uint32(f.info.ID)
-	reply, err := f.transact(req)
+	f.request(proto.OpGetInstanceName)
+	reply, err := f.transact(nil)
 	if err != nil {
 		return "", err
 	}
@@ -237,9 +255,8 @@ func (f *File) Close() error {
 	if f.closed {
 		return nil
 	}
-	req := &proto.Message{Op: proto.OpReleaseInstance}
-	req.F[0] = uint32(f.info.ID)
-	_, err := f.transact(req)
+	f.request(proto.OpReleaseInstance)
+	_, err := f.transact(nil)
 	f.closed = true
 	return err
 }

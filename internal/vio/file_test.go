@@ -41,7 +41,7 @@ func newFileRig(t *testing.T) *fileRig {
 		if msg.Op == proto.OpReadInstance {
 			r.reads = append(r.reads, msg.F[1])
 		}
-		reply := r.reg.HandleOp(server, msg)
+		reply := r.reg.HandleOp(server, msg, from)
 		if reply == nil {
 			reply = proto.NewReply(proto.ReplyIllegalRequest)
 		}
@@ -56,12 +56,10 @@ func newFileRig(t *testing.T) *fileRig {
 // would have produced.
 func (r *fileRig) open(t *testing.T, inst Instance, name string) *File {
 	t.Helper()
-	id, err := r.reg.Open(inst, name)
+	info, err := r.reg.Open(inst, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := inst.Info()
-	info.ID = id
 	return NewFile(r.client, r.server.PID(), info)
 }
 
@@ -227,7 +225,7 @@ func TestFileReadPastEOF(t *testing.T) {
 	if n, err := f.Read(make([]byte, 10)); n != 0 || err != io.EOF {
 		t.Fatalf("Read past data in last block = %d, %v", n, err)
 	}
-	if _, err := f.ReadBlock(9); !errors.Is(err, proto.ErrEndOfFile) {
+	if _, err := f.ReadBlock(9, nil); !errors.Is(err, proto.ErrEndOfFile) {
 		t.Fatalf("ReadBlock past EOF err = %v", err)
 	}
 }
@@ -243,7 +241,7 @@ func TestFileClosedInstance(t *testing.T) {
 	}
 	calls := map[string]func() error{
 		"Read":         func() error { _, err := f.Read(make([]byte, 4)); return err },
-		"ReadBlock":    func() error { _, err := f.ReadBlock(0); return err },
+		"ReadBlock":    func() error { _, err := f.ReadBlock(0, nil); return err },
 		"ReadAll":      func() error { _, err := f.ReadAll(); return err },
 		"ReadRetry":    func() error { _, err := f.ReadRetry(make([]byte, 4), 3); return err },
 		"Write":        func() error { _, err := f.Write([]byte("x")); return err },
@@ -308,7 +306,7 @@ func (s *scriptedInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int
 	return min(len(data), s.writeMax), nil
 }
 
-func (s *scriptedInstance) Release() {}
+func (s *scriptedInstance) Release() error { return nil }
 
 func TestFileReadRetry(t *testing.T) {
 	r := newFileRig(t)
@@ -363,7 +361,8 @@ func TestFileShortWrite(t *testing.T) {
 func TestFileWriteSinkFails(t *testing.T) {
 	r := newFileRig(t)
 	calls := 0
-	inst := NewDirectoryInstance([]proto.Descriptor{{Tag: proto.TagFile, Name: "a"}}, func(proto.Descriptor) error {
+	listed := proto.Descriptor{Tag: proto.TagFile, Name: "a"}
+	inst := NewDirectoryInstance(listed.AppendEncoded(nil), func(proto.Descriptor) error {
 		calls++
 		return proto.ErrNoPermission
 	})
@@ -379,11 +378,116 @@ func TestFileWriteSinkFails(t *testing.T) {
 	}
 }
 
+// TestFileCloseReportsTornRecord: a Write of exactly one block of a
+// directory's records ends inside one; the Close that follows reports the
+// record no write completed.
+func TestFileCloseReportsTornRecord(t *testing.T) {
+	r := newFileRig(t)
+	var records []proto.Descriptor
+	for len(proto.EncodeDescriptors(records)) <= DefaultBlockSize {
+		records = append(records, proto.Descriptor{Tag: proto.TagFile, Name: "record"})
+	}
+	applied := 0
+	f := r.open(t, NewDirectoryInstance(nil, func(proto.Descriptor) error { applied++; return nil }), "dir")
+	if n, err := f.Write(proto.EncodeDescriptors(records)[:DefaultBlockSize]); n != DefaultBlockSize || err != nil {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	if applied != len(records)-1 {
+		t.Fatalf("applied %d records, want %d", applied, len(records)-1)
+	}
+	if err := f.Close(); !errors.Is(err, proto.ErrBadArgs) {
+		t.Fatalf("Close = %v", err)
+	}
+	if r.reg.Count() != 0 {
+		t.Fatal("a failed release left the instance open")
+	}
+}
+
 func TestFileServerDied(t *testing.T) {
 	r := newFileRig(t)
 	f := r.open(t, NewBytesInstance(pattern(10)), "f")
 	r.server.Host().Crash()
 	if _, err := f.ReadAll(); err == nil {
 		t.Fatal("ReadAll from a crashed server succeeded")
+	}
+}
+
+// spyInstance is a writable BytesInstance that records the buffer every
+// ReadAt fills and counts its Info calls.
+type spyInstance struct {
+	*BytesInstance
+	bufs  [][]byte
+	infos int
+}
+
+func (s *spyInstance) Info() proto.InstanceInfo {
+	s.infos++
+	return s.BytesInstance.Info()
+}
+
+func (s *spyInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, error) {
+	s.bufs = append(s.bufs, buf)
+	return s.BytesInstance.ReadAt(p, off, buf)
+}
+
+// TestReadAllLandsInReadersBuffer: ReadAll grants the server each whole
+// block of its result it reads from the block's start, and the server
+// writes the block there; only the short last block and the re-read
+// before EOF are answered from a buffer of the server's own. The block
+// requests and the bytes are TestReadAllBlockSequence's.
+func TestReadAllLandsInReadersBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		size      int
+		want      []uint32
+		ungranted int
+	}{
+		{3000, seq(0, 5, 5), 2},
+		{4096, seq(0, 7, 8), 1},
+	} {
+		r := newFileRig(t)
+		inst := &spyInstance{BytesInstance: NewBytesInstance(pattern(tc.size))}
+		got, err := r.open(t, inst, "f").ReadAll()
+		if err != nil || !bytes.Equal(got, pattern(tc.size)) {
+			t.Fatalf("%d: ReadAll = %d bytes, %v", tc.size, len(got), err)
+		}
+		if !reflect.DeepEqual(r.reads, tc.want) {
+			t.Fatalf("%d: block requests = %v, want %v", tc.size, r.reads, tc.want)
+		}
+		ungranted := 0
+		for i, buf := range inst.bufs {
+			at := int(r.reads[i]) * DefaultBlockSize
+			if at+DefaultBlockSize > cap(got) || &buf[0] != &got[:cap(got)][at] {
+				ungranted++
+			}
+		}
+		if ungranted != tc.ungranted {
+			t.Fatalf("%d: the server read %d of %d blocks into its own buffer, want %d", tc.size, ungranted, len(inst.bufs), tc.ungranted)
+		}
+	}
+}
+
+// TestRegistryReadsInfoOnce: an instance's parameters are read when it is
+// opened and when it is queried, never per block read or written.
+func TestRegistryReadsInfoOnce(t *testing.T) {
+	r := newFileRig(t)
+	inst := &spyInstance{BytesInstance: NewBytesInstance(pattern(3000), Writable())}
+	f := r.open(t, inst, "f")
+	if inst.infos != 1 {
+		t.Fatalf("open read Info %d times, want 1", inst.infos)
+	}
+	if _, err := f.ReadAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(pattern(1500)); err != nil {
+		t.Fatal(err)
+	}
+	if inst.infos != 1 {
+		t.Fatalf("after reading and writing Info was read %d times, want 1", inst.infos)
+	}
+	if _, err := f.Query(); err != nil || inst.infos != 2 {
+		t.Fatalf("Query: %v, Info read %d times, want 2", err, inst.infos)
 	}
 }

@@ -19,6 +19,8 @@ import (
 
 // Instance is an open file-like object on the server side. Offsets are
 // byte offsets; implementations return proto.ErrEndOfFile past the end.
+// An instance's BlockSize and Flags are fixed for its life: the Registry
+// reads them once, at Open, and serves every block by them.
 //
 // ReadAt and WriteAt receive the process serving the request (a server
 // may be a multi-process team, §3.1) so device and compute waits are
@@ -34,8 +36,9 @@ type Instance interface {
 	// WriteAt stores data into the object starting at off, charging
 	// waits to the serving process p.
 	WriteAt(p *kernel.Process, off int64, data []byte) (int, error)
-	// Release closes the instance.
-	Release()
+	// Release closes the instance. An error reports what the instance
+	// could not finish, such as a write it was left holding.
+	Release() error
 }
 
 // DefaultBlockSize is the conventional V page size.
@@ -53,6 +56,10 @@ type Registry struct {
 type slot struct {
 	inst Instance
 	name string // the CSname the instance was opened by, for inverse mapping
+	// blockSize and flags are the instance's fixed parameters, read at
+	// Open.
+	blockSize uint32
+	flags     uint32
 }
 
 // NewRegistry returns an empty instance registry.
@@ -61,12 +68,13 @@ func NewRegistry() *Registry {
 }
 
 // Open registers an instance, recording the name it was opened under, and
-// returns its new instance identifier.
-func (r *Registry) Open(inst Instance, name string) (uint16, error) {
+// returns its parameters with its new instance identifier.
+func (r *Registry) Open(inst Instance, name string) (proto.InstanceInfo, error) {
+	info := inst.Info()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.instances) >= 0xFFFE {
-		return 0, fmt.Errorf("%w: instance table full", proto.ErrNoServerResources)
+		return proto.InstanceInfo{}, fmt.Errorf("%w: instance table full", proto.ErrNoServerResources)
 	}
 	for {
 		r.next++
@@ -77,36 +85,24 @@ func (r *Registry) Open(inst Instance, name string) (uint16, error) {
 			break
 		}
 	}
-	r.instances[r.next] = &slot{inst: inst, name: name}
-	return r.next, nil
+	r.instances[r.next] = &slot{inst: inst, name: name, blockSize: info.BlockSize, flags: info.Flags}
+	info.ID = r.next
+	return info, nil
 }
 
-// Get returns the instance with the given identifier.
-func (r *Registry) Get(id uint16) (Instance, error) {
+// get returns the slot of the instance with the given identifier.
+func (r *Registry) get(id uint16) (*slot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.instances[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: instance %d", proto.ErrBadArgs, id)
 	}
-	return s.inst, nil
+	return s, nil
 }
 
-// NameOf returns the CSname an instance was opened under — the inverse
-// mapping from instance id to name (§5.7). As §6 discusses, this is the
-// inverse of a many-to-one function: it returns *a* name, the one used at
-// open time, which may since have been unbound.
-func (r *Registry) NameOf(id uint16) (string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.instances[id]
-	if !ok {
-		return "", fmt.Errorf("%w: instance %d", proto.ErrBadArgs, id)
-	}
-	return s.name, nil
-}
-
-// Release removes and releases an instance.
+// Release removes and releases an instance, returning the instance's own
+// release error.
 func (r *Registry) Release(id uint16) error {
 	r.mu.Lock()
 	s, ok := r.instances[id]
@@ -115,8 +111,7 @@ func (r *Registry) Release(id uint16) error {
 	if !ok {
 		return fmt.Errorf("%w: instance %d", proto.ErrBadArgs, id)
 	}
-	s.inst.Release()
-	return nil
+	return s.inst.Release()
 }
 
 // Count returns the number of open instances.
@@ -129,36 +124,39 @@ func (r *Registry) Count() int {
 // HandleOp serves the generic instance operations (query, read, write,
 // release, instance-name) against the registry, returning nil for
 // operation codes it does not handle so the caller can try its own. p is
-// the process serving the request; instance waits are charged to it.
-func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message) *proto.Message {
+// the process serving the request from `from`; instance waits are charged
+// to it, and a block is read into the segment the reader granted
+// (kernel ReplySegment) when that holds the block.
+func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message, from kernel.PID) *proto.Message {
 	switch msg.Op {
 	case proto.OpQueryInstance:
-		inst, err := r.Get(uint16(msg.F[0]))
+		s, err := r.get(uint16(msg.F[0]))
 		if err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
-		info := inst.Info()
+		info := s.inst.Info()
 		info.ID = uint16(msg.F[0])
 		reply := proto.NewReply(proto.ReplyOK)
 		proto.SetInstanceInfo(reply, info)
 		return reply
 
 	case proto.OpReadInstance:
-		inst, err := r.Get(uint16(msg.F[0]))
+		s, err := r.get(uint16(msg.F[0]))
 		if err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
-		info := inst.Info()
-		if info.Flags&proto.ModeRead == 0 {
+		if s.flags&proto.ModeRead == 0 {
 			return proto.NewReply(proto.ReplyModeNotSupported)
 		}
 		count := msg.F[2]
-		if count == 0 || count > info.BlockSize {
-			count = info.BlockSize
+		if count == 0 || count > s.blockSize {
+			count = s.blockSize
 		}
-		buf := make([]byte, count)
-		off := int64(msg.F[1]) * int64(info.BlockSize)
-		n, err := inst.ReadAt(p, off, buf)
+		buf := p.ReplySegment(from)
+		if uint32(len(buf)) < count {
+			buf = make([]byte, count)
+		}
+		n, err := s.inst.ReadAt(p, int64(msg.F[1])*int64(s.blockSize), buf[:count])
 		if n == 0 && err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
@@ -169,16 +167,15 @@ func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message) *proto.Messag
 		return reply
 
 	case proto.OpWriteInstance:
-		inst, err := r.Get(uint16(msg.F[0]))
+		s, err := r.get(uint16(msg.F[0]))
 		if err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
-		info := inst.Info()
-		if info.Flags&proto.ModeWrite == 0 {
+		if s.flags&proto.ModeWrite == 0 {
 			return proto.NewReply(proto.ReplyModeNotSupported)
 		}
-		off := int64(msg.F[1])*int64(info.BlockSize) + int64(msg.F[2])
-		n, err := inst.WriteAt(p, off, msg.Segment)
+		off := int64(msg.F[1])*int64(s.blockSize) + int64(msg.F[2])
+		n, err := s.inst.WriteAt(p, off, msg.Segment)
 		if err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
@@ -194,12 +191,16 @@ func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message) *proto.Messag
 		return proto.NewReply(proto.ReplyOK)
 
 	case proto.OpGetInstanceName:
-		name, err := r.NameOf(uint16(msg.F[0]))
+		// The inverse mapping from instance id to name (§5.7). As §6
+		// discusses, this is the inverse of a many-to-one function: it
+		// returns *a* name, the one used at open time, which may since have
+		// been unbound.
+		s, err := r.get(uint16(msg.F[0]))
 		if err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
 		reply := proto.NewReply(proto.ReplyOK)
-		reply.Segment = []byte(name)
+		reply.Segment = []byte(s.name)
 		return reply
 
 	default:

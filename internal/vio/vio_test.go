@@ -2,32 +2,31 @@ package vio
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernel"
 	"repro/internal/proto"
 )
 
 func TestRegistryOpenGetRelease(t *testing.T) {
 	r := NewRegistry()
 	inst := NewBytesInstance([]byte("abc"))
-	id, err := r.Open(inst, "file-a")
+	info, err := r.Open(inst, "file-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Get(id)
-	if err != nil || got != Instance(inst) {
-		t.Fatalf("Get = %v, %v", got, err)
-	}
-	name, err := r.NameOf(id)
-	if err != nil || name != "file-a" {
-		t.Fatalf("NameOf = %q, %v", name, err)
+	id := info.ID
+	got, err := r.get(id)
+	if err != nil || got.inst != Instance(inst) || got.name != "file-a" || got.blockSize != DefaultBlockSize || got.flags != proto.ModeRead {
+		t.Fatalf("get = %+v, %v", got, err)
 	}
 	if err := r.Release(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Get(id); !errors.Is(err, proto.ErrBadArgs) {
-		t.Fatalf("Get after release err = %v", err)
+	if _, err := r.get(id); !errors.Is(err, proto.ErrBadArgs) {
+		t.Fatalf("get after release err = %v", err)
 	}
 	if err := r.Release(id); !errors.Is(err, proto.ErrBadArgs) {
 		t.Fatalf("double release err = %v", err)
@@ -38,11 +37,11 @@ func TestRegistryIDsNotImmediatelyReused(t *testing.T) {
 	// §4.3: servers maximize the time before reusing an instance id.
 	r := NewRegistry()
 	a, _ := r.Open(NewBytesInstance(nil), "a")
-	if err := r.Release(a); err != nil {
+	if err := r.Release(a.ID); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := r.Open(NewBytesInstance(nil), "b")
-	if a == b {
+	if a.ID == b.ID {
 		t.Fatal("instance id reused immediately")
 	}
 }
@@ -62,8 +61,8 @@ func TestRegistryCount(t *testing.T) {
 func TestRegistryReleaseCallback(t *testing.T) {
 	r := NewRegistry()
 	released := false
-	id, _ := r.Open(NewBytesInstance(nil, OnRelease(func() { released = true })), "x")
-	if err := r.Release(id); err != nil {
+	info, _ := r.Open(NewBytesInstance(nil, OnRelease(func() error { released = true; return nil })), "x")
+	if err := r.Release(info.ID); err != nil {
 		t.Fatal(err)
 	}
 	if !released {
@@ -155,7 +154,7 @@ func TestDirectoryInstanceReadDecodes(t *testing.T) {
 		{Tag: proto.TagFile, Name: "a", Size: 1},
 		{Tag: proto.TagDirectory, Name: "d"},
 	}
-	inst := NewDirectoryInstance(records, nil)
+	inst := NewDirectoryInstance(proto.EncodeDescriptors(records), nil)
 	buf := make([]byte, inst.Info().SizeBytes)
 	if _, err := inst.ReadAt(nil, 0, buf); err != nil {
 		t.Fatal(err)
@@ -179,6 +178,55 @@ func TestDirectoryInstanceWriteInvokesModify(t *testing.T) {
 	if len(modified) != 1 || modified[0].Name != "a" || modified[0].Perms != proto.PermRead {
 		t.Fatalf("modify saw %+v", modified)
 	}
+
+	// Twenty 35-byte records split at the first block boundary, inside
+	// the fifteenth: its torn start waits for the write that continues it.
+	records := make([]proto.Descriptor, 20)
+	for i := range records {
+		records[i] = proto.Descriptor{Tag: proto.TagFile, Name: fmt.Sprintf("r%02d", i)}
+	}
+	stream := proto.EncodeDescriptors(records)
+	modified = nil
+	for _, w := range [][2]int{{0, DefaultBlockSize}, {DefaultBlockSize, len(stream)}} {
+		if n, err := inst.WriteAt(nil, int64(w[0]), stream[w[0]:w[1]]); n != w[1]-w[0] || err != nil {
+			t.Fatalf("WriteAt(%d) = %d, %v", w[0], n, err)
+		}
+	}
+	if len(modified) != 20 || modified[14].Name != "r14" || modified[19].Name != "r19" {
+		t.Fatalf("modify saw %d records", len(modified))
+	}
+	if err := inst.Release(); err != nil {
+		t.Fatalf("Release after every record completed = %v", err)
+	}
+}
+
+// TestDirectoryInstanceTornRecordNeverCompleted: a torn tail the next
+// write does not continue is reported by that write, and the whole records
+// before it are applied. TestFileCloseReportsTornRecord is the Release
+// half.
+func TestDirectoryInstanceTornRecordNeverCompleted(t *testing.T) {
+	records := make([]proto.Descriptor, 20)
+	for i := range records {
+		records[i] = proto.Descriptor{Tag: proto.TagFile, Name: fmt.Sprintf("r%02d", i)}
+	}
+	stream := proto.EncodeDescriptors(records)
+	applied := 0
+	inst := NewDirectoryInstance(nil, func(proto.Descriptor) error { applied++; return nil })
+	if n, err := inst.WriteAt(nil, 0, stream[:DefaultBlockSize]); n != DefaultBlockSize || err != nil || applied != 14 {
+		t.Fatalf("first block: WriteAt = %d, %v, %d applied", n, err, applied)
+	}
+	// A write elsewhere, even one ending on a block boundary, fails and
+	// drops the torn tail, applying nothing.
+	if _, err := inst.WriteAt(nil, 2*DefaultBlockSize, stream[:DefaultBlockSize]); !errors.Is(err, proto.ErrBadArgs) || applied != 14 {
+		t.Fatalf("write elsewhere = %v, %d applied", err, applied)
+	}
+	// After the failure the instance takes whole records again.
+	if _, err := inst.WriteAt(nil, 0, stream[:35]); err != nil || applied != 15 {
+		t.Fatalf("write after the failure = %v, %d applied", err, applied)
+	}
+	if err := inst.Release(); err != nil {
+		t.Fatalf("Release = %v", err)
+	}
 }
 
 func TestDirectoryInstanceWriteCorruptRecord(t *testing.T) {
@@ -196,37 +244,38 @@ func TestDirectoryInstanceWithoutModifyIsReadOnly(t *testing.T) {
 }
 
 func TestHandleOpQueryReadWriteRelease(t *testing.T) {
-	r := NewRegistry()
-	id, _ := r.Open(NewBytesInstance([]byte("0123456789"), Writable(), WithBlockSize(4)), "f")
+	r, p := NewRegistry(), newFileRig(t).server
+	info, _ := r.Open(NewBytesInstance([]byte("0123456789"), Writable(), WithBlockSize(4)), "f")
+	id := info.ID
 
 	q := &proto.Message{Op: proto.OpQueryInstance, F: [6]uint32{uint32(id)}}
-	reply := r.HandleOp(nil, q)
+	reply := r.HandleOp(p, q, kernel.NilPID)
 	if reply.Op != proto.ReplyOK {
 		t.Fatalf("query reply = %v", reply.Op)
 	}
-	info := proto.GetInstanceInfo(reply)
+	info = proto.GetInstanceInfo(reply)
 	if info.SizeBytes != 10 || info.BlockSize != 4 {
 		t.Fatalf("info = %+v", info)
 	}
 
 	read := &proto.Message{Op: proto.OpReadInstance, F: [6]uint32{uint32(id), 1}}
-	reply = r.HandleOp(nil, read)
+	reply = r.HandleOp(p, read, kernel.NilPID)
 	if reply.Op != proto.ReplyOK || string(reply.Segment) != "4567" {
 		t.Fatalf("read block 1 = %v %q", reply.Op, reply.Segment)
 	}
 
 	write := &proto.Message{Op: proto.OpWriteInstance, F: [6]uint32{uint32(id), 0, 2}, Segment: []byte("XX")}
-	reply = r.HandleOp(nil, write)
+	reply = r.HandleOp(p, write, kernel.NilPID)
 	if reply.Op != proto.ReplyOK || reply.F[1] != 2 {
 		t.Fatalf("write reply = %v", reply)
 	}
 	read0 := &proto.Message{Op: proto.OpReadInstance, F: [6]uint32{uint32(id), 0}}
-	if got := r.HandleOp(nil, read0); string(got.Segment) != "01XX" {
+	if got := r.HandleOp(p, read0, kernel.NilPID); string(got.Segment) != "01XX" {
 		t.Fatalf("after write, block 0 = %q", got.Segment)
 	}
 
 	rel := &proto.Message{Op: proto.OpReleaseInstance, F: [6]uint32{uint32(id)}}
-	if reply = r.HandleOp(nil, rel); reply.Op != proto.ReplyOK {
+	if reply = r.HandleOp(p, rel, kernel.NilPID); reply.Op != proto.ReplyOK {
 		t.Fatalf("release reply = %v", reply.Op)
 	}
 	if r.Count() != 0 {
@@ -235,19 +284,21 @@ func TestHandleOpQueryReadWriteRelease(t *testing.T) {
 }
 
 func TestHandleOpReadPastEnd(t *testing.T) {
-	r := NewRegistry()
-	id, _ := r.Open(NewBytesInstance([]byte("ab")), "f")
+	r, p := NewRegistry(), newFileRig(t).server
+	info, _ := r.Open(NewBytesInstance([]byte("ab")), "f")
+	id := info.ID
 	read := &proto.Message{Op: proto.OpReadInstance, F: [6]uint32{uint32(id), 9}}
-	if reply := r.HandleOp(nil, read); reply.Op != proto.ReplyEndOfFile {
+	if reply := r.HandleOp(p, read, kernel.NilPID); reply.Op != proto.ReplyEndOfFile {
 		t.Fatalf("reply = %v", reply.Op)
 	}
 }
 
 func TestHandleOpWriteToReadOnly(t *testing.T) {
 	r := NewRegistry()
-	id, _ := r.Open(NewBytesInstance([]byte("ab")), "f")
+	info, _ := r.Open(NewBytesInstance([]byte("ab")), "f")
+	id := info.ID
 	w := &proto.Message{Op: proto.OpWriteInstance, F: [6]uint32{uint32(id)}, Segment: []byte("x")}
-	if reply := r.HandleOp(nil, w); reply.Op != proto.ReplyModeNotSupported {
+	if reply := r.HandleOp(nil, w, kernel.NilPID); reply.Op != proto.ReplyModeNotSupported {
 		t.Fatalf("reply = %v", reply.Op)
 	}
 }
@@ -255,23 +306,24 @@ func TestHandleOpWriteToReadOnly(t *testing.T) {
 func TestHandleOpUnknownInstance(t *testing.T) {
 	r := NewRegistry()
 	read := &proto.Message{Op: proto.OpReadInstance, F: [6]uint32{777}}
-	if reply := r.HandleOp(nil, read); reply.Op != proto.ReplyBadArgs {
+	if reply := r.HandleOp(nil, read, kernel.NilPID); reply.Op != proto.ReplyBadArgs {
 		t.Fatalf("reply = %v", reply.Op)
 	}
 }
 
 func TestHandleOpUnhandledReturnsNil(t *testing.T) {
 	r := NewRegistry()
-	if reply := r.HandleOp(nil, &proto.Message{Op: proto.OpEcho}); reply != nil {
+	if reply := r.HandleOp(nil, &proto.Message{Op: proto.OpEcho}, kernel.NilPID); reply != nil {
 		t.Fatalf("reply = %v", reply)
 	}
 }
 
 func TestHandleOpGetInstanceName(t *testing.T) {
 	r := NewRegistry()
-	id, _ := r.Open(NewBytesInstance(nil), "[storage]/users/mann/f")
+	info, _ := r.Open(NewBytesInstance(nil), "[storage]/users/mann/f")
+	id := info.ID
 	req := &proto.Message{Op: proto.OpGetInstanceName, F: [6]uint32{uint32(id)}}
-	reply := r.HandleOp(nil, req)
+	reply := r.HandleOp(nil, req, kernel.NilPID)
 	if reply.Op != proto.ReplyOK || string(reply.Segment) != "[storage]/users/mann/f" {
 		t.Fatalf("reply = %v %q", reply.Op, reply.Segment)
 	}
