@@ -112,7 +112,6 @@ func run(base, workloads, seedList, note string) error {
 	}
 	sides := [2]string{tmp, "."}
 
-	var rows []row
 	for _, w := range names {
 		var runs [2][]result
 		for i, seed := range seeds {
@@ -141,10 +140,14 @@ func run(base, workloads, seedList, note string) error {
 			}
 			r.Metrics = append(r.Metrics, compare(m, v[0], v[1], r.health))
 		}
-		rows = append(rows, r)
 		printRow(r)
+		// Appended at once: a later workload's failure or an interrupt
+		// must not throw away the minutes of runs behind this row.
+		if err := appendLedger("LEDGER.json", r); err != nil {
+			return err
+		}
 	}
-	return appendLedger("LEDGER.json", rows)
+	return nil
 }
 
 // benchRun runs one untraced benchmark run in checkout dir and parses its
@@ -240,19 +243,17 @@ func short(rev string) string {
 	return sha
 }
 
-// appendLedger adds rows to the JSON array in path, creating it if need be.
-func appendLedger(path string, rows []row) error {
+// appendLedger adds r to the JSON array in path, creating it if need be.
+func appendLedger(path string, r row) error {
 	var all []json.RawMessage
 	if err := readJSON(path, &all); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	for _, r := range rows {
-		b, err := json.MarshalIndent(r, "  ", "  ")
-		if err != nil {
-			return err
-		}
-		all = append(all, b)
+	b, err := json.MarshalIndent(r, "  ", "  ")
+	if err != nil {
+		return err
 	}
+	all = append(all, b)
 	var buf bytes.Buffer
 	buf.WriteString("[\n")
 	for i, b := range all {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -128,5 +131,38 @@ func TestCheckRuns(t *testing.T) {
 	}
 	if h := check(seeds, [2][]result{base, base}); h.SimDiffer != nil || h.Failed != [2]int{1, 1} {
 		t.Fatalf("a side against itself: %+v", h)
+	}
+}
+
+// TestAppendLedgerKeepsRows: each workload's row is appended on its own
+// as its pairs finish, so two appends to an existing ledger must keep
+// every row, the existing one byte for byte, and leave valid JSON.
+func TestAppendLedgerKeepsRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "LEDGER.json")
+	existing := `{"workload": "paper_fileio", "extra": [1, 2]}`
+	if err := os.WriteFile(path, []byte("[\n  "+existing+"\n]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"resolve_hit", "resolve_miss"} {
+		if err := appendLedger(path, row{Workload: w, Seeds: []uint64{7}, health: health{Failed: [2]int{0, 1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatalf("ledger after two appends is not valid JSON: %v\n%s", err, data)
+	}
+	if len(raw) != 3 || string(raw[0]) != existing {
+		t.Fatalf("ledger holds %d rows, first %s; want 3, the existing one unchanged", len(raw), raw[0])
+	}
+	for i, w := range []string{"resolve_hit", "resolve_miss"} {
+		var r row
+		if err := json.Unmarshal(raw[i+1], &r); err != nil || r.Workload != w || r.Failed[1] != 1 || len(r.Seeds) != 1 {
+			t.Fatalf("row %d = %+v, %v; want %s as appended", i+1, r, err, w)
+		}
 	}
 }

@@ -59,6 +59,9 @@ type Session struct {
 	// recovery, when non-nil, applies the session's retry/rebind policy
 	// to every operation (resilience.go).
 	recovery *resilience
+
+	// mapReq is the request MapContext sends and its answer lands in.
+	mapReq proto.Message
 }
 
 // New builds a session for a program running as proc, using the given
@@ -366,8 +369,12 @@ func (s *Session) Link(oldName, newName string) error {
 
 // MapContext resolves a name to a fully-qualified context pair (§5.7).
 func (s *Session) MapContext(name string) (core.ContextPair, error) {
-	req := &proto.Message{Op: proto.OpMapContext}
-	reply, err := s.send(name, req)
+	reply, err := s.withRecovery(name, func() (*proto.Message, error) {
+		// Re-initialised per attempt: a reply lost on its way back may
+		// already have landed in it.
+		s.mapReq = proto.Message{Op: proto.OpMapContext, Segment: s.mapReq.Segment[:0]}
+		return s.sendOnce(name, &s.mapReq)
+	})
 	if err != nil {
 		return core.ContextPair{}, err
 	}

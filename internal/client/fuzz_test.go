@@ -81,6 +81,11 @@ func FuzzCacheKey(f *testing.F) {
 		if rest <= 0 || rest > len(name) {
 			t.Fatalf("rest %d out of range for %q", rest, name)
 		}
+		// A cache miss sends the bare prefix sliced from the name: it must
+		// be the quoted key byte for byte.
+		if bare := name[:len(pfx)+2]; bare != prefix.Quote(pfx) {
+			t.Fatalf("bare prefix %q of %q is not the quoted key %q", bare, name, prefix.Quote(pfx))
+		}
 		// The key is the prefix verbatim: the name re-assembled from its
 		// quoted key must produce the same key and the same remainder.
 		requoted := prefix.Quote(pfx) + name[rest:]

@@ -197,7 +197,9 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 	if state != lease.Valid {
 		s.proc.ChargeCompute(stub)
 		var mreply *proto.Message
-		entry, mreply, _, err = s.cache.Acquire(s.proc, s.prefixServer, pfx, prefix.Quote(pfx), state)
+		// The bare prefix is the name's own bytes: Parse makes
+		// name[:len(pfx)+2] exactly prefix.Quote(pfx).
+		entry, mreply, _, err = s.cache.Acquire(s.proc, s.prefixServer, pfx, name[:len(pfx)+2], state)
 		if err != nil {
 			return nil, fmt.Errorf("%q: %w", name, err)
 		}
@@ -209,6 +211,7 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 	proto.SetCSName(req, uint32(entry.Pair.Ctx), name[rest:])
 	s.lastRouted = entry.Pair.Server
 	s.proc.ChargeCompute(stub)
+	op := req.Op
 	reply, err := s.proc.Send(req, entry.Pair.Server)
 	if err != nil {
 		// The cached resolution outlived its server — inside the lease
@@ -224,6 +227,7 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 		s.staleRates.ObserveStaleWindow(pfx, failedAt-entry.Grant)
 		if s.cacheRetry && mayRetry {
 			s.cache.Drop(pfx)
+			req.Op = op // a reply lost on its way back may have landed in req
 			return s.sendLeased(name, req, false)
 		}
 		return nil, fmt.Errorf("%q (stale cached resolution): %w", name, err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/kernel"
 	"repro/internal/proto"
+	"repro/internal/raceflag"
 	"repro/internal/rig"
 )
 
@@ -226,5 +227,33 @@ func TestLeaseCacheLifecycle(t *testing.T) {
 	}
 	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
 		t.Fatalf("uncached read after disable: %v", err)
+	}
+}
+
+// TestLeaseHitZeroAlloc is the gate on the lease-hit path: a MapContext
+// a valid lease answers is sent straight to the leased server, whose
+// skeleton answers in the session's own request, so nothing allocates —
+// not the request, not the reply. Skipped under -race (the detector's
+// instrumentation allocates).
+func TestLeaseHitZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	r := bootLeased(t, time.Hour)
+	s := r.WS[0].Session
+	want, err := s.MapContext("[home]") // the miss that takes the lease
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if pair, err := s.MapContext("[home]"); err != nil || pair != want {
+			t.Fatalf("leased MapContext = %v, %v; want %v", pair, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a lease-hit MapContext allocates %v allocs/op, want 0", allocs)
+	}
+	if st := s.LeaseCacheStats(); st.Misses != 1 || st.Hits < 1000 {
+		t.Fatalf("lease stats %+v, want one miss and every later op a hit", st)
 	}
 }

@@ -264,7 +264,7 @@ func (s *Server) serveCSName(req *Request) *proto.Message {
 	// OpMapContext is fully determined by the resolution, so the skeleton
 	// implements it for every server (§5.7).
 	if req.Msg.Op == proto.OpMapContext {
-		return s.mapContextReply(res)
+		return s.mapContextReply(req.Msg, res)
 	}
 	return s.handler.HandleNamed(req, res)
 }
@@ -280,10 +280,11 @@ func (s *Server) faultReply(err error) *proto.Message {
 	return reply
 }
 
-// mapContextReply builds the standard OpMapContext reply: the
-// (server-pid, context-id) pair the name denotes. The pid is the
-// receptionist's — the team's public identity.
-func (s *Server) mapContextReply(res *Resolution) *proto.Message {
+// mapContextReply answers the OpMapContext request msg with the
+// (server-pid, context-id) pair the name denotes, in msg itself; a
+// failure is a fresh message, leaving msg for the sender's retry. The pid
+// is the receptionist's — the team's public identity.
+func (s *Server) mapContextReply(msg *proto.Message, res *Resolution) *proto.Message {
 	ctx, ok := res.ResolvesToContext()
 	if !ok {
 		if res.Entry == nil {
@@ -291,7 +292,7 @@ func (s *Server) mapContextReply(res *Resolution) *proto.Message {
 		}
 		return ErrorReplyMsg(proto.ErrNotAContext)
 	}
-	reply := proto.NewReply(proto.ReplyOK)
+	reply := proto.AnswerIn(msg, proto.ReplyOK)
 	proto.SetMapContextReply(reply, uint32(s.PID()), uint32(ctx))
 	return reply
 }

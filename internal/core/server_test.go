@@ -499,13 +499,14 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
-// TestMapContextAllocatesOnlyItsReply pins the serve path's allocation
-// contract: an untraced OpMapContext through a team-of-one Server costs
-// one heap allocation, the reply message — plus, for a name that is not
-// empty, the copy of it CSName takes out of the request's segment. The
-// request and its resolution live in the server's reused storage, and
-// the kernel transaction and the serving turn allocate nothing.
-func TestMapContextAllocatesOnlyItsReply(t *testing.T) {
+// TestMapContextAnswersInRequest pins the serve path's allocation
+// contract: an untraced OpMapContext through a team-of-one Server is
+// answered in the request itself and allocates nothing — except, for a
+// name that is not empty, the copy of it CSName takes out of the
+// request's segment. The request's resolution lives in the server's
+// reused storage, and the kernel transaction and the serving turn
+// allocate nothing.
+func TestMapContextAnswersInRequest(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
@@ -516,12 +517,15 @@ func TestMapContextAllocatesOnlyItsReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := newClientProc(t, h)
-	for name, want := range map[string]float64{"": 1, "users": 2} {
-		req := &proto.Message{Op: proto.OpMapContext}
-		proto.SetCSName(req, uint32(CtxDefault), name)
+	for name, want := range map[string]float64{"": 0, "users": 1} {
+		req := &proto.Message{}
 		send := func() {
-			if reply, err := client.Send(req, ts.srv.PID()); err != nil || reply.Op != proto.ReplyOK {
-				t.Fatalf("MapContext %q: reply %v, err %v", name, reply, err)
+			// Re-initialised per call: the last answer landed in it.
+			*req = proto.Message{Op: proto.OpMapContext, Segment: req.Segment}
+			proto.SetCSName(req, uint32(CtxDefault), name)
+			reply, err := client.Send(req, ts.srv.PID())
+			if err != nil || reply != req || reply.Op != proto.ReplyOK {
+				t.Fatalf("MapContext %q: reply %v (request %p), err %v", name, reply, req, err)
 			}
 		}
 		// Warm the envelope pool and the pending table before counting.

@@ -236,6 +236,9 @@ func (p *Process) PendingSpan(origin PID) trace.SpanID {
 
 // Send sends msg to dst and blocks until the receiver (or the process the
 // message is forwarded to) replies — one message transaction (Figure 1).
+// The kernel never copies a message, so a handler may answer in the one it
+// received, as V's reply overwrites the sender's message: after Send
+// returns, the sender reads the reply, never its request.
 func (p *Process) Send(msg *proto.Message, dst PID) (*proto.Message, error) {
 	return p.SendMove(msg, dst, nil, nil)
 }
@@ -251,10 +254,12 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 		return p.sendGroup(msg, dst, moveSrc, moveDst)
 	}
 	k := p.host.kernel
+	// Read once: the reply may land in msg.
+	op := msg.Op
 	tr := k.Tracer()
 	var sp trace.SpanID
 	if tr != nil {
-		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, " -> ", dst), p.clock.Now(), p.TraceID())
+		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(op, " -> ", dst), p.clock.Now(), p.TraceID())
 	}
 	// Metrics, like the tracer, charge zero virtual time. The start time
 	// is read before any cost accrues so the histogram sees the full
@@ -322,8 +327,8 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 	tr.End(sp, p.clock.Now())
 	if km != nil {
 		km.inflight.Add(-1)
-		target.sendLat.Resolve(km.reg, uint16(msg.Op), func() *metrics.Histogram {
-			return km.reg.Histogram("send_latency", metrics.Labels{Server: target.name, Op: msg.Op.String()})
+		target.sendLat.Resolve(km.reg, uint16(op), func() *metrics.Histogram {
+			return km.reg.Histogram("send_latency", metrics.Labels{Server: target.name, Op: op.String()})
 		}).Record(p.clock.Now() - sendStart)
 	}
 	return ev.msg, nil

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -139,5 +140,62 @@ func TestReplySegmentCostsWhatItsReplyCarries(t *testing.T) {
 	}
 	if len(b1) != 4 || !reflect.DeepEqual(b1, b2) {
 		t.Fatalf("reply wire bytes: allocated %v, in place %v", b1, b2)
+	}
+}
+
+// TestAnswerInRequest: a handler may answer in the message it received.
+// Virtual time cannot tell that from a fresh reply — equal clocks, equal
+// span names — and the sender's send_latency series is labelled by the
+// request's op, read before the reply landed in it, not by the reply's.
+func TestAnswerInRequest(t *testing.T) {
+	run := func(inPlace bool) (vtime.Time, vtime.Time, []string, []metrics.HistPoint) {
+		k := newDomain(t)
+		tr, reg := trace.New(), metrics.New()
+		k.SetTracer(tr)
+		k.SetMetrics(reg)
+		srv := newClient(t, k.NewHost("srv"), "srv")
+		srv.Serve(func(msg *proto.Message, from PID) {
+			reply := proto.NewReply(proto.ReplyOK)
+			if inPlace {
+				reply = proto.AnswerIn(msg, proto.ReplyOK)
+			}
+			reply.F[0] = 42
+			_ = srv.Reply(reply, from)
+		})
+		client := newClient(t, k.NewHost("ws"), "client")
+		for i := 0; i < 3; i++ {
+			req := &proto.Message{Op: proto.OpMapContext, Segment: []byte("users")}
+			reply, err := client.Send(req, srv.PID())
+			if err != nil || reply.F[0] != 42 || (reply == req) != inPlace {
+				t.Fatalf("in place %v: reply %+v, %v; landed in the request: %v", inPlace, reply, err, reply == req)
+			}
+		}
+		var names []string
+		for _, s := range tr.Snapshot() {
+			names = append(names, s.Name)
+		}
+		var lat []metrics.HistPoint
+		for _, h := range reg.Snapshot().Histograms {
+			if h.Name == "send_latency" {
+				lat = append(lat, h)
+			}
+		}
+		return client.Now(), srv.Now(), names, lat
+	}
+	c1, s1, n1, l1 := run(false)
+	c2, s2, n2, l2 := run(true)
+	if c1 != c2 || s1 != s2 {
+		t.Fatalf("fresh reply: client %v server %v; in place: client %v server %v", c1, s1, c2, s2)
+	}
+	if !reflect.DeepEqual(n1, n2) {
+		t.Fatalf("span names: fresh reply %q, in place %q", n1, n2)
+	}
+	for _, lat := range [][]metrics.HistPoint{l1, l2} {
+		if len(lat) != 1 || lat[0].Labels.Op != "MapContext" || lat[0].Count != 3 {
+			t.Fatalf("send_latency series %+v, want one MapContext series of 3", lat)
+		}
+	}
+	if !reflect.DeepEqual(l1, l2) {
+		t.Fatalf("send_latency: fresh reply %+v, in place %+v", l1, l2)
 	}
 }

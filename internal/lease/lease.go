@@ -169,6 +169,9 @@ type Cache struct {
 	// servers know whom to call back. Nil selects the unstamped policy.
 	callback  *kernel.Process
 	propagate func(p *kernel.Process, name string, commit time.Duration)
+	// req is the request Acquire sends, and where a successful answer
+	// lands: the cache's own, never handed to another process.
+	req proto.Message
 }
 
 // NewCache returns an empty cache under the unstamped policy.
@@ -233,21 +236,22 @@ func (c *Cache) serveCallback(p *kernel.Process, msg *proto.Message, from kernel
 }
 
 // applyCallback drops the entry an OpCacheInvalidate names, then runs
-// propagate; the reply says whether msg was one.
+// propagate; the reply says whether msg was one. Its acknowledgement
+// lands in msg, the holder's own copy of the group send.
 func (c *Cache) applyCallback(p *kernel.Process, msg *proto.Message) *proto.Message {
-	reply := &proto.Message{Op: proto.ReplyOK}
 	if msg.Op != proto.OpCacheInvalidate {
-		reply.Op = proto.ReplyIllegalRequest
-	} else if name, commit, err := proto.CacheInvalidate(msg); err != nil {
-		reply.Op = proto.ReplyBadArgs
-	} else {
-		c.Drop(name)
-		c.Observe(p, Invalidation, name, p.Now(), Entry{})
-		if c.propagate != nil {
-			c.propagate(p, name, time.Duration(commit))
-		}
+		return proto.NewReply(proto.ReplyIllegalRequest)
 	}
-	return reply
+	name, commit, err := proto.CacheInvalidate(msg)
+	if err != nil {
+		return proto.NewReply(proto.ReplyBadArgs)
+	}
+	c.Drop(name)
+	c.Observe(p, Invalidation, name, p.Now(), Entry{})
+	if c.propagate != nil {
+		c.propagate(p, name, time.Duration(commit))
+	}
+	return proto.AnswerIn(msg, proto.ReplyOK)
 }
 
 // Lookup classifies the cache's answer for name at virtual time now and
@@ -328,8 +332,14 @@ func (c *Cache) Flush() {
 // policy — a listening cache uses it for this request but keeps nothing
 // nobody will call back about. Any other reply is the caller's to relay
 // or report. err is the transport failure of the Send.
+//
+// The request is the cache's own, re-initialised per call (so one
+// process Acquires at a time), and a successful reply may be that
+// request: the caller reads it before the next Acquire and never passes
+// it on — a relay copies it.
 func (c *Cache) Acquire(p *kernel.Process, server kernel.PID, name, bare string, prior State) (e Entry, reply *proto.Message, held bool, err error) {
-	req := &proto.Message{Op: proto.OpMapContext}
+	req := &c.req
+	*req = proto.Message{Op: proto.OpMapContext, Segment: req.Segment[:0]}
 	proto.SetCSName(req, uint32(core.CtxDefault), bare)
 	if c.callback != nil {
 		proto.SetLeaseRequest(req, uint32(c.callback.PID()))

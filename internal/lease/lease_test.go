@@ -546,3 +546,46 @@ func TestCallbacksRaceTheHolder(t *testing.T) {
 		}
 	}
 }
+
+// TestCallbackAnswersInItsClone: a holder acknowledges an invalidation in
+// the message it was sent — under a group send its own clone — so a
+// Notify allocates per holder what the multicast does (the envelope, the
+// clone and its segment) and the name the holder decodes, but no reply.
+func TestCallbackAnswersInItsClone(t *testing.T) {
+	r := newRig(t)
+	c := r.cache(t, true, nil)
+	msg := &proto.Message{}
+	proto.SetCacheInvalidate(msg, "home", 0)
+	if reply, err := r.holder.Send(msg, c.Callback()); err != nil || reply != msg || reply.Op != proto.ReplyOK {
+		t.Fatalf("callback reply %+v, %v; want ReplyOK in the request %p", reply, err, msg)
+	}
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	notify := func(holders int) float64 {
+		gid, err := r.k.CreateGroup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < holders; i++ {
+			h := NewCache(NewMeter("client", "holder"))
+			if err := h.Listen(r.host, "cb"+strconv.Itoa(i), nil); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(h.Close)
+			if err := r.k.JoinGroup(gid, h.Callback()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := NewMeter("prefix", "granter")
+		return testing.AllocsPerRun(100, func() {
+			if n := m.Notify(r.holder, gid, "home", 0); n != holders {
+				t.Fatalf("%d of %d holders acknowledged", n, holders)
+			}
+		})
+	}
+	one, nine := notify(1), notify(9)
+	if perHolder := (nine - one) / 8; perHolder != 4 {
+		t.Fatalf("Notify allocates %v per holder (1 holder %v, 9 holders %v), want 4: envelope, clone, segment, name", perHolder, one, nine)
+	}
+}

@@ -146,7 +146,7 @@ func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) 
 	sv := core.BeginServe(p, msg, from)
 	p.ChargeCompute(p.Kernel().Model().ServerDispatchCost)
 
-	pfx, cb, ok := t.leaseWanted(msg)
+	pfx, bare, cb, ok := t.leaseWanted(msg)
 	if !ok {
 		t.fwds.Add(1)
 		metrics.CounterIn(&t.series, p.Kernel().Metrics(),
@@ -155,28 +155,30 @@ func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) 
 		sv.Passed()
 		return
 	}
-	sv.Reply(t.serveLease(p, pfx, cb), nil)
+	sv.Reply(t.serveLease(p, msg, pfx, bare, cb), nil)
 }
 
 // leaseWanted reports whether msg is a lease request the tier can serve
-// from its table, and the prefix and callback it names.
-func (t *Tier) leaseWanted(msg *proto.Message) (string, kernel.PID, bool) {
+// from its table, and the prefix, its bracketed form and the callback it
+// names.
+func (t *Tier) leaseWanted(msg *proto.Message) (pfx, bare string, cb kernel.PID, ok bool) {
 	name, index, err := proto.CSName(msg)
 	if err != nil || index >= len(name) || name[index] != prefix.Marker {
-		return "", kernel.NilPID, false
+		return "", "", kernel.NilPID, false
 	}
 	pfx, rest, err := prefix.Parse(name, index)
 	if err != nil {
-		return "", kernel.NilPID, false
+		return "", "", kernel.NilPID, false
 	}
-	cb, ok := lease.Wanted(msg, name, rest)
-	return pfx, cb, ok
+	cb, ok = lease.Wanted(msg, name, rest)
+	return pfx, name[index : index+len(pfx)+2], cb, ok
 }
 
-// serveLease answers one lease request, from the tier table on a hit or
-// through the upstream server on a miss, re-granting a sub-lease bounded
-// by the backing upstream lease.
-func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.Message {
+// serveLease answers the lease request msg, from the tier table on a hit
+// or through the upstream server on a miss, re-granting a sub-lease
+// bounded by the backing upstream lease. A success lands in msg; a
+// failure is a fresh message.
+func (t *Tier) serveLease(p *kernel.Process, msg *proto.Message, pfx, bare string, cb kernel.PID) *proto.Message {
 	p.ChargeCompute(p.Kernel().Model().PrefixRewriteCost)
 	now := p.Now()
 	t.topk.Observe(pfx)
@@ -193,10 +195,11 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 		// cannot be called back about.
 		var held bool
 		var err error
-		e, reply, held, err = t.cache.Acquire(p, t.upstream, pfx, prefix.Quote(pfx), state)
+		e, reply, held, err = t.cache.Acquire(p, t.upstream, pfx, bare, state)
 		if err != nil {
 			return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, err))
 		}
+		reply = relay(msg, reply)
 		if !held {
 			return reply
 		}
@@ -204,7 +207,7 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 	case e.Negative:
 		reply = core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, proto.ErrNotFound))
 	default:
-		reply = core.OkReply()
+		reply = proto.AnswerIn(msg, proto.ReplyOK)
 		proto.SetMapContextReply(reply, uint32(e.Pair.Server), uint32(e.Pair.Ctx))
 	}
 	// The sub-lease expires at the earlier of the tier's own length and
@@ -215,5 +218,18 @@ func (t *Tier) serveLease(p *kernel.Process, pfx string, cb kernel.PID) *proto.M
 		length = 0
 	}
 	lease.Grant(reply, now, length, e.Expire)
+	return reply
+}
+
+// relay answers the downstream request msg with up, the reply to the tier
+// cache's Acquire. A successful up is the cache's own request, which its
+// next Acquire reuses, so it is never handed on: a success is copied into
+// msg, a failure into a fresh message.
+func relay(msg, up *proto.Message) *proto.Message {
+	if up.Op != proto.ReplyOK {
+		return up.Clone()
+	}
+	reply := proto.AnswerIn(msg, proto.ReplyOK)
+	reply.Flags, reply.F = up.Flags, up.F
 	return reply
 }

@@ -2,12 +2,16 @@ package ncache_test
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/ncache"
+	"repro/internal/prefix"
 	"repro/internal/proto"
 	"repro/internal/rig"
 )
@@ -279,5 +283,58 @@ func TestTierBeforeLeaselessUpstream(t *testing.T) {
 	}
 	if _, ok := s.LeaseExpiry(name); ok {
 		t.Fatal("client cached an unstamped answer")
+	}
+}
+
+// TestTierAnswersInEachClientsRequest: two lanes of clients resolve
+// through one tier at once, their sub-leases lapsing so the tier keeps
+// walking upstream through its cache's one reused request, and every
+// client is answered its own lane's pair in the request it sent — never
+// in the tier cache's message. make check runs it under -race at
+// GOMAXPROCS=4, where a message shared between lanes is a reported race.
+func TestTierAnswersInEachClientsRequest(t *testing.T) {
+	const lease, rounds = 20 * time.Millisecond, 100
+	sw := bootTiered(t, lease)
+	var wg sync.WaitGroup
+	for lane := 0; lane < 2; lane++ {
+		host, want := sw.Hosts[lane], sw.Shards[lane].RootPair()
+		name := prefix.Quote(fmt.Sprintf("shard%d", lane))
+		cb, err := host.NewProcess("callback") // no mutation runs: never called back
+		if err != nil {
+			t.Fatal(err)
+		}
+		var procs []*kernel.Process
+		for c := 0; c < 2; c++ {
+			p, err := host.NewProcess(fmt.Sprintf("lane%d-client%d", lane, c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs = append(procs, p)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				p := procs[i%len(procs)]
+				req := &proto.Message{Op: proto.OpMapContext}
+				proto.SetCSName(req, 0, name)
+				proto.SetLeaseRequest(req, uint32(cb.PID()))
+				reply, err := p.Send(req, sw.Tier.PID())
+				if err != nil {
+					t.Errorf("%s round %d: %v", p.Name(), i, err)
+					return
+				}
+				pid, ctx := proto.GetMapContextReply(reply)
+				if reply != req || reply.Op != proto.ReplyOK || kernel.PID(pid) != want.Server || core.ContextID(ctx) != want.Ctx {
+					t.Errorf("%s round %d: reply %+v (its request %p), want %v in the request", p.Name(), i, reply, req, want)
+					return
+				}
+				p.ChargeCompute(lease / 2) // every other round finds the tier's lease lapsed
+			}
+		}()
+	}
+	wg.Wait()
+	if ts := sw.Tier.Stats(); ts.Misses < rounds/4 || ts.Hits == 0 {
+		t.Fatalf("tier stats %+v: want the upstream walked repeatedly beside hits", ts)
 	}
 }

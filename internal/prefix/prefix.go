@@ -524,7 +524,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 		// from the table — the server knows the pair and must be the one
 		// stamping the expiry and tracking the holder — where the plain
 		// protocol would forward it to the target server (lease.go).
-		reply := core.OkReply()
+		reply := proto.AnswerIn(msg, proto.ReplyOK)
 		proto.SetMapContextReply(reply, uint32(pair.Server), uint32(pair.Ctx))
 		s.stampLease(p, reply, pfx, cb, false, e.slot)
 		return reply

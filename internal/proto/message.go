@@ -103,3 +103,13 @@ func (m *Message) Clone() *Message {
 // messages reuse the message structure, with the reply code in the code
 // field (§3.2).
 func NewReply(code Code) *Message { return &Message{Op: code} }
+
+// AnswerIn turns m, a request its handler has finished reading, into an
+// empty reply with code: flags and fields zeroed, the segment emptied but
+// its storage kept, so its WireSize is a NewReply's. The reply lands in
+// the message that asked, as V's Reply overwrites the sender's message
+// (§3.1); PROTOCOL.md §7 says which handlers answer this way.
+func AnswerIn(m *Message, code Code) *Message {
+	*m = Message{Op: code, Segment: m.Segment[:0]}
+	return m
+}

@@ -466,3 +466,77 @@ func TestOpenModeRoundTrip(t *testing.T) {
 		t.Fatal("open mode round trip failed")
 	}
 }
+
+func TestLeaseRequestRoundTrip(t *testing.T) {
+	m := &Message{Op: OpMapContext}
+	if _, ok := LeaseRequest(m); ok {
+		t.Fatal("an unflagged request asks for a lease")
+	}
+	SetLeaseRequest(m, 0x00020007)
+	if cb, ok := LeaseRequest(m); !ok || cb != 0x00020007 || m.Flags&FlagLeaseRequest == 0 {
+		t.Fatalf("LeaseRequest = %#x, %v; flags %#x", cb, ok, m.Flags)
+	}
+}
+
+func TestLeaseGrantRoundTrip(t *testing.T) {
+	m := NewReply(ReplyOK)
+	if _, ok := LeaseGrant(m); ok {
+		t.Fatal("an unstamped reply carries a lease")
+	}
+	// Expiries past 2³² ns need both words; below zero, the sign bit.
+	for _, expire := range []int64{0, 1, 1<<32 - 1, 1 << 32, 1<<32 + 5, 1<<62 + 3, -1, -(1 << 40), 1<<63 - 1, -1 << 63} {
+		SetLeaseGrant(m, expire)
+		if got, ok := LeaseGrant(m); !ok || got != expire {
+			t.Errorf("LeaseGrant after SetLeaseGrant(%d) = %d, %v", expire, got, ok)
+		}
+	}
+	if m.Op != ReplyOK || m.F[0] != 0 || m.F[3] != 0 {
+		t.Fatalf("the stamp touched fields it does not own: %+v", m)
+	}
+}
+
+func TestCacheInvalidateRoundTrip(t *testing.T) {
+	m := &Message{Segment: make([]byte, 0, 64)}
+	for _, tc := range []struct {
+		name   string
+		commit int64
+	}{{"home", 7}, {"", 0}, {"a/b\x00c", 1<<32 + 9}, {"x", -3}} {
+		SetCacheInvalidate(m, tc.name, tc.commit)
+		name, commit, err := CacheInvalidate(m)
+		if m.Op != OpCacheInvalidate || err != nil || name != tc.name || commit != tc.commit {
+			t.Errorf("round trip of (%q, %d) = (%q, %d, %v), op %v", tc.name, tc.commit, name, commit, err, m.Op)
+		}
+	}
+	if cap(m.Segment) != 64 {
+		t.Fatalf("re-encoding grew the segment to cap %d", cap(m.Segment))
+	}
+	m.F[2] = uint32(len(m.Segment) + 1)
+	if _, _, err := CacheInvalidate(m); !errors.Is(err, ErrBadArgs) {
+		t.Fatalf("name length past the segment: err = %v", err)
+	}
+}
+
+// TestAnswerIn: a request turned into a reply keeps nothing of the
+// request — no lease flag, no callback pid, no name on the wire — but
+// keeps its segment's storage for the next request.
+func TestAnswerIn(t *testing.T) {
+	req := &Message{Op: OpMapContext, Segment: make([]byte, 0, 32)}
+	SetCSName(req, 3, "[home]")
+	SetLeaseRequest(req, 0x00010004)
+	reply := AnswerIn(req, ReplyOK)
+	if reply != req {
+		t.Fatal("AnswerIn answered in another message")
+	}
+	if reply.Op != ReplyOK || reply.Flags != 0 || reply.F != [6]uint32{} {
+		t.Fatalf("reply keeps request state: %+v", reply)
+	}
+	if _, ok := LeaseRequest(reply); ok {
+		t.Fatal("reply still asks for a lease")
+	}
+	if reply.WireSize() != HeaderBytes || reply.WireSize() != NewReply(ReplyOK).WireSize() {
+		t.Fatalf("reply wire size %d, want a NewReply's %d", reply.WireSize(), HeaderBytes)
+	}
+	if len(reply.Segment) != 0 || cap(reply.Segment) != 32 {
+		t.Fatalf("segment len %d cap %d, want empty with its 32 bytes kept", len(reply.Segment), cap(reply.Segment))
+	}
+}
