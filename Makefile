@@ -201,11 +201,12 @@ reach:
 # lines outside the nested benchmark module. Then the paper's own measure
 # of uniformity (§6: a prefix server was 4.5 KB of code): the lines each
 # small server adds beyond the protocol, and the shared protocol half.
-# Last the experiment harness, the largest package.
+# Then the experiment harness, the largest package, and the two budgets
+# ROADMAP states: the rig (item 2) and the kernel (item 5).
 SERVER_PKGS = execserver inetserver mailserver pipeserver printserver termserver timeserver
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
-	@for p in $(SERVER_PKGS) experiments; do \
+	@for p in $(SERVER_PKGS) experiments rig kernel; do \
 		printf "internal/%s %s\n" $$p $$(cat $$(find internal/$$p -name '*.go' -not -name '*_test.go') | wc -l); \
 	done
 	@printf "internal/core/flat.go %s\n" $$(wc -l < internal/core/flat.go)

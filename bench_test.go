@@ -433,9 +433,10 @@ func benchTopology(b *testing.B, boot func() (*rig.Topology, error), drive func(
 }
 
 // benchShardedWorkload is benchTopology over the sharded closed-loop
-// workload.
+// workload: after each client's first resolution, every lane is all
+// cache hits on its own shard.
 func benchShardedWorkload(b *testing.B, drive func([]*rig.WorkloadClient) *rig.WorkloadResult) {
-	sc := rig.Scenario{Kind: rig.Direct, Shards: 8, ClientsPerShard: 8, Requests: 25, Team: 1, Seed: 42}
+	sc := rig.Scenario{Kind: rig.SharedPrefix, Shards: 8, ClientsPerShard: 8, Requests: 25, FileServerTeam: 1, Seed: 42}
 	benchTopology(b, sc.Boot, drive)
 }
 

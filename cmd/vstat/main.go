@@ -61,10 +61,13 @@ func run(args []string, w io.Writer) error {
 	}
 
 	policy := client.DefaultRetryPolicy()
-	cfg := rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Retry: &policy}
+	cfg := rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Retry: &policy, Requests: *ops}
 	observing := *showFlight || *showTop || *showRates
 	if observing {
 		cfg.Lease = 200 * time.Millisecond
+	}
+	if *withChaos {
+		cfg.FlushEvery, cfg.Faults = 25, chaos.TwoOutages("fs1")
 	}
 	r, err := rig.New(cfg)
 	if err != nil {
@@ -77,23 +80,6 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	openHello := rig.OpenClose("[bin]hello")
-	load := rig.PacedLoad{
-		Ops: *ops,
-		// Under chaos some operations legitimately fail.
-		Op: func(s *client.Session, i int) error {
-			switch i % 3 {
-			case 0:
-				return openHello(s, i)
-			case 1:
-				_, err := s.ReadFile("[home]welcome.txt")
-				return err
-			default:
-				_, err := s.Query("[home]notes/todo.txt")
-				return err
-			}
-		},
-	}
 	if *withChaos {
 		// The A14 failover topology: FS2 replicates the standard-programs
 		// context; the client caches resolutions so outages are felt.
@@ -101,10 +87,20 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		s.EnableNameCache(true)
-		load.FlushEvery = 25
-		load.Events = chaos.TwoOutages("fs1")
 	}
-	r.RunPaced(load)
+	// Under chaos some operations legitimately fail.
+	r.RunPaced(func(s *client.Session, i int) error {
+		switch i % 3 {
+		case 0:
+			return rig.OpenClose("[bin]hello")(s, i)
+		case 1:
+			_, err := s.ReadFile("[home]welcome.txt")
+			return err
+		default:
+			_, err := s.Query("[home]notes/todo.txt")
+			return err
+		}
+	})
 	horizon := s.Proc().Now()
 
 	snap := r.Metrics.Snapshot()

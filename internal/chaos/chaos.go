@@ -121,8 +121,8 @@ type Engine struct {
 	// RestartHook) with the event's exact virtual time; the replicated
 	// rig re-creates and rejoins the host's replica here.
 	RestartedHook func(host string, at vtime.Time) error
-	// RedefineHook executes a Redefine event. The sharded rig installs it
-	// (rig.Run); without it the event logs an error.
+	// RedefineHook executes a Redefine event. Every rig topology's
+	// NewChaos installs it; without it the event logs an error.
 	RedefineHook func(ev Event) error
 
 	k      *kernel.Kernel

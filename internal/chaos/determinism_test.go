@@ -26,18 +26,8 @@ type chaosRun struct {
 func runChaosOnce(t *testing.T) chaosRun {
 	t.Helper()
 	policy := client.DefaultRetryPolicy()
-	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 7, Retry: &policy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.WS[0].Session
-	ok, eng := r.RunPaced(rig.PacedLoad{
-		Ops: 120,
-		Op: func(s *client.Session, _ int) error {
-			_, err := s.ReadFile("[bin]hello")
-			return err
-		},
-		Events: chaos.Generate(99, chaos.Profile{
+	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 7, Retry: &policy, Requests: 120,
+		Faults: chaos.Generate(99, chaos.Profile{
 			Duration:           2 * time.Second,
 			Hosts:              []string{"fs1"},
 			MeanOutageEvery:    500 * time.Millisecond,
@@ -45,7 +35,14 @@ func runChaosOnce(t *testing.T) chaosRun {
 			MeanLossPulseEvery: 700 * time.Millisecond,
 			LossPulseLength:    100 * time.Millisecond,
 			LossRate:           0.25,
-		}),
+		})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.WS[0].Session
+	ok, eng := r.RunPaced(func(s *client.Session, _ int) error {
+		_, err := s.ReadFile("[bin]hello")
+		return err
 	})
 	eng.Finish()
 	return chaosRun{

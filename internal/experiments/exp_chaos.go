@@ -18,13 +18,6 @@ import (
 // via GetPid while a static binding keeps naming the dead pid — the
 // §4.2 argument for late binding, measured as availability.
 func a10() ([]Row, error) {
-	// Light / default / heavy fault rates: mean time between FS1 outages.
-	rates := []time.Duration{
-		1600 * time.Millisecond,
-		800 * time.Millisecond,
-		400 * time.Millisecond,
-	}
-
 	variants := []struct {
 		label  string
 		static bool
@@ -39,8 +32,7 @@ func a10() ([]Row, error) {
 	}
 
 	run := func(static bool, cache string, outageEvery time.Duration) (float64, rig.ResilienceSummary, error) {
-		policy := client.DefaultRetryPolicy()
-		r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 1, Retry: &policy})
+		r, err := rig.New(a10Scenario(outageEvery))
 		if err != nil {
 			return 0, rig.ResilienceSummary{}, err
 		}
@@ -67,28 +59,15 @@ func a10() ([]Row, error) {
 			s.EnableNameCache(true)
 		}
 
-		const ops = 150
-		ok, _ := r.RunPaced(rig.PacedLoad{
-			Ops: ops,
-			Op:  rig.OpenClose(name),
-			Events: chaos.Generate(2026, chaos.Profile{
-				Duration:           3 * time.Second,
-				Hosts:              []string{"fs1"},
-				MeanOutageEvery:    outageEvery,
-				OutageLength:       200 * time.Millisecond,
-				MeanLossPulseEvery: 900 * time.Millisecond,
-				LossPulseLength:    120 * time.Millisecond,
-				LossRate:           0.9,
-			}),
-		})
-		return float64(ok) / ops, r.ResilienceSummary(), nil
+		ok, _ := r.RunPaced(rig.OpenClose(name))
+		return float64(ok) / a10Ops, r.ResilienceSummary(), nil
 	}
 
 	var rows []Row
 	var key rig.ResilienceSummary // dynamic + retry cache at the default rate
 	for _, v := range variants {
-		fracs := make([]string, len(rates))
-		for i, rate := range rates {
+		fracs := make([]string, len(a10OutageRates))
+		for i, rate := range a10OutageRates {
 			frac, sum, err := run(v.static, v.cache, rate)
 			if err != nil {
 				return nil, fmt.Errorf("%s @ %v: %w", v.label, rate, err)
@@ -120,4 +99,29 @@ func a10() ([]Row, error) {
 			Note:     "backoff charged to the client's virtual clock"},
 	)
 	return rows, nil
+}
+
+// A10 runs a10Ops operations at each of its light / default / heavy fault
+// rates, the mean time between FS1 outages.
+const a10Ops = 150
+
+var a10OutageRates = []time.Duration{1600 * time.Millisecond, 800 * time.Millisecond, 400 * time.Millisecond}
+
+// a10Scenario is A10's rig at one fault rate: the recovery policy on, the
+// file servers without read-ahead, and fs1 outages every outageEvery on
+// average plus near-total loss pulses over three virtual seconds.
+func a10Scenario(outageEvery time.Duration) rig.Scenario {
+	policy := client.DefaultRetryPolicy()
+	return rig.Scenario{
+		Kind: rig.Paper, Users: []string{"mann"}, Seed: 1, Retry: &policy, Requests: a10Ops,
+		Faults: chaos.Generate(2026, chaos.Profile{
+			Duration:           3 * time.Second,
+			Hosts:              []string{"fs1"},
+			MeanOutageEvery:    outageEvery,
+			OutageLength:       200 * time.Millisecond,
+			MeanLossPulseEvery: 900 * time.Millisecond,
+			LossPulseLength:    120 * time.Millisecond,
+			LossRate:           0.9,
+		}),
+	}
 }

@@ -171,12 +171,7 @@ func a14Team(team int) (MetricsLeg, metrics.HistPoint, error) {
 // client never touches the dead pid.
 func a14Chaos() (MetricsLeg, float64, error) {
 	var leg MetricsLeg
-	policy := client.DefaultRetryPolicy()
-	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Retry: &policy})
-	if err != nil {
-		return leg, 0, err
-	}
-	ok, horizon, err := a14ChaosLoad(r)
+	r, ok, horizon, err := a14ChaosLoad(a14ChaosScenario(0))
 	if err != nil {
 		return leg, 0, err
 	}
@@ -200,24 +195,34 @@ func a14Chaos() (MetricsLeg, float64, error) {
 // a14ChaosOps is the chaos leg's operation count.
 const a14ChaosOps = 150
 
-// a14ChaosLoad is the chaos leg's workload, which A15 reruns byte for
-// byte against the replicated rig: the A10 failover shape (dynamic [bin]
-// binding, FS2 mirror, invalidate-and-retry cache flushed every 25
-// operations) under the two-outage schedule. It returns the successful
-// operations and the horizon the run's clock reached.
-func a14ChaosLoad(r *rig.Rig) (ok int, horizon vtime.Time, err error) {
-	if err := r.MirrorBinOnFS2(); err != nil {
-		return 0, 0, err
+// a14ChaosScenario is the chaos leg's rig: recovery on, the name cache
+// flushed every 25 operations, the two-outage fs1 schedule. With replicas
+// > 1 it is A15's, replicated that many ways under the fast policy.
+func a14ChaosScenario(replicas int) rig.Scenario {
+	policy := client.DefaultRetryPolicy()
+	if replicas > 1 {
+		policy = a15RetryPolicy()
+	}
+	return rig.Scenario{
+		Kind: rig.Paper, Users: []string{"mann"}, Seed: 1, ReadAhead: true, Retry: &policy, Replicas: replicas,
+		Requests: a14ChaosOps, FlushEvery: 25, Faults: chaos.TwoOutages("fs1"),
+	}
+}
+
+// a14ChaosLoad boots sc and paces the A10 failover shape through it
+// (dynamic [bin] binding, FS2 mirror, name cache on), byte for byte the
+// same for A14 and A15: the rig, the successful operations, the horizon.
+func a14ChaosLoad(sc rig.Scenario) (r *rig.Rig, ok int, horizon vtime.Time, err error) {
+	if r, err = rig.New(sc); err == nil {
+		err = r.MirrorBinOnFS2()
+	}
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
-	ok, _ = r.RunPaced(rig.PacedLoad{
-		Ops:        a14ChaosOps,
-		Op:         rig.OpenClose("[bin]hello"),
-		FlushEvery: 25,
-		Events:     chaos.TwoOutages("fs1"),
-	})
-	return ok, s.Proc().Now(), nil
+	ok, _ = r.RunPaced(rig.OpenClose("[bin]hello"))
+	return r, ok, s.Proc().Now(), nil
 }
 
 // fs1Health finds the fs1 host's entry in a health report.

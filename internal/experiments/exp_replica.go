@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/metrics"
-	"repro/internal/rig"
 )
 
 // a15RetryPolicy is the fast recovery policy replicated runs use:
@@ -61,16 +60,11 @@ type ReplicaDoc struct {
 // a15Collect runs the replicated chaos leg once, producing both the
 // JSON document and the experiment rows from the same data.
 func a15Collect() (*ReplicaDoc, []Row, error) {
-	policy := a15RetryPolicy()
-	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Retry: &policy, Replicas: 3})
-	if err != nil {
-		return nil, nil, err
-	}
 	// The workload is byte-for-byte A14's: FS2 still carries the
 	// standard-programs mirror (it just never gets the traffic now — the
 	// group's own standbys are closer in GetPid order).
 	const ops = a14ChaosOps
-	ok, horizon, err := a14ChaosLoad(r)
+	r, ok, horizon, err := a14ChaosLoad(a14ChaosScenario(3))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,17 +8,25 @@ import (
 
 	"repro/internal/popgen"
 	"repro/internal/rig"
+	"repro/internal/vtime"
 )
 
-// TestScenarioIsPlainData: every scenario A16–A19 run is a value a
+// TestScenarioIsPlainData: every scenario A16–A19 run, and the paper
+// scenarios A10, A14 and A15 pace their faults through, is a value a
 // generator could have produced and a file could hold — it survives
-// json.Marshal → Unmarshal unchanged, with each fault's action written as
-// its name.
+// json.Marshal → Unmarshal unchanged, Retry and Model pointers included,
+// with each fault's action written as its name.
 func TestScenarioIsPlainData(t *testing.T) {
 	pop := popgen.NewPopulation(a18TestScale.tracePop, a18Skew, a18PopSeed)
+	e1 := rig.DefaultConfig()
+	e1.Model = vtime.Model10Mbit()
 	all := []rig.Scenario{
 		a17ChaosScenario("crash"), a17ChaosScenario("partition"),
 		a18TraceScenario(pop), a19SampledScenario(pop),
+		a14ChaosScenario(0), a14ChaosScenario(3), e1,
+	}
+	for _, rate := range a10OutageRates {
+		all = append(all, a10Scenario(rate))
 	}
 	for _, shards := range a16ShardCounts {
 		all = append(all, a16Scenario(shards))

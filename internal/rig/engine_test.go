@@ -49,7 +49,7 @@ func mustRun(t *testing.T, sc Scenario) (*WorkloadResult, Evidence) {
 func TestShardedEquivalence(t *testing.T) {
 	for _, team := range []int{1, 2, 4} {
 		sc := sharedPrefixShape
-		sc.Team, sc.Sequential = team, true
+		sc.FileServerTeam, sc.Sequential = team, true
 		res, ev := mustRun(t, sc)
 		if want := sc.Shards * sc.ClientsPerShard * sc.Requests; res.Requests != want {
 			t.Fatalf("team %d: issued %d requests, want %d", team, res.Requests, want)

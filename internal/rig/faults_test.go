@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/proto"
@@ -287,5 +288,45 @@ func TestTotalLossEventuallyFails(t *testing.T) {
 	defer r.Net.SetDropRate(0)
 	if _, err := s.ReadFile("[home]welcome.txt"); err == nil {
 		t.Fatal("total loss should exhaust retransmissions")
+	}
+}
+
+// TestRestartedFS1KeepsItsOptions: a scripted restart re-creates fs1 with
+// the scenario's file-server options, not the file server's defaults
+// (read-ahead on, one process). Reading the first block of a two-block
+// file caches that page only when read-ahead is off, and the team's
+// workers follow the receptionist in pid order.
+func TestRestartedFS1KeepsItsOptions(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ReadAhead, cfg.FileServerTeam = false, 2
+	r := MustNew(cfg)
+	eng := r.NewChaos([]chaos.Event{
+		{At: time.Millisecond, Action: chaos.Crash, Host: "fs1"},
+		{At: 2 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
+	})
+	eng.Finish()
+	if log := strings.Join(eng.Log(), "\n"); strings.Contains(log, "hook-error") {
+		t.Fatal(log)
+	}
+	page := r.Model.DiskPageSize
+	if err := r.FS1.WriteFile("/bin/two.dat", "system", make([]byte, 2*page)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.WS[0].Session.Open("[bin]two.dat", proto.ModeRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadBlock(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.FS1.CachedPages(); got != 1 {
+		t.Fatalf("restarted fs1 caches %d pages after one block read, want 1 (read-ahead off)", got)
+	}
+	for i := uint16(1); i <= 2; i++ {
+		pid := kernel.MakePID(r.FS1Host.ID(), r.FS1.PID().Local()+i)
+		w, err := r.FS1Host.ProcessByPID(pid)
+		if err != nil || !strings.HasSuffix(w.Name(), fmt.Sprintf("/worker%d", i-1)) {
+			t.Fatalf("restarted fs1 has no team worker %d at %v: %v", i-1, pid, err)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func TestShardedLeaseEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.label, func(t *testing.T) {
 			sc := leaseShape
-			sc.Team, sc.CacheTier, sc.Sequential = tc.team, tc.tier, true
+			sc.FileServerTeam, sc.CacheTier, sc.Sequential = tc.team, tc.tier, true
 			res, ev := mustRun(t, sc)
 			if want := sc.Shards * sc.ClientsPerShard * sc.Requests; res.Requests != want {
 				t.Fatalf("issued %d requests, want %d", res.Requests, want)

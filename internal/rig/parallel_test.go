@@ -9,14 +9,16 @@ import (
 	"repro/internal/client"
 )
 
-// buildShards boots a fresh sharded topology and optionally wires a
-// per-lane chaos schedule into the clients' ops: lanes 1 and 3 crash
-// their own shard host mid-workload, pumped from that lane's clients
-// only, so the fault stays lane-local and the parallel driver's
-// equivalence guarantee holds under it.
+// buildShards boots a fresh shared-prefix topology — each client's first
+// op resolves through the central prefix server, every later one is a
+// cache hit on an all-Confined lane — and optionally wires a per-lane
+// chaos schedule into the clients' ops: lanes 1 and 3 crash their own
+// shard host mid-workload, pumped from that lane's clients only, so the
+// fault stays lane-local and the parallel driver's equivalence guarantee
+// holds under it.
 func buildShards(t *testing.T, team int, withChaos bool) *Topology {
 	t.Helper()
-	sw, err := Scenario{Kind: Direct, Shards: 4, ClientsPerShard: 4, Requests: 12, Team: team, Seed: 7}.Boot()
+	sw, err := Scenario{Kind: SharedPrefix, Shards: 4, ClientsPerShard: 4, Requests: 12, FileServerTeam: team, Seed: 7}.Boot()
 	if err != nil {
 		t.Fatalf("build sharded workload: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,7 +65,11 @@ func TestReplicatedBoot(t *testing.T) {
 // the failed-over leader.
 func TestReplicatedFailoverInFlight(t *testing.T) {
 	policy := replicaRetryPolicy()
-	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy})
+	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+		Requests: 60, FlushEvery: 10, Faults: []chaos.Event{
+			{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
+			{At: 400 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
+		}})
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
 	// The replica safety oracle watches both groups after every step.
@@ -86,20 +91,12 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	}
 	safe("Remove")
 
-	r.RunPaced(PacedLoad{
-		Ops: 60,
-		Op: func(s *client.Session, i int) error {
-			safe(fmt.Sprintf("the pump before op %d", i))
-			if err := OpenClose("[bin]hello")(s, i); err != nil {
-				t.Fatalf("op %d: open/close failed across failover: %v", i, err)
-			}
-			return nil
-		},
-		FlushEvery: 10,
-		Events: []chaos.Event{
-			{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
-			{At: 400 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-		},
+	r.RunPaced(func(s *client.Session, i int) error {
+		safe(fmt.Sprintf("the pump before op %d", i))
+		if err := OpenClose("[bin]hello")(s, i); err != nil {
+			t.Fatalf("op %d: open/close failed across failover: %v", i, err)
+		}
+		return nil
 	})
 
 	safe("the schedule")
@@ -127,20 +124,16 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 func replicatedScenario(t *testing.T) (events []string, statuses []replica.Status, failed int) {
 	t.Helper()
 	policy := replicaRetryPolicy()
-	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy})
-	s := r.WS[0].Session
-	s.EnableNameCache(true)
-	r.RunPaced(PacedLoad{
-		Ops:        80,
-		Op:         OpenClose("[bin]hello"),
-		FlushEvery: 10,
-		Events: []chaos.Event{
+	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+		Requests: 80, FlushEvery: 10, Faults: []chaos.Event{
 			{At: 50 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
 			{At: 300 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
 			{At: 500 * time.Millisecond, Action: chaos.Crash, Host: "fs1b"},
 			{At: 700 * time.Millisecond, Action: chaos.Restart, Host: "fs1b"},
-		},
-	})
+		}})
+	s := r.WS[0].Session
+	s.EnableNameCache(true)
+	r.RunPaced(OpenClose("[bin]hello"))
 	return r.FSR.Group.Events(), r.FSR.Group.Statuses(), r.ResilienceSummary().Client.OpsFailed
 }
 
@@ -173,7 +166,7 @@ func TestReplicaDeterministic(t *testing.T) {
 // them without starting one.
 func TestBootedRigOwnsNoGoroutine(t *testing.T) {
 	teams := DefaultConfig()
-	teams.FileServerTeam, teams.ServicesTeam, teams.PrefixTeam = 4, 4, 4
+	teams.FileServerTeam = 4
 	replicated := DefaultConfig()
 	replicated.Replicas = 3
 	for _, c := range []struct {
@@ -193,5 +186,54 @@ func TestBootedRigOwnsNoGoroutine(t *testing.T) {
 		if after := runtime.NumGoroutine(); after > before {
 			t.Errorf("%s: %d goroutines after the crashes, %d before", c.name, after, before)
 		}
+	}
+}
+
+// TestReplicatedPrefixMemberRejoins restarts a prefix-group member
+// through NewChaos while RunPaced drives the other user's workload.
+// ws-cheriton carries slot 0 of cheriton's prefix group: its crash fails
+// the group over to a standby, and its restart re-creates the member,
+// rejoins it with the leader's table and hands leadership back. (The
+// standbys' hosts, services and fs2, also run the groups' monitors, which
+// NewGroup requires the schedule never to take down.)
+func TestReplicatedPrefixMemberRejoins(t *testing.T) {
+	policy := replicaRetryPolicy()
+	r := MustNew(Config{Users: []string{"mann", "cheriton"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+		Requests: 40, FlushEvery: 10, Faults: []chaos.Event{
+			{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "ws-cheriton"},
+			{At: 250 * time.Millisecond, Action: chaos.Restart, Host: "ws-cheriton"},
+		}})
+	ws := r.WS[1]
+	before := ws.PrefixRep.Members[0].Rep
+	groups := []*replica.Group{r.FSR.Group, r.WS[0].PrefixRep.Group, ws.PrefixRep.Group}
+	safety := make([]replica.Safety, len(groups))
+	safe := func(step string) {
+		t.Helper()
+		for i, g := range groups {
+			if err := safety[i].Check(g); err != nil {
+				t.Fatalf("after %s: %v\n%v", step, err, g.Events())
+			}
+		}
+	}
+	ok, eng := r.RunPaced(func(s *client.Session, i int) error {
+		safe(fmt.Sprintf("the pump before op %d", i))
+		return OpenClose("[bin]hello")(s, i)
+	})
+	safe("the schedule")
+	if ok != 40 {
+		t.Fatalf("%d/40 operations succeeded; chaos log:\n%v", ok, eng.Log())
+	}
+	m := ws.PrefixRep.Members[0]
+	if m.Rep == before || ws.PrefixRep.Group.MemberReplica("ws-cheriton") != m.Rep || ws.Prefix != m.Srv {
+		t.Fatal("ws-cheriton's prefix member was not re-created into slot 0")
+	}
+	events := strings.Join(ws.PrefixRep.Group.Events(), "\n")
+	for _, want := range []string{"rejoin       host=ws-cheriton", "sync         host=ws-cheriton"} {
+		if !strings.Contains(events, want) {
+			t.Fatalf("group events lack %q:\n%s", want, events)
+		}
+	}
+	if host, _ := ws.PrefixRep.Group.Leader(); host != "ws-cheriton" {
+		t.Fatalf("leader after rejoin = %s, want slot 0 back; events:\n%s", host, events)
 	}
 }

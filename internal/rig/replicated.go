@@ -39,8 +39,6 @@ type FSMember struct {
 type ReplicatedFS struct {
 	Group   *replica.Group
 	Members []*FSMember // slot order: fs1, fs1b, fs1c, …
-
-	fsOpts []fileserver.Option
 }
 
 // Member returns the member on the named host, or nil.
@@ -89,8 +87,8 @@ func fsMemberHost(i int) string {
 // bootFSGroup forms the replication group over the booted, seeded fs1
 // members, slot 0 leading. The group monitor lives on fs2 — a host the
 // fault schedules never take down.
-func (r *Rig) bootFSGroup(cfg Config) error {
-	g, err := replica.NewGroup(r.FS2Host, replica.Config{Name: "fs1", Seed: cfg.Seed})
+func (r *Rig) bootFSGroup() error {
+	g, err := replica.NewGroup(r.FS2Host, replica.Config{Name: "fs1", Seed: r.sc.Seed})
 	if err != nil {
 		return err
 	}
@@ -109,7 +107,7 @@ func (r *Rig) bootFSGroup(cfg Config) error {
 // startFSMember boots one member: the local file server plus the
 // replica front, which registers as the storage service.
 func (r *Rig) startFSMember(host *kernel.Host) (*FSMember, error) {
-	fs, err := fileserver.Start(host, host.Name(), r.FSR.fsOpts...)
+	fs, err := fileserver.Start(host, host.Name(), r.sc.fsOpts()...)
 	if err != nil {
 		return nil, err
 	}
@@ -129,12 +127,9 @@ func (r *Rig) startFSMember(host *kernel.Host) (*FSMember, error) {
 // slot 0 on the workstation itself (the member its session addresses),
 // the standbys on the services and fs2 machines. Prefix replication is
 // capped at those three hosts.
-func (r *Rig) bootReplicatedPrefix(cfg Config, ws *Workstation) error {
+func (r *Rig) bootReplicatedPrefix(ws *Workstation) error {
 	hosts := []*kernel.Host{ws.Host, r.ServicesHost, r.FS2Host}
-	n := cfg.Replicas
-	if n > len(hosts) {
-		n = len(hosts)
-	}
+	n := min(r.sc.Replicas, len(hosts))
 	pr := &ReplicatedPrefix{}
 	for i := 0; i < n; i++ {
 		m, err := startPrefixMember(hosts[i], ws.User, i == 0)
@@ -143,7 +138,7 @@ func (r *Rig) bootReplicatedPrefix(cfg Config, ws *Workstation) error {
 		}
 		pr.Members = append(pr.Members, m)
 	}
-	g, err := replica.NewGroup(r.ServicesHost, replica.Config{Name: "prefix-" + ws.User, Seed: cfg.Seed})
+	g, err := replica.NewGroup(r.ServicesHost, replica.Config{Name: "prefix-" + ws.User, Seed: r.sc.Seed})
 	if err != nil {
 		return err
 	}
@@ -251,7 +246,7 @@ func (r *Rig) wireReplicaHooks(e *chaos.Engine) {
 	}
 	e.RestartedHook = func(host string, at vtime.Time) error {
 		if m := r.FSR.Member(host); m != nil {
-			if err := r.RecreateServer(host, ServerFile); err != nil {
+			if err := r.recreateFSMember(m); err != nil {
 				return err
 			}
 			if err := r.FSR.Group.Rejoin(host, m.Rep, at); err != nil {
@@ -263,7 +258,7 @@ func (r *Rig) wireReplicaHooks(e *chaos.Engine) {
 				continue
 			}
 			if m := ws.PrefixRep.Member(host); m != nil {
-				if err := r.RecreateServer(host, ServerPrefix); err != nil {
+				if err := r.recreatePrefixMember(ws, m); err != nil {
 					return err
 				}
 				if err := ws.PrefixRep.Group.Rejoin(host, m.Rep, at); err != nil {

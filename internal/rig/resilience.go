@@ -4,8 +4,6 @@
 package rig
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/chaos"
@@ -16,66 +14,57 @@ import (
 	"repro/internal/vtime"
 )
 
-// NewChaos builds a chaos engine over this rig's kernel. Its restart
-// hook re-creates the fs1 file server whenever a scripted Restart brings
-// the fs1 host back — the engine can restart a host kernel, but only the
-// rig knows what ran on it. Schedules targeting other hosts restart bare
-// kernels unless the caller replaces the hook. On a replicated rig the
-// hooks instead feed the replication groups: crashes become NoteDown,
-// restarts re-create the member and rejoin it (replicated.go).
-func (r *Rig) NewChaos(events []chaos.Event) *chaos.Engine {
-	e := chaos.New(r.Kernel, events)
-	if r.FSR != nil {
-		r.wireReplicaHooks(e)
+// NewChaos builds a chaos engine over this topology's kernel — the one
+// way a topology gets one. Redefine events run through an admin session
+// on the prefix host (redefine). A restart of the unreplicated fs1 host
+// re-creates its file server; the engine can restart a host kernel, but
+// only the topology knows what ran on it, and other hosts restart bare.
+// On a replicated rig the hooks instead feed the replication groups:
+// crashes become NoteDown, restarts re-create the member and rejoin it
+// (replicated.go).
+func (t *Topology) NewChaos(events []chaos.Event) *chaos.Engine {
+	e := chaos.New(t.Kernel, events)
+	e.RedefineHook = t.redefine
+	if t.FSR != nil {
+		t.wireReplicaHooks(e)
 		return e
 	}
 	e.RestartHook = func(host string) error {
 		if host == "fs1" {
-			return r.RecreateServer(host, ServerFile)
+			return t.restartFS1()
 		}
 		return nil
 	}
 	return e
 }
 
-// PacedLoad is the fault-paced closed loop the availability experiments
-// share: the first workstation's session performs Ops operations, 10 ms
-// of compute after each, while a fault schedule plays out.
-type PacedLoad struct {
-	// Ops is the number of operations; Op performs operation i.
-	Ops int
-	Op  func(s *client.Session, i int) error
-	// FlushEvery, when positive, flushes the session's name cache before
-	// every FlushEvery-th operation — a fresh program instance starts
-	// with an empty cache — so each outage catches a cached resolution
-	// stale.
-	FlushEvery int
-	// Events is the fault schedule; nil runs fault-free.
-	Events []chaos.Event
-}
-
-// RunPaced drives l and returns how many operations succeeded, with the
-// chaos engine that fired the schedule. Everything that has no clock of
-// its own is pumped from the session's — the chaos engine, then the
-// replication groups, then the metrics sampler (PROTOCOL.md §11.4) —
-// before every operation, inside every retry backoff (a fault scheduled
-// during a backoff fires while the client waits, exactly when a real
-// deployment would see it), and once more at the horizon.
-func (r *Rig) RunPaced(l PacedLoad) (ok int, eng *chaos.Engine) {
+// RunPaced drives a Paper scenario's fault-paced closed loop, the one the
+// availability experiments share, and returns how many operations
+// succeeded, with the chaos engine that fired the scenario's Faults. The
+// first workstation's session performs op Requests times, 10 ms of
+// compute after each, flushing its name cache before every FlushEvery-th
+// (a fresh program instance starts cold, so each outage catches a cached
+// resolution stale). Everything that has no clock of its own is pumped
+// from the session's — the chaos engine, then the replication groups,
+// then the metrics sampler (PROTOCOL.md §11.4) — before every operation,
+// inside every retry backoff (a fault scheduled during a backoff fires
+// while the client waits, exactly when a real deployment would see it),
+// and once more at the horizon.
+func (r *Rig) RunPaced(op func(s *client.Session, i int) error) (ok int, eng *chaos.Engine) {
 	s := r.WS[0].Session
-	eng = r.NewChaos(l.Events)
+	eng = r.NewChaos(r.sc.Faults)
 	pump := func(now vtime.Time) {
 		eng.AdvanceTo(now)
 		r.PumpGroups(now)
 		r.Sampler.AdvanceTo(now)
 	}
 	s.SetRetryObserver(pump)
-	for i := 0; i < l.Ops; i++ {
-		if l.FlushEvery > 0 && i > 0 && i%l.FlushEvery == 0 {
+	for i := 0; i < r.sc.Requests; i++ {
+		if r.flushes(i) {
 			s.FlushNameCache()
 		}
 		pump(s.Proc().Now())
-		if l.Op(s, i) == nil {
+		if op(s, i) == nil {
 			ok++
 		}
 		s.Proc().ChargeCompute(10 * time.Millisecond) // workload pacing
@@ -106,96 +95,22 @@ func (r *Rig) MirrorBinOnFS2() error {
 	return r.FS2.WriteFile("/bin/hello", "system", []byte("hello image"))
 }
 
-// ServerKind names what RecreateServer rebuilds on a restarted host.
-type ServerKind string
-
-const (
-	// ServerFile is a file server: fs1/fs2, or a replicated fs1 member.
-	ServerFile ServerKind = "fileserver"
-	// ServerPrefix is a prefix server: a workstation's own, or a
-	// replicated prefix-group member.
-	ServerPrefix ServerKind = "prefix"
-)
-
-// RecreateServer starts a replacement server of the given kind on the
-// (restarted) host and re-registers its services. Unreplicated
-// replacements are cold servers: a new pid (the §4.2 rebinding
-// scenario) and minimally re-seeded state — fs1 keeps only /bin/hello,
-// fs2 only the archive paper, a workstation prefix server its old
-// table. Replicated members come back empty and receive their state
-// from the group's rejoin snapshot-sync instead.
-func (r *Rig) RecreateServer(host string, kind ServerKind) error {
-	switch kind {
-	case ServerFile:
-		if r.FSR != nil {
-			if m := r.FSR.Member(host); m != nil {
-				return r.recreateFSMember(m)
-			}
-		}
-		switch host {
-		case "fs1":
-			fs, err := startStorage(r.FS1Host)
-			if err != nil {
-				return err
-			}
-			if err := fs.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-				return err
-			}
-			if err := fs.WriteFile("/bin/hello", "system", programImage("hello", 2048)); err != nil {
-				return err
-			}
-			r.FS1 = fs
-			return nil
-		case "fs2":
-			fs, err := startStorage(r.FS2Host)
-			if err != nil {
-				return err
-			}
-			if _, err := seedFS2Volume(fs); err != nil {
-				return err
-			}
-			r.FS2 = fs
-			return nil
-		}
-		return fmt.Errorf("rig: no file server to recreate on host %q", host)
-	case ServerPrefix:
-		for _, ws := range r.WS {
-			if ws.PrefixRep != nil {
-				if m := ws.PrefixRep.Member(host); m != nil {
-					return r.recreatePrefixMember(ws, m)
-				}
-				continue
-			}
-			if ws.Host.Name() != host {
-				continue
-			}
-			old := ws.Prefix.Bindings()
-			srv, err := prefix.Start(ws.Host, ws.User)
-			if err != nil {
-				return err
-			}
-			names := make([]string, 0, len(old))
-			for name := range old {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				b := old[name]
-				if b.Dynamic {
-					err = srv.DefineDynamic(name, b.Service, b.WellKnown)
-				} else {
-					err = srv.Define(name, b.Pair)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			ws.Prefix = srv
-			return nil
-		}
-		return fmt.Errorf("rig: no prefix server to recreate on host %q", host)
+// restartFS1 re-creates the unreplicated fs1 on its restarted host: a
+// cold server with the scenario's file-server options, a new pid (the
+// §4.2 rebinding scenario), and only /bin/hello re-seeded.
+func (r *Rig) restartFS1() error {
+	fs, err := startStorage(r.FS1Host, r.sc.fsOpts()...)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("rig: unknown server kind %q", kind)
+	if err := fs.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
+		return err
+	}
+	if err := fs.WriteFile("/bin/hello", "system", programImage("hello", 2048)); err != nil {
+		return err
+	}
+	r.FS1 = fs
+	return nil
 }
 
 // ResilienceSummary aggregates the recovery record of a run: every
@@ -206,14 +121,11 @@ type ResilienceSummary struct {
 	Prefix prefix.Stats
 }
 
-// ResilienceSummary sums resilience metrics across all sessions the rig
-// created and all workstation prefix servers.
-func (r *Rig) ResilienceSummary() ResilienceSummary {
+// ResilienceSummary sums resilience metrics across every session the
+// topology created and every workstation prefix server.
+func (t *Topology) ResilienceSummary() ResilienceSummary {
 	var sum ResilienceSummary
-	r.sessMu.Lock()
-	sessions := append([]*client.Session(nil), r.sessions...)
-	r.sessMu.Unlock()
-	for _, s := range sessions {
+	for _, s := range t.Sessions() {
 		st := s.ResilienceStats()
 		sum.Client.Ops += st.Ops
 		sum.Client.OpsFailed += st.OpsFailed
@@ -222,7 +134,7 @@ func (r *Rig) ResilienceSummary() ResilienceSummary {
 		sum.Client.Failovers += st.Failovers
 		sum.Client.Downtime += st.Downtime
 	}
-	for _, ws := range r.WS {
+	for _, ws := range t.WS {
 		ps := ws.Prefix.Stats()
 		sum.Prefix.Forwards += ps.Forwards
 		sum.Prefix.Rebinds += ps.Rebinds

@@ -3,6 +3,7 @@ package rig
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -438,12 +439,8 @@ func TestDynamicBindingRebindsAfterCrash(t *testing.T) {
 // restartFS1 re-creates the fs1 file server after a crash, reseeding the
 // program directory, as the operations staff would restore a server.
 func restartFS1(r *Rig) (*fileserver.FileServer, error) {
-	fs, err := bootReplacementFS(r)
-	if err != nil {
-		return nil, err
-	}
-	r.FS1 = fs
-	return fs, nil
+	err := r.restartFS1()
+	return r.FS1, err
 }
 
 func TestInverseMappingCurrentName(t *testing.T) {
@@ -823,11 +820,6 @@ func TestE3SequentialReadRate(t *testing.T) {
 }
 
 // --- helpers that extend the rig for individual tests ---
-
-func bootReplacementFS(r *Rig) (*fileserver.FileServer, error) {
-	err := r.RecreateServer("fs1", ServerFile)
-	return r.FS1, err
-}
 
 func bootLocalFS(r *Rig, ws *Workstation) (*fileserver.FileServer, error) {
 	return fileserver.Start(ws.Host, "local-"+ws.User)
@@ -1288,5 +1280,39 @@ func TestLinkErrors(t *testing.T) {
 	}
 	if err := s.Link("[home]welcome.txt", "[storage2]w"); !errors.Is(err, proto.ErrIllegalRequest) {
 		t.Fatalf("cross-prefix link err = %v", err)
+	}
+}
+
+// TestNewIsBoot: New is Boot of a Paper scenario — the same hosts, the
+// same server and session pids, the same program context and the same
+// prefix tables.
+func TestNewIsBoot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Baseline = true
+	a := MustNew(cfg)
+	b, err := cfg.Boot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := func(r *Rig) []string {
+		out := []string{fmt.Sprint(r.BinCtx)}
+		for _, h := range []*kernel.Host{r.FS1Host, r.FS2Host, r.ServicesHost, r.NSHost} {
+			out = append(out, fmt.Sprint(h.Name(), h.ID()))
+		}
+		for _, pid := range []kernel.PID{r.FS1.PID(), r.FS2.PID(), r.Print.PID(), r.Inet.PID(),
+			r.Mail.PID(), r.Time.PID(), r.Pipe.PID(), r.NS.PID()} {
+			out = append(out, pid.String())
+		}
+		for _, ws := range r.WS {
+			out = append(out, fmt.Sprint(ws.Host.Name(), ws.Host.ID(), ws.Prefix.PID(), ws.Term.PID(),
+				ws.Exec.PID(), ws.Session.Proc().PID(), ws.HomeCtx), fmt.Sprint(ws.Prefix.Bindings()))
+		}
+		return out
+	}
+	if sa, sb := shape(a), shape(b); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("New and Boot differ:\n%v\n%v", sa, sb)
+	}
+	if _, _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "RunPaced") {
+		t.Fatalf("Run(Paper) = %v, want an error naming RunPaced", err)
 	}
 }

@@ -1,33 +1,49 @@
-// One description of a sharded run (ROADMAP item 1a): a Scenario is
-// plain data — topology × policy × workload × fault schedule — Run is
-// the one way to execute it, and Evidence the one readout. The
-// experiments are literals of it; a generated or shrunk schedule is one
-// too, and a failing one is a JSON document.
+// One description of a run: a Scenario is plain data — topology ×
+// policy × workload × fault schedule — Boot the one way to build it, and
+// Topology the one booted type. The paper's §6 testbed is Kind Paper
+// (rig.go, where Config, Rig and New name Scenario, Topology and Boot for
+// it); the sharded, engine-driven kinds are SharedPrefix and Zipf
+// (shards.go, zipf.go).
+// Run executes a sharded scenario, RunPaced a paper one, and Evidence is
+// Run's one readout. The experiments are literals of it; a generated or
+// shrunk schedule is one too, and a failing one is a JSON document.
 package rig
 
 import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/fileserver"
 	"repro/internal/flight"
+	"repro/internal/inetserver"
+	"repro/internal/kernel"
+	"repro/internal/mailserver"
+	"repro/internal/metrics"
+	"repro/internal/nameserver"
 	"repro/internal/ncache"
+	"repro/internal/netsim"
+	"repro/internal/pipeserver"
 	"repro/internal/popgen"
 	"repro/internal/prefix"
+	"repro/internal/printserver"
+	"repro/internal/timeserver"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
-// Kind selects how a scenario's clients reach their shard's file server
-// (shards.go describes the shape they share).
+// Kind selects the topology a scenario boots.
 type Kind string
 
 const (
-	// Direct clients query ShardHotPath relative to their co-resident
-	// server's root: no prefix server, every request lane-local.
-	Direct Kind = "direct"
+	// Paper is the §6 testbed: file servers fs1 and fs2, a services
+	// machine and one diskless workstation per user (rig.go).
+	Paper Kind = "paper"
 	// SharedPrefix clients query [shard<own>]ShardHotPath through one
 	// central prefix server and their own cache, in a closed loop.
 	SharedPrefix Kind = "shared-prefix"
@@ -36,55 +52,77 @@ const (
 	Zipf Kind = "zipf"
 )
 
-// Scenario describes one sharded run. It holds no funcs and survives a
-// JSON round trip unchanged (Pop aside, which is a cache of three other
+// Scenario describes one run. It holds no funcs and survives a JSON
+// round trip unchanged (Pop aside, which is a cache of three other
 // fields).
 type Scenario struct {
 	Kind Kind
-	// Shards is the number of file-server shards (= engine lanes).
-	Shards int
-	// ClientsPerShard is the number of co-resident clients per shard.
-	ClientsPerShard int
-	// Requests is each client's quota: closed-loop Query iterations, or
-	// open-loop arrivals for Zipf.
-	Requests int
-	// Team is each shard file server's team size (0/1 = single process).
-	Team int
 	// Seed drives the network's deterministic RNG.
 	Seed int64
-
-	// FlushEvery, when positive, flushes each client's name cache every
-	// FlushEvery iterations (fresh program instances start cold, §2.3),
-	// forcing periodic Shared re-resolutions through the prefix server.
-	// Zero means only iteration 0 misses. It is the pre-lease compat
-	// knob: with Lease set, flushes are skipped — lease coherence makes
-	// the blind flush redundant (PROTOCOL.md §13).
+	// Model overrides the cost model (default: the calibrated 3 Mbit
+	// model; vtime.Model10Mbit() selects the faster wire).
+	Model *vtime.CostModel
+	// Requests is the run's length: each sharded client's closed-loop
+	// Query iterations or Zipf open-loop arrivals, or the operations
+	// RunPaced performs on a Paper topology.
+	Requests int
+	// FileServerTeam sets how many serving processes each file server
+	// runs (§3.1 server teams). 0 or 1 keeps the single-process server.
+	FileServerTeam int
+	// FlushEvery, when positive, flushes a client's name cache before
+	// every FlushEvery-th operation (fresh program instances start cold,
+	// §2.3). On the sharded kinds it forces periodic Shared
+	// re-resolutions through the prefix server and is the pre-lease
+	// compat knob: with Lease set, lease coherence makes the blind flush
+	// redundant and it is skipped (PROTOCOL.md §13). On Paper it makes
+	// each outage catch a cached resolution stale.
 	FlushEvery int
-	// Lease, when positive, replaces the invalidate-and-retry name cache
-	// with the lease-coherent hierarchy: the prefix server grants leases
-	// of this length, clients run the lease cache with callback
-	// invalidation, and expired entries revalidate instead of flushing.
-	// Zipf requires it.
+	// Lease, when positive, makes the prefix servers grant leases of this
+	// length (PROTOCOL.md §13). Sharded clients run the lease cache with
+	// callback invalidation; Paper sessions opt in individually with
+	// EnableLeaseCache. Zipf requires it.
 	Lease time.Duration
-	// CacheTier, when true (requires Lease), interposes a shared ncache
-	// tier co-resident with the prefix host: clients address the tier,
-	// which holds upstream leases and re-grants bounded sub-leases.
-	CacheTier bool
 	// AutoTuneMax, when positive (requires Lease, which becomes the
 	// floor), replaces the fixed lease length with the per-name
 	// auto-tuner (PROTOCOL.md §15): grants grow from Lease toward this
 	// cap while a name's redefinition rate stays low, and reset to the
 	// floor when it churns.
 	AutoTuneMax time.Duration
-
-	// Trace installs a domain tracer on the kernel and network. Tracing
-	// charges zero virtual time, so traced runs measure identically.
+	// Trace installs a domain tracer recording every IPC primitive and
+	// network frame as spans. Tracing charges zero virtual time, so traced
+	// runs measure identically.
 	Trace bool
 	// TraceSample, when non-nil, installs the tracer in sampled mode
 	// (PROTOCOL.md §15): O(k) retained spans at any population. Implies
 	// Trace.
 	TraceSample *trace.SampleConfig
+	// Faults is the chaos schedule: fired at the engine's fences by Run,
+	// pumped from the session's clock by RunPaced.
+	Faults []chaos.Event
 
+	// Paper only. Users names the workstation users, one workstation
+	// each (default: {"mann", "cheriton"}); ReadAhead controls the file
+	// servers' buffer-cache read-ahead; Baseline also starts the
+	// centralized name server of the §2.2 comparisons; Retry, when
+	// non-nil, enables the client recovery policy on every session.
+	Users     []string
+	ReadAhead bool
+	Baseline  bool
+	Retry     *client.RetryPolicy
+	// Replicas consensus-replicates the fs1 file service and every
+	// workstation's prefix table across a replication group of this many
+	// members (PROTOCOL.md §11, replicated.go). 0 or 1 keeps the
+	// single-server topology.
+	Replicas int
+
+	// Sharded kinds only. Shards is the number of file-server shards (=
+	// engine lanes), ClientsPerShard the co-resident clients on each.
+	Shards          int
+	ClientsPerShard int
+	// CacheTier, when true (requires Lease), interposes a shared ncache
+	// tier co-resident with the prefix host: clients address the tier,
+	// which holds upstream leases and re-grants bounded sub-leases.
+	CacheTier bool
 	// Population is the number of names a Zipf scenario binds on the
 	// prefix server, Skew their Zipf popularity exponent (0 = uniform;
 	// may be < 1) and PopSeed their name-shape stream.
@@ -97,14 +135,167 @@ type Scenario struct {
 	// PopSeed) already generated, so legs over one population share one
 	// generation pass. Never serialized: it adds nothing to the three.
 	Pop *popgen.Population `json:"-"`
-
-	// Faults is the chaos schedule, fired at the engine's fences.
-	Faults []chaos.Event
 	// Sequential also runs the scenario on a second, identical topology
 	// through the ungated sequential driver and records whether the
 	// engine's result is deeply equal to it. The sequential driver has no
 	// fences, so it cannot be combined with Faults.
 	Sequential bool
+}
+
+// Topology is a booted Scenario: the substrate, its servers and the
+// clients ready to drive. Rig is its name for the paper testbed.
+type Topology struct {
+	Kernel *kernel.Kernel
+	Net    *netsim.Network
+	Model  *vtime.CostModel
+	// Tracer is the installed tracer (nil unless Trace or TraceSample).
+	Tracer *trace.Tracer
+	// Flight is the always-on flight recorder (PROTOCOL.md §15): a
+	// bounded ring journal of naming events, zero virtual cost and zero
+	// hot-path allocations, sealed deterministically at engine fences and
+	// dumped on chaos-test failure.
+	Flight *flight.Recorder
+
+	// Metrics is the paper testbed's metrics registry; instruments charge
+	// zero virtual time (metrics package doc), so a metered run measures
+	// identically. Sampler snapshots it on a fixed virtual-time tick,
+	// pumped like the chaos engine: r.Sampler.AdvanceTo(session.Proc().Now()).
+	// The sharded kinds install neither — a registry would cost their
+	// host time on every resolution.
+	Metrics *metrics.Registry
+	Sampler *metrics.Sampler
+
+	// The paper testbed (Kind Paper). FSR is the consensus-replicated fs1
+	// service when Replicas > 1, else nil; FS1Host/FS1 then alias slot
+	// 0's host and member-local server. NSHost/NS exist with Baseline.
+	// BinCtx is the standard program directory context on FS1.
+	FS1Host      *kernel.Host
+	FS1          *fileserver.FileServer
+	FS2Host      *kernel.Host
+	FS2          *fileserver.FileServer
+	FSR          *ReplicatedFS
+	ServicesHost *kernel.Host
+	Print        *printserver.Server
+	Inet         *inetserver.Server
+	Mail         *mailserver.Server
+	Time         *timeserver.Server
+	Pipe         *pipeserver.Server
+	NSHost       *kernel.Host
+	NS           *nameserver.Server
+	WS           []*Workstation
+	BinCtx       core.ContextPair
+
+	// The sharded kinds. PrefixHost and Prefix are the central "nexus"
+	// prefix server, Tier the shared intermediate cache (nil unless
+	// CacheTier); Hosts[s] runs shard s's file server Shards[s] and its
+	// clients.
+	PrefixHost *kernel.Host
+	Prefix     *prefix.Server
+	Tier       *ncache.Tier
+	Hosts      []*kernel.Host
+	Shards     []*fileserver.FileServer
+	Clients    []*WorkloadClient
+	// Zipf only: Schedule[c][i] is client c's i-th scheduled virtual
+	// arrival and Latencies[c][i] that operation's open-loop latency
+	// (virtual completion minus scheduled arrival), filled in as the
+	// workload runs.
+	Schedule  [][]time.Duration
+	Latencies [][]time.Duration
+
+	sc Scenario
+	// owner names the sharded servers' owner, the sessions' user and the
+	// client processes ("bench0-1").
+	owner string
+	// resolver is the process sharded clients address prefixed names to:
+	// the prefix server or the tier in front of it.
+	resolver kernel.PID
+
+	sessMu   sync.Mutex
+	sessions []*client.Session
+}
+
+// kinds gives each Kind the owner its sharded servers, sessions and
+// client processes are named for, the check that validates and
+// normalizes its scenario, and the step that boots its servers and
+// clients on the substrate.
+var kinds = map[Kind]struct {
+	owner string
+	check func(*Scenario) error
+	boot  func(*Topology) error
+}{
+	Paper:        {"", (*Scenario).checkPaper, (*Topology).bootPaper},
+	SharedPrefix: {"bench", (*Scenario).checkSharded, sharded((*Topology).addSharedPrefixClients)},
+	Zipf:         {"pop", (*Scenario).checkZipf, sharded((*Topology).addZipfClients)},
+}
+
+// Boot boots the scenario's topology without running it: the substrate
+// once for every kind — network, kernel, flight recorder and the full or
+// sampled tracer — then the Kind's own step. Faults and Sequential are
+// Run's and RunPaced's business and are ignored here.
+func (sc Scenario) Boot() (*Topology, error) {
+	kind, ok := kinds[sc.Kind]
+	if !ok {
+		return nil, fmt.Errorf("rig: unknown scenario kind %q", sc.Kind)
+	}
+	if err := kind.check(&sc); err != nil {
+		return nil, err
+	}
+	model := sc.Model
+	if model == nil {
+		model = vtime.DefaultModel()
+	}
+	net := netsim.New(model, sc.Seed)
+	k := kernel.New(net)
+	t := &Topology{Kernel: k, Net: net, Model: model, Flight: flight.New(1 << 14), sc: sc, owner: kind.owner}
+	k.SetFlight(t.Flight)
+	if sc.TraceSample != nil {
+		t.Tracer = trace.NewSampled(*sc.TraceSample)
+	} else if sc.Trace {
+		t.Tracer = trace.New()
+	}
+	if t.Tracer != nil {
+		k.SetTracer(t.Tracer)
+		net.SetRecorder(t.Tracer)
+	}
+	if err := kind.boot(t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// leaseOpts is the lease option every prefix server the scenario boots
+// runs with: none, a fixed length, or the auto-tuner with Lease as floor.
+func (sc *Scenario) leaseOpts() []prefix.Option {
+	switch {
+	case sc.Lease <= 0:
+		return nil
+	case sc.AutoTuneMax > 0:
+		return []prefix.Option{prefix.WithLeaseAutoTune(sc.Lease, sc.AutoTuneMax)}
+	}
+	return []prefix.Option{prefix.WithLease(sc.Lease)}
+}
+
+// session starts a naming session on proc addressing resolver, with the
+// recovery policy when the scenario has one, and records it: every
+// session a topology creates is in the one list Sessions returns.
+func (t *Topology) session(proc *kernel.Process, resolver kernel.PID, cur core.ContextPair, user string) *client.Session {
+	s := client.New(proc, resolver, cur, user)
+	if t.sc.Retry != nil {
+		s.EnableResilience(*t.sc.Retry)
+	}
+	t.sessMu.Lock()
+	t.sessions = append(t.sessions, s)
+	t.sessMu.Unlock()
+	return s
+}
+
+// Sessions returns every session the topology created, in creation
+// order: the sharded kinds' clients in client order, the paper
+// workstations' sessions and those NewSession added.
+func (t *Topology) Sessions() []*client.Session {
+	t.sessMu.Lock()
+	defer t.sessMu.Unlock()
+	return append([]*client.Session(nil), t.sessions...)
 }
 
 // Evidence is what one Run leaves behind, beyond the WorkloadResult.
@@ -148,13 +339,17 @@ type Evidence struct {
 	EqualToSequential bool
 }
 
-// Run boots the scenario and drives it through the conservative engine
-// with the standard fence wiring (PROTOCOL.md §12): fence times are the
-// fault schedule's event times, each firing pumps the chaos engine —
-// which executes Redefine events through an admin session on the prefix
-// host — and then seals the flight recorder at the quiescent cut.
+// Run boots a sharded scenario and drives it through the conservative
+// engine with the standard fence wiring (PROTOCOL.md §12): fence times
+// are the fault schedule's event times, each firing pumps the chaos
+// engine NewChaos built — which executes Redefine events through an
+// admin session on the prefix host — and then seals the flight recorder
+// at the quiescent cut. A Paper scenario runs through RunPaced instead.
 func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 	var ev Evidence
+	if sc.Kind == Paper {
+		return nil, ev, errors.New("rig: a Paper scenario has no engine lanes; boot it and call RunPaced")
+	}
 	var seq *WorkloadResult
 	var ref *Topology
 	if sc.Sequential {
@@ -174,8 +369,7 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 	}
 	var eng *chaos.Engine
 	if len(sc.Faults) > 0 {
-		eng = chaos.New(t.Kernel, sc.Faults)
-		eng.RedefineHook = t.redefine
+		eng = t.NewChaos(sc.Faults)
 	}
 	fences := SealFlightAtFences(ChaosFences(eng), t.Flight)
 	res := RunWorkloadEngine(t.Clients, EngineOptions{Fences: fences})
@@ -213,10 +407,10 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 	return res, ev, nil
 }
 
-// leaseTotals sums the lease-cache counters of every client session.
+// leaseTotals sums the lease-cache counters of every session.
 func (t *Topology) leaseTotals() (sum client.LeaseStats) {
-	for _, c := range t.Clients {
-		st := c.Session.LeaseCacheStats()
+	for _, s := range t.Sessions() {
+		st := s.LeaseCacheStats()
 		sum.Hits += st.Hits
 		sum.Misses += st.Misses
 		sum.NegativeHits += st.NegativeHits

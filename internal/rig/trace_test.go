@@ -86,19 +86,10 @@ func TestWorkloadDriverTrace(t *testing.T) {
 func chaosTraceRun(t *testing.T) (client.ResilienceStats, []trace.Span) {
 	t.Helper()
 	policy := client.DefaultRetryPolicy()
-	cfg := Config{Users: []string{"mann"}, Seed: 7, Retry: &policy, Trace: true}
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.WS[0].Session
-	s.EnableNameCache(true)
 	// The A10 chaos profile: fs1 outages plus near-total loss pulses, the
 	// schedule that actually provokes retransmit exhaustion and rebinds.
-	_, eng := r.RunPaced(PacedLoad{
-		Ops: 120,
-		Op:  OpenClose("[bin]hello"),
-		Events: chaos.Generate(2026, chaos.Profile{
+	cfg := Config{Users: []string{"mann"}, Seed: 7, Retry: &policy, Trace: true, Requests: 120,
+		Faults: chaos.Generate(2026, chaos.Profile{
 			Duration:           2 * time.Second,
 			Hosts:              []string{"fs1"},
 			MeanOutageEvery:    500 * time.Millisecond,
@@ -106,8 +97,14 @@ func chaosTraceRun(t *testing.T) (client.ResilienceStats, []trace.Span) {
 			MeanLossPulseEvery: 900 * time.Millisecond,
 			LossPulseLength:    120 * time.Millisecond,
 			LossRate:           0.9,
-		}),
-	})
+		})}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.WS[0].Session
+	s.EnableNameCache(true)
+	_, eng := r.RunPaced(OpenClose("[bin]hello"))
 	eng.Finish()
 	if err := r.CheckTrace(); err != nil {
 		t.Fatalf("trace under chaos violates invariants: %v", err)

@@ -81,8 +81,9 @@ func (t *Topology) OpenLoopSpan() (first, last time.Duration) {
 	return first, last
 }
 
-// checkZipf validates the fields only the Zipf kind reads.
-func (sc Scenario) checkZipf() error {
+// checkZipf validates the fields only the Zipf kind reads, then the
+// sharded counts.
+func (sc *Scenario) checkZipf() error {
 	if sc.Population <= 0 || sc.Population < sc.Shards {
 		return fmt.Errorf("zipf workload: population %d must be positive and no smaller than %d shards", sc.Population, sc.Shards)
 	}
@@ -96,7 +97,7 @@ func (sc Scenario) checkZipf() error {
 		return fmt.Errorf("zipf workload: supplied population is %d names skew %v, scenario wants %d skew %v",
 			len(pop.Names), pop.Skew, sc.Population, sc.Skew)
 	}
-	return nil
+	return sc.checkSharded()
 }
 
 // addZipfClients binds the whole population on the prefix server and
