@@ -68,11 +68,15 @@ bench:
 # every 512th byte sampled, whose profile is written after a final GC with
 # the booted topology still referenced (benchLive), largest 25 holders
 # printed — the ledger's heap_live_mb point. Read this before attributing
-# a remainder bench/'s probes leave unexplained.
+# a remainder bench/'s probes leave unexplained. PROFILE_N is the
+# iterations per benchmark: a shape is a whole run, but W=E1MessageTransaction
+# is one Send an iteration (its local-served and remote-served legs price
+# the path every server takes) and wants PROFILE_N=2000000x.
 W ?= ZipfMiss
+PROFILE_N ?= 20x
 profile:
 	@set -e; tmp=$$(mktemp -d); \
-	$(GO) test -run '^$$' -bench 'Benchmark$(W)$$' -benchtime 20x -cpu 1 \
+	$(GO) test -run '^$$' -bench 'Benchmark$(W)$$' -benchtime $(PROFILE_N) -cpu 1 \
 		-cpuprofile $$tmp/cpu.pprof -memprofile $$tmp/mem.pprof -o $$tmp/repro.test .; \
 	$(GO) tool pprof -top -cum -nodecount 25 $$tmp/repro.test $$tmp/cpu.pprof; \
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 $$tmp/repro.test $$tmp/mem.pprof; \

@@ -38,8 +38,24 @@ func benchRig(b *testing.B, cfg rig.Config) *rig.Rig {
 	return r
 }
 
-func startEcho(b *testing.B, h *kernel.Host) *kernel.Process {
+// startEcho starts an echo that replies to every request with the same
+// message: a Receive loop on its own goroutine, or, served, a handler run
+// by each sender (kernel.Process.Serve) — the path every server takes.
+func startEcho(b *testing.B, h *kernel.Host, served bool) *kernel.Process {
 	b.Helper()
+	if served {
+		p, err := h.NewProcess("echo")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var reply proto.Message
+		p.Serve(func(msg *proto.Message, from kernel.PID) {
+			reply = *msg
+			reply.Op = proto.ReplyOK
+			_ = p.Reply(&reply, from)
+		})
+		return p
+	}
 	p, err := h.Spawn("echo", func(p *kernel.Process) {
 		for {
 			msg, from, err := p.Receive()
@@ -60,21 +76,26 @@ func startEcho(b *testing.B, h *kernel.Host) *kernel.Process {
 }
 
 // BenchmarkE1MessageTransaction measures the Figure 1 Send-Receive-Reply
-// primitive (§3.1), same-host and cross-host.
+// primitive (§3.1), same-host and cross-host, against a Receive-loop echo
+// and against a served one.
 func BenchmarkE1MessageTransaction(b *testing.B) {
-	for _, remote := range []bool{false, true} {
-		name := "local"
-		if remote {
-			name = "remote"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, leg := range []struct {
+		name           string
+		remote, served bool
+	}{
+		{"local", false, false},
+		{"remote", true, false},
+		{"local-served", false, true},
+		{"remote-served", true, true},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
 			r := benchRig(b, rig.DefaultConfig())
 			host := r.WS[0].Host
 			echoHost := host
-			if remote {
+			if leg.remote {
 				echoHost = r.FS1Host
 			}
-			echo := startEcho(b, echoHost)
+			echo := startEcho(b, echoHost, leg.served)
 			client, err := host.NewProcess("bench-client")
 			if err != nil {
 				b.Fatal(err)

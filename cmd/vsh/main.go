@@ -17,7 +17,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/kernel"
 	"repro/internal/proto"
 	"repro/internal/rig"
 	"repro/internal/vtime"
@@ -374,10 +373,6 @@ func (sh *shell) dispatch(cmd string, args []string) error {
 		// Live registry snapshot — the same renderer vstat uses, so the
 		// shell and the exposition tool print the same numbers.
 		s.Proc().Kernel().Metrics().Snapshot().WriteText(sh.out)
-		if gets, news, _ := kernel.EnvPoolStats(); gets > 0 {
-			fmt.Fprintf(sh.out, "envelope pool: %d gets, %d allocs (%.1f%% reused)  (volatile)\n",
-				gets, news, 100*(1-float64(news)/float64(gets)))
-		}
 		return nil
 
 	case "time":

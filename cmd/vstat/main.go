@@ -3,8 +3,8 @@
 // workload (optionally under the A14 crash/restart chaos schedule), and
 // renders what the registry collected. Unlike `vbench -metrics` — whose
 // JSON document is deterministic and golden-pinned — vstat is the
-// operator's view: it includes volatile series (envelope-pool reuse)
-// and renders per-tick snapshot diffs.
+// operator's view: it includes volatile series and renders per-tick
+// snapshot diffs.
 //
 // Usage:
 //
@@ -32,7 +32,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/flight"
-	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/rig"
 	"repro/internal/vtime"
@@ -111,11 +110,6 @@ func run(args []string, w io.Writer) error {
 
 	fmt.Fprintf(w, "vstat: registry snapshot at %s virtual\n\n", vtime.Milliseconds(horizon))
 	snap.WriteText(w)
-	gets, news, _ := kernel.EnvPoolStats()
-	if gets > 0 {
-		fmt.Fprintf(w, "envelope pool: %d gets, %d allocs (%.1f%% reused)  (volatile)\n",
-			gets, news, 100*(1-float64(news)/float64(gets)))
-	}
 	if *diff {
 		fmt.Fprintf(w, "\nper-tick diffs (tick %s):\n", vtime.Milliseconds(r.Sampler.Tick()))
 		metrics.WriteDiffs(w, r.Sampler.Samples())

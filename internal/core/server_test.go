@@ -528,7 +528,7 @@ func TestMapContextAnswersInRequest(t *testing.T) {
 				t.Fatalf("MapContext %q: reply %v (request %p), err %v", name, reply, req, err)
 			}
 		}
-		// Warm the envelope pool and the pending table before counting.
+		// Warm the sender's record and the pending table before counting.
 		for i := 0; i < 64; i++ {
 			send()
 		}

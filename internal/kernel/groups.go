@@ -131,11 +131,10 @@ func (p *Process) forwardGroup(env *envelope, msg *proto.Message, gid PID, sp tr
 	k := p.host.kernel
 	tr := k.Tracer()
 	tr.SetGroup(sp)
-	// The clones below share env.replyCh, and a straggling member may
-	// write to it after the sender consumed the winning event — so this
-	// envelope must never return to the pool. Set before any completion
-	// event can fire; the sender reads the flag only after receiving an
-	// event through the channel, which orders this write before it.
+	// The clones below complete through env's record (or channel), and a
+	// straggling member may do so after the sender read the winning event
+	// — so the sender must not reuse the record. Set before any completion
+	// can land; the sender reads the flag only after one has.
 	env.shared = true
 	members, err := k.GroupMembers(gid)
 	if err != nil {
@@ -164,10 +163,11 @@ func (p *Process) forwardGroup(env *envelope, msg *proto.Message, gid PID, sp tr
 			origin:  env.origin,
 			msg:     msg.Clone(),
 			arrival: arrival,
-			replyCh: env.replyCh, // first reply wins
 			moveSrc: env.moveSrc,
 			moveDst: env.moveDst,
 			span:    sp,
+			rec:     env.rec, // first reply wins
+			replyCh: env.replyCh,
 		}
 		if p.pass(target, clone) {
 			delivered++

@@ -94,15 +94,15 @@ type Kernel struct {
 	// as a no-op, and recording never advances a virtual clock.
 	flight atomic.Pointer[flight.Recorder]
 
-	// hosts is a copy-on-write snapshot: hosts are only ever added, so
-	// the send path (findProcess on every message) indexes it without a
-	// lock. Writers copy under mu and publish atomically.
-	hosts atomic.Pointer[map[netsim.HostID]*Host]
+	// hosts is a copy-on-write snapshot indexed by host id: ids are dense
+	// from 1 (slot 0 stays nil) and hosts are only ever added, so the send
+	// path (findProcess on every message) indexes it without a lock or a
+	// hash. Writers copy under mu and publish atomically.
+	hosts atomic.Pointer[[]*Host]
 
-	mu       sync.Mutex
-	nextHost uint16
-	groups   []*[groupChunk]group // the group table, in chunks (groups.go)
-	nextGrp  uint32               // number of the last group created
+	mu      sync.Mutex
+	groups  []*[groupChunk]group // the group table, in chunks (groups.go)
+	nextGrp uint32               // number of the last group created
 }
 
 // New creates a V domain over the given network.
@@ -111,8 +111,7 @@ func New(n *netsim.Network) *Kernel {
 		net:   n,
 		model: n.Model(),
 	}
-	hosts := make(map[netsim.HostID]*Host)
-	k.hosts.Store(&hosts)
+	k.hosts.Store(&[]*Host{nil})
 	return k
 }
 
@@ -179,8 +178,8 @@ func (k *Kernel) Model() *vtime.CostModel { return k.model }
 func (k *Kernel) NewHost(name string) *Host {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.nextHost++
-	id := netsim.HostID(k.nextHost)
+	old := *k.hosts.Load()
+	id := netsim.HostID(len(old))
 	h := &Host{
 		id:     id,
 		name:   name,
@@ -192,37 +191,34 @@ func (k *Kernel) NewHost(name string) *Host {
 	}
 	h.alive.Store(true)
 	h.shard.Store(-1)
-	procs := make(map[uint16]*Process)
+	procs := make(map[PID]*Process)
 	h.procs.Store(&procs)
 	services := make(map[Service]svcEntry)
 	h.services.Store(&services)
 
-	old := *k.hosts.Load()
-	hosts := make(map[netsim.HostID]*Host, len(old)+1)
-	for hid, hh := range old {
-		hosts[hid] = hh
-	}
-	hosts[id] = h
+	hosts := append(old[:len(old):len(old)], h)
 	k.hosts.Store(&hosts)
 	return h
 }
 
 // HostByID returns the host with the given id, or nil.
 func (k *Kernel) HostByID(id netsim.HostID) *Host {
-	return (*k.hosts.Load())[id]
+	if hosts := *k.hosts.Load(); int(id) < len(hosts) {
+		return hosts[id]
+	}
+	return nil
 }
 
 // HostByName returns the host with the given configured name, or nil.
 // Host names are unique in the rigs this simulation builds; if several
 // hosts share a name the lowest id wins, deterministically.
 func (k *Kernel) HostByName(name string) *Host {
-	var found *Host
 	for _, h := range *k.hosts.Load() {
-		if h.name == name && (found == nil || h.id < found.id) {
-			found = h
+		if h != nil && h.name == name {
+			return h
 		}
 	}
-	return found
+	return nil
 }
 
 // ProcessAlive reports whether pid currently names a live process (its
@@ -254,25 +250,11 @@ func (k *Kernel) ProcessAlive(pid PID) bool {
 // reports whether the pid's host exists and is alive (so callers can
 // distinguish "host down / partitioned" from "host up, process gone").
 func (k *Kernel) findProcess(pid PID) (*Process, bool) {
-	h := (*k.hosts.Load())[pid.Host()]
+	h := k.HostByID(pid.Host())
 	if h == nil || !h.alive.Load() {
 		return nil, false
 	}
-	return (*h.procs.Load())[pid.Local()], true
-}
-
-// aliveHostsSorted snapshots the alive hosts in id order, for
-// deterministic broadcast queries.
-func (k *Kernel) aliveHostsSorted() []*Host {
-	hosts := *k.hosts.Load()
-	out := make([]*Host, 0, len(hosts))
-	for _, h := range hosts {
-		if h.alive.Load() {
-			out = append(out, h)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return (*h.procs.Load())[pid], true
 }
 
 // svcEntry is one row of a host kernel's service table.
@@ -291,9 +273,10 @@ type Host struct {
 	// procs and services are copy-on-write snapshots: the send path
 	// resolves pids and service registrations lock-free; writers copy
 	// under mu and publish atomically. alive flips atomically so readers
-	// never queue behind a crashing host.
+	// never queue behind a crashing host. procs is keyed by the whole pid,
+	// whose 32 bits take the runtime's fast map path (16 bits do not).
 	alive    atomic.Bool
-	procs    atomic.Pointer[map[uint16]*Process]
+	procs    atomic.Pointer[map[PID]*Process]
 	services atomic.Pointer[map[Service]svcEntry]
 
 	// shard labels the host with the execution-engine lane that owns its
@@ -331,26 +314,24 @@ func (h *Host) Shard() int { return int(h.shard.Load()) }
 
 // HostOf returns the host a pid lives on, whether or not the process
 // (or the host) is still alive — pids encode their host, so this is a
-// pure table lookup. Returns nil for unknown hosts and group pids.
+// pure table lookup. Returns nil for unknown hosts and group pids, whose
+// host fields lie past every host id.
 func (k *Kernel) HostOf(pid PID) *Host {
-	if pid == NilPID || pid.IsGroup() {
-		return nil
-	}
-	return (*k.hosts.Load())[pid.Host()]
+	return k.HostByID(pid.Host())
 }
 
-// storeProcs publishes a fresh copy of the process table with local pid
-// slot set to p (or removed when p is nil). Caller holds h.mu.
-func (h *Host) storeProcs(local uint16, p *Process) {
+// storeProcs publishes a fresh copy of the process table with pid's slot
+// set to p (or removed when p is nil). Caller holds h.mu.
+func (h *Host) storeProcs(pid PID, p *Process) {
 	old := *h.procs.Load()
-	procs := make(map[uint16]*Process, len(old)+1)
-	for l, q := range old {
-		procs[l] = q
+	procs := make(map[PID]*Process, len(old)+1)
+	for q, qp := range old {
+		procs[q] = qp
 	}
 	if p == nil {
-		delete(procs, local)
+		delete(procs, pid)
 	} else {
-		procs[local] = p
+		procs[pid] = p
 	}
 	h.procs.Store(&procs)
 }
@@ -375,19 +356,18 @@ func (h *Host) NewProcess(name string) (*Process, error) {
 		if h.nextLocal == 0 {
 			h.nextLocal = 1
 		}
-		if _, used := procs[h.nextLocal]; !used {
+		if _, used := procs[MakePID(h.id, h.nextLocal)]; !used {
 			break
 		}
 	}
 	p := &Process{
-		pid:     MakePID(h.id, h.nextLocal),
-		name:    name,
-		host:    h,
-		mbox:    make(chan *envelope, mailboxDepth),
-		pending: make(map[PID]*envelope),
-		done:    make(chan struct{}),
+		pid:  MakePID(h.id, h.nextLocal),
+		name: name,
+		host: h,
+		mbox: make(chan *envelope, mailboxDepth),
+		done: make(chan struct{}),
 	}
-	h.storeProcs(h.nextLocal, p)
+	h.storeProcs(p.pid, p)
 	return p, nil
 }
 
@@ -419,7 +399,7 @@ func (h *Host) Crash() {
 	for _, p := range old {
 		procs = append(procs, p)
 	}
-	emptyProcs := make(map[uint16]*Process)
+	emptyProcs := make(map[PID]*Process)
 	h.procs.Store(&emptyProcs)
 	emptySvcs := make(map[Service]svcEntry)
 	h.services.Store(&emptySvcs)
@@ -444,8 +424,8 @@ func (h *Host) ProcessByPID(pid PID) (*Process, error) {
 	if !h.alive.Load() {
 		return nil, fmt.Errorf("%w: %s", ErrHostDown, h.name)
 	}
-	p := (*h.procs.Load())[pid.Local()]
-	if p == nil || p.pid != pid {
+	p := (*h.procs.Load())[pid]
+	if p == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNonexistentProcess, pid)
 	}
 	return p, nil

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,14 +24,21 @@ type replyEvent struct {
 	err error
 }
 
-// envelope is an in-flight message transaction. It is created by Send,
-// travels through Forward unchanged except for its message and arrival
-// time, and is completed exactly once by Reply or by failure.
+// envelope is an in-flight message transaction. A unicast Send's is part
+// of the sender's own record; it travels through Forward unchanged except
+// for its message and arrival time, and is completed exactly once by
+// Reply or by failure.
 type envelope struct {
-	origin  PID // the original sender, preserved across forwarding (§3.1)
+	origin PID // the original sender, preserved across forwarding (§3.1)
+	// shared marks an envelope another goroutine may still touch after
+	// its completion lands, so its sender retires the record: group clones
+	// complete through it (forwardGroup), or its receiver was terminated
+	// while possibly mid-MoveFrom/MoveTo on it. Written by the holder that
+	// took it from a pending table, before the completion; read by the
+	// sender after.
+	shared  bool
 	msg     *proto.Message
 	arrival vtime.Time
-	replyCh chan replyEvent
 	// moveSrc and moveDst are the sender's memory segments readable via
 	// MoveFrom and writable via MoveTo while the sender awaits the reply.
 	moveSrc []byte
@@ -39,84 +47,65 @@ type envelope struct {
 	// transaction currently runs under; servers parent their serve
 	// spans on it via PendingSpan.
 	span trace.SpanID
-	// shared marks an envelope that another goroutine may still touch
-	// after the sender's completion event fires, so it must not be
-	// recycled: the reply channel was handed to group clones
-	// (forwardGroup), or the receiving process was terminated while its
-	// goroutine could still be mid-MoveFrom/MoveTo on the envelope.
-	// Written only by a goroutine that holds the envelope via the
-	// receiver's pending table (the forwarder, or terminate after
-	// detaching the table), and read by the sender only after it
-	// receives an event through the channel, which orders the write
-	// before the read.
-	shared bool
+	// The completion lands in rec, the unicast sender's record (a group
+	// forward's clones share it), or for a group send in replyCh. Kept
+	// to two words so a clone stays in the 96-byte size class.
+	rec     *record
+	replyCh chan replyEvent
 }
 
-// envPool recycles unicast envelopes together with their one-slot reply
-// channels: a Send on the disabled-tracer path then allocates nothing in
-// steady state. An envelope is returned to the pool only by the sender
-// that created it, and only when its completion is single-owner — at
-// most one of Reply-complete, terminate-fail, drain-fail or a
-// sender-side failure ever fires, so the channel is provably empty on
-// reuse. Envelopes whose channel was shared with group clones are
-// never recycled (see envelope.shared).
-var envPool = sync.Pool{
-	New: func() any {
-		envPoolNews.Add(1)
-		return &envelope{replyCh: make(chan replyEvent, 1)}
-	},
+// record is a unicast Send's transaction, owned by the sending process
+// and reused Send after Send: the envelope that travels, and the
+// completion the sender reads.
+type record struct {
+	envelope
+	claimed atomic.Bool   // the first completion wins; later ones are dropped
+	state   atomic.Uint32 // recOpen, recLanded or recParked
+	ev      replyEvent
+	wake    chan struct{} // one slot: wakes a sender that parked
 }
 
-// Envelope-pool telemetry: process-global (the pool is shared by every
-// kernel in the process) and wall-clock volatile — sync.Pool eviction
-// depends on GC, so the reuse rate is a live diagnostic, never part of
-// a deterministic document.
-var (
-	envPoolGets atomic.Uint64
-	envPoolNews atomic.Uint64
-	envPoolPuts atomic.Uint64
+const (
+	recOpen uint32 = iota
+	recLanded
+	recParked
 )
 
-// EnvPoolStats reports the envelope pool's lifetime gets, fresh
-// allocations inside those gets, and returns to the pool. The hit rate
-// is (gets-news)/gets.
-func EnvPoolStats() (gets, news, puts uint64) {
-	return envPoolGets.Load(), envPoolNews.Load(), envPoolPuts.Load()
-}
-
-func newEnvelope() *envelope {
-	envPoolGets.Add(1)
-	return envPool.Get().(*envelope)
-}
-
-// release resets the envelope and returns it to the pool. Callers must
-// hold sole ownership: either the envelope was never delivered, or the
-// sender has already consumed its single completion event.
-func (e *envelope) release() {
-	e.origin = NilPID
-	e.msg = nil
-	e.arrival = 0
-	e.moveSrc = nil
-	e.moveDst = nil
-	e.span = 0
-	envPoolPuts.Add(1)
-	envPool.Put(e)
-}
-
-// complete and fail deliver at most one event per envelope. The
-// non-blocking send matters for group transactions, where several members
-// hold clones sharing one reply channel and only the first event is
-// consumed.
-func (e *envelope) complete(msg *proto.Message, at vtime.Time) {
-	select {
-	case e.replyCh <- replyEvent{msg: msg, at: at}:
-	default:
+// land stores the completion. Whichever of land and await swaps the state
+// second sees the other's mark: a completer that finds the sender parked
+// wakes it; a sender that finds the completion landed reads it without
+// parking — the case of every served target that replies in its turn.
+func (r *record) land(ev replyEvent) {
+	if !r.claimed.CompareAndSwap(false, true) {
+		return
+	}
+	r.ev = ev
+	if r.state.Swap(recLanded) == recParked {
+		r.wake <- struct{}{}
 	}
 }
 
-func (e *envelope) fail(err error) {
+// await returns the completion, parking until it has landed.
+func (r *record) await() replyEvent {
+	if r.state.Swap(recParked) != recLanded {
+		<-r.wake
+	}
+	return r.ev
+}
+
+func (e *envelope) complete(msg *proto.Message, at vtime.Time) { e.land(replyEvent{msg: msg, at: at}) }
+
+func (e *envelope) fail(err error) { e.land(replyEvent{err: err}) }
+
+// land delivers at most one event per envelope. The non-blocking send
+// matters for group sends, whose members' clones share one channel.
+func (e *envelope) land(ev replyEvent) {
+	if e.rec != nil {
+		e.rec.land(ev)
+		return
+	}
 	select {
-	case e.replyCh <- replyEvent{err: err}:
+	case e.replyCh <- ev:
 	default:
 	}
 }
@@ -143,10 +132,16 @@ type Process struct {
 	serving bool
 	passed  []handoff
 
+	// rec is the record of this process's unicast Sends. A V sender is
+	// blocked until its reply, so a process has one Send in flight and
+	// only the goroutine making it touches rec; the race detector guards
+	// that rule. Nil until the first Send, and after one that retired it.
+	rec *record
+
 	mu      sync.Mutex
 	dead    bool
-	crashed bool              // died with its host, not by clean Destroy
-	pending map[PID]*envelope // received but not yet replied, by origin pid
+	crashed bool        // died with its host, not by clean Destroy
+	pending []*envelope // received but not yet replied, one per origin, in arrival order
 	// sendLat is the send_latency series of sends to this process, by op.
 	sendLat metrics.Handles[*metrics.Histogram]
 	// curSpan is the span this process's own activity currently nests
@@ -226,9 +221,7 @@ func pidTail(v uint32) string { return PID(v).String() }
 // PendingSpan returns the transaction span of the received-but-unreplied
 // message from origin, for servers starting a serve span.
 func (p *Process) PendingSpan(origin PID) trace.SpanID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if env := p.pending[origin]; env != nil {
+	if env := p.peekPending(origin); env != nil {
 		return env.span
 	}
 	return 0
@@ -293,28 +286,31 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 		return nil, err
 	}
 	tr.Wire(sp, "request", p.clock.Now(), d, msg.WireSize(), det, dst.Host() == p.host.id, false)
-	env := newEnvelope()
-	env.origin = p.pid
-	env.msg = msg
-	env.arrival = p.clock.Now() + d
-	env.moveSrc = moveSrc
-	env.moveDst = moveDst
-	env.span = sp
-	if !target.deliver(env) {
-		// Never delivered: the sender is the sole owner and no completion
-		// event can exist.
-		env.release()
+	rec := p.rec
+	if rec == nil {
+		rec = &record{wake: make(chan struct{}, 1)}
+		rec.origin, rec.rec = p.pid, rec
+		p.rec = rec
+	}
+	// Field by field: a struct assignment would copy through write barriers.
+	rec.msg, rec.arrival, rec.span = msg, p.clock.Now()+d, sp
+	rec.moveSrc, rec.moveDst = moveSrc, moveDst
+	rec.claimed.Store(false)
+	rec.state.Store(recOpen)
+	if !target.deliver(&rec.envelope) {
+		// Never delivered: no completion can exist.
 		p.chargeFailedSend(dst, true)
 		err := fmt.Errorf("%w: %v", ErrNonexistentProcess, dst)
 		tr.Fail(sp, p.clock.Now(), FailureClass(err))
 		km.sendFailed(err)
 		return nil, err
 	}
-	ev := <-env.replyCh
-	// A group-forwarded envelope retires instead of recycling:
-	// stragglers may still write to its shared channel.
-	if !env.shared {
-		env.release()
+	ev := rec.await()
+	if rec.shared {
+		p.rec = nil // retired: a group straggler or a dead handler may still touch it
+	} else {
+		// Pin no message or segment between Sends.
+		rec.msg, rec.moveSrc, rec.moveDst, rec.ev = nil, nil, nil, replyEvent{}
 	}
 	if ev.err != nil {
 		p.clock.Advance(k.model.RetransmitTimeout)
@@ -443,7 +439,7 @@ func (p *Process) runTurn(handler func(msg *proto.Message, from PID), env *envel
 
 // turn is Receive and the loop body under the serve lock. It returns the
 // handler's forwards appended to out. The envelope is not read once the
-// handler has run: a replied-to sender may already have recycled it.
+// handler has run: a replied-to sender may already be reusing it.
 func (p *Process) turn(handler func(msg *proto.Message, from PID), env *envelope, out []handoff) []handoff {
 	msg, from := env.msg, env.origin
 	p.serveMu.Lock()
@@ -482,8 +478,23 @@ func (p *Process) accept(env *envelope) bool {
 	if p.dead {
 		return false
 	}
-	p.pending[env.origin] = env
+	if i := p.pendingAt(env.origin); i >= 0 {
+		p.pending[i] = env
+	} else {
+		p.pending = append(p.pending, env)
+	}
 	return true
+}
+
+// pendingAt returns the index of origin's pending envelope, or -1; caller
+// holds p.mu. One entry per blocked sender: a scan beats hashing.
+func (p *Process) pendingAt(origin PID) int {
+	for i, env := range p.pending {
+		if env.origin == origin {
+			return i
+		}
+	}
+	return -1
 }
 
 // Receive blocks until a message arrives, returning the message and the
@@ -509,8 +520,12 @@ func (p *Process) Receive() (*proto.Message, PID, error) {
 func (p *Process) takePending(origin PID) *envelope {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	env := p.pending[origin]
-	delete(p.pending, origin)
+	i := p.pendingAt(origin)
+	if i < 0 {
+		return nil
+	}
+	env := p.pending[i]
+	p.pending = slices.Delete(p.pending, i, i+1)
 	return env
 }
 
@@ -519,7 +534,10 @@ func (p *Process) takePending(origin PID) *envelope {
 func (p *Process) peekPending(origin PID) *envelope {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.pending[origin]
+	if i := p.pendingAt(origin); i >= 0 {
+		return p.pending[i]
+	}
+	return nil
 }
 
 // Reply completes the message transaction with the process `to`, which
@@ -728,8 +746,8 @@ func (p *Process) GetPid(service Service, scope Scope) (PID, error) {
 	// response (lowest host id, deterministically) costs one return hop.
 	bcast := k.net.Broadcast(p.host.id, proto.HeaderBytes, p.clock.Now())
 	tr.Wire(sp, "getpid-broadcast", p.clock.Now(), bcast, proto.HeaderBytes, netsim.HopDetail{Packets: 1}, false, true)
-	for _, h := range k.aliveHostsSorted() {
-		if h.id == p.host.id || !k.net.Reachable(p.host.id, h.id) {
+	for _, h := range *k.hosts.Load() { // in id order
+		if h == nil || h.id == p.host.id || !h.alive.Load() || !k.net.Reachable(p.host.id, h.id) {
 			continue
 		}
 		if pid, ok := h.lookupService(service, true); ok {
@@ -750,8 +768,8 @@ func (p *Process) GetPid(service Service, scope Scope) (PID, error) {
 func (p *Process) Destroy() {
 	h := p.host
 	h.mu.Lock()
-	if (*h.procs.Load())[p.pid.Local()] == p {
-		h.storeProcs(p.pid.Local(), nil)
+	if (*h.procs.Load())[p.pid] == p {
+		h.storeProcs(p.pid, nil)
 	}
 	h.mu.Unlock()
 	h.deregisterPid(p.pid)
@@ -800,13 +818,13 @@ func (p *Process) terminate(crashed bool) {
 	p.dead = true
 	p.crashed = crashed
 	pend, hooks := p.pending, p.onExit
-	p.pending, p.onExit = make(map[PID]*envelope), nil
+	p.pending, p.onExit = nil, nil
 	p.mu.Unlock()
 	close(p.done)
 	for _, env := range pend {
 		// This process's goroutine may still be touching the envelope
 		// (mid-MoveFrom/MoveTo); leave it to the GC instead of letting the
-		// sender recycle it out from under that access.
+		// sender reuse it out from under that access.
 		env.shared = true
 		env.fail(ErrNonexistentProcess)
 	}

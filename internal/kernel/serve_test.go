@@ -241,13 +241,10 @@ func TestCrashWhileHandlerParkedInNestedSend(t *testing.T) {
 		errCh <- err
 	}()
 	<-parked
-	srv.mu.Lock()
-	env := srv.pending[client.PID()]
-	srv.mu.Unlock()
-	if env == nil {
-		t.Fatal("no pending envelope while the handler runs")
+	outer, nested := client.rec, srv.rec
+	if outer == nil || nested == nil {
+		t.Fatal("no transaction records while the handler is parked in its nested Send")
 	}
-	_, _, puts0 := EnvPoolStats()
 
 	h1.Crash()
 	// The crash has failed the transaction, but the sender's goroutine is
@@ -262,12 +259,14 @@ func TestCrashWhileHandlerParkedInNestedSend(t *testing.T) {
 	if !errors.Is(lateReply, ErrNoPendingMessage) {
 		t.Errorf("the dead handler's Reply = %v, want ErrNoPendingMessage", lateReply)
 	}
-	if !env.shared || len(env.replyCh) != 0 {
-		t.Errorf("outer envelope: shared %v, %d unread events; want retired with its one event consumed", env.shared, len(env.replyCh))
+	// The crash retired the client's record, which the dead handler could
+	// still have been reading; srv's own record, touched only by its
+	// nested Send, stays for reuse.
+	if !outer.shared || client.rec != nil {
+		t.Errorf("outer record: shared %v, still the client's %v; want retired", outer.shared, client.rec == outer)
 	}
-	// Only the nested transaction's envelope went back to the pool.
-	if _, _, puts := EnvPoolStats(); puts != puts0+1 {
-		t.Errorf("%d envelopes recycled, want 1", puts-puts0)
+	if nested.shared || srv.rec != nested {
+		t.Errorf("nested record: shared %v, still srv's %v; want kept for reuse", nested.shared, srv.rec == nested)
 	}
 
 	h1.Restart()
@@ -282,6 +281,80 @@ func TestCrashWhileHandlerParkedInNestedSend(t *testing.T) {
 	if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, again.PID()); err != nil {
 		t.Fatalf("restarted server: %v", err)
 	}
+	if client.rec == nil || client.rec == outer {
+		t.Error("the client's later Send did not take a fresh record")
+	}
+}
+
+func TestGroupForwardStragglerCannotCompleteNextSend(t *testing.T) {
+	// The client's Send is forwarded to a group of two served members:
+	// prompt replies in its turn, straggler parks the transaction and
+	// replies on a later turn — one that runs while the client's next
+	// Send, to an echo, is waiting. Had the client reused the record the
+	// group's clones complete through, that late reply would win it.
+	k := newDomain(t)
+	h := k.NewHost("a")
+	gid := newGroup(t, k)
+	prompt := newClient(t, h, "prompt")
+	prompt.Serve(func(msg *proto.Message, from PID) {
+		_ = prompt.Reply(&proto.Message{Op: proto.ReplyOK, F: [6]uint32{1}}, from)
+	})
+	straggler := newClient(t, h, "straggler")
+	var parked PID
+	straggler.Serve(func(msg *proto.Message, from PID) {
+		if parked == NilPID {
+			parked = from
+			return
+		}
+		_ = straggler.Reply(&proto.Message{Op: proto.ReplyOK, F: [6]uint32{2}}, parked)
+		_ = straggler.Reply(&proto.Message{Op: proto.ReplyOK}, from)
+	})
+	for _, m := range []*Process{prompt, straggler} {
+		if err := k.JoinGroup(gid, m.PID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fwd := newClient(t, h, "fwd")
+	fwd.Serve(func(msg *proto.Message, from PID) { _ = fwd.Forward(msg, from, gid) })
+	arrived, answer := make(chan struct{}), make(chan struct{})
+	echo, err := h.Spawn("echo", func(p *Process) {
+		_, from, err := p.Receive()
+		if err != nil {
+			return
+		}
+		close(arrived)
+		<-answer
+		_ = p.Reply(&proto.Message{Op: proto.ReplyOK, F: [6]uint32{3}}, from)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(echo.Destroy)
+	client, nudge := newClient(t, h, "client"), newClient(t, h, "nudge")
+
+	if reply, err := client.Send(&proto.Message{Op: proto.OpEcho}, fwd.PID()); err != nil || reply.F[0] != 1 {
+		t.Fatalf("forwarded Send: reply %v, err %v; want prompt's", reply, err)
+	}
+	got := make(chan uint32, 1)
+	go func() {
+		reply, err := client.Send(&proto.Message{Op: proto.OpEcho}, echo.PID())
+		if err != nil {
+			t.Error(err)
+			got <- 0
+			return
+		}
+		got <- reply.F[0]
+	}()
+	<-arrived
+	if _, err := nudge.Send(&proto.Message{Op: proto.OpEcho}, straggler.PID()); err != nil {
+		t.Fatalf("straggler's later turn: %v", err)
+	}
+	close(answer)
+	within(t, "the client's next Send", func() {
+		if v := <-got; v != 3 {
+			t.Errorf("the client's next Send returned reply %d, want the echo's 3", v)
+		}
+	})
 }
 
 func TestServedConcurrentSenders(t *testing.T) {
@@ -424,7 +497,7 @@ func TestServedSendZeroAllocUntraced(t *testing.T) {
 	}
 	req := &proto.Message{Op: proto.OpEcho}
 	for _, dst := range []PID{echo.PID(), fwd.PID()} {
-		// Warm the envelope pool, the pending tables and the forward list.
+		// Warm the record, the pending tables and the forward list.
 		for i := 0; i < 64; i++ {
 			if _, err := client.Send(req, dst); err != nil {
 				t.Fatal(err)

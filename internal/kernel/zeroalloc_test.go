@@ -13,7 +13,7 @@ import (
 // tracing disabled, a steady-state same-host Send-Receive-Reply
 // transaction performs zero heap allocations. Both endpoints reuse a
 // preallocated message, so anything this test counts comes from the
-// kernel itself — the envelope pool, the mailbox, the pending table, or
+// kernel itself — the sender's record, the mailbox, the pending table, or
 // the clock.
 func TestSendZeroAllocUntraced(t *testing.T) {
 	if raceflag.Enabled {
@@ -43,7 +43,7 @@ func TestSendZeroAllocUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &proto.Message{Op: proto.OpEcho}
-	// Warm the envelope pool and the pending table before counting.
+	// Warm the sender's record and the pending table before counting.
 	for i := 0; i < 64; i++ {
 		if _, err := client.Send(req, echo.PID()); err != nil {
 			t.Fatal(err)

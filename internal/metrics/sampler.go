@@ -10,16 +10,11 @@ import (
 // Sample is one sampler tick: the registry's counters and gauges as of
 // virtual time At. Histograms and timelines are not carried per tick
 // (they accumulate monotonically; the final snapshot has them), keeping
-// the series compact. PoolGets/PoolNews carry the process-global
-// envelope-pool totals when a pool source is wired; they depend on GC
-// behavior and are therefore volatile — live surfaces render the reuse
-// rate, deterministic documents must drop these fields.
+// the series compact.
 type Sample struct {
 	At       vtime.Time     `json:"at_us"`
 	Counters []CounterPoint `json:"counters,omitempty"`
 	Gauges   []GaugePoint   `json:"gauges,omitempty"`
-	PoolGets uint64         `json:"-"`
-	PoolNews uint64         `json:"-"`
 }
 
 // Total sums the sample's counters with the given name across labels.
@@ -43,7 +38,6 @@ func (s Sample) Total(name string) uint64 {
 type Sampler struct {
 	reg  *Registry
 	tick vtime.Time
-	pool func() (gets, news uint64)
 
 	mu      sync.Mutex
 	next    int64 // index of the next tick to emit (first tick at 1*tick)
@@ -65,17 +59,6 @@ func (s *Sampler) Tick() vtime.Time {
 		return 0
 	}
 	return s.tick
-}
-
-// SetPoolSource wires a volatile envelope-pool reader (gets, news)
-// captured alongside each sample.
-func (s *Sampler) SetPoolSource(src func() (gets, news uint64)) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pool = src
 }
 
 // NextAt returns the virtual time of the next tick boundary the sampler
@@ -102,9 +85,6 @@ func (s *Sampler) AdvanceTo(now vtime.Time) {
 	for at := vtime.Time(s.next) * s.tick; at <= now; at = vtime.Time(s.next) * s.tick {
 		sample := Sample{At: at}
 		sample.Counters, sample.Gauges = s.reg.levels()
-		if s.pool != nil {
-			sample.PoolGets, sample.PoolNews = s.pool()
-		}
 		s.samples = append(s.samples, sample)
 		s.next++
 	}

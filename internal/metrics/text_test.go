@@ -79,14 +79,3 @@ func TestWriteDiffsIdleTick(t *testing.T) {
 		t.Fatalf("idle tick not marked:\n%s", sb.String())
 	}
 }
-
-func TestSamplerPoolSource(t *testing.T) {
-	reg := New()
-	s := NewSampler(reg, 50*time.Millisecond)
-	s.SetPoolSource(func() (uint64, uint64) { return 10, 3 })
-	s.AdvanceTo(60 * time.Millisecond)
-	samples := s.Samples()
-	if len(samples) != 1 || samples[0].PoolGets != 10 || samples[0].PoolNews != 3 {
-		t.Fatalf("samples = %+v", samples)
-	}
-}

@@ -92,10 +92,6 @@ func (r *Rig) bootPaper() error {
 	r.Kernel.SetMetrics(r.Metrics)
 	r.Net.SetMetrics(r.Metrics)
 	r.Sampler = metrics.NewSampler(r.Metrics, 0)
-	r.Sampler.SetPoolSource(func() (gets, news uint64) {
-		g, n, _ := kernel.EnvPoolStats()
-		return g, n
-	})
 	if err := r.bootFileServers(); err != nil {
 		return fmt.Errorf("rig: boot file servers: %w", err)
 	}
