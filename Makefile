@@ -38,14 +38,17 @@ check: vet
 	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
 # Teams, replica members and group sends on four P: every server is
 # served, so these rows may not depend on how many run at once. Two lanes
-# through one cache tier: no answer may share a message across lanes.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/
+# through one cache tier: no answer may share a message across lanes. The
+# kernel's group tests: a group transaction's clones complete into one
+# fan-in from whichever goroutine runs them.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last two are the file path's: a block
 # read lands in the reader's buffer, and no block reads Info(). A
 # resolution answers in the message that asked: TestLeaseHitZeroAlloc,
-# TestMapContextAnswersInRequest, TestCallbackAnswersInItsClone.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/
+# TestMapContextAnswersInRequest, TestCallbackAnswersInItsClone. A group
+# send allocates its clones, a snapshot and a fan-in: TestGroupSendAllocs.
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
@@ -70,7 +73,7 @@ bench:
 # printed — the ledger's heap_live_mb point. Read this before attributing
 # a remainder bench/'s probes leave unexplained. PROFILE_N is the
 # iterations per benchmark: a shape is a whole run, but W=E1MessageTransaction
-# is one Send an iteration (its local-served and remote-served legs price
+# is one Send an iteration to a served echo (its local and remote legs price
 # the path every server takes) and wants PROFILE_N=2000000x.
 W ?= ZipfMiss
 PROFILE_N ?= 20x

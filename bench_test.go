@@ -39,54 +39,32 @@ func benchRig(b *testing.B, cfg rig.Config) *rig.Rig {
 }
 
 // startEcho starts an echo that replies to every request with the same
-// message: a Receive loop on its own goroutine, or, served, a handler run
-// by each sender (kernel.Process.Serve) — the path every server takes.
-func startEcho(b *testing.B, h *kernel.Host, served bool) *kernel.Process {
+// message: a served process (kernel.Process.Serve), whose handler each
+// sender runs — the path every server takes.
+func startEcho(b *testing.B, h *kernel.Host) *kernel.Process {
 	b.Helper()
-	if served {
-		p, err := h.NewProcess("echo")
-		if err != nil {
-			b.Fatal(err)
-		}
-		var reply proto.Message
-		p.Serve(func(msg *proto.Message, from kernel.PID) {
-			reply = *msg
-			reply.Op = proto.ReplyOK
-			_ = p.Reply(&reply, from)
-		})
-		return p
-	}
-	p, err := h.Spawn("echo", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := *msg
-			reply.Op = proto.ReplyOK
-			if err := p.Reply(&reply, from); err != nil {
-				return
-			}
-		}
-	})
+	p, err := h.NewProcess("echo")
 	if err != nil {
 		b.Fatal(err)
 	}
+	var reply proto.Message
+	p.Serve(func(msg *proto.Message, from kernel.PID) {
+		reply = *msg
+		reply.Op = proto.ReplyOK
+		_ = p.Reply(&reply, from)
+	})
 	return p
 }
 
 // BenchmarkE1MessageTransaction measures the Figure 1 Send-Receive-Reply
-// primitive (§3.1), same-host and cross-host, against a Receive-loop echo
-// and against a served one.
+// primitive (§3.1), same-host and cross-host, against a served echo.
 func BenchmarkE1MessageTransaction(b *testing.B) {
 	for _, leg := range []struct {
-		name           string
-		remote, served bool
+		name   string
+		remote bool
 	}{
-		{"local", false, false},
-		{"remote", true, false},
-		{"local-served", false, true},
-		{"remote-served", true, true},
+		{"local", false},
+		{"remote", true},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			r := benchRig(b, rig.DefaultConfig())
@@ -95,7 +73,7 @@ func BenchmarkE1MessageTransaction(b *testing.B) {
 			if leg.remote {
 				echoHost = r.FS1Host
 			}
-			echo := startEcho(b, echoHost, leg.served)
+			echo := startEcho(b, echoHost)
 			client, err := host.NewProcess("bench-client")
 			if err != nil {
 				b.Fatal(err)

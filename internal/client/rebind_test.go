@@ -26,30 +26,22 @@ func (ty *toy) pair() core.ContextPair { return core.ContextPair{Server: ty.proc
 
 func spawnToy(t *testing.T, host *kernel.Host, name string) *toy {
 	t.Helper()
-	ty := &toy{}
-	var err error
-	ty.proc, err = host.Spawn(name, func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := proto.NewReply(proto.ReplyOK)
-			if msg.Op == proto.OpMapContext {
-				proto.SetMapContextReply(reply, uint32(p.PID()), 1)
-			} else if hint := ty.successor.Load(); hint != 0 {
-				reply.Op = proto.ReplyNotLeader
-				proto.SetLeaderHint(reply, hint)
-			}
-			if p.Reply(reply, from) != nil {
-				return
-			}
-		}
-	})
+	p, err := host.NewProcess(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ty.proc.Destroy)
+	ty := &toy{proc: p}
+	p.Serve(func(msg *proto.Message, from kernel.PID) {
+		reply := proto.NewReply(proto.ReplyOK)
+		if msg.Op == proto.OpMapContext {
+			proto.SetMapContextReply(reply, uint32(p.PID()), 1)
+		} else if hint := ty.successor.Load(); hint != 0 {
+			reply.Op = proto.ReplyNotLeader
+			proto.SetLeaderHint(reply, hint)
+		}
+		_ = p.Reply(reply, from)
+	})
+	t.Cleanup(p.Destroy)
 	return ty
 }
 

@@ -185,6 +185,8 @@ func TestTeamStartServesWorkers(t *testing.T) {
 		if want := fmt.Sprintf("toy/worker%d", i); w.Name() != want {
 			t.Fatalf("worker %d named %q, want %q", i, w.Name(), want)
 		}
+		// The one Receive outside the kernel's tests: a served worker must
+		// refuse it.
 		if _, _, err := w.Receive(); !errors.Is(err, kernel.ErrServed) {
 			t.Fatalf("worker %d: Receive = %v, want ErrServed", i, err)
 		}

@@ -35,22 +35,19 @@ func e1() ([]Row, error) {
 	}, nil
 }
 
-// startEcho spawns the §3.1 echo server on h: every message it receives
-// comes back as ReplyOK.
+// startEcho starts the §3.1 echo server on h, a served process: every
+// message it receives comes back as ReplyOK.
 func startEcho(h *kernel.Host) (*kernel.Process, error) {
-	return h.Spawn("echo", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := *msg
-			reply.Op = proto.ReplyOK
-			if err := p.Reply(&reply, from); err != nil {
-				return
-			}
-		}
+	p, err := h.NewProcess("echo")
+	if err != nil {
+		return nil, err
+	}
+	p.Serve(func(msg *proto.Message, from kernel.PID) {
+		reply := *msg
+		reply.Op = proto.ReplyOK
+		_ = p.Reply(&reply, from)
 	})
+	return p, nil
 }
 
 // echoTimes runs n 32-byte Send-Receive-Reply transactions from cli to

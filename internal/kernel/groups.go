@@ -123,33 +123,73 @@ func (k *Kernel) leaveAllGroups(member PID) {
 	}
 }
 
-// forwardGroup forwards a transaction to every member of a group with one
-// multicast frame; the first member to reply completes the original
-// sender's transaction, which is how a context can be implemented
-// transparently by a group of servers working in cooperation (§7).
-func (p *Process) forwardGroup(env *envelope, msg *proto.Message, gid PID, sp trace.SpanID) error {
+// fanIn is where the clones of one group transaction complete; it lands
+// once, in the sender's own record (Send, SendGroupAll) or the forwarded
+// envelope (Forward), so a straggler only ever touches the fan-in. First
+// reply: the first success lands, a failure only once every delivered
+// clone has failed. Every reply: the latest reply time lands once every
+// delivered clone has completed, ok counting the successes.
+type fanIn struct {
+	into  *envelope // where the outcome lands; nil once it has
+	every bool
+	mu    sync.Mutex
+	open  int        // clones that may still complete, plus the delivery loop's hold
+	ok    int        // clones that replied
+	out   replyEvent // what lands
+}
+
+func (f *fanIn) land(ev replyEvent) {
+	f.mu.Lock()
+	if ev.err == nil {
+		f.ok++
+	}
+	switch {
+	case f.every:
+		f.out.at = max(f.out.at, ev.at)
+	case f.ok == 0 || ev.err == nil && f.ok == 1:
+		f.out = ev // the first success, or the latest failure before one
+	}
+	f.settle(1)
+}
+
+// settle drops n references, lands the outcome the first time its rule
+// is met, and unlocks f.
+func (f *fanIn) settle(n int) {
+	f.open -= n
+	into, out := f.into, f.out
+	if into == nil || f.open > 0 && (f.every || f.ok == 0) {
+		f.mu.Unlock()
+		return
+	}
+	f.into = nil
+	f.mu.Unlock()
+	into.land(out)
+}
+
+// multicast is the delivery loop of every group transaction: one frame
+// carries msg to gid's members under span sp, and each live, reachable
+// member, in pid order, is delivered its own clone of f.into, completing
+// into f. It returns how many it delivered; with none, f never lands. A
+// barrier with nobody to wait for sends no frame; a forward (fwd) ends
+// its span at the frame and passes its clones on as a handler's are.
+func (p *Process) multicast(msg *proto.Message, gid PID, sp trace.SpanID, f *fanIn, fwd bool) (int, error) {
 	k := p.host.kernel
-	tr := k.Tracer()
-	tr.SetGroup(sp)
-	// The clones below complete through env's record (or channel), and a
-	// straggling member may do so after the sender read the winning event
-	// — so the sender must not reuse the record. Set before any completion
-	// can land; the sender reads the flag only after one has.
-	env.shared = true
 	members, err := k.GroupMembers(gid)
-	if err != nil {
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		env.fail(err)
-		return err
+	if err != nil || len(members) == 0 && f.every {
+		return 0, err
 	}
 	now := p.clock.Now()
 	mcast := k.net.Multicast(p.host.id, msg.WireSize(), now)
+	tr := k.Tracer()
 	tr.Wire(sp, "multicast", now, mcast, msg.WireSize(), netsim.HopDetail{Packets: 1}, false, true)
-	// End before delivering clones: a member may serve and unblock the
-	// original sender before this goroutine runs again. A zero-delivery
-	// failure below is classified on the root send span.
-	tr.End(sp, now+mcast)
-	delivered := 0
+	if fwd {
+		tr.End(sp, now+mcast)
+	}
+	// A reference per member and the loop's hold, so the count cannot drain
+	// mid-loop; f.into is its sender's again once a clone completes it.
+	f.open = len(members) + 1
+	origin, src, dst := f.into.origin, f.into.moveSrc, f.into.moveDst
+	n := 0
 	for _, m := range members {
 		target, _ := k.findProcess(m)
 		if target == nil || !k.net.Reachable(p.host.id, m.Host()) {
@@ -159,173 +199,95 @@ func (p *Process) forwardGroup(env *envelope, msg *proto.Message, gid PID, sp tr
 		if m.Host() == p.host.id {
 			arrival = now + k.model.LocalHop(msg.WireSize())
 		}
-		clone := &envelope{
-			origin:  env.origin,
-			msg:     msg.Clone(),
-			arrival: arrival,
-			moveSrc: env.moveSrc,
-			moveDst: env.moveDst,
-			span:    sp,
-			rec:     env.rec, // first reply wins
-			replyCh: env.replyCh,
-		}
-		if p.pass(target, clone) {
-			delivered++
+		clone := &envelope{origin: origin, msg: msg.Clone(), arrival: arrival, moveSrc: src, moveDst: dst, span: sp, fan: f}
+		if fwd && p.pass(target, clone) || !fwd && target.deliver(clone) {
+			n++
 		}
 	}
-	if delivered == 0 {
-		err := fmt.Errorf("forward to group %v: no reachable members: %w", gid, ErrNonexistentProcess)
-		env.fail(err)
-		return err
+	if n > 0 {
+		f.mu.Lock()
+		f.settle(len(members) + 1 - n)
+	}
+	return n, nil
+}
+
+// forwardGroup forwards a transaction to every member of a group, the
+// first to reply completing it: a context implemented transparently by a
+// group of servers working in cooperation (§7).
+func (p *Process) forwardGroup(env *envelope, msg *proto.Message, gid PID, sp trace.SpanID) error {
+	p.Tracer().SetGroup(sp)
+	n, err := p.multicast(msg, gid, sp, &fanIn{into: env}, true)
+	if err == nil && n == 0 { // sp ended at the frame; the root send span is classified
+		err = fmt.Errorf("forward to group %v: no reachable members: %w", gid, ErrNonexistentProcess)
+	}
+	if err != nil {
+		return p.abort(env, sp, err)
 	}
 	return nil
 }
 
-// sendGroup implements Send to a group id: each live member receives its
-// own copy of the message (delivered by a single multicast frame on the
-// wire), and the first reply unblocks the sender; later replies are
-// discarded.
-func (p *Process) sendGroup(msg *proto.Message, gid PID, moveSrc, moveDst []byte) (*proto.Message, error) {
-	k := p.host.kernel
-	tr := k.Tracer()
+// groupSend starts a Send to a group: its span, sep marking a barrier,
+// and the sender's record, which the clones are made from.
+func (p *Process) groupSend(msg *proto.Message, sep string, gid PID, moveSrc, moveDst []byte) (*trace.Tracer, trace.SpanID, *record) {
+	tr := p.host.kernel.Tracer()
 	var sp trace.SpanID
 	if tr != nil {
-		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, " -> ", gid), p.clock.Now(), p.TraceID())
+		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, sep, gid), p.clock.Now(), p.TraceID())
 		tr.SetGroup(sp)
 	}
-	members, err := k.GroupMembers(gid)
-	if err != nil {
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		return nil, err
-	}
-	// One multicast frame serves every remote member.
-	now := p.clock.Now()
-	mcast := k.net.Multicast(p.host.id, msg.WireSize(), now)
-	tr.Wire(sp, "multicast", now, mcast, msg.WireSize(), netsim.HopDetail{Packets: 1}, false, true)
+	return tr, sp, p.record(moveSrc, moveDst)
+}
 
-	replyCh := make(chan replyEvent, len(members)+1)
-	delivered := 0
-	for _, m := range members {
-		target, _ := k.findProcess(m)
-		if target == nil {
-			continue
-		}
-		if !k.net.Reachable(p.host.id, m.Host()) {
-			continue
-		}
-		arrival := now + mcast
-		if m.Host() == p.host.id {
-			arrival = now + k.model.LocalHop(msg.WireSize())
-		}
-		env := &envelope{
-			origin:  p.pid,
-			msg:     msg.Clone(),
-			arrival: arrival,
-			replyCh: replyCh,
-			moveSrc: moveSrc,
-			moveDst: moveDst,
-			span:    sp,
-		}
-		if target.deliver(env) {
-			delivered++
-		}
-	}
-	if delivered == 0 {
-		p.clock.Advance(k.model.RetransmitTimeout)
-		err := fmt.Errorf("%w: group %v has no reachable members", ErrNonexistentProcess, gid)
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		return nil, err
-	}
-	var lastErr error
-	for i := 0; i < delivered; i++ {
-		ev := <-replyCh
+// sendGroup is Send to a group: each live member gets its own copy, all by
+// one multicast frame, and the first reply unblocks the sender.
+func (p *Process) sendGroup(msg *proto.Message, gid PID, moveSrc, moveDst []byte) (*proto.Message, error) {
+	tr, sp, rec := p.groupSend(msg, " -> ", gid, moveSrc, moveDst)
+	defer p.finish(rec)
+	n, err := p.multicast(msg, gid, sp, &fanIn{into: &rec.envelope}, false)
+	timeout := p.host.kernel.model.RetransmitTimeout
+	switch {
+	case err != nil:
+	case n == 0:
+		p.clock.Advance(timeout)
+		err = fmt.Errorf("%w: group %v has no reachable members", ErrNonexistentProcess, gid)
+	default:
+		ev := rec.await()
 		if ev.err == nil {
 			p.clock.Observe(ev.at)
 			tr.End(sp, p.clock.Now())
 			return ev.msg, nil
 		}
-		lastErr = ev.err
+		p.clock.Advance(timeout)
+		err = fmt.Errorf("send to group %v: %w", gid, ev.err)
 	}
-	p.clock.Advance(k.model.RetransmitTimeout)
-	err = fmt.Errorf("send to group %v: %w", gid, lastErr)
 	tr.Fail(sp, p.clock.Now(), FailureClass(err))
 	return nil, err
 }
 
 // SendGroupAll multicasts msg to every member of a group and waits for
-// EVERY delivered reply, observing the latest reply time. Where sendGroup
-// is first-reply-wins (a query answered by whichever member is fastest),
-// SendGroupAll is a barrier: when it returns, every member that was alive
-// and reachable at send time has received, processed, and replied to the
-// message. Lease invalidation uses it so that a name redefinition commits
-// only after all reachable cache holders have dropped the stale entry;
-// unreachable holders are skipped and bounded by their lease expiry
-// instead (PROTOCOL.md §13). Returns the number of members that replied.
-// A group with no reachable members is not an error — there is simply
-// nobody to wait for.
+// EVERY delivered reply, observing the latest: a barrier. When it returns,
+// every member alive and reachable at send time has processed and answered
+// the message, so a redefinition commits only after every reachable lease
+// holder has dropped the name; unreachable holders, and members that die
+// mid-transaction, are bounded by their lease expiry instead (PROTOCOL.md
+// §13). It returns how many replied: none, without error, if nobody could.
 func (p *Process) SendGroupAll(msg *proto.Message, gid PID) (int, error) {
-	k := p.host.kernel
-	tr := k.Tracer()
-	var sp trace.SpanID
-	if tr != nil {
-		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, " ->* ", gid), p.clock.Now(), p.TraceID())
-		tr.SetGroup(sp)
+	tr, sp, rec := p.groupSend(msg, " ->* ", gid, nil, nil)
+	defer p.finish(rec)
+	f := &fanIn{into: &rec.envelope, every: true}
+	n, err := p.multicast(msg, gid, sp, f, false)
+	// Classified rather than plain-ended: a group send span with no reply
+	// in its subtree would trip the send-termination invariant (check.go #3).
+	class := "no-holders"
+	switch {
+	case err != nil:
+		class = FailureClass(err)
+	case n > 0:
+		p.clock.Observe(rec.await().at)
 	}
-	members, err := k.GroupMembers(gid)
-	if err != nil {
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		return 0, err
+	if f.ok > 0 {
+		class = ""
 	}
-	if len(members) == 0 {
-		// Classified rather than plain-ended: a group send span with no
-		// reply in its subtree would otherwise trip the send-termination
-		// invariant (check.go #3).
-		tr.Fail(sp, p.clock.Now(), "no-holders")
-		return 0, nil
-	}
-	now := p.clock.Now()
-	mcast := k.net.Multicast(p.host.id, msg.WireSize(), now)
-	tr.Wire(sp, "multicast", now, mcast, msg.WireSize(), netsim.HopDetail{Packets: 1}, false, true)
-
-	replyCh := make(chan replyEvent, len(members)+1)
-	delivered := 0
-	for _, m := range members {
-		target, _ := k.findProcess(m)
-		if target == nil {
-			continue
-		}
-		if !k.net.Reachable(p.host.id, m.Host()) {
-			continue
-		}
-		arrival := now + mcast
-		if m.Host() == p.host.id {
-			arrival = now + k.model.LocalHop(msg.WireSize())
-		}
-		env := &envelope{
-			origin:  p.pid,
-			msg:     msg.Clone(),
-			arrival: arrival,
-			replyCh: replyCh,
-			span:    sp,
-		}
-		if target.deliver(env) {
-			delivered++
-		}
-	}
-	replies := 0
-	for i := 0; i < delivered; i++ {
-		ev := <-replyCh
-		if ev.err == nil {
-			p.clock.Observe(ev.at)
-			replies++
-		}
-	}
-	// Members that died mid-transaction surface as errored events; they
-	// are equivalent to unreachable members — bounded by lease expiry.
-	if replies == 0 {
-		tr.Fail(sp, p.clock.Now(), "no-holders")
-	} else {
-		tr.End(sp, p.clock.Now())
-	}
-	return replies, nil
+	tr.Fail(sp, p.clock.Now(), class)
+	return f.ok, err
 }

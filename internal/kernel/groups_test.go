@@ -6,7 +6,61 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/proto"
 )
+
+// TestGroupForwardAnswersAsSend: Send and Forward to a group share one
+// rule — the first success lands, a failure only once every delivered
+// clone has failed — so a served forwarder's Forward to a group returns
+// what a Send to it returns. bad forwards its clone to a pid nobody holds
+// and fails first, in pid order; good replies; dead's host has crashed
+// and unreachable is behind a partition, so neither is delivered.
+func TestGroupForwardAnswersAsSend(t *testing.T) {
+	k := newDomain(t)
+	h, crashed, far := k.NewHost("a"), k.NewHost("crashed"), k.NewHost("far")
+	bad := newClient(t, h, "bad")
+	bad.Serve(func(msg *proto.Message, from PID) { _ = bad.Forward(msg, from, MakePID(h.ID(), 32767)) })
+	good := newClient(t, h, "good")
+	good.Serve(func(msg *proto.Message, from PID) {
+		_ = good.Reply(&proto.Message{Op: proto.ReplyOK, F: [6]uint32{7}}, from)
+	})
+	dead, unreachable := newClient(t, crashed, "dead"), serveEcho(t, far)
+	crashed.Crash()
+	k.Network().Partition(far.ID(), 1)
+	fwd := newClient(t, h, "fwd")
+	fwd.Serve(func(msg *proto.Message, from PID) { _ = fwd.Forward(msg, from, PID(msg.F[5])) })
+	client := newClient(t, h, "client")
+
+	for _, tc := range []struct {
+		name    string
+		members []*Process
+		replied bool
+	}{
+		{"bad, good", []*Process{bad, good}, true},
+		{"bad, good, dead, unreachable", []*Process{bad, good, dead, unreachable}, true},
+		{"bad, dead, unreachable", []*Process{bad, dead, unreachable}, false},
+	} {
+		gid := newGroup(t, k)
+		for _, m := range tc.members {
+			if err := k.JoinGroup(gid, m.PID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req := func() *proto.Message { return &proto.Message{Op: proto.OpEcho, F: [6]uint32{5: uint32(gid)}} }
+		sent, sendErr := client.Send(req(), gid)
+		forwarded, fwdErr := client.Send(req(), fwd.PID())
+		if !tc.replied {
+			if !errors.Is(sendErr, ErrNonexistentProcess) || !errors.Is(fwdErr, ErrNonexistentProcess) {
+				t.Errorf("%s: Send err %v, Forward err %v; want both to fail as bad did", tc.name, sendErr, fwdErr)
+			}
+			continue
+		}
+		if sendErr != nil || fwdErr != nil || sent.F[0] != 7 || forwarded.F[0] != 7 {
+			t.Errorf("%s: Send %v, %v; Forward %v, %v; want good's reply from both", tc.name, sent, sendErr, forwarded, fwdErr)
+		}
+	}
+}
 
 // groupModel is the representation the group table replaced — a map of
 // member sets keyed by group id — kept as the oracle.

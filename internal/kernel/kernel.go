@@ -3,6 +3,8 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -191,10 +193,8 @@ func (k *Kernel) NewHost(name string) *Host {
 	}
 	h.alive.Store(true)
 	h.shard.Store(-1)
-	procs := make(map[PID]*Process)
-	h.procs.Store(&procs)
-	services := make(map[Service]svcEntry)
-	h.services.Store(&services)
+	h.procs.Store(&map[PID]*Process{})
+	h.services.Store(&map[Service]svcEntry{})
 
 	hosts := append(old[:len(old):len(old)], h)
 	k.hosts.Store(&hosts)
@@ -231,16 +231,8 @@ func (k *Kernel) ProcessAlive(pid PID) bool {
 		return false
 	}
 	if pid.IsGroup() {
-		members, err := k.GroupMembers(pid)
-		if err != nil {
-			return false
-		}
-		for _, m := range members {
-			if p, _ := k.findProcess(m); p != nil {
-				return true
-			}
-		}
-		return false
+		members, _ := k.GroupMembers(pid)
+		return slices.ContainsFunc(members, func(m PID) bool { p, _ := k.findProcess(m); return p != nil })
 	}
 	p, _ := k.findProcess(pid)
 	return p != nil
@@ -299,9 +291,7 @@ func (h *Host) Name() string { return h.name }
 func (h *Host) Kernel() *Kernel { return h.kernel }
 
 // Alive reports whether the host is up.
-func (h *Host) Alive() bool {
-	return h.alive.Load()
-}
+func (h *Host) Alive() bool { return h.alive.Load() }
 
 // SetShard labels the host with the execution-engine lane that owns its
 // local traffic (negative clears the label). Sharded topologies label
@@ -316,18 +306,12 @@ func (h *Host) Shard() int { return int(h.shard.Load()) }
 // (or the host) is still alive — pids encode their host, so this is a
 // pure table lookup. Returns nil for unknown hosts and group pids, whose
 // host fields lie past every host id.
-func (k *Kernel) HostOf(pid PID) *Host {
-	return k.HostByID(pid.Host())
-}
+func (k *Kernel) HostOf(pid PID) *Host { return k.HostByID(pid.Host()) }
 
 // storeProcs publishes a fresh copy of the process table with pid's slot
 // set to p (or removed when p is nil). Caller holds h.mu.
 func (h *Host) storeProcs(pid PID, p *Process) {
-	old := *h.procs.Load()
-	procs := make(map[PID]*Process, len(old)+1)
-	for q, qp := range old {
-		procs[q] = qp
-	}
+	procs := maps.Clone(*h.procs.Load())
 	if p == nil {
 		delete(procs, pid)
 	} else {
@@ -399,10 +383,8 @@ func (h *Host) Crash() {
 	for _, p := range old {
 		procs = append(procs, p)
 	}
-	emptyProcs := make(map[PID]*Process)
-	h.procs.Store(&emptyProcs)
-	emptySvcs := make(map[Service]svcEntry)
-	h.services.Store(&emptySvcs)
+	h.procs.Store(&map[PID]*Process{})
+	h.services.Store(&map[Service]svcEntry{})
 	h.mu.Unlock()
 	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
 	for _, p := range procs {
@@ -434,11 +416,7 @@ func (h *Host) ProcessByPID(pid PID) (*Process, error) {
 // storeServices publishes a fresh copy of the service table produced by
 // mutate. Caller holds h.mu.
 func (h *Host) storeServices(mutate func(map[Service]svcEntry)) {
-	old := *h.services.Load()
-	services := make(map[Service]svcEntry, len(old)+1)
-	for s, e := range old {
-		services[s] = e
-	}
+	services := maps.Clone(*h.services.Load())
 	mutate(services)
 	h.services.Store(&services)
 }
@@ -460,18 +438,12 @@ func (h *Host) SetPid(service Service, pid PID, vis Scope) error {
 // lookupService consults this host's kernel table. remoteQuery selects
 // whether the query arrived by broadcast from another host.
 func (h *Host) lookupService(service Service, remoteQuery bool) (PID, bool) {
-	if !h.alive.Load() {
-		return NilPID, false
+	hidden := ScopeRemote // from a local query
+	if remoteQuery {
+		hidden = ScopeLocal
 	}
 	e, ok := (*h.services.Load())[service]
-	if !ok {
-		return NilPID, false
-	}
-	if remoteQuery {
-		if e.vis == ScopeLocal {
-			return NilPID, false
-		}
-	} else if e.vis == ScopeRemote {
+	if !ok || e.vis == hidden || !h.alive.Load() {
 		return NilPID, false
 	}
 	return e.pid, true
@@ -483,10 +455,6 @@ func (h *Host) deregisterPid(pid PID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.storeServices(func(m map[Service]svcEntry) {
-		for s, e := range m {
-			if e.pid == pid {
-				delete(m, s)
-			}
-		}
+		maps.DeleteFunc(m, func(_ Service, e svcEntry) bool { return e.pid == pid })
 	})
 }

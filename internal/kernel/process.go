@@ -24,18 +24,14 @@ type replyEvent struct {
 	err error
 }
 
-// envelope is an in-flight message transaction. A unicast Send's is part
-// of the sender's own record; it travels through Forward unchanged except
-// for its message and arrival time, and is completed exactly once by
-// Reply or by failure.
+// envelope is an in-flight message transaction. A Send's is part of the
+// sender's own record, or a group member's clone of it; it travels through
+// Forward unchanged except for its message and arrival time, and is
+// completed exactly once by Reply or by failure.
 type envelope struct {
 	origin PID // the original sender, preserved across forwarding (§3.1)
-	// shared marks an envelope another goroutine may still touch after
-	// its completion lands, so its sender retires the record: group clones
-	// complete through it (forwardGroup), or its receiver was terminated
-	// while possibly mid-MoveFrom/MoveTo on it. Written by the holder that
-	// took it from a pending table, before the completion; read by the
-	// sender after.
+	// shared marks an envelope the crash sweep failed while its receiver
+	// may have been mid-Move on it: its sender retires the record.
 	shared  bool
 	msg     *proto.Message
 	arrival vtime.Time
@@ -47,22 +43,22 @@ type envelope struct {
 	// transaction currently runs under; servers parent their serve
 	// spans on it via PendingSpan.
 	span trace.SpanID
-	// The completion lands in rec, the unicast sender's record (a group
-	// forward's clones share it), or for a group send in replyCh. Kept
-	// to two words so a clone stays in the 96-byte size class.
-	rec     *record
-	replyCh chan replyEvent
+	// The completion lands in rec, the sender's record, or for a group
+	// member's clone in fan. Kept to two words so a clone stays in the
+	// 96-byte size class.
+	rec *record
+	fan *fanIn
 }
 
-// record is a unicast Send's transaction, owned by the sending process
-// and reused Send after Send: the envelope that travels, and the
-// completion the sender reads.
+// record is a process's Send transaction, reused Send after Send: the
+// envelope that travels (or that a group's clones are made from), and the
+// one completion that lands — from whoever took the envelope from a
+// pending table or a mailbox, or from a group's fan-in.
 type record struct {
 	envelope
-	claimed atomic.Bool   // the first completion wins; later ones are dropped
-	state   atomic.Uint32 // recOpen, recLanded or recParked
-	ev      replyEvent
-	wake    chan struct{} // one slot: wakes a sender that parked
+	state atomic.Uint32 // recOpen, recLanded or recParked
+	ev    replyEvent
+	wake  chan struct{} // one slot: wakes a sender that parked
 }
 
 const (
@@ -76,9 +72,6 @@ const (
 // wakes it; a sender that finds the completion landed reads it without
 // parking — the case of every served target that replies in its turn.
 func (r *record) land(ev replyEvent) {
-	if !r.claimed.CompareAndSwap(false, true) {
-		return
-	}
 	r.ev = ev
 	if r.state.Swap(recLanded) == recParked {
 		r.wake <- struct{}{}
@@ -97,17 +90,37 @@ func (e *envelope) complete(msg *proto.Message, at vtime.Time) { e.land(replyEve
 
 func (e *envelope) fail(err error) { e.land(replyEvent{err: err}) }
 
-// land delivers at most one event per envelope. The non-blocking send
-// matters for group sends, whose members' clones share one channel.
 func (e *envelope) land(ev replyEvent) {
 	if e.rec != nil {
 		e.rec.land(ev)
 		return
 	}
-	select {
-	case e.replyCh <- ev:
-	default:
+	e.fan.land(ev)
+}
+
+// record returns the process's record, opened for a new transaction with
+// the given segments attached.
+func (p *Process) record(moveSrc, moveDst []byte) *record {
+	rec := p.rec
+	if rec == nil {
+		rec = &record{wake: make(chan struct{}, 1)}
+		rec.origin, rec.rec = p.pid, rec
+		p.rec = rec
 	}
+	// Field by field: a struct assignment would copy through write barriers.
+	rec.moveSrc, rec.moveDst = moveSrc, moveDst
+	rec.state.Store(recOpen)
+	return rec
+}
+
+// finish ends a transaction on the record: retired if shared, or else
+// kept, pinning no message or segment until the next Send.
+func (p *Process) finish(rec *record) {
+	if rec.shared {
+		p.rec = nil
+		return
+	}
+	rec.msg, rec.moveSrc, rec.moveDst, rec.ev = nil, nil, nil, replyEvent{}
 }
 
 // Process is a simulated V process. A process is the unit of IPC
@@ -132,10 +145,11 @@ type Process struct {
 	serving bool
 	passed  []handoff
 
-	// rec is the record of this process's unicast Sends. A V sender is
-	// blocked until its reply, so a process has one Send in flight and
-	// only the goroutine making it touches rec; the race detector guards
-	// that rule. Nil until the first Send, and after one that retired it.
+	// rec is the record of this process's Sends, to a process or a group.
+	// A V sender is blocked until its reply, so a process has one Send in
+	// flight and only the goroutine making it touches rec; the race
+	// detector guards that rule. Nil until the first Send, and after one
+	// that retired it.
 	rec *record
 
 	mu      sync.Mutex
@@ -273,51 +287,29 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 		} else {
 			err = fmt.Errorf("%w: %v", ErrNonexistentProcess, dst)
 		}
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		km.sendFailed(err)
-		return nil, err
+		return p.sendFailed(km, sp, err)
 	}
 	d, det, err := k.net.UnicastDetail(p.host.id, dst.Host(), msg.WireSize(), p.clock.Now())
 	if err != nil {
 		p.clock.Advance(time.Duration(failedSendRetries) * k.model.RetransmitTimeout)
 		err = fmt.Errorf("send to %v: %w", dst, err)
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		km.sendFailed(err)
-		return nil, err
+		return p.sendFailed(km, sp, err)
 	}
 	tr.Wire(sp, "request", p.clock.Now(), d, msg.WireSize(), det, dst.Host() == p.host.id, false)
-	rec := p.rec
-	if rec == nil {
-		rec = &record{wake: make(chan struct{}, 1)}
-		rec.origin, rec.rec = p.pid, rec
-		p.rec = rec
-	}
-	// Field by field: a struct assignment would copy through write barriers.
+	rec := p.record(moveSrc, moveDst)
 	rec.msg, rec.arrival, rec.span = msg, p.clock.Now()+d, sp
-	rec.moveSrc, rec.moveDst = moveSrc, moveDst
-	rec.claimed.Store(false)
-	rec.state.Store(recOpen)
 	if !target.deliver(&rec.envelope) {
 		// Never delivered: no completion can exist.
 		p.chargeFailedSend(dst, true)
 		err := fmt.Errorf("%w: %v", ErrNonexistentProcess, dst)
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		km.sendFailed(err)
-		return nil, err
+		return p.sendFailed(km, sp, err)
 	}
 	ev := rec.await()
-	if rec.shared {
-		p.rec = nil // retired: a group straggler or a dead handler may still touch it
-	} else {
-		// Pin no message or segment between Sends.
-		rec.msg, rec.moveSrc, rec.moveDst, rec.ev = nil, nil, nil, replyEvent{}
-	}
+	p.finish(rec)
 	if ev.err != nil {
 		p.clock.Advance(k.model.RetransmitTimeout)
 		err := fmt.Errorf("send to %v: %w", dst, ev.err)
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		km.sendFailed(err)
-		return nil, err
+		return p.sendFailed(km, sp, err)
 	}
 	p.clock.Observe(ev.at)
 	tr.End(sp, p.clock.Now())
@@ -330,14 +322,15 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 	return ev.msg, nil
 }
 
-// sendFailed records a failed send transaction, labeled by failure
-// class. Nil-safe (metrics off).
-func (km *kernelMetrics) sendFailed(err error) {
-	if km == nil {
-		return
+// sendFailed ends a failed Send: its span classified and, with metrics
+// on, the failure counted by class.
+func (p *Process) sendFailed(km *kernelMetrics, sp trace.SpanID, err error) (*proto.Message, error) {
+	p.Tracer().Fail(sp, p.clock.Now(), FailureClass(err))
+	if km != nil {
+		km.inflight.Add(-1)
+		km.reg.Counter("kernel_send_failures_total", metrics.Labels{Class: FailureClass(err)}).Inc()
 	}
-	km.inflight.Add(-1)
-	km.reg.Counter("kernel_send_failures_total", metrics.Labels{Class: FailureClass(err)}).Inc()
+	return nil, err
 }
 
 // chargeFailedSend charges the virtual cost of discovering that a send
@@ -499,7 +492,9 @@ func (p *Process) pendingAt(origin PID) int {
 
 // Receive blocks until a message arrives, returning the message and the
 // pid of the (original) sender. The message must eventually be answered
-// with Reply or passed on with Forward.
+// with Reply or passed on with Forward. Every server is served; only the
+// benchmark's echo probes (bench/probes.go) receive, and the kernel tests
+// that keep a received process as the oracle for a served one.
 func (p *Process) Receive() (*proto.Message, PID, error) {
 	if p.handler.Load() != nil {
 		return nil, NilPID, ErrServed
@@ -516,17 +511,31 @@ func (p *Process) Receive() (*proto.Message, PID, error) {
 	}
 }
 
-// takePending removes and returns the pending envelope from origin.
-func (p *Process) takePending(origin PID) *envelope {
+// take removes the pending envelope from origin and, when tracing,
+// starts the span (kind) of the Reply or Forward passing it on to dst.
+func (p *Process) take(origin PID, kind trace.Kind, op proto.Code, dst PID) (*envelope, trace.SpanID) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	i := p.pendingAt(origin)
 	if i < 0 {
-		return nil
+		p.mu.Unlock()
+		return nil, 0
 	}
 	env := p.pending[i]
 	p.pending = slices.Delete(p.pending, i, i+1)
-	return env
+	p.mu.Unlock()
+	if tr := p.Tracer(); tr != nil {
+		return env, tr.StartName(p.spanUnder(env), kind, opTo(op, " -> ", dst), p.clock.Now(), p.TraceID())
+	}
+	return env, 0
+}
+
+// spanUnder is the span p's work on env's transaction nests under: p's
+// current span, or else the transaction's own.
+func (p *Process) spanUnder(env *envelope) trace.SpanID {
+	if sp := p.CurrentSpan(); sp != 0 {
+		return sp
+	}
+	return env.span
 }
 
 // peekPending returns the pending envelope from origin without removing
@@ -543,26 +552,15 @@ func (p *Process) peekPending(origin PID) *envelope {
 // Reply completes the message transaction with the process `to`, which
 // must have a received-but-unreplied message here.
 func (p *Process) Reply(msg *proto.Message, to PID) error {
-	env := p.takePending(to)
+	env, sp := p.take(to, trace.KindReply, msg.Op, to)
 	if env == nil {
 		return fmt.Errorf("%w: %v", ErrNoPendingMessage, to)
 	}
 	k := p.host.kernel
 	tr := k.Tracer()
-	var sp trace.SpanID
-	if tr != nil {
-		parent := p.CurrentSpan()
-		if parent == 0 {
-			parent = env.span
-		}
-		sp = tr.StartName(parent, trace.KindReply, opTo(msg.Op, " -> ", env.origin), p.clock.Now(), p.TraceID())
-	}
 	d, det, err := k.net.UnicastDetail(p.host.id, env.origin.Host(), msg.WireSize(), p.clock.Now())
 	if err != nil {
-		err = fmt.Errorf("reply to %v: %w", to, err)
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		env.fail(err)
-		return err
+		return p.abort(env, sp, fmt.Errorf("reply to %v: %w", to, err))
 	}
 	tr.Wire(sp, "reply", p.clock.Now(), d, msg.WireSize(), det, env.origin.Host() == p.host.id, false)
 	// End the span before unblocking the sender, so a snapshot taken
@@ -583,36 +581,22 @@ func (p *Process) Reply(msg *proto.Message, to PID) error {
 // a server rewrites the context id and name index fields before passing a
 // partially-interpreted CSname request along (§5.4).
 func (p *Process) Forward(msg *proto.Message, from PID, to PID) error {
-	env := p.takePending(from)
+	env, sp := p.take(from, trace.KindForward, msg.Op, to)
 	if env == nil {
 		return fmt.Errorf("%w: %v", ErrNoPendingMessage, from)
 	}
 	k := p.host.kernel
 	tr := k.Tracer()
-	var sp trace.SpanID
-	if tr != nil {
-		parent := p.CurrentSpan()
-		if parent == 0 {
-			parent = env.span
-		}
-		sp = tr.StartName(parent, trace.KindForward, opTo(msg.Op, " -> ", to), p.clock.Now(), p.TraceID())
-	}
 	if to.IsGroup() {
 		return p.forwardGroup(env, msg, to, sp)
 	}
 	target, _ := k.findProcess(to)
 	if target == nil {
-		err := fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess)
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		env.fail(err)
-		return err
+		return p.abort(env, sp, fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess))
 	}
 	d, det, err := k.net.UnicastDetail(p.host.id, to.Host(), msg.WireSize(), p.clock.Now())
 	if err != nil {
-		err = fmt.Errorf("forward to %v: %w", to, err)
-		tr.Fail(sp, p.clock.Now(), FailureClass(err))
-		env.fail(err)
-		return err
+		return p.abort(env, sp, fmt.Errorf("forward to %v: %w", to, err))
 	}
 	tr.Wire(sp, "forward", p.clock.Now(), d, msg.WireSize(), det, to.Host() == p.host.id, false)
 	// Count before delivering: the recipient may serve and unblock the
@@ -621,20 +605,24 @@ func (p *Process) Forward(msg *proto.Message, from PID, to PID) error {
 	if km := k.metrics.Load(); km != nil {
 		km.forwards.Inc()
 	}
-	env.msg = msg
-	env.arrival = p.clock.Now() + d
-	env.span = sp
+	env.msg, env.arrival, env.span = msg, p.clock.Now()+d, sp
 	// End before delivering: the recipient may serve and unblock the
 	// original sender before this goroutine runs again, and a snapshot
 	// then must not see a half-open forward. If delivery fails below,
 	// the failure classification lands on the root send span instead.
 	tr.End(sp, env.arrival)
 	if !p.pass(target, env) {
-		err := fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess)
-		env.fail(err)
-		return err
+		return p.abort(env, sp, fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess))
 	}
 	return nil
+}
+
+// abort fails the transaction env with err, which Reply or Forward
+// returns, classifying their span sp unless it has already ended.
+func (p *Process) abort(env *envelope, sp trace.SpanID, err error) error {
+	p.Tracer().Fail(sp, p.clock.Now(), FailureClass(err))
+	env.fail(err)
+	return err
 }
 
 // MoveFrom copies bytes from the memory segment of the blocked sender
@@ -657,11 +645,7 @@ func (p *Process) MoveFrom(src PID, dst []byte, offset int) (int, error) {
 		return 0, err
 	}
 	if tr := p.Tracer(); tr != nil {
-		parent := p.CurrentSpan()
-		if parent == 0 {
-			parent = env.span
-		}
-		tr.Wire(parent, "move-from", p.clock.Now(), d, n, det, src.Host() == p.host.id, false)
+		tr.Wire(p.spanUnder(env), "move-from", p.clock.Now(), d, n, det, src.Host() == p.host.id, false)
 	}
 	p.clock.Advance(d)
 	return n, nil
@@ -686,11 +670,7 @@ func (p *Process) MoveTo(dst PID, offset int, data []byte) (int, error) {
 		return 0, err
 	}
 	if tr := p.Tracer(); tr != nil {
-		parent := p.CurrentSpan()
-		if parent == 0 {
-			parent = env.span
-		}
-		tr.Wire(parent, "move-to", p.clock.Now(), d, n, det, dst.Host() == p.host.id, false)
+		tr.Wire(p.spanUnder(env), "move-to", p.clock.Now(), d, n, det, dst.Host() == p.host.id, false)
 	}
 	p.clock.Advance(d)
 	return n, nil

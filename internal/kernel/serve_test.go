@@ -2,7 +2,10 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,34 +45,84 @@ func within(t *testing.T, what string, f func()) {
 	}
 }
 
+// start creates a process that runs handle on each message it takes:
+// served, or received by a Receive loop on a goroutine of its own.
+func start(t *testing.T, h *Host, name string, served bool, handle func(p *Process, msg *proto.Message, from PID)) *Process {
+	t.Helper()
+	p := newClient(t, h, name)
+	if served {
+		p.Serve(func(msg *proto.Message, from PID) { handle(p, msg, from) })
+		return p
+	}
+	go func() {
+		for {
+			msg, from, err := p.Receive()
+			if err != nil {
+				return
+			}
+			handle(p, msg, from)
+		}
+	}()
+	return p
+}
+
 // TestServedIndistinguishableInVirtualTime is the contract the whole
-// primitive rests on: the same exchanges against a served and a received
-// echo leave every clock involved at the same virtual time.
+// primitive rests on: the same exchanges against served and against
+// received processes — an echo, and a group whose Send, SendGroupAll and
+// Forward only good can win — return the same winners, counts and errors
+// and leave every clock involved at the same virtual time.
 func TestServedIndistinguishableInVirtualTime(t *testing.T) {
-	run := func(served bool) (client, server vtime.Time) {
+	echo := func(p *Process, msg *proto.Message, from PID) {
+		reply := *msg
+		reply.Op, reply.F[4] = proto.ReplyOK, uint32(p.pid)
+		_ = p.Reply(&reply, from)
+	}
+	run := func(served bool) []string {
 		k := newDomain(t)
 		h1, h2 := k.NewHost("a"), k.NewHost("b")
-		var echo *Process
-		if served {
-			echo = serveEcho(t, h2)
-		} else {
-			echo = spawnEcho(t, h2)
-		}
+		srv := start(t, h2, "echo", served, echo)
 		local := newClient(t, h2, "local")
 		remote := newClient(t, h1, "remote")
 		for i := 0; i < 5; i++ {
 			for _, c := range []*Process{local, remote, remote, local} {
-				if _, err := c.Send(&proto.Message{Op: proto.OpEcho, Segment: make([]byte, 100*i)}, echo.PID()); err != nil {
+				if _, err := c.Send(&proto.Message{Op: proto.OpEcho, Segment: make([]byte, 100*i)}, srv.PID()); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		return local.Now() + remote.Now(), echo.Now()
+		bad := start(t, h2, "bad", served, func(p *Process, msg *proto.Message, from PID) {
+			_ = p.Forward(msg, from, MakePID(h2.ID(), 32767))
+		})
+		good := start(t, h2, "good", served, echo)
+		fwd := start(t, h1, "fwd", served, func(p *Process, msg *proto.Message, from PID) {
+			_ = p.Forward(msg, from, PID(msg.F[5]))
+		})
+		both, onlyBad := newGroup(t, k), newGroup(t, k)
+		for _, join := range [][2]PID{{both, bad.pid}, {both, good.pid}, {onlyBad, bad.pid}} {
+			if err := k.JoinGroup(join[0], join[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []string
+		// onlyBad's SendGroupAll comes last: every member has taken every
+		// message when it returns, so its clock is final.
+		for _, gid := range []PID{both, onlyBad} {
+			for _, c := range []*Process{local, remote} {
+				for _, dst := range []PID{gid, fwd.pid} {
+					reply, err := c.Send(&proto.Message{Op: proto.OpEcho, F: [6]uint32{5: uint32(gid)}}, dst)
+					if reply != nil {
+						got = append(got, fmt.Sprint("winner ", reply.F[4]))
+					}
+					got = append(got, fmt.Sprint("error ", err))
+				}
+				n, err := c.SendGroupAll(&proto.Message{Op: proto.OpEcho}, gid)
+				got = append(got, fmt.Sprint("count ", n, err))
+			}
+		}
+		return append(got, fmt.Sprint("clocks ", local.Now(), remote.Now(), srv.Now(), bad.Now(), good.Now(), fwd.Now()))
 	}
-	c1, s1 := run(false)
-	c2, s2 := run(true)
-	if c1 != c2 || s1 != s2 {
-		t.Fatalf("received echo: clients %v server %v; served echo: clients %v server %v", c1, s1, c2, s2)
+	if received, served := run(false), run(true); !slices.Equal(received, served) {
+		t.Fatalf("received:\n%s\nserved:\n%s", strings.Join(received, "\n"), strings.Join(served, "\n"))
 	}
 }
 
@@ -290,8 +343,10 @@ func TestGroupForwardStragglerCannotCompleteNextSend(t *testing.T) {
 	// The client's Send is forwarded to a group of two served members:
 	// prompt replies in its turn, straggler parks the transaction and
 	// replies on a later turn — one that runs while the client's next
-	// Send, to an echo, is waiting. Had the client reused the record the
-	// group's clones complete through, that late reply would win it.
+	// Send, to an echo, is waiting in the same record. Had the group's
+	// clones completed through the record rather than their fan-in, that
+	// late reply would win it. The echo is received so that it can hold
+	// the next Send open while the straggler's turn runs.
 	k := newDomain(t)
 	h := k.NewHost("a")
 	gid := newGroup(t, k)
@@ -335,6 +390,7 @@ func TestGroupForwardStragglerCannotCompleteNextSend(t *testing.T) {
 	if reply, err := client.Send(&proto.Message{Op: proto.OpEcho}, fwd.PID()); err != nil || reply.F[0] != 1 {
 		t.Fatalf("forwarded Send: reply %v, err %v; want prompt's", reply, err)
 	}
+	rec := client.rec
 	got := make(chan uint32, 1)
 	go func() {
 		reply, err := client.Send(&proto.Message{Op: proto.OpEcho}, echo.PID())
@@ -355,6 +411,9 @@ func TestGroupForwardStragglerCannotCompleteNextSend(t *testing.T) {
 			t.Errorf("the client's next Send returned reply %d, want the echo's 3", v)
 		}
 	})
+	if rec == nil || client.rec != rec {
+		t.Error("the group forward retired the client's record; only a crash sweep may")
+	}
 }
 
 func TestServedConcurrentSenders(t *testing.T) {

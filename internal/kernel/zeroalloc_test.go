@@ -59,6 +59,58 @@ func TestSendZeroAllocUntraced(t *testing.T) {
 	}
 }
 
+// TestGroupSendAllocs pins what an untraced group transaction allocates:
+// a Send to a group of n served members, and a SendGroupAll to them, make
+// the n clones, their n messages, the GroupMembers snapshot and one
+// fan-in — 2n+2 — and complete in the sender's own record.
+func TestGroupSendAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	const n = 8
+	k := New(netsim.New(vtime.DefaultModel(), 1))
+	h := k.NewHost("alloc")
+	gid := newGroup(t, k)
+	for i := 0; i < n; i++ {
+		m := newClient(t, h, "member")
+		m.Serve(func(msg *proto.Message, from PID) {
+			msg.Op = proto.ReplyOK // answered in its own clone
+			_ = m.Reply(msg, from)
+		})
+		if err := k.JoinGroup(gid, m.PID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := newClient(t, h, "client")
+	req := &proto.Message{Op: proto.OpEcho}
+	for _, tc := range []struct {
+		name string
+		send func() error
+	}{
+		{"Send", func() error { _, err := client.Send(req, gid); return err }},
+		{"SendGroupAll", func() error {
+			if got, err := client.SendGroupAll(req, gid); err != nil || got != n {
+				t.Fatalf("SendGroupAll = %d, %v; want all %d members", got, err, n)
+			}
+			return nil
+		}},
+	} {
+		for i := 0; i < 64; i++ { // warm the record and the pending tables
+			if err := tc.send(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := tc.send(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2*n+2 {
+			t.Errorf("untraced %s to %d served members allocates %v, want at most %d", tc.name, n, allocs, 2*n+2)
+		}
+	}
+}
+
 // TestSpanNamesRenderAsBefore pins the lazily rendered transaction span
 // names to the strings Send, Reply, Forward and the group sends used to
 // concatenate on every call.

@@ -42,24 +42,16 @@ func newRig(t *testing.T) *rig {
 	if r.holder, err = r.host.NewProcess("holder"); err != nil {
 		t.Fatal(err)
 	}
-	r.upstream, err = r.host.Spawn("upstream", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			r.mu.Lock()
-			_, r.flagged = proto.LeaseRequest(msg)
-			reply := r.answer(msg)
-			r.mu.Unlock()
-			if p.Reply(reply, from) != nil {
-				return
-			}
-		}
-	})
-	if err != nil {
+	if r.upstream, err = r.host.NewProcess("upstream"); err != nil {
 		t.Fatal(err)
 	}
+	r.upstream.Serve(func(msg *proto.Message, from kernel.PID) {
+		r.mu.Lock()
+		_, r.flagged = proto.LeaseRequest(msg)
+		reply := r.answer(msg)
+		r.mu.Unlock()
+		_ = r.upstream.Reply(reply, from)
+	})
 	t.Cleanup(func() {
 		r.holder.Destroy()
 		r.upstream.Destroy()

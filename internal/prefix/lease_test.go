@@ -24,41 +24,18 @@ func newLeaseRig(t *testing.T) (*Server, *kernel.Process, *kernel.Process, chan 
 	ws := k.NewHost("ws")
 	srvHost := k.NewHost("srv")
 
-	target, err := srvHost.Spawn("target", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := proto.NewReply(proto.ReplyOK)
-			reply.F[0] = msg.F[0]
-			if err := p.Reply(reply, from); err != nil {
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	target := serveTarget(t, srvHost, "target", nil)
 	invalidated := make(chan string, 16)
-	callback, err := ws.Spawn("callback", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			if name, _, err := proto.CacheInvalidate(msg); err == nil {
-				invalidated <- name
-			}
-			if err := p.Reply(proto.NewReply(proto.ReplyOK), from); err != nil {
-				return
-			}
-		}
-	})
+	callback, err := ws.NewProcess("callback")
 	if err != nil {
 		t.Fatal(err)
 	}
+	callback.Serve(func(msg *proto.Message, from kernel.PID) {
+		if name, _, err := proto.CacheInvalidate(msg); err == nil {
+			invalidated <- name
+		}
+		_ = callback.Reply(proto.NewReply(proto.ReplyOK), from)
+	})
 
 	ps, err := Start(ws, "mann", WithLease(50*time.Millisecond))
 	if err != nil {

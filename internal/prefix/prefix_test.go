@@ -88,32 +88,34 @@ func TestQuoteParseRoundTrip(t *testing.T) {
 	}
 }
 
+// serveTarget starts a toy target server, a served process named name on
+// h: it answers every request ReplyOK with the request's context id in
+// F[0], first handing seen a copy of the request unless seen is nil.
+func serveTarget(t *testing.T, h *kernel.Host, name string, seen chan<- *proto.Message) *kernel.Process {
+	t.Helper()
+	p, err := h.NewProcess(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Serve(func(msg *proto.Message, from kernel.PID) {
+		if seen != nil {
+			seen <- msg.Clone()
+		}
+		reply := proto.NewReply(proto.ReplyOK)
+		reply.F[0] = msg.F[0] // echo context id back
+		_ = p.Reply(reply, from)
+	})
+	return p
+}
+
 // newPrefixRig builds a minimal domain: one workstation with a prefix
 // server, plus a toy target server that records what reaches it.
 func newPrefixRig(t *testing.T) (*Server, *kernel.Process, *kernel.Process, chan *proto.Message) {
 	t.Helper()
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
 	ws := k.NewHost("ws")
-	srvHost := k.NewHost("srv")
-
 	seen := make(chan *proto.Message, 16)
-	target, err := srvHost.Spawn("target", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			seen <- msg.Clone()
-			reply := proto.NewReply(proto.ReplyOK)
-			reply.F[0] = msg.F[0] // echo context id back
-			if err := p.Reply(reply, from); err != nil {
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := serveTarget(t, k.NewHost("srv"), "target", seen)
 
 	ps, err := Start(ws, "mann")
 	if err != nil {

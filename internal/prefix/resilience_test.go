@@ -22,16 +22,11 @@ func TestDynamicBindingDeadTargetBoundedFailure(t *testing.T) {
 	regHost := k.NewHost("registry")
 	victimHost := k.NewHost("victim")
 
-	victim, err := victimHost.Spawn("svc", func(p *kernel.Process) {
-		for {
-			if _, _, err := p.Receive(); err != nil {
-				return
-			}
-		}
-	})
+	victim, err := victimHost.NewProcess("svc")
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim.Serve(func(*proto.Message, kernel.PID) {}) // answers nothing
 	// The registration lives in a kernel table that survives the crash —
 	// the stale-registration hazard of §4.2.
 	if err := regHost.SetPid(kernel.ServiceTime, victim.PID(), kernel.ScopeBoth); err != nil {
@@ -80,23 +75,7 @@ func TestDynamicBindingRebindCounted(t *testing.T) {
 	ws := k.NewHost("ws")
 	srvHost := k.NewHost("srv")
 
-	echo := func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := proto.NewReply(proto.ReplyOK)
-			reply.F[0] = msg.F[0]
-			if err := p.Reply(reply, from); err != nil {
-				return
-			}
-		}
-	}
-	first, err := srvHost.Spawn("svc-1", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := serveTarget(t, srvHost, "svc-1", nil)
 	if err := srvHost.SetPid(kernel.ServiceTime, first.PID(), kernel.ScopeBoth); err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +115,7 @@ func TestDynamicBindingRebindCounted(t *testing.T) {
 	// The service is re-implemented by a new process (§4.2): the next use
 	// resolves to a different pid, and the move is counted as a rebind.
 	first.Destroy()
-	second, err := srvHost.Spawn("svc-2", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := serveTarget(t, srvHost, "svc-2", nil)
 	defer second.Destroy()
 	if err := srvHost.SetPid(kernel.ServiceTime, second.PID(), kernel.ScopeBoth); err != nil {
 		t.Fatal(err)

@@ -17,22 +17,7 @@ import (
 func TestTeamStressPrefixServer(t *testing.T) {
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
 	ws := k.NewHost("ws")
-	target, err := k.NewHost("srv").Spawn("target", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := proto.NewReply(proto.ReplyOK)
-			reply.F[0] = msg.F[0]
-			if err := p.Reply(reply, from); err != nil {
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := serveTarget(t, k.NewHost("srv"), "target", nil)
 	t.Cleanup(target.Destroy)
 
 	ps, err := Start(ws, "mann", WithTeam(3))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/proto"
 	"repro/internal/trace"
 	"repro/internal/trace/tracetest"
@@ -17,22 +16,7 @@ import (
 // and the invariant checker must accept the whole trace.
 func TestTraceInvariantsPrefixServer(t *testing.T) {
 	d := tracetest.New()
-	target, err := d.K.NewHost("srv").Spawn("target", func(p *kernel.Process) {
-		for {
-			msg, from, err := p.Receive()
-			if err != nil {
-				return
-			}
-			reply := proto.NewReply(proto.ReplyOK)
-			reply.F[0] = msg.F[0]
-			if err := p.Reply(reply, from); err != nil {
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := serveTarget(t, d.K.NewHost("srv"), "target", nil)
 	t.Cleanup(target.Destroy)
 
 	ps, err := Start(d.K.NewHost("ws"), "mann", WithTeam(2))
