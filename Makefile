@@ -13,6 +13,12 @@ FUZZTIME ?= 10s
 # Raise it when coverage rises; never lower it to make a regression pass.
 COVERAGE_FLOOR ?= 89.4
 
+# Ceiling for `make reach`: the internal functions only tests reach.
+# Every such function is reached by a program or deleted unless ROADMAP
+# item 9 says why it stays. Lower it when the count falls; never raise it
+# to make a regression pass.
+REACH_CEILING ?= 62
+
 # The deterministic documents `vbench -<doc> FILE` exports, each pinned
 # byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
 # A14–A19: metrics, replication, sharded engine, lease coherence,
@@ -52,6 +58,7 @@ check: vet
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
+	$(MAKE) reach
 
 test:
 	$(GO) test ./...
@@ -162,7 +169,6 @@ fuzz:
 	$(GO) test -fuzz 'FuzzNegativeCacheKey' -fuzztime $(FUZZTIME) ./internal/client/
 	$(GO) test -fuzz 'FuzzModelPaths' -fuzztime $(FUZZTIME) ./internal/namemodel/
 	$(GO) test -fuzz 'FuzzNametreeLookup' -fuzztime $(FUZZTIME) ./internal/nametree/
-	$(GO) test -fuzz 'FuzzFlightRoundTrip' -fuzztime $(FUZZTIME) ./internal/flight/
 
 # Statement coverage with a recorded floor: fails if total coverage
 # drops below COVERAGE_FLOOR. A statement counts as covered when any test
@@ -193,16 +199,16 @@ cover:
 # reaches; this lists the functions of internal/ no program reaches: the
 # tests of cmd/, examples/ and the nested benchmark module run those
 # programs end to end, so a function at 0.0% in their merged profile runs
-# under unit tests only, if at all. Most of it is protocol surface that
-# stays (MoveFrom, directory-record writes); the rest is where a knob
-# nobody sets shows. Not part of `make check`.
+# under unit tests only, if at all. Fails when the count exceeds
+# REACH_CEILING, the way `make cover` holds COVERAGE_FLOOR.
 reach:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) test -coverprofile=$$tmp/root.out -coverpkg=./internal/... ./cmd/... ./examples/... >/dev/null; \
 	$(GO) -C bench test -coverprofile=$$tmp/bench.out -coverpkg=repro/internal/... . >/dev/null; \
 	{ cat $$tmp/root.out; tail -n +2 $$tmp/bench.out; } > $$tmp/reach.out; \
 	echo "functions only tests reach:"; \
-	$(GO) tool cover -func=$$tmp/reach.out | awk '$$3 == "0.0%" { print "  " $$1, $$2; n++ } END { print n + 0, "functions" }'
+	$(GO) tool cover -func=$$tmp/reach.out | awk -v c="$(REACH_CEILING)" '$$3 == "0.0%" { print "  " $$1, $$2; n++ } \
+		END { printf "%d functions (ceiling %d)\n", n, c; if (n > c + 0) { print n " functions only tests reach, above the ceiling " c; exit 1 } }'
 
 # The size every simplicity PR quotes (ROADMAP "small"): non-test Go
 # lines outside the nested benchmark module. Then the paper's own measure

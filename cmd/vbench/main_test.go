@@ -83,8 +83,9 @@ func TestVbenchScorecard(t *testing.T) {
 
 // TestVbenchGoldens is the byte-identity safety net inside plain
 // `go test`: the full harness output against vbench_output.txt and, from
-// the same run, its -json results against BENCH_vbench.json; then,
-// driven by the registry's exports, each fast deterministic document through
+// the same run, its -json results against BENCH_vbench.json; the -trace
+// export against the golden canonical trace; then, driven by the
+// registry's exports, each fast deterministic document through
 // the CLI path against its committed copy. BENCH_zipf.json (≈20 s to
 // regenerate; its legs also print in a18's section of the full output)
 // is left to `make golden-guard`.
@@ -96,7 +97,7 @@ func TestVbenchGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("regenerated output differs from committed %s; run `make %s` if the change is intended", name, regen)
+			t.Fatalf("regenerated output differs from committed %s; run `%s` if the change is intended", name, regen)
 		}
 	}
 	t.Run("vbench_output.txt", func(t *testing.T) {
@@ -108,12 +109,27 @@ func TestVbenchGoldens(t *testing.T) {
 		if err := run([]string{"-json", tmp}, &buf); err != nil {
 			t.Fatal(err)
 		}
-		golden(t, buf.Bytes(), "vbench_output.txt", "bench-json")
+		golden(t, buf.Bytes(), "vbench_output.txt", "make bench-json")
 		got, err := os.ReadFile(tmp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden(t, got, "BENCH_vbench.json", "bench-json")
+		golden(t, got, "BENCH_vbench.json", "make bench-json")
+	})
+	t.Run("-trace", func(t *testing.T) {
+		tmp := filepath.Join(t.TempDir(), "trace.json")
+		var sb strings.Builder
+		if err := run([]string{"-trace", tmp}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if want := "wrote canonical trace to " + tmp + "\n"; sb.String() != want {
+			t.Fatalf("output %q, want %q", sb.String(), want)
+		}
+		got, err := os.ReadFile(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden(t, got, filepath.Join("internal", "experiments", "testdata", "golden_trace.json"), "UPDATE_GOLDEN=1 go test ./internal/experiments -run TestCanonicalTraceGolden")
 	})
 	for _, e := range experiments.Exports() {
 		if e.Flag == "zipf" {
@@ -133,7 +149,7 @@ func TestVbenchGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			golden(t, got, name, "bench-"+e.Flag)
+			golden(t, got, name, "make bench-"+e.Flag)
 		})
 	}
 }

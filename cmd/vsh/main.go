@@ -6,6 +6,8 @@
 // Usage:
 //
 //	vsh -c 'ls [home]; cat welcome.txt; cd notes; pwd'
+//	vsh -c 'addprefix pub storage 0xffff0003; cat [pub]users/mann/welcome.txt'
+//	vsh -c 'link papers [storage2]/archive; ls papers'
 //	echo 'ls [bin]' | vsh
 package main
 
@@ -15,10 +17,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
+	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/proto"
 	"repro/internal/rig"
+	"repro/internal/timeserver"
 	"repro/internal/vtime"
 )
 
@@ -101,7 +107,7 @@ func (sh *shell) dispatch(cmd string, args []string) error {
 	}
 	switch cmd {
 	case "help":
-		fmt.Fprintln(sh.out, "commands: ls lsp cd pwd cat write rm unlink mv ln mkdir query chmod prefixes addprefix rmprefix load exec jobs print mail name pipe-send pipe-recv stats time help")
+		fmt.Fprintln(sh.out, "commands: ls lsp cd pwd cat write rm link unlink mv ln mkdir query chmod prefixes addprefix rmprefix load exec jobs print mail name pipe-send pipe-recv stats time help")
 		return nil
 
 	case "ls":
@@ -137,6 +143,18 @@ func (sh *shell) dispatch(cmd string, args []string) error {
 			return err
 		}
 		return s.MakeContext(args[0])
+
+	case "link":
+		// A cross-server link (Figure 4): the name, interpreted by its own
+		// server, is bound to a context that may live on another.
+		if err := need(2); err != nil {
+			return err
+		}
+		pair, err := s.MapContext(args[1])
+		if err != nil {
+			return err
+		}
+		return s.AddLink(args[0], pair)
 
 	case "unlink":
 		if err := need(1); err != nil {
@@ -242,6 +260,19 @@ func (sh *shell) dispatch(cmd string, args []string) error {
 	case "addprefix":
 		if err := need(2); err != nil {
 			return err
+		}
+		if len(args) > 2 {
+			// The dynamic form (§4.2): a service and a well-known context,
+			// re-resolved by GetPid each time the prefix is used.
+			svc, err := service(args[1])
+			if err != nil {
+				return err
+			}
+			ctx, err := strconv.ParseUint(args[2], 0, 32)
+			if err != nil {
+				return fmt.Errorf("context id %q: %w", args[2], err)
+			}
+			return s.AddDynamicName(args[0], svc, core.ContextID(ctx))
 		}
 		pair, err := s.MapContext(args[1])
 		if err != nil {
@@ -376,10 +407,26 @@ func (sh *shell) dispatch(cmd string, args []string) error {
 		return nil
 
 	case "time":
-		fmt.Fprintf(sh.out, "virtual time: %s\n", vtime.Milliseconds(s.Proc().Now()))
+		// The paper's time client stub: GetPid(time service) on every call,
+		// then one transaction (§4.2).
+		now, err := timeserver.GetTime(s.Proc())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(sh.out, "virtual time: %s (time server)\n", vtime.Milliseconds(vtime.Time(now)))
 		return nil
 
 	default:
 		return fmt.Errorf("unknown command (try help)")
 	}
+}
+
+// service parses a service by the name its String method gives it.
+func service(name string) (kernel.Service, error) {
+	for svc := kernel.ServiceStorage; svc <= kernel.ServiceNameServer; svc++ {
+		if svc.String() == name {
+			return svc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown service %q", name)
 }

@@ -55,6 +55,36 @@ func TestVshPrefixCommands(t *testing.T) {
 	}
 }
 
+// TestVshDynamicPrefix binds a prefix to a (service, well-known context)
+// pair, which the prefix server re-resolves by GetPid on each use (§4.2).
+func TestVshDynamicPrefix(t *testing.T) {
+	out := runScript(t, "addprefix pub storage 0xffff0003; prefixes; cat [pub]users/mann/welcome.txt; addprefix x nosuch 1")
+	if !strings.Contains(out, "[pub]\tdynamic -> (0x1, ctx 0xffff0003)") {
+		t.Fatalf("dynamic binding not listed:\n%s", out)
+	}
+	if !strings.Contains(out, "Welcome to the V-System, mann.") {
+		t.Fatalf("read through the dynamic prefix failed:\n%s", out)
+	}
+	if !strings.Contains(out, `unknown service "nosuch"`) {
+		t.Fatalf("bad service not reported:\n%s", out)
+	}
+}
+
+// TestVshCrossServerLink links a name in the home directory on one file
+// server to a context on the other (Figure 4) and reads through it.
+func TestVshCrossServerLink(t *testing.T) {
+	out := runScript(t, "link papers [storage2]/archive; ls; cat papers/2026/paper.mss; unlink papers; cat papers/2026/paper.mss")
+	if !strings.Contains(out, "link                    0  papers") {
+		t.Fatalf("link missing from the listing:\n%s", out)
+	}
+	if !strings.Contains(out, "Uniform Access") {
+		t.Fatalf("read through the link failed:\n%s", out)
+	}
+	if !strings.Contains(out, "nonexistent name") {
+		t.Fatalf("unlinked name should fail:\n%s", out)
+	}
+}
+
 func TestVshQueryAndChmod(t *testing.T) {
 	out := runScript(t, "query welcome.txt; chmod r welcome.txt; query welcome.txt")
 	if !strings.Contains(out, "file") || !strings.Contains(out, "perms=001") {
@@ -72,6 +102,31 @@ func TestVshLoadAndExec(t *testing.T) {
 	}
 }
 
+// TestVshServerObjects drives the transient-object servers through the
+// shell's generic commands: a terminal and a connection written and read
+// back, a print job read and cancelled, a program killed by removing its
+// name, the Internet server's root listed, and the time asked of the time
+// server.
+func TestVshServerObjects(t *testing.T) {
+	out := runScript(t, "write [tty]new hello; cat [tty]vgt1; "+
+		"write [tcp]tcp/su-score.arpa:23 login; cat [tcp]tcp/su-score.arpa:23; ls [tcp]; "+
+		"print doc.ps payload; cat [print]doc.ps; rm [print]doc.ps; ls [print]; "+
+		"exec hello; rm [exec]hello.1; jobs; time")
+	for _, want := range []string{"hello\n", "login\n", "directory               0  tcp", "payload", "(time server)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "print-job") || strings.Contains(out, "image hello") {
+		t.Errorf("a removed object is still listed:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if cmd, _, failed := strings.Cut(line, ": "); failed && !strings.Contains(cmd, " ") {
+			t.Errorf("%s failed: %s", cmd, line)
+		}
+	}
+}
+
 func TestVshPrintAndMail(t *testing.T) {
 	out := runScript(t, "print doc.ps PostScript payload; ls [print]; mail mann@v.stanford.edu hello there; ls [mail]")
 	if !strings.Contains(out, "doc.ps") {
@@ -83,9 +138,13 @@ func TestVshPrintAndMail(t *testing.T) {
 }
 
 func TestVshErrorsAreNonFatal(t *testing.T) {
-	out := runScript(t, "cat nosuchfile; pwd")
+	out := runScript(t, "cat nosuchfile; cat nosuchdir/x.txt; pwd")
 	if !strings.Contains(out, "nonexistent name") {
 		t.Fatalf("error not reported:\n%s", out)
+	}
+	// A failure inside the path names the component and the server (§7).
+	if !strings.Contains(out, `component "nosuchdir" (byte 0, context 0x0) by server`) {
+		t.Fatalf("name fault not explained:\n%s", out)
 	}
 	if !strings.Contains(out, "users/mann") {
 		t.Fatalf("shell should continue after errors:\n%s", out)

@@ -46,6 +46,25 @@ func TestVstatProm(t *testing.T) {
 	}
 }
 
+// TestVstatObservers runs the observer views under the chaos schedule,
+// whose outages leave the client's lease cache holding stale
+// resolutions, and requires every section to list at least one entry:
+// the hot names, the prefix server's churn estimates, the client's
+// stale windows and the sealed flight journal.
+func TestVstatObservers(t *testing.T) {
+	out := runVstat(t, "-chaos", "-flight", "-top", "-rates")
+	for _, head := range []string{"hot names", "per-prefix churn estimates", "client lease cache:", "flight journal"} {
+		i := strings.Index(out, head)
+		if i < 0 {
+			t.Fatalf("output has no %q section:\n%s", head, out)
+		}
+		lines := strings.SplitN(out[i:], "\n", 3)
+		if len(lines) < 3 || !strings.HasPrefix(lines[1], "  ") || strings.Contains(lines[1], "(no ") {
+			t.Errorf("section %q lists no entry:\n%s", head, out[i:])
+		}
+	}
+}
+
 func TestVstatChaosHealth(t *testing.T) {
 	out := runVstat(t, "-chaos", "-health", "-diff")
 	for _, want := range []string{

@@ -156,18 +156,6 @@ func (e *Engine) AdvanceTo(now vtime.Time) {
 	}
 }
 
-// Finish fires every remaining event regardless of time, so a schedule's
-// log is complete even if the workload's clock stops short.
-func (e *Engine) Finish() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.next < len(e.events) {
-		ev := e.events[e.next]
-		e.next++
-		e.fireLocked(ev)
-	}
-}
-
 // fireLocked executes one event and logs the outcome. Called with e.mu
 // held.
 func (e *Engine) fireLocked(ev Event) {

@@ -16,6 +16,16 @@ func newDomain(t *testing.T) *kernel.Kernel {
 	return kernel.New(netsim.New(vtime.DefaultModel(), 1))
 }
 
+// up reports whether h accepts a new process, as only a live host does.
+func up(h *kernel.Host) bool {
+	p, err := h.NewProcess("probe")
+	if err != nil {
+		return false
+	}
+	p.Destroy()
+	return true
+}
+
 func TestEngineFiresInOrder(t *testing.T) {
 	k := newDomain(t)
 	h := k.NewHost("victim")
@@ -28,19 +38,19 @@ func TestEngineFiresInOrder(t *testing.T) {
 	})
 
 	e.AdvanceTo(50 * time.Millisecond)
-	if len(e.Log()) != 0 || !h.Alive() {
+	if len(e.Log()) != 0 || !up(h) {
 		t.Fatalf("nothing should fire before its time (fired=%d)", len(e.Log()))
 	}
 
 	e.AdvanceTo(150 * time.Millisecond)
-	if len(e.Log()) != 1 || h.Alive() {
-		t.Fatalf("crash should have fired (fired=%d alive=%v)", len(e.Log()), h.Alive())
+	if len(e.Log()) != 1 || up(h) {
+		t.Fatalf("crash should have fired (fired=%d alive=%v)", len(e.Log()), up(h))
 	}
 
 	e.AdvanceTo(400 * time.Millisecond)
-	if len(e.Log()) != 3 || !h.Alive() || k.Network().DropRate() != 0.5 {
+	if len(e.Log()) != 3 || !up(h) || k.Network().DropRate() != 0.5 {
 		t.Fatalf("all events should have fired (fired=%d alive=%v rate=%v)",
-			len(e.Log()), h.Alive(), k.Network().DropRate())
+			len(e.Log()), up(h), k.Network().DropRate())
 	}
 
 	log := e.Log()
@@ -62,7 +72,7 @@ func TestRestartHookRuns(t *testing.T) {
 		hooked = append(hooked, host)
 		return nil
 	}
-	e.Finish()
+	e.AdvanceTo(time.Second)
 	if !reflect.DeepEqual(hooked, []string{"fs"}) {
 		t.Fatalf("hooked = %v", hooked)
 	}

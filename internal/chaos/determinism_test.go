@@ -6,6 +6,7 @@ package chaos_test
 // substrate's core guarantee, and the property `make check` protects.
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func runChaosOnce(t *testing.T) chaosRun {
 		_, err := s.ReadFile("[bin]hello")
 		return err
 	})
-	eng.Finish()
+	eng.AdvanceTo(math.MaxInt64) // every remaining event, whatever its time
 	return chaosRun{
 		log:     strings.Join(eng.Log(), "\n"),
 		ok:      ok,

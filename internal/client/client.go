@@ -90,9 +90,6 @@ func (s *Session) SetCurrent(pair core.ContextPair) { s.current = pair }
 // whose server has died.
 func (s *Session) SetCurrentName(name string) { s.currentName = name }
 
-// PrefixServer returns the session's context prefix server pid.
-func (s *Session) PrefixServer() kernel.PID { return s.prefixServer }
-
 // route decides where a CSname request goes: the single common routine
 // that checks for the standard context prefix character (§6).
 func (s *Session) route(name string) (server kernel.PID, ctx core.ContextID) {

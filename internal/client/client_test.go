@@ -100,8 +100,8 @@ func TestQueryRefreshAfterWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.Info().SizeBytes != 0 {
-		t.Fatal("new file should be empty")
+	if info, err := f.Query(); err != nil || info.SizeBytes != 0 {
+		t.Fatalf("new file should be empty: %+v, %v", info, err)
 	}
 	if _, err := f.Write(make([]byte, 700)); err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestNameCacheHitsAndSpeed(t *testing.T) {
 	if s.LeaseCacheStats().Hits == 0 {
 		t.Fatal("second open should hit the cache")
 	}
-	s.DisableLeaseCache()
+	s.FlushNameCache() // unstamped entries: the next read walks the prefix server
 	start = s.Proc().Now()
 	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
 		t.Fatal(err)

@@ -81,15 +81,6 @@ func (s *Session) EnableLeaseCache() error {
 	return nil
 }
 
-// DisableLeaseCache turns the session's cache off, whichever policy
-// filled it, and destroys its callback process.
-func (s *Session) DisableLeaseCache() {
-	if s.cache != nil {
-		s.cache.Close()
-		s.cache = nil
-	}
-}
-
 // FlushNameCache drops every entry no server will call back about — the
 // blind flush-by-timer staleness bound of rig.Scenario.FlushEvery
 // and the A8/A14 ablations. Leased entries are not its business.

@@ -194,39 +194,48 @@ func TestLeaseSurvivesFlush(t *testing.T) {
 	}
 }
 
-// TestLeaseCacheLifecycle pins the off-switch: DisableLeaseCache
-// destroys the callback process and leaves the session with no cache at
-// all — every prefixed request walks the prefix server again — the
-// probes and stats degrade to their zero values, and a second disable is
-// a no-op.
+// TestLeaseCacheLifecycle pins the switch-on: a session without the
+// cache has no callback process, zero stats and no probes — every
+// prefixed request walks the prefix server — and EnableLeaseCache spawns
+// the callback once, a second enable being a no-op.
 func TestLeaseCacheLifecycle(t *testing.T) {
-	r := bootLeased(t, 200*time.Millisecond)
+	cfg := rig.DefaultConfig()
+	cfg.Lease = 200 * time.Millisecond
+	r, err := rig.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := r.WS[0].Session
-	if s.LeaseCallback() == kernel.NilPID {
+	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
+		t.Fatalf("uncached read: %v", err)
+	}
+	if got := s.LeaseCallback(); got != kernel.NilPID {
+		t.Fatalf("callback without a cache = %v, want NilPID", got)
+	}
+	if st := s.LeaseCacheStats(); st != (client.LeaseStats{}) {
+		t.Fatalf("stats without a cache = %+v, want zero", st)
+	}
+	if _, ok := s.LeasedRoute("[home]welcome.txt", s.Proc().Now()); ok {
+		t.Fatal("leased route without a cache")
+	}
+	if _, ok := s.LeaseExpiry("[home]welcome.txt"); ok {
+		t.Fatal("lease expiry without a cache")
+	}
+	if err := s.EnableLeaseCache(); err != nil {
+		t.Fatal(err)
+	}
+	cb := s.LeaseCallback()
+	if cb == kernel.NilPID {
 		t.Fatal("enabled cache must expose its callback pid")
+	}
+	if err := s.EnableLeaseCache(); err != nil || s.LeaseCallback() != cb {
+		t.Fatalf("second enable: %v, callback %v, want %v", err, s.LeaseCallback(), cb)
 	}
 	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.LeasedRoute("[home]welcome.txt", s.Proc().Now()); !ok {
 		t.Fatal("no leased route after warm read")
-	}
-	s.DisableLeaseCache()
-	s.DisableLeaseCache() // idempotent
-	if got := s.LeaseCallback(); got != kernel.NilPID {
-		t.Fatalf("callback after disable = %v, want NilPID", got)
-	}
-	if st := s.LeaseCacheStats(); st != (client.LeaseStats{}) {
-		t.Fatalf("stats after disable = %+v, want zero", st)
-	}
-	if _, ok := s.LeasedRoute("[home]welcome.txt", s.Proc().Now()); ok {
-		t.Fatal("leased route must vanish with the cache")
-	}
-	if _, ok := s.LeaseExpiry("[home]welcome.txt"); ok {
-		t.Fatal("lease expiry must vanish with the cache")
-	}
-	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
-		t.Fatalf("uncached read after disable: %v", err)
 	}
 }
 

@@ -88,9 +88,6 @@ func (s *Session) EnableResilience(policy RetryPolicy) {
 	s.recovery = &resilience{policy: policy}
 }
 
-// DisableResilience turns recovery off; failures surface immediately.
-func (s *Session) DisableResilience() { s.recovery = nil }
-
 // ResilienceStats returns the session's recovery counters.
 func (s *Session) ResilienceStats() ResilienceStats {
 	if s.recovery == nil {
@@ -299,65 +296,4 @@ func (s *Session) mapContextDirect(name string) (core.ContextPair, error) {
 	}
 	pid, c := proto.GetMapContextReply(reply)
 	return core.ContextPair{Server: kernel.PID(pid), Ctx: core.ContextID(c)}, nil
-}
-
-// PrefixHealth is one entry of a prefix survey: the prefix's
-// description record, the context pair its binding currently resolves
-// to, and the error probing that server returned — nil for a live
-// server. Dead entries carry their error instead of failing the whole
-// survey (graceful degradation for fan-out operations).
-type PrefixHealth struct {
-	Descriptor proto.Descriptor
-	Target     core.ContextPair
-	Err        error
-}
-
-// SurveyPrefixes reads the user's prefix table and probes every
-// binding's target server, returning one entry per prefix. Descriptors
-// for live servers come back alongside per-entry errors for dead ones,
-// so one crashed server cannot hide every other prefix — the §2.2
-// reliability property made operational. It fails wholesale only if
-// the prefix server itself is unreachable.
-func (s *Session) SurveyPrefixes() ([]PrefixHealth, error) {
-	records, err := s.ListPrefixes()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PrefixHealth, 0, len(records))
-	for _, d := range records {
-		entry := PrefixHealth{Descriptor: d}
-		if d.ObjectID == 1 {
-			// Dynamic binding: resolve by GetPid as the prefix server
-			// would at time of use.
-			pid, err := s.proc.GetPid(kernel.Service(d.TypeSpecific[0]), kernel.ScopeBoth)
-			if err != nil {
-				entry.Err = err
-				out = append(out, entry)
-				continue
-			}
-			entry.Target = core.ContextPair{Server: pid, Ctx: core.ContextID(d.TypeSpecific[1])}
-		} else {
-			entry.Target = core.ContextPair{
-				Server: kernel.PID(d.TypeSpecific[0]),
-				Ctx:    core.ContextID(d.TypeSpecific[1]),
-			}
-		}
-		entry.Err = s.probe(entry.Target)
-		out = append(out, entry)
-	}
-	return out, nil
-}
-
-// probe performs one cheap transaction against a server to establish
-// liveness. Any reply — success or protocol-level failure — proves the
-// server is alive; only transport failures mark it dead.
-func (s *Session) probe(pair core.ContextPair) error {
-	req := &proto.Message{Op: proto.OpMapContext}
-	proto.SetCSName(req, uint32(pair.Ctx), "")
-	s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-	_, err := s.proc.Send(req, pair.Server)
-	if err != nil && Retryable(err) {
-		return err
-	}
-	return nil
 }

@@ -142,29 +142,28 @@ func TestNonRetryableErrorFailsFast(t *testing.T) {
 }
 
 func TestSurveyPrefixesGracefulDegradation(t *testing.T) {
-	// One crashed server must not hide the other prefixes: the survey
-	// returns every entry, with a per-entry error only for the dead one.
+	// One crashed server must not hide the other prefixes: the prefix
+	// table still lists every entry, and only names on the dead server
+	// fail to resolve.
 	r := bootResilient(t)
 	s := r.WS[0].Session
 	r.FS2Host.Crash()
 
-	entries, err := s.SurveyPrefixes()
+	records, err := s.ListPrefixes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatal("survey returned nothing")
+	listed := map[string]bool{}
+	for _, d := range records {
+		listed[d.Name] = true
 	}
-	dead := map[string]bool{}
-	for _, e := range entries {
-		if e.Err != nil {
-			dead[e.Descriptor.Name] = true
-		}
+	if !listed["storage2"] || !listed["home"] {
+		t.Fatalf("prefix table lost entries: %v", listed)
 	}
-	if !dead["storage2"] {
-		t.Fatalf("storage2 should be reported dead; dead = %v", dead)
+	if _, err := s.List("[storage2]"); !client.Retryable(err) {
+		t.Fatalf("listing the dead server: err = %v, want a transport failure", err)
 	}
-	if len(dead) != 1 {
-		t.Fatalf("only storage2 should be dead; dead = %v", dead)
+	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
+		t.Fatalf("a live server's name failed: %v", err)
 	}
 }

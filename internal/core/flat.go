@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -105,29 +104,8 @@ func NewFlat[T any](host *kernel.Host, name string, h Handler, kind FlatKind[T],
 	return f, nil
 }
 
-// Count returns the number of objects in the table.
-func (f *Flat[T]) Count() int {
-	f.Mu.Lock()
-	defer f.Mu.Unlock()
-	return len(f.objs)
-}
-
 // Get returns the object with the given id, or nil. The caller holds Mu.
 func (f *Flat[T]) Get(id uint32) *T { return f.objs[id] }
-
-// Named returns the object name is bound to. The caller holds Mu.
-func (f *Flat[T]) Named(name string) (*T, error) {
-	e, err := f.Store.Lookup(f.kind.Ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	if e.Object != nil {
-		if obj := f.objs[e.Object.ID]; obj != nil {
-			return obj, nil
-		}
-	}
-	return nil, fmt.Errorf("%q: %w", name, proto.ErrNotFound)
-}
 
 // ByName returns the objects' ids in the order of the names bound to
 // them — the Order of a server whose directory lists by name.

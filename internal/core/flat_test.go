@@ -24,6 +24,13 @@ type thingServer struct {
 	*Flat[thing]
 }
 
+// count returns the number of objects in f's table.
+func count[T any](f *Flat[T]) int {
+	f.Mu.Lock()
+	defer f.Mu.Unlock()
+	return len(f.objs)
+}
+
 func startThingServer(t *testing.T, h *kernel.Host, byName bool, team int) *thingServer {
 	t.Helper()
 	s := &thingServer{}
@@ -175,13 +182,13 @@ func (m *flatModel) step(rng *rand.Rand, s *thingServer, c thingClient, pool []s
 		if !bound || !exact {
 			break
 		}
-		before := s.Count()
+		before := count(s.Flat)
 		dup := s.NewID()
 		if err := s.Add(dup, name, &thing{id: dup, name: name}); !errors.Is(err, proto.ErrDuplicateName) {
 			return fmt.Errorf("second bind of %q: %v", name, err)
 		}
-		if s.Count() != before {
-			return fmt.Errorf("refused bind of %q left an object: %d → %d", name, before, s.Count())
+		if count(s.Flat) != before {
+			return fmt.Errorf("refused bind of %q left an object: %d → %d", name, before, count(s.Flat))
 		}
 		m.next = dup
 	case 5: // the directory is the model, in the declared order
@@ -226,8 +233,8 @@ func TestFlatMatchesModel(t *testing.T) {
 						t.Fatalf("byName=%v team=%d seed=%d step %d: %v", byName, team, seed, i, err)
 					}
 				}
-				if s.Count() != len(m.ids) {
-					t.Fatalf("table holds %d objects, model %d", s.Count(), len(m.ids))
+				if count(s.Flat) != len(m.ids) {
+					t.Fatalf("table holds %d objects, model %d", count(s.Flat), len(m.ids))
 				}
 			}
 		}
@@ -267,7 +274,7 @@ func TestFlatTeamConcurrentClients(t *testing.T) {
 		}
 		want += total[i]
 	}
-	if s.Count() != want {
-		t.Fatalf("table holds %d objects, the models %d", s.Count(), want)
+	if count(s.Flat) != want {
+		t.Fatalf("table holds %d objects, the models %d", count(s.Flat), want)
 	}
 }

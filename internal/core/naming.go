@@ -75,20 +75,6 @@ type Entry struct {
 	Remote *ContextPair
 }
 
-// Kind describes which arm of the Entry is set, for diagnostics.
-func (e Entry) Kind() string {
-	switch {
-	case e.Object != nil:
-		return "object"
-	case e.Local != nil:
-		return "context"
-	case e.Remote != nil:
-		return "remote-context"
-	default:
-		return "empty"
-	}
-}
-
 // ObjectEntry, ContextEntry and RemoteEntry build the three Entry arms.
 func ObjectEntry(tag proto.DescriptorTag, id uint32) Entry {
 	return Entry{Object: &ObjectRef{Tag: tag, ID: id}}

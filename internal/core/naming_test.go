@@ -42,8 +42,18 @@ func buildStore() *MapStore {
 	must(s.Bind(10, "cheriton", ContextEntry(12)))
 	must(s.Bind(11, "naming.mss", ObjectEntry(proto.TagFile, 100)))
 	must(s.Bind(12, "naming.mss", ObjectEntry(proto.TagFile, 200)))
-	s.Alias(CtxHome, 11)
 	return s
+}
+
+// homeStore maps the well-known home context onto context 11, the way a
+// server maps its well-known ids onto its own contexts (§5.2).
+type homeStore struct{ *MapStore }
+
+func (s homeStore) NormalizeContext(ctx ContextID) (ContextID, error) {
+	if ctx == CtxHome {
+		ctx = 11
+	}
+	return s.MapStore.NormalizeContext(ctx)
 }
 
 func testProc(t *testing.T) *kernel.Process {
@@ -91,7 +101,7 @@ func TestInterpretDependsOnContext(t *testing.T) {
 }
 
 func TestInterpretWellKnownContext(t *testing.T) {
-	s := buildStore()
+	s := homeStore{buildStore()}
 	p := testProc(t)
 	res, _, err := Interpret(s, p, "naming.mss", 0, CtxHome)
 	if err != nil {
@@ -346,12 +356,9 @@ func TestMapStoreBindUnbind(t *testing.T) {
 	if err := s.Bind(CtxDefault, "x", ObjectEntry(proto.TagFile, 2)); !errors.Is(err, proto.ErrDuplicateName) {
 		t.Fatalf("duplicate bind err = %v", err)
 	}
-	if err := s.Rebind(CtxDefault, "x", ObjectEntry(proto.TagFile, 2)); err != nil {
-		t.Fatal(err)
-	}
 	e, err := s.Lookup(CtxDefault, "x")
-	if err != nil || e.Object == nil || e.Object.ID != 2 {
-		t.Fatalf("lookup after rebind = %+v, %v", e, err)
+	if err != nil || e.Object == nil || e.Object.ID != 1 {
+		t.Fatalf("lookup after a refused duplicate = %+v, %v", e, err)
 	}
 	if err := s.Unbind(CtxDefault, "x"); err != nil {
 		t.Fatal(err)
@@ -400,12 +407,14 @@ func TestMapStoreBadContextOps(t *testing.T) {
 	}
 }
 
+// TestEntryKinds: each constructor sets exactly its own arm of an Entry.
 func TestEntryKinds(t *testing.T) {
-	if ObjectEntry(proto.TagFile, 1).Kind() != "object" ||
-		ContextEntry(5).Kind() != "context" ||
-		RemoteEntry(ContextPair{}).Kind() != "remote-context" ||
-		(Entry{}).Kind() != "empty" {
-		t.Fatal("Entry.Kind misreports")
+	arms := func(e Entry) [3]bool { return [3]bool{e.Object != nil, e.Local != nil, e.Remote != nil} }
+	if arms(ObjectEntry(proto.TagFile, 1)) != [3]bool{true, false, false} ||
+		arms(ContextEntry(5)) != [3]bool{false, true, false} ||
+		arms(RemoteEntry(ContextPair{})) != [3]bool{false, false, true} ||
+		arms(Entry{}) != [3]bool{} {
+		t.Fatal("an entry constructor set the wrong arm")
 	}
 }
 

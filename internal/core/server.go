@@ -170,9 +170,6 @@ func (s *Server) StartService(service kernel.Service, scope kernel.Scope) error 
 	return s.proc.SetPid(service, s.proc.PID(), scope)
 }
 
-// Err reports why the server stopped serving (see Team.Err).
-func (s *Server) Err() error { return s.team.Err() }
-
 // Stats returns a stabilized snapshot of the server's protocol counters:
 // a mid-run reader never sees a request counted whose CSname/failure
 // classification is not.
@@ -337,19 +334,6 @@ func ReplyToError(reply *proto.Message) error {
 		}
 	}
 	return err
-}
-
-// MapContext resolves a name to a fully-qualified context pair from the
-// client side (§5.7).
-func MapContext(proc *kernel.Process, pair ContextPair, name string) (ContextPair, error) {
-	req := &proto.Message{Op: proto.OpMapContext}
-	proto.SetCSName(req, uint32(pair.Ctx), name)
-	reply, err := Transact(proc, pair.Server, req)
-	if err != nil {
-		return ContextPair{}, err
-	}
-	pid, ctx := proto.GetMapContextReply(reply)
-	return ContextPair{Server: kernel.PID(pid), Ctx: ContextID(ctx)}, nil
 }
 
 // IsNotFound reports whether err denotes an unbound name.

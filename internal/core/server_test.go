@@ -207,7 +207,9 @@ func TestServerOpenReadInstance(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if ts.reg.Count() != 0 {
+	q := &proto.Message{Op: proto.OpQueryInstance}
+	q.F[0] = uint32(f.InstanceID())
+	if _, err := Transact(client, ts.srv.PID(), q); err == nil {
 		t.Fatal("instance not released")
 	}
 }
@@ -271,6 +273,19 @@ func TestServerContextDirectory(t *testing.T) {
 	}
 }
 
+// mapContext resolves name in pair's context to a fully-qualified context
+// pair, one OpMapContext transaction (§5.7).
+func mapContext(proc *kernel.Process, pair ContextPair, name string) (ContextPair, error) {
+	req := &proto.Message{Op: proto.OpMapContext}
+	proto.SetCSName(req, uint32(pair.Ctx), name)
+	reply, err := Transact(proc, pair.Server, req)
+	if err != nil {
+		return ContextPair{}, err
+	}
+	pid, ctx := proto.GetMapContextReply(reply)
+	return ContextPair{Server: kernel.PID(pid), Ctx: ContextID(ctx)}, nil
+}
+
 func TestServerMapContext(t *testing.T) {
 	k := newDomain()
 	ts := startToyServer(t, k.NewHost("srv"), "toy")
@@ -280,7 +295,7 @@ func TestServerMapContext(t *testing.T) {
 	}
 	client := newClientProc(t, k.NewHost("ws"))
 
-	pair, err := MapContext(client, ts.srv.Pair(CtxDefault), "dir")
+	pair, err := mapContext(client, ts.srv.Pair(CtxDefault), "dir")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +309,7 @@ func TestServerMapContextOnObjectFails(t *testing.T) {
 	ts := startToyServer(t, k.NewHost("srv"), "toy")
 	ts.addObject(CtxDefault, "obj", []byte("x"))
 	client := newClientProc(t, k.NewHost("ws"))
-	if _, err := MapContext(client, ts.srv.Pair(CtxDefault), "obj"); !errors.Is(err, proto.ErrNotAContext) {
+	if _, err := mapContext(client, ts.srv.Pair(CtxDefault), "obj"); !errors.Is(err, proto.ErrNotAContext) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -350,7 +365,7 @@ func TestServerForwardedMapContext(t *testing.T) {
 	}
 
 	client := newClientProc(t, k.NewHost("ws"))
-	pair, err := MapContext(client, tsA.srv.Pair(CtxDefault), "onB/deep")
+	pair, err := mapContext(client, tsA.srv.Pair(CtxDefault), "onB/deep")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,21 +9,17 @@ import (
 )
 
 // MapStore is a reusable in-memory ContextStore for servers whose name
-// spaces are simple tables: flat or shallow hierarchies of bindings, with
-// well-known-context aliasing. Larger servers (the file server) implement
-// ContextStore over their own structures instead.
+// spaces are simple tables: flat or shallow hierarchies of bindings.
+// Larger servers (the file server) implement ContextStore over their own
+// structures instead.
 type MapStore struct {
 	mu       sync.RWMutex
 	contexts map[ContextID]map[string]Entry
-	aliases  map[ContextID]ContextID
 }
 
 // NewMapStore returns a store containing only the default (root) context.
 func NewMapStore() *MapStore {
-	return &MapStore{
-		contexts: map[ContextID]map[string]Entry{CtxDefault: {}},
-		aliases:  make(map[ContextID]ContextID),
-	}
+	return &MapStore{contexts: map[ContextID]map[string]Entry{CtxDefault: {}}}
 }
 
 // AddContext creates an (empty) context with the given id.
@@ -35,14 +31,6 @@ func (s *MapStore) AddContext(ctx ContextID) {
 	}
 }
 
-// Alias maps a well-known context id onto a concrete context of this
-// server (§5.2).
-func (s *MapStore) Alias(wellKnown, concrete ContextID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.aliases[wellKnown] = concrete
-}
-
 // Bind defines name in ctx. It fails with proto.ErrDuplicateName if the
 // name is already bound.
 func (s *MapStore) Bind(ctx ContextID, name string, e Entry) error {
@@ -51,7 +39,7 @@ func (s *MapStore) Bind(ctx ContextID, name string, e Entry) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.contexts[s.resolveAliasLocked(ctx)]
+	c, ok := s.contexts[ctx]
 	if !ok {
 		return fmt.Errorf("%w: %#x", proto.ErrBadContext, uint32(ctx))
 	}
@@ -62,26 +50,11 @@ func (s *MapStore) Bind(ctx ContextID, name string, e Entry) error {
 	return nil
 }
 
-// Rebind defines or replaces name in ctx.
-func (s *MapStore) Rebind(ctx ContextID, name string, e Entry) error {
-	if name == "" {
-		return fmt.Errorf("%w: empty name", proto.ErrBadArgs)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.contexts[s.resolveAliasLocked(ctx)]
-	if !ok {
-		return fmt.Errorf("%w: %#x", proto.ErrBadContext, uint32(ctx))
-	}
-	c[name] = e
-	return nil
-}
-
 // Unbind removes name from ctx.
 func (s *MapStore) Unbind(ctx ContextID, name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.contexts[s.resolveAliasLocked(ctx)]
+	c, ok := s.contexts[ctx]
 	if !ok {
 		return fmt.Errorf("%w: %#x", proto.ErrBadContext, uint32(ctx))
 	}
@@ -96,7 +69,7 @@ func (s *MapStore) Unbind(ctx ContextID, name string) error {
 func (s *MapStore) Names(ctx ContextID) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.contexts[s.resolveAliasLocked(ctx)]
+	c, ok := s.contexts[ctx]
 	if !ok {
 		return nil, fmt.Errorf("%w: %#x", proto.ErrBadContext, uint32(ctx))
 	}
@@ -113,29 +86,21 @@ func (s *MapStore) Lookup(ctx ContextID, name string) (Entry, error) {
 	return s.LookupComponent(ctx, name)
 }
 
-func (s *MapStore) resolveAliasLocked(ctx ContextID) ContextID {
-	if concrete, ok := s.aliases[ctx]; ok {
-		return concrete
-	}
-	return ctx
-}
-
 // NormalizeContext implements ContextStore.
 func (s *MapStore) NormalizeContext(ctx ContextID) (ContextID, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := s.resolveAliasLocked(ctx)
-	if _, ok := s.contexts[c]; !ok {
+	if _, ok := s.contexts[ctx]; !ok {
 		return 0, fmt.Errorf("%w: %#x", proto.ErrBadContext, uint32(ctx))
 	}
-	return c, nil
+	return ctx, nil
 }
 
 // LookupComponent implements ContextStore.
 func (s *MapStore) LookupComponent(ctx ContextID, component string) (Entry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.contexts[s.resolveAliasLocked(ctx)]
+	c, ok := s.contexts[ctx]
 	if !ok {
 		return Entry{}, fmt.Errorf("%w: %#x", proto.ErrBadContext, uint32(ctx))
 	}

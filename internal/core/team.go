@@ -44,11 +44,6 @@ func NewTeam(recept *kernel.Process, size int, serve serveFunc, onHandoff func()
 	return &Team{recept: recept, size: size, serve: serve, onHandoff: onHandoff}
 }
 
-// Err reports why the team stopped serving: nil while it is running,
-// kernel.ErrProcessDead after a clean Destroy, and an error wrapping
-// kernel.ErrHostDown when the host crashed under it.
-func (t *Team) Err() error { return t.recept.Err() }
-
 // Start creates a larger team's workers, in pid order after the
 // receptionist, and serves them all before returning. The team's death
 // is recorded inside the Destroy or Host.Crash that kills the

@@ -79,7 +79,7 @@ func TestTeamSizeOneCountsNoHandoffs(t *testing.T) {
 func TestServerErrNilWhileRunning(t *testing.T) {
 	k := newDomain()
 	ts := startToyServer(t, k.NewHost("srv"), "toy")
-	if err := ts.srv.Err(); err != nil {
+	if err := ts.srv.Proc().Err(); err != nil {
 		t.Fatalf("running server Err = %v", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestServerErrCleanDestroy(t *testing.T) {
 	k := newDomain()
 	ts := startToyServer(t, k.NewHost("srv"), "toy")
 	ts.srv.Proc().Destroy()
-	err := ts.srv.Err()
+	err := ts.srv.Proc().Err()
 	if !errors.Is(err, kernel.ErrProcessDead) {
 		t.Fatalf("Err = %v, want ErrProcessDead", err)
 	}
@@ -102,7 +102,7 @@ func TestServerErrHostCrash(t *testing.T) {
 	h := k.NewHost("srv")
 	ts := startToyServer(t, h, "toy")
 	h.Crash()
-	err := ts.srv.Err()
+	err := ts.srv.Proc().Err()
 	if !errors.Is(err, kernel.ErrHostDown) {
 		t.Fatalf("Err = %v, want ErrHostDown", err)
 	}
@@ -113,7 +113,7 @@ func TestTeamErrHostCrash(t *testing.T) {
 	h := k.NewHost("srv")
 	ts := startToyTeam(t, h, "toy", 4)
 	h.Crash()
-	err := ts.srv.Err()
+	err := ts.srv.Proc().Err()
 	if !errors.Is(err, kernel.ErrHostDown) {
 		t.Fatalf("Err = %v, want ErrHostDown", err)
 	}
@@ -130,7 +130,7 @@ func TestTeamExitIsSynchronous(t *testing.T) {
 		k.SetTracer(tr)
 		h := k.NewHost("srv")
 		ts := startToyTeam(t, h, "toy", n)
-		if err := ts.srv.Err(); err != nil {
+		if err := ts.srv.Proc().Err(); err != nil {
 			t.Fatalf("team of %d: Err = %v while serving", n, err)
 		}
 		var workers []*kernel.Process
@@ -142,7 +142,7 @@ func TestTeamExitIsSynchronous(t *testing.T) {
 			workers = append(workers, w)
 		}
 		h.Crash()
-		if err := ts.srv.Err(); !errors.Is(err, kernel.ErrHostDown) {
+		if err := ts.srv.Proc().Err(); !errors.Is(err, kernel.ErrHostDown) {
 			t.Fatalf("team of %d: Err = %v the moment Crash returned, want ErrHostDown", n, err)
 		}
 		// The receptionist's hook destroys the workers inside the crash:
@@ -163,8 +163,8 @@ func TestTeamExitIsSynchronous(t *testing.T) {
 		if len(exits) != 1 || exits[0].Err != "host-down" || exits[0].Proc != "toy" {
 			t.Fatalf("team of %d: server-exit events %+v, want one host-down event for toy", n, exits)
 		}
-		if !errors.Is(ts.srv.Err(), kernel.ErrHostDown) {
-			t.Fatalf("team of %d: Err = %v after Restart and Destroy", n, ts.srv.Err())
+		if !errors.Is(ts.srv.Proc().Err(), kernel.ErrHostDown) {
+			t.Fatalf("team of %d: Err = %v after Restart and Destroy", n, ts.srv.Proc().Err())
 		}
 	}
 }

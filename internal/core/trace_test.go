@@ -27,8 +27,8 @@ func exitClass(t *testing.T, stop func(ts *toyServer)) string {
 // TestServerExitClassFromTraceAlone proves the per-request failure
 // classification the serving path used to swallow is now attached to
 // the trace: a host crash (kernel.ErrHostDown) and a clean destroy are
-// distinguishable from the recorded spans alone, without access to
-// Server.Err.
+// distinguishable from the recorded spans alone, without access to the
+// receptionist's Err.
 func TestServerExitClassFromTraceAlone(t *testing.T) {
 	clean := exitClass(t, func(ts *toyServer) { ts.srv.Proc().Destroy() })
 	crash := exitClass(t, func(ts *toyServer) { ts.srv.Proc().Host().Crash() })

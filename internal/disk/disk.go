@@ -30,9 +30,6 @@ func New(pageTime time.Duration) *Disk {
 	return &Disk{pageTime: pageTime}
 }
 
-// PageTime returns the per-page service time.
-func (d *Disk) PageTime() time.Duration { return d.pageTime }
-
 // Fetch models a page read issued at virtual time `at`; it returns the
 // virtual time the page is available. Requests serialize on the arm.
 func (d *Disk) Fetch(at vtime.Time) vtime.Time {

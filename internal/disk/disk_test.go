@@ -37,9 +37,6 @@ func TestStats(t *testing.T) {
 	if n != 2 || busy != 30*time.Millisecond {
 		t.Fatalf("stats = %d, %v", n, busy)
 	}
-	if d.PageTime() != 15*time.Millisecond {
-		t.Fatalf("PageTime = %v", d.PageTime())
-	}
 }
 
 func TestFetchMonotone(t *testing.T) {

@@ -142,9 +142,6 @@ func NewSync(n int, lookahead time.Duration, fences Fences) *Sync {
 	return s
 }
 
-// Lookahead returns the bound the Sync was built with.
-func (s *Sync) Lookahead() time.Duration { return s.lookahead }
-
 // FencesFired reports how many fences have fired.
 func (s *Sync) FencesFired() int {
 	s.mu.Lock()

@@ -90,9 +90,6 @@ func (s *Server) RegisterSessionBody(image string, b SessionBody) {
 	s.sessionBodies[image] = b
 }
 
-// Running returns the number of programs in execution.
-func (s *Server) Running() int { return s.Count() }
-
 func describe(p *program) proto.Descriptor {
 	return proto.Descriptor{
 		Tag:          proto.TagProgram,
@@ -155,7 +152,9 @@ func (s *Server) exec(serving *kernel.Process, image string, req *proto.Message)
 	proto.SetCSName(loadReq, uint32(s.programDir.Ctx), image)
 	reply, err := serving.SendMove(loadReq, s.programDir.Server, nil, buf)
 	if err != nil {
-		return core.ErrorReplyMsg(fmt.Errorf("load %q: %w", image, kernelToProto(err)))
+		// A kernel send failure maps onto a protocol error, so exec replies
+		// stay within the standard reply codes.
+		return core.ErrorReplyMsg(fmt.Errorf("load %q: %w: %v", image, proto.ErrDeviceError, err))
 	}
 	if err := proto.ReplyError(reply.Op); err != nil {
 		return core.ErrorReplyMsg(fmt.Errorf("load %q: %w", image, err))
@@ -218,15 +217,6 @@ func (s *Server) kill(id uint32, name string) *proto.Message {
 		return core.ErrorReplyMsg(err)
 	}
 	return core.OkReply()
-}
-
-// kernelToProto maps kernel send failures onto protocol errors so exec
-// replies stay within the standard reply codes.
-func kernelToProto(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %v", proto.ErrDeviceError, err)
 }
 
 // findProcess resolves a pid in the domain (helper around the kernel's

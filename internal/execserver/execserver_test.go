@@ -43,6 +43,30 @@ func startRig(t *testing.T) (*Server, *kernel.Process, *fileserver.FileServer) {
 	return s, client, fs
 }
 
+// programs lists the programs-in-execution context: the server's
+// directory, one record per running program.
+func programs(t *testing.T, client *kernel.Process, s *Server) []proto.Descriptor {
+	t.Helper()
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), "")
+	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
+	reply, err := client.Send(req, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("open dir = %v, %v", reply, err)
+	}
+	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	defer f.Close()
+	raw, err := f.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := proto.DecodeDescriptors(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
+
 func exec(t *testing.T, client *kernel.Process, s *Server, image string) *proto.Message {
 	t.Helper()
 	req := &proto.Message{Op: proto.OpExecProgram}
@@ -73,8 +97,8 @@ func TestExecLoadsAndRuns(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("program never ran")
 	}
-	if s.Running() != 1 {
-		t.Fatalf("running = %d", s.Running())
+	if n := len(programs(t, client, s)); n != 1 {
+		t.Fatalf("running = %d", n)
 	}
 }
 
@@ -109,7 +133,7 @@ func TestKillByRemoveObject(t *testing.T) {
 	if err != nil || reply2.Op != proto.ReplyOK {
 		t.Fatalf("remove = %v, %v", reply2, err)
 	}
-	if s.Running() != 0 {
+	if n := len(programs(t, client, s)); n != 0 {
 		t.Fatal("program survived removal")
 	}
 	// The program's process is really gone.
@@ -128,7 +152,7 @@ func TestKillByProgramID(t *testing.T) {
 	if err != nil || reply2.Op != proto.ReplyOK {
 		t.Fatalf("kill = %v, %v", reply2, err)
 	}
-	if s.Running() != 0 {
+	if n := len(programs(t, client, s)); n != 0 {
 		t.Fatal("program survived kill")
 	}
 	// Killing again: not found.
@@ -143,21 +167,9 @@ func TestProgramsInExecutionContext(t *testing.T) {
 	exec(t, client, s, "editor")
 	exec(t, client, s, "editor")
 
-	req := &proto.Message{Op: proto.OpCreateInstance}
-	proto.SetCSName(req, uint32(core.CtxDefault), "")
-	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
-	reply, err := client.Send(req, s.PID())
-	if err != nil || reply.Op != proto.ReplyOK {
-		t.Fatalf("open dir = %v, %v", reply, err)
-	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
-	raw, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, err := proto.DecodeDescriptors(raw)
-	if err != nil || len(records) != 2 {
-		t.Fatalf("records = %v, %v", records, err)
+	records := programs(t, client, s)
+	if len(records) != 2 {
+		t.Fatalf("records = %v", records)
 	}
 	for _, r := range records {
 		if r.Tag != proto.TagProgram || r.Owner != "editor" {

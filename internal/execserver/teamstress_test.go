@@ -67,7 +67,11 @@ func TestTeamStressExecServer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := s.Running(); got != clients*launches {
+	client, err := k.NewHost("lister").NewProcess("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(programs(t, client, s)); got != clients*launches {
 		t.Fatalf("running = %d, want %d", got, clients*launches)
 	}
 }

@@ -124,10 +124,3 @@ func (c *blockCache) clear() {
 	defer c.mu.Unlock()
 	c.reset()
 }
-
-// size returns the number of buffered pages.
-func (c *blockCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pages)
-}

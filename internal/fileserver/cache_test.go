@@ -136,8 +136,8 @@ func TestBlockCacheAgainstFlatReference(t *testing.T) {
 				c.clear()
 				ref.clear()
 			}
-			if got, want := c.order(t), ref.order(); !reflect.DeepEqual(got, want) || c.size() != len(want) {
-				t.Fatalf("seed %d step %d: after %s size %d, order\n got %v\nwant %v", seed, step, what, c.size(), got, want)
+			if got, want := c.order(t), ref.order(); !reflect.DeepEqual(got, want) || len(c.pages) != len(want) {
+				t.Fatalf("seed %d step %d: after %s size %d, order\n got %v\nwant %v", seed, step, what, len(c.pages), got, want)
 			}
 		}
 	}
@@ -166,7 +166,7 @@ func TestInvalidateUncachedFileZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { block++; c.access(7, 1000+block, true) }); allocs != 0 {
 		t.Fatalf("insert into a full cache: %v allocs", allocs)
 	}
-	if c.size() != defaultCachePages {
-		t.Fatalf("size = %d", c.size())
+	if len(c.pages) != defaultCachePages {
+		t.Fatalf("size = %d", len(c.pages))
 	}
 }

@@ -117,7 +117,9 @@ func TestOpenCreateAndEOF(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fs.OpenInstances() != 0 {
+	q := &proto.Message{Op: proto.OpQueryInstance}
+	q.F[0] = uint32(f.InstanceID())
+	if reply := send(t, client, fs, q); reply.Op == proto.ReplyOK {
 		t.Fatal("instance leaked")
 	}
 }
@@ -501,7 +503,7 @@ func TestBufferCacheServesRepeatedReads(t *testing.T) {
 	if warm > cold-14*time.Millisecond {
 		t.Fatalf("warm read %v vs cold %v: buffer cache not effective", warm, cold)
 	}
-	if fs.CachedPages() == 0 {
+	if len(fs.cache.pages) == 0 {
 		t.Fatal("cache empty after reads")
 	}
 }
@@ -519,7 +521,7 @@ func TestBufferCacheInvalidatedByTruncate(t *testing.T) {
 	if _, err := f.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
-	if fs.CachedPages() == 0 {
+	if len(fs.cache.pages) == 0 {
 		t.Fatal("no pages cached")
 	}
 	if err := fs.WriteFile("/f", "o", make([]byte, 512)); err != nil {
@@ -560,7 +562,7 @@ func TestBufferCacheLRUEviction(t *testing.T) {
 		t.Fatal("LRU order not respected")
 	}
 	c.invalidate(1)
-	if c.size() != 0 {
+	if len(c.pages) != 0 {
 		t.Fatal("invalidate left pages behind")
 	}
 }

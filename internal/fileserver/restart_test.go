@@ -73,11 +73,11 @@ func TestCrashRestartServedFileServer(t *testing.T) {
 				if reply, err := client.Send(newQuery(), fs.PID()); err != nil || reply.Op != proto.ReplyOK {
 					t.Fatalf("round %d: restarted server answered %v, %v", round, reply, err)
 				}
-				if err := fs.Err(); err != nil {
+				if err := fs.proc.Err(); err != nil {
 					t.Fatalf("round %d: Err() = %v while serving", round, err)
 				}
 				host.Crash()
-				if err := fs.Err(); !errors.Is(err, kernel.ErrHostDown) {
+				if err := fs.proc.Err(); !errors.Is(err, kernel.ErrHostDown) {
 					t.Fatalf("round %d: Err() = %v, want ErrHostDown", round, err)
 				}
 				if _, err := client.Send(newQuery(), fs.PID()); !errors.Is(err, kernel.ErrNonexistentProcess) {

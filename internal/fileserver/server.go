@@ -31,9 +31,6 @@ func WithTeam(n int) Option {
 	return func(fs *FileServer) { fs.teamSize = n }
 }
 
-// CachedPages returns the number of pages currently in the buffer cache.
-func (fs *FileServer) CachedPages() int { return fs.cache.size() }
-
 // FileServer is a CSNH server implementing files and directories.
 type FileServer struct {
 	srv       *core.Server
@@ -75,9 +72,6 @@ func Start(host *kernel.Host, name string, opts ...Option) (*FileServer, error) 
 	return fs, nil
 }
 
-// Err reports why the server stopped serving (see core.Team.Err).
-func (fs *FileServer) Err() error { return fs.srv.Err() }
-
 // PID returns the server's process identifier.
 func (fs *FileServer) PID() kernel.PID { return fs.proc.PID() }
 
@@ -89,9 +83,6 @@ func (fs *FileServer) RootPair() core.ContextPair { return fs.srv.Pair(core.CtxD
 
 // Disk exposes the simulated disk (for experiment statistics).
 func (fs *FileServer) Disk() *disk.Disk { return fs.disk }
-
-// OpenInstances returns the number of open instances.
-func (fs *FileServer) OpenInstances() int { return fs.reg.Count() }
 
 // --- boot-time seeding (used by the rig and examples) ---
 

@@ -25,7 +25,6 @@ package flight
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -128,7 +127,6 @@ type Recorder struct {
 	buf     []Event // preallocated ring
 	head    int     // next write slot
 	n       int     // live events in the ring (≤ len(buf))
-	total   uint64  // events ever recorded
 	dropped uint64  // events overwritten before being sealed or read
 
 	// The fence-drained journal, canonical order: a second ring of
@@ -172,28 +170,7 @@ func (r *Recorder) Record(at time.Duration, kind Kind, name, proc, detail string
 	} else {
 		r.dropped++
 	}
-	r.total++
 	r.mu.Unlock()
-}
-
-// Len returns the number of events currently buffered (ring + sealed).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n + r.sealN
-}
-
-// Total returns the number of events ever recorded.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Dropped returns the number of events lost to ring wrap-around (plus
@@ -228,7 +205,6 @@ func (r *Recorder) Seal(at time.Duration) int {
 		r.seal(e)
 	}
 	r.seal(Event{At: at, Kind: KindFence, Proc: "engine"})
-	r.total++
 	r.n, r.head = 0, 0
 	return len(batch)
 }
@@ -287,8 +263,7 @@ func Counts(events []Event) [kindMax + 1]uint64 {
 	return c
 }
 
-// WriteText renders events one per line for vstat -flight and
-// chaos-failure dumps.
+// WriteText renders events one per line for vstat -flight.
 func WriteText(w io.Writer, events []Event) {
 	for _, e := range events {
 		line := fmt.Sprintf("%12.3fms  %-11s", float64(e.At)/1e6, e.Kind)
@@ -303,109 +278,4 @@ func WriteText(w io.Writer, events []Event) {
 		}
 		fmt.Fprintln(w, line)
 	}
-}
-
-// The binary journal encoding: "FJ1" magic, uvarint count, then per
-// event uvarint time (ns), one kind byte, and three length-prefixed
-// strings. Compact enough to dump from a failing chaos test, simple
-// enough to fuzz the round trip.
-var magic = []byte{'F', 'J', '1'}
-
-// Encode renders events in the binary journal encoding.
-func Encode(events []Event) []byte {
-	buf := append([]byte(nil), magic...)
-	buf = binary.AppendUvarint(buf, uint64(len(events)))
-	for _, e := range events {
-		buf = binary.AppendUvarint(buf, uint64(e.At))
-		buf = append(buf, byte(e.Kind))
-		for _, s := range []string{e.Name, e.Proc, e.Detail} {
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		}
-	}
-	return buf
-}
-
-// Decode parses a binary journal. It never panics on arbitrary input:
-// malformed data returns an error.
-func Decode(data []byte) ([]Event, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic) {
-		return nil, fmt.Errorf("flight: bad journal magic")
-	}
-	data = data[len(magic):]
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("flight: bad journal count")
-	}
-	data = data[n:]
-	if count > uint64(len(data)) { // each event costs ≥ 1 byte
-		return nil, fmt.Errorf("flight: journal count %d exceeds payload", count)
-	}
-	events := make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		at, n := binary.Uvarint(data)
-		if n <= 0 || at > uint64(1)<<62 {
-			return nil, fmt.Errorf("flight: event %d: bad timestamp", i)
-		}
-		data = data[n:]
-		if len(data) < 1 {
-			return nil, fmt.Errorf("flight: event %d: truncated kind", i)
-		}
-		e := Event{At: time.Duration(at), Kind: Kind(data[0])}
-		if e.Kind < 1 || e.Kind > kindMax {
-			return nil, fmt.Errorf("flight: event %d: unknown kind %d", i, data[0])
-		}
-		data = data[1:]
-		for f := 0; f < 3; f++ {
-			l, n := binary.Uvarint(data)
-			if n <= 0 || l > uint64(len(data)-n) {
-				return nil, fmt.Errorf("flight: event %d: bad string length", i)
-			}
-			s := string(data[n : n+int(l)])
-			data = data[n+int(l):]
-			switch f {
-			case 0:
-				e.Name = s
-			case 1:
-				e.Proc = s
-			default:
-				e.Detail = s
-			}
-		}
-		events = append(events, e)
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("flight: %d trailing bytes after journal", len(data))
-	}
-	return events, nil
-}
-
-// failer is the slice of testing.T the dump hook needs.
-type failer interface {
-	Failed() bool
-	Logf(format string, args ...any)
-	Cleanup(func())
-}
-
-// DumpOnFailure registers a test cleanup that, if the test failed,
-// writes the recorder's journal to the test log — the post-mortem the
-// chaos suites attach so a failing schedule arrives with its flight
-// record.
-func DumpOnFailure(t failer, r *Recorder) {
-	t.Cleanup(func() {
-		if !t.Failed() || r == nil {
-			return
-		}
-		events := r.Journal()
-		var sb writerBuf
-		WriteText(&sb, events)
-		t.Logf("flight journal (%d events, %d dropped):\n%s", len(events), r.Dropped(), sb.b)
-	})
-}
-
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

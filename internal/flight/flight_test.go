@@ -19,7 +19,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Seal(time.Millisecond) != 0 {
 		t.Fatalf("nil Seal sealed events")
 	}
-	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 || r.Journal() != nil {
+	if r.Dropped() != 0 || r.Journal() != nil {
 		t.Fatalf("nil recorder reported state")
 	}
 }
@@ -37,9 +37,6 @@ func TestRecordAndJournalOrder(t *testing.T) {
 	// Canonical order: 1ms resolution, 1ms lease-grant, 3ms forward.
 	if j[0].Kind != KindResolution || j[1].Kind != KindLeaseGrant || j[2].Kind != KindForward {
 		t.Fatalf("journal out of canonical order: %+v", j)
-	}
-	if got := r.Total(); got != 3 {
-		t.Fatalf("Total = %d, want 3", got)
 	}
 }
 
@@ -111,27 +108,6 @@ func TestSealedJournalBounded(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	events := []Event{
-		{At: 0, Kind: KindFence, Proc: "engine"},
-		{At: 1234567, Kind: KindLeaseGrant, Name: "[home]mann", Proc: "prefix-0", Detail: "negative"},
-		{At: time.Hour, Kind: KindFailover, Name: "[storage]x/y", Proc: "ws", Detail: "stale"},
-	}
-	got, err := Decode(Encode(events))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, events) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, events)
-	}
-	if _, err := Decode([]byte("not a journal")); err == nil {
-		t.Fatalf("Decode accepted garbage")
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Fatalf("Decode accepted empty input")
-	}
-}
-
 func TestCountsAndWriteText(t *testing.T) {
 	events := []Event{
 		{At: time.Millisecond, Kind: KindResolution, Name: "[home]", Proc: "ws"},
@@ -172,90 +148,22 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestDumpOnFailure(t *testing.T) {
-	r := New(8)
-	r.Record(time.Millisecond, KindRedefine, "[home]", "pfx", "")
-	ft := &fakeT{failed: true}
-	DumpOnFailure(ft, r)
-	for _, fn := range ft.cleanups {
-		fn()
-	}
-	if len(ft.logs) != 1 || !strings.Contains(ft.logs[0], "redefine") {
-		t.Fatalf("failure dump missing journal: %v", ft.logs)
-	}
-	// A passing test dumps nothing.
-	ft2 := &fakeT{}
-	DumpOnFailure(ft2, r)
-	for _, fn := range ft2.cleanups {
-		fn()
-	}
-	if len(ft2.logs) != 0 {
-		t.Fatalf("passing test dumped journal")
-	}
-}
-
-type fakeT struct {
-	failed   bool
-	logs     []string
-	cleanups []func()
-}
-
-func (f *fakeT) Failed() bool      { return f.failed }
-func (f *fakeT) Cleanup(fn func()) { f.cleanups = append(f.cleanups, fn) }
-func (f *fakeT) Logf(format string, args ...any) {
-	f.logs = append(f.logs, fmt.Sprintf(format, args...))
-}
-
-// FuzzFlightRoundTrip drives both directions of the journal codec:
-// decoding arbitrary bytes must never panic, and anything that decodes
-// must re-encode to an equivalent journal.
-func FuzzFlightRoundTrip(f *testing.F) {
-	f.Add(Encode(nil))
-	f.Add(Encode([]Event{{At: time.Millisecond, Kind: KindResolution, Name: "[home]", Proc: "ws", Detail: ""}}))
-	f.Add(Encode([]Event{
-		{At: 0, Kind: KindFence, Proc: "engine"},
-		{At: time.Second, Kind: KindInvalidate, Name: "[a]b", Proc: "p", Detail: "d"},
-	}))
-	f.Add([]byte("FJ1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := Decode(data)
-		if err != nil {
-			return
-		}
-		again, err := Decode(Encode(events))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(again) != len(events) {
-			t.Fatalf("round trip changed count: %d != %d", len(again), len(events))
-		}
-		if !reflect.DeepEqual(again, events) {
-			t.Fatalf("round trip diverged")
-		}
-	})
-}
-
-// TestDefaultsAndLen covers the constructor clamp and the Len probe:
-// a non-positive capacity falls back to DefaultCapacity, and Len counts
-// ring plus sealed events.
+// TestDefaultsAndLen covers the constructor clamp and the journal's
+// length: a non-positive capacity falls back to DefaultCapacity, and the
+// journal holds ring plus sealed events.
 func TestDefaultsAndLen(t *testing.T) {
 	r := New(0)
-	if r.Len() != 0 {
-		t.Fatalf("fresh recorder Len = %d, want 0", r.Len())
+	if len(r.buf) != DefaultCapacity || r.sealCap != 4*DefaultCapacity {
+		t.Fatalf("New(0) ring %d, sealed bound %d", len(r.buf), r.sealCap)
 	}
 	r.Record(1, KindResolution, "[a]x", "p", "")
 	r.Record(2, KindRedefine, "[a]x", "p", "")
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
+	if n := len(r.Journal()); n != 2 {
+		t.Fatalf("journal holds %d, want 2", n)
 	}
 	r.Seal(3)
-	if r.Len() != 3 { // the cut itself journals a fence event
-		t.Fatalf("Len after seal = %d, want 3", r.Len())
-	}
-	var nilRec *Recorder
-	if nilRec.Len() != 0 {
-		t.Fatal("nil recorder Len != 0")
+	if n := len(r.Journal()); n != 3 { // the cut itself journals a fence event
+		t.Fatalf("journal after seal holds %d, want 3", n)
 	}
 }
 
@@ -324,9 +232,8 @@ func TestSealedRingMatchesShiftingJournal(t *testing.T) {
 			if got, want := r.Journal(), m.journal(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d: journal diverged from the model:\n got %+v\nwant %+v", seed, step, got, want)
 			}
-			if r.Len() != len(m.sealed)+len(m.ring) || r.Dropped() != m.dropped {
-				t.Fatalf("seed %d step %d: Len %d Dropped %d, model %d %d",
-					seed, step, r.Len(), r.Dropped(), len(m.sealed)+len(m.ring), m.dropped)
+			if r.Dropped() != m.dropped {
+				t.Fatalf("seed %d step %d: Dropped %d, model %d", seed, step, r.Dropped(), m.dropped)
 			}
 		}
 		if m.dropped == 0 || (seed > 20 && len(r.sealed) != 3) {

@@ -72,9 +72,6 @@ func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
 	return s, nil
 }
 
-// ConnCount returns the number of open connections.
-func (s *Server) ConnCount() int { return s.Count() }
-
 func describe(c *conn) proto.Descriptor {
 	return proto.Descriptor{
 		Tag:          proto.TagTCPConnection,

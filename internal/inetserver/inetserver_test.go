@@ -29,6 +29,30 @@ func startRig(t *testing.T, opts ...core.Option) (*Server, *kernel.Process) {
 	return s, client
 }
 
+// list reads the context directory of name, filtered by pattern.
+func list(t *testing.T, client *kernel.Process, s *Server, name, pattern string) []proto.Descriptor {
+	t.Helper()
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), name)
+	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
+	proto.SetDirPattern(req, pattern)
+	reply, err := client.Send(req, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("list %q: reply = %v, %v", name, reply, err)
+	}
+	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	defer f.Close()
+	raw, err := f.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := proto.DecodeDescriptors(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
+
 func dial(t *testing.T, client *kernel.Process, s *Server, dest string) *vio.File {
 	t.Helper()
 	req := &proto.Message{Op: proto.OpCreateInstance}
@@ -48,8 +72,8 @@ func TestDialCreatesConnection(t *testing.T) {
 	s, client := startRig(t)
 	f := dial(t, client, s, "host:23")
 	defer f.Close()
-	if s.ConnCount() != 1 {
-		t.Fatalf("connections = %d", s.ConnCount())
+	if conns := list(t, client, s, "tcp", ""); len(conns) != 1 || conns[0].Name != "host:23" {
+		t.Fatalf("connections = %+v", conns)
 	}
 }
 
@@ -153,28 +177,15 @@ func TestCloseConnectionByName(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("remove = %v, %v", reply, err)
 	}
-	if s.ConnCount() != 0 {
-		t.Fatal("connection survived removal")
+	if conns := list(t, client, s, "tcp", ""); len(conns) != 0 {
+		t.Fatalf("connection survived removal: %+v", conns)
 	}
 }
 
 func TestRootDirectoryShowsTCPContext(t *testing.T) {
 	s, client := startRig(t)
-	req := &proto.Message{Op: proto.OpCreateInstance}
-	proto.SetCSName(req, uint32(core.CtxDefault), "")
-	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
-	reply, err := client.Send(req, s.PID())
-	if err != nil || reply.Op != proto.ReplyOK {
-		t.Fatalf("reply = %v, %v", reply, err)
-	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
-	raw, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, err := proto.DecodeDescriptors(raw)
-	if err != nil || len(records) != 1 || records[0].Name != "tcp" {
-		t.Fatalf("records = %v, %v", records, err)
+	if records := list(t, client, s, "", ""); len(records) != 1 || records[0].Name != "tcp" {
+		t.Fatalf("records = %v", records)
 	}
 }
 
@@ -213,21 +224,8 @@ func TestTrafficCounters(t *testing.T) {
 func TestRootDirectoryHonoursPattern(t *testing.T) {
 	s, client := startRig(t)
 	for pattern, want := range map[string]int{"t*": 1, "udp*": 0} {
-		req := &proto.Message{Op: proto.OpCreateInstance}
-		proto.SetCSName(req, uint32(core.CtxDefault), "")
-		proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
-		proto.SetDirPattern(req, pattern)
-		reply, err := client.Send(req, s.PID())
-		if err != nil || reply.Op != proto.ReplyOK {
-			t.Fatalf("pattern %q: reply = %v, %v", pattern, reply, err)
-		}
-		raw, err := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply)).ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		records, err := proto.DecodeDescriptors(raw)
-		if err != nil || len(records) != want {
-			t.Fatalf("pattern %q: records = %v, %v; want %d", pattern, records, err, want)
+		if records := list(t, client, s, "", pattern); len(records) != want {
+			t.Fatalf("pattern %q: records = %v; want %d", pattern, records, want)
 		}
 	}
 }

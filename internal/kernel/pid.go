@@ -77,10 +77,6 @@ func (p PID) String() string {
 	return fmt.Sprintf("pid(%d.%d)", p.Host(), p.Local())
 }
 
-// SameHost reports whether two pids name processes on the same logical
-// host — the locality test some servers depend on (§4.1).
-func SameHost(a, b PID) bool { return a.Host() == b.Host() }
-
 // Service is a V service code: programs are written in terms of services,
 // with the binding of service to server process occurring at time of use
 // via GetPid (§4.2).

@@ -141,10 +141,11 @@ func (m *Meter) Observe(p *kernel.Process, ev Event, name string, at time.Durati
 		p.Kernel().Flight().Record(at, d.kind, name, m.owner, d.detail)
 	}
 	if tr := p.Tracer(); tr != nil && d.span != "" && (!d.stamp || e.Stamped()) {
-		sp := tr.Event(p.CurrentSpan(), trace.KindLease, trace.Name{Head: d.span, Sep: " ", Tail: name}, at, p.TraceID(), "")
+		var grant, expire time.Duration
 		if d.stamp {
-			tr.SetLease(sp, e.Grant, e.Expire)
+			grant, expire = e.Grant, e.Expire
 		}
+		tr.Lease(p.CurrentSpan(), trace.Name{Head: d.span, Sep: " ", Tail: name}, at, p.TraceID(), grant, expire)
 	}
 }
 

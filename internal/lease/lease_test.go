@@ -369,39 +369,43 @@ func TestHolders(t *testing.T) {
 
 // TestObserveFanOut: one Observe reaches the counter, the registry
 // series (labelled by class), the flight journal and the tracer — and an
-// unstamped entry, having no lease to carry, leaves no lease span.
+// unstamped entry, having no lease to carry, leaves no lease span. The
+// events have no open parent, so each is a subtree of its own that
+// retires as it is recorded: a sampled tracer must keep its stamp too.
 func TestObserveFanOut(t *testing.T) {
-	r := newRig(t)
-	reg, tr, fl := metrics.New(), trace.New(), flight.New(16)
-	r.k.SetMetrics(reg)
-	r.k.SetTracer(tr)
-	r.k.SetFlight(fl)
-	c := r.cache(t, false, nil)
-	c.Store("leased", Entry{Pair: pair, Grant: 1 * ms, Expire: 100 * ms})
-	c.Store("plain", Entry{Pair: pair, Grant: 1 * ms, Expire: Never})
-	c.Lookup(r.holder, "leased", 2*ms)
-	c.Lookup(r.holder, "plain", 2*ms)
-	c.Lookup(r.holder, "leased", 100*ms) // lapses: flight-recorded
+	for _, tr := range []*trace.Tracer{trace.New(), trace.NewSampled(trace.SampleConfig{HeadEvery: 1})} {
+		r := newRig(t)
+		reg, fl := metrics.New(), flight.New(16)
+		r.k.SetMetrics(reg)
+		r.k.SetTracer(tr)
+		r.k.SetFlight(fl)
+		c := r.cache(t, false, nil)
+		c.Store("leased", Entry{Pair: pair, Grant: 1 * ms, Expire: 100 * ms})
+		c.Store("plain", Entry{Pair: pair, Grant: 1 * ms, Expire: Never})
+		c.Lookup(r.holder, "leased", 2*ms)
+		c.Lookup(r.holder, "plain", 2*ms)
+		c.Lookup(r.holder, "leased", 100*ms) // lapses: flight-recorded
 
-	lbl := metrics.Labels{Server: "holder", Class: "client"}
-	if hits := reg.Counter("lease_hits_total", lbl).Value(); hits != 2 || c.Snapshot()[Hit] != 2 {
-		t.Fatalf("hits: registry %d, counter %d; want 2", hits, c.Snapshot()[Hit])
-	}
-	var spans []trace.Span
-	for _, sp := range tr.Snapshot() {
-		if sp.Kind == trace.KindLease {
-			spans = append(spans, sp)
+		lbl := metrics.Labels{Server: "holder", Class: "client"}
+		if hits := reg.Counter("lease_hits_total", lbl).Value(); hits != 2 || c.Snapshot()[Hit] != 2 {
+			t.Fatalf("hits: registry %d, counter %d; want 2", hits, c.Snapshot()[Hit])
 		}
-	}
-	if len(spans) != 2 || spans[0].Name != "hit leased" || spans[1].Name != "expired leased" {
-		t.Fatalf("lease spans %+v, want the stamped entry's hit and lapse only", spans)
-	}
-	if spans[0].LeaseGrant != int64(1*ms) || spans[0].LeaseExpire != int64(100*ms) {
-		t.Fatalf("hit span stamp %d..%d", spans[0].LeaseGrant, spans[0].LeaseExpire)
-	}
-	j := fl.Journal()
-	if len(j) != 1 || j[0].Kind != flight.KindLeaseRenew || j[0].Name != "leased" || j[0].Proc != "holder" {
-		t.Fatalf("flight journal %+v, want one lease-renew by holder", j)
+		var spans []trace.Span
+		for _, sp := range tr.Snapshot() {
+			if sp.Kind == trace.KindLease {
+				spans = append(spans, sp)
+			}
+		}
+		if len(spans) != 2 || spans[0].Name != "hit leased" || spans[1].Name != "expired leased" {
+			t.Fatalf("lease spans %+v, want the stamped entry's hit and lapse only", spans)
+		}
+		if spans[0].LeaseGrant != int64(1*ms) || spans[0].LeaseExpire != int64(100*ms) {
+			t.Fatalf("hit span stamp %d..%d", spans[0].LeaseGrant, spans[0].LeaseExpire)
+		}
+		j := fl.Journal()
+		if len(j) != 1 || j[0].Kind != flight.KindLeaseRenew || j[0].Name != "leased" || j[0].Proc != "holder" {
+			t.Fatalf("flight journal %+v, want one lease-renew by holder", j)
+		}
 	}
 }
 

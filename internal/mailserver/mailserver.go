@@ -65,17 +65,6 @@ func (s *Server) add(address string) (uint32, error) {
 	return id, s.Add(id, address, &mailbox{id: id, address: address})
 }
 
-// MessageCount returns how many messages address holds.
-func (s *Server) MessageCount(address string) (int, error) {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	mb, err := s.Named(address)
-	if err != nil {
-		return 0, err
-	}
-	return len(mb.messages), nil
-}
-
 // ValidAddress checks the externally-imposed address syntax.
 func ValidAddress(address string) bool {
 	at := strings.IndexByte(address, '@')

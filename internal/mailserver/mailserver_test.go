@@ -31,6 +31,22 @@ func startRig(t *testing.T) (*Server, *kernel.Process) {
 	return s, client
 }
 
+// messages reads a mailbox's message count from its description record,
+// one OpQueryObject transaction.
+func messages(client *kernel.Process, s *Server, address string) (int, error) {
+	q := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(q, uint32(core.CtxDefault), address)
+	reply, err := client.Send(q, s.PID())
+	if err != nil {
+		return 0, err
+	}
+	if err := proto.ReplyError(reply.Op); err != nil {
+		return 0, err
+	}
+	d, _, err := proto.DecodeDescriptor(reply.Segment)
+	return int(d.TypeSpecific[0]), err
+}
+
 func TestValidAddress(t *testing.T) {
 	good := []string{"cheriton@su-score.ARPA", "a@b", "mann@v.stanford.edu"}
 	bad := []string{"", "noat", "@host", "user@", "two@@signs", "a@b@c"}
@@ -102,7 +118,7 @@ func TestDeliverAndRead(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.MessageCount("mann@v")
+	n, err := messages(client, s, "mann@v")
 	if err != nil || n != 2 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
@@ -139,7 +155,7 @@ func TestCreateOnOpen(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MessageCount("new@box"); err != nil {
+	if _, err := messages(client, s, "new@box"); err != nil {
 		t.Fatal(err)
 	}
 	// Creating with an invalid address fails.
@@ -163,7 +179,7 @@ func TestRemoveMailbox(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("remove = %v, %v", reply, err)
 	}
-	if _, err := s.MessageCount("gone@soon"); err == nil {
+	if _, err := messages(client, s, "gone@soon"); err == nil {
 		t.Fatal("mailbox survived removal")
 	}
 }

@@ -67,8 +67,12 @@ func TestTeamStressMailServer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	reader, err := k.NewHost("reader").NewProcess("client")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < clients; i++ {
-		n, err := s.MessageCount(fmt.Sprintf("user%d@v", i))
+		n, err := messages(reader, s, fmt.Sprintf("user%d@v", i))
 		if err != nil || n != msgs {
 			t.Fatalf("mailbox %d count = %d, %v", i, n, err)
 		}

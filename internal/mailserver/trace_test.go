@@ -44,7 +44,7 @@ func TestTraceInvariantsMailServer(t *testing.T) {
 			t.Fatalf("msg %d close: %v", j, err)
 		}
 	}
-	if n, err := s.MessageCount("mann@v"); err != nil || n != msgs {
+	if n, err := messages(proc, s, "mann@v"); err != nil || n != msgs {
 		t.Fatalf("mailbox count = %d, %v", n, err)
 	}
 

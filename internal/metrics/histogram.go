@@ -29,23 +29,17 @@ const (
 )
 
 // Histogram is a fixed-bucket latency histogram with atomic recording.
-// Use NewHistogram (or Registry.Histogram); the zero value is not valid.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	sums   [histBuckets]atomic.Int64
 	count  atomic.Uint64
 	sum    atomic.Int64
-	min    atomic.Int64
 	max    atomic.Int64
 	ex     exemplars
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	return h
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a nanosecond value to its bucket.
 func bucketIndex(v int64) int {
@@ -95,12 +89,6 @@ func (h *Histogram) Record(d vtime.Time) {
 			break
 		}
 	}
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
 }
 
 // Count returns the number of recorded observations.
@@ -125,14 +113,6 @@ func (h *Histogram) Max() vtime.Time {
 		return 0
 	}
 	return vtime.Time(h.max.Load())
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() vtime.Time {
-	if h == nil || h.count.Load() == 0 {
-		return 0
-	}
-	return vtime.Time(h.min.Load())
 }
 
 // Mean returns the average observation (0 when empty).

@@ -82,8 +82,7 @@ func Stable[T comparable](load func() T) T {
 // Counter is a monotonically increasing atomic counter. All methods are
 // nil-safe no-ops so instrument sites need no registry-presence checks.
 type Counter struct {
-	v        atomic.Uint64
-	volatile bool
+	v atomic.Uint64
 }
 
 // Inc adds one.
@@ -193,7 +192,7 @@ type Registry struct {
 func New() *Registry { return &Registry{} }
 
 // Lookups returns how many by-label lookups (Counter, Gauge, Histogram,
-// Timeline, the volatile forms) the registry has served. An emitter on a
+// Timeline) the registry has served. An emitter on a
 // hot path holds its series as Handles, so a steady-state run leaves the
 // count where it was (rig.TestSteadyStateResolvesNoSeries).
 func (r *Registry) Lookups() uint64 {
@@ -204,13 +203,7 @@ func (r *Registry) Lookups() uint64 {
 }
 
 // Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string, l Labels) *Counter { return r.counter(name, l, false) }
-
-// VolatileCounter is Counter for wall-clock-dependent series (e.g. pool
-// reuse): shown live, excluded from deterministic documents.
-func (r *Registry) VolatileCounter(name string, l Labels) *Counter { return r.counter(name, l, true) }
-
-func (r *Registry) counter(name string, l Labels, volatile bool) *Counter {
+func (r *Registry) Counter(name string, l Labels) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -221,24 +214,18 @@ func (r *Registry) counter(name string, l Labels, volatile bool) *Counter {
 			return c
 		}
 	}
-	return create(r, &r.counters, k, func() *Counter { return &Counter{volatile: volatile} })
+	return create(r, &r.counters, k, func() *Counter { return &Counter{} })
 }
 
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string, l Labels) *Gauge { return r.gauge(name, l, false) }
-
-// VolatileGauge is Gauge for wall-clock-dependent values (e.g. live
-// mailbox depth).
-func (r *Registry) VolatileGauge(name string, l Labels) *Gauge { return r.gauge(name, l, true) }
-
-// Gauges and timelines are looked up at an install or a fault, not per
-// event, and go straight to the locked path.
-func (r *Registry) gauge(name string, l Labels, volatile bool) *Gauge {
+// Gauge returns (creating if needed) the named gauge. Gauges and
+// timelines are looked up at an install or a fault, not per event, and go
+// straight to the locked path.
+func (r *Registry) Gauge(name string, l Labels) *Gauge {
 	if r == nil {
 		return nil
 	}
 	r.lookups.Add(1)
-	return create(r, &r.gauges, instKey{name, l}, func() *Gauge { return &Gauge{volatile: volatile} })
+	return create(r, &r.gauges, instKey{name, l}, func() *Gauge { return &Gauge{} })
 }
 
 // SetGauges sets every gauge in points, creating the ones the registry
@@ -333,10 +320,9 @@ func copyMap[V any](old *map[instKey]V) map[instKey]V {
 
 // CounterPoint is one counter in a snapshot.
 type CounterPoint struct {
-	Name     string `json:"name"`
-	Labels   Labels `json:"labels"`
-	Value    uint64 `json:"value"`
-	Volatile bool   `json:"-"`
+	Name   string `json:"name"`
+	Labels Labels `json:"labels"`
+	Value  uint64 `json:"value"`
 }
 
 // GaugePoint is one gauge in a snapshot.
@@ -429,7 +415,7 @@ func (r *Registry) levels() (counters []CounterPoint, gauges []GaugePoint) {
 	if m := r.counters.Load(); m != nil {
 		counters = make([]CounterPoint, 0, len(*m))
 		for k, c := range *m {
-			counters = append(counters, CounterPoint{Name: k.name, Labels: k.labels, Value: c.Value(), Volatile: c.volatile})
+			counters = append(counters, CounterPoint{Name: k.name, Labels: k.labels, Value: c.Value()})
 		}
 		sort.Slice(counters, func(i, j int) bool {
 			return instKey{counters[i].Name, counters[i].Labels}.less(instKey{counters[j].Name, counters[j].Labels})
@@ -447,43 +433,16 @@ func (r *Registry) levels() (counters []CounterPoint, gauges []GaugePoint) {
 	return counters, gauges
 }
 
-// Deterministic strips volatile instruments, leaving only series that
-// are reproducible across runs (safe to golden-pin).
+// Deterministic strips volatile gauges, leaving only series that are
+// reproducible across runs (safe to golden-pin).
 func (s Snapshot) Deterministic() Snapshot {
-	out := Snapshot{Histograms: s.Histograms, Timelines: s.Timelines}
-	for _, c := range s.Counters {
-		if !c.Volatile {
-			out.Counters = append(out.Counters, c)
-		}
-	}
+	out := Snapshot{Counters: append([]CounterPoint(nil), s.Counters...), Histograms: s.Histograms, Timelines: s.Timelines}
 	for _, g := range s.Gauges {
 		if !g.Volatile {
 			out.Gauges = append(out.Gauges, g)
 		}
 	}
 	return out
-}
-
-// CounterTotal sums every counter with the given name across labels.
-func (s Snapshot) CounterTotal(name string) uint64 {
-	var total uint64
-	for _, c := range s.Counters {
-		if c.Name == name {
-			total += c.Value
-		}
-	}
-	return total
-}
-
-// GaugeTotal sums every gauge with the given name across labels.
-func (s Snapshot) GaugeTotal(name string) int64 {
-	var total int64
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			total += g.Value
-		}
-	}
-	return total
 }
 
 // us converts a virtual duration to whole microseconds.

@@ -12,8 +12,8 @@ func TestRegistrySnapshotOrderAndTotals(t *testing.T) {
 	r.Counter("ops_total", Labels{Server: "fs2"}).Add(3)
 	r.Counter("ops_total", Labels{Server: "fs1"}).Inc()
 	r.Counter("aaa_total", Labels{}).Add(7)
-	r.VolatileCounter("pool_total", Labels{}).Add(9)
 	r.Gauge("inflight", Labels{}).Set(2)
+	r.SetGauges([]GaugePoint{{Name: "pool", Value: 9, Volatile: true}})
 	r.Histogram("lat", Labels{Server: "fs1", Op: "Echo"}).Record(2560 * time.Microsecond)
 	r.Timeline(TimelineServerUp, Labels{Host: "fs1"}).Mark(100*time.Millisecond, 0)
 
@@ -22,28 +22,26 @@ func TestRegistrySnapshotOrderAndTotals(t *testing.T) {
 	for _, c := range s.Counters {
 		names = append(names, c.Name+"/"+c.Labels.Server)
 	}
-	want := []string{"aaa_total/", "ops_total/fs1", "ops_total/fs2", "pool_total/"}
+	want := []string{"aaa_total/", "ops_total/fs1", "ops_total/fs2"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("counter order = %v, want %v", names, want)
 	}
-	if got := s.CounterTotal("ops_total"); got != 4 {
-		t.Fatalf("CounterTotal(ops_total) = %d, want 4", got)
+	if s.Counters[1].Value != 1 || s.Counters[2].Value != 3 {
+		t.Fatalf("ops_total by server = %+v", s.Counters[1:])
 	}
-	if got := s.GaugeTotal("inflight"); got != 2 {
-		t.Fatalf("GaugeTotal(inflight) = %d, want 2", got)
+	if len(s.Gauges) != 2 || s.Gauges[0].Name != "inflight" || s.Gauges[0].Value != 2 {
+		t.Fatalf("gauges = %+v", s.Gauges)
 	}
 	if len(s.Histograms) != 1 || s.Histograms[0].P50US != 2560 {
 		t.Fatalf("histogram snapshot = %+v, want p50 2560us", s.Histograms)
 	}
 
 	det := s.Deterministic()
-	for _, c := range det.Counters {
-		if c.Name == "pool_total" {
-			t.Fatalf("volatile counter survived Deterministic(): %+v", det.Counters)
-		}
+	if len(det.Gauges) != 1 || det.Gauges[0].Name != "inflight" {
+		t.Fatalf("Deterministic() kept gauges %+v, want the volatile one dropped", det.Gauges)
 	}
-	if len(det.Counters) != len(s.Counters)-1 {
-		t.Fatalf("Deterministic dropped wrong count: %d vs %d", len(det.Counters), len(s.Counters))
+	if !reflect.DeepEqual(det.Counters, s.Counters) {
+		t.Fatalf("Deterministic dropped counters: %d vs %d", len(det.Counters), len(s.Counters))
 	}
 
 	// Nil registry and nil instruments are no-ops throughout.
@@ -162,22 +160,26 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-// TestSamplerNextAt pins the fence-source probe: NextAt reports the
-// first unemitted tick boundary, advances past emitted boundaries, and
-// is nil-safe — the contract the engine's merged fence schedule relies
-// on (PROTOCOL.md §12.4).
+// TestSamplerNextAt pins the sampler's tick boundaries: AdvanceTo emits
+// one sample per boundary passed, the next at the first boundary not yet
+// emitted, and the nil sampler's probes return 0.
 func TestSamplerNextAt(t *testing.T) {
 	reg := New()
 	s := NewSampler(reg, 10*time.Millisecond)
-	if got := s.NextAt(); got != 10*time.Millisecond {
-		t.Fatalf("fresh NextAt = %v, want 10ms", got)
-	}
 	s.AdvanceTo(25 * time.Millisecond)
-	if got := s.NextAt(); got != 30*time.Millisecond {
-		t.Fatalf("NextAt after AdvanceTo(25ms) = %v, want 30ms", got)
+	if got := len(s.Samples()); got != 2 {
+		t.Fatalf("samples after AdvanceTo(25ms) = %d, want the 10ms and 20ms ticks", got)
+	}
+	s.AdvanceTo(29 * time.Millisecond)
+	if got := len(s.Samples()); got != 2 {
+		t.Fatalf("samples after AdvanceTo(29ms) = %d, want no tick before 30ms", got)
+	}
+	s.AdvanceTo(30 * time.Millisecond)
+	if got := len(s.Samples()); got != 3 {
+		t.Fatalf("samples after AdvanceTo(30ms) = %d, want the 30ms tick", got)
 	}
 	var nilS *Sampler
-	if nilS.NextAt() != 0 || nilS.Tick() != 0 {
+	if nilS.Tick() != 0 {
 		t.Fatal("nil sampler probes must return 0")
 	}
 	if def := NewSampler(reg, 0); def.Tick() != 50*time.Millisecond {
@@ -196,7 +198,9 @@ func TestSetGaugesMatchesOneByOne(t *testing.T) {
 	batch.Gauge("inflight", Labels{}).Set(40) // one gauge exists already
 	before := batch.gauges.Load()
 	for _, p := range points {
-		one.gauge(p.Name, p.Labels, p.Volatile).Set(p.Value)
+		g := one.Gauge(p.Name, p.Labels)
+		g.volatile = p.Volatile
+		g.Set(p.Value)
 	}
 	batch.SetGauges(points)
 	if got, want := batch.Snapshot(), one.Snapshot(); !reflect.DeepEqual(got, want) {

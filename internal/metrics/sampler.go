@@ -61,19 +61,6 @@ func (s *Sampler) Tick() vtime.Time {
 	return s.tick
 }
 
-// NextAt returns the virtual time of the next tick boundary the sampler
-// would emit — the fence source the sharded workload drivers merge with
-// the chaos schedule so samples are taken at deterministic quiescent
-// cuts (PROTOCOL.md §12). Nil-safe (returns 0).
-func (s *Sampler) NextAt() vtime.Time {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return vtime.Time(s.next) * s.tick
-}
-
 // AdvanceTo emits one sample per tick boundary at or before now that has
 // not been emitted yet. Nil-safe.
 func (s *Sampler) AdvanceTo(now vtime.Time) {

@@ -49,7 +49,7 @@ func (s Snapshot) WriteText(w io.Writer) {
 	if len(s.Counters) > 0 {
 		fmt.Fprintln(w, "counters:")
 		for i, c := range s.Counters {
-			fmt.Fprintf(w, "  %-*s %12d%s\n", nameW, counterIDs[i], c.Value, vol(c.Volatile))
+			fmt.Fprintf(w, "  %-*s %12d\n", nameW, counterIDs[i], c.Value)
 		}
 	}
 	if len(s.Gauges) > 0 {

@@ -14,9 +14,8 @@ func textFixture() (*Registry, *Sampler) {
 	reg.Counter("ops_total", Labels{Server: "fs1"}).Inc()
 	s.AdvanceTo(60 * time.Millisecond)
 	reg.Counter("ops_total", Labels{Server: "fs1"}).Add(2)
-	reg.VolatileCounter("scratch_total", Labels{}).Inc()
 	reg.Gauge("inflight", Labels{}).Set(3)
-	reg.VolatileGauge("pool_size", Labels{}).Set(7)
+	reg.SetGauges([]GaugePoint{{Name: "pool_size", Value: 7, Volatile: true}})
 	reg.Histogram("latency", Labels{Server: "fs1", Op: "Read"}).Record(vtime.Time(2560 * time.Microsecond))
 	reg.Timeline("server_up", Labels{Host: "fs1"}).Mark(100*time.Millisecond, 0)
 	s.AdvanceTo(120 * time.Millisecond)
@@ -31,7 +30,7 @@ func TestWriteTextRendersEveryKind(t *testing.T) {
 	for _, want := range []string{
 		"counters:",
 		`ops_total{server="fs1"}`,
-		"scratch_total",
+		"pool_size",
 		"(volatile)",
 		"gauges:",
 		"inflight",
@@ -56,7 +55,7 @@ func TestWriteDiffsPerTickDeltas(t *testing.T) {
 	var sb strings.Builder
 	WriteDiffs(&sb, s.Samples())
 	out := sb.String()
-	// First tick saw one increment, second the +2 and the volatile +1.
+	// First tick saw one increment, second the +2.
 	for _, want := range []string{
 		`t=50.00 ms`,
 		`ops_total{server="fs1"} +1`,

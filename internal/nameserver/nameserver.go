@@ -57,27 +57,6 @@ func Start(host *kernel.Host) (*Server, error) {
 // PID returns the server's process identifier.
 func (s *Server) PID() kernel.PID { return s.proc.PID() }
 
-// Proc returns the server process.
-func (s *Server) Proc() *kernel.Process { return s.proc }
-
-// Size returns the number of registered names.
-func (s *Server) Size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.table)
-}
-
-// Entries returns a sorted snapshot of the table (experiment support).
-func (s *Server) Entries() map[string]Binding {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]Binding, len(s.table))
-	for k, v := range s.table {
-		out[k] = v
-	}
-	return out
-}
-
 func (s *Server) serve(msg *proto.Message) *proto.Message {
 	switch msg.Op {
 	case proto.OpNSRegister:

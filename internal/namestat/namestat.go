@@ -15,8 +15,8 @@
 //   - Rates, per-name event-driven EWMA estimators over virtual time:
 //     resolution, redefinition and renewal rates (Hz), invalidation
 //     fan-out, and the widest observed stale window. The map is bounded;
-//     once full, estimators for new names are dropped and counted, so
-//     the cost stays O(bound) regardless of population.
+//     once full, events for new names are dropped, so the cost stays
+//     O(bound) regardless of population.
 //
 // Both are observers in the PROTOCOL.md §15 sense: observing charges no
 // virtual time and is nil-safe, so record sites need no presence
@@ -43,11 +43,10 @@ import (
 // keeps the sketch's evolution independent of storage order — is always
 // heap[0]. Observe allocates nothing.
 type TopK struct {
-	mu    sync.Mutex
-	slot  map[string]int32 // name → index into ents
-	ents  []topEntry       // at most cap(ents) = k, never reordered
-	heap  []int32          // ents indices, min (count, name) first
-	total uint64
+	mu   sync.Mutex
+	slot map[string]int32 // name → index into ents
+	ents []topEntry       // at most cap(ents) = k, never reordered
+	heap []int32          // ents indices, min (count, name) first
 }
 
 type topEntry struct {
@@ -84,7 +83,6 @@ func (t *TopK) Observe(name string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.total++
 	if i, ok := t.slot[name]; ok {
 		t.ents[i].count++
 		t.down(int(t.ents[i].at))
@@ -152,26 +150,6 @@ func (t *TopK) down(i int) {
 	}
 }
 
-// Total returns the number of observations ever made.
-func (t *TopK) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Len returns the number of names currently tracked.
-func (t *TopK) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ents)
-}
-
 // Snapshot returns the sketch sorted by count descending, ties by name
 // ascending — a deterministic ranking.
 func (t *TopK) Snapshot() []Item {
@@ -202,10 +180,9 @@ const DefaultRateBound = 64
 
 // Rates holds per-name EWMA estimators. All methods are nil-safe.
 type Rates struct {
-	mu      sync.Mutex
-	bound   int
-	names   map[string]*rateEntry
-	dropped uint64
+	mu    sync.Mutex
+	bound int
+	names map[string]*rateEntry
 }
 
 type rateEntry struct {
@@ -260,7 +237,6 @@ func (r *Rates) entry(name string) *rateEntry {
 		return e
 	}
 	if len(r.names) >= r.bound {
-		r.dropped++
 		return nil
 	}
 	e := &rateEntry{}
@@ -349,29 +325,6 @@ func (r *Rates) RedefRateHz(name string) float64 {
 	return 0
 }
 
-// Redefinitions returns how many redefinitions of name were observed.
-func (r *Rates) Redefinitions(name string) uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.names[name]; ok {
-		return e.redef.count
-	}
-	return 0
-}
-
-// Dropped returns the number of events dropped at the cardinality bound.
-func (r *Rates) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
 // RateItem is the published estimator state for one name. Rates are in
 // milli-Hz so they survive the registry's integer gauges exactly.
 type RateItem struct {
@@ -448,7 +401,7 @@ func Publish(reg *metrics.Registry, server string, top *TopK, rates *Rates) {
 		gauge("namestat_invalidation_fanout_milli", it.Name, it.FanoutMilli)
 		gauge("namestat_max_stale_us", it.Name, it.MaxStaleUS)
 	}
-	// One registration for the lot: a VolatileGauge call apiece copies
-	// the registry's gauge table once per new gauge.
+	// One registration for the lot: a Gauge call apiece would copy the
+	// registry's gauge table once per new gauge.
 	reg.SetGauges(points)
 }

@@ -42,9 +42,6 @@ func TestResolve10e5ZeroAlloc(t *testing.T) {
 		if _, ok := tr.Get(q); !ok {
 			t.Fatalf("miss on %q", q)
 		}
-		if _, _, ok := tr.LongestPrefix(q); !ok {
-			t.Fatalf("LPM miss on %q", q)
-		}
 		i++
 	})
 	if allocs != 0 {
@@ -71,7 +68,7 @@ func BenchmarkResolve10e5(b *testing.B) {
 
 // BenchmarkResolveFlatMap10e5 is the wall-clock baseline: the flat
 // map[string]V hit path the servers used before the radix index. It
-// answers exact-match only — no longest-prefix, no ordered walk, and
+// answers exact-match only — no ordered walk — and
 // every snapshot (Bindings, sortedNames) was a full O(n) copy on top.
 func BenchmarkResolveFlatMap10e5(b *testing.B) {
 	names, probes := population(100_000)

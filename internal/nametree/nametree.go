@@ -14,10 +14,6 @@
 //     and a pointer descent over immutable nodes) and zero-allocation,
 //     so a server team's workers and a client's classifier probes never
 //     contend with writers or with each other.
-//   - LongestPrefix finds the longest registered prefix of a key in
-//     O(depth) — the descendant-design lookup (upspin-style
-//     tree-structured directories) a flat map cannot answer without
-//     probing every prefix length.
 //   - Walk iterates a consistent snapshot in lexicographic key order
 //     with no lock held, which is what lets directory fabrication,
 //     table snapshots and Bindings() run off the immutable tree instead
@@ -146,30 +142,6 @@ func (t *Tree[V]) GetSteps(key string) (v V, ok bool, steps int) {
 		n = c
 		steps++
 	}
-}
-
-// LongestPrefix returns the longest key in the tree that is a prefix of
-// query, as the length of the matched prefix (query[:n]), its value,
-// and whether any prefix matched. Like Get it is lock-free and
-// zero-allocation.
-func (t *Tree[V]) LongestPrefix(query string) (n int, v V, ok bool) {
-	cur := t.root.Load()
-	consumed := 0
-	if cur.hasVal {
-		n, v, ok = 0, cur.val, true
-	}
-	for consumed < len(query) {
-		c := cur.child(query[consumed])
-		if c == nil || !strings.HasPrefix(query[consumed:], c.label()) {
-			break
-		}
-		consumed += int(c.split)
-		cur = c
-		if cur.hasVal {
-			n, v, ok = consumed, cur.val, true
-		}
-	}
-	return n, v, ok
 }
 
 // Insert stores v under key, replacing any existing value. It reports

@@ -63,15 +63,6 @@ func walkKeys[V any](tr *Tree[V]) (keys []string) {
 // model is the naive reference: a plain map plus a sort on demand.
 type model map[string]int
 
-func (m model) longestPrefix(q string) (int, int, bool) {
-	for n := len(q); n >= 0; n-- {
-		if v, ok := m[q[:n]]; ok {
-			return n, v, true
-		}
-	}
-	return 0, 0, false
-}
-
 func (m model) sortedKeys() []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -96,8 +87,7 @@ func genKey(r *rand.Rand) string {
 
 // TestPropertyVsModel drives the same randomized insert/delete/lookup
 // stream through the tree and the naive sorted-map reference and
-// requires exact agreement: membership, values, longest-prefix match,
-// walk order, and the Len/KeyBytes counters.
+// requires exact agreement: membership, values, walk order, and the Len/KeyBytes counters.
 func TestPropertyVsModel(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	tr := New[int]()
@@ -121,17 +111,12 @@ func TestPropertyVsModel(t *testing.T) {
 			}
 			delete(ref, key)
 			checkTree(t, tr)
-		default: // lookup + LPM on a fresh query
+		default: // lookup on a fresh query
 			q := genKey(r)
 			got, ok := tr.Get(q)
 			want, wantOK := ref[q]
 			if ok != wantOK || (ok && got != want) {
 				t.Fatalf("step %d: Get(%q) = (%d,%v), model (%d,%v)", step, q, got, ok, want, wantOK)
-			}
-			n, v, ok := tr.LongestPrefix(q)
-			wn, wv, wok := ref.longestPrefix(q)
-			if n != wn || ok != wok || (ok && v != wv) {
-				t.Fatalf("step %d: LongestPrefix(%q) = (%d,%d,%v), model (%d,%d,%v)", step, q, n, v, ok, wn, wv, wok)
 			}
 		}
 		if tr.Len() != len(ref) {
@@ -227,7 +212,6 @@ func TestConcurrentReaders(t *testing.T) {
 					t.Errorf("Get(%q) observed torn value %d", q, v)
 					return
 				}
-				tr.LongestPrefix(q)
 			}
 		}(int64(g))
 	}
@@ -448,8 +432,8 @@ func TestReverseFirstMatchesSortedScan(t *testing.T) {
 					t.Fatalf("model says %q is the smallest name of %d, a sorted scan %q", smallest(k), k, firsts[k])
 				}
 				first(k, firsts[k])
-				if rev.Count(k) != len(ref[k]) {
-					t.Fatalf("Count(%d) = %d, want %d", k, rev.Count(k), len(ref[k]))
+				if int(rev.m[k].n) != len(ref[k]) {
+					t.Fatalf("Count(%d) = %d, want %d", k, int(rev.m[k].n), len(ref[k]))
 				}
 			}
 		}
@@ -459,8 +443,8 @@ func TestReverseFirstMatchesSortedScan(t *testing.T) {
 	}
 	for k := -1; k <= keys; k++ {
 		first(k, "")
-		if rev.Count(k) != 0 {
-			t.Fatalf("Count(%d) = %d after every name left", k, rev.Count(k))
+		if int(rev.m[k].n) != 0 {
+			t.Fatalf("Count(%d) = %d after every name left", k, int(rev.m[k].n))
 		}
 	}
 }
@@ -474,9 +458,6 @@ func TestEmptyKey(t *testing.T) {
 	tr.Insert("", "root")
 	if v, ok := tr.Get(""); !ok || v != "root" {
 		t.Fatalf("Get(\"\") = (%q,%v)", v, ok)
-	}
-	if n, v, ok := tr.LongestPrefix("anything"); !ok || n != 0 || v != "root" {
-		t.Fatalf("LongestPrefix = (%d,%q,%v), want (0,root,true)", n, v, ok)
 	}
 	if !tr.Delete("") || tr.Len() != 0 {
 		t.Fatal("Delete(\"\") failed")
@@ -519,7 +500,7 @@ func TestReverseEdges(t *testing.T) {
 	unbind("a")
 	unbind("e")
 	first("", false)
-	if r.Count(7) != 0 {
+	if int(r.m[7].n) != 0 {
 		t.Fatal("key not drained")
 	}
 	bind("z") // a drained key's first name is its smallest, known

@@ -81,6 +81,3 @@ func (r *Reverse[K, V]) First(k K) (string, bool) {
 	}
 	return e.min, true
 }
-
-// Count returns how many names are bound to k.
-func (r *Reverse[K, V]) Count(k K) int { return int(r.m[k].n) }

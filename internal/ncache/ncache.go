@@ -28,7 +28,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lease"
 	"repro/internal/metrics"
-	"repro/internal/namestat"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 )
@@ -66,10 +65,6 @@ type Tier struct {
 	holders *lease.Holders
 	fwds    atomic.Uint64
 	series  metrics.Handles[*metrics.Counter] // fwds in the registry
-
-	// topk is the tier's always-on hot-name sketch (PROTOCOL.md §15):
-	// which prefixes this tier is actually absorbing load for.
-	topk *namestat.TopK
 }
 
 // Start spawns a cache tier on host, fronting the upstream prefix
@@ -87,7 +82,6 @@ func Start(host *kernel.Host, name string, upstream kernel.PID, leaseLen time.Du
 		leaseLen: leaseLen,
 		cache:    lease.NewCache(meter),
 		holders:  lease.NewHolders(meter),
-		topk:     namestat.NewTopK(32),
 	}
 	// An upstream invalidation propagates to the tier's own holders —
 	// waiting for every reachable one — before it is acknowledged.
@@ -130,12 +124,6 @@ func (t *Tier) Stats() Stats {
 		Propagated:    st[lease.Notified],
 		Forwards:      t.fwds.Load(),
 	}
-}
-
-// TopNames returns the tier's hot-name sketch: the prefixes this tier
-// has served the most lease requests for, by estimated count.
-func (t *Tier) TopNames() []namestat.Item {
-	return t.topk.Snapshot()
 }
 
 // serveOne handles one request: lease-flagged bare-prefix MapContexts
@@ -181,7 +169,6 @@ func (t *Tier) leaseWanted(msg *proto.Message) (pfx, bare string, cb kernel.PID,
 func (t *Tier) serveLease(p *kernel.Process, msg *proto.Message, pfx, bare string, cb kernel.PID) *proto.Message {
 	p.ChargeCompute(p.Kernel().Model().PrefixRewriteCost)
 	now := p.Now()
-	t.topk.Observe(pfx)
 	e, state := t.cache.Lookup(p, pfx, now)
 	var reply *proto.Message
 	switch {

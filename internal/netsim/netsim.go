@@ -376,11 +376,6 @@ func (n *Network) Multicast(a HostID, bytes int, at vtime.Time) time.Duration {
 	return d
 }
 
-// InPartition reports the partition group of h.
-func (n *Network) InPartition(h HostID) int {
-	return (*n.parts.Load())[h]
-}
-
 // PacketsFor reports how many packets a payload of `bytes` fragments
 // into given the model's per-packet data limit — the accounting the
 // trace invariant checker verifies wire spans against.

@@ -181,8 +181,10 @@ func TestPipeRemove(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("remove = %v, %v", reply, err)
 	}
-	if s.Count() != 0 {
-		t.Fatal("pipe survived removal")
+	q := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(q, uint32(core.CtxDefault), "gone")
+	if reply, err := wProc.Send(q, s.PID()); err != nil || reply.Op != proto.ReplyNotFound {
+		t.Fatalf("pipe survived removal: query = %v, %v", reply, err)
 	}
 }
 

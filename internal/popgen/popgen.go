@@ -169,11 +169,6 @@ func (s *Sampler) NextRank() int {
 	return sort.SearchFloat64s(s.pop.cum, u)
 }
 
-// Next draws the next name.
-func (s *Sampler) Next() string {
-	return s.pop.Names[s.NextRank()]
-}
-
 // Arrivals builds an open-loop arrival schedule: count absolute virtual
 // arrival times starting at start, with mean inter-arrival gap `mean`.
 // Gaps are uniformly jittered around the mean (gap = mean/2 + U[0,

@@ -104,11 +104,3 @@ func (s *Server) TunedLease(name string) time.Duration {
 	}
 	return s.tuner.min
 }
-
-// AutoTuneBounds returns the tuner's [min, max] (zeros when off).
-func (s *Server) AutoTuneBounds() (min, max time.Duration) {
-	if s.tuner == nil {
-		return 0, 0
-	}
-	return s.tuner.min, s.tuner.max
-}

@@ -62,14 +62,13 @@ func TestAutoTunerSharpDecrease(t *testing.T) {
 	}
 }
 
-// TestAutoTunerBoundsAndFallback: bounds are exposed, max is clamped to
-// min, and a tuner-less server reports its fixed length.
+// TestAutoTunerBoundsAndFallback: max is clamped to min, and a
+// tuner-less server reports its fixed length.
 func TestAutoTunerBoundsAndFallback(t *testing.T) {
 	s := &Server{}
 	WithLeaseAutoTune(80*time.Millisecond, 20*time.Millisecond)(s)
-	min, max := s.AutoTuneBounds()
-	if min != 80*time.Millisecond || max != 80*time.Millisecond {
-		t.Fatalf("bounds = [%v, %v], want clamped [80ms, 80ms]", min, max)
+	if s.tuner.min != 80*time.Millisecond || s.tuner.max != 80*time.Millisecond {
+		t.Fatalf("bounds = [%v, %v], want clamped [80ms, 80ms]", s.tuner.min, s.tuner.max)
 	}
 
 	fixed := &Server{}
@@ -77,8 +76,8 @@ func TestAutoTunerBoundsAndFallback(t *testing.T) {
 	if got := fixed.TunedLease("[x]"); got != 50*time.Millisecond {
 		t.Fatalf("fixed TunedLease = %v, want 50ms", got)
 	}
-	if a, b := fixed.AutoTuneBounds(); a != 0 || b != 0 {
-		t.Fatalf("fixed AutoTuneBounds = [%v, %v], want zeros", a, b)
+	if fixed.tuner != nil {
+		t.Fatal("a fixed lease installed a tuner")
 	}
 	if s.tuner.leaseFor("[a]", nil) != 80*time.Millisecond {
 		t.Fatalf("nil rates should still grant the current lease")

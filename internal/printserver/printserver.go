@@ -40,8 +40,7 @@ type Server struct {
 	*core.Flat[job]
 
 	// Guarded by Mu, like the jobs.
-	queue   []uint32 // queued job ids in submission order
-	printed [][]byte // completed output, oldest first
+	queue []uint32 // queued job ids in submission order
 	// pageTime is the simulated print speed applied when the queue
 	// advances.
 	pageTime time.Duration
@@ -66,24 +65,6 @@ func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
 	return s, nil
 }
 
-// QueueLength returns the number of jobs not yet done.
-func (s *Server) QueueLength() int {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	return len(s.queue)
-}
-
-// Printed returns the payloads printed so far.
-func (s *Server) Printed() [][]byte {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	out := make([][]byte, len(s.printed))
-	for i, p := range s.printed {
-		out[i] = append([]byte(nil), p...)
-	}
-	return out
-}
-
 // AdvanceQueue simulates the printer finishing the job at the head of the
 // queue, charging print time to the server clock. It returns the name of
 // the finished job, or "" if the queue is empty.
@@ -105,7 +86,6 @@ func (s *Server) AdvanceQueue() string {
 	}
 	s.Proc().ChargeCompute(time.Duration(pages) * s.pageTime)
 	j.state = stateDone
-	s.printed = append(s.printed, j.data)
 	if len(s.queue) > 0 {
 		if head := s.Get(s.queue[0]); head != nil {
 			head.state = statePrinting

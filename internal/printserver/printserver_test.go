@@ -49,15 +49,38 @@ func submit(t *testing.T, client *kernel.Process, s *Server, name string, data [
 	}
 }
 
+// queue lists the queue context: the jobs waiting to print, in order.
+func queue(t *testing.T, client *kernel.Process, s *Server) []proto.Descriptor {
+	t.Helper()
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), "")
+	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
+	reply, err := client.Send(req, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("open dir = %v, %v", reply, err)
+	}
+	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	defer f.Close()
+	raw, err := f.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := proto.DecodeDescriptors(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
+
 func TestSubmitQueuesOnRelease(t *testing.T) {
 	s, client := startRig(t)
 	submit(t, client, s, "a.ps", []byte("A"))
-	if s.QueueLength() != 1 {
-		t.Fatalf("queue = %d", s.QueueLength())
+	if n := len(queue(t, client, s)); n != 1 {
+		t.Fatalf("queue = %d", n)
 	}
 	submit(t, client, s, "b.ps", []byte("B"))
-	if s.QueueLength() != 2 {
-		t.Fatalf("queue = %d", s.QueueLength())
+	if n := len(queue(t, client, s)); n != 2 {
+		t.Fatalf("queue = %d", n)
 	}
 }
 
@@ -89,10 +112,6 @@ func TestFIFOOrderAndStates(t *testing.T) {
 	if s.AdvanceQueue() != "" {
 		t.Fatal("empty queue should return empty name")
 	}
-	printed := s.Printed()
-	if len(printed) != 2 || string(printed[0]) != "1" || string(printed[1]) != "2" {
-		t.Fatalf("printed = %q", printed)
-	}
 }
 
 func TestPrintedNameUnboundAfterCompletion(t *testing.T) {
@@ -117,8 +136,8 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("cancel = %v, %v", reply, err)
 	}
-	if s.QueueLength() != 1 {
-		t.Fatalf("queue = %d", s.QueueLength())
+	if n := len(queue(t, client, s)); n != 1 {
+		t.Fatalf("queue = %d", n)
 	}
 	if name := s.AdvanceQueue(); name != "b.ps" {
 		t.Fatalf("printed %q", name)
@@ -161,8 +180,8 @@ func TestDuplicateJobName(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("reply = %v, %v", reply, err)
 	}
-	if s.QueueLength() != 1 {
-		t.Fatalf("queue = %d", s.QueueLength())
+	if n := len(queue(t, client, s)); n != 1 {
+		t.Fatalf("queue = %d", n)
 	}
 }
 
@@ -171,21 +190,9 @@ func TestQueueDirectoryPositions(t *testing.T) {
 	for _, n := range []string{"a.ps", "b.ps", "c.ps"} {
 		submit(t, client, s, n, []byte(n))
 	}
-	req := &proto.Message{Op: proto.OpCreateInstance}
-	proto.SetCSName(req, uint32(core.CtxDefault), "")
-	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
-	reply, err := client.Send(req, s.PID())
-	if err != nil || reply.Op != proto.ReplyOK {
-		t.Fatalf("open dir = %v, %v", reply, err)
-	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
-	raw, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, err := proto.DecodeDescriptors(raw)
-	if err != nil || len(records) != 3 {
-		t.Fatalf("records = %v, %v", records, err)
+	records := queue(t, client, s)
+	if len(records) != 3 {
+		t.Fatalf("records = %v", records)
 	}
 	for i, r := range records {
 		if int(r.TypeSpecific[0]) != i+1 {
@@ -206,7 +213,7 @@ func TestAdvanceChargesPrintTime(t *testing.T) {
 
 // TestCancelledSpoolingJobLeavesNoGhost cancels a job while it is still
 // open for writing: releasing the instance afterwards must not queue the
-// dead id, which would count in QueueLength, make the next AdvanceQueue
+// dead id, which would list in the queue, make the next AdvanceQueue
 // report an empty queue and keep the live job from ever printing.
 func TestCancelledSpoolingJobLeavesNoGhost(t *testing.T) {
 	s, client := startRig(t)
@@ -229,12 +236,12 @@ func TestCancelledSpoolingJobLeavesNoGhost(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.QueueLength(); n != 0 {
+	if n := len(queue(t, client, s)); n != 0 {
 		t.Fatalf("queue after cancelled spool = %d, want 0", n)
 	}
 
 	submit(t, client, s, "live.ps", []byte("L"))
-	if n := s.QueueLength(); n != 1 {
+	if n := len(queue(t, client, s)); n != 1 {
 		t.Fatalf("queue = %d, want 1", n)
 	}
 	q := &proto.Message{Op: proto.OpQueryObject}

@@ -60,7 +60,11 @@ func TestTeamStressPrintServer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := s.QueueLength(); got != clients*jobs {
+	lister, err := k.NewHost("lister").NewProcess("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(queue(t, lister, s)); got != clients*jobs {
 		t.Fatalf("queue = %d, want %d", got, clients*jobs)
 	}
 }

@@ -42,7 +42,7 @@ func TestTraceInvariantsPrintServer(t *testing.T) {
 			t.Fatalf("job %d close: %v", j, err)
 		}
 	}
-	if got := s.QueueLength(); got != jobs {
+	if got := len(queue(t, proc, s)); got != jobs {
 		t.Fatalf("queue = %d, want %d", got, jobs)
 	}
 

@@ -149,9 +149,6 @@ func SetLeaderHint(m *Message, pid uint32) { m.F[1] = pid }
 // the replier knew no live leader.
 func LeaderHint(m *Message) uint32 { return m.F[1] }
 
-// IsReply reports whether c is a reply code.
-func (c Code) IsReply() bool { return c < 0x0100 }
-
 // IsCSNameOp reports whether c is a request that carries a CSname and so
 // follows the standard CSname field conventions.
 func (c Code) IsCSNameOp() bool {

@@ -227,9 +227,17 @@ func TestIsCSNameOp(t *testing.T) {
 	}
 }
 
+// TestIsReply pins the code space: replies below 0x0100, requests from it.
 func TestIsReply(t *testing.T) {
-	if !ReplyNotFound.IsReply() || OpEcho.IsReply() {
-		t.Fatal("IsReply misclassifies codes")
+	for _, c := range []Code{ReplyOK, ReplyNotFound, ReplyNotLeader} {
+		if c >= 0x0100 {
+			t.Errorf("reply %v is in the request range", c)
+		}
+	}
+	for _, c := range []Code{OpMapContext, OpEcho, OpCreateInstance} {
+		if c < 0x0100 {
+			t.Errorf("request %v is in the reply range", c)
+		}
 	}
 }
 

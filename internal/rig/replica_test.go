@@ -24,7 +24,7 @@ func replicaRetryPolicy() client.RetryPolicy {
 }
 
 func TestReplicatedBoot(t *testing.T) {
-	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
 	host, pid := r.FSR.Group.Leader()
 	if host != "fs1" || pid != r.FSR.Members[0].Rep.PID() {
 		t.Fatalf("bootstrap leader = %s/%v, want fs1 slot 0", host, pid)
@@ -65,7 +65,7 @@ func TestReplicatedBoot(t *testing.T) {
 // the failed-over leader.
 func TestReplicatedFailoverInFlight(t *testing.T) {
 	policy := replicaRetryPolicy()
-	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
 		Requests: 60, FlushEvery: 10, Faults: []chaos.Event{
 			{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
 			{At: 400 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
@@ -124,7 +124,7 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 func replicatedScenario(t *testing.T) (events []string, statuses []replica.Status, failed int) {
 	t.Helper()
 	policy := replicaRetryPolicy()
-	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
 		Requests: 80, FlushEvery: 10, Faults: []chaos.Event{
 			{At: 50 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
 			{At: 300 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
@@ -176,7 +176,7 @@ func TestBootedRigOwnsNoGoroutine(t *testing.T) {
 		// Earlier tests' goroutines may still be winding down, so fewer
 		// is fine; the parent's rigs added 13, 49 and 22.
 		before := runtime.NumGoroutine()
-		r := MustNew(c.cfg)
+		r := mustNew(t, c.cfg)
 		if after := runtime.NumGoroutine(); after > before {
 			t.Errorf("%s: %d goroutines after boot, %d before", c.name, after, before)
 		}
@@ -198,7 +198,7 @@ func TestBootedRigOwnsNoGoroutine(t *testing.T) {
 // NewGroup requires the schedule never to take down.)
 func TestReplicatedPrefixMemberRejoins(t *testing.T) {
 	policy := replicaRetryPolicy()
-	r := MustNew(Config{Users: []string{"mann", "cheriton"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+	r := mustNew(t, Config{Users: []string{"mann", "cheriton"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
 		Requests: 40, FlushEvery: 10, Faults: []chaos.Event{
 			{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "ws-cheriton"},
 			{At: 250 * time.Millisecond, Action: chaos.Restart, Host: "ws-cheriton"},

@@ -67,15 +67,6 @@ func New(cfg Config) (*Rig, error) {
 	return cfg.Boot()
 }
 
-// MustNew is New for tests and examples where a boot failure is fatal.
-func MustNew(cfg Config) *Rig {
-	r, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // checkPaper fills in the default users.
 func (sc *Scenario) checkPaper() error {
 	if len(sc.Users) == 0 {

@@ -61,7 +61,7 @@ func TestBootIsDeterministic(t *testing.T) {
 			t.Fatalf("boot %d: /bin object ids %v, first boot's %v", i, got, first)
 		}
 	}
-	r := MustNew(Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
 	for _, m := range r.FSR.Members {
 		if got := binIDs(m.FS); got != first {
 			t.Fatalf("member %s: /bin object ids %v, single server's %v", m.Name, got, first)
@@ -537,15 +537,15 @@ func TestTerminalLifecycle(t *testing.T) {
 	if len(records) != 1 || records[0].Tag != proto.TagTerminal {
 		t.Fatalf("terminal listing = %+v", records)
 	}
-	screen, err := r.WS[0].Term.Screen(records[0].Name)
+	screen, err := s.ReadFile("[tty]" + records[0].Name)
 	if err != nil || string(screen) != "hello, workstation\n" {
 		t.Fatalf("screen = %q, %v", screen, err)
 	}
 	if err := s.Remove("[tty]" + records[0].Name); err != nil {
 		t.Fatal(err)
 	}
-	if r.WS[0].Term.Count() != 0 {
-		t.Fatal("terminal not destroyed")
+	if records, err := s.List("[tty]"); err != nil || len(records) != 0 {
+		t.Fatalf("terminal not destroyed: %+v, %v", records, err)
 	}
 }
 
@@ -578,15 +578,14 @@ func TestPrintQueue(t *testing.T) {
 	if err := s.Remove("[print]slides.ps"); err != nil {
 		t.Fatal(err)
 	}
-	if r.Print.QueueLength() != 1 {
-		t.Fatalf("queue length = %d", r.Print.QueueLength())
+	if records, err := s.List("[print]"); err != nil || len(records) != 1 {
+		t.Fatalf("queue after cancel = %+v, %v", records, err)
 	}
 	if name := r.Print.AdvanceQueue(); name != "paper.ps" {
 		t.Fatalf("printed %q", name)
 	}
-	printed := r.Print.Printed()
-	if len(printed) != 1 || string(printed[0]) != "PS:paper.ps" {
-		t.Fatalf("printed = %q", printed)
+	if records, err := s.List("[print]"); err != nil || len(records) != 0 {
+		t.Fatalf("queue after printing = %+v, %v", records, err)
 	}
 }
 
@@ -638,9 +637,8 @@ func TestMailboxes(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := r.Mail.MessageCount("cheriton@su-score.ARPA")
-	if err != nil || n != 1 {
-		t.Fatalf("messages = %d, %v", n, err)
+	if d, err := s.Query("[mail]cheriton@su-score.ARPA"); err != nil || d.TypeSpecific[0] != 1 {
+		t.Fatalf("messages = %d, %v", d.TypeSpecific[0], err)
 	}
 	// Read it back through the protocol.
 	got, err := s.ReadFile("[mail]cheriton@su-score.ARPA")
@@ -695,8 +693,8 @@ func TestExecProgram(t *testing.T) {
 	if err := s.Remove("[exec]" + progName); err != nil {
 		t.Fatal(err)
 	}
-	if ws.Exec.Running() != 0 {
-		t.Fatal("program still running")
+	if records, err := s.List("[exec]"); err != nil || len(records) != 0 {
+		t.Fatalf("program still running: %+v, %v", records, err)
 	}
 }
 
@@ -1179,8 +1177,19 @@ func TestGroupOpenLeaksAtLosers(t *testing.T) {
 	if _, err := s.Query("[storage2]/bin/hello"); err != nil {
 		t.Fatal(err)
 	}
-	// One orphaned instance remains at the loser.
-	total := r.FS1.OpenInstances() + r.FS2.OpenInstances()
+	// One orphaned instance remains at the loser: probe every instance id
+	// either server can have handed out so far.
+	open := func(server kernel.PID) (n int) {
+		for id := 1; id < 256; id++ {
+			q := &proto.Message{Op: proto.OpQueryInstance}
+			q.F[0] = uint32(id)
+			if reply, err := s.Proc().Send(q, server); err == nil && reply.Op == proto.ReplyOK {
+				n++
+			}
+		}
+		return n
+	}
+	total := open(r.FS1.PID()) + open(r.FS2.PID())
 	if total != 1 {
 		t.Fatalf("open instances after group open+release = %d, want exactly the loser's orphan", total)
 	}
@@ -1289,7 +1298,7 @@ func TestLinkErrors(t *testing.T) {
 func TestNewIsBoot(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Baseline = true
-	a := MustNew(cfg)
+	a := mustNew(t, cfg)
 	b, err := cfg.Boot()
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,11 @@ func TestTeamStressTermServer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := s.Count(); got != clients {
+	lister, err := host.NewProcess("lister")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(terminals(t, lister, s)); got != clients {
 		t.Fatalf("terminals = %d, want %d", got, clients)
 	}
 }

@@ -53,20 +53,6 @@ func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
 	return s, nil
 }
 
-// Screen returns a copy of the named terminal's screen contents (test and
-// example support).
-func (s *Server) Screen(name string) ([]byte, error) {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	t, err := s.Named(name)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]byte(nil), t.screen...), nil
-}
-
 func describe(t *terminal) proto.Descriptor {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -1,6 +1,7 @@
 package termserver
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -42,21 +43,48 @@ func open(t *testing.T, client *kernel.Process, s *Server, name string, mode uin
 	return vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
 }
 
+// terminals lists the server's directory: one record per terminal.
+func terminals(t *testing.T, client *kernel.Process, s *Server) []proto.Descriptor {
+	t.Helper()
+	dir := open(t, client, s, "", proto.ModeRead|proto.ModeDirectory)
+	defer dir.Close()
+	raw, err := dir.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := proto.DecodeDescriptors(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
+
+// screen reads the named terminal's screen through an instance of it.
+func screen(client *kernel.Process, s *Server, name string) ([]byte, error) {
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), name)
+	proto.SetOpenMode(req, proto.ModeRead)
+	reply, err := client.Send(req, s.PID())
+	if err != nil {
+		return nil, err
+	}
+	if err := proto.ReplyError(reply.Op); err != nil {
+		return nil, err
+	}
+	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	defer f.Close()
+	return f.ReadAll()
+}
+
 func TestCreateTerminalNamesFromInstanceID(t *testing.T) {
 	s, client := startRig(t)
 	f1 := open(t, client, s, CreateName, proto.ModeRead|proto.ModeWrite|proto.ModeCreate)
 	f2 := open(t, client, s, CreateName, proto.ModeRead|proto.ModeWrite|proto.ModeCreate)
 	defer f1.Close()
 	defer f2.Close()
-	if s.Count() != 2 {
-		t.Fatalf("terminals = %d", s.Count())
-	}
 	// §4.3: names derive from server-generated numeric identifiers.
-	if _, err := s.Screen("vgt1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Screen("vgt2"); err != nil {
-		t.Fatal(err)
+	if ts := terminals(t, client, s); len(ts) != 2 || ts[0].Name != "vgt1" || ts[1].Name != "vgt2" {
+		t.Fatalf("terminals = %+v", ts)
 	}
 }
 
@@ -70,9 +98,9 @@ func TestWriteAppendsToScreen(t *testing.T) {
 	if _, err := f.Write([]byte("line two\n")); err != nil {
 		t.Fatal(err)
 	}
-	screen, err := s.Screen("vgt1")
-	if err != nil || string(screen) != "line one\nline two\n" {
-		t.Fatalf("screen = %q, %v", screen, err)
+	got, err := screen(client, s, "vgt1")
+	if err != nil || string(got) != "line one\nline two\n" {
+		t.Fatalf("screen = %q, %v", got, err)
 	}
 }
 
@@ -126,8 +154,8 @@ func TestQueryAndRemove(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("remove = %v, %v", reply, err)
 	}
-	if s.Count() != 0 {
-		t.Fatal("terminal survived removal")
+	if ts := terminals(t, client, s); len(ts) != 0 {
+		t.Fatalf("terminal survived removal: %+v", ts)
 	}
 }
 
@@ -136,14 +164,9 @@ func TestDirectoryListsTerminalsSorted(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		open(t, client, s, CreateName, proto.ModeCreate|proto.ModeWrite)
 	}
-	dir := open(t, client, s, "", proto.ModeRead|proto.ModeDirectory)
-	raw, err := dir.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, err := proto.DecodeDescriptors(raw)
-	if err != nil || len(records) != 3 {
-		t.Fatalf("records = %v, %v", records, err)
+	records := terminals(t, client, s)
+	if len(records) != 3 {
+		t.Fatalf("records = %v", records)
 	}
 	for i, want := range []string{"vgt1", "vgt2", "vgt3"} {
 		if records[i].Name != want {
@@ -153,9 +176,9 @@ func TestDirectoryListsTerminalsSorted(t *testing.T) {
 }
 
 func TestScreenOfUnknownTerminal(t *testing.T) {
-	s, _ := startRig(t)
-	if _, err := s.Screen("vgt9"); err == nil {
-		t.Fatal("expected error")
+	s, client := startRig(t)
+	if _, err := screen(client, s, "vgt9"); !errors.Is(err, proto.ErrNotFound) {
+		t.Fatalf("err = %v, want not found", err)
 	}
 }
 
@@ -174,12 +197,13 @@ func TestRefusedBindIsAnErrorReply(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyDuplicateName {
 		t.Fatalf("reply = %v, %v; want DuplicateName", reply, err)
 	}
-	if s.Count() != 0 {
-		t.Fatalf("refused create left %d terminal(s)", s.Count())
+	// The refused create leaves no terminal in the table.
+	if ts := terminals(t, client, s); len(ts) != 0 {
+		t.Fatalf("refused create left %+v", ts)
 	}
 	f := open(t, client, s, CreateName, proto.ModeRead|proto.ModeWrite|proto.ModeCreate)
 	defer f.Close()
-	if _, err := s.Screen("vgt2"); err != nil {
+	if _, err := screen(client, s, "vgt2"); err != nil {
 		t.Fatalf("next terminal should be vgt2: %v", err)
 	}
 }

@@ -11,11 +11,7 @@ import (
 // leaseSpan records one KindLease span ("<event> <name>") with a stamp,
 // the shape the client cache, prefix server, and ncache tier emit.
 func leaseSpan(tr *Tracer, name string, start, grant, expire vtime.Time) SpanID {
-	id := tr.Event(0, KindLease, Name{Head: name}, start, ProcID{}, "")
-	if grant != 0 || expire != 0 {
-		tr.SetLease(id, grant, expire)
-	}
-	return id
+	return tr.Lease(0, Name{Head: name}, start, ProcID{}, grant, expire)
 }
 
 // TestCheckLeaseInvariantClean feeds the checker a protocol-clean lease

@@ -3,15 +3,14 @@ package trace
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"time"
 )
 
-// SampleConfig selects sampled-tracing mode (PROTOCOL.md §15). The full
-// tracer is O(ops) memory, which caps it near 10⁴ operations; a sampled
-// tracer retains O(ops/HeadEvery + anomalies) complete span subtrees and
-// discards the rest as their operations finish, so population-scale
-// workloads (10⁶ names, §14) can run traced.
+// SampleConfig selects what a tracer retains (PROTOCOL.md §15). Keeping
+// every span is O(ops) memory, which caps it near 10⁴ operations; a
+// sampled tracer retains O(ops/HeadEvery + anomalies) complete span
+// subtrees and discards the rest as their operations finish, so
+// population-scale workloads (10⁶ names, §14) can run traced.
 //
 // Two rules compose:
 //
@@ -32,22 +31,11 @@ import (
 // invariant checker runs unchanged on a sampled trace.
 type SampleConfig struct {
 	// HeadEvery retains every n-th root per process; values < 1 mean 1
-	// (retain everything, tail rules moot).
+	// (retain everything, tail rules moot, frame log kept).
 	HeadEvery int
 	// SlowOver, when > 0, always retains roots at least this long.
 	SlowOver time.Duration
 }
-
-// NewSampled returns a tracer in sampled mode.
-func NewSampled(cfg SampleConfig) *Tracer {
-	if cfg.HeadEvery < 1 {
-		cfg.HeadEvery = 1
-	}
-	return &Tracer{s: &sampleState{cfg: cfg, seenByProc: make(map[uint32]*uint64)}}
-}
-
-// Sampled reports whether the tracer is in sampled mode.
-func (t *Tracer) Sampled() bool { return t != nil && t.s != nil }
 
 // openSpan is a span of a still-open subtree: the record with its name
 // unrendered.
@@ -67,48 +55,34 @@ type subtree struct {
 	anomaly  bool
 }
 
-// sampleState is the sampled-mode storage: spans of open subtrees live
-// in their root's slab; finished subtrees either move to retained (names
-// rendered then, and only then) or vanish.
-type sampleState struct {
-	cfg           SampleConfig
-	nextID        SpanID
-	open          openSet
-	free          []*subtree
-	seenByProc    map[uint32]*uint64 // roots started, by PID (domain-unique)
-	retained      spanStore
-	rootsSeen     uint64
-	rootsRetained uint64
-}
-
-// start allocates a span in sampled mode. Caller holds t.mu.
-func (s *sampleState) start(parent SpanID, kind Kind, name Name, at int64, who ProcID) *Span {
-	s.nextID++
-	st, _ := s.open.find(parent)
+// start opens a span; the pointer is good until the next start. A span
+// whose parent is 0 or already retired starts a subtree of its own, so
+// retained trees stay complete. Caller holds t.mu.
+func (t *Tracer) start(parent SpanID, kind Kind, name Name, at int64, who ProcID) *Span {
+	t.nextID++
+	st, _ := t.open.find(parent)
 	if st == nil {
-		// A new root — or a span whose parent already retired, which
-		// starts a subtree of its own so retained trees stay complete.
 		parent = 0
-		s.rootsSeen++
-		seen := s.seenByProc[who.PID]
+		t.rootsSeen++
+		seen := t.seenByProc[who.PID]
 		if seen == nil {
 			seen = new(uint64)
-			s.seenByProc[who.PID] = seen
+			t.seenByProc[who.PID] = seen
 		}
 		*seen++
-		if last := len(s.free) - 1; last >= 0 {
-			st, s.free = s.free[last], s.free[:last]
+		if last := len(t.free) - 1; last >= 0 {
+			st, t.free = t.free[last], t.free[:last]
 		} else {
 			st = &subtree{}
 		}
 		// A recycled slab's stale records are overwritten before they
 		// are read; until then they pin only strings callers hold anyway.
-		*st = subtree{spans: st.spans, at: len(s.open.live), headKeep: (*seen-1)%uint64(s.cfg.HeadEvery) == 0}
-		s.open.live = append(s.open.live, st)
+		*st = subtree{spans: st.spans, at: len(t.open.live), headKeep: (*seen-1)%uint64(t.cfg.HeadEvery) == 0}
+		t.open.live = append(t.open.live, st)
 	}
 	st.spans = append(st.spans, openSpan{
 		Span: Span{
-			ID:     s.nextID,
+			ID:     t.nextID,
 			Parent: parent,
 			Kind:   kind,
 			Proc:   who.Name,
@@ -120,23 +94,24 @@ func (s *sampleState) start(parent SpanID, kind Kind, name Name, at int64, who P
 	})
 	st.open++
 	i := len(st.spans) - 1
-	s.open.n++
-	s.open.recent[s.nextID%recentSpans] = spanSlot{st, int32(i)}
+	t.open.n++
+	t.open.recent[t.nextID%recentSpans] = spanSlot{st, int32(i)}
 	return &st.spans[i].Span
 }
 
 // span returns the addressable span with the given id: one of a
-// still-open subtree, or nil.
-func (s *sampleState) span(id SpanID) *Span {
-	if st, i := s.open.find(id); st != nil {
+// still-open subtree, or nil — annotations on retired spans are dropped.
+// Caller holds t.mu.
+func (t *Tracer) span(id SpanID) *Span {
+	if st, i := t.open.find(id); st != nil {
 		return &st.spans[i].Span
 	}
 	return nil
 }
 
-// fail ends a span in sampled mode. Caller holds t.mu.
-func (s *sampleState) fail(id SpanID, at int64, class string) {
-	st, i := s.open.find(id)
+// fail ends a span. Caller holds t.mu.
+func (t *Tracer) fail(id SpanID, at int64, class string) {
+	st, i := t.open.find(id)
 	if st == nil {
 		return
 	}
@@ -152,29 +127,29 @@ func (s *sampleState) fail(id SpanID, at int64, class string) {
 	}
 	st.open--
 	if st.open == 0 {
-		s.finish(st)
+		t.finish(st)
 	}
 }
 
 // finish retires a drained subtree: retained in full or dropped whole.
 // Caller holds t.mu.
-func (s *sampleState) finish(st *subtree) {
+func (t *Tracer) finish(st *subtree) {
 	root := &st.spans[0]
-	slow := s.cfg.SlowOver > 0 && time.Duration(root.End-root.Start) >= s.cfg.SlowOver
+	slow := t.cfg.SlowOver > 0 && time.Duration(root.End-root.Start) >= t.cfg.SlowOver
 	if st.headKeep || st.anomaly || slow {
 		for i := range st.spans {
-			st.spans[i].renderInto(s.retained.next())
+			st.spans[i].renderInto(t.retained.next())
 		}
-		s.rootsRetained++
+		t.rootsRetained++
 	}
-	o := &s.open
+	o := &t.open
 	o.n -= len(st.spans)
 	last := len(o.live) - 1
 	o.live[st.at], o.live[last].at = o.live[last], st.at
 	o.live = o.live[:last]
 	// Emptied here, not at reuse: it is what makes a recent entry stale.
 	st.spans = st.spans[:0]
-	s.free = append(s.free, st)
+	t.free = append(t.free, st)
 }
 
 // renderInto writes the span as it is exported, its name rendered.
@@ -203,26 +178,6 @@ func (r *spanStore) next() *Span {
 	}
 	r.n++
 	return &r.chunks[(r.n-1)/retainChunk][(r.n-1)%retainChunk]
-}
-
-// snapshot copies retained spans in id order, then any still-open
-// subtree members (marked Incomplete) so a mid-run dump is honest.
-// Caller holds t.mu.
-func (s *sampleState) snapshot() []Span {
-	out := make([]Span, 0, s.retained.n+s.open.n)
-	for i, c := range s.retained.chunks {
-		out = append(out, c[:min(retainChunk, s.retained.n-i*retainChunk)]...)
-	}
-	for _, st := range s.open.live {
-		for i := range st.spans {
-			out = out[:len(out)+1]
-			sp := &out[len(out)-1]
-			st.spans[i].renderInto(sp)
-			sp.Incomplete = !sp.ended
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // openSet finds the spans of open subtrees by id. recent says where the
@@ -261,23 +216,22 @@ func (o *openSet) find(id SpanID) (*subtree, int) {
 	return nil, 0
 }
 
-// RootsSeen returns how many root spans the sampled tracer observed
-// (0 in full mode, where Len covers the question).
+// RootsSeen returns how many root spans the tracer observed.
 func (t *Tracer) RootsSeen() uint64 {
-	if t == nil || t.s == nil {
+	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.s.rootsSeen
+	return t.rootsSeen
 }
 
-// RootsRetained returns how many root subtrees the sampled tracer kept.
+// RootsRetained returns how many root subtrees the tracer kept.
 func (t *Tracer) RootsRetained() uint64 {
-	if t == nil || t.s == nil {
+	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.s.rootsRetained
+	return t.rootsRetained
 }

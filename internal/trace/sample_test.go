@@ -27,11 +27,15 @@ func oneOp(t *Tracer, proc string, start, dur vtime.Time, class string) SpanID {
 	return root
 }
 
+// held is how many spans the tracer holds: retained, or in open subtrees.
+func held(tr *Tracer) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.retained.n + tr.open.n
+}
+
 func TestSampledHeadSampling(t *testing.T) {
 	tr := NewSampled(SampleConfig{HeadEvery: 4})
-	if !tr.Sampled() {
-		t.Fatalf("Sampled() = false")
-	}
 	at := vtime.Time(0)
 	for i := 0; i < 10; i++ {
 		oneOp(tr, "ws-a", at, time.Millisecond, "")
@@ -110,21 +114,27 @@ func TestSampledMemoryBounded(t *testing.T) {
 		oneOp(tr, "ws-a", vtime.Time(i)*time.Millisecond, 100*time.Microsecond, "")
 	}
 	// 10 head-retained roots × 4 spans; nothing else lingers.
-	if got := tr.Len(); got != 40 {
+	if got := held(tr); got != 40 {
 		t.Fatalf("Len = %d, want 40 — discarded subtrees still resident", got)
 	}
 	// Every subtree retired: the index is empty and one recycled slab
 	// served all thousand roots.
-	if tr.s.open.n != 0 || len(tr.s.free) != 1 {
-		t.Fatalf("open-subtree storage not drained: %d indexed spans, %d slabs", tr.s.open.n, len(tr.s.free))
+	if tr.open.n != 0 || len(tr.free) != 1 {
+		t.Fatalf("open-subtree storage not drained: %d indexed spans, %d slabs", tr.open.n, len(tr.free))
 	}
 }
 
+// TestSampledDropsFrames: the frame log is O(packets), so only a tracer
+// that retains every root keeps it.
 func TestSampledDropsFrames(t *testing.T) {
-	tr := NewSampled(SampleConfig{HeadEvery: 1})
-	tr.RecordFrame(netsim.FrameEvent{Bytes: 64})
-	if got := tr.Frames(); len(got) != 0 {
-		t.Fatalf("sampled tracer recorded %d frames", len(got))
+	for _, c := range []struct {
+		tr   *Tracer
+		want int
+	}{{New(), 1}, {NewSampled(SampleConfig{}), 1}, {NewSampled(SampleConfig{HeadEvery: 2}), 0}} {
+		c.tr.RecordFrame(netsim.FrameEvent{Bytes: 64})
+		if got := len(c.tr.Frames()); got != c.want {
+			t.Fatalf("HeadEvery %d kept %d frames, want %d", c.tr.cfg.HeadEvery, got, c.want)
+		}
 	}
 }
 
@@ -133,13 +143,37 @@ func TestSampledAnnotationsAfterRetireAreNoOps(t *testing.T) {
 	root := oneOp(tr, "ws-a", 0, time.Millisecond, "")
 	// The subtree is retired; late annotations must not panic or mutate.
 	tr.SetGroup(root)
-	tr.SetLease(root, 0, time.Second)
-	tr.SetTransfer(root, 999)
 	tr.Fail(root, 2*time.Second, "late")
 	for _, sp := range tr.Snapshot() {
-		if sp.ID == root && (sp.Bytes == 999 || sp.Err == "late") {
+		if sp.ID == root && (sp.Group || sp.Err == "late") {
 			t.Fatalf("retired span mutated: %+v", sp)
 		}
+	}
+}
+
+// TestFullModeUnchanged: New is the store retaining every root, so it
+// keeps every span of every operation, in id order, and the frame log.
+func TestFullModeUnchanged(t *testing.T) {
+	tr := New()
+	var ids []SpanID
+	for i := 0; i < 3; i++ {
+		ids = append(ids, oneOp(tr, "ws-a", vtime.Time(i)*time.Millisecond, time.Millisecond, ""))
+	}
+	spans := tr.Snapshot()
+	if held(tr) != 12 || len(spans) != 12 || tr.RootsRetained() != 3 {
+		t.Fatalf("Len %d, %d spans, %d roots kept; want 12, 12, 3", held(tr), len(spans), tr.RootsRetained())
+	}
+	for i, sp := range spans {
+		if sp.ID != SpanID(i+1) {
+			t.Fatalf("span %d has id %d", i, sp.ID)
+		}
+	}
+	if ids[2] != 9 {
+		t.Fatalf("third root is span %d, want 9", ids[2])
+	}
+	tr.RecordFrame(netsim.FrameEvent{Bytes: 64})
+	if len(tr.Frames()) != 1 {
+		t.Fatalf("full tracer dropped a frame")
 	}
 }
 
@@ -152,21 +186,6 @@ func TestSampledCheckPasses(t *testing.T) {
 	// containment invariants hold without special-casing.
 	if err := Check(tr.Snapshot(), CheckOptions{}); err != nil {
 		t.Fatalf("Check on sampled trace: %v", err)
-	}
-}
-
-func TestFullModeUnchanged(t *testing.T) {
-	tr := New()
-	if tr.Sampled() {
-		t.Fatalf("full tracer claims sampled mode")
-	}
-	id := oneOp(tr, "ws-a", 0, time.Millisecond, "")
-	if tr.Len() != 4 || id == 0 {
-		t.Fatalf("full mode Len = %d", tr.Len())
-	}
-	tr.RecordFrame(netsim.FrameEvent{Bytes: 64})
-	if len(tr.Frames()) != 1 {
-		t.Fatalf("full mode dropped a frame")
 	}
 }
 
@@ -224,8 +243,7 @@ func TestSampledDroppedRootZeroAlloc(t *testing.T) {
 		send := tr.StartName(root, KindSend, Name{Head: "MapContext", Sep: " -> ", Render: pid, Arg: srv.PID}, at, cl)
 		tr.Wire(send, "request", at, 100*time.Microsecond, 64, netsim.HopDetail{Packets: 1}, false, false)
 		serve := tr.Start(send, KindServe, "MapContext", at, srv)
-		lease := tr.Event(serve, KindLease, Name{Head: "grant", Sep: " ", Tail: "[home]notes"}, at, srv, "")
-		tr.SetLease(lease, at, at+time.Second)
+		tr.Lease(serve, Name{Head: "grant", Sep: " ", Tail: "[home]notes"}, at, srv, at, at+time.Second)
 		reply := tr.StartName(serve, KindReply, Name{Head: "OK", Sep: " -> ", Render: pid, Arg: cl.PID}, at, srv)
 		tr.Wire(reply, "reply", at, 100*time.Microsecond, 64, netsim.HopDetail{Packets: 1}, false, false)
 		tr.End(reply, at)
@@ -234,7 +252,7 @@ func TestSampledDroppedRootZeroAlloc(t *testing.T) {
 		tr.End(root, at)
 	}
 	op() // the first root of a process is always kept
-	kept, names := tr.Len(), rendered
+	kept, names := held(tr), rendered
 	if kept != 7 || names != 2 {
 		t.Fatalf("head-kept root: %d spans, %d names rendered, want 7 and 2", kept, names)
 	}
@@ -242,7 +260,7 @@ func TestSampledDroppedRootZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
 		t.Fatalf("a dropped subtree allocates %.1f times, want 0", allocs)
 	}
-	if tr.Len() != kept || rendered != names {
-		t.Fatalf("dropped subtrees left %d spans and rendered %d names", tr.Len()-kept, rendered-names)
+	if held(tr) != kept || rendered != names {
+		t.Fatalf("dropped subtrees left %d spans and rendered %d names", held(tr)-kept, rendered-names)
 	}
 }

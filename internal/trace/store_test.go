@@ -127,8 +127,8 @@ func TestSampledStoreMatchesAppendStore(t *testing.T) {
 		if got, want := tr.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: snapshots differ (%d spans, oracle %d)", when, len(got), len(want))
 		}
-		if tr.Len() != len(ref.snapshot()) || tr.RootsRetained() != ref.rootsRetained || tr.RootsSeen() != ref.rootsSeen {
-			t.Fatalf("%s: Len %d RootsRetained %d RootsSeen %d, oracle %d %d %d", when, tr.Len(),
+		if held(tr) != len(ref.snapshot()) || tr.RootsRetained() != ref.rootsRetained || tr.RootsSeen() != ref.rootsSeen {
+			t.Fatalf("%s: Len %d RootsRetained %d RootsSeen %d, oracle %d %d %d", when, held(tr),
 				tr.RootsRetained(), tr.RootsSeen(), len(ref.snapshot()), ref.rootsRetained, ref.rootsSeen)
 		}
 	}
@@ -151,14 +151,14 @@ func TestSampledStoreMatchesAppendStore(t *testing.T) {
 		case 2: // late words about a retired span are dropped
 			if len(retired) > 0 {
 				id := retired[next(len(retired))]
-				tr.SetTransfer(id, 9)
+				tr.SetGroup(id)
 				fail(id, "late")
 			}
 		case 3:
 			at += int64(50 * time.Millisecond) // a slow root
 		}
-		tr.SetTransfer(ids[len(ids)-1], root)
-		ref.span(ids[len(ids)-1]).Bytes = root
+		tr.SetGroup(ids[len(ids)-1])
+		ref.span(ids[len(ids)-1]).Group = true
 		for i := len(ids) - 1; i >= 0; i-- {
 			class := ""
 			if next(60) == 0 {

@@ -20,6 +20,7 @@ package trace
 
 import (
 	"encoding/json"
+	"sort"
 	"sync"
 	"time"
 
@@ -68,8 +69,8 @@ const (
 	KindGetPid Kind = "getpid"
 	// KindServerExit is a zero-length event recording why a serving
 	// team stopped: "process-dead" for a clean destroy, "host-down"
-	// for a crash (the classification Server.Err carries, made
-	// distinguishable from the trace alone).
+	// for a crash (the classification the receptionist's Err carries,
+	// made distinguishable from the trace alone).
 	KindServerExit Kind = "server-exit"
 	// KindLease is a lease-protocol event (PROTOCOL.md §13): named
 	// "grant [p]", "renew [p]", "hit [p]", "negative-hit [p]",
@@ -129,7 +130,7 @@ type Span struct {
 	// Err is the failure classification; empty means success.
 	Err string `json:"err,omitempty"`
 	// Bytes/Packets/Retrans/Queue carry the network cost detail of
-	// wire spans (and of spans annotated with a transfer).
+	// wire spans.
 	Bytes   int   `json:"bytes,omitempty"`
 	Packets int   `json:"packets,omitempty"`
 	Retrans int   `json:"retrans,omitempty"`
@@ -170,18 +171,34 @@ type Frame struct {
 
 // Tracer records spans and wire frames. All methods are safe for
 // concurrent use and all are no-ops on a nil receiver.
+//
+// Spans of an open root live in that root's subtree until its last span
+// ends; the subtree is then retained in full or dropped whole, as the
+// tracer's SampleConfig says (sample.go). A tracer that retains every
+// root (HeadEvery 1) also keeps the frame log.
 type Tracer struct {
-	mu     sync.Mutex
-	spans  []*Span
-	frames []Frame
-
-	// s non-nil selects sampled mode (sample.go): bounded retention
-	// instead of the O(ops) span slice.
-	s *sampleState
+	mu            sync.Mutex
+	cfg           SampleConfig
+	nextID        SpanID
+	open          openSet
+	free          []*subtree
+	seenByProc    map[uint32]*uint64 // roots started, by PID (domain-unique)
+	retained      spanStore
+	rootsSeen     uint64
+	rootsRetained uint64
+	frames        []Frame
 }
 
-// New returns an empty tracer in full-retention mode.
-func New() *Tracer { return &Tracer{} }
+// New returns an empty tracer that retains every root and the frame log.
+func New() *Tracer { return NewSampled(SampleConfig{HeadEvery: 1}) }
+
+// NewSampled returns an empty tracer retaining what cfg selects.
+func NewSampled(cfg SampleConfig) *Tracer {
+	if cfg.HeadEvery < 1 {
+		cfg.HeadEvery = 1
+	}
+	return &Tracer{cfg: cfg, seenByProc: make(map[uint32]*uint64)}
+}
 
 // Start opens a span named by a plain string and returns its id.
 // parent 0 makes it a root.
@@ -200,26 +217,6 @@ func (t *Tracer) StartName(parent SpanID, kind Kind, name Name, at vtime.Time, w
 	return t.start(parent, kind, name, int64(at), who).ID
 }
 
-// start opens a span; the pointer is good until the next start. Caller
-// holds t.mu.
-func (t *Tracer) start(parent SpanID, kind Kind, name Name, at int64, who ProcID) *Span {
-	if t.s != nil {
-		return t.s.start(parent, kind, name, at, who)
-	}
-	sp := &Span{
-		ID:     SpanID(len(t.spans) + 1),
-		Parent: parent,
-		Kind:   kind,
-		Name:   name.String(),
-		Proc:   who.Name,
-		PID:    who.PID,
-		Host:   who.Host,
-		Start:  at,
-	}
-	t.spans = append(t.spans, sp)
-	return sp
-}
-
 // End closes a span at the given virtual time.
 func (t *Tracer) End(id SpanID, at vtime.Time) { t.Fail(id, at, "") }
 
@@ -232,21 +229,6 @@ func (t *Tracer) Fail(id SpanID, at vtime.Time, class string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.fail(id, int64(at), class)
-}
-
-// fail closes a span. Caller holds t.mu.
-func (t *Tracer) fail(id SpanID, at int64, class string) {
-	if t.s != nil {
-		t.s.fail(id, at, class)
-		return
-	}
-	sp := t.span(id)
-	if sp == nil || sp.ended {
-		return
-	}
-	sp.End = at
-	sp.Err = class
-	sp.ended = true
 }
 
 // Event records a zero-length span (server exits, annotations).
@@ -292,58 +274,34 @@ func (t *Tracer) SetGroup(id SpanID) {
 	}
 }
 
-// SetLease annotates a span with a lease stamp: grant time and absolute
-// expiry (virtual nanoseconds).
-func (t *Tracer) SetLease(id SpanID, grant, expire vtime.Time) {
-	if t == nil || id == 0 {
-		return
+// Lease records a zero-length lease-protocol event (KindLease) stamped
+// with its lease: grant time and absolute expiry, both zero for an event
+// that carries none. The stamp is written before the span ends, so it
+// is kept even when ending the span retires its subtree at once.
+func (t *Tracer) Lease(parent SpanID, name Name, at vtime.Time, who ProcID, grant, expire vtime.Time) SpanID {
+	if t == nil {
+		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if sp := t.span(id); sp != nil {
-		sp.LeaseGrant = int64(grant)
-		sp.LeaseExpire = int64(expire)
-	}
-}
-
-// SetTransfer annotates a span with the bytes it carried.
-func (t *Tracer) SetTransfer(id SpanID, bytes int) {
-	if t == nil || id == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if sp := t.span(id); sp != nil {
-		sp.Bytes = bytes
-	}
-}
-
-// span returns the span with the given id. Caller holds t.mu. In
-// sampled mode only spans of still-open subtrees are addressable;
-// annotations on retired spans are dropped.
-func (t *Tracer) span(id SpanID) *Span {
-	if t.s != nil {
-		return t.s.span(id)
-	}
-	if id == 0 || int(id) > len(t.spans) {
-		return nil
-	}
-	return t.spans[id-1]
+	sp := t.start(parent, KindLease, name, int64(at), who)
+	sp.LeaseGrant = int64(grant)
+	sp.LeaseExpire = int64(expire)
+	id := sp.ID // ending the span may retire its subtree and recycle sp
+	t.fail(id, int64(at), "")
+	return id
 }
 
 // RecordFrame implements netsim.FrameRecorder: every frame the network
-// carries is appended to the trace's wire record.
+// carries is appended to the trace's wire record. Only a tracer that
+// retains every root keeps the log: it is O(packets), exactly the growth
+// sampling exists to avoid.
 func (t *Tracer) RecordFrame(ev netsim.FrameEvent) {
-	if t == nil {
+	if t == nil || t.cfg.HeadEvery != 1 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.s != nil {
-		// Sampled mode keeps no per-frame record: the frame log is
-		// O(packets), exactly the growth sampling exists to avoid.
-		return
-	}
 	t.frames = append(t.frames, Frame{
 		Src:     uint16(ev.Src),
 		Dst:     uint16(ev.Dst),
@@ -357,37 +315,28 @@ func (t *Tracer) RecordFrame(ev netsim.FrameEvent) {
 	})
 }
 
-// Len returns the number of recorded spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.s != nil {
-		return t.s.retained.n + t.s.open.n
-	}
-	return len(t.spans)
-}
-
-// Snapshot returns a copy of the recorded spans in id order. Spans not
-// yet ended are marked Incomplete.
+// Snapshot returns a copy of the recorded spans in id order: the
+// retained ones, then every span of a still-open subtree, those not yet
+// ended marked Incomplete, so a mid-run dump is honest.
 func (t *Tracer) Snapshot() []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.s != nil {
-		return t.s.snapshot()
+	out := make([]Span, 0, t.retained.n+t.open.n)
+	for i, c := range t.retained.chunks {
+		out = append(out, c[:min(retainChunk, t.retained.n-i*retainChunk)]...)
 	}
-	out := make([]Span, len(t.spans))
-	for i, sp := range t.spans {
-		out[i] = *sp
-		if !sp.ended {
-			out[i].Incomplete = true
+	for _, st := range t.open.live {
+		for i := range st.spans {
+			out = out[:len(out)+1]
+			sp := &out[len(out)-1]
+			st.spans[i].renderInto(sp)
+			sp.Incomplete = !sp.ended
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

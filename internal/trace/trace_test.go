@@ -35,9 +35,9 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.End(1, 0)
 	tr.Fail(1, 0, "error")
 	tr.SetGroup(1)
-	tr.SetTransfer(1, 10)
+	tr.Lease(0, Name{}, 0, who, 1, 2)
 	tr.RecordFrame(netsim.FrameEvent{})
-	if tr.Len() != 0 || tr.Snapshot() != nil || tr.Frames() != nil {
+	if tr.Snapshot() != nil || tr.Frames() != nil {
 		t.Fatal("nil tracer recorded something")
 	}
 }
@@ -248,7 +248,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Version != 1 || len(doc.Spans) != tr.Len() || len(doc.Frames) != 1 {
+	if doc.Version != 1 || len(doc.Spans) != len(tr.Snapshot()) || len(doc.Frames) != 1 {
 		t.Fatalf("round trip lost data: %+v", doc)
 	}
 }
@@ -283,12 +283,11 @@ func TestNameRendersAsConcatenation(t *testing.T) {
 			t.Errorf("%+v renders %q, want %q", c.name, got, c.want)
 		}
 	}
-	// Both modes render the same name for the same parts.
-	for _, tr := range []*Tracer{New(), NewSampled(SampleConfig{})} {
-		id := tr.StartName(0, KindHandoff, Name{Head: "handoff", Sep: " -> ", Tail: "w"}, 0, ProcID{})
-		tr.End(id, 1)
-		if got := tr.Snapshot()[0].Name; got != "handoff -> w" {
-			t.Errorf("sampled=%v: span named %q", tr.Sampled(), got)
-		}
+	// A kept span renders the same name from the parts.
+	tr := New()
+	id := tr.StartName(0, KindHandoff, Name{Head: "handoff", Sep: " -> ", Tail: "w"}, 0, ProcID{})
+	tr.End(id, 1)
+	if got := tr.Snapshot()[0].Name; got != "handoff -> w" {
+		t.Errorf("span named %q", got)
 	}
 }

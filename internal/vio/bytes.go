@@ -25,11 +25,6 @@ type BytesInstance struct {
 // BytesOption configures a BytesInstance.
 type BytesOption func(*BytesInstance)
 
-// WithBlockSize overrides the default block size.
-func WithBlockSize(bs uint32) BytesOption {
-	return func(b *BytesInstance) { b.blockSize = bs }
-}
-
 // Writable enables writes that grow/mutate the in-memory data.
 func Writable() BytesOption {
 	return func(b *BytesInstance) { b.flags |= proto.ModeWrite }
@@ -116,15 +111,6 @@ func (b *BytesInstance) Release() error {
 		return b.released()
 	}
 	return nil
-}
-
-// Bytes returns a copy of the current data.
-func (b *BytesInstance) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]byte, len(b.data))
-	copy(out, b.data)
-	return out
 }
 
 // NewDirectoryInstance serves a context directory: a read-only stream of

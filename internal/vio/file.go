@@ -31,9 +31,6 @@ func NewFile(proc *kernel.Process, server kernel.PID, info proto.InstanceInfo) *
 	return &File{proc: proc, server: server, info: info}
 }
 
-// Info returns the instance parameters from open time.
-func (f *File) Info() proto.InstanceInfo { return f.info }
-
 // Server returns the pid of the server implementing the instance.
 func (f *File) Server() kernel.PID { return f.server }
 

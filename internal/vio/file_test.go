@@ -143,8 +143,8 @@ func TestFileReadWriteSeekQuery(t *testing.T) {
 	r := newFileRig(t)
 	inst := NewBytesInstance(pattern(1300), Writable())
 	f := r.open(t, inst, "[storage]/users/mann/f")
-	if f.Server() != r.server.PID() || f.Info().SizeBytes != 1300 {
-		t.Fatalf("Server = %v, Info = %+v", f.Server(), f.Info())
+	if f.Server() != r.server.PID() || f.info.SizeBytes != 1300 {
+		t.Fatalf("Server = %v, Info = %+v", f.Server(), f.info)
 	}
 
 	// A read smaller than a block leaves the position mid-block; the next
@@ -175,7 +175,7 @@ func TestFileReadWriteSeekQuery(t *testing.T) {
 	if n, err := f.Write(patch); n != 600 || err != nil {
 		t.Fatalf("Write = %d, %v", n, err)
 	}
-	if got := inst.Bytes(); len(got) != 1600 || !bytes.Equal(got[1000:], patch) || !bytes.Equal(got[:1000], pattern(1300)[:1000]) {
+	if got := inst.data; len(got) != 1600 || !bytes.Equal(got[1000:], patch) || !bytes.Equal(got[:1000], pattern(1300)[:1000]) {
 		t.Fatalf("after Write the object holds %d bytes", len(got))
 	}
 
@@ -204,7 +204,7 @@ func TestFileReadWriteSeekQuery(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if r.reg.Count() != 0 {
+	if len(r.reg.instances) != 0 {
 		t.Fatal("Close did not release the instance")
 	}
 }
@@ -398,7 +398,7 @@ func TestFileCloseReportsTornRecord(t *testing.T) {
 	if err := f.Close(); !errors.Is(err, proto.ErrBadArgs) {
 		t.Fatalf("Close = %v", err)
 	}
-	if r.reg.Count() != 0 {
+	if len(r.reg.instances) != 0 {
 		t.Fatal("a failed release left the instance open")
 	}
 }

@@ -114,13 +114,6 @@ func (r *Registry) Release(id uint16) error {
 	return s.inst.Release()
 }
 
-// Count returns the number of open instances.
-func (r *Registry) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.instances)
-}
-
 // HandleOp serves the generic instance operations (query, read, write,
 // release, instance-name) against the registry, returning nil for
 // operation codes it does not handle so the caller can try its own. p is

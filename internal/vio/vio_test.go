@@ -53,8 +53,8 @@ func TestRegistryCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Count() != 5 {
-		t.Fatalf("Count = %d", r.Count())
+	if len(r.instances) != 5 {
+		t.Fatalf("instances = %d", len(r.instances))
 	}
 }
 
@@ -94,7 +94,7 @@ func TestBytesInstanceWriteGrows(t *testing.T) {
 	if _, err := b.WriteAt(nil, 5, []byte("XY")); err != nil {
 		t.Fatal(err)
 	}
-	got := b.Bytes()
+	got := b.data
 	if len(got) != 7 || string(got[5:]) != "XY" {
 		t.Fatalf("Bytes = %q", got)
 	}
@@ -125,7 +125,7 @@ func TestBytesInstanceWriteSink(t *testing.T) {
 		t.Fatalf("sink got off=%d data=%q", gotOff, gotData)
 	}
 	// Snapshot unchanged.
-	if string(b.Bytes()) != "snapshot" {
+	if string(b.data) != "snapshot" {
 		t.Fatal("write sink must not mutate the snapshot")
 	}
 }
@@ -245,7 +245,9 @@ func TestDirectoryInstanceWithoutModifyIsReadOnly(t *testing.T) {
 
 func TestHandleOpQueryReadWriteRelease(t *testing.T) {
 	r, p := NewRegistry(), newFileRig(t).server
-	info, _ := r.Open(NewBytesInstance([]byte("0123456789"), Writable(), WithBlockSize(4)), "f")
+	inst := NewBytesInstance([]byte("0123456789"), Writable())
+	inst.blockSize = 4
+	info, _ := r.Open(inst, "f")
 	id := info.ID
 
 	q := &proto.Message{Op: proto.OpQueryInstance, F: [6]uint32{uint32(id)}}
@@ -278,7 +280,7 @@ func TestHandleOpQueryReadWriteRelease(t *testing.T) {
 	if reply = r.HandleOp(p, rel, kernel.NilPID); reply.Op != proto.ReplyOK {
 		t.Fatalf("release reply = %v", reply.Op)
 	}
-	if r.Count() != 0 {
+	if len(r.instances) != 0 {
 		t.Fatal("release did not remove instance")
 	}
 }

@@ -29,9 +29,9 @@ type Time = time.Duration
 //
 // The clock is lock-free: a process reads and advances its own clock on
 // every IPC primitive, so the hot path must not take a mutex. Advance
-// uses a single atomic add (the owner is the only advancer); Observe and
-// ObserveAndAdvance run a compare-and-swap max loop so concurrent
-// observers can never move the clock backwards.
+// uses a single atomic add (the owner is the only advancer); Observe runs
+// a compare-and-swap max loop so concurrent observers can never move the
+// clock backwards.
 type Clock struct {
 	now atomic.Int64
 }
@@ -61,25 +61,6 @@ func (c *Clock) Observe(t Time) Time {
 		}
 		if c.now.CompareAndSwap(cur, int64(t)) {
 			return t
-		}
-	}
-}
-
-// ObserveAndAdvance is Observe(t) followed by Advance(d) as one atomic
-// step, returning the resulting time.
-func (c *Clock) ObserveAndAdvance(t Time, d time.Duration) Time {
-	if d < 0 {
-		d = 0
-	}
-	for {
-		cur := c.now.Load()
-		next := cur
-		if int64(t) > next {
-			next = int64(t)
-		}
-		next += int64(d)
-		if c.now.CompareAndSwap(cur, next) {
-			return Time(next)
 		}
 	}
 }
@@ -266,14 +247,6 @@ func (m *CostModel) MinRemoteDelay() time.Duration {
 // between two processes on the same host.
 func (m *CostModel) LocalHop(n int) time.Duration {
 	return m.LocalHopFixed + time.Duration(n)*m.LocalByteTime
-}
-
-// Hop returns the one-way latency for n payload bytes, local or remote.
-func (m *CostModel) Hop(n int, sameHost bool) time.Duration {
-	if sameHost {
-		return m.LocalHop(n)
-	}
-	return m.RemoteHop(n)
 }
 
 // NameParse returns the cost of scanning n bytes of a CSname.

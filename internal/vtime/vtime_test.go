@@ -43,16 +43,18 @@ func TestClockObserve(t *testing.T) {
 	}
 }
 
+// TestClockObserveAndAdvance: a receive observes the arrival time, then
+// the handling is charged on top — max(now, arrival) + charge.
 func TestClockObserveAndAdvance(t *testing.T) {
 	var c Clock
 	c.Advance(2 * time.Millisecond)
-	got := c.ObserveAndAdvance(7*time.Millisecond, 1*time.Millisecond)
-	if got != 8*time.Millisecond {
-		t.Fatalf("ObserveAndAdvance = %v, want 8ms", got)
+	c.Observe(7 * time.Millisecond)
+	if got := c.Advance(1 * time.Millisecond); got != 8*time.Millisecond {
+		t.Fatalf("observe 7ms, advance 1ms = %v, want 8ms", got)
 	}
-	got = c.ObserveAndAdvance(3*time.Millisecond, 1*time.Millisecond)
-	if got != 9*time.Millisecond {
-		t.Fatalf("ObserveAndAdvance(earlier, 1ms) = %v, want 9ms", got)
+	c.Observe(3 * time.Millisecond)
+	if got := c.Advance(1 * time.Millisecond); got != 9*time.Millisecond {
+		t.Fatalf("observe an earlier 3ms, advance 1ms = %v, want 9ms", got)
 	}
 }
 
@@ -173,16 +175,6 @@ func TestLocalHopCheaperThanRemote(t *testing.T) {
 		if m.LocalHop(n) >= m.RemoteHop(n) {
 			t.Fatalf("local hop (%d bytes) should be cheaper than remote", n)
 		}
-	}
-}
-
-func TestHopSelectsLocality(t *testing.T) {
-	m := DefaultModel()
-	if m.Hop(32, true) != m.LocalHop(32) {
-		t.Fatal("Hop(same host) must equal LocalHop")
-	}
-	if m.Hop(32, false) != m.RemoteHop(32) {
-		t.Fatal("Hop(remote) must equal RemoteHop")
 	}
 }
 
