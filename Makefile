@@ -17,7 +17,7 @@ COVERAGE_FLOOR ?= 89.4
 # Every such function is reached by a program or deleted unless ROADMAP
 # item 9 says why it stays. Lower it when the count falls; never raise it
 # to make a regression pass.
-REACH_CEILING ?= 62
+REACH_CEILING ?= 50
 
 # The deterministic documents `vbench -<doc> FILE` exports, each pinned
 # byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
@@ -46,8 +46,9 @@ check: vet
 # served, so these rows may not depend on how many run at once. Two lanes
 # through one cache tier: no answer may share a message across lanes. The
 # kernel's group tests: a group transaction's clones complete into one
-# fan-in from whichever goroutine runs them.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/
+# fan-in from whichever goroutine runs them. A member re-created while its
+# group has no leader is synced after the next election.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestRejoinWhileLeaderless|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last two are the file path's: a block
 # read lands in the reader's buffer, and no block reads Info(). A
@@ -161,7 +162,6 @@ fmt:
 fuzz:
 	$(GO) test -fuzz 'FuzzMatchName' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz 'FuzzParse' -fuzztime $(FUZZTIME) ./internal/prefix/
-	$(GO) test -fuzz 'FuzzUnmarshal' -fuzztime $(FUZZTIME) ./internal/proto/
 	$(GO) test -fuzz 'FuzzDecodeDescriptors' -fuzztime $(FUZZTIME) ./internal/proto/
 	$(GO) test -fuzz 'FuzzDecodeDescriptor$$' -fuzztime $(FUZZTIME) ./internal/proto/
 	$(GO) test -fuzz 'FuzzCSName' -fuzztime $(FUZZTIME) ./internal/proto/
@@ -214,12 +214,13 @@ reach:
 # lines outside the nested benchmark module. Then the paper's own measure
 # of uniformity (§6: a prefix server was 4.5 KB of code): the lines each
 # small server adds beyond the protocol, and the shared protocol half.
-# Then the experiment harness, the largest package, and the two budgets
-# ROADMAP states: the rig (item 2) and the kernel (item 5).
+# Then the experiment harness, the largest package, the two budgets
+# ROADMAP states — the rig (item 2) and the kernel (item 5) — and the
+# replica layer (item 3).
 SERVER_PKGS = execserver inetserver mailserver pipeserver printserver termserver timeserver
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
-	@for p in $(SERVER_PKGS) experiments rig kernel; do \
+	@for p in $(SERVER_PKGS) experiments rig kernel replica; do \
 		printf "internal/%s %s\n" $$p $$(cat $$(find internal/$$p -name '*.go' -not -name '*_test.go') | wc -l); \
 	done
 	@printf "internal/core/flat.go %s\n" $$(wc -l < internal/core/flat.go)

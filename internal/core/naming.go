@@ -200,16 +200,12 @@ func Interpret(store ContextStore, proc *kernel.Process, name string, index int,
 	return interpret(new(Resolution), store, proc, name, index, ctx, true)
 }
 
-// InterpretBinding is Interpret for operations on the *binding* of the
-// final component rather than the entity it names (delete-context-name,
-// §5.7): a final component bound to a remote context resolves here, to
-// the local binding, instead of being forwarded to the remote server.
-func InterpretBinding(store ContextStore, proc *kernel.Process, name string, index int, ctx ContextID) (*Resolution, *Forward, error) {
-	return interpret(new(Resolution), store, proc, name, index, ctx, false)
-}
-
-// interpret is the procedure behind both: it overwrites res, the storage
-// of the Resolution it returns.
+// interpret is the procedure behind Interpret: it overwrites res, the
+// storage of the Resolution it returns. forwardFinal false is the variant
+// for operations on the *binding* of the final component rather than the
+// entity it names (delete-context-name, §5.7): a final component bound to
+// a remote context resolves here, to the local binding, instead of being
+// forwarded to the remote server.
 func interpret(res *Resolution, store ContextStore, proc *kernel.Process, name string, index int, ctx ContextID, forwardFinal bool) (*Resolution, *Forward, error) {
 	model := proc.Kernel().Model()
 	if index < 0 || index > len(name) {

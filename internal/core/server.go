@@ -243,7 +243,7 @@ func (s *Server) serveCSName(req *Request) *proto.Message {
 	}
 	// Deleting a context name operates on the binding itself; a final
 	// component that points into another server must not be forwarded
-	// there (§5.7, InterpretBinding).
+	// there (§5.7).
 	forwardFinal := req.Msg.Op != proto.OpDeleteContextName
 	res, fwd, err := interpret(&req.resolution, s.store, req.Proc(), name, index, ContextID(proto.CSNameContext(req.Msg)), forwardFinal)
 	if err != nil {

@@ -1,7 +1,7 @@
 package experiments
 
 // A15 reruns A14's chaos leg — the identical crash/restart schedule,
-// workload, pacing and seed — against the consensus-replicated rig
+// workload, pacing and seed — against the read-only replicated rig
 // (Config.Replicas = 3, PROTOCOL.md §11). In A14 the fs1 host IS the
 // fs1 service: the health report's availability is the service's. With
 // replication the host still takes both scheduled outages, but

@@ -1,29 +1,28 @@
 package fileserver
 
-// Replication adapter (ISSUE 6; PROTOCOL.md §11): a file server becomes a
-// replication-group member by fronting it with a ReplicaService. The front
-// is the pid clients talk to (the rig registers it as the storage
-// service); the member-local FileServer behind it keeps its normal serving
-// team and I/O path. The front routes on leadership:
+// Replication adapter (PROTOCOL.md §11): a file server becomes a member
+// of a read-only replication group by fronting it with a ReplicaService.
+// The front is the pid clients talk to (the rig registers it as the
+// storage service); the member-local FileServer behind it keeps its normal
+// serving team and I/O path. Every member's volume is seeded identically
+// at boot, and a re-created member takes the leader's by snapshot. The
+// front routes:
 //
-//   - name-space mutations (remove, rename, link, add/delete context
-//     name, modify) are proposed through the group log as wrapped
-//     messages and applied — via the local server's ordinary handler — on
-//     every member, so all volumes hold the same name-space structure and
-//     file contents;
+//   - a mutation — remove, rename, link, add/delete context name, modify,
+//     or an open with write, create, append or truncate mode — is refused
+//     with NoPermission on any member, before leadership is consulted,
+//     including one whose name leads out of the volume;
 //   - context mapping is proxied through the local server with the reply's
 //     server pid rewritten to the front, so cached context pairs keep
 //     naming the group;
 //   - everything else (opens, instance I/O setup, queries) is forwarded to
-//     the local server on the leader and redirected with a leader hint on
+//     the local server on the leader and to the leader's front on
 //     followers.
 //
-// Opens with ModeCreate/ModeTruncate mutate the leader's volume without a
-// log entry; a rejoining member picks them up from the leader's snapshot
-// (§11.5 notes the tradeoff). Descriptor mtimes are server-local virtual
-// times and may differ across members; the replicated invariant is the
-// name-space structure and file bytes, which the snapshot codec encodes
-// canonically (nodes and directory entries in sorted order).
+// Descriptor mtimes are server-local virtual times and may differ across
+// members; the replicated invariant is the name-space structure and file
+// bytes, which the snapshot codec encodes canonically (nodes and directory
+// entries in sorted order).
 
 import (
 	"encoding/binary"
@@ -228,27 +227,10 @@ func (fs *FileServer) restoreVolume(data []byte) error {
 	return nil
 }
 
-// --- replicated command codec ---
-
-// cmdMessage is the one log command kind: a client mutation wrapped
-// verbatim. (Boot seeding writes member volumes directly, not through the
-// log.)
-const cmdMessage byte = 1
-
-// CmdMessage wraps a protocol mutation as a log command; applying it runs
-// the message through the member-local server's ordinary handler.
-func CmdMessage(m *proto.Message) ([]byte, error) {
-	buf, err := m.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte{cmdMessage}, buf...), nil
-}
-
 // --- the replicated front ---
 
-// ReplicaService fronts a member-local FileServer as a replication-group
-// state machine (see the package note for the routing table).
+// ReplicaService fronts a member-local FileServer as a read-only
+// replication-group member (see the note above for the routing table).
 type ReplicaService struct {
 	fs *FileServer
 }
@@ -258,37 +240,24 @@ func NewReplicaService(fs *FileServer) *ReplicaService {
 	return &ReplicaService{fs: fs}
 }
 
-// replicatedMutation reports whether op changes the name space and so must
-// go through the group log.
-func replicatedMutation(op proto.Code) bool {
-	switch op {
+// mutation reports whether msg would change the volume.
+func mutation(msg *proto.Message) bool {
+	switch msg.Op {
 	case proto.OpRemoveObject, proto.OpRenameObject, proto.OpLinkObject,
 		proto.OpAddContextName, proto.OpDeleteContextName, proto.OpModifyObject:
 		return true
+	case proto.OpCreateInstance:
+		return proto.OpenMode(msg)&(proto.ModeWrite|proto.ModeCreate|proto.ModeAppend|proto.ModeTruncate) != 0
 	}
 	return false
 }
 
-// forwardsElsewhere reports whether the mutation's name resolves into
-// another server: such a mutation belongs to that server's state, not this
-// group's log, so the front hands it to the local server to forward on
-// (§5.4) instead of replicating it.
-func (rs *ReplicaService) forwardsElsewhere(p *kernel.Process, msg *proto.Message) bool {
-	name, _, err := proto.CSName(msg)
-	if err != nil {
-		return false
-	}
-	interp := core.Interpret
-	if msg.Op == proto.OpDeleteContextName {
-		interp = core.InterpretBinding
-	}
-	_, fwd, err := interp(rs.fs.vol, p, name, proto.CSNameIndex(msg), core.ContextID(proto.CSNameContext(msg)))
-	return err == nil && fwd != nil
-}
-
 // Serve implements replica.Service.
 func (rs *ReplicaService) Serve(p *kernel.Process, r *replica.Replica, msg *proto.Message, from kernel.PID) {
-	if !r.Leading() {
+	switch {
+	case mutation(msg):
+		_ = p.Reply(proto.NewReply(proto.ReplyNoPermission), from)
+	case !r.Leading():
 		// A follower keeps the service available by passing the whole
 		// transaction to the live leader's front (§5.4 forwarding); during
 		// a leaderless window the client gets the redirect and retries.
@@ -298,30 +267,8 @@ func (rs *ReplicaService) Serve(p *kernel.Process, r *replica.Replica, msg *prot
 			}
 		}
 		_ = p.Reply(r.NotLeaderReply(), from)
-		return
-	}
-	switch {
 	case msg.Op == proto.OpMapContext:
 		rs.proxyMapContext(p, msg, from)
-	case replicatedMutation(msg.Op):
-		if rs.forwardsElsewhere(p, msg) {
-			rs.forwardLocal(p, msg, from)
-			return
-		}
-		cmd, err := CmdMessage(msg)
-		if err != nil {
-			_ = p.Reply(core.ErrorReplyMsg(err), from)
-			return
-		}
-		rep, err := r.Propose(p, cmd)
-		switch {
-		case errors.Is(err, proto.ErrNotLeader):
-			_ = p.Reply(r.NotLeaderReply(), from)
-		case err != nil:
-			_ = p.Reply(core.ErrorReplyMsg(err), from)
-		default:
-			_ = p.Reply(rep, from)
-		}
 	default:
 		rs.forwardLocal(p, msg, from)
 	}
@@ -351,27 +298,11 @@ func (rs *ReplicaService) proxyMapContext(p *kernel.Process, msg *proto.Message,
 	_ = p.Reply(rep, from)
 }
 
-// Apply implements replica.Service: run one committed command — a wrapped
-// client mutation — through the member-local server's ordinary handler.
-func (rs *ReplicaService) Apply(p *kernel.Process, cmd []byte) *proto.Message {
-	if len(cmd) == 0 || cmd[0] != cmdMessage {
-		return core.ErrorReplyMsg(proto.ErrBadArgs)
-	}
-	m, err := proto.Unmarshal(cmd[1:])
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	rep, err := p.Send(m, rs.fs.PID())
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	return rep
-}
-
 // Snapshot implements replica.Service.
 func (rs *ReplicaService) Snapshot() []byte { return rs.fs.vol.encode(true) }
 
-// Replicated implements replica.Service: the snapshot without mtimes.
+// Replicated is the image replica.Safety compares: the snapshot without
+// mtimes.
 func (rs *ReplicaService) Replicated() []byte { return rs.fs.vol.encode(false) }
 
 // Restore implements replica.Service.

@@ -95,7 +95,7 @@ const (
 // location (the tree and node reached) and the final node, or a failure.
 // followFinalLink controls whether a link at the *final* component is
 // traversed (true for object operations, false for binding operations —
-// mirroring Interpret vs. InterpretBinding).
+// mirroring core's interpret with and without forwardFinal).
 func (m *Model) walk(t Tree, p Path, followFinalLink bool) (Tree, Path, *node, string) {
 	cur, ok := m.trees[t]
 	if !ok {

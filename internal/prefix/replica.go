@@ -1,16 +1,14 @@
 package prefix
 
-// Replication adapter (ISSUE 6; PROTOCOL.md §11): a prefix server becomes
-// a replication-group member by fronting it with a ReplicaService. Prefix
-// tables are tiny and read-mostly, so the routing is simple: table
-// mutations (bracket-less add/delete-context-name, §5.7) are proposed
-// through the group log and applied on every member; every other request —
-// prefix forwards, directory reads, inverse queries — is served by the
-// member-local table directly, on any member, since all members hold the
-// same committed table. Directory-record writebacks (redefining a prefix
-// through an open context directory) stay member-local, like open
-// instances themselves; the replicated invariant is the define/delete
-// stream.
+// Replication adapter (PROTOCOL.md §11): a prefix server becomes a member
+// of a read-only replication group by fronting it with a ReplicaService.
+// Every member's table is seeded identically at boot, and a re-created
+// member takes the leader's by snapshot. A request that would change this
+// server's own table — a bracket-less add or delete-context-name (§5.7),
+// or a write-mode open of its context directory (§5.6) — is refused with
+// NoPermission on any member. Every other request — prefix forwards,
+// directory reads, inverse queries — is served by the member-local table
+// directly, on any member, since all members hold the same table.
 
 import (
 	"encoding/binary"
@@ -32,12 +30,13 @@ type ReplicaService struct {
 // NewReplicaService builds the front over the member-local server.
 func NewReplicaService(s *Server) *ReplicaService { return &ReplicaService{s: s} }
 
-// tableMutation reports whether msg defines or deletes a prefix in this
-// server's own table — the operations that must go through the group log.
-// Bracketed add/delete requests are destined for another server's name
-// space and are forwarded along the binding like any other CSname.
+// tableMutation reports whether msg would change this server's own
+// table. Bracketed requests are destined for another server's name space
+// and are forwarded along the binding like any other CSname.
 func tableMutation(msg *proto.Message) bool {
-	if msg.Op != proto.OpAddContextName && msg.Op != proto.OpDeleteContextName {
+	writes := msg.Op == proto.OpAddContextName || msg.Op == proto.OpDeleteContextName ||
+		msg.Op == proto.OpCreateInstance && proto.OpenMode(msg)&(proto.ModeWrite|proto.ModeCreate|proto.ModeAppend|proto.ModeTruncate) != 0
+	if !writes {
 		return false
 	}
 	name, index, err := proto.CSName(msg)
@@ -50,44 +49,10 @@ func tableMutation(msg *proto.Message) bool {
 // Serve implements replica.Service.
 func (rs *ReplicaService) Serve(p *kernel.Process, r *replica.Replica, msg *proto.Message, from kernel.PID) {
 	if tableMutation(msg) {
-		if !r.Leading() {
-			_ = p.Reply(r.NotLeaderReply(), from)
-			return
-		}
-		cmd, err := msg.Marshal()
-		if err != nil {
-			_ = p.Reply(core.ErrorReplyMsg(err), from)
-			return
-		}
-		rep, err := r.Propose(p, cmd)
-		switch {
-		case errors.Is(err, proto.ErrNotLeader):
-			_ = p.Reply(r.NotLeaderReply(), from)
-		case err != nil:
-			_ = p.Reply(core.ErrorReplyMsg(err), from)
-		default:
-			_ = p.Reply(rep, from)
-		}
+		_ = p.Reply(proto.NewReply(proto.ReplyNoPermission), from)
 		return
 	}
 	rs.s.serveOne(p, msg, from)
-}
-
-// Apply implements replica.Service: commands are the marshaled mutation
-// messages, applied straight to the member-local table (no transaction
-// needed — the handlers only touch the table).
-func (rs *ReplicaService) Apply(p *kernel.Process, cmd []byte) *proto.Message {
-	m, err := proto.Unmarshal(cmd)
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	switch m.Op {
-	case proto.OpAddContextName:
-		return rs.s.handleAdd(p, m)
-	case proto.OpDeleteContextName:
-		return rs.s.handleDelete(p, m)
-	}
-	return core.ErrorReplyMsg(proto.ErrBadArgs)
 }
 
 // Snapshot implements replica.Service: the prefix table, canonically

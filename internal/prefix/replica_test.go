@@ -52,71 +52,65 @@ func startReplicatedPrefix(t *testing.T, n int) (*replica.Group, []*Server, []*r
 	return g, srvs, reps, client
 }
 
-// TestReplicatedPrefixTable drives the replicated prefix front: table
-// mutations commit on every member, reads are served member-locally,
-// and followers redirect mutations with a leader hint.
+// TestReplicatedPrefixTable drives the read-only prefix front: a change
+// to the member's own table is refused on leader and follower alike,
+// while bracketed requests and reads are served by any member's table.
 func TestReplicatedPrefixTable(t *testing.T) {
-	_, srvs, reps, client := startReplicatedPrefix(t, 3)
-
-	// A bracket-less add through the leader front defines the prefix on
-	// every member's table.
-	add := &proto.Message{Op: proto.OpAddContextName}
-	proto.SetCSName(add, 0, "storage")
-	proto.SetAddContextTarget(add, 42, 7)
-	rep, err := client.Send(add, reps[0].PID())
-	if err != nil || rep.Op != proto.ReplyOK {
-		t.Fatalf("add reply = %v, %v", rep, err)
-	}
-	dyn := &proto.Message{Op: proto.OpAddContextName}
-	proto.SetCSName(dyn, 0, "bin")
-	proto.SetAddContextDynamicTarget(dyn, uint32(kernel.ServiceStorage), uint32(core.CtxStdPrograms))
-	if rep, err = client.Send(dyn, reps[0].PID()); err != nil || rep.Op != proto.ReplyOK {
-		t.Fatalf("dynamic add reply = %v, %v", rep, err)
-	}
+	g, srvs, reps, client := startReplicatedPrefix(t, 3)
 	want := map[string]Binding{
 		"storage": {Pair: core.ContextPair{Server: 42, Ctx: 7}},
 		"bin":     {Dynamic: true, Service: kernel.ServiceStorage, WellKnown: core.CtxStdPrograms},
+	}
+	for _, s := range srvs {
+		if err := s.Define("storage", want["storage"].Pair); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DefineDynamic("bin", kernel.ServiceStorage, core.CtxStdPrograms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var safety replica.Safety
+	if err := safety.Check(g); err != nil {
+		t.Fatal(err)
+	}
+
+	add := &proto.Message{Op: proto.OpAddContextName}
+	proto.SetCSName(add, 0, "scratch")
+	proto.SetAddContextTarget(add, 42, 8)
+	del := &proto.Message{Op: proto.OpDeleteContextName}
+	proto.SetCSName(del, 0, "storage")
+	write := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(write, 0, "")
+	proto.SetOpenMode(write, proto.ModeDirectory|proto.ModeRead|proto.ModeWrite)
+	for _, rep := range reps[:2] {
+		for _, req := range []*proto.Message{add, del, write} {
+			r, err := client.Send(req.Clone(), rep.PID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Op != proto.ReplyNoPermission {
+				t.Fatalf("%v to %v: reply %v, want NoPermission", req.Op, rep.PID(), r.Op)
+			}
+		}
 	}
 	for i, s := range srvs {
 		if got := s.Bindings(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("member %d table = %+v, want %+v", i, got, want)
 		}
 	}
-
-	// A table mutation sent to a follower is refused with a leader hint —
-	// tiny tables make redirect cheaper than forwarding here.
-	del := &proto.Message{Op: proto.OpDeleteContextName}
-	proto.SetCSName(del, 0, "storage")
-	rep, err = client.Send(del, reps[1].PID())
-	if err != nil {
+	if err := safety.Check(g); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Op != proto.ReplyNotLeader {
-		t.Fatalf("follower mutation reply = %v, want NotLeader", rep.Op)
-	}
-	if hint := proto.LeaderHint(rep); hint != uint32(reps[0].PID()) {
-		t.Fatalf("leader hint = %d, want %d", hint, reps[0].PID())
-	}
 
-	// Redirected to the leader, the delete commits everywhere.
-	if rep, err = client.Send(del, reps[0].PID()); err != nil || rep.Op != proto.ReplyOK {
-		t.Fatalf("leader delete reply = %v, %v", rep, err)
-	}
-	for i, s := range srvs {
-		if _, ok := s.Bindings()["storage"]; ok {
-			t.Fatalf("member %d still holds the deleted prefix", i)
-		}
-	}
-
-	// Non-mutating requests are served by any member's local table.
+	// Reads are served by any member's local table.
 	q := &proto.Message{Op: proto.OpQueryObject}
-	proto.SetCSName(q, 0, "[bin")
-	rep, err = client.Send(q, reps[2].PID())
+	proto.SetCSName(q, 0, "bin")
+	r, err := client.Send(q, reps[2].PID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Op == proto.ReplyNotLeader {
-		t.Fatalf("follower redirected a read")
+	if d, _, err := proto.DecodeDescriptor(r.Segment); r.Op != proto.ReplyOK || err != nil || d.Name != "bin" {
+		t.Fatalf("follower query reply %v record %+v (%v)", r.Op, d, err)
 	}
 }
 

@@ -2,31 +2,6 @@ package proto
 
 import "testing"
 
-func BenchmarkMessageMarshal(b *testing.B) {
-	m := &Message{Op: OpCreateInstance, F: [6]uint32{1, 2, 3, 4, 5, 6}, Segment: []byte("users/mann/naming.mss")}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Marshal(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMessageUnmarshal(b *testing.B) {
-	m := &Message{Op: OpCreateInstance, F: [6]uint32{1, 2, 3, 4, 5, 6}, Segment: []byte("users/mann/naming.mss")}
-	buf, err := m.Marshal()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDescriptorEncode(b *testing.B) {
 	d := Descriptor{Tag: TagFile, ObjectID: 7, Size: 4096, Name: "naming.mss", Owner: "cheriton"}
 	buf := make([]byte, 0, 128)

@@ -115,13 +115,13 @@ const (
 )
 
 // Request codes of the replication substrate (internal/replica): the
-// Raft-style consensus messages that keep a group of name servers
-// byte-identical. They ride the ordinary Send/Receive/Reply transaction,
-// so they are costed, traced and metered like any other V message.
+// election and snapshot messages that let a group of name servers
+// implement one read-only context. They ride the ordinary
+// Send/Receive/Reply transaction, so they are costed, traced and metered
+// like any other V message.
 const (
-	// OpReplicaAppend replicates log entries (and commit state) from the
-	// leader to a follower; an empty-entry append is the leader's
-	// announcement/heartbeat.
+	// OpReplicaAppend is the leader's announcement to a follower: its term
+	// and pid, an append with no entries.
 	OpReplicaAppend Code = iota + 0x0400
 	// OpReplicaVote requests an election vote from a peer.
 	OpReplicaVote
@@ -131,15 +131,9 @@ const (
 	// OpReplicaSync instructs the leader (from the group monitor) to
 	// bring a rejoined member up to date via snapshot install.
 	OpReplicaSync
-	// OpReplicaSnapshot installs one chunk of a state-machine snapshot on
-	// a follower.
+	// OpReplicaSnapshot installs one chunk of the leader's snapshot on a
+	// follower.
 	OpReplicaSnapshot
-	// OpReplicaPropose submits a state-machine command to the leader for
-	// replication; the reply is the command's apply result.
-	OpReplicaPropose
-	// OpReplicaStatus reports a member's term, role, commit index and
-	// leader view (diagnostics and tests).
-	OpReplicaStatus
 )
 
 // SetLeaderHint records a leader hint on a ReplyNotLeader message.
@@ -226,8 +220,6 @@ var codeNames = map[Code]string{
 	OpReplicaElect:    "ReplicaElect",
 	OpReplicaSync:     "ReplicaSync",
 	OpReplicaSnapshot: "ReplicaSnapshot",
-	OpReplicaPropose:  "ReplicaPropose",
-	OpReplicaStatus:   "ReplicaStatus",
 }
 
 // Standard error values corresponding to the standard failure replies,

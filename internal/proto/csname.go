@@ -34,10 +34,6 @@ func SetCSName(m *Message, ctx uint32, name string) {
 // CSNameContext returns the context id field of a CSname request.
 func CSNameContext(m *Message) uint32 { return m.F[fieldContext] }
 
-// CSNameIndex returns the current interpretation index of a CSname
-// request.
-func CSNameIndex(m *Message) int { return int(m.F[fieldIndex]) }
-
 // CSName returns the full name carried by the request and the index at
 // which interpretation should continue. It fails if the standard fields
 // are inconsistent with the segment.

@@ -6,35 +6,6 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshal: arbitrary bytes never panic the message decoder, and
-// anything that decodes re-encodes to an equivalent message.
-func FuzzUnmarshal(f *testing.F) {
-	m := &Message{Op: OpCreateInstance, F: [6]uint32{1, 2, 3, 4, 5, 6}, Segment: []byte("name")}
-	good, _ := m.Marshal()
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add(make([]byte, HeaderBytes))
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		decoded, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		re, err := decoded.Marshal()
-		if err != nil {
-			t.Fatalf("decoded message failed to re-encode: %v", err)
-		}
-		again, err := Unmarshal(re)
-		if err != nil {
-			t.Fatalf("re-encoded message failed to decode: %v", err)
-		}
-		if again.Op != decoded.Op || again.F != decoded.F || !bytes.Equal(again.Segment, decoded.Segment) {
-			t.Fatal("round trip not stable")
-		}
-	})
-}
-
 // FuzzDecodeDescriptors: arbitrary directory streams never panic, and
 // valid streams round trip.
 func FuzzDecodeDescriptors(f *testing.F) {

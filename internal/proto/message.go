@@ -5,12 +5,6 @@
 // returned by query operations and context directories (Figure 3, §5.5-5.6).
 package proto
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
 // HeaderBytes is the size of the fixed message header on the wire: the V
 // kernel's 32-byte message (operation code, flags, six 32-bit parameter
 // words, and the segment length).
@@ -36,57 +30,8 @@ type Message struct {
 	Segment []byte
 }
 
-// ErrShortMessage is returned when unmarshalling from a buffer smaller
-// than the fixed header.
-var ErrShortMessage = errors.New("proto: buffer shorter than message header")
-
-// ErrSegmentTooLarge is returned when a segment exceeds MaxSegmentBytes.
-var ErrSegmentTooLarge = errors.New("proto: segment too large")
-
 // WireSize is the total size of the message on the wire.
 func (m *Message) WireSize() int { return HeaderBytes + len(m.Segment) }
-
-// Marshal encodes the message into wire format.
-func (m *Message) Marshal() ([]byte, error) {
-	if len(m.Segment) > MaxSegmentBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrSegmentTooLarge, len(m.Segment))
-	}
-	buf := make([]byte, HeaderBytes+len(m.Segment))
-	binary.BigEndian.PutUint16(buf[0:], uint16(m.Op))
-	binary.BigEndian.PutUint16(buf[2:], m.Flags)
-	for i, f := range m.F {
-		binary.BigEndian.PutUint32(buf[4+4*i:], f)
-	}
-	binary.BigEndian.PutUint32(buf[28:], uint32(len(m.Segment)))
-	copy(buf[HeaderBytes:], m.Segment)
-	return buf, nil
-}
-
-// Unmarshal decodes a message from wire format.
-func Unmarshal(buf []byte) (*Message, error) {
-	if len(buf) < HeaderBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShortMessage, len(buf))
-	}
-	m := &Message{
-		Op:    Code(binary.BigEndian.Uint16(buf[0:])),
-		Flags: binary.BigEndian.Uint16(buf[2:]),
-	}
-	for i := range m.F {
-		m.F[i] = binary.BigEndian.Uint32(buf[4+4*i:])
-	}
-	segLen := binary.BigEndian.Uint32(buf[28:])
-	if segLen > MaxSegmentBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrSegmentTooLarge, segLen)
-	}
-	if int(segLen) > len(buf)-HeaderBytes {
-		return nil, fmt.Errorf("%w: segment length %d exceeds buffer", ErrShortMessage, segLen)
-	}
-	if segLen > 0 {
-		m.Segment = make([]byte, segLen)
-		copy(m.Segment, buf[HeaderBytes:HeaderBytes+int(segLen)])
-	}
-	return m, nil
-}
 
 // Clone returns a deep copy of the message, used when a message is
 // delivered to multiple group members.

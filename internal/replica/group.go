@@ -43,19 +43,22 @@ func (c Config) withDefaults() Config {
 
 // member is one slot of the membership. The slot's index is the member's
 // priority (lower serves first); the Replica occupying it changes across
-// crash/rejoin cycles.
+// crash/rejoin cycles. synced records whether that Replica holds the
+// group's image: true from Bootstrap, false from a Rejoin until its
+// snapshot sync succeeds. An unsynced slot never stands for election.
 type member struct {
-	host string
-	rep  *Replica
+	host   string
+	rep    *Replica
+	synced bool
 }
 
 // Group owns a replication group's membership and election pacing. It
 // runs no processes of its own except the monitor — a process on a
-// stable host from which elections are triggered and boot/out-of-band
-// proposals are sent. Like the chaos engine, the group has no clock: the
-// workload pumps it with Pump(now), and crash/restart instants arrive
-// through the chaos engine's hooks, so every election fires at a
-// deterministic virtual time (PROTOCOL.md §11.4).
+// stable host from which elections and snapshot syncs are triggered.
+// Like the chaos engine, the group has no clock: the workload pumps it
+// with Pump(now), and crash/restart instants arrive through the chaos
+// engine's hooks, so every election fires at a deterministic virtual
+// time (PROTOCOL.md §11.4).
 type Group struct {
 	k   *kernel.Kernel
 	cfg Config
@@ -112,12 +115,14 @@ func (g *Group) Add(host string, rep *Replica) error {
 }
 
 // Bootstrap fixes the quorum denominator, elects slot 0 leader and marks
-// the initial role epochs at virtual time at. Call once after every Add.
+// the initial role epochs at virtual time at. Call once after every Add,
+// with every member seeded identically: Bootstrap counts them synced.
 func (g *Group) Bootstrap(at vtime.Time) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, m := range g.members {
 		m.rep.Bind(g.gid, len(g.members))
+		m.synced = true
 	}
 	g.mon.Clock().Observe(at)
 	return g.electLocked(0, at, false)
@@ -204,9 +209,11 @@ func (g *Group) NoteDown(host string, at vtime.Time) {
 
 // Pump drives the group's election timer from a workload clock: if the
 // leader is down and the earliest seeded timeout has expired, the due
-// member stands for election. Callers pump the chaos engine first, then
-// every group, then the samplers — the fixed observer order that keeps
-// runs deterministic (PROTOCOL.md §11.4).
+// member stands for election. A won election syncs every member
+// re-created while the group had no leader, handing leadership back as
+// Rejoin does. Callers pump the chaos engine first, then every group,
+// then the samplers — the fixed observer order that keeps runs
+// deterministic (PROTOCOL.md §11.4).
 func (g *Group) Pump(now vtime.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -232,17 +239,23 @@ func (g *Group) Pump(now vtime.Time) {
 		return
 	}
 	downAt := g.downAt
-	if err := g.electLocked(idx, due, false); err == nil && g.leaderIdx == idx {
-		g.failovers = append(g.failovers, g.mon.Now()-downAt)
+	if err := g.electLocked(idx, due, false); err != nil || g.leaderIdx != idx {
+		return
+	}
+	g.failovers = append(g.failovers, g.mon.Now()-downAt)
+	for i, m := range g.members {
+		if !m.synced && g.k.ProcessAlive(m.rep.PID()) {
+			_ = g.syncLocked(i)
+		}
 	}
 }
 
-// electionPlanLocked picks the live member whose seeded timeout expires
-// first; equal timeouts break toward the lowest slot index.
+// electionPlanLocked picks the live synced member whose seeded timeout
+// expires first; equal timeouts break toward the lowest slot index.
 func (g *Group) electionPlanLocked() (idx int, due vtime.Time, ok bool) {
 	idx = -1
 	for i, m := range g.members {
-		if m.rep == nil || !g.k.ProcessAlive(m.rep.PID()) {
+		if !m.synced || !g.k.ProcessAlive(m.rep.PID()) {
 			continue
 		}
 		d := g.downAt + electionTimeout(g.cfg, g.term+1+g.attempt, i)
@@ -310,7 +323,7 @@ func (g *Group) electLocked(idx int, at vtime.Time, transfer bool) error {
 	g.logEvent(now, kind, fmt.Sprintf("host=%s term=%d", m.host, g.term))
 	g.markRole(m.host, metrics.RoleValueLeader, now)
 	for i, o := range g.members {
-		if i == idx || o.rep == nil || !g.k.ProcessAlive(o.rep.PID()) {
+		if i == idx || !g.k.ProcessAlive(o.rep.PID()) {
 			continue
 		}
 		g.markRole(o.host, metrics.RoleValueFollower, now)
@@ -319,11 +332,9 @@ func (g *Group) electLocked(idx int, at vtime.Time, transfer bool) error {
 }
 
 // Rejoin installs a fresh replica in host's slot at virtual time at
-// (wired to the chaos engine's RestartedHook): swap the membership,
-// snapshot-sync from the leader, and — when the rejoined slot outranks
-// the current leader — transfer leadership back, so the steady-state
-// leader is always the lowest live slot, matching the kernel's
-// lowest-host GetPid selection (§4.2).
+// (wired to the chaos engine's RestartedHook): swap the membership and
+// snapshot-sync from the leader. A group with no leader syncs the member
+// once its next election is won (Pump).
 func (g *Group) Rejoin(host string, rep *Replica, at vtime.Time) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -332,10 +343,8 @@ func (g *Group) Rejoin(host string, rep *Replica, at vtime.Time) error {
 		return fmt.Errorf("replica: host %s is not a member of group %s", host, g.cfg.Name)
 	}
 	m := g.members[idx]
-	if m.rep != nil {
-		_ = g.k.LeaveGroup(g.gid, m.rep.PID())
-	}
-	m.rep = rep
+	_ = g.k.LeaveGroup(g.gid, m.rep.PID())
+	m.rep, m.synced = rep, false
 	rep.Bind(g.gid, len(g.members))
 	if err := g.k.JoinGroup(g.gid, rep.PID()); err != nil {
 		return err
@@ -346,59 +355,32 @@ func (g *Group) Rejoin(host string, rep *Replica, at vtime.Time) error {
 	if g.leaderIdx < 0 {
 		return nil
 	}
-	lead := g.members[g.leaderIdx]
+	return g.syncLocked(idx)
+}
+
+// syncLocked has the leader install its image on slot idx and — when the
+// slot outranks the leader — transfers leadership back to it, so the
+// steady-state leader is always the lowest live slot, matching the
+// kernel's lowest-host GetPid selection (§4.2).
+func (g *Group) syncLocked(idx int) error {
+	m := g.members[idx]
 	req := &proto.Message{Op: proto.OpReplicaSync}
-	req.F[1] = uint32(rep.PID())
-	srep, err := g.mon.Send(req, lead.rep.PID())
+	req.F[0] = uint32(m.rep.PID())
+	srep, err := g.mon.Send(req, g.members[g.leaderIdx].rep.PID())
 	if err != nil {
-		g.logEvent(g.mon.Now(), "sync-failed", fmt.Sprintf("host=%s err=%v", host, err))
+		g.logEvent(g.mon.Now(), "sync-failed", fmt.Sprintf("host=%s err=%v", m.host, err))
 		return err
 	}
 	if srep.Op != proto.ReplyOK {
-		g.logEvent(g.mon.Now(), "sync-failed", fmt.Sprintf("host=%s reply=%v", host, srep.Op))
+		g.logEvent(g.mon.Now(), "sync-failed", fmt.Sprintf("host=%s reply=%v", m.host, srep.Op))
 		return proto.ReplyError(srep.Op)
 	}
-	g.logEvent(g.mon.Now(), "sync", "host="+host)
+	m.synced = true
+	g.logEvent(g.mon.Now(), "sync", "host="+m.host)
 	if idx < g.leaderIdx {
 		return g.electLocked(idx, g.mon.Now(), true)
 	}
 	return nil
-}
-
-// Propose submits a state-machine command from the monitor to the
-// current leader — the boot-seeding and out-of-band mutation path.
-func (g *Group) Propose(cmd []byte) (*proto.Message, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.leaderIdx < 0 {
-		return nil, proto.ErrNotLeader
-	}
-	rep, err := g.mon.Send(&proto.Message{Op: proto.OpReplicaPropose, Segment: cmd}, g.members[g.leaderIdx].rep.PID())
-	if err != nil {
-		return nil, err
-	}
-	if rep.Op == proto.ReplyNotLeader {
-		return nil, proto.ErrNotLeader
-	}
-	if err := proto.ReplyError(rep.Op); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// Statuses reads every live member's consensus state in slot order (a
-// dead member's is zero). It reads rather than sends OpReplicaStatus: a
-// diagnostic must not advance the clocks of the run it looks at.
-func (g *Group) Statuses() []Status {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]Status, len(g.members))
-	for i, m := range g.members {
-		if m.rep != nil && g.k.ProcessAlive(m.rep.PID()) {
-			out[i] = m.rep.status()
-		}
-	}
-	return out
 }
 
 func (g *Group) slotLocked(host string) int {

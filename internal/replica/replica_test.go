@@ -1,9 +1,9 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,60 +15,38 @@ import (
 	"repro/internal/vtime"
 )
 
-// nullSvc is a minimal state machine: it records applied commands and
-// snapshots them verbatim.
+// nullSvc is a minimal replicated state: an opaque image, snapshotted
+// verbatim.
 type nullSvc struct {
-	mu      sync.Mutex
-	applied []string
+	mu    sync.Mutex
+	state []byte
 }
 
 func (s *nullSvc) Serve(p *kernel.Process, r *Replica, msg *proto.Message, from kernel.PID) {
 	_ = p.Reply(proto.NewReply(proto.ReplyOK), from)
 }
 
-func (s *nullSvc) Apply(p *kernel.Process, cmd []byte) *proto.Message {
-	s.mu.Lock()
-	s.applied = append(s.applied, string(cmd))
-	s.mu.Unlock()
-	return proto.NewReply(proto.ReplyOK)
-}
-
 func (s *nullSvc) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return encodeEntries(entriesOf(s.applied))
+	return append([]byte(nil), s.state...)
 }
 
 func (s *nullSvc) Restore(p *kernel.Process, data []byte) error {
-	// Length is unknown to the codec; recover it by decoding greedily.
-	var cmds []string
-	for n := 0; ; n++ {
-		ents, err := decodeEntries(data, n)
-		if err == nil {
-			for _, e := range ents {
-				cmds = append(cmds, string(e.Cmd))
-			}
-			break
-		}
-	}
 	s.mu.Lock()
-	s.applied = cmds
+	s.state = append([]byte(nil), data...)
 	s.mu.Unlock()
 	return nil
 }
 
-func entriesOf(cmds []string) []entry {
-	ents := make([]entry, len(cmds))
-	for i, c := range cmds {
-		ents[i] = entry{Term: 1, Cmd: []byte(c)}
+// seedImage is every test member's boot image: larger than two snapshot
+// chunks, so a sync installs it in three.
+func seedImage() []byte {
+	img := make([]byte, 2*snapChunk+100)
+	for i := range img {
+		img[i] = byte(i * 31)
 	}
-	return ents
-}
-
-func (s *nullSvc) appliedCopy() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.applied...)
+	return img
 }
 
 // testGroup boots an n-member group with nullSvc state machines.
@@ -85,7 +63,7 @@ func testGroup(t *testing.T, seed int64, n int) (*kernel.Kernel, *Group, []*kern
 	svcs := make([]*nullSvc, n)
 	for i := 0; i < n; i++ {
 		hosts[i] = k.NewHost(fmt.Sprintf("m%d", i))
-		svc := &nullSvc{}
+		svc := &nullSvc{state: seedImage()}
 		rep, err := Start(hosts[i], fmt.Sprintf("rep%d", i), func(p *kernel.Process) Service { return svc })
 		if err != nil {
 			t.Fatal(err)
@@ -114,9 +92,9 @@ func safeAfter(t *testing.T, g *Group) func(step string) {
 }
 
 // TestSafetyCatchesViolations: the oracle is not vacuous — a second
-// leader of a term in the event log or in a member's state, a commit
-// index going back and diverged state of synced members are each
-// reported.
+// leader of a term in the event log or in a member's state, and diverged
+// state of synced members are each reported; a member the group does not
+// count as synced is not compared.
 func TestSafetyCatchesViolations(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -125,14 +103,14 @@ func TestSafetyCatchesViolations(t *testing.T) {
 	}{
 		{"logged leader", func(g *Group, _ *Replica, _ *nullSvc) { g.logEvent(0, "leader", "host=m2 term=1") }, "led by"},
 		{"second leader", func(_ *Group, r *Replica, _ *nullSvc) { r.role = RoleLeader }, "led by"},
-		{"commit back", func(_ *Group, r *Replica, _ *nullSvc) { r.commit-- }, "went back"},
-		{"diverged state", func(_ *Group, _ *Replica, svc *nullSvc) { svc.applied = svc.applied[1:] }, "different state"},
+		{"diverged state", func(_ *Group, _ *Replica, svc *nullSvc) { svc.state = svc.state[1:] }, "different state"},
+		{"unsynced state", func(g *Group, _ *Replica, svc *nullSvc) {
+			svc.state = nil
+			g.members[1].synced = false
+		}, ""},
 	} {
 		_, g, _, svcs := testGroup(t, 1, 3)
 		var s Safety
-		if _, err := g.Propose([]byte("a")); err != nil {
-			t.Fatal(err)
-		}
 		if err := s.Check(g); err != nil {
 			t.Fatalf("%s: healthy group: %v", c.name, err)
 		}
@@ -142,37 +120,12 @@ func TestSafetyCatchesViolations(t *testing.T) {
 		c.corrupt(g, r, svcs[1])
 		r.mu.Unlock()
 		g.mu.Unlock()
-		if err := s.Check(g); err == nil || !strings.Contains(err.Error(), c.want) {
+		err := s.Check(g)
+		if c.want == "" && err != nil {
+			t.Fatalf("%s: Check = %v, want nil", c.name, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
 			t.Fatalf("%s: Check = %v, want an error containing %q", c.name, err, c.want)
-		}
-	}
-}
-
-// TestGroupProposeReplicates checks commit-on-delivery replication:
-// a proposed command is applied on every member before the reply.
-func TestGroupProposeReplicates(t *testing.T) {
-	_, g, _, svcs := testGroup(t, 1, 3)
-	if host, _ := g.Leader(); host != "m0" {
-		t.Fatalf("bootstrap leader = %s, want m0 (slot 0)", host)
-	}
-	for i, cmd := range []string{"alpha", "beta"} {
-		rep, err := g.Propose([]byte(cmd))
-		if err != nil {
-			t.Fatalf("propose %d: %v", i, err)
-		}
-		if rep.Op != proto.ReplyOK {
-			t.Fatalf("propose %d: reply %v", i, rep.Op)
-		}
-	}
-	for i, svc := range svcs {
-		got := svc.appliedCopy()
-		if len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-			t.Errorf("member %d applied %v, want [alpha beta]", i, got)
-		}
-	}
-	for i, st := range g.Statuses() {
-		if st.Commit != 2 || st.LastIdx != 2 {
-			t.Errorf("member %d status %+v, want commit=2 last=2", i, st)
 		}
 	}
 }
@@ -244,92 +197,45 @@ func TestElectionTimeoutDeterministic(t *testing.T) {
 	}
 }
 
-// appendMsg builds an OpReplicaAppend the way replicateTo does.
-func appendMsg(term, prevIdx, prevTerm, commit uint32, leader kernel.PID, ents []entry) *proto.Message {
-	req := &proto.Message{Op: proto.OpReplicaAppend, Segment: encodeEntries(ents)}
-	req.F[0], req.F[1], req.F[2] = term, prevIdx, prevTerm
-	req.F[3], req.F[4], req.F[5] = commit, uint32(leader), uint32(len(ents))
-	return req
-}
-
-// TestLogTruncationOnConflict drives a follower directly with a
-// divergent append stream: a new-term append overlapping the old tail
-// must truncate the conflicting suffix, adopt the leader's entries, and
-// never apply the discarded ones.
-func TestLogTruncationOnConflict(t *testing.T) {
-	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
-	host := k.NewHost("m0")
-	svc := &nullSvc{}
-	rep, err := Start(host, "rep0", func(p *kernel.Process) Service { return svc })
-	if err != nil {
-		t.Fatal(err)
-	}
-	lh := k.NewHost("fake-leader")
-	lp, err := lh.NewProcess("leader")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A group that never elects holds the follower for the oracle.
-	g, err := NewGroup(lh, Config{Name: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Add("m0", rep); err != nil {
-		t.Fatal(err)
-	}
-	safe := safeAfter(t, g)
-	safe("boot")
-
-	// Old leader at term 1: three entries, only the first committed.
-	r1, err := lp.Send(appendMsg(1, 0, 0, 1, lp.PID(),
-		[]entry{{1, []byte("a")}, {1, []byte("b")}, {1, []byte("c")}}), rep.PID())
-	if err != nil || r1.Op != proto.ReplyOK || r1.F[1] != 3 {
-		t.Fatalf("first append: %v %+v", err, r1)
-	}
-	safe("first append")
-
-	// New leader at term 2 diverges after index 1 and commits through 3.
-	r2, err := lp.Send(appendMsg(2, 1, 1, 3, lp.PID(),
-		[]entry{{2, []byte("x")}, {2, []byte("y")}}), rep.PID())
-	if err != nil || r2.Op != proto.ReplyOK || r2.F[1] != 3 {
-		t.Fatalf("conflicting append: %v %+v", err, r2)
-	}
-	safe("conflicting append")
-
-	got := svc.appliedCopy()
-	want := []string{"a", "x", "y"}
-	if len(got) != len(want) {
-		t.Fatalf("applied %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("applied %v, want %v (divergent entries b/c leaked)", got, want)
+// TestLeaderElectedWithinBound is the liveness bound (ROADMAP 3(a)):
+// whatever the seed, a crashed leader's successor is elected within the
+// largest seeded election timeout plus one election round — the group's
+// own bootstrap election. Equal timeouts resolve by slot, so no tie is
+// left standing.
+func TestLeaderElectedWithinBound(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	maxTimeout := cfg.TimeoutMin + time.Duration(cfg.TimeoutSteps-1)*cfg.TimeoutStep
+	for seed := int64(1); seed <= 50; seed++ {
+		_, g, hosts, _ := testGroup(t, seed, 3)
+		round := g.mon.Now() // Bootstrap ran the first election from t=0
+		safe := safeAfter(t, g)
+		downAt := round + vtime.Time(time.Millisecond)
+		hosts[0].Crash()
+		bound := downAt + maxTimeout + round
+		var elected vtime.Time
+		for now := downAt; now <= bound && elected == 0; now += vtime.Time(time.Millisecond) {
+			g.Pump(now)
+			safe(fmt.Sprintf("seed %d: the pump at %v", seed, now))
+			if host, _ := g.Leader(); host != "" {
+				elected = g.mon.Now()
+			}
+		}
+		if host, _ := g.Leader(); host == "" || host == "m0" || elected > bound {
+			t.Fatalf("seed %d: leader %q elected at %v, bound %v; events:\n%s",
+				seed, host, elected, bound, strings.Join(g.Events(), "\n"))
+		}
+		if fo := g.Failovers(); len(fo) != 1 || fo[0] > maxTimeout+round {
+			t.Fatalf("seed %d: failovers %v, want one within %v", seed, fo, maxTimeout+round)
 		}
 	}
-	rep.mu.Lock()
-	terms := make([]uint32, len(rep.log))
-	for i, e := range rep.log {
-		terms[i] = e.Term
-	}
-	rep.mu.Unlock()
-	if len(terms) != 3 || terms[0] != 1 || terms[1] != 2 || terms[2] != 2 {
-		t.Fatalf("log terms = %v, want [1 2 2]", terms)
-	}
-
-	// A stale-term append after the truncation must be refused.
-	r3, err := lp.Send(appendMsg(1, 3, 2, 3, lp.PID(), nil), rep.PID())
-	if err != nil || r3.Op != proto.ReplyNoPermission {
-		t.Fatalf("stale append: err=%v op=%v, want NoPermission", err, r3.Op)
-	}
-	safe("stale append")
 }
 
 // TestCrashRejoinSnapshotSync drives the full recovery cycle in one
 // package-level scenario: leader host crash (detected by Pump, no
-// explicit NoteDown), failover election, continued commits on the new
-// leader, then a rejoin of a fresh empty member — snapshot install plus
-// tail append must reconstruct the applied state, and the transfer
-// election must hand leadership back to slot 0.
+// explicit NoteDown), failover election, a follower's redirect, then a
+// rejoin of a fresh empty member — the snapshot install must rebuild the
+// leader's image, and the transfer election must hand leadership back to
+// slot 0.
 func TestCrashRejoinSnapshotSync(t *testing.T) {
 	k, g, hosts, svcs := testGroup(t, 3, 3)
 	safe := safeAfter(t, g)
@@ -339,12 +245,6 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	}
 	if hs := g.Hosts(); len(hs) != 3 || hs[0] != "m0" {
 		t.Fatalf("Hosts() = %v", hs)
-	}
-	for _, cmd := range []string{"a", "b", "c"} {
-		if _, err := g.Propose([]byte(cmd)); err != nil {
-			t.Fatal(err)
-		}
-		safe("propose " + cmd)
 	}
 
 	// Crash the leader host without a NoteDown: the next Pump must
@@ -368,13 +268,7 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 		t.Fatalf("failover leader = %q; events:\n%v", newLeader, g.Events())
 	}
 
-	// The new leader keeps committing while m0 is gone.
-	if _, err := g.Propose([]byte("d")); err != nil {
-		t.Fatal(err)
-	}
-	safe("propose d")
-
-	// A follower redirects out-of-band proposals with a leader hint.
+	// A follower asked to do the leader's work redirects with a hint.
 	lead := g.MemberReplica(newLeader)
 	var follower *Replica
 	for _, h := range []string{"m1", "m2"} {
@@ -389,19 +283,20 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := probe.Send(&proto.Message{Op: proto.OpReplicaPropose, Segment: []byte("x")}, follower.PID())
+	sync := &proto.Message{Op: proto.OpReplicaSync}
+	sync.F[0] = uint32(lead.PID())
+	rep, err := probe.Send(sync, follower.PID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Op != proto.ReplyNotLeader || kernel.PID(proto.LeaderHint(rep)) != lead.PID() {
-		t.Fatalf("follower propose reply %v hint %d, want NotLeader hint %d",
+		t.Fatalf("follower sync reply %v hint %d, want NotLeader hint %d",
 			rep.Op, proto.LeaderHint(rep), lead.PID())
 	}
-	safe("follower propose")
+	safe("follower sync")
 
-	// Rejoin a fresh, empty member on the restarted host: snapshot
-	// install + tail append rebuild its state machine, and leadership
-	// transfers back to slot 0.
+	// Rejoin a fresh, empty member on the restarted host: the snapshot
+	// install rebuilds its image, and leadership transfers back to slot 0.
 	hosts[0].Restart()
 	svc := &nullSvc{}
 	reborn, err := Start(hosts[0], "rep0b", func(p *kernel.Process) Service { return svc })
@@ -418,26 +313,13 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	if g.MemberReplica("m0") != reborn {
 		t.Fatalf("slot 0 not updated to the reborn replica")
 	}
-	want := []string{"a", "b", "c", "d"}
-	if got := svc.appliedCopy(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reborn member applied %v, want %v", got, want)
-	}
-	for i, old := range svcs[1:] {
-		if got := old.appliedCopy(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("member %d applied %v, want %v", i+1, got, want)
+	for i, s := range append([]*nullSvc{svc}, svcs[1:]...) {
+		if !bytes.Equal(s.Snapshot(), seedImage()) {
+			t.Fatalf("member %d does not hold the seeded image", i)
 		}
 	}
-
-	// The reborn leader commits new proposals to everyone.
-	if _, err := g.Propose([]byte("e")); err != nil {
-		t.Fatal(err)
-	}
-	safe("propose e")
-	for i, st := range g.Statuses() {
-		if st.Commit != 5 {
-			t.Fatalf("member %d commit = %d, want 5", i, st.Commit)
-		}
-		if err := g.MemberReplica(g.Hosts()[i]).Err(); err != nil {
+	for i, host := range g.Hosts() {
+		if err := g.MemberReplica(host).Err(); err != nil {
 			t.Fatalf("member %d Err() = %v", i, err)
 		}
 	}
@@ -448,32 +330,6 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 		if !strings.Contains(evs, want) {
 			t.Fatalf("event log missing %q:\n%s", want, evs)
 		}
-	}
-}
-
-// TestStatusReplyMatchesStatuses: the OpReplicaStatus reply any process
-// can ask a member for carries what Statuses reads without asking.
-func TestStatusReplyMatchesStatuses(t *testing.T) {
-	k, g, _, _ := testGroup(t, 1, 3)
-	if _, err := g.Propose([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	probe, err := k.HostByName("mon").NewProcess("probe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, host := range g.Hosts() {
-		rep, err := probe.Send(&proto.Message{Op: proto.OpReplicaStatus}, g.MemberReplica(host).PID())
-		if err != nil || rep.Op != proto.ReplyOK {
-			t.Fatalf("status of %s: %v %v", host, rep, err)
-		}
-		got := Status{Term: rep.F[0], Role: Role(rep.F[1]), Commit: rep.F[2], LastIdx: rep.F[3], Leader: kernel.PID(rep.F[4])}
-		if want := g.Statuses()[i]; got != want {
-			t.Fatalf("%s: OpReplicaStatus %+v, Statuses %+v", host, got, want)
-		}
-	}
-	if s := fmt.Sprint(RoleLeader, RoleCandidate, RoleFollower, Role(9)); s != "leader candidate follower role(9)" {
-		t.Fatalf("roles print as %q", s)
 	}
 }
 
@@ -501,7 +357,9 @@ func TestElectionStepsDownOnHigherTerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := lp.Send(appendMsg(9, 0, 0, 0, lp.PID(), nil), reps[1].PID()); err != nil || r.Op != proto.ReplyOK {
+	announce := &proto.Message{Op: proto.OpReplicaAppend}
+	announce.F[0], announce.F[1] = 9, uint32(lp.PID())
+	if r, err := lp.Send(announce, reps[1].PID()); err != nil || r.Op != proto.ReplyOK {
 		t.Fatalf("term-9 append: %v %v", r, err)
 	}
 	safe := safeAfter(t, g)
@@ -512,10 +370,18 @@ func TestElectionStepsDownOnHigherTerm(t *testing.T) {
 	if host, _ := g.Leader(); host != "" {
 		t.Fatalf("m0 won term 1 against a member at term 9 (leader %s)", host)
 	}
-	if st := g.Statuses()[0]; st.Term != 9 || st.Role != RoleFollower {
-		t.Fatalf("m0 after the lost election: %+v, want a follower at term 9", st)
+	if term, role := reps[0].status(); term != 9 || role != RoleFollower {
+		t.Fatalf("m0 after the lost election: term %d %v, want a follower at term 9", term, role)
 	}
 	if evs := strings.Join(g.Events(), "\n"); !strings.Contains(evs, "elect-lost") || !strings.Contains(evs, "term=9") {
 		t.Fatalf("event log does not record the loss:\n%s", evs)
+	}
+	// A stale-term announcement is refused with the current term.
+	announce.F[0] = 1
+	if r, err := lp.Send(announce, reps[1].PID()); err != nil || r.Op != proto.ReplyNoPermission || r.F[0] != 9 {
+		t.Fatalf("stale append: %v %v, want NoPermission at term 9", r, err)
+	}
+	if s := fmt.Sprint(RoleLeader, RoleCandidate, RoleFollower, Role(9)); s != "leader candidate follower role(9)" {
+		t.Fatalf("roles print as %q", s)
 	}
 }

@@ -5,21 +5,20 @@ import (
 	"fmt"
 )
 
-// Safety is the replication safety oracle (ROADMAP 2(a)), asserted
-// between the steps of a run over the group's Events and Statuses. It
-// remembers what it has seen, so its properties hold across crash,
-// rejoin and snapshot install: at most one leader per term; no slot's
-// commit index ever decreasing; and, once every live member reports the
-// same commit and last index, byte-equal replicated state.
+// Safety is the replication safety oracle (ROADMAP 3(a)), asserted
+// between the steps of a run over the group's events and members. It
+// remembers the leaders it has seen, so its properties hold across crash,
+// rejoin and snapshot install: at most one leader per term, and every
+// live member the group counts as synced holds byte-equal state. A
+// read-only group has nothing that can lag, so synced means equal.
 type Safety struct {
 	leaders map[uint32]string // term → the slot host that led it
-	commits map[string]uint32 // slot host → highest commit seen
 }
 
 // Check asserts the oracle's properties over g as it stands.
 func (s *Safety) Check(g *Group) error {
 	if s.leaders == nil {
-		s.leaders, s.commits = make(map[uint32]string), make(map[string]uint32)
+		s.leaders = make(map[uint32]string)
 	}
 	led := func(term uint32, host string) error {
 		if prev, ok := s.leaders[term]; ok && prev != host {
@@ -37,41 +36,38 @@ func (s *Safety) Check(g *Group) error {
 			}
 		}
 	}
-	sts := g.Statuses()
-	var states [][]byte
-	var first *Status
-	synced := true
-	for i, host := range g.Hosts() {
-		st := sts[i]
-		if st.Role == 0 {
-			continue // dead
+	g.mu.Lock()
+	slots := make([]member, len(g.members))
+	for i, m := range g.members {
+		slots[i] = *m
+	}
+	g.mu.Unlock()
+	var image []byte
+	first := true
+	for _, m := range slots {
+		if !g.k.ProcessAlive(m.rep.PID()) {
+			continue
 		}
-		if st.Role == RoleLeader {
-			if err := led(st.Term, host); err != nil {
+		if term, role := m.rep.status(); role == RoleLeader {
+			if err := led(term, m.host); err != nil {
 				return err
 			}
 		}
-		if st.Commit < s.commits[host] {
-			return fmt.Errorf("replica %s: %s's commit index went back from %d to %d", g.Name(), host, s.commits[host], st.Commit)
+		if !m.synced {
+			continue
 		}
-		s.commits[host] = st.Commit
-		if first == nil {
-			first = &st
-		}
-		synced = synced && st.Commit == first.Commit && st.LastIdx == first.LastIdx
-		states = append(states, g.MemberReplica(host).replicated())
-	}
-	for i := 1; synced && i < len(states); i++ {
-		if !bytes.Equal(states[i], states[0]) {
-			return fmt.Errorf("replica %s: synced members hold different state", g.Name())
+		if img := m.rep.replicated(); first {
+			image, first = img, false
+		} else if !bytes.Equal(img, image) {
+			return fmt.Errorf("replica %s: synced members hold different state (%s)", g.Name(), m.host)
 		}
 	}
 	return nil
 }
 
-// replicated is the member's state-machine image the group replicates:
-// Snapshot, less any member-local fields the Service leaves out of its
-// Replicated image (the file service's mtimes, PROTOCOL.md §11.5).
+// replicated is the member's image the group replicates: Snapshot, less
+// any member-local fields the Service leaves out of its Replicated image
+// (the file service's mtimes, PROTOCOL.md §11.5).
 func (r *Replica) replicated() []byte {
 	if rs, ok := r.svc.(interface{ Replicated() []byte }); ok {
 		return rs.Replicated()

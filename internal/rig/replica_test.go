@@ -2,6 +2,7 @@ package rig
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/replica"
 )
@@ -48,21 +50,16 @@ func TestReplicatedBoot(t *testing.T) {
 		t.Fatalf("Open [bin]hello: %v", err)
 	}
 
-	// A name-space mutation must commit on a majority before the reply.
-	if err := s.Remove("[home]notes/todo.txt"); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	for i, st := range r.FSR.Group.Statuses() {
-		if st.Commit == 0 {
-			t.Errorf("member %d commit = 0 after replicated Remove", i)
-		}
+	// The replicated service is read-only: a name-space mutation is
+	// refused.
+	if err := s.Remove("[home]notes/todo.txt"); !errors.Is(err, proto.ErrNoPermission) {
+		t.Fatalf("Remove = %v, want ErrNoPermission", err)
 	}
 }
 
 // TestReplicatedFailoverInFlight crashes the leader in the middle of a
 // closed-loop workload: every operation must still succeed (retry +
-// leader-hint rebinding), and the committed mutations must survive on
-// the failed-over leader.
+// leader-hint rebinding), and a mutation is refused before and after.
 func TestReplicatedFailoverInFlight(t *testing.T) {
 	policy := replicaRetryPolicy()
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
@@ -85,9 +82,8 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	}
 	safe("boot")
 
-	// Pre-crash replicated mutation: the failed-over leader must have it.
-	if err := s.Remove("[home]notes/todo.txt"); err != nil {
-		t.Fatalf("Remove: %v", err)
+	if err := s.Remove("[home]notes/todo.txt"); !errors.Is(err, proto.ErrNoPermission) {
+		t.Fatalf("Remove = %v, want ErrNoPermission", err)
 	}
 	safe("Remove")
 
@@ -102,8 +98,8 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	safe("the schedule")
 
 	sum := r.ResilienceSummary()
-	if sum.Client.OpsFailed != 0 {
-		t.Fatalf("OpsFailed = %d, want 0", sum.Client.OpsFailed)
+	if sum.Client.OpsFailed != 1 {
+		t.Fatalf("OpsFailed = %d, want 1: the refused Remove", sum.Client.OpsFailed)
 	}
 	if len(r.FSR.Group.Failovers()) == 0 {
 		t.Fatalf("no failover recorded; events:\n%v", r.FSR.Group.Events())
@@ -113,15 +109,135 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	if host, _ := r.FSR.Group.Leader(); host != "fs1" {
 		t.Fatalf("post-rejoin leader = %s, want fs1", host)
 	}
-	// The pre-crash Remove survived the crash via the group log.
-	if _, err := s.Open("[home]notes/todo.txt", proto.ModeRead); err == nil {
-		t.Fatalf("todo.txt still opens after replicated Remove + failover")
+	// The restarted fs1 took the image, and still refuses to change it.
+	// [bin] is bound dynamically, so it reaches the new front; [home] is
+	// pid-bound to the crashed one (PROTOCOL.md §11.5).
+	if err := s.Remove("[bin]hello"); !errors.Is(err, proto.ErrNoPermission) {
+		t.Fatalf("Remove after failover = %v, want ErrNoPermission", err)
+	}
+	if _, err := s.ReadFile("[bin]hello"); err != nil {
+		t.Fatalf("[bin]hello after the refused Remove and the failover: %v", err)
+	}
+}
+
+// TestRejoinWhileLeaderless restarts the crashed leader's host before the
+// failover election fires. The re-created fs1 holds an empty volume, so
+// it must not stand: a synced standby is elected, then syncs fs1 and
+// hands leadership back. Every open succeeds and Safety holds throughout.
+func TestRejoinWhileLeaderless(t *testing.T) {
+	policy := replicaRetryPolicy()
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+		Requests: 30, FlushEvery: 10, Faults: []chaos.Event{
+			{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
+			{At: 62 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
+		}})
+	r.WS[0].Session.EnableNameCache(true)
+	var safety replica.Safety
+	ok, eng := r.RunPaced(func(s *client.Session, i int) error {
+		if err := safety.Check(r.FSR.Group); err != nil {
+			t.Fatalf("the pump before op %d: %v\n%s", i, err, strings.Join(r.FSR.Group.Events(), "\n"))
+		}
+		return OpenClose("[bin]hello")(s, i)
+	})
+	if err := safety.Check(r.FSR.Group); err != nil {
+		t.Fatal(err)
+	}
+	events := strings.Join(r.FSR.Group.Events(), "\n")
+	if ok != 30 {
+		t.Fatalf("%d/30 operations succeeded; chaos log:\n%v\nevents:\n%s", ok, eng.Log(), events)
+	}
+	if host, _ := r.FSR.Group.Leader(); host != "fs1" {
+		t.Fatalf("leader at the end = %q, want fs1; events:\n%s", host, events)
+	}
+}
+
+// TestReplicatedFrontsAreReadOnly: both fronts refuse every mutation
+// with NoPermission, on the leader and on a follower, before routing on
+// leadership — a follower does not pass one on — while reads and
+// MapContext still answer. Safety holds after every row.
+func TestReplicatedFrontsAreReadOnly(t *testing.T) {
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
+	ws := r.WS[0]
+	groups := []*replica.Group{r.FSR.Group, ws.PrefixRep.Group}
+	safety := make([]replica.Safety, len(groups))
+	type row struct {
+		name string
+		do   func() error
+	}
+	for slot, role := range []string{"leader", "follower"} {
+		fs, pfx := r.FSR.Members[slot].Rep.PID(), ws.PrefixRep.Members[slot].Rep.PID()
+		proc, err := ws.Host.NewProcess("probe-" + role)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Unprefixed names go to this slot's file-server front, bracketed
+		// ones to its prefix front.
+		s := client.New(proc, pfx, core.ContextPair{Server: fs, Ctx: ws.HomeCtx.Ctx}, ws.User)
+		open := func(name string, mode uint32) func() error {
+			return func() error { _, err := s.Open(name, proto.ModeRead|mode); return err }
+		}
+		mutations := []row{
+			{"remove", func() error { return s.Remove("notes/todo.txt") }},
+			{"remove across the link out of the volume", func() error { return s.Remove("/shared/archive/2026/paper.mss") }},
+			{"remove through the prefix front", func() error { return s.Remove("[home]notes/todo.txt") }},
+			{"rename", func() error { return s.Rename("welcome.txt", "hello.txt") }},
+			{"link", func() error { return s.Link("welcome.txt", "alias.txt") }},
+			{"add context name", func() error { return s.AddLink("elsewhere", r.FS2.RootPair()) }},
+			{"delete context name", func() error { return s.Unlink("/shared/archive") }},
+			{"modify", func() error {
+				return s.Modify("welcome.txt", proto.Descriptor{Tag: proto.TagFile, Name: "welcome.txt"})
+			}},
+			{"open for write", open("welcome.txt", proto.ModeWrite)},
+			{"open to create", open("new.txt", proto.ModeCreate)},
+			{"open to append", open("welcome.txt", proto.ModeAppend)},
+			{"open to truncate", open("welcome.txt", proto.ModeTruncate)},
+			{"define a prefix", func() error { return s.AddName("scratch", r.FS2.RootPair()) }},
+			{"delete a prefix", func() error { return s.DeleteName("storage") }},
+			{"write the prefix directory", func() error {
+				// Written records would redefine prefixes one by one
+				// (ListPrefixes is the read-only open of this directory).
+				req := &proto.Message{Op: proto.OpCreateInstance}
+				proto.SetCSName(req, uint32(core.CtxDefault), "")
+				proto.SetOpenMode(req, proto.ModeDirectory|proto.ModeRead|proto.ModeWrite)
+				rep, err := proc.Send(req, pfx)
+				if err != nil {
+					return err
+				}
+				return proto.ReplyError(rep.Op)
+			}},
+		}
+		reads := []row{
+			{"read a file", func() error { _, err := s.ReadFile("notes/todo.txt"); return err }},
+			{"map a context", func() error { _, err := s.MapContext("notes"); return err }},
+			{"query through the prefix front", func() error { _, err := s.Query("[bin]hello"); return err }},
+			{"map a prefix", func() error { _, err := s.MapContext("[home]"); return err }},
+			{"list the prefixes", func() error { _, err := s.ListPrefixes(); return err }},
+		}
+		check := func(c row, err error, refused bool) {
+			t.Helper()
+			if refused && !errors.Is(err, proto.ErrNoPermission) {
+				t.Errorf("%s: %s = %v, want ErrNoPermission", role, c.name, err)
+			} else if !refused && err != nil {
+				t.Errorf("%s: %s: %v", role, c.name, err)
+			}
+			for i, g := range groups {
+				if err := safety[i].Check(g); err != nil {
+					t.Fatalf("%s: after %s: %v", role, c.name, err)
+				}
+			}
+		}
+		for _, c := range mutations {
+			check(c, c.do(), true)
+		}
+		for _, c := range reads {
+			check(c, c.do(), false)
+		}
 	}
 }
 
 // replicatedScenario runs a fixed crash/restart schedule against a
 // replicated rig and returns everything determinism can be judged by.
-func replicatedScenario(t *testing.T) (events []string, statuses []replica.Status, failed int) {
+func replicatedScenario(t *testing.T) (events []string, leader string, failed int) {
 	t.Helper()
 	policy := replicaRetryPolicy()
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
@@ -134,20 +250,21 @@ func replicatedScenario(t *testing.T) (events []string, statuses []replica.Statu
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
 	r.RunPaced(OpenClose("[bin]hello"))
-	return r.FSR.Group.Events(), r.FSR.Group.Statuses(), r.ResilienceSummary().Client.OpsFailed
+	leader, _ = r.FSR.Group.Leader()
+	return r.FSR.Group.Events(), leader, r.ResilienceSummary().Client.OpsFailed
 }
 
 // TestReplicaDeterministic pins the replication machinery to the
 // virtual clock: the same seed and schedule must produce byte-identical
-// group event logs and identical member statuses, run after run.
+// group event logs and the same leader, run after run.
 func TestReplicaDeterministic(t *testing.T) {
-	ev1, st1, failed1 := replicatedScenario(t)
-	ev2, st2, failed2 := replicatedScenario(t)
+	ev1, lead1, failed1 := replicatedScenario(t)
+	ev2, lead2, failed2 := replicatedScenario(t)
 	if !reflect.DeepEqual(ev1, ev2) {
 		t.Fatalf("group event logs differ between runs:\n%v\n---\n%v", ev1, ev2)
 	}
-	if !reflect.DeepEqual(st1, st2) {
-		t.Fatalf("member statuses differ: %+v vs %+v", st1, st2)
+	if lead1 != lead2 {
+		t.Fatalf("leaders differ: %s vs %s", lead1, lead2)
 	}
 	if failed1 != failed2 {
 		t.Fatalf("failed-op counts differ: %d vs %d", failed1, failed2)

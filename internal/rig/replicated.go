@@ -1,6 +1,7 @@
 // Replicated topology (PROTOCOL.md §11): with Config.Replicas > 1 the
-// fs1 file service and every workstation's prefix table are
-// consensus-replicated, so no single host owns a name. Member hosts
+// fs1 file service and every workstation's prefix table are replicated
+// read-only, so no single host owns a name. Every member is seeded
+// identically at boot (onFS1Volumes, prefixServers). Member hosts
 // fs1, fs1b, fs1c, … each run a member-local file server plus a replica
 // front; the fronts register the storage service, so the kernel's
 // lowest-live-host GetPid selection (§4.2) and the group's
@@ -35,7 +36,7 @@ type FSMember struct {
 	Rep  *replica.Replica
 }
 
-// ReplicatedFS is the consensus-replicated fs1 service.
+// ReplicatedFS is the replicated fs1 service.
 type ReplicatedFS struct {
 	Group   *replica.Group
 	Members []*FSMember // slot order: fs1, fs1b, fs1c, …
@@ -59,8 +60,7 @@ type PrefixMember struct {
 	Rep  *replica.Replica
 }
 
-// ReplicatedPrefix is one workstation's consensus-replicated prefix
-// table.
+// ReplicatedPrefix is one workstation's replicated prefix table.
 type ReplicatedPrefix struct {
 	Group   *replica.Group
 	Members []*PrefixMember // slot order: workstation, services, fs2

@@ -109,8 +109,8 @@ type Scenario struct {
 	ReadAhead bool
 	Baseline  bool
 	Retry     *client.RetryPolicy
-	// Replicas consensus-replicates the fs1 file service and every
-	// workstation's prefix table across a replication group of this many
+	// Replicas replicates the fs1 file service and every workstation's
+	// prefix table, read-only, across a replication group of this many
 	// members (PROTOCOL.md §11, replicated.go). 0 or 1 keeps the
 	// single-server topology.
 	Replicas int
@@ -165,7 +165,7 @@ type Topology struct {
 	Metrics *metrics.Registry
 	Sampler *metrics.Sampler
 
-	// The paper testbed (Kind Paper). FSR is the consensus-replicated fs1
+	// The paper testbed (Kind Paper). FSR is the replicated fs1
 	// service when Replicas > 1, else nil; FS1Host/FS1 then alias slot
 	// 0's host and member-local server. NSHost/NS exist with Baseline.
 	// BinCtx is the standard program directory context on FS1.
