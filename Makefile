@@ -39,16 +39,20 @@ check: vet
 # state leaking between runs (pools, package variables) shows up as a
 # byte difference that a single run cannot see.
 	$(GO) test -race -count=2 -run 'TestChaosScheduleDeterministic|TestA10Deterministic|TestA11Deterministic|TestExperimentsDeterministic|TestObsJSONDeterministic|TestZipfDeterministic|TestReplicaDeterministic|TestScenarioIsPlainData|TestRunScenarioDeterministic' ./internal/chaos/ ./internal/experiments/ ./internal/popgen/ ./internal/rig/
-# Engine equivalence on one P: lanes interleave only where they block,
-# the schedule a multi-CPU race run never produces.
-	GOMAXPROCS=1 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
+# Engine equivalence on two P: the engine folds its lanes onto at most
+# GOMAXPROCS goroutines, so four lanes share two that really run at once,
+# each stepping two lanes' clients in key order (at one P the engine is a
+# single goroutine and nothing interleaves).
+	GOMAXPROCS=2 $(GO) test -race -run 'TestShardedEquivalence|TestShardedLeaseEquivalence|TestOpenLoopEquivalence|TestParallelDriverEquivalence|TestShardedUnderChaos|TestRunScenarioDeterministic' ./internal/rig/
 # Teams, replica members and group sends on four P: every server is
 # served, so these rows may not depend on how many run at once. Two lanes
 # through one cache tier: no answer may share a message across lanes. The
 # kernel's group tests: a group transaction's clones complete into one
 # fan-in from whichever goroutine runs them. A member re-created while its
-# group has no leader is synced after the next election.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestRejoinWhileLeaderless|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/
+# group has no leader is synced after the next election. Four lanes on
+# four P, unfolded: a faulted run equals its one-lane reference, and the
+# driver runs no more goroutines than processors.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestRejoinWhileLeaderless|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last two are the file path's: a block
 # read lands in the reader's buffer, and no block reads Info(). A

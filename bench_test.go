@@ -448,8 +448,9 @@ func runEngine(cs []*rig.WorkloadClient) *rig.WorkloadResult {
 func BenchmarkWorkloadSequential(b *testing.B) { benchShardedWorkload(b, rig.RunWorkload) }
 
 // BenchmarkWorkloadEngine measures the conservative engine's wall-clock
-// throughput over the same workload, one goroutine-lane per shard (real
-// parallelism is bounded by GOMAXPROCS; sweep it with -cpu). The
+// throughput over the same workload, one lane per shard folded onto at
+// most GOMAXPROCS goroutines (at -cpu 1 a single goroutine; sweep it with
+// -cpu). The
 // virtual-time results are identical to the sequential driver's (see
 // TestParallelDriverEquivalence); only wall-clock time changes.
 func BenchmarkWorkloadEngine(b *testing.B) { benchShardedWorkload(b, runEngine) }

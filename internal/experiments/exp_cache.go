@@ -185,6 +185,7 @@ func a17ChaosScenario(kind string) rig.Scenario {
 		Seed:            a17Seed,
 		Lease:           a17ChaosLease,
 		Trace:           true,
+		Sequential:      true,
 	}
 	switch kind {
 	case "crash":
@@ -205,9 +206,9 @@ func a17ChaosScenario(kind string) rig.Scenario {
 	return sc
 }
 
-// a17Chaos runs one fault leg and distills it into a CacheChaos:
-// determinism belongs to the engine tests; here the trace itself is the
-// deliverable.
+// a17Chaos runs one fault leg, held to its one-lane sequential reference
+// by runChecked, and distills it into a CacheChaos: the trace itself is
+// the deliverable.
 func a17Chaos(kind string) (CacheChaos, error) {
 	leg := CacheChaos{
 		Kind:     kind,

@@ -366,6 +366,7 @@ func a19TuneScenario(lease, cap time.Duration) rig.Scenario {
 		Lease:           lease,
 		AutoTuneMax:     cap,
 		Trace:           true,
+		Sequential:      true,
 		Faults: []chaos.Event{
 			redefine(60*time.Millisecond, "redefine shard0 (train tuner)"),
 			redefine(120*time.Millisecond, "redefine shard0 again"),

@@ -2,6 +2,8 @@ package rig
 
 import (
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,8 +46,9 @@ func mustRun(t *testing.T, sc Scenario) (*WorkloadResult, Evidence) {
 // the pre-engine driver could not parallelize: the conservative engine's
 // WorkloadResult is deeply equal to the sequential driver's on the
 // shared-prefix topology, across team sizes, with both operation classes
-// exercised. make check runs it under -race at GOMAXPROCS=1 and at the
-// machine's CPU count.
+// exercised. make check runs it under -race at the machine's CPU count and
+// at GOMAXPROCS=2, where four lanes fold onto two goroutines that really
+// run at once (at one P the engine run is a single goroutine).
 func TestShardedEquivalence(t *testing.T) {
 	for _, team := range []int{1, 2, 4} {
 		sc := sharedPrefixShape
@@ -120,6 +123,76 @@ func TestShardedPartitionMidFlight(t *testing.T) {
 	}
 	if ev1.Completed == 0 {
 		t.Fatal("no operations completed despite lane-confined cache hits")
+	}
+}
+
+// TestFaultedRunEqualsSequential runs generated fault schedules — outages
+// of the prefix host and of every shard, and frame-loss pulses — with the
+// sequential reference: a one-lane run whose fences fire the same events
+// at the same quiescent cuts must agree with the engine in result,
+// latencies, cache counters, chaos log and sealed journal.
+func TestFaultedRunEqualsSequential(t *testing.T) {
+	profile := chaos.Profile{
+		Duration:           600 * time.Millisecond,
+		Hosts:              []string{"nexus", "shard0", "shard1", "shard2", "shard3"},
+		MeanOutageEvery:    200 * time.Millisecond,
+		OutageLength:       100 * time.Millisecond,
+		MeanLossPulseEvery: 150 * time.Millisecond,
+		LossPulseLength:    50 * time.Millisecond,
+		LossRate:           0.2,
+	}
+	fired, failed := 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		sc := sharedPrefixShape
+		sc.Sequential, sc.Faults = true, chaos.Generate(seed, profile)
+		_, ev := mustRun(t, sc)
+		if !ev.EqualToSequential {
+			t.Fatalf("seed %d: faulted run differs from its sequential reference\nlog: %v", seed, ev.ChaosLog)
+		}
+		fired += len(ev.ChaosLog)
+		failed += ev.Errors
+	}
+	t.Logf("%d events fired, %d operations failed", fired, failed)
+	if fired == 0 || failed == 0 {
+		t.Fatalf("schedules never bit: %d events fired, %d operations failed", fired, failed)
+	}
+}
+
+// TestEngineFoldsLanesOntoProcessors runs eight lanes on 1, 2, 3 (an
+// uneven fold) and 8 processors: the result equals the sequential
+// reference at each, and the driver adds no more goroutines than
+// min(GOMAXPROCS, lanes).
+func TestEngineFoldsLanesOntoProcessors(t *testing.T) {
+	sc := sharedPrefixShape
+	sc.Shards, sc.ClientsPerShard, sc.Requests, sc.Sequential = 8, 2, 20, true
+	for _, procs := range []int{1, 2, 3, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			if _, ev := mustRun(t, sc); !ev.EqualToSequential {
+				t.Fatalf("GOMAXPROCS=%d: engine result differs from sequential", procs)
+			}
+			top, err := sc.Boot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			most := 0
+			for _, c := range top.Clients {
+				op := c.Op
+				c.Op = func(s *client.Session, iter int) error {
+					n := runtime.NumGoroutine()
+					mu.Lock()
+					most = max(most, n)
+					mu.Unlock()
+					return op(s, iter)
+				}
+			}
+			base := runtime.NumGoroutine()
+			RunWorkloadEngine(top.Clients, EngineOptions{})
+			if added, want := most-base, min(procs, sc.Shards); added > want {
+				t.Fatalf("GOMAXPROCS=%d: driver added %d goroutines, want at most %d", procs, added, want)
+			}
+		}()
 	}
 }
 

@@ -136,9 +136,10 @@ type Scenario struct {
 	// generation pass. Never serialized: it adds nothing to the three.
 	Pop *popgen.Population `json:"-"`
 	// Sequential also runs the scenario on a second, identical topology
-	// through the ungated sequential driver and records whether the
-	// engine's result is deeply equal to it. The sequential driver has no
-	// fences, so it cannot be combined with Faults.
+	// through the ungated sequential driver — or, with Faults, with every
+	// client in one engine lane, whose fences fire them at the same
+	// quiescent cuts — and records whether the engine's result is deeply
+	// equal to it.
 	Sequential bool
 }
 
@@ -334,8 +335,10 @@ type Evidence struct {
 	Journal []flight.Event
 
 	// EqualToSequential is the Sequential verdict: WorkloadResult, per-op
-	// latency matrix and summed client cache counters all equal — the two
-	// drivers saw the same cache behaviour, not just the same latencies.
+	// latency matrix and summed client cache counters all equal, and on a
+	// faulted run the chaos log and sealed journal too — the two runs saw
+	// the same cache behaviour and the same faults, not just the same
+	// latencies.
 	EqualToSequential bool
 }
 
@@ -344,7 +347,9 @@ type Evidence struct {
 // are the fault schedule's event times, each firing pumps the chaos
 // engine NewChaos built — which executes Redefine events through an
 // admin session on the prefix host — and then seals the flight recorder
-// at the quiescent cut. A Paper scenario runs through RunPaced instead.
+// at the quiescent cut. The Sequential reference is the ungated
+// sequential driver RunWorkload, or, with Faults, the same drive with
+// every client in lane 0. A Paper scenario runs through RunPaced instead.
 func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 	var ev Evidence
 	if sc.Kind == Paper {
@@ -352,36 +357,34 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 	}
 	var seq *WorkloadResult
 	var ref *Topology
+	var refLog []string
 	if sc.Sequential {
-		if len(sc.Faults) > 0 {
-			return nil, ev, errors.New("rig: the sequential reference has no fences to fire Faults at")
-		}
 		var err error
 		if ref, err = sc.Boot(); err != nil {
 			return nil, ev, err
 		}
-		seq = RunWorkload(ref.Clients)
+		if len(sc.Faults) == 0 {
+			seq = RunWorkload(ref.Clients)
+		} else {
+			for _, c := range ref.Clients {
+				c.Lane = 0
+			}
+			seq, refLog = ref.drive()
+		}
 	}
 
 	t, err := sc.Boot()
 	if err != nil {
 		return nil, ev, err
 	}
-	var eng *chaos.Engine
-	if len(sc.Faults) > 0 {
-		eng = t.NewChaos(sc.Faults)
-	}
-	fences := SealFlightAtFences(ChaosFences(eng), t.Flight)
-	res := RunWorkloadEngine(t.Clients, EngineOptions{Fences: fences})
+	res, chaosLog := t.drive()
 
 	ev.Topology = t
 	for _, st := range res.Clients {
 		ev.Completed += st.Completed
 		ev.Errors += st.Errors
 	}
-	if eng != nil {
-		ev.ChaosLog = eng.Log()
-	}
+	ev.ChaosLog = chaosLog
 	ev.Client = t.leaseTotals()
 	if t.Tier != nil {
 		ev.Tier = t.Tier.Stats()
@@ -403,8 +406,26 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 	}
 	ev.Journal = t.Flight.Journal()
 	ev.EqualToSequential = seq != nil && reflect.DeepEqual(seq, res) &&
-		reflect.DeepEqual(ref.Latencies, t.Latencies) && ref.leaseTotals() == ev.Client
+		reflect.DeepEqual(ref.Latencies, t.Latencies) && ref.leaseTotals() == ev.Client &&
+		reflect.DeepEqual(refLog, ev.ChaosLog) &&
+		(len(sc.Faults) == 0 || reflect.DeepEqual(ref.Flight.Journal(), ev.Journal))
 	return res, ev, nil
+}
+
+// drive runs the topology's clients through the conservative engine with
+// the scenario's Faults fired at fences, each firing sealing the flight
+// recorder, and returns the result and the fired-event log (nil without
+// Faults).
+func (t *Topology) drive() (*WorkloadResult, []string) {
+	var eng *chaos.Engine
+	if len(t.sc.Faults) > 0 {
+		eng = t.NewChaos(t.sc.Faults)
+	}
+	res := RunWorkloadEngine(t.Clients, EngineOptions{Fences: SealFlightAtFences(ChaosFences(eng), t.Flight)})
+	if eng == nil {
+		return res, nil
+	}
+	return res, eng.Log()
 }
 
 // leaseTotals sums the lease-cache counters of every session.

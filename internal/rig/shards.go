@@ -58,8 +58,9 @@ func (sc *Scenario) checkSharded() error {
 // file server per shard host, then add — which binds or seeds what the
 // Kind's clients resolve and adds them, each carrying Lane = shard index
 // and a classifier that proves cache-hit operations lane-confined via the
-// host shard labels — so RunWorkloadEngine runs one goroutine-lane per
-// shard and RunWorkload reproduces the same result sequentially.
+// host shard labels — so RunWorkloadEngine runs one engine lane per
+// shard, folded onto at most GOMAXPROCS goroutines, and RunWorkload
+// reproduces the same result sequentially.
 func sharded(add func(*Topology) error) func(*Topology) error {
 	return func(t *Topology) error {
 		t.PrefixHost = t.Kernel.NewHost("nexus")

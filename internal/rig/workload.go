@@ -8,9 +8,9 @@
 // (the §3.1 concurrency this repo's A11 experiment measures).
 //
 // RunWorkloadEngine extends this to real concurrency: clients are
-// partitioned into lanes, each lane runs the same deterministic
-// virtual-time-ordered loop, and lanes execute on real goroutines,
-// synchronized by the conservative engine (internal/engine, PROTOCOL.md
+// partitioned into lanes, the lanes are folded onto at most GOMAXPROCS
+// goroutines, each running the same deterministic virtual-time-ordered
+// loop, synchronized by the conservative engine (internal/engine, PROTOCOL.md
 // §12). Operations that touch execution-order-sensitive substrate state
 // (the shared-wire ledger, the loss RNG, a server another lane also
 // talks to) commit in global key order — exactly the sequential
@@ -20,6 +20,7 @@
 package rig
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +55,10 @@ type WorkloadClient struct {
 	Arrive func(iter int) time.Duration
 	// Lane assigns the client to a parallel execution lane
 	// (RunWorkloadEngine). Clients in the same lane are stepped
-	// sequentially in virtual-time order relative to each other; distinct
-	// lanes run on real goroutines. The sequential driver ignores it.
+	// sequentially in virtual-time order relative to each other; the
+	// lanes run on at most GOMAXPROCS goroutines, lane li on goroutine
+	// li mod GOMAXPROCS, so distinct lanes may share one. The sequential
+	// driver ignores it.
 	Lane int
 	// Classify, when non-nil, classifies the client's next operation for
 	// the conservative engine before it runs: engine.Confined operations
@@ -63,7 +66,7 @@ type WorkloadClient struct {
 	// atomics) and run ahead of other lanes; engine.Shared operations
 	// commit in global virtual-time order. Nil means every operation is
 	// Shared — always safe, fully serialized. The sequential driver
-	// ignores it.
+	// ignores it, and so does an engine run folded onto one goroutine.
 	Classify func(s *client.Session, iter int) engine.Class
 	// Tick, when non-nil, is called after each completed iteration with
 	// the client's virtual clock — the hook workloads use to pump
@@ -123,7 +126,7 @@ func RunWorkload(clients []*WorkloadClient) *WorkloadResult {
 	for i := range clients {
 		all[i] = i
 	}
-	res.Requests = runLane(clients, all, res.Clients, nil, 0)
+	res.Requests = runLane(clients, all, res.Clients, nil, 0, false)
 	finishResult(res, start)
 	return res
 }
@@ -142,11 +145,12 @@ type EngineOptions struct {
 }
 
 // RunWorkloadEngine is the conservative-engine driver with explicit
-// options. Each lane is one engine owning its clients' virtual clocks
-// and run queue; before every operation the lane gates on the shared
-// Sync with the operation's key (virtual start time, client index) and
-// class. See internal/engine and PROTOCOL.md §12 for the protocol and
-// the equivalence argument.
+// options. The lanes are folded onto at most GOMAXPROCS goroutines
+// (partitionLanes); each goroutine is one engine lane owning its clients'
+// virtual clocks and run queue, and before every operation it gates on
+// the shared Sync with the operation's key (virtual start time, client
+// index) and class. See internal/engine and PROTOCOL.md §12 for the
+// protocol and the equivalence argument.
 func RunWorkloadEngine(clients []*WorkloadClient, opts EngineOptions) *WorkloadResult {
 	res := &WorkloadResult{Clients: make([]ClientStats, len(clients))}
 	if len(clients) == 0 {
@@ -156,8 +160,9 @@ func RunWorkloadEngine(clients []*WorkloadClient, opts EngineOptions) *WorkloadR
 	if opts.Lookahead == 0 {
 		opts.Lookahead = clients[0].Session.Proc().Kernel().Network().Lookahead()
 	}
-	lanes := partitionLanes(clients)
+	lanes := partitionLanes(clients, runtime.GOMAXPROCS(0))
 	es := engine.NewSync(len(lanes), opts.Lookahead, opts.Fences)
+	peers := len(lanes) > 1
 
 	var wg sync.WaitGroup
 	var requests atomic.Int64
@@ -165,7 +170,7 @@ func RunWorkloadEngine(clients []*WorkloadClient, opts EngineOptions) *WorkloadR
 		wg.Add(1)
 		go func(laneID int, idxs []int) {
 			defer wg.Done()
-			requests.Add(int64(runLane(clients, idxs, res.Clients, es, laneID)))
+			requests.Add(int64(runLane(clients, idxs, res.Clients, es, laneID, peers)))
 		}(laneID, idxs)
 	}
 	wg.Wait()
@@ -174,21 +179,29 @@ func RunWorkloadEngine(clients []*WorkloadClient, opts EngineOptions) *WorkloadR
 	return res
 }
 
-// partitionLanes splits clients into lanes by their Lane field,
-// preserving original client order within each lane (so the in-lane
-// tie-break, lowest index, matches the sequential driver's) and first
-// appearance order across lanes.
-func partitionLanes(clients []*WorkloadClient) [][]int {
+// partitionLanes splits clients into lanes by their Lane field, numbered
+// li in first-appearance order, and folds them onto at most p
+// goroutines: lane li joins goroutine li mod p. Clients are visited in
+// ascending index, so each goroutine steps the union of its lanes'
+// clients in global index order and the pick-min tie-break stays
+// Key.Seq. A folded goroutine runs its clients in global key order, a
+// refinement of the lanes it holds; a Confined operation touches only
+// its own shard's substrate, which still belongs to exactly one
+// goroutine.
+func partitionLanes(clients []*WorkloadClient, p int) [][]int {
 	laneOf := make(map[int]int)
 	var lanes [][]int
 	for i, c := range clients {
 		li, ok := laneOf[c.Lane]
 		if !ok {
-			li = len(lanes)
+			li = len(laneOf)
 			laneOf[c.Lane] = li
+		}
+		g := li % p
+		if g == len(lanes) {
 			lanes = append(lanes, nil)
 		}
-		lanes[li] = append(lanes[li], i)
+		lanes[g] = append(lanes[g], i)
 	}
 	return lanes
 }
@@ -256,8 +269,9 @@ func finishResult(res *WorkloadResult, start time.Duration) {
 // earlier future activity. Tick is not called under a Sync: a per-op
 // pump would observe nondeterministic lane interleavings, so
 // virtual-time observers are pumped by the engine's fences instead
-// (EngineOptions).
-func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engine.Sync, lane int) int {
+// (EngineOptions). peers reports whether the Sync has another lane;
+// without one there is nothing to run ahead of, so no op is classified.
+func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engine.Sync, lane int, peers bool) int {
 	iters := make([]int, len(idxs))
 	requests := 0
 	for {
@@ -280,7 +294,7 @@ func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engin
 		c := clients[i]
 		waitForArrival(c, best)
 		if es != nil {
-			gate(es, lane, engine.Key{T: best, Seq: i}, c, iters[pick])
+			gate(es, lane, engine.Key{T: best, Seq: i}, c, iters[pick], peers)
 		}
 		if c.Think > 0 {
 			c.Session.Proc().ChargeCompute(c.Think)
@@ -309,9 +323,10 @@ func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engin
 }
 
 // gate classifies client c's iteration iter and blocks until the engine
-// clears it at key.
-func gate(es *engine.Sync, lane int, key engine.Key, c *WorkloadClient, iter int) {
-	if c.Classify == nil {
+// clears it at key. Without peers it gates Shared unclassified: a lone
+// lane's Shared gate never waits, so a Confined proof would decide nothing.
+func gate(es *engine.Sync, lane int, key engine.Key, c *WorkloadClient, iter int, peers bool) {
+	if c.Classify == nil || !peers {
 		es.Gate(lane, key, engine.Shared)
 		return
 	}
