@@ -52,7 +52,9 @@ check: vet
 # group has no leader is synced after the next election. Four lanes on
 # four P, unfolded: a faulted run equals its one-lane reference, and the
 # driver runs no more goroutines than processors.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestRejoinWhileLeaderless|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/
+# Four readers of the name index beside a writer that compacts its arena
+# under them.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestRejoinWhileLeaderless|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last two are the file path's: a block
 # read lands in the reader's buffer, and no block reads Info(). A

@@ -9,9 +9,11 @@ import (
 // FuzzNametreeLookup feeds arbitrary key material (seeded from the
 // client cacheKey corpus — bracketed V-System context names) through
 // insert/lookup/delete and cross-checks every answer against a plain
-// map. The input is split on '|' into up to 8 keys; every prefix of every
-// key is used as a lookup probe so the descent is exercised at each
-// divergence point.
+// map. The input is split into up to 300 keys by splitKeys; every prefix
+// of every key is used as a lookup probe so the descent is exercised at
+// each divergence point. The last two seeds are the records the arena
+// encodes past one-byte fields: a 100,000-byte label and a node with all
+// 256 children.
 func FuzzNametreeLookup(f *testing.F) {
 	f.Add("[storage]/shared/archive/2026/paper.mss")
 	f.Add("[]x")
@@ -20,10 +22,21 @@ func FuzzNametreeLookup(f *testing.F) {
 	f.Add("[unterminated")
 	f.Add("a|ab|abc|b")
 	f.Add("[home]|[home]sub|[h")
+	long := strings.Repeat("x", 100_000)
+	f.Add(long + "|" + long + "y|x")
+	var wide strings.Builder
+	for b := 0; b < 256; b++ {
+		if b == '|' || b == '\\' {
+			wide.WriteByte('\\')
+		}
+		wide.WriteString(string([]byte{byte(b)}) + ".w|")
+	}
+	wide.WriteString(".")
+	f.Add(wide.String())
 	f.Fuzz(func(t *testing.T, input string) {
-		keys := strings.Split(input, "|")
-		if len(keys) > 8 {
-			keys = keys[:8]
+		keys := splitKeys(input)
+		if len(keys) > 300 {
+			keys = keys[:300]
 		}
 		tr := New[int]()
 		ref := map[string]int{}
@@ -101,4 +114,24 @@ func FuzzNametreeLookup(f *testing.F) {
 			t.Fatalf("drained tree: Len=%d KeyBytes=%d", tr.Len(), tr.KeyBytes())
 		}
 	})
+}
+
+// splitKeys splits the fuzz input on '|'. A backslash takes the byte
+// after it literally, so a key can hold any byte, '|' included.
+func splitKeys(input string) []string {
+	var keys []string
+	var key []byte
+	for i := 0; i < len(input); i++ {
+		switch c := input[i]; {
+		case c == '\\' && i+1 < len(input):
+			i++
+			key = append(key, input[i])
+		case c == '|':
+			keys = append(keys, string(key))
+			key = key[:0]
+		default:
+			key = append(key, c)
+		}
+	}
+	return append(keys, string(key))
 }

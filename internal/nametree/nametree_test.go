@@ -1,56 +1,67 @@
 package nametree
 
 import (
+	"bytes"
+	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
+
+	"repro/internal/popgen"
+	"repro/internal/raceflag"
 )
 
 // checkTree asserts what every mutation must leave true of the whole
-// tree: a node's child bytes are its children's first label bytes,
-// strictly sorted; below the root no label is empty and no valueless
-// node has fewer than two children (the tree is canonical, so its shape
-// depends on the key set alone); Len and KeyBytes count what a walk
-// would find.
+// published tree: a record's child bytes are its children's first label
+// bytes, strictly sorted; below the root no label is empty and no
+// valueless record has fewer than two children (the tree is canonical,
+// so its shape depends on the key set alone); Len and KeyBytes count
+// what a walk would find; and the arena's live bytes are exactly the
+// bytes of the records the root reaches, which is what compaction
+// decides by.
 func checkTree[V any](t testing.TB, tr *Tree[V]) {
 	t.Helper()
-	count, bytes := 0, 0
-	var visit func(n *node[V], depth int)
-	visit = func(n *node[V], depth int) {
-		depth += len(n.label())
-		keys := n.text[n.split:]
-		if len(keys) != len(n.children) {
-			t.Fatalf("node %q: %d child bytes for %d children", n.label(), len(keys), len(n.children))
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	m := tr.img.Load()
+	count, keyBytes, recBytes := 0, 0, 0
+	var visit func(n node, depth int)
+	visit = func(n node, depth int) {
+		depth += len(n.label)
+		recBytes += n.size
+		if n.hasVal {
+			count++
+			keyBytes += depth
 		}
-		for i, c := range n.children {
-			if c.split == 0 || c.text[0] != keys[i] {
-				t.Fatalf("node %q: child %d has label %q under byte %q", n.label(), i, c.label(), keys[i])
+		for i, b := range n.keys {
+			c := decode(m.rec(n.child(i)))
+			if len(c.label) == 0 || c.label[0] != b {
+				t.Fatalf("node %q: child %d has label %q under byte %q", n.label, i, c.label, b)
 			}
-			if i > 0 && keys[i-1] >= keys[i] {
-				t.Fatalf("node %q: child bytes %q not strictly sorted", n.label(), keys)
+			if i > 0 && n.keys[i-1] >= b {
+				t.Fatalf("node %q: child bytes %q not strictly sorted", n.label, n.keys)
 			}
-			if !c.hasVal && len(c.children) < 2 {
-				t.Fatalf("node %q: valueless with %d children", c.label(), len(c.children))
+			if !c.hasVal && len(c.keys) < 2 {
+				t.Fatalf("node %q: valueless with %d children", c.label, len(c.keys))
 			}
 			visit(c, depth)
 		}
-		if n.hasVal {
-			count++
-			bytes += depth
-		}
 	}
-	root := tr.root.Load()
-	if root.split != 0 {
-		t.Fatalf("root has label %q", root.label())
+	root := decode(m.rec(m.root))
+	if len(root.label) != 0 {
+		t.Fatalf("root has label %q", root.label)
 	}
 	visit(root, 0)
-	if tr.Len() != count || tr.KeyBytes() != bytes {
-		t.Fatalf("Len=%d KeyBytes=%d, tree holds %d keys of %d bytes", tr.Len(), tr.KeyBytes(), count, bytes)
+	if tr.Len() != count || tr.KeyBytes() != keyBytes {
+		t.Fatalf("Len=%d KeyBytes=%d, tree holds %d keys of %d bytes", tr.Len(), tr.KeyBytes(), count, keyBytes)
+	}
+	if m.root != tr.a.root || recBytes != tr.a.live {
+		t.Fatalf("published root %d, arena's %d; records reached hold %d bytes, arena counts %d live", m.root, tr.a.root, recBytes, tr.a.live)
 	}
 }
 
@@ -185,14 +196,24 @@ func TestWalkEarlyStop(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders hammers lock-free reads while a writer churns
-// the tree; run under -race this is the COW publication safety test.
+// TestConcurrentReaders hammers lock-free reads and walks while a writer
+// churns the tree with inserts, deletes and whole-table loads, and
+// requires that the writer drove several compactions and value
+// renumberings while the readers ran. Each value carries its own
+// complement, so a read of a record or value a writer was still filling
+// shows as a torn value; under -race this is the publication safety
+// test. The final tree must equal the writer's model.
 func TestConcurrentReaders(t *testing.T) {
-	tr := New[int]()
+	type val struct{ n, check int }
+	whole := func(n int) val { return val{n, ^n} }
+	torn := func(v val) bool { return v.check != ^v.n || v.n < 0 || v.n >= 1<<20 }
+	tr := New[val]()
+	ref := model{}
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = genKey(rand.New(rand.NewSource(int64(i))))
-		tr.Insert(keys[i], i)
+		tr.Insert(keys[i], whole(i))
+		ref[keys[i]] = i
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -201,45 +222,66 @@ func TestConcurrentReaders(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				if i%64 == 63 {
+					last := ""
+					tr.Walk(func(k string, v val) bool {
+						if k < last || torn(v) {
+							t.Errorf("Walk observed %q after %q, value %+v", k, last, v)
+						}
+						last = k
+						return true
+					})
+					continue
+				}
 				q := keys[r.Intn(len(keys))]
-				if v, ok := tr.Get(q); ok && (v < 0 || v >= 1<<20) {
-					t.Errorf("Get(%q) observed torn value %d", q, v)
+				if v, ok := tr.Get(q); ok && torn(v) {
+					t.Errorf("Get(%q) observed torn value %+v", q, v)
 					return
 				}
 			}
 		}(int64(g))
-	}
-	distinct := map[string]bool{}
-	for _, k := range keys {
-		distinct[k] = true
 	}
 	for i := 0; i < 5000; i++ {
 		k := keys[i%len(keys)]
 		switch {
 		case i%1000 == 999:
 			// A whole-table replacement is published like any other write.
-			all := make([]string, 0, len(distinct))
-			for k := range distinct {
-				all = append(all, k)
-			}
-			if err := tr.Load(all, func(j int) int { return j }); err != nil {
+			all := ref.sortedKeys()
+			if err := tr.Load(all, whole); err != nil {
 				t.Fatal(err)
+			}
+			for j, k := range all {
+				ref[k] = j
 			}
 		case i%3 == 0:
 			tr.Delete(k)
+			delete(ref, k)
 		default:
-			tr.Insert(k, i%(1<<20))
+			tr.Insert(k, whole(i))
+			ref[k] = i
 		}
 	}
+	tr.mu.Lock()
+	compactions, renumbers := tr.a.compactions, tr.a.renumbers
+	tr.mu.Unlock()
 	close(stop)
 	wg.Wait()
+	t.Logf("%d compactions, %d of them renumbering values, under 4 readers", compactions, renumbers)
+	if compactions < 5 || renumbers < 2 {
+		t.Fatalf("%d compactions and %d renumberings while readers ran, want at least 5 and 2", compactions, renumbers)
+	}
 	checkTree(t, tr)
+	got := model{}
+	tr.Walk(func(k string, v val) bool { got[k] = v.n; return true })
+	if !maps.Equal(got, ref) {
+		t.Fatalf("tree holds %d keys, model %d, or a value differs", len(got), len(ref))
+	}
 }
 
 // TestLoadMatchesInsert: Load installs exactly the tree the same keys
@@ -247,7 +289,7 @@ func TestConcurrentReaders(t *testing.T) {
 // whatever was there before, and installs nothing when a key repeats.
 func TestLoadMatchesInsert(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	names, _ := population(3000)
+	names := popgen.NewPopulation(3000, 0.5, 1).Names
 	seen := map[string]bool{}
 	var keys []string
 	for _, k := range names {
@@ -305,21 +347,94 @@ func TestLoadMatchesInsert(t *testing.T) {
 	checkTree(t, bulk)
 }
 
-// TestNodeSizeClass pins the node of a prefix-table-sized value (16
-// bytes, 4-byte aligned: prefix's TestTableEntrySize) in the 64-byte
-// allocator class: the child bytes share the label's string and split
-// sits in hasVal's padding, so the one-line child lookup costs no
-// memory per name.
-func TestNodeSizeClass(t *testing.T) {
-	type entry struct {
-		a, b, slotIdx uint32
-		dynamic       bool
+// TestFiveNameTreeFootprint bounds the live heap of a table of a
+// handful of names — the paper rig's prefix tables — at 800 bytes (720
+// measured): the tree, its image, and record and value chunks that start
+// small and double. An arena that started at its full 64 KiB chunks
+// would hold over 128 KiB per table.
+func TestFiveNameTreeFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations are not the tree's")
 	}
-	if unsafe.Sizeof(entry{}) != 16 {
-		t.Fatalf("stand-in entry is %d bytes, want 16", unsafe.Sizeof(entry{}))
+	const trees, maxBytes = 100, 800
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
 	}
-	if sz := unsafe.Sizeof(node[entry]{}); sz <= 48 || sz > 64 {
-		t.Fatalf("node of a 16-byte value is %d bytes, want the 64-byte class", sz)
+	kept := make([]*Tree[[4]uint32], trees)
+	before := heap()
+	for i := range kept {
+		tr := New[[4]uint32]()
+		for j, name := range []string{"storage", "home", "bin", "mail", "sys"} {
+			tr.Insert(name, [4]uint32{uint32(j)})
+		}
+		kept[i] = tr
+	}
+	per := float64(heap()-before) / trees
+	t.Logf("a five-name tree holds %.0f bytes", per)
+	if per > maxBytes {
+		t.Fatalf("a five-name tree holds %.0f bytes, bound %d", per, maxBytes)
+	}
+	runtime.KeepAlive(kept)
+}
+
+// TestLongKeyAndWideNode drives the two records the old node layout
+// never had to encode: a 100,000-byte label, longer than a chunk and
+// than a one-byte length field, and a node with all 256 children, more
+// than a one-byte count — through Insert, Get, Walk, Delete and Load.
+func TestLongKeyAndWideNode(t *testing.T) {
+	long := strings.Repeat("x", 100_000)
+	keys := []string{long, long[:50_000] + "y", long + "z", "w"}
+	for b := 0; b < 256; b++ {
+		keys = append(keys, "w"+string([]byte{byte(b)}))
+	}
+	one := New[int]()
+	for i, k := range keys {
+		one.Insert(k, i)
+	}
+	bulk := New[int]()
+	if err := bulk.Load(keys, func(i int) int { return i }); err != nil {
+		t.Fatal(err)
+	}
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	for _, tr := range []*Tree[int]{one, bulk} {
+		checkTree(t, tr)
+		for i, k := range keys {
+			if v, ok := tr.Get(k); !ok || v != i {
+				t.Fatalf("Get(key %d, %d bytes) = (%d, %v)", i, len(k), v, ok)
+			}
+		}
+		for _, q := range []string{long[:99_999], long + "x", long[:50_000], "wx\x00"} {
+			if _, ok := tr.Get(q); ok {
+				t.Fatalf("Get of a %d-byte key never inserted hit", len(q))
+			}
+		}
+		if !slices.Equal(walkKeys(tr), sorted) {
+			t.Fatal("Walk is not the sorted key set")
+		}
+		m := tr.img.Load()
+		root := decode(m.rec(m.root))
+		w := decode(m.rec(root.child(bytes.IndexByte(root.keys, 'w'))))
+		if len(w.keys) != 256 || !w.hasVal {
+			t.Fatalf("node \"w\" has %d children, value %v; want 256 and a value", len(w.keys), w.hasVal)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for i, k := range keys {
+		if !one.Delete(k) {
+			t.Fatalf("Delete of a %d-byte key missed", len(k))
+		}
+		if i%16 == 0 || len(k) > 2 {
+			checkTree(t, one)
+		}
+	}
+	if one.Len() != 0 || one.KeyBytes() != 0 {
+		t.Fatalf("drained tree: Len=%d KeyBytes=%d", one.Len(), one.KeyBytes())
 	}
 }
 

@@ -121,14 +121,15 @@ type Server struct {
 	team     *core.Team
 	teamSize int
 
-	// index is the prefix table: a COW radix tree (PROTOCOL.md §14)
-	// whose reads — resolution, classifier probes, directory walks,
-	// table snapshots — are lock-free against one immutable root. Each
-	// entry carries the binding and the slot of its lease-holder group,
-	// so a lease grant finds the group off the same node the resolution
-	// descended and never writes the index. mu serializes mutations of
-	// the index and guards groups and the plain maps below; resolution
-	// takes it only to stamp a lease.
+	// index is the prefix table: a copy-on-write radix tree stored in a
+	// pointer-free arena (PROTOCOL.md §14.1) whose reads — resolution,
+	// classifier probes, directory walks, table snapshots — are
+	// lock-free against one immutable published image. Each entry
+	// carries the binding and the slot of its lease-holder group, so a
+	// lease grant finds the group off the same descent the resolution
+	// made and never writes the index. mu serializes mutations of the
+	// index and guards groups and the plain maps below; resolution takes
+	// it only to stamp a lease.
 	index *nametree.Tree[tableEntry]
 	mu    sync.Mutex
 	// groups[slot] is a binding's lease-holder group: NilPID until its
@@ -187,12 +188,12 @@ func (c *statsCounters) load() Stats {
 }
 
 // tableEntry is one prefix table entry: the binding plus the index of
-// its lease-holder group in Server.groups, co-located on the index node
-// so resolution and lease stamping share one descent. Of the binding it
-// stores the one arm dynamic selects — (server pid, context id) or
-// (service, well-known context id) — which keeps the entry at 16 bytes
-// and the index node in the 64-byte class; binding hands the Binding
-// back.
+// its lease-holder group in Server.groups, stored with the name in the
+// index so resolution and lease stamping share one descent. Of the
+// binding it stores the one arm dynamic selects — (server pid, context
+// id) or (service, well-known context id) — which keeps the entry at 16
+// bytes and free of pointers in the index's value chunks; binding hands
+// the Binding back.
 type tableEntry struct {
 	target  [2]uint32
 	slot    uint32

@@ -163,14 +163,16 @@ func TestZipfStats(t *testing.T) {
 // hit — booted and driven until about half the names have been leased,
 // then the live heap and object count the repository holds for it, per
 // bound name, the generated population excluded as input. The ceilings
-// sit 10% above what the flat reverse index, the kernel group table, the
-// 16-byte table entry and the shared name string measure together (269 B
-// in 3.34 objects); what they replaced measured 377 B in 4.17.
+// sit 10% above what the pointer-free index arena, the flat reverse
+// index, the kernel group table and the 16-byte table entry measure
+// together (199 B in 1.24 objects); the pointer-node index measured
+// 269 B in 3.33, and before the reverse index, the group table and the
+// entry were flattened, 377 B in 4.17.
 func TestBoundNameFootprint(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's shadow allocations are not the repository's")
 	}
-	const names, maxBytes, maxObjects = 100_000, 296, 3.68
+	const names, maxBytes, maxObjects = 100_000, 219, 1.37
 	pop := popgen.NewPopulation(names, 0.5, 1)
 	heap := func() (m runtime.MemStats) {
 		runtime.GC()
