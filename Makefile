@@ -17,7 +17,7 @@ COVERAGE_FLOOR ?= 89.4
 # Every such function is reached by a program or deleted unless ROADMAP
 # item 9 says why it stays. Lower it when the count falls; never raise it
 # to make a regression pass.
-REACH_CEILING ?= 50
+REACH_CEILING ?= 45
 
 # The deterministic documents `vbench -<doc> FILE` exports, each pinned
 # byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
@@ -53,8 +53,8 @@ check: vet
 # four P, unfolded: a faulted run equals its one-lane reference, and the
 # driver runs no more goroutines than processors.
 # Four readers of the name index beside a writer that compacts its arena
-# under them.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestRejoinWhileLeaderless|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/
+# under them. Four clients using each of the nine CSNH servers at once.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestRejoinWhileLeaderless|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last two are the file path's: a block
 # read lands in the reader's buffer, and no block reads Info(). A

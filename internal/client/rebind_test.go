@@ -56,7 +56,6 @@ func rebindRig(t *testing.T) (*Session, *kernel.Host, *toy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ps.Proc().Destroy)
 	a := spawnToy(t, host, "a")
 	if err := ps.Define("a", a.pair()); err != nil {
 		t.Fatal(err)

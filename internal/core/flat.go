@@ -92,15 +92,16 @@ type Flat[T any] struct {
 }
 
 // NewFlat creates the server process on host and assembles a flat server
-// around it; h is the embedding server. The caller may add contexts to
-// Store before StartService makes the server reachable.
-func NewFlat[T any](host *kernel.Host, name string, h Handler, kind FlatKind[T], opts ...Option) (*Flat[T], error) {
+// around it, served by that one process; h is the embedding server. The
+// caller may add contexts to Store before StartService makes the server
+// reachable.
+func NewFlat[T any](host *kernel.Host, name string, h Handler, kind FlatKind[T]) (*Flat[T], error) {
 	proc, err := host.NewProcess(name)
 	if err != nil {
 		return nil, err
 	}
 	f := &Flat[T]{Store: NewMapStore(), reg: vio.NewRegistry(), objs: make(map[uint32]*T), kind: kind}
-	f.Server = NewServer(proc, f.Store, h, opts...)
+	f.Server = NewServer(proc, f.Store, h, 1)
 	return f, nil
 }
 

@@ -31,7 +31,7 @@ func count[T any](f *Flat[T]) int {
 	return len(f.objs)
 }
 
-func startThingServer(t *testing.T, h *kernel.Host, byName bool, team int) *thingServer {
+func startThingServer(t *testing.T, h *kernel.Host, byName bool) *thingServer {
 	t.Helper()
 	s := &thingServer{}
 	kind := FlatKind[thing]{
@@ -45,7 +45,7 @@ func startThingServer(t *testing.T, h *kernel.Host, byName bool, team int) *thin
 		kind.Order = func() []uint32 { return s.ByName() }
 	}
 	var err error
-	if s.Flat, err = NewFlat(h, "things", s, kind, WithTeam(team)); err != nil {
+	if s.Flat, err = NewFlat(h, "things", s, kind); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Start(); err != nil {
@@ -216,38 +216,36 @@ func (m *flatModel) step(rng *rand.Rand, s *thingServer, c thingClient, pool []s
 }
 
 // TestFlatMatchesModel runs seeded random create/open/list/query/remove
-// sequences against the map model, in both listing orders, on a single
-// process and on a team.
+// sequences against the map model, in both listing orders.
 func TestFlatMatchesModel(t *testing.T) {
 	pool := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for _, byName := range []bool{false, true} {
-		for _, team := range []int{1, 3} {
-			for seed := int64(1); seed <= 4; seed++ {
-				k := newDomain()
-				s := startThingServer(t, k.NewHost("srv"), byName, team)
-				c := thingClient{proc: newClientProc(t, k.NewHost("ws")), srv: s.PID()}
-				m := &flatModel{ids: make(map[string]uint32)}
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < 300; i++ {
-					if err := m.step(rng, s, c, pool, byName, true); err != nil {
-						t.Fatalf("byName=%v team=%d seed=%d step %d: %v", byName, team, seed, i, err)
-					}
+		for seed := int64(1); seed <= 4; seed++ {
+			k := newDomain()
+			s := startThingServer(t, k.NewHost("srv"), byName)
+			c := thingClient{proc: newClientProc(t, k.NewHost("ws")), srv: s.PID()}
+			m := &flatModel{ids: make(map[string]uint32)}
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 300; i++ {
+				if err := m.step(rng, s, c, pool, byName, true); err != nil {
+					t.Fatalf("byName=%v seed=%d step %d: %v", byName, seed, i, err)
 				}
-				if count(s.Flat) != len(m.ids) {
-					t.Fatalf("table holds %d objects, model %d", count(s.Flat), len(m.ids))
-				}
+			}
+			if count(s.Flat) != len(m.ids) {
+				t.Fatalf("table holds %d objects, model %d", count(s.Flat), len(m.ids))
 			}
 		}
 	}
 }
 
 // TestFlatTeamConcurrentClients is the race leg: four clients, each with
-// its own names and its own model, against one team of three. Ids are
-// shared, so each client checks only that its ids are new and its own
-// names list in order.
+// its own names and its own model, against one flat server — a team of
+// one, whose requests serialize on its process. Ids are shared, so each
+// client checks only that its ids are new and its own names list in
+// order.
 func TestFlatTeamConcurrentClients(t *testing.T) {
 	k := newDomain()
-	s := startThingServer(t, k.NewHost("srv"), false, 3)
+	s := startThingServer(t, k.NewHost("srv"), false)
 	const clients = 4
 	var wg sync.WaitGroup
 	errs := make([]error, clients)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"repro/internal/kernel"
 	"repro/internal/metrics"
@@ -48,38 +47,6 @@ type Handler interface {
 	HandleOp(req *Request) *proto.Message
 }
 
-// ServerStats counts a CSNH server's protocol activity.
-type ServerStats struct {
-	// Requests is the number of requests received.
-	Requests uint64
-	// CSNameRequests is the subset carrying character-string names.
-	CSNameRequests uint64
-	// Forwarded counts requests passed on to another server
-	// mid-interpretation (§5.4).
-	Forwarded uint64
-	// Failures counts non-OK replies sent.
-	Failures uint64
-	// Handoffs counts receptionist-to-worker forwards inside the server
-	// team (§3.1) — intra-team, unlike the inter-server Forwarded.
-	Handoffs uint64
-}
-
-// Option configures a Server.
-type Option func(*serverOptions)
-
-type serverOptions struct {
-	team int
-}
-
-// WithTeam sets the number of serving processes (§3.1). 1 — the default —
-// is the single-process server, which serves every request on the
-// receptionist process exactly as before teams existed. For n > 1 the
-// receptionist receives and forwards each transaction to one of n worker
-// processes on the same host, so requests overlap in virtual time.
-func WithTeam(n int) Option {
-	return func(o *serverOptions) { o.team = n }
-}
-
 // Server is the skeleton every character-string name handling server
 // embeds: it runs the serving team, performs the standard processing any
 // CSNH server can do on any CSname request — validating the standard
@@ -98,42 +65,17 @@ type Server struct {
 	// not keep either past their return.
 	req Request
 
-	// stats counters are atomics: team workers bump them concurrently on
-	// every request, so the serving hot path must not share a mutex.
-	stats serverCounters
 	// The server's registry series, resolved once per registry.
 	series   ServeSeries
 	handoffs metrics.Handles[*metrics.Counter]
 }
 
-// serverCounters is the lock-free backing store for ServerStats.
-type serverCounters struct {
-	requests  atomic.Uint64
-	csname    atomic.Uint64
-	forwarded atomic.Uint64
-	failures  atomic.Uint64
-	handoffs  atomic.Uint64
-}
-
-func (c *serverCounters) load() ServerStats {
-	return ServerStats{
-		Requests:       c.requests.Load(),
-		CSNameRequests: c.csname.Load(),
-		Forwarded:      c.forwarded.Load(),
-		Failures:       c.failures.Load(),
-		Handoffs:       c.handoffs.Load(),
-	}
-}
-
-// NewServer assembles a CSNH server from its process, store and handler.
-func NewServer(proc *kernel.Process, store ContextStore, handler Handler, opts ...Option) *Server {
-	var o serverOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+// NewServer assembles a CSNH server from its process, store and handler,
+// served by a team of the given size (§3.1; NewTeam). Only the file
+// server runs more than one process: every other server passes 1.
+func NewServer(proc *kernel.Process, store ContextStore, handler Handler, team int) *Server {
 	s := &Server{proc: proc, store: store, handler: handler, series: ServeSeries{Server: proc.Name()}}
-	s.team = NewTeam(proc, o.team, s.serveOne, func() {
-		s.stats.handoffs.Add(1)
+	s.team = NewTeam(proc, team, s.serveOne, func() {
 		metrics.CounterIn(&s.handoffs, s.proc.Kernel().Metrics(),
 			"server_handoffs_total", metrics.Labels{Server: s.proc.Name()}).Inc()
 	})
@@ -170,11 +112,6 @@ func (s *Server) StartService(service kernel.Service, scope kernel.Scope) error 
 	return s.proc.SetPid(service, s.proc.PID(), scope)
 }
 
-// Stats returns a stabilized snapshot of the server's protocol counters:
-// a mid-run reader never sees a request counted whose CSname/failure
-// classification is not.
-func (s *Server) Stats() ServerStats { return metrics.Stable(s.stats.load) }
-
 // serveOne processes a single request on the serving process p and
 // replies or forwards exactly once.
 func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) {
@@ -194,10 +131,10 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 }
 
 // serve is the standard processing around every request: charge the
-// fixed dispatch cost to the serving process, count the request, route it
-// — CSname requests get the standard name-mapping treatment, everything
-// else goes to the handler — and account for the reply. It returns nil
-// when the request was forwarded or answered inside the handler.
+// fixed dispatch cost to the serving process and route the request —
+// CSname requests get the standard name-mapping treatment, everything
+// else goes to the handler. It returns nil when the request was forwarded
+// or answered inside the handler.
 //
 // A failure reply to a request whose name interpretation completed here
 // means the handler rejected the resolved final component, so it gets
@@ -210,24 +147,16 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 func (s *Server) serve(req *Request) *proto.Message {
 	p := req.Proc()
 	p.ChargeCompute(p.Kernel().Model().ServerDispatchCost)
-	s.stats.requests.Add(1)
 	var reply *proto.Message
 	if req.Msg.Op.IsCSNameOp() {
-		s.stats.csname.Add(1)
 		reply = s.serveCSName(req)
 	} else {
 		reply = s.handler.HandleOp(req)
 	}
-	if reply == nil {
-		return nil
-	}
-	if reply.Op != proto.ReplyOK {
-		if req.res != nil {
-			if _, _, _, ok := proto.NameFault(reply); !ok {
-				proto.SetNameFault(reply, len(req.name)-len(req.res.Last), uint32(s.PID()), req.res.Last)
-			}
+	if reply != nil && reply.Op != proto.ReplyOK && req.res != nil {
+		if _, _, _, ok := proto.NameFault(reply); !ok {
+			proto.SetNameFault(reply, len(req.name)-len(req.res.Last), uint32(s.PID()), req.res.Last)
 		}
-		s.stats.failures.Add(1)
 	}
 	return reply
 }
@@ -250,7 +179,6 @@ func (s *Server) serveCSName(req *Request) *proto.Message {
 		return s.faultReply(err)
 	}
 	if fwd != nil {
-		s.stats.forwarded.Add(1)
 		s.series.Forwarded(req.Proc().Kernel().Metrics(), req.Msg.Op)
 		proto.RewriteCSName(req.Msg, uint32(fwd.Pair.Ctx), fwd.Index)
 		// A failed forward has already failed the sender's transaction.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/raceflag"
 	"repro/internal/vio"
@@ -479,8 +480,13 @@ func TestIsNotFoundHelper(t *testing.T) {
 	}
 }
 
-func TestServerStats(t *testing.T) {
+// TestServerSeries reads a server's protocol activity from the registry
+// series A14 and vstat read: a forward is counted by the server that
+// passed it on, an answer (and a failure) by the one that answered.
+func TestServerSeries(t *testing.T) {
 	k := newDomain()
+	reg := metrics.New()
+	k.SetMetrics(reg)
 	tsA := startToyServer(t, k.NewHost("srvA"), "A")
 	tsB := startToyServer(t, k.NewHost("srvB"), "B")
 	tsB.addObject(CtxDefault, "obj", []byte("x"))
@@ -504,13 +510,13 @@ func TestServerStats(t *testing.T) {
 		t.Fatal("expected instance error")
 	}
 
-	a := tsA.srv.Stats()
-	if a.Requests != 3 || a.CSNameRequests != 2 || a.Forwarded != 1 || a.Failures != 2 {
-		t.Fatalf("A stats = %+v", a)
+	a := counted(reg, "A")
+	if a["server_requests_total"] != 2 || a["server_forwarded_total"] != 1 || a["server_failures_total"] != 2 {
+		t.Fatalf("A counters = %v", a)
 	}
-	b := tsB.srv.Stats()
-	if b.Requests != 1 || b.CSNameRequests != 1 || b.Forwarded != 0 || b.Failures != 0 {
-		t.Fatalf("B stats = %+v", b)
+	b := counted(reg, "B")
+	if b["server_requests_total"] != 1 || b["server_forwarded_total"] != 0 || b["server_failures_total"] != 0 {
+		t.Fatalf("B counters = %v", b)
 	}
 }
 

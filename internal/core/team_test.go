@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/trace"
 	"repro/internal/vio"
@@ -24,7 +25,7 @@ func startToyTeam(t *testing.T, h *kernel.Host, name string, n int) *toyServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.srv = NewServer(proc, ts.store, ts, WithTeam(n))
+	ts.srv = NewServer(proc, ts.store, ts, n)
 	if err := ts.srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +33,21 @@ func startToyTeam(t *testing.T, h *kernel.Host, name string, n int) *toyServer {
 	return ts
 }
 
+// counted sums reg's counters of the server labelled name, by series.
+func counted(reg *metrics.Registry, name string) map[string]uint64 {
+	sums := make(map[string]uint64)
+	for _, c := range reg.Snapshot().Counters {
+		if c.Labels.Server == name {
+			sums[c.Name] += c.Value
+		}
+	}
+	return sums
+}
+
 func TestTeamServesAndCountsHandoffs(t *testing.T) {
 	k := newDomain()
+	reg := metrics.New()
+	k.SetMetrics(reg)
 	h := k.NewHost("srv")
 	ts := startToyTeam(t, h, "toy", 3)
 	ts.addObject(CtxDefault, "hello.txt", []byte("hello world"))
@@ -52,17 +66,19 @@ func TestTeamServesAndCountsHandoffs(t *testing.T) {
 			t.Fatalf("trial %d: descriptor = %+v, %v", i, d, err)
 		}
 	}
-	stats := ts.srv.Stats()
-	if stats.Requests != trials {
-		t.Fatalf("Requests = %d, want %d", stats.Requests, trials)
+	c := counted(reg, "toy")
+	if c["server_requests_total"] != trials {
+		t.Fatalf("requests = %d, want %d", c["server_requests_total"], trials)
 	}
-	if stats.Handoffs != trials {
-		t.Fatalf("Handoffs = %d, want %d", stats.Handoffs, trials)
+	if c["server_handoffs_total"] != trials {
+		t.Fatalf("handoffs = %d, want %d", c["server_handoffs_total"], trials)
 	}
 }
 
 func TestTeamSizeOneCountsNoHandoffs(t *testing.T) {
 	k := newDomain()
+	reg := metrics.New()
+	k.SetMetrics(reg)
 	ts := startToyServer(t, k.NewHost("srv"), "toy")
 	ts.addObject(CtxDefault, "x", []byte("1"))
 	client := newClientProc(t, k.NewHost("ws"))
@@ -71,8 +87,8 @@ func TestTeamSizeOneCountsNoHandoffs(t *testing.T) {
 	if _, err := Transact(client, ts.srv.PID(), req); err != nil {
 		t.Fatal(err)
 	}
-	if stats := ts.srv.Stats(); stats.Handoffs != 0 || stats.Requests != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if c := counted(reg, "toy"); c["server_handoffs_total"] != 0 || c["server_requests_total"] != 1 {
+		t.Fatalf("counters = %v", c)
 	}
 }
 
@@ -226,9 +242,11 @@ func TestTeamStartOnCrashedHost(t *testing.T) {
 
 // TestTeamStressCore hammers one toy-server team from many concurrent
 // client processes; run with -race this exercises the serving path's
-// locking (stats, registry, store) under real parallelism.
+// locking (series, registry, store) under real parallelism.
 func TestTeamStressCore(t *testing.T) {
 	k := newDomain()
+	reg := metrics.New()
+	k.SetMetrics(reg)
 	h := k.NewHost("srv")
 	ts := startToyTeam(t, h, "toy", 4)
 	const clients, trials = 8, 25
@@ -258,7 +276,7 @@ func TestTeamStressCore(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if stats := ts.srv.Stats(); stats.Requests != clients*trials {
-		t.Fatalf("Requests = %d, want %d", stats.Requests, clients*trials)
+	if c := counted(reg, "toy"); c["server_requests_total"] != clients*trials || c["server_handoffs_total"] != clients*trials {
+		t.Fatalf("counters = %v, want %d requests, each handed off", c, clients*trials)
 	}
 }

@@ -53,8 +53,7 @@ type Server struct {
 }
 
 // Start spawns a program manager on host, loading images from programDir.
-// Options (e.g. core.WithTeam) configure the serving runtime.
-func Start(host *kernel.Host, programDir core.ContextPair, opts ...core.Option) (*Server, error) {
+func Start(host *kernel.Host, programDir core.ContextPair) (*Server, error) {
 	s := &Server{
 		host:          host,
 		programDir:    programDir,
@@ -63,7 +62,7 @@ func Start(host *kernel.Host, programDir core.ContextPair, opts ...core.Option) 
 	}
 	var err error
 	s.Flat, err = core.NewFlat(host, "program-manager", s,
-		core.FlatKind[program]{Tag: proto.TagProgram, Describe: describe}, opts...)
+		core.FlatKind[program]{Tag: proto.TagProgram, Describe: describe})
 	if err != nil {
 		return nil, err
 	}

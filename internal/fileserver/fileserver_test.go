@@ -45,6 +45,19 @@ func send(t *testing.T, client *kernel.Process, fs *FileServer, req *proto.Messa
 	return reply
 }
 
+// query is the description record of the object at path as client sees
+// it: one OpQueryObject, path relative to the root context.
+func query(client *kernel.Process, fs *FileServer, path string) (proto.Descriptor, error) {
+	req := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(req, uint32(core.CtxDefault), path)
+	reply, err := core.Transact(client, fs.PID(), req)
+	if err != nil {
+		return proto.Descriptor{}, err
+	}
+	d, _, err := proto.DecodeDescriptor(reply.Segment)
+	return d, err
+}
+
 func TestMkdirAllIdempotent(t *testing.T) {
 	fs, _ := startFS(t)
 	a, err := fs.MkdirAll("/x/y/z", "o")
@@ -599,7 +612,7 @@ func TestPermissionEnforcement(t *testing.T) {
 		t.Fatalf("truncate open = %v", got)
 	}
 	// The refused truncate must not have emptied the file.
-	d, err := fs.Describe("locked")
+	d, err := query(client, fs, "locked")
 	if err != nil || d.Size != uint32(len("contents")) {
 		t.Fatalf("size after refused truncate = %+v, %v", d, err)
 	}

@@ -114,11 +114,11 @@ func TestOpenInstanceAcrossRemove(t *testing.T) {
 // both onto the same restored i-node, and removing one must leave the
 // other describing it.
 func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
-	fs, _ := startFS(t)
+	fs, client := startFS(t)
 	if err := fs.WriteFile("/a/first", "o", []byte("shared")); err != nil {
 		t.Fatal(err)
 	}
-	first, err := fs.Describe("/a/first")
+	first, err := query(client, fs, "/a/first")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
 	if _, err := fs.vol.writeAt(first.ObjectID, 0, []byte("SHARED!"), 0); err != nil {
 		t.Fatal(err)
 	}
-	second, err := fs.Describe("/b/second")
+	second, err := query(client, fs, "/b/second")
 	if err != nil || second.ObjectID != first.ObjectID || second.Size != 7 || second.TypeSpecific[0] != 2 {
 		t.Fatalf("alias after restore describes %+v, %v", second, err)
 	}
@@ -143,7 +143,7 @@ func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
 	if err := fs.vol.remove(a, "first", 0); err != nil {
 		t.Fatal(err)
 	}
-	second, err = fs.Describe("/b/second")
+	second, err = query(client, fs, "/b/second")
 	if err != nil || second.ObjectID != first.ObjectID || second.Size != 7 || second.TypeSpecific[0] != 1 {
 		t.Fatalf("alias after its other name was removed describes %+v, %v", second, err)
 	}
@@ -157,10 +157,10 @@ func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
 	if err := fs.vol.removeByIno(first.ObjectID, 0); !errors.Is(err, proto.ErrIllegalRequest) {
 		t.Fatalf("removeByIno through a stale recorded name: %v", err)
 	}
-	if d, err := fs.Describe("/a/first"); err != nil || d.Size != 21 {
+	if d, err := query(client, fs, "/a/first"); err != nil || d.Size != 21 {
 		t.Fatalf("the newcomer under the recorded name: %+v, %v", d, err)
 	}
-	if d, err := fs.Describe("/b/second"); err != nil || d.ObjectID != first.ObjectID {
+	if d, err := query(client, fs, "/b/second"); err != nil || d.ObjectID != first.ObjectID {
 		t.Fatalf("the alias after the refused removal: %+v, %v", d, err)
 	}
 }
@@ -193,7 +193,7 @@ func TestDirectoryWriteSpansBlocks(t *testing.T) {
 		t.Fatalf("Write of %d bytes = %d, %v", len(stream), n, err)
 	}
 	for i := 0; i < 20; i++ {
-		d, err := fs.Describe(fmt.Sprintf("/d/entry-%03d", i))
+		d, err := query(client, fs, fmt.Sprintf("/d/entry-%03d", i))
 		if err != nil || d.Owner != "xyz" || d.Perms != proto.PermRead {
 			t.Fatalf("entry-%03d after the write: %+v, %v", i, d, err)
 		}

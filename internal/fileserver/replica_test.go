@@ -63,14 +63,18 @@ func TestVolumeSnapshotRoundTrip(t *testing.T) {
 	if got := dst.vol.encode(true); !bytes.Equal(got, img) {
 		t.Fatalf("restored volume re-encodes differently (%d vs %d bytes)", len(got), len(img))
 	}
-	d, err := dst.Describe("/users/mann/notes/todo.txt")
+	client, err := k.NewHost("ws").NewProcess("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := query(client, dst, "/users/mann/notes/todo.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Size != uint32(len("ship it")) {
 		t.Fatalf("restored file size = %d", d.Size)
 	}
-	if _, err := dst.Describe("/stale/junk.txt"); err == nil {
+	if _, err := query(client, dst, "/stale/junk.txt"); err == nil {
 		t.Fatalf("pre-restore state survived the restore")
 	}
 }
@@ -226,7 +230,7 @@ func TestReplicatedFileServer(t *testing.T) {
 		}
 	}
 	for i, m := range members {
-		if _, err := m.fs.Describe("/users/mann/notes/todo.txt"); err != nil {
+		if _, err := query(client, m.fs, "/users/mann/notes/todo.txt"); err != nil {
 			t.Fatalf("member %d lost the file a refused Remove named: %v", i, err)
 		}
 	}

@@ -24,9 +24,10 @@ func WithReadAhead(on bool) Option {
 }
 
 // WithTeam sets the server-team size — the number of serving processes
-// (§3.1). The default 1 is the calibrated single-process baseline; with
-// n > 1 a receptionist forwards each request to one of n workers, so one
-// client's disk wait overlaps other requests' compute.
+// (§3.1), an option of the file server alone. The default 1 is the
+// calibrated single-process baseline; with n > 1 a receptionist forwards
+// each request to one of n workers, so one client's disk wait overlaps
+// other requests' compute.
 func WithTeam(n int) Option {
 	return func(fs *FileServer) { fs.teamSize = n }
 }
@@ -65,7 +66,7 @@ func Start(host *kernel.Host, name string, opts ...Option) (*FileServer, error) 
 	for _, opt := range opts {
 		opt(fs)
 	}
-	fs.srv = core.NewServer(proc, fs.vol, fs, core.WithTeam(fs.teamSize))
+	fs.srv = core.NewServer(proc, fs.vol, fs, fs.teamSize)
 	if err := fs.srv.Start(); err != nil {
 		return nil, err
 	}
@@ -163,26 +164,6 @@ func (fs *FileServer) SetWellKnown(ctx core.ContextID, path string) error {
 	}
 	fs.vol.setWellKnown(ctx, ino(dir))
 	return nil
-}
-
-// Describe fabricates the description record of the object at path — an
-// administrative convenience for seeding and experiments, equivalent to a
-// local OpQueryObject.
-func (fs *FileServer) Describe(path string) (proto.Descriptor, error) {
-	res, fwd, err := core.Interpret(fs.vol, fs.proc, path, 0, core.CtxDefault)
-	if err != nil {
-		return proto.Descriptor{}, err
-	}
-	if fwd != nil {
-		return proto.Descriptor{}, fmt.Errorf("%q: %w: crosses into another server", path, proto.ErrIllegalRequest)
-	}
-	if ctx, ok := res.ResolvesToContext(); ok {
-		return fs.vol.describe(ctx, "")
-	}
-	if res.Entry == nil {
-		return proto.Descriptor{}, fmt.Errorf("%q: %w", path, proto.ErrNotFound)
-	}
-	return fs.vol.describe(res.Final, res.Last)
 }
 
 func splitPath(path string) (dir, base string) {

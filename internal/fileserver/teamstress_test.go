@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/vio"
@@ -18,6 +19,8 @@ import (
 // buffer cache, and instance locking under real parallelism.
 func TestTeamStressFileServer(t *testing.T) {
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	reg := metrics.New()
+	k.SetMetrics(reg)
 	host := k.NewHost("fs")
 	fs, err := Start(host, "stress", WithTeam(4))
 	if err != nil {
@@ -83,7 +86,18 @@ func TestTeamStressFileServer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if stats := fs.srv.Stats(); stats.Requests == 0 || stats.Handoffs == 0 {
-		t.Fatalf("team stats = %+v, want requests and handoffs", stats)
+	// The registry series A14 and vstat read: the team answered every
+	// request through a worker, so it handed off as many as it answered.
+	var requests, handoffs uint64
+	for _, c := range reg.Snapshot().Counters {
+		switch c.Name {
+		case "server_requests_total":
+			requests += c.Value
+		case "server_handoffs_total":
+			handoffs += c.Value
+		}
+	}
+	if requests == 0 || handoffs != requests {
+		t.Fatalf("%d requests answered, %d handed off: want as many of each, and some", requests, handoffs)
 	}
 }

@@ -52,13 +52,12 @@ type Server struct {
 	respond Responder
 }
 
-// Start spawns an Internet server on host. Options (e.g. core.WithTeam)
-// configure the serving runtime.
-func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
+// Start spawns an Internet server on host.
+func Start(host *kernel.Host) (*Server, error) {
 	s := &Server{respond: EchoResponder}
 	var err error
 	s.Flat, err = core.NewFlat(host, "internet-server", s,
-		core.FlatKind[conn]{Tag: proto.TagTCPConnection, Ctx: tcpContext, Describe: describe, Open: s.open}, opts...)
+		core.FlatKind[conn]{Tag: proto.TagTCPConnection, Ctx: tcpContext, Describe: describe, Open: s.open})
 	if err != nil {
 		return nil, err
 	}

@@ -12,11 +12,11 @@ import (
 	"repro/internal/vtime"
 )
 
-func startRig(t *testing.T, opts ...core.Option) (*Server, *kernel.Process) {
+func startRig(t *testing.T) (*Server, *kernel.Process) {
 	t.Helper()
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
 	host := k.NewHost("services")
-	s, err := Start(host, opts...)
+	s, err := Start(host)
 	if err != nil {
 		t.Fatal(err)
 	}

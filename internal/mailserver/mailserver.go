@@ -32,15 +32,14 @@ type Server struct {
 	*core.Flat[mailbox]
 }
 
-// Start spawns a mail server on host. Options (e.g. core.WithTeam)
-// configure the serving runtime.
-func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
+// Start spawns a mail server on host.
+func Start(host *kernel.Host) (*Server, error) {
 	s := &Server{}
 	var err error
 	s.Flat, err = core.NewFlat(host, "mail-server", s,
 		core.FlatKind[mailbox]{Tag: proto.TagMailbox, Describe: describe, Open: s.open,
 			// The directory lists by address, not by age.
-			Order: func() []uint32 { return s.ByName() }}, opts...)
+			Order: func() []uint32 { return s.ByName() }})
 	if err != nil {
 		return nil, err
 	}

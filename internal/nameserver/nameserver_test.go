@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
 	"repro/internal/netsim"
@@ -40,7 +41,13 @@ func registerFile(t *testing.T, nc *Client, fs *fileserver.FileServer, path stri
 	if err := fs.WriteFile(path, "o", []byte("data of "+path)); err != nil {
 		t.Fatal(err)
 	}
-	d, err := fs.Describe(path)
+	q := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(q, 0, path)
+	reply, err := core.Transact(nc.proc, fs.PID(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := proto.DecodeDescriptor(reply.Segment)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,13 +38,12 @@ type Server struct {
 	*core.Flat[pipe]
 }
 
-// Start spawns a pipe server on host. Options (e.g. core.WithTeam)
-// configure the serving runtime.
-func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
+// Start spawns a pipe server on host.
+func Start(host *kernel.Host) (*Server, error) {
 	s := &Server{}
 	var err error
 	s.Flat, err = core.NewFlat(host, "pipe-server", s,
-		core.FlatKind[pipe]{Tag: proto.TagPipe, Describe: describe, Open: s.open}, opts...)
+		core.FlatKind[pipe]{Tag: proto.TagPipe, Describe: describe, Open: s.open})
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func newLeaseRig(t *testing.T) (*Server, *kernel.Process, *kernel.Process, chan 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		ps.Proc().Destroy()
+		ps.proc.Destroy()
 		target.Destroy()
 		callback.Destroy()
 		client.Destroy()

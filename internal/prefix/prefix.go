@@ -105,21 +105,14 @@ type Stats struct {
 // Option configures a prefix server.
 type Option func(*Server)
 
-// WithTeam sets the server-team size — the number of serving processes
-// (§3.1). The default 1 preserves the calibrated single-process behavior.
-func WithTeam(n int) Option {
-	return func(s *Server) { s.teamSize = n }
-}
-
 // Server is one user's context prefix server. It normally runs on the
 // user's workstation, so the request that reaches it always pays only a
 // local hop (§6).
 type Server struct {
-	proc     *kernel.Process
-	owner    string
-	reg      *vio.Registry
-	team     *core.Team
-	teamSize int
+	proc  *kernel.Process
+	owner string
+	reg   *vio.Registry
+	team  *core.Team
 
 	// index is the prefix table: a copy-on-write radix tree stored in a
 	// pointer-free arena (PROTOCOL.md §14.1) whose reads — resolution,
@@ -234,7 +227,6 @@ func New(proc *kernel.Process, owner string, opts ...Option) *Server {
 		proc:         proc,
 		owner:        owner,
 		reg:          vio.NewRegistry(),
-		teamSize:     1,
 		index:        nametree.New[tableEntry](),
 		lastResolved: make(map[string]kernel.PID),
 		orphans:      make(map[string]kernel.PID),
@@ -247,7 +239,8 @@ func New(proc *kernel.Process, owner string, opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.team = core.NewTeam(proc, s.teamSize, s.serveOne, nil)
+	// A team of one: the exit hook and Serve, on proc alone.
+	s.team = core.NewTeam(proc, 1, s.serveOne, nil)
 	return s
 }
 
@@ -269,9 +262,6 @@ func Start(host *kernel.Host, owner string, opts ...Option) (*Server, error) {
 
 // PID returns the server's process identifier.
 func (s *Server) PID() kernel.PID { return s.proc.PID() }
-
-// Proc returns the server process.
-func (s *Server) Proc() *kernel.Process { return s.proc }
 
 // Define creates a static prefix binding (boot-time convenience; clients
 // use OpAddContextName).

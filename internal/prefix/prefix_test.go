@@ -126,7 +126,7 @@ func newPrefixRig(t *testing.T) (*Server, *kernel.Process, *kernel.Process, chan
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		ps.Proc().Destroy()
+		ps.proc.Destroy()
 		target.Destroy()
 		client.Destroy()
 	})
@@ -421,7 +421,7 @@ func TestInverseResolutionEndToEnd(t *testing.T) {
 			if err := ps.Define("a.stale", pair); err != nil {
 				t.Fatal(err)
 			}
-			proc, err := ps.Proc().Kernel().NewHost("peer").NewProcess("peer")
+			proc, err := ps.proc.Kernel().NewHost("peer").NewProcess("peer")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func TestDynamicBindingDeadTargetBoundedFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Proc().Destroy()
+	defer ps.proc.Destroy()
 	if err := ps.DefineDynamic("svc", kernel.ServiceTime, core.CtxDefault); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDynamicBindingRebindCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Proc().Destroy()
+	defer ps.proc.Destroy()
 	if err := ps.DefineDynamic("svc", kernel.ServiceTime, core.CtxDefault); err != nil {
 		t.Fatal(err)
 	}

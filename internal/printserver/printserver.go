@@ -46,16 +46,15 @@ type Server struct {
 	pageTime time.Duration
 }
 
-// Start spawns a printer server on host. Options (e.g. core.WithTeam)
-// configure the serving runtime.
-func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
+// Start spawns a printer server on host.
+func Start(host *kernel.Host) (*Server, error) {
 	s := &Server{pageTime: 2 * time.Second}
 	var err error
 	s.Flat, err = core.NewFlat(host, "print-server", s, core.FlatKind[job]{
 		Tag: proto.TagPrintJob, Describe: s.describe, Open: s.open,
 		// Spooling jobs are bound and queryable but not yet in the queue.
 		Order: func() []uint32 { return s.queue },
-	}, opts...)
+	})
 	if err != nil {
 		return nil, err
 	}

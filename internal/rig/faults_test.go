@@ -100,7 +100,11 @@ func TestPrefixServerCrashIsolatedPerUser(t *testing.T) {
 	r := boot(t)
 	victim, other := r.WS[0], r.WS[1]
 
-	victim.Prefix.Proc().Destroy()
+	ps, err := victim.Host.ProcessByPID(victim.Prefix.PID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.Destroy()
 	if _, err := victim.Session.ReadFile("[home]welcome.txt"); !errors.Is(err, kernel.ErrNonexistentProcess) {
 		t.Fatalf("victim's prefixed name err = %v", err)
 	}

@@ -46,8 +46,17 @@ func TestBootTopology(t *testing.T) {
 func TestBootIsDeterministic(t *testing.T) {
 	binIDs := func(fs *fileserver.FileServer) (ids [3]uint32) {
 		t.Helper()
+		p, err := fs.Proc().Host().NewProcess("query")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Destroy()
 		for i, name := range []string{"hello", "editor", "compiler"} {
-			d, err := fs.Describe("/bin/" + name)
+			reply, err := transact(p, fs.PID(), proto.OpQueryObject, "bin/"+name, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, _, err := proto.DecodeDescriptor(reply.Segment)
 			if err != nil {
 				t.Fatal(err)
 			}

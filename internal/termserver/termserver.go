@@ -37,13 +37,12 @@ type Server struct {
 	*core.Flat[terminal]
 }
 
-// Start spawns a terminal server on host. Options (e.g. core.WithTeam)
-// configure the serving runtime.
-func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
+// Start spawns a terminal server on host.
+func Start(host *kernel.Host) (*Server, error) {
 	s := &Server{}
 	var err error
 	s.Flat, err = core.NewFlat(host, "vgt-server", s,
-		core.FlatKind[terminal]{Tag: proto.TagTerminal, Describe: describe, Open: s.open}, opts...)
+		core.FlatKind[terminal]{Tag: proto.TagTerminal, Describe: describe, Open: s.open})
 	if err != nil {
 		return nil, err
 	}

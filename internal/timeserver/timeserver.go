@@ -27,8 +27,7 @@ type Server struct {
 const clockObjectID = 1
 
 // Start spawns a time server on host and registers the time service.
-// Options (e.g. core.WithTeam) configure the serving runtime.
-func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
+func Start(host *kernel.Host) (*Server, error) {
 	proc, err := host.NewProcess("time-server")
 	if err != nil {
 		return nil, err
@@ -38,7 +37,7 @@ func Start(host *kernel.Host, opts ...core.Option) (*Server, error) {
 		core.ObjectEntry(proto.TagServiceBinding, clockObjectID)); err != nil {
 		return nil, err
 	}
-	s.Server = core.NewServer(proc, s.store, s, opts...)
+	s.Server = core.NewServer(proc, s.store, s, 1)
 	if err := s.StartService(kernel.ServiceTime, kernel.ScopeBoth); err != nil {
 		return nil, err
 	}
