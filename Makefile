@@ -6,12 +6,11 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # Statement-coverage floor for `make cover`: every internal package
-# measured against every test in the tree (-coverpkg), re-based when the
-# seven small servers moved onto core.Flat (measured 89.6%, the floor a
-# little under it because team tests reach a few branches by schedule; at
-# that PR's parent, own tests only read 83.5% where this way read 88.7%).
-# Raise it when coverage rises; never lower it to make a regression pass.
-COVERAGE_FLOOR ?= 89.4
+# measured against every test in the tree (-coverpkg), raised to 92.0 at a
+# measured 92.4% (team tests reach a few branches by schedule, so the floor
+# sits a little under the measure). Raise it when coverage rises; never
+# lower it to make a regression pass.
+COVERAGE_FLOOR ?= 92.0
 
 # Ceiling for `make reach`: the internal functions only tests reach.
 # Every such function is reached by a program or deleted unless ROADMAP
@@ -56,12 +55,13 @@ check: vet
 # under them. Four clients using each of the nine CSNH servers at once.
 	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestRejoinWhileLeaderless|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/
 # Zero-allocation gates skip themselves under the race detector, whose
-# instrumentation allocates. The last two are the file path's: a block
-# read lands in the reader's buffer, and no block reads Info(). A
-# resolution answers in the message that asked: TestLeaseHitZeroAlloc,
+# instrumentation allocates. The last three are the file path's: a block
+# read lands in the reader's buffer, no block reads Info(), and a block
+# read, write and release answer in their request. A resolution answers
+# in the message that asked: TestLeaseHitZeroAlloc,
 # TestMapContextAnswersInRequest, TestCallbackAnswersInItsClone. A group
 # send allocates its clones, a snapshot and a fan-in: TestGroupSendAllocs.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce|TestInstanceOpsAnswerInRequest' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover

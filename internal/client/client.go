@@ -225,7 +225,8 @@ func (s *Session) List(name string) ([]proto.Descriptor, error) {
 }
 
 // readRecords reads an open context directory to its end, decodes its
-// description records and closes it.
+// description records in the stream it read, which nothing else holds,
+// and closes it.
 func readRecords(f *vio.File) ([]proto.Descriptor, error) {
 	defer f.Close()
 	raw, err := f.ReadAll()

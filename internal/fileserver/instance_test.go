@@ -3,6 +3,7 @@ package fileserver
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -196,6 +197,121 @@ func TestDirectoryWriteSpansBlocks(t *testing.T) {
 		d, err := query(client, fs, fmt.Sprintf("/d/entry-%03d", i))
 		if err != nil || d.Owner != "xyz" || d.Perms != proto.PermRead {
 			t.Fatalf("entry-%03d after the write: %+v, %v", i, d, err)
+		}
+	}
+}
+
+// TestListingFollowsEveryChange: the file server keeps each directory's
+// context directory between changes, and a List after each kind of change
+// — to a listed file, to a record written back, to a second name, to a
+// subdirectory's entries, to the whole volume — streams what a fresh
+// fabrication does, and not what the kept one did.
+func TestListingFollowsEveryChange(t *testing.T) {
+	fs, client := startFS(t)
+	if err := fs.WriteFile("/a/f", "o", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.MkdirAll("/a/sub", "o"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.MkdirAll("/b", "o"); err != nil {
+		t.Fatal(err)
+	}
+	img := fs.vol.encode(true)
+	dirs := []string{"", "a", "a/sub", "b"}
+	list := func(path string) []proto.Descriptor {
+		t.Helper()
+		dir := openNamed(t, client, fs, path, proto.ModeRead|proto.ModeDirectory)
+		raw, err := dir.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dir.Close(); err != nil {
+			t.Fatal(err)
+		}
+		records, err := proto.DecodeDescriptors(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return records
+	}
+	fresh := func(path string) []proto.Descriptor {
+		t.Helper()
+		ctx, err := fs.MkdirAll(path, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.vol.mu.Lock()
+		stream, _ := fs.vol.nodes[ino(ctx)].fabricate("")
+		fs.vol.mu.Unlock()
+		records, err := proto.DecodeDescriptors(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return records
+	}
+	ok := func(reply *proto.Message) {
+		t.Helper()
+		if reply.Op != proto.ReplyOK {
+			t.Fatalf("reply %v", reply.Op)
+		}
+	}
+	for _, step := range []struct {
+		what    string
+		changes []string // the listings the change must show in
+		change  func()
+	}{
+		{"a write to a listed file", []string{"a"}, func() {
+			f := openNamed(t, client, fs, "a/f", proto.ModeRead|proto.ModeWrite)
+			if _, err := f.Write([]byte("rewritten, longer")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"a directory-record write-back", []string{"a"}, func() {
+			dir := openNamed(t, client, fs, "a", proto.ModeRead|proto.ModeWrite|proto.ModeDirectory)
+			rec := proto.Descriptor{Tag: proto.TagFile, Name: "f", Owner: "x", Perms: proto.PermRead}
+			if _, err := dir.Write(rec.AppendEncoded(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := dir.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"an alias into a second directory", []string{"a", "b"}, func() {
+			alias := &proto.Message{Op: proto.OpLinkObject}
+			proto.SetRenameNames(alias, uint32(core.CtxDefault), "a/f", "b/g")
+			ok(send(t, client, fs, alias))
+		}},
+		{"a mkdir in a subdirectory", []string{"a", "a/sub"}, func() {
+			mkdir := &proto.Message{Op: proto.OpCreateInstance}
+			proto.SetCSName(mkdir, uint32(core.CtxDefault), "a/sub/new")
+			proto.SetOpenMode(mkdir, proto.ModeRead|proto.ModeDirectory|proto.ModeCreate)
+			ok(send(t, client, fs, mkdir))
+		}},
+		{"a replica Restore", []string{"a", "a/sub", "b"}, func() {
+			if err := NewReplicaService(fs).Restore(fs.Proc(), img); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		before := make(map[string][]proto.Descriptor, len(dirs))
+		for _, d := range dirs {
+			before[d] = list(d) // kept from here on
+		}
+		step.change()
+		for _, d := range dirs {
+			got, want := list(d), fresh(d)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s, List(%q) =\n %+v\nfresh:\n %+v", step.what, d, got, want)
+			}
+		}
+		for _, d := range step.changes {
+			if reflect.DeepEqual(before[d], list(d)) {
+				t.Fatalf("%s did not change List(%q)", step.what, d)
+			}
 		}
 	}
 }

@@ -213,7 +213,8 @@ func decodeVolume(data []byte) (map[ino]*node, ino, map[core.ContextID]ino, erro
 }
 
 // restoreVolume replaces the volume's state with a decoded snapshot and
-// drops every buffered page (the cache describes the old contents).
+// drops every kept listing and buffered page (both describe the old
+// contents).
 func (fs *FileServer) restoreVolume(data []byte) error {
 	nodes, next, wk, err := decodeVolume(data)
 	if err != nil {
@@ -222,6 +223,7 @@ func (fs *FileServer) restoreVolume(data []byte) error {
 	v := fs.vol
 	v.mu.Lock()
 	v.nodes, v.next, v.wellKnown = nodes, next, wk
+	clear(v.listings)
 	v.mu.Unlock()
 	fs.cache.clear()
 	return nil

@@ -300,7 +300,7 @@ func (fs *FileServer) openFileInstance(p *kernel.Process, id uint32, name string
 }
 
 func (fs *FileServer) openDirectoryInstance(p *kernel.Process, ctx core.ContextID, name, pattern string) *proto.Message {
-	stream, count, err := fs.vol.appendDirectory(ctx, pattern, nil)
+	stream, count, err := fs.vol.listing(ctx, pattern)
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}

@@ -73,12 +73,24 @@ type volume struct {
 	nodes     map[ino]*node
 	next      ino
 	wellKnown map[core.ContextID]ino
+	// listings holds each listed directory's full context directory, as
+	// fabricated, until a change drops it (changed). A cached stream is
+	// shared by every instance opened on it and never written: a directory
+	// instance routes its writes to modify.
+	listings map[ino]listing
+}
+
+// listing is a directory's encoded context directory and its record count.
+type listing struct {
+	stream []byte
+	count  int
 }
 
 func newVolume() *volume {
 	v := &volume{
 		nodes:     make(map[ino]*node),
 		wellKnown: make(map[core.ContextID]ino),
+		listings:  make(map[ino]listing),
 	}
 	v.nodes[rootIno] = &node{
 		id:    rootIno,
@@ -197,6 +209,7 @@ func (v *volume) createFile(ctx core.ContextID, name, owner string, now vtime.Ti
 	n := v.alloc(kindFile, d.id, name, owner, now)
 	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
 	d.mtime = now
+	v.changed(d)
 	return n, nil
 }
 
@@ -218,6 +231,7 @@ func (v *volume) mkdir(ctx core.ContextID, name, owner string, now vtime.Time) (
 	n := v.alloc(kindDir, d.id, name, owner, now)
 	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
 	d.mtime = now
+	v.changed(d)
 	return n, nil
 }
 
@@ -247,6 +261,8 @@ func (v *volume) addAlias(ctx core.ContextID, name string, id uint32, now vtime.
 	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
 	n.nlink++
 	d.mtime = now
+	v.changed(d)
+	v.changed(n)
 	return nil
 }
 
@@ -268,6 +284,7 @@ func (v *volume) addLink(ctx core.ContextID, name string, target core.ContextPai
 	}
 	d.entries = slices.Insert(d.entries, i, dirent{name: name, remote: target})
 	d.mtime = now
+	v.changed(d)
 	return nil
 }
 
@@ -290,6 +307,8 @@ func (v *volume) remove(ctx core.ContextID, name string, now vtime.Time) error {
 		if child.kind == kindDir && len(child.entries) > 0 {
 			return fmt.Errorf("%q: %w", name, proto.ErrNotEmpty)
 		}
+		// Its other names, if any, list its link count.
+		v.changed(child)
 		child.nlink--
 		if child.nlink <= 0 {
 			// Last name gone: the object dies with it.
@@ -298,6 +317,7 @@ func (v *volume) remove(ctx core.ContextID, name string, now vtime.Time) error {
 	}
 	d.entries = slices.Delete(d.entries, i, i+1)
 	d.mtime = now
+	v.changed(d)
 	return nil
 }
 
@@ -319,18 +339,16 @@ func (v *volume) removeByIno(id uint32, now vtime.Time) error {
 		// problem seen from the baseline's side).
 		return fmt.Errorf("i-node %d has %d names: %w", id, n.nlink, proto.ErrIllegalRequest)
 	}
-	parent, ok := v.nodes[n.parent]
-	i := 0
-	if ok {
-		i, ok = parent.find(n.name)
-	}
-	if !ok || parent.entries[i].child != n {
+	parent, i := v.binder(n)
+	if parent == nil {
 		// The one name left is an alias: the recorded name was removed or
 		// rebound, so unbinding it would miss this object or hit another.
 		return fmt.Errorf("i-node %d: %w: its recorded name no longer names it", id, proto.ErrIllegalRequest)
 	}
 	parent.entries = slices.Delete(parent.entries, i, i+1)
 	parent.mtime = now
+	v.changed(parent)
+	delete(v.listings, n.id)
 	delete(v.nodes, n.id)
 	return nil
 }
@@ -368,9 +386,12 @@ func (v *volume) rename(oldCtx core.ContextID, oldName string, newCtx core.Conte
 		child.parent = to.id
 		child.name = newName
 		child.mtime = now
+		v.changed(child)
 	}
 	from.mtime = now
 	to.mtime = now
+	v.changed(from)
+	v.changed(to)
 	return nil
 }
 
@@ -418,6 +439,7 @@ func (v *volume) writeAt(id uint32, off int64, data []byte, now vtime.Time) (int
 		n.data = grown
 	}
 	n.mtime = now
+	v.changed(n)
 	return copy(n.data[off:], data), nil
 }
 
@@ -431,6 +453,7 @@ func (v *volume) truncate(id uint32, now vtime.Time) error {
 	}
 	n.data = nil
 	n.mtime = now
+	v.changed(n)
 	return nil
 }
 
@@ -518,17 +541,33 @@ func (v *volume) describe(ctx core.ContextID, name string) (proto.Descriptor, er
 	return d.entries[i].describe(), nil
 }
 
-// appendDirectory fabricates the context directory of ctx onto buf: the
-// encoded description record of each binding whose name matches pattern,
-// in name order, in one exactly-sized growth of buf. It returns the
-// extended buf and the number of records.
-func (v *volume) appendDirectory(ctx core.ContextID, pattern string, buf []byte) ([]byte, int, error) {
+// listing returns the context directory of ctx: the encoded description
+// record of each binding whose name matches pattern, in name order, and
+// the number of records. The full directory (pattern "") is fabricated
+// once per change and kept, so the stream it returns is shared and must
+// not be written; a pattern's is fabricated per call.
+func (v *volume) listing(ctx core.ContextID, pattern string) ([]byte, int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	d, err := v.dir(ctx)
 	if err != nil {
-		return buf, 0, err
+		return nil, 0, err
 	}
+	if pattern != "" {
+		stream, count := d.fabricate(pattern)
+		return stream, count, nil
+	}
+	l, ok := v.listings[d.id]
+	if !ok {
+		l.stream, l.count = d.fabricate("")
+		v.listings[d.id] = l
+	}
+	return l.stream, l.count, nil
+}
+
+// fabricate encodes the records of the directory's bindings that match
+// pattern into one exactly-sized stream, returning it and the count.
+func (d *node) fabricate(pattern string) ([]byte, int) {
 	size, count := 0, 0
 	for i := range d.entries {
 		if core.MatchName(pattern, d.entries[i].name) {
@@ -536,16 +575,44 @@ func (v *volume) appendDirectory(ctx core.ContextID, pattern string, buf []byte)
 			count++
 		}
 	}
-	if cap(buf)-len(buf) < size {
-		buf = append(make([]byte, 0, len(buf)+size), buf...)
-	}
+	buf := make([]byte, 0, size)
 	for i := range d.entries {
 		if core.MatchName(pattern, d.entries[i].name) {
 			rec := d.entries[i].describe()
 			buf = rec.AppendEncoded(buf)
 		}
 	}
-	return buf, count, nil
+	return buf, count
+}
+
+// changed drops every kept listing a change to n shows in, with v.mu
+// held: n's own, and that of the directory binding it — or, when n is a
+// file with several names or its recorded name no longer binds it, every
+// listing, as the entries binding it are not recorded.
+func (v *volume) changed(n *node) {
+	delete(v.listings, n.id)
+	if n.id == rootIno {
+		return
+	}
+	if parent, _ := v.binder(n); parent != nil && n.nlink == 1 {
+		delete(v.listings, parent.id)
+		return
+	}
+	clear(v.listings)
+}
+
+// binder returns the directory whose entry i is n's recorded name (parent,
+// name), or nil when that entry no longer binds n.
+func (v *volume) binder(n *node) (*node, int) {
+	parent, ok := v.nodes[n.parent]
+	if !ok {
+		return nil, 0
+	}
+	i, ok := parent.find(n.name)
+	if !ok || parent.entries[i].child != n {
+		return nil, 0
+	}
+	return parent, i
 }
 
 // modify applies the modifiable fields of a written descriptor to the
@@ -571,6 +638,7 @@ func (v *volume) modify(ctx core.ContextID, rec proto.Descriptor, now vtime.Time
 		n.owner = rec.Owner
 	}
 	n.mtime = now
+	v.changed(n)
 	return nil
 }
 

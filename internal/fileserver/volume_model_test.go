@@ -30,6 +30,8 @@ type modelNode struct {
 	kind   nodeKind
 	parent ino
 	name   string
+	owner  string
+	perms  uint16
 	nlink  int
 	size   int
 	mtime  vtime.Time
@@ -42,7 +44,7 @@ type model struct {
 }
 
 func newModel() *model {
-	return &model{nodes: map[ino]*modelNode{rootIno: {kind: kindDir, names: map[string]modelEntry{}}}}
+	return &model{nodes: map[ino]*modelNode{rootIno: {kind: kindDir, perms: proto.PermRead | proto.PermWrite, names: map[string]modelEntry{}}}}
 }
 
 func (m *model) dir(ctx core.ContextID) (*modelNode, error) {
@@ -67,7 +69,7 @@ func (m *model) create(kind nodeKind, ctx core.ContextID, name string, now vtime
 		return proto.ErrDuplicateName
 	}
 	m.next++
-	n := &modelNode{kind: kind, parent: ino(ctx), name: name, nlink: 1, mtime: now}
+	n := &modelNode{kind: kind, parent: ino(ctx), name: name, owner: "o", perms: proto.PermRead | proto.PermWrite, nlink: 1, mtime: now}
 	if kind == kindDir {
 		n.names = map[string]modelEntry{}
 	}
@@ -203,6 +205,37 @@ func (m *model) write(id uint32, n int, now vtime.Time) error {
 	return nil
 }
 
+func (m *model) truncate(id uint32, now vtime.Time) error {
+	f, ok := m.nodes[ino(id)]
+	if !ok || f.kind != kindFile {
+		return proto.ErrNotFound
+	}
+	f.size, f.mtime = 0, now
+	return nil
+}
+
+// modify is a written-back description record: the perms always, the
+// owner unless the record's is empty.
+func (m *model) modify(ctx core.ContextID, rec proto.Descriptor, now vtime.Time) error {
+	d, err := m.dir(ctx)
+	if err != nil {
+		return err
+	}
+	e, ok := d.names[rec.Name]
+	switch {
+	case !ok:
+		return proto.ErrNotFound
+	case e.remote != nil:
+		return proto.ErrIllegalRequest
+	}
+	n := m.nodes[e.child]
+	n.perms, n.mtime = rec.Perms, now
+	if rec.Owner != "" {
+		n.owner = rec.Owner
+	}
+	return nil
+}
+
 // list is the reference context directory: the names through
 // sort.Strings, each joined with its description by a second lookup.
 func (m *model) list(ctx core.ContextID) []proto.Descriptor {
@@ -221,8 +254,8 @@ func (m *model) list(ctx core.ContextID) []proto.Descriptor {
 			continue
 		}
 		n := m.nodes[e.child]
-		rec := proto.Descriptor{ObjectID: uint32(e.child), Name: name, Owner: "o",
-			Perms: proto.PermRead | proto.PermWrite, Modified: uint64(n.mtime)}
+		rec := proto.Descriptor{ObjectID: uint32(e.child), Name: name, Owner: n.owner,
+			Perms: n.perms, Modified: uint64(n.mtime)}
 		if n.kind == kindDir {
 			rec.Tag, rec.Size = proto.TagDirectory, uint32(len(n.names))
 		} else {
@@ -270,7 +303,10 @@ var modelNames = []string{"a", "aa", "ab", "b", "ba", "c", "m", "mm", "x", "y", 
 
 // TestVolumeAgainstMapModel drives the volume and the reference model
 // with the same seeded random operations and requires them to agree on
-// every result, every context directory and every lookup.
+// every result, every context directory and every lookup. Every directory
+// is listed after every step through the volume's kept listings, so a
+// change that fails to drop one fails at that step; lookups are compared
+// every 16th.
 func TestVolumeAgainstMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -299,7 +335,7 @@ func TestVolumeAgainstMapModel(t *testing.T) {
 				now := vtime.Time(step)
 				var what string
 				var got, want error
-				switch op := rng.Intn(20); {
+				switch op := rng.Intn(22); {
 				case op < 5:
 					d, n := dir(), name()
 					what = fmt.Sprintf("createFile(%d, %q)", d, n)
@@ -344,6 +380,20 @@ func TestVolumeAgainstMapModel(t *testing.T) {
 					what = fmt.Sprintf("writeAt(%d, %d bytes)", id, n)
 					_, got = fs.vol.writeAt(id, 0, make([]byte, n), now)
 					want = m.write(id, n, now)
+				case op < 20:
+					id := uint32(node(kindFile))
+					what = fmt.Sprintf("truncate(%d)", id)
+					got = fs.vol.truncate(id, now)
+					want = m.truncate(id, now)
+				case op < 21:
+					d := dir()
+					rec := proto.Descriptor{Name: name(), Perms: uint16(rng.Intn(8))}
+					if rng.Intn(2) == 0 {
+						rec.Owner = modelNames[rng.Intn(6)]
+					}
+					what = fmt.Sprintf("modify(%d, %+v)", d, rec)
+					got = fs.vol.modify(d, rec, now)
+					want = m.modify(d, rec, now)
 				default:
 					what = "encode -> restoreVolume"
 					got = fs.restoreVolume(fs.vol.encode(true))
@@ -351,15 +401,13 @@ func TestVolumeAgainstMapModel(t *testing.T) {
 				if errClass(got) != want {
 					t.Fatalf("step %d %s: volume says %v, model says %v", step, what, got, want)
 				}
-				if step%16 == 0 {
-					compareWithModel(t, fs.vol, m, fmt.Sprintf("step %d %s", step, what))
-				}
+				compareWithModel(t, fs.vol, m, fmt.Sprintf("step %d %s", step, what), step%16 == 0)
 			}
 		})
 	}
 }
 
-func compareWithModel(t *testing.T, v *volume, m *model, when string) {
+func compareWithModel(t *testing.T, v *volume, m *model, when string, lookups bool) {
 	t.Helper()
 	if len(v.nodes) != len(m.nodes) || v.next != m.next {
 		t.Fatalf("%s: i-node table has %d nodes, next %d; model %d, next %d", when, len(v.nodes), v.next, len(m.nodes), m.next)
@@ -369,14 +417,17 @@ func compareWithModel(t *testing.T, v *volume, m *model, when string) {
 			continue
 		}
 		ctx := core.ContextID(id)
-		stream, count, err := v.appendDirectory(ctx, "", nil)
+		stream, count, err := v.listing(ctx, "")
 		if err != nil {
-			t.Fatalf("%s: appendDirectory(%d): %v", when, id, err)
+			t.Fatalf("%s: listing(%d): %v", when, id, err)
 		}
 		got, err := proto.DecodeDescriptors(stream)
 		want := m.list(ctx)
 		if err != nil || count != len(want) || len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: list(%d)\n got %+v\nwant %+v", when, id, got, want)
+		}
+		if !lookups {
+			continue
 		}
 		bound := make(map[string]proto.Descriptor, len(want))
 		for _, rec := range want {
@@ -408,7 +459,10 @@ func compareWithModel(t *testing.T, v *volume, m *model, when string) {
 // TestListAllocatesOnlyItsResult: fabricating a context directory is one
 // pass over the directory's entries encoded into one exactly-sized
 // stream — no descriptor slice, no name list, no sort, no per-entry
-// lookups that allocate — and a pattern selects what is encoded.
+// lookups that allocate. The full directory is kept until a change: an
+// unchanged repeat allocates nothing, a write to a listed file makes the
+// next one fabricate again, and a pattern selects what is encoded, every
+// time.
 func TestListAllocatesOnlyItsResult(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
@@ -429,21 +483,36 @@ func TestListAllocatesOnlyItsResult(t *testing.T) {
 	if err := fs.vol.addLink(ctx, "far", core.ContextPair{Server: 7, Ctx: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
+	first, err := fs.vol.LookupComponent(ctx, "f000")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var (
 		stream []byte
 		count  int
+		now    vtime.Time
 	)
-	if allocs := testing.AllocsPerRun(100, func() { stream, count, _ = fs.vol.appendDirectory(ctx, "", nil) }); allocs != 1 {
-		t.Fatalf("directory of %d entries: %v allocs, want 1", count, allocs)
+	written := []byte{'x'}
+	if allocs := testing.AllocsPerRun(100, func() {
+		now++
+		_, _ = fs.vol.writeAt(first.Object.ID, 0, written, now)
+		stream, count, _ = fs.vol.listing(ctx, "")
+	}); allocs != 1 {
+		t.Fatalf("directory of %d entries after a change: %v allocs, want 1", count, allocs)
 	}
 	got, err := proto.DecodeDescriptors(stream)
 	if err != nil || count != 102 || len(got) != 102 || cap(stream) != len(stream) ||
-		got[0].Name != "f000" || got[100].Name != "far" || got[100].Tag != proto.TagLink || got[101].Name != "sub" {
+		got[0].Name != "f000" || got[0].Modified != uint64(now) || got[0].Size != 1 ||
+		got[100].Name != "far" || got[100].Tag != proto.TagLink || got[101].Name != "sub" {
 		t.Fatalf("directory = %d records (count %d, %d bytes, cap %d), %v", len(got), count, len(stream), cap(stream), err)
 	}
-
-	stream, count, err = fs.vol.appendDirectory(ctx, "f09?", nil)
-	if got, _ := proto.DecodeDescriptors(stream); err != nil || count != 10 || len(got) != 10 || got[0].Name != "f090" || got[9].Name != "f099" {
-		t.Fatalf("pattern f09? = %d records (count %d), %v", len(got), count, err)
+	if allocs := testing.AllocsPerRun(100, func() { stream, count, _ = fs.vol.listing(ctx, "") }); allocs != 0 || count != 102 {
+		t.Fatalf("unchanged directory of %d entries: %v allocs, want 0", count, allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { stream, count, _ = fs.vol.listing(ctx, "f09?") }); allocs != 1 {
+		t.Fatalf("pattern f09?: %v allocs, want 1", allocs)
+	}
+	if got, _ := proto.DecodeDescriptors(stream); count != 10 || len(got) != 10 || got[0].Name != "f090" || got[9].Name != "f099" {
+		t.Fatalf("pattern f09? = %d records (count %d)", len(got), count)
 	}
 }

@@ -3,6 +3,7 @@ package proto
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // DescriptorTag identifies the type of object a description record
@@ -179,11 +180,11 @@ func WholeRecords(buf []byte) int {
 	}
 }
 
-// DecodeDescriptors decodes a whole context directory stream in two
-// allocations: the record lengths are walked first, so the result is
-// allocated once at its size, and the stream is converted to a string
-// once, every Name and Owner a slice of it. A decoded string therefore
-// keeps the whole stream alive.
+// DecodeDescriptors decodes a whole context directory stream in one
+// allocation: the record lengths are walked first, so the result is
+// allocated once at its size, and every Name and Owner is a slice of buf
+// itself. DecodeDescriptors therefore takes buf over: the caller must not
+// write it afterwards, and a decoded string keeps the whole stream alive.
 func DecodeDescriptors(buf []byte) ([]Descriptor, error) {
 	count := 0
 	for rest := buf; len(rest) > 0; count++ {
@@ -197,7 +198,7 @@ func DecodeDescriptors(buf []byte) ([]Descriptor, error) {
 		return nil, nil
 	}
 	out := make([]Descriptor, count)
-	s := string(buf)
+	s := unsafe.String(unsafe.SliceData(buf), len(buf))
 	off := 0
 	for i := range out {
 		off += out[i].decode(buf[off:], s[off+descriptorFixedBytes:])

@@ -250,7 +250,9 @@ func uniformTable(r *Rig) []uniformRow {
 				return nil
 			}},
 		{label: "[storage]", pid: r.FS1.PID(), dir: "users/mann", obj: "welcome.txt", team: r.sc.FileServerTeam > 1,
-			use: func(p *kernel.Process, _ string) error {
+			// A read, then a file of the use's own, which the directory's
+			// listing — kept between changes — shows at once.
+			use: func(p *kernel.Process, tag string) error {
 				if _, err := transact(p, r.FS1.PID(), proto.OpQueryObject, "users/mann/welcome.txt", 0); err != nil {
 					return err
 				}
@@ -261,8 +263,40 @@ func uniformTable(r *Rig) []uniformRow {
 				if got, err := f.ReadAll(); err != nil || string(got) != "Welcome to the V-System, mann.\n" {
 					return fmt.Errorf("read %q, %v", got, err)
 				}
-				return f.Close()
+				if err := f.Close(); err != nil {
+					return err
+				}
+				w, err := open(p, r.FS1.PID(), "users/mann/note-"+tag, proto.ModeRead|proto.ModeWrite|proto.ModeCreate)
+				if err != nil {
+					return err
+				}
+				if err := echo(w, tag); err != nil {
+					return err
+				}
+				if err := w.Close(); err != nil {
+					return err
+				}
+				d, err := open(p, r.FS1.PID(), "users/mann", proto.ModeRead|proto.ModeDirectory)
+				if err != nil {
+					return err
+				}
+				defer d.Close()
+				raw, err := d.ReadAll()
+				if err != nil {
+					return err
+				}
+				records, err := proto.DecodeDescriptors(raw)
+				if err != nil {
+					return err
+				}
+				for _, rec := range records {
+					if rec.Name == "note-"+tag && rec.Size == uint32(len(tag)) {
+						return nil
+					}
+				}
+				return fmt.Errorf("note-%s is not in the listing %+v", tag, records)
 			},
+			count: listed(r.FS1.PID(), "users/mann"),
 			// Each handoff is a span, and every forward hop — a
 			// receptionist's to its worker, a prefix rewrite — parents under
 			// the handoff or serve that made it.

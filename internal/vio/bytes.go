@@ -2,6 +2,7 @@ package vio
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/kernel"
@@ -150,7 +151,8 @@ func NewDirectoryInstance(stream []byte, modify func(proto.Descriptor) error) *B
 		if whole < len(data) && end%DefaultBlockSize != 0 {
 			return fmt.Errorf("%w: write ends inside a description record", proto.ErrBadArgs)
 		}
-		records, _ := proto.DecodeDescriptors(data[:whole]) // whole records decode
+		// Whole records decode; the copy is theirs, as data is the writer's.
+		records, _ := proto.DecodeDescriptors(slices.Clone(data[:whole]))
 		for _, d := range records {
 			if err := modify(d); err != nil {
 				return err

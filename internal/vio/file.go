@@ -46,20 +46,24 @@ func (f *File) request(op proto.Code) *proto.Message {
 }
 
 // transact sends the request readied by request, granting the server dst
-// to write a read's bytes into, and maps failure replies to errors.
-func (f *File) transact(dst []byte) (*proto.Message, error) {
+// to write a read's bytes into, and maps failure replies to errors. The
+// reply may land in the request (PROTOCOL.md §7), so it is returned by
+// value, read before the request drops its segment.
+func (f *File) transact(dst []byte) (proto.Message, error) {
 	if f.closed {
-		return nil, fmt.Errorf("%w: instance closed", proto.ErrBadArgs)
+		return proto.Message{}, fmt.Errorf("%w: instance closed", proto.ErrBadArgs)
 	}
 	reply, err := f.proc.SendMove(&f.req, f.server, nil, dst)
+	var answer proto.Message
+	if err == nil {
+		answer = *reply
+		err = proto.ReplyError(answer.Op)
+	}
 	f.req.Segment = nil // a written chunk is the caller's, not the File's to keep
 	if err != nil {
-		return nil, err
+		return proto.Message{}, err
 	}
-	if err := proto.ReplyError(reply.Op); err != nil {
-		return nil, err
-	}
-	return reply, nil
+	return answer, nil
 }
 
 // ReadBlock reads up to one block at the given block index. A dst that
@@ -153,12 +157,17 @@ func (f *File) ReadRetry(p []byte, maxRetries int) (int, error) {
 const readAllWindow = 4096
 
 // ReadAll reads the instance from the current position to EOF. The result
-// is sized once, from the length the instance had at open; it grows only
-// if the object has.
+// is sized once, from the length the instance had at open rounded up to a
+// whole block, so the server writes even a short last block in place; it
+// grows only if the object has.
 func (f *File) ReadAll() ([]byte, error) {
 	var out []byte
-	if left := int64(f.info.SizeBytes) - f.pos; left > 0 {
-		out = make([]byte, 0, left)
+	if end := int64(f.info.SizeBytes); end > f.pos {
+		bs := int64(f.info.BlockSize)
+		if bs == 0 {
+			bs = DefaultBlockSize
+		}
+		out = make([]byte, 0, (end+bs-1)/bs*bs-f.pos)
 	}
 	for {
 		var err error
@@ -231,7 +240,7 @@ func (f *File) Query() (proto.InstanceInfo, error) {
 	if err != nil {
 		return proto.InstanceInfo{}, err
 	}
-	info := proto.GetInstanceInfo(reply)
+	info := proto.GetInstanceInfo(&reply)
 	f.info = info
 	return info, nil
 }

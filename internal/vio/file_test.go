@@ -11,6 +11,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/proto"
+	"repro/internal/raceflag"
 	"repro/internal/vtime"
 )
 
@@ -430,18 +431,18 @@ func (s *spyInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, err
 	return s.BytesInstance.ReadAt(p, off, buf)
 }
 
-// TestReadAllLandsInReadersBuffer: ReadAll grants the server each whole
-// block of its result it reads from the block's start, and the server
-// writes the block there; only the short last block and the re-read
-// before EOF are answered from a buffer of the server's own. The block
-// requests and the bytes are TestReadAllBlockSequence's.
+// TestReadAllLandsInReadersBuffer: ReadAll sizes its result in whole
+// blocks and grants the server each block it reads from the block's
+// start, so the server writes every block there, the short last one too;
+// only the re-read before EOF is answered from a buffer of the server's
+// own. The block requests and the bytes are TestReadAllBlockSequence's.
 func TestReadAllLandsInReadersBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		size      int
 		want      []uint32
 		ungranted int
 	}{
-		{3000, seq(0, 5, 5), 2},
+		{3000, seq(0, 5, 5), 1},
 		{4096, seq(0, 7, 8), 1},
 	} {
 		r := newFileRig(t)
@@ -489,5 +490,59 @@ func TestRegistryReadsInfoOnce(t *testing.T) {
 	}
 	if _, err := f.Query(); err != nil || inst.infos != 2 {
 		t.Fatalf("Query: %v, Info read %d times, want 2", err, inst.infos)
+	}
+}
+
+// TestInstanceOpsAnswerInRequest: a successful block read, block write and
+// release are answered in the request that asked (PROTOCOL.md §7), so with
+// the read granted the reader's buffer a whole transaction of each — client,
+// kernel and server — allocates nothing; a failure is a fresh message.
+func TestInstanceOpsAnswerInRequest(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	r := newFileRig(t)
+	r.reads = make([]uint32, 0, 1024)
+	f := r.open(t, NewBytesInstance(pattern(2*DefaultBlockSize), Writable()), "f")
+	block := make([]byte, DefaultBlockSize)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.ReadBlock(1, block); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("granted block read: %v allocs, want 0", allocs)
+	}
+	if f.req.Op != proto.ReplyOK || f.req.F[1] != DefaultBlockSize || !bytes.Equal(block, pattern(2 * DefaultBlockSize)[DefaultBlockSize:]) {
+		t.Fatalf("the read's reply %+v did not land in its request", f.req)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		f.pos = 0
+		if _, err := f.Write(block); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("block write: %v allocs, want 0", allocs)
+	}
+	if f.req.Op != proto.ReplyOK || f.req.F[1] != DefaultBlockSize {
+		t.Fatalf("the write's reply %+v did not land in its request", f.req)
+	}
+	files := make([]*File, 101) // AllocsPerRun runs once more than asked
+	for i := range files {
+		files[i] = r.open(t, NewBytesInstance(nil), "f")
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := files[next].Close(); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); allocs != 0 {
+		t.Fatalf("release: %v allocs, want 0", allocs)
+	}
+	if files[0].req.Op != proto.ReplyOK {
+		t.Fatalf("the release's reply %+v did not land in its request", files[0].req)
+	}
+	if _, err := f.ReadBlock(9, block); !errors.Is(err, proto.ErrEndOfFile) || f.req.Op != proto.OpReadInstance {
+		t.Fatalf("a failed read: %v, and its request became %v", err, f.req.Op)
 	}
 }

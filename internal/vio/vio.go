@@ -119,7 +119,9 @@ func (r *Registry) Release(id uint16) error {
 // operation codes it does not handle so the caller can try its own. p is
 // the process serving the request from `from`; instance waits are charged
 // to it, and a block is read into the segment the reader granted
-// (kernel ReplySegment) when that holds the block.
+// (kernel ReplySegment) when that holds the block. A successful read,
+// write or release is answered in msg itself (proto.AnswerIn); a failure
+// is a fresh message.
 func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message, from kernel.PID) *proto.Message {
 	switch msg.Op {
 	case proto.OpQueryInstance:
@@ -153,11 +155,7 @@ func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message, from kernel.P
 		if n == 0 && err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
-		reply := proto.NewReply(proto.ReplyOK)
-		reply.F[0] = msg.F[0]
-		reply.F[1] = uint32(n)
-		reply.Segment = buf[:n]
-		return reply
+		return answered(msg, n, buf[:n])
 
 	case proto.OpWriteInstance:
 		s, err := r.get(uint16(msg.F[0]))
@@ -172,16 +170,13 @@ func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message, from kernel.P
 		if err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
-		reply := proto.NewReply(proto.ReplyOK)
-		reply.F[0] = msg.F[0]
-		reply.F[1] = uint32(n)
-		return reply
+		return answered(msg, n, nil)
 
 	case proto.OpReleaseInstance:
 		if err := r.Release(uint16(msg.F[0])); err != nil {
 			return proto.NewReply(proto.ErrorReply(err))
 		}
-		return proto.NewReply(proto.ReplyOK)
+		return proto.AnswerIn(msg, proto.ReplyOK)
 
 	case proto.OpGetInstanceName:
 		// The inverse mapping from instance id to name (§5.7). As §6
@@ -199,4 +194,15 @@ func (r *Registry) HandleOp(p *kernel.Process, msg *proto.Message, from kernel.P
 	default:
 		return nil
 	}
+}
+
+// answered turns the block request msg into its success reply: the
+// instance id, the byte count n and the block read, if any.
+func answered(msg *proto.Message, n int, block []byte) *proto.Message {
+	id := msg.F[0]
+	reply := proto.AnswerIn(msg, proto.ReplyOK)
+	reply.F[0] = id
+	reply.F[1] = uint32(n)
+	reply.Segment = block
+	return reply
 }
