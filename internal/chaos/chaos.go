@@ -164,7 +164,6 @@ func (e *Engine) fireLocked(ev Event) {
 	// on the health timeline.
 	reg := e.k.Metrics()
 	reg.Counter("chaos_events_total", metrics.Labels{Class: ev.Action.String()}).Inc()
-	label := ev.Action.String()
 	var outcome string
 	switch ev.Action {
 	case SetLoss:
@@ -210,9 +209,6 @@ func (e *Engine) fireLocked(ev Event) {
 			outcome = fmt.Sprintf("host=%s unknown", ev.Host)
 		}
 	case Redefine:
-		// The committed BENCH_cache.json and BENCH_zipf.json pin the log
-		// line of the closure event this action replaced.
-		label = "custom"
 		outcome = "ok"
 		if e.RedefineHook == nil {
 			outcome = "error=no redefine hook installed"
@@ -222,7 +218,7 @@ func (e *Engine) fireLocked(ev Event) {
 	default:
 		outcome = "unknown action"
 	}
-	line := fmt.Sprintf("t=%08dus %-9s %s", ev.At.Microseconds(), label, outcome)
+	line := fmt.Sprintf("t=%08dus %-9s %s", ev.At.Microseconds(), ev.Action, outcome)
 	if ev.Note != "" {
 		line += " (" + ev.Note + ")"
 	}

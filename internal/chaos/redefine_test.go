@@ -16,7 +16,7 @@ import (
 // TestRedefineFailuresAreLogged: a Redefine that cannot be carried out —
 // an unknown name, a shard that does not exist, a prefix host that is
 // down, or no rig to execute it at all — logs error=… on the pinned
-// "custom" line and the run goes on; none of them panics.
+// "redefine" line and the run goes on; none of them panics.
 func TestRedefineFailuresAreLogged(t *testing.T) {
 	_, ev, err := rig.Run(rig.Scenario{
 		Kind: rig.SharedPrefix, Shards: 2, ClientsPerShard: 2, Requests: 60, Seed: 7,
@@ -35,11 +35,11 @@ func TestRedefineFailuresAreLogged(t *testing.T) {
 	if len(ev.ChaosLog) != 5 {
 		t.Fatalf("fired %d events, want 5:\n%s", len(ev.ChaosLog), strings.Join(ev.ChaosLog, "\n"))
 	}
-	if want := "t=00020000us custom    ok (fine)"; ev.ChaosLog[0] != want {
+	if want := "t=00020000us redefine  ok (fine)"; ev.ChaosLog[0] != want {
 		t.Fatalf("successful redefine logged %q, want %q", ev.ChaosLog[0], want)
 	}
 	for _, i := range []int{1, 2, 4} {
-		if !strings.Contains(ev.ChaosLog[i], "custom    error=") {
+		if !strings.Contains(ev.ChaosLog[i], "redefine  error=") {
 			t.Fatalf("event %d did not log its failure: %q", i, ev.ChaosLog[i])
 		}
 	}
