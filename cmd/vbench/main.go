@@ -130,12 +130,13 @@ func run(args []string, w io.Writer) error {
 			// The full tracer is O(ops) and cannot hold a million-name
 			// workload; the sampled tracer retains O(k) spans, so this
 			// export completes at any population.
-			data, pt, err := experiments.PopulationTrace(*popTrace)
+			data, leg, err := experiments.PopulationTrace(*popTrace)
 			if err != nil {
 				return fmt.Errorf("population trace: %w", err)
 			}
 			stats := fmt.Sprintf(" (%d names, %d ops, %d/%d roots retained, %d spans)",
-				pt.Population, pt.TotalOps, pt.RootsRetained, pt.RootsSeen, pt.RetainedSpans)
+				leg.Scenario.Population, leg.Evidence.Completed, int(leg.Reads["roots_retained"]),
+				int(leg.Reads["roots_seen"]), leg.Evidence.Spans)
 			if err := writeExport(w, "sampled population trace", *tracePath, stats, data); err != nil {
 				return err
 			}

@@ -47,71 +47,6 @@ const (
 // a17LeaseSweep is the lease-length sweep.
 var a17LeaseSweep = []time.Duration{20 * time.Millisecond, 80 * time.Millisecond, 320 * time.Millisecond}
 
-// CacheRun is one sweep point in BENCH_cache.json.
-type CacheRun struct {
-	LeaseUS         int64 `json:"lease_us"`
-	CacheTier       bool  `json:"cache_tier"`
-	Shards          int   `json:"shards"`
-	ClientsPerShard int   `json:"clients_per_shard"`
-	Requests        int   `json:"requests_per_client"`
-	Seed            int64 `json:"seed"`
-
-	TotalRequests int     `json:"total_requests"`
-	Errors        int     `json:"errors"`
-	MakespanUS    int64   `json:"makespan_us"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-
-	// Per-tier cache counters: the client sessions' lease caches, the
-	// intermediate tier (zero unless CacheTier), and the authoritative
-	// prefix server's grant counters.
-	ClientHits     int     `json:"client_hits"`
-	ClientMisses   int     `json:"client_misses"`
-	ClientRenewals int     `json:"client_renewals"`
-	ClientHitRate  float64 `json:"client_hit_rate"`
-	TierHits       int     `json:"tier_hits,omitempty"`
-	TierMisses     int     `json:"tier_misses,omitempty"`
-	TierForwards   int     `json:"tier_forwards,omitempty"`
-	TierHitRate    float64 `json:"tier_hit_rate,omitempty"`
-	PrefixGrants   int     `json:"prefix_grants"`
-
-	// EqualToSequential records the deep comparison between the
-	// conservative engine's WorkloadResult and the sequential driver's
-	// on the identical topology.
-	EqualToSequential bool `json:"equal_to_sequential"`
-}
-
-// CacheChaos is one fault leg in BENCH_cache.json.
-type CacheChaos struct {
-	Kind     string   `json:"kind"` // "crash" or "partition"
-	LeaseUS  int64    `json:"lease_us"`
-	Requests int      `json:"requests_per_client"`
-	Schedule []string `json:"schedule"` // the fired chaos log, verbatim
-
-	TotalRequests int `json:"total_requests"`
-	Completed     int `json:"completed"`
-	Errors        int `json:"errors"`
-	// Invalidations counts client lease entries dropped by callback.
-	Invalidations int `json:"invalidations"`
-
-	// TraceClean records trace.Check with the lease staleness invariant
-	// (#7) enabled; StaleWindows/WidestStaleUS summarize the windows in
-	// which a read served a mapping after its redefinition committed,
-	// and BoundHeld asserts the widest never exceeded the lease.
-	TraceClean    bool  `json:"trace_clean"`
-	StaleWindows  int   `json:"stale_windows"`
-	WidestStaleUS int64 `json:"widest_stale_us"`
-	BoundHeld     bool  `json:"bound_held"`
-}
-
-// CacheDoc is the BENCH_cache.json schema.
-type CacheDoc struct {
-	Tool        string `json:"tool"`
-	Description string `json:"description"`
-
-	Sweep []CacheRun   `json:"sweep"`
-	Chaos []CacheChaos `json:"chaos"`
-}
-
 // a17SweepScenario is one sweep point: the A16 topology with leases in
 // place of the blind flush, double-run against the sequential reference.
 func a17SweepScenario(lease time.Duration, tier bool) rig.Scenario {
@@ -125,38 +60,6 @@ func a17SweepScenario(lease time.Duration, tier bool) rig.Scenario {
 		CacheTier:       tier,
 		Sequential:      true,
 	}
-}
-
-// a17Run executes one sweep point and reads it out per cache tier.
-func a17Run(lease time.Duration, tier bool) (CacheRun, error) {
-	run := CacheRun{
-		LeaseUS:         lease.Microseconds(),
-		CacheTier:       tier,
-		Shards:          a17Shards,
-		ClientsPerShard: a17ClientsPerShard,
-		Requests:        a17Requests,
-		Seed:            a17Seed,
-	}
-	res, ev, err := runChecked(a17SweepScenario(lease, tier))
-	if err != nil {
-		return run, err
-	}
-	run.EqualToSequential = ev.EqualToSequential
-	run.TotalRequests = res.Requests
-	run.MakespanUS = res.Makespan.Microseconds()
-	run.ThroughputRPS = res.Throughput()
-	run.ClientHits = ev.Client.Hits
-	run.ClientMisses = ev.Client.Misses
-	run.ClientRenewals = ev.Client.Renewals
-	run.ClientHitRate = hitRate(ev.Client)
-	run.TierHits = int(ev.Tier.Hits)
-	run.TierMisses = int(ev.Tier.Misses)
-	run.TierForwards = int(ev.Tier.Forwards)
-	if lookups := ev.Tier.Hits + ev.Tier.Misses; lookups > 0 {
-		run.TierHitRate = float64(ev.Tier.Hits) / float64(lookups)
-	}
-	run.PrefixGrants = int(ev.Prefix.Grants)
-	return run, nil
 }
 
 // a17ChaosScenario is a fault leg: the leased topology, traced, with the
@@ -206,95 +109,68 @@ func a17ChaosScenario(kind string) rig.Scenario {
 	return sc
 }
 
-// a17Chaos runs one fault leg, held to its one-lane sequential reference
-// by runChecked, and distills it into a CacheChaos: the trace itself is
-// the deliverable.
-func a17Chaos(kind string) (CacheChaos, error) {
-	leg := CacheChaos{
-		Kind:     kind,
-		LeaseUS:  a17ChaosLease.Microseconds(),
-		Requests: a17ChaosRequests,
-	}
-	res, ev, err := runChecked(a17ChaosScenario(kind))
-	if err != nil {
-		return leg, err
-	}
-	leg.Schedule = ev.ChaosLog
-	leg.TotalRequests = res.Requests
-	leg.Completed = ev.Completed
-	leg.Errors = ev.Errors
-	leg.Invalidations = ev.Client.Invalidations
-	leg.TraceClean, leg.BoundHeld = true, true
-	leg.StaleWindows = ev.StaleWindows
-	leg.WidestStaleUS = ev.WidestStale.Microseconds()
-	return leg, nil
-}
-
-// a17Collect runs every leg once, producing both the JSON document and
-// the experiment rows from the same data.
-func a17Collect() (*CacheDoc, []Row, error) {
-	doc := &CacheDoc{
-		Tool:        "vbench -cache",
-		Description: "lease-coherent name-cache hierarchy: hit-rate sweep over lease length with and without the intermediate tier, plus crash and partition legs with the trace-checked staleness bound",
-	}
-	var rows []Row
+// a17Collect runs every leg once: the sweep legs read their makespan,
+// and the fault legs' trace is the deliverable — their evidence holds the
+// fired schedule and the stale windows runChecked held to the lease.
+func a17Collect() (Result, error) {
+	var res Result
 	for _, tier := range []bool{false, true} {
 		for _, lease := range a17LeaseSweep {
-			run, err := a17Run(lease, tier)
+			leg, err := runLeg(fmt.Sprintf("lease=%s tier=%v", ms(lease), tier), a17SweepScenario(lease, tier), makespan)
 			if err != nil {
-				return nil, nil, fmt.Errorf("a17 lease=%v tier=%v: %w", lease, tier, err)
+				return Result{}, fmt.Errorf("a17 lease=%v tier=%v: %w", lease, tier, err)
 			}
-			doc.Sweep = append(doc.Sweep, run)
+			res.Legs = append(res.Legs, leg)
+			ev := leg.Evidence
 			tierNote := "no tier"
 			if tier {
-				tierNote = fmt.Sprintf("tier %d/%d hits", run.TierHits, run.TierHits+run.TierMisses)
+				tierNote = fmt.Sprintf("tier %d/%d hits", ev.Tier.Hits, ev.Tier.Hits+ev.Tier.Misses)
 			}
-			rows = append(rows, Row{
-				Label:    fmt.Sprintf("lease=%s tier=%v", ms(lease), tier),
+			res.Rows = append(res.Rows, Row{
+				Label:    leg.Label,
 				Paper:    "-",
-				Measured: fmt.Sprintf("%.1f%% client hits", 100*run.ClientHitRate),
+				Measured: fmt.Sprintf("%.1f%% client hits", 100*hitRate(ev.Client)),
 				Note: fmt.Sprintf("≡ sequential; %d renewals; %s; %d upstream grants",
-					run.ClientRenewals, tierNote, run.PrefixGrants),
+					ev.Client.Renewals, tierNote, ev.Prefix.Grants),
 			})
 		}
 	}
 
-	crash, err := a17Chaos("crash")
+	crash, err := runLeg("crash: redefine + A14 outages", a17ChaosScenario("crash"), nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("a17 crash leg: %w", err)
+		return Result{}, fmt.Errorf("a17 crash leg: %w", err)
 	}
-	if crash.StaleWindows != 0 {
-		return nil, nil, fmt.Errorf("a17 crash leg: %d stale windows despite reachable holders", crash.StaleWindows)
+	switch ev := crash.Evidence; {
+	case ev.StaleWindows != 0:
+		return Result{}, fmt.Errorf("a17 crash leg: %d stale windows despite reachable holders", ev.StaleWindows)
+	case ev.Client.Invalidations == 0:
+		return Result{}, fmt.Errorf("a17 crash leg: redefinition invalidated no holder")
+	case ev.Errors == 0:
+		return Result{}, fmt.Errorf("a17 crash leg: outages were never client-visible")
 	}
-	if crash.Invalidations == 0 {
-		return nil, nil, fmt.Errorf("a17 crash leg: redefinition invalidated no holder")
-	}
-	if crash.Errors == 0 {
-		return nil, nil, fmt.Errorf("a17 crash leg: outages were never client-visible")
-	}
-	doc.Chaos = append(doc.Chaos, crash)
-	rows = append(rows, Row{
+	res.Legs = append(res.Legs, crash)
+	res.Rows = append(res.Rows, Row{
 		Label:    "crash leg: redefine + A14 outages",
 		Paper:    "-",
 		Measured: "0 stale windows",
 		Note: fmt.Sprintf("trace-checked (bound %s); %d holders invalidated; %d ops failed in outages",
-			ms(a17ChaosLease), crash.Invalidations, crash.Errors),
+			ms(a17ChaosLease), crash.Evidence.Client.Invalidations, crash.Evidence.Errors),
 	})
 
-	part, err := a17Chaos("partition")
+	part, err := runLeg("partition: redefine behind partition", a17ChaosScenario("partition"), nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("a17 partition leg: %w", err)
+		return Result{}, fmt.Errorf("a17 partition leg: %w", err)
 	}
-	if part.StaleWindows == 0 {
-		return nil, nil, fmt.Errorf("a17 partition leg: no stale window — the partition never bit")
+	if part.Evidence.StaleWindows == 0 {
+		return Result{}, fmt.Errorf("a17 partition leg: no stale window — the partition never bit")
 	}
-	doc.Chaos = append(doc.Chaos, part)
-	rows = append(rows, Row{
+	res.Legs = append(res.Legs, part)
+	res.Rows = append(res.Rows, Row{
 		Label:    "partition leg: redefine behind partition",
 		Paper:    "-",
-		Measured: fmt.Sprintf("widest stale window %s", usms(part.WidestStaleUS)),
+		Measured: fmt.Sprintf("widest stale window %s", usms(part.Evidence.WidestStale.Microseconds())),
 		Note: fmt.Sprintf("%d windows, all ≤ %s lease; callbacks reached no holder",
-			part.StaleWindows, ms(a17ChaosLease)),
+			part.Evidence.StaleWindows, ms(a17ChaosLease)),
 	})
-	return doc, rows, nil
+	return res, nil
 }

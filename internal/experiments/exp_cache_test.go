@@ -40,68 +40,62 @@ func TestCacheJSONDeterministic(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("BENCH_cache.json not byte-deterministic across runs")
 	}
-	var doc CacheDoc
+	var doc Result
 	if err := json.Unmarshal(b1, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Sweep) != 2*len(a17LeaseSweep) {
-		t.Fatalf("sweep points = %d, want %d", len(doc.Sweep), 2*len(a17LeaseSweep))
+	n := len(a17LeaseSweep)
+	if len(doc.Legs) != 2*n+2 {
+		t.Fatalf("legs = %d, want %d sweep points and 2 fault legs", len(doc.Legs), 2*n)
 	}
-	for _, run := range doc.Sweep {
-		if !run.EqualToSequential {
-			t.Fatalf("lease=%dus tier=%v: not equal to sequential", run.LeaseUS, run.CacheTier)
+	sweep := doc.Legs[:2*n]
+	for _, run := range sweep {
+		sc, ev := run.Scenario, run.Evidence
+		if !ev.EqualToSequential {
+			t.Fatalf("%s: not equal to sequential", run.Label)
 		}
-		if run.Errors != 0 {
-			t.Fatalf("lease=%dus tier=%v: %d errors", run.LeaseUS, run.CacheTier, run.Errors)
+		if ev.Errors != 0 {
+			t.Fatalf("%s: %d errors", run.Label, ev.Errors)
 		}
-		if run.ClientHitRate <= 0 || run.ClientHitRate > 1 {
-			t.Fatalf("lease=%dus tier=%v: client hit rate %v", run.LeaseUS, run.CacheTier, run.ClientHitRate)
+		if hr := hitRate(ev.Client); hr <= 0 || hr > 1 {
+			t.Fatalf("%s: client hit rate %v", run.Label, hr)
 		}
-		if run.CacheTier && (run.TierHits == 0 || run.TierHitRate <= 0) {
-			t.Fatalf("lease=%dus: tier never hit: %+v", run.LeaseUS, run)
+		if sc.CacheTier && ev.Tier.Hits == 0 {
+			t.Fatalf("%s: tier never hit: %+v", run.Label, ev.Tier)
 		}
-		if !run.CacheTier && run.TierHits != 0 {
-			t.Fatalf("lease=%dus: tierless run has tier hits: %+v", run.LeaseUS, run)
+		if !sc.CacheTier && ev.Tier.Hits != 0 {
+			t.Fatalf("%s: tierless run has tier hits: %+v", run.Label, ev.Tier)
 		}
-		if run.PrefixGrants == 0 {
-			t.Fatalf("lease=%dus tier=%v: no upstream grants", run.LeaseUS, run.CacheTier)
+		if ev.Prefix.Grants == 0 {
+			t.Fatalf("%s: no upstream grants", run.Label)
 		}
 	}
 	// Longer leases must not lower the client hit rate, and the tier must
 	// strictly amortize upstream grants at equal lease length.
-	for i := 1; i < len(a17LeaseSweep); i++ {
-		if doc.Sweep[i].ClientHitRate < doc.Sweep[i-1].ClientHitRate {
-			t.Fatalf("hit rate fell as the lease grew: %+v", doc.Sweep[:i+1])
+	for i := 1; i < n; i++ {
+		if hitRate(sweep[i].Evidence.Client) < hitRate(sweep[i-1].Evidence.Client) {
+			t.Fatalf("hit rate fell as the lease grew: %s → %s", sweep[i-1].Label, sweep[i].Label)
 		}
 	}
 	for i, lease := range a17LeaseSweep {
-		flat, tiered := doc.Sweep[i], doc.Sweep[i+len(a17LeaseSweep)]
-		if tiered.PrefixGrants >= flat.PrefixGrants {
-			t.Fatalf("lease=%v: tier did not amortize grants (%d vs %d)", lease, tiered.PrefixGrants, flat.PrefixGrants)
+		flat, tiered := sweep[i].Evidence.Prefix.Grants, sweep[i+n].Evidence.Prefix.Grants
+		if tiered >= flat {
+			t.Fatalf("lease=%v: tier did not amortize grants (%d vs %d)", lease, tiered, flat)
 		}
 	}
-	if len(doc.Chaos) != 2 {
-		t.Fatalf("chaos legs = %d, want 2", len(doc.Chaos))
-	}
-	crash, part := doc.Chaos[0], doc.Chaos[1]
-	if crash.Kind != "crash" || part.Kind != "partition" {
-		t.Fatalf("leg kinds: %q, %q", crash.Kind, part.Kind)
-	}
-	for _, leg := range doc.Chaos {
-		if !leg.TraceClean {
-			t.Fatalf("%s leg: trace not clean", leg.Kind)
+	crash, part := doc.Legs[2*n], doc.Legs[2*n+1]
+	for _, leg := range []Leg{crash, part} {
+		if leg.Evidence.WidestStale > leg.Evidence.Bound {
+			t.Fatalf("%s: staleness bound violated", leg.Label)
 		}
-		if !leg.BoundHeld {
-			t.Fatalf("%s leg: staleness bound violated", leg.Kind)
-		}
-		if len(leg.Schedule) == 0 {
-			t.Fatalf("%s leg: no chaos events fired", leg.Kind)
+		if len(leg.Evidence.ChaosLog) == 0 {
+			t.Fatalf("%s: no chaos events fired", leg.Label)
 		}
 	}
-	if crash.StaleWindows != 0 || crash.Errors == 0 || crash.Invalidations == 0 {
-		t.Fatalf("crash leg: %+v", crash)
+	if ev := crash.Evidence; ev.StaleWindows != 0 || ev.Errors == 0 || ev.Client.Invalidations == 0 {
+		t.Fatalf("crash leg: %+v", ev)
 	}
-	if part.StaleWindows == 0 || part.WidestStaleUS <= 0 {
-		t.Fatalf("partition leg: %+v", part)
+	if ev := part.Evidence; ev.StaleWindows == 0 || ev.WidestStale <= 0 {
+		t.Fatalf("partition leg: %+v", ev)
 	}
 }

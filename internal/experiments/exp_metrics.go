@@ -20,26 +20,6 @@ import (
 // degradation intervals. Everything is virtual time, so the whole
 // document (BENCH_metrics.json) is byte-deterministic.
 
-// MetricsDoc is the BENCH_metrics.json schema: one leg per measurement,
-// each carrying the deterministic registry state it produced.
-type MetricsDoc struct {
-	Tool        string       `json:"tool"`
-	Description string       `json:"description"`
-	Legs        []MetricsLeg `json:"legs"`
-}
-
-// MetricsLeg is one A14 measurement leg.
-type MetricsLeg struct {
-	Label      string                 `json:"label"`
-	Histograms []metrics.HistPoint    `json:"histograms,omitempty"`
-	Counters   []metrics.CounterPoint `json:"counters,omitempty"`
-	// RequestsPerTick is the sampler-derived throughput series (counter
-	// deltas per tick), present when the leg pumped the sampler.
-	RequestsPerTick []metrics.SeriesPoint `json:"requests_per_tick,omitempty"`
-	FailuresPerTick []metrics.SeriesPoint `json:"failures_per_tick,omitempty"`
-	Health          *metrics.HealthReport `json:"health,omitempty"`
-}
-
 // a14TeamSizes is the serve-latency team sweep (a subset of A11's).
 var a14TeamSizes = []int{1, 2, 4}
 
@@ -88,56 +68,64 @@ func counterPoints(snap metrics.Snapshot, names ...string) []metrics.CounterPoin
 // an echo process on the file-server host. Every transaction costs the
 // same, so the send_latency histogram is degenerate and its median is
 // the paper's 2.56 ms exactly.
-func a14Uncontended() (MetricsLeg, metrics.HistPoint, error) {
-	var leg MetricsLeg
-	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true})
+func a14Uncontended() (Leg, metrics.HistPoint, error) {
+	sc := a14Scenario(0)
+	r, err := rig.New(sc)
 	if err != nil {
-		return leg, metrics.HistPoint{}, err
+		return Leg{}, metrics.HistPoint{}, err
 	}
 	echo, err := startEcho(r.FS1Host)
 	if err != nil {
-		return leg, metrics.HistPoint{}, err
+		return Leg{}, metrics.HistPoint{}, err
 	}
 	cli, err := r.WS[0].Host.NewProcess("echo-client")
 	if err != nil {
-		return leg, metrics.HistPoint{}, err
+		return Leg{}, metrics.HistPoint{}, err
 	}
 	const trials = 100
 	if _, err := echoTimes(cli, echo.PID(), trials); err != nil {
-		return leg, metrics.HistPoint{}, err
+		return Leg{}, metrics.HistPoint{}, err
 	}
 	snap := r.Metrics.Snapshot().Deterministic()
 	p, ok := findHist(snap, "send_latency", metrics.Labels{Server: "echo", Op: proto.OpEcho.String()})
 	if !ok {
-		return leg, metrics.HistPoint{}, fmt.Errorf("a14: no send_latency{echo,%s} histogram", proto.OpEcho)
+		return Leg{}, metrics.HistPoint{}, fmt.Errorf("a14: no send_latency{echo,%s} histogram", proto.OpEcho)
 	}
 	if p.Count != trials {
-		return leg, metrics.HistPoint{}, fmt.Errorf("a14: send_latency count = %d, want %d", p.Count, trials)
+		return Leg{}, metrics.HistPoint{}, fmt.Errorf("a14: send_latency count = %d, want %d", p.Count, trials)
 	}
-	leg = MetricsLeg{
-		Label:      "uncontended remote transaction: 1 client, 100 x 32-byte echo, separate hosts",
-		Histograms: histPoints(snap, "send_latency"),
-		Counters: counterPoints(snap, "kernel_sends_total", "kernel_replies_total",
-			"wire_frames_total", "wire_bytes_total"),
-	}
-	return leg, p, nil
+	return Leg{
+		Label:    "uncontended remote transaction: 1 client, 100 x 32-byte echo, separate hosts",
+		Scenario: &sc,
+		Series: &Series{
+			Histograms: histPoints(snap, "send_latency"),
+			Counters: counterPoints(snap, "kernel_sends_total", "kernel_replies_total",
+				"wire_frames_total", "wire_bytes_total"),
+		},
+	}, p, nil
+}
+
+// a14Scenario is the paper testbed with one workstation and the given
+// file-server team size.
+func a14Scenario(team int) rig.Scenario {
+	return rig.Scenario{Kind: rig.Paper, Users: []string{"mann"}, Seed: 1, ReadAhead: true, FileServerTeam: team}
 }
 
 // a14Team drives the A11 cache-hit phase (8 co-resident clients
 // repeatedly querying a deep path) at the given file-server team size
 // and returns the serve-latency distribution the registry collected.
-func a14Team(team int) (MetricsLeg, metrics.HistPoint, error) {
-	var leg MetricsLeg
-	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, FileServerTeam: team})
+func a14Team(team int) (Leg, metrics.HistPoint, error) {
+	sc := a14Scenario(team)
+	r, err := rig.New(sc)
 	if err != nil {
-		return leg, metrics.HistPoint{}, err
+		return Leg{}, metrics.HistPoint{}, err
 	}
 	clients, err := a11HotPhase(r, r.Sampler.AdvanceTo)
 	if err != nil {
-		return leg, metrics.HistPoint{}, err
+		return Leg{}, metrics.HistPoint{}, err
 	}
 	if err := noErrors(rig.RunWorkload(clients), fmt.Sprintf("a14 team=%d", team)); err != nil {
-		return leg, metrics.HistPoint{}, err
+		return Leg{}, metrics.HistPoint{}, err
 	}
 	snap := r.Metrics.Snapshot().Deterministic()
 	// The client-observed transaction latency (send_latency) carries the
@@ -148,16 +136,18 @@ func a14Team(team int) (MetricsLeg, metrics.HistPoint, error) {
 	lbl := metrics.Labels{Server: r.FS1.Proc().Name(), Op: proto.OpQueryObject.String()}
 	p, ok := findHist(snap, "send_latency", lbl)
 	if !ok {
-		return leg, metrics.HistPoint{}, fmt.Errorf("a14 team=%d: no send_latency histogram for %+v", team, lbl)
+		return Leg{}, metrics.HistPoint{}, fmt.Errorf("a14 team=%d: no send_latency histogram for %+v", team, lbl)
 	}
-	leg = MetricsLeg{
-		Label:      fmt.Sprintf("contended queries: %d clients, file-server team=%d", a11HotClients, team),
-		Histograms: append(histPoints(snap, "send_latency"), histPoints(snap, "serve_latency")...),
-		Counters: counterPoints(snap, "server_requests_total", "server_handoffs_total",
-			"kernel_forwards_total"),
-		RequestsPerTick: metrics.CounterSeries(r.Sampler.Samples(), "server_requests_total"),
-	}
-	return leg, p, nil
+	return Leg{
+		Label:    fmt.Sprintf("contended queries: %d clients, file-server team=%d", a11HotClients, team),
+		Scenario: &sc,
+		Series: &Series{
+			Histograms: append(histPoints(snap, "send_latency"), histPoints(snap, "serve_latency")...),
+			Counters: counterPoints(snap, "server_requests_total", "server_handoffs_total",
+				"kernel_forwards_total"),
+			RequestsPerTick: metrics.CounterSeries(r.Sampler.Samples(), "server_requests_total"),
+		},
+	}, p, nil
 }
 
 // a14Chaos runs the A10 failover workload (dynamic [bin] binding, FS2
@@ -169,27 +159,28 @@ func a14Team(team int) (MetricsLeg, metrics.HistPoint, error) {
 // empty caches), so each FS1 outage catches a cached resolution stale —
 // without the cache, the dynamic binding re-resolves per use and the
 // client never touches the dead pid.
-func a14Chaos() (MetricsLeg, float64, error) {
-	var leg MetricsLeg
-	r, ok, horizon, err := a14ChaosLoad(a14ChaosScenario(0))
+func a14Chaos() (Leg, error) {
+	sc := a14ChaosScenario(0)
+	r, ok, horizon, err := a14ChaosLoad(sc)
 	if err != nil {
-		return leg, 0, err
+		return Leg{}, err
 	}
-
 	snap := r.Metrics.Snapshot().Deterministic()
-	health := metrics.Health(snap, r.Sampler.Samples(), horizon, 0.90)
-	leg = MetricsLeg{
-		Label:      "chaos: FS1 crash/restart schedule, dynamic binding + retry, FS2 replica",
-		Histograms: histPoints(snap, "send_latency"),
-		Counters: counterPoints(snap, "chaos_events_total", "client_ops_total",
-			"client_op_failures_total", "client_retries_total", "client_rebinds_total",
-			"client_failovers_total", "prefix_forwards_total", "prefix_rebinds_total",
-			"prefix_dead_targets_total", "kernel_send_failures_total"),
-		RequestsPerTick: metrics.CounterSeries(r.Sampler.Samples(), "client_ops_total"),
-		FailuresPerTick: metrics.CounterSeries(r.Sampler.Samples(), "client_op_failures_total"),
-		Health:          health,
-	}
-	return leg, float64(ok) / a14ChaosOps, nil
+	return Leg{
+		Label:    "chaos: FS1 crash/restart schedule, dynamic binding + retry, FS2 replica",
+		Scenario: &sc,
+		Series: &Series{
+			Histograms: histPoints(snap, "send_latency"),
+			Counters: counterPoints(snap, "chaos_events_total", "client_ops_total",
+				"client_op_failures_total", "client_retries_total", "client_rebinds_total",
+				"client_failovers_total", "prefix_forwards_total", "prefix_rebinds_total",
+				"prefix_dead_targets_total", "kernel_send_failures_total"),
+			RequestsPerTick: metrics.CounterSeries(r.Sampler.Samples(), "client_ops_total"),
+			FailuresPerTick: metrics.CounterSeries(r.Sampler.Samples(), "client_op_failures_total"),
+			Health:          metrics.Health(snap, r.Sampler.Samples(), horizon, 0.90),
+		},
+		Reads: reads{"completed": float64(ok)},
+	}, nil
 }
 
 // a14ChaosOps is the chaos leg's operation count.
@@ -235,21 +226,16 @@ func fs1Health(h *metrics.HealthReport) (*metrics.ServerHealth, error) {
 	return nil, errors.New("health report has no fs1 entry")
 }
 
-// a14Collect runs every leg once, producing both the JSON document and
-// the experiment rows from the same data.
-func a14Collect() (*MetricsDoc, []Row, error) {
-	doc := &MetricsDoc{
-		Tool:        "vbench -metrics",
-		Description: "virtual-time metrics: latency distributions, team scaling, health under faults",
-	}
-	var rows []Row
-
+// a14Collect runs every leg once, producing the legs and the experiment
+// rows from the same data.
+func a14Collect() (Result, error) {
+	var res Result
 	uleg, up, err := a14Uncontended()
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	doc.Legs = append(doc.Legs, uleg)
-	rows = append(rows,
+	res.Legs = append(res.Legs, uleg)
+	res.Rows = append(res.Rows,
 		Row{Label: "remote transaction, median", Paper: "2.56 ms", Measured: usms(up.P50US),
 			Note: "send_latency{echo,Echo} over 100 transactions"},
 		Row{Label: "remote transaction, p99 / max", Paper: "-",
@@ -260,10 +246,10 @@ func a14Collect() (*MetricsDoc, []Row, error) {
 	for _, team := range a14TeamSizes {
 		leg, p, err := a14Team(team)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
-		doc.Legs = append(doc.Legs, leg)
-		rows = append(rows, Row{
+		res.Legs = append(res.Legs, leg)
+		res.Rows = append(res.Rows, Row{
 			Label:    fmt.Sprintf("team=%d query latency, p50 / p99", team),
 			Paper:    a11Paper(team, "serializes", "overlaps"),
 			Measured: usms(p.P50US) + " / " + usms(p.P99US),
@@ -271,23 +257,24 @@ func a14Collect() (*MetricsDoc, []Row, error) {
 		})
 	}
 
-	cleg, frac, err := a14Chaos()
+	cleg, err := a14Chaos()
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	doc.Legs = append(doc.Legs, cleg)
-	fs1, err := fs1Health(cleg.Health)
+	res.Legs = append(res.Legs, cleg)
+	health := cleg.Series.Health
+	fs1, err := fs1Health(health)
 	if err != nil {
-		return nil, nil, fmt.Errorf("a14: %w", err)
+		return Result{}, fmt.Errorf("a14: %w", err)
 	}
-	rows = append(rows,
+	res.Rows = append(res.Rows,
 		Row{Label: "fs1 availability under chaos", Paper: "-",
 			Measured: fmt.Sprintf("%.3f", fs1.Availability),
 			Note: fmt.Sprintf("%d outages, %d degraded windows, SLO %.0f%%",
-				len(fs1.Outages), len(cleg.Health.Degraded), cleg.Health.SLO*100)},
+				len(fs1.Outages), len(health.Degraded), health.SLO*100)},
 		Row{Label: "operation success under chaos", Paper: "-",
-			Measured: fmt.Sprintf("%.2f", frac),
+			Measured: fmt.Sprintf("%.2f", cleg.Reads["completed"]/a14ChaosOps),
 			Note:     "dynamic binding + retry cache-free failover to FS2"},
 	)
-	return doc, rows, nil
+	return res, nil
 }

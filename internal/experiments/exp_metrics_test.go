@@ -59,7 +59,7 @@ func TestA14Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc MetricsDoc
+	var doc Result
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestA14Shape(t *testing.T) {
 		t.Fatalf("legs = %d", len(doc.Legs))
 	}
 
-	uncontended := doc.Legs[0]
+	uncontended := doc.Legs[0].Series
 	var echo *metrics.HistPoint
 	for i, h := range uncontended.Histograms {
 		if h.Name == "send_latency" && h.Labels.Op == "Echo" {
@@ -86,7 +86,7 @@ func TestA14Shape(t *testing.T) {
 		t.Fatalf("remote transaction median = %s, want 2.56 ms", got)
 	}
 
-	chaos := doc.Legs[len(doc.Legs)-1]
+	chaos := doc.Legs[len(doc.Legs)-1].Series
 	if chaos.Health == nil {
 		t.Fatal("chaos leg has no health report")
 	}

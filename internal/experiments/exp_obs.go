@@ -66,117 +66,12 @@ const (
 // baseline on the frontier.
 var a19TuneFloors = []time.Duration{20 * time.Millisecond, 80 * time.Millisecond}
 
-// ObsTopK is the sketch-vs-exact leg of BENCH_obs.json.
-type ObsTopK struct {
-	Population int     `json:"population"`
-	Draws      int     `json:"draws"`
-	K          int     `json:"k"`
-	Skew       float64 `json:"skew"`
-
-	// Guaranteed is how many names the space-saving guarantee covers
-	// (true count > draws/k); Recalled of them appeared in the sketch.
-	Guaranteed int `json:"guaranteed"`
-	Recalled   int `json:"recalled"`
-	// WithinBound asserts every sketch estimate sat in [true, true+err].
-	WithinBound bool `json:"within_bound"`
-	// MaxOverestimate is the widest estimate-minus-true gap observed.
-	MaxOverestimate int64 `json:"max_overestimate"`
-
-	HottestName string `json:"hottest_name"`
-	HottestEst  int64  `json:"hottest_est"`
-	HottestTrue int64  `json:"hottest_true"`
-}
-
-// ObsRates is the EWMA convergence leg.
-type ObsRates struct {
-	CadenceUS   int64 `json:"cadence_us"`
-	Events      int   `json:"events"`
-	WantMilliHz int64 `json:"want_mhz"`
-	GotMilliHz  int64 `json:"got_mhz"`
-	Exact       bool  `json:"exact"`
-}
-
-// ObsDecomp is one A12-style echo decomposition read off a trace.
-type ObsDecomp struct {
-	TotalUS      int64 `json:"total_us"`
-	RequestHopUS int64 `json:"request_hop_us"`
-	DwellUS      int64 `json:"dwell_us"`
-	ReplyHopUS   int64 `json:"reply_hop_us"`
-}
-
-// ObsSampling is the sampled-tracing leg.
-type ObsSampling struct {
-	// The echo decomposition under the full and the sampled tracer
-	// (head 1/1: everything retained) must agree exactly.
-	Full    ObsDecomp `json:"full"`
-	Sampled ObsDecomp `json:"sampled"`
-	Agrees  bool      `json:"agrees"`
-
-	// The open-loop Zipf workload under head sampling.
-	PopTrace
-	TraceClean bool `json:"trace_clean"`
-	// HottestInTopK asserts the population's true hottest name shows up
-	// in the prefix server's hot-name sketch.
-	HottestInTopK bool `json:"hottest_in_topk"`
-
-	// Flight-recorder journal counts for the same run.
-	FlightEvents      int64 `json:"flight_events"`
-	FlightResolutions int64 `json:"flight_resolutions"`
-	FlightRedefines   int64 `json:"flight_redefines"`
-	FlightDropped     int64 `json:"flight_dropped"`
-}
-
-// ObsTuneRun is one policy point of the auto-tune leg.
-type ObsTuneRun struct {
-	Policy  string `json:"policy"` // "fixed" or "tuned"
-	LeaseUS int64  `json:"lease_us"`
-	CapUS   int64  `json:"cap_us,omitempty"`
-
-	Requests      int     `json:"requests"`
-	Errors        int     `json:"errors"`
-	Hits          int     `json:"hits"`
-	Misses        int     `json:"misses"`
-	Renewals      int     `json:"renewals"`
-	Invalidations int     `json:"invalidations"`
-	HitRate       float64 `json:"hit_rate"`
-
-	StaleWindows  int   `json:"stale_windows"`
-	WidestStaleUS int64 `json:"widest_stale_us"`
-	BoundUS       int64 `json:"bound_us"`
-	BoundHeld     bool  `json:"bound_held"`
-	TraceClean    bool  `json:"trace_clean"`
-
-	// Tuned lease lengths at the end of the run: the churned shard0
-	// name must sit at the floor, the quiet shard1 name at the cap.
-	TunedShard0US int64 `json:"tuned_shard0_us,omitempty"`
-	TunedShard1US int64 `json:"tuned_shard1_us,omitempty"`
-
-	FlightRedefines int64 `json:"flight_redefines"`
-}
-
-// ObsDoc is the BENCH_obs.json schema.
-type ObsDoc struct {
-	Tool        string `json:"tool"`
-	Description string `json:"description"`
-
-	TopK     ObsTopK      `json:"topk"`
-	Rates    ObsRates     `json:"rates"`
-	Sampling ObsSampling  `json:"sampling"`
-	AutoTune []ObsTuneRun `json:"auto_tune"`
-	// FrontierBeats counts the fixed points the tuned run dominates on
-	// the (hit rate, widest stale window) frontier.
-	FrontierBeats int `json:"frontier_beats"`
-}
-
 // a19TopK runs the sketch against exact counts on a deterministic Zipf
-// draw stream.
-func a19TopK() (ObsTopK, error) {
-	leg := ObsTopK{
-		Population: a19TopKPop,
-		Draws:      a19TopKDraws,
-		K:          a19TopKK,
-		Skew:       a19TopKSkew,
-	}
+// draw stream. Every name the space-saving guarantee covers (true count
+// > draws/k) must be recalled, and every estimate must sit in [true,
+// true+err]; the leg reads the guarantee, the recall, the widest
+// estimate-minus-true gap and the hottest name's estimate and truth.
+func a19TopK() (Leg, string, error) {
 	pop := popgen.NewPopulation(a19TopKPop, a19TopKSkew, a19TopKPopSeed)
 	s := pop.Sampler(a19TopKStream)
 	sk := namestat.NewTopK(a19TopKK)
@@ -192,146 +87,123 @@ func a19TopK() (ObsTopK, error) {
 	for _, it := range items {
 		est[it.Name] = it
 	}
-
-	threshold := uint64(a19TopKDraws / a19TopKK)
-	leg.WithinBound = true
+	hottest := pop.Names[0]
+	rd := reads{
+		"population": a19TopKPop, "draws": a19TopKDraws, "k": a19TopKK, "skew": a19TopKSkew,
+		"guaranteed": 0, "recalled": 0, "max_overestimate": 0,
+		"hottest_true": float64(exact[hottest]), "hottest_est": float64(est[hottest].Count),
+	}
 	for name, count := range exact {
-		if count > threshold {
-			leg.Guaranteed++
+		if count > a19TopKDraws/a19TopKK {
+			rd["guaranteed"]++
 			if _, ok := est[name]; ok {
-				leg.Recalled++
+				rd["recalled"]++
 			}
 		}
 	}
 	for _, it := range items {
 		truth := exact[it.Name]
 		if it.Count < truth || it.Count-it.Err > truth {
-			leg.WithinBound = false
+			return Leg{}, "", fmt.Errorf("a19 topk: an estimate escaped [true, true+err]")
 		}
-		if over := int64(it.Count) - int64(truth); over > leg.MaxOverestimate {
-			leg.MaxOverestimate = over
-		}
+		rd["max_overestimate"] = max(rd["max_overestimate"], float64(it.Count-truth))
 	}
-	hottest := pop.Names[0]
-	leg.HottestName = hottest
-	leg.HottestTrue = int64(exact[hottest])
-	if it, ok := est[hottest]; ok {
-		leg.HottestEst = int64(it.Count)
+	if rd["recalled"] != rd["guaranteed"] {
+		return Leg{}, "", fmt.Errorf("a19 topk: recalled %v of %v guaranteed names", rd["recalled"], rd["guaranteed"])
 	}
-	if leg.Recalled != leg.Guaranteed {
-		return leg, fmt.Errorf("a19 topk: recalled %d of %d guaranteed names", leg.Recalled, leg.Guaranteed)
-	}
-	if !leg.WithinBound {
-		return leg, fmt.Errorf("a19 topk: an estimate escaped [true, true+err]")
-	}
-	return leg, nil
+	return Leg{Label: fmt.Sprintf("top-%d sketch vs exact counts", a19TopKK), Reads: rd}, hottest, nil
 }
 
-// a19Rates feeds the estimator a fixed cadence and reads the rate back.
-func a19Rates() (ObsRates, error) {
-	leg := ObsRates{
-		CadenceUS:   a19RateCadence.Microseconds(),
-		Events:      a19RateEvents,
-		WantMilliHz: int64(1000 / a19RateCadence.Seconds()),
-	}
+// a19Rates feeds the estimator a fixed cadence; the EWMA must converge to
+// the analytic rate exactly.
+func a19Rates() (Leg, error) {
 	r := namestat.NewRates(0)
 	at := time.Duration(0)
 	for i := 0; i < a19RateEvents; i++ {
 		at += a19RateCadence
 		r.ObserveResolution("[hot]", at)
 	}
+	want, got := int64(1000/a19RateCadence.Seconds()), int64(0)
 	for _, it := range r.Snapshot() {
 		if it.Name == "[hot]" {
-			leg.GotMilliHz = it.ResRateMilliHz
+			got = it.ResRateMilliHz
 		}
 	}
-	leg.Exact = leg.GotMilliHz == leg.WantMilliHz
-	if !leg.Exact {
-		return leg, fmt.Errorf("a19 rates: EWMA converged to %d mHz, want %d", leg.GotMilliHz, leg.WantMilliHz)
+	if got != want {
+		return Leg{}, fmt.Errorf("a19 rates: EWMA converged to %d mHz, want %d", got, want)
 	}
-	return leg, nil
+	return Leg{Label: "churn EWMA at a fixed cadence", Reads: reads{
+		"cadence_ns": float64(a19RateCadence), "events": a19RateEvents, "rate_mhz": float64(got),
+	}}, nil
 }
 
-// a19Echo runs the A12 echo transaction under the given tracer and
-// renders its decomposition in the document's microseconds.
-func a19Echo(tr *trace.Tracer) (ObsDecomp, error) {
-	et, err := traceEcho(tr)
-	return ObsDecomp{
-		TotalUS:      et.total.Microseconds(),
-		RequestHopUS: et.reqHop.Microseconds(),
-		DwellUS:      et.dwell.Microseconds(),
-		ReplyHopUS:   et.repHop.Microseconds(),
-	}, err
+// a19Echo runs the A12 echo transaction under the full tracer and under a
+// sampled one at head 1/1 — sampled-mode accounting with everything
+// retained — whose decompositions must agree exactly.
+func a19Echo() (Leg, error) {
+	full, err := traceEcho(trace.New())
+	if err != nil {
+		return Leg{}, err
+	}
+	sampled, err := traceEcho(trace.NewSampled(trace.SampleConfig{HeadEvery: 1}))
+	if err != nil {
+		return Leg{}, err
+	}
+	if full != sampled {
+		return Leg{}, fmt.Errorf("a19 sampling: sampled decomposition %+v differs from full %+v", sampled, full)
+	}
+	return Leg{Label: "echo decomposition: full tracer = head-1/1 sampled tracer", Reads: reads{
+		"total_ns": float64(full.total), "request_hop_ns": float64(full.reqHop),
+		"dwell_ns": float64(full.dwell), "reply_hop_ns": float64(full.repHop),
+	}}, nil
 }
 
-// a19Sampling runs both halves of the sampled-tracing leg.
-func a19Sampling() (ObsSampling, error) {
-	var leg ObsSampling
-	full, err := a19Echo(trace.New())
-	if err != nil {
-		return leg, err
-	}
-	// Head 1/1: sampled-mode accounting with everything retained, so the
-	// decomposition must match the full tracer's exactly.
-	sampled, err := a19Echo(trace.NewSampled(trace.SampleConfig{HeadEvery: 1}))
-	if err != nil {
-		return leg, err
-	}
-	leg.Full, leg.Sampled = full, sampled
-	leg.Agrees = full == sampled
-	if !leg.Agrees {
-		return leg, fmt.Errorf("a19 sampling: sampled decomposition %+v differs from full %+v", sampled, full)
-	}
-
+// a19Sampled runs the open-loop Zipf workload under head sampling: the
+// tracer must retain O(k) spans, the population's hottest name must show
+// up in the prefix server's hot-name sketch, and the flight recorder
+// must journal the run's naming events.
+func a19Sampled() (Leg, error) {
 	pop := popgen.NewPopulation(a19SamplePop, a18Skew, a18PopSeed)
 	sc := a19SampledScenario(pop)
 	sc.Pop = pop
-	pt, ev, err := sampledRun(sc)
+	leg, ev, err := sampledRun("head-1/32 sampled Zipf run with the flight recorder", sc)
 	if err != nil {
-		return leg, fmt.Errorf("a19 sampling: %w", err)
+		return Leg{}, fmt.Errorf("a19 sampling: %w", err)
 	}
-	leg.PopTrace, leg.TraceClean = pt, true
+	hottest := false
 	for _, it := range ev.Topology.Prefix.TopNames() {
-		if it.Name == pop.Names[0] {
-			leg.HottestInTopK = true
-		}
+		hottest = hottest || it.Name == pop.Names[0]
 	}
-
+	if !hottest {
+		return Leg{}, fmt.Errorf("a19 sampling: hottest name missing from the prefix server's sketch")
+	}
 	counts := flight.Counts(ev.Journal)
-	leg.FlightEvents = int64(len(ev.Journal))
-	leg.FlightResolutions = int64(counts[flight.KindResolution])
-	leg.FlightRedefines = int64(counts[flight.KindRedefine])
-	leg.FlightDropped = int64(ev.Topology.Flight.Dropped())
-
-	if !leg.HottestInTopK {
-		return leg, fmt.Errorf("a19 sampling: hottest name missing from the prefix server's sketch")
-	}
-	if leg.FlightRedefines == 0 {
-		return leg, fmt.Errorf("a19 sampling: redefinition missing from the flight journal")
+	leg.Reads["flight_events"] = float64(len(ev.Journal))
+	leg.Reads["flight_resolutions"] = float64(counts[flight.KindResolution])
+	leg.Reads["flight_redefines"] = float64(counts[flight.KindRedefine])
+	leg.Reads["flight_dropped"] = float64(ev.Topology.Flight.Dropped())
+	if leg.Reads["flight_redefines"] == 0 {
+		return Leg{}, fmt.Errorf("a19 sampling: redefinition missing from the flight journal")
 	}
 	return leg, nil
 }
 
-// sampledRun runs a head-sampled scenario and summarizes what the tracer
+// sampledRun runs a head-sampled scenario and reads what the tracer
 // kept: the retained subtrees must pass the span invariant checker
 // (runChecked) and stay O(k) in the sampling budget.
-func sampledRun(sc rig.Scenario) (PopTrace, rig.Evidence, error) {
-	pt := PopTrace{Population: sc.Population, HeadEvery: sc.TraceSample.HeadEvery}
-	res, ev, err := runChecked(sc)
+func sampledRun(label string, sc rig.Scenario) (Leg, rig.Evidence, error) {
+	_, ev, err := runChecked(sc)
 	if err != nil {
-		return pt, ev, err
+		return Leg{}, ev, err
 	}
-	pt.TotalOps = res.Requests
-	pt.RootsSeen = int64(ev.Topology.Tracer.RootsSeen())
-	pt.RootsRetained = int64(ev.Topology.Tracer.RootsRetained())
-	pt.RetainedSpans = ev.Spans
+	seen, kept := ev.Topology.Tracer.RootsSeen(), ev.Topology.Tracer.RootsRetained()
 	switch {
-	case pt.RootsRetained == 0 || pt.RetainedSpans == 0:
+	case kept == 0 || ev.Spans == 0:
 		err = errors.New("head sampling retained nothing")
-	case pt.RootsRetained*8 > pt.RootsSeen:
-		err = fmt.Errorf("retained %d of %d roots — not O(k)", pt.RootsRetained, pt.RootsSeen)
+	case kept*8 > seen:
+		err = fmt.Errorf("retained %d of %d roots — not O(k)", kept, seen)
 	}
-	return pt, ev, err
+	return newLeg(label, sc, ev, reads{"roots_seen": float64(seen), "roots_retained": float64(kept)}), ev, err
 }
 
 // a19SampledScenario is the a18 traced leg — the open-loop Zipf
@@ -377,160 +249,147 @@ func a19TuneScenario(lease, cap time.Duration) rig.Scenario {
 	}
 }
 
-// a19Tune runs one policy point.
-func a19Tune(policy string, lease, cap time.Duration) (ObsTuneRun, error) {
-	run := ObsTuneRun{
-		Policy:   policy,
-		LeaseUS:  lease.Microseconds(),
-		CapUS:    cap.Microseconds(),
-		Requests: a19TuneRequests,
+// a19Tune runs one policy point. The leg reads the tuned lease lengths
+// at the end of the run — the churned shard0 name must sit at the floor,
+// the quiet shard1 name at the cap — and the journal's redefinitions:
+// each chaos redefinition is a delete + a re-add, two invalidation
+// commits, so the three scheduled events journal six.
+func a19Tune(label string, lease, cap time.Duration) (Leg, error) {
+	leg, err := runLeg(label, a19TuneScenario(lease, cap), func(_ *rig.WorkloadResult, ev rig.Evidence) reads {
+		rd := reads{"flight_redefines": float64(flight.Counts(ev.Journal)[flight.KindRedefine])}
+		if cap > 0 {
+			rd["tuned_shard0_ns"] = float64(ev.Topology.Prefix.TunedLease("shard0"))
+			rd["tuned_shard1_ns"] = float64(ev.Topology.Prefix.TunedLease("shard1"))
+		}
+		return rd
+	})
+	if err == nil && leg.Reads["flight_redefines"] != 6 {
+		err = fmt.Errorf("journal has %v redefinitions, want 6", leg.Reads["flight_redefines"])
 	}
-	_, ev, err := runChecked(a19TuneScenario(lease, cap))
 	if err != nil {
-		return run, fmt.Errorf("a19 tune %s lease=%v: %w", policy, lease, err)
+		return Leg{}, fmt.Errorf("a19 tune %s: %w", label, err)
 	}
-	run.Errors = ev.Errors
-	run.Hits = ev.Client.Hits
-	run.Misses = ev.Client.Misses
-	run.Renewals = ev.Client.Renewals
-	run.Invalidations = ev.Client.Invalidations
-	run.HitRate = hitRate(ev.Client)
-
-	run.BoundUS = ev.Bound.Microseconds()
-	run.TraceClean, run.BoundHeld = true, true
-	run.StaleWindows = ev.StaleWindows
-	run.WidestStaleUS = ev.WidestStale.Microseconds()
-	if cap > 0 {
-		run.TunedShard0US = ev.Topology.Prefix.TunedLease("shard0").Microseconds()
-		run.TunedShard1US = ev.Topology.Prefix.TunedLease("shard1").Microseconds()
-	}
-	run.FlightRedefines = int64(flight.Counts(ev.Journal)[flight.KindRedefine])
-
-	// Each chaos redefinition is a delete + a re-add, two invalidation
-	// commits — so the three scheduled events journal six.
-	if run.FlightRedefines != 6 {
-		return run, fmt.Errorf("a19 tune %s lease=%v: journal has %d redefinitions, want 6", policy, lease, run.FlightRedefines)
-	}
-	return run, nil
+	return leg, nil
 }
 
-// a19Collect runs every leg once, producing both the JSON document and
-// the experiment rows from the same data.
-func a19Collect() (*ObsDoc, []Row, error) {
-	doc := &ObsDoc{
-		Tool:        "vbench -obs",
-		Description: "population-scale observability: top-k sketch vs exact counts, EWMA convergence, sampled tracing with the flight recorder, and the per-name lease auto-tuner against the fixed-lease sweep",
-	}
-	var rows []Row
-
-	topk, err := a19TopK()
+// a19Collect runs every leg once, producing the legs and the experiment
+// rows from the same data.
+func a19Collect() (Result, error) {
+	var res Result
+	topk, hottest, err := a19TopK()
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	doc.TopK = topk
-	rows = append(rows, Row{
-		Label:    fmt.Sprintf("top-%d sketch on %d Zipf draws", topk.K, topk.Draws),
+	rd := topk.Reads
+	res.Rows = append(res.Rows, Row{
+		Label:    fmt.Sprintf("top-%d sketch on %d Zipf draws", a19TopKK, a19TopKDraws),
 		Paper:    "-",
-		Measured: fmt.Sprintf("%d/%d guaranteed names recalled", topk.Recalled, topk.Guaranteed),
+		Measured: fmt.Sprintf("%d/%d guaranteed names recalled", int(rd["recalled"]), int(rd["guaranteed"])),
 		Note: fmt.Sprintf("all estimates in [true, true+err]; hottest %q est %d true %d",
-			topk.HottestName, topk.HottestEst, topk.HottestTrue),
+			hottest, int(rd["hottest_est"]), int(rd["hottest_true"])),
 	})
 
 	rates, err := a19Rates()
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	doc.Rates = rates
-	rows = append(rows, Row{
+	res.Rows = append(res.Rows, Row{
 		Label:    fmt.Sprintf("churn EWMA at %s cadence", ms(a19RateCadence)),
 		Paper:    "-",
-		Measured: fmt.Sprintf("%d mHz", rates.GotMilliHz),
-		Note:     fmt.Sprintf("analytic %d mHz, converged exactly after %d events", rates.WantMilliHz, rates.Events),
+		Measured: fmt.Sprintf("%d mHz", int(rates.Reads["rate_mhz"])),
+		Note:     fmt.Sprintf("analytic %d mHz, converged exactly after %d events", int(rates.Reads["rate_mhz"]), a19RateEvents),
 	})
 
-	sampling, err := a19Sampling()
+	echo, err := a19Echo()
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	doc.Sampling = sampling
-	rows = append(rows, Row{
+	us := func(name string) string { return usms(echo.ns(name).Microseconds()) }
+	res.Rows = append(res.Rows, Row{
 		Label:    "sampled vs full echo decomposition",
 		Paper:    "-",
 		Measured: "identical",
-		Note: fmt.Sprintf("total %s = request %s + dwell %s + reply %s", usms(sampling.Full.TotalUS),
-			usms(sampling.Full.RequestHopUS), usms(sampling.Full.DwellUS), usms(sampling.Full.ReplyHopUS)),
-	})
-	rows = append(rows, Row{
-		Label:    fmt.Sprintf("head-1/%d sampling, %d-name Zipf run", sampling.HeadEvery, sampling.Population),
-		Paper:    "-",
-		Measured: fmt.Sprintf("%d of %d roots retained", sampling.RootsRetained, sampling.RootsSeen),
-		Note: fmt.Sprintf("%d spans held; flight journal %d events (%d resolutions, %d redefines), %d dropped",
-			sampling.RetainedSpans, sampling.FlightEvents, sampling.FlightResolutions,
-			sampling.FlightRedefines, sampling.FlightDropped),
+		Note: fmt.Sprintf("total %s = request %s + dwell %s + reply %s",
+			us("total_ns"), us("request_hop_ns"), us("dwell_ns"), us("reply_hop_ns")),
 	})
 
-	var fixed, tuned []ObsTuneRun
+	sampled, err := a19Sampled()
+	if err != nil {
+		return Result{}, err
+	}
+	rd = sampled.Reads
+	res.Rows = append(res.Rows, Row{
+		Label:    fmt.Sprintf("head-1/%d sampling, %d-name Zipf run", a19SampleHeadEvery, a19SamplePop),
+		Paper:    "-",
+		Measured: fmt.Sprintf("%d of %d roots retained", int(rd["roots_retained"]), int(rd["roots_seen"])),
+		Note: fmt.Sprintf("%d spans held; flight journal %d events (%d resolutions, %d redefines), %d dropped",
+			sampled.Evidence.Spans, int(rd["flight_events"]), int(rd["flight_resolutions"]), int(rd["flight_redefines"]), int(rd["flight_dropped"])),
+	})
+	res.Legs = append(res.Legs, topk, rates, echo, sampled)
+
+	var fixed, tuned []Leg
 	for _, lease := range a17LeaseSweep {
-		run, err := a19Tune("fixed", lease, 0)
+		leg, err := a19Tune(fmt.Sprintf("fixed lease %s", ms(lease)), lease, 0)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
-		fixed = append(fixed, run)
-		doc.AutoTune = append(doc.AutoTune, run)
-		rows = append(rows, Row{
+		fixed = append(fixed, leg)
+		ev := leg.Evidence
+		res.Rows = append(res.Rows, Row{
 			Label:    fmt.Sprintf("fixed lease %s under churn+partition", ms(lease)),
 			Paper:    "-",
-			Measured: fmt.Sprintf("%.1f%% hits", 100*run.HitRate),
+			Measured: fmt.Sprintf("%.1f%% hits", 100*hitRate(ev.Client)),
 			Note: fmt.Sprintf("%d stale windows (widest %s ≤ bound %s); %d renewals",
-				run.StaleWindows, usms(run.WidestStaleUS), usms(run.BoundUS), run.Renewals),
+				ev.StaleWindows, usms(ev.WidestStale.Microseconds()), usms(ev.Bound.Microseconds()), ev.Client.Renewals),
 		})
 	}
 	for _, floor := range a19TuneFloors {
-		run, err := a19Tune("tuned", floor, a19TuneCap)
+		label := fmt.Sprintf("auto-tuned [%s, %s]", ms(floor), ms(a19TuneCap))
+		leg, err := a19Tune(label, floor, a19TuneCap)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
-		tuned = append(tuned, run)
-		doc.AutoTune = append(doc.AutoTune, run)
-		rows = append(rows, Row{
-			Label:    fmt.Sprintf("auto-tuned [%s, %s]", ms(floor), ms(a19TuneCap)),
+		tuned = append(tuned, leg)
+		ev := leg.Evidence
+		res.Rows = append(res.Rows, Row{
+			Label:    label,
 			Paper:    "-",
-			Measured: fmt.Sprintf("%.1f%% hits", 100*run.HitRate),
+			Measured: fmt.Sprintf("%.1f%% hits", 100*hitRate(ev.Client)),
 			Note: fmt.Sprintf("%d stale windows (widest %s); churned shard0 at %s, quiet shard1 at %s",
-				run.StaleWindows, usms(run.WidestStaleUS), usms(run.TunedShard0US), usms(run.TunedShard1US)),
+				ev.StaleWindows, usms(ev.WidestStale.Microseconds()),
+				usms(leg.ns("tuned_shard0_ns").Microseconds()), usms(leg.ns("tuned_shard1_ns").Microseconds())),
 		})
 	}
+	res.Legs = append(append(res.Legs, fixed...), tuned...)
 
+	beats := frontierBeats(tuned, fixed)
+	if beats == 0 {
+		return Result{}, fmt.Errorf("a19: no tuned run dominates a fixed lease on the (hit rate, staleness) frontier")
+	}
+	res.Rows = append(res.Rows, Row{
+		Label:    "frontier: tuned vs fixed sweep",
+		Paper:    "-",
+		Measured: fmt.Sprintf("%d dominated (tuned, fixed) pairs", beats),
+		Note:     "no worse on both axes, strictly better on one; every window ≤ invariant-#7 bound",
+	})
+	return res, nil
+}
+
+// frontierBeats counts the (tuned, fixed) pairs in which the tuned run
+// dominates on the (hit rate, widest stale window) frontier: no worse on
+// both axes, strictly better on one.
+func frontierBeats(tuned, fixed []Leg) int {
+	beats := 0
 	for _, t := range tuned {
 		for _, f := range fixed {
-			noWorse := t.HitRate >= f.HitRate && t.WidestStaleUS <= f.WidestStaleUS
-			strictly := t.HitRate > f.HitRate || t.WidestStaleUS < f.WidestStaleUS
-			if noWorse && strictly {
-				doc.FrontierBeats++
+			th, fh := hitRate(t.Evidence.Client), hitRate(f.Evidence.Client)
+			tw, fw := t.Evidence.WidestStale, f.Evidence.WidestStale
+			if th >= fh && tw <= fw && (th > fh || tw < fw) {
+				beats++
 			}
 		}
 	}
-	if doc.FrontierBeats == 0 {
-		return nil, nil, fmt.Errorf("a19: no tuned run dominates a fixed lease on the (hit rate, staleness) frontier")
-	}
-	rows = append(rows, Row{
-		Label:    "frontier: tuned vs fixed sweep",
-		Paper:    "-",
-		Measured: fmt.Sprintf("%d dominated (tuned, fixed) pairs", doc.FrontierBeats),
-		Note:     "no worse on both axes, strictly better on one; every window ≤ invariant-#7 bound",
-	})
-	return doc, rows, nil
-}
-
-// PopTrace summarizes a sampled population-scale trace export
-// (`vbench -zipf Z.json -trace T.json`).
-type PopTrace struct {
-	Population    int   `json:"population"`
-	HeadEvery     int   `json:"head_every"`
-	TotalOps      int   `json:"total_ops"`
-	RootsSeen     int64 `json:"roots_seen"`
-	RootsRetained int64 `json:"roots_retained"`
-	RetainedSpans int   `json:"retained_spans"`
+	return beats
 }
 
 // PopulationTrace runs the open-loop Zipf workload at the given
@@ -539,14 +398,14 @@ type PopTrace struct {
 // 10⁶ names its span store is O(ops), while the sampled store is O(k)
 // in the sampling budget. The retained subtrees still pass the span
 // invariant checker.
-func PopulationTrace(population int) ([]byte, PopTrace, error) {
+func PopulationTrace(population int) ([]byte, Leg, error) {
 	sc := a18Scenario(population, a18Skew, false)
 	sc.Sequential = false
 	sc.TraceSample = &trace.SampleConfig{HeadEvery: a19SampleHeadEvery}
-	pt, ev, err := sampledRun(sc)
+	leg, ev, err := sampledRun("sampled population trace", sc)
 	if err != nil {
-		return nil, pt, err
+		return nil, leg, err
 	}
 	data, err := ev.Topology.Tracer.JSON()
-	return data, pt, err
+	return data, leg, err
 }

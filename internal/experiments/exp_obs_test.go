@@ -56,70 +56,60 @@ func TestA19Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc ObsDoc
+	var doc Result
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
+	topk, rates, echo, s := doc.Legs[0], doc.Legs[1], doc.Legs[2], doc.Legs[3]
 
-	if doc.TopK.Recalled != doc.TopK.Guaranteed || doc.TopK.Guaranteed == 0 {
-		t.Errorf("topk recall %d/%d guaranteed", doc.TopK.Recalled, doc.TopK.Guaranteed)
+	if rd := topk.Reads; rd["recalled"] != rd["guaranteed"] || rd["guaranteed"] == 0 {
+		t.Errorf("topk recall %v/%v guaranteed", rd["recalled"], rd["guaranteed"])
 	}
-	if !doc.TopK.WithinBound {
-		t.Error("topk estimates escaped [true, true+err]")
+	if want := int64(1000 / rates.ns("cadence_ns").Seconds()); int64(rates.Reads["rate_mhz"]) != want {
+		t.Errorf("EWMA did not converge exactly: got %v mHz want %d mHz", rates.Reads["rate_mhz"], want)
 	}
-	if !doc.Rates.Exact {
-		t.Errorf("EWMA did not converge exactly: got %d mHz want %d mHz", doc.Rates.GotMilliHz, doc.Rates.WantMilliHz)
+	if echo.ns("total_ns") != echo.ns("request_hop_ns")+echo.ns("dwell_ns")+echo.ns("reply_hop_ns") {
+		t.Errorf("echo decomposition does not add up: %v", echo.Reads)
 	}
 
-	s := doc.Sampling
-	if !s.Agrees {
-		t.Errorf("sampled decomposition disagrees with full: %+v vs %+v", s.Sampled, s.Full)
-	}
-	if !s.TraceClean {
-		t.Error("sampled zipf trace failed invariant check")
-	}
 	// Per-lane head counters each retain a ceiling share, plus tail
 	// anomalies — so not exactly seen/HeadEvery, but far below full.
-	if s.RootsRetained == 0 || s.RootsRetained*8 > s.RootsSeen {
-		t.Errorf("head sampling retained %d of %d roots at 1/%d", s.RootsRetained, s.RootsSeen, s.HeadEvery)
+	if kept, seen := s.Reads["roots_retained"], s.Reads["roots_seen"]; kept == 0 || kept*8 > seen {
+		t.Errorf("head sampling retained %v of %v roots at 1/%d", kept, seen, s.Scenario.TraceSample.HeadEvery)
 	}
-	if s.FlightDropped != 0 {
-		t.Errorf("flight journal dropped %d events", s.FlightDropped)
+	if s.Reads["flight_dropped"] != 0 {
+		t.Errorf("flight journal dropped %v events", s.Reads["flight_dropped"])
 	}
-	if s.FlightResolutions == 0 || s.FlightRedefines == 0 {
-		t.Errorf("flight journal missing event classes: %d resolutions, %d redefines", s.FlightResolutions, s.FlightRedefines)
-	}
-	if !s.HottestInTopK {
-		t.Error("population's hottest name absent from the prefix server's sketch")
+	if s.Reads["flight_resolutions"] == 0 || s.Reads["flight_redefines"] == 0 {
+		t.Errorf("flight journal missing event classes: %v", s.Reads)
 	}
 
-	if want := len(a17LeaseSweep) + len(a19TuneFloors); len(doc.AutoTune) != want {
-		t.Fatalf("auto-tune runs = %d, want %d", len(doc.AutoTune), want)
+	tune := doc.Legs[4:]
+	if want := len(a17LeaseSweep) + len(a19TuneFloors); len(tune) != want {
+		t.Fatalf("auto-tune runs = %d, want %d", len(tune), want)
 	}
-	for _, run := range doc.AutoTune {
+	for _, run := range tune {
+		sc, ev := run.Scenario, run.Evidence
 		// Chaos redefinitions and the partition make some requests fail;
 		// they must stay a small minority of the workload.
-		total := run.Requests * a17Shards * a17ClientsPerShard
-		if run.Errors*10 > total {
-			t.Errorf("%s lease %dus: %d of %d requests errored", run.Policy, run.LeaseUS, run.Errors, total)
+		if total := run.requests(); ev.Errors*10 > total {
+			t.Errorf("%s: %d of %d requests errored", run.Label, ev.Errors, total)
 		}
-		if !run.BoundHeld {
-			t.Errorf("%s lease %dus: widest stale window %dus exceeds bound %dus", run.Policy, run.LeaseUS, run.WidestStaleUS, run.BoundUS)
+		if ev.WidestStale > ev.Bound {
+			t.Errorf("%s: widest stale window %v exceeds bound %v", run.Label, ev.WidestStale, ev.Bound)
 		}
-		if !run.TraceClean {
-			t.Errorf("%s lease %dus: trace failed invariant check", run.Policy, run.LeaseUS)
-		}
-		if run.Policy == "tuned" {
-			if run.TunedShard0US != run.LeaseUS {
-				t.Errorf("churned shard0 lease settled at %dus, want floor %dus", run.TunedShard0US, run.LeaseUS)
+		if sc.AutoTuneMax > 0 {
+			if got := run.ns("tuned_shard0_ns"); got != sc.Lease {
+				t.Errorf("churned shard0 lease settled at %v, want floor %v", got, sc.Lease)
 			}
-			if run.TunedShard1US != run.CapUS {
-				t.Errorf("quiet shard1 lease settled at %dus, want cap %dus", run.TunedShard1US, run.CapUS)
+			if got := run.ns("tuned_shard1_ns"); got != sc.AutoTuneMax {
+				t.Errorf("quiet shard1 lease settled at %v, want cap %v", got, sc.AutoTuneMax)
 			}
 		}
 	}
-	if doc.FrontierBeats < 1 {
-		t.Errorf("frontier beats = %d, want >= 1 (auto-tune must dominate a fixed lease)", doc.FrontierBeats)
+	fixed := tune[:len(a17LeaseSweep)]
+	if beats := frontierBeats(tune[len(fixed):], fixed); beats < 1 {
+		t.Errorf("frontier beats = %d, want >= 1 (auto-tune must dominate a fixed lease)", beats)
 	}
 }
 
@@ -129,17 +119,18 @@ func TestA19Shape(t *testing.T) {
 // PopulationTrace), and hold O(k) roots — the same acceptance contract
 // the 10⁶-name run is pinned to, at test-suite scale.
 func TestPopulationTraceSmall(t *testing.T) {
-	data, pt, err := PopulationTrace(1000)
+	data, leg, err := PopulationTrace(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.TotalOps == 0 || pt.RootsSeen == 0 {
-		t.Fatalf("empty population run: %+v", pt)
+	kept, seen := leg.Reads["roots_retained"], leg.Reads["roots_seen"]
+	if leg.Evidence.Completed == 0 || seen == 0 {
+		t.Fatalf("empty population run: %+v", leg)
 	}
-	if pt.RootsRetained == 0 || pt.RootsRetained*8 > pt.RootsSeen {
-		t.Errorf("retained %d of %d roots at 1/%d — not O(k)", pt.RootsRetained, pt.RootsSeen, pt.HeadEvery)
+	if kept == 0 || kept*8 > seen {
+		t.Errorf("retained %v of %v roots at 1/%d — not O(k)", kept, seen, leg.Scenario.TraceSample.HeadEvery)
 	}
-	if pt.RetainedSpans == 0 {
+	if leg.Evidence.Spans == 0 {
 		t.Error("no spans retained")
 	}
 	var doc struct {
@@ -149,8 +140,8 @@ func TestPopulationTraceSmall(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("trace export is not a JSON document: %v", err)
 	}
-	if len(doc.Spans) != pt.RetainedSpans {
-		t.Errorf("export holds %d spans, summary says %d", len(doc.Spans), pt.RetainedSpans)
+	if len(doc.Spans) != leg.Evidence.Spans {
+		t.Errorf("export holds %d spans, summary says %d", len(doc.Spans), leg.Evidence.Spans)
 	}
 }
 

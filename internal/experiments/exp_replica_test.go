@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -10,24 +11,35 @@ import (
 // availability at ~1.0 with zero failed operations, even though the
 // fs1 host itself spends both outage windows down.
 func TestA15Availability(t *testing.T) {
-	doc, _, err := a15Collect()
+	res, err := a15Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.OpsFailed != 0 {
-		t.Fatalf("OpsFailed = %d, want 0", doc.OpsFailed)
+	leg := res.Legs[0]
+	if failed := leg.Scenario.Requests - int(leg.Reads["completed"]); failed != 0 {
+		t.Fatalf("%d operations failed, want 0", failed)
 	}
-	if doc.Availability < 0.99 {
-		t.Fatalf("availability = %.4f, want >= 0.99", doc.Availability)
+	if avail := 1 - float64(leg.ns("downtime_ns"))/float64(leg.Series.Health.HorizonUS*1000); avail < 0.99 {
+		t.Fatalf("availability = %.4f, want >= 0.99", avail)
 	}
-	if doc.HostAvailability >= 0.99 {
-		t.Fatalf("host availability = %.4f — chaos did not actually take the host down", doc.HostAvailability)
+	fs1, err := fs1Health(leg.Series.Health)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(doc.FailoversUS) == 0 {
-		t.Fatalf("no failovers recorded; events:\n%v", doc.Events)
+	if fs1.Availability >= 0.99 {
+		t.Fatalf("host availability = %.4f — chaos did not actually take the host down", fs1.Availability)
 	}
-	if doc.FailoverP99US < doc.FailoverP50US {
-		t.Fatalf("p99 %d < p50 %d", doc.FailoverP99US, doc.FailoverP50US)
+	failovers := 0
+	for name := range leg.Reads {
+		if strings.HasPrefix(name, "failover") {
+			failovers++
+			if leg.ns(name) <= 0 {
+				t.Fatalf("%s = %v", name, leg.ns(name))
+			}
+		}
+	}
+	if failovers == 0 {
+		t.Fatalf("no failovers recorded; events:\n%v", leg.Series.Events)
 	}
 }
 

@@ -29,50 +29,6 @@ const (
 // a16ShardCounts is the lane sweep.
 var a16ShardCounts = []int{1, 2, 4, 8}
 
-// ShardRun is one sweep point in BENCH_shard.json.
-type ShardRun struct {
-	Shards          int   `json:"shards"`
-	ClientsPerShard int   `json:"clients_per_shard"`
-	Requests        int   `json:"requests_per_client"`
-	Team            int   `json:"team"`
-	FlushEvery      int   `json:"flush_every"`
-	Seed            int64 `json:"seed"`
-
-	TotalRequests int     `json:"total_requests"`
-	Errors        int     `json:"errors"`
-	MakespanUS    int64   `json:"makespan_us"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-
-	// ConfinedOps counts cache-hit queries (lane-local hops the engine
-	// runs ahead on); SharedOps counts cache misses through the central
-	// prefix server (committed in global key order).
-	ConfinedOps int `json:"confined_ops"`
-	SharedOps   int `json:"shared_ops"`
-
-	// PerLaneOps is the completed-operation count of each engine lane.
-	PerLaneOps []int `json:"per_lane_ops"`
-
-	// EqualToSequential records the result of re-running the identical
-	// workload through the sequential reference driver and deep-comparing
-	// the two WorkloadResults.
-	EqualToSequential bool `json:"equal_to_sequential"`
-}
-
-// ShardDoc is the BENCH_shard.json schema.
-type ShardDoc struct {
-	Tool        string `json:"tool"`
-	Description string `json:"description"`
-
-	// Engine names the synchronization protocol (PROTOCOL.md §12).
-	Engine string `json:"engine"`
-	// LookaheadNS is the conservative lookahead bound: the cost model's
-	// minimum remote delay (driver floor + protocol extra + minimum
-	// frame's wire time).
-	LookaheadNS int64 `json:"lookahead_ns"`
-
-	Runs []ShardRun `json:"runs"`
-}
-
 // a16Scenario is one sweep point: the shared-prefix topology with the
 // periodic blind flush, double-run against the sequential reference.
 func a16Scenario(shards int) rig.Scenario {
@@ -87,61 +43,42 @@ func a16Scenario(shards int) rig.Scenario {
 	}
 }
 
-// a16Run executes one sweep point.
-func a16Run(shards int) (ShardRun, error) {
-	run := ShardRun{
-		Shards:          shards,
-		ClientsPerShard: a16ClientsPerShard,
-		Requests:        a16Requests,
-		Team:            1,
-		FlushEvery:      a16FlushEvery,
-		Seed:            a16Seed,
+// a16Collect runs the sweep once. Each sweep leg reads its makespan and
+// each lane's completed operations (lane<i>_ops); the lookahead leg reads
+// the bound every lane's promises are made against.
+func a16Collect() (Result, error) {
+	lookahead := vtime.DefaultModel().MinRemoteDelay()
+	res := Result{
+		Legs: []Leg{{
+			Label: "conservative lookahead bound: the cost model's minimum remote delay",
+			Reads: reads{"lookahead_ns": float64(lookahead)},
+		}},
+		Rows: []Row{{
+			Label:    "conservative lookahead bound",
+			Paper:    "-",
+			Measured: ms(lookahead),
+			Note:     "min remote delay: driver floor + protocol extra + 64-byte frame",
+		}},
 	}
-	res, ev, err := runChecked(a16Scenario(shards))
-	if err != nil {
-		return run, err
-	}
-	run.EqualToSequential = ev.EqualToSequential
-	run.TotalRequests = res.Requests
-	run.MakespanUS = res.Makespan.Microseconds()
-	run.ThroughputRPS = res.Throughput()
-	run.PerLaneOps = make([]int, shards)
-	for i, st := range res.Clients {
-		run.PerLaneOps[ev.Topology.Clients[i].Lane] += st.Completed
-	}
-	run.ConfinedOps = ev.Client.Hits
-	run.SharedOps = ev.Client.Misses
-	return run, nil
-}
-
-// a16Collect runs the sweep once, producing both the JSON document and
-// the experiment rows from the same data.
-func a16Collect() (*ShardDoc, []Row, error) {
-	doc := &ShardDoc{
-		Tool:        "vbench -shard",
-		Description: "conservative sharded engine on the shared-prefix topology: per-lane engines with lookahead synchronization, verified deeply equal to the sequential driver",
-		Engine:      "conservative (exact next-op promises, PROTOCOL.md §12)",
-		LookaheadNS: vtime.DefaultModel().MinRemoteDelay().Nanoseconds(),
-	}
-	rows := []Row{{
-		Label:    "conservative lookahead bound",
-		Paper:    "-",
-		Measured: ms(vtime.DefaultModel().MinRemoteDelay()),
-		Note:     "min remote delay: driver floor + protocol extra + 64-byte frame",
-	}}
 	for _, shards := range a16ShardCounts {
-		run, err := a16Run(shards)
+		leg, err := runLeg(fmt.Sprintf("shards=%d", shards), a16Scenario(shards), func(wr *rig.WorkloadResult, ev rig.Evidence) reads {
+			rd := makespan(wr, ev)
+			for i, st := range wr.Clients {
+				rd[fmt.Sprintf("lane%d_ops", ev.Topology.Clients[i].Lane)] += float64(st.Completed)
+			}
+			return rd
+		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("a16 shards=%d: %w", shards, err)
+			return Result{}, fmt.Errorf("a16 shards=%d: %w", shards, err)
 		}
-		doc.Runs = append(doc.Runs, run)
-		rows = append(rows, Row{
+		res.Legs = append(res.Legs, leg)
+		res.Rows = append(res.Rows, Row{
 			Label:    fmt.Sprintf("shards=%d (%d lanes, %d clients)", shards, shards, shards*a16ClientsPerShard),
 			Paper:    "-",
-			Measured: fmt.Sprintf("%.0f req/s", run.ThroughputRPS),
+			Measured: fmt.Sprintf("%.0f req/s", leg.throughput()),
 			Note: fmt.Sprintf("≡ sequential; %d confined + %d shared ops; PR 4 lane driver: inapplicable",
-				run.ConfinedOps, run.SharedOps),
+				leg.Evidence.Client.Hits, leg.Evidence.Client.Misses),
 		})
 	}
-	return doc, rows, nil
+	return res, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -34,37 +35,39 @@ func TestShardJSONDeterministic(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("BENCH_shard.json not byte-deterministic across runs")
 	}
-	var doc ShardDoc
+	var doc Result
 	if err := json.Unmarshal(b1, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.LookaheadNS <= 0 {
-		t.Fatalf("lookahead_ns = %d", doc.LookaheadNS)
+	if doc.Legs[0].Reads["lookahead_ns"] <= 0 {
+		t.Fatalf("lookahead leg = %+v", doc.Legs[0])
 	}
-	if len(doc.Runs) != len(a16ShardCounts) {
-		t.Fatalf("runs = %d, want %d", len(doc.Runs), len(a16ShardCounts))
+	runs := doc.Legs[1:]
+	if len(runs) != len(a16ShardCounts) {
+		t.Fatalf("runs = %d, want %d", len(runs), len(a16ShardCounts))
 	}
-	for _, run := range doc.Runs {
-		if !run.EqualToSequential {
-			t.Fatalf("shards=%d: not equal to sequential", run.Shards)
+	for _, run := range runs {
+		sc, ev := run.Scenario, run.Evidence
+		if !ev.EqualToSequential {
+			t.Fatalf("shards=%d: not equal to sequential", sc.Shards)
 		}
-		if run.ConfinedOps == 0 || run.SharedOps == 0 {
+		if ev.Client.Hits == 0 || ev.Client.Misses == 0 {
 			t.Fatalf("shards=%d: degenerate class mix (confined=%d shared=%d)",
-				run.Shards, run.ConfinedOps, run.SharedOps)
+				sc.Shards, ev.Client.Hits, ev.Client.Misses)
 		}
-		if run.Errors != 0 {
-			t.Fatalf("shards=%d: %d errors", run.Shards, run.Errors)
+		if ev.Errors != 0 {
+			t.Fatalf("shards=%d: %d errors", sc.Shards, ev.Errors)
 		}
-		want := run.Shards * run.ClientsPerShard * run.Requests
-		if run.TotalRequests != want {
-			t.Fatalf("shards=%d: total_requests = %d, want %d", run.Shards, run.TotalRequests, want)
+		want := sc.Shards * sc.ClientsPerShard * sc.Requests
+		if run.requests() != want {
+			t.Fatalf("shards=%d: requests = %d, want %d", sc.Shards, run.requests(), want)
 		}
 		lanes := 0
-		for _, n := range run.PerLaneOps {
-			lanes += n
+		for lane := 0; lane < sc.Shards; lane++ {
+			lanes += int(run.Reads[fmt.Sprintf("lane%d_ops", lane)])
 		}
 		if lanes != want {
-			t.Fatalf("shards=%d: per-lane ops sum %d, want %d", run.Shards, lanes, want)
+			t.Fatalf("shards=%d: per-lane ops sum %d, want %d", sc.Shards, lanes, want)
 		}
 	}
 }

@@ -73,96 +73,14 @@ var (
 // a18SkewSweep is the skew sweep at skewPop names.
 var a18SkewSweep = []float64{0.5, 0.99, 1.3}
 
-// ZipfIndexPoint is one index cost row in BENCH_zipf.json: the radix
-// descent against the flat binary search over the same table, in
-// deterministic steps (node visits vs string comparisons) averaged over
-// one fixed Zipf sample. Virtual cost, not wall clock: wall-clock
-// behavior of the same structures lives in the nametree benchmarks.
-type ZipfIndexPoint struct {
-	Population   int     `json:"population"`
-	RadixSteps   float64 `json:"radix_steps"`
-	FlatCompares float64 `json:"flat_compares"`
-	// Speedup is FlatCompares / RadixSteps.
-	Speedup float64 `json:"speedup"`
-	// IndexBytes is the radix index's key storage (shared prefixes
-	// stored once) plus one 8-byte rank entry per name.
-	IndexBytes int `json:"index_bytes"`
-}
-
-// ZipfRun is one workload point in BENCH_zipf.json.
-type ZipfRun struct {
-	Population      int     `json:"population"`
-	Skew            float64 `json:"skew"`
-	CacheTier       bool    `json:"cache_tier"`
-	Shards          int     `json:"shards"`
-	ClientsPerShard int     `json:"clients_per_shard"`
-	Arrivals        int     `json:"arrivals_per_client"`
-	InterarrivalUS  int64   `json:"interarrival_us"`
-	LeaseUS         int64   `json:"lease_us"`
-	Seed            int64   `json:"seed"`
-
-	TotalRequests int   `json:"total_requests"`
-	Errors        int   `json:"errors"`
-	SpanUS        int64 `json:"open_loop_span_us"`
-	// ThroughputRPS is completed arrivals over the open-loop span.
-	ThroughputRPS float64 `json:"throughput_rps"`
-	// P50US/P99US are open-loop latency percentiles: virtual completion
-	// minus scheduled arrival, queueing included.
-	P50US int64 `json:"p50_us"`
-	P99US int64 `json:"p99_us"`
-
-	ClientHits     int     `json:"client_hits"`
-	ClientMisses   int     `json:"client_misses"`
-	ClientRenewals int     `json:"client_renewals"`
-	ClientHitRate  float64 `json:"client_hit_rate"`
-	TierHits       int     `json:"tier_hits,omitempty"`
-	TierMisses     int     `json:"tier_misses,omitempty"`
-	PrefixGrants   int     `json:"prefix_grants"`
-	// TableBytes is the authoritative prefix server's table footprint.
-	TableBytes int `json:"table_bytes"`
-
-	// EquivalenceChecked records whether this point was double-run
-	// through the sequential driver and the conservative engine;
-	// EqualToSequential is the deep comparison (WorkloadResult and the
-	// full per-op latency matrix) when it was.
-	EquivalenceChecked bool `json:"equivalence_checked"`
-	EqualToSequential  bool `json:"equal_to_sequential,omitempty"`
-}
-
-// ZipfTrace is the traced redefinition leg in BENCH_zipf.json.
-type ZipfTrace struct {
-	Population int      `json:"population"`
-	LeaseUS    int64    `json:"lease_us"`
-	Schedule   []string `json:"schedule"`
-
-	TotalRequests int `json:"total_requests"`
-	Completed     int `json:"completed"`
-	Errors        int `json:"errors"`
-	// Invalidations counts client lease entries dropped by callback
-	// when the hottest name was redefined mid-run.
-	Invalidations int `json:"invalidations"`
-
-	TraceClean   bool `json:"trace_clean"`
-	StaleWindows int  `json:"stale_windows"`
-}
-
-// ZipfDoc is the BENCH_zipf.json schema.
-type ZipfDoc struct {
-	Tool        string `json:"tool"`
-	Description string `json:"description"`
-
-	Index     []ZipfIndexPoint `json:"index"`
-	Sweep     []ZipfRun        `json:"sweep"`
-	SkewSweep []ZipfRun        `json:"skew_sweep"`
-	Trace     ZipfTrace        `json:"trace"`
-}
-
 // a18Index prices one population's lookups under both index shapes:
 // the same fixed Zipf sample resolved through a compressed radix tree
 // (counting node visits) and through binary search over the flat
 // sorted name table (counting string comparisons) — the structure the
-// prefix server used before the radix index replaced it.
-func a18Index(pop *popgen.Population) ZipfIndexPoint {
+// prefix server used before the radix index replaced it. The leg reads
+// the mean of each and the index's key storage (shared prefixes stored
+// once) plus one 8-byte rank entry per name.
+func a18Index(pop *popgen.Population) Leg {
 	tree := nametree.New[int]()
 	if err := tree.Load(pop.Names, func(r int) int { return r }); err != nil {
 		panic("a18: " + err.Error())
@@ -190,14 +108,12 @@ func a18Index(pop *popgen.Population) ZipfIndexPoint {
 			}
 		}
 	}
-	pt := ZipfIndexPoint{
-		Population:   len(pop.Names),
-		RadixSteps:   float64(radix) / a18IndexSample,
-		FlatCompares: float64(flat) / a18IndexSample,
-		IndexBytes:   tree.KeyBytes() + tree.Len()*8,
-	}
-	pt.Speedup = pt.FlatCompares / pt.RadixSteps
-	return pt
+	return Leg{Label: fmt.Sprintf("index cost n=%d", len(pop.Names)), Reads: reads{
+		"population":    float64(len(pop.Names)),
+		"radix_steps":   float64(radix) / a18IndexSample,
+		"flat_compares": float64(flat) / a18IndexSample,
+		"index_bytes":   float64(tree.KeyBytes() + tree.Len()*8),
+	}}
 }
 
 // a18IndexStream is the sampler stream behind the index sample —
@@ -226,48 +142,31 @@ func a18Scenario(n int, skew float64, tier bool) rig.Scenario {
 }
 
 // a18Run executes one workload point over an already generated
-// population.
-func a18Run(pop *popgen.Population, tier bool) (ZipfRun, error) {
+// population. The leg reads the open-loop span, the p50/p99 open-loop
+// latencies — virtual completion minus scheduled arrival, queueing
+// included — and the authoritative prefix server's table footprint.
+func a18Run(label string, pop *popgen.Population, tier bool) (Leg, error) {
 	sc := a18Scenario(len(pop.Names), pop.Skew, tier)
 	sc.Pop = pop
-	run := ZipfRun{
-		Population:      sc.Population,
-		Skew:            pop.Skew,
-		CacheTier:       tier,
-		Shards:          a18Shards,
-		ClientsPerShard: a18ClientsPerShard,
-		Arrivals:        a18Arrivals,
-		InterarrivalUS:  a18Interarrival.Microseconds(),
-		LeaseUS:         a18Lease.Microseconds(),
-		Seed:            a18Seed,
-	}
-	res, ev, err := runChecked(sc)
-	if err != nil {
-		return run, err
-	}
-	run.EquivalenceChecked = sc.Sequential
-	run.EqualToSequential = ev.EqualToSequential
+	return runLeg(label, sc, func(_ *rig.WorkloadResult, ev rig.Evidence) reads {
+		first, last := ev.Topology.OpenLoopSpan()
+		p50, p99 := a18Percentiles(ev.Topology.Latencies)
+		return reads{
+			"open_loop_span_ns": float64(last - first),
+			"p50_ns":            float64(p50),
+			"p99_ns":            float64(p99),
+			"table_bytes":       float64(ev.Topology.Prefix.TableBytes()),
+		}
+	})
+}
 
-	run.TotalRequests = res.Requests
-	first, last := ev.Topology.OpenLoopSpan()
-	span := last - first
-	run.SpanUS = span.Microseconds()
-	if span > 0 {
-		run.ThroughputRPS = float64(res.Requests) / span.Seconds()
+// openLoopThroughput is an open-loop leg's completed arrivals per
+// virtual second of its span.
+func (l Leg) openLoopThroughput() float64 {
+	if span := l.ns("open_loop_span_ns"); span > 0 {
+		return float64(l.requests()) / span.Seconds()
 	}
-	p50, p99 := a18Percentiles(ev.Topology.Latencies)
-	run.P50US = p50.Microseconds()
-	run.P99US = p99.Microseconds()
-
-	run.ClientHits = ev.Client.Hits
-	run.ClientMisses = ev.Client.Misses
-	run.ClientRenewals = ev.Client.Renewals
-	run.ClientHitRate = hitRate(ev.Client)
-	run.TierHits = int(ev.Tier.Hits)
-	run.TierMisses = int(ev.Tier.Misses)
-	run.PrefixGrants = int(ev.Prefix.Grants)
-	run.TableBytes = ev.Topology.Prefix.TableBytes()
-	return run, nil
+	return 0
 }
 
 // a18Percentiles flattens the latency matrix and reads p50/p99.
@@ -293,77 +192,49 @@ func a18TraceScenario(pop *popgen.Population) rig.Scenario {
 	return sc
 }
 
-// a18Trace runs the traced leg. The callback barrier reaches every
-// holder, so the trace must be clean under the lease staleness invariant
-// with zero stale windows.
-func a18Trace(tracePop int) (ZipfTrace, error) {
-	leg := ZipfTrace{Population: tracePop, LeaseUS: a18Lease.Microseconds()}
-	pop := popgen.NewPopulation(tracePop, a18Skew, a18PopSeed)
-	sc := a18TraceScenario(pop)
-	sc.Pop = pop
-	res, ev, err := runChecked(sc)
-	if err != nil {
-		return leg, err
-	}
-	leg.Schedule = ev.ChaosLog
-	leg.TotalRequests = res.Requests
-	leg.Completed = ev.Completed
-	leg.Errors = ev.Errors
-	leg.Invalidations = ev.Client.Invalidations
-	leg.TraceClean = true
-	leg.StaleWindows = ev.StaleWindows
-	return leg, nil
-}
-
-// a18Collect runs every leg at the given scale, producing both the
-// JSON document and the experiment rows from the same data.
-func a18Collect(scale a18Scale) (*ZipfDoc, []Row, error) {
-	doc := &ZipfDoc{
-		Tool:        "vbench -zipf",
-		Description: "population-scale resolution: radix-vs-flat index cost, open-loop Zipf throughput and latency percentiles over population and skew, and the traced mid-run redefinition leg",
-	}
-	var rows []Row
-
+// a18Collect runs every leg at the given scale, producing the legs and
+// the experiment rows from the same data.
+func a18Collect(scale a18Scale) (Result, error) {
+	var res Result
 	pops := make(map[int]*popgen.Population, len(scale.pops))
 	for _, n := range scale.pops {
 		pop := popgen.NewPopulation(n, a18Skew, a18PopSeed)
 		pops[n] = pop
-		pt := a18Index(pop)
-		if pt.Population >= 100_000 && pt.Speedup <= 1 {
-			return nil, nil, fmt.Errorf("a18 index n=%d: radix not faster than flat search (%.2f vs %.2f steps)",
-				n, pt.RadixSteps, pt.FlatCompares)
+		leg := a18Index(pop)
+		radix, flat := leg.Reads["radix_steps"], leg.Reads["flat_compares"]
+		if n >= 100_000 && flat/radix <= 1 {
+			return Result{}, fmt.Errorf("a18 index n=%d: radix not faster than flat search (%.2f vs %.2f steps)", n, radix, flat)
 		}
-		if pt.RadixSteps > pt.FlatCompares {
-			return nil, nil, fmt.Errorf("a18 index n=%d: radix slower than flat search (%.2f vs %.2f steps)",
-				n, pt.RadixSteps, pt.FlatCompares)
+		if radix > flat {
+			return Result{}, fmt.Errorf("a18 index n=%d: radix slower than flat search (%.2f vs %.2f steps)", n, radix, flat)
 		}
-		doc.Index = append(doc.Index, pt)
-		rows = append(rows, Row{
-			Label:    fmt.Sprintf("index cost n=%d", n),
+		res.Legs = append(res.Legs, leg)
+		res.Rows = append(res.Rows, Row{
+			Label:    leg.Label,
 			Paper:    "-",
-			Measured: fmt.Sprintf("%.2f vs %.2f steps", pt.RadixSteps, pt.FlatCompares),
+			Measured: fmt.Sprintf("%.2f vs %.2f steps", radix, flat),
 			Note: fmt.Sprintf("radix descent vs flat binary search, %.1fx; index %d KB",
-				pt.Speedup, pt.IndexBytes/1024),
+				flat/radix, int(leg.Reads["index_bytes"])/1024),
 		})
 	}
 
 	for _, tier := range []bool{false, true} {
 		for _, n := range scale.pops {
-			run, err := a18Run(pops[n], tier)
+			leg, err := a18Run(fmt.Sprintf("n=%d tier=%v", n, tier), pops[n], tier)
 			if err != nil {
-				return nil, nil, fmt.Errorf("a18 n=%d tier=%v: %w", n, tier, err)
+				return Result{}, fmt.Errorf("a18 n=%d tier=%v: %w", n, tier, err)
 			}
-			doc.Sweep = append(doc.Sweep, run)
+			res.Legs = append(res.Legs, leg)
 			equiv := "engine-only"
-			if run.EquivalenceChecked {
+			if leg.Scenario.Sequential {
 				equiv = "≡ sequential"
 			}
-			rows = append(rows, Row{
-				Label:    fmt.Sprintf("n=%d tier=%v", n, tier),
+			res.Rows = append(res.Rows, Row{
+				Label:    leg.Label,
 				Paper:    "-",
-				Measured: fmt.Sprintf("%.0f req/s, p99 %s", run.ThroughputRPS, usms(run.P99US)),
+				Measured: fmt.Sprintf("%.0f req/s, p99 %s", leg.openLoopThroughput(), usms(leg.ns("p99_ns").Microseconds())),
 				Note: fmt.Sprintf("p50 %s; %.1f%% client hits; table %d KB; %s",
-					usms(run.P50US), 100*run.ClientHitRate, run.TableBytes/1024, equiv),
+					usms(leg.ns("p50_ns").Microseconds()), 100*hitRate(leg.Evidence.Client), int(leg.Reads["table_bytes"])/1024, equiv),
 			})
 		}
 	}
@@ -374,37 +245,44 @@ func a18Collect(scale a18Scale) (*ZipfDoc, []Row, error) {
 		if pop == nil || pop.Skew != skew {
 			pop = popgen.NewPopulation(scale.skewPop, skew, a18PopSeed)
 		}
-		run, err := a18Run(pop, false)
+		label := fmt.Sprintf("skew=%.2f n=%d", skew, scale.skewPop)
+		leg, err := a18Run(label, pop, false)
 		if err != nil {
-			return nil, nil, fmt.Errorf("a18 skew=%v: %w", skew, err)
+			return Result{}, fmt.Errorf("a18 skew=%v: %w", skew, err)
 		}
-		doc.SkewSweep = append(doc.SkewSweep, run)
-		rows = append(rows, Row{
-			Label:    fmt.Sprintf("skew=%.2f n=%d", skew, scale.skewPop),
+		res.Legs = append(res.Legs, leg)
+		res.Rows = append(res.Rows, Row{
+			Label:    label,
 			Paper:    "-",
-			Measured: fmt.Sprintf("%.1f%% client hits", 100*run.ClientHitRate),
+			Measured: fmt.Sprintf("%.1f%% client hits", 100*hitRate(leg.Evidence.Client)),
 			Note: fmt.Sprintf("p50 %s, p99 %s; %d upstream grants",
-				usms(run.P50US), usms(run.P99US), run.PrefixGrants),
+				usms(leg.ns("p50_ns").Microseconds()), usms(leg.ns("p99_ns").Microseconds()), leg.Evidence.Prefix.Grants),
 		})
 	}
 
-	tr, err := a18Trace(scale.tracePop)
+	// The traced leg: the callback barrier reaches every holder, so the
+	// trace must be clean under the lease staleness invariant with zero
+	// stale windows.
+	pop := popgen.NewPopulation(scale.tracePop, a18Skew, a18PopSeed)
+	sc := a18TraceScenario(pop)
+	sc.Pop = pop
+	tr, err := runLeg(fmt.Sprintf("trace: redefine hottest of %d", scale.tracePop), sc, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("a18 trace leg: %w", err)
+		return Result{}, fmt.Errorf("a18 trace leg: %w", err)
 	}
-	if tr.StaleWindows != 0 {
-		return nil, nil, fmt.Errorf("a18 trace leg: %d stale windows despite reachable holders", tr.StaleWindows)
+	if tr.Evidence.StaleWindows != 0 {
+		return Result{}, fmt.Errorf("a18 trace leg: %d stale windows despite reachable holders", tr.Evidence.StaleWindows)
 	}
-	if tr.Invalidations == 0 {
-		return nil, nil, fmt.Errorf("a18 trace leg: redefinition invalidated no holder")
+	if tr.Evidence.Client.Invalidations == 0 {
+		return Result{}, fmt.Errorf("a18 trace leg: redefinition invalidated no holder")
 	}
-	doc.Trace = tr
-	rows = append(rows, Row{
-		Label:    fmt.Sprintf("trace leg: redefine hottest of %d", tr.Population),
+	res.Legs = append(res.Legs, tr)
+	res.Rows = append(res.Rows, Row{
+		Label:    fmt.Sprintf("trace leg: redefine hottest of %d", scale.tracePop),
 		Paper:    "-",
 		Measured: "0 stale windows",
 		Note: fmt.Sprintf("trace-checked (bound %s); %d holders invalidated",
-			ms(a18Lease), tr.Invalidations),
+			ms(a18Lease), tr.Evidence.Client.Invalidations),
 	})
-	return doc, rows, nil
+	return res, nil
 }

@@ -12,9 +12,9 @@ import (
 // covered by golden-guard, which regenerates BENCH_zipf.json at full
 // scale and compares it byte-for-byte against the committed file.
 
-func a18TestDoc(t *testing.T) *ZipfDoc {
+func a18TestDoc(t *testing.T) Result {
 	t.Helper()
-	doc, _, err := a18Collect(a18TestScale)
+	doc, err := a18Collect(a18TestScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +22,11 @@ func a18TestDoc(t *testing.T) *ZipfDoc {
 }
 
 func TestA18Shape(t *testing.T) {
-	_, rows, err := a18Collect(a18TestScale)
+	res, err := a18Collect(a18TestScale)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	want := len(a18TestScale.pops) + 2*len(a18TestScale.pops) + len(a18SkewSweep) + 1
 	if len(rows) != want {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
@@ -47,7 +48,7 @@ func TestA18Shape(t *testing.T) {
 }
 
 func TestZipfJSONDeterministic(t *testing.T) {
-	enc := func(doc *ZipfDoc) []byte {
+	enc := func(doc Result) []byte {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -60,81 +61,73 @@ func TestZipfJSONDeterministic(t *testing.T) {
 		t.Fatal("zipf document not byte-deterministic across runs")
 	}
 
-	var doc ZipfDoc
+	var doc Result
 	if err := json.Unmarshal(b1, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Index) != len(a18TestScale.pops) {
-		t.Fatalf("index points = %d, want %d", len(doc.Index), len(a18TestScale.pops))
+	pops := len(a18TestScale.pops)
+	if want := pops + 2*pops + len(a18SkewSweep) + 1; len(doc.Legs) != want {
+		t.Fatalf("legs = %d, want %d", len(doc.Legs), want)
 	}
-	for _, pt := range doc.Index {
-		if pt.RadixSteps <= 0 || pt.FlatCompares <= 0 {
+	index, sweep := doc.Legs[:pops], doc.Legs[pops:3*pops]
+	skewSweep, tr := doc.Legs[3*pops:3*pops+len(a18SkewSweep)], doc.Legs[len(doc.Legs)-1]
+	for _, pt := range index {
+		radix, flat := pt.Reads["radix_steps"], pt.Reads["flat_compares"]
+		if radix <= 0 || flat <= 0 {
 			t.Fatalf("index point with non-positive cost: %+v", pt)
 		}
-		if pt.RadixSteps > pt.FlatCompares {
+		if radix > flat {
 			t.Fatalf("radix costlier than the flat search it replaced: %+v", pt)
 		}
-		if pt.IndexBytes <= 0 {
+		if pt.Reads["index_bytes"] <= 0 {
 			t.Fatalf("index point without footprint: %+v", pt)
 		}
 	}
 	// Flat search cost must grow with the population; the radix descent
 	// must not track it (that is the tentpole's claim).
-	for i := 1; i < len(doc.Index); i++ {
-		if doc.Index[i].FlatCompares <= doc.Index[i-1].FlatCompares {
-			t.Fatalf("flat compares did not grow with the table: %+v", doc.Index)
+	for i := 1; i < len(index); i++ {
+		if index[i].Reads["flat_compares"] <= index[i-1].Reads["flat_compares"] {
+			t.Fatalf("flat compares did not grow with the table: %+v", index)
 		}
 	}
-	if len(doc.Sweep) != 2*len(a18TestScale.pops) {
-		t.Fatalf("sweep points = %d, want %d", len(doc.Sweep), 2*len(a18TestScale.pops))
-	}
-	for _, run := range doc.Sweep {
-		if run.Errors != 0 {
-			t.Fatalf("n=%d tier=%v: %d errors", run.Population, run.CacheTier, run.Errors)
+	for _, run := range sweep {
+		sc, ev := run.Scenario, run.Evidence
+		if ev.Errors != 0 {
+			t.Fatalf("%s: %d errors", run.Label, ev.Errors)
 		}
-		if run.Population <= a18EquivMax && (!run.EquivalenceChecked || !run.EqualToSequential) {
-			t.Fatalf("n=%d tier=%v: equivalence not verified: %+v", run.Population, run.CacheTier, run)
+		if sc.Population <= a18EquivMax && (!sc.Sequential || !ev.EqualToSequential) {
+			t.Fatalf("%s: equivalence not verified: %+v", run.Label, ev)
 		}
-		if run.P50US <= 0 || run.P99US < run.P50US {
-			t.Fatalf("n=%d tier=%v: bad percentiles p50=%d p99=%d", run.Population, run.CacheTier, run.P50US, run.P99US)
+		if p50, p99 := run.ns("p50_ns"), run.ns("p99_ns"); p50 <= 0 || p99 < p50 {
+			t.Fatalf("%s: bad percentiles p50=%v p99=%v", run.Label, p50, p99)
 		}
-		if run.ThroughputRPS <= 0 {
-			t.Fatalf("n=%d tier=%v: no throughput", run.Population, run.CacheTier)
+		if run.openLoopThroughput() <= 0 {
+			t.Fatalf("%s: no throughput", run.Label)
 		}
-		if run.ClientHitRate <= 0 || run.ClientHitRate > 1 {
-			t.Fatalf("n=%d tier=%v: client hit rate %v", run.Population, run.CacheTier, run.ClientHitRate)
+		if hr := hitRate(ev.Client); hr <= 0 || hr > 1 {
+			t.Fatalf("%s: client hit rate %v", run.Label, hr)
 		}
-		if run.TableBytes <= 0 || run.PrefixGrants == 0 {
-			t.Fatalf("n=%d tier=%v: missing server-side readout: %+v", run.Population, run.CacheTier, run)
+		if run.Reads["table_bytes"] <= 0 || ev.Prefix.Grants == 0 {
+			t.Fatalf("%s: missing server-side readout: %+v", run.Label, run)
 		}
-		if !run.CacheTier && run.TierHits != 0 {
-			t.Fatalf("n=%d: tierless run has tier hits: %+v", run.Population, run)
+		if !sc.CacheTier && ev.Tier.Hits != 0 {
+			t.Fatalf("%s: tierless run has tier hits: %+v", run.Label, ev.Tier)
 		}
 	}
 	// The table footprint must grow with the population.
-	for i := 1; i < len(a18TestScale.pops); i++ {
-		if doc.Sweep[i].TableBytes <= doc.Sweep[i-1].TableBytes {
-			t.Fatalf("table bytes did not grow with the population: %+v", doc.Sweep)
+	for i := 1; i < pops; i++ {
+		if sweep[i].Reads["table_bytes"] <= sweep[i-1].Reads["table_bytes"] {
+			t.Fatalf("table bytes did not grow with the population: %+v", sweep)
 		}
-	}
-	if len(doc.SkewSweep) != len(a18SkewSweep) {
-		t.Fatalf("skew points = %d, want %d", len(doc.SkewSweep), len(a18SkewSweep))
 	}
 	// Heavier skew concentrates draws on fewer names, so the client
 	// lease caches must hit more.
-	for i := 1; i < len(doc.SkewSweep); i++ {
-		if doc.SkewSweep[i].ClientHitRate <= doc.SkewSweep[i-1].ClientHitRate {
-			t.Fatalf("hit rate did not rise with skew: %+v", doc.SkewSweep)
+	for i := 1; i < len(skewSweep); i++ {
+		if hitRate(skewSweep[i].Evidence.Client) <= hitRate(skewSweep[i-1].Evidence.Client) {
+			t.Fatalf("hit rate did not rise with skew: %s → %s", skewSweep[i-1].Label, skewSweep[i].Label)
 		}
 	}
-	tr := doc.Trace
-	if !tr.TraceClean || tr.StaleWindows != 0 {
-		t.Fatalf("trace leg not clean: %+v", tr)
-	}
-	if tr.Invalidations == 0 || len(tr.Schedule) == 0 {
-		t.Fatalf("trace leg inert: %+v", tr)
-	}
-	if tr.Errors != 0 {
-		t.Fatalf("trace leg: %d errors", tr.Errors)
+	if ev := tr.Evidence; ev.StaleWindows != 0 || ev.Client.Invalidations == 0 || len(ev.ChaosLog) == 0 || ev.Errors != 0 {
+		t.Fatalf("trace leg not clean or inert: %+v", ev)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/metrics"
 	"repro/internal/rig"
 	"repro/internal/vtime"
 )
@@ -29,35 +30,115 @@ type Row struct {
 	Note     string `json:"note,omitempty"`
 }
 
-// Result is one experiment's output.
+// Result is one experiment's output. An experiment with a document
+// also fills Legs, and DocJSON writes the whole Result as that document:
+// the envelope {tool, schema, id, title, source, legs, rows}, whose rows
+// are the ones vbench prints. Run leaves Tool, Schema and Legs empty.
 type Result struct {
+	Tool   string `json:"tool,omitempty"`
+	Schema int    `json:"schema,omitempty"`
 	ID     string `json:"id"`
 	Title  string `json:"title"`
 	Source string `json:"source"` // where in the paper the numbers come from
+	Legs   []Leg  `json:"legs,omitempty"`
 	Rows   []Row  `json:"rows"`
 }
 
+// docSchema versions the document envelope; the typed per-experiment
+// documents before it were version 1.
+const docSchema = 2
+
+// Leg is one measurement a document records: the scenario the run was
+// given and what the run recorded — the rig's evidence, the registry
+// series a paper-testbed leg reads, and reads, the few numbers neither
+// holds. Durations are nanoseconds throughout (keys ending _ns).
+type Leg struct {
+	Label    string             `json:"label"`
+	Scenario *rig.Scenario      `json:"scenario,omitempty"`
+	Evidence *rig.Evidence      `json:"evidence,omitempty"`
+	Series   *Series            `json:"series,omitempty"`
+	Reads    map[string]float64 `json:"reads,omitempty"`
+}
+
+// Series is the metrics-registry state a paper-testbed leg read, and a
+// replicated leg's group event log.
+type Series struct {
+	Histograms []metrics.HistPoint    `json:"histograms,omitempty"`
+	Counters   []metrics.CounterPoint `json:"counters,omitempty"`
+	// RequestsPerTick and FailuresPerTick are sampler-derived counter
+	// deltas per tick, present when the leg pumped the sampler.
+	RequestsPerTick []metrics.SeriesPoint `json:"requests_per_tick,omitempty"`
+	FailuresPerTick []metrics.SeriesPoint `json:"failures_per_tick,omitempty"`
+	Health          *metrics.HealthReport `json:"health,omitempty"`
+	// Events is the replication group's log: elections, crash notices,
+	// rejoins, snapshot syncs and leadership transfers.
+	Events []string `json:"events,omitempty"`
+}
+
+// reads is a leg's name → number readings.
+type reads = map[string]float64
+
+// runLeg runs sc through runChecked and records it as a leg: the
+// scenario as given, the evidence as recorded and what read takes from
+// the result and the booted topology, which no document holds.
+func runLeg(label string, sc rig.Scenario, read func(*rig.WorkloadResult, rig.Evidence) reads) (Leg, error) {
+	res, ev, err := runChecked(sc)
+	if err != nil {
+		return Leg{}, err
+	}
+	var rd reads
+	if read != nil {
+		rd = read(res, ev)
+	}
+	return newLeg(label, sc, ev, rd), nil
+}
+
+// makespan reads a closed-loop run's makespan.
+func makespan(res *rig.WorkloadResult, _ rig.Evidence) reads {
+	return reads{"makespan_ns": float64(res.Makespan)}
+}
+
+// requests is every request the leg's clients issued: each completed or
+// failed.
+func (l Leg) requests() int { return l.Evidence.Completed + l.Evidence.Errors }
+
+// throughput is a closed-loop leg's requests per virtual second.
+func (l Leg) throughput() float64 {
+	return float64(l.requests()) / time.Duration(l.Reads["makespan_ns"]).Seconds()
+}
+
+// ns reads a duration back out of a leg's reads.
+func (l Leg) ns(name string) time.Duration { return time.Duration(l.Reads[name]) }
+
+// newLeg records a run; the population and the topology stay behind.
+func newLeg(label string, sc rig.Scenario, ev rig.Evidence, rd reads) Leg {
+	sc.Pop = nil
+	ev.Topology, ev.Journal = nil, nil
+	return Leg{Label: label, Scenario: &sc, Evidence: &ev, Reads: rd}
+}
+
 // experiment is one registry row: what vbench prints above the table,
-// and the script that produces the rows. A script may also return the
-// deterministic document `vbench -<export> FILE` writes, pinned
-// byte-for-byte by the committed BENCH_<export>.json; export is empty for
-// a script that returns none.
+// and the script that produces the rows. A script with an export also
+// returns the legs of the deterministic document `vbench -<export> FILE`
+// writes, pinned byte-for-byte by the committed BENCH_<export>.json.
 type experiment struct {
 	id, title, source, export string
-	run                       func() (doc any, rows []Row, err error)
+	run                       func() (Result, error)
 }
 
-// rowsOnly adapts a script that collects no document.
-func rowsOnly(f func() ([]Row, error)) func() (any, []Row, error) {
-	return func() (any, []Row, error) {
+// result runs the script and stamps the registry row on its output.
+func (e experiment) result() (Result, error) {
+	res, err := e.run()
+	res.ID, res.Title, res.Source = e.id, e.title, e.source
+	return res, err
+}
+
+// rowsOnly adapts a script that records no legs.
+func rowsOnly(f func() ([]Row, error)) func() (Result, error) {
+	return func() (Result, error) {
 		rows, err := f()
-		return nil, rows, err
+		return Result{Rows: rows}, err
 	}
-}
-
-// withDoc adapts a script that returns its document typed.
-func withDoc[D any](f func() (D, []Row, error)) func() (any, []Row, error) {
-	return func() (any, []Row, error) { return f() }
 }
 
 // registry lists the experiments in canonical order — E-series,
@@ -81,12 +162,12 @@ var registry = []experiment{
 	{"a10", "chaos sweep: fault rate vs. operation success", "§4.2 (late binding + rebinding) under injected faults", "", rowsOnly(a10)},
 	{"a11", "server teams: file-server throughput vs. team size", "§3.1 (multi-process server teams)", "", rowsOnly(a11)},
 	{"a12", "trace decomposition of the remote message transaction", "§3.1, Figure 1 (components read off the span tree)", "", rowsOnly(a12)},
-	{"a14", "metrics: latency distributions, team scaling, health under faults", "§3.1 latencies as distributions; §4.2 faults as an SLO report", "metrics", withDoc(a14Collect)},
-	{"a15", "replication: consensus-replicated fs1 under the A14 fault schedule", "§4.2 rebinding generalized: no single host owns a name", "replica", withDoc(a15Collect)},
-	{"a16", "sharded engine: per-lane event engines with conservative lookahead", "PROTOCOL.md §12; client name caches (§2.3) decide each op's class", "shard", withDoc(a16Collect)},
-	{"a17", "lease-coherent name caches: hit rates and the staleness bound under faults", "PROTOCOL.md §13; §2.3 caches with leases in place of validate-on-use", "cache", withDoc(a17Collect)},
-	{"a18", "population-scale resolution: radix index and open-loop Zipf load", "PROTOCOL.md §14; §6's 2.6 KB table grown to a user population", "zipf", func() (any, []Row, error) { return a18Collect(a18FullScale) }},
-	{"a19", "population-scale observability and the lease auto-tuner", "PROTOCOL.md §15; §13 staleness bound with the cap in place of the fixed length", "obs", withDoc(a19Collect)},
+	{"a14", "metrics: latency distributions, team scaling, health under faults", "§3.1 latencies as distributions; §4.2 faults as an SLO report", "metrics", a14Collect},
+	{"a15", "replication: consensus-replicated fs1 under the A14 fault schedule", "§4.2 rebinding generalized: no single host owns a name", "replica", a15Collect},
+	{"a16", "sharded engine: per-lane event engines with conservative lookahead", "PROTOCOL.md §12; client name caches (§2.3) decide each op's class", "shard", a16Collect},
+	{"a17", "lease-coherent name caches: hit rates and the staleness bound under faults", "PROTOCOL.md §13; §2.3 caches with leases in place of validate-on-use", "cache", a17Collect},
+	{"a18", "population-scale resolution: radix index and open-loop Zipf load", "PROTOCOL.md §14; §6's 2.6 KB table grown to a user population", "zipf", func() (Result, error) { return a18Collect(a18FullScale) }},
+	{"a19", "population-scale observability and the lease auto-tuner", "PROTOCOL.md §15; §13 staleness bound with the cap in place of the fixed length", "obs", a19Collect},
 }
 
 // IDs returns the experiment ids in canonical order.
@@ -113,17 +194,18 @@ func lookup(id string) (experiment, error) {
 	return experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id and returns what vbench prints.
 func Run(id string) (Result, error) {
 	e, err := lookup(id)
 	if err != nil {
 		return Result{}, err
 	}
-	_, rows, err := e.run()
+	res, err := e.result()
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{ID: e.id, Title: e.title, Source: e.source, Rows: rows}, nil
+	res.Legs = nil
+	return res, nil
 }
 
 // Export names one deterministic document: `vbench -<Flag> FILE` writes
@@ -144,10 +226,11 @@ func Exports() []Export {
 	return out
 }
 
-// DocJSON runs experiment id and renders the document it returns the way
-// the committed BENCH_<export>.json goldens store it: indented JSON with
-// a trailing newline, byte-identical across runs. An experiment that
-// returns no document is refused without being run.
+// DocJSON runs experiment id and renders its document the way the
+// committed BENCH_<export>.json goldens store it: the Result with its
+// legs, as indented JSON with a trailing newline, byte-identical across
+// runs. An experiment that records no document is refused without being
+// run.
 func DocJSON(id string) ([]byte, error) {
 	e, err := lookup(id)
 	if err != nil {
@@ -156,11 +239,12 @@ func DocJSON(id string) ([]byte, error) {
 	if e.export == "" {
 		return nil, fmt.Errorf("experiments: %s returns no document", e.id)
 	}
-	doc, _, err := e.run()
+	res, err := e.result()
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
+	res.Tool, res.Schema = "vbench -"+e.export, docSchema
+	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return nil, err
 	}

@@ -57,9 +57,9 @@ func TestRegistryShape(t *testing.T) {
 	// A document-less id is refused without being run.
 	prev := registry[0].run
 	defer func() { registry[0].run = prev }()
-	registry[0].run = func() (any, []Row, error) {
+	registry[0].run = func() (Result, error) {
 		t.Error("DocJSON ran e1, which returns no document")
-		return nil, nil, nil
+		return Result{}, nil
 	}
 	if _, err := DocJSON("e1"); err == nil {
 		t.Error("DocJSON(e1) must fail: e1 returns no document")

@@ -20,8 +20,9 @@
 //
 // Both are observers in the PROTOCOL.md §15 sense: observing charges no
 // virtual time and is nil-safe, so record sites need no presence
-// checks. Neither registers metrics instruments on its own — goldens
-// like BENCH_metrics.json stay byte-identical with sketches installed —
+// checks. Neither registers metrics instruments on its own — the
+// registry series a document leg records (BENCH_metrics.json) stay
+// byte-identical with sketches installed —
 // but Publish copies a snapshot into a metrics registry on demand for
 // the Prometheus and vstat surfaces.
 package namestat

@@ -302,8 +302,10 @@ func (t *Topology) Sessions() []*client.Session {
 // Evidence is what one Run leaves behind, beyond the WorkloadResult.
 type Evidence struct {
 	// Topology is the topology the engine ran, for one-off reads
-	// (Prefix.TunedLease, Prefix.TopNames, Tracer.JSON, Latencies).
-	Topology *Topology
+	// (Prefix.TunedLease, Prefix.TopNames, Tracer.JSON, Latencies). It,
+	// TraceErr and Journal are never serialized: the rest of Evidence is
+	// plain data a document records.
+	Topology *Topology `json:"-"`
 	// Completed and Errors sum the per-client outcomes; every request is
 	// one or the other.
 	Completed, Errors int
@@ -325,14 +327,14 @@ type Evidence struct {
 	// redefinition committed, WidestStale the widest such window. All
 	// zero on an untraced run.
 	Spans        int
-	TraceErr     error
+	TraceErr     error `json:"-"`
 	Bound        time.Duration
 	StaleWindows int
 	WidestStale  time.Duration
 
 	// Journal is the flight recorder's sealed journal (Run seals at every
 	// fence).
-	Journal []flight.Event
+	Journal []flight.Event `json:"-"`
 
 	// EqualToSequential is the Sequential verdict: WorkloadResult, per-op
 	// latency matrix and summed client cache counters all equal, and on a
