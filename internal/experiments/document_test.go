@@ -323,12 +323,50 @@ func v1Leaves(path string, v any, visit func(path string, v any)) {
 	}
 }
 
+// move is a v1 leaf a later change moved on purpose: its v1 value and the
+// value its rule gives now.
+type move struct{ v1, now any }
+
+// moved names, per document, every v1 leaf that no longer maps to its
+// own value. Since the replicated prefix tables were cut, A15's paced
+// operations no longer pay a prefix front's replica dispatch: the run
+// ends 17.6 ms sooner, and the pump that fires the term-2 election falls
+// 0.34 ms later (EXPERIMENTS.md A15). The fs1 outages are the schedule's.
+var moved = map[string]map[string]move{
+	"replica": {
+		`horizon_us`:                         {4227798.0, 4210219.0},
+		`health.horizon_us`:                  {4227798.0, 4210219.0},
+		`host_availability`:                  {0.7634702777981035, 0.7624827110274667},
+		`health.servers.0.availability`:      {0.7634702777981035, 0.7624827110274667},
+		`health.servers.0.error_budget_left`: {-1.365297222018965, -1.3751728897253335},
+		`failovers_us.0`:                     {13290.0, 13628.0},
+		`events.2`: {"t=00313290us leader       host=fs1b term=2",
+			"t=00313628us leader       host=fs1b term=2"},
+		// The roles fs1b's term-2 election and the horizon bound.
+		`health.servers.0.roles.6.to_us`:   {4227798480.0, 4210219830.0},
+		`health.servers.1.roles.0.to_us`:   {313290840.0, 313628290.0},
+		`health.servers.1.roles.1.from_us`: {313290840.0, 313628290.0},
+		`health.servers.1.roles.4.to_us`:   {4227798480.0, 4210219830.0},
+		`health.servers.2.roles.0.to_us`:   {4227798480.0, 4210219830.0},
+	},
+}
+
+// removed names, per document, the v1 entries whose subject is gone, by
+// path and the host the entry reported: every leaf under one maps to
+// nothing now. The prefix groups' members left A15's health report with
+// the groups.
+var removed = map[string]map[string]string{
+	"replica": {`health.servers.3`: "fs2", `health.servers.4`: "services", `health.servers.5`: "ws-mann"},
+}
+
 // TestDocumentsKeepEveryValue: every leaf of each version-1 document —
 // number, boolean, log line and prose — is exactly one of (a) equal at
 // a named path of the committed document that replaced it (µs → ns and
 // team 1 ≡ FileServerTeam 0 allowed), (b) recomputed from named leaves by
 // a stated formula, or (c) an oracle boolean the collector enforces, and
-// true. A leaf no rule maps, or two rules map, fails.
+// true. A leaf no rule maps, or two rules map, fails. A leaf in moved
+// must hold its v1 value there and map to its new one; a leaf under an
+// entry in removed must map to nothing.
 func TestDocumentsKeepEveryValue(t *testing.T) {
 	for _, e := range Exports() {
 		t.Run(e.Flag, func(t *testing.T) {
@@ -357,9 +395,24 @@ func TestDocumentsKeepEveryValue(t *testing.T) {
 				t.Fatalf("document is %s schema %d, want %s schema %d", doc.ID, doc.Schema, e.ID, docSchema)
 			}
 
-			leaves := 0
+			leaves, seen := 0, map[string]bool{}
 			v1Leaves("", old, func(path string, v any) {
 				leaves++
+				want := v
+				if m, ok := moved[e.Flag][path]; ok {
+					if v != m.v1 {
+						t.Errorf("%s = %v in v1, but moved lists %v", path, v, m.v1)
+					}
+					want, seen[path] = m.now, true
+				}
+				for entry, host := range removed[e.Flag] {
+					if strings.HasPrefix(path, entry+".") {
+						if got := at("/" + entry + ".host")(leaf{raw: old}); got != host {
+							t.Errorf("%s: removed entry %s reports host %v in v1, want %s", path, entry, got, host)
+						}
+						want = nil
+					}
+				}
 				var hits []string
 				for _, c := range cs {
 					m := c.re.FindStringSubmatch(path)
@@ -378,14 +431,19 @@ func TestDocumentsKeepEveryValue(t *testing.T) {
 						return
 					}
 					l := leaf{doc: doc, raw: raw, leg: doc.Legs[legIdx], rawLeg: at("/legs." + strconv.Itoa(legIdx))(leaf{raw: raw}), groups: groups, v1: v}
-					if got := c.want(l); got != v {
-						t.Errorf("%s = %v in v1, %v by rule %q (leg %d %q)", path, v, got, c.v1, legIdx, doc.Legs[legIdx].Label)
+					if got := c.want(l); got != want {
+						t.Errorf("%s = %v in v1, %v by rule %q (leg %d %q), want %v", path, v, got, c.v1, legIdx, doc.Legs[legIdx].Label, want)
 					}
 				}
 				if len(hits) != 1 {
 					t.Errorf("%s: mapped by %d rules %q, want exactly one", path, len(hits), hits)
 				}
 			})
+			for path := range moved[e.Flag] {
+				if !seen[path] {
+					t.Errorf("moved lists %s, which is no leaf of v1", path)
+				}
+			}
 			t.Logf("%d v1 leaves kept", leaves)
 		})
 	}

@@ -213,7 +213,7 @@ func TestGrantLeavesIndexUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proc.Destroy()
-	ps := New(proc, "mann", WithLease(time.Second))
+	ps := newServer(proc, "mann", WithLease(time.Second))
 	pop := popgen.NewPopulation(100_000, 0.99, 1)
 	if err := ps.DefineAll(pop.Names, make([]core.ContextPair, len(pop.Names))); err != nil {
 		t.Fatal(err)

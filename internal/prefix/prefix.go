@@ -116,7 +116,7 @@ type Server struct {
 
 	// index is the prefix table: a copy-on-write radix tree stored in a
 	// pointer-free arena (PROTOCOL.md §14.1) whose reads — resolution,
-	// classifier probes, directory walks, table snapshots — are
+	// classifier probes, directory walks, Bindings — are
 	// lock-free against one immutable published image. Each entry
 	// carries the binding and the slot of its lease-holder group, so a
 	// lease grant finds the group off the same descent the resolution
@@ -220,9 +220,9 @@ func (e tableEntry) pair() (core.ContextPair, bool) {
 // from 1, so no process or group has this pid.
 const retired = kernel.PID(1)
 
-// New creates a prefix server for the given user on proc; Start, or a
-// replica front serving proc, makes it serve.
-func New(proc *kernel.Process, owner string, opts ...Option) *Server {
+// newServer creates a prefix server for the given user on proc; Start
+// makes it serve.
+func newServer(proc *kernel.Process, owner string, opts ...Option) *Server {
 	s := &Server{
 		proc:         proc,
 		owner:        owner,
@@ -250,7 +250,7 @@ func Start(host *kernel.Host, owner string, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := New(proc, owner, opts...)
+	s := newServer(proc, owner, opts...)
 	if err := s.team.Start(); err != nil {
 		return nil, err
 	}

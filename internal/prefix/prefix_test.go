@@ -1,10 +1,10 @@
 package prefix
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -416,26 +416,18 @@ func TestInverseResolutionEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"Restore": func(t *testing.T, ps *Server) {
-			// What Restore replaces held the pair too, under a smaller name.
-			if err := ps.Define("a.stale", pair); err != nil {
-				t.Fatal(err)
-			}
+		"Bindings of a peer": func(t *testing.T, ps *Server) {
+			// A table built elsewhere, carried over as its public image.
 			proc, err := ps.proc.Kernel().NewHost("peer").NewProcess("peer")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer proc.Destroy()
-			src := New(proc, "mann")
-			if err := src.DefineDynamic("a.dynamic", kernel.Service(pair.Server), pair.Ctx); err != nil {
+			src := newServer(proc, "mann")
+			if err := src.DefineAll(five, pairs); err != nil {
 				t.Fatal(err)
 			}
-			if err := src.DefineAll(append([]string{"tgt"}, five...), append([]core.ContextPair{other}, pairs...)); err != nil {
-				t.Fatal(err)
-			}
-			if err := NewReplicaService(ps).Restore(nil, NewReplicaService(src).Snapshot()); err != nil {
-				t.Fatal(err)
-			}
+			defineBindings(t, ps, src.Bindings())
 		},
 	}
 	for route, bind := range routes {
@@ -520,10 +512,8 @@ func TestInverseResolutionEndToEnd(t *testing.T) {
 }
 
 // TestPackedEntryDropsNothing: the table stores one arm of a Binding, and
-// every way of making an entry sets one arm, so what comes back out — by
-// Bindings and by Snapshot — is what went in. The snapshot bytes are the
-// ones the same calls produced while the entry still held a whole
-// Binding.
+// every way of making an entry sets one arm, so what comes back out by
+// Bindings is what went in.
 func TestPackedEntryDropsNothing(t *testing.T) {
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
 	proc, err := k.NewHost("ws").NewProcess("prefix")
@@ -531,7 +521,7 @@ func TestPackedEntryDropsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proc.Destroy()
-	ps := New(proc, "mann")
+	ps := newServer(proc, "mann")
 	record := func(name string, dynamic uint32, a, b uint32) proto.Descriptor {
 		return proto.Descriptor{Tag: proto.TagContextPrefix, Name: name, ObjectID: dynamic, TypeSpecific: [2]uint32{a, b}}
 	}
@@ -552,23 +542,91 @@ func TestPackedEntryDropsNothing(t *testing.T) {
 		"x":       {Dynamic: true, Service: kernel.ServiceMail, WellKnown: 3},
 		"y":       {Pair: core.ContextPair{Server: 9, Ctx: 0xFFFFFFFF}},
 	}
-	const image = "040362696e00828004050773746f72616765008180a80107017801070301790009ffffffff0f"
-	check := func(ps *Server) {
-		t.Helper()
-		if got := ps.Bindings(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("table = %+v, want %+v", got, want)
+	if got := ps.Bindings(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("table = %+v, want %+v", got, want)
+	}
+}
+
+// defineBindings defines a table's public image (Bindings) into ps, in
+// name order.
+func defineBindings(t *testing.T, ps *Server, image map[string]Binding) {
+	t.Helper()
+	names := make([]string, 0, len(image))
+	for name := range image {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b := image[name]
+		var err error
+		if b.Dynamic {
+			err = ps.DefineDynamic(name, b.Service, b.WellKnown)
+		} else {
+			err = ps.Define(name, b.Pair)
 		}
-		if got := hex.EncodeToString(NewReplicaService(ps).Snapshot()); got != image {
-			t.Fatalf("snapshot = %s, want %s", got, image)
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	check(ps)
-	restored := New(proc, "mann")
-	img, _ := hex.DecodeString(image)
-	if err := NewReplicaService(restored).Restore(nil, img); err != nil {
+}
+
+// directoryRecords reads ps's context directory (§5.6) through the
+// protocol.
+func directoryRecords(t *testing.T, client *kernel.Process, ps *Server) []proto.Descriptor {
+	t.Helper()
+	open := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(open, 0, "")
+	proto.SetOpenMode(open, proto.ModeDirectory|proto.ModeRead)
+	opened, err := client.Send(open, ps.PID())
+	if err != nil || opened.Op != proto.ReplyOK {
+		t.Fatalf("open context directory: %v, %v", opened, err)
+	}
+	dir := vio.NewFile(client, ps.PID(), proto.GetInstanceInfo(opened))
+	defer dir.Close()
+	stream, err := dir.ReadAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	check(restored)
+	records, err := proto.DecodeDescriptors(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
+
+// TestPrefixSnapshotRoundTrip: a table's public image, Bindings, is all
+// it takes to rebuild it. One server's image defined into a fresh server
+// gives back the same static and dynamic bindings and the same context
+// directory, record for record.
+func TestPrefixSnapshotRoundTrip(t *testing.T) {
+	src, client, target, _ := newPrefixRig(t)
+	if err := src.Define("storage", core.ContextPair{Server: target.PID(), Ctx: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.DefineDynamic("bin", kernel.ServiceStorage, core.CtxStdPrograms); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.DefineAll([]string{"a", "z"}, []core.ContextPair{{Server: 9, Ctx: 1}, {Server: 9, Ctx: 0xFFFFFFFF}}); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := Start(src.proc.Kernel().NewHost("ws2"), "mann")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dst.proc.Destroy() })
+	image := src.Bindings()
+	defineBindings(t, dst, image)
+
+	if got := dst.Bindings(); !reflect.DeepEqual(got, image) {
+		t.Fatalf("rebuilt table %+v != source %+v", got, image)
+	}
+	want := directoryRecords(t, client, src)
+	if len(want) != len(image) {
+		t.Fatalf("source directory holds %d records for %d bindings", len(want), len(image))
+	}
+	if got := directoryRecords(t, client, dst); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt directory %+v != source %+v", got, want)
+	}
 }
 
 // TestDirectoryWriteSpansBlocks: writing prefix records back through the

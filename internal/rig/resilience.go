@@ -19,7 +19,7 @@ import (
 // on the prefix host (redefine). A restart of the unreplicated fs1 host
 // re-creates its file server; the engine can restart a host kernel, but
 // only the topology knows what ran on it, and other hosts restart bare.
-// On a replicated rig the hooks instead feed the replication groups:
+// On a replicated rig the hooks instead feed fs1's replication group:
 // crashes become NoteDown, restarts re-create the member and rejoin it
 // (replicated.go).
 func (t *Topology) NewChaos(events []chaos.Event) *chaos.Engine {
@@ -45,7 +45,7 @@ func (t *Topology) NewChaos(events []chaos.Event) *chaos.Engine {
 // compute after each, flushing its name cache before every FlushEvery-th
 // (a fresh program instance starts cold, so each outage catches a cached
 // resolution stale). Everything that has no clock of its own is pumped
-// from the session's — the chaos engine, then the replication groups,
+// from the session's — the chaos engine, then the fs1 replication group,
 // then the metrics sampler (PROTOCOL.md §11.4) — before every operation,
 // inside every retry backoff (a fault scheduled during a backoff fires
 // while the client waits, exactly when a real deployment would see it),
@@ -55,7 +55,9 @@ func (r *Rig) RunPaced(op func(s *client.Session, i int) error) (ok int, eng *ch
 	eng = r.NewChaos(r.sc.Faults)
 	pump := func(now vtime.Time) {
 		eng.AdvanceTo(now)
-		r.PumpGroups(now)
+		if r.FSR != nil {
+			r.FSR.Group.Pump(now)
+		}
 		r.Sampler.AdvanceTo(now)
 	}
 	s.SetRetryObserver(pump)

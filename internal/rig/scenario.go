@@ -109,10 +109,9 @@ type Scenario struct {
 	ReadAhead bool
 	Baseline  bool
 	Retry     *client.RetryPolicy
-	// Replicas replicates the fs1 file service and every workstation's
-	// prefix table, read-only, across a replication group of this many
-	// members (PROTOCOL.md §11, replicated.go). 0 or 1 keeps the
-	// single-server topology.
+	// Replicas replicates the fs1 file service, read-only, across a
+	// replication group of this many members (PROTOCOL.md §11,
+	// replicated.go). 0 or 1 keeps the single-server topology.
 	Replicas int
 
 	// Sharded kinds only. Shards is the number of file-server shards (=
