@@ -181,7 +181,7 @@ func startReplicatedFS(t *testing.T, n int) (*replica.Group, []replicatedFS, *ke
 			t.Fatal(err)
 		}
 		svc := NewReplicaService(fs)
-		rep, err := replica.Start(host, "front", func(p *kernel.Process) replica.Service { return svc })
+		rep, err := replica.Start(host, "front", svc)
 		if err != nil {
 			t.Fatal(err)
 		}

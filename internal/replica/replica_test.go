@@ -64,7 +64,7 @@ func testGroup(t *testing.T, seed int64, n int) (*kernel.Kernel, *Group, []*kern
 	for i := 0; i < n; i++ {
 		hosts[i] = k.NewHost(fmt.Sprintf("m%d", i))
 		svc := &nullSvc{state: seedImage()}
-		rep, err := Start(hosts[i], fmt.Sprintf("rep%d", i), func(p *kernel.Process) Service { return svc })
+		rep, err := Start(hosts[i], fmt.Sprintf("rep%d", i), svc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	// install rebuilds its image, and leadership transfers back to slot 0.
 	hosts[0].Restart()
 	svc := &nullSvc{}
-	reborn, err := Start(hosts[0], "rep0b", func(p *kernel.Process) Service { return svc })
+	reborn, err := Start(hosts[0], "rep0b", svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestElectionStepsDownOnHigherTerm(t *testing.T) {
 	}
 	var reps []*Replica
 	for i := 0; i < 3; i++ {
-		rep, err := Start(k.NewHost(fmt.Sprintf("m%d", i)), "rep", func(p *kernel.Process) Service { return &nullSvc{} })
+		rep, err := Start(k.NewHost(fmt.Sprintf("m%d", i)), "rep", &nullSvc{})
 		if err != nil {
 			t.Fatal(err)
 		}
