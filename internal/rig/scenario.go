@@ -394,12 +394,10 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 		ev.Prefix = t.Prefix.LeaseStats()
 	}
 	if t.Tracer != nil {
-		if sc.TraceSample == nil {
-			ev.Bound = max(sc.Lease, sc.AutoTuneMax)
-		}
+		ev.Bound = sc.leaseBound()
 		spans := t.Tracer.Snapshot()
 		ev.Spans = len(spans)
-		ev.TraceErr = trace.Check(spans, trace.CheckOptions{LeaseBound: ev.Bound})
+		ev.TraceErr = t.checkTrace(spans)
 		for _, w := range trace.StaleWindows(spans) {
 			ev.StaleWindows++
 			ev.WidestStale = max(ev.WidestStale, time.Duration(w.Window))
@@ -411,6 +409,32 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 		reflect.DeepEqual(refLog, ev.ChaosLog) &&
 		(len(sc.Faults) == 0 || reflect.DeepEqual(ref.Flight.Journal(), ev.Journal))
 	return res, ev, nil
+}
+
+// leaseBound is the widest lease the scenario's prefix servers can
+// grant — AutoTuneMax when tuning, else Lease — and zero under sampling,
+// which retains too few grants to judge lease staleness.
+func (sc *Scenario) leaseBound() time.Duration {
+	if sc.TraceSample != nil {
+		return 0
+	}
+	return max(sc.Lease, sc.AutoTuneMax)
+}
+
+// checkTrace runs trace.Check over spans with every invariant the
+// scenario can be held to: wire packets against its cost model (#6) and
+// lease staleness within its leaseBound (#7).
+func (t *Topology) checkTrace(spans []trace.Span) error {
+	return trace.Check(spans, trace.CheckOptions{Model: t.Model, LeaseBound: t.sc.leaseBound()})
+}
+
+// CheckTrace runs checkTrace, the check Run makes, over the recorded
+// trace. A topology built without Trace passes trivially.
+func (t *Topology) CheckTrace() error {
+	if t.Tracer == nil {
+		return nil
+	}
+	return t.checkTrace(t.Tracer.Snapshot())
 }
 
 // drive runs the topology's clients through the conservative engine with

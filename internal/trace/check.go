@@ -12,8 +12,9 @@ import (
 
 // CheckOptions parameterises the invariant checker.
 type CheckOptions struct {
-	// Model, when set, enables the wire-span packet accounting check
-	// against the cost model's fragmentation size.
+	// Model is the cost model the wire-span packet accounting (#6) is
+	// checked against. It is required: Check refuses a nil Model rather
+	// than skip the invariant.
 	Model *vtime.CostModel
 	// MaxForwardDepth bounds the forward chain of a single transaction
 	// (default 16 — far above the two rewrite hops the prefix design
@@ -53,6 +54,9 @@ type CheckOptions struct {
 //
 // A nil error means the trace is protocol-clean.
 func Check(spans []Span, opt CheckOptions) error {
+	if opt.Model == nil {
+		return fmt.Errorf("trace: Check needs the cost model (CheckOptions.Model) to account wire packets")
+	}
 	if opt.MaxForwardDepth <= 0 {
 		opt.MaxForwardDepth = 16
 	}
@@ -98,7 +102,7 @@ func Check(spans []Span, opt CheckOptions) error {
 			lastStart[who] = sp.Start
 		}
 		// (6) wire accounting.
-		if sp.Kind == KindWire && opt.Model != nil {
+		if sp.Kind == KindWire {
 			want := netsim.PacketsFor(sp.Bytes, opt.Model.MaxDataPerPacket)
 			switch {
 			case sp.Local:

@@ -36,7 +36,7 @@ func TestCheckLeaseInvariantClean(t *testing.T) {
 	leaseSpan(tr, "hit shard0", ms(100), ms(95), ms(175))
 
 	spans := tr.Snapshot()
-	if err := Check(spans, CheckOptions{LeaseBound: L}); err != nil {
+	if err := Check(spans, CheckOptions{Model: vtime.DefaultModel(), LeaseBound: L}); err != nil {
 		t.Fatalf("clean lease trace rejected: %v", err)
 	}
 	ws := StaleWindows(spans)
@@ -48,7 +48,7 @@ func TestCheckLeaseInvariantClean(t *testing.T) {
 		t.Fatalf("widest window = %+v", w)
 	}
 	// The post-commit hit rides a fresh grant: no window, no violation.
-	if err := Check(spans, CheckOptions{}); err != nil {
+	if err := Check(spans, CheckOptions{Model: vtime.DefaultModel()}); err != nil {
 		t.Fatalf("zero LeaseBound must skip the lease invariant: %v", err)
 	}
 }
@@ -101,13 +101,13 @@ func TestCheckLeaseViolations(t *testing.T) {
 		t.Run(tc.label, func(t *testing.T) {
 			tr := New()
 			tc.build(tr)
-			err := Check(tr.Snapshot(), CheckOptions{LeaseBound: L})
+			err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel(), LeaseBound: L})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("violation not caught: err = %v, want %q", err, tc.want)
 			}
 			// Without the bound the same trace passes: the invariant is
 			// opt-in, so pre-lease traces stay checkable.
-			if err := Check(tr.Snapshot(), CheckOptions{}); err != nil {
+			if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err != nil {
 				t.Fatalf("zero LeaseBound must skip the lease invariant: %v", err)
 			}
 		})

@@ -184,7 +184,7 @@ func TestSampledCheckPasses(t *testing.T) {
 	}
 	// Retained subtrees are complete, so the checker's parent and
 	// containment invariants hold without special-casing.
-	if err := Check(tr.Snapshot(), CheckOptions{}); err != nil {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err != nil {
 		t.Fatalf("Check on sampled trace: %v", err)
 	}
 }

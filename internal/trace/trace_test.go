@@ -68,8 +68,18 @@ func TestSnapshotMarksLeaks(t *testing.T) {
 	if sp := tr.Snapshot()[0]; !sp.Incomplete {
 		t.Fatal("unended span not marked Incomplete")
 	}
-	if err := Check(tr.Snapshot(), CheckOptions{}); err == nil {
-		t.Fatal("Check accepted a leaked span")
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err == nil || !strings.Contains(err.Error(), "never ended") {
+		t.Fatalf("Check accepted a leaked span: %v", err)
+	}
+}
+
+// TestCheckRequiresModel: no caller can skip the wire accounting (#6) by
+// leaving the cost model out; a nil Model fails even a clean trace.
+func TestCheckRequiresModel(t *testing.T) {
+	tr := New()
+	okTransaction(tr, 0)
+	if err := Check(tr.Snapshot(), CheckOptions{}); err == nil || !strings.Contains(err.Error(), "cost model") {
+		t.Fatalf("Check without a model = %v, want an error naming the cost model", err)
 	}
 }
 
@@ -83,7 +93,7 @@ func TestCheckCleanTransaction(t *testing.T) {
 
 func TestCheckRejectsUnknownParent(t *testing.T) {
 	spans := []Span{{ID: 1, Parent: 99, Kind: KindServe, ended: true}}
-	if err := Check(spans, CheckOptions{}); err == nil || !strings.Contains(err.Error(), "unknown parent") {
+	if err := Check(spans, CheckOptions{Model: vtime.DefaultModel()}); err == nil || !strings.Contains(err.Error(), "unknown parent") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -92,7 +102,7 @@ func TestCheckRejectsMissingReply(t *testing.T) {
 	tr := New()
 	send := tr.Start(0, KindSend, "s", 0, who)
 	tr.End(send, 10) // successful send with no reply span
-	if err := Check(tr.Snapshot(), CheckOptions{}); err == nil || !strings.Contains(err.Error(), "0 successful replies") {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err == nil || !strings.Contains(err.Error(), "0 successful replies") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -105,7 +115,7 @@ func TestCheckRejectsDuplicateReply(t *testing.T) {
 		tr.End(rep, 5)
 	}
 	tr.End(send, 10)
-	if err := Check(tr.Snapshot(), CheckOptions{}); err == nil || !strings.Contains(err.Error(), "2 successful replies") {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err == nil || !strings.Contains(err.Error(), "2 successful replies") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -119,7 +129,7 @@ func TestCheckGroupSendAllowsManyReplies(t *testing.T) {
 		tr.End(rep, 5)
 	}
 	tr.End(send, 10)
-	if err := Check(tr.Snapshot(), CheckOptions{}); err != nil {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +147,7 @@ func TestCheckGroupFlagOnForwardRelaxesToo(t *testing.T) {
 		tr.End(rep, 5)
 	}
 	tr.End(send, 10)
-	if err := Check(tr.Snapshot(), CheckOptions{}); err != nil {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,7 +156,7 @@ func TestCheckFailedSendNeedsNoReply(t *testing.T) {
 	tr := New()
 	send := tr.Start(0, KindSend, "s", 0, who)
 	tr.Fail(send, 10, "host-down")
-	if err := Check(tr.Snapshot(), CheckOptions{}); err != nil {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +174,7 @@ func TestCheckNestedSendIsSeparateTransaction(t *testing.T) {
 	tr.End(inner, 3)
 	tr.End(serve, 4)
 	tr.End(outer, 5) // outer has no reply of its own
-	if err := Check(tr.Snapshot(), CheckOptions{}); err == nil || !strings.Contains(err.Error(), "0 successful replies") {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err == nil || !strings.Contains(err.Error(), "0 successful replies") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -181,10 +191,10 @@ func TestCheckRejectsForwardLoop(t *testing.T) {
 	rep := tr.Start(parent, KindReply, "r", 1, who)
 	tr.End(rep, 2)
 	tr.End(send, 3)
-	if err := Check(tr.Snapshot(), CheckOptions{MaxForwardDepth: 3}); err == nil || !strings.Contains(err.Error(), "forward chain") {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel(), MaxForwardDepth: 3}); err == nil || !strings.Contains(err.Error(), "forward chain") {
 		t.Fatalf("err = %v", err)
 	}
-	if err := Check(tr.Snapshot(), CheckOptions{MaxForwardDepth: 5}); err != nil {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel(), MaxForwardDepth: 5}); err != nil {
 		t.Fatalf("depth-5 chain rejected at limit 5: %v", err)
 	}
 }
@@ -195,7 +205,7 @@ func TestCheckRejectsBackwardsClock(t *testing.T) {
 	tr.End(a, 200)
 	b := tr.Start(0, KindServe, "b", 50, who) // same process, earlier start
 	tr.End(b, 60)
-	if err := Check(tr.Snapshot(), CheckOptions{}); err == nil || !strings.Contains(err.Error(), "ran backwards") {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err == nil || !strings.Contains(err.Error(), "ran backwards") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -204,7 +214,7 @@ func TestCheckRejectsEndBeforeStart(t *testing.T) {
 	tr := New()
 	a := tr.Start(0, KindServe, "a", 100, who)
 	tr.End(a, 90)
-	if err := Check(tr.Snapshot(), CheckOptions{}); err == nil || !strings.Contains(err.Error(), "before it starts") {
+	if err := Check(tr.Snapshot(), CheckOptions{Model: vtime.DefaultModel()}); err == nil || !strings.Contains(err.Error(), "before it starts") {
 		t.Fatalf("err = %v", err)
 	}
 }
