@@ -18,28 +18,17 @@ type Config struct {
 	Name string
 	// Seed drives the randomized-but-seeded election timeouts.
 	Seed int64
-	// TimeoutMin/TimeoutStep/TimeoutSteps quantize the election timeout:
-	// a member's timeout is TimeoutMin + (draw mod TimeoutSteps) *
-	// TimeoutStep. Quantization makes ties possible, which the
-	// lowest-member-index rule then breaks deterministically. Zero values
-	// default to 5ms / 5ms / 4.
-	TimeoutMin   time.Duration
-	TimeoutStep  time.Duration
-	TimeoutSteps int
 }
 
-func (c Config) withDefaults() Config {
-	if c.TimeoutMin <= 0 {
-		c.TimeoutMin = 5 * time.Millisecond
-	}
-	if c.TimeoutStep <= 0 {
-		c.TimeoutStep = 5 * time.Millisecond
-	}
-	if c.TimeoutSteps <= 0 {
-		c.TimeoutSteps = 4
-	}
-	return c
-}
+// The election timeout is quantized: a member's timeout is timeoutMin +
+// (draw mod timeoutSteps) * timeoutStep. Quantization makes ties
+// possible, which the lowest-member-index rule then breaks
+// deterministically.
+const (
+	timeoutMin   = 5 * time.Millisecond
+	timeoutStep  = 5 * time.Millisecond
+	timeoutSteps = 4
+)
 
 // member is one slot of the membership. The slot's index is the member's
 // priority (lower serves first); the Replica occupying it changes across
@@ -79,7 +68,6 @@ type Group struct {
 // NewGroup creates a group whose monitor lives on monHost — a host the
 // fault schedule never takes down.
 func NewGroup(monHost *kernel.Host, cfg Config) (*Group, error) {
-	cfg = cfg.withDefaults()
 	mon, err := monHost.NewProcess("replica-mon[" + cfg.Name + "]")
 	if err != nil {
 		return nil, err
@@ -258,7 +246,7 @@ func (g *Group) electionPlanLocked() (idx int, due vtime.Time, ok bool) {
 		if !m.synced || !g.k.ProcessAlive(m.rep.PID()) {
 			continue
 		}
-		d := g.downAt + electionTimeout(g.cfg, g.term+1+g.attempt, i)
+		d := g.downAt + electionTimeout(g.cfg.Seed, g.term+1+g.attempt, i)
 		if idx == -1 || d < due {
 			idx, due = i, d
 		}
@@ -273,11 +261,11 @@ func (g *Group) electionPlanLocked() (idx int, due vtime.Time, ok bool) {
 // bits are nearly linear in the last input bytes, which would make
 // adjacent slots anti-correlated mod a power-of-two step count and
 // ties impossible.
-func electionTimeout(cfg Config, term uint32, slot int) time.Duration {
+func electionTimeout(seed int64, term uint32, slot int) time.Duration {
 	h := fnv.New64a()
 	var buf [16]byte
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(cfg.Seed >> (8 * i))
+		buf[i] = byte(seed >> (8 * i))
 	}
 	for i := 0; i < 4; i++ {
 		buf[8+i] = byte(term >> (8 * i))
@@ -288,7 +276,7 @@ func electionTimeout(cfg Config, term uint32, slot int) time.Duration {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return cfg.TimeoutMin + time.Duration(x%uint64(cfg.TimeoutSteps))*cfg.TimeoutStep
+	return timeoutMin + time.Duration(x%timeoutSteps)*timeoutStep
 }
 
 // electLocked sends OpReplicaElect to slot idx at virtual time at and
@@ -332,7 +320,7 @@ func (g *Group) electLocked(idx int, at vtime.Time, transfer bool) error {
 }
 
 // Rejoin installs a fresh replica in host's slot at virtual time at
-// (wired to the chaos engine's RestartedHook): swap the membership and
+// (wired to the chaos engine's RestartHook): swap the membership and
 // snapshot-sync from the leader. A group with no leader syncs the member
 // once its next election is won (Pump).
 func (g *Group) Rejoin(host string, rep *Replica, at vtime.Time) error {

@@ -139,8 +139,7 @@ func TestElectionTieBreak(t *testing.T) {
 	// plans with term+1 = 2.
 	seed := int64(-1)
 	for s := int64(0); s < 10000; s++ {
-		cfg := Config{Seed: s}.withDefaults()
-		if electionTimeout(cfg, 2, 1) == electionTimeout(cfg, 2, 2) {
+		if electionTimeout(s, 2, 1) == electionTimeout(s, 2, 2) {
 			seed = s
 			break
 		}
@@ -148,8 +147,7 @@ func TestElectionTieBreak(t *testing.T) {
 	if seed < 0 {
 		t.Fatal("no seed with a slot-1/slot-2 timeout tie in 10000 draws")
 	}
-	cfg := Config{Seed: seed}.withDefaults()
-	tied := electionTimeout(cfg, 2, 1)
+	tied := electionTimeout(seed, 2, 1)
 
 	_, g, hosts, _ := testGroup(t, seed, 3)
 	downAt := vtime.Time(10 * time.Millisecond)
@@ -180,16 +178,15 @@ func TestElectionTieBreak(t *testing.T) {
 // TestElectionTimeoutDeterministic: same seed, term and slot always
 // draw the same timeout, and the draw stays within the quantized range.
 func TestElectionTimeoutDeterministic(t *testing.T) {
-	cfg := Config{Seed: 42}.withDefaults()
 	for term := uint32(1); term < 8; term++ {
 		for slot := 0; slot < 5; slot++ {
-			d1 := electionTimeout(cfg, term, slot)
-			d2 := electionTimeout(cfg, term, slot)
+			d1 := electionTimeout(42, term, slot)
+			d2 := electionTimeout(42, term, slot)
 			if d1 != d2 {
 				t.Fatalf("draw(%d,%d) unstable: %v vs %v", term, slot, d1, d2)
 			}
-			min := cfg.TimeoutMin
-			max := cfg.TimeoutMin + time.Duration(cfg.TimeoutSteps-1)*cfg.TimeoutStep
+			min := timeoutMin
+			max := timeoutMin + (timeoutSteps-1)*timeoutStep
 			if d1 < min || d1 > max {
 				t.Fatalf("draw(%d,%d) = %v outside [%v, %v]", term, slot, d1, min, max)
 			}
@@ -203,8 +200,7 @@ func TestElectionTimeoutDeterministic(t *testing.T) {
 // own bootstrap election. Equal timeouts resolve by slot, so no tie is
 // left standing.
 func TestLeaderElectedWithinBound(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	maxTimeout := cfg.TimeoutMin + time.Duration(cfg.TimeoutSteps-1)*cfg.TimeoutStep
+	maxTimeout := timeoutMin + (timeoutSteps-1)*timeoutStep
 	for seed := int64(1); seed <= 50; seed++ {
 		_, g, hosts, _ := testGroup(t, seed, 3)
 		round := g.mon.Now() // Bootstrap ran the first election from t=0

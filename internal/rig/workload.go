@@ -30,8 +30,8 @@ import (
 )
 
 // WorkloadClient is one closed-loop client: it issues Requests
-// iterations of Op back to back (plus optional think time), modelling a
-// program in a closed loop against the servers.
+// iterations of Op back to back, modelling a program in a closed loop
+// against the servers.
 type WorkloadClient struct {
 	// Session is the client's naming session; its process clock is the
 	// client's time base.
@@ -40,15 +40,13 @@ type WorkloadClient struct {
 	Op func(s *client.Session, iter int) error
 	// Requests is the client's quota of Op iterations.
 	Requests int
-	// Think is virtual think time charged before each iteration.
-	Think time.Duration
 	// Arrive, when non-nil, makes the client open-loop: iteration iter
 	// is not eligible to start before the absolute virtual time
 	// Arrive(iter), independent of when earlier operations completed —
 	// arrivals model offered load, not a closed think loop, so queueing
 	// delay shows up in observed latency instead of throttling the
 	// arrival process. The driver advances the client's clock to the
-	// arrival time before Think/Op when the client is idle at arrival.
+	// arrival time before Op when the client is idle at arrival.
 	// Arrive must be non-decreasing in iter (the drivers' pick-min order
 	// and the engine's non-decreasing key promise depend on it). Nil
 	// preserves the closed-loop behavior exactly.
@@ -137,11 +135,6 @@ type EngineOptions struct {
 	// between operations; rig.Run wires a scenario's chaos events and
 	// flight seals (ChaosFences, SealFlightAtFences).
 	Fences engine.Fences
-	// Lookahead overrides the conservative lookahead bound. Zero derives
-	// it from the clients' own network (netsim.Network.Lookahead); the
-	// engine demotes Confined operations to Shared if the bound is not
-	// positive.
-	Lookahead time.Duration
 }
 
 // RunWorkloadEngine is the conservative-engine driver with explicit
@@ -157,11 +150,11 @@ func RunWorkloadEngine(clients []*WorkloadClient, opts EngineOptions) *WorkloadR
 		return res
 	}
 	start := workloadStart(clients)
-	if opts.Lookahead == 0 {
-		opts.Lookahead = clients[0].Session.Proc().Kernel().Network().Lookahead()
-	}
+	// The conservative lookahead bound is the clients' own network's
+	// (netsim.Network.Lookahead).
+	lookahead := clients[0].Session.Proc().Kernel().Network().Lookahead()
 	lanes := partitionLanes(clients, runtime.GOMAXPROCS(0))
-	es := engine.NewSync(len(lanes), opts.Lookahead, opts.Fences)
+	es := engine.NewSync(len(lanes), lookahead, opts.Fences)
 	peers := len(lanes) > 1
 
 	var wg sync.WaitGroup
@@ -219,7 +212,7 @@ func effectiveStart(c *WorkloadClient, iter int) time.Duration {
 }
 
 // waitForArrival advances an idle open-loop client's clock to the picked
-// operation's effective start, so Think/Op (and the classifier, and the
+// operation's effective start, so Op (and the classifier, and the
 // engine key) all see the arrival instant as "now".
 func waitForArrival(c *WorkloadClient, start time.Duration) {
 	if c.Arrive == nil {
@@ -295,9 +288,6 @@ func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engin
 		waitForArrival(c, best)
 		if es != nil {
 			gate(es, lane, engine.Key{T: best, Seq: i}, c, iters[pick], peers)
-		}
-		if c.Think > 0 {
-			c.Session.Proc().ChargeCompute(c.Think)
 		}
 		before := c.Session.Proc().Now()
 		err := c.Op(c.Session, iters[pick])
