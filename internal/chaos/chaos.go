@@ -109,18 +109,16 @@ type Event struct {
 
 // Engine fires a sorted schedule of events as virtual time passes.
 type Engine struct {
-	// RestartHook, if set, is called after a Restart event with the
-	// host's name, to re-create the servers that lived there (the engine
-	// can restart a host kernel, but only the rig knows what ran on it).
-	RestartHook func(host string) error
 	// CrashHook, if set, is called after a Crash event with the event's
 	// exact virtual time — how a replication group's monitor learns the
 	// leader-death instant deterministically (PROTOCOL.md §11.4).
 	CrashHook func(host string, at vtime.Time)
-	// RestartedHook, if set, is called after a Restart event (and after
-	// RestartHook) with the event's exact virtual time; the replicated
-	// rig re-creates and rejoins the host's replica here.
-	RestartedHook func(host string, at vtime.Time) error
+	// RestartHook, if set, is called after a Restart event with the
+	// host's name and the event's exact virtual time, to re-create the
+	// servers that lived there (the engine can restart a host kernel, but
+	// only the rig knows what ran on it). An error it returns is logged
+	// as the event's hook-error.
+	RestartHook func(host string, at vtime.Time) error
 	// RedefineHook executes a Redefine event. Every rig topology's
 	// NewChaos installs it; without it the event logs an error.
 	RedefineHook func(ev Event) error
@@ -196,12 +194,7 @@ func (e *Engine) fireLocked(ev Event) {
 			reg.Timeline(metrics.TimelineServerUp, metrics.Labels{Host: ev.Host}).Mark(ev.At, 1)
 			outcome = "host=" + ev.Host
 			if e.RestartHook != nil {
-				if err := e.RestartHook(ev.Host); err != nil {
-					outcome += " hook-error=" + err.Error()
-				}
-			}
-			if e.RestartedHook != nil {
-				if err := e.RestartedHook(ev.Host, ev.At); err != nil {
+				if err := e.RestartHook(ev.Host, ev.At); err != nil {
 					outcome += " hook-error=" + err.Error()
 				}
 			}

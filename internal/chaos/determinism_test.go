@@ -2,7 +2,7 @@ package chaos_test
 
 // The determinism satellite: two runs of the same chaos schedule and
 // seed over the same rig configuration must produce byte-identical event
-// logs and identical session metrics. This is the virtual-time
+// logs and identical registry snapshots. This is the virtual-time
 // substrate's core guarantee, and the property `make check` protects.
 
 import (
@@ -14,14 +14,14 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
+	"repro/internal/metrics"
 	"repro/internal/rig"
 )
 
 type chaosRun struct {
-	log     string
-	ok      int
-	stats   client.ResilienceStats
-	summary rig.ResilienceSummary
+	log  string
+	ok   int
+	snap metrics.Snapshot
 }
 
 func runChaosOnce(t *testing.T) chaosRun {
@@ -40,18 +40,12 @@ func runChaosOnce(t *testing.T) chaosRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.WS[0].Session
 	ok, eng := r.RunPaced(func(s *client.Session, _ int) error {
 		_, err := s.ReadFile("[bin]hello")
 		return err
 	})
 	eng.AdvanceTo(math.MaxInt64) // every remaining event, whatever its time
-	return chaosRun{
-		log:     strings.Join(eng.Log(), "\n"),
-		ok:      ok,
-		stats:   s.ResilienceStats(),
-		summary: r.ResilienceSummary(),
-	}
+	return chaosRun{log: strings.Join(eng.Log(), "\n"), ok: ok, snap: r.Metrics.Snapshot().Deterministic()}
 }
 
 func TestChaosScheduleDeterministic(t *testing.T) {
@@ -62,16 +56,13 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	if a.ok != b.ok {
 		t.Fatalf("success counts differ: %d vs %d", a.ok, b.ok)
 	}
-	if !reflect.DeepEqual(a.stats, b.stats) {
-		t.Fatalf("session metrics differ:\n%+v\n%+v", a.stats, b.stats)
-	}
-	if !reflect.DeepEqual(a.summary, b.summary) {
-		t.Fatalf("rig summaries differ:\n%+v\n%+v", a.summary, b.summary)
+	if !reflect.DeepEqual(a.snap, b.snap) {
+		t.Fatalf("registry snapshots differ:\n%+v\n%+v", a.snap, b.snap)
 	}
 	if a.log == "" {
 		t.Fatal("schedule fired no events")
 	}
-	if a.stats.Ops == 0 {
+	if (metrics.Sample{Counters: a.snap.Counters}).Total("client_ops_total") == 0 {
 		t.Fatal("workload recorded no operations")
 	}
 }

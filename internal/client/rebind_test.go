@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/prefix"
 	"repro/internal/proto"
@@ -47,10 +48,11 @@ func spawnToy(t *testing.T, host *kernel.Host, name string) *toy {
 
 // rebindRig boots a prefix server with [a] bound to a toy server, and a
 // resilient session whose current context is that server, entered by
-// the name "[a]".
+// the name "[a]", on a kernel whose registry counts its recovery.
 func rebindRig(t *testing.T) (*Session, *kernel.Host, *toy) {
 	t.Helper()
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	k.SetMetrics(metrics.New())
 	host := k.NewHost("ws")
 	ps, err := prefix.Start(host, "u")
 	if err != nil {
@@ -69,6 +71,13 @@ func rebindRig(t *testing.T) (*Session, *kernel.Host, *toy) {
 	s.SetCurrentName("[a]")
 	s.EnableResilience(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
 	return s, host, a
+}
+
+// recovery reads the session's retries, rebinds and failovers from the
+// registry.
+func recovery(s *Session) [3]uint64 {
+	return [3]uint64{s.metric("client_retries_total").Value(),
+		s.metric("client_rebinds_total").Value(), s.metric("client_failovers_total").Value()}
 }
 
 // TestRebindFollowsLeaderHint: a NotLeader redirect re-points whatever
@@ -94,9 +103,8 @@ func TestRebindFollowsLeaderHint(t *testing.T) {
 			if err := s.Remove(tc.name); err != nil {
 				t.Fatalf("redirected op: %v", err)
 			}
-			st := s.ResilienceStats()
-			if st.Rebinds != 1 || st.Failovers != 1 || st.Retries != 1 {
-				t.Fatalf("recovery %+v, want one retry, one rebind, one failover", st)
+			if st := recovery(s); st != [3]uint64{1, 1, 1} {
+				t.Fatalf("retries, rebinds, failovers = %v, want one each", st)
 			}
 			if s.leaderHint != kernel.NilPID {
 				t.Fatal("leader hint not consumed")
@@ -148,9 +156,8 @@ func TestRebindCountsOnlyRealDrops(t *testing.T) {
 	if err := s.Remove("[a]x"); !errors.Is(err, kernel.ErrNonexistentProcess) {
 		t.Fatalf("op on a dead binding: %v", err)
 	}
-	st := s.ResilienceStats()
-	if st.Retries != 3 || st.Rebinds != 1 || st.OpsFailed != 1 {
-		t.Fatalf("recovery %+v, want three retries but only the first rebind counted", st)
+	if st, failed := recovery(s), s.metric("client_op_failures_total").Value(); st[0] != 3 || st[1] != 1 || failed != 1 {
+		t.Fatalf("retries, rebinds, failovers = %v, %d failed; want three retries but only the first rebind counted", st, failed)
 	}
 	if cs := s.LeaseCacheStats(); cs.Stale != 1 {
 		t.Fatalf("cache %+v, want the one stale use", cs)
@@ -166,8 +173,8 @@ func TestRebindCountsOnlyRealDrops(t *testing.T) {
 func TestRebindRemapsCurrentContext(t *testing.T) {
 	s, host, a := rebindRig(t)
 	s.rebind("x")
-	if st := s.ResilienceStats(); st.Rebinds != 0 || s.Current() != a.pair() {
-		t.Fatalf("rebind of a live context: %+v, current %v", st, s.Current())
+	if st := recovery(s); st[1] != 0 || s.Current() != a.pair() {
+		t.Fatalf("rebind of a live context: %v, current %v", st, s.Current())
 	}
 
 	b := spawnToy(t, host, "b")
@@ -184,15 +191,15 @@ func TestRebindRemapsCurrentContext(t *testing.T) {
 	if s.Current() != b.pair() {
 		t.Fatalf("current context %v, want it re-mapped to %v", s.Current(), b.pair())
 	}
-	if st := s.ResilienceStats(); st.Rebinds != 1 || st.Failovers != 1 {
-		t.Fatalf("recovery %+v, want one rebind, one failover", st)
+	if st := recovery(s); st[1] != 1 || st[2] != 1 {
+		t.Fatalf("retries, rebinds, failovers = %v, want one rebind, one failover", st)
 	}
 
 	// With no name to re-map from, there is nothing to rebind.
 	s.SetCurrentName("")
 	b.proc.Destroy()
 	s.rebind("x")
-	if st := s.ResilienceStats(); st.Rebinds != 1 {
-		t.Fatalf("nameless context rebound: %+v", st)
+	if st := recovery(s); st[1] != 1 {
+		t.Fatalf("nameless context rebound: %v", st)
 	}
 }

@@ -13,8 +13,9 @@
 //     through the context prefix server (whose dynamic bindings rebind
 //     via GetPid at time of use, §4.2), and a dangling current context
 //     is re-mapped from the name it was entered by;
-//   - per-session resilience metrics, surfaced through internal/rig and
-//     the A10 chaos experiment.
+//   - recovery counted in the kernel's metrics registry, per session
+//     process: client_{ops,op_failures,retries,rebinds,failovers}_total
+//     and client_backoff_ns_total, the virtual time spent backing off.
 package client
 
 import (
@@ -52,31 +53,10 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 400 * time.Millisecond}
 }
 
-// ResilienceStats is a session's recovery record.
-type ResilienceStats struct {
-	// Ops counts operations attempted under the policy.
-	Ops int
-	// OpsFailed counts operations that failed after exhausting retries
-	// (or failing terminally).
-	OpsFailed int
-	// Retries counts individual retry attempts.
-	Retries int
-	// Rebinds counts re-resolutions performed between attempts (cached
-	// prefix resolutions dropped, current context re-mapped).
-	Rebinds int
-	// Failovers counts operations that succeeded after at least one
-	// failed attempt.
-	Failovers int
-	// Downtime is the total virtual time spent backing off — the
-	// unavailability the session actually experienced.
-	Downtime vtime.Time
-}
-
 // resilience is the per-session recovery state.
 type resilience struct {
 	policy   RetryPolicy
 	observer func(vtime.Time)
-	stats    ResilienceStats
 }
 
 // EnableResilience turns on the recovery policy for every operation on
@@ -86,14 +66,6 @@ func (s *Session) EnableResilience(policy RetryPolicy) {
 		policy.MaxAttempts = 1
 	}
 	s.recovery = &resilience{policy: policy}
-}
-
-// ResilienceStats returns the session's recovery counters.
-func (s *Session) ResilienceStats() ResilienceStats {
-	if s.recovery == nil {
-		return ResilienceStats{}
-	}
-	return s.recovery.stats
 }
 
 // SetRetryObserver installs a callback invoked with the session's
@@ -156,7 +128,6 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 		tr.Fail(root, s.proc.Now(), failureClass(err))
 		return reply, err
 	}
-	r.stats.Ops++
 	s.metric("client_ops_total").Inc()
 	a := tr.Start(root, trace.KindAttempt, "attempt 1", s.proc.Now(), s.proc.TraceID())
 	s.proc.SetCurrentSpan(a)
@@ -165,7 +136,6 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 	tr.Fail(a, s.proc.Now(), failureClass(err))
 	if err == nil || !Retryable(err) {
 		if err != nil {
-			r.stats.OpsFailed++
 			s.metric("client_op_failures_total").Inc()
 		}
 		tr.Fail(root, s.proc.Now(), failureClass(err))
@@ -175,9 +145,8 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 	for try := 1; try < r.policy.MaxAttempts; try++ {
 		// Back off in virtual time. The observer (typically the chaos
 		// engine) sees the new clock before the retry routes.
-		r.stats.Retries++
 		s.metric("client_retries_total").Inc()
-		r.stats.Downtime += delay
+		s.metric("client_backoff_ns_total").Add(uint64(delay))
 		b := tr.StartName(root, trace.KindBackoff, numbered("backoff", try), s.proc.Now(), s.proc.TraceID())
 		s.proc.ChargeCompute(delay)
 		tr.End(b, s.proc.Now())
@@ -198,7 +167,6 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 		s.proc.SetCurrentSpan(0)
 		tr.Fail(a, s.proc.Now(), failureClass(err))
 		if err == nil {
-			r.stats.Failovers++
 			s.metric("client_failovers_total").Inc()
 			tr.End(root, s.proc.Now())
 			return reply, nil
@@ -207,7 +175,6 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 			break
 		}
 	}
-	r.stats.OpsFailed++
 	s.metric("client_op_failures_total").Inc()
 	tr.Fail(root, s.proc.Now(), failureClass(err))
 	return nil, err
@@ -249,12 +216,12 @@ func (s *Session) rebind(name string) {
 				if e, ok := s.cache.Peek(pfx); ok && !e.Negative && e.Pair.Server != hint {
 					e.Pair.Server = hint
 					s.cache.Store(pfx, e)
-					s.rebound()
+					s.metric("client_rebinds_total").Inc()
 					return
 				}
 			} else if name != "" && !prefix.HasPrefix(name) && s.current.Server != hint {
 				s.current.Server = hint
-				s.rebound()
+				s.metric("client_rebinds_total").Inc()
 				return
 			}
 		}
@@ -265,7 +232,7 @@ func (s *Session) rebind(name string) {
 		// cached resolution the failed attempt may have used is dropped
 		// first, so that attempt re-resolves.
 		if cached && s.cache.Drop(pfx) {
-			s.rebound()
+			s.metric("client_rebinds_total").Inc()
 		}
 		return
 	}
@@ -276,15 +243,9 @@ func (s *Session) rebind(name string) {
 	if s.currentName != "" && !s.proc.Kernel().ProcessAlive(s.current.Server) {
 		if pair, err := s.mapContextDirect(s.currentName); err == nil {
 			s.current = pair
-			s.rebound()
+			s.metric("client_rebinds_total").Inc()
 		}
 	}
-}
-
-// rebound counts one re-resolution performed by rebind.
-func (s *Session) rebound() {
-	s.recovery.stats.Rebinds++
-	s.metric("client_rebinds_total").Inc()
 }
 
 // mapContextDirect resolves a name to a context pair without recovery

@@ -3,10 +3,12 @@ package client_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/rig"
 	"repro/internal/vtime"
@@ -22,6 +24,12 @@ func bootResilient(t *testing.T) *rig.Rig {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// recovery reads the session's recovery counters from the registry:
+// client_<name>_total, as its process counted them.
+func recovery(s *client.Session, name string) uint64 {
+	return s.Proc().Kernel().Metrics().Counter("client_"+name+"_total", metrics.Labels{Server: s.Proc().Name()}).Value()
 }
 
 // makeFS2Replica turns FS2 into a true storage replica for the standard
@@ -53,15 +61,21 @@ func TestRetryRecoversFromTransientOutage(t *testing.T) {
 	if _, err := s.ReadFile("[home]welcome.txt"); err != nil {
 		t.Fatalf("read across transient outage: %v", err)
 	}
-	st := s.ResilienceStats()
-	if st.Retries == 0 || st.Failovers == 0 {
-		t.Fatalf("recovery not recorded: %+v", st)
+	retries := recovery(s, "retries")
+	if retries == 0 || recovery(s, "failovers") == 0 {
+		t.Fatalf("recovery not recorded: %d retries, %d failovers", retries, recovery(s, "failovers"))
 	}
-	if st.OpsFailed != 0 {
-		t.Fatalf("no operation should have failed: %+v", st)
+	if n := recovery(s, "op_failures"); n != 0 {
+		t.Fatalf("no operation should have failed: %d did", n)
 	}
-	if st.Downtime == 0 {
-		t.Fatalf("backoff must be charged as downtime: %+v", st)
+	// Every retry charged one backoff, doubling from BaseDelay to MaxDelay.
+	policy := client.DefaultRetryPolicy()
+	var charged time.Duration
+	for i, delay := uint64(0), policy.BaseDelay; i < retries; i, delay = i+1, min(2*delay, policy.MaxDelay) {
+		charged += delay
+	}
+	if got := recovery(s, "backoff_ns"); got != uint64(charged) {
+		t.Fatalf("client_backoff_ns_total = %d, want the %d ns of backoff charged", got, charged)
 	}
 }
 
@@ -98,9 +112,8 @@ func TestResilienceRecoversNaiveCacheStaleness(t *testing.T) {
 	if _, err := s.ReadFile("[bin]hello"); err != nil {
 		t.Fatalf("read with stale cache entry: %v", err)
 	}
-	st := s.ResilienceStats()
-	if st.Rebinds == 0 || st.Failovers == 0 {
-		t.Fatalf("rebind not recorded: %+v", st)
+	if recovery(s, "rebinds") == 0 || recovery(s, "failovers") == 0 {
+		t.Fatalf("rebind not recorded: %d rebinds, %d failovers", recovery(s, "rebinds"), recovery(s, "failovers"))
 	}
 	if cs := s.LeaseCacheStats(); cs.Stale == 0 {
 		t.Fatalf("staleness should have been observed: %+v", cs)
@@ -119,12 +132,11 @@ func TestRetryBudgetBoundedOnPermanentFailure(t *testing.T) {
 	if !errors.Is(err, kernel.ErrNonexistentProcess) {
 		t.Fatalf("err = %v", err)
 	}
-	st := s.ResilienceStats()
-	if st.Retries != policy.MaxAttempts-1 {
-		t.Fatalf("retries = %d, want %d", st.Retries, policy.MaxAttempts-1)
+	if n := recovery(s, "retries"); n != uint64(policy.MaxAttempts-1) {
+		t.Fatalf("retries = %d, want %d", n, policy.MaxAttempts-1)
 	}
-	if st.OpsFailed == 0 {
-		t.Fatalf("failure must be recorded: %+v", st)
+	if recovery(s, "op_failures") == 0 {
+		t.Fatal("failure must be recorded")
 	}
 }
 
@@ -135,9 +147,8 @@ func TestNonRetryableErrorFailsFast(t *testing.T) {
 	if _, err := s.ReadFile("[home]no-such-file.txt"); !errors.Is(err, proto.ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	st := s.ResilienceStats()
-	if st.Retries != 0 || st.Downtime != 0 {
-		t.Fatalf("not-found must not retry: %+v", st)
+	if recovery(s, "retries") != 0 || recovery(s, "backoff_ns") != 0 {
+		t.Fatalf("not-found must not retry: %d retries, %d ns backoff", recovery(s, "retries"), recovery(s, "backoff_ns"))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/raceflag"
@@ -14,12 +15,13 @@ import (
 // TestUntracedRetryZeroAlloc pins the retry loop's span names to lazy
 // ones: with no tracer installed, an operation that fails once, backs
 // off, rebinds and succeeds formats no "backoff 1" / "attempt 2" string —
-// the recovery policy itself allocates nothing.
+// the recovery policy itself allocates nothing, counters included.
 func TestUntracedRetryZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	k.SetMetrics(metrics.New())
 	proc, err := k.NewHost("ws").NewProcess("program")
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +44,7 @@ func TestUntracedRetryZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("an untraced retried op allocates %.1f times, want 0", allocs)
 	}
-	if st := s.ResilienceStats(); st.Retries == 0 || st.Failovers != st.Retries {
-		t.Fatalf("the op was not retried: %+v", st)
+	if st := recovery(s); st[0] == 0 || st[2] != st[0] {
+		t.Fatalf("the op was not retried: retries, rebinds, failovers = %v", st)
 	}
 }

@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
+	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/fileserver"
 	"repro/internal/kernel"
 	"repro/internal/nameserver"
 	"repro/internal/proto"
@@ -266,23 +267,18 @@ func a4() ([]Row, error) {
 	}, nil
 }
 
-// recreateFS1 crashes the storage server and re-creates it cold on the
-// restarted host — a new pid, holding only /bin/hello (the §4.2
-// rebinding scenario).
-func recreateFS1(r *rig.Rig) (*fileserver.FileServer, error) {
-	r.FS1Host.Crash()
-	r.FS1Host.Restart()
-	fsNew, err := fileserver.Start(r.FS1Host, "fs1")
-	if err != nil {
-		return nil, err
+// restartFS1 crashes and restarts fs1 through the rig's chaos engine at
+// the first session's virtual time, the one way fs1 is re-created: cold,
+// under a new pid, holding only /bin/hello (the §4.2 rebinding
+// scenario). It fails if the restart hook did or fs1 kept its pid.
+func restartFS1(r *rig.Rig) error {
+	old, now := r.FS1.PID(), r.WS[0].Session.Proc().Now()
+	eng := r.NewChaos([]chaos.Event{{At: now, Action: chaos.Crash, Host: "fs1"}, {At: now, Action: chaos.Restart, Host: "fs1"}})
+	eng.AdvanceTo(now)
+	if log := strings.Join(eng.Log(), "; "); strings.Contains(log, "hook-error") || r.FS1.PID() == old {
+		return fmt.Errorf("fs1 not re-created under a new pid: %s", log)
 	}
-	if err := fsNew.Proc().SetPid(kernel.ServiceStorage, fsNew.PID(), kernel.ScopeBoth); err != nil {
-		return nil, err
-	}
-	if err := fsNew.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-		return nil, err
-	}
-	return fsNew, fsNew.WriteFile("/bin/hello", "system", []byte("hello image"))
+	return nil
 }
 
 // a5 reproduces the §4.2/§6 rebinding scenario: the storage server
@@ -307,8 +303,7 @@ func a5() ([]Row, error) {
 	}
 
 	oldPid := r.FS1.PID()
-	fsNew, err := recreateFS1(r)
-	if err != nil {
+	if err := restartFS1(r); err != nil {
 		return nil, err
 	}
 
@@ -326,7 +321,7 @@ func a5() ([]Row, error) {
 		statRow = "UNEXPECTEDLY works"
 	}
 	return []Row{
-		{Label: fmt.Sprintf("dynamic [bin] binding (old pid %v → new %v)", oldPid, fsNew.PID()),
+		{Label: fmt.Sprintf("dynamic [bin] binding (old pid %v → new %v)", oldPid, r.FS1.PID()),
 			Paper: "rebinds via GetPid", Measured: dynRow,
 			Note: fmt.Sprintf("first use after restart: %s", ms(rebindTime))},
 		{Label: "static [staticbin] binding", Paper: "dangles", Measured: statRow,
@@ -345,10 +340,7 @@ func a6() ([]Row, error) {
 	s := r.WS[0].Session
 
 	// Replicate the program directory on FS2 and form a storage group.
-	if err := r.FS2.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-		return nil, err
-	}
-	if err := r.FS2.WriteFile("/bin/hello", "system", []byte("hello replica")); err != nil {
+	if err := r.MirrorBinOnFS2(); err != nil {
 		return nil, err
 	}
 	gid, err := r.Kernel.CreateGroup()
@@ -399,7 +391,7 @@ func a6() ([]Row, error) {
 	viaGroup := (proc.Now() - start) / trials
 
 	// Availability: with FS1 down, the group still answers.
-	r.FS1Host.Crash()
+	r.NewChaos([]chaos.Event{{At: proc.Now(), Action: chaos.Crash, Host: "fs1"}}).AdvanceTo(proc.Now())
 	survived := "fails"
 	if reply, err := groupOpen(); err == nil && reply.Op == proto.ReplyOK {
 		survived = "succeeds"
@@ -500,7 +492,7 @@ func a8() ([]Row, error) {
 		per = float64(total) / float64(trials)
 
 		// The storage server crashes and is re-created with a new pid.
-		if _, err := recreateFS1(r); err != nil {
+		if err := restartFS1(r); err != nil {
 			return 0, 0, 0, err
 		}
 		for i := 0; i < trials; i++ {

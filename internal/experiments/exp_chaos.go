@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
+	"repro/internal/metrics"
 	"repro/internal/rig"
 )
 
@@ -31,24 +32,24 @@ func a10() ([]Row, error) {
 		{"dynamic binding, invalidate-and-retry", false, "retry"},
 	}
 
-	run := func(static bool, cache string, outageEvery time.Duration) (float64, rig.ResilienceSummary, error) {
+	run := func(static bool, cache string, outageEvery time.Duration) (float64, metrics.Snapshot, error) {
 		r, err := rig.New(a10Scenario(outageEvery))
 		if err != nil {
-			return 0, rig.ResilienceSummary{}, err
+			return 0, metrics.Snapshot{}, err
 		}
 		s := r.WS[0].Session
 
 		// FS2 replicates the standard-programs context so a rebinding
 		// client has somewhere to go during an FS1 outage.
 		if err := r.MirrorBinOnFS2(); err != nil {
-			return 0, rig.ResilienceSummary{}, err
+			return 0, metrics.Snapshot{}, err
 		}
 
 		name := "[bin]hello"
 		if static {
 			// A static binding captures FS1's (pid, ctx) at define time.
 			if err := r.WS[0].Prefix.Define("sbin", r.BinCtx); err != nil {
-				return 0, rig.ResilienceSummary{}, err
+				return 0, metrics.Snapshot{}, err
 			}
 			name = "[sbin]hello"
 		}
@@ -60,11 +61,11 @@ func a10() ([]Row, error) {
 		}
 
 		ok, _ := r.RunPaced(rig.OpenClose(name))
-		return float64(ok) / a10Ops, r.ResilienceSummary(), nil
+		return float64(ok) / a10Ops, r.Metrics.Snapshot(), nil
 	}
 
 	var rows []Row
-	var key rig.ResilienceSummary // dynamic + retry cache at the default rate
+	var key metrics.Snapshot // dynamic + retry cache at the default rate
 	for _, v := range variants {
 		fracs := make([]string, len(a10OutageRates))
 		for i, rate := range a10OutageRates {
@@ -91,11 +92,11 @@ func a10() ([]Row, error) {
 
 	rows = append(rows,
 		Row{Label: "recovery work (dynamic, retry cache)", Paper: "-",
-			Measured: fmt.Sprintf("%d retries, %d rebinds, %d failovers",
-				key.Client.Retries, uint64(key.Client.Rebinds)+key.Prefix.Rebinds, key.Client.Failovers),
+			Measured: fmt.Sprintf("%d retries, %d rebinds, %d failovers", total(key, "client_retries_total"),
+				total(key, "client_rebinds_total")+total(key, "prefix_rebinds_total"), total(key, "client_failovers_total")),
 			Note: "at the default fault rate"},
 		Row{Label: "virtual downtime absorbed", Paper: "-",
-			Measured: ms(key.Client.Downtime),
+			Measured: ms(time.Duration(total(key, "client_backoff_ns_total"))),
 			Note:     "backoff charged to the client's virtual clock"},
 	)
 	return rows, nil

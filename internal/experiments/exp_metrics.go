@@ -63,6 +63,11 @@ func counterPoints(snap metrics.Snapshot, names ...string) []metrics.CounterPoin
 	return out
 }
 
+// total sums snap's counters with the given name across labels.
+func total(snap metrics.Snapshot, name string) uint64 {
+	return metrics.Sample{Counters: snap.Counters}.Total(name)
+}
+
 // a14Uncontended reruns the E1 remote transaction with the registry
 // watching: one client, 100 32-byte Send-Receive-Reply transactions to
 // an echo process on the file-server host. Every transaction costs the

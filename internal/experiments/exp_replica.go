@@ -52,7 +52,7 @@ func a15Collect() (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("a15: %w", err)
 	}
-	downtime := r.ResilienceSummary().Client.Downtime
+	downtime := time.Duration(total(snap, "client_backoff_ns_total"))
 	rd := reads{"completed": float64(ok), "downtime_ns": float64(downtime)}
 	failovers := r.FSR.Group.Failovers()
 	for i, d := range failovers {

@@ -3,7 +3,6 @@ package rig
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 )
@@ -79,14 +79,11 @@ func TestCrashDuringOpenInstanceInvalidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.FS1Host.Crash()
+	faultFS1(t, r, chaos.Crash)
 	if _, err := f.ReadBlock(0, nil); !errors.Is(err, kernel.ErrNonexistentProcess) {
 		t.Fatalf("read on dead server err = %v", err)
 	}
-	r.FS1Host.Restart()
-	if _, err := restartFS1(r); err != nil {
-		t.Fatal(err)
-	}
+	faultFS1(t, r, chaos.Restart)
 	// The home prefix is static and now dangles; the dynamic [bin] works.
 	if _, err := s.ReadFile("[bin]hello"); err != nil {
 		t.Fatalf("dynamic binding after restart: %v", err)
@@ -303,6 +300,28 @@ func mustNew(t testing.TB, cfg Config) *Rig {
 	return r
 }
 
+// faultFS1 fires actions on fs1, in order, through the topology's chaos
+// engine at the first session's virtual time, and fails the test if a
+// restart hook reported an error.
+func faultFS1(t testing.TB, r *Rig, actions ...chaos.Action) {
+	t.Helper()
+	now := r.WS[0].Session.Proc().Now()
+	events := make([]chaos.Event, len(actions))
+	for i, a := range actions {
+		events[i] = chaos.Event{At: now, Action: a, Host: "fs1"}
+	}
+	eng := r.NewChaos(events)
+	eng.AdvanceTo(now)
+	if log := strings.Join(eng.Log(), "\n"); strings.Contains(log, "hook-error") {
+		t.Fatal(log)
+	}
+}
+
+// recovered sums the registry's client_<name>_total over every session.
+func recovered(r *Rig, name string) uint64 {
+	return metrics.Sample{Counters: r.Metrics.Snapshot().Counters}.Total("client_" + name + "_total")
+}
+
 // TestRestartedFS1KeepsItsOptions: a scripted restart re-creates fs1 with
 // the scenario's file-server options, not the file server's defaults
 // (read-ahead on, one process). Reading the first block of a two-block
@@ -312,14 +331,7 @@ func TestRestartedFS1KeepsItsOptions(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReadAhead, cfg.FileServerTeam = false, 2
 	r := mustNew(t, cfg)
-	eng := r.NewChaos([]chaos.Event{
-		{At: time.Millisecond, Action: chaos.Crash, Host: "fs1"},
-		{At: 2 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-	})
-	eng.AdvanceTo(math.MaxInt64) // every remaining event, whatever its time
-	if log := strings.Join(eng.Log(), "\n"); strings.Contains(log, "hook-error") {
-		t.Fatal(log)
-	}
+	faultFS1(t, r, chaos.Crash, chaos.Restart)
 	page := r.Model.DiskPageSize
 	if err := r.FS1.WriteFile("/bin/two.dat", "system", make([]byte, 2*page)); err != nil {
 		t.Fatal(err)

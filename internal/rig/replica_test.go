@@ -91,9 +91,8 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 
 	safe("the schedule")
 
-	sum := r.ResilienceSummary()
-	if sum.Client.OpsFailed != 1 {
-		t.Fatalf("OpsFailed = %d, want 1: the refused Remove", sum.Client.OpsFailed)
+	if n := recovered(r, "op_failures"); n != 1 {
+		t.Fatalf("client_op_failures_total = %d, want 1: the refused Remove", n)
 	}
 	if len(r.FSR.Group.Failovers()) == 0 {
 		t.Fatalf("no failover recorded; events:\n%v", r.FSR.Group.Events())
@@ -264,7 +263,7 @@ func TestReplicatedFrontsAreReadOnly(t *testing.T) {
 
 // replicatedScenario runs a fixed crash/restart schedule against a
 // replicated rig and returns everything determinism can be judged by.
-func replicatedScenario(t *testing.T) (events []string, leader string, failed int) {
+func replicatedScenario(t *testing.T) (events []string, leader string, failed uint64) {
 	t.Helper()
 	policy := replicaRetryPolicy()
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
@@ -278,7 +277,7 @@ func replicatedScenario(t *testing.T) (events []string, leader string, failed in
 	s.EnableNameCache(true)
 	r.RunPaced(OpenClose("[bin]hello"))
 	leader, _ = r.FSR.Group.Leader()
-	return r.FSR.Group.Events(), leader, r.ResilienceSummary().Client.OpsFailed
+	return r.FSR.Group.Events(), leader, recovered(r, "op_failures")
 }
 
 // TestReplicaDeterministic pins the replication machinery to the

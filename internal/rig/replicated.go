@@ -9,17 +9,15 @@
 // serves no one else. The group has no clock of its own: RunPaced pumps
 // it — chaos engine first, then the group, then the sampler (§11.4) —
 // and crash/restart instants reach it through the chaos hooks NewChaos
-// wires up.
+// installs (resilience.go).
 package rig
 
 import (
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
 	"repro/internal/replica"
-	"repro/internal/vtime"
 )
 
 // FSMember is one slot of the replicated fs1 service: the member host,
@@ -106,28 +104,6 @@ func (r *Rig) fs1PID() kernel.PID {
 		return r.FSR.Members[0].Rep.PID()
 	}
 	return r.FS1.PID()
-}
-
-// wireReplicaHooks connects a chaos engine to the replication group:
-// crashes turn into NoteDown at their exact virtual instant (the dying
-// servers' exits were recorded inside the Crash), and restarts re-create
-// the member and rejoin it — snapshot-sync plus the transfer election
-// that restores slot order.
-func (r *Rig) wireReplicaHooks(e *chaos.Engine) {
-	e.CrashHook = func(host string, at vtime.Time) {
-		// NoteDown ignores a host that holds no slot of the group.
-		r.FSR.Group.NoteDown(host, at)
-	}
-	e.RestartedHook = func(host string, at vtime.Time) error {
-		m := r.FSR.Member(host)
-		if m == nil {
-			return nil
-		}
-		if err := r.recreateFSMember(m); err != nil {
-			return err
-		}
-		return r.FSR.Group.Rejoin(host, m.Rep, at)
-	}
 }
 
 // recreateFSMember replaces a crashed member in place: a cold local

@@ -1,6 +1,7 @@
 // Resilience glue: the rig-level view of the recovery machinery — chaos
-// engines composed over the topology, crashed-server re-creation, and
-// aggregated resilience metrics across sessions and prefix servers.
+// engines composed over the topology, crashed-server re-creation, and the
+// paced loop the availability experiments share. Recovery is counted in
+// the metrics registry alone (client_*_total, prefix_rebinds_total).
 package rig
 
 import (
@@ -9,32 +10,29 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/prefix"
+	"repro/internal/fileserver"
 	"repro/internal/proto"
 	"repro/internal/vtime"
 )
 
 // NewChaos builds a chaos engine over this topology's kernel — the one
-// way a topology gets one. Redefine events run through an admin session
-// on the prefix host (redefine). A restart of the unreplicated fs1 host
-// re-creates its file server; the engine can restart a host kernel, but
-// only the topology knows what ran on it, and other hosts restart bare.
-// On a replicated rig the hooks instead feed fs1's replication group:
-// crashes become NoteDown, restarts re-create the member and rejoin it
-// (replicated.go).
+// way a topology gets one, and the one way fs1 is crashed and
+// re-created. Redefine events run through an admin session on the
+// prefix host (redefine). A crash reaches fs1's replication group, if
+// any, at its exact virtual instant (the dying servers' exits were
+// recorded inside the Crash). A restart re-creates what ran on fs1: the
+// unreplicated server, or the replica member, which then rejoins
+// (snapshot-sync plus the transfer election that restores slot order).
+// The engine can restart a host kernel, but only the topology knows what
+// ran on it; other hosts restart bare.
 func (t *Topology) NewChaos(events []chaos.Event) *chaos.Engine {
 	e := chaos.New(t.Kernel, events)
 	e.RedefineHook = t.redefine
 	if t.FSR != nil {
-		t.wireReplicaHooks(e)
-		return e
+		// NoteDown ignores a host that holds no slot of the group.
+		e.CrashHook = t.FSR.Group.NoteDown
 	}
-	e.RestartHook = func(host string) error {
-		if host == "fs1" {
-			return t.restartFS1()
-		}
-		return nil
-	}
+	e.RestartHook = t.restartFS1
 	return e
 }
 
@@ -90,57 +88,41 @@ func OpenClose(name string) func(*client.Session, int) error {
 // MirrorBinOnFS2 makes fs2 a second server of the standard-programs
 // context, holding /bin/hello, so a dynamic [bin] binding has somewhere
 // to fail over to during an fs1 outage.
-func (r *Rig) MirrorBinOnFS2() error {
-	if err := r.FS2.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
+func (r *Rig) MirrorBinOnFS2() error { return seedBin(r.FS2) }
+
+// seedBin makes fs a server of the standard-programs context holding
+// only /bin/hello: fs2's mirror, and what a re-created fs1 comes back
+// with.
+func seedBin(fs *fileserver.FileServer) error {
+	if err := fs.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
 		return err
 	}
-	return r.FS2.WriteFile("/bin/hello", "system", []byte("hello image"))
+	return fs.WriteFile("/bin/hello", "system", []byte("hello image"))
 }
 
-// restartFS1 re-creates the unreplicated fs1 on its restarted host: a
-// cold server with the scenario's file-server options, a new pid (the
-// §4.2 rebinding scenario), and only /bin/hello re-seeded.
-func (r *Rig) restartFS1() error {
+// restartFS1 re-creates what ran on a restarted fs1 host. A replica
+// member comes back cold and rejoins its group at the restart's instant.
+// The unreplicated server comes back cold with the scenario's
+// file-server options, a new pid (the §4.2 rebinding scenario), and only
+// /bin/hello (seedBin).
+func (r *Rig) restartFS1(host string, at vtime.Time) error {
+	if r.FSR != nil {
+		m := r.FSR.Member(host)
+		if m == nil {
+			return nil
+		}
+		if err := r.recreateFSMember(m); err != nil {
+			return err
+		}
+		return r.FSR.Group.Rejoin(host, m.Rep, at)
+	}
+	if host != "fs1" {
+		return nil
+	}
 	fs, err := startStorage(r.FS1Host, r.sc.fsOpts()...)
 	if err != nil {
 		return err
 	}
-	if err := fs.SetWellKnown(core.CtxStdPrograms, "/bin"); err != nil {
-		return err
-	}
-	if err := fs.WriteFile("/bin/hello", "system", programImage("hello", 2048)); err != nil {
-		return err
-	}
 	r.FS1 = fs
-	return nil
-}
-
-// ResilienceSummary aggregates the recovery record of a run: every
-// session's client-side retry counters plus every workstation prefix
-// server's forwarding and rebinding counters.
-type ResilienceSummary struct {
-	Client client.ResilienceStats
-	Prefix prefix.Stats
-}
-
-// ResilienceSummary sums resilience metrics across every session the
-// topology created and every workstation prefix server.
-func (t *Topology) ResilienceSummary() ResilienceSummary {
-	var sum ResilienceSummary
-	for _, s := range t.Sessions() {
-		st := s.ResilienceStats()
-		sum.Client.Ops += st.Ops
-		sum.Client.OpsFailed += st.OpsFailed
-		sum.Client.Retries += st.Retries
-		sum.Client.Rebinds += st.Rebinds
-		sum.Client.Failovers += st.Failovers
-		sum.Client.Downtime += st.Downtime
-	}
-	for _, ws := range t.WS {
-		ps := ws.Prefix.Stats()
-		sum.Prefix.Forwards += ps.Forwards
-		sum.Prefix.Rebinds += ps.Rebinds
-		sum.Prefix.DeadTargets += ps.DeadTargets
-	}
-	return sum
+	return seedBin(fs)
 }

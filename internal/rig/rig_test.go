@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fileserver"
@@ -425,13 +426,8 @@ func TestDynamicBindingRebindsAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r.FS1Host.Crash()
-	r.FS1Host.Restart()
-	fsNew, err := restartFS1(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fsNew.PID() == oldPid {
+	faultFS1(t, r, chaos.Crash, chaos.Restart)
+	if r.FS1.PID() == oldPid {
 		t.Fatal("restarted server must get a new pid")
 	}
 
@@ -443,13 +439,6 @@ func TestDynamicBindingRebindsAfterCrash(t *testing.T) {
 	if _, err := s.ReadFile("[oldfs]bin/hello"); !errors.Is(err, kernel.ErrNonexistentProcess) {
 		t.Fatalf("static binding should dangle: %v", err)
 	}
-}
-
-// restartFS1 re-creates the fs1 file server after a crash, reseeding the
-// program directory, as the operations staff would restore a server.
-func restartFS1(r *Rig) (*fileserver.FileServer, error) {
-	err := r.restartFS1()
-	return r.FS1, err
 }
 
 func TestInverseMappingCurrentName(t *testing.T) {
@@ -903,7 +892,7 @@ func TestGroupImplementedContextViaPrefix(t *testing.T) {
 		t.Fatalf("group-context query: %v", err)
 	}
 	// One replica down: the group name keeps working.
-	r.FS1Host.Crash()
+	faultFS1(t, r, chaos.Crash)
 	if _, err := s.Query("[gbin]hello"); err != nil {
 		t.Fatalf("group-context query with FS1 down: %v", err)
 	}

@@ -2,6 +2,7 @@ package rig
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -82,9 +83,10 @@ func TestWorkloadDriverTrace(t *testing.T) {
 	}
 }
 
-// chaosTraceRun drives the PR 1 chaos schedule over a traced, resilient
-// rig and returns the session stats plus the checked span snapshot.
-func chaosTraceRun(t *testing.T) (client.ResilienceStats, []trace.Span) {
+// chaosTraceRun drives the A10 chaos schedule over a traced, resilient
+// rig and returns the rig, whose registry counted the recovery, plus the
+// checked span snapshot.
+func chaosTraceRun(t *testing.T) (*Rig, []trace.Span) {
 	t.Helper()
 	policy := client.DefaultRetryPolicy()
 	// The A10 chaos profile: fs1 outages plus near-total loss pulses, the
@@ -110,7 +112,7 @@ func chaosTraceRun(t *testing.T) (client.ResilienceStats, []trace.Span) {
 	if err := r.CheckTrace(); err != nil {
 		t.Fatalf("trace under chaos violates invariants: %v", err)
 	}
-	return s.ResilienceStats(), r.Tracer.Snapshot()
+	return r, r.Tracer.Snapshot()
 }
 
 // TestTraceUnderChaos asserts the recovery machinery is visible in the
@@ -119,8 +121,9 @@ func chaosTraceRun(t *testing.T) (client.ResilienceStats, []trace.Span) {
 // a failure classification, and despite crashes and packet loss no span
 // leaks (r.CheckTrace inside chaosTraceRun enforces that under -race).
 func TestTraceUnderChaos(t *testing.T) {
-	stats, spans := chaosTraceRun(t)
-	if stats.Retries == 0 {
+	r, spans := chaosTraceRun(t)
+	ops, retries := int(recovered(r, "ops")), int(recovered(r, "retries"))
+	if retries == 0 {
 		t.Fatal("chaos schedule provoked no retries; the trace assertions below would be vacuous")
 	}
 	byID := make(map[trace.SpanID]trace.Span, len(spans))
@@ -149,11 +152,11 @@ func TestTraceUnderChaos(t *testing.T) {
 	}
 	// One attempt per op plus one per retry; one backoff and one rebind
 	// per retry.
-	if want := stats.Ops + stats.Retries; attempts != want {
-		t.Fatalf("attempt spans = %d, want %d (ops %d + retries %d)", attempts, want, stats.Ops, stats.Retries)
+	if want := ops + retries; attempts != want {
+		t.Fatalf("attempt spans = %d, want %d (ops %d + retries %d)", attempts, want, ops, retries)
 	}
-	if backoffs != stats.Retries || rebinds != stats.Retries {
-		t.Fatalf("backoff/rebind spans = %d/%d, want %d each", backoffs, rebinds, stats.Retries)
+	if backoffs != retries || rebinds != retries {
+		t.Fatalf("backoff/rebind spans = %d/%d, want %d each", backoffs, rebinds, retries)
 	}
 	if failedAttempts == 0 {
 		t.Fatal("no attempt span carries a failure classification")
@@ -179,10 +182,10 @@ func TestTraceUnderChaos(t *testing.T) {
 // seeds, same schedule — identical span counts and identical failure
 // classification histograms.
 func TestTraceUnderChaosDeterministic(t *testing.T) {
-	statsA, spansA := chaosTraceRun(t)
-	statsB, spansB := chaosTraceRun(t)
-	if statsA != statsB {
-		t.Fatalf("session stats differ: %+v vs %+v", statsA, statsB)
+	rA, spansA := chaosTraceRun(t)
+	rB, spansB := chaosTraceRun(t)
+	if a, b := rA.Metrics.Snapshot().Deterministic(), rB.Metrics.Snapshot().Deterministic(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("registry snapshots differ:\n%+v\n%+v", a, b)
 	}
 	if len(spansA) != len(spansB) {
 		t.Fatalf("span counts differ: %d vs %d", len(spansA), len(spansB))
