@@ -52,10 +52,6 @@ type Session struct {
 	// so the recovery policy can re-map the context if its server dies
 	// (resilience.go). Empty when the context was installed directly.
 	currentName string
-	// leaderHint is the successor pid carried by the most recent
-	// ReplyNotLeader redirect from a replication-group front (PROTOCOL.md
-	// §11); the recovery policy's rebind consumes it (resilience.go).
-	leaderHint kernel.PID
 	// recovery, when non-nil, applies the session's retry/rebind policy
 	// to every operation (resilience.go).
 	recovery *resilience
@@ -97,17 +93,6 @@ func (s *Session) route(name string) (server kernel.PID, ctx core.ContextID) {
 		return s.prefixServer, core.CtxDefault
 	}
 	return s.current.Server, s.current.Ctx
-}
-
-// replyErr converts a reply message into an operation error, first
-// capturing the leader hint a ReplyNotLeader redirect carries so the next
-// attempt can re-route to the successor without rediscovery
-// (resilience.go). Every reply-inspecting routine funnels through it.
-func (s *Session) replyErr(reply *proto.Message) error {
-	if reply.Op == proto.ReplyNotLeader {
-		s.leaderHint = kernel.PID(proto.LeaderHint(reply))
-	}
-	return core.ReplyToError(reply)
 }
 
 // metric resolves a registry counter labelled with this session's process
@@ -153,7 +138,7 @@ func (s *Session) sendUncachedOnce(name string, req *proto.Message, moveDst []by
 	if err != nil {
 		return nil, fmt.Errorf("%q: %w", name, err)
 	}
-	if err := s.replyErr(reply); err != nil {
+	if err := core.ReplyToError(reply); err != nil {
 		return nil, fmt.Errorf("%q: %w", name, err)
 	}
 	return reply, nil
@@ -177,7 +162,7 @@ func (s *Session) sendToOnce(server kernel.PID, req *proto.Message) (*proto.Mess
 	if err != nil {
 		return nil, err
 	}
-	if err := s.replyErr(reply); err != nil {
+	if err := core.ReplyToError(reply); err != nil {
 		return nil, err
 	}
 	return reply, nil

@@ -194,7 +194,7 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 		if err != nil {
 			return nil, fmt.Errorf("%q: %w", name, err)
 		}
-		if err := s.replyErr(mreply); err != nil {
+		if err := core.ReplyToError(mreply); err != nil {
 			return nil, fmt.Errorf("%q: %w", name, err)
 		}
 	}
@@ -223,7 +223,7 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 		}
 		return nil, fmt.Errorf("%q (stale cached resolution): %w", name, err)
 	}
-	if err := s.replyErr(reply); err != nil {
+	if err := core.ReplyToError(reply); err != nil {
 		return nil, fmt.Errorf("%q: %w", name, err)
 	}
 	return reply, nil

@@ -16,11 +16,11 @@ import (
 )
 
 // toy is a one-context server: it maps any name to (itself, ctx 1), and
-// answers every other request OK — or, once deposed, with a NotLeader
-// redirect naming its successor.
+// answers every other request OK — or, once deposed is set, with
+// NotLeader and the deposed pid in F[1], which no client may read.
 type toy struct {
-	proc      *kernel.Process
-	successor atomic.Uint32
+	proc    *kernel.Process
+	deposed atomic.Uint32
 }
 
 func (ty *toy) pair() core.ContextPair { return core.ContextPair{Server: ty.proc.PID(), Ctx: 1} }
@@ -36,9 +36,9 @@ func spawnToy(t *testing.T, host *kernel.Host, name string) *toy {
 		reply := proto.NewReply(proto.ReplyOK)
 		if msg.Op == proto.OpMapContext {
 			proto.SetMapContextReply(reply, uint32(p.PID()), 1)
-		} else if hint := ty.successor.Load(); hint != 0 {
+		} else if pid := ty.deposed.Load(); pid != 0 {
 			reply.Op = proto.ReplyNotLeader
-			proto.SetLeaderHint(reply, hint)
+			reply.F[1] = pid
 		}
 		_ = p.Reply(reply, from)
 	})
@@ -80,66 +80,36 @@ func recovery(s *Session) [3]uint64 {
 		s.metric("client_rebinds_total").Value(), s.metric("client_failovers_total").Value()}
 }
 
-// TestRebindFollowsLeaderHint: a NotLeader redirect re-points whatever
-// routed the failed attempt — the cached entry for a prefixed name, the
-// current context for a relative one — at the named successor, and the
-// retry goes straight there without re-resolving.
-func TestRebindFollowsLeaderHint(t *testing.T) {
-	for _, tc := range []struct {
-		label, name string
-		cached      bool
-	}{
-		{"cached prefixed name", "[a]x", true},
-		{"relative name", "x", false},
-	} {
-		t.Run(tc.label, func(t *testing.T) {
-			s, host, a := rebindRig(t)
-			b := spawnToy(t, host, "b")
-			s.EnableNameCache(true)
-			if err := s.Remove(tc.name); err != nil { // warm: served by a
-				t.Fatal(err)
-			}
-			a.successor.Store(uint32(b.proc.PID()))
-			if err := s.Remove(tc.name); err != nil {
-				t.Fatalf("redirected op: %v", err)
-			}
-			if st := recovery(s); st != [3]uint64{1, 1, 1} {
-				t.Fatalf("retries, rebinds, failovers = %v, want one each", st)
-			}
-			if s.leaderHint != kernel.NilPID {
-				t.Fatal("leader hint not consumed")
-			}
-			if tc.cached {
-				if got, ok := s.LeasedRoute(tc.name, 0); !ok || got.Server != b.proc.PID() || got.Ctx != 1 {
-					t.Fatalf("cached route %v, %v; want the successor, same context", got, ok)
-				}
-				// The retry hit the re-pointed entry: it never re-resolved.
-				if cs := s.LeaseCacheStats(); cs.Misses != 1 || cs.Hits != 2 {
-					t.Fatalf("cache %+v, want the one warm miss and two hits", cs)
-				}
-			} else if s.Current().Server != b.proc.PID() || s.Current().Ctx != 1 {
-				t.Fatalf("current context %v, want the successor", s.Current())
-			}
-		})
-	}
-}
-
-// TestRebindIgnoresDeadHint: a redirect to a successor that is itself
-// gone re-points nothing; the cached entry is dropped instead.
+// TestRebindIgnoresDeadHint: NotLeader names no successor, and the
+// client reads nothing from it, not even a dead pid left in F[1]. The
+// retry drops the cached entry and re-resolves the name through the
+// prefix server, which now binds it to the new server.
 func TestRebindIgnoresDeadHint(t *testing.T) {
 	s, host, a := rebindRig(t)
-	b := spawnToy(t, host, "b")
+	b, dead := spawnToy(t, host, "b"), spawnToy(t, host, "dead")
 	s.EnableNameCache(true)
-	if err := s.Remove("[a]x"); err != nil {
+	if err := s.Remove("[a]x"); err != nil { // warm: [a] cached as a
 		t.Fatal(err)
 	}
-	a.successor.Store(uint32(b.proc.PID()))
-	b.proc.Destroy()
-	if err := s.Remove("[a]x"); !errors.Is(err, proto.ErrNotLeader) {
-		t.Fatalf("op against a leaderless group: %v", err)
+	if err := s.DeleteName("a"); err != nil {
+		t.Fatal(err)
 	}
-	if got, ok := s.LeasedRoute("[a]x", 0); !ok || got.Server != a.proc.PID() {
-		t.Fatalf("route %v, %v: re-resolution must still name a, never the dead hint", got, ok)
+	if err := s.AddName("a", b.pair()); err != nil {
+		t.Fatal(err)
+	}
+	dead.proc.Destroy()
+	a.deposed.Store(uint32(dead.proc.PID()))
+	if err := s.Remove("[a]x"); err != nil {
+		t.Fatalf("op after NotLeader: %v", err)
+	}
+	if st := recovery(s); st != [3]uint64{1, 1, 1} {
+		t.Fatalf("retries, rebinds, failovers = %v, want one each", st)
+	}
+	if cs := s.LeaseCacheStats(); cs.Misses != 2 || cs.Hits != 1 {
+		t.Fatalf("cache %+v, want the warm miss, the hit NotLeader answered, and the re-resolving miss", cs)
+	}
+	if got, ok := s.LeasedRoute("[a]x", 0); !ok || got != b.pair() {
+		t.Fatalf("route %v, %v: re-resolution must name b, never the dead pid", got, ok)
 	}
 }
 

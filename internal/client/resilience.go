@@ -93,10 +93,9 @@ func Retryable(err error) bool {
 		errors.Is(err, netsim.ErrUnreachable) ||
 		errors.Is(err, proto.ErrNonexistentProcess) ||
 		errors.Is(err, proto.ErrTimeout) ||
-		// A replication-group redirect: the contacted member is not (or no
-		// longer) the leader. Waiting covers the leaderless election
-		// window, and the redirect's hint re-routes the next attempt
-		// (PROTOCOL.md §11).
+		// A replication-group front with no leader to forward to: waiting
+		// covers the leaderless election window, and the retry re-resolves
+		// the name through GetPid (PROTOCOL.md §11).
 		errors.Is(err, proto.ErrNotLeader)
 }
 
@@ -198,41 +197,15 @@ func failureClass(err error) string {
 // resolution is invalidated, and a current context that has no prefix
 // to fall back on is re-mapped from the name it was entered by.
 func (s *Session) rebind(name string) {
-	pfx, cached := "", false
-	if s.cache != nil && name != "" {
-		if k, _, err := cacheKey(name); err == nil {
-			pfx, cached = k, true
-		}
-	}
-	// A ReplyNotLeader redirect named the successor: re-point whatever
-	// routing state sent the failed attempt to the deposed member. Context
-	// ids stay valid across a failover — the group replicates the name
-	// space, and i-node allocation is deterministic (PROTOCOL.md §11.5) —
-	// so only the server half of the pair moves.
-	if hint := s.leaderHint; hint != kernel.NilPID {
-		s.leaderHint = kernel.NilPID
-		if s.proc.Kernel().ProcessAlive(hint) {
-			if cached {
-				if e, ok := s.cache.Peek(pfx); ok && !e.Negative && e.Pair.Server != hint {
-					e.Pair.Server = hint
-					s.cache.Store(pfx, e)
-					s.metric("client_rebinds_total").Inc()
-					return
-				}
-			} else if name != "" && !prefix.HasPrefix(name) && s.current.Server != hint {
-				s.current.Server = hint
-				s.metric("client_rebinds_total").Inc()
-				return
-			}
-		}
-	}
-	if name != "" && prefix.HasPrefix(name) {
+	if prefix.HasPrefix(name) {
 		// Prefixed names re-route through the prefix server on the next
 		// attempt; its dynamic bindings re-resolve by GetPid per use. A
 		// cached resolution the failed attempt may have used is dropped
 		// first, so that attempt re-resolves.
-		if cached && s.cache.Drop(pfx) {
-			s.metric("client_rebinds_total").Inc()
+		if s.cache != nil {
+			if pfx, _, err := cacheKey(name); err == nil && s.cache.Drop(pfx) {
+				s.metric("client_rebinds_total").Inc()
+			}
 		}
 		return
 	}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/metrics"
+	"repro/internal/replica"
 )
 
 // a15RetryPolicy is the fast recovery policy replicated runs use:
@@ -46,6 +47,12 @@ func a15Collect() (Result, error) {
 	if ok != ops {
 		return Result{}, fmt.Errorf("a15: %d/%d operations failed under replication", ops-ok, ops)
 	}
+	// The schedule has run: one leader per term, and every synced member
+	// holds the same image.
+	var safety replica.Safety
+	if err := safety.Check(r.FS1Group); err != nil {
+		return Result{}, fmt.Errorf("a15: %w", err)
+	}
 	snap := r.Metrics.Snapshot().Deterministic()
 	health := metrics.Health(snap, r.Sampler.Samples(), horizon, 0.90)
 	fs1, err := fs1Health(health)
@@ -54,7 +61,7 @@ func a15Collect() (Result, error) {
 	}
 	downtime := time.Duration(total(snap, "client_backoff_ns_total"))
 	rd := reads{"completed": float64(ok), "downtime_ns": float64(downtime)}
-	failovers := r.FSR.Group.Failovers()
+	failovers := r.FS1Group.Failovers()
 	for i, d := range failovers {
 		rd[fmt.Sprintf("failover%d_ns", i)] = float64(d)
 	}
@@ -66,7 +73,7 @@ func a15Collect() (Result, error) {
 				"client_op_failures_total", "client_retries_total", "client_rebinds_total",
 				"client_failovers_total", "kernel_send_failures_total"),
 			Health: health,
-			Events: r.FSR.Group.Events(),
+			Events: r.FS1Group.Events(),
 		},
 		Reads: rd,
 	}

@@ -77,8 +77,9 @@ func a11Session(r *rig.Rig, name string) (*client.Session, error) {
 }
 
 // a11HotPhase seeds the deep path and builds the cache-hit phase's
-// clients; tick, when non-nil, pumps a virtual-time observer after every
-// completed query.
+// clients; tick, when non-nil, pumps a virtual-time observer at the end
+// of every query. Only a phase the sequential driver runs may pass one:
+// engine lanes would pump it out of virtual-time order.
 func a11HotPhase(r *rig.Rig, tick func(now time.Duration)) ([]*rig.WorkloadClient, error) {
 	if _, err := r.FS1.MkdirAll("/deep/a/b/c/d/e/f", "system"); err != nil {
 		return nil, err
@@ -97,9 +98,11 @@ func a11HotPhase(r *rig.Rig, tick func(now time.Duration)) ([]*rig.WorkloadClien
 			Requests: a11HotRequests,
 			Op: func(s *client.Session, iter int) error {
 				_, err := s.Query(a11HotPath)
+				if tick != nil {
+					tick(s.Proc().Now())
+				}
 				return err
 			},
-			Tick: tick,
 		})
 	}
 	return clients, nil

@@ -262,13 +262,14 @@ func (rs *ReplicaService) Serve(p *kernel.Process, r *replica.Replica, msg *prot
 	case !r.Leading():
 		// A follower keeps the service available by passing the whole
 		// transaction to the live leader's front (§5.4 forwarding); during
-		// a leaderless window the client gets the redirect and retries.
+		// a leaderless window the client gets NotLeader, retries and
+		// re-resolves the name by GetPid.
 		if lead := r.LeaderHint(); lead != kernel.NilPID && lead != p.PID() {
 			if err := p.Forward(msg, from, lead); err == nil {
 				return
 			}
 		}
-		_ = p.Reply(r.NotLeaderReply(), from)
+		_ = p.Reply(proto.NewReply(proto.ReplyNotLeader), from)
 	case msg.Op == proto.OpMapContext:
 		rs.proxyMapContext(p, msg, from)
 	default:

@@ -19,7 +19,7 @@ func TestReplicatedPrefixTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := r.WS[0].Session
-	_, leader := r.FSR.Group.Leader()
+	_, leader := r.FS1Group.Leader()
 	root := r.FS1.RootPair()
 	root.Server = leader
 	if err := s.AddName("scratch", root); err != nil {

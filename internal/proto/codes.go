@@ -26,9 +26,9 @@ const (
 	ReplyNotEmpty
 	ReplyRetry
 	// ReplyNotLeader is returned by a replication-group member asked to
-	// perform an operation only the group leader may serve. F[1] carries a
-	// leader hint: the pid of the member the replier believes is leader,
-	// or 0 when no live leader is known (§11 of PROTOCOL.md).
+	// perform an operation only the group leader may serve, when it knows
+	// no live leader to forward to (§11 of PROTOCOL.md). It carries
+	// nothing: the client retries and re-resolves the name.
 	ReplyNotLeader
 )
 
@@ -135,13 +135,6 @@ const (
 	// follower.
 	OpReplicaSnapshot
 )
-
-// SetLeaderHint records a leader hint on a ReplyNotLeader message.
-func SetLeaderHint(m *Message, pid uint32) { m.F[1] = pid }
-
-// LeaderHint returns the leader hint of a ReplyNotLeader message, 0 when
-// the replier knew no live leader.
-func LeaderHint(m *Message) uint32 { return m.F[1] }
 
 // IsCSNameOp reports whether c is a request that carries a CSname and so
 // follows the standard CSname field conventions.

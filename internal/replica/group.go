@@ -86,9 +86,6 @@ func NewGroup(monHost *kernel.Host, cfg Config) (*Group, error) {
 	}, nil
 }
 
-// GID returns the kernel process group holding the membership.
-func (g *Group) GID() kernel.PID { return g.gid }
-
 // Name returns the group's label.
 func (g *Group) Name() string { return g.cfg.Name }
 
@@ -139,17 +136,6 @@ func (g *Group) MemberReplica(host string) *Replica {
 		}
 	}
 	return nil
-}
-
-// Hosts returns the member host names in slot order.
-func (g *Group) Hosts() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	hosts := make([]string, len(g.members))
-	for i, m := range g.members {
-		hosts[i] = m.host
-	}
-	return hosts
 }
 
 // Events returns the group's event log: one line per election, crash

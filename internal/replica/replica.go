@@ -142,10 +142,6 @@ func (r *Replica) LeaderHint() kernel.PID {
 	return kernel.NilPID
 }
 
-// Err reports why the member stopped serving (kernel.Process.Err): nil
-// while running, an error wrapping kernel.ErrHostDown after a crash.
-func (r *Replica) Err() error { return r.proc.Err() }
-
 // dispatch charges the dispatch cost and routes one message: replication
 // operations are handled internally, everything else goes to the Service.
 func (r *Replica) dispatch(p *kernel.Process, msg *proto.Message, from kernel.PID) {
@@ -169,14 +165,6 @@ func (r *Replica) dispatch(p *kernel.Process, msg *proto.Message, from kernel.PI
 	// The serve span marks the answer, not the handling: a handler's
 	// replication rounds are transactions of their own.
 	core.BeginServe(p, msg, from).Reply(reply, nil)
-}
-
-// NotLeaderReply builds the standard redirect reply carrying this
-// member's best live-leader hint.
-func (r *Replica) NotLeaderReply() *proto.Message {
-	rep := proto.NewReply(proto.ReplyNotLeader)
-	proto.SetLeaderHint(rep, uint32(r.LeaderHint()))
-	return rep
 }
 
 // refuse answers a vote, announcement or snapshot chunk with NoPermission
@@ -359,7 +347,7 @@ func (r *Replica) announce(p *kernel.Process, pid kernel.PID) error {
 // announce the leader to it.
 func (r *Replica) handleSync(p *kernel.Process, msg *proto.Message) *proto.Message {
 	if !r.Leading() {
-		return r.NotLeaderReply()
+		return proto.NewReply(proto.ReplyNotLeader)
 	}
 	pid := kernel.PID(msg.F[0])
 	if err := r.installSnapshot(p, pid); err != nil {

@@ -236,18 +236,15 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	k, g, hosts, svcs := testGroup(t, 3, 3)
 	safe := safeAfter(t, g)
 	safe("boot")
-	if g.GID() == kernel.NilPID || g.Name() != "t" {
-		t.Fatalf("group identity: gid=%v name=%q", g.GID(), g.Name())
-	}
-	if hs := g.Hosts(); len(hs) != 3 || hs[0] != "m0" {
-		t.Fatalf("Hosts() = %v", hs)
+	if g.Name() != "t" {
+		t.Fatalf("group name %q", g.Name())
 	}
 
 	// Crash the leader host without a NoteDown: the next Pump must
 	// detect the dead leader itself, then elect once a timeout expires.
 	// The crashed member's death is recorded when Crash returns.
 	hosts[0].Crash()
-	if err := g.MemberReplica("m0").Err(); !errors.Is(err, kernel.ErrHostDown) {
+	if err := g.MemberReplica("m0").Proc().Err(); !errors.Is(err, kernel.ErrHostDown) {
 		t.Fatalf("crashed member Err() = %v, want ErrHostDown", err)
 	}
 	safe("crash")
@@ -264,7 +261,7 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 		t.Fatalf("failover leader = %q; events:\n%v", newLeader, g.Events())
 	}
 
-	// A follower asked to do the leader's work redirects with a hint.
+	// A follower asked to do the leader's work answers a bare NotLeader.
 	lead := g.MemberReplica(newLeader)
 	var follower *Replica
 	for _, h := range []string{"m1", "m2"} {
@@ -285,9 +282,8 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Op != proto.ReplyNotLeader || kernel.PID(proto.LeaderHint(rep)) != lead.PID() {
-		t.Fatalf("follower sync reply %v hint %d, want NotLeader hint %d",
-			rep.Op, proto.LeaderHint(rep), lead.PID())
+	if rep.Op != proto.ReplyNotLeader || rep.F != [6]uint32{} {
+		t.Fatalf("follower sync reply %v %v, want a bare NotLeader", rep.Op, rep.F)
 	}
 	safe("follower sync")
 
@@ -314,9 +310,9 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 			t.Fatalf("member %d does not hold the seeded image", i)
 		}
 	}
-	for i, host := range g.Hosts() {
-		if err := g.MemberReplica(host).Err(); err != nil {
-			t.Fatalf("member %d Err() = %v", i, err)
+	for _, host := range hosts {
+		if err := g.MemberReplica(host.Name()).Proc().Err(); err != nil {
+			t.Fatalf("member %s Err() = %v", host.Name(), err)
 		}
 	}
 

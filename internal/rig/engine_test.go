@@ -196,27 +196,6 @@ func TestEngineFoldsLanesOntoProcessors(t *testing.T) {
 	}
 }
 
-// TestTickOnlyUngated pins the one difference between the two ways the
-// pick-min loop runs: the ungated sequential driver pumps each client's
-// Tick after every iteration, and a lane under an engine.Sync never does
-// (observers are pumped by fences there).
-func TestTickOnlyUngated(t *testing.T) {
-	count := func(drive func([]*WorkloadClient) *WorkloadResult) (ticks, requests int) {
-		sw := buildSharedPrefix(t)
-		for _, c := range sw.Clients {
-			c.Tick = func(time.Duration) { ticks++ }
-		}
-		return ticks, drive(sw.Clients).Requests
-	}
-	if ticks, requests := count(RunWorkload); ticks != requests || requests == 0 {
-		t.Fatalf("sequential driver: %d ticks for %d requests", ticks, requests)
-	}
-	gated := func(cs []*WorkloadClient) *WorkloadResult { return RunWorkloadEngine(cs, EngineOptions{}) }
-	if ticks, requests := count(gated); ticks != 0 || requests == 0 {
-		t.Fatalf("engine driver: %d ticks for %d requests, want none", ticks, requests)
-	}
-}
-
 // TestConfinedOnLocalRoute is the shard-label proof's truth table.
 func TestConfinedOnLocalRoute(t *testing.T) {
 	sw := buildSharedPrefix(t)

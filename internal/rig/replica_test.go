@@ -27,12 +27,17 @@ func replicaRetryPolicy() client.RetryPolicy {
 
 func TestReplicatedBoot(t *testing.T) {
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
-	host, pid := r.FSR.Group.Leader()
-	if host != "fs1" || pid != r.FSR.Members[0].Rep.PID() {
-		t.Fatalf("bootstrap leader = %s/%v, want fs1 slot 0", host, pid)
+	host, pid := r.FS1Group.Leader()
+	if host != "fs1" || pid != r.FS1Group.MemberReplica("fs1").PID() || pid != r.BinCtx.Server {
+		t.Fatalf("bootstrap leader = %s/%v, want fs1 slot 0 serving [bin]", host, pid)
 	}
-	if got := len(r.FSR.Members); got != 3 {
-		t.Fatalf("fs members = %d, want 3", got)
+	for _, h := range []string{"fs1", "fs1b", "fs1c"} {
+		if r.FS1Group.MemberReplica(h) == nil {
+			t.Fatalf("no slot for %s", h)
+		}
+	}
+	if r.FS1Group.MemberReplica("fs1d") != nil {
+		t.Fatal("a fourth slot, want 3")
 	}
 
 	s := r.WS[0].Session
@@ -55,8 +60,8 @@ func TestReplicatedBoot(t *testing.T) {
 }
 
 // TestReplicatedFailoverInFlight crashes the leader in the middle of a
-// closed-loop workload: every operation must still succeed (retry +
-// leader-hint rebinding), and a mutation is refused before and after.
+// closed-loop workload: every operation must still succeed (retry, then
+// GetPid re-resolution), and a mutation is refused before and after.
 func TestReplicatedFailoverInFlight(t *testing.T) {
 	policy := replicaRetryPolicy()
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
@@ -70,7 +75,7 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	var fsSafe replica.Safety
 	safe := func(step string) {
 		t.Helper()
-		if err := fsSafe.Check(r.FSR.Group); err != nil {
+		if err := fsSafe.Check(r.FS1Group); err != nil {
 			t.Fatalf("after %s: %v", step, err)
 		}
 	}
@@ -94,12 +99,12 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	if n := recovered(r, "op_failures"); n != 1 {
 		t.Fatalf("client_op_failures_total = %d, want 1: the refused Remove", n)
 	}
-	if len(r.FSR.Group.Failovers()) == 0 {
-		t.Fatalf("no failover recorded; events:\n%v", r.FSR.Group.Events())
+	if len(r.FS1Group.Failovers()) == 0 {
+		t.Fatalf("no failover recorded; events:\n%v", r.FS1Group.Events())
 	}
 	// The schedule's restart rejoined fs1 and transferred leadership back
 	// to slot 0 (lowest live slot = the kernel's GetPid preference).
-	if host, _ := r.FSR.Group.Leader(); host != "fs1" {
+	if host, _ := r.FS1Group.Leader(); host != "fs1" {
 		t.Fatalf("post-rejoin leader = %s, want fs1", host)
 	}
 	// The restarted fs1 took the image, and still refuses to change it.
@@ -135,9 +140,9 @@ func TestReplicatedNamesFailOver(t *testing.T) {
 			})
 			if ok != 30 {
 				t.Fatalf("%d/30 reads succeeded; chaos log:\n%v\nevents:\n%s", ok, eng.Log(),
-					strings.Join(r.FSR.Group.Events(), "\n"))
+					strings.Join(r.FS1Group.Events(), "\n"))
 			}
-			if host, _ := r.FSR.Group.Leader(); host == "fs1" {
+			if host, _ := r.FS1Group.Leader(); host == "fs1" {
 				t.Fatal("fs1 still leads after its crash")
 			}
 		})
@@ -158,19 +163,19 @@ func TestRejoinWhileLeaderless(t *testing.T) {
 	r.WS[0].Session.EnableNameCache(true)
 	var safety replica.Safety
 	ok, eng := r.RunPaced(func(s *client.Session, i int) error {
-		if err := safety.Check(r.FSR.Group); err != nil {
-			t.Fatalf("the pump before op %d: %v\n%s", i, err, strings.Join(r.FSR.Group.Events(), "\n"))
+		if err := safety.Check(r.FS1Group); err != nil {
+			t.Fatalf("the pump before op %d: %v\n%s", i, err, strings.Join(r.FS1Group.Events(), "\n"))
 		}
 		return OpenClose("[bin]hello")(s, i)
 	})
-	if err := safety.Check(r.FSR.Group); err != nil {
+	if err := safety.Check(r.FS1Group); err != nil {
 		t.Fatal(err)
 	}
-	events := strings.Join(r.FSR.Group.Events(), "\n")
+	events := strings.Join(r.FS1Group.Events(), "\n")
 	if ok != 30 {
 		t.Fatalf("%d/30 operations succeeded; chaos log:\n%v\nevents:\n%s", ok, eng.Log(), events)
 	}
-	if host, _ := r.FSR.Group.Leader(); host != "fs1" {
+	if host, _ := r.FS1Group.Leader(); host != "fs1" {
 		t.Fatalf("leader at the end = %q, want fs1; events:\n%s", host, events)
 	}
 }
@@ -190,7 +195,7 @@ func TestReplicatedFrontsAreReadOnly(t *testing.T) {
 		do   func() error
 	}
 	for slot, role := range []string{"leader", "follower"} {
-		fs, pfx := r.FSR.Members[slot].Rep.PID(), ws.Prefix.PID()
+		fs, pfx := r.FS1Group.MemberReplica(fsMemberHost(slot)).PID(), ws.Prefix.PID()
 		proc, err := ws.Host.NewProcess("probe-" + role)
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +253,7 @@ func TestReplicatedFrontsAreReadOnly(t *testing.T) {
 			} else if !refused && err != nil {
 				t.Errorf("%s: %s: %v", role, c.name, err)
 			}
-			if err := safety.Check(r.FSR.Group); err != nil {
+			if err := safety.Check(r.FS1Group); err != nil {
 				t.Fatalf("%s: after %s: %v", role, c.name, err)
 			}
 		}
@@ -276,8 +281,8 @@ func replicatedScenario(t *testing.T) (events []string, leader string, failed ui
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
 	r.RunPaced(OpenClose("[bin]hello"))
-	leader, _ = r.FSR.Group.Leader()
-	return r.FSR.Group.Events(), leader, recovered(r, "op_failures")
+	leader, _ = r.FS1Group.Leader()
+	return r.FS1Group.Events(), leader, recovered(r, "op_failures")
 }
 
 // TestReplicaDeterministic pins the replication machinery to the

@@ -28,9 +28,9 @@ import (
 func (t *Topology) NewChaos(events []chaos.Event) *chaos.Engine {
 	e := chaos.New(t.Kernel, events)
 	e.RedefineHook = t.redefine
-	if t.FSR != nil {
+	if t.FS1Group != nil {
 		// NoteDown ignores a host that holds no slot of the group.
-		e.CrashHook = t.FSR.Group.NoteDown
+		e.CrashHook = t.FS1Group.NoteDown
 	}
 	e.RestartHook = t.restartFS1
 	return e
@@ -53,8 +53,8 @@ func (r *Rig) RunPaced(op func(s *client.Session, i int) error) (ok int, eng *ch
 	eng = r.NewChaos(r.sc.Faults)
 	pump := func(now vtime.Time) {
 		eng.AdvanceTo(now)
-		if r.FSR != nil {
-			r.FSR.Group.Pump(now)
+		if r.FS1Group != nil {
+			r.FS1Group.Pump(now)
 		}
 		r.Sampler.AdvanceTo(now)
 	}
@@ -106,15 +106,18 @@ func seedBin(fs *fileserver.FileServer) error {
 // file-server options, a new pid (the §4.2 rebinding scenario), and only
 // /bin/hello (seedBin).
 func (r *Rig) restartFS1(host string, at vtime.Time) error {
-	if r.FSR != nil {
-		m := r.FSR.Member(host)
-		if m == nil {
+	if r.FS1Group != nil {
+		if r.FS1Group.MemberReplica(host) == nil {
 			return nil
 		}
-		if err := r.recreateFSMember(m); err != nil {
+		fs, rep, err := r.startFSMember(r.Kernel.HostByName(host))
+		if err != nil {
 			return err
 		}
-		return r.FSR.Group.Rejoin(host, m.Rep, at)
+		if host == r.FS1Host.Name() {
+			r.FS1 = fs
+		}
+		return r.FS1Group.Rejoin(host, rep, at)
 	}
 	if host != "fs1" {
 		return nil

@@ -27,6 +27,7 @@ import (
 	"repro/internal/pipeserver"
 	"repro/internal/prefix"
 	"repro/internal/printserver"
+	"repro/internal/replica"
 	"repro/internal/termserver"
 	"repro/internal/timeserver"
 )
@@ -106,25 +107,27 @@ func (sc *Scenario) fsOpts() []fileserver.Option {
 
 // bootFileServers boots the fs1 service — one server, or Replicas member
 // hosts first so their fronts win GetPid's lowest-host preference over
-// fs2 — then fs2, then seeds every fs1 volume with the same sequence.
+// fs2 — then fs2, then seeds every fs1 volume with the same sequence and
+// forms the group over the members, slot 0 leading. The group's monitor
+// lives on fs2, a host the fault schedules never take down.
 func (r *Rig) bootFileServers() error {
+	vols := make([]*fileserver.FileServer, max(1, r.sc.Replicas))
+	var reps []*replica.Replica
 	var err error
-	if r.sc.Replicas > 1 {
-		r.FSR = &ReplicatedFS{}
-		for i := 0; i < r.sc.Replicas; i++ {
-			m, err := r.startFSMember(r.Kernel.NewHost(fsMemberHost(i)))
-			if err != nil {
-				return err
-			}
-			r.FSR.Members = append(r.FSR.Members, m)
+	for i := range vols {
+		host := r.Kernel.NewHost(fsMemberHost(i))
+		if len(vols) == 1 {
+			vols[i], err = startStorage(host, r.sc.fsOpts()...)
+		} else {
+			var rep *replica.Replica
+			vols[i], rep, err = r.startFSMember(host)
+			reps = append(reps, rep)
 		}
-		r.FS1Host, r.FS1 = r.FSR.Members[0].Host, r.FSR.Members[0].FS
-	} else {
-		r.FS1Host = r.Kernel.NewHost("fs1")
-		if r.FS1, err = startStorage(r.FS1Host, r.sc.fsOpts()...); err != nil {
+		if err != nil {
 			return err
 		}
 	}
+	r.FS1Host, r.FS1 = vols[0].Proc().Host(), vols[0]
 	r.FS2Host = r.Kernel.NewHost("fs2")
 	if r.FS2, err = startStorage(r.FS2Host, r.sc.fsOpts()...); err != nil {
 		return err
@@ -137,18 +140,35 @@ func (r *Rig) bootFileServers() error {
 		return err
 	}
 	archive := core.ContextPair{Server: r.FS2.PID(), Ctx: archiveCtx}
-	binCtx, err := r.onFS1Volumes(func(fs *fileserver.FileServer) (core.ContextID, error) {
-		return seedFS1Volume(fs, r.sc.Users, archive)
-	})
-	if err != nil {
+	// I-node allocation is deterministic, so the same sequence gives the
+	// same context ids on every volume.
+	var binCtx core.ContextID
+	for i, fs := range vols {
+		c, err := seedFS1Volume(fs, r.sc.Users, archive)
+		if err != nil {
+			return fmt.Errorf("%s: %w", fs.Proc().Name(), err)
+		}
+		if i > 0 && c != binCtx {
+			return fmt.Errorf("%s: context %d diverged from slot 0's %d", fs.Proc().Name(), c, binCtx)
+		}
+		binCtx = c
+	}
+	r.BinCtx = core.ContextPair{Server: r.FS1.PID(), Ctx: binCtx}
+	if reps == nil {
+		return nil
+	}
+	if r.FS1Group, err = replica.NewGroup(r.FS2Host, replica.Config{Name: "fs1", Seed: r.sc.Seed}); err != nil {
 		return err
 	}
-	if r.FSR != nil {
-		if err := r.bootFSGroup(); err != nil {
+	for i, rep := range reps {
+		if err := r.FS1Group.Add(fsMemberHost(i), rep); err != nil {
 			return err
 		}
 	}
-	r.BinCtx = core.ContextPair{Server: r.fs1PID(), Ctx: binCtx}
+	if err := r.FS1Group.Bootstrap(0); err != nil {
+		return err
+	}
+	_, r.BinCtx.Server = r.FS1Group.Leader()
 	return nil
 }
 
@@ -170,32 +190,6 @@ func seedFS2Volume(fs *fileserver.FileServer) (core.ContextID, error) {
 		return 0, err
 	}
 	return fs.MkdirAll("/archive", "system")
-}
-
-// onFS1Volumes applies f to every volume of the fs1 service — each
-// member's when replicated, the single server's otherwise (a one-member
-// list) — and returns the context id f produced. I-node allocation is
-// deterministic, so identical calls give identical ids on every member.
-func (r *Rig) onFS1Volumes(f func(*fileserver.FileServer) (core.ContextID, error)) (core.ContextID, error) {
-	vols := []*fileserver.FileServer{r.FS1}
-	if r.FSR != nil {
-		vols = nil
-		for _, m := range r.FSR.Members {
-			vols = append(vols, m.FS)
-		}
-	}
-	var ctx core.ContextID
-	for i, fs := range vols {
-		c, err := f(fs)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", fs.Proc().Name(), err)
-		}
-		if i > 0 && c != ctx {
-			return 0, fmt.Errorf("%s: context %d diverged from slot 0's %d", fs.Proc().Name(), c, ctx)
-		}
-		ctx = c
-	}
-	return ctx, nil
 }
 
 // seedFS1Volume writes the standard fs1 contents into one volume, in a
@@ -290,13 +284,12 @@ func (r *Rig) bootWorkstation(user string) (*Workstation, error) {
 		return nil, err
 	}
 
-	homeCtx, err := r.onFS1Volumes(func(fs *fileserver.FileServer) (core.ContextID, error) {
-		return fs.MkdirAll("/users/"+user, user)
-	})
+	// Seeding made /users/<user> on every fs1 volume, so this is a lookup.
+	homeCtx, err := r.FS1.MkdirAll("/users/"+user, user)
 	if err != nil {
 		return nil, err
 	}
-	ws.HomeCtx = core.ContextPair{Server: r.fs1PID(), Ctx: homeCtx}
+	ws.HomeCtx = core.ContextPair{Server: r.BinCtx.Server, Ctx: homeCtx}
 
 	// The standard per-user context prefixes (§6): some refer to file
 	// servers, some to special contexts within them, some (those with a
@@ -313,7 +306,7 @@ func (r *Rig) bootWorkstation(user string) (*Workstation, error) {
 	// it per use, so the name reaches whichever front leads (PROTOCOL.md
 	// §11.5). An unreplicated fs1 keeps its static pairs.
 	onFS1 := func(name string, pair core.ContextPair) def {
-		if r.FSR != nil {
+		if r.FS1Group != nil {
 			return def{name: name, svc: kernel.ServiceStorage, ctx: pair.Ctx}
 		}
 		return def{name: name, pair: pair}

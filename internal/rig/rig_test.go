@@ -14,6 +14,7 @@ import (
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
 	"repro/internal/proto"
+	"repro/internal/replica"
 	"repro/internal/timeserver"
 )
 
@@ -72,10 +73,13 @@ func TestBootIsDeterministic(t *testing.T) {
 		}
 	}
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
-	for _, m := range r.FSR.Members {
-		if got := binIDs(m.FS); got != first {
-			t.Fatalf("member %s: /bin object ids %v, single server's %v", m.Name, got, first)
-		}
+	if got := binIDs(r.FS1); got != first {
+		t.Fatalf("slot 0: /bin object ids %v, single server's %v", got, first)
+	}
+	// Every member volume holds slot 0's image.
+	var safety replica.Safety
+	if err := safety.Check(r.FS1Group); err != nil {
+		t.Fatal(err)
 	}
 }
 

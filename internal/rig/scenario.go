@@ -32,6 +32,7 @@ import (
 	"repro/internal/popgen"
 	"repro/internal/prefix"
 	"repro/internal/printserver"
+	"repro/internal/replica"
 	"repro/internal/timeserver"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -165,15 +166,15 @@ type Topology struct {
 	Metrics *metrics.Registry
 	Sampler *metrics.Sampler
 
-	// The paper testbed (Kind Paper). FSR is the replicated fs1
-	// service when Replicas > 1, else nil; FS1Host/FS1 then alias slot
-	// 0's host and member-local server. NSHost/NS exist with Baseline.
+	// The paper testbed (Kind Paper). FS1Group is the replicated fs1
+	// service's group when Replicas > 1, else nil; FS1Host/FS1 then alias
+	// slot 0's host and member-local server. NSHost/NS exist with Baseline.
 	// BinCtx is the standard program directory context on FS1.
 	FS1Host      *kernel.Host
 	FS1          *fileserver.FileServer
 	FS2Host      *kernel.Host
 	FS2          *fileserver.FileServer
-	FSR          *ReplicatedFS
+	FS1Group     *replica.Group
 	ServicesHost *kernel.Host
 	Print        *printserver.Server
 	Inet         *inetserver.Server

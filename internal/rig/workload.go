@@ -66,10 +66,6 @@ type WorkloadClient struct {
 	// Shared — always safe, fully serialized. The sequential driver
 	// ignores it, and so does an engine run folded onto one goroutine.
 	Classify func(s *client.Session, iter int) engine.Class
-	// Tick, when non-nil, is called after each completed iteration with
-	// the client's virtual clock — the hook workloads use to pump
-	// virtual-time observers (the metrics sampler, the chaos engine).
-	Tick func(now time.Duration)
 }
 
 // ClientStats reports one client's outcome.
@@ -251,19 +247,18 @@ func finishResult(res *WorkloadResult, start time.Duration) {
 // lane writes only its own clients' slots. Returns the number of
 // requests issued.
 //
-// With es nil this is the ungated sequential reference, and each
-// completed iteration pumps the client's Tick hook. With es set every
+// With es nil this is the ungated sequential reference. With es set every
 // operation is gated through the conservative engine: the lane publishes
 // the picked operation's key (its client's pre-think clock, the same
 // instant the pick compared, plus the client's global index as the
 // deterministic tie-break) and its class, and blocks until the engine
 // clears it. The pick-min loop makes successive keys non-decreasing,
 // which is what lets the published key stand as the lane's promise of no
-// earlier future activity. Tick is not called under a Sync: a per-op
-// pump would observe nondeterministic lane interleavings, so
-// virtual-time observers are pumped by the engine's fences instead
-// (EngineOptions). peers reports whether the Sync has another lane;
-// without one there is nothing to run ahead of, so no op is classified.
+// earlier future activity. Virtual-time observers are pumped by the
+// engine's fences (EngineOptions): a per-op pump would observe
+// nondeterministic lane interleavings. peers reports whether the Sync has
+// another lane; without one there is nothing to run ahead of, so no op is
+// classified.
 func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engine.Sync, lane int, peers bool) int {
 	iters := make([]int, len(idxs))
 	requests := 0
@@ -300,9 +295,6 @@ func runLane(clients []*WorkloadClient, idxs []int, out []ClientStats, es *engin
 		}
 		st.TotalLatency += after - before
 		st.Finish = after
-		if es == nil && c.Tick != nil {
-			c.Tick(after)
-		}
 		iters[pick]++
 		requests++
 	}
