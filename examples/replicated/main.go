@@ -106,6 +106,17 @@ func run() error {
 		return err
 	}
 
+	// A dead member stays in the group until someone prunes it; group
+	// sends just get no answer from it. Leave it out explicitly.
+	if err := r.Kernel.LeaveGroup(gid, r.FS1.PID()); err != nil {
+		return err
+	}
+	members, err := r.Kernel.GroupMembers(gid)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("fs1 left the group: members %v\n", members)
+
 	// Compare: a static prefix to the dead fs1 dangles, the dynamic [bin]
 	// rebinds (to fs2, the surviving storage provider), and the group
 	// binding never noticed.

@@ -109,10 +109,6 @@ type Event struct {
 
 // Engine fires a sorted schedule of events as virtual time passes.
 type Engine struct {
-	// CrashHook, if set, is called after a Crash event with the event's
-	// exact virtual time — how a replication group's monitor learns the
-	// leader-death instant deterministically (PROTOCOL.md §11.4).
-	CrashHook func(host string, at vtime.Time)
 	// RestartHook, if set, is called after a Restart event with the
 	// host's name and the event's exact virtual time, to re-create the
 	// servers that lived there (the engine can restart a host kernel, but
@@ -182,9 +178,6 @@ func (e *Engine) fireLocked(ev Event) {
 			h.Crash()
 			reg.Timeline(metrics.TimelineServerUp, metrics.Labels{Host: ev.Host}).Mark(ev.At, 0)
 			outcome = "host=" + ev.Host
-			if e.CrashHook != nil {
-				e.CrashHook(ev.Host, ev.At)
-			}
 		} else {
 			outcome = fmt.Sprintf("host=%s unknown", ev.Host)
 		}

@@ -16,11 +16,12 @@ import (
 )
 
 // toy is a one-context server: it maps any name to (itself, ctx 1), and
-// answers every other request OK — or, once deposed is set, with
-// NotLeader and the deposed pid in F[1], which no client may read.
+// answers every other request OK — or, once stale is set, with Timeout
+// (the bounded-time answer for a dead forward target) and that target's
+// pid in F[1], which no client may read.
 type toy struct {
-	proc    *kernel.Process
-	deposed atomic.Uint32
+	proc  *kernel.Process
+	stale atomic.Uint32
 }
 
 func (ty *toy) pair() core.ContextPair { return core.ContextPair{Server: ty.proc.PID(), Ctx: 1} }
@@ -36,8 +37,8 @@ func spawnToy(t *testing.T, host *kernel.Host, name string) *toy {
 		reply := proto.NewReply(proto.ReplyOK)
 		if msg.Op == proto.OpMapContext {
 			proto.SetMapContextReply(reply, uint32(p.PID()), 1)
-		} else if pid := ty.deposed.Load(); pid != 0 {
-			reply.Op = proto.ReplyNotLeader
+		} else if pid := ty.stale.Load(); pid != 0 {
+			reply.Op = proto.ReplyTimeout
 			reply.F[1] = pid
 		}
 		_ = p.Reply(reply, from)
@@ -80,9 +81,9 @@ func recovery(s *Session) [3]uint64 {
 		s.metric("client_rebinds_total").Value(), s.metric("client_failovers_total").Value()}
 }
 
-// TestRebindIgnoresDeadHint: NotLeader names no successor, and the
-// client reads nothing from it, not even a dead pid left in F[1]. The
-// retry drops the cached entry and re-resolves the name through the
+// TestRebindIgnoresDeadHint: a retryable Timeout names no successor, and
+// the client reads nothing from it, not even a dead pid left in F[1].
+// The retry drops the cached entry and re-resolves the name through the
 // prefix server, which now binds it to the new server.
 func TestRebindIgnoresDeadHint(t *testing.T) {
 	s, host, a := rebindRig(t)
@@ -98,15 +99,15 @@ func TestRebindIgnoresDeadHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead.proc.Destroy()
-	a.deposed.Store(uint32(dead.proc.PID()))
+	a.stale.Store(uint32(dead.proc.PID()))
 	if err := s.Remove("[a]x"); err != nil {
-		t.Fatalf("op after NotLeader: %v", err)
+		t.Fatalf("op after Timeout: %v", err)
 	}
 	if st := recovery(s); st != [3]uint64{1, 1, 1} {
 		t.Fatalf("retries, rebinds, failovers = %v, want one each", st)
 	}
 	if cs := s.LeaseCacheStats(); cs.Misses != 2 || cs.Hits != 1 {
-		t.Fatalf("cache %+v, want the warm miss, the hit NotLeader answered, and the re-resolving miss", cs)
+		t.Fatalf("cache %+v, want the warm miss, the hit Timeout answered, and the re-resolving miss", cs)
 	}
 	if got, ok := s.LeasedRoute("[a]x", 0); !ok || got != b.pair() {
 		t.Fatalf("route %v, %v: re-resolution must name b, never the dead pid", got, ok)

@@ -92,11 +92,7 @@ func Retryable(err error) bool {
 		errors.Is(err, kernel.ErrHostDown) ||
 		errors.Is(err, netsim.ErrUnreachable) ||
 		errors.Is(err, proto.ErrNonexistentProcess) ||
-		errors.Is(err, proto.ErrTimeout) ||
-		// A replication-group front with no leader to forward to: waiting
-		// covers the leaderless election window, and the retry re-resolves
-		// the name through GetPid (PROTOCOL.md §11).
-		errors.Is(err, proto.ErrNotLeader)
+		errors.Is(err, proto.ErrTimeout)
 }
 
 // numbered names a retry-loop span "<what> <n>"; the number is formatted

@@ -166,7 +166,7 @@ func a14Team(team int) (Leg, metrics.HistPoint, error) {
 // client never touches the dead pid.
 func a14Chaos() (Leg, error) {
 	sc := a14ChaosScenario(0)
-	r, ok, horizon, err := a14ChaosLoad(sc)
+	r, ok, horizon, err := a14ChaosLoad(sc, rig.OpenClose("[bin]hello"))
 	if err != nil {
 		return Leg{}, err
 	}
@@ -208,7 +208,8 @@ func a14ChaosScenario(replicas int) rig.Scenario {
 // a14ChaosLoad boots sc and paces the A10 failover shape through it
 // (dynamic [bin] binding, FS2 mirror, name cache on), byte for byte the
 // same for A14 and A15: the rig, the successful operations, the horizon.
-func a14ChaosLoad(sc rig.Scenario) (r *rig.Rig, ok int, horizon vtime.Time, err error) {
+// op opens and closes [bin]hello; A15's also times it.
+func a14ChaosLoad(sc rig.Scenario, op func(*client.Session, int) error) (r *rig.Rig, ok int, horizon vtime.Time, err error) {
 	if r, err = rig.New(sc); err == nil {
 		err = r.MirrorBinOnFS2()
 	}
@@ -217,7 +218,7 @@ func a14ChaosLoad(sc rig.Scenario) (r *rig.Rig, ok int, horizon vtime.Time, err 
 	}
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
-	ok, _ = r.RunPaced(rig.OpenClose("[bin]hello"))
+	ok, _ = r.RunPaced(op)
 	return r, ok, s.Proc().Now(), nil
 }
 

@@ -1,56 +1,75 @@
 package experiments
 
 // A15 reruns A14's chaos leg — the identical crash/restart schedule,
-// workload, pacing and seed — against the read-only replicated rig
-// (Config.Replicas = 3, PROTOCOL.md §11). In A14 the fs1 host IS the
-// fs1 service: the health report's availability is the service's. With
-// replication the host still takes both scheduled outages, but
-// the service fails over — the client's only exposure is the
-// stale-cache send to the dead leader front plus the short leaderless
-// window, and every operation succeeds. Everything is virtual time, so
-// BENCH_replica.json is byte-deterministic.
+// workload, pacing and seed — against the replicated rig
+// (Config.Replicas = 3, PROTOCOL.md §11): three identically seeded
+// read-only fs1 members, each registered as the storage service. In A14
+// the fs1 host IS the fs1 service: the health report's availability is
+// the service's. With replication the host still takes both scheduled
+// outages, but the client's only exposure is the one send to the dead
+// member — the kernel's dead-host detection — before its retry
+// re-resolves [bin] by GetPid to the next live member, and every
+// operation succeeds. Everything is virtual time, so BENCH_replica.json
+// is byte-deterministic.
 
 import (
 	"fmt"
 	"slices"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/metrics"
-	"repro/internal/replica"
+	"repro/internal/rig"
+	"repro/internal/vtime"
 )
 
-// a15RetryPolicy is the fast recovery policy replicated runs use:
-// elections complete within tens of virtual milliseconds, so short
-// backoffs keep the leaderless window — the only client-visible
-// downtime — small. A14's default policy (50 ms base) would park the
-// client past whole elections.
+// a15RetryPolicy is the fast recovery policy replicated runs use: a
+// short first backoff, so the retry that re-resolves the name by GetPid
+// follows the failed send closely. A14's default policy (50 ms base)
+// would park the client for no gain: a live member is always there.
 func a15RetryPolicy() client.RetryPolicy {
 	return client.RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 }
 
 // a15Collect runs the replicated chaos leg once. Its leg reads the
-// completed operations, the client's backoff downtime and each
-// crash-triggered failover's latency (failover<i>_ns, leader down to
-// successor elected); its series holds the registry counters, the health
-// report and the group's event log.
+// completed operations, the client's backoff downtime, the slowest
+// operation (slowest_op_ns) and each crash's failover (failover<i>_ns:
+// the latency of the first operation issued after crash i); its series
+// holds the registry counters and the health report.
 func a15Collect() (Result, error) {
 	// The workload is byte-for-byte A14's: FS2 still carries the
 	// standard-programs mirror (it just never gets the traffic now — the
-	// group's own standbys are closer in GetPid order).
+	// other fs1 members are lower hosts in GetPid order).
 	const ops = a14ChaosOps
 	sc := a14ChaosScenario(3)
-	r, ok, horizon, err := a14ChaosLoad(sc)
+	var crashes []vtime.Time
+	for _, ev := range sc.Faults {
+		if ev.Action == chaos.Crash {
+			crashes = append(crashes, ev.At)
+		}
+	}
+	var failovers []time.Duration
+	var slowest time.Duration
+	timed := func(s *client.Session, i int) error {
+		start := s.Proc().Now()
+		err := rig.OpenClose("[bin]hello")(s, i)
+		d := s.Proc().Now() - start
+		slowest = max(slowest, d)
+		if n := len(failovers); n < len(crashes) && start >= crashes[n] {
+			failovers = append(failovers, d)
+		}
+		return err
+	}
+	r, ok, horizon, err := a14ChaosLoad(sc, timed)
 	if err != nil {
 		return Result{}, err
 	}
 	if ok != ops {
 		return Result{}, fmt.Errorf("a15: %d/%d operations failed under replication", ops-ok, ops)
 	}
-	// The schedule has run: one leader per term, and every synced member
-	// holds the same image.
-	var safety replica.Safety
-	if err := safety.Check(r.FS1Group); err != nil {
+	// The schedule has run: every live member still holds the seed image.
+	if err := r.CheckFS1(); err != nil {
 		return Result{}, fmt.Errorf("a15: %w", err)
 	}
 	snap := r.Metrics.Snapshot().Deterministic()
@@ -60,8 +79,7 @@ func a15Collect() (Result, error) {
 		return Result{}, fmt.Errorf("a15: %w", err)
 	}
 	downtime := time.Duration(total(snap, "client_backoff_ns_total"))
-	rd := reads{"completed": float64(ok), "downtime_ns": float64(downtime)}
-	failovers := r.FS1Group.Failovers()
+	rd := reads{"completed": float64(ok), "downtime_ns": float64(downtime), "slowest_op_ns": float64(slowest)}
 	for i, d := range failovers {
 		rd[fmt.Sprintf("failover%d_ns", i)] = float64(d)
 	}
@@ -73,7 +91,6 @@ func a15Collect() (Result, error) {
 				"client_op_failures_total", "client_retries_total", "client_rebinds_total",
 				"client_failovers_total", "kernel_send_failures_total"),
 			Health: health,
-			Events: r.FS1Group.Events(),
 		},
 		Reads: rd,
 	}
@@ -92,10 +109,13 @@ func a15Collect() (Result, error) {
 			Note:     "1 − backoff downtime/horizon; the unreplicated A14 service measured 0.667"},
 		{Label: "operation success under chaos", Paper: "-",
 			Measured: fmt.Sprintf("%d/%d", ok, ops),
-			Note:     "every op retried through to a live leader; A14 succeeded 1.00 only via the FS2 copy"},
+			Note:     "every op retried through to a live member; A14 succeeded 1.00 only via the FS2 copy"},
 		{Label: "failover latency, p50 / p99", Paper: "-",
 			Measured: usms(p50.Microseconds()) + " / " + usms(p99.Microseconds()),
-			Note:     fmt.Sprintf("%d crash-triggered elections (seeded timeouts + election round)", len(failovers))},
+			Note:     fmt.Sprintf("first op after each of %d crashes: dead-host detection + GetPid re-resolution", len(failovers))},
+		{Label: "slowest operation", Paper: "-",
+			Measured: usms(slowest.Microseconds()),
+			Note:     "no op waits longer than one detection plus one re-resolution"},
 		{Label: "fs1 host availability", Paper: "-",
 			Measured: fmt.Sprintf("%.3f", fs1.Availability),
 			Note:     "the host still takes both scheduled outages — the service no longer cares"},

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/rig"
 )
 
-// TestA15Availability gates the PR's headline claim: under the A14
-// crash/restart schedule a replicated fs1 keeps client-observed
-// availability at ~1.0 with zero failed operations, even though the
-// fs1 host itself spends both outage windows down.
+// TestA15Availability gates A15's claim: under the A14 crash/restart
+// schedule a replicated fs1 keeps client-observed availability at ~1.0
+// with zero failed operations, even though the fs1 host itself spends
+// both outage windows down, and no operation waits longer than one
+// dead-host detection plus one re-resolution.
 func TestA15Availability(t *testing.T) {
 	res, err := a15Collect()
 	if err != nil {
@@ -39,7 +42,27 @@ func TestA15Availability(t *testing.T) {
 		}
 	}
 	if failovers == 0 {
-		t.Fatalf("no failovers recorded; events:\n%v", leg.Series.Events)
+		t.Fatal("no failovers recorded")
+	}
+
+	// A send to a dead host costs its client stub and three
+	// retransmission timeouts; a re-resolution costs what the first
+	// operation of a fresh rig does, whose name cache is empty.
+	r, err := rig.New(*leg.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.WS[0].Session
+	s.EnableNameCache(true)
+	start := s.Proc().Now()
+	if err := rig.OpenClose("[bin]hello")(s, 0); err != nil {
+		t.Fatal(err)
+	}
+	model := r.Kernel.Model()
+	detection, resolution := model.ClientStubCost+3*model.RetransmitTimeout, s.Proc().Now()-start
+	if slowest := leg.ns("slowest_op_ns"); slowest > detection+resolution {
+		t.Fatalf("slowest op %v, want at most one detection (%v) plus one re-resolution (%v)",
+			slowest, detection, resolution)
 	}
 }
 

@@ -60,8 +60,7 @@ type Leg struct {
 	Reads    map[string]float64 `json:"reads,omitempty"`
 }
 
-// Series is the metrics-registry state a paper-testbed leg read, and a
-// replicated leg's group event log.
+// Series is the metrics-registry state a paper-testbed leg read.
 type Series struct {
 	Histograms []metrics.HistPoint    `json:"histograms,omitempty"`
 	Counters   []metrics.CounterPoint `json:"counters,omitempty"`
@@ -70,9 +69,6 @@ type Series struct {
 	RequestsPerTick []metrics.SeriesPoint `json:"requests_per_tick,omitempty"`
 	FailuresPerTick []metrics.SeriesPoint `json:"failures_per_tick,omitempty"`
 	Health          *metrics.HealthReport `json:"health,omitempty"`
-	// Events is the replication group's log: elections, crash notices,
-	// rejoins, snapshot syncs and leadership transfers.
-	Events []string `json:"events,omitempty"`
 }
 
 // reads is a leg's name → number readings.
@@ -163,7 +159,7 @@ var registry = []experiment{
 	{"a11", "server teams: file-server throughput vs. team size", "§3.1 (multi-process server teams)", "", rowsOnly(a11)},
 	{"a12", "trace decomposition of the remote message transaction", "§3.1, Figure 1 (components read off the span tree)", "", rowsOnly(a12)},
 	{"a14", "metrics: latency distributions, team scaling, health under faults", "§3.1 latencies as distributions; §4.2 faults as an SLO report", "metrics", a14Collect},
-	{"a15", "replication: consensus-replicated fs1 under the A14 fault schedule", "§4.2 rebinding generalized: no single host owns a name", "replica", a15Collect},
+	{"a15", "replication: read-only replicated fs1 under the A14 fault schedule", "§4.2 rebinding generalized: no single host owns a name", "replica", a15Collect},
 	{"a16", "sharded engine: per-lane event engines with conservative lookahead", "PROTOCOL.md §12; client name caches (§2.3) decide each op's class", "shard", a16Collect},
 	{"a17", "lease-coherent name caches: hit rates and the staleness bound under faults", "PROTOCOL.md §13; §2.3 caches with leases in place of validate-on-use", "cache", a17Collect},
 	{"a18", "population-scale resolution: radix index and open-loop Zipf load", "PROTOCOL.md §14; §6's 2.6 KB table grown to a user population", "zipf", func() (Result, error) { return a18Collect(a18FullScale) }},

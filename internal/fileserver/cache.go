@@ -37,15 +37,9 @@ func newBlockCache(capPages int) *blockCache {
 	if capPages <= 0 {
 		capPages = defaultCachePages
 	}
-	c := &blockCache{cap: capPages}
-	c.reset()
-	return c
-}
-
-func (c *blockCache) reset() {
-	c.pages = make(map[pageKey]*page, c.cap)
-	c.files = make(map[uint32]*page)
+	c := &blockCache{cap: capPages, pages: make(map[pageKey]*page, capPages), files: make(map[uint32]*page)}
 	c.lru.newer, c.lru.older = &c.lru, &c.lru
+	return c
 }
 
 // touch makes p the most recently used page, linking it into the LRU
@@ -115,12 +109,4 @@ func (c *blockCache) invalidate(ino uint32) {
 	for p := c.files[ino]; p != nil; p = c.files[ino] {
 		c.drop(p)
 	}
-}
-
-// clear drops every buffered page (snapshot restore replaces the whole
-// volume, so the cache describes contents that no longer exist).
-func (c *blockCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reset()
 }

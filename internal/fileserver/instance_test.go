@@ -1,6 +1,7 @@
 package fileserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -14,9 +15,10 @@ import (
 
 // An open instance names its file by i-node number and looks the i-node
 // up on every request, so it follows whatever the volume holds under that
-// number now. These tests pin that across the two events that replace or
-// drop i-nodes behind an open instance — snapshot restore and removal —
-// which a pointer held past the volume lock would get wrong.
+// number now. These tests pin that across the events that rewrite, drop
+// or rebind i-nodes behind an open instance — a rewrite in place, a
+// removal, and a name restored under a new i-node — which a pointer held
+// past the volume lock would get wrong.
 
 func openNamed(t *testing.T, client *kernel.Process, fs *FileServer, name string, mode uint32) *vio.File {
 	t.Helper()
@@ -30,39 +32,46 @@ func openNamed(t *testing.T, client *kernel.Process, fs *FileServer, name string
 	return vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
 }
 
+// TestOpenInstanceAcrossRestore: /kept is rewritten in place (same
+// i-node) and /late is removed and restored under the same name (a new
+// i-node) while both are open. The instance of /kept reads the new bytes;
+// the instance of the old /late finds no i-node, and the restored file is
+// not reachable through it.
 func TestOpenInstanceAcrossRestore(t *testing.T) {
 	fs, client := startFS(t)
-	if err := fs.WriteFile("/kept", "o", []byte("snapshot bytes")); err != nil {
+	if err := fs.WriteFile("/kept", "o", []byte("first bytes")); err != nil {
 		t.Fatal(err)
 	}
-	img := fs.vol.encode(true)
-
-	// After the snapshot: /kept is rewritten in place (same i-node) and
-	// /late is created (an i-node the snapshot does not have).
-	if err := fs.WriteFile("/kept", "o", []byte("rewritten after the snapshot")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/late", "o", []byte("born late")); err != nil {
+	if err := fs.WriteFile("/late", "o", []byte("born early")); err != nil {
 		t.Fatal(err)
 	}
 	kept := openNamed(t, client, fs, "kept", proto.ModeRead)
 	late := openNamed(t, client, fs, "late", proto.ModeRead)
-	if err := fs.restoreVolume(img); err != nil {
+	if err := fs.WriteFile("/kept", "o", []byte("rewritten in place")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.vol.remove(core.ContextID(rootIno), "late", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/late", "o", []byte("restored")); err != nil {
 		t.Fatal(err)
 	}
 
 	got, err := kept.ReadAll()
-	if err != nil || string(got) != "snapshot bytes" {
-		t.Fatalf("surviving i-node read %q, %v; want the restored bytes", got, err)
+	if err != nil || string(got) != "rewritten in place" {
+		t.Fatalf("rewritten i-node read %q, %v; want the new bytes", got, err)
 	}
 	if _, err := late.ReadAll(); !errors.Is(err, proto.ErrNotFound) {
-		t.Fatalf("vanished i-node read err = %v, want ErrNotFound", err)
+		t.Fatalf("removed i-node read err = %v, want ErrNotFound", err)
 	}
 	if _, err := late.Write([]byte("x")); !errors.Is(err, proto.ErrModeNotSupported) {
 		t.Fatalf("write through a read instance err = %v", err)
 	}
 	if err := late.Close(); err != nil {
-		t.Fatalf("closing an instance of a vanished i-node: %v", err)
+		t.Fatalf("closing an instance of a removed i-node: %v", err)
+	}
+	if got, err := openNamed(t, client, fs, "late", proto.ModeRead).ReadAll(); err != nil || string(got) != "restored" {
+		t.Fatalf("the restored name reads %q, %v", got, err)
 	}
 }
 
@@ -111,9 +120,10 @@ func TestOpenInstanceAcrossRemove(t *testing.T) {
 }
 
 // TestAliasSurvivesRestoreAndRemove: an alias and the name it was made
-// from are two entries for one i-node; restoring a snapshot must rebuild
-// both onto the same restored i-node, and removing one must leave the
-// other describing it.
+// from are two entries for one i-node; the volume's image records both
+// naming that i-node, so a second volume seeded with the same sequence has
+// the same image; and removing one name must leave the other describing
+// the i-node, even once the removed name is restored to a new file.
 func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
 	fs, client := startFS(t)
 	if err := fs.WriteFile("/a/first", "o", []byte("shared")); err != nil {
@@ -130,15 +140,23 @@ func TestAliasSurvivesRestoreAndRemove(t *testing.T) {
 	if err := fs.vol.addAlias(b, "second", first.ObjectID, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.restoreVolume(fs.vol.encode(true)); err != nil {
+	twin, _ := startFS(t)
+	if err := twin.WriteFile("/a/first", "o", []byte("shared")); err != nil {
 		t.Fatal(err)
+	}
+	tb, _ := twin.MkdirAll("/b", "o")
+	if err := twin.vol.addAlias(tb, "second", first.ObjectID, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(twin.Image(), fs.Image()) {
+		t.Fatal("identically aliased volumes have different images")
 	}
 	if _, err := fs.vol.writeAt(first.ObjectID, 0, []byte("SHARED!"), 0); err != nil {
 		t.Fatal(err)
 	}
 	second, err := query(client, fs, "/b/second")
 	if err != nil || second.ObjectID != first.ObjectID || second.Size != 7 || second.TypeSpecific[0] != 2 {
-		t.Fatalf("alias after restore describes %+v, %v", second, err)
+		t.Fatalf("alias after a write through its first name describes %+v, %v", second, err)
 	}
 	a, _ := fs.MkdirAll("/a", "o")
 	if err := fs.vol.remove(a, "first", 0); err != nil {
@@ -204,8 +222,8 @@ func TestDirectoryWriteSpansBlocks(t *testing.T) {
 // TestListingFollowsEveryChange: the file server keeps each directory's
 // context directory between changes, and a List after each kind of change
 // — to a listed file, to a record written back, to a second name, to a
-// subdirectory's entries, to the whole volume — streams what a fresh
-// fabrication does, and not what the kept one did.
+// subdirectory's entries — streams what a fresh fabrication does, and not
+// what the kept one did.
 func TestListingFollowsEveryChange(t *testing.T) {
 	fs, client := startFS(t)
 	if err := fs.WriteFile("/a/f", "o", []byte("first")); err != nil {
@@ -217,7 +235,6 @@ func TestListingFollowsEveryChange(t *testing.T) {
 	if _, err := fs.MkdirAll("/b", "o"); err != nil {
 		t.Fatal(err)
 	}
-	img := fs.vol.encode(true)
 	dirs := []string{"", "a", "a/sub", "b"}
 	list := func(path string) []proto.Descriptor {
 		t.Helper()
@@ -290,11 +307,6 @@ func TestListingFollowsEveryChange(t *testing.T) {
 			proto.SetCSName(mkdir, uint32(core.CtxDefault), "a/sub/new")
 			proto.SetOpenMode(mkdir, proto.ModeRead|proto.ModeDirectory|proto.ModeCreate)
 			ok(send(t, client, fs, mkdir))
-		}},
-		{"a replica Restore", []string{"a", "a/sub", "b"}, func() {
-			if err := NewReplicaService(fs).Restore(fs.Proc(), img); err != nil {
-				t.Fatal(err)
-			}
 		}},
 	} {
 		before := make(map[string][]proto.Descriptor, len(dirs))

@@ -32,6 +32,31 @@ func WithTeam(n int) Option {
 	return func(fs *FileServer) { fs.teamSize = n }
 }
 
+// WithReadOnly makes the server refuse every mutation of its volume with
+// NoPermission (mutation), as each member of a replicated file service
+// does (PROTOCOL.md §11.3). Reads, opens for reading and context mapping
+// are served as usual, and a name that leads out of the volume is passed
+// on to the server holding it, which decides.
+func WithReadOnly() Option {
+	return func(fs *FileServer) { fs.readOnly = true }
+}
+
+// mutation reports whether msg would change a volume: a remove by name or
+// identifier, rename, link, context-name change or modify, or an open
+// (by name or identifier) to write, create, append or truncate. An open
+// by identifier is judged by the mode openFileInstance would read from
+// it.
+func mutation(msg *proto.Message) bool {
+	switch msg.Op {
+	case proto.OpRemoveObject, proto.OpRemoveByUID, proto.OpRenameObject, proto.OpLinkObject,
+		proto.OpAddContextName, proto.OpDeleteContextName, proto.OpModifyObject:
+		return true
+	case proto.OpCreateInstance, proto.OpOpenByUID:
+		return proto.OpenMode(msg)&(proto.ModeWrite|proto.ModeCreate|proto.ModeAppend|proto.ModeTruncate) != 0
+	}
+	return false
+}
+
 // FileServer is a CSNH server implementing files and directories.
 type FileServer struct {
 	srv       *core.Server
@@ -41,6 +66,7 @@ type FileServer struct {
 	cache     *blockCache
 	reg       *vio.Registry
 	readAhead bool
+	readOnly  bool
 	teamSize  int
 	name      string
 	hitMiss   [2]metrics.Handles[*metrics.Counter] // buffer-cache hits, misses: their registry series
@@ -179,6 +205,9 @@ func splitPath(path string) (dir, base string) {
 // HandleNamed implements core.Handler for CSname operations that resolved
 // on this server.
 func (fs *FileServer) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
+	if fs.readOnly && mutation(req.Msg) {
+		return proto.NewReply(proto.ReplyNoPermission)
+	}
 	switch req.Msg.Op {
 	case proto.OpCreateInstance:
 		return fs.handleOpen(req, res)
@@ -205,6 +234,9 @@ func (fs *FileServer) HandleNamed(req *core.Request, res *core.Resolution) *prot
 
 // HandleOp implements core.Handler for non-name operations.
 func (fs *FileServer) HandleOp(req *core.Request) *proto.Message {
+	if fs.readOnly && mutation(req.Msg) {
+		return proto.NewReply(proto.ReplyNoPermission)
+	}
 	if reply := fs.reg.HandleOp(req.Proc(), req.Msg, req.From); reply != nil {
 		return reply
 	}

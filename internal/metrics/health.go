@@ -20,32 +20,6 @@ import (
 // (value 1 = up, 0 = down), labeled by Host.
 const TimelineServerUp = "server_up"
 
-// TimelineServerRole is the timeline name carrying a replicated host's
-// consensus role next to server_up, labeled by Host. Values are
-// RoleValueDown/Follower/Leader; the replication-group monitor marks it
-// at the exact virtual times of crashes, elections and rejoins.
-const TimelineServerRole = "server_role"
-
-// Values of the TimelineServerRole timeline.
-const (
-	RoleValueDown     = 0
-	RoleValueFollower = 1
-	RoleValueLeader   = 2
-)
-
-// roleName renders a role timeline value.
-func roleName(v int64) string {
-	switch v {
-	case RoleValueDown:
-		return "down"
-	case RoleValueFollower:
-		return "follower"
-	case RoleValueLeader:
-		return "leader"
-	}
-	return fmt.Sprintf("role(%d)", v)
-}
-
 // Window is a half-open virtual-time interval [From, To).
 type Window struct {
 	From vtime.Time `json:"from_us"`
@@ -55,25 +29,14 @@ type Window struct {
 // Duration returns the window length.
 func (w Window) Duration() vtime.Time { return w.To - w.From }
 
-// RoleWindow is one span of a host's consensus-role timeline: the host
-// held Role from From until To (the horizon for the last window).
-type RoleWindow struct {
-	From vtime.Time `json:"from_us"`
-	To   vtime.Time `json:"to_us"`
-	Role string     `json:"role"`
-}
-
 // ServerHealth is one host's availability accounting over the horizon.
 type ServerHealth struct {
-	Host    string   `json:"host"`
-	Up      bool     `json:"up"` // state at the horizon
-	Outages []Window `json:"outages,omitempty"`
-	// Roles are the host's consensus-role epochs (leader/follower/down),
-	// present only for members of a replication group.
-	Roles        []RoleWindow `json:"roles,omitempty"`
-	DowntimeUS   int64        `json:"downtime_us"`
-	Availability float64      `json:"availability"`
-	SLOMet       bool         `json:"slo_met"`
+	Host         string   `json:"host"`
+	Up           bool     `json:"up"` // state at the horizon
+	Outages      []Window `json:"outages,omitempty"`
+	DowntimeUS   int64    `json:"downtime_us"`
+	Availability float64  `json:"availability"`
+	SLOMet       bool     `json:"slo_met"`
 	// ErrorBudgetLeft is the fraction of the SLO's allowed downtime not
 	// yet consumed (negative when the budget is blown).
 	ErrorBudgetLeft float64 `json:"error_budget_left"`
@@ -102,61 +65,13 @@ var degradationSeries = []string{
 // horizon].
 func Health(snap Snapshot, samples []Sample, horizon vtime.Time, slo float64) *HealthReport {
 	rep := &HealthReport{HorizonUS: us(horizon), SLO: slo}
-	roles := make(map[string][]RoleWindow)
 	for _, tl := range snap.Timelines {
-		if tl.Name == TimelineServerRole {
-			roles[tl.Labels.Host] = roleWindows(tl, horizon)
+		if tl.Name == TimelineServerUp {
+			rep.Servers = append(rep.Servers, serverHealth(tl, horizon, slo))
 		}
-	}
-	for _, tl := range snap.Timelines {
-		if tl.Name != TimelineServerUp {
-			continue
-		}
-		h := serverHealth(tl, horizon, slo)
-		h.Roles = roles[tl.Labels.Host]
-		delete(roles, tl.Labels.Host)
-		rep.Servers = append(rep.Servers, h)
-	}
-	// Replication-group members that never crashed have a role timeline
-	// but no server_up transitions; they still deserve a row, so the
-	// report shows who served each leader epoch.
-	for _, tl := range snap.Timelines {
-		if tl.Name != TimelineServerRole {
-			continue
-		}
-		rw, ok := roles[tl.Labels.Host]
-		if !ok {
-			continue
-		}
-		delete(roles, tl.Labels.Host)
-		rep.Servers = append(rep.Servers, ServerHealth{
-			Host: tl.Labels.Host, Up: true, Roles: rw,
-			Availability: 1, SLOMet: true, ErrorBudgetLeft: 1,
-		})
 	}
 	rep.Degraded = degradedWindows(samples)
 	return rep
-}
-
-// roleWindows converts a role timeline's points into half-open epochs,
-// the last one extending to the horizon. Adjacent same-role points
-// merge.
-func roleWindows(tl TimelineSeries, horizon vtime.Time) []RoleWindow {
-	var out []RoleWindow
-	for _, p := range tl.Points {
-		name := roleName(p.Value)
-		if n := len(out); n > 0 {
-			out[n-1].To = p.At
-			if out[n-1].Role == name {
-				continue
-			}
-		}
-		out = append(out, RoleWindow{From: p.At, To: horizon, Role: name})
-	}
-	if n := len(out); n > 0 {
-		out[n-1].To = horizon
-	}
-	return out
 }
 
 func serverHealth(tl TimelineSeries, horizon vtime.Time, slo float64) ServerHealth {
@@ -244,10 +159,6 @@ func (r *HealthReport) WriteText(w io.Writer) {
 		for _, o := range s.Outages {
 			fmt.Fprintf(w, "    outage %s -> %s (%s)\n",
 				vtime.Milliseconds(o.From), vtime.Milliseconds(o.To), vtime.Milliseconds(o.Duration()))
-		}
-		for _, rw := range s.Roles {
-			fmt.Fprintf(w, "    role %-8s %s -> %s\n",
-				rw.Role, vtime.Milliseconds(rw.From), vtime.Milliseconds(rw.To))
 		}
 	}
 	for _, d := range r.Degraded {

@@ -12,16 +12,15 @@ import (
 // TestReplicatedPrefixTable: replication is the file service's alone
 // (PROTOCOL.md §11). With fs1 replicated, the user's prefix server is the
 // plain one on the workstation, so it accepts a bracket-less add and
-// delete (§5.7), and a name added to fs1's group resolves through it.
+// delete (§5.7), and a name added for one of fs1's members resolves
+// through it.
 func TestReplicatedPrefixTable(t *testing.T) {
 	r, err := rig.Scenario{Kind: rig.Paper, Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3}.Boot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := r.WS[0].Session
-	_, leader := r.FS1Group.Leader()
 	root := r.FS1.RootPair()
-	root.Server = leader
 	if err := s.AddName("scratch", root); err != nil {
 		t.Fatalf("add [scratch]: %v", err)
 	}

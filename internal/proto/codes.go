@@ -25,11 +25,6 @@ const (
 	ReplyDuplicateName
 	ReplyNotEmpty
 	ReplyRetry
-	// ReplyNotLeader is returned by a replication-group member asked to
-	// perform an operation only the group leader may serve, when it knows
-	// no live leader to forward to (§11 of PROTOCOL.md). It carries
-	// nothing: the client retries and re-resolves the name.
-	ReplyNotLeader
 )
 
 // Request codes carrying a character-string name (CSname requests, §5.1).
@@ -114,28 +109,6 @@ const (
 	OpRemoveByUID
 )
 
-// Request codes of the replication substrate (internal/replica): the
-// election and snapshot messages that let a group of name servers
-// implement one read-only context. They ride the ordinary
-// Send/Receive/Reply transaction, so they are costed, traced and metered
-// like any other V message.
-const (
-	// OpReplicaAppend is the leader's announcement to a follower: its term
-	// and pid, an append with no entries.
-	OpReplicaAppend Code = iota + 0x0400
-	// OpReplicaVote requests an election vote from a peer.
-	OpReplicaVote
-	// OpReplicaElect instructs a member (from the group monitor) to stand
-	// for election; the member runs the vote rounds synchronously.
-	OpReplicaElect
-	// OpReplicaSync instructs the leader (from the group monitor) to
-	// bring a rejoined member up to date via snapshot install.
-	OpReplicaSync
-	// OpReplicaSnapshot installs one chunk of the leader's snapshot on a
-	// follower.
-	OpReplicaSnapshot
-)
-
 // IsCSNameOp reports whether c is a request that carries a CSname and so
 // follows the standard CSname field conventions.
 func (c Code) IsCSNameOp() bool {
@@ -152,8 +125,8 @@ func (c Code) String() string {
 }
 
 // codeTable[c>>8][c&0xff] is codeNames[c]: one row per code range
-// (replies, then the four request ranges), wide enough for the longest.
-var codeTable = func() (t [5][32]string) {
+// (replies, then the three request ranges), wide enough for the longest.
+var codeTable = func() (t [4][32]string) {
 	for c, s := range codeNames {
 		t[c>>8][c&0xff] = s
 	}
@@ -177,7 +150,6 @@ var codeNames = map[Code]string{
 	ReplyDuplicateName:      "DuplicateName",
 	ReplyNotEmpty:           "NotEmpty",
 	ReplyRetry:              "Retry",
-	ReplyNotLeader:          "NotLeader",
 
 	OpMapContext:        "MapContext",
 	OpQueryObject:       "QueryObject",
@@ -207,12 +179,6 @@ var codeNames = map[Code]string{
 	OpNSList:       "NSList",
 	OpOpenByUID:    "OpenByUID",
 	OpRemoveByUID:  "RemoveByUID",
-
-	OpReplicaAppend:   "ReplicaAppend",
-	OpReplicaVote:     "ReplicaVote",
-	OpReplicaElect:    "ReplicaElect",
-	OpReplicaSync:     "ReplicaSync",
-	OpReplicaSnapshot: "ReplicaSnapshot",
 }
 
 // Standard error values corresponding to the standard failure replies,
@@ -233,7 +199,6 @@ var (
 	ErrDuplicateName      = errors.New("duplicate name")
 	ErrNotEmpty           = errors.New("context not empty")
 	ErrRetry              = errors.New("retry")
-	ErrNotLeader          = errors.New("not the replication-group leader")
 )
 
 var replyErrors = map[Code]error{
@@ -252,7 +217,6 @@ var replyErrors = map[Code]error{
 	ReplyDuplicateName:      ErrDuplicateName,
 	ReplyNotEmpty:           ErrNotEmpty,
 	ReplyRetry:              ErrRetry,
-	ReplyNotLeader:          ErrNotLeader,
 }
 
 // ReplyError maps a reply code to a standard error, or nil for ReplyOK.

@@ -161,7 +161,7 @@ func TestIsCSNameOp(t *testing.T) {
 
 // TestIsReply pins the code space: replies below 0x0100, requests from it.
 func TestIsReply(t *testing.T) {
-	for _, c := range []Code{ReplyOK, ReplyNotFound, ReplyNotLeader} {
+	for _, c := range []Code{ReplyOK, ReplyNotFound, ReplyRetry} {
 		if c >= 0x0100 {
 			t.Errorf("reply %v is in the request range", c)
 		}
@@ -214,8 +214,8 @@ func TestCodeString(t *testing.T) {
 	// Codes nobody named — zero, the gap after each range's last code, a
 	// range's far end, the first range past the table, the last code of
 	// all — print their value.
-	for _, c := range []Code{0, ReplyNotLeader + 1, 0x00ff, OpLinkObject + 1, OpCacheInvalidate + 1,
-		OpRemoveByUID + 1, OpReplicaSnapshot + 1, 0x04ff, 0x0500, 0x0501, 0x7777, 0xffff} {
+	for _, c := range []Code{0, ReplyRetry + 1, 0x00ff, OpLinkObject + 1, OpCacheInvalidate + 1,
+		OpRemoveByUID + 1, 0x03ff, 0x0400, 0x0401, 0x7777, 0xffff} {
 		if _, named := codeNames[c]; named {
 			t.Fatalf("test bug: %#04x is a named code", uint16(c))
 		}
@@ -236,7 +236,7 @@ func TestCodeStringZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() {
 		sink = ReplyOK.String()
 		sink = OpReadInstance.String()
-		sink = OpReplicaSnapshot.String()
+		sink = OpRemoveByUID.String()
 	}); allocs != 0 {
 		t.Fatalf("Code.String allocates %v times for known codes", allocs)
 	}

@@ -305,10 +305,16 @@ func mustNew(t testing.TB, cfg Config) *Rig {
 // restart hook reported an error.
 func faultFS1(t testing.TB, r *Rig, actions ...chaos.Action) {
 	t.Helper()
+	faultOn(t, r, "fs1", actions...)
+}
+
+// faultOn is faultFS1 on any host.
+func faultOn(t testing.TB, r *Rig, host string, actions ...chaos.Action) {
+	t.Helper()
 	now := r.WS[0].Session.Proc().Now()
 	events := make([]chaos.Event, len(actions))
 	for i, a := range actions {
-		events[i] = chaos.Event{At: now, Action: a, Host: "fs1"}
+		events[i] = chaos.Event{At: now, Action: a, Host: host}
 	}
 	eng := r.NewChaos(events)
 	eng.AdvanceTo(now)

@@ -6,44 +6,63 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/replica"
+	"repro/internal/vtime"
 )
 
-// replicaRetryPolicy is the fast recovery policy replicated runs use:
-// elections complete within tens of virtual milliseconds, so short
-// backoffs keep the leaderless window — the only client-visible
-// downtime — small (EXPERIMENTS.md A15).
+// replicaRetryPolicy is the fast recovery policy replicated runs use
+// (EXPERIMENTS.md A15): a short first backoff, so the retry that
+// re-resolves a name by GetPid follows the failed send closely.
 func replicaRetryPolicy() client.RetryPolicy {
 	return client.RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 }
 
+// storagePID is the storage server GetPid answers the first workstation
+// with: the lowest live host that registered the service.
+func storagePID(t *testing.T, r *Rig) kernel.PID {
+	t.Helper()
+	pid, err := r.WS[0].Session.Proc().GetPid(kernel.ServiceStorage, kernel.ScopeBoth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pid
+}
+
+// detection is what a send to a crashed host costs before it fails: the
+// kernel's three retransmission timeouts, at the rigs' default model.
+var detection = 3 * vtime.DefaultModel().RetransmitTimeout
+
 func TestReplicatedBoot(t *testing.T) {
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
-	host, pid := r.FS1Group.Leader()
-	if host != "fs1" || pid != r.FS1Group.MemberReplica("fs1").PID() || pid != r.BinCtx.Server {
-		t.Fatalf("bootstrap leader = %s/%v, want fs1 slot 0 serving [bin]", host, pid)
+	if len(r.FS1Members) != 3 {
+		t.Fatalf("%d members, want 3", len(r.FS1Members))
 	}
-	for _, h := range []string{"fs1", "fs1b", "fs1c"} {
-		if r.FS1Group.MemberReplica(h) == nil {
-			t.Fatalf("no slot for %s", h)
+	for i, fs := range r.FS1Members {
+		if host := fs.Proc().Host().Name(); host != fsMemberHost(i) {
+			t.Fatalf("member %d on %s, want %s", i, host, fsMemberHost(i))
 		}
 	}
-	if r.FS1Group.MemberReplica("fs1d") != nil {
-		t.Fatal("a fourth slot, want 3")
+	if r.FS1 != r.FS1Members[0] || r.BinCtx.Server != r.FS1.PID() {
+		t.Fatalf("FS1 and [bin]'s static pair must name the fs1 member")
+	}
+	if pid := storagePID(t, r); pid != r.FS1.PID() {
+		t.Fatalf("GetPid answers %v, want fs1's member %v", pid, r.FS1.PID())
+	}
+	if err := r.CheckFS1(); err != nil {
+		t.Fatal(err)
 	}
 
 	s := r.WS[0].Session
 	data, err := s.ReadFile("[home]welcome.txt")
 	if err != nil {
-		t.Fatalf("ReadFile via replicated fronts: %v", err)
+		t.Fatalf("ReadFile via a replicated member: %v", err)
 	}
 	if !bytes.Contains(data, []byte("mann")) {
 		t.Fatalf("welcome.txt = %q", data)
@@ -59,9 +78,11 @@ func TestReplicatedBoot(t *testing.T) {
 	}
 }
 
-// TestReplicatedFailoverInFlight crashes the leader in the middle of a
-// closed-loop workload: every operation must still succeed (retry, then
-// GetPid re-resolution), and a mutation is refused before and after.
+// TestReplicatedFailoverInFlight crashes fs1 in the middle of a
+// closed-loop workload: every operation must still succeed (the send to
+// the dead member fails, the retry re-resolves by GetPid), the members
+// keep the seed image throughout, and a mutation is refused before and
+// after.
 func TestReplicatedFailoverInFlight(t *testing.T) {
 	policy := replicaRetryPolicy()
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
@@ -71,11 +92,11 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 		}})
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
-	// The replica safety oracle watches the group after every step.
-	var fsSafe replica.Safety
+	booted := r.FS1.PID()
+	// The image oracle watches the members after every step.
 	safe := func(step string) {
 		t.Helper()
-		if err := fsSafe.Check(r.FS1Group); err != nil {
+		if err := r.CheckFS1(); err != nil {
 			t.Fatalf("after %s: %v", step, err)
 		}
 	}
@@ -86,11 +107,14 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	}
 	safe("Remove")
 
+	var slowest time.Duration
 	r.RunPaced(func(s *client.Session, i int) error {
 		safe(fmt.Sprintf("the pump before op %d", i))
+		start := s.Proc().Now()
 		if err := OpenClose("[bin]hello")(s, i); err != nil {
 			t.Fatalf("op %d: open/close failed across failover: %v", i, err)
 		}
+		slowest = max(slowest, s.Proc().Now()-start)
 		return nil
 	})
 
@@ -99,17 +123,21 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	if n := recovered(r, "op_failures"); n != 1 {
 		t.Fatalf("client_op_failures_total = %d, want 1: the refused Remove", n)
 	}
-	if len(r.FS1Group.Failovers()) == 0 {
-		t.Fatalf("no failover recorded; events:\n%v", r.FS1Group.Events())
+	// The op that met the crash sent to the dead member and waited out
+	// the kernel's detection.
+	if slowest < detection {
+		t.Fatalf("slowest op %v: no op met the crash (detection %v)", slowest, detection)
 	}
-	// The schedule's restart rejoined fs1 and transferred leadership back
-	// to slot 0 (lowest live slot = the kernel's GetPid preference).
-	if host, _ := r.FS1Group.Leader(); host != "fs1" {
-		t.Fatalf("post-rejoin leader = %s, want fs1", host)
+	// The restart re-created fs1's member under a new pid, and GetPid
+	// prefers it again: it is the lowest live member.
+	if r.FS1.PID() == booted || r.FS1Members[0] != r.FS1 {
+		t.Fatalf("fs1's member was not re-created (pid %v)", r.FS1.PID())
 	}
-	// The restarted fs1 took the image, and still refuses to change it.
-	// [bin] and [home] are bound dynamically, so both reach the new front
-	// (PROTOCOL.md §11.5).
+	if pid := storagePID(t, r); pid != r.FS1.PID() {
+		t.Fatalf("GetPid after the restart answers %v, want the new fs1 member %v", pid, r.FS1.PID())
+	}
+	// The restarted fs1 holds the seed image and still refuses to change
+	// it. [bin] and [home] are bound dynamically, so both reach it.
 	for _, name := range []string{"[bin]hello", "[home]welcome.txt"} {
 		if err := s.Remove(name); !errors.Is(err, proto.ErrNoPermission) {
 			t.Fatalf("Remove %s after failover = %v, want ErrNoPermission", name, err)
@@ -118,13 +146,14 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 			t.Fatalf("%s after the refused Remove and the failover: %v", name, err)
 		}
 	}
+	safe("the refused Removes")
 }
 
-// TestReplicatedNamesFailOver: every name fs1's group serves survives
-// its leader's crash. [bin] is bound to (storage service, well-known
-// context), [storage] and [home] to (storage service, replicated context
-// id): GetPid re-resolves each per use, so each reaches whichever front
-// leads (PROTOCOL.md §11.5).
+// TestReplicatedNamesFailOver: every name fs1's members serve survives
+// fs1's crash. [bin] is bound to (storage service, well-known context),
+// [storage] and [home] to (storage service, the members' context id):
+// GetPid re-resolves each per use, so each reaches the lowest live
+// member (PROTOCOL.md §11).
 func TestReplicatedNamesFailOver(t *testing.T) {
 	for _, name := range []string{"[home]welcome.txt", "[storage]users/mann/welcome.txt", "[bin]hello"} {
 		t.Run(name, func(t *testing.T) {
@@ -139,78 +168,200 @@ func TestReplicatedNamesFailOver(t *testing.T) {
 				return err
 			})
 			if ok != 30 {
-				t.Fatalf("%d/30 reads succeeded; chaos log:\n%v\nevents:\n%s", ok, eng.Log(),
-					strings.Join(r.FS1Group.Events(), "\n"))
+				t.Fatalf("%d/30 reads succeeded; chaos log:\n%v", ok, eng.Log())
 			}
-			if host, _ := r.FS1Group.Leader(); host == "fs1" {
-				t.Fatal("fs1 still leads after its crash")
+			if pid := storagePID(t, r); pid != r.FS1Members[1].PID() {
+				t.Fatalf("GetPid after fs1's crash answers %v, want fs1b's member %v", pid, r.FS1Members[1].PID())
 			}
 		})
 	}
 }
 
-// TestRejoinWhileLeaderless restarts the crashed leader's host before the
-// failover election fires. The re-created fs1 holds an empty volume, so
-// it must not stand: a synced standby is elected, then syncs fs1 and
-// hands leadership back. Every open succeeds and Safety holds throughout.
-func TestRejoinWhileLeaderless(t *testing.T) {
-	policy := replicaRetryPolicy()
-	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
-		Requests: 30, FlushEvery: 10, Faults: []chaos.Event{
-			{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
-			{At: 62 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-		}})
-	r.WS[0].Session.EnableNameCache(true)
-	var safety replica.Safety
-	ok, eng := r.RunPaced(func(s *client.Session, i int) error {
-		if err := safety.Check(r.FS1Group); err != nil {
-			t.Fatalf("the pump before op %d: %v\n%s", i, err, strings.Join(r.FS1Group.Events(), "\n"))
+// TestElectionTieBreak: nothing elects which of several identical members
+// serves. GetPid picks the lowest live member host, through every crash
+// and restart: fs1, then fs1b once fs1 is down, fs1c once both are, and
+// the re-created fs1 once it is back.
+func TestElectionTieBreak(t *testing.T) {
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
+	for _, step := range []struct {
+		host   string
+		action chaos.Action
+		want   int // the member GetPid must answer with
+	}{
+		{"", 0, 0},
+		{"fs1", chaos.Crash, 1},
+		{"fs1b", chaos.Crash, 2},
+		{"fs1", chaos.Restart, 0},
+		{"fs1b", chaos.Restart, 0},
+		{"fs1", chaos.Crash, 1},
+	} {
+		if step.host != "" {
+			faultOn(t, r, step.host, step.action)
 		}
-		return OpenClose("[bin]hello")(s, i)
-	})
-	if err := safety.Check(r.FS1Group); err != nil {
-		t.Fatal(err)
-	}
-	events := strings.Join(r.FS1Group.Events(), "\n")
-	if ok != 30 {
-		t.Fatalf("%d/30 operations succeeded; chaos log:\n%v\nevents:\n%s", ok, eng.Log(), events)
-	}
-	if host, _ := r.FS1Group.Leader(); host != "fs1" {
-		t.Fatalf("leader at the end = %q, want fs1; events:\n%s", host, events)
+		if pid, want := storagePID(t, r), r.FS1Members[step.want].PID(); pid != want {
+			t.Fatalf("after %v %s: GetPid answers %v, want %s's member %v",
+				step.action, step.host, pid, fsMemberHost(step.want), want)
+		}
 	}
 }
 
-// TestReplicatedFrontsAreReadOnly: the file-server fronts refuse every
-// mutation with NoPermission, on the leader and on a follower, before
-// routing on leadership — a follower does not pass one on — while reads
-// and MapContext still answer. The user's prefix server is not
-// replicated, so it accepts a change to its own table. Safety holds
-// after every row.
-func TestReplicatedFrontsAreReadOnly(t *testing.T) {
+// pacedRun is what a replicated run's determinism is judged by: every
+// operation's latency, the latency of the first operation issued after
+// each crash (its failover), and the failed operations.
+type pacedRun struct {
+	latencies []time.Duration
+	failovers []time.Duration
+	failed    uint64
+}
+
+// replicatedScenario runs a fixed crash/restart schedule against a
+// replicated rig, timing each operation.
+func replicatedScenario(t *testing.T) pacedRun {
+	t.Helper()
+	policy := replicaRetryPolicy()
+	faults := []chaos.Event{
+		{At: 50 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
+		{At: 300 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
+		{At: 500 * time.Millisecond, Action: chaos.Crash, Host: "fs1b"},
+		{At: 700 * time.Millisecond, Action: chaos.Restart, Host: "fs1b"},
+	}
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+		Requests: 80, FlushEvery: 10, Faults: faults})
+	s := r.WS[0].Session
+	s.EnableNameCache(true)
+	var run pacedRun
+	crashes := []vtime.Time{faults[0].At, faults[2].At}
+	r.RunPaced(func(s *client.Session, i int) error {
+		start := s.Proc().Now()
+		err := OpenClose("[bin]hello")(s, i)
+		d := s.Proc().Now() - start
+		run.latencies = append(run.latencies, d)
+		if len(run.failovers) < len(crashes) && start >= crashes[len(run.failovers)] {
+			run.failovers = append(run.failovers, d)
+		}
+		return err
+	})
+	if err := r.CheckFS1(); err != nil {
+		t.Fatal(err)
+	}
+	run.failed = recovered(r, "op_failures")
+	return run
+}
+
+// TestElectionTimeoutDeterministic: a failover is no seeded timeout but
+// the kernel's dead-host detection plus a GetPid re-resolution, so two
+// runs of the same schedule read the same failover latencies. fs1's
+// crash costs the op that meets it one detection and well under two;
+// fs1b's costs nothing, because a flush had re-resolved [bin] to the
+// restarted fs1, the lowest live member, before fs1b went down.
+func TestElectionTimeoutDeterministic(t *testing.T) {
+	first, second := replicatedScenario(t), replicatedScenario(t)
+	if len(first.failovers) != 2 {
+		t.Fatalf("failovers %v, want one per crash", first.failovers)
+	}
+	if !reflect.DeepEqual(first.failovers, second.failovers) {
+		t.Fatalf("failover reads differ between runs: %v vs %v", first.failovers, second.failovers)
+	}
+	if d := first.failovers[0]; d < detection || d >= 2*detection {
+		t.Fatalf("fs1's failover took %v, want one detection (%v) plus a re-resolution", d, detection)
+	}
+	if d := first.failovers[1]; d >= detection {
+		t.Fatalf("fs1b's crash cost the client %v: it should have left fs1b already", d)
+	}
+}
+
+// TestReplicaDeterministic pins the replicated rig to the virtual clock:
+// the same seed and schedule must give the same latency for every
+// operation, run after run, and fail none.
+func TestReplicaDeterministic(t *testing.T) {
+	first, second := replicatedScenario(t), replicatedScenario(t)
+	if !reflect.DeepEqual(first.latencies, second.latencies) {
+		t.Fatalf("per-op latencies differ between runs:\n%v\n---\n%v", first.latencies, second.latencies)
+	}
+	if first.failed != 0 || second.failed != 0 {
+		t.Fatalf("failed ops %d and %d, want 0", first.failed, second.failed)
+	}
+	if len(first.latencies) != 80 {
+		t.Fatalf("%d ops timed, want 80", len(first.latencies))
+	}
+}
+
+// TestCrashRejoinSnapshotSync: a member re-created by a restart comes
+// back cold under a new pid and re-runs the boot's seed, so it holds an
+// image equal to its peers' — no snapshot crosses the wire — and serves
+// reads and refuses mutations like them.
+func TestCrashRejoinSnapshotSync(t *testing.T) {
+	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
+	old := r.FS1Members[1]
+	faultOn(t, r, "fs1b", chaos.Crash)
+	if err := old.Proc().Err(); !errors.Is(err, kernel.ErrHostDown) {
+		t.Fatalf("crashed member Err() = %v, want ErrHostDown", err)
+	}
+	if err := r.CheckFS1(); err != nil {
+		t.Fatalf("a dead member is not compared: %v", err)
+	}
+	faultOn(t, r, "fs1b", chaos.Restart)
+	reborn := r.FS1Members[1]
+	if reborn == old || reborn.PID() == old.PID() || reborn.Proc().Err() != nil {
+		t.Fatalf("fs1b's member was not re-created under a new pid (%v, was %v)", reborn.PID(), old.PID())
+	}
+	for _, peer := range []int{0, 2} {
+		if !bytes.Equal(reborn.Image(), r.FS1Members[peer].Image()) {
+			t.Fatalf("re-created member's image differs from %s's", fsMemberHost(peer))
+		}
+	}
+	if err := r.CheckFS1(); err != nil {
+		t.Fatal(err)
+	}
+	s := client.New(r.WS[0].Session.Proc(), r.WS[0].Prefix.PID(), reborn.RootPair(), "mann")
+	if _, err := s.ReadFile("users/mann/welcome.txt"); err != nil {
+		t.Fatalf("read from the re-created member: %v", err)
+	}
+	if err := s.Remove("users/mann/welcome.txt"); !errors.Is(err, proto.ErrNoPermission) {
+		t.Fatalf("Remove on the re-created member = %v, want ErrNoPermission", err)
+	}
+}
+
+// TestReplicatedMembersAreReadOnly: every member refuses every mutation
+// of its volume with NoPermission — by name, through the prefix server
+// or by identifier — while reads and MapContext still answer. A name
+// that leads out of the volume is the server's that holds it: a remove
+// across the link to fs2 reaches fs2, exactly as on an unreplicated fs1.
+// The user's prefix server is not replicated, so it accepts a change to
+// its own table. Every member keeps the seed image after every row.
+func TestReplicatedMembersAreReadOnly(t *testing.T) {
 	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3})
 	ws := r.WS[0]
-	var safety replica.Safety
 	type row struct {
 		name string
 		do   func() error
 	}
-	for slot, role := range []string{"leader", "follower"} {
-		fs, pfx := r.FS1Group.MemberReplica(fsMemberHost(slot)).PID(), ws.Prefix.PID()
-		proc, err := ws.Host.NewProcess("probe-" + role)
+	todo, err := ws.Session.Query("[home]notes/todo.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot, member := range r.FS1Members[:2] {
+		host, pfx := fsMemberHost(slot), ws.Prefix.PID()
+		proc, err := ws.Host.NewProcess("probe-" + host)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Unprefixed names go to this slot's file-server front, bracketed
-		// ones through the workstation's prefix server.
-		s := client.New(proc, pfx, core.ContextPair{Server: fs, Ctx: ws.HomeCtx.Ctx}, ws.User)
+		// Unprefixed names go to this member, bracketed ones through the
+		// workstation's prefix server.
+		s := client.New(proc, pfx, core.ContextPair{Server: member.PID(), Ctx: ws.HomeCtx.Ctx}, ws.User)
 		open := func(name string, mode uint32) func() error {
 			return func() error { _, err := s.Open(name, proto.ModeRead|mode); return err }
 		}
-		scratch := "scratch-" + role
+		scratch := "scratch-" + host
 		mutations := []row{
 			{"remove", func() error { return s.Remove("notes/todo.txt") }},
-			{"remove across the link out of the volume", func() error { return s.Remove("/shared/archive/2026/paper.mss") }},
 			{"remove through the prefix server", func() error { return s.Remove("[home]notes/todo.txt") }},
+			{"remove by UID", func() error {
+				req := &proto.Message{Op: proto.OpRemoveByUID}
+				req.F[3] = todo.ObjectID
+				_, err := core.Transact(proc, member.PID(), req)
+				return err
+			}},
 			{"rename", func() error { return s.Rename("welcome.txt", "hello.txt") }},
 			{"link", func() error { return s.Link("welcome.txt", "alias.txt") }},
 			{"add context name", func() error { return s.AddLink("elsewhere", r.FS2.RootPair()) }},
@@ -249,12 +400,12 @@ func TestReplicatedFrontsAreReadOnly(t *testing.T) {
 		check := func(c row, err error, refused bool) {
 			t.Helper()
 			if refused && !errors.Is(err, proto.ErrNoPermission) {
-				t.Errorf("%s: %s = %v, want ErrNoPermission", role, c.name, err)
+				t.Errorf("%s: %s = %v, want ErrNoPermission", host, c.name, err)
 			} else if !refused && err != nil {
-				t.Errorf("%s: %s: %v", role, c.name, err)
+				t.Errorf("%s: %s: %v", host, c.name, err)
 			}
-			if err := safety.Check(r.FS1Group); err != nil {
-				t.Fatalf("%s: after %s: %v", role, c.name, err)
+			if err := r.CheckFS1(); err != nil {
+				t.Fatalf("%s: after %s: %v", host, c.name, err)
 			}
 		}
 		for _, c := range mutations {
@@ -264,53 +415,23 @@ func TestReplicatedFrontsAreReadOnly(t *testing.T) {
 			check(c, c.do(), false)
 		}
 	}
-}
 
-// replicatedScenario runs a fixed crash/restart schedule against a
-// replicated rig and returns everything determinism can be judged by.
-func replicatedScenario(t *testing.T) (events []string, leader string, failed uint64) {
-	t.Helper()
-	policy := replicaRetryPolicy()
-	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
-		Requests: 80, FlushEvery: 10, Faults: []chaos.Event{
-			{At: 50 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
-			{At: 300 * time.Millisecond, Action: chaos.Restart, Host: "fs1"},
-			{At: 500 * time.Millisecond, Action: chaos.Crash, Host: "fs1b"},
-			{At: 700 * time.Millisecond, Action: chaos.Restart, Host: "fs1b"},
-		}})
-	s := r.WS[0].Session
-	s.EnableNameCache(true)
-	r.RunPaced(OpenClose("[bin]hello"))
-	leader, _ = r.FS1Group.Leader()
-	return r.FS1Group.Events(), leader, recovered(r, "op_failures")
-}
-
-// TestReplicaDeterministic pins the replication machinery to the
-// virtual clock: the same seed and schedule must produce byte-identical
-// group event logs and the same leader, run after run.
-func TestReplicaDeterministic(t *testing.T) {
-	ev1, lead1, failed1 := replicatedScenario(t)
-	ev2, lead2, failed2 := replicatedScenario(t)
-	if !reflect.DeepEqual(ev1, ev2) {
-		t.Fatalf("group event logs differ between runs:\n%v\n---\n%v", ev1, ev2)
+	// Across the link out of the volume, fs2 decides: it is writable.
+	s := client.New(ws.Session.Proc(), ws.Prefix.PID(), r.FS1.RootPair(), ws.User)
+	if err := s.Remove("shared/archive/2026/paper.mss"); err != nil {
+		t.Fatalf("remove across the link out of the volume: %v", err)
 	}
-	if lead1 != lead2 {
-		t.Fatalf("leaders differ: %s vs %s", lead1, lead2)
+	if _, err := s.Query("shared/archive/2026/paper.mss"); !errors.Is(err, proto.ErrNotFound) {
+		t.Fatalf("fs2's file after the remove: %v, want ErrNotFound", err)
 	}
-	if failed1 != failed2 {
-		t.Fatalf("failed-op counts differ: %d vs %d", failed1, failed2)
-	}
-	if failed1 != 0 {
-		t.Fatalf("scenario failed %d ops, want 0", failed1)
-	}
-	if len(ev1) == 0 {
-		t.Fatalf("scenario produced no group events")
+	if err := r.CheckFS1(); err != nil {
+		t.Fatalf("after the remove across the link: %v", err)
 	}
 }
 
 // TestBootedRigOwnsNoGoroutine: every server a rig boots — teams of any
-// size, replica members — is a served process, so booting one leaves no
-// goroutine behind, and its servers die inside the crashes that kill
+// size, replicated members — is a served process, so booting one leaves
+// no goroutine behind, and its servers die inside the crashes that kill
 // them without starting one.
 func TestBootedRigOwnsNoGoroutine(t *testing.T) {
 	teams := DefaultConfig()

@@ -1,27 +1,21 @@
 // Replicated topology (PROTOCOL.md §11): with Config.Replicas > 1 the
-// fs1 file service is replicated read-only, so no single host owns its
-// names. Every member is seeded identically at boot (bootFileServers).
-// Member hosts fs1, fs1b, fs1c, … each run a member-local file server
-// plus a replica front; the fronts register the storage service, so the
-// kernel's lowest-live-host GetPid selection (§4.2) and the group's
-// transfer-on-rejoin rule agree on the same steady-state leader (slot
-// 0). The group, Topology.FS1Group, is the one record of the members.
-// Each workstation keeps its own plain prefix server: a user's table
-// serves no one else. The group has no clock of its own: RunPaced pumps
-// it — chaos engine first, then the group, then the sampler (§11.4) —
-// and crash/restart instants reach it through the chaos hooks NewChaos
-// installs (resilience.go).
+// fs1 file service is replicated the way the paper replicates a service
+// (§4.2): member hosts fs1, fs1b, fs1c, … each run a plain file server,
+// read-only and seeded by the same sequence, and every member registers
+// the storage service. GetPid answers with the lowest live member, and a
+// client whose send fails re-resolves its name by GetPid. Nothing elects
+// or syncs: members agree because none accepts a change, and a restart
+// re-creates its member cold and re-seeds it (restartFS1). Each
+// workstation keeps its own plain prefix server: a user's table serves
+// no one else.
 package rig
 
 import (
+	"bytes"
 	"fmt"
-
-	"repro/internal/fileserver"
-	"repro/internal/kernel"
-	"repro/internal/replica"
 )
 
-// fsMemberHost names slot i's host: fs1, fs1b, fs1c, …
+// fsMemberHost names member i's host: fs1, fs1b, fs1c, …
 func fsMemberHost(i int) string {
 	if i == 0 {
 		return "fs1"
@@ -29,18 +23,14 @@ func fsMemberHost(i int) string {
 	return fmt.Sprintf("fs1%c", 'a'+i)
 }
 
-// startFSMember boots one member, at boot and when a restart re-creates
-// it: the member-local file server plus the replica front, which
-// registers as the storage service. A re-created member starts cold; its
-// volume arrives with the rejoin's snapshot sync.
-func (r *Rig) startFSMember(host *kernel.Host) (*fileserver.FileServer, *replica.Replica, error) {
-	fs, err := fileserver.Start(host, host.Name(), r.sc.fsOpts()...)
-	if err != nil {
-		return nil, nil, err
+// CheckFS1 is the replicated fs1's safety oracle: every live member's
+// volume image equals the seed image. It names the first member that
+// differs; an unreplicated fs1 has no members to compare.
+func (t *Topology) CheckFS1() error {
+	for _, fs := range t.FS1Members {
+		if fs.Proc().Err() == nil && !bytes.Equal(fs.Image(), t.fs1Seed) {
+			return fmt.Errorf("rig: fs1 member on %s diverged from the seed image", fs.Proc().Host().Name())
+		}
 	}
-	rep, err := replica.Start(host, "fs-replica["+host.Name()+"]", fileserver.NewReplicaService(fs))
-	if err != nil {
-		return nil, nil, err
-	}
-	return fs, rep, rep.Proc().SetPid(kernel.ServiceStorage, rep.PID(), kernel.ScopeBoth)
+	return nil
 }

@@ -5,6 +5,7 @@
 package rig
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -18,20 +19,13 @@ import (
 // NewChaos builds a chaos engine over this topology's kernel — the one
 // way a topology gets one, and the one way fs1 is crashed and
 // re-created. Redefine events run through an admin session on the
-// prefix host (redefine). A crash reaches fs1's replication group, if
-// any, at its exact virtual instant (the dying servers' exits were
-// recorded inside the Crash). A restart re-creates what ran on fs1: the
-// unreplicated server, or the replica member, which then rejoins
-// (snapshot-sync plus the transfer election that restores slot order).
-// The engine can restart a host kernel, but only the topology knows what
-// ran on it; other hosts restart bare.
+// prefix host (redefine). A restart re-creates what ran on fs1: the
+// unreplicated server or a replicated member (restartFS1). The engine
+// can restart a host kernel, but only the topology knows what ran on it;
+// other hosts restart bare.
 func (t *Topology) NewChaos(events []chaos.Event) *chaos.Engine {
 	e := chaos.New(t.Kernel, events)
 	e.RedefineHook = t.redefine
-	if t.FS1Group != nil {
-		// NoteDown ignores a host that holds no slot of the group.
-		e.CrashHook = t.FS1Group.NoteDown
-	}
 	e.RestartHook = t.restartFS1
 	return e
 }
@@ -43,19 +37,16 @@ func (t *Topology) NewChaos(events []chaos.Event) *chaos.Engine {
 // compute after each, flushing its name cache before every FlushEvery-th
 // (a fresh program instance starts cold, so each outage catches a cached
 // resolution stale). Everything that has no clock of its own is pumped
-// from the session's — the chaos engine, then the fs1 replication group,
-// then the metrics sampler (PROTOCOL.md §11.4) — before every operation,
-// inside every retry backoff (a fault scheduled during a backoff fires
-// while the client waits, exactly when a real deployment would see it),
-// and once more at the horizon.
+// from the session's — the chaos engine, then the metrics sampler
+// (PROTOCOL.md §11.4) — before every operation, inside every retry
+// backoff (a fault scheduled during a backoff fires while the client
+// waits, exactly when a real deployment would see it), and once more at
+// the horizon.
 func (r *Rig) RunPaced(op func(s *client.Session, i int) error) (ok int, eng *chaos.Engine) {
 	s := r.WS[0].Session
 	eng = r.NewChaos(r.sc.Faults)
 	pump := func(now vtime.Time) {
 		eng.AdvanceTo(now)
-		if r.FS1Group != nil {
-			r.FS1Group.Pump(now)
-		}
 		r.Sampler.AdvanceTo(now)
 	}
 	s.SetRetryObserver(pump)
@@ -100,32 +91,28 @@ func seedBin(fs *fileserver.FileServer) error {
 	return fs.WriteFile("/bin/hello", "system", []byte("hello image"))
 }
 
-// restartFS1 re-creates what ran on a restarted fs1 host. A replica
-// member comes back cold and rejoins its group at the restart's instant.
-// The unreplicated server comes back cold with the scenario's
-// file-server options, a new pid (the §4.2 rebinding scenario), and only
-// /bin/hello (seedBin).
-func (r *Rig) restartFS1(host string, at vtime.Time) error {
-	if r.FS1Group != nil {
-		if r.FS1Group.MemberReplica(host) == nil {
-			return nil
-		}
-		fs, rep, err := r.startFSMember(r.Kernel.HostByName(host))
-		if err != nil {
-			return err
-		}
-		if host == r.FS1Host.Name() {
-			r.FS1 = fs
-		}
-		return r.FS1Group.Rejoin(host, rep, at)
-	}
-	if host != "fs1" {
+// restartFS1 re-creates what ran on a restarted fs1 host, cold, with
+// the scenario's file-server options and a new pid (the §4.2 rebinding
+// scenario). A replicated member is re-seeded by the boot's sequence, so
+// it holds the seed image again. The unreplicated server comes back with
+// only /bin/hello (seedBin).
+func (r *Rig) restartFS1(host string, _ vtime.Time) error {
+	i := slices.IndexFunc(r.FS1Members, func(fs *fileserver.FileServer) bool { return fs.Proc().Host().Name() == host })
+	if i < 0 && (r.FS1Members != nil || host != "fs1") {
 		return nil
 	}
-	fs, err := startStorage(r.FS1Host, r.sc.fsOpts()...)
+	fs, err := startStorage(r.Kernel.HostByName(host), r.sc.fsOpts(true)...)
 	if err != nil {
 		return err
 	}
-	r.FS1 = fs
-	return seedBin(fs)
+	if i < 0 {
+		r.FS1 = fs
+		return seedBin(fs)
+	}
+	r.FS1Members[i] = fs
+	if i == 0 {
+		r.FS1 = fs
+	}
+	_, err = r.seedFS1Volume(fs)
+	return err
 }

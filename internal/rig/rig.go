@@ -27,7 +27,6 @@ import (
 	"repro/internal/pipeserver"
 	"repro/internal/prefix"
 	"repro/internal/printserver"
-	"repro/internal/replica"
 	"repro/internal/termserver"
 	"repro/internal/timeserver"
 )
@@ -95,80 +94,55 @@ func (r *Rig) bootPaper() error {
 	return nil
 }
 
-// fsOpts is the option list every paper file server runs with, at boot
-// and when a restart re-creates it.
-func (sc *Scenario) fsOpts() []fileserver.Option {
+// fsOpts is the option list a paper file server runs with, at boot and
+// when a restart re-creates it; fs1 says it serves fs1, whose members are
+// read-only when it is replicated.
+func (sc *Scenario) fsOpts(fs1 bool) []fileserver.Option {
 	opts := []fileserver.Option{fileserver.WithReadAhead(sc.ReadAhead)}
 	if sc.FileServerTeam > 1 {
 		opts = append(opts, fileserver.WithTeam(sc.FileServerTeam))
 	}
+	if fs1 && sc.Replicas > 1 {
+		opts = append(opts, fileserver.WithReadOnly())
+	}
 	return opts
 }
 
-// bootFileServers boots the fs1 service — one server, or Replicas member
-// hosts first so their fronts win GetPid's lowest-host preference over
-// fs2 — then fs2, then seeds every fs1 volume with the same sequence and
-// forms the group over the members, slot 0 leading. The group's monitor
-// lives on fs2, a host the fault schedules never take down.
+// bootFileServers boots the fs1 service — one server, or Replicas
+// read-only members, hosts first so they win GetPid's lowest-host
+// preference over fs2 — then fs2, then seeds every fs1 volume with the
+// same sequence. A replicated fs1's members must then hold equal images.
 func (r *Rig) bootFileServers() error {
 	vols := make([]*fileserver.FileServer, max(1, r.sc.Replicas))
-	var reps []*replica.Replica
 	var err error
 	for i := range vols {
-		host := r.Kernel.NewHost(fsMemberHost(i))
-		if len(vols) == 1 {
-			vols[i], err = startStorage(host, r.sc.fsOpts()...)
-		} else {
-			var rep *replica.Replica
-			vols[i], rep, err = r.startFSMember(host)
-			reps = append(reps, rep)
-		}
-		if err != nil {
+		if vols[i], err = startStorage(r.Kernel.NewHost(fsMemberHost(i)), r.sc.fsOpts(true)...); err != nil {
 			return err
 		}
 	}
 	r.FS1Host, r.FS1 = vols[0].Proc().Host(), vols[0]
 	r.FS2Host = r.Kernel.NewHost("fs2")
-	if r.FS2, err = startStorage(r.FS2Host, r.sc.fsOpts()...); err != nil {
+	if r.FS2, err = startStorage(r.FS2Host, r.sc.fsOpts(false)...); err != nil {
 		return err
 	}
 
 	// FS2 holds the archive tree, reachable from FS1 through a
 	// cross-server link (Figure 4's curved arrow).
-	archiveCtx, err := seedFS2Volume(r.FS2)
-	if err != nil {
+	if err := r.FS2.WriteFile("/archive/2026/paper.mss", "system",
+		[]byte("Uniform Access to Distributed Name Interpretation\n")); err != nil {
 		return err
 	}
-	archive := core.ContextPair{Server: r.FS2.PID(), Ctx: archiveCtx}
-	// I-node allocation is deterministic, so the same sequence gives the
-	// same context ids on every volume.
 	var binCtx core.ContextID
-	for i, fs := range vols {
-		c, err := seedFS1Volume(fs, r.sc.Users, archive)
-		if err != nil {
+	for _, fs := range vols {
+		if binCtx, err = r.seedFS1Volume(fs); err != nil {
 			return fmt.Errorf("%s: %w", fs.Proc().Name(), err)
 		}
-		if i > 0 && c != binCtx {
-			return fmt.Errorf("%s: context %d diverged from slot 0's %d", fs.Proc().Name(), c, binCtx)
-		}
-		binCtx = c
 	}
 	r.BinCtx = core.ContextPair{Server: r.FS1.PID(), Ctx: binCtx}
-	if reps == nil {
-		return nil
+	if len(vols) > 1 {
+		r.FS1Members, r.fs1Seed = vols, vols[0].Image()
+		return r.CheckFS1()
 	}
-	if r.FS1Group, err = replica.NewGroup(r.FS2Host, replica.Config{Name: "fs1", Seed: r.sc.Seed}); err != nil {
-		return err
-	}
-	for i, rep := range reps {
-		if err := r.FS1Group.Add(fsMemberHost(i), rep); err != nil {
-			return err
-		}
-	}
-	if err := r.FS1Group.Bootstrap(0); err != nil {
-		return err
-	}
-	_, r.BinCtx.Server = r.FS1Group.Leader()
 	return nil
 }
 
@@ -182,20 +156,16 @@ func startStorage(host *kernel.Host, opts ...fileserver.Option) (*fileserver.Fil
 	return fs, fs.Proc().SetPid(kernel.ServiceStorage, fs.PID(), kernel.ScopeBoth)
 }
 
-// seedFS2Volume writes what fs2 holds, at boot and after a cold
-// re-creation, and returns the /archive context.
-func seedFS2Volume(fs *fileserver.FileServer) (core.ContextID, error) {
-	if err := fs.WriteFile("/archive/2026/paper.mss", "system",
-		[]byte("Uniform Access to Distributed Name Interpretation\n")); err != nil {
-		return 0, err
-	}
-	return fs.MkdirAll("/archive", "system")
-}
-
 // seedFS1Volume writes the standard fs1 contents into one volume, in a
 // fixed order — i-node numbers are object ids on the wire — and returns
-// the /bin context.
-func seedFS1Volume(fs *fileserver.FileServer, users []string, archive core.ContextPair) (core.ContextID, error) {
+// the /bin context: at boot, and when a restart re-creates a replicated
+// member.
+func (r *Rig) seedFS1Volume(fs *fileserver.FileServer) (core.ContextID, error) {
+	users := r.sc.Users
+	archive, err := r.FS2.MkdirAll("/archive", "system") // a lookup: fs2 holds it
+	if err != nil {
+		return 0, err
+	}
 	binCtx, err := fs.MkdirAll("/bin", "system")
 	if err != nil {
 		return 0, err
@@ -229,7 +199,7 @@ func seedFS1Volume(fs *fileserver.FileServer, users []string, archive core.Conte
 	if err := fs.SetWellKnown(core.CtxHome, "/users/"+users[0]); err != nil {
 		return 0, err
 	}
-	return binCtx, fs.AddLink("/shared", "archive", archive)
+	return binCtx, fs.AddLink("/shared", "archive", core.ContextPair{Server: r.FS2.PID(), Ctx: archive})
 }
 
 func (r *Rig) bootServices() error {
@@ -301,12 +271,12 @@ func (r *Rig) bootWorkstation(user string) (*Workstation, error) {
 		svc  kernel.Service
 		ctx  core.ContextID
 	}
-	// A context on fs1's group is bound to (storage service, its
-	// replicated context id) instead of a front's pid: GetPid re-resolves
-	// it per use, so the name reaches whichever front leads (PROTOCOL.md
-	// §11.5). An unreplicated fs1 keeps its static pairs.
+	// A context on a replicated fs1 is bound to (storage service, its
+	// context id, the same on every member) instead of one member's pid:
+	// GetPid re-resolves it per use, so the name reaches the lowest live
+	// member (PROTOCOL.md §11). An unreplicated fs1 keeps its static pairs.
 	onFS1 := func(name string, pair core.ContextPair) def {
-		if r.FS1Group != nil {
+		if r.FS1Members != nil {
 			return def{name: name, svc: kernel.ServiceStorage, ctx: pair.Ctx}
 		}
 		return def{name: name, pair: pair}

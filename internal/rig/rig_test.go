@@ -14,7 +14,6 @@ import (
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/replica"
 	"repro/internal/timeserver"
 )
 
@@ -76,9 +75,8 @@ func TestBootIsDeterministic(t *testing.T) {
 	if got := binIDs(r.FS1); got != first {
 		t.Fatalf("slot 0: /bin object ids %v, single server's %v", got, first)
 	}
-	// Every member volume holds slot 0's image.
-	var safety replica.Safety
-	if err := safety.Check(r.FS1Group); err != nil {
+	// Every member volume holds the seed image.
+	if err := r.CheckFS1(); err != nil {
 		t.Fatal(err)
 	}
 }

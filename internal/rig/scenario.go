@@ -32,7 +32,6 @@ import (
 	"repro/internal/popgen"
 	"repro/internal/prefix"
 	"repro/internal/printserver"
-	"repro/internal/replica"
 	"repro/internal/timeserver"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -110,8 +109,8 @@ type Scenario struct {
 	ReadAhead bool
 	Baseline  bool
 	Retry     *client.RetryPolicy
-	// Replicas replicates the fs1 file service, read-only, across a
-	// replication group of this many members (PROTOCOL.md §11,
+	// Replicas replicates the fs1 file service across this many
+	// identically seeded read-only members (PROTOCOL.md §11,
 	// replicated.go). 0 or 1 keeps the single-server topology.
 	Replicas int
 
@@ -166,15 +165,15 @@ type Topology struct {
 	Metrics *metrics.Registry
 	Sampler *metrics.Sampler
 
-	// The paper testbed (Kind Paper). FS1Group is the replicated fs1
-	// service's group when Replicas > 1, else nil; FS1Host/FS1 then alias
-	// slot 0's host and member-local server. NSHost/NS exist with Baseline.
-	// BinCtx is the standard program directory context on FS1.
+	// The paper testbed (Kind Paper). FS1Members are the replicated fs1
+	// service's servers, on hosts fs1, fs1b, fs1c, …, when Replicas > 1,
+	// else nil; FS1Host/FS1 then alias the first. NSHost/NS exist with
+	// Baseline. BinCtx is the standard program directory context on FS1.
 	FS1Host      *kernel.Host
 	FS1          *fileserver.FileServer
 	FS2Host      *kernel.Host
 	FS2          *fileserver.FileServer
-	FS1Group     *replica.Group
+	FS1Members   []*fileserver.FileServer
 	ServicesHost *kernel.Host
 	Print        *printserver.Server
 	Inet         *inetserver.Server
@@ -204,6 +203,8 @@ type Topology struct {
 	Latencies [][]time.Duration
 
 	sc Scenario
+	// fs1Seed is a replicated fs1's seed image (CheckFS1).
+	fs1Seed []byte
 	// owner names the sharded servers' owner, the sessions' user and the
 	// client processes ("bench0-1").
 	owner string
