@@ -88,7 +88,7 @@ func run(args []string, w io.Writer) error {
 		s.EnableNameCache(true)
 	}
 	// Under chaos some operations legitimately fail.
-	r.RunPaced(func(s *client.Session, i int) error {
+	r.Clients[0].Op = func(s *client.Session, i int) error {
 		switch i % 3 {
 		case 0:
 			return rig.OpenClose("[bin]hello")(s, i)
@@ -99,7 +99,8 @@ func run(args []string, w io.Writer) error {
 			_, err := s.Query("[home]notes/todo.txt")
 			return err
 		}
-	})
+	}
+	r.Run()
 	horizon := s.Proc().Now()
 
 	snap := r.Metrics.Snapshot()

@@ -110,11 +110,10 @@ type Event struct {
 // Engine fires a sorted schedule of events as virtual time passes.
 type Engine struct {
 	// RestartHook, if set, is called after a Restart event with the
-	// host's name and the event's exact virtual time, to re-create the
-	// servers that lived there (the engine can restart a host kernel, but
-	// only the rig knows what ran on it). An error it returns is logged
-	// as the event's hook-error.
-	RestartHook func(host string, at vtime.Time) error
+	// host's name, to re-create the servers that lived there (the engine
+	// can restart a host kernel, but only the rig knows what ran on it).
+	// An error it returns is logged as the event's hook-error.
+	RestartHook func(host string) error
 	// RedefineHook executes a Redefine event. Every rig topology's
 	// NewChaos installs it; without it the event logs an error.
 	RedefineHook func(ev Event) error
@@ -187,7 +186,7 @@ func (e *Engine) fireLocked(ev Event) {
 			reg.Timeline(metrics.TimelineServerUp, metrics.Labels{Host: ev.Host}).Mark(ev.At, 1)
 			outcome = "host=" + ev.Host
 			if e.RestartHook != nil {
-				if err := e.RestartHook(ev.Host, ev.At); err != nil {
+				if err := e.RestartHook(ev.Host); err != nil {
 					outcome += " hook-error=" + err.Error()
 				}
 			}

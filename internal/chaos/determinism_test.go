@@ -6,7 +6,6 @@ package chaos_test
 // substrate's core guarantee, and the property `make check` protects.
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,7 +26,7 @@ type chaosRun struct {
 func runChaosOnce(t *testing.T) chaosRun {
 	t.Helper()
 	policy := client.DefaultRetryPolicy()
-	r, err := rig.New(rig.Config{Users: []string{"mann"}, Seed: 7, Retry: &policy, Requests: 120,
+	cfg := rig.Config{Users: []string{"mann"}, Seed: 7, Retry: &policy, Requests: 120,
 		Faults: chaos.Generate(99, chaos.Profile{
 			Duration:           2 * time.Second,
 			Hosts:              []string{"fs1"},
@@ -36,16 +35,21 @@ func runChaosOnce(t *testing.T) chaosRun {
 			MeanLossPulseEvery: 700 * time.Millisecond,
 			LossPulseLength:    100 * time.Millisecond,
 			LossRate:           0.25,
-		})})
+		})}
+	r, err := rig.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, eng := r.RunPaced(func(s *client.Session, _ int) error {
+	r.Clients[0].Op = func(s *client.Session, _ int) error {
 		_, err := s.ReadFile("[bin]hello")
 		return err
-	})
-	eng.AdvanceTo(math.MaxInt64) // every remaining event, whatever its time
-	return chaosRun{log: strings.Join(eng.Log(), "\n"), ok: ok, snap: r.Metrics.Snapshot().Deterministic()}
+	}
+	_, ev := r.Run()
+	// The run outlasts the schedule: every event fired inside it.
+	if len(ev.ChaosLog) != len(cfg.Faults) {
+		t.Fatalf("fired %d of %d events:\n%s", len(ev.ChaosLog), len(cfg.Faults), strings.Join(ev.ChaosLog, "\n"))
+	}
+	return chaosRun{log: strings.Join(ev.ChaosLog, "\n"), ok: ev.Completed, snap: r.Metrics.Snapshot().Deterministic()}
 }
 
 func TestChaosScheduleDeterministic(t *testing.T) {

@@ -45,13 +45,12 @@ func a10() ([]Row, error) {
 			return 0, metrics.Snapshot{}, err
 		}
 
-		name := "[bin]hello"
 		if static {
 			// A static binding captures FS1's (pid, ctx) at define time.
 			if err := r.WS[0].Prefix.Define("sbin", r.BinCtx); err != nil {
 				return 0, metrics.Snapshot{}, err
 			}
-			name = "[sbin]hello"
+			r.Clients[0].Op = rig.OpenClose("[sbin]hello")
 		}
 		switch cache {
 		case "naive":
@@ -60,8 +59,8 @@ func a10() ([]Row, error) {
 			s.EnableNameCache(true)
 		}
 
-		ok, _ := r.RunPaced(rig.OpenClose(name))
-		return float64(ok) / a10Ops, r.Metrics.Snapshot(), nil
+		_, ev := r.Run()
+		return float64(ev.Completed) / a10Ops, r.Metrics.Snapshot(), nil
 	}
 
 	var rows []Row

@@ -218,8 +218,9 @@ func a14ChaosLoad(sc rig.Scenario, op func(*client.Session, int) error) (r *rig.
 	}
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
-	ok, _ = r.RunPaced(op)
-	return r, ok, s.Proc().Now(), nil
+	r.Clients[0].Op = op
+	_, ev := r.Run()
+	return r, ev.Completed, s.Proc().Now(), nil
 }
 
 // fs1Health finds the fs1 host's entry in a health report.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/client"
 )
 
 // leaseShape is the engine-equivalence topology with the lease-coherent
@@ -131,5 +132,17 @@ func TestRunScenarioDeterministic(t *testing.T) {
 	// Any stale windows the trace does contain are bounded by the lease.
 	if ev1.WidestStale > sc.Lease {
 		t.Fatalf("stale window %v exceeds the lease bound %v", ev1.WidestStale, sc.Lease)
+	}
+
+	// The paper testbed runs through the same Run: a faulted paced run,
+	// fs1 unreplicated or three members, equals its sequential reference.
+	policy := client.DefaultRetryPolicy()
+	for _, replicas := range []int{0, 3} {
+		paper := Scenario{Kind: Paper, Users: []string{"mann"}, Seed: 1, Retry: &policy, Replicas: replicas,
+			Requests: 100, FlushEvery: 25, Faults: chaos.TwoOutages("fs1"), Sequential: true}
+		_, ev := mustRun(t, paper)
+		if len(ev.ChaosLog) < 2 || !ev.EqualToSequential {
+			t.Fatalf("paper run, %d replicas: fired %d events, equal to sequential %v", replicas, len(ev.ChaosLog), ev.EqualToSequential)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,7 +109,7 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 	safe("Remove")
 
 	var slowest time.Duration
-	r.RunPaced(func(s *client.Session, i int) error {
+	r.Clients[0].Op = func(s *client.Session, i int) error {
 		safe(fmt.Sprintf("the pump before op %d", i))
 		start := s.Proc().Now()
 		if err := OpenClose("[bin]hello")(s, i); err != nil {
@@ -116,7 +117,8 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 		}
 		slowest = max(slowest, s.Proc().Now()-start)
 		return nil
-	})
+	}
+	r.Run()
 
 	safe("the schedule")
 
@@ -163,17 +165,59 @@ func TestReplicatedNamesFailOver(t *testing.T) {
 					{At: 60 * time.Millisecond, Action: chaos.Crash, Host: "fs1"},
 				}})
 			r.WS[0].Session.EnableNameCache(true)
-			ok, eng := r.RunPaced(func(s *client.Session, _ int) error {
+			r.Clients[0].Op = func(s *client.Session, _ int) error {
 				_, err := s.ReadFile(name)
 				return err
-			})
-			if ok != 30 {
-				t.Fatalf("%d/30 reads succeeded; chaos log:\n%v", ok, eng.Log())
+			}
+			if _, ev := r.Run(); ev.Completed != 30 {
+				t.Fatalf("%d/30 reads succeeded; chaos log:\n%v", ev.Completed, ev.ChaosLog)
 			}
 			if pid := storagePID(t, r); pid != r.FS1Members[1].PID() {
 				t.Fatalf("GetPid after fs1's crash answers %v, want fs1b's member %v", pid, r.FS1Members[1].PID())
 			}
 		})
+	}
+}
+
+// TestGeneratedReplicatedSchedules runs generated crash/restart and loss
+// schedules over fs1's three members through Run, the way the swarm runs
+// a scenario: plain data in, evidence out. On every schedule the trace
+// holds its invariants, every live member still holds the seed image,
+// and every operation either completed or failed.
+func TestGeneratedReplicatedSchedules(t *testing.T) {
+	policy := replicaRetryPolicy()
+	var crashes, retries uint64
+	for seed := int64(1); seed <= 20; seed++ {
+		sc := Scenario{Kind: Paper, Users: []string{"mann"}, Seed: seed, ReadAhead: true, Replicas: 3,
+			Trace: true, Retry: &policy, Requests: 60, FlushEvery: 10,
+			Faults: chaos.Generate(seed, chaos.Profile{
+				Duration:           600 * time.Millisecond,
+				Hosts:              []string{"fs1", "fs1b", "fs1c"},
+				MeanOutageEvery:    150 * time.Millisecond,
+				OutageLength:       100 * time.Millisecond,
+				MeanLossPulseEvery: 300 * time.Millisecond,
+				LossPulseLength:    50 * time.Millisecond,
+				LossRate:           0.9,
+			})}
+		_, ev := mustRun(t, sc)
+		if ev.TraceErr != nil {
+			t.Fatalf("seed %d: %v", seed, ev.TraceErr)
+		}
+		if err := ev.Topology.CheckFS1(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ev.Completed+ev.Errors != sc.Requests {
+			t.Fatalf("seed %d: %d completed + %d failed, want %d operations", seed, ev.Completed, ev.Errors, sc.Requests)
+		}
+		for _, line := range ev.ChaosLog {
+			if strings.Contains(line, "crash") {
+				crashes++
+			}
+		}
+		retries += recovered(ev.Topology, "retries")
+	}
+	if crashes == 0 || retries == 0 {
+		t.Fatalf("%d crashes and %d retries: the schedules tested no recovery", crashes, retries)
 	}
 }
 
@@ -231,7 +275,7 @@ func replicatedScenario(t *testing.T) pacedRun {
 	s.EnableNameCache(true)
 	var run pacedRun
 	crashes := []vtime.Time{faults[0].At, faults[2].At}
-	r.RunPaced(func(s *client.Session, i int) error {
+	r.Clients[0].Op = func(s *client.Session, i int) error {
 		start := s.Proc().Now()
 		err := OpenClose("[bin]hello")(s, i)
 		d := s.Proc().Now() - start
@@ -240,7 +284,8 @@ func replicatedScenario(t *testing.T) pacedRun {
 			run.failovers = append(run.failovers, d)
 		}
 		return err
-	})
+	}
+	r.Run()
 	if err := r.CheckFS1(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,38 +30,38 @@ func (t *Topology) NewChaos(events []chaos.Event) *chaos.Engine {
 	return e
 }
 
-// RunPaced drives a Paper scenario's fault-paced closed loop, the one the
-// availability experiments share, and returns how many operations
-// succeeded, with the chaos engine that fired the scenario's Faults. The
-// first workstation's session performs op Requests times, 10 ms of
+// pace is the Paper kind's drive, the fault-paced closed loop the
+// availability experiments share. Its one client, the first
+// workstation's session, performs its Op Requests times, 10 ms of
 // compute after each, flushing its name cache before every FlushEvery-th
 // (a fresh program instance starts cold, so each outage catches a cached
 // resolution stale). Everything that has no clock of its own is pumped
-// from the session's — the chaos engine, then the metrics sampler
-// (PROTOCOL.md §11.4) — before every operation, inside every retry
-// backoff (a fault scheduled during a backoff fires while the client
-// waits, exactly when a real deployment would see it), and once more at
-// the horizon.
-func (r *Rig) RunPaced(op func(s *client.Session, i int) error) (ok int, eng *chaos.Engine) {
-	s := r.WS[0].Session
-	eng = r.NewChaos(r.sc.Faults)
+// from the session's — eng, then the metrics sampler (PROTOCOL.md
+// §11.4) — before every operation, inside every retry backoff (a fault
+// scheduled during a backoff fires while the client waits, exactly when
+// a real deployment would see it), and once more at the horizon. The
+// loop is runLane's, ungated: one client has no lane to run beside, so
+// no fence replaces the per-op pump.
+func (r *Rig) pace(eng *chaos.Engine) *WorkloadResult {
+	c := *r.Clients[0]
+	s, op := c.Session, c.Op
 	pump := func(now vtime.Time) {
 		eng.AdvanceTo(now)
 		r.Sampler.AdvanceTo(now)
 	}
 	s.SetRetryObserver(pump)
-	for i := 0; i < r.sc.Requests; i++ {
+	c.Op = func(s *client.Session, i int) error {
 		if r.flushes(i) {
 			s.FlushNameCache()
 		}
 		pump(s.Proc().Now())
-		if op(s, i) == nil {
-			ok++
-		}
+		err := op(s, i)
 		s.Proc().ChargeCompute(10 * time.Millisecond) // workload pacing
+		return err
 	}
+	res := RunWorkload([]*WorkloadClient{&c})
 	pump(s.Proc().Now())
-	return ok, eng
+	return res
 }
 
 // OpenClose is the operation most paced loads run: open name for reading
@@ -96,7 +96,7 @@ func seedBin(fs *fileserver.FileServer) error {
 // scenario). A replicated member is re-seeded by the boot's sequence, so
 // it holds the seed image again. The unreplicated server comes back with
 // only /bin/hello (seedBin).
-func (r *Rig) restartFS1(host string, _ vtime.Time) error {
+func (r *Rig) restartFS1(host string) error {
 	i := slices.IndexFunc(r.FS1Members, func(fs *fileserver.FileServer) bool { return fs.Proc().Host().Name() == host })
 	if i < 0 && (r.FS1Members != nil || host != "fs1") {
 		return nil

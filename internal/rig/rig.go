@@ -72,7 +72,7 @@ func (sc *Scenario) checkPaper() error {
 
 // bootPaper is the Paper kind's step: the metrics registry and its
 // sampler, the file servers, the services machine, then one workstation
-// per user.
+// per user, whose first session is the one client Run paces (pace).
 func (r *Rig) bootPaper() error {
 	r.Metrics = metrics.New()
 	r.Kernel.SetMetrics(r.Metrics)
@@ -91,6 +91,7 @@ func (r *Rig) bootPaper() error {
 		}
 		r.WS = append(r.WS, ws)
 	}
+	r.Clients = []*WorkloadClient{{Session: r.WS[0].Session, Op: OpenClose("[bin]hello"), Requests: r.sc.Requests}}
 	return nil
 }
 

@@ -1321,7 +1321,13 @@ func TestNewIsBoot(t *testing.T) {
 	if sa, sb := shape(a), shape(b); !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("New and Boot differ:\n%v\n%v", sa, sb)
 	}
-	if _, _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "RunPaced") {
-		t.Fatalf("Run(Paper) = %v, want an error naming RunPaced", err)
+	// Run boots the same topology and paces its one client.
+	cfg.Requests = 20
+	_, ev := mustRun(t, cfg)
+	if ev.Completed != cfg.Requests || ev.Errors != 0 {
+		t.Fatalf("Run(Paper) completed %d and failed %d, want %d operations", ev.Completed, ev.Errors, cfg.Requests)
+	}
+	if sa, sr := shape(a), shape(ev.Topology); !reflect.DeepEqual(sa, sr) {
+		t.Fatalf("New and Run differ:\n%v\n%v", sa, sr)
 	}
 }

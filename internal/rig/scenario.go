@@ -4,9 +4,9 @@
 // (rig.go, where Config, Rig and New name Scenario, Topology and Boot for
 // it); the sharded, engine-driven kinds are SharedPrefix and Zipf
 // (shards.go, zipf.go).
-// Run executes a sharded scenario, RunPaced a paper one, and Evidence is
-// Run's one readout. The experiments are literals of it; a generated or
-// shrunk schedule is one too, and a failing one is a JSON document.
+// Run executes a scenario of any kind; Evidence is its one readout. The
+// experiments are literals of it, a generated or shrunk schedule is one
+// too, and a failing one is a JSON document.
 package rig
 
 import (
@@ -63,8 +63,8 @@ type Scenario struct {
 	// model; vtime.Model10Mbit() selects the faster wire).
 	Model *vtime.CostModel
 	// Requests is the run's length: each sharded client's closed-loop
-	// Query iterations or Zipf open-loop arrivals, or the operations
-	// RunPaced performs on a Paper topology.
+	// Query iterations or Zipf open-loop arrivals, or the paced
+	// operations of a Paper topology's one client.
 	Requests int
 	// FileServerTeam sets how many serving processes each file server
 	// runs (§3.1 server teams). 0 or 1 keeps the single-process server.
@@ -96,8 +96,8 @@ type Scenario struct {
 	// (PROTOCOL.md §15): O(k) retained spans at any population. Implies
 	// Trace.
 	TraceSample *trace.SampleConfig
-	// Faults is the chaos schedule: fired at the engine's fences by Run,
-	// pumped from the session's clock by RunPaced.
+	// Faults is the chaos schedule: fired at the engine's fences on the
+	// sharded kinds, pumped from the paced session's clock on Paper.
 	Faults []chaos.Event
 
 	// Paper only. Users names the workstation users, one workstation
@@ -159,7 +159,7 @@ type Topology struct {
 	// Metrics is the paper testbed's metrics registry; instruments charge
 	// zero virtual time (metrics package doc), so a metered run measures
 	// identically. Sampler snapshots it on a fixed virtual-time tick,
-	// pumped like the chaos engine: r.Sampler.AdvanceTo(session.Proc().Now()).
+	// pumped after the chaos engine by the paced drive (pace).
 	// The sharded kinds install neither — a registry would cost their
 	// host time on every resolution.
 	Metrics *metrics.Registry
@@ -188,7 +188,7 @@ type Topology struct {
 	// The sharded kinds. PrefixHost and Prefix are the central "nexus"
 	// prefix server, Tier the shared intermediate cache (nil unless
 	// CacheTier); Hosts[s] runs shard s's file server Shards[s] and its
-	// clients.
+	// clients, and Clients are what Run drives (Paper: WS[0]'s session).
 	PrefixHost *kernel.Host
 	Prefix     *prefix.Server
 	Tier       *ncache.Tier
@@ -233,7 +233,7 @@ var kinds = map[Kind]struct {
 // Boot boots the scenario's topology without running it: the substrate
 // once for every kind — network, kernel, flight recorder and the full or
 // sampled tracer — then the Kind's own step. Faults and Sequential are
-// Run's and RunPaced's business and are ignored here.
+// Run's business and are ignored here.
 func (sc Scenario) Boot() (*Topology, error) {
 	kind, ok := kinds[sc.Kind]
 	if !ok {
@@ -302,7 +302,7 @@ func (t *Topology) Sessions() []*client.Session {
 
 // Evidence is what one Run leaves behind, beyond the WorkloadResult.
 type Evidence struct {
-	// Topology is the topology the engine ran, for one-off reads
+	// Topology is the topology the run drove, for one-off reads
 	// (Prefix.TunedLease, Prefix.TopNames, Tracer.JSON, Latencies). It,
 	// TraceErr and Journal are never serialized: the rest of Evidence is
 	// plain data a document records.
@@ -333,8 +333,8 @@ type Evidence struct {
 	StaleWindows int
 	WidestStale  time.Duration
 
-	// Journal is the flight recorder's sealed journal (Run seals at every
-	// fence).
+	// Journal is the flight recorder's journal (sealed at every fence on
+	// the sharded kinds).
 	Journal []flight.Event `json:"-"`
 
 	// EqualToSequential is the Sequential verdict: WorkloadResult, per-op
@@ -345,28 +345,22 @@ type Evidence struct {
 	EqualToSequential bool
 }
 
-// Run boots a sharded scenario and drives it through the conservative
-// engine with the standard fence wiring (PROTOCOL.md §12): fence times
-// are the fault schedule's event times, each firing pumps the chaos
-// engine NewChaos built — which executes Redefine events through an
-// admin session on the prefix host — and then seals the flight recorder
-// at the quiescent cut. The Sequential reference is the ungated
-// sequential driver RunWorkload, or, with Faults, the same drive with
-// every client in lane 0. A Paper scenario runs through RunPaced instead.
+// Run boots a scenario and drives it (Topology.Run): a sharded kind
+// through the conservative engine, whose fences (PROTOCOL.md §12) fire
+// the Faults through the chaos engine NewChaos built and then seal the
+// flight recorder at the quiescent cut, a Paper one paced (pace). The
+// Sequential reference is the ungated sequential driver RunWorkload, or,
+// with Faults or on Paper, the same drive with every client in lane 0.
 func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
-	var ev Evidence
-	if sc.Kind == Paper {
-		return nil, ev, errors.New("rig: a Paper scenario has no engine lanes; boot it and call RunPaced")
-	}
 	var seq *WorkloadResult
 	var ref *Topology
 	var refLog []string
 	if sc.Sequential {
 		var err error
 		if ref, err = sc.Boot(); err != nil {
-			return nil, ev, err
+			return nil, Evidence{}, err
 		}
-		if len(sc.Faults) == 0 {
+		if len(sc.Faults) == 0 && sc.Kind != Paper {
 			seq = RunWorkload(ref.Clients)
 		} else {
 			for _, c := range ref.Clients {
@@ -378,17 +372,27 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 
 	t, err := sc.Boot()
 	if err != nil {
-		return nil, ev, err
+		return nil, Evidence{}, err
 	}
-	res, chaosLog := t.drive()
+	res, ev := t.Run()
+	ev.EqualToSequential = seq != nil && reflect.DeepEqual(seq, res) &&
+		reflect.DeepEqual(ref.Latencies, t.Latencies) && ref.leaseTotals() == ev.Client &&
+		reflect.DeepEqual(refLog, ev.ChaosLog) &&
+		(len(sc.Faults) == 0 || reflect.DeepEqual(ref.Flight.Journal(), ev.Journal))
+	return res, ev, nil
+}
 
-	ev.Topology = t
+// Run drives a booted topology's clients, firing its scenario's Faults,
+// and reads out what the run left behind. A caller that needs setup Run
+// cannot express — a mirror, a static binding, a cache mode, another Op
+// for a Paper client — boots, sets up, then calls it.
+func (t *Topology) Run() (*WorkloadResult, Evidence) {
+	res, chaosLog := t.drive()
+	ev := Evidence{Topology: t, ChaosLog: chaosLog, Client: t.leaseTotals()}
 	for _, st := range res.Clients {
 		ev.Completed += st.Completed
 		ev.Errors += st.Errors
 	}
-	ev.ChaosLog = chaosLog
-	ev.Client = t.leaseTotals()
 	if t.Tier != nil {
 		ev.Tier = t.Tier.Stats()
 	}
@@ -396,7 +400,7 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 		ev.Prefix = t.Prefix.LeaseStats()
 	}
 	if t.Tracer != nil {
-		ev.Bound = sc.leaseBound()
+		ev.Bound = t.sc.leaseBound()
 		spans := t.Tracer.Snapshot()
 		ev.Spans = len(spans)
 		ev.TraceErr = t.checkTrace(spans)
@@ -406,11 +410,7 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 		}
 	}
 	ev.Journal = t.Flight.Journal()
-	ev.EqualToSequential = seq != nil && reflect.DeepEqual(seq, res) &&
-		reflect.DeepEqual(ref.Latencies, t.Latencies) && ref.leaseTotals() == ev.Client &&
-		reflect.DeepEqual(refLog, ev.ChaosLog) &&
-		(len(sc.Faults) == 0 || reflect.DeepEqual(ref.Flight.Journal(), ev.Journal))
-	return res, ev, nil
+	return res, ev
 }
 
 // leaseBound is the widest lease the scenario's prefix servers can
@@ -439,17 +439,22 @@ func (t *Topology) CheckTrace() error {
 	return t.checkTrace(t.Tracer.Snapshot())
 }
 
-// drive runs the topology's clients through the conservative engine with
-// the scenario's Faults fired at fences, each firing sealing the flight
-// recorder, and returns the result and the fired-event log (nil without
-// Faults).
+// drive runs the topology's clients — a sharded kind's through the
+// conservative engine with the scenario's Faults fired at fences, each
+// firing sealing the flight recorder, a Paper topology's paced — and
+// returns the result and the fired-event log (nil without Faults).
 func (t *Topology) drive() (*WorkloadResult, []string) {
 	var eng *chaos.Engine
-	if len(t.sc.Faults) > 0 {
+	if len(t.sc.Faults) > 0 || t.sc.Kind == Paper {
 		eng = t.NewChaos(t.sc.Faults)
 	}
-	res := RunWorkloadEngine(t.Clients, EngineOptions{Fences: SealFlightAtFences(ChaosFences(eng), t.Flight)})
-	if eng == nil {
+	var res *WorkloadResult
+	if t.sc.Kind == Paper {
+		res = t.pace(eng)
+	} else {
+		res = RunWorkloadEngine(t.Clients, EngineOptions{Fences: SealFlightAtFences(ChaosFences(eng), t.Flight)})
+	}
+	if len(t.sc.Faults) == 0 {
 		return res, nil
 	}
 	return res, eng.Log()

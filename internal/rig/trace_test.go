@@ -1,8 +1,8 @@
 package rig
 
 import (
-	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,12 +105,14 @@ func chaosTraceRun(t *testing.T) (*Rig, []trace.Span) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.WS[0].Session
-	s.EnableNameCache(true)
-	_, eng := r.RunPaced(OpenClose("[bin]hello"))
-	eng.AdvanceTo(math.MaxInt64) // every remaining event, whatever its time
-	if err := r.CheckTrace(); err != nil {
-		t.Fatalf("trace under chaos violates invariants: %v", err)
+	r.WS[0].Session.EnableNameCache(true)
+	_, ev := r.Run()
+	// The run outlasts the schedule: every event fired inside it.
+	if len(ev.ChaosLog) != len(cfg.Faults) {
+		t.Fatalf("fired %d of %d events:\n%s", len(ev.ChaosLog), len(cfg.Faults), strings.Join(ev.ChaosLog, "\n"))
+	}
+	if ev.TraceErr != nil {
+		t.Fatalf("trace under chaos violates invariants: %v", ev.TraceErr)
 	}
 	return r, r.Tracer.Snapshot()
 }
