@@ -50,7 +50,7 @@ type Serving struct {
 func BeginServe(p *kernel.Process, msg *proto.Message, from kernel.PID) Serving {
 	sv := Serving{p: p, tr: p.Tracer(), op: msg.Op, from: from, start: p.Now()}
 	if sv.tr != nil {
-		sv.span = sv.tr.Start(p.PendingSpan(from), trace.KindServe, msg.Op.String(), sv.start, p.TraceID())
+		sv.span = sv.tr.Start(p.ServedSpan(), trace.KindServe, msg.Op.String(), sv.start, p.TraceID())
 		p.SetCurrentSpan(sv.span)
 	}
 	return sv

@@ -96,8 +96,7 @@ func (t *Team) handoff(msg *proto.Message, from kernel.PID, w *kernel.Process) {
 	if tr := r.Tracer(); tr != nil {
 		// The handoff span covers the dispatch decision and ends before the
 		// Forward, whose hop is recorded as its child.
-		sp := tr.StartName(r.PendingSpan(from), trace.KindHandoff, trace.Name{Head: "handoff", Sep: " -> ", Tail: w.Name()}, r.Now(), r.TraceID())
-		tr.End(sp, r.Now())
+		sp := tr.Event(r.ServedSpan(), trace.KindHandoff, trace.Name{Head: "handoff", Sep: " -> ", Tail: w.Name()}, r.Now(), r.TraceID(), "")
 		r.SetCurrentSpan(sp)
 		defer r.SetCurrentSpan(0)
 	}

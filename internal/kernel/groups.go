@@ -214,14 +214,20 @@ func (p *Process) multicast(msg *proto.Message, gid PID, sp trace.SpanID, f *fan
 // forwardGroup forwards a transaction to every member of a group, the
 // first to reply completing it: a context implemented transparently by a
 // group of servers working in cooperation (§7).
-func (p *Process) forwardGroup(env *envelope, msg *proto.Message, gid PID, sp trace.SpanID) error {
-	p.Tracer().SetGroup(sp)
+func (p *Process) forwardGroup(env *envelope, msg *proto.Message, gid PID) error {
+	tr := p.Tracer()
+	var sp trace.SpanID
+	if tr != nil {
+		sp = tr.StartGroup(p.spanUnder(env), trace.KindForward, opTo(msg.Op, " -> ", gid), p.clock.Now(), p.TraceID())
+	}
 	n, err := p.multicast(msg, gid, sp, &fanIn{into: env}, true)
 	if err == nil && n == 0 { // sp ended at the frame; the root send span is classified
 		err = fmt.Errorf("forward to group %v: no reachable members: %w", gid, ErrNonexistentProcess)
 	}
 	if err != nil {
-		return p.abort(env, sp, err)
+		tr.Fail(sp, p.clock.Now(), FailureClass(err))
+		env.fail(err)
+		return err
 	}
 	return nil
 }
@@ -232,8 +238,7 @@ func (p *Process) groupSend(msg *proto.Message, sep string, gid PID, moveSrc, mo
 	tr := p.host.kernel.Tracer()
 	var sp trace.SpanID
 	if tr != nil {
-		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, sep, gid), p.clock.Now(), p.TraceID())
-		tr.SetGroup(sp)
+		sp = tr.StartGroup(p.CurrentSpan(), trace.KindSend, opTo(msg.Op, sep, gid), p.clock.Now(), p.TraceID())
 	}
 	return tr, sp, p.record(moveSrc, moveDst)
 }

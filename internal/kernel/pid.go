@@ -15,6 +15,7 @@ package kernel
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/netsim"
 )
@@ -74,7 +75,14 @@ func (p PID) String() string {
 	if p.IsGroup() {
 		return fmt.Sprintf("group(%d)", p.groupNumber())
 	}
-	return fmt.Sprintf("pid(%d.%d)", p.Host(), p.Local())
+	// Appended, not formatted: a retained trace span renders its peer's
+	// pid this way (trace.Name), one allocation each.
+	var buf [16]byte
+	s := append(buf[:0], "pid("...)
+	s = strconv.AppendUint(s, uint64(p.Host()), 10)
+	s = append(s, '.')
+	s = strconv.AppendUint(s, uint64(p.Local()), 10)
+	return string(append(s, ')'))
 }
 
 // Service is a V service code: programs are written in terms of services,

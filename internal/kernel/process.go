@@ -40,8 +40,8 @@ type envelope struct {
 	moveSrc []byte
 	moveDst []byte
 	// span is the send (or, after forwarding, forward) span this
-	// transaction currently runs under; servers parent their serve
-	// spans on it via PendingSpan.
+	// transaction currently runs under; a served handler's serve span
+	// nests under it (ServedSpan).
 	span trace.SpanID
 	// The completion lands in rec, the sender's record, or for a group
 	// member's clone in fan. Kept to two words so a clone stays in the
@@ -139,11 +139,13 @@ type Process struct {
 	// its `for { Receive; handle }` loop, and whoever delivers to it runs
 	// one turn of that loop under serveMu. serving marks the turn in
 	// progress and passed collects the envelopes its handler forwarded;
-	// both belong to the goroutine holding serveMu.
-	handler atomic.Pointer[func(msg *proto.Message, from PID)]
-	serveMu sync.Mutex
-	serving bool
-	passed  []handoff
+	// turnSpan is the span of the transaction the turn serves. All three
+	// belong to the goroutine holding serveMu.
+	handler  atomic.Pointer[func(msg *proto.Message, from PID)]
+	serveMu  sync.Mutex
+	serving  bool
+	turnSpan trace.SpanID
+	passed   []handoff
 
 	// rec is the record of this process's Sends, to a process or a group.
 	// A V sender is blocked until its reply, so a process has one Send in
@@ -232,14 +234,10 @@ func opTo(op proto.Code, sep string, dst PID) trace.Name {
 
 func pidTail(v uint32) string { return PID(v).String() }
 
-// PendingSpan returns the transaction span of the received-but-unreplied
-// message from origin, for servers starting a serve span.
-func (p *Process) PendingSpan(origin PID) trace.SpanID {
-	if env := p.peekPending(origin); env != nil {
-		return env.span
-	}
-	return 0
-}
+// ServedSpan returns the span of the transaction p's current turn
+// serves, for a served handler starting its serve span: read under the
+// serve lock the turn holds, from the envelope the turn accepted.
+func (p *Process) ServedSpan() trace.SpanID { return p.turnSpan }
 
 // Send sends msg to dst and blocks until the receiver (or the process the
 // message is forwarded to) replies — one message transaction (Figure 1).
@@ -264,20 +262,15 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 	// Read once: the reply may land in msg.
 	op := msg.Op
 	tr := k.Tracer()
-	var sp trace.SpanID
-	if tr != nil {
-		sp = tr.StartName(p.CurrentSpan(), trace.KindSend, opTo(op, " -> ", dst), p.clock.Now(), p.TraceID())
-	}
 	// Metrics, like the tracer, charge zero virtual time. The start time
 	// is read before any cost accrues so the histogram sees the full
-	// transaction latency.
+	// transaction latency; the send span starts then too.
 	km := k.metrics.Load()
-	var sendStart vtime.Time
 	if km != nil {
 		km.sends.Inc()
 		km.inflight.Add(1)
-		sendStart = p.clock.Now()
 	}
+	sendStart := p.clock.Now()
 	target, hostUp := k.findProcess(dst)
 	if target == nil {
 		p.chargeFailedSend(dst, hostUp)
@@ -287,15 +280,20 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 		} else {
 			err = fmt.Errorf("%w: %v", ErrNonexistentProcess, dst)
 		}
-		return p.sendFailed(km, sp, err)
+		return p.sendFailed(km, p.startSend(op, dst, sendStart), err)
 	}
-	d, det, err := k.net.UnicastDetail(p.host.id, dst.Host(), msg.WireSize(), p.clock.Now())
+	d, det, err := k.net.UnicastDetail(p.host.id, dst.Host(), msg.WireSize(), sendStart)
 	if err != nil {
+		sp := p.startSend(op, dst, sendStart)
 		p.clock.Advance(time.Duration(failedSendRetries) * k.model.RetransmitTimeout)
 		err = fmt.Errorf("send to %v: %w", dst, err)
 		return p.sendFailed(km, sp, err)
 	}
-	tr.Wire(sp, "request", p.clock.Now(), d, msg.WireSize(), det, dst.Host() == p.host.id, false)
+	var sp trace.SpanID
+	if tr != nil {
+		sp = tr.StartWire(p.CurrentSpan(), trace.KindSend, opTo(op, " -> ", dst), sendStart, p.TraceID(),
+			trace.Hop{Name: "request", Start: sendStart, Dur: d, Bytes: msg.WireSize(), Detail: det, Local: dst.Host() == p.host.id})
+	}
 	rec := p.record(moveSrc, moveDst)
 	rec.msg, rec.arrival, rec.span = msg, p.clock.Now()+d, sp
 	if !target.deliver(&rec.envelope) {
@@ -320,6 +318,12 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 		}).Record(p.clock.Now() - sendStart)
 	}
 	return ev.msg, nil
+}
+
+// startSend opens the span of a Send that fails before its request is
+// on the wire.
+func (p *Process) startSend(op proto.Code, dst PID, at vtime.Time) trace.SpanID {
+	return p.Tracer().StartName(p.CurrentSpan(), trace.KindSend, opTo(op, " -> ", dst), at, p.TraceID())
 }
 
 // sendFailed ends a failed Send: its span classified and, with metrics
@@ -442,9 +446,9 @@ func (p *Process) turn(handler func(msg *proto.Message, from PID), env *envelope
 		env.fail(ErrNonexistentProcess)
 		return out
 	}
-	p.serving = true
+	p.serving, p.turnSpan = true, env.span
 	handler(msg, from)
-	p.serving = false
+	p.serving, p.turnSpan = false, 0
 	out = append(out, p.passed...)
 	clear(p.passed)
 	p.passed = p.passed[:0]
@@ -511,22 +515,18 @@ func (p *Process) Receive() (*proto.Message, PID, error) {
 	}
 }
 
-// take removes the pending envelope from origin and, when tracing,
-// starts the span (kind) of the Reply or Forward passing it on to dst.
-func (p *Process) take(origin PID, kind trace.Kind, op proto.Code, dst PID) (*envelope, trace.SpanID) {
+// take removes the pending envelope from origin, for the Reply or
+// Forward passing it on.
+func (p *Process) take(origin PID) *envelope {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	i := p.pendingAt(origin)
 	if i < 0 {
-		p.mu.Unlock()
-		return nil, 0
+		return nil
 	}
 	env := p.pending[i]
 	p.pending = slices.Delete(p.pending, i, i+1)
-	p.mu.Unlock()
-	if tr := p.Tracer(); tr != nil {
-		return env, tr.StartName(p.spanUnder(env), kind, opTo(op, " -> ", dst), p.clock.Now(), p.TraceID())
-	}
-	return env, 0
+	return env
 }
 
 // spanUnder is the span p's work on env's transaction nests under: p's
@@ -552,21 +552,25 @@ func (p *Process) peekPending(origin PID) *envelope {
 // Reply completes the message transaction with the process `to`, which
 // must have a received-but-unreplied message here.
 func (p *Process) Reply(msg *proto.Message, to PID) error {
-	env, sp := p.take(to, trace.KindReply, msg.Op, to)
+	env := p.take(to)
 	if env == nil {
 		return fmt.Errorf("%w: %v", ErrNoPendingMessage, to)
 	}
 	k := p.host.kernel
-	tr := k.Tracer()
 	d, det, err := k.net.UnicastDetail(p.host.id, env.origin.Host(), msg.WireSize(), p.clock.Now())
 	if err != nil {
-		return p.abort(env, sp, fmt.Errorf("reply to %v: %w", to, err))
+		return p.abort(env, trace.KindReply, msg.Op, to, fmt.Errorf("reply to %v: %w", to, err))
 	}
-	tr.Wire(sp, "reply", p.clock.Now(), d, msg.WireSize(), det, env.origin.Host() == p.host.id, false)
-	// End the span before unblocking the sender, so a snapshot taken
-	// the moment the sender resumes never sees a half-open reply. The
-	// reply counter bumps before completion for the same reason.
-	tr.End(sp, p.clock.Now()+d)
+	// Record the span, its wire and its end before unblocking the sender:
+	// that order is what hands the transaction's spans to the sender
+	// (trace.Tracer), and a snapshot taken the moment the sender resumes
+	// never sees a half-open reply. The reply counter bumps before
+	// completion for the same reason.
+	if tr := k.Tracer(); tr != nil {
+		now := p.clock.Now()
+		tr.Transfer(p.spanUnder(env), trace.KindReply, opTo(msg.Op, " -> ", to), now, p.TraceID(),
+			trace.Hop{Name: "reply", Start: now, Dur: d, Bytes: msg.WireSize(), Detail: det, Local: env.origin.Host() == p.host.id}, now+d)
+	}
 	if km := k.metrics.Load(); km != nil {
 		km.replies.Inc()
 	}
@@ -581,46 +585,50 @@ func (p *Process) Reply(msg *proto.Message, to PID) error {
 // a server rewrites the context id and name index fields before passing a
 // partially-interpreted CSname request along (§5.4).
 func (p *Process) Forward(msg *proto.Message, from PID, to PID) error {
-	env, sp := p.take(from, trace.KindForward, msg.Op, to)
+	env := p.take(from)
 	if env == nil {
 		return fmt.Errorf("%w: %v", ErrNoPendingMessage, from)
 	}
-	k := p.host.kernel
-	tr := k.Tracer()
 	if to.IsGroup() {
-		return p.forwardGroup(env, msg, to, sp)
+		return p.forwardGroup(env, msg, to)
 	}
+	k := p.host.kernel
 	target, _ := k.findProcess(to)
 	if target == nil {
-		return p.abort(env, sp, fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess))
+		return p.abort(env, trace.KindForward, msg.Op, to, fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess))
 	}
-	d, det, err := k.net.UnicastDetail(p.host.id, to.Host(), msg.WireSize(), p.clock.Now())
+	now := p.clock.Now()
+	d, det, err := k.net.UnicastDetail(p.host.id, to.Host(), msg.WireSize(), now)
 	if err != nil {
-		return p.abort(env, sp, fmt.Errorf("forward to %v: %w", to, err))
+		return p.abort(env, trace.KindForward, msg.Op, to, fmt.Errorf("forward to %v: %w", to, err))
 	}
-	tr.Wire(sp, "forward", p.clock.Now(), d, msg.WireSize(), det, to.Host() == p.host.id, false)
 	// Count before delivering: the recipient may serve and unblock the
 	// original sender before this goroutine runs again, and a sample
 	// taken then must already include this forward.
 	if km := k.metrics.Load(); km != nil {
 		km.forwards.Inc()
 	}
-	env.msg, env.arrival, env.span = msg, p.clock.Now()+d, sp
-	// End before delivering: the recipient may serve and unblock the
-	// original sender before this goroutine runs again, and a snapshot
-	// then must not see a half-open forward. If delivery fails below,
-	// the failure classification lands on the root send span instead.
-	tr.End(sp, env.arrival)
+	// Recorded, wire and end, before delivering, for Reply's reasons. If
+	// delivery fails below, the failure classification lands on the root
+	// send span instead.
+	env.msg, env.arrival, env.span = msg, now+d, 0
+	if tr := k.Tracer(); tr != nil {
+		env.span = tr.Transfer(p.spanUnder(env), trace.KindForward, opTo(msg.Op, " -> ", to), now, p.TraceID(),
+			trace.Hop{Name: "forward", Start: now, Dur: d, Bytes: msg.WireSize(), Detail: det, Local: to.Host() == p.host.id}, env.arrival)
+	}
 	if !p.pass(target, env) {
-		return p.abort(env, sp, fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess))
+		err := fmt.Errorf("forward to %v: %w", to, ErrNonexistentProcess)
+		env.fail(err)
+		return err
 	}
 	return nil
 }
 
-// abort fails the transaction env with err, which Reply or Forward
-// returns, classifying their span sp unless it has already ended.
-func (p *Process) abort(env *envelope, sp trace.SpanID, err error) error {
-	p.Tracer().Fail(sp, p.clock.Now(), FailureClass(err))
+// abort fails the transaction env with err, which Reply (kind
+// KindReply) or Forward (KindForward) of op to dst returns, recording
+// their span as failed where it started.
+func (p *Process) abort(env *envelope, kind trace.Kind, op proto.Code, dst PID, err error) error {
+	p.Tracer().Event(p.spanUnder(env), kind, opTo(op, " -> ", dst), p.clock.Now(), p.TraceID(), FailureClass(err))
 	env.fail(err)
 	return err
 }

@@ -228,7 +228,7 @@ func (c *Cache) serveCallback(p *kernel.Process, msg *proto.Message, from kernel
 	}
 	// The lease event hangs off the granter's transaction.
 	if p.Tracer() != nil {
-		p.SetCurrentSpan(p.PendingSpan(from))
+		p.SetCurrentSpan(p.ServedSpan())
 	}
 	reply := c.applyCallback(p, msg)
 	p.SetCurrentSpan(0)

@@ -1,8 +1,11 @@
 package rig
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,4 +122,59 @@ func TestSteadyStateResolvesNoSeries(t *testing.T) {
 	if after := series(); !reflect.DeepEqual(after, before) || len(before) == 0 {
 		t.Fatalf("steady state created series: %d before, %d after", len(before), len(after))
 	}
+}
+
+// TestSampledRetentionIndependentOfGOMAXPROCS: which roots a sampled
+// tracer keeps follows from each process's program order and the virtual
+// clocks, never from how the engine's lanes happen to interleave. The
+// observedZipf shape driven at one P and at four keeps the same roots —
+// by process, start, name and the shape of the subtree under each — and
+// both traces pass the checker. The ids they export may differ: they
+// number spans in the order the lanes created them.
+func TestSampledRetentionIndependentOfGOMAXPROCS(t *testing.T) {
+	const arrivals = 300
+	retained := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		zw, _, drive := observedZipf(t, true, arrivals)
+		drive(0, arrivals)
+		if err := zw.CheckTrace(); err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		return rootShapes(zw.Tracer.Snapshot())
+	}
+	one, four := retained(1), retained(4)
+	if len(one) == 0 || !reflect.DeepEqual(one, four) {
+		t.Fatalf("kept %d roots at GOMAXPROCS 1 and %d at 4, or different ones", len(one), len(four))
+	}
+}
+
+// rootShapes renders each root of spans with its subtree and no ids:
+// every span in creation order as its process, kind, name, times, class,
+// wire bytes, and its own and its parent's place in that order — the
+// root first, so each entry leads with the root's process, name and
+// start.
+func rootShapes(spans []trace.Span) []string {
+	root := map[trace.SpanID]trace.SpanID{}
+	place := map[trace.SpanID]int{}
+	shape := map[trace.SpanID]*strings.Builder{}
+	size := map[trace.SpanID]int{}
+	for _, sp := range spans { // id order: a parent before its children
+		r, up := sp.ID, -1
+		if sp.Parent != 0 {
+			r, up = root[sp.Parent], place[sp.Parent]
+		}
+		if shape[r] == nil {
+			shape[r] = new(strings.Builder)
+		}
+		root[sp.ID], place[sp.ID] = r, size[r]
+		size[r]++
+		fmt.Fprintf(shape[r], "%s@%d %s %q %d-%d %s %dB %d<%d;", sp.Proc, sp.PID, sp.Kind, sp.Name,
+			sp.Start, sp.End, sp.Err, sp.Bytes, place[sp.ID], up)
+	}
+	out := make([]string, 0, len(shape))
+	for _, b := range shape {
+		out = append(out, b.String())
+	}
+	sort.Strings(out)
+	return out
 }

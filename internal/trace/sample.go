@@ -1,8 +1,8 @@
 package trace
 
 import (
-	"cmp"
-	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -37,125 +37,353 @@ type SampleConfig struct {
 	SlowOver time.Duration
 }
 
-// openSpan is a span of a still-open subtree: the record with its name
-// unrendered.
+// A handle — the SpanID the tracer returns — says where its span lives:
+// the subtree's slot, the span's position in it, and the generation of
+// the subtree it was opened in. A subtree changes generation when it
+// retires, so a handle outliving its subtree no longer matches and
+// whatever it is passed to is a no-op.
+const (
+	posBits  = 20
+	slotBits = 20
+	genBits  = 64 - slotBits - posBits
+	genMask  = 1<<genBits - 1
+)
+
+func handle(gen uint64, slot uint32, pos int) SpanID {
+	return SpanID(gen<<(slotBits+posBits) | uint64(slot)<<posBits | uint64(pos))
+}
+
+func (h SpanID) gen() uint64  { return uint64(h) >> (slotBits + posBits) }
+func (h SpanID) slot() uint32 { return uint32(h>>posBits) & (1<<slotBits - 1) }
+func (h SpanID) pos() int     { return int(h & (1<<posBits - 1)) }
+
+// openSpan is a span of a still-open subtree, written in place field by
+// field: its name unrendered, its process an index into the subtree's
+// table of the processes that wrote it. A recycled record's fields are
+// read only as flags says they were written: End and Err once ended, the
+// hop of a wire span or of the wire span under it, the stamp of a lease
+// event.
 type openSpan struct {
-	Span
-	name Name
+	name          Name
+	kind          Kind
+	err           string
+	id, parent    SpanID // as exported
+	start, end    int64
+	grant, expire int64
+	hop           hopRecord
+	proc          int16 // -1: no process (a wire hop)
+	flags         uint8
 }
 
-// subtree holds one open root's spans by value, in creation order (the
-// root first), until its last span ends. Retired subtrees are recycled,
-// slab and all, so in steady state opening a span allocates nothing.
+const (
+	spanEnded uint8 = 1 << iota
+	spanGroup
+	spanHop   // the span is a wire hop: hop holds its detail
+	spanWire  // a wire hop hangs under the span: hop holds all of it
+	spanStamp // grant and expire are written
+)
+
+// hopRecord is a wire hop's cost-model detail and, when it hangs under the
+// record that holds it, its own id, name and times: a Send's request and
+// a Reply's or Forward's hop are written with their span, not as records
+// of their own.
+type hopRecord struct {
+	id                      SpanID
+	name                    string
+	start, end, queue       int64
+	bytes, packets, retrans int32
+	local, bcast            bool
+}
+
+func (w *hopRecord) detail(h *Hop) {
+	w.bytes, w.packets, w.retrans = int32(h.Bytes), int32(h.Detail.Packets), int32(h.Detail.Retransmits)
+	w.queue, w.local, w.bcast = int64(h.Detail.Queue), h.Local, h.Bcast
+}
+
+// subtree holds one open root's spans, in creation order (the root
+// first), until its last span ends. It keeps its slot for good: retired,
+// it is recycled, slab and all, so in steady state opening a span
+// allocates nothing.
+//
+// A subtree has one writer at a time, because a V sender is blocked
+// until its reply: whoever holds a handle into it holds the transaction,
+// and hands it on through the kernel, which ends its spans before it
+// unblocks anyone (PROTOCOL.md §15.3). So its spans are written with no
+// lock — until a group send or forward marks it, after which member
+// clones may still write it when the first reply has unblocked the
+// sender, and every write takes mu.
 type subtree struct {
-	spans    []openSpan
-	open     int // spans not yet ended
-	at       int // where openSet.live holds this subtree
+	// state is the live generation (genBits wide, never 0) shifted left
+	// one, its low bit set once the subtree is group-marked.
+	state   atomic.Uint64
+	mu      sync.Mutex
+	spans   []openSpan
+	procs   []ProcID
+	open    int  // spans not yet ended
+	anomaly bool // a span ended with a failure class
+	slot    uint32
+	// Written under Tracer.mu as a root opens the subtree: the generation
+	// its handles carry while it is live, whether it is, and whether head
+	// sampling keeps it.
+	gen      uint64
+	live     bool
 	headKeep bool
-	anomaly  bool
 }
 
-// start opens a span; the pointer is good until the next start. A span
-// whose parent is 0 or already retired starts a subtree of its own, so
-// retained trees stay complete. Caller holds t.mu.
-func (t *Tracer) start(parent SpanID, kind Kind, name Name, at int64, who ProcID) *Span {
-	t.nextID++
-	st, _ := t.open.find(parent)
-	if st == nil {
-		parent = 0
-		t.rootsSeen++
-		seen := t.seenByProc[who.PID]
-		if seen == nil {
-			seen = new(uint64)
-			t.seenByProc[who.PID] = seen
-		}
-		*seen++
-		if last := len(t.free) - 1; last >= 0 {
-			st, t.free = t.free[last], t.free[:last]
-		} else {
-			st = &subtree{}
-		}
-		// A recycled slab's stale records are overwritten before they
-		// are read; until then they pin only strings callers hold anyway.
-		*st = subtree{spans: st.spans, at: len(t.open.live), headKeep: (*seen-1)%uint64(t.cfg.HeadEvery) == 0}
-		t.open.live = append(t.open.live, st)
+// pen is the right to write one subtree: held by its one writer without a
+// lock, or under the subtree's lock once it is group-marked.
+type pen struct {
+	st     *subtree
+	locked bool
+}
+
+// acquire returns the pen to the subtree holding span h, and where h
+// is; ok is false if h is 0 or its subtree has retired. (No subtree is
+// ever of generation 0, which a 0 handle would carry.)
+func (t *Tracer) acquire(h SpanID) (pen, int, bool) {
+	st := t.subtree(h)
+	if st != nil && st.state.Load() == h.gen()<<1 {
+		return pen{st: st}, h.pos(), true
 	}
-	st.spans = append(st.spans, openSpan{
-		Span: Span{
-			ID:     t.nextID,
-			Parent: parent,
-			Kind:   kind,
-			Proc:   who.Name,
-			PID:    who.PID,
-			Host:   who.Host,
-			Start:  at,
-		},
-		name: name,
-	})
-	st.open++
-	i := len(st.spans) - 1
-	t.open.n++
-	t.open.recent[t.nextID%recentSpans] = spanSlot{st, int32(i)}
-	return &st.spans[i].Span
+	return st.lock(h)
 }
 
-// span returns the addressable span with the given id: one of a
-// still-open subtree, or nil — annotations on retired spans are dropped.
-// Caller holds t.mu.
-func (t *Tracer) span(id SpanID) *Span {
-	if st, i := t.open.find(id); st != nil {
-		return &st.spans[i].Span
+// subtree returns the subtree at h's slot, or nil.
+func (t *Tracer) subtree(h SpanID) *subtree {
+	if slots := *t.slots.Load(); int(h.slot()) < len(slots) {
+		return slots[h.slot()]
 	}
 	return nil
 }
 
-// fail ends a span. Caller holds t.mu.
-func (t *Tracer) fail(id SpanID, at int64, class string) {
-	st, i := t.open.find(id)
-	if st == nil {
-		return
+// lock is acquire's way into a group-marked subtree.
+func (st *subtree) lock(h SpanID) (pen, int, bool) {
+	if st == nil || st.state.Load() != h.gen()<<1|1 {
+		return pen{}, 0, false
+	}
+	st.mu.Lock()
+	if st.state.Load() != h.gen()<<1|1 { // retired while we waited
+		st.mu.Unlock()
+		return pen{}, 0, false
+	}
+	return pen{st: st, locked: true}, h.pos(), true
+}
+
+// open adds a span under parent and returns the pen to its subtree and
+// where it is. It takes ids for the span and the n-1 spans the caller
+// adds under it in the same call (wire) with one step of the counter, so
+// they are consecutive. A span whose parent is 0 or already retired
+// starts a subtree of its own, so retained trees stay complete; so does
+// one whose parent's subtree is full.
+func (t *Tracer) open(parent SpanID, kind Kind, name *Name, at int64, who *ProcID, n uint64) (pen, int) {
+	p, pi, ok := t.acquire(parent)
+	var up SpanID
+	switch {
+	case ok && len(p.st.spans) < 1<<posBits:
+		up = p.st.spans[pi].id
+	case ok:
+		t.release(p, false)
+		fallthrough
+	default:
+		var pid uint32
+		if who != nil {
+			pid = who.PID
+		}
+		p = pen{st: t.root(pid)}
+	}
+	id := SpanID(t.nextID.Add(n) - n + 1)
+	return p, p.st.add(id, up, kind, name, at, who)
+}
+
+// handle returns the handle of the span at i.
+func (p pen) handle(i int) SpanID { return handle(p.st.gen, p.st.slot, i) }
+
+// mark group-marks the subtree, its pen taking the lock from here on.
+func (p *pen) mark() {
+	if !p.locked {
+		p.st.mu.Lock()
+		p.st.state.Store(p.st.state.Load() | 1)
+		p.locked = true
+	}
+}
+
+// release gives the pen back. A write that ended the subtree's last
+// span (retire) moves the subtree to its next generation, which makes
+// every handle into it stale, and then retires it.
+func (t *Tracer) release(p pen, retire bool) {
+	if retire || p.locked {
+		t.unlock(p, retire)
+	}
+}
+
+// unlock is release's slow half: a retirement, or a group-marked pen.
+func (t *Tracer) unlock(p pen, retire bool) {
+	if retire {
+		next := (p.st.state.Load()>>1 + 1) & genMask
+		if next == 0 {
+			next++
+		}
+		p.st.state.Store(next << 1)
+	}
+	if p.locked {
+		p.st.mu.Unlock()
+	}
+	if retire {
+		t.finish(p.st)
+	}
+}
+
+// add writes a new span, exported as id, at the end of the subtree and
+// returns its position.
+func (st *subtree) add(id, parent SpanID, kind Kind, name *Name, at int64, who *ProcID) int {
+	i := len(st.spans)
+	if i < cap(st.spans) {
+		st.spans = st.spans[:i+1]
+	} else {
+		st.spans = append(st.spans, openSpan{})
 	}
 	sp := &st.spans[i]
-	if sp.ended {
-		return
+	sp.name = *name
+	sp.kind = kind
+	sp.id, sp.parent, sp.start = id, parent, at
+	sp.proc = st.proc(who)
+	sp.flags = 0
+	st.open++
+	return i
+}
+
+// proc returns who's index in the subtree's process table, adding it
+// the first time: a subtree is written by the few processes its
+// transaction visits, the latest most likely next.
+func (st *subtree) proc(who *ProcID) int16 {
+	if who == nil {
+		return -1
 	}
-	sp.End = at
-	sp.Err = class
-	sp.ended = true
+	for i := len(st.procs) - 1; i >= 0; i-- {
+		if q := &st.procs[i]; q.PID == who.PID && q.Name == who.Name && q.Host == who.Host {
+			return int16(i)
+		}
+	}
+	st.procs = append(st.procs, *who)
+	return int16(len(st.procs) - 1)
+}
+
+// wire hangs a wire hop, exported as the id after the span's (open took
+// two for the pair), under the span at i, ended at once.
+func (st *subtree) wire(i int, h *Hop) {
+	sp := &st.spans[i]
+	sp.hop.id, sp.hop.name = sp.id+1, h.Name
+	sp.hop.start, sp.hop.end = int64(h.Start), int64(h.Start)+int64(h.Dur)
+	sp.hop.detail(h)
+	sp.flags |= spanWire
+}
+
+// end ends the span at i, reporting whether it was the subtree's last
+// open span. Ending an ended span changes nothing.
+func (st *subtree) end(i int, at int64, class string) bool {
+	sp := &st.spans[i]
+	if sp.flags&spanEnded != 0 {
+		return false
+	}
+	sp.end, sp.err = at, class
+	sp.flags |= spanEnded
 	if class != "" {
 		st.anomaly = true
 	}
 	st.open--
-	if st.open == 0 {
-		t.finish(st)
-	}
+	return st.open == 0
 }
 
-// finish retires a drained subtree: retained in full or dropped whole.
-// Caller holds t.mu.
+// root opens a subtree for a new root: the head count, and a slot from
+// the free list or a new one.
+func (t *Tracer) root(pid uint32) *subtree {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.rootsSeen++
+	seen := t.seenByProc[pid]
+	if seen == nil {
+		seen = new(uint64)
+		t.seenByProc[pid] = seen
+	}
+	*seen++
+	var st *subtree
+	if last := len(t.free) - 1; last >= 0 {
+		st, t.free = t.free[last], t.free[:last]
+	} else {
+		slots := *t.slots.Load()
+		if len(slots) == 1<<slotBits {
+			panic("trace: more open subtrees than span handles can name")
+		}
+		st = &subtree{slot: uint32(len(slots))}
+		st.state.Store(1 << 1)
+		// Appended in place while capacity lasts: a reader holding the
+		// shorter slice never indexes the new slot.
+		slots = append(slots, st)
+		t.slots.Store(&slots)
+	}
+	st.gen = st.state.Load() >> 1
+	st.live, st.anomaly = true, false
+	st.headKeep = (*seen-1)%uint64(t.cfg.HeadEvery) == 0
+	return st
+}
+
+// finish retires a drained subtree, which no handle names any more:
+// retained in full or dropped whole.
 func (t *Tracer) finish(st *subtree) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	root := &st.spans[0]
-	slow := t.cfg.SlowOver > 0 && time.Duration(root.End-root.Start) >= t.cfg.SlowOver
+	slow := t.cfg.SlowOver > 0 && time.Duration(root.end-root.start) >= t.cfg.SlowOver
 	if st.headKeep || st.anomaly || slow {
 		for i := range st.spans {
-			st.spans[i].renderInto(t.retained.next())
+			st.render(i, t.retained.next)
 		}
 		t.rootsRetained++
 	}
-	o := &t.open
-	o.n -= len(st.spans)
-	last := len(o.live) - 1
-	o.live[st.at], o.live[last].at = o.live[last], st.at
-	o.live = o.live[:last]
-	// Emptied here, not at reuse: it is what makes a recent entry stale.
-	st.spans = st.spans[:0]
+	// A recycled slab's stale records are overwritten before they are
+	// read; until then they pin only strings callers hold anyway.
+	st.spans, st.procs, st.live = st.spans[:0], st.procs[:0], false
 	t.free = append(t.free, st)
 }
 
-// renderInto writes the span as it is exported, its name rendered.
-func (sp *openSpan) renderInto(out *Span) {
-	*out = sp.Span
-	out.Name = sp.name.String()
+// render writes the span at i as it is exported, its name rendered,
+// to next(), and then the wire hop hanging under it, if any.
+func (st *subtree) render(i int, next func() *Span) {
+	sp := &st.spans[i]
+	out := next()
+	*out = Span{
+		ID:     sp.id,
+		Parent: sp.parent,
+		Kind:   sp.kind,
+		Name:   sp.name.String(),
+		Start:  sp.start,
+		Group:  sp.flags&spanGroup != 0,
+		ended:  sp.flags&spanEnded != 0,
+	}
+	out.Incomplete = !out.ended
+	if out.ended {
+		out.End, out.Err = sp.end, sp.err
+	}
+	if sp.flags&spanHop != 0 {
+		sp.hop.into(out)
+	}
+	if sp.flags&spanStamp != 0 {
+		out.LeaseGrant, out.LeaseExpire = sp.grant, sp.expire
+	}
+	if sp.proc >= 0 {
+		who := &st.procs[sp.proc]
+		out.Proc, out.PID, out.Host = who.Name, who.PID, who.Host
+	}
+	if sp.flags&spanWire != 0 {
+		w := next()
+		*w = Span{ID: sp.hop.id, Parent: sp.id, Kind: KindWire, Name: sp.hop.name, Start: sp.hop.start, End: sp.hop.end, ended: true}
+		sp.hop.into(w)
+	}
+}
+
+func (w *hopRecord) into(out *Span) {
+	out.Bytes, out.Packets, out.Retrans, out.Queue = int(w.bytes), int(w.packets), int(w.retrans), w.queue
+	out.Local, out.Bcast = w.local, w.bcast
 }
 
 // retainChunk is how many spans one chunk of the retained store holds
@@ -178,42 +406,6 @@ func (r *spanStore) next() *Span {
 	}
 	r.n++
 	return &r.chunks[(r.n-1)/retainChunk][(r.n-1)%retainChunk]
-}
-
-// openSet finds the spans of open subtrees by id. recent says where the
-// last recentSpans spans were put, by id modulo its size: ids are dense,
-// so a span is found there unless that many were opened since it was;
-// then — or when the entry is stale, its subtree retired — find searches
-// live, the subtrees themselves. A span that never ends costs nothing
-// but that search.
-type openSet struct {
-	recent [recentSpans]spanSlot
-	live   []*subtree
-	n      int // spans in live, ended or not
-}
-
-const recentSpans = 1024
-
-type spanSlot struct {
-	st *subtree
-	i  int32
-}
-
-// find returns the open subtree that holds span id, and where.
-func (o *openSet) find(id SpanID) (*subtree, int) {
-	if id == 0 {
-		return nil, 0
-	}
-	if e := o.recent[id%recentSpans]; e.st != nil && int(e.i) < len(e.st.spans) && e.st.spans[e.i].ID == id {
-		return e.st, int(e.i)
-	}
-	for _, st := range o.live {
-		i, ok := slices.BinarySearchFunc(st.spans, id, func(sp openSpan, id SpanID) int { return cmp.Compare(sp.ID, id) })
-		if ok {
-			return st, i
-		}
-	}
-	return nil, 0
 }
 
 // RootsSeen returns how many root spans the tracer observed.

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,9 +31,29 @@ func oneOp(t *Tracer, proc string, start, dur vtime.Time, class string) SpanID {
 
 // held is how many spans the tracer holds: retained, or in open subtrees.
 func held(tr *Tracer) int {
+	n, _ := openSpans(tr)
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.retained.n + tr.open.n
+	return tr.retained.n + n
+}
+
+// openSpans is how many spans the open subtrees hold, and how many
+// subtrees are open.
+func openSpans(tr *Tracer) (spans, subtrees int) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for _, st := range *tr.slots.Load() {
+		if st.live {
+			for i := range st.spans {
+				spans++
+				if st.spans[i].flags&spanWire != 0 {
+					spans++
+				}
+			}
+			subtrees++
+		}
+	}
+	return spans, subtrees
 }
 
 func TestSampledHeadSampling(t *testing.T) {
@@ -117,10 +139,10 @@ func TestSampledMemoryBounded(t *testing.T) {
 	if got := held(tr); got != 40 {
 		t.Fatalf("Len = %d, want 40 — discarded subtrees still resident", got)
 	}
-	// Every subtree retired: the index is empty and one recycled slab
-	// served all thousand roots.
-	if tr.open.n != 0 || len(tr.free) != 1 {
-		t.Fatalf("open-subtree storage not drained: %d indexed spans, %d slabs", tr.open.n, len(tr.free))
+	// Every subtree retired, and one recycled slab served all thousand
+	// roots.
+	if n, open := openSpans(tr); n != 0 || open != 0 || len(tr.free) != 1 {
+		t.Fatalf("open-subtree storage not drained: %d open spans in %d subtrees, %d slabs", n, open, len(tr.free))
 	}
 }
 
@@ -151,6 +173,37 @@ func TestSampledAnnotationsAfterRetireAreNoOps(t *testing.T) {
 	}
 }
 
+// TestRetiredHandlesChangeNothing: the handles of a retired subtree —
+// its root's, and a span's deep inside — match nothing once the subtree
+// has retired, even after its slot holds the next root: annotations are
+// dropped, leaving every kept span as it was, and a child started under
+// one begins a root of its own.
+func TestRetiredHandlesChangeNothing(t *testing.T) {
+	tr := NewSampled(SampleConfig{HeadEvery: 1})
+	cl, srv := ProcID{Name: "client", PID: 1, Host: "ws"}, ProcID{Name: "srv", PID: 2, Host: "fs"}
+	root := tr.Start(0, KindClientOp, "op", 0, cl)
+	send := tr.Start(root, KindSend, "send", 0, cl)
+	tr.End(tr.Start(send, KindReply, "reply", 1, srv), 1)
+	tr.End(send, 2)
+	tr.End(root, 2)
+	oneOp(tr, "ws-a", time.Second, time.Millisecond, "") // reuses the slot
+	kept := tr.Snapshot()
+	for _, h := range []SpanID{root, send} {
+		tr.SetGroup(h)
+		tr.Fail(h, 2*time.Second, "late")
+		tr.End(h, 3*time.Second)
+	}
+	child := tr.Start(send, KindReply, "late reply", 2*time.Second, srv)
+	tr.End(child, 2*time.Second)
+	spans := tr.Snapshot()
+	if !reflect.DeepEqual(spans[:len(kept)], kept) {
+		t.Fatalf("late annotations changed retained spans")
+	}
+	if late := spans[len(kept):]; len(late) != 1 || late[0].Parent != 0 || late[0].Name != "late reply" {
+		t.Fatalf("a child of a retired span was kept as %+v, want a root of its own", late)
+	}
+}
+
 // TestFullModeUnchanged: New is the store retaining every root, so it
 // keeps every span of every operation, in id order, and the frame log.
 func TestFullModeUnchanged(t *testing.T) {
@@ -168,8 +221,11 @@ func TestFullModeUnchanged(t *testing.T) {
 			t.Fatalf("span %d has id %d", i, sp.ID)
 		}
 	}
-	if ids[2] != 9 {
-		t.Fatalf("third root is span %d, want 9", ids[2])
+	if sp := spans[8]; sp.Kind != KindClientOp || sp.Parent != 0 {
+		t.Fatalf("third root is span %+v, want id 9", sp)
+	}
+	if ids[2] == ids[0] {
+		t.Fatalf("a retired root's handle was handed out again: %d", ids[2])
 	}
 	tr.RecordFrame(netsim.FrameEvent{Bytes: 64})
 	if len(tr.Frames()) != 1 {
@@ -262,5 +318,65 @@ func TestSampledDroppedRootZeroAlloc(t *testing.T) {
 	}
 	if held(tr) != kept || rendered != names {
 		t.Fatalf("dropped subtrees left %d spans and rendered %d names", held(tr)-kept, rendered-names)
+	}
+}
+
+// TestGroupSubtreeWrittenByMembers: a group send's members write its
+// subtree from their own goroutines, and one of them is still writing
+// when the sender, unblocked by the first reply, has ended the root. The
+// group mark puts every write under the subtree's lock (the race
+// detector holds it to that), and the subtree retires only when that
+// last member is done: retained complete, and protocol-clean.
+func TestGroupSubtreeWrittenByMembers(t *testing.T) {
+	const members = 6
+	tr := New()
+	cl := ProcID{Name: "client", PID: 1<<16 | 1, Host: "ws"}
+	root := tr.Start(0, KindClientOp, "op", 0, cl)
+	send := tr.StartGroup(root, KindSend, Name{Head: "Query", Sep: " -> ", Tail: "group(1)"}, 0, cl)
+	tr.Wire(send, "multicast", 0, time.Millisecond, 64, netsim.HopDetail{Packets: 1}, false, true)
+	var opened sync.WaitGroup
+	opened.Add(members)
+	replied := make(chan struct{}, members)
+	rootEnded := make(chan struct{})
+	var done sync.WaitGroup
+	done.Add(members)
+	for m := 0; m < members; m++ {
+		go func(m int) {
+			defer done.Done()
+			who := ProcID{Name: "member", PID: uint32(m+2) << 16, Host: "fs"}
+			at := vtime.Time(m+1) * vtime.Time(time.Millisecond)
+			serve := tr.Start(send, KindServe, "Query", at, who)
+			opened.Done()
+			if m == members-1 {
+				<-rootEnded // the late member
+			}
+			tr.Lease(serve, Name{Head: "hit", Sep: " ", Tail: "[home]"}, at, who, 0, at+time.Second)
+			tr.Transfer(serve, KindReply, Name{Head: "OK"}, at, who,
+				Hop{Name: "reply", Start: at, Dur: time.Millisecond, Bytes: 32, Detail: netsim.HopDetail{Packets: 1}}, at+vtime.Time(time.Millisecond))
+			tr.End(serve, at+vtime.Time(time.Millisecond))
+			replied <- struct{}{}
+		}(m)
+	}
+	opened.Wait()
+	<-replied // the first reply unblocks the sender
+	tr.End(send, 10*time.Millisecond)
+	tr.End(root, 10*time.Millisecond)
+	close(rootEnded)
+	done.Wait()
+
+	if n, open := openSpans(tr); n != 0 || open != 0 {
+		t.Fatalf("%d spans in %d subtrees still open after every member ended", n, open)
+	}
+	spans := tr.Snapshot()
+	if want := 3 + members*4; len(spans) != want || tr.RootsRetained() != 1 {
+		t.Fatalf("retained %d spans in %d roots, want %d in 1", len(spans), tr.RootsRetained(), want)
+	}
+	for _, sp := range spans {
+		if sp.Parent == 0 && sp.Kind != KindClientOp {
+			t.Fatalf("span %+v started a root of its own", sp)
+		}
+	}
+	if err := Check(spans, CheckOptions{Model: vtime.DefaultModel()}); err != nil {
+		t.Fatalf("Check: %v", err)
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // appendStore is the sampled store this package had before retention went
-// to chunks and lookup to the recent window, kept as the oracle: one map
-// from span id to its open subtree, one growing []Span of what was kept,
-// head counters keyed by the whole ProcID.
+// to chunks and spans to in-place records named by their handles, kept as
+// the oracle: one map from span id to its open subtree, one growing
+// []Span of what was kept, head counters keyed by the whole ProcID.
 type appendStore struct {
 	cfg                      SampleConfig
 	nextID                   SpanID
@@ -98,8 +98,10 @@ func (s *appendStore) snapshot() []Span {
 // store it replaced with one seeded schedule of 10⁴ roots on six
 // interleaved processes — head-kept, failed and slow roots; spans that
 // never end, so their subtrees stay open and take children thousands of
-// ids later, past the recent window; children and late annotations of
-// subtrees already retired — and compares them mid-run and at the end.
+// ids later; children and late annotations of subtrees already retired —
+// and compares them mid-run and at the end. The tracer's handles are not
+// the oracle's ids: refID maps one to the other, and the snapshots, which
+// export ids, must agree.
 func TestSampledStoreMatchesAppendStore(t *testing.T) {
 	cfg := SampleConfig{HeadEvery: 16, SlowOver: 40 * time.Millisecond}
 	tr := NewSampled(cfg)
@@ -110,17 +112,19 @@ func TestSampledStoreMatchesAppendStore(t *testing.T) {
 		procs[i] = ProcID{Name: "client", PID: uint32(i+1)<<16 | 1, Host: string(rune('a' + i))}
 	}
 	var at int64
+	refID := map[SpanID]SpanID{}
 	start := func(parent SpanID, kind Kind, who ProcID) SpanID {
 		at += int64(next(3)) * int64(time.Millisecond)
 		id := tr.Start(parent, kind, "n", time.Duration(at), who)
-		if want := ref.start(parent, kind, "n", at, who); id != want {
-			t.Fatalf("span ids diverged: %d, oracle %d", id, want)
+		if _, dup := refID[id]; dup {
+			t.Fatalf("handle %#x handed out twice", id)
 		}
+		refID[id] = ref.start(refID[parent], kind, "n", at, who)
 		return id
 	}
 	fail := func(id SpanID, class string) {
 		tr.Fail(id, time.Duration(at), class)
-		ref.fail(id, at, class)
+		ref.fail(refID[id], at, class)
 	}
 	compare := func(when string) {
 		t.Helper()
@@ -158,7 +162,7 @@ func TestSampledStoreMatchesAppendStore(t *testing.T) {
 			at += int64(50 * time.Millisecond) // a slow root
 		}
 		tr.SetGroup(ids[len(ids)-1])
-		ref.span(ids[len(ids)-1]).Group = true
+		ref.span(refID[ids[len(ids)-1]]).Group = true
 		for i := len(ids) - 1; i >= 0; i-- {
 			class := ""
 			if next(60) == 0 {
@@ -170,14 +174,14 @@ func TestSampledStoreMatchesAppendStore(t *testing.T) {
 			}
 			fail(ids[i], class)
 		}
-		if ref.open[ids[0]] == nil {
+		if ref.open[refID[ids[0]]] == nil {
 			retired = append(retired, ids[next(len(ids))])
 		}
 		if root%2500 == 1234 {
 			compare("mid-run")
 		}
 	}
-	if len(leaked) == 0 || ref.rootsRetained == ref.rootsSeen || int(ref.nextID) < 4*recentSpans {
+	if len(leaked) == 0 || ref.rootsRetained == ref.rootsSeen || ref.nextID < 4096 {
 		t.Fatalf("the schedule lost its point: %d leaked, %d of %d roots kept, %d spans", len(leaked), ref.rootsRetained, ref.rootsSeen, ref.nextID)
 	}
 	compare("end")

@@ -8,10 +8,12 @@
 // Tracing is strictly an observer: no tracer method advances a virtual
 // clock, so a traced run produces byte-identical measurements to an
 // untraced one (the invariant TestTeamOneByteIdenticalToSeed pins).
-// Span identifiers are allocated in creation order under one mutex;
-// under the deterministic closed-loop workload driver (internal/rig)
-// the same seed and workload therefore yield an identical trace,
-// byte for byte.
+// Exported span ids are dense and taken in creation order from one
+// atomic counter; under the deterministic closed-loop workload driver
+// (internal/rig) the same seed and workload therefore yield an
+// identical trace, byte for byte. A span itself is written in place
+// into its root's subtree, found through the handle its caller holds,
+// with no lock (sample.go says why one writer is enough).
 //
 // A nil *Tracer is a valid no-op tracer: every method is nil-safe, so
 // the kernel and servers thread tracing unconditionally and pay nothing
@@ -22,15 +24,19 @@ import (
 	"encoding/json"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/vtime"
 )
 
-// SpanID identifies one span within a trace. IDs are dense, start at 1,
-// and increase in creation order; 0 means "no span" (used for roots and
-// for processes with no current span).
+// SpanID identifies one span within a trace; 0 means "no span" (used
+// for roots and for processes with no current span). An exported span's
+// ID and Parent are dense, start at 1, and increase in creation order.
+// What the recording methods return, and take as a parent, is the
+// span's handle instead: where it is written until its subtree retires
+// (sample.go). Handles are for the tracer alone to read.
 type SpanID uint64
 
 // Kind classifies a span.
@@ -176,11 +182,19 @@ type Frame struct {
 // ends; the subtree is then retained in full or dropped whole, as the
 // tracer's SampleConfig says (sample.go). A tracer that retains every
 // root (HeadEvery 1) also keeps the frame log.
+//
+// A span is written in place into its subtree, which the handle its
+// caller holds names directly, with no lock: mu is taken only to open a
+// root (the head count and a free slab), to retire one, to log a frame,
+// and to read.
 type Tracer struct {
+	nextID atomic.Uint64 // the last exported span id
+	// slots holds every subtree at the slot its handles name; it only
+	// grows, under mu.
+	slots atomic.Pointer[[]*subtree]
+
 	mu            sync.Mutex
 	cfg           SampleConfig
-	nextID        SpanID
-	open          openSet
 	free          []*subtree
 	seenByProc    map[uint32]*uint64 // roots started, by PID (domain-unique)
 	retained      spanStore
@@ -197,10 +211,23 @@ func NewSampled(cfg SampleConfig) *Tracer {
 	if cfg.HeadEvery < 1 {
 		cfg.HeadEvery = 1
 	}
-	return &Tracer{cfg: cfg, seenByProc: make(map[uint32]*uint64)}
+	t := &Tracer{cfg: cfg, seenByProc: make(map[uint32]*uint64)}
+	t.slots.Store(new([]*subtree))
+	return t
 }
 
-// Start opens a span named by a plain string and returns its id.
+// Hop is one network hop as a wire span records it: its cost-model
+// detail, and whether it stayed on one host or went to many.
+type Hop struct {
+	Name         string // "request", "reply", "forward", ...
+	Start        vtime.Time
+	Dur          time.Duration
+	Bytes        int
+	Detail       netsim.HopDetail
+	Local, Bcast bool
+}
+
+// Start opens a span named by a plain string and returns its handle.
 // parent 0 makes it a root.
 func (t *Tracer) Start(parent SpanID, kind Kind, name string, at vtime.Time, who ProcID) SpanID {
 	return t.StartName(parent, kind, Name{Head: name}, at, who)
@@ -212,9 +239,44 @@ func (t *Tracer) StartName(parent SpanID, kind Kind, name Name, at vtime.Time, w
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.start(parent, kind, name, int64(at), who).ID
+	p, i := t.open(parent, kind, &name, int64(at), &who, 1)
+	h := p.handle(i)
+	t.release(p, false)
+	return h
+}
+
+// StartGroup is StartName for a send or forward addressed to a process
+// group: the span is marked Group before any member can write under it.
+func (t *Tracer) StartGroup(parent SpanID, kind Kind, name Name, at vtime.Time, who ProcID) SpanID {
+	id := t.StartName(parent, kind, name, at, who)
+	t.SetGroup(id)
+	return id
+}
+
+// StartWire is StartName with the span's first wire hop recorded under
+// it: a Send and its request.
+func (t *Tracer) StartWire(parent SpanID, kind Kind, name Name, at vtime.Time, who ProcID, hop Hop) SpanID {
+	if t == nil {
+		return 0
+	}
+	p, i := t.open(parent, kind, &name, int64(at), &who, 2)
+	p.st.wire(i, &hop)
+	h := p.handle(i)
+	t.release(p, false)
+	return h
+}
+
+// Transfer records a whole span with its wire hop under it, ended at
+// end: a Reply or a Forward.
+func (t *Tracer) Transfer(parent SpanID, kind Kind, name Name, at vtime.Time, who ProcID, hop Hop, end vtime.Time) SpanID {
+	if t == nil {
+		return 0
+	}
+	p, i := t.open(parent, kind, &name, int64(at), &who, 2)
+	p.st.wire(i, &hop)
+	h := p.handle(i)
+	t.release(p, p.st.end(i, int64(end), ""))
+	return h
 }
 
 // End closes a span at the given virtual time.
@@ -223,12 +285,12 @@ func (t *Tracer) End(id SpanID, at vtime.Time) { t.Fail(id, at, "") }
 // Fail closes a span with a failure classification. An empty class is
 // a plain End.
 func (t *Tracer) Fail(id SpanID, at vtime.Time, class string) {
-	if t == nil || id == 0 {
+	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.fail(id, int64(at), class)
+	if p, i, ok := t.acquire(id); ok {
+		t.release(p, p.st.end(i, int64(at), class))
+	}
 }
 
 // Event records a zero-length span (server exits, annotations).
@@ -236,11 +298,10 @@ func (t *Tracer) Event(parent SpanID, kind Kind, name Name, at vtime.Time, who P
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := t.start(parent, kind, name, int64(at), who).ID
-	t.fail(id, int64(at), class)
-	return id
+	p, i := t.open(parent, kind, &name, int64(at), &who, 1)
+	h := p.handle(i)
+	t.release(p, p.st.end(i, int64(at), class))
+	return h
 }
 
 // Wire records one completed network hop as a wire span under parent.
@@ -248,29 +309,25 @@ func (t *Tracer) Wire(parent SpanID, name string, start vtime.Time, dur time.Dur
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sp := t.start(parent, KindWire, Name{Head: name}, int64(start), ProcID{})
-	sp.Bytes = bytes
-	sp.Packets = det.Packets
-	sp.Retrans = det.Retransmits
-	sp.Queue = int64(det.Queue)
-	sp.Local = local
-	sp.Bcast = bcast
-	id := sp.ID // ending the span may retire its subtree and recycle sp
-	t.fail(id, int64(start+dur), "")
-	return id
+	p, i := t.open(parent, KindWire, &Name{Head: name}, int64(start), nil, 1)
+	p.st.spans[i].hop.detail(&Hop{Bytes: bytes, Detail: det, Local: local, Bcast: bcast})
+	p.st.spans[i].flags |= spanHop
+	h := p.handle(i)
+	t.release(p, p.st.end(i, int64(start+dur), ""))
+	return h
 }
 
-// SetGroup marks a span as a group (multicast) transaction.
+// SetGroup marks a span as a group (multicast) transaction. Its subtree
+// is written under a lock from here on: a group's members may still
+// write it after the first reply has unblocked the sender.
 func (t *Tracer) SetGroup(id SpanID) {
-	if t == nil || id == 0 {
+	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if sp := t.span(id); sp != nil {
-		sp.Group = true
+	if p, i, ok := t.acquire(id); ok {
+		p.mark()
+		p.st.spans[i].flags |= spanGroup
+		t.release(p, false)
 	}
 }
 
@@ -282,14 +339,13 @@ func (t *Tracer) Lease(parent SpanID, name Name, at vtime.Time, who ProcID, gran
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sp := t.start(parent, KindLease, name, int64(at), who)
-	sp.LeaseGrant = int64(grant)
-	sp.LeaseExpire = int64(expire)
-	id := sp.ID // ending the span may retire its subtree and recycle sp
-	t.fail(id, int64(at), "")
-	return id
+	p, i := t.open(parent, KindLease, &name, int64(at), &who, 1)
+	sp := &p.st.spans[i]
+	sp.grant, sp.expire = int64(grant), int64(expire)
+	sp.flags |= spanStamp
+	h := p.handle(i)
+	t.release(p, p.st.end(i, int64(at), ""))
+	return h
 }
 
 // RecordFrame implements netsim.FrameRecorder: every frame the network
@@ -317,23 +373,38 @@ func (t *Tracer) RecordFrame(ev netsim.FrameEvent) {
 
 // Snapshot returns a copy of the recorded spans in id order: the
 // retained ones, then every span of a still-open subtree, those not yet
-// ended marked Incomplete, so a mid-run dump is honest.
+// ended marked Incomplete, so a dump taken when the run is quiet is
+// honest. An open subtree is read as its writer left it; a group-marked
+// one under its lock.
 func (t *Tracer) Snapshot() []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, t.retained.n+t.open.n)
+	out := make([]Span, 0, t.retained.n)
 	for i, c := range t.retained.chunks {
 		out = append(out, c[:min(retainChunk, t.retained.n-i*retainChunk)]...)
 	}
-	for _, st := range t.open.live {
-		for i := range st.spans {
-			out = out[:len(out)+1]
-			sp := &out[len(out)-1]
-			st.spans[i].renderInto(sp)
-			sp.Incomplete = !sp.ended
+	next := func() *Span {
+		out = append(out, Span{})
+		return &out[len(out)-1]
+	}
+	for _, st := range *t.slots.Load() {
+		if !st.live {
+			continue
+		}
+		locked := st.state.Load()&1 != 0
+		if locked {
+			st.mu.Lock()
+		}
+		if st.state.Load()>>1 == st.gen { // else retiring: finish will account for it
+			for i := range st.spans {
+				st.render(i, next)
+			}
+		}
+		if locked {
+			st.mu.Unlock()
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -42,11 +42,30 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 }
 
+// TestSpanIDsDenseAndOrdered: the ids a trace exports are dense from 1
+// in creation order, across roots and their children alike, and each
+// child names its parent's exported id — whatever handles the recording
+// calls returned.
 func TestSpanIDsDenseAndOrdered(t *testing.T) {
 	tr := New()
 	for i := 1; i <= 5; i++ {
-		if id := tr.Start(0, KindSend, "s", 0, who); int(id) != i {
-			t.Fatalf("span %d allocated id %d", i, id)
+		root := tr.Start(0, KindSend, "s", 0, who)
+		tr.End(tr.Start(root, KindServe, "c", 0, who), 0)
+	}
+	spans := tr.Snapshot()
+	if len(spans) != 10 {
+		t.Fatalf("%d spans, want 10", len(spans))
+	}
+	for i, sp := range spans {
+		if int(sp.ID) != i+1 {
+			t.Fatalf("span %d exported id %d", i+1, sp.ID)
+		}
+		want := SpanID(0) // a root
+		if i%2 == 1 {
+			want = sp.ID - 1
+		}
+		if sp.Parent != want {
+			t.Fatalf("span %d has parent %d, want %d", sp.ID, sp.Parent, want)
 		}
 	}
 }
