@@ -17,7 +17,6 @@
 //	vbench -zipf ZIPF.json       # export the A18 population-scale document (deterministic)
 //	vbench -obs OBS.json         # export the A19 observability document (deterministic)
 //	vbench -zipf Z.json -trace T.json  # also export a sampled 10⁶-name population trace
-//	vbench -zipf Z.json -cpuprofile cpu.pprof        # any mode can be profiled
 //
 // Exports given without experiment ids replace the experiment run.
 // Everything here is virtual time; wall-clock measurement is the
@@ -30,8 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/experiments"
@@ -59,38 +56,8 @@ func run(args []string, w io.Writer) error {
 		fs.String(e.Flag, "", fmt.Sprintf("run %s (%s) and write its deterministic document (BENCH_%s.json schema) to this file",
 			strings.ToUpper(e.ID), e.Title, e.Flag))
 	}
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	heapProfile := fs.String("heapprofile", "", "write a heap profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	// The profile flags cover every mode (the ISSUE-10 profiling loop
-	// cares about -zipf and -obs specifically): CPU from here to exit,
-	// heap after the last workload retires.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *heapProfile != "" {
-		defer func() {
-			f, err := os.Create(*heapProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vbench: heapprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "vbench: heapprofile:", err)
-			}
-		}()
 	}
 	if *list {
 		fmt.Fprintln(w, strings.Join(experiments.IDs(), "\n"))

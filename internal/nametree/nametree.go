@@ -6,10 +6,9 @@
 // The paper's prefix table was 2.6 KB of MC68000 data (§6); the
 // population-scale workloads (ROADMAP items 2–3) resolve against
 // 10⁵–10⁶ names, where the flat map tables the servers grew up with
-// become hot-path liabilities: snapshot rebuilds, full copies under the
-// server mutex, and linear first-match scans. The radix index replaces
-// them with one structure serving every access pattern the name servers
-// have:
+// become hot-path liabilities: snapshot rebuilds and full copies under
+// the server mutex. The radix index replaces them with one structure
+// serving every access pattern the name servers have:
 //
 //   - Get is the resolution fast path: lock-free (an atomic image load
 //     and a descent that reads one record per level) and
@@ -18,7 +17,9 @@
 //   - Walk iterates a consistent snapshot in lexicographic key order
 //     with no lock held, which is what lets directory fabrication,
 //     table snapshots and Bindings() run off the immutable tree instead
-//     of copying the table under the server mutex.
+//     of copying the table under the server mutex. It stops where its
+//     callback says, so a first-match query (the prefix server's
+//     inverse lookup) reads only the names before its answer.
 //   - Len and KeyBytes are atomic counters, so table-size probes
 //     (prefix.TableBytes) cost two loads instead of an O(n) scan.
 //

@@ -438,129 +438,102 @@ func TestLongKeyAndWideNode(t *testing.T) {
 	}
 }
 
-// TestReverseFirstMatchesSortedScan checks the inverse index gives
-// exactly the answer a linear first-match scan over the sorted name
-// table would, under the contract its caller keeps: every add is of a
-// name the tree has just bound, every remove of one it has just
-// unbound. The tree grows to 10⁴ names; every tenth step removes some
-// key's current smallest name, and the step after adds to that key
-// (an unknown smallest must survive an Add). First may walk the tree —
-// seen as calls of the key function — only when a smallest name was
-// removed since First last answered for that key.
+// firstMatch is the inverse query a caller answers off the tree (the
+// prefix server's handleInverse): an ordered Walk that stops at the first
+// name whose value is k. It reports that name, whether there was one, and
+// the names the walk visited, in order.
+func firstMatch(tr *Tree[int], k int) (name string, ok bool, visited []string) {
+	tr.Walk(func(n string, v int) bool {
+		visited = append(visited, n)
+		if v == k {
+			name, ok = n, true
+		}
+		return !ok
+	})
+	return name, ok, visited
+}
+
+// TestReverseFirstMatchesSortedScan pins what the inverse query relies
+// on: Walk visits the names in sorted order and stops at the first one
+// the callback refuses. Against a model — the sorted name table and a
+// linear scan over it — the walk for value k must visit exactly the
+// names up to and including k's first match, or every name when k has
+// none. The tree grows to 10⁴ names over the values -1…4 (5 is never
+// bound, so its walk visits every name); every tenth step removes some
+// value's smallest name, the one a walk for it stops at, and the step
+// after adds to that value again. The table is drained smallest name
+// first, and the empty table is queried before and after.
 func TestReverseFirstMatchesSortedScan(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tr := New[int]()
-	keyCalls := 0
-	// Negative values stand for bindings that answer no inverse query.
-	rev := NewReverse(tr, func(v int) (int, bool) { keyCalls++; return v, v >= 0 })
 	const keys = 5
-	ref := map[int][]string{} // the model: key → names bound to it, sorted
-	var names []string        // every name in the tree
-	unknown := map[int]bool{} // keys whose smallest went since First last looked
-	// scan is the oracle: each key's first match in a linear pass over
-	// the sorted name table.
-	scan := func() map[int]string {
-		sorted := slices.Clone(names)
-		sort.Strings(sorted)
-		firsts := map[int]string{}
-		for _, n := range sorted {
-			if k, _ := tr.Get(n); firsts[k] == "" {
-				firsts[k] = n
-			}
-		}
-		return firsts
-	}
-	smallest := func(k int) string {
-		if len(ref[k]) == 0 {
-			return ""
-		}
-		return ref[k][0]
-	}
-	first := func(k int, want string) {
+	var sorted []string // the model: every name in the tree, sorted
+	vals := map[string]int{}
+	first := func(k int) {
 		t.Helper()
-		before := keyCalls
-		got, ok := rev.First(k)
-		if ok != (want != "") || got != want {
-			t.Fatalf("First(%d) = (%q,%v), want %q", k, got, ok, want)
+		want := slices.IndexFunc(sorted, func(n string) bool { return vals[n] == k })
+		got, ok, visited := firstMatch(tr, k)
+		if want < 0 {
+			if ok || !slices.Equal(visited, sorted) {
+				t.Fatalf("value %d bound to nothing: walk found (%q,%v) after visiting %d of %d names", k, got, ok, len(visited), len(sorted))
+			}
+			return
 		}
-		if walked := keyCalls > before; walked != unknown[k] {
-			t.Fatalf("First(%d) walked=%v with the smallest unknown=%v", k, walked, unknown[k])
+		if !ok || got != sorted[want] || !slices.Equal(visited, sorted[:want+1]) {
+			t.Fatalf("first match of %d = (%q,%v) after %d names, a sorted scan finds %q at %d", k, got, ok, len(visited), sorted[want], want)
 		}
-		delete(unknown, k)
 	}
 	add := func(k int) {
 		name := genKey(r) + "." + strconv.Itoa(r.Intn(1_000_000))
-		if _, dup := tr.Get(name); dup {
+		i, dup := slices.BinarySearch(sorted, name)
+		if dup {
 			return
 		}
 		tr.Insert(name, k)
-		names = append(names, name)
-		if k < 0 {
-			return
-		}
-		i, _ := slices.BinarySearch(ref[k], name)
-		ref[k] = slices.Insert(ref[k], i, name)
-		rev.Add(k, name)
+		sorted = slices.Insert(sorted, i, name)
+		vals[name] = k
 	}
-	remove := func(i int) {
-		name := names[i]
-		names[i] = names[len(names)-1]
-		names = names[:len(names)-1]
-		k, _ := tr.Get(name)
-		tr.Delete(name)
-		if k < 0 {
-			return
+	remove := func(name string) {
+		i, _ := slices.BinarySearch(sorted, name)
+		if !tr.Delete(name) || sorted[i] != name {
+			t.Fatalf("Delete(%q) missed", name)
 		}
-		i, _ = slices.BinarySearch(ref[k], name)
-		ref[k] = slices.Delete(ref[k], i, i+1)
-		rev.Remove(k, name)
-		if i == 0 && len(ref[k]) > 0 {
-			unknown[k] = true
-		}
-		if len(ref[k]) == 0 {
-			delete(unknown, k) // a drained key starts fresh
-		}
+		sorted = slices.Delete(sorted, i, i+1)
+		delete(vals, name)
+	}
+	for k := -1; k <= keys; k++ {
+		first(k) // the empty table
 	}
 	lastMinKey := -1
-	for step := 0; len(names) < 10_000; step++ {
+	for step := 0; len(sorted) < 10_000; step++ {
 		switch {
-		case step%10 == 9 && len(names) > 0:
+		case step%10 == 9 && len(sorted) > 0:
 			lastMinKey = r.Intn(keys)
-			if min := smallest(lastMinKey); min != "" {
-				remove(slices.Index(names, min))
+			if min, ok, _ := firstMatch(tr, lastMinKey); ok {
+				remove(min)
 			}
 		case step%10 == 0 && lastMinKey >= 0:
 			add(lastMinKey)
-		case r.Intn(4) == 0 && len(names) > 0:
-			remove(r.Intn(len(names)))
+		case r.Intn(4) == 0 && len(sorted) > 0:
+			remove(sorted[r.Intn(len(sorted))])
 		default:
 			add(r.Intn(keys+1) - 1)
 		}
 		if r.Intn(3) == 0 {
-			k := r.Intn(keys)
-			first(k, smallest(k))
+			first(r.Intn(keys))
 		}
-		if step%1000 == 0 {
-			firsts := scan()
-			for k := 0; k < keys; k++ {
-				if firsts[k] != smallest(k) {
-					t.Fatalf("model says %q is the smallest name of %d, a sorted scan %q", smallest(k), k, firsts[k])
-				}
-				first(k, firsts[k])
-				if int(rev.m[k].n) != len(ref[k]) {
-					t.Fatalf("Count(%d) = %d, want %d", k, int(rev.m[k].n), len(ref[k]))
-				}
-			}
-		}
-	}
-	for len(names) > 0 {
-		remove(len(names) - 1)
 	}
 	for k := -1; k <= keys; k++ {
-		first(k, "")
-		if int(rev.m[k].n) != 0 {
-			t.Fatalf("Count(%d) = %d after every name left", k, int(rev.m[k].n))
+		first(k)
+	}
+	for len(sorted) > 0 {
+		remove(sorted[0])
+		if len(sorted)%1000 == 0 {
+			first(r.Intn(keys))
 		}
+	}
+	for k := -1; k <= keys; k++ {
+		first(k)
 	}
 }
 
@@ -579,45 +552,34 @@ func TestEmptyKey(t *testing.T) {
 	}
 }
 
-// TestReverseEdges walks one key through every state by hand: unbound,
-// a removal that is not the smallest (no walk), the smallest removed and
-// then a name added — smaller or larger, it is not thereby the smallest
-// — and drained, after which the key starts fresh.
+// TestReverseEdges walks one value through every state by hand: an
+// empty table, the smallest name removed so the walk goes one name
+// further, a larger name added behind a non-matching one, a smaller name
+// added in front of everything, and drained to an empty table again.
 func TestReverseEdges(t *testing.T) {
 	tr := New[int]()
-	walks := 0
-	r := NewReverse(tr, func(v int) (int, bool) { walks++; return v, true })
-	bind := func(name string) { tr.Insert(name, 7); r.Add(7, name) }
-	unbind := func(name string) { tr.Delete(name); r.Remove(7, name) }
-	first := func(want string, walk bool) {
+	first := func(want string, visited ...string) {
 		t.Helper()
-		before := walks
-		if got, ok := r.First(7); ok != (want != "") || got != want {
-			t.Fatalf("First = (%q,%v), want %q", got, ok, want)
-		}
-		if walks > before != walk {
-			t.Fatalf("First walked=%v, want %v", walks > before, walk)
+		got, ok, seen := firstMatch(tr, 7)
+		if ok != (want != "") || got != want || !slices.Equal(seen, visited) {
+			t.Fatalf("first match = (%q,%v) visiting %q, want %q visiting %q", got, ok, seen, want, visited)
 		}
 	}
-	first("", false)
-	bind("c")
-	bind("b")
-	bind("d")
-	unbind("d") // not the smallest: nothing to look up
-	first("b", false)
-	unbind("b") // the smallest: unknown until First looks
-	bind("e")   // larger than what is left
-	first("c", true)
-	first("c", false)
-	unbind("c")
-	bind("a") // smaller than what is left, still not taken on trust
-	first("a", true)
-	unbind("a")
-	unbind("e")
-	first("", false)
-	if int(r.m[7].n) != 0 {
-		t.Fatal("key not drained")
+	first("")
+	tr.Insert("c", 7)
+	tr.Insert("b", 1)
+	tr.Insert("d", 7)
+	first("c", "b", "c")
+	tr.Delete("c") // the first match goes: the walk reaches the next one
+	first("d", "b", "d")
+	tr.Insert("e", 7)
+	first("d", "b", "d")
+	tr.Insert("a", 7) // smaller than every name: the walk stops at once
+	first("a", "a")
+	for _, n := range []string{"a", "d", "e"} {
+		tr.Delete(n)
 	}
-	bind("z") // a drained key's first name is its smallest, known
-	first("z", false)
+	first("", "b")
+	tr.Delete("b")
+	first("")
 }

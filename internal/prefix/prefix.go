@@ -130,12 +130,6 @@ type Server struct {
 	// define takes a fresh slot and none is reused, so a slot read off a
 	// node names that binding's group for good.
 	groups []kernel.PID
-	// reverse answers the inverse (binding→name) query with the sorted
-	// first-match semantics the linear scan used to give (§6). It keeps
-	// a count and the smallest name per pair and reads the rest off
-	// index, so it changes under mu in step with index: bound and
-	// unbound are the two places a name enters and leaves it.
-	reverse *nametree.Reverse[core.ContextPair, tableEntry]
 	// lastResolved remembers, per dynamic prefix, the pid its last use
 	// resolved to, so rebinds (§4.2) are observable in Stats.
 	lastResolved map[string]kernel.PID
@@ -208,8 +202,8 @@ func (e tableEntry) binding() Binding {
 	return Binding{Pair: pair}
 }
 
-// pair is the reverse index's key for an entry: the context pair a
-// static binding names. A dynamic binding answers no inverse query (§6).
+// pair is the context pair a static binding names. A dynamic binding
+// answers no inverse query (§6).
 func (e tableEntry) pair() (core.ContextPair, bool) {
 	return core.ContextPair{Server: kernel.PID(e.target[0]), Ctx: core.ContextID(e.target[1])}, !e.dynamic
 }
@@ -235,7 +229,6 @@ func newServer(proc *kernel.Process, owner string, opts ...Option) *Server {
 		topk:         namestat.NewTopK(32),
 		rates:        namestat.NewRates(0),
 	}
-	s.reverse = nametree.NewReverse(s.index, tableEntry.pair)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -311,7 +304,7 @@ func (s *Server) DefineAll(names []string, pairs []core.ContextPair) error {
 	}
 	s.groups = append(s.groups, make([]kernel.PID, len(names))...)
 	for i, name := range keys[:len(names)] {
-		s.bound(name, entry(i))
+		s.bound(name, base+uint32(i))
 	}
 	return nil
 }
@@ -336,38 +329,32 @@ func (s *Server) define(name string, b Binding) error {
 	if _, dup := s.index.Get(name); dup {
 		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
-	e := newEntry(b, uint32(len(s.groups)))
+	slot := uint32(len(s.groups))
 	s.groups = append(s.groups, kernel.NilPID)
-	s.index.Insert(name, e)
-	s.bound(name, e)
+	s.index.Insert(name, newEntry(b, slot))
+	s.bound(name, slot)
 	return nil
 }
 
-// bound finishes binding name to e, whose slot is new, after the index
-// has it: a holder group parked by a negative lease or an earlier delete
-// moves into the slot, so the define's invalidation (and every later
-// grant) keeps the group identity. Caller holds mu.
-func (s *Server) bound(name string, e tableEntry) {
+// bound finishes binding name to a new slot after the index has it: a
+// holder group parked by a negative lease or an earlier delete moves
+// into the slot, so the define's invalidation (and every later grant)
+// keeps the group identity. Caller holds mu.
+func (s *Server) bound(name string, slot uint32) {
 	if g, ok := s.orphans[name]; ok {
-		s.groups[e.slot] = g
+		s.groups[slot] = g
 		delete(s.orphans, name)
-	}
-	if pair, ok := e.pair(); ok {
-		s.reverse.Add(pair, name)
 	}
 }
 
-// unbound is bound's inverse for an entry the index no longer has: its
+// unbound is bound's inverse for a slot the index no longer has: its
 // holder group is parked so the invalidation of whatever removed the
 // binding reaches it and a later define re-adopts it. Caller holds mu.
-func (s *Server) unbound(name string, e tableEntry) {
-	if g := s.groups[e.slot]; g != kernel.NilPID {
+func (s *Server) unbound(name string, slot uint32) {
+	if g := s.groups[slot]; g != kernel.NilPID {
 		s.orphans[name] = g
 	} else {
-		s.groups[e.slot] = retired
-	}
-	if pair, ok := e.pair(); ok {
-		s.reverse.Remove(pair, name)
+		s.groups[slot] = retired
 	}
 }
 
@@ -649,16 +636,9 @@ func (s *Server) modifyFromRecord(d proto.Descriptor) error {
 	if !ok {
 		return fmt.Errorf("prefix %q: %w", d.Name, proto.ErrNotFound)
 	}
-	if pair, ok := e.pair(); ok {
-		s.reverse.Remove(pair, d.Name)
-	}
 	// A written record reads as describe wrote it: ObjectID selects the
 	// arm, TypeSpecific holds it.
-	e = tableEntry{target: d.TypeSpecific, slot: e.slot, dynamic: d.ObjectID == 1}
-	s.index.Insert(d.Name, e)
-	if pair, ok := e.pair(); ok {
-		s.reverse.Add(pair, d.Name)
-	}
+	s.index.Insert(d.Name, tableEntry{target: d.TypeSpecific, slot: e.slot, dynamic: d.ObjectID == 1})
 	// The vio write handler has no process context: queue the name and
 	// let the serve loop invalidate holders before the write's reply.
 	s.dirty = append(s.dirty, d.Name)
@@ -707,7 +687,7 @@ func (s *Server) handleDelete(p *kernel.Process, msg *proto.Message) *proto.Mess
 		return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", key, proto.ErrNotFound))
 	}
 	s.index.Delete(key)
-	s.unbound(key, e)
+	s.unbound(key, e.slot)
 	delete(s.lastResolved, key)
 	s.mu.Unlock()
 	s.invalidateName(p, key)
@@ -718,15 +698,18 @@ func (s *Server) handleDelete(p *kernel.Process, msg *proto.Message) *proto.Mess
 // a (server-pid, context-id) pair (F[1], F[0]), return a prefix that
 // names it, in bracketed syntax. As §6 observes this inverts a
 // many-to-one mapping: the first matching (non-dynamic) prefix in sorted
-// order is returned, and there may be none. The reverse index answers
-// with that exact tie-break from the smallest name it keeps per pair,
-// and walks the table in order only for the first query after a pair's
-// smallest name was unbound.
+// order is returned, and there may be none. One ordered walk of the
+// published table finds it, with no lock: the query is rare and the
+// table small (PROTOCOL.md §14.1), so no index is kept for it.
 func (s *Server) handleInverse(msg *proto.Message) *proto.Message {
 	target := core.ContextPair{Server: kernel.PID(msg.F[1]), Ctx: core.ContextID(msg.F[0])}
-	s.mu.Lock()
-	found, ok := s.reverse.First(target)
-	s.mu.Unlock()
+	found, ok := "", false
+	s.index.Walk(func(name string, e tableEntry) bool {
+		if pair, static := e.pair(); static && pair == target {
+			found, ok = name, true
+		}
+		return !ok
+	})
 	if !ok {
 		return core.ErrorReplyMsg(proto.ErrNotFound)
 	}

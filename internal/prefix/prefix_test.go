@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/netsim"
+	"repro/internal/popgen"
 	"repro/internal/proto"
 	"repro/internal/vio"
 	"repro/internal/vtime"
@@ -392,10 +393,11 @@ func TestPrefixProcessingChargesCalibratedCost(t *testing.T) {
 // TestInverseResolutionEndToEnd follows OpGetContextName through a served
 // prefix server while the names bound to one pair come and go by every
 // route the table has — protocol add and delete, a directory-record
-// write, DefineAll merging into a non-empty table, a snapshot Restore —
-// and requires the sorted first match each time. A dynamic binding whose
-// (service, context) pair reads like the static one, under a name smaller
-// than all of them, is never the answer.
+// write, DefineAll merging into a non-empty table, a snapshot Restore,
+// DefineAll beside a 10⁴-name population bound to other pairs of the
+// same server — and requires the sorted first match each time. A
+// dynamic binding whose (service, context) pair reads like the static
+// one, under a name smaller than all of them, is never the answer.
 func TestInverseResolutionEndToEnd(t *testing.T) {
 	pair, other := core.ContextPair{Server: 7, Ctx: 1}, core.ContextPair{Server: 7, Ctx: 2}
 	five := []string{"m3", "m1", "m5", "m2", "m4"}
@@ -413,6 +415,19 @@ func TestInverseResolutionEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := ps.DefineAll(five[2:], pairs[2:]); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"DefineAll beside a population": func(t *testing.T, ps *Server) {
+			// The walk passes thousands of near misses — the same server,
+			// other contexts — before and after the five names.
+			pop := popgen.NewPopulation(10_000, 0.99, 1)
+			names := append(pop.Names[:len(pop.Names):len(pop.Names)], five...)
+			all := make([]core.ContextPair, len(pop.Names), len(names))
+			for i := range all {
+				all[i] = core.ContextPair{Server: pair.Server, Ctx: pair.Ctx + 2 + core.ContextID(i)}
+			}
+			if err := ps.DefineAll(names, append(all, pairs...)); err != nil {
 				t.Fatal(err)
 			}
 		},

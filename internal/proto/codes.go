@@ -201,7 +201,10 @@ var (
 	ErrRetry              = errors.New("retry")
 )
 
-var replyErrors = map[Code]error{
+// replyErrors is indexed by failure code, in code order: a table both
+// directions read, so an error matching two entries (errors.Join, or two
+// %w verbs) maps to the lower code on every call.
+var replyErrors = [...]error{
 	ReplyNotFound:           ErrNotFound,
 	ReplyIllegalRequest:     ErrIllegalRequest,
 	ReplyNoPermission:       ErrNoPermission,
@@ -225,21 +228,21 @@ func ReplyError(c Code) error {
 	if c == ReplyOK {
 		return nil
 	}
-	if err, ok := replyErrors[c]; ok {
-		return err
+	if int(c) < len(replyErrors) && replyErrors[c] != nil {
+		return replyErrors[c]
 	}
 	return fmt.Errorf("%w: unknown reply code %v", ErrIllegalRequest, c)
 }
 
-// ErrorReply maps a standard error back to its reply code; unrecognized
-// errors map to ReplyIllegalRequest.
+// ErrorReply maps a standard error back to its reply code, the lowest
+// whose error it matches; unrecognized errors map to ReplyIllegalRequest.
 func ErrorReply(err error) Code {
 	if err == nil {
 		return ReplyOK
 	}
 	for code, e := range replyErrors {
-		if errors.Is(err, e) {
-			return code
+		if e != nil && errors.Is(err, e) {
+			return Code(code)
 		}
 	}
 	return ReplyIllegalRequest

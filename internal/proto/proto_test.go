@@ -187,9 +187,20 @@ func TestReplyErrorMapping(t *testing.T) {
 
 func TestErrorReplyInverse(t *testing.T) {
 	// Property: ErrorReply inverts ReplyError for all standard codes.
-	for code := range replyErrors {
-		if got := ErrorReply(ReplyError(code)); got != code {
-			t.Errorf("ErrorReply(ReplyError(%v)) = %v", code, got)
+	for code, e := range replyErrors {
+		if e == nil {
+			continue
+		}
+		if got := ErrorReply(ReplyError(Code(code))); got != Code(code) {
+			t.Errorf("ErrorReply(ReplyError(%v)) = %v", Code(code), got)
+		}
+	}
+	// An error wrapping two standard errors maps to the lower code, on
+	// every call: the table is read in code order, never in a map's.
+	joined := errors.Join(ErrTimeout, ErrNotFound)
+	for i := 0; i < 100; i++ {
+		if got := ErrorReply(joined); got != ReplyNotFound {
+			t.Fatalf("call %d: ErrorReply(%v) = %v, want %v", i, joined, got, ReplyNotFound)
 		}
 	}
 	if ErrorReply(nil) != ReplyOK {
