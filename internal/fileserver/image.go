@@ -29,11 +29,6 @@ func (e *enc) str(s string) {
 	e.b = append(e.b, s...)
 }
 
-func (e *enc) bytes(p []byte) {
-	e.u64(uint64(len(p)))
-	e.b = append(e.b, p...)
-}
-
 // Image returns the server's volume image.
 func (fs *FileServer) Image() []byte {
 	v := fs.vol
@@ -56,7 +51,10 @@ func (fs *FileServer) Image() []byte {
 		e.u64(uint64(n.perms))
 		e.u64(uint64(n.nlink))
 		if n.kind != kindDir {
-			e.bytes(n.data)
+			e.u64(uint64(n.size))
+			at := len(e.b)
+			e.b = append(e.b, make([]byte, n.size)...)
+			v.store.readAt(n, 0, e.b[at:])
 			continue
 		}
 		e.u64(uint64(len(n.entries)))

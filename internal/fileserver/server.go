@@ -586,11 +586,14 @@ func (fi *fileInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, e
 // the disk write completes asynchronously, so no disk latency is charged.
 func (fi *fileInstance) WriteAt(p *kernel.Process, off int64, data []byte) (int, error) {
 	n, err := fi.fs.vol.writeAt(fi.ino, off, data, p.Now())
+	if err != nil {
+		return 0, err
+	}
 	pageSize := int64(p.Kernel().Model().DiskPageSize)
 	for b := off / pageSize; b <= (off+int64(n))/pageSize; b++ {
 		fi.fs.cache.access(fi.ino, b, true)
 	}
-	return n, err
+	return n, nil
 }
 
 func (fi *fileInstance) Release() error { return nil }

@@ -53,10 +53,11 @@ type node struct {
 	parent ino
 	kind   nodeKind
 	perms  uint16
+	size   uint32 // a file's length in bytes
 	// nlink counts directory entries binding this file; files with
 	// several names make the inverse mapping many-to-one (§6).
 	nlink int
-	data  []byte // files
+	pages []uint32 // a file's bytes, in the volume's page store
 	// entries is a directory's bindings in name order: a lookup is a
 	// binary search, the context directory a single pass (§5.6), and the
 	// child is at hand without a second lookup in the i-node table.
@@ -78,6 +79,7 @@ type volume struct {
 	// shared by every instance opened on it and never written: a directory
 	// instance routes its writes to modify.
 	listings map[ino]listing
+	store    pageStore
 }
 
 // listing is a directory's encoded context directory and its record count.
@@ -312,6 +314,7 @@ func (v *volume) remove(ctx core.ContextID, name string, now vtime.Time) error {
 		child.nlink--
 		if child.nlink <= 0 {
 			// Last name gone: the object dies with it.
+			v.store.release(child)
 			delete(v.nodes, child.id)
 		}
 	}
@@ -349,6 +352,7 @@ func (v *volume) removeByIno(id uint32, now vtime.Time) error {
 	parent.mtime = now
 	v.changed(parent)
 	delete(v.listings, n.id)
+	v.store.release(n)
 	delete(v.nodes, n.id)
 	return nil
 }
@@ -416,31 +420,30 @@ func (v *volume) readAt(id uint32, off int64, buf []byte) (int, int, error) {
 	if !ok || n.kind != kindFile {
 		return 0, 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
 	}
-	if off >= int64(len(n.data)) {
-		return 0, len(n.data), proto.ErrEndOfFile
+	if off >= int64(n.size) {
+		return 0, int(n.size), proto.ErrEndOfFile
 	}
-	return copy(buf, n.data[off:]), len(n.data), nil
+	return v.store.readAt(n, int(off), buf), int(n.size), nil
 }
 
-// writeAt stores bytes into a file at off, growing it as needed.
+// writeAt stores bytes into a file at off, growing it as needed up to
+// maxFileSize.
 func (v *volume) writeAt(id uint32, off int64, data []byte, now vtime.Time) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative offset", proto.ErrBadArgs)
+	}
+	if off+int64(len(data)) > maxFileSize {
+		return 0, fmt.Errorf("%w: a file ends at %d bytes", proto.ErrNoServerResources, maxFileSize)
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	n, ok := v.nodes[ino(id)]
 	if !ok || n.kind != kindFile {
 		return 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("%w: negative offset", proto.ErrBadArgs)
-	}
-	if need := int(off) + len(data); need > len(n.data) {
-		grown := make([]byte, need)
-		copy(grown, n.data)
-		n.data = grown
-	}
 	n.mtime = now
 	v.changed(n)
-	return copy(n.data[off:], data), nil
+	return v.store.writeAt(n, int(off), data), nil
 }
 
 // truncate empties a file.
@@ -451,7 +454,7 @@ func (v *volume) truncate(id uint32, now vtime.Time) error {
 	if !ok || n.kind != kindFile {
 		return fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
 	}
-	n.data = nil
+	v.store.release(n)
 	n.mtime = now
 	v.changed(n)
 	return nil
@@ -465,7 +468,7 @@ func (v *volume) size(id uint32) (int, error) {
 	if !ok || n.kind != kindFile {
 		return 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
 	}
-	return len(n.data), nil
+	return int(n.size), nil
 }
 
 // snapshot copies out a file's contents (program loading).
@@ -476,8 +479,8 @@ func (v *volume) snapshot(id uint32) ([]byte, error) {
 	if !ok || n.kind != kindFile {
 		return nil, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
 	}
-	out := make([]byte, len(n.data))
-	copy(out, n.data)
+	out := make([]byte, n.size)
+	v.store.readAt(n, 0, out)
 	return out, nil
 }
 
@@ -505,7 +508,7 @@ func (e *dirent) describe() proto.Descriptor {
 		d.Size = uint32(len(n.entries))
 	} else {
 		d.Tag = proto.TagFile
-		d.Size = uint32(len(n.data))
+		d.Size = n.size
 		d.TypeSpecific[0] = uint32(n.nlink)
 	}
 	return d

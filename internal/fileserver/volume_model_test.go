@@ -1,6 +1,7 @@
 package fileserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -33,7 +34,7 @@ type modelNode struct {
 	owner  string
 	perms  uint16
 	nlink  int
-	size   int
+	data   []byte // a file's bytes
 	mtime  vtime.Time
 	names  map[string]modelEntry
 }
@@ -196,12 +197,16 @@ func (m *model) rename(oldCtx core.ContextID, oldName string, newCtx core.Contex
 	return nil
 }
 
-func (m *model) write(id uint32, n int, now vtime.Time) error {
+func (m *model) write(id uint32, off int, data []byte, now vtime.Time) error {
 	f, ok := m.nodes[ino(id)]
 	if !ok || f.kind != kindFile {
 		return proto.ErrNotFound
 	}
-	f.size, f.mtime = max(f.size, n), now
+	if end := off + len(data); end > len(f.data) {
+		f.data = append(f.data, make([]byte, end-len(f.data))...)
+	}
+	copy(f.data[off:], data)
+	f.mtime = now
 	return nil
 }
 
@@ -210,7 +215,7 @@ func (m *model) truncate(id uint32, now vtime.Time) error {
 	if !ok || f.kind != kindFile {
 		return proto.ErrNotFound
 	}
-	f.size, f.mtime = 0, now
+	f.data, f.mtime = nil, now
 	return nil
 }
 
@@ -259,7 +264,7 @@ func (m *model) list(ctx core.ContextID) []proto.Descriptor {
 		if n.kind == kindDir {
 			rec.Tag, rec.Size = proto.TagDirectory, uint32(len(n.names))
 		} else {
-			rec.Tag, rec.Size, rec.TypeSpecific[0] = proto.TagFile, uint32(n.size), uint32(n.nlink)
+			rec.Tag, rec.Size, rec.TypeSpecific[0] = proto.TagFile, uint32(len(n.data)), uint32(n.nlink)
 		}
 		out = append(out, rec)
 	}
@@ -303,10 +308,13 @@ var modelNames = []string{"a", "aa", "ab", "b", "ba", "c", "m", "mm", "x", "y", 
 
 // TestVolumeAgainstMapModel drives the volume and the reference model
 // with the same seeded random operations and requires them to agree on
-// every result, every context directory and every lookup. Every directory
-// is listed after every step through the volume's kept listings, so a
-// change that fails to drop one fails at that step; lookups are compared
-// every 16th.
+// every result, every context directory, every file's bytes and every
+// lookup. Every directory is listed after every step through the volume's
+// kept listings, so a change that fails to drop one fails at that step;
+// every file is read whole after every step; lookups are compared every
+// 16th. Writes land at any offset — unaligned, across a page boundary,
+// past the end leaving a gap — and a removed file's pages are taken by
+// the next file written, whose gap must read as zeros.
 func TestVolumeAgainstMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -331,11 +339,33 @@ func TestVolumeAgainstMapModel(t *testing.T) {
 			}
 			dir := func() core.ContextID { return core.ContextID(node(kindDir)) }
 
+			// write draws where a write lands and what it carries.
+			write := func(id uint32) (int, []byte) {
+				var size int
+				if f, ok := m.nodes[ino(id)]; ok {
+					size = len(f.data)
+				}
+				var off int
+				switch rng.Intn(4) { // a fourth of writes start at 0
+				case 0:
+					off = rng.Intn(size + 1)
+				case 1:
+					// Past the end: the bytes between read as zeros.
+					off = size + 1 + rng.Intn(2*pageSize)
+				case 2:
+					// Just before a page boundary, so most writes straddle it.
+					off = (1+rng.Intn(4))*pageSize - 1 - rng.Intn(8)
+				}
+				data := make([]byte, rng.Intn(3*pageSize))
+				rng.Read(data)
+				return off, data
+			}
+
 			for step := 1; step <= 400; step++ {
 				now := vtime.Time(step)
 				var what string
 				var got, want error
-				switch op := rng.Intn(22); {
+				switch op := rng.Intn(25); {
 				case op < 5:
 					d, n := dir(), name()
 					what = fmt.Sprintf("createFile(%d, %q)", d, n)
@@ -375,17 +405,44 @@ func TestVolumeAgainstMapModel(t *testing.T) {
 					what = fmt.Sprintf("removeByIno(%d)", id)
 					got = fs.vol.removeByIno(id, now)
 					want = m.removeByIno(id, now)
-				case op < 19:
-					id, n := uint32(node(kindFile)), rng.Intn(2000)
-					what = fmt.Sprintf("writeAt(%d, %d bytes)", id, n)
-					_, got = fs.vol.writeAt(id, 0, make([]byte, n), now)
-					want = m.write(id, n, now)
-				case op < 20:
+				case op < 21:
+					id := uint32(node(kindFile))
+					off, data := write(id)
+					what = fmt.Sprintf("writeAt(%d, %d, %d bytes)", id, off, len(data))
+					_, got = fs.vol.writeAt(id, int64(off), data, now)
+					want = m.write(id, off, data, now)
+				case op < 22:
+					// The file's pages go to the free list; a new file under
+					// its name takes them back, with a gap before its bytes.
+					id := uint32(node(kindFile))
+					what = fmt.Sprintf("removeByIno(%d), then a new file with a gap", id)
+					var d core.ContextID
+					var n string
+					if f, ok := m.nodes[ino(id)]; ok {
+						d, n = core.ContextID(f.parent), f.name
+					}
+					got = fs.vol.removeByIno(id, now)
+					want = m.removeByIno(id, now)
+					if got != nil || want != nil {
+						break
+					}
+					if _, err := fs.vol.createFile(d, n, "o", now); err != nil {
+						t.Fatalf("step %d %s: createFile(%d, %q): %v", step, what, d, n, err)
+					}
+					if err := m.create(kindFile, d, n, now); err != nil {
+						t.Fatalf("step %d %s: model createFile(%d, %q): %v", step, what, d, n, err)
+					}
+					data := make([]byte, 1+rng.Intn(pageSize))
+					rng.Read(data)
+					off := 1 + rng.Intn(2*pageSize)
+					_, got = fs.vol.writeAt(uint32(m.next), int64(off), data, now)
+					want = m.write(uint32(m.next), off, data, now)
+				case op < 23:
 					id := uint32(node(kindFile))
 					what = fmt.Sprintf("truncate(%d)", id)
 					got = fs.vol.truncate(id, now)
 					want = m.truncate(id, now)
-				case op < 21:
+				case op < 24:
 					d := dir()
 					rec := proto.Descriptor{Name: name(), Perms: uint16(rng.Intn(8))}
 					if rng.Intn(2) == 0 {
@@ -413,6 +470,22 @@ func compareWithModel(t *testing.T, v *volume, m *model, when string, lookups bo
 	t.Helper()
 	if len(v.nodes) != len(m.nodes) || v.next != m.next {
 		t.Fatalf("%s: i-node table has %d nodes, next %d; model %d, next %d", when, len(v.nodes), v.next, len(m.nodes), m.next)
+	}
+	for id, n := range m.nodes {
+		if n.kind != kindFile {
+			continue
+		}
+		// One byte more than the model holds, so a longer file shows.
+		buf := make([]byte, len(n.data)+1)
+		got, length, err := v.readAt(uint32(id), 0, buf)
+		size, sizeErr := v.size(uint32(id))
+		wantErr := error(nil)
+		if len(n.data) == 0 {
+			wantErr = proto.ErrEndOfFile
+		}
+		if err != wantErr || sizeErr != nil || length != len(n.data) || size != len(n.data) || !bytes.Equal(buf[:got], n.data) {
+			t.Fatalf("%s: file %d reads %d of %d bytes (size %d), %v; model holds %d", when, id, got, length, size, err, len(n.data))
+		}
 	}
 	for id, n := range m.nodes {
 		if n.kind != kindDir {
