@@ -231,12 +231,13 @@ reach:
 # small server adds beyond the protocol — the prefix server with the
 # name index its table is — and the shared protocol half.
 # Then the experiment harness, the largest package, the two budgets
-# ROADMAP states — the rig (item 2) and the kernel (item 5) — and the
-# file server, the paper's one large server.
+# ROADMAP states — the rig (item 2) and the kernel (item 5) — the
+# file server, the paper's one large server, and namestat, the prefix
+# server's one per-name observer table (item 6(a)).
 SERVER_PKGS = prefix nametree execserver inetserver mailserver pipeserver printserver termserver timeserver
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
-	@for p in $(SERVER_PKGS) experiments rig kernel fileserver; do \
+	@for p in $(SERVER_PKGS) experiments rig kernel fileserver namestat; do \
 		printf "internal/%s %s\n" $$p $$(cat $$(find internal/$$p -name '*.go' -not -name '*_test.go') | wc -l); \
 	done
 	@printf "internal/core/flat.go %s\n" $$(wc -l < internal/core/flat.go)

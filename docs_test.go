@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -72,6 +73,65 @@ func TestDocsCiteLiveTests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// makeRun matches a Makefile `go test` line that selects with -run: the
+// quoted pattern, then the package directories the line runs.
+var makeRun = regexp.MustCompile(`-run '([^']*)'((?: \./\S+)*)`)
+
+// definedRunnable matches a Test, Fuzz or Benchmark function's
+// declaration: what go test -run selects among.
+var definedRunnable = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+
+// TestMakeRunPatternsMatch: every |-alternative of every -run pattern in
+// the Makefile matches at least one Test, Fuzz or Benchmark function of
+// the packages its line runs. go test -run with no match still passes,
+// so a renamed test would otherwise drop silently out of its race
+// -count=2, GOMAXPROCS or zero-allocation line. profile's '^$' selects
+// no test on purpose and is skipped.
+func TestMakeRunPatternsMatch(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alternatives := 0
+	for _, m := range makeRun.FindAllStringSubmatch(string(mk), -1) {
+		pattern, dirs := strings.ReplaceAll(m[1], "$$", "$"), strings.Fields(m[2])
+		if pattern == "^$" {
+			continue
+		}
+		var funcs []string
+		for _, dir := range dirs {
+			files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range definedRunnable.FindAllSubmatch(src, -1) {
+					funcs = append(funcs, string(d[1]))
+				}
+			}
+		}
+		for _, alt := range strings.Split(pattern, "|") {
+			alternatives++
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("Makefile -run alternative %q: %v", alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(funcs, re.MatchString) {
+				t.Errorf("Makefile -run alternative %q matches no test in %s", alt, strings.Join(dirs, " "))
+			}
+		}
+	}
+	if alternatives == 0 {
+		t.Fatal("found no -run pattern in the Makefile")
+	}
+	t.Logf("%d -run alternatives checked", alternatives)
 }
 
 // citedCode matches a backticked span that cites code: `pkg.Name` or

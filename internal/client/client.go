@@ -12,12 +12,12 @@ package client
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/lease"
 	"repro/internal/metrics"
-	"repro/internal/namestat"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 	"repro/internal/vio"
@@ -34,12 +34,12 @@ type Session struct {
 	// prefixed names route through it and bypass the prefix server on
 	// hits. cacheRetry says what a failed use of an entry does: drop it
 	// and re-resolve once (always, under leases), or keep it and surface
-	// the error (the naive §2.2 strawman). staleRates tracks
-	// client-observed per-prefix churn: stale-window widths measured at
-	// the point of failure (PROTOCOL.md §15).
-	cache      *lease.Cache
-	cacheRetry bool
-	staleRates *namestat.Rates
+	// the error (the naive §2.2 strawman). widestStale holds the widest
+	// stale window observed per prefix, measured at the point of failure
+	// (PROTOCOL.md §15).
+	cache       *lease.Cache
+	cacheRetry  bool
+	widestStale map[string]time.Duration
 
 	// lastRouted records the server pid the most recent routed attempt
 	// actually targeted. With the cache on, a prefixed request goes

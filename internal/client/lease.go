@@ -8,6 +8,7 @@ package client
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -36,12 +37,12 @@ type LeaseStats struct {
 	Stale int
 }
 
-// enableCache installs an empty cache (and the stale-window estimator
-// that rides with it) if the session has none.
+// enableCache installs an empty cache (and the stale-window table that
+// rides with it) if the session has none.
 func (s *Session) enableCache() {
 	if s.cache == nil {
 		s.cache = lease.NewCache(lease.NewMeter("client", s.proc.Name()))
-		s.staleRates = namestat.NewRates(0)
+		s.widestStale = make(map[string]time.Duration)
 	}
 }
 
@@ -109,7 +110,17 @@ func (s *Session) LeaseCacheStats() LeaseStats {
 
 // LeaseNameRates returns the session's client-side per-prefix churn
 // estimates (stale-window widths observed at failure), sorted by name.
-func (s *Session) LeaseNameRates() []namestat.RateItem { return s.staleRates.Snapshot() }
+func (s *Session) LeaseNameRates() []namestat.RateItem {
+	if s.widestStale == nil {
+		return nil
+	}
+	items := make([]namestat.RateItem, 0, len(s.widestStale))
+	for name, w := range s.widestStale {
+		items = append(items, namestat.RateItem{Name: name, MaxStaleUS: int64(w / time.Microsecond)})
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].Name < items[j].Name })
+	return items
+}
 
 // LeaseCallback returns the pid of the session's invalidation-callback
 // process (NilPID unless the lease cache is on).
@@ -215,7 +226,7 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 		// and the request re-resolved once.
 		failedAt := s.proc.Now()
 		s.cache.Observe(s.proc, lease.Stale, pfx, failedAt, entry)
-		s.staleRates.ObserveStaleWindow(pfx, failedAt-entry.Grant)
+		s.widestStale[pfx] = max(s.widestStale[pfx], failedAt-entry.Grant)
 		if s.cacheRetry && mayRetry {
 			s.cache.Drop(pfx)
 			req.Op = op // a reply lost on its way back may have landed in req

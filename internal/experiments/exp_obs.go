@@ -114,17 +114,17 @@ func a19TopK() (Leg, string, error) {
 	return Leg{Label: fmt.Sprintf("top-%d sketch vs exact counts", a19TopKK), Reads: rd}, hottest, nil
 }
 
-// a19Rates feeds the estimator a fixed cadence; the EWMA must converge to
-// the analytic rate exactly.
+// a19Rates feeds the sketch's resolution estimator a fixed cadence; the
+// EWMA must converge to the analytic rate exactly.
 func a19Rates() (Leg, error) {
-	r := namestat.NewRates(0)
+	r := namestat.NewTopK(1)
 	at := time.Duration(0)
 	for i := 0; i < a19RateEvents; i++ {
 		at += a19RateCadence
 		r.ObserveResolution("[hot]", at)
 	}
 	want, got := int64(1000/a19RateCadence.Seconds()), int64(0)
-	for _, it := range r.Snapshot() {
+	for _, it := range r.Rates() {
 		if it.Name == "[hot]" {
 			got = it.ResRateMilliHz
 		}

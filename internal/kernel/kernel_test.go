@@ -424,10 +424,13 @@ func TestMoveToWritesSenderSegment(t *testing.T) {
 	}
 }
 
+// TestMoveErrors pins what MoveFrom and MoveTo refuse, in the words they
+// refuse it: a segment the sender did not attach, an offset outside the
+// one it did, and a sender with no pending message.
 func TestMoveErrors(t *testing.T) {
 	k := newDomain(t)
 	h := k.NewHost("a")
-	results := make(chan error, 3)
+	results := make(chan error, 6)
 	srv, err := h.Spawn("srv", func(p *Process) {
 		for {
 			_, from, err := p.Receive()
@@ -437,6 +440,8 @@ func TestMoveErrors(t *testing.T) {
 			_, err = p.MoveFrom(from, make([]byte, 4), 0)
 			results <- err
 			_, err = p.MoveFrom(from, make([]byte, 4), 100)
+			results <- err
+			_, err = p.MoveTo(from, 100, []byte("xy"))
 			results <- err
 			_, err = p.MoveFrom(MakePID(9, 9), make([]byte, 4), 0)
 			results <- err
@@ -450,17 +455,29 @@ func TestMoveErrors(t *testing.T) {
 	}
 	t.Cleanup(srv.Destroy)
 	client := newClient(t, h, "client")
-	if _, err := client.SendMove(&proto.Message{Op: proto.OpEcho}, srv.PID(), []byte("ab"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-results; err != nil {
-		t.Fatalf("in-range MoveFrom failed: %v", err)
-	}
-	if err := <-results; !errors.Is(err, proto.ErrBadArgs) {
-		t.Fatalf("out-of-range MoveFrom err = %v", err)
-	}
-	if err := <-results; !errors.Is(err, ErrNoPendingMessage) {
-		t.Fatalf("MoveFrom with no pending err = %v", err)
+	bad := func(text string) string { return proto.ErrBadArgs.Error() + ": " + text }
+	for _, tc := range []struct {
+		src, dst []byte
+		want     [3]string // in-range MoveFrom, MoveFrom at 100, MoveTo at 100
+	}{
+		{[]byte("ab"), nil, [3]string{"", bad("MoveFrom offset 100 outside segment of 2"), bad("sender attached no writable segment")}},
+		{nil, make([]byte, 3), [3]string{bad("sender attached no readable segment"), bad("sender attached no readable segment"), bad("MoveTo offset 100 outside segment of 3")}},
+	} {
+		if _, err := client.SendMove(&proto.Message{Op: proto.OpEcho}, srv.PID(), tc.src, tc.dst); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range tc.want {
+			err, got := <-results, ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != want || (err != nil && !errors.Is(err, proto.ErrBadArgs)) {
+				t.Fatalf("segments %q/%q call %d: err = %v, want %q", tc.src, tc.dst, i, err, want)
+			}
+		}
+		if err := <-results; !errors.Is(err, ErrNoPendingMessage) {
+			t.Fatalf("MoveFrom with no pending err = %v", err)
+		}
 	}
 }
 

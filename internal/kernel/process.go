@@ -637,48 +637,45 @@ func (p *Process) abort(env *envelope, kind trace.Kind, op proto.Code, dst PID, 
 // `src` (starting at offset) into dst, returning the count copied. The
 // transfer is charged at the bulk-transfer packet rate (§3.1).
 func (p *Process) MoveFrom(src PID, dst []byte, offset int) (int, error) {
-	env := p.peekPending(src)
-	if env == nil {
-		return 0, fmt.Errorf("%w: %v", ErrNoPendingMessage, src)
-	}
-	if env.moveSrc == nil {
-		return 0, fmt.Errorf("%w: sender attached no readable segment", proto.ErrBadArgs)
-	}
-	if offset < 0 || offset > len(env.moveSrc) {
-		return 0, fmt.Errorf("%w: MoveFrom offset %d outside segment of %d", proto.ErrBadArgs, offset, len(env.moveSrc))
-	}
-	n := copy(dst, env.moveSrc[offset:])
-	d, det, err := p.host.kernel.net.UnicastDetail(src.Host(), p.host.id, n, p.clock.Now())
-	if err != nil {
-		return 0, err
-	}
-	if tr := p.Tracer(); tr != nil {
-		tr.Wire(p.spanUnder(env), "move-from", p.clock.Now(), d, n, det, src.Host() == p.host.id, false)
-	}
-	p.clock.Advance(d)
-	return n, nil
+	return p.move(src, offset, dst, false)
 }
 
 // MoveTo copies data into the memory segment of the blocked sender `dst`
 // at the given offset, returning the count copied.
 func (p *Process) MoveTo(dst PID, offset int, data []byte) (int, error) {
-	env := p.peekPending(dst)
+	return p.move(dst, offset, data, true)
+}
+
+// move is MoveFrom (toPeer false: peer's readable segment into buf) and
+// MoveTo (toPeer true: buf into peer's writable segment), the bytes
+// moved charged as one unicast in the direction they travel.
+func (p *Process) move(peer PID, offset int, buf []byte, toPeer bool) (int, error) {
+	env := p.peekPending(peer)
 	if env == nil {
-		return 0, fmt.Errorf("%w: %v", ErrNoPendingMessage, dst)
+		return 0, fmt.Errorf("%w: %v", ErrNoPendingMessage, peer)
 	}
-	if env.moveDst == nil {
-		return 0, fmt.Errorf("%w: sender attached no writable segment", proto.ErrBadArgs)
+	seg, kind, call, wire, from, to := env.moveSrc, "readable", "MoveFrom", "move-from", peer.Host(), p.host.id
+	if toPeer {
+		seg, kind, call, wire, from, to = env.moveDst, "writable", "MoveTo", "move-to", p.host.id, peer.Host()
 	}
-	if offset < 0 || offset > len(env.moveDst) {
-		return 0, fmt.Errorf("%w: MoveTo offset %d outside segment of %d", proto.ErrBadArgs, offset, len(env.moveDst))
+	if seg == nil {
+		return 0, fmt.Errorf("%w: sender attached no %s segment", proto.ErrBadArgs, kind)
 	}
-	n := copy(env.moveDst[offset:], data)
-	d, det, err := p.host.kernel.net.UnicastDetail(p.host.id, dst.Host(), n, p.clock.Now())
+	if offset < 0 || offset > len(seg) {
+		return 0, fmt.Errorf("%w: %s offset %d outside segment of %d", proto.ErrBadArgs, call, offset, len(seg))
+	}
+	var n int
+	if toPeer {
+		n = copy(seg[offset:], buf)
+	} else {
+		n = copy(buf, seg[offset:])
+	}
+	d, det, err := p.host.kernel.net.UnicastDetail(from, to, n, p.clock.Now())
 	if err != nil {
 		return 0, err
 	}
 	if tr := p.Tracer(); tr != nil {
-		tr.Wire(p.spanUnder(env), "move-to", p.clock.Now(), d, n, det, dst.Host() == p.host.id, false)
+		tr.Wire(p.spanUnder(env), wire, p.clock.Now(), d, n, det, from == to, false)
 	}
 	p.clock.Advance(d)
 	return n, nil

@@ -1,30 +1,27 @@
-// Package namestat is the name-space analytics layer: cardinality-
-// bounded sketches that answer "which names are hot, and how fast is
+// Package namestat is the name-space analytics layer: one cardinality-
+// bounded table that answers "which names are hot, and how fast is
 // each one churning?" without holding per-name state for a 10⁶-name
 // population.
 //
-// Two instruments:
+// TopK is a space-saving sketch (Metwally et al.): at most k counters;
+// a hit increments its counter, a new name with the table full replaces
+// the minimum counter and inherits its count as the error bound. Any
+// name whose true count exceeds N/k is guaranteed present, which is
+// exactly the regime a Zipf-distributed workload lives in.
 //
-//   - TopK, a space-saving sketch (Metwally et al.): at most k counters;
-//     a hit increments its counter, a new name with the table full
-//     replaces the minimum counter and inherits its count as the error
-//     bound. Any name whose true count exceeds N/k is guaranteed
-//     present, which is exactly the regime a Zipf-distributed workload
-//     lives in.
+// Each entry also carries its name's churn estimators: event-driven
+// EWMAs over virtual time of the resolution, redefinition and renewal
+// rates (Hz), and the invalidation count and fan-out. They start afresh
+// when the entry is replaced. The sketch ranks names by resolution, so
+// only a resolution (Observe, ObserveResolution) admits a name; a churn
+// event updates a name the sketch holds and is dropped for any other.
 //
-//   - Rates, per-name event-driven EWMA estimators over virtual time:
-//     resolution, redefinition and renewal rates (Hz), invalidation
-//     fan-out, and the widest observed stale window. The map is bounded;
-//     once full, events for new names are dropped, so the cost stays
-//     O(bound) regardless of population.
-//
-// Both are observers in the PROTOCOL.md §15 sense: observing charges no
-// virtual time and is nil-safe, so record sites need no presence
-// checks. Neither registers metrics instruments on its own — the
+// The sketch is an observer in the PROTOCOL.md §15 sense: observing
+// charges no virtual time and is nil-safe, so record sites need no
+// presence checks. It registers no metrics instruments on its own — the
 // registry series a document leg records (BENCH_metrics.json) stay
-// byte-identical with sketches installed —
-// but Publish copies a snapshot into a metrics registry on demand for
-// the Prometheus and vstat surfaces.
+// byte-identical with it installed — but Publish copies a snapshot into
+// a metrics registry on demand for the Prometheus and vstat surfaces.
 package namestat
 
 import (
@@ -42,7 +39,7 @@ import (
 // their indices ordered by (count, name), so the entry a full sketch
 // replaces — the minimum count, ties broken by the smaller name, which
 // keeps the sketch's evolution independent of storage order — is always
-// heap[0]. Observe allocates nothing.
+// heap[0]. Observing allocates nothing.
 type TopK struct {
 	mu   sync.Mutex
 	slot map[string]int32 // name → index into ents
@@ -55,6 +52,14 @@ type topEntry struct {
 	count uint64
 	err   uint64 // overestimate bound inherited at replacement
 	at    int32  // this entry's index in heap
+	churn
+}
+
+// churn is one tracked name's estimator state.
+type churn struct {
+	res, redef, renew ewma
+	invalidations     uint64
+	fanout            float64 // EWMA of per-invalidation holder fan-out
 }
 
 // Item is one sketch entry: Count overestimates the true count by at
@@ -83,11 +88,28 @@ func (t *TopK) Observe(name string) {
 		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.count(name)
+	t.mu.Unlock()
+}
+
+// ObserveResolution records one resolution of name at virtual time at:
+// Observe, and a tick of the name's resolution rate, under one lock.
+func (t *TopK) ObserveResolution(name string, at time.Duration) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.ents[t.count(name)].res.observe(at)
+	t.mu.Unlock()
+}
+
+// count records one occurrence of name and returns its entry's index.
+// The caller holds mu.
+func (t *TopK) count(name string) int32 {
 	if i, ok := t.slot[name]; ok {
 		t.ents[i].count++
 		t.down(int(t.ents[i].at))
-		return
+		return i
 	}
 	if len(t.ents) < cap(t.ents) {
 		i := int32(len(t.ents))
@@ -95,17 +117,17 @@ func (t *TopK) Observe(name string) {
 		t.heap = append(t.heap, i)
 		t.slot[name] = i
 		t.up(int(i))
-		return
+		return i
 	}
-	// Replace the minimum entry; the newcomer inherits its count as the
-	// error bound.
+	// Replace the minimum entry: the newcomer inherits its count as the
+	// error bound, and none of its churn state.
 	i := t.heap[0]
 	e := &t.ents[i]
 	delete(t.slot, e.name)
 	t.slot[name] = i
-	e.name, e.err = name, e.count
-	e.count++
+	*e = topEntry{name: name, count: e.count + 1, err: e.count}
 	t.down(0)
+	return i
 }
 
 // before reports whether the entry at heap index a orders before the
@@ -176,23 +198,6 @@ func (t *TopK) Snapshot() []Item {
 // observations converge the estimate, one outlier doesn't own it.
 const ewmaAlpha = 0.3
 
-// DefaultRateBound caps the number of names Rates tracks.
-const DefaultRateBound = 64
-
-// Rates holds per-name EWMA estimators. All methods are nil-safe.
-type Rates struct {
-	mu    sync.Mutex
-	bound int
-	names map[string]*rateEntry
-}
-
-type rateEntry struct {
-	res, redef, renew ewma
-	invalidations     uint64
-	fanout            float64 // EWMA of per-invalidation holder fan-out
-	maxStale          time.Duration
-}
-
 // ewma is one event-driven rate estimator: each event contributes an
 // instantaneous rate 1/gap blended at ewmaAlpha. There is no decay
 // between events — a name that stopped being redefined keeps its last
@@ -222,112 +227,53 @@ func (e *ewma) observe(at time.Duration) {
 	e.rateHz = ewmaAlpha*inst + (1-ewmaAlpha)*e.rateHz
 }
 
-// NewRates returns a rate table tracking at most bound names
-// (DefaultRateBound when bound <= 0).
-func NewRates(bound int) *Rates {
-	if bound <= 0 {
-		bound = DefaultRateBound
-	}
-	return &Rates{bound: bound, names: make(map[string]*rateEntry, bound)}
-}
-
-// entry returns the estimator for name, creating it if the table has
-// room. A nil return means the bound was hit and the event is dropped.
-func (r *Rates) entry(name string) *rateEntry {
-	if e, ok := r.names[name]; ok {
-		return e
-	}
-	if len(r.names) >= r.bound {
-		return nil
-	}
-	e := &rateEntry{}
-	r.names[name] = e
-	return e
-}
-
-// ObserveResolution records one resolution of name at virtual time at.
-func (r *Rates) ObserveResolution(name string, at time.Duration) {
-	if r == nil {
+// update applies f to name's churn state under the lock, if the sketch
+// holds name.
+func (t *TopK) update(name string, f func(*churn)) {
+	if t == nil {
 		return
 	}
-	r.mu.Lock()
-	if e := r.entry(name); e != nil {
-		e.res.observe(at)
+	t.mu.Lock()
+	if i, ok := t.slot[name]; ok {
+		f(&t.ents[i].churn)
 	}
-	r.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // ObserveRedefinition records a binding mutation of name at at.
-func (r *Rates) ObserveRedefinition(name string, at time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if e := r.entry(name); e != nil {
-		e.redef.observe(at)
-	}
-	r.mu.Unlock()
+func (t *TopK) ObserveRedefinition(name string, at time.Duration) {
+	t.update(name, func(c *churn) { c.redef.observe(at) })
 }
 
 // ObserveRenewal records a lease revalidation of name at at.
-func (r *Rates) ObserveRenewal(name string, at time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if e := r.entry(name); e != nil {
-		e.renew.observe(at)
-	}
-	r.mu.Unlock()
+func (t *TopK) ObserveRenewal(name string, at time.Duration) {
+	t.update(name, func(c *churn) { c.renew.observe(at) })
 }
 
 // ObserveInvalidation records one invalidation barrier for name that
 // notified fanout holders.
-func (r *Rates) ObserveInvalidation(name string, at time.Duration, fanout int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if e := r.entry(name); e != nil {
-		e.invalidations++
-		if e.invalidations == 1 {
-			e.fanout = float64(fanout)
+func (t *TopK) ObserveInvalidation(name string, fanout int) {
+	t.update(name, func(c *churn) {
+		c.invalidations++
+		if c.invalidations == 1 {
+			c.fanout = float64(fanout)
 		} else {
-			e.fanout = ewmaAlpha*float64(fanout) + (1-ewmaAlpha)*e.fanout
+			c.fanout = ewmaAlpha*float64(fanout) + (1-ewmaAlpha)*c.fanout
 		}
-	}
-	r.mu.Unlock()
-}
-
-// ObserveStaleWindow records an observed stale window of the given
-// width for name (a hit served after the binding had moved).
-func (r *Rates) ObserveStaleWindow(name string, width time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if e := r.entry(name); e != nil && width > e.maxStale {
-		e.maxStale = width
-	}
-	r.mu.Unlock()
+	})
 }
 
 // RedefRateHz returns the redefinition-rate estimate for name (0 if the
 // name is untracked or has seen fewer than two redefinitions).
-func (r *Rates) RedefRateHz(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.names[name]; ok {
-		return e.redef.rateHz
-	}
-	return 0
+func (t *TopK) RedefRateHz(name string) (hz float64) {
+	t.update(name, func(c *churn) { hz = c.redef.rateHz })
+	return hz
 }
 
 // RateItem is the published estimator state for one name. Rates are in
 // milli-Hz so they survive the registry's integer gauges exactly.
+// MaxStaleUS is the widest stale window a client session observed
+// (client.Session.LeaseNameRates); the sketch leaves it zero.
 type RateItem struct {
 	Name             string `json:"name"`
 	Resolutions      uint64 `json:"resolutions"`
@@ -348,16 +294,18 @@ func milli(f float64) int64 {
 	return int64(math.Round(f * 1000))
 }
 
-// Snapshot returns every tracked estimator sorted by name.
-func (r *Rates) Snapshot() []RateItem {
-	if r == nil {
+// Rates returns the estimators of every name the sketch holds, sorted
+// by name.
+func (t *TopK) Rates() []RateItem {
+	if t == nil {
 		return nil
 	}
-	r.mu.Lock()
-	items := make([]RateItem, 0, len(r.names))
-	for n, e := range r.names {
+	t.mu.Lock()
+	items := make([]RateItem, 0, len(t.ents))
+	for i := range t.ents {
+		e := &t.ents[i]
 		items = append(items, RateItem{
-			Name:             n,
+			Name:             e.name,
 			Resolutions:      e.res.count,
 			Redefinitions:    e.redef.count,
 			Renewals:         e.renew.count,
@@ -366,24 +314,23 @@ func (r *Rates) Snapshot() []RateItem {
 			RedefRateMilliHz: milli(e.redef.rateHz),
 			RenewRateMilliHz: milli(e.renew.rateHz),
 			FanoutMilli:      milli(e.fanout),
-			MaxStaleUS:       int64(e.maxStale / time.Microsecond),
 		})
 	}
-	r.mu.Unlock()
+	t.mu.Unlock()
 	sort.Slice(items, func(i, j int) bool { return items[i].Name < items[j].Name })
 	return items
 }
 
-// Publish copies the current sketch and estimator state into reg as
+// Publish copies the sketch's counts and estimators into reg as
 // volatile gauges (volatile so Snapshot.Deterministic() — and with it
 // every golden document — is unaffected). server labels the publishing
 // component; the observed name rides in the Op label.
-func Publish(reg *metrics.Registry, server string, top *TopK, rates *Rates) {
+func Publish(reg *metrics.Registry, server string, top *TopK) {
 	if reg == nil {
 		return
 	}
-	tops, rateItems := top.Snapshot(), rates.Snapshot()
-	points := make([]metrics.GaugePoint, 0, len(tops)+5*len(rateItems))
+	tops, rateItems := top.Snapshot(), top.Rates()
+	points := make([]metrics.GaugePoint, 0, len(tops)+4*len(rateItems))
 	gauge := func(name, observed string, v int64) {
 		points = append(points, metrics.GaugePoint{
 			Name:     name,
@@ -400,7 +347,6 @@ func Publish(reg *metrics.Registry, server string, top *TopK, rates *Rates) {
 		gauge("namestat_redef_rate_mhz", it.Name, it.RedefRateMilliHz)
 		gauge("namestat_renew_rate_mhz", it.Name, it.RenewRateMilliHz)
 		gauge("namestat_invalidation_fanout_milli", it.Name, it.FanoutMilli)
-		gauge("namestat_max_stale_us", it.Name, it.MaxStaleUS)
 	}
 	// One registration for the lot: a Gauge call apiece would copy the
 	// registry's gauge table once per new gauge.

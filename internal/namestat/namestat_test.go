@@ -2,6 +2,7 @@ package namestat
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -14,19 +15,14 @@ import (
 func TestNilSketchesAreNoOps(t *testing.T) {
 	var tk *TopK
 	tk.Observe("x")
-	if tk.Snapshot() != nil {
+	tk.ObserveResolution("x", time.Millisecond)
+	tk.ObserveRedefinition("x", time.Millisecond)
+	tk.ObserveRenewal("x", time.Millisecond)
+	tk.ObserveInvalidation("x", 3)
+	if tk.Snapshot() != nil || tk.Rates() != nil || tk.RedefRateHz("x") != 0 {
 		t.Fatalf("nil TopK reported state")
 	}
-	var r *Rates
-	r.ObserveResolution("x", time.Millisecond)
-	r.ObserveRedefinition("x", time.Millisecond)
-	r.ObserveRenewal("x", time.Millisecond)
-	r.ObserveInvalidation("x", time.Millisecond, 3)
-	r.ObserveStaleWindow("x", time.Millisecond)
-	if r.Snapshot() != nil || r.RedefRateHz("x") != 0 {
-		t.Fatalf("nil Rates reported state")
-	}
-	Publish(nil, "none", tk, r) // must not panic
+	Publish(nil, "none", tk) // must not panic
 }
 
 func TestTopKExact(t *testing.T) {
@@ -130,7 +126,13 @@ func TestTopKRecallOnZipf(t *testing.T) {
 }
 
 func TestRatesEWMAConvergence(t *testing.T) {
-	r := NewRates(8)
+	r := NewTopK(8)
+	// A churn event never admits a name: the sketch ranks by resolution.
+	r.ObserveRedefinition("hot", 0)
+	if items := r.Rates(); len(items) != 0 {
+		t.Fatalf("a redefinition admitted a name: %+v", items)
+	}
+	r.ObserveResolution("hot", 0)
 	// A steady 10 ms cadence must converge on 100 Hz exactly (every
 	// instantaneous estimate equals the true rate).
 	for i := 0; i <= 20; i++ {
@@ -139,10 +141,11 @@ func TestRatesEWMAConvergence(t *testing.T) {
 	if got := r.RedefRateHz("hot"); got < 99.9 || got > 100.1 {
 		t.Fatalf("steady 100Hz estimated %.2f", got)
 	}
-	if items := r.Snapshot(); len(items) != 1 || items[0].Redefinitions != 21 {
-		t.Fatalf("redefinitions = %+v, want 21", items)
+	if items := r.Rates(); len(items) != 1 || items[0].Redefinitions != 21 || items[0].Resolutions != 1 {
+		t.Fatalf("rates = %+v, want 21 redefinitions of one resolved name", items)
 	}
 	// A single event has no rate yet.
+	r.ObserveResolution("cold", time.Second)
 	r.ObserveRedefinition("cold", time.Second)
 	if got := r.RedefRateHz("cold"); got != 0 {
 		t.Fatalf("single event rate = %.2f, want 0", got)
@@ -154,27 +157,40 @@ func TestRatesEWMAConvergence(t *testing.T) {
 	}
 }
 
+// TestRatesSnapshotAndBound: the estimators ride the sketch's entries,
+// so the sketch's k bounds them, churn events for names it does not hold
+// are dropped, and a replaced entry starts its estimators afresh.
 func TestRatesSnapshotAndBound(t *testing.T) {
-	r := NewRates(2)
+	r := NewTopK(2)
 	at := func(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
 	r.ObserveResolution("b", at(0))
 	r.ObserveResolution("b", at(100))
 	r.ObserveRenewal("b", at(0))
 	r.ObserveRenewal("b", at(50))
-	r.ObserveInvalidation("a", at(10), 4)
-	r.ObserveInvalidation("a", at(20), 4)
-	r.ObserveStaleWindow("a", 750*time.Microsecond)
-	r.ObserveResolution("overflow", at(5)) // beyond bound: dropped
-	items := r.Snapshot()
+	r.ObserveResolution("a", at(5))
+	r.ObserveInvalidation("a", 4)
+	r.ObserveInvalidation("a", 4)
+	r.ObserveInvalidation("untracked", 9) // not held: dropped
+	r.ObserveRenewal("untracked", at(60))
+	items := r.Rates()
 	if len(items) != 2 || items[0].Name != "a" || items[1].Name != "b" {
 		t.Fatalf("snapshot order wrong: %+v", items)
 	}
 	a, b := items[0], items[1]
-	if a.Invalidations != 2 || a.FanoutMilli != 4000 || a.MaxStaleUS != 750 {
+	if a.Resolutions != 1 || a.Invalidations != 2 || a.FanoutMilli != 4000 || a.MaxStaleUS != 0 {
 		t.Fatalf("a = %+v", a)
 	}
 	if b.Resolutions != 2 || b.ResRateMilliHz != 10_000 || b.RenewRateMilliHz != 20_000 {
 		t.Fatalf("b = %+v", b)
+	}
+	// A third name replaces the minimum, a, and none of a's churn.
+	r.ObserveResolution("c", at(200))
+	items = r.Rates()
+	if len(items) != 2 || items[0].Name != "b" || items[1].Name != "c" {
+		t.Fatalf("after replacement: %+v", items)
+	}
+	if c := items[1]; c != (RateItem{Name: "c", Resolutions: 1}) {
+		t.Fatalf("replacement inherited churn state: %+v", c)
 	}
 }
 
@@ -183,10 +199,9 @@ func TestPublishVolatile(t *testing.T) {
 	tk := NewTopK(4)
 	tk.Observe("[home]")
 	tk.Observe("[home]")
-	r := NewRates(4)
-	r.ObserveRedefinition("[home]", 0)
-	r.ObserveRedefinition("[home]", 100*time.Millisecond)
-	Publish(reg, "pfx", tk, r)
+	tk.ObserveRedefinition("[home]", 0)
+	tk.ObserveRedefinition("[home]", 100*time.Millisecond)
+	Publish(reg, "pfx", tk)
 	snap := reg.Snapshot()
 	var found, volatile int
 	for _, g := range snap.Gauges {
@@ -210,33 +225,41 @@ func TestPublishVolatile(t *testing.T) {
 			t.Fatalf("namestat gauge %q leaked into deterministic snapshot", g.Name)
 		}
 	}
-	var top int64
+	// One count and four estimators for the one name the sketch holds.
+	if found != 5 {
+		t.Fatalf("Publish registered %d namestat gauges, want 5", found)
+	}
+	var top, redef int64
 	for _, g := range snap.Gauges {
-		if g.Name == "namestat_top_count" && g.Labels.Op == "[home]" {
+		switch {
+		case g.Labels.Op != "[home]":
+		case g.Name == "namestat_top_count":
 			top = g.Value
+		case g.Name == "namestat_redef_rate_mhz":
+			redef = g.Value
 		}
 	}
-	if top != 2 {
-		t.Fatalf("published top count = %d, want 2", top)
+	if top != 2 || redef != 10_000 {
+		t.Fatalf("published top count = %d, redef rate = %d mHz; want 2 and 10000", top, redef)
 	}
 }
 
-// TestConstructorClamps pins the defensive defaults: a non-positive k
-// still yields a working one-slot sketch, and a non-positive rate bound
-// falls back to DefaultRateBound.
+// TestConstructorClamps pins the defensive default: a non-positive k
+// still yields a working one-slot sketch, whose one entry's estimators
+// follow the name it holds.
 func TestConstructorClamps(t *testing.T) {
 	tk := NewTopK(0)
-	tk.Observe("a")
+	tk.ObserveResolution("a", 0)
+	tk.ObserveRedefinition("a", 0)
+	tk.ObserveRedefinition("a", time.Millisecond)
 	tk.Observe("a")
 	tk.Observe("b") // evicts into the single slot
 	items := tk.Snapshot()
 	if len(items) != 1 {
 		t.Fatalf("k=0 sketch holds %d items, want 1", len(items))
 	}
-	r := NewRates(-1)
-	r.ObserveResolution("[x]", 0)
-	if len(r.Snapshot()) != 1 {
-		t.Fatalf("bound=-1 rates table rejected an observation")
+	if rates := tk.Rates(); len(rates) != 1 || rates[0] != (RateItem{Name: "b"}) || tk.RedefRateHz("a") != 0 {
+		t.Fatalf("k=0 sketch's estimators = %+v, want b's, empty", rates)
 	}
 }
 
@@ -299,11 +322,27 @@ func TestTopKMatchesReference(t *testing.T) {
 		for _, k := range []int{1, 2, 7, 16} {
 			rng := popgen.NewRand(uint64(k) + 17)
 			tk, ref := NewTopK(k), &refTopK{k: k, counts: map[string]*[2]uint64{}}
+			// twin counts through ObserveResolution: the same sketch, and
+			// each entry's resolutions are the ones since its admission.
+			twin := NewTopK(k)
 			for step := 0; step < 3000; step++ {
 				name := draw(rng)
 				tk.Observe(name)
+				twin.ObserveResolution(name, time.Duration(step))
 				ref.observe(name)
 				got, want := tk.Snapshot(), ref.snapshot()
+				if !reflect.DeepEqual(twin.Snapshot(), got) {
+					t.Fatalf("%s k=%d step %d: ObserveResolution's sketch %+v, Observe's %+v", label, k, step, twin.Snapshot(), got)
+				}
+				since := make(map[string]uint64, len(got))
+				for _, it := range got {
+					since[it.Name] = it.Count - it.Err
+				}
+				for _, r := range twin.Rates() {
+					if r.Resolutions != since[r.Name] {
+						t.Fatalf("%s k=%d step %d: %s has %d resolutions, %d since admission", label, k, step, r.Name, r.Resolutions, since[r.Name])
+					}
+				}
 				if len(got) != len(want) {
 					t.Fatalf("%s k=%d step %d: %d items, reference has %d", label, k, step, len(got), len(want))
 				}
@@ -338,5 +377,14 @@ func TestObserveZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20000, observe); allocs != 0 {
 		t.Fatalf("Observe allocates %.2f per op, want 0", allocs)
+	}
+	// The prefix server's call: the count and the resolution rate, on
+	// the same replacing path.
+	resolve := func() {
+		tk.ObserveResolution(names[i%len(names)], time.Duration(i))
+		i++
+	}
+	if allocs := testing.AllocsPerRun(20000, resolve); allocs != 0 {
+		t.Fatalf("ObserveResolution allocates %.2f per op, want 0", allocs)
 	}
 }

@@ -72,7 +72,7 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 		// Auto-tuned per-name length (tuner.go); negative leases stay at
 		// the floor — an absent name's definition is the churn event the
 		// tuner has no estimator for yet.
-		length = s.tuner.leaseFor(pfx, s.rates)
+		length = s.tuner.leaseFor(pfx, s.names)
 	}
 	regrant, err := s.joinHolders(p, pfx, cb, !negative, slot)
 	if err != nil {
@@ -91,7 +91,7 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 		// name before, so this grant re-validates — the closest the
 		// granting side comes to seeing a renewal.
 		ev = lease.Regranted
-		s.rates.ObserveRenewal(pfx, now)
+		s.names.ObserveRenewal(pfx, now)
 	}
 	s.leases.Observe(p, ev, pfx, now, stamp)
 }
@@ -141,7 +141,7 @@ func (s *Server) invalidateName(p *kernel.Process, name string) {
 	// The redefinition is journaled and estimated whether or not leases
 	// are on — churn analytics do not depend on the coherence protocol.
 	commit := p.Now()
-	s.rates.ObserveRedefinition(name, commit)
+	s.names.ObserveRedefinition(name, commit)
 	s.tuner.observeRedefinition(name)
 	p.Kernel().Flight().Record(commit, flight.KindRedefine, name, s.proc.Name(), "")
 	if s.leaseLen <= 0 {
@@ -161,7 +161,7 @@ func (s *Server) invalidateName(p *kernel.Process, name string) {
 		return
 	}
 	if n := s.leases.Notify(p, gid, name, commit); n > 0 {
-		s.rates.ObserveInvalidation(name, commit, n)
+		s.names.ObserveInvalidation(name, n)
 	}
 }
 

@@ -151,11 +151,11 @@ type Server struct {
 	series    core.ServeSeries
 	forwarded metrics.Handles[*metrics.Counter]
 
-	// Observability (PROTOCOL.md §15): always-on hot-name sketch and
-	// per-name churn estimators — observers, zero virtual cost — plus
-	// the optional lease auto-tuner they feed (tuner.go).
-	topk  *namestat.TopK
-	rates *namestat.Rates
+	// Observability (PROTOCOL.md §15): the always-on hot-name sketch,
+	// whose entries carry each name's churn estimators — an observer,
+	// zero virtual cost — plus the optional lease auto-tuner it feeds
+	// (tuner.go).
+	names *namestat.TopK
 	tuner *autoTuner
 }
 
@@ -226,8 +226,7 @@ func newServer(proc *kernel.Process, owner string, opts ...Option) *Server {
 		orphans:      make(map[string]kernel.PID),
 		leases:       lease.NewMeter("prefix", proc.Name()),
 		series:       core.ServeSeries{Server: proc.Name()},
-		topk:         namestat.NewTopK(32),
-		rates:        namestat.NewRates(0),
+		names:        namestat.NewTopK(32),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -441,10 +440,9 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	// Observers only — neither the sketch, the estimator nor the flight
-	// recorder charges virtual time.
-	s.topk.Observe(pfx)
-	s.rates.ObserveResolution(pfx, p.Now())
+	// Observers only — neither the sketch nor the flight recorder
+	// charges virtual time.
+	s.names.ObserveResolution(pfx, p.Now())
 	p.Kernel().Flight().Record(p.Now(), flight.KindResolution, pfx, s.proc.Name(), "")
 	// The resolution fast path: one lock-free descent of the radix index
 	// yields the binding and its holder group's slot together.
@@ -523,16 +521,16 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 func (s *Server) Stats() Stats { return metrics.Stable(s.stats.load) }
 
 // TopNames returns the server's hot-name sketch, count-descending.
-func (s *Server) TopNames() []namestat.Item { return s.topk.Snapshot() }
+func (s *Server) TopNames() []namestat.Item { return s.names.Snapshot() }
 
-// NameRates returns the server's per-name churn estimators.
-func (s *Server) NameRates() []namestat.RateItem { return s.rates.Snapshot() }
+// NameRates returns the churn estimators of the names the sketch holds.
+func (s *Server) NameRates() []namestat.RateItem { return s.names.Rates() }
 
 // PublishNamestat copies the sketch and estimator state into reg as
 // volatile gauges — on demand, so deterministic metrics documents never
 // see them (namestat.Publish).
 func (s *Server) PublishNamestat(reg *metrics.Registry) {
-	namestat.Publish(reg, s.proc.Name(), s.topk, s.rates)
+	namestat.Publish(reg, s.proc.Name(), s.names)
 }
 
 // resolveBinding maps a binding to a concrete context pair; dynamic

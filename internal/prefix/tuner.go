@@ -2,7 +2,8 @@
 //
 // The fixed lease length of PROTOCOL.md §13 trades hit rate against
 // staleness globally; the tuner makes the trade per name, driven by the
-// namestat redefinition estimator:
+// redefinition estimator the hot-name sketch keeps for each name it holds
+// (a name it does not hold reads 0):
 //
 //   - Multiplicative increase: each positive grant of a name whose
 //     observed redefinition rate is below redefLowHz doubles the name's
@@ -63,14 +64,14 @@ type autoTuner struct {
 
 // leaseFor returns the lease to grant for name now, and grows the
 // name's next lease when its observed redefinition rate is low.
-func (t *autoTuner) leaseFor(name string, rates *namestat.Rates) time.Duration {
+func (t *autoTuner) leaseFor(name string, names *namestat.TopK) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur, ok := t.cur[name]
 	if !ok {
 		cur = t.min
 	}
-	if rates.RedefRateHz(name) < redefLowHz {
+	if names.RedefRateHz(name) < redefLowHz {
 		next := 2 * cur
 		if next > t.max {
 			next = t.max

@@ -12,11 +12,11 @@ import (
 func TestAutoTunerGrowth(t *testing.T) {
 	s := &Server{}
 	WithLeaseAutoTune(20*time.Millisecond, 320*time.Millisecond)(s)
-	rates := namestat.NewRates(0)
+	names := namestat.NewTopK(32)
 
 	want := []time.Duration{20, 40, 80, 160, 320, 320, 320}
 	for i, w := range want {
-		got := s.tuner.leaseFor("[a]", rates)
+		got := s.tuner.leaseFor("[a]", names)
 		if got != w*time.Millisecond {
 			t.Fatalf("grant %d: lease = %v, want %v", i, got, w*time.Millisecond)
 		}
@@ -35,19 +35,21 @@ func TestAutoTunerGrowth(t *testing.T) {
 func TestAutoTunerSharpDecrease(t *testing.T) {
 	s := &Server{}
 	WithLeaseAutoTune(20*time.Millisecond, 320*time.Millisecond)(s)
-	rates := namestat.NewRates(0)
+	names := namestat.NewTopK(32)
+	// The sketch keeps churn estimators for the names it has seen resolve.
+	names.ObserveResolution("[a]", 0)
 
 	for i := 0; i < 5; i++ {
-		s.tuner.leaseFor("[a]", rates)
+		s.tuner.leaseFor("[a]", names)
 	}
 	if got := s.TunedLease("[a]"); got != 320*time.Millisecond {
 		t.Fatalf("pre-churn lease = %v, want 320ms", got)
 	}
 
 	// Two redefinitions 10ms apart: instantaneous rate 100 Hz >> 1 Hz.
-	rates.ObserveRedefinition("[a]", 500*time.Millisecond)
+	names.ObserveRedefinition("[a]", 500*time.Millisecond)
 	s.tuner.observeRedefinition("[a]")
-	rates.ObserveRedefinition("[a]", 510*time.Millisecond)
+	names.ObserveRedefinition("[a]", 510*time.Millisecond)
 	s.tuner.observeRedefinition("[a]")
 
 	if got := s.TunedLease("[a]"); got != 20*time.Millisecond {
@@ -56,7 +58,7 @@ func TestAutoTunerSharpDecrease(t *testing.T) {
 	// While the churn estimate is hot the lease is granted at the floor
 	// and not re-grown.
 	for i := 0; i < 3; i++ {
-		if got := s.tuner.leaseFor("[a]", rates); got != 20*time.Millisecond {
+		if got := s.tuner.leaseFor("[a]", names); got != 20*time.Millisecond {
 			t.Fatalf("hot grant %d = %v, want 20ms", i, got)
 		}
 	}
@@ -80,6 +82,6 @@ func TestAutoTunerBoundsAndFallback(t *testing.T) {
 		t.Fatal("a fixed lease installed a tuner")
 	}
 	if s.tuner.leaseFor("[a]", nil) != 80*time.Millisecond {
-		t.Fatalf("nil rates should still grant the current lease")
+		t.Fatalf("a nil sketch should still grant the current lease")
 	}
 }

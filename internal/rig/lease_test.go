@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
+	"repro/internal/trace"
 )
 
 // leaseShape is the engine-equivalence topology with the lease-coherent
@@ -143,6 +144,24 @@ func TestRunScenarioDeterministic(t *testing.T) {
 		_, ev := mustRun(t, paper)
 		if len(ev.ChaosLog) < 2 || !ev.EqualToSequential {
 			t.Fatalf("paper run, %d replicas: fired %d events, equal to sequential %v", replicas, len(ev.ChaosLog), ev.EqualToSequential)
+		}
+	}
+}
+
+// TestHeadOneSamplerKeepsLeaseBound: a head-1/1 sampler keeps every root,
+// and with them every grant, so the lease staleness invariant stays on
+// and the evidence's Bound is the scenario's lease. A sampler that drops
+// roots turns it off.
+func TestHeadOneSamplerKeepsLeaseBound(t *testing.T) {
+	for _, tc := range []struct {
+		every int
+		want  time.Duration
+	}{{1, leaseShape.Lease}, {2, 0}} {
+		sc := leaseShape
+		sc.TraceSample = &trace.SampleConfig{HeadEvery: tc.every}
+		_, ev := mustRun(t, sc)
+		if ev.Bound != tc.want || ev.TraceErr != nil {
+			t.Fatalf("head-1/%d: bound %v (want %v), trace check %v", tc.every, ev.Bound, tc.want, ev.TraceErr)
 		}
 	}
 }

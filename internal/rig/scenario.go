@@ -323,7 +323,7 @@ type Evidence struct {
 	// trace.Check's verdict on them with the lease staleness invariant
 	// (#7) held to Bound: the widest lease the server can have granted —
 	// AutoTuneMax when tuning, else Lease — and zero (the invariant off)
-	// under sampling, which retains too few grants to judge it.
+	// when sampling drops roots, which retains too few grants to judge it.
 	// StaleWindows counts the names a read served after their
 	// redefinition committed, WidestStale the widest such window. All
 	// zero on an untraced run.
@@ -414,10 +414,11 @@ func (t *Topology) Run() (*WorkloadResult, Evidence) {
 }
 
 // leaseBound is the widest lease the scenario's prefix servers can
-// grant — AutoTuneMax when tuning, else Lease — and zero under sampling,
-// which retains too few grants to judge lease staleness.
+// grant — AutoTuneMax when tuning, else Lease — and zero when sampling
+// drops roots, which retains too few grants to judge lease staleness. A
+// head-1/1 sampler keeps every root, and with them every grant.
 func (sc *Scenario) leaseBound() time.Duration {
-	if sc.TraceSample != nil {
+	if sc.TraceSample != nil && sc.TraceSample.HeadEvery > 1 {
 		return 0
 	}
 	return max(sc.Lease, sc.AutoTuneMax)

@@ -207,3 +207,31 @@ func TestBoundNameFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(zw)
 }
+
+// TestNameRatesCoverHottestNames: at population scale the prefix
+// server's churn estimators are those of its hottest names, because they
+// ride the hot-name sketch's entries — not those of whichever names
+// happened to resolve first. resolve_miss's skew over 10⁴ names.
+func TestNameRatesCoverHottestNames(t *testing.T) {
+	_, ev := mustRun(t, Scenario{Kind: Zipf, Population: 10_000, Skew: 0.5, PopSeed: 1,
+		Shards: 4, ClientsPerShard: 2, Requests: 3000, Interarrival: 56 * time.Millisecond,
+		Lease: 5 * time.Millisecond, Seed: 11})
+	pfx := ev.Topology.Prefix
+	rated := make(map[string]bool)
+	for _, it := range pfx.NameRates() {
+		rated[it.Name] = true
+	}
+	top := pfx.TopNames()
+	if len(top) < 10 {
+		t.Fatalf("sketch holds %d names, want at least 10", len(top))
+	}
+	covered := 0
+	for _, it := range top[:10] {
+		if rated[it.Name] {
+			covered++
+		}
+	}
+	if covered != 10 {
+		t.Fatalf("NameRates covers %d of the 10 hottest names", covered)
+	}
+}

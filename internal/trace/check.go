@@ -158,43 +158,28 @@ func Check(spans []Span, opt CheckOptions) error {
 }
 
 // checkLeases enforces invariant (7): the staleness of every lease-served
-// read is bounded by the lease length.
+// read is bounded by the lease length. Every stamp spans at most the
+// bound, every hit lands before its expiry, and the widest stale window
+// of every name (StaleWindows) is at most the bound.
 func checkLeases(spans []Span, bound time.Duration) error {
-	// Invalidation commits per name, in span order (creation order, which
-	// is not necessarily time order across processes — each hit is checked
-	// against every commit).
-	commits := make(map[string][]int64)
 	for i := range spans {
 		sp := &spans[i]
-		if sp.Kind != KindLease {
+		if sp.Kind != KindLease || sp.LeaseExpire == 0 {
 			continue
 		}
-		if ev, name := leaseEvent(sp); ev == "invalidate" {
-			commits[name] = append(commits[name], sp.Start)
-		}
-	}
-	for i := range spans {
-		sp := &spans[i]
-		if sp.Kind != KindLease {
-			continue
-		}
-		ev, name := leaseEvent(sp)
-		if sp.LeaseExpire != 0 && sp.LeaseExpire-sp.LeaseGrant > int64(bound) {
+		if sp.LeaseExpire-sp.LeaseGrant > int64(bound) {
 			return fmt.Errorf("trace: lease span %d (%q) spans %dns, beyond the %v bound",
 				sp.ID, sp.Name, sp.LeaseExpire-sp.LeaseGrant, bound)
 		}
-		if ev != "hit" && ev != "negative-hit" {
-			continue
-		}
-		if sp.LeaseExpire != 0 && sp.Start >= sp.LeaseExpire {
+		if ev, _ := leaseEvent(sp); (ev == "hit" || ev == "negative-hit") && sp.Start >= sp.LeaseExpire {
 			return fmt.Errorf("trace: lease hit span %d (%q) at %dns served at or after its expiry %dns",
 				sp.ID, sp.Name, sp.Start, sp.LeaseExpire)
 		}
-		for _, ti := range commits[name] {
-			if sp.LeaseGrant <= ti && sp.Start > ti+int64(bound) {
-				return fmt.Errorf("trace: stale read: span %d (%q) at %dns serves a lease granted at %dns, %dns after the invalidation commit at %dns (bound %v)",
-					sp.ID, sp.Name, sp.Start, sp.LeaseGrant, sp.Start-ti, ti, bound)
-			}
+	}
+	for _, w := range StaleWindows(spans) {
+		if w.Window > int64(bound) {
+			return fmt.Errorf("trace: stale read: a hit on %q at %dns serves a mapping %dns after the invalidation commit at %dns (bound %v)",
+				w.Name, w.Hit, w.Window, w.Commit, bound)
 		}
 	}
 	return nil
@@ -217,6 +202,9 @@ type StaleWindow struct {
 // name in name order. An empty result means every read after every
 // invalidation resolved fresh.
 func StaleWindows(spans []Span) []StaleWindow {
+	// Invalidation commits per name, in span order (creation order, which
+	// is not necessarily time order across processes — each hit is checked
+	// against every commit).
 	commits := make(map[string][]int64)
 	for i := range spans {
 		sp := &spans[i]

@@ -97,6 +97,19 @@ func TestCheckLeaseViolations(t *testing.T) {
 			},
 			"stale read",
 		},
+		{
+			"widest of several windows past the bound",
+			func(tr *Tracer) {
+				// Two commits and two unstamped hits: only the window from
+				// the first commit to the second hit, 81 ms, passes the
+				// bound; the judgement is on the widest window per name.
+				leaseSpan(tr, "invalidate shard0", ms(20), 0, 0)
+				leaseSpan(tr, "hit shard0", ms(30), 0, 0)
+				leaseSpan(tr, "invalidate shard0", ms(60), 0, 0)
+				leaseSpan(tr, "hit shard0", ms(101), 0, 0)
+			},
+			"stale read",
+		},
 	} {
 		t.Run(tc.label, func(t *testing.T) {
 			tr := New()
