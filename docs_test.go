@@ -10,8 +10,10 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // citedTest matches a test name a document cites: TestXxx, or TestXxx*
@@ -71,6 +73,34 @@ func TestDocsCiteLiveTests(t *testing.T) {
 			if !live(cited) {
 				t.Errorf("%s cites %s, which no _test.go defines", doc, cited)
 			}
+		}
+	}
+}
+
+// changesEntry matches the first line of a CHANGES.md entry, "PR <n>:".
+var changesEntry = regexp.MustCompile(`^PR (\d+):`)
+
+// TestChangesLinesCapped: CHANGES.md gives each PR one line, and from
+// entry 43 on, where ROADMAP item 8(d)'s cap began, a line holds at most
+// 1,200 characters.
+func TestChangesLinesCapped(t *testing.T) {
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for i, line := range strings.Split(string(text), "\n") {
+		m := changesEntry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		n, _ := strconv.Atoi(m[1])
+		if seen[n] {
+			t.Errorf("line %d: PR %d has a second line", i+1, n)
+		}
+		seen[n] = true
+		if c := utf8.RuneCountInString(line); n >= 43 && c > 1200 {
+			t.Errorf("line %d: PR %d's line has %d characters, above the cap of 1,200", i+1, n, c)
 		}
 	}
 }

@@ -66,6 +66,16 @@ type FlatKind[T any] struct {
 	// held; a stale id is skipped. Nil lists every object by ascending
 	// id; ByName is the other ready-made order.
 	Order func() []uint32
+
+	// The operations of an open object, each run with Mu held; a kind
+	// with an Open rule sets Size, Read and Write. Size is the byte count
+	// an instance reports. Read and Write serve a block at byte offset
+	// off, charging waits to the serving process p. Release, if set,
+	// closes an instance opened with mode.
+	Size    func(*T) int
+	Read    func(p *kernel.Process, obj *T, off int64, buf []byte) (int, error)
+	Write   func(p *kernel.Process, obj *T, off int64, data []byte) (int, error)
+	Release func(obj *T, mode uint32)
 }
 
 // Flat is the CSNH server of a flat context of transient objects — the
@@ -81,9 +91,9 @@ type Flat[T any] struct {
 	Store *MapStore
 	reg   *vio.Registry
 
-	// Mu guards the table and, by the servers' convention, the state of
-	// the objects in it: their instances lock it from ReadAt, WriteAt and
-	// Release. Store.Bind and Unbind run outside it.
+	// Mu guards the table and the state of the objects in it: every
+	// instance operation runs with it held. Store.Bind and Unbind run
+	// outside it.
 	Mu   sync.Mutex
 	objs map[uint32]*T
 	next uint32
@@ -157,18 +167,64 @@ func (f *Flat[T]) Remove(id uint32, name string) (*T, error) {
 	return obj, f.Store.Unbind(f.kind.Ctx, name)
 }
 
-// OpenObject opens object id as the instance mk makes of it; mk runs
-// with Mu held.
-func (f *Flat[T]) OpenObject(id uint32, name string, mk func(*T) vio.Instance) *proto.Message {
+// OpenObject opens object id, asked for in mode, as an instance granting
+// flags (proto.ModeRead, proto.ModeWrite); opened, if set, runs with Mu
+// held on the object found.
+func (f *Flat[T]) OpenObject(id uint32, name string, mode, flags uint32, opened func(*T)) *proto.Message {
 	f.Mu.Lock()
 	obj := f.objs[id]
+	if obj != nil && opened != nil {
+		opened(obj)
+	}
+	f.Mu.Unlock()
 	if obj == nil {
-		f.Mu.Unlock()
 		return ErrorReplyMsg(proto.ErrNotFound)
 	}
-	inst := mk(obj)
-	f.Mu.Unlock()
-	return OpenInstance(f.reg, f.PID(), inst, name)
+	return OpenInstance(f.reg, f.PID(), &flatInstance[T]{f: f, obj: obj, mode: mode, flags: flags}, name)
+}
+
+// flatInstance is an open object of a flat server: each operation takes
+// Mu and calls its kind's.
+type flatInstance[T any] struct {
+	f           *Flat[T]
+	obj         *T
+	mode, flags uint32
+}
+
+func (i *flatInstance[T]) Info() proto.InstanceInfo {
+	i.f.Mu.Lock()
+	defer i.f.Mu.Unlock()
+	return proto.InstanceInfo{SizeBytes: uint32(i.f.kind.Size(i.obj)), BlockSize: vio.DefaultBlockSize, Flags: i.flags}
+}
+
+func (i *flatInstance[T]) ReadAt(p *kernel.Process, off int64, buf []byte) (int, error) {
+	i.f.Mu.Lock()
+	defer i.f.Mu.Unlock()
+	return i.f.kind.Read(p, i.obj, off, buf)
+}
+
+func (i *flatInstance[T]) WriteAt(p *kernel.Process, off int64, data []byte) (int, error) {
+	i.f.Mu.Lock()
+	defer i.f.Mu.Unlock()
+	return i.f.kind.Write(p, i.obj, off, data)
+}
+
+func (i *flatInstance[T]) Release() error {
+	if i.f.kind.Release != nil {
+		i.f.Mu.Lock()
+		defer i.f.Mu.Unlock()
+		i.f.kind.Release(i.obj, i.mode)
+	}
+	return nil
+}
+
+// ReadBytes is the read of an object whose bytes are data: a copy from
+// off, end-of-file past the end.
+func ReadBytes(data []byte, off int64, buf []byte) (int, error) {
+	if off >= int64(len(data)) {
+		return 0, proto.ErrEndOfFile
+	}
+	return copy(buf, data[off:]), nil
 }
 
 // HandleNamed implements Handler with the standard answers.

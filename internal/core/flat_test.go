@@ -40,6 +40,7 @@ func startThingServer(t *testing.T, h *kernel.Host, byName bool) *thingServer {
 			return proto.Descriptor{Tag: proto.TagPipe, ObjectID: th.id, Name: th.name}
 		},
 		Open: s.open,
+		Size: func(*thing) int { return 0 },
 	}
 	if byName {
 		kind.Order = func() []uint32 { return s.ByName() }
@@ -68,7 +69,7 @@ func (s *thingServer) open(_ *Request, res *Resolution, mode uint32) *proto.Mess
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, func(*thing) vio.Instance { return vio.NewBytesInstance(nil) })
+	return s.OpenObject(id, res.Last, mode, proto.ModeRead, nil)
 }
 
 // thingClient drives a thingServer over the wire.

@@ -9,9 +9,6 @@ package fileserver
 const (
 	pageSize  = 512
 	slabPages = 128 // 64 KB a slab
-	// maxFileSize refuses a write that would end past it with
-	// NoServerResources: one request may not ask for the host's memory.
-	maxFileSize = 16 << 20
 )
 
 type pageStore struct {

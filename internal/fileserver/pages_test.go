@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/raceflag"
+	"repro/internal/vio"
 )
 
 // TestRewriteReusesFreedPages: a truncated file gives its pages back and
@@ -83,10 +84,10 @@ func TestWritePastFileLimitRefused(t *testing.T) {
 	if after, err := query(client, fs, "f"); err != nil || after != before || !bytes.Equal(fs.Image(), image) || len(fs.cache.pages) != buffered {
 		t.Fatal("a refused write changed the file or the buffer cache")
 	}
-	if _, err := fs.vol.writeAt(uint32(before.ObjectID), maxFileSize, []byte("x"), 0); !errors.Is(err, proto.ErrNoServerResources) {
+	if _, err := fs.vol.writeAt(uint32(before.ObjectID), vio.MaxFileSize, []byte("x"), 0); !errors.Is(err, proto.ErrNoServerResources) {
 		t.Fatalf("a write ending one byte past the limit: %v", err)
 	}
-	if _, err := fs.vol.writeAt(uint32(before.ObjectID), maxFileSize-1, []byte("x"), 0); err != nil {
+	if _, err := fs.vol.writeAt(uint32(before.ObjectID), vio.MaxFileSize-1, []byte("x"), 0); err != nil {
 		t.Fatalf("a write ending at the limit: %v", err)
 	}
 }

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/vio"
 	"repro/internal/vtime"
 )
 
@@ -427,13 +428,13 @@ func (v *volume) readAt(id uint32, off int64, buf []byte) (int, int, error) {
 }
 
 // writeAt stores bytes into a file at off, growing it as needed up to
-// maxFileSize.
+// vio.MaxFileSize.
 func (v *volume) writeAt(id uint32, off int64, data []byte, now vtime.Time) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative offset", proto.ErrBadArgs)
 	}
-	if off+int64(len(data)) > maxFileSize {
-		return 0, fmt.Errorf("%w: a file ends at %d bytes", proto.ErrNoServerResources, maxFileSize)
+	if off+int64(len(data)) > vio.MaxFileSize {
+		return 0, fmt.Errorf("%w: a file ends at %d bytes", proto.ErrNoServerResources, vio.MaxFileSize)
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/vio"
 )
 
 // tcpContext is the context id of the "tcp" subcontext holding
@@ -57,7 +56,8 @@ func Start(host *kernel.Host) (*Server, error) {
 	s := &Server{respond: EchoResponder}
 	var err error
 	s.Flat, err = core.NewFlat(host, "internet-server", s,
-		core.FlatKind[conn]{Tag: proto.TagTCPConnection, Ctx: tcpContext, Describe: describe, Open: s.open})
+		core.FlatKind[conn]{Tag: proto.TagTCPConnection, Ctx: tcpContext, Describe: describe, Open: s.open,
+			Size: func(c *conn) int { return len(c.inbox) }, Read: read, Write: s.write})
 	if err != nil {
 		return nil, err
 	}
@@ -102,56 +102,26 @@ func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *pro
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, func(c *conn) vio.Instance { return &connInstance{s: s, c: c} })
+	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, nil)
 }
 
-// connInstance adapts a connection to the V I/O instance interface:
-// writes send to the (simulated) remote end, reads drain the inbox.
-type connInstance struct {
-	s *Server
-	c *conn
-}
-
-func (ci *connInstance) Info() proto.InstanceInfo {
-	ci.s.Mu.Lock()
-	defer ci.s.Mu.Unlock()
-	return proto.InstanceInfo{
-		SizeBytes: uint32(len(ci.c.inbox)),
-		BlockSize: vio.DefaultBlockSize,
-		Flags:     proto.ModeRead | proto.ModeWrite,
-	}
-}
-
-// ReadAt drains from the inbox; offsets are ignored because a connection
-// is a stream.
-func (ci *connInstance) ReadAt(_ *kernel.Process, _ int64, buf []byte) (int, error) {
-	ci.s.Mu.Lock()
-	defer ci.s.Mu.Unlock()
-	if len(ci.c.inbox) == 0 {
+// read drains the inbox; offsets are ignored because a connection is a
+// stream.
+func read(_ *kernel.Process, c *conn, _ int64, buf []byte) (int, error) {
+	if len(c.inbox) == 0 {
 		return 0, proto.ErrEndOfFile
 	}
-	n := copy(buf, ci.c.inbox)
-	ci.c.inbox = ci.c.inbox[n:]
-	ci.c.received += uint64(n)
+	n := copy(buf, c.inbox)
+	c.inbox = c.inbox[n:]
+	c.received += uint64(n)
 	return n, nil
 }
 
-func (ci *connInstance) WriteAt(p *kernel.Process, _ int64, data []byte) (int, error) {
-	ci.s.Mu.Lock()
-	responder := ci.s.respond
-	dest := ci.c.dest
-	ci.s.Mu.Unlock()
-	// The remote round trip is charged at network cost.
-	model := p.Kernel().Model()
-	p.ChargeCompute(2 * model.RemoteHop(len(data)))
-	back := responder(dest, data)
-	ci.s.Mu.Lock()
-	defer ci.s.Mu.Unlock()
-	ci.c.sent += uint64(len(data))
-	ci.c.inbox = append(ci.c.inbox, back...)
+// write sends to the (simulated) remote end, whose answer queues for
+// reading. The round trip is charged at network cost.
+func (s *Server) write(p *kernel.Process, c *conn, _ int64, data []byte) (int, error) {
+	p.ChargeCompute(2 * p.Kernel().Model().RemoteHop(len(data)))
+	c.sent += uint64(len(data))
+	c.inbox = append(c.inbox, s.respond(c.dest, data)...)
 	return len(data), nil
 }
-
-func (ci *connInstance) Release() error { return nil }
-
-var _ vio.Instance = (*connInstance)(nil)

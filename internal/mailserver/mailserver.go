@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/vio"
 )
 
 // mailbox is one user's mailbox.
@@ -39,7 +38,8 @@ func Start(host *kernel.Host) (*Server, error) {
 	s.Flat, err = core.NewFlat(host, "mail-server", s,
 		core.FlatKind[mailbox]{Tag: proto.TagMailbox, Describe: describe, Open: s.open,
 			// The directory lists by address, not by age.
-			Order: func() []uint32 { return s.ByName() }})
+			Order: func() []uint32 { return s.ByName() },
+			Size:  func(mb *mailbox) int { return len(flatten(mb)) }, Read: read, Write: write})
 	if err != nil {
 		return nil, err
 	}
@@ -101,54 +101,25 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, func(mb *mailbox) vio.Instance { return &mailboxInstance{s: s, mb: mb} })
+	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, nil)
 }
 
-// mailboxInstance adapts a mailbox to the V I/O instance interface.
-type mailboxInstance struct {
-	s  *Server
-	mb *mailbox
-}
-
-func (mi *mailboxInstance) flatten() []byte {
+// flatten is a mailbox's messages as its instance reads them.
+func flatten(mb *mailbox) []byte {
 	var out []byte
-	for _, m := range mi.mb.messages {
+	for _, m := range mb.messages {
 		out = append(out, m...)
 		out = append(out, '\n')
 	}
 	return out
 }
 
-func (mi *mailboxInstance) Info() proto.InstanceInfo {
-	mi.s.Mu.Lock()
-	defer mi.s.Mu.Unlock()
-	return proto.InstanceInfo{
-		SizeBytes: uint32(len(mi.flatten())),
-		BlockSize: vio.DefaultBlockSize,
-		Flags:     proto.ModeRead | proto.ModeWrite,
-	}
+func read(_ *kernel.Process, mb *mailbox, off int64, buf []byte) (int, error) {
+	return core.ReadBytes(flatten(mb), off, buf)
 }
 
-func (mi *mailboxInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (int, error) {
-	mi.s.Mu.Lock()
-	defer mi.s.Mu.Unlock()
-	flat := mi.flatten()
-	if off >= int64(len(flat)) {
-		return 0, proto.ErrEndOfFile
-	}
-	return copy(buf, flat[off:]), nil
-}
-
-// WriteAt delivers one message per write, regardless of offset.
-func (mi *mailboxInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, error) {
-	mi.s.Mu.Lock()
-	defer mi.s.Mu.Unlock()
-	msg := make([]byte, len(data))
-	copy(msg, data)
-	mi.mb.messages = append(mi.mb.messages, msg)
+// write delivers one message per write, regardless of offset.
+func write(_ *kernel.Process, mb *mailbox, _ int64, data []byte) (int, error) {
+	mb.messages = append(mb.messages, append([]byte(nil), data...))
 	return len(data), nil
 }
-
-func (mi *mailboxInstance) Release() error { return nil }
-
-var _ vio.Instance = (*mailboxInstance)(nil)

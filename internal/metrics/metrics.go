@@ -4,9 +4,9 @@
 // §9), every instrument charges zero virtual time — recording never
 // touches a process clock, so a fully instrumented run is byte-identical
 // to an uninstrumented one in every virtual-time result. The registry is
-// safe for concurrent use from real goroutines: instrument lookup is a
-// lock-free read of a copy-on-write map (the same idiom as the kernel's
-// process tables), and the instruments themselves are plain atomics.
+// safe for concurrent use from real goroutines: it is one locked table,
+// an emitter on a hot path holds its series as Handles — the one fast
+// path — and the instruments themselves are plain atomics.
 //
 // Determinism contract: an instrument update is reproducible (safe to
 // include in golden-pinned output) only when it is ordered before the
@@ -176,16 +176,16 @@ func (t *Timeline) Points() []StatePoint {
 	return out
 }
 
-// Registry holds the instruments. Lookup is lock-free on the hit path;
-// creation copies the map under a mutex (instrument sets are tiny and
-// stabilize after the first request of each kind).
+// Registry holds the instruments: one table per kind under one lock. A
+// by-label lookup takes the lock; an emitter on a hot path holds its
+// series as Handles and does not look up at all.
 type Registry struct {
 	mu        sync.Mutex
-	lookups   atomic.Uint64 // by-label lookups served; see Lookups
-	counters  atomic.Pointer[map[instKey]*Counter]
-	gauges    atomic.Pointer[map[instKey]*Gauge]
-	hists     atomic.Pointer[map[instKey]*Histogram]
-	timelines atomic.Pointer[map[instKey]*Timeline]
+	lookups   uint64 // by-label lookups served; see Lookups
+	counters  map[instKey]*Counter
+	gauges    map[instKey]*Gauge
+	hists     map[instKey]*Histogram
+	timelines map[instKey]*Timeline
 }
 
 // New returns an empty registry.
@@ -199,7 +199,9 @@ func (r *Registry) Lookups() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.lookups.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lookups
 }
 
 // Counter returns (creating if needed) the named counter.
@@ -207,30 +209,19 @@ func (r *Registry) Counter(name string, l Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.lookups.Add(1)
-	k := instKey{name, l}
-	if m := r.counters.Load(); m != nil {
-		if c, ok := (*m)[k]; ok {
-			return c
-		}
-	}
-	return create(r, &r.counters, k, func() *Counter { return &Counter{} })
+	return lookup(r, &r.counters, instKey{name, l}, func() *Counter { return &Counter{} })
 }
 
-// Gauge returns (creating if needed) the named gauge. Gauges and
-// timelines are looked up at an install or a fault, not per event, and go
-// straight to the locked path.
+// Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string, l Labels) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.lookups.Add(1)
-	return create(r, &r.gauges, instKey{name, l}, func() *Gauge { return &Gauge{} })
+	return lookup(r, &r.gauges, instKey{name, l}, func() *Gauge { return &Gauge{} })
 }
 
 // SetGauges sets every gauge in points, creating the ones the registry
-// lacks — volatile if the point says so — with one copy of the gauge
-// table where a Gauge call apiece would copy it once per new gauge. It
+// lacks — volatile if the point says so — under one hold of the lock. It
 // is the write side of Snapshot().Gauges, for publishers of a few
 // hundred gauges at a time (namestat.Publish).
 func (r *Registry) SetGauges(points []GaugePoint) {
@@ -239,26 +230,8 @@ func (r *Registry) SetGauges(points []GaugePoint) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.gauges.Load()
-	var table map[instKey]*Gauge // the published one until a gauge is missing, then its copy
-	if old != nil {
-		table = *old
-	}
-	copied := false
 	for _, p := range points {
-		k := instKey{p.Name, p.Labels}
-		g := table[k]
-		if g == nil {
-			if !copied {
-				table, copied = copyMap(old), true
-			}
-			g = &Gauge{volatile: p.Volatile}
-			table[k] = g
-		}
-		g.Set(p.Value)
-	}
-	if copied {
-		r.gauges.Store(&table)
+		get(&r.gauges, instKey{p.Name, p.Labels}, func() *Gauge { return &Gauge{volatile: p.Volatile} }).Set(p.Value)
 	}
 }
 
@@ -267,14 +240,7 @@ func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.lookups.Add(1)
-	k := instKey{name, l}
-	if m := r.hists.Load(); m != nil {
-		if h, ok := (*m)[k]; ok {
-			return h
-		}
-	}
-	return create(r, &r.hists, k, NewHistogram)
+	return lookup(r, &r.hists, instKey{name, l}, NewHistogram)
 }
 
 // Timeline returns (creating if needed) the named state timeline.
@@ -282,40 +248,29 @@ func (r *Registry) Timeline(name string, l Labels) *Timeline {
 	if r == nil {
 		return nil
 	}
-	r.lookups.Add(1)
-	return create(r, &r.timelines, instKey{name, l}, func() *Timeline { return &Timeline{} })
+	return lookup(r, &r.timelines, instKey{name, l}, func() *Timeline { return &Timeline{} })
 }
 
-// create is the locked half of a by-label lookup: k's instrument, made if
-// table lacks it and published in a copy of table. The lock-free half is
-// written out per kind: a map read through a type parameter costs double.
-func create[V any](r *Registry, table *atomic.Pointer[map[instKey]*V], k instKey, mk func() *V) *V {
+// lookup is one by-label lookup in table: k's instrument, made if the
+// table lacks it.
+func lookup[V any](r *Registry, table *map[instKey]*V, k instKey, mk func() *V) *V {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := table.Load()
-	if old != nil {
-		if v, ok := (*old)[k]; ok {
-			return v
-		}
-	}
-	v := mk()
-	next := copyMap(old)
-	next[k] = v
-	table.Store(&next)
-	return v
+	r.lookups++
+	return get(table, k, mk)
 }
 
-// copyMap copies old with room for the one instrument the caller adds,
-// so registering the n-th instrument never regrows the table mid-copy.
-func copyMap[V any](old *map[instKey]V) map[instKey]V {
-	if old == nil {
-		return make(map[instKey]V, 1)
+// get returns k's instrument in table, made if missing; r.mu is held.
+func get[V any](table *map[instKey]*V, k instKey, mk func() *V) *V {
+	if v, ok := (*table)[k]; ok {
+		return v
 	}
-	next := make(map[instKey]V, len(*old)+1)
-	for k, v := range *old {
-		next[k] = v
+	if *table == nil {
+		*table = make(map[instKey]*V)
 	}
-	return next
+	v := mk()
+	(*table)[k] = v
+	return v
 }
 
 // CounterPoint is one counter in a snapshot.
@@ -377,32 +332,30 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	s.Counters, s.Gauges = r.levels()
-	if m := r.hists.Load(); m != nil {
-		for k, h := range *m {
-			s.Histograms = append(s.Histograms, HistPoint{
-				Name:      k.name,
-				Labels:    k.labels,
-				Count:     h.Count(),
-				SumUS:     us(h.Sum()),
-				P50US:     us(h.Quantile(0.50)),
-				P90US:     us(h.Quantile(0.90)),
-				P99US:     us(h.Quantile(0.99)),
-				MaxUS:     us(h.Max()),
-				Exemplars: h.Exemplars(),
-			})
-		}
-		sort.Slice(s.Histograms, func(i, j int) bool {
-			return instKey{s.Histograms[i].Name, s.Histograms[i].Labels}.less(instKey{s.Histograms[j].Name, s.Histograms[j].Labels})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, h := range r.hists {
+		s.Histograms = append(s.Histograms, HistPoint{
+			Name:      k.name,
+			Labels:    k.labels,
+			Count:     h.Count(),
+			SumUS:     us(h.Sum()),
+			P50US:     us(h.Quantile(0.50)),
+			P90US:     us(h.Quantile(0.90)),
+			P99US:     us(h.Quantile(0.99)),
+			MaxUS:     us(h.Max()),
+			Exemplars: h.Exemplars(),
 		})
 	}
-	if m := r.timelines.Load(); m != nil {
-		for k, t := range *m {
-			s.Timelines = append(s.Timelines, TimelineSeries{Name: k.name, Labels: k.labels, Points: t.Points()})
-		}
-		sort.Slice(s.Timelines, func(i, j int) bool {
-			return instKey{s.Timelines[i].Name, s.Timelines[i].Labels}.less(instKey{s.Timelines[j].Name, s.Timelines[j].Labels})
-		})
+	sort.Slice(s.Histograms, func(i, j int) bool {
+		return instKey{s.Histograms[i].Name, s.Histograms[i].Labels}.less(instKey{s.Histograms[j].Name, s.Histograms[j].Labels})
+	})
+	for k, t := range r.timelines {
+		s.Timelines = append(s.Timelines, TimelineSeries{Name: k.name, Labels: k.labels, Points: t.Points()})
 	}
+	sort.Slice(s.Timelines, func(i, j int) bool {
+		return instKey{s.Timelines[i].Name, s.Timelines[i].Labels}.less(instKey{s.Timelines[j].Name, s.Timelines[j].Labels})
+	})
 	return s
 }
 
@@ -412,24 +365,26 @@ func (r *Registry) levels() (counters []CounterPoint, gauges []GaugePoint) {
 	if r == nil {
 		return nil, nil
 	}
-	if m := r.counters.Load(); m != nil {
-		counters = make([]CounterPoint, 0, len(*m))
-		for k, c := range *m {
-			counters = append(counters, CounterPoint{Name: k.name, Labels: k.labels, Value: c.Value()})
-		}
-		sort.Slice(counters, func(i, j int) bool {
-			return instKey{counters[i].Name, counters[i].Labels}.less(instKey{counters[j].Name, counters[j].Labels})
-		})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.counters != nil {
+		counters = make([]CounterPoint, 0, len(r.counters))
 	}
-	if m := r.gauges.Load(); m != nil {
-		gauges = make([]GaugePoint, 0, len(*m))
-		for k, g := range *m {
-			gauges = append(gauges, GaugePoint{Name: k.name, Labels: k.labels, Value: g.Value(), Volatile: g.volatile})
-		}
-		sort.Slice(gauges, func(i, j int) bool {
-			return instKey{gauges[i].Name, gauges[i].Labels}.less(instKey{gauges[j].Name, gauges[j].Labels})
-		})
+	for k, c := range r.counters {
+		counters = append(counters, CounterPoint{Name: k.name, Labels: k.labels, Value: c.Value()})
 	}
+	sort.Slice(counters, func(i, j int) bool {
+		return instKey{counters[i].Name, counters[i].Labels}.less(instKey{counters[j].Name, counters[j].Labels})
+	})
+	if r.gauges != nil {
+		gauges = make([]GaugePoint, 0, len(r.gauges))
+	}
+	for k, g := range r.gauges {
+		gauges = append(gauges, GaugePoint{Name: k.name, Labels: k.labels, Value: g.Value(), Volatile: g.volatile})
+	}
+	sort.Slice(gauges, func(i, j int) bool {
+		return instKey{gauges[i].Name, gauges[i].Labels}.less(instKey{gauges[j].Name, gauges[j].Labels})
+	})
 	return counters, gauges
 }
 

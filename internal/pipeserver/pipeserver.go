@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/vio"
 )
 
 // DefaultCapacity is a pipe's buffer bound in bytes.
@@ -43,7 +42,8 @@ func Start(host *kernel.Host) (*Server, error) {
 	s := &Server{}
 	var err error
 	s.Flat, err = core.NewFlat(host, "pipe-server", s,
-		core.FlatKind[pipe]{Tag: proto.TagPipe, Describe: describe, Open: s.open})
+		core.FlatKind[pipe]{Tag: proto.TagPipe, Describe: describe, Open: s.open,
+			Size: func(p *pipe) int { return len(p.buf) }, Read: read, Write: write, Release: release})
 	if err != nil {
 		return nil, err
 	}
@@ -80,40 +80,19 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, func(p *pipe) vio.Instance {
+	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, func(p *pipe) {
 		if mode&proto.ModeRead != 0 {
 			p.readers++
 		}
 		if mode&(proto.ModeWrite|proto.ModeAppend) != 0 {
 			p.writers++
 		}
-		return &pipeInstance{s: s, p: p, mode: mode}
 	})
 }
 
-// pipeInstance adapts a pipe end to the V I/O instance interface.
-type pipeInstance struct {
-	s    *Server
-	p    *pipe
-	mode uint32
-}
-
-func (pi *pipeInstance) Info() proto.InstanceInfo {
-	pi.s.Mu.Lock()
-	defer pi.s.Mu.Unlock()
-	return proto.InstanceInfo{
-		SizeBytes: uint32(len(pi.p.buf)),
-		BlockSize: vio.DefaultBlockSize,
-		Flags:     proto.ModeRead | proto.ModeWrite,
-	}
-}
-
-// ReadAt drains the pipe; offsets are meaningless on a stream. An empty
+// read drains the pipe; offsets are meaningless on a stream. An empty
 // open pipe answers Retry; an empty closed pipe answers end-of-file.
-func (pi *pipeInstance) ReadAt(_ *kernel.Process, _ int64, buf []byte) (int, error) {
-	pi.s.Mu.Lock()
-	defer pi.s.Mu.Unlock()
-	p := pi.p
+func read(_ *kernel.Process, p *pipe, _ int64, buf []byte) (int, error) {
 	if len(p.buf) == 0 {
 		if p.closed {
 			return 0, proto.ErrEndOfFile
@@ -125,11 +104,8 @@ func (pi *pipeInstance) ReadAt(_ *kernel.Process, _ int64, buf []byte) (int, err
 	return n, nil
 }
 
-// WriteAt appends to the pipe; a full pipe answers Retry.
-func (pi *pipeInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, error) {
-	pi.s.Mu.Lock()
-	defer pi.s.Mu.Unlock()
-	p := pi.p
+// write appends to the pipe; a full pipe answers Retry.
+func write(_ *kernel.Process, p *pipe, _ int64, data []byte) (int, error) {
 	if p.closed {
 		return 0, fmt.Errorf("%w: pipe closed", proto.ErrEndOfFile)
 	}
@@ -137,28 +113,21 @@ func (pi *pipeInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, e
 	if room <= 0 {
 		return 0, fmt.Errorf("%w: pipe full", proto.ErrRetry)
 	}
-	if len(data) > room {
-		data = data[:room]
-	}
-	p.buf = append(p.buf, data...)
-	return len(data), nil
+	n := min(len(data), room)
+	p.buf = append(p.buf, data[:n]...)
+	return n, nil
 }
 
-// Release closes this end; when the last writer goes, the pipe drains to
-// EOF for readers.
-func (pi *pipeInstance) Release() error {
-	pi.s.Mu.Lock()
-	defer pi.s.Mu.Unlock()
-	if pi.mode&proto.ModeRead != 0 && pi.p.readers > 0 {
-		pi.p.readers--
+// release closes the end opened with mode; when the last writer goes,
+// the pipe drains to EOF for readers.
+func release(p *pipe, mode uint32) {
+	if mode&proto.ModeRead != 0 && p.readers > 0 {
+		p.readers--
 	}
-	if pi.mode&(proto.ModeWrite|proto.ModeAppend) != 0 && pi.p.writers > 0 {
-		pi.p.writers--
-		if pi.p.writers == 0 {
-			pi.p.closed = true
+	if mode&(proto.ModeWrite|proto.ModeAppend) != 0 && p.writers > 0 {
+		p.writers--
+		if p.writers == 0 {
+			p.closed = true
 		}
 	}
-	return nil
 }
-
-var _ vio.Instance = (*pipeInstance)(nil)

@@ -54,6 +54,7 @@ func Start(host *kernel.Host) (*Server, error) {
 		Tag: proto.TagPrintJob, Describe: s.describe, Open: s.open,
 		// Spooling jobs are bound and queryable but not yet in the queue.
 		Order: func() []uint32 { return s.queue },
+		Size:  func(j *job) int { return len(j.data) }, Read: read, Write: write, Release: s.release,
 	})
 	if err != nil {
 		return nil, err
@@ -79,10 +80,7 @@ func (s *Server) AdvanceQueue() string {
 		s.Mu.Unlock()
 		return ""
 	}
-	pages := (len(j.data) + vio.DefaultBlockSize - 1) / vio.DefaultBlockSize
-	if pages == 0 {
-		pages = 1
-	}
+	pages := max(1, (len(j.data)+vio.DefaultBlockSize-1)/vio.DefaultBlockSize)
 	s.Proc().ChargeCompute(time.Duration(pages) * s.pageTime)
 	j.state = stateDone
 	if len(s.queue) > 0 {
@@ -147,62 +145,36 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 	default:
 		id, mode = res.Entry.Object.ID, proto.ModeRead
 	}
-	return s.OpenObject(id, res.Last, func(j *job) vio.Instance { return &jobInstance{s: s, j: j, mode: mode} })
+	return s.OpenObject(id, res.Last, mode, mode, nil)
 }
 
-// jobInstance spools data into a job; Release queues it for printing.
-type jobInstance struct {
-	s    *Server
-	j    *job
-	mode uint32
+func read(_ *kernel.Process, j *job, off int64, buf []byte) (int, error) {
+	return core.ReadBytes(j.data, off, buf)
 }
 
-func (ji *jobInstance) Info() proto.InstanceInfo {
-	ji.s.Mu.Lock()
-	defer ji.s.Mu.Unlock()
-	return proto.InstanceInfo{
-		SizeBytes: uint32(len(ji.j.data)),
-		BlockSize: vio.DefaultBlockSize,
-		Flags:     ji.mode,
-	}
-}
-
-func (ji *jobInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (int, error) {
-	ji.s.Mu.Lock()
-	defer ji.s.Mu.Unlock()
-	if off >= int64(len(ji.j.data)) {
-		return 0, proto.ErrEndOfFile
-	}
-	return copy(buf, ji.j.data[off:]), nil
-}
-
-func (ji *jobInstance) WriteAt(_ *kernel.Process, off int64, data []byte) (int, error) {
-	ji.s.Mu.Lock()
-	defer ji.s.Mu.Unlock()
-	if ji.j.state != stateSpooling {
+// write spools data into a job, up to vio.MaxFileSize.
+func write(_ *kernel.Process, j *job, off int64, data []byte) (int, error) {
+	if j.state != stateSpooling {
 		return 0, fmt.Errorf("%w: job already queued", proto.ErrNoPermission)
 	}
-	if need := int(off) + len(data); need > len(ji.j.data) {
-		grown := make([]byte, need)
-		copy(grown, ji.j.data)
-		ji.j.data = grown
+	end := off + int64(len(data))
+	if end > vio.MaxFileSize {
+		return 0, fmt.Errorf("%w: a job ends at %d bytes", proto.ErrNoServerResources, vio.MaxFileSize)
 	}
-	return copy(ji.j.data[off:], data), nil
+	if grow := int(end) - len(j.data); grow > 0 {
+		j.data = append(j.data, make([]byte, grow)...)
+	}
+	return copy(j.data[off:], data), nil
 }
 
-// Release moves a spooling job into the print queue, unless the job was
+// release moves a spooling job into the print queue, unless the job was
 // cancelled while it spooled.
-func (ji *jobInstance) Release() error {
-	ji.s.Mu.Lock()
-	defer ji.s.Mu.Unlock()
-	if ji.j.state == stateSpooling && ji.s.Get(ji.j.id) == ji.j {
-		ji.j.state = stateQueued
-		ji.s.queue = append(ji.s.queue, ji.j.id)
-		if len(ji.s.queue) == 1 {
-			ji.j.state = statePrinting
+func (s *Server) release(j *job, _ uint32) {
+	if j.state == stateSpooling && s.Get(j.id) == j {
+		j.state = stateQueued
+		s.queue = append(s.queue, j.id)
+		if len(s.queue) == 1 {
+			j.state = statePrinting
 		}
 	}
-	return nil
 }
-
-var _ vio.Instance = (*jobInstance)(nil)

@@ -277,3 +277,35 @@ func TestAdvanceQueueSkipsStaleID(t *testing.T) {
 		t.Fatalf("AdvanceQueue on an empty queue = %q", name)
 	}
 }
+
+// TestSpoolWritePastLimitRefused: a spool write that would end past
+// vio.MaxFileSize is refused with NoServerResources before the job grows,
+// so one request cannot ask the host for its memory.
+func TestSpoolWritePastLimitRefused(t *testing.T) {
+	s, client := startRig(t)
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), "huge.ps")
+	proto.SetOpenMode(req, proto.ModeWrite|proto.ModeCreate)
+	reply, err := client.Send(req, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("open = %v, %v", reply, err)
+	}
+	info := proto.GetInstanceInfo(reply)
+	// One byte at block MaxFileSize/512, offset 0: the job would end at
+	// MaxFileSize+1.
+	write := &proto.Message{Op: proto.OpWriteInstance, Segment: []byte("x")}
+	write.F[0], write.F[1] = uint32(info.ID), vio.MaxFileSize/info.BlockSize
+	reply, err = client.Send(write, s.PID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Op != proto.ReplyNoServerResources {
+		t.Fatalf("write ending at %d bytes = %v, want NoServerResources", vio.MaxFileSize+1, reply.Op)
+	}
+	s.Mu.Lock()
+	size := len(s.Get(1).data)
+	s.Mu.Unlock()
+	if size != 0 {
+		t.Fatalf("the refused write grew the job to %d bytes", size)
+	}
+}

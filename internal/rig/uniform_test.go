@@ -603,3 +603,62 @@ func TestProtocolIsUniformConcurrent(t *testing.T) {
 		t.Run(srv.label, func(t *testing.T) { exercise(t, r, srv, clients, 3) })
 	}
 }
+
+// TestFlatInstanceModes: the modes each flat server's instance grants,
+// whatever the open asked for, as Query reports them with the 512-byte
+// block, and an operation outside them refused with ModeNotSupported.
+func TestFlatInstanceModes(t *testing.T) {
+	r, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.WS[0].Session
+	// A job spooled and released, to be reopened.
+	f, err := s.Open("[print]done.ps", proto.ModeWrite|proto.ModeCreate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("%!PS")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const rw = proto.ModeRead | proto.ModeWrite
+	for _, c := range []struct {
+		name        string
+		mode, flags uint32
+	}{
+		{"[print]new.ps", proto.ModeWrite | proto.ModeCreate, proto.ModeWrite},
+		{"[print]done.ps", proto.ModeRead, proto.ModeRead},
+		{"[pipe]modes", proto.ModeWrite | proto.ModeCreate, rw},
+		{"[tty]" + termserver.CreateName, proto.ModeRead | proto.ModeCreate, rw},
+		{"[mail]mann@v.stanford.edu", proto.ModeRead, rw},
+		{"[tcp]tcp/modes.host:7", proto.ModeWrite | proto.ModeCreate, rw},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := s.Open(c.name, c.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			info, err := f.Query()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Flags != c.flags || info.BlockSize != vio.DefaultBlockSize {
+				t.Fatalf("flags %#x, block %d; want %#x, %d", info.Flags, info.BlockSize, c.flags, vio.DefaultBlockSize)
+			}
+			if c.flags&proto.ModeRead == 0 {
+				if _, err := f.Read(make([]byte, 8)); !errors.Is(err, proto.ErrModeNotSupported) {
+					t.Errorf("read = %v, want ModeNotSupported", err)
+				}
+			}
+			if c.flags&proto.ModeWrite == 0 {
+				if _, err := f.Write([]byte("x")); !errors.Is(err, proto.ErrModeNotSupported) {
+					t.Errorf("write = %v, want ModeNotSupported", err)
+				}
+			}
+		})
+	}
+}

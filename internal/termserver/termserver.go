@@ -11,12 +11,10 @@ package termserver
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/vio"
 )
 
 // CreateName is the distinguished name opened with ModeCreate to
@@ -25,7 +23,6 @@ const CreateName = "new"
 
 // terminal is one virtual terminal: a screen buffer plus an input queue.
 type terminal struct {
-	mu     sync.Mutex // guards screen; nests inside the table's lock
 	id     uint32
 	name   string
 	screen []byte
@@ -42,7 +39,8 @@ func Start(host *kernel.Host) (*Server, error) {
 	s := &Server{}
 	var err error
 	s.Flat, err = core.NewFlat(host, "vgt-server", s,
-		core.FlatKind[terminal]{Tag: proto.TagTerminal, Describe: describe, Open: s.open})
+		core.FlatKind[terminal]{Tag: proto.TagTerminal, Describe: describe, Open: s.open,
+			Size: func(t *terminal) int { return len(t.screen) }, Read: read, Write: write})
 	if err != nil {
 		return nil, err
 	}
@@ -53,8 +51,6 @@ func Start(host *kernel.Host) (*Server, error) {
 }
 
 func describe(t *terminal) proto.Descriptor {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return proto.Descriptor{
 		Tag:      proto.TagTerminal,
 		ObjectID: t.id,
@@ -83,42 +79,16 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, name, func(t *terminal) vio.Instance { return &termInstance{t: t} })
+	return s.OpenObject(id, name, mode, proto.ModeRead|proto.ModeWrite, nil)
 }
 
-// termInstance adapts a terminal to the V I/O instance interface.
-type termInstance struct {
-	t *terminal
+func read(_ *kernel.Process, t *terminal, off int64, buf []byte) (int, error) {
+	return core.ReadBytes(t.screen, off, buf)
 }
 
-func (ti *termInstance) Info() proto.InstanceInfo {
-	ti.t.mu.Lock()
-	defer ti.t.mu.Unlock()
-	return proto.InstanceInfo{
-		SizeBytes: uint32(len(ti.t.screen)),
-		BlockSize: vio.DefaultBlockSize,
-		Flags:     proto.ModeRead | proto.ModeWrite,
-	}
-}
-
-func (ti *termInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (int, error) {
-	ti.t.mu.Lock()
-	defer ti.t.mu.Unlock()
-	if off >= int64(len(ti.t.screen)) {
-		return 0, proto.ErrEndOfFile
-	}
-	return copy(buf, ti.t.screen[off:]), nil
-}
-
-// WriteAt appends to the screen regardless of offset: a terminal is a
+// write appends to the screen regardless of offset: a terminal is a
 // stream sink, not a random-access store.
-func (ti *termInstance) WriteAt(_ *kernel.Process, _ int64, data []byte) (int, error) {
-	ti.t.mu.Lock()
-	defer ti.t.mu.Unlock()
-	ti.t.screen = append(ti.t.screen, data...)
+func write(_ *kernel.Process, t *terminal, _ int64, data []byte) (int, error) {
+	t.screen = append(t.screen, data...)
 	return len(data), nil
 }
-
-func (ti *termInstance) Release() error { return nil }
-
-var _ vio.Instance = (*termInstance)(nil)

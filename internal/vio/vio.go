@@ -41,8 +41,14 @@ type Instance interface {
 	Release() error
 }
 
-// DefaultBlockSize is the conventional V page size.
-const DefaultBlockSize = 512
+const (
+	// DefaultBlockSize is the conventional V page size.
+	DefaultBlockSize = 512
+	// MaxFileSize bounds the bytes a server stores for one object: a
+	// write that would end past it is refused with NoServerResources, so
+	// one request may not ask for the host's memory.
+	MaxFileSize = 16 << 20
+)
 
 // Registry holds a server's open instances, keyed by object instance
 // identifier. Identifiers are allocated so as to maximize the time before
