@@ -16,7 +16,7 @@ COVERAGE_FLOOR ?= 92.0
 # Every such function is reached by a program or deleted unless ROADMAP
 # item 9 says why it stays. Lower it when the count falls; never raise it
 # to make a regression pass.
-REACH_CEILING ?= 26
+REACH_CEILING ?= 24
 
 # The deterministic documents `vbench -<doc> FILE` exports, each pinned
 # byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
@@ -162,9 +162,10 @@ golden-guard:
 	done; \
 	echo "golden outputs byte-identical"
 
+# gofmt -l exits 0 whatever it lists, so a listed file fails the gate here.
 vet:
 	$(GO) vet ./...
-	gofmt -l .
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt would reformat:"; echo "$$out"; exit 1; }
 
 fmt:
 	gofmt -w .

@@ -36,18 +36,6 @@ func OpenDirectory(p *kernel.Process, reg *vio.Registry, owner kernel.PID, strea
 	return OpenInstance(reg, owner, vio.NewDirectoryInstance(stream, modify), name)
 }
 
-// DirectoryRequest validates a directory-mode open that resolved at this
-// server: the name must denote a context and the pattern must lie inside
-// the segment.
-func DirectoryRequest(msg *proto.Message, res *Resolution) (ContextID, string, error) {
-	ctx, err := res.ContextOf()
-	if err != nil {
-		return 0, "", err
-	}
-	pattern, err := proto.DirPattern(msg)
-	return ctx, pattern, err
-}
-
 // FlatKind is what is particular to one flat server; the protocol half is
 // Flat's.
 type FlatKind[T any] struct {
@@ -78,10 +66,10 @@ type FlatKind[T any] struct {
 	Release func(obj *T, mode uint32)
 }
 
-// Flat is the CSNH server of a flat context of transient objects — the
-// shape of the terminal, program, print, Internet, mail and pipe servers
-// (§6): a table of objects under server-assigned ids, each bound by one
-// name in one context of a MapStore, opened through a vio.Registry. It
+// Flat is the CSNH server of a flat context of objects — the shape of the
+// terminal, program, print, Internet, mail, pipe and time servers (§6): a
+// table of objects under server-assigned ids, each bound by one name in
+// one context of a MapStore, opened through a vio.Registry. It
 // gives the standard answers (context directory, query, remove, the
 // instance operations); a server adds its object type and FlatKind, and
 // embeds the Flat so that its own HandleNamed or HandleOp, if it needs
@@ -281,8 +269,14 @@ func (f *Flat[T]) HandleOp(req *Request) *proto.Message {
 	return ErrorReplyMsg(proto.ErrIllegalRequest)
 }
 
+// openDirectory answers a directory open: the name must denote a context
+// and the pattern must lie inside the segment.
 func (f *Flat[T]) openDirectory(req *Request, res *Resolution) *proto.Message {
-	ctx, pattern, err := DirectoryRequest(req.Msg, res)
+	ctx, err := res.ContextOf()
+	if err != nil {
+		return ErrorReplyMsg(err)
+	}
+	pattern, err := proto.DirPattern(req.Msg)
 	if err != nil {
 		return ErrorReplyMsg(err)
 	}

@@ -18,14 +18,10 @@ import (
 )
 
 // Body is the behaviour of a simulated program: it runs in the program's
-// process until it returns or the process is destroyed.
-type Body func(p *kernel.Process)
-
-// SessionBody is program behaviour that uses the naming run-time: it
-// receives a client session initialized with the invoker's prefix server
-// and current context, the environment §6 says every executed program is
-// passed.
-type SessionBody func(s *client.Session)
+// process, s.Proc(), until it returns or the process is destroyed. Its
+// session carries the invoker's prefix server and current context, the
+// environment §6 says every executed program is passed.
+type Body func(s *client.Session)
 
 // program is one program in execution.
 type program struct {
@@ -47,19 +43,12 @@ type Server struct {
 	// in — normally the standard program directory on a file server.
 	programDir core.ContextPair
 
-	// Guarded by Mu, like the programs.
-	bodies        map[string]Body
-	sessionBodies map[string]SessionBody
+	bodies map[string]Body // guarded by Mu, like the programs
 }
 
 // Start spawns a program manager on host, loading images from programDir.
 func Start(host *kernel.Host, programDir core.ContextPair) (*Server, error) {
-	s := &Server{
-		host:          host,
-		programDir:    programDir,
-		bodies:        make(map[string]Body),
-		sessionBodies: make(map[string]SessionBody),
-	}
+	s := &Server{host: host, programDir: programDir, bodies: make(map[string]Body)}
 	var err error
 	s.Flat, err = core.NewFlat(host, "program-manager", s,
 		core.FlatKind[program]{Tag: proto.TagProgram, Describe: describe})
@@ -78,15 +67,6 @@ func (s *Server) RegisterBody(image string, b Body) {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
 	s.bodies[image] = b
-}
-
-// RegisterSessionBody associates naming-aware behaviour with a program
-// image name; the body receives a session carrying the invoker's prefix
-// server and current context (§6).
-func (s *Server) RegisterSessionBody(image string, b SessionBody) {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	s.sessionBodies[image] = b
 }
 
 func describe(p *program) proto.Descriptor {
@@ -162,23 +142,17 @@ func (s *Server) exec(serving *kernel.Process, image string, req *proto.Message)
 
 	s.Mu.Lock()
 	body := s.bodies[image]
-	sessionBody := s.sessionBodies[image]
 	s.Mu.Unlock()
+	if body == nil {
+		body = func(prog *client.Session) { <-prog.Proc().Done() }
+	}
 	id := s.NewID()
 	prefixPid, curServer, curCtx := proto.ExecEnvironment(req)
-	if body == nil && sessionBody == nil {
-		body = func(p *kernel.Process) { <-p.Done() }
-	}
 	proc, err := s.host.Spawn("prog:"+image, func(p *kernel.Process) {
-		if sessionBody != nil {
-			// The program inherits the invoker's current context and
-			// prefix server (§6).
-			sess := client.New(p, kernel.PID(prefixPid),
-				core.ContextPair{Server: kernel.PID(curServer), Ctx: core.ContextID(curCtx)}, "")
-			sessionBody(sess)
-			return
-		}
-		body(p)
+		// The program inherits the invoker's current context and prefix
+		// server (§6).
+		body(client.New(p, kernel.PID(prefixPid),
+			core.ContextPair{Server: kernel.PID(curServer), Ctx: core.ContextID(curCtx)}, ""))
 	})
 	if err != nil {
 		return core.ErrorReplyMsg(proto.ErrNoServerResources)

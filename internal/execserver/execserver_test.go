@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fileserver"
 	"repro/internal/kernel"
@@ -79,12 +80,13 @@ func exec(t *testing.T, client *kernel.Process, s *Server, image string) *proto.
 }
 
 func TestExecLoadsAndRuns(t *testing.T) {
-	s, client, _ := startRig(t)
 	ran := make(chan struct{})
-	s.RegisterBody("editor", func(p *kernel.Process) {
+	editor := func(prog *client.Session) { // before the client process shadows the package
 		close(ran)
-		<-p.Done()
-	})
+		<-prog.Proc().Done()
+	}
+	s, client, _ := startRig(t)
+	s.RegisterBody("editor", editor)
 	reply := exec(t, client, s, "editor")
 	if reply.Op != proto.ReplyOK {
 		t.Fatalf("exec = %v", reply.Op)

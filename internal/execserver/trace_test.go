@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fileserver"
-	"repro/internal/kernel"
 	"repro/internal/proto"
 	"repro/internal/trace"
 	"repro/internal/trace/tracetest"
@@ -33,7 +33,7 @@ func TestTraceInvariantsExecServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RegisterBody("tool", func(p *kernel.Process) { <-p.Done() })
+	s.RegisterBody("tool", func(prog *client.Session) { <-prog.Proc().Done() })
 
 	proc, err := d.K.NewHost("remote").NewProcess("client")
 	if err != nil {

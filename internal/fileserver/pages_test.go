@@ -19,7 +19,7 @@ func TestRewriteReusesFreedPages(t *testing.T) {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
 	fs, _ := startFS(t)
-	n, err := fs.vol.createFile(core.ContextID(rootIno), "f", "o", 0)
+	n, err := fs.vol.create(kindFile, core.ContextID(rootIno), "f", "o", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func (fs *FileServer) MkdirAll(path, owner string) (core.ContextID, error) {
 		case !core.IsNotFound(err):
 			return 0, err
 		}
-		n, err := fs.vol.mkdir(ctx, comp, owner, fs.proc.Now())
+		n, err := fs.vol.create(kindDir, ctx, comp, owner, fs.proc.Now())
 		if err != nil {
 			return 0, err
 		}
@@ -159,7 +159,7 @@ func (fs *FileServer) WriteFile(path, owner string, contents []byte) error {
 	case err == nil:
 		return fmt.Errorf("%q: %w", base, proto.ErrDuplicateName)
 	case core.IsNotFound(err):
-		n, err := fs.vol.createFile(ctx, base, owner, fs.proc.Now())
+		n, err := fs.vol.create(kindFile, ctx, base, owner, fs.proc.Now())
 		if err != nil {
 			return err
 		}
@@ -273,7 +273,7 @@ func (fs *FileServer) handleOpen(req *core.Request, res *core.Resolution) *proto
 		case res.Entry == nil && mode&proto.ModeCreate != 0:
 			// Directory-mode create of an unbound name makes a new
 			// context (the mkdir of the protocol).
-			n, err := fs.vol.mkdir(res.Final, res.Last, "", req.Proc().Now())
+			n, err := fs.vol.create(kindDir, res.Final, res.Last, "", req.Proc().Now())
 			if err != nil {
 				return core.ErrorReplyMsg(err)
 			}
@@ -299,7 +299,7 @@ func (fs *FileServer) handleOpen(req *core.Request, res *core.Resolution) *proto
 		if mode&proto.ModeCreate == 0 {
 			return core.ErrorReplyMsg(proto.ErrNotFound)
 		}
-		n, err := fs.vol.createFile(res.Final, res.Last, "", req.Proc().Now())
+		n, err := fs.vol.create(kindFile, res.Final, res.Last, "", req.Proc().Now())
 		if err != nil {
 			return core.ErrorReplyMsg(err)
 		}
@@ -394,31 +394,37 @@ func (fs *FileServer) handleRemove(req *core.Request, res *core.Resolution) *pro
 	return core.OkReply()
 }
 
+// secondName resolves the unbound name a rename or alias request carries
+// after the first, in the same starting context. It must resolve within
+// this server: a name cannot move to another server without its object.
+func (fs *FileServer) secondName(req *core.Request, op string) (*core.Resolution, error) {
+	newName, err := proto.RenameNewName(req.Msg)
+	if err != nil {
+		return nil, err
+	}
+	nres, fwd, err := core.Interpret(fs.vol, req.Proc(), newName, 0, core.ContextID(proto.CSNameContext(req.Msg)))
+	switch {
+	case err != nil:
+		return nil, err
+	case fwd != nil:
+		return nil, fmt.Errorf("%w: %s across servers", proto.ErrIllegalRequest, op)
+	case nres.Last == "":
+		return nil, fmt.Errorf("%w: %s target is a context", proto.ErrBadArgs, op)
+	case nres.Entry != nil:
+		return nil, fmt.Errorf("%q: %w", nres.Last, proto.ErrDuplicateName)
+	}
+	return nres, nil
+}
+
 func (fs *FileServer) handleRename(req *core.Request, res *core.Resolution) *proto.Message {
 	if res.Entry == nil {
 		return core.ErrorReplyMsg(proto.ErrNotFound)
 	}
-	newName, err := proto.RenameNewName(req.Msg)
+	nres, err := fs.secondName(req, "rename")
+	if err == nil {
+		err = fs.vol.rename(res.Final, res.Last, nres.Final, nres.Last, req.Proc().Now())
+	}
 	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	// The new name is interpreted in the same starting context as the
-	// old; it must resolve within this server (cross-server renames are
-	// not supported — the name would have to move with the object).
-	nres, fwd, err := core.Interpret(fs.vol, req.Proc(), newName, 0, core.ContextID(proto.CSNameContext(req.Msg)))
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	if fwd != nil {
-		return core.ErrorReplyMsg(fmt.Errorf("%w: rename across servers", proto.ErrIllegalRequest))
-	}
-	if nres.Last == "" {
-		return core.ErrorReplyMsg(fmt.Errorf("%w: rename target is a context", proto.ErrBadArgs))
-	}
-	if nres.Entry != nil {
-		return core.ErrorReplyMsg(fmt.Errorf("%q: %w", nres.Last, proto.ErrDuplicateName))
-	}
-	if err := fs.vol.rename(res.Final, res.Last, nres.Final, nres.Last, req.Proc().Now()); err != nil {
 		return core.ErrorReplyMsg(err)
 	}
 	return core.OkReply()
@@ -433,24 +439,11 @@ func (fs *FileServer) handleAlias(req *core.Request, res *core.Resolution) *prot
 	if res.Entry == nil {
 		return core.ErrorReplyMsg(proto.ErrNotFound)
 	}
-	newName, err := proto.RenameNewName(req.Msg)
+	nres, err := fs.secondName(req, "alias")
+	if err == nil {
+		err = fs.vol.addAlias(nres.Final, nres.Last, res.Entry.Object.ID, req.Proc().Now())
+	}
 	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	nres, fwd, err := core.Interpret(fs.vol, req.Proc(), newName, 0, core.ContextID(proto.CSNameContext(req.Msg)))
-	if err != nil {
-		return core.ErrorReplyMsg(err)
-	}
-	if fwd != nil {
-		return core.ErrorReplyMsg(fmt.Errorf("%w: alias across servers", proto.ErrIllegalRequest))
-	}
-	if nres.Last == "" {
-		return core.ErrorReplyMsg(fmt.Errorf("%w: alias target is a context", proto.ErrBadArgs))
-	}
-	if nres.Entry != nil {
-		return core.ErrorReplyMsg(fmt.Errorf("%q: %w", nres.Last, proto.ErrDuplicateName))
-	}
-	if err := fs.vol.addAlias(nres.Final, nres.Last, res.Entry.Object.ID, req.Proc().Now()); err != nil {
 		return core.ErrorReplyMsg(err)
 	}
 	return core.OkReply()

@@ -104,22 +104,6 @@ func newVolume() *volume {
 	return v
 }
 
-func (v *volume) alloc(kind nodeKind, parent ino, name, owner string, now vtime.Time) *node {
-	v.next++
-	n := &node{
-		id:     v.next,
-		kind:   kind,
-		parent: parent,
-		name:   name,
-		owner:  owner,
-		perms:  proto.PermRead | proto.PermWrite,
-		mtime:  now,
-		nlink:  1,
-	}
-	v.nodes[n.id] = n
-	return n
-}
-
 // find returns the index of name among the directory's entries and
 // whether it is bound; unbound, the index is where it would be inserted.
 func (n *node) find(name string) (int, bool) {
@@ -194,59 +178,54 @@ func (v *volume) setWellKnown(ctx core.ContextID, dir ino) {
 	v.wellKnown[ctx] = dir
 }
 
-// createFile creates an empty file named `name` in directory ctx.
-func (v *volume) createFile(ctx core.ContextID, name, owner string, now vtime.Time) (*node, error) {
+// dirFor returns the directory ctx names for a new binding of name,
+// refusing a name no object may take. With v.mu held.
+func (v *volume) dirFor(ctx core.ContextID, name string) (*node, error) {
 	if name == "" || name == "." || name == ".." {
-		return nil, fmt.Errorf("%w: bad file name %q", proto.ErrBadArgs, name)
+		return nil, fmt.Errorf("%w: bad name %q", proto.ErrBadArgs, name)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	d, err := v.dir(ctx)
-	if err != nil {
-		return nil, err
-	}
-	i, dup := d.find(name)
-	if dup {
-		return nil, fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
-	}
-	n := v.alloc(kindFile, d.id, name, owner, now)
-	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
-	d.mtime = now
-	v.changed(d)
-	return n, nil
+	return v.dir(ctx)
 }
 
-// mkdir creates a subdirectory of ctx.
-func (v *volume) mkdir(ctx core.ContextID, name, owner string, now vtime.Time) (*node, error) {
-	if name == "" || name == "." || name == ".." {
-		return nil, fmt.Errorf("%w: bad directory name %q", proto.ErrBadArgs, name)
+// insert binds name in directory d to e's object, refusing a duplicate,
+// and drops the listing that shows it. With v.mu held.
+func (v *volume) insert(d *node, name string, e dirent, now vtime.Time) error {
+	i, dup := d.find(name)
+	if dup {
+		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
 	}
+	e.name = name
+	d.entries = slices.Insert(d.entries, i, e)
+	d.mtime = now
+	v.changed(d)
+	return nil
+}
+
+// create makes an empty file or directory named name in ctx. A refused
+// create takes no i-node number: the numbers are object ids on the wire.
+func (v *volume) create(kind nodeKind, ctx core.ContextID, name, owner string, now vtime.Time) (*node, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	d, err := v.dir(ctx)
+	d, err := v.dirFor(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	i, dup := d.find(name)
-	if dup {
-		return nil, fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
+	n := &node{id: v.next + 1, kind: kind, parent: d.id, name: name, owner: owner,
+		perms: proto.PermRead | proto.PermWrite, mtime: now, nlink: 1}
+	if err := v.insert(d, name, dirent{child: n}, now); err != nil {
+		return nil, err
 	}
-	n := v.alloc(kindDir, d.id, name, owner, now)
-	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
-	d.mtime = now
-	v.changed(d)
+	v.next = n.id
+	v.nodes[n.id] = n
 	return n, nil
 }
 
 // addAlias binds an additional name in ctx for an existing file — a
 // same-server hard link. Directories cannot be aliased (no cycles).
 func (v *volume) addAlias(ctx core.ContextID, name string, id uint32, now vtime.Time) error {
-	if name == "" || name == "." || name == ".." {
-		return fmt.Errorf("%w: bad name %q", proto.ErrBadArgs, name)
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	d, err := v.dir(ctx)
+	d, err := v.dirFor(ctx, name)
 	if err != nil {
 		return err
 	}
@@ -257,20 +236,16 @@ func (v *volume) addAlias(ctx core.ContextID, name string, id uint32, now vtime.
 	if n.kind != kindFile {
 		return fmt.Errorf("%w: only files can be aliased", proto.ErrIllegalRequest)
 	}
-	i, dup := d.find(name)
-	if dup {
-		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
+	if err := v.insert(d, name, dirent{child: n}, now); err != nil {
+		return err
 	}
-	d.entries = slices.Insert(d.entries, i, dirent{name: name, child: n})
 	n.nlink++
-	d.mtime = now
-	v.changed(d)
 	v.changed(n)
 	return nil
 }
 
 // addLink binds name in ctx to a context on another server (Figure 4's
-// curved arrow).
+// curved arrow). Only the empty name is refused.
 func (v *volume) addLink(ctx core.ContextID, name string, target core.ContextPair, now vtime.Time) error {
 	if name == "" {
 		return fmt.Errorf("%w: empty link name", proto.ErrBadArgs)
@@ -281,14 +256,7 @@ func (v *volume) addLink(ctx core.ContextID, name string, target core.ContextPai
 	if err != nil {
 		return err
 	}
-	i, dup := d.find(name)
-	if dup {
-		return fmt.Errorf("%q: %w", name, proto.ErrDuplicateName)
-	}
-	d.entries = slices.Insert(d.entries, i, dirent{name: name, remote: target})
-	d.mtime = now
-	v.changed(d)
-	return nil
+	return v.insert(d, name, dirent{remote: target}, now)
 }
 
 // remove unbinds name from ctx, deleting the object it names. Directories
@@ -361,16 +329,13 @@ func (v *volume) removeByIno(id uint32, now vtime.Time) error {
 // rename moves oldName in oldCtx to newName in newCtx (both directories
 // on this server).
 func (v *volume) rename(oldCtx core.ContextID, oldName string, newCtx core.ContextID, newName string, now vtime.Time) error {
-	if newName == "" || newName == "." || newName == ".." {
-		return fmt.Errorf("%w: bad name %q", proto.ErrBadArgs, newName)
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	from, err := v.dir(oldCtx)
+	to, err := v.dirFor(newCtx, newName)
 	if err != nil {
 		return err
 	}
-	to, err := v.dir(newCtx)
+	from, err := v.dir(oldCtx)
 	if err != nil {
 		return err
 	}
@@ -400,14 +365,23 @@ func (v *volume) rename(oldCtx core.ContextID, oldName string, newCtx core.Conte
 	return nil
 }
 
+// file returns the file with i-node number id. With v.mu held.
+func (v *volume) file(id uint32) (*node, error) {
+	n, ok := v.nodes[ino(id)]
+	if !ok || n.kind != kindFile {
+		return nil, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
+	}
+	return n, nil
+}
+
 // filePerms returns the permission bits of the file with the given
 // i-node number, validating that it exists and is a file.
 func (v *volume) filePerms(id uint32) (uint16, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n, ok := v.nodes[ino(id)]
-	if !ok || n.kind != kindFile {
-		return 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
+	n, err := v.file(id)
+	if err != nil {
+		return 0, err
 	}
 	return n.perms, nil
 }
@@ -417,9 +391,9 @@ func (v *volume) filePerms(id uint32) (uint16, error) {
 func (v *volume) readAt(id uint32, off int64, buf []byte) (int, int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n, ok := v.nodes[ino(id)]
-	if !ok || n.kind != kindFile {
-		return 0, 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
+	n, err := v.file(id)
+	if err != nil {
+		return 0, 0, err
 	}
 	if off >= int64(n.size) {
 		return 0, int(n.size), proto.ErrEndOfFile
@@ -438,9 +412,9 @@ func (v *volume) writeAt(id uint32, off int64, data []byte, now vtime.Time) (int
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n, ok := v.nodes[ino(id)]
-	if !ok || n.kind != kindFile {
-		return 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
+	n, err := v.file(id)
+	if err != nil {
+		return 0, err
 	}
 	n.mtime = now
 	v.changed(n)
@@ -451,9 +425,9 @@ func (v *volume) writeAt(id uint32, off int64, data []byte, now vtime.Time) (int
 func (v *volume) truncate(id uint32, now vtime.Time) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n, ok := v.nodes[ino(id)]
-	if !ok || n.kind != kindFile {
-		return fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
+	n, err := v.file(id)
+	if err != nil {
+		return err
 	}
 	v.store.release(n)
 	n.mtime = now
@@ -465,9 +439,9 @@ func (v *volume) truncate(id uint32, now vtime.Time) error {
 func (v *volume) size(id uint32) (int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n, ok := v.nodes[ino(id)]
-	if !ok || n.kind != kindFile {
-		return 0, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
+	n, err := v.file(id)
+	if err != nil {
+		return 0, err
 	}
 	return int(n.size), nil
 }
@@ -476,9 +450,9 @@ func (v *volume) size(id uint32) (int, error) {
 func (v *volume) snapshot(id uint32) ([]byte, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n, ok := v.nodes[ino(id)]
-	if !ok || n.kind != kindFile {
-		return nil, fmt.Errorf("%w: i-node %d", proto.ErrNotFound, id)
+	n, err := v.file(id)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, n.size)
 	v.store.readAt(n, 0, out)

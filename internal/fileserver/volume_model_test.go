@@ -369,12 +369,12 @@ func TestVolumeAgainstMapModel(t *testing.T) {
 				case op < 5:
 					d, n := dir(), name()
 					what = fmt.Sprintf("createFile(%d, %q)", d, n)
-					_, got = fs.vol.createFile(d, n, "o", now)
+					_, got = fs.vol.create(kindFile, d, n, "o", now)
 					want = m.create(kindFile, d, n, now)
 				case op < 8:
 					d, n := dir(), name()
 					what = fmt.Sprintf("mkdir(%d, %q)", d, n)
-					_, got = fs.vol.mkdir(d, n, "o", now)
+					_, got = fs.vol.create(kindDir, d, n, "o", now)
 					want = m.create(kindDir, d, n, now)
 				case op < 10:
 					d, n, id := dir(), name(), uint32(node(0))
@@ -426,7 +426,7 @@ func TestVolumeAgainstMapModel(t *testing.T) {
 					if got != nil || want != nil {
 						break
 					}
-					if _, err := fs.vol.createFile(d, n, "o", now); err != nil {
+					if _, err := fs.vol.create(kindFile, d, n, "o", now); err != nil {
 						t.Fatalf("step %d %s: createFile(%d, %q): %v", step, what, d, n, err)
 					}
 					if err := m.create(kindFile, d, n, now); err != nil {
@@ -548,11 +548,11 @@ func TestListAllocatesOnlyItsResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := fs.vol.createFile(ctx, fmt.Sprintf("f%03d", i), "o", 0); err != nil {
+		if _, err := fs.vol.create(kindFile, ctx, fmt.Sprintf("f%03d", i), "o", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fs.vol.mkdir(ctx, "sub", "o", 0); err != nil {
+	if _, err := fs.vol.create(kindDir, ctx, "sub", "o", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.vol.addLink(ctx, "far", core.ContextPair{Server: 7, Ctx: 1}, 0); err != nil {

@@ -18,11 +18,13 @@ import (
 	"repro/internal/proto"
 )
 
-// mailbox is one user's mailbox.
+// mailbox is one user's mailbox: its messages as an instance reads them,
+// each followed by a newline.
 type mailbox struct {
-	id       uint32
-	address  string
-	messages [][]byte
+	id      uint32
+	address string
+	data    []byte
+	count   int // messages in data
 }
 
 // Server is the mail registry server: a flat context whose names are
@@ -39,7 +41,7 @@ func Start(host *kernel.Host) (*Server, error) {
 		core.FlatKind[mailbox]{Tag: proto.TagMailbox, Describe: describe, Open: s.open,
 			// The directory lists by address, not by age.
 			Order: func() []uint32 { return s.ByName() },
-			Size:  func(mb *mailbox) int { return len(flatten(mb)) }, Read: read, Write: write})
+			Size:  func(mb *mailbox) int { return len(mb.data) }, Read: read, Write: write})
 	if err != nil {
 		return nil, err
 	}
@@ -70,18 +72,15 @@ func ValidAddress(address string) bool {
 	return at > 0 && at < len(address)-1 && strings.Count(address, "@") == 1
 }
 
+// describe counts a mailbox's message bytes without their separators.
 func describe(mb *mailbox) proto.Descriptor {
-	size := 0
-	for _, m := range mb.messages {
-		size += len(m)
-	}
 	return proto.Descriptor{
 		Tag:          proto.TagMailbox,
 		ObjectID:     mb.id,
 		Name:         mb.address,
-		Size:         uint32(size),
+		Size:         uint32(len(mb.data) - mb.count),
 		Perms:        proto.PermRead | proto.PermWrite,
-		TypeSpecific: [2]uint32{uint32(len(mb.messages)), 0},
+		TypeSpecific: [2]uint32{uint32(mb.count), 0},
 	}
 }
 
@@ -104,22 +103,13 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, nil)
 }
 
-// flatten is a mailbox's messages as its instance reads them.
-func flatten(mb *mailbox) []byte {
-	var out []byte
-	for _, m := range mb.messages {
-		out = append(out, m...)
-		out = append(out, '\n')
-	}
-	return out
-}
-
 func read(_ *kernel.Process, mb *mailbox, off int64, buf []byte) (int, error) {
-	return core.ReadBytes(flatten(mb), off, buf)
+	return core.ReadBytes(mb.data, off, buf)
 }
 
 // write delivers one message per write, regardless of offset.
 func write(_ *kernel.Process, mb *mailbox, _ int64, data []byte) (int, error) {
-	mb.messages = append(mb.messages, append([]byte(nil), data...))
+	mb.data = append(append(mb.data, data...), '\n')
+	mb.count++
 	return len(data), nil
 }

@@ -2,6 +2,8 @@ package mailserver
 
 import (
 	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -222,5 +224,53 @@ func TestBadContextRejected(t *testing.T) {
 	reply, err := client.Send(req, s.PID())
 	if err != nil || reply.Op != proto.ReplyBadContext {
 		t.Fatalf("reply = %v, %v", reply, err)
+	}
+}
+
+// TestReadingAMailboxAllocatesLinearly delivers 200 messages of 511
+// bytes and reads the mailbox back block by block: the server serves the
+// bytes it stores, so the whole read allocates at most twice what it
+// returns.
+func TestReadingAMailboxAllocatesLinearly(t *testing.T) {
+	s, client := startRig(t)
+	w := openBox(t, client, s, "bulk@box", proto.ModeWrite|proto.ModeCreate)
+	msg := make([]byte, 511)
+	for i := 0; i < 200; i++ {
+		// From offset 0 each time, so that no message straddles a block
+		// and splits into two writes.
+		if _, err := w.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := messages(client, s, "bulk@box"); err != nil || n != 200 {
+		t.Fatalf("messages = %d, %v", n, err)
+	}
+	r := openBox(t, client, s, "bulk@box", proto.ModeRead)
+	buf := make([]byte, vio.DefaultBlockSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read := 0
+	for {
+		n, err := r.Read(buf)
+		read += n
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if read != 200*512 {
+		t.Fatalf("read %d bytes, want %d", read, 200*512)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2*uint64(read) {
+		t.Fatalf("reading %d bytes allocated %d", read, alloc)
 	}
 }

@@ -348,7 +348,8 @@ func Publish(reg *metrics.Registry, server string, top *TopK) {
 		gauge("namestat_renew_rate_mhz", it.Name, it.RenewRateMilliHz)
 		gauge("namestat_invalidation_fanout_milli", it.Name, it.FanoutMilli)
 	}
-	// One registration for the lot: a Gauge call apiece would copy the
-	// registry's gauge table once per new gauge.
+	// One registration for the lot, under one hold of the registry's
+	// lock: a Gauge call apiece would count a by-label lookup per gauge
+	// and make each new gauge non-volatile.
 	reg.SetGauges(points)
 }

@@ -16,7 +16,8 @@ import (
 	"repro/internal/vio"
 )
 
-// jobState tracks a job through the queue.
+// jobState tracks a job through the queue. No job stores statePrinting:
+// the queued job at position 1 reports it.
 type jobState uint8
 
 const (
@@ -83,25 +84,25 @@ func (s *Server) AdvanceQueue() string {
 	pages := max(1, (len(j.data)+vio.DefaultBlockSize-1)/vio.DefaultBlockSize)
 	s.Proc().ChargeCompute(time.Duration(pages) * s.pageTime)
 	j.state = stateDone
-	if len(s.queue) > 0 {
-		if head := s.Get(s.queue[0]); head != nil {
-			head.state = statePrinting
-		}
-	}
 	s.Mu.Unlock()
 	_, _ = s.Remove(j.id, j.name) // fails only if a cancel got there first
 	return j.name
 }
 
-// describe runs with Mu held (core.FlatKind).
+// describe runs with Mu held (core.FlatKind). The job at the head of
+// the queue is the one printing.
 func (s *Server) describe(j *job) proto.Descriptor {
+	pos, state := s.position(j.id), j.state
+	if pos == 1 {
+		state = statePrinting
+	}
 	return proto.Descriptor{
 		Tag:          proto.TagPrintJob,
 		ObjectID:     j.id,
 		Name:         j.name,
 		Size:         uint32(len(j.data)),
 		Perms:        proto.PermRead | proto.PermWrite,
-		TypeSpecific: [2]uint32{uint32(s.position(j.id)), uint32(j.state)},
+		TypeSpecific: [2]uint32{uint32(pos), uint32(state)},
 	}
 }
 
@@ -173,8 +174,5 @@ func (s *Server) release(j *job, _ uint32) {
 	if j.state == stateSpooling && s.Get(j.id) == j {
 		j.state = stateQueued
 		s.queue = append(s.queue, j.id)
-		if len(s.queue) == 1 {
-			j.state = statePrinting
-		}
 	}
 }

@@ -309,3 +309,31 @@ func TestSpoolWritePastLimitRefused(t *testing.T) {
 		t.Fatalf("the refused write grew the job to %d bytes", size)
 	}
 }
+
+// TestCancelPrintingJobPromotesNext cancels the job that is printing: the
+// next job is now at the head of the queue, so it reports position 1 and
+// the printing state.
+func TestCancelPrintingJobPromotesNext(t *testing.T) {
+	s, client := startRig(t)
+	submit(t, client, s, "a.ps", []byte("A"))
+	submit(t, client, s, "b.ps", []byte("B"))
+	rm := &proto.Message{Op: proto.OpRemoveObject}
+	proto.SetCSName(rm, uint32(core.CtxDefault), "a.ps")
+	if reply, err := client.Send(rm, s.PID()); err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("cancel = %v, %v", reply, err)
+	}
+	q := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(q, uint32(core.CtxDefault), "b.ps")
+	reply, err := client.Send(q, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("query = %v, %v", reply, err)
+	}
+	d, _, err := proto.DecodeDescriptor(reply.Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.TypeSpecific[0] != 1 || jobState(d.TypeSpecific[1]) != statePrinting {
+		t.Fatalf("next job after cancelling the printing one = position %d state %d, want 1 %d",
+			d.TypeSpecific[0], d.TypeSpecific[1], statePrinting)
+	}
+}

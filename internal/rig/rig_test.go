@@ -658,9 +658,9 @@ func TestExecProgram(t *testing.T) {
 	s := ws.Session
 
 	ran := make(chan struct{})
-	ws.Exec.RegisterBody("hello", func(p *kernel.Process) {
+	ws.Exec.RegisterBody("hello", func(prog *client.Session) {
 		close(ran)
-		<-p.Done()
+		<-prog.Proc().Done()
 	})
 
 	req := &proto.Message{Op: proto.OpExecProgram}
@@ -974,7 +974,7 @@ func TestExecInheritsCurrentContext(t *testing.T) {
 		err     error
 	}
 	done := make(chan result, 1)
-	ws.Exec.RegisterSessionBody("hello", func(prog *client.Session) {
+	ws.Exec.RegisterBody("hello", func(prog *client.Session) {
 		data, err := prog.ReadFile("welcome.txt") // relative: inherited context
 		if err != nil {
 			done <- result{err: err}

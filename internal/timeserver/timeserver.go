@@ -3,51 +3,51 @@
 // translate from service to real server pid on each operation, rather
 // than caching the binding.
 //
-// The server answers OpQueryInstance-style time requests with the
-// domain's virtual time. It also exposes its single "clock" object under
-// the name-handling protocol, so even the time is a nameable, queryable
-// object.
+// The server answers OpEcho time requests with the domain's virtual
+// time. It also exposes its single "clock" object under the name-handling
+// protocol, so even the time is a nameable, queryable object.
 package timeserver
 
 import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
-	"repro/internal/vio"
 )
 
-// Server is the time server.
-type Server struct {
-	*core.Server
-	store *core.MapStore
-	reg   *vio.Registry
-}
+// clock is the one object: its description is the serving process's now.
+type clock struct{}
 
 // clockObjectID is the id of the single clock object.
 const clockObjectID = 1
 
+// Server is the time server: a flat context holding the clock, which is
+// queried and listed but not opened.
+type Server struct {
+	*core.Flat[clock]
+}
+
 // Start spawns a time server on host and registers the time service.
 func Start(host *kernel.Host) (*Server, error) {
-	proc, err := host.NewProcess("time-server")
+	s := &Server{}
+	var err error
+	s.Flat, err = core.NewFlat(host, "time-server", s,
+		core.FlatKind[clock]{Tag: proto.TagServiceBinding, Describe: s.describe})
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{store: core.NewMapStore(), reg: vio.NewRegistry()}
-	if err := s.store.Bind(core.CtxDefault, "clock",
-		core.ObjectEntry(proto.TagServiceBinding, clockObjectID)); err != nil {
+	if err := s.Add(clockObjectID, "clock", &clock{}); err != nil {
 		return nil, err
 	}
-	s.Server = core.NewServer(proc, s.store, s, 1)
 	if err := s.StartService(kernel.ServiceTime, kernel.ScopeBoth); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// clock fabricates the clock's description record as of the serving
-// process's now.
-func clock(p *kernel.Process) proto.Descriptor {
-	now := p.Now()
+// describe fabricates the clock's description record as of the server's
+// now (core.FlatKind).
+func (s *Server) describe(*clock) proto.Descriptor {
+	now := s.Proc().Now()
 	return proto.Descriptor{
 		Tag:      proto.TagServiceBinding,
 		ObjectID: clockObjectID,
@@ -57,53 +57,27 @@ func clock(p *kernel.Process) proto.Descriptor {
 	}
 }
 
-// HandleNamed implements core.Handler: the clock object answers query,
-// and the context lists it — the single list-directory command covers
-// this context type too (§6).
+// HandleNamed implements core.Handler: the clock is the one name here,
+// and it stays.
 func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
-	switch req.Msg.Op {
-	case proto.OpQueryObject, proto.OpRemoveObject:
-		if res.Entry == nil || res.Entry.Object == nil {
-			return core.ErrorReplyMsg(proto.ErrNotFound)
-		}
-		if req.Msg.Op == proto.OpRemoveObject {
-			break // the clock is the one name here, and it stays
-		}
-		d := clock(req.Proc())
-		reply := core.OkReply()
-		reply.Segment = d.AppendEncoded(nil)
-		return reply
-	case proto.OpCreateInstance:
-		if proto.OpenMode(req.Msg)&proto.ModeDirectory == 0 {
-			break // the clock is queried, not opened
-		}
-		_, pattern, err := core.DirectoryRequest(req.Msg, res)
-		if err != nil {
-			return core.ErrorReplyMsg(err)
-		}
-		records := core.FilterRecords([]proto.Descriptor{clock(req.Proc())}, pattern)
-		return core.OpenDirectory(req.Proc(), s.reg, s.PID(),
-			proto.EncodeDescriptors(records), len(records), res.Name, nil)
+	if req.Msg.Op == proto.OpRemoveObject && res.Entry != nil {
+		return core.ErrorReplyMsg(proto.ErrIllegalRequest)
 	}
-	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
+	return s.Flat.HandleNamed(req, res)
 }
 
 // HandleOp implements core.Handler: OpEcho doubles as "get time" for the
 // simple per-operation clients §4.2 describes — the reply's F[0]/F[1]
-// carry the server's virtual time. The rest are the instance operations
-// on an open directory.
+// carry the server's virtual time. The rest are the standard ones.
 func (s *Server) HandleOp(req *core.Request) *proto.Message {
-	if req.Msg.Op == proto.OpEcho {
-		reply := core.OkReply()
-		now := uint64(req.Proc().Now())
-		reply.F[0] = uint32(now >> 32)
-		reply.F[1] = uint32(now)
-		return reply
+	if req.Msg.Op != proto.OpEcho {
+		return s.Flat.HandleOp(req)
 	}
-	if reply := s.reg.HandleOp(req.Proc(), req.Msg, req.From); reply != nil {
-		return reply
-	}
-	return core.ErrorReplyMsg(proto.ErrIllegalRequest)
+	reply := core.OkReply()
+	now := uint64(req.Proc().Now())
+	reply.F[0] = uint32(now >> 32)
+	reply.F[1] = uint32(now)
+	return reply
 }
 
 // GetTime is the client stub the paper sketches: GetPid(time service) on

@@ -3,6 +3,7 @@ package timeserver
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -130,5 +131,71 @@ func TestClockContextIsListable(t *testing.T) {
 	}
 	if reply, _ := list("clock", ""); reply.Op != proto.ReplyNotAContext {
 		t.Fatalf("directory open of the clock = %v", reply.Op)
+	}
+}
+
+// TestClockStays removes the clock: refused with IllegalRequest, and the
+// context still lists it.
+func TestClockStays(t *testing.T) {
+	s, client := startRig(t)
+	req := &proto.Message{Op: proto.OpRemoveObject}
+	proto.SetCSName(req, uint32(core.CtxDefault), "clock")
+	if reply, err := client.Send(req, s.PID()); err != nil || reply.Op != proto.ReplyIllegalRequest {
+		t.Fatalf("remove = %v, %v", reply, err)
+	}
+	open := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(open, uint32(core.CtxDefault), "")
+	proto.SetOpenMode(open, proto.ModeRead|proto.ModeDirectory)
+	reply, err := client.Send(open, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("directory open = %v, %v", reply, err)
+	}
+	raw, err := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records, err := proto.DecodeDescriptors(raw); err != nil || len(records) != 1 || records[0].Name != "clock" {
+		t.Fatalf("records after remove = %+v, %v", records, err)
+	}
+}
+
+// TestClockOpenModeNotSupported opens the clock as a file: like every
+// flat kind without an Open rule, the server answers ModeNotSupported.
+func TestClockOpenModeNotSupported(t *testing.T) {
+	s, client := startRig(t)
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), "clock")
+	proto.SetOpenMode(req, proto.ModeRead)
+	if reply, err := client.Send(req, s.PID()); err != nil || reply.Op != proto.ReplyModeNotSupported {
+		t.Fatalf("open = %v, %v", reply, err)
+	}
+}
+
+// TestClockQueryChargesOneRecord holds the time server to the charge
+// rule: a Query of the clock costs one DescriptorFabricateCost more than
+// a Query of an unbound name of the same length, beyond the longer
+// reply's extra wire time.
+func TestClockQueryChargesOneRecord(t *testing.T) {
+	s, client := startRig(t)
+	query := func(name string) (*proto.Message, time.Duration) {
+		t.Helper()
+		req := &proto.Message{Op: proto.OpQueryObject}
+		proto.SetCSName(req, uint32(core.CtxDefault), name)
+		start := client.Now()
+		reply, err := client.Send(req, s.PID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply, client.Now() - start
+	}
+	hit, hitCost := query("clock")
+	miss, missCost := query("watch")
+	if hit.Op != proto.ReplyOK || miss.Op != proto.ReplyNotFound {
+		t.Fatalf("queries = %v, %v", hit.Op, miss.Op)
+	}
+	m := client.Kernel().Model()
+	wire := m.RemoteHop(hit.WireSize()) - m.RemoteHop(miss.WireSize())
+	if got := hitCost - missCost - wire; got != m.DescriptorFabricateCost {
+		t.Fatalf("clock query cost %v more than a miss beyond the wire, want %v", got, m.DescriptorFabricateCost)
 	}
 }
