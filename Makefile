@@ -16,7 +16,7 @@ COVERAGE_FLOOR ?= 92.0
 # Every such function is reached by a program or deleted unless ROADMAP
 # item 9 says why it stays. Lower it when the count falls; never raise it
 # to make a regression pass.
-REACH_CEILING ?= 24
+REACH_CEILING ?= 23
 
 # The deterministic documents `vbench -<doc> FILE` exports, each pinned
 # byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
@@ -59,8 +59,9 @@ check: vet
 # through rig.Run with the trace and image oracles. The sampled tracer
 # keeps the same roots at one P and at four, its spans written with no
 # lock; a group's members write their send's subtree from their own
-# goroutines under its lock.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/
+# goroutines under its lock. Four goroutines record into one histogram
+# and four send over one wire: the totals equal a sequential replay's.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last three are the file path's: a block
 # read lands in the reader's buffer, no block reads Info(), and a block
@@ -69,8 +70,10 @@ check: vet
 # TestMapContextAnswersInRequest, TestCallbackAnswersInItsClone. A group
 # send allocates its clones, a snapshot and a fan-in: TestGroupSendAllocs.
 # A truncated file's rewrite takes back the pages it freed:
-# TestRewriteReusesFreedPages.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestRewriteReusesFreedPages|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce|TestInstanceOpsAnswerInRequest' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/
+# TestRewriteReusesFreedPages. Recording a histogram observation and a
+# buffer-cache hit, miss or eviction allocate nothing:
+# TestHistogramRecordZeroAlloc, TestBlockCacheAccessZeroAlloc.
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestRewriteReusesFreedPages|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce|TestInstanceOpsAnswerInRequest|TestHistogramRecordZeroAlloc|TestBlockCacheAccessZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/ ./internal/metrics/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover

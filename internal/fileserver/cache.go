@@ -1,16 +1,26 @@
 package fileserver
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // blockCache is the file server's buffer cache: pages read from (or
 // written through to) the disk stay in server memory, so repeated access
 // costs no disk time — the paper's program-load measurement explicitly
 // assumes "the program text is already in the file server's memory
 // buffers" (§3.1). LRU with a fixed page budget.
+//
+// Pages are found through a fixed open-addressed table: linear probing
+// from a key's multiplicative hash, at most half full because it has
+// twice the budget's slots (rounded up to a power of two), and a removal
+// shifts the entries behind it back so no probe meets a tombstone.
 type blockCache struct {
 	mu    sync.Mutex
 	cap   int
-	pages map[pageKey]*page
+	size  int              // pages buffered
+	index []*page          // len is a power of two ≥ 2·cap; nil is empty
+	shift uint8            // 64 − log2(len(index))
 	files map[uint32]*page // each file's chain of buffered pages
 	lru   page             // ring sentinel: lru.older is the most recently used page
 }
@@ -37,9 +47,44 @@ func newBlockCache(capPages int) *blockCache {
 	if capPages <= 0 {
 		capPages = defaultCachePages
 	}
-	c := &blockCache{cap: capPages, pages: make(map[pageKey]*page, capPages), files: make(map[uint32]*page)}
+	slots := 2
+	for slots < 2*capPages {
+		slots *= 2
+	}
+	c := &blockCache{cap: capPages, index: make([]*page, slots), shift: uint8(64 - bits.TrailingZeros(uint(slots))), files: make(map[uint32]*page)}
 	c.lru.newer, c.lru.older = &c.lru, &c.lru
 	return c
+}
+
+// home is the slot where k's probe starts: the top bits of its one
+// integer key times 2⁶⁴/φ (Fibonacci hashing).
+func (c *blockCache) home(k pageKey) int {
+	return int((uint64(k.ino)<<32 ^ uint64(k.block)) * 0x9E3779B97F4A7C15 >> c.shift)
+}
+
+// find returns the slot holding key's page, or the empty slot that ends
+// its probe (with a nil page).
+func (c *blockCache) find(k pageKey) (int, *page) {
+	mask := len(c.index) - 1
+	for i := c.home(k); ; i = (i + 1) & mask {
+		if p := c.index[i]; p == nil || p.key == k {
+			return i, p
+		}
+	}
+}
+
+// unindex empties p's slot, moving back each later entry of the probe
+// run whose home does not lie between the hole and it.
+func (c *blockCache) unindex(p *page) {
+	mask := len(c.index) - 1
+	hole, _ := c.find(p.key)
+	for j := (hole + 1) & mask; c.index[j] != nil; j = (j + 1) & mask {
+		if q := c.index[j]; (j-c.home(q.key))&mask >= (j-hole)&mask {
+			c.index[hole], hole = q, j
+		}
+	}
+	c.index[hole] = nil
+	c.size--
 }
 
 // touch makes p the most recently used page, linking it into the LRU
@@ -66,7 +111,7 @@ func (c *blockCache) drop(p *page) {
 	default:
 		delete(c.files, p.key.ino)
 	}
-	delete(c.pages, p.key)
+	c.unindex(p)
 }
 
 // access looks the page up once: a buffered page is made the most
@@ -77,28 +122,31 @@ func (c *blockCache) access(ino uint32, block int64, add bool) (hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := pageKey{ino, block}
-	if p, ok := c.pages[key]; ok {
+	slot, p := c.find(key)
+	if p != nil {
 		c.touch(p)
 		return true
 	}
 	if !add {
 		return false
 	}
-	var p *page
-	if len(c.pages) < c.cap {
+	if c.size < c.cap {
 		p = &page{key: key}
 	} else {
-		// A full cache recycles its victim's page for the newcomer.
+		// A full cache recycles its victim's page for the newcomer; the
+		// victim's removal may move entries, so the probe is redone.
 		p = c.lru.newer
 		c.drop(p)
 		*p = page{key: key}
+		slot, _ = c.find(key)
 	}
 	c.touch(p)
 	if p.next = c.files[ino]; p.next != nil {
 		p.next.prev = p
 	}
 	c.files[ino] = p
-	c.pages[key] = p
+	c.index[slot] = p
+	c.size++
 	return false
 }
 

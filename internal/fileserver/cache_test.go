@@ -82,7 +82,7 @@ func (c *blockCache) order(t *testing.T) []pageKey {
 	t.Helper()
 	var keys []pageKey
 	for p := c.lru.older; p != &c.lru; p = p.older {
-		if p.older.newer != p || c.pages[p.key] != p {
+		if _, q := c.find(p.key); p.older.newer != p || q != p {
 			t.Fatalf("LRU ring broken at %+v", p.key)
 		}
 		keys = append(keys, p.key)
@@ -93,14 +93,20 @@ func (c *blockCache) order(t *testing.T) []pageKey {
 			t.Fatalf("file %d: chain head %+v", ino, head)
 		}
 		for p := head; p != nil; p = p.next {
-			if p.key.ino != ino || c.pages[p.key] != p || (p.next != nil && p.next.prev != p) {
+			if _, q := c.find(p.key); p.key.ino != ino || q != p || (p.next != nil && p.next.prev != p) {
 				t.Fatalf("file %d: chain broken at %+v", ino, p.key)
 			}
 			chained++
 		}
 	}
-	if len(keys) != len(c.pages) || chained != len(c.pages) {
-		t.Fatalf("ring has %d pages, chains %d, index %d", len(keys), chained, len(c.pages))
+	indexed := 0
+	for _, p := range c.index {
+		if p != nil {
+			indexed++
+		}
+	}
+	if len(keys) != c.size || chained != c.size || indexed != c.size {
+		t.Fatalf("ring has %d pages, chains %d, index %d, size %d", len(keys), chained, indexed, c.size)
 	}
 	return keys
 }
@@ -127,8 +133,8 @@ func TestBlockCacheAgainstFlatReference(t *testing.T) {
 				c.invalidate(ino)
 				ref.invalidate(ino)
 			}
-			if got, want := c.order(t), ref.order(); !reflect.DeepEqual(got, want) || len(c.pages) != len(want) {
-				t.Fatalf("seed %d step %d: after %s size %d, order\n got %v\nwant %v", seed, step, what, len(c.pages), got, want)
+			if got, want := c.order(t), ref.order(); !reflect.DeepEqual(got, want) || c.size != len(want) {
+				t.Fatalf("seed %d step %d: after %s size %d, order\n got %v\nwant %v", seed, step, what, c.size, got, want)
 			}
 		}
 	}
@@ -157,7 +163,36 @@ func TestInvalidateUncachedFileZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { block++; c.access(7, 1000+block, true) }); allocs != 0 {
 		t.Fatalf("insert into a full cache: %v allocs", allocs)
 	}
-	if len(c.pages) != defaultCachePages {
-		t.Fatalf("size = %d", len(c.pages))
+	if c.size != defaultCachePages {
+		t.Fatalf("size = %d", c.size)
+	}
+}
+
+// TestBlockCacheAccessZeroAlloc: on a full cache, a hit, a miss that
+// buffers nothing and a miss that evicts for its page are each a probe
+// of the fixed table and a few pointer writes, never an allocation.
+func TestBlockCacheAccessZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	c := newBlockCache(defaultCachePages)
+	for i := 0; i < defaultCachePages; i++ {
+		c.access(uint32(i%7), int64(i), true)
+	}
+	block := int64(0)
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"hit", func() { c.access(uint32(block%7), block, true); block = (block + 1) % defaultCachePages }},
+		{"miss", func() { c.access(99, block, false); block++ }},
+		{"evicting miss", func() { c.access(3, 1<<40+block, true); block++ }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
+			t.Errorf("%s: %v allocs", tc.name, allocs)
+		}
+	}
+	if c.order(t); c.size != defaultCachePages {
+		t.Fatalf("size = %d", c.size)
 	}
 }

@@ -1,6 +1,7 @@
 package fileserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -319,6 +320,27 @@ func TestAddLinkValidation(t *testing.T) {
 	}
 }
 
+// TestLinkNamedDotDotRefused: "..", "." and "" are names no lookup
+// reaches — the first two resolve to the directories themselves — so a
+// link may not be bound under them, as no file or directory may, and a
+// refused link leaves the directory as it was.
+func TestLinkNamedDotDotRefused(t *testing.T) {
+	fs, _ := startFS(t)
+	target := core.ContextPair{Server: kernel.MakePID(9, 9), Ctx: 1}
+	if _, err := fs.MkdirAll("/links/sub", ""); err != nil {
+		t.Fatal(err)
+	}
+	image := fs.Image()
+	for _, name := range []string{"..", ".", ""} {
+		if err := fs.AddLink("/links/sub", name, target); !errors.Is(err, proto.ErrBadArgs) {
+			t.Errorf("link named %q: err = %v, want BadArgs", name, err)
+		}
+	}
+	if !bytes.Equal(fs.Image(), image) {
+		t.Fatal("a refused link changed the volume")
+	}
+}
+
 func TestRemoveLinkBinding(t *testing.T) {
 	// OpDeleteContextName removes the local binding of a cross-server
 	// link without contacting the (here: long dead) remote server; a
@@ -516,7 +538,7 @@ func TestBufferCacheServesRepeatedReads(t *testing.T) {
 	if warm > cold-14*time.Millisecond {
 		t.Fatalf("warm read %v vs cold %v: buffer cache not effective", warm, cold)
 	}
-	if len(fs.cache.pages) == 0 {
+	if fs.cache.size == 0 {
 		t.Fatal("cache empty after reads")
 	}
 }
@@ -534,7 +556,7 @@ func TestBufferCacheInvalidatedByTruncate(t *testing.T) {
 	if _, err := f.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fs.cache.pages) == 0 {
+	if fs.cache.size == 0 {
 		t.Fatal("no pages cached")
 	}
 	if err := fs.WriteFile("/f", "o", make([]byte, 512)); err != nil {
@@ -575,7 +597,7 @@ func TestBufferCacheLRUEviction(t *testing.T) {
 		t.Fatal("LRU order not respected")
 	}
 	c.invalidate(1)
-	if len(c.pages) != 0 {
+	if c.size != 0 {
 		t.Fatal("invalidate left pages behind")
 	}
 }

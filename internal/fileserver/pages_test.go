@@ -69,7 +69,7 @@ func TestWritePastFileLimitRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := openNamed(t, client, fs, "f", proto.ModeWrite)
-	image, buffered := fs.Image(), len(fs.cache.pages)
+	image, buffered := fs.Image(), fs.cache.size
 	before, err := query(client, fs, "f")
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestWritePastFileLimitRefused(t *testing.T) {
 	if reply := send(t, client, fs, req); reply.Op != proto.ReplyNoServerResources {
 		t.Fatalf("write at block %#x: %v, want NoServerResources", req.F[1], reply.Op)
 	}
-	if after, err := query(client, fs, "f"); err != nil || after != before || !bytes.Equal(fs.Image(), image) || len(fs.cache.pages) != buffered {
+	if after, err := query(client, fs, "f"); err != nil || after != before || !bytes.Equal(fs.Image(), image) || fs.cache.size != buffered {
 		t.Fatal("a refused write changed the file or the buffer cache")
 	}
 	if _, err := fs.vol.writeAt(uint32(before.ObjectID), vio.MaxFileSize, []byte("x"), 0); !errors.Is(err, proto.ErrNoServerResources) {

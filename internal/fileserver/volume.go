@@ -245,14 +245,12 @@ func (v *volume) addAlias(ctx core.ContextID, name string, id uint32, now vtime.
 }
 
 // addLink binds name in ctx to a context on another server (Figure 4's
-// curved arrow). Only the empty name is refused.
+// curved arrow). A name no lookup could reach — "", "." or ".." — is
+// refused, as dirFor refuses it for every other binding.
 func (v *volume) addLink(ctx core.ContextID, name string, target core.ContextPair, now vtime.Time) error {
-	if name == "" {
-		return fmt.Errorf("%w: empty link name", proto.ErrBadArgs)
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	d, err := v.dir(ctx)
+	d, err := v.dirFor(ctx, name)
 	if err != nil {
 		return err
 	}

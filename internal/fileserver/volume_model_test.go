@@ -105,7 +105,7 @@ func (m *model) addAlias(ctx core.ContextID, name string, id uint32, now vtime.T
 }
 
 func (m *model) addLink(ctx core.ContextID, name string, target core.ContextPair, now vtime.Time) error {
-	if name == "" {
+	if badName(name) {
 		return proto.ErrBadArgs
 	}
 	d, err := m.dir(ctx)

@@ -56,31 +56,28 @@ type envelope struct {
 // pending table or a mailbox, or from a group's fan-in.
 type record struct {
 	envelope
-	state atomic.Uint32 // recOpen, recLanded or recParked
-	ev    replyEvent
-	wake  chan struct{} // one slot: wakes a sender that parked
+	// arrivals counts the completion's land and the sender's await, one
+	// of each per transaction, so it is even between transactions and
+	// never reset.
+	arrivals atomic.Uint32
+	ev       replyEvent
+	wake     chan struct{} // one slot: wakes a sender that parked
 }
 
-const (
-	recOpen uint32 = iota
-	recLanded
-	recParked
-)
-
-// land stores the completion. Whichever of land and await swaps the state
-// second sees the other's mark: a completer that finds the sender parked
-// wakes it; a sender that finds the completion landed reads it without
+// land stores the completion. Whichever of land and await arrives second
+// makes the count even: a completer that comes second wakes the parked
+// sender; a sender that comes second reads the completion without
 // parking — the case of every served target that replies in its turn.
 func (r *record) land(ev replyEvent) {
 	r.ev = ev
-	if r.state.Swap(recLanded) == recParked {
+	if r.arrivals.Add(1)%2 == 0 {
 		r.wake <- struct{}{}
 	}
 }
 
 // await returns the completion, parking until it has landed.
 func (r *record) await() replyEvent {
-	if r.state.Swap(recParked) != recLanded {
+	if r.arrivals.Add(1)%2 == 1 {
 		<-r.wake
 	}
 	return r.ev
@@ -109,7 +106,6 @@ func (p *Process) record(moveSrc, moveDst []byte) *record {
 	}
 	// Field by field: a struct assignment would copy through write barriers.
 	rec.moveSrc, rec.moveDst = moveSrc, moveDst
-	rec.state.Store(recOpen)
 	return rec
 }
 
@@ -154,8 +150,10 @@ type Process struct {
 	// that retired it.
 	rec *record
 
-	mu      sync.Mutex
-	dead    bool
+	mu sync.Mutex
+	// dead is written under mu, beside pending and onExit, and read
+	// without it by isDead on every Send and delivery.
+	dead    atomic.Bool
 	crashed bool        // died with its host, not by clean Destroy
 	pending []*envelope // received but not yet replied, one per origin, in arrival order
 	// sendLat is the send_latency series of sends to this process, by op.
@@ -194,19 +192,12 @@ func (p *Process) ChargeCompute(d time.Duration) { p.clock.Advance(d) }
 // Done is closed when the process is destroyed.
 func (p *Process) Done() <-chan struct{} { return p.done }
 
-// isDead is the lock-free liveness check on the send hot path. It reads
-// the done channel rather than the mutex-guarded dead flag: a send
-// racing a concurrent destroy is caught by deliver() either way, and
-// the sequential paths the simulation measures see terminate()'s close
-// before any later send.
-func (p *Process) isDead() bool {
-	select {
-	case <-p.done:
-		return true
-	default:
-		return false
-	}
-}
+// isDead is the lock-free liveness check on the send hot path: one
+// atomic load of the flag terminate sets before it closes done. A send
+// racing a concurrent destroy is caught by accept either way, and the
+// sequential paths the simulation measures see the flag set before any
+// later send.
+func (p *Process) isDead() bool { return p.dead.Load() }
 
 // Tracer returns the domain tracer (nil-safe to use when tracing is off).
 func (p *Process) Tracer() *trace.Tracer { return p.host.kernel.Tracer() }
@@ -472,7 +463,7 @@ func (p *Process) accept(env *envelope) bool {
 	p.clock.Observe(env.arrival)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.dead {
+	if p.dead.Load() {
 		return false
 	}
 	if i := p.pendingAt(env.origin); i >= 0 {
@@ -768,7 +759,7 @@ func (p *Process) Destroy() {
 // crash is fully recorded when Crash returns.
 func (p *Process) OnExit(f func()) {
 	p.mu.Lock()
-	if !p.dead {
+	if !p.dead.Load() {
 		p.onExit = append(p.onExit, f)
 		p.mu.Unlock()
 		return
@@ -784,7 +775,7 @@ func (p *Process) Err() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	switch {
-	case !p.dead:
+	case !p.dead.Load():
 		return nil
 	case p.crashed:
 		return fmt.Errorf("%w: host %s under %s", ErrHostDown, p.host.name, p.name)
@@ -796,11 +787,11 @@ func (p *Process) Err() error {
 // touching it and runs its exit hooks. crashed records the cause for Err.
 func (p *Process) terminate(crashed bool) {
 	p.mu.Lock()
-	if p.dead {
+	if p.dead.Load() {
 		p.mu.Unlock()
 		return
 	}
-	p.dead = true
+	p.dead.Store(true)
 	p.crashed = crashed
 	pend, hooks := p.pending, p.onExit
 	p.pending, p.onExit = nil, nil

@@ -72,13 +72,14 @@ func ValidAddress(address string) bool {
 	return at > 0 && at < len(address)-1 && strings.Count(address, "@") == 1
 }
 
-// describe counts a mailbox's message bytes without their separators.
+// describe reports a mailbox's size as an open instance of it does: the
+// bytes a reader gets, each message's newline included.
 func describe(mb *mailbox) proto.Descriptor {
 	return proto.Descriptor{
 		Tag:          proto.TagMailbox,
 		ObjectID:     mb.id,
 		Name:         mb.address,
-		Size:         uint32(len(mb.data) - mb.count),
+		Size:         uint32(len(mb.data)),
 		Perms:        proto.PermRead | proto.PermWrite,
 		TypeSpecific: [2]uint32{uint32(mb.count), 0},
 	}

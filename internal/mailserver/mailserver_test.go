@@ -274,3 +274,42 @@ func TestReadingAMailboxAllocatesLinearly(t *testing.T) {
 		t.Fatalf("reading %d bytes allocated %d", read, alloc)
 	}
 }
+
+// TestMailboxQuerySizeMatchesInstance: a mailbox's description record and
+// an open instance of it report one size, the bytes a reader gets — 200
+// messages of 511 bytes, each with its newline, are 102,400 both ways.
+func TestMailboxQuerySizeMatchesInstance(t *testing.T) {
+	s, client := startRig(t)
+	w := openBox(t, client, s, "bulk@box", proto.ModeWrite|proto.ModeCreate)
+	msg := make([]byte, 511)
+	for i := 0; i < 200; i++ {
+		if _, err := w.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(q, uint32(core.CtxDefault), "bulk@box")
+	reply, err := client.Send(q, s.PID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := proto.DecodeDescriptor(reply.Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := openBox(t, client, s, "bulk@box", proto.ModeRead)
+	defer r.Close()
+	info, err := r.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Size != 200*512 || info.SizeBytes != 200*512 {
+		t.Fatalf("query reports %d bytes, an open instance %d; want %d both ways", d.Size, info.SizeBytes, 200*512)
+	}
+}

@@ -29,13 +29,19 @@ const (
 )
 
 // Histogram is a fixed-bucket latency histogram with atomic recording.
+// A bucket's count and value sum sit side by side, so Record touches one
+// cache line of buckets (a bucket is 16 bytes and the table starts the
+// struct, which the allocator aligns); the totals are not kept but summed
+// from the buckets on read, which only snapshots do.
 type Histogram struct {
-	counts [histBuckets]atomic.Uint64
-	sums   [histBuckets]atomic.Int64
-	count  atomic.Uint64
-	sum    atomic.Int64
-	max    atomic.Int64
-	ex     exemplars
+	buckets [histBuckets]bucket
+	max     atomic.Int64
+	ex      exemplars
+}
+
+type bucket struct {
+	count atomic.Uint64
+	sum   atomic.Int64
 }
 
 // NewHistogram returns an empty histogram.
@@ -74,15 +80,10 @@ func (h *Histogram) Record(d vtime.Time) {
 	if h == nil {
 		return
 	}
-	v := int64(d)
-	if v < 0 {
-		v = 0
-	}
-	idx := bucketIndex(v)
-	h.counts[idx].Add(1)
-	h.sums[idx].Add(v)
-	h.count.Add(1)
-	h.sum.Add(v)
+	v := max(int64(d), 0)
+	b := &h.buckets[bucketIndex(v)]
+	b.count.Add(1)
+	b.sum.Add(v)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -91,73 +92,49 @@ func (h *Histogram) Record(d vtime.Time) {
 	}
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
+// histRead is one pass over a histogram's buckets: a copy of every
+// bucket and the totals summed from it, from which a snapshot computes
+// every statistic it reports without reading the live buckets again.
+type histRead struct {
+	counts [histBuckets]uint64
+	sums   [histBuckets]int64
+	n      uint64
+	sum    int64
+	max    int64
 }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() vtime.Time {
-	if h == nil {
-		return 0
+// read fills r from h's buckets, reading each once.
+func (h *Histogram) read(r *histRead) {
+	r.n, r.sum, r.max = 0, 0, h.max.Load()
+	for i := range h.buckets {
+		b := &h.buckets[i]
+		c, s := b.count.Load(), b.sum.Load()
+		r.counts[i], r.sums[i] = c, s
+		r.n += c
+		r.sum += s
 	}
-	return vtime.Time(h.sum.Load())
 }
 
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() vtime.Time {
-	if h == nil || h.count.Load() == 0 {
-		return 0
-	}
-	return vtime.Time(h.max.Load())
-}
-
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() vtime.Time {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return vtime.Time(h.sum.Load() / int64(n))
-}
-
-// Quantile returns the q-quantile (0 < q ≤ 1) by the nearest-rank
+// quantile returns the q-quantile (0 < q ≤ 1) by the nearest-rank
 // method: the mean of the bucket containing rank ⌈q·n⌉. q=1 returns the
 // exact maximum.
-func (h *Histogram) Quantile(q float64) vtime.Time {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
+func (r *histRead) quantile(q float64) vtime.Time {
+	if r.n == 0 {
 		return 0
 	}
 	if q >= 1 {
-		return h.Max()
+		return vtime.Time(r.max)
 	}
-	if q < 0 {
-		q = 0
-	}
-	rank := uint64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := max(uint64(math.Ceil(max(q, 0)*float64(r.n))), 1)
 	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		c := h.counts[i].Load()
+	for i, c := range r.counts {
 		if c == 0 {
 			continue
 		}
 		cum += c
 		if cum >= rank {
-			return vtime.Time(h.sums[i].Load() / int64(c))
+			return vtime.Time(r.sums[i] / int64(c))
 		}
 	}
-	return h.Max()
+	return vtime.Time(r.max)
 }

@@ -1,9 +1,20 @@
 package metrics
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/raceflag"
 )
+
+// readOf is one read of h, for a test to inspect.
+func readOf(h *Histogram) *histRead {
+	r := new(histRead)
+	h.read(r)
+	return r
+}
 
 // TestHistogramBucketBoundaries pins the log-linear bucket layout:
 // singleton buckets below 2*histSub, then 64 linear sub-buckets per
@@ -65,26 +76,27 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 // distribution (values 1..100 ns, all in singleton buckets).
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewHistogram()
-	if got := h.Quantile(0.5); got != 0 {
+	if got := readOf(h).quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
 	for v := 1; v <= 100; v++ {
 		h.Record(time.Duration(v))
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d, want 100", h.Count())
+	r := readOf(h)
+	if r.n != 100 {
+		t.Fatalf("count = %d, want 100", r.n)
 	}
-	if h.Sum() != 5050 {
-		t.Fatalf("sum = %d, want 5050", h.Sum())
+	if r.sum != 5050 {
+		t.Fatalf("sum = %d, want 5050", r.sum)
 	}
-	if h.Max() != 100 {
-		t.Fatalf("max = %v, want 100", h.Max())
+	if r.max != 100 {
+		t.Fatalf("max = %v, want 100", r.max)
 	}
 	for _, c := range []struct {
 		q    float64
 		want time.Duration
 	}{{0.50, 50}, {0.90, 90}, {0.99, 99}, {1.0, 100}, {0.01, 1}} {
-		if got := h.Quantile(c.q); got != c.want {
+		if got := r.quantile(c.q); got != c.want {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
@@ -104,13 +116,14 @@ func TestHistogramDegenerateExact(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Record(v)
 	}
+	r := readOf(h)
 	for _, q := range []float64{0.5, 0.9, 0.99, 1} {
-		if got := h.Quantile(q); got != v {
+		if got := r.quantile(q); got != v {
 			t.Fatalf("Quantile(%v) = %v, want exactly %v", q, got, v)
 		}
 	}
-	if h.Mean() != v {
-		t.Fatalf("Mean = %v, want %v", h.Mean(), v)
+	if mean := time.Duration(r.sum / int64(r.n)); mean != v {
+		t.Fatalf("Mean = %v, want %v", mean, v)
 	}
 }
 
@@ -122,11 +135,68 @@ func TestHistogramBucketMeanBound(t *testing.T) {
 	lo, hi := bucketBounds(idx)
 	h.Record(time.Duration(lo))
 	h.Record(time.Duration(hi))
-	got := h.Quantile(0.5)
+	got := readOf(h).quantile(0.5)
 	if int64(got) < lo || int64(got) > hi {
 		t.Fatalf("bucket-mean quantile %d outside bucket [%d,%d]", got, lo, hi)
 	}
 	if want := time.Duration((lo + hi) / 2); got != want {
 		t.Fatalf("Quantile(0.5) = %v, want bucket mean %v", got, want)
+	}
+}
+
+// TestHistogramConcurrentRecordsMatchReference: four goroutines record
+// into one histogram at once; its count, sum, mean, maximum and every
+// quantile must equal those of a sequential replay of the same values.
+func TestHistogramConcurrentRecordsMatchReference(t *testing.T) {
+	const writers, each = 4, 5000
+	vals := make([][]time.Duration, writers)
+	rng := rand.New(rand.NewSource(7))
+	for w := range vals {
+		for i := 0; i < each; i++ {
+			// Singleton buckets, wide buckets and the clamped last one.
+			vals[w] = append(vals[w], time.Duration(rng.Int63n(1<<uint(rng.Intn(44)+1))))
+		}
+	}
+	h, ref := NewHistogram(), NewHistogram()
+	var wg sync.WaitGroup
+	for w := range vals {
+		wg.Add(1)
+		go func(vs []time.Duration) {
+			defer wg.Done()
+			for _, v := range vs {
+				h.Record(v)
+			}
+		}(vals[w])
+	}
+	wg.Wait()
+	for _, vs := range vals {
+		for _, v := range vs {
+			ref.Record(v)
+		}
+	}
+	got, want := readOf(h), readOf(ref)
+	if got.n != writers*each || got.n != want.n || got.sum != want.sum || got.max != want.max {
+		t.Fatalf("count/sum/max = %d/%d/%d, sequential %d/%d/%d", got.n, got.sum, got.max, want.n, want.sum, want.max)
+	}
+	if gm, wm := got.sum/int64(got.n), want.sum/int64(want.n); gm != wm {
+		t.Fatalf("mean = %d, sequential %d", gm, wm)
+	}
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+		if g, w := got.quantile(q), want.quantile(q); g != w {
+			t.Errorf("Quantile(%v) = %v, sequential %v", q, g, w)
+		}
+	}
+}
+
+// TestHistogramRecordZeroAlloc: recording is a few atomic adds into the
+// histogram's own buckets, never an allocation.
+func TestHistogramRecordZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	h := NewHistogram()
+	v := time.Duration(0)
+	if allocs := testing.AllocsPerRun(1000, func() { v += 997; h.Record(v) }); allocs != 0 {
+		t.Fatalf("Record: %v allocs", allocs)
 	}
 }

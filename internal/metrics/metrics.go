@@ -334,16 +334,18 @@ func (r *Registry) Snapshot() Snapshot {
 	s.Counters, s.Gauges = r.levels()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var hr histRead
 	for k, h := range r.hists {
+		h.read(&hr)
 		s.Histograms = append(s.Histograms, HistPoint{
 			Name:      k.name,
 			Labels:    k.labels,
-			Count:     h.Count(),
-			SumUS:     us(h.Sum()),
-			P50US:     us(h.Quantile(0.50)),
-			P90US:     us(h.Quantile(0.90)),
-			P99US:     us(h.Quantile(0.99)),
-			MaxUS:     us(h.Max()),
+			Count:     hr.n,
+			SumUS:     us(vtime.Time(hr.sum)),
+			P50US:     us(hr.quantile(0.50)),
+			P90US:     us(hr.quantile(0.90)),
+			P99US:     us(hr.quantile(0.99)),
+			MaxUS:     us(vtime.Time(hr.max)),
 			Exemplars: h.Exemplars(),
 		})
 	}

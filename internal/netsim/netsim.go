@@ -70,28 +70,6 @@ type Stats struct {
 	WireBusyFor time.Duration
 }
 
-// statsCounters is the lock-free backing store for Stats: the wire path
-// bumps counters with atomic adds so readers never serialize senders.
-type statsCounters struct {
-	packets    atomic.Uint64
-	bytes      atomic.Uint64
-	broadcasts atomic.Uint64
-	multicasts atomic.Uint64
-	drops      atomic.Uint64
-	wireBusy   atomic.Int64 // nanoseconds of wire occupancy
-}
-
-func (c *statsCounters) load() Stats {
-	return Stats{
-		Packets:     c.packets.Load(),
-		Bytes:       c.bytes.Load(),
-		Broadcasts:  c.broadcasts.Load(),
-		Multicasts:  c.multicasts.Load(),
-		Drops:       c.drops.Load(),
-		WireBusyFor: time.Duration(c.wireBusy.Load()),
-	}
-}
-
 // netMetrics is the pre-resolved instrument set the wire path records
 // into when a metrics registry is installed.
 type netMetrics struct {
@@ -108,15 +86,15 @@ type netMetrics struct {
 type Network struct {
 	model *vtime.CostModel
 
-	// Counters, the loss probability and the partition map are read on
-	// every hop; they are atomics / copy-on-write so the common read
-	// never takes the wire mutex.
-	stats    statsCounters
+	// The loss probability and the partition map are read on every hop;
+	// they are atomics / copy-on-write so the common read never takes
+	// the wire mutex.
 	metrics  atomic.Pointer[netMetrics]
-	dropBits atomic.Uint64                  // math.Float64bits of the drop rate
-	parts    atomic.Pointer[map[HostID]int] // host -> partition group; absent means group 0
+	dropBits atomic.Uint64         // math.Float64bits of the drop rate
+	parts    atomic.Pointer[[]int] // partition group by host id; nil, or past its end, is group 0
 
 	mu       sync.Mutex
+	stats    Stats // every frame's counters, bumped under mu with the wire
 	rng      *rand.Rand
 	recorder FrameRecorder
 	// wireFreeAt serializes the shared medium: a frame transmitted at
@@ -129,13 +107,10 @@ type Network struct {
 // New returns a network using the given cost model and a deterministic RNG
 // seed for loss injection.
 func New(model *vtime.CostModel, seed int64) *Network {
-	n := &Network{
+	return &Network{
 		model: model,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-	parts := make(map[HostID]int)
-	n.parts.Store(&parts)
-	return n
 }
 
 // Model returns the cost model the network charges against.
@@ -170,21 +145,23 @@ func (n *Network) DropRate() float64 {
 // Partition places host h into partition group g. Hosts in different
 // groups cannot exchange frames. All hosts start in group 0.
 //
-// Concurrency: the partition map is copy-on-write — writers copy under
+// Concurrency: the partition table is copy-on-write — writers copy under
 // n.mu and publish atomically, readers (Reachable, on every hop) load
 // the snapshot lock-free — so a partition event may fire while other
 // engines' sends are in flight without a data race. Under the sharded
 // driver the chaos engine additionally fires Partition only at a global
-// fence (every lane quiescent), so *which* sends observe the new map is
-// deterministic, not merely race-free.
+// fence (every lane quiescent), so *which* sends observe the new table
+// is deterministic, not merely race-free. Host ids are dense (a kernel
+// numbers its hosts from 0), so the table is a slice.
 func (n *Network) Partition(h HostID, g int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	old := *n.parts.Load()
-	parts := make(map[HostID]int, len(old)+1)
-	for k, v := range old {
-		parts[k] = v
+	var old []int
+	if p := n.parts.Load(); p != nil {
+		old = *p
 	}
+	parts := make([]int, max(len(old), int(h)+1))
+	copy(parts, old)
 	parts[h] = g
 	n.parts.Store(&parts)
 }
@@ -193,14 +170,20 @@ func (n *Network) Partition(h HostID, g int) {
 func (n *Network) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	parts := make(map[HostID]int)
-	n.parts.Store(&parts)
+	n.parts.Store(nil)
 }
 
 // Reachable reports whether frames can currently flow between a and b.
 func (n *Network) Reachable(a, b HostID) bool {
-	parts := *n.parts.Load()
-	return parts[a] == parts[b]
+	p := n.parts.Load()
+	return p == nil || group(*p, a) == group(*p, b)
+}
+
+func group(parts []int, h HostID) int {
+	if int(h) < len(parts) {
+		return parts[h]
+	}
+	return 0
 }
 
 // SetRecorder installs an observer for every frame the network carries.
@@ -219,10 +202,14 @@ func (n *Network) recordLocked(ev FrameEvent) {
 	}
 }
 
-// Stats returns a stabilized snapshot of the cumulative traffic
-// counters: a mid-run reader never sees, e.g., a packet counted whose
-// bytes are not.
-func (n *Network) Stats() Stats { return metrics.Stable(n.stats.load) }
+// Stats returns the cumulative traffic counters, read under the wire
+// lock every frame updates them under: a mid-run reader never sees, e.g.,
+// a packet counted whose bytes are not.
+func (n *Network) Stats() Stats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.stats
+}
 
 // SetMetrics installs (or, with nil, removes) a metrics registry the
 // wire path mirrors its counters into, adding a wire-queueing-delay
@@ -252,7 +239,7 @@ func (n *Network) reserveWireLocked(at vtime.Time, bytes int) time.Duration {
 		start = n.wireFreeAt
 	}
 	n.wireFreeAt = start + occupancy
-	n.stats.wireBusy.Add(int64(occupancy))
+	n.stats.WireBusyFor += occupancy
 	return start - at
 }
 
@@ -301,7 +288,7 @@ func (n *Network) UnicastDetail(a, b HostID, bytes int, at vtime.Time) (time.Dur
 	dropRate := n.DropRate()
 	for dropRate > 0 && n.rng.Float64() < dropRate {
 		retries++
-		n.stats.drops.Add(1)
+		n.stats.Drops++
 		if nm != nil {
 			nm.drops.Inc()
 		}
@@ -312,8 +299,8 @@ func (n *Network) UnicastDetail(a, b HostID, bytes int, at vtime.Time) (time.Dur
 		d += n.model.RetransmitTimeout + n.model.RemoteHop(bytes)
 	}
 	packets := packetsFor(bytes, n.model.MaxDataPerPacket)
-	n.stats.packets.Add(uint64(packets))
-	n.stats.bytes.Add(uint64(bytes))
+	n.stats.Packets += uint64(packets)
+	n.stats.Bytes += uint64(bytes)
 	if nm != nil {
 		nm.frames.Add(uint64(packets))
 		nm.bytes.Add(uint64(bytes))
@@ -334,9 +321,9 @@ func (n *Network) UnicastDetail(a, b HostID, bytes int, at vtime.Time) (time.Dur
 func (n *Network) Broadcast(a HostID, bytes int, at vtime.Time) time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.stats.packets.Add(1)
-	n.stats.broadcasts.Add(1)
-	n.stats.bytes.Add(uint64(bytes))
+	n.stats.Packets++
+	n.stats.Broadcasts++
+	n.stats.Bytes += uint64(bytes)
 	queue := n.reserveWireLocked(at, bytes)
 	d := queue + n.model.RemoteHop(bytes)
 	if nm := n.metrics.Load(); nm != nil {
@@ -358,9 +345,9 @@ func (n *Network) Broadcast(a HostID, bytes int, at vtime.Time) time.Duration {
 func (n *Network) Multicast(a HostID, bytes int, at vtime.Time) time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.stats.packets.Add(1)
-	n.stats.multicasts.Add(1)
-	n.stats.bytes.Add(uint64(bytes))
+	n.stats.Packets++
+	n.stats.Multicasts++
+	n.stats.Bytes += uint64(bytes)
 	queue := n.reserveWireLocked(at, bytes)
 	d := queue + n.model.RemoteHop(bytes)
 	if nm := n.metrics.Load(); nm != nil {

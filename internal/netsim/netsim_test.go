@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -298,6 +299,53 @@ func TestRegistryMirrorsWire(t *testing.T) {
 	}
 	if n.Stats().Packets != st.Packets+2 {
 		t.Errorf("Stats stopped counting with the registry removed")
+	}
+}
+
+// TestStatsSumConcurrentUnicasts: four goroutines send at once while a
+// fifth reads Stats; the totals must equal the sum over every unicast
+// delivered, and no mid-run read may see more than was sent. Under -race
+// this checks that every counter is written under the wire lock.
+func TestStatsSumConcurrentUnicasts(t *testing.T) {
+	const senders, each = 4, 500
+	n := newNet()
+	var wg sync.WaitGroup
+	var sent [senders]Stats
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				bytes := 32 + (s*each+i)%3000
+				if _, err := n.Unicast(HostID(s+1), HostID(s+2), bytes, time.Duration(i)*time.Millisecond); err != nil {
+					t.Error(err)
+					return
+				}
+				sent[s].Packets += uint64(packetsFor(bytes, n.Model().MaxDataPerPacket))
+				sent[s].Bytes += uint64(bytes)
+				sent[s].WireBusyFor += n.occupancy(bytes)
+			}
+		}(s)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if st := n.Stats(); st.Packets > senders*each*3 || st.Bytes > senders*each*3032 {
+				t.Errorf("mid-run Stats beyond what was sent: %+v", st)
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	var want Stats
+	for _, s := range sent {
+		want.Packets += s.Packets
+		want.Bytes += s.Bytes
+		want.WireBusyFor += s.WireBusyFor
+	}
+	if st := n.Stats(); st != want {
+		t.Fatalf("Stats = %+v, sum over unicasts %+v", st, want)
 	}
 }
 
