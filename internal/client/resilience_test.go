@@ -91,8 +91,14 @@ func TestDynamicBindingFailsOverToReplica(t *testing.T) {
 	if _, err := s.ReadFile("[bin]hello"); err != nil {
 		t.Fatalf("read after failover: %v", err)
 	}
-	if st := r.WS[0].Prefix.Stats(); st.Rebinds == 0 {
-		t.Fatalf("prefix server should count the rebind: %+v", st)
+	var rebinds uint64
+	for _, c := range r.Metrics.Snapshot().Counters {
+		if c.Name == "prefix_rebinds_total" {
+			rebinds += c.Value
+		}
+	}
+	if rebinds == 0 {
+		t.Fatal("prefix server should count the rebind in prefix_rebinds_total")
 	}
 }
 

@@ -9,18 +9,14 @@ import (
 )
 
 // ServeSeries is a server's per-op series in the metrics registry, each
-// looked up by label once per (registry, op): serve_latency and
-// server_requests_total of the requests it answers, server_forwarded_total
-// of those it passes on. Server is the label they carry.
+// looked up by label once per (registry, op): serve_latency of the
+// requests it answers, whose count is published as server_requests_total,
+// and server_forwarded_total of those it passes on. Server is the label
+// they carry.
 type ServeSeries struct {
 	Server    string
-	answered  metrics.Handles[answeredOp]
+	answered  metrics.Handles[*metrics.Histogram]
 	forwarded metrics.Handles[*metrics.Counter]
-}
-
-type answeredOp struct {
-	latency  *metrics.Histogram
-	requests *metrics.Counter
 }
 
 // Forwarded counts one request of op passed on to another server.
@@ -81,12 +77,12 @@ func (sv Serving) Reply(reply *proto.Message, series *ServeSeries) {
 		sv.tr.Fail(sv.span, p.Now(), class)
 	}
 	if reg := p.Kernel().Metrics(); reg != nil && series != nil {
-		a := series.answered.Resolve(reg, uint16(sv.op), func() answeredOp {
+		series.answered.Resolve(reg, uint16(sv.op), func() *metrics.Histogram {
 			lbl := metrics.Labels{Server: series.Server, Op: sv.op.String()}
-			return answeredOp{reg.Histogram("serve_latency", lbl), reg.Counter("server_requests_total", lbl)}
-		})
-		a.latency.Record(p.Now() - sv.start)
-		a.requests.Inc()
+			h := reg.Histogram("serve_latency", lbl)
+			reg.Counter("server_requests_total", lbl).Read(h.Observations())
+			return h
+		}).Record(p.Now() - sv.start)
 		if class != "" {
 			reg.Counter("server_failures_total", metrics.Labels{Server: series.Server, Op: sv.op.String()}).Inc()
 		}

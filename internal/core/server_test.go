@@ -111,7 +111,8 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 		ts.mu.Lock()
 		content := ts.objects[res.Entry.Object.ID]
 		ts.mu.Unlock()
-		info, err := ts.reg.Open(vio.NewBytesInstance(content), res.Name)
+		// A read-only stream of the object's bytes.
+		info, err := ts.reg.Open(vio.NewDirectoryInstance(content, nil), res.Name)
 		if err != nil {
 			return ErrorReplyMsg(err)
 		}

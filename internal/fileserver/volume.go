@@ -405,8 +405,8 @@ func (v *volume) writeAt(id uint32, off int64, data []byte, now vtime.Time) (int
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative offset", proto.ErrBadArgs)
 	}
-	if off+int64(len(data)) > vio.MaxFileSize {
-		return 0, fmt.Errorf("%w: a file ends at %d bytes", proto.ErrNoServerResources, vio.MaxFileSize)
+	if err := vio.CheckStored(off + int64(len(data))); err != nil {
+		return 0, err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()

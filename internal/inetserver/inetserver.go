@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
+	"repro/internal/vio"
 )
 
 // tcpContext is the context id of the "tcp" subcontext holding
@@ -120,8 +121,12 @@ func read(_ *kernel.Process, c *conn, _ int64, buf []byte) (int, error) {
 // write sends to the (simulated) remote end, whose answer queues for
 // reading. The round trip is charged at network cost.
 func (s *Server) write(p *kernel.Process, c *conn, _ int64, data []byte) (int, error) {
+	answer := s.respond(c.dest, data)
+	if err := vio.CheckStored(int64(len(c.inbox) + len(answer))); err != nil {
+		return 0, err
+	}
 	p.ChargeCompute(2 * p.Kernel().Model().RemoteHop(len(data)))
 	c.sent += uint64(len(data))
-	c.inbox = append(c.inbox, s.respond(c.dest, data)...)
+	c.inbox = append(c.inbox, answer...)
 	return len(data), nil
 }

@@ -7,8 +7,9 @@
 // expiry rule: an entry is valid strictly before its Expire.
 //
 // The holder side is a Cache; the granter side is Wanted, Grant and
-// Holders; a Meter shared by both counts what happened and fans each
-// event out to the registry, the tracer and the flight recorder.
+// Holders; a Meter shared by both counts what happened, publishes the
+// counts as registry series, and fans each event out to the tracer and
+// the flight recorder.
 //
 // The paper's §2.2 strawman — cache a resolution and trust it until a
 // use fails — is the degenerate policy of the same mechanism: a Cache
@@ -20,7 +21,6 @@ package lease
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -96,14 +96,14 @@ var events = [numEvents]struct {
 // Stats is a snapshot of a Meter's counters, indexed by Event.
 type Stats [numEvents]uint64
 
-// Meter counts one tier's lease events and publishes them. Counters are
-// atomics: a callback process bumps Invalidation concurrently with the
-// serving goroutine's hit path.
+// Meter counts one tier's lease events and publishes the counts: each
+// is its event's registry series. Counters are atomics: a callback
+// process bumps Invalidation concurrently with the serving goroutine's
+// hit path.
 type Meter struct {
 	class, owner string
-	n            [numEvents]atomic.Uint64
-	// series is n's registry counters by Event, resolved once per registry.
-	series metrics.Handles[*metrics.Counter]
+	n            [numEvents]metrics.Counter
+	series       metrics.Published
 }
 
 // NewMeter returns a meter publishing under class ("client", "tier" or
@@ -112,7 +112,7 @@ func NewMeter(class, owner string) *Meter { return &Meter{class: class, owner: o
 
 func (m *Meter) load() (s Stats) {
 	for i := range s {
-		s[i] = m.n[i].Load()
+		s[i] = m.n[i].Value()
 	}
 	return s
 }
@@ -120,20 +120,18 @@ func (m *Meter) load() (s Stats) {
 // Snapshot returns a torn-read-resistant copy of the counters.
 func (m *Meter) Snapshot() Stats { return metrics.Stable(m.load) }
 
-// add bumps ev's counter and registry series by n.
+// add bumps ev's counter, which is its registry series, by n.
 func (m *Meter) add(p *kernel.Process, ev Event, n uint64) {
+	m.series.Publish(p.Kernel().Metrics(), uint16(ev), events[ev].metric,
+		metrics.Labels{Server: m.owner, Class: m.class}, &m.n[ev])
 	m.n[ev].Add(n)
-	reg := p.Kernel().Metrics()
-	m.series.Resolve(reg, uint16(ev), func() *metrics.Counter {
-		return reg.Counter(events[ev].metric, metrics.Labels{Server: m.owner, Class: m.class})
-	}).Add(n)
 }
 
-// Observe records one ev about name at virtual time at: counter,
-// registry series, flight record and zero-length trace span, as the event
-// calls for. A stamped span carries e's lease; an unstamped entry has no
-// stamp to carry and records none, so the staleness invariant
-// (trace.CheckOptions.LeaseBound) only ever sees real leases.
+// Observe records one ev about name at virtual time at: its counter
+// (the registry series), flight record and zero-length trace span, as
+// the event calls for. A stamped span carries e's lease; an unstamped
+// entry has no stamp to carry and records none, so the staleness
+// invariant (trace.CheckOptions.LeaseBound) only ever sees real leases.
 func (m *Meter) Observe(p *kernel.Process, ev Event, name string, at time.Duration, e Entry) {
 	m.add(p, ev, 1)
 	d := &events[ev]

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
+	"repro/internal/vio"
 )
 
 // mailbox is one user's mailbox: its messages as an instance reads them,
@@ -110,6 +111,9 @@ func read(_ *kernel.Process, mb *mailbox, off int64, buf []byte) (int, error) {
 
 // write delivers one message per write, regardless of offset.
 func write(_ *kernel.Process, mb *mailbox, _ int64, data []byte) (int, error) {
+	if err := vio.CheckStored(int64(len(mb.data) + len(data) + 1)); err != nil {
+		return 0, err
+	}
 	mb.data = append(append(mb.data, data...), '\n')
 	mb.count++
 	return len(data), nil

@@ -6,7 +6,7 @@ import "sync/atomic"
 // in a registry, kept by a small integer key of its choosing (a protocol
 // op code, an event number), so that an event costs what it records and
 // not the hashing of its labels. T is what the emitter records into per
-// key: a *Histogram, a struct of a few instruments.
+// key: a *Histogram, a *Counter.
 //
 // What is held belongs to the registry it came from: under any other,
 // Resolve looks up again and starts afresh, which is how a handle follows
@@ -47,6 +47,22 @@ func (h *Handles[T]) Resolve(reg *Registry, key uint16, lookup func() T) (v T) {
 			return n.val
 		}
 	}
+}
+
+// Published is the counts one emitter keeps, each read by its counter
+// series in every registry the emitter's events see. The zero value is
+// ready and safe for concurrent use.
+type Published struct{ h Handles[*Counter] }
+
+// Publish is called by an event before it bumps src, the emitter's count
+// key: the first such event under reg makes reg's counter name{l} read
+// src, so the series counts the events from that one on.
+func (p *Published) Publish(reg *Registry, key uint16, name string, l Labels, src Source) {
+	p.h.Resolve(reg, key, func() *Counter {
+		c := reg.Counter(name, l)
+		c.Read(src)
+		return c
+	})
 }
 
 // CounterIn is Resolve for an emitter's one counter of that name and

@@ -92,6 +92,18 @@ func (h *Histogram) Record(d vtime.Time) {
 	}
 }
 
+// Observations is how many observations h holds, as a Source.
+func (h *Histogram) Observations() Source { return (*observations)(h) }
+
+type observations Histogram
+
+func (o *observations) Value() (n uint64) {
+	for i := range o.buckets {
+		n += o.buckets[i].count.Load()
+	}
+	return n
+}
+
 // histRead is one pass over a histogram's buckets: a copy of every
 // bucket and the totals summed from it, from which a snapshot computes
 // every statistic it reports without reading the live buckets again.

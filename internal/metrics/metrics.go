@@ -6,7 +6,9 @@
 // to an uninstrumented one in every virtual-time result. The registry is
 // safe for concurrent use from real goroutines: it is one locked table,
 // an emitter on a hot path holds its series as Handles — the one fast
-// path — and the instruments themselves are plain atomics.
+// path — and the instruments themselves are plain atomics. A count an
+// emitter keeps already is not mirrored: its counter series reads it
+// (Counter.Read).
 //
 // Determinism contract: an instrument update is reproducible (safe to
 // include in golden-pinned output) only when it is ordered before the
@@ -19,6 +21,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,10 +82,23 @@ func Stable[T comparable](load func() T) T {
 	return prev
 }
 
-// Counter is a monotonically increasing atomic counter. All methods are
-// nil-safe no-ops so instrument sites need no registry-presence checks.
+// Counter is a monotonically increasing count: what is added to it, plus
+// what the sources it reads count. All methods are nil-safe no-ops so
+// instrument sites need no registry-presence checks.
 type Counter struct {
-	v atomic.Uint64
+	v     atomic.Uint64
+	reads atomic.Pointer[[]read] // copy-on-write
+}
+
+// A Source is a count its emitter keeps, which a counter series reads
+// instead of counting each event again (Counter.Read). It is comparable,
+// so one source is read once; a *Counter is one.
+type Source interface{ Value() uint64 }
+
+// read is a published source and what it had counted at publication.
+type read struct {
+	src  Source
+	base uint64
 }
 
 // Inc adds one.
@@ -104,7 +120,33 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	v := c.v.Load()
+	if rs := c.reads.Load(); rs != nil {
+		for _, r := range *rs {
+			v += r.src.Value() - r.base
+		}
+	}
+	return v
+}
+
+// Read makes c read src from now on: c counts what src counts after this
+// call, beside whatever else it counts. Reading a source again adds
+// nothing.
+func (c *Counter) Read(src Source) {
+	for c != nil {
+		p := c.reads.Load()
+		var rs []read
+		if p != nil {
+			if slices.ContainsFunc(*p, func(r read) bool { return r.src == src }) {
+				return
+			}
+			rs = *p
+		}
+		rs = append(rs[:len(rs):len(rs)], read{src, src.Value()})
+		if c.reads.CompareAndSwap(p, &rs) {
+			return
+		}
+	}
 }
 
 // Gauge is an instantaneous atomic value.

@@ -208,3 +208,32 @@ func TestSetGaugesMatchesOneByOne(t *testing.T) {
 	var none *Registry
 	none.SetGauges(points) // must not panic
 }
+
+// TestPublishedCountsFromFirstEvent: an emitter's published count is read
+// by the series of each registry its events see, from the first event
+// under that registry on; a series reading two sources sums them, and a
+// source read twice is read once.
+func TestPublishedCountsFromFirstEvent(t *testing.T) {
+	a, b := New(), New()
+	var count, other Counter
+	var pub Published
+	event := func(reg *Registry, n int) {
+		for i := 0; i < n; i++ {
+			pub.Publish(reg, 0, "events_total", Labels{}, &count)
+			count.Inc()
+		}
+	}
+	event(nil, 2)
+	event(a, 3)
+	event(b, 5)
+	series := a.Counter("events_total", Labels{})
+	series.Read(&other)
+	series.Read(&other)
+	other.Add(7)
+	if got := series.Value(); got != 3+5+7 {
+		t.Errorf("A counts %d, want %d", got, 3+5+7)
+	}
+	if got := b.Counter("events_total", Labels{}).Value(); got != 5 {
+		t.Errorf("B counts %d, want 5", got)
+	}
+}

@@ -21,7 +21,6 @@ package ncache
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -63,8 +62,8 @@ type Tier struct {
 
 	cache   *lease.Cache
 	holders *lease.Holders
-	fwds    atomic.Uint64
-	series  metrics.Handles[*metrics.Counter] // fwds in the registry
+	fwds    metrics.Counter // the ncache_forwards_total series
+	series  metrics.Published
 }
 
 // Start spawns a cache tier on host, fronting the upstream prefix
@@ -122,7 +121,7 @@ func (t *Tier) Stats() Stats {
 		Renewals:      st[lease.Renewal],
 		Invalidations: st[lease.Invalidation],
 		Propagated:    st[lease.Notified],
-		Forwards:      t.fwds.Load(),
+		Forwards:      t.fwds.Value(),
 	}
 }
 
@@ -136,9 +135,8 @@ func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) 
 
 	pfx, bare, cb, ok := t.leaseWanted(msg)
 	if !ok {
-		t.fwds.Add(1)
-		metrics.CounterIn(&t.series, p.Kernel().Metrics(),
-			"ncache_forwards_total", metrics.Labels{Server: t.name, Class: "tier"}).Inc()
+		t.series.Publish(p.Kernel().Metrics(), 0, "ncache_forwards_total", metrics.Labels{Server: t.name, Class: "tier"}, &t.fwds)
+		t.fwds.Inc()
 		_ = p.Forward(msg, from, t.upstream)
 		sv.Passed()
 		return

@@ -70,15 +70,29 @@ type Stats struct {
 	WireBusyFor time.Duration
 }
 
-// netMetrics is the pre-resolved instrument set the wire path records
-// into when a metrics registry is installed.
+// netMetrics is one installation of a metrics registry, or of none: the
+// series the wire path records queueing delays into, and the Stats its
+// wire_*_total series read — the network's own while installed, then a
+// copy frozen at its removal (written under the wire lock).
 type netMetrics struct {
-	frames     *metrics.Counter
-	bytes      *metrics.Counter
-	broadcasts *metrics.Counter
-	multicasts *metrics.Counter
-	drops      *metrics.Counter
-	queueWait  *metrics.Histogram
+	reg       *metrics.Registry
+	queueWait *metrics.Histogram
+	stats     *Stats
+}
+
+// wireCount is one count of an installation's Stats, as a
+// metrics.Source.
+type wireCount struct {
+	n  *Network
+	nm *netMetrics
+	i  int
+}
+
+func (c wireCount) Value() uint64 {
+	c.n.mu.Lock()
+	defer c.n.mu.Unlock()
+	s := c.nm.stats
+	return [...]uint64{s.Packets, s.Bytes, s.Broadcasts, s.Multicasts, s.Drops}[c.i]
 }
 
 // Network is the simulated shared Ethernet. The zero value is not usable;
@@ -107,10 +121,9 @@ type Network struct {
 // New returns a network using the given cost model and a deterministic RNG
 // seed for loss injection.
 func New(model *vtime.CostModel, seed int64) *Network {
-	return &Network{
-		model: model,
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	n := &Network{model: model, rng: rand.New(rand.NewSource(seed))}
+	n.metrics.Store(&netMetrics{})
+	return n
 }
 
 // Model returns the cost model the network charges against.
@@ -211,22 +224,25 @@ func (n *Network) Stats() Stats {
 	return n.stats
 }
 
-// SetMetrics installs (or, with nil, removes) a metrics registry the
-// wire path mirrors its counters into, adding a wire-queueing-delay
-// histogram. Zero virtual cost, same contract as the frame recorder.
+// SetMetrics installs (or, with nil, removes) a metrics registry. Its
+// wire_*_total counter series read Stats, counting the traffic from this
+// call until the registry is removed; the wire path records its queueing
+// delays into wire_queue_wait. Zero virtual cost, same contract as the
+// frame recorder.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		n.metrics.Store(nil)
+	old := n.metrics.Load()
+	if old.reg == reg {
 		return
 	}
-	n.metrics.Store(&netMetrics{
-		frames:     reg.Counter("wire_frames_total", metrics.Labels{}),
-		bytes:      reg.Counter("wire_bytes_total", metrics.Labels{}),
-		broadcasts: reg.Counter("wire_broadcasts_total", metrics.Labels{}),
-		multicasts: reg.Counter("wire_multicasts_total", metrics.Labels{}),
-		drops:      reg.Counter("wire_drops_total", metrics.Labels{}),
-		queueWait:  reg.Histogram("wire_queue_wait", metrics.Labels{}),
-	})
+	nm := &netMetrics{reg, reg.Histogram("wire_queue_wait", metrics.Labels{}), &n.stats}
+	n.mu.Lock()
+	gone := n.stats
+	old.stats = &gone
+	n.metrics.Store(nm)
+	n.mu.Unlock()
+	for i, name := range [...]string{"wire_frames_total", "wire_bytes_total", "wire_broadcasts_total", "wire_multicasts_total", "wire_drops_total"} {
+		reg.Counter(name, metrics.Labels{}).Read(wireCount{n, nm, i})
+	}
 }
 
 // reserveWireLocked acquires the shared medium for a transfer of `bytes`
@@ -283,15 +299,11 @@ func (n *Network) UnicastDetail(a, b HostID, bytes int, at vtime.Time) (time.Dur
 	defer n.mu.Unlock()
 	queue := n.reserveWireLocked(at, bytes)
 	d := queue + n.model.RemoteHop(bytes)
-	nm := n.metrics.Load()
 	retries := 0
 	dropRate := n.DropRate()
 	for dropRate > 0 && n.rng.Float64() < dropRate {
 		retries++
 		n.stats.Drops++
-		if nm != nil {
-			nm.drops.Inc()
-		}
 		if retries > maxRetransmits {
 			return 0, HopDetail{Queue: queue, Retransmits: retries - 1},
 				fmt.Errorf("%w: %d retransmissions to host %d failed", ErrUnreachable, retries-1, b)
@@ -301,11 +313,7 @@ func (n *Network) UnicastDetail(a, b HostID, bytes int, at vtime.Time) (time.Dur
 	packets := packetsFor(bytes, n.model.MaxDataPerPacket)
 	n.stats.Packets += uint64(packets)
 	n.stats.Bytes += uint64(bytes)
-	if nm != nil {
-		nm.frames.Add(uint64(packets))
-		nm.bytes.Add(uint64(bytes))
-		nm.queueWait.Record(queue)
-	}
+	n.metrics.Load().queueWait.Record(queue)
 	det := HopDetail{Queue: queue, Packets: packets, Retransmits: retries}
 	n.recordLocked(FrameEvent{
 		Src: a, Dst: b, Cast: "unicast",
@@ -326,12 +334,7 @@ func (n *Network) Broadcast(a HostID, bytes int, at vtime.Time) time.Duration {
 	n.stats.Bytes += uint64(bytes)
 	queue := n.reserveWireLocked(at, bytes)
 	d := queue + n.model.RemoteHop(bytes)
-	if nm := n.metrics.Load(); nm != nil {
-		nm.frames.Inc()
-		nm.broadcasts.Inc()
-		nm.bytes.Add(uint64(bytes))
-		nm.queueWait.Record(queue)
-	}
+	n.metrics.Load().queueWait.Record(queue)
 	n.recordLocked(FrameEvent{
 		Src: a, Cast: "broadcast", Bytes: bytes, Packets: 1,
 		At: at, Queue: queue, Latency: d,
@@ -350,12 +353,7 @@ func (n *Network) Multicast(a HostID, bytes int, at vtime.Time) time.Duration {
 	n.stats.Bytes += uint64(bytes)
 	queue := n.reserveWireLocked(at, bytes)
 	d := queue + n.model.RemoteHop(bytes)
-	if nm := n.metrics.Load(); nm != nil {
-		nm.frames.Inc()
-		nm.multicasts.Inc()
-		nm.bytes.Add(uint64(bytes))
-		nm.queueWait.Record(queue)
-	}
+	n.metrics.Load().queueWait.Record(queue)
 	n.recordLocked(FrameEvent{
 		Src: a, Cast: "multicast", Bytes: bytes, Packets: 1,
 		At: at, Queue: queue, Latency: d,

@@ -236,7 +236,7 @@ func TestPartitionGroupsArePartition(t *testing.T) {
 }
 
 // TestRegistryMirrorsWire drives every wire path with a registry
-// installed: the mirrored series must equal Stats frame for frame — drops
+// installed: the series that read Stats must equal it frame for frame — drops
 // under loss, the broadcast and multicast counters, the queueing delay of
 // a contended wire — a frame recorder sees the same frames, and traffic
 // after SetMetrics(nil) reaches Stats alone.

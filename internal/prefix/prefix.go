@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -87,19 +86,15 @@ type Binding struct {
 	WellKnown core.ContextID
 }
 
-// Stats counts the prefix server's forwarding and recovery activity —
-// the per-session resilience record the chaos experiments read (§2.2's
-// reliability argument, measured during faults rather than after them).
+// Stats counts the prefix server's forwarding. Its recovery activity is
+// counted in the registry alone: prefix_rebinds_total, the uses of a
+// dynamic binding that resolved to a different pid than its previous use
+// (the service failed over to a replica or was re-implemented by a new
+// process, §4.2), and prefix_dead_targets_total, the requests answered
+// with a bounded-time failure because no live target could be resolved.
 type Stats struct {
 	// Forwards counts CSname requests rewritten and passed on.
 	Forwards uint64
-	// Rebinds counts uses of a dynamic binding that resolved to a
-	// different pid than its previous use: the service failed over to a
-	// replica or was re-implemented by a new process (§4.2).
-	Rebinds uint64
-	// DeadTargets counts requests answered with a bounded-time failure
-	// because no live target could be resolved for the binding.
-	DeadTargets uint64
 }
 
 // Option configures a prefix server.
@@ -131,7 +126,7 @@ type Server struct {
 	// node names that binding's group for good.
 	groups []kernel.PID
 	// lastResolved remembers, per dynamic prefix, the pid its last use
-	// resolved to, so rebinds (§4.2) are observable in Stats.
+	// resolved to, so rebinds (§4.2) are counted.
 	lastResolved map[string]kernel.PID
 
 	// Lease state (lease.go). leaseLen > 0 enables lease granting;
@@ -143,13 +138,13 @@ type Server struct {
 	orphans  map[string]kernel.PID
 	dirty    []string
 
-	// stats counters are atomics: team workers bump them concurrently.
+	// forwards is Stats.Forwards and the prefix_forwards_total series.
 	// leases counts and publishes the granting side of the lease protocol.
-	stats  statsCounters
-	leases *lease.Meter
+	forwards  metrics.Counter
+	forwarded metrics.Published
+	leases    *lease.Meter
 	// The server's registry series, resolved once per registry.
-	series    core.ServeSeries
-	forwarded metrics.Handles[*metrics.Counter]
+	series core.ServeSeries
 
 	// Observability (PROTOCOL.md §15): the always-on hot-name sketch,
 	// whose entries carry each name's churn estimators — an observer,
@@ -157,21 +152,6 @@ type Server struct {
 	// (tuner.go).
 	names *namestat.TopK
 	tuner *autoTuner
-}
-
-// statsCounters is the lock-free backing store for Stats.
-type statsCounters struct {
-	forwards    atomic.Uint64
-	rebinds     atomic.Uint64
-	deadTargets atomic.Uint64
-}
-
-func (c *statsCounters) load() Stats {
-	return Stats{
-		Forwards:    c.forwards.Load(),
-		Rebinds:     c.rebinds.Load(),
-		DeadTargets: c.deadTargets.Load(),
-	}
 }
 
 // tableEntry is one prefix table entry: the binding plus the index of
@@ -474,7 +454,6 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	if b.Dynamic {
 		if !p.Kernel().ProcessAlive(pair.Server) {
 			p.ChargeCompute(model.RetransmitTimeout)
-			s.stats.deadTargets.Add(1)
 			p.Kernel().Metrics().
 				Counter("prefix_dead_targets_total", metrics.Labels{Server: s.proc.Name()}).Inc()
 			p.Kernel().Flight().Record(p.Now(), flight.KindFailover, pfx, s.proc.Name(), "dead-target")
@@ -482,11 +461,8 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 				pfx, b.Service, proto.ErrTimeout))
 		}
 		s.mu.Lock()
-		rebound := false
-		if prev, ok := s.lastResolved[pfx]; ok && prev != pair.Server {
-			s.stats.rebinds.Add(1)
-			rebound = true
-		}
+		prev, ok := s.lastResolved[pfx]
+		rebound := ok && prev != pair.Server
 		s.lastResolved[pfx] = pair.Server
 		s.mu.Unlock()
 		if rebound {
@@ -506,19 +482,17 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 		return reply
 	}
 	proto.RewriteCSName(msg, uint32(pair.Ctx), rest)
-	s.stats.forwards.Add(1)
 	p.Kernel().Flight().Record(p.Now(), flight.KindForward, pfx, s.proc.Name(), "")
 	// Counted before the Forward delivers (see core.ServeSeries.Forwarded).
-	metrics.CounterIn(&s.forwarded, p.Kernel().Metrics(),
-		"prefix_forwards_total", metrics.Labels{Server: s.proc.Name()}).Inc()
+	s.forwarded.Publish(p.Kernel().Metrics(), 0, "prefix_forwards_total", metrics.Labels{Server: s.proc.Name()}, &s.forwards)
+	s.forwards.Inc()
 	// A failed forward already failed the client's transaction.
 	_ = p.Forward(msg, from, pair.Server)
 	return nil
 }
 
-// Stats returns a stabilized snapshot of the forwarding and recovery
-// counters.
-func (s *Server) Stats() Stats { return metrics.Stable(s.stats.load) }
+// Stats returns the forwarding count.
+func (s *Server) Stats() Stats { return Stats{Forwards: s.forwards.Value()} }
 
 // TopNames returns the server's hot-name sketch, count-descending.
 func (s *Server) TopNames() []namestat.Item { return s.names.Snapshot() }

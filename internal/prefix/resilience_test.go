@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/vtime"
@@ -14,10 +15,18 @@ import (
 // The prefix server's recovery behaviour for dynamic bindings: a stale
 // registration pointing at a dead process gets a bounded-time failure
 // (no forward into a dead transaction), and a resolution that moves to a
-// different pid is counted as a §4.2 rebind.
+// different pid is counted as a §4.2 rebind. Both are counted in the
+// registry alone.
+
+// recoveries reads ps's prefix_<name>_total series in reg.
+func recoveries(reg *metrics.Registry, ps *Server, name string) uint64 {
+	return reg.Counter("prefix_"+name+"_total", metrics.Labels{Server: ps.proc.Name()}).Value()
+}
 
 func TestDynamicBindingDeadTargetBoundedFailure(t *testing.T) {
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	reg := metrics.New()
+	k.SetMetrics(reg)
 	ws := k.NewHost("ws")
 	regHost := k.NewHost("registry")
 	victimHost := k.NewHost("victim")
@@ -64,14 +73,15 @@ func TestDynamicBindingDeadTargetBoundedFailure(t *testing.T) {
 	if elapsed := cli.Now() - before; elapsed < k.Model().RetransmitTimeout {
 		t.Fatalf("dead-target discovery must cost a retransmit budget, took %v", elapsed)
 	}
-	st := ps.Stats()
-	if st.DeadTargets != 1 || st.Forwards != 0 {
-		t.Fatalf("stats = %+v", st)
+	if dead, st := recoveries(reg, ps, "dead_targets"), ps.Stats(); dead != 1 || st.Forwards != 0 {
+		t.Fatalf("%d dead targets, stats = %+v", dead, st)
 	}
 }
 
 func TestDynamicBindingRebindCounted(t *testing.T) {
 	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
+	reg := metrics.New()
+	k.SetMetrics(reg)
 	ws := k.NewHost("ws")
 	srvHost := k.NewHost("srv")
 
@@ -108,8 +118,8 @@ func TestDynamicBindingRebindCounted(t *testing.T) {
 	if op := use(); op != proto.ReplyOK {
 		t.Fatalf("first use reply = %v", op)
 	}
-	if st := ps.Stats(); st.Rebinds != 0 || st.Forwards != 1 {
-		t.Fatalf("after first use stats = %+v", st)
+	if rebinds, st := recoveries(reg, ps, "rebinds"), ps.Stats(); rebinds != 0 || st.Forwards != 1 {
+		t.Fatalf("after first use %d rebinds, stats = %+v", rebinds, st)
 	}
 
 	// The service is re-implemented by a new process (§4.2): the next use
@@ -123,7 +133,8 @@ func TestDynamicBindingRebindCounted(t *testing.T) {
 	if op := use(); op != proto.ReplyOK {
 		t.Fatalf("post-rebind use reply = %v", op)
 	}
-	if st := ps.Stats(); st.Rebinds != 1 || st.Forwards != 2 || st.DeadTargets != 0 {
-		t.Fatalf("after rebind stats = %+v", st)
+	rebinds, dead, st := recoveries(reg, ps, "rebinds"), recoveries(reg, ps, "dead_targets"), ps.Stats()
+	if rebinds != 1 || st.Forwards != 2 || dead != 0 {
+		t.Fatalf("after rebind %d rebinds, %d dead targets, stats = %+v", rebinds, dead, st)
 	}
 }

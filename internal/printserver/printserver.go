@@ -159,8 +159,8 @@ func write(_ *kernel.Process, j *job, off int64, data []byte) (int, error) {
 		return 0, fmt.Errorf("%w: job already queued", proto.ErrNoPermission)
 	}
 	end := off + int64(len(data))
-	if end > vio.MaxFileSize {
-		return 0, fmt.Errorf("%w: a job ends at %d bytes", proto.ErrNoServerResources, vio.MaxFileSize)
+	if err := vio.CheckStored(end); err != nil {
+		return 0, err
 	}
 	if grow := int(end) - len(j.data); grow > 0 {
 		j.data = append(j.data, make([]byte, grow)...)

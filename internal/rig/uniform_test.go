@@ -662,3 +662,48 @@ func TestFlatInstanceModes(t *testing.T) {
 		})
 	}
 }
+
+// TestFlatWritePastMaxFileSizeRefused: one write whose bytes would take a
+// terminal screen, a mailbox or a connection's inbox past
+// vio.MaxFileSize is refused with NoServerResources, and the object keeps
+// the size it had.
+func TestFlatWritePastMaxFileSizeRefused(t *testing.T) {
+	r, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.WS[0].Session
+	huge := make([]byte, vio.MaxFileSize+1)
+	for _, c := range []struct {
+		name string
+		mode uint32
+	}{
+		{"[tty]" + termserver.CreateName, proto.ModeRead | proto.ModeCreate},
+		{"[mail]mann@v.stanford.edu", proto.ModeRead},
+		{"[tcp]tcp/huge.host:7", proto.ModeWrite | proto.ModeCreate},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := s.Open(c.name, c.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			before, err := f.Query()
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := &proto.Message{Op: proto.OpWriteInstance, Segment: huge}
+			write.F[0] = uint32(f.InstanceID())
+			reply, err := s.Proc().Send(write, f.Server())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Op != proto.ReplyNoServerResources {
+				t.Errorf("a write of %d bytes = %v, want NoServerResources", len(huge), reply.Op)
+			}
+			if after, err := f.Query(); err != nil || after.SizeBytes != before.SizeBytes {
+				t.Errorf("the refused write left %d bytes, %d before (%v)", after.SizeBytes, before.SizeBytes, err)
+			}
+		})
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/proto"
+	"repro/internal/vio"
 )
 
 // CreateName is the distinguished name opened with ModeCreate to
@@ -89,6 +90,9 @@ func read(_ *kernel.Process, t *terminal, off int64, buf []byte) (int, error) {
 // write appends to the screen regardless of offset: a terminal is a
 // stream sink, not a random-access store.
 func write(_ *kernel.Process, t *terminal, _ int64, data []byte) (int, error) {
+	if err := vio.CheckStored(int64(len(t.screen) + len(data))); err != nil {
+		return 0, err
+	}
 	t.screen = append(t.screen, data...)
 	return len(data), nil
 }

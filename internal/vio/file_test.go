@@ -142,7 +142,7 @@ func TestReadAllBlockSequence(t *testing.T) {
 
 func TestFileReadWriteSeekQuery(t *testing.T) {
 	r := newFileRig(t)
-	inst := NewBytesInstance(pattern(1300), Writable())
+	inst := newMem(pattern(1300), true)
 	f := r.open(t, inst, "[storage]/users/mann/f")
 	if f.Server() != r.server.PID() || f.info.SizeBytes != 1300 {
 		t.Fatalf("Server = %v, Info = %+v", f.Server(), f.info)
@@ -212,7 +212,7 @@ func TestFileReadWriteSeekQuery(t *testing.T) {
 
 func TestFileReadPastEOF(t *testing.T) {
 	r := newFileRig(t)
-	f := r.open(t, NewBytesInstance(pattern(700)), "f")
+	f := r.open(t, newMem(pattern(700), false), "f")
 	if _, err := f.Seek(5000, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFileReadPastEOF(t *testing.T) {
 
 func TestFileClosedInstance(t *testing.T) {
 	r := newFileRig(t)
-	f := r.open(t, NewBytesInstance(pattern(10), Writable()), "f")
+	f := r.open(t, newMem(pattern(10), true), "f")
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestFileClosedInstance(t *testing.T) {
 // open but the server no longer knows the instance.
 func TestFileServerForgotInstance(t *testing.T) {
 	r := newFileRig(t)
-	f := r.open(t, NewBytesInstance(pattern(10)), "f")
+	f := r.open(t, newMem(pattern(10), false), "f")
 	if err := r.reg.Release(f.InstanceID()); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestFileWriteSinkFails(t *testing.T) {
 		t.Fatalf("Write = %d, %v after %d modify calls", n, err, calls)
 	}
 	// A read-only instance refuses before the sink is reached.
-	ro := r.open(t, NewBytesInstance(nil), "ro")
+	ro := r.open(t, NewDirectoryInstance(nil, nil), "ro")
 	if _, err := ro.Write([]byte("x")); !errors.Is(err, proto.ErrModeNotSupported) {
 		t.Fatalf("read-only Write err = %v", err)
 	}
@@ -406,29 +406,29 @@ func TestFileCloseReportsTornRecord(t *testing.T) {
 
 func TestFileServerDied(t *testing.T) {
 	r := newFileRig(t)
-	f := r.open(t, NewBytesInstance(pattern(10)), "f")
+	f := r.open(t, newMem(pattern(10), false), "f")
 	r.server.Host().Crash()
 	if _, err := f.ReadAll(); err == nil {
 		t.Fatal("ReadAll from a crashed server succeeded")
 	}
 }
 
-// spyInstance is a writable BytesInstance that records the buffer every
-// ReadAt fills and counts its Info calls.
+// spyInstance is a memInstance that records the buffer every ReadAt
+// fills and counts its Info calls.
 type spyInstance struct {
-	*BytesInstance
+	*memInstance
 	bufs  [][]byte
 	infos int
 }
 
 func (s *spyInstance) Info() proto.InstanceInfo {
 	s.infos++
-	return s.BytesInstance.Info()
+	return s.memInstance.Info()
 }
 
 func (s *spyInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, error) {
 	s.bufs = append(s.bufs, buf)
-	return s.BytesInstance.ReadAt(p, off, buf)
+	return s.memInstance.ReadAt(p, off, buf)
 }
 
 // TestReadAllLandsInReadersBuffer: ReadAll sizes its result in whole
@@ -446,7 +446,7 @@ func TestReadAllLandsInReadersBuffer(t *testing.T) {
 		{4096, seq(0, 7, 8), 1},
 	} {
 		r := newFileRig(t)
-		inst := &spyInstance{BytesInstance: NewBytesInstance(pattern(tc.size))}
+		inst := &spyInstance{memInstance: newMem(pattern(tc.size), false)}
 		got, err := r.open(t, inst, "f").ReadAll()
 		if err != nil || !bytes.Equal(got, pattern(tc.size)) {
 			t.Fatalf("%d: ReadAll = %d bytes, %v", tc.size, len(got), err)
@@ -471,7 +471,7 @@ func TestReadAllLandsInReadersBuffer(t *testing.T) {
 // opened and when it is queried, never per block read or written.
 func TestRegistryReadsInfoOnce(t *testing.T) {
 	r := newFileRig(t)
-	inst := &spyInstance{BytesInstance: NewBytesInstance(pattern(3000), Writable())}
+	inst := &spyInstance{memInstance: newMem(pattern(3000), true)}
 	f := r.open(t, inst, "f")
 	if inst.infos != 1 {
 		t.Fatalf("open read Info %d times, want 1", inst.infos)
@@ -503,7 +503,7 @@ func TestInstanceOpsAnswerInRequest(t *testing.T) {
 	}
 	r := newFileRig(t)
 	r.reads = make([]uint32, 0, 1024)
-	f := r.open(t, NewBytesInstance(pattern(2*DefaultBlockSize), Writable()), "f")
+	f := r.open(t, newMem(pattern(2*DefaultBlockSize), true), "f")
 	block := make([]byte, DefaultBlockSize)
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := f.ReadBlock(1, block); err != nil {
@@ -528,7 +528,7 @@ func TestInstanceOpsAnswerInRequest(t *testing.T) {
 	}
 	files := make([]*File, 101) // AllocsPerRun runs once more than asked
 	for i := range files {
-		files[i] = r.open(t, NewBytesInstance(nil), "f")
+		files[i] = r.open(t, NewDirectoryInstance(nil, nil), "f")
 	}
 	next := 0
 	if allocs := testing.AllocsPerRun(100, func() {

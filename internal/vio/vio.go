@@ -50,6 +50,15 @@ const (
 	MaxFileSize = 16 << 20
 )
 
+// CheckStored refuses, with NoServerResources, a write that would leave
+// one object holding n bytes, past MaxFileSize.
+func CheckStored(n int64) error {
+	if n > MaxFileSize {
+		return fmt.Errorf("%w: an object holds at most %d bytes", proto.ErrNoServerResources, MaxFileSize)
+	}
+	return nil
+}
+
 // Registry holds a server's open instances, keyed by object instance
 // identifier. Identifiers are allocated so as to maximize the time before
 // reuse (§4.3).

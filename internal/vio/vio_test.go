@@ -1,8 +1,10 @@
 package vio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +14,7 @@ import (
 
 func TestRegistryOpenGetRelease(t *testing.T) {
 	r := NewRegistry()
-	inst := NewBytesInstance([]byte("abc"))
+	inst := NewDirectoryInstance([]byte("abc"), nil)
 	info, err := r.Open(inst, "file-a")
 	if err != nil {
 		t.Fatal(err)
@@ -36,11 +38,11 @@ func TestRegistryOpenGetRelease(t *testing.T) {
 func TestRegistryIDsNotImmediatelyReused(t *testing.T) {
 	// §4.3: servers maximize the time before reusing an instance id.
 	r := NewRegistry()
-	a, _ := r.Open(NewBytesInstance(nil), "a")
+	a, _ := r.Open(NewDirectoryInstance(nil, nil), "a")
 	if err := r.Release(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := r.Open(NewBytesInstance(nil), "b")
+	b, _ := r.Open(NewDirectoryInstance(nil, nil), "b")
 	if a.ID == b.ID {
 		t.Fatal("instance id reused immediately")
 	}
@@ -49,7 +51,7 @@ func TestRegistryIDsNotImmediatelyReused(t *testing.T) {
 func TestRegistryCount(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 5; i++ {
-		if _, err := r.Open(NewBytesInstance(nil), "x"); err != nil {
+		if _, err := r.Open(NewDirectoryInstance(nil, nil), "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +63,7 @@ func TestRegistryCount(t *testing.T) {
 func TestRegistryReleaseCallback(t *testing.T) {
 	r := NewRegistry()
 	released := false
-	info, _ := r.Open(NewBytesInstance(nil, OnRelease(func() error { released = true; return nil })), "x")
+	info, _ := r.Open(&memInstance{released: func() error { released = true; return nil }}, "x")
 	if err := r.Release(info.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +72,57 @@ func TestRegistryReleaseCallback(t *testing.T) {
 	}
 }
 
+// memInstance is a byte array served as an instance, written in place
+// and grown past its end when writable; released, if set, is its Release.
+// No server opens one: it is the writable instance the Registry and File
+// tests drive.
+type memInstance struct {
+	data      []byte
+	blockSize uint32
+	writable  bool
+	released  func() error
+}
+
+func newMem(data []byte, writable bool) *memInstance {
+	return &memInstance{data: data, blockSize: DefaultBlockSize, writable: writable}
+}
+
+func (m *memInstance) Info() proto.InstanceInfo {
+	flags := uint32(proto.ModeRead)
+	if m.writable {
+		flags |= proto.ModeWrite
+	}
+	return proto.InstanceInfo{SizeBytes: uint32(len(m.data)), BlockSize: m.blockSize, Flags: flags}
+}
+
+func (m *memInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (int, error) {
+	if off >= int64(len(m.data)) {
+		return 0, proto.ErrEndOfFile
+	}
+	return copy(buf, m.data[off:]), nil
+}
+
+func (m *memInstance) WriteAt(_ *kernel.Process, off int64, data []byte) (int, error) {
+	if !m.writable {
+		return 0, proto.ErrModeNotSupported
+	}
+	if need := int(off) + len(data); need > len(m.data) {
+		m.data = append(m.data, make([]byte, need-len(m.data))...)
+	}
+	return copy(m.data[off:], data), nil
+}
+
+func (m *memInstance) Release() error {
+	if m.released != nil {
+		return m.released()
+	}
+	return nil
+}
+
+// TestBytesInstanceRead: a directory instance serves its stream's bytes
+// from any offset, and end-of-file past them.
 func TestBytesInstanceRead(t *testing.T) {
-	b := NewBytesInstance([]byte("hello world"))
+	b := NewDirectoryInstance([]byte("hello world"), nil)
 	buf := make([]byte, 5)
 	n, err := b.ReadAt(nil, 6, buf)
 	if err != nil || n != 5 || string(buf) != "world" {
@@ -82,51 +133,74 @@ func TestBytesInstanceRead(t *testing.T) {
 	}
 }
 
+// TestBytesInstanceReadOnlyWriteFails: a directory instance grants write
+// only with a modify to apply records to, and refuses a write without.
 func TestBytesInstanceReadOnlyWriteFails(t *testing.T) {
-	b := NewBytesInstance([]byte("x"))
-	if _, err := b.WriteAt(nil, 0, []byte("y")); !errors.Is(err, proto.ErrModeNotSupported) {
+	ro, rw := NewDirectoryInstance([]byte("x"), nil), NewDirectoryInstance(nil, func(proto.Descriptor) error { return nil })
+	if ro.Info().Flags != proto.ModeRead || rw.Info().Flags != proto.ModeRead|proto.ModeWrite {
+		t.Fatalf("flags %#x without modify, %#x with", ro.Info().Flags, rw.Info().Flags)
+	}
+	if _, err := ro.WriteAt(nil, 0, []byte("y")); !errors.Is(err, proto.ErrModeNotSupported) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
+// TestBytesInstanceWriteGrows: a File write past the end of a writable
+// instance lands at its offset, and Query reports the grown size.
 func TestBytesInstanceWriteGrows(t *testing.T) {
-	b := NewBytesInstance([]byte("abc"), Writable())
-	if _, err := b.WriteAt(nil, 5, []byte("XY")); err != nil {
+	r := newFileRig(t)
+	f := r.open(t, newMem([]byte("abc"), true), "f")
+	if _, err := f.Seek(5, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
-	got := b.data
-	if len(got) != 7 || string(got[5:]) != "XY" {
-		t.Fatalf("Bytes = %q", got)
+	if _, err := f.Write([]byte("XY")); err != nil {
+		t.Fatal(err)
 	}
-	info := b.Info()
-	if info.SizeBytes != 7 || info.Flags&proto.ModeWrite == 0 {
-		t.Fatalf("Info = %+v", info)
+	info, err := f.Query()
+	if err != nil || info.SizeBytes != 7 || info.Flags&proto.ModeWrite == 0 {
+		t.Fatalf("Query = %+v, %v", info, err)
+	}
+	if got, err := f.ReadBlock(0, nil); err != nil || string(got) != "abc\x00\x00XY" {
+		t.Fatalf("block 0 = %q, %v", got, err)
 	}
 }
 
+// TestBytesInstanceNegativeWriteOffset: no write reaches a negative
+// offset: File.Seek refuses the position, and the next write lands where
+// the File was.
 func TestBytesInstanceNegativeWriteOffset(t *testing.T) {
-	b := NewBytesInstance(nil, Writable())
-	if _, err := b.WriteAt(nil, -1, []byte("x")); !errors.Is(err, proto.ErrBadArgs) {
-		t.Fatalf("err = %v", err)
+	r := newFileRig(t)
+	inst := newMem(nil, true)
+	f := r.open(t, inst, "f")
+	for _, whence := range []int{io.SeekStart, io.SeekCurrent, io.SeekEnd} {
+		if _, err := f.Seek(-1, whence); !errors.Is(err, proto.ErrBadArgs) {
+			t.Fatalf("Seek(-1, %d) err = %v", whence, err)
+		}
+	}
+	if _, err := f.Write([]byte("x")); err != nil || string(inst.data) != "x" {
+		t.Fatalf("write after the refused seeks: %q, %v", inst.data, err)
 	}
 }
 
+// TestBytesInstanceWriteSink: a record written back to a directory
+// instance reaches its modify, and the stream it serves is unchanged.
 func TestBytesInstanceWriteSink(t *testing.T) {
-	var gotOff int64
-	var gotData []byte
-	b := NewBytesInstance([]byte("snapshot"), WithWriteSink(func(off int64, data []byte) error {
-		gotOff, gotData = off, append([]byte(nil), data...)
+	stream := proto.EncodeDescriptors([]proto.Descriptor{{Tag: proto.TagFile, Name: "snapshot"}})
+	var got []proto.Descriptor
+	b := NewDirectoryInstance(stream, func(d proto.Descriptor) error {
+		got = append(got, d)
 		return nil
-	}))
-	if _, err := b.WriteAt(nil, 3, []byte("mod")); err != nil {
-		t.Fatal(err)
+	})
+	rec := proto.Descriptor{Tag: proto.TagFile, Name: "mod"}
+	if n, err := b.WriteAt(nil, 0, rec.AppendEncoded(nil)); err != nil || n != len(rec.AppendEncoded(nil)) {
+		t.Fatalf("WriteAt = %d, %v", n, err)
 	}
-	if gotOff != 3 || string(gotData) != "mod" {
-		t.Fatalf("sink got off=%d data=%q", gotOff, gotData)
+	if len(got) != 1 || got[0].Name != "mod" {
+		t.Fatalf("modify saw %+v", got)
 	}
-	// Snapshot unchanged.
-	if string(b.data) != "snapshot" {
-		t.Fatal("write sink must not mutate the snapshot")
+	buf := make([]byte, len(stream))
+	if n, _ := b.ReadAt(nil, 0, buf); n != len(stream) || !bytes.Equal(buf, stream) {
+		t.Fatal("a write back must not change the stream served")
 	}
 }
 
@@ -136,7 +210,7 @@ func TestBytesInstanceReadWriteProperty(t *testing.T) {
 			return true
 		}
 		o := int64(off) % int64(len(data))
-		b := NewBytesInstance(append([]byte(nil), data...), Writable())
+		b := NewDirectoryInstance(append([]byte(nil), data...), nil)
 		buf := make([]byte, len(data))
 		n, err := b.ReadAt(nil, o, buf)
 		if err != nil || n != len(data)-int(o) {
@@ -245,7 +319,7 @@ func TestDirectoryInstanceWithoutModifyIsReadOnly(t *testing.T) {
 
 func TestHandleOpQueryReadWriteRelease(t *testing.T) {
 	r, p := NewRegistry(), newFileRig(t).server
-	inst := NewBytesInstance([]byte("0123456789"), Writable())
+	inst := newMem([]byte("0123456789"), true)
 	inst.blockSize = 4
 	info, _ := r.Open(inst, "f")
 	id := info.ID
@@ -287,7 +361,7 @@ func TestHandleOpQueryReadWriteRelease(t *testing.T) {
 
 func TestHandleOpReadPastEnd(t *testing.T) {
 	r, p := NewRegistry(), newFileRig(t).server
-	info, _ := r.Open(NewBytesInstance([]byte("ab")), "f")
+	info, _ := r.Open(NewDirectoryInstance([]byte("ab"), nil), "f")
 	id := info.ID
 	read := &proto.Message{Op: proto.OpReadInstance, F: [6]uint32{uint32(id), 9}}
 	if reply := r.HandleOp(p, read, kernel.NilPID); reply.Op != proto.ReplyEndOfFile {
@@ -297,7 +371,7 @@ func TestHandleOpReadPastEnd(t *testing.T) {
 
 func TestHandleOpWriteToReadOnly(t *testing.T) {
 	r := NewRegistry()
-	info, _ := r.Open(NewBytesInstance([]byte("ab")), "f")
+	info, _ := r.Open(NewDirectoryInstance([]byte("ab"), nil), "f")
 	id := info.ID
 	w := &proto.Message{Op: proto.OpWriteInstance, F: [6]uint32{uint32(id)}, Segment: []byte("x")}
 	if reply := r.HandleOp(nil, w, kernel.NilPID); reply.Op != proto.ReplyModeNotSupported {
@@ -322,7 +396,7 @@ func TestHandleOpUnhandledReturnsNil(t *testing.T) {
 
 func TestHandleOpGetInstanceName(t *testing.T) {
 	r := NewRegistry()
-	info, _ := r.Open(NewBytesInstance(nil), "[storage]/users/mann/f")
+	info, _ := r.Open(NewDirectoryInstance(nil, nil), "[storage]/users/mann/f")
 	id := info.ID
 	req := &proto.Message{Op: proto.OpGetInstanceName, F: [6]uint32{uint32(id)}}
 	reply := r.HandleOp(nil, req, kernel.NilPID)
