@@ -157,16 +157,19 @@ func (f *Flat[T]) Remove(id uint32, name string) (*T, error) {
 
 // OpenObject opens object id, asked for in mode, as an instance granting
 // flags (proto.ModeRead, proto.ModeWrite); opened, if set, runs with Mu
-// held on the object found.
-func (f *Flat[T]) OpenObject(id uint32, name string, mode, flags uint32, opened func(*T)) *proto.Message {
+// held on the object found, and an error it returns refuses the open.
+func (f *Flat[T]) OpenObject(id uint32, name string, mode, flags uint32, opened func(*T) error) *proto.Message {
 	f.Mu.Lock()
 	obj := f.objs[id]
-	if obj != nil && opened != nil {
-		opened(obj)
+	var err error
+	if obj == nil {
+		err = proto.ErrNotFound
+	} else if opened != nil {
+		err = opened(obj)
 	}
 	f.Mu.Unlock()
-	if obj == nil {
-		return ErrorReplyMsg(proto.ErrNotFound)
+	if err != nil {
+		return ErrorReplyMsg(err)
 	}
 	return OpenInstance(f.reg, f.PID(), &flatInstance[T]{f: f, obj: obj, mode: mode, flags: flags}, name)
 }

@@ -7,13 +7,14 @@
 // run with the recorder installed is byte-identical to one without it
 // in every virtual-time result.
 //
-// The recorder follows the same discipline as internal/metrics on the
-// hot path: a fixed preallocated ring under one mutex, events recorded
-// by value with string fields referencing strings the caller already
-// holds — no per-event allocation — and every method nil-safe, so
-// record sites need no presence checks. When the ring wraps, the oldest
-// events are overwritten and counted as dropped; the journal is a
-// bounded window onto recent activity, not an unbounded log.
+// The hot path takes no lock: a writer claims a slot of a fixed
+// preallocated ring with one atomic add, writes the event by value —
+// string fields referencing strings the caller already holds, no
+// per-event allocation — and stamps the slot with its claim last. Every
+// method is nil-safe, so record sites need no presence checks. When the
+// ring wraps, the oldest events are overwritten and counted as dropped;
+// the journal is a bounded window onto recent activity, not an unbounded
+// log.
 //
 // Under the conservative engine, record order across lanes is not
 // deterministic — but the *set* of events between two globally
@@ -30,6 +31,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -121,13 +123,16 @@ func compare(e, o Event) int {
 const DefaultCapacity = 4096
 
 // Recorder is the flight recorder. All methods are safe for concurrent
-// use and all are no-ops on a nil receiver.
+// use and all are no-ops on a nil receiver; Seal, Journal and Dropped
+// read the ring as it stands, so they belong at quiescent cuts.
 type Recorder struct {
+	buf    []Event         // preallocated ring
+	stamps []atomic.Uint64 // stamps[i]: 1 + the claim that last wrote buf[i]
+	claims atomic.Uint64   // claims handed out
+	base   atomic.Uint64   // claims at the last Seal, which restarts the ring at slot 0
+
 	mu      sync.Mutex
-	buf     []Event // preallocated ring
-	head    int     // next write slot
-	n       int     // live events in the ring (≤ len(buf))
-	dropped uint64  // events overwritten before being sealed or read
+	dropped uint64 // events lost before the last Seal
 
 	// The fence-drained journal, canonical order: a second ring of
 	// sealCap positions, past which each sealed event overwrites the
@@ -150,38 +155,64 @@ func New(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, n), sealCap: 4 * n}
+	return &Recorder{buf: make([]Event, n), stamps: make([]atomic.Uint64, n), sealCap: 4 * n}
 }
 
 // Record appends one event to the ring, overwriting the oldest when
-// full. Zero virtual cost, zero allocations.
+// full. Zero virtual cost, zero allocations, no lock: claim c writes
+// slot (c-base) mod len(buf) and stamps it. A writer lapped between its
+// claim and its stamp still owns its slot, so c leaves a slot its
+// previous claim has not stamped alone rather than mix two events; the
+// stale stamp counts c's event as dropped.
 func (r *Recorder) Record(at time.Duration, kind Kind, name, proc, detail string) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.buf[r.head] = Event{At: at, Kind: kind, Name: name, Proc: proc, Detail: detail}
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
+	c, n := r.claims.Add(1)-1, uint64(len(r.buf))
+	i := c - r.base.Load()
+	if i >= n {
+		if i %= n; r.stamps[i].Load() != c-n+1 {
+			return
+		}
 	}
-	if r.n < len(r.buf) {
-		r.n++
-	} else {
-		r.dropped++
-	}
-	r.mu.Unlock()
+	r.buf[i] = Event{At: at, Kind: kind, Name: name, Proc: proc, Detail: detail}
+	r.stamps[i].Store(c + 1)
 }
 
-// Dropped returns the number of events lost to ring wrap-around (plus
-// sealed events evicted past the journal bound).
+// ring appends to dst the events claimed since the last Seal whose slots
+// carry their stamps, in slot order, and returns how many other claims
+// there were: overwritten by the wrap or lost to a lapped writer. A nil
+// dst appends nothing; Seal compacts the ring in place with buf[:0].
+// Caller holds r.mu.
+func (r *Recorder) ring(dst []Event) ([]Event, uint64) {
+	base, n := r.base.Load(), uint64(len(r.buf))
+	claims := r.claims.Load() - base
+	kept := uint64(0)
+	for i := uint64(0); i < min(claims, n); i++ {
+		newest := base + i // slot i's last claim, plus its laps if the ring wrapped
+		if claims > n {
+			newest += (claims - 1 - i) / n * n
+		}
+		if r.stamps[i].Load() == newest+1 {
+			kept++
+			if dst != nil {
+				dst = append(dst, r.buf[i])
+			}
+		}
+	}
+	return dst, claims - kept
+}
+
+// Dropped returns the number of events lost to ring wrap-around or to a
+// lapped writer (plus sealed events evicted past the journal bound).
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	_, lost := r.ring(nil)
+	return r.dropped + lost
 }
 
 // Seal drains the ring into the sealed journal in canonical order and
@@ -196,17 +227,35 @@ func (r *Recorder) Seal(at time.Duration) int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// The ring restarts at slot 0 after every Seal, so its live events
-	// are buf[:n] as a set — wrapped or not — and the canonical order
-	// does not depend on the order they were recorded in.
-	batch := r.buf[:r.n]
-	slices.SortFunc(batch, compare)
+	// The ring restarts at slot 0 after every Seal, so the events it
+	// holds are a set — wrapped or not — and the canonical order does
+	// not depend on the order they were recorded in.
+	batch, lost := r.ring(r.buf[:0])
+	r.dropped += lost
+	sortNearly(batch)
 	for _, e := range batch {
 		r.seal(e)
 	}
 	r.seal(Event{At: at, Kind: KindFence, Proc: "engine"})
-	r.n, r.head = 0, 0
+	r.base.Store(r.claims.Load())
 	return len(batch)
+}
+
+// sortNearly sorts batch canonically. Each lane records in time order,
+// so a batch between two fences is nearly sorted and one insertion pass
+// sorts it; past len(batch) shifts, slices.SortFunc does. Events equal
+// under compare are identical, so both give the one canonical order.
+func sortNearly(batch []Event) {
+	shifts := 0
+	for i := 1; i < len(batch) && shifts <= len(batch); i++ {
+		for j := i; j > 0 && compare(batch[j-1], batch[j]) > 0; j-- {
+			batch[j-1], batch[j] = batch[j], batch[j-1]
+			shifts++
+		}
+	}
+	if shifts > len(batch) {
+		slices.SortFunc(batch, compare)
+	}
 }
 
 // seal appends one event to the sealed journal, evicting (and counting
@@ -215,7 +264,9 @@ func (r *Recorder) seal(e Event) {
 	at := r.sealN
 	if r.sealN == r.sealCap {
 		at = r.sealHead
-		r.sealHead = (r.sealHead + 1) % r.sealCap
+		if r.sealHead++; r.sealHead == r.sealCap {
+			r.sealHead = 0
+		}
 		r.dropped++
 	} else {
 		if at == len(r.sealed)*sealChunk {
@@ -245,10 +296,10 @@ func (r *Recorder) Journal() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, r.sealN+r.n)
-	tail := out[r.sealedInto(out):]
-	copy(tail, r.buf[:r.n])
-	slices.SortFunc(tail, compare)
+	out := make([]Event, r.sealN, r.sealN+min(int(r.claims.Load()-r.base.Load()), len(r.buf)))
+	r.sealedInto(out)
+	out, _ = r.ring(out)
+	sortNearly(out[r.sealN:])
 	return out
 }
 

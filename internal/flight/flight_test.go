@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,5 +272,163 @@ func TestSealSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, fence); allocs != 0 {
 		t.Fatalf("a steady-state fence allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestConcurrentRecordsSealAsSequential: four goroutines record
+// disjoint events into one ring, which takes no lock; sealed at a cut
+// after they finish, the journal and Dropped equal a sequential replay's.
+// With a wrap, the ring is filled once and then overwritten once, each
+// pass by all four at once: the survivors are the second pass as a set,
+// whatever the interleaving. With laps, each writer records three rings'
+// worth: which events survive depends on the schedule, but each is one
+// recorded whole, once, and every event is sealed or counted as dropped.
+func TestConcurrentRecordsSealAsSequential(t *testing.T) {
+	const writers, ringCap = 4, 256
+	event := func(pass, w, i int) Event {
+		return Event{At: time.Duration(pass*1000 + i), Kind: Kind(1 + i%int(kindMax)),
+			Name: fmt.Sprintf("n%d", i%7), Proc: fmt.Sprintf("w%d", w), Detail: fmt.Sprintf("p%d", pass)}
+	}
+	record := func(r *Recorder, pass, each int) {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					e := event(pass, w, i)
+					r.Record(e.At, e.Kind, e.Name, e.Proc, e.Detail)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	for _, wrap := range []bool{false, true} {
+		r, m := New(ringCap), &refRecorder{ringCap: ringCap}
+		for fence := 0; fence < 6; fence++ {
+			passes, each := []int{2 * fence}, 50
+			if wrap {
+				passes, each = []int{2 * fence, 2*fence + 1}, ringCap/writers
+			}
+			for _, pass := range passes {
+				record(r, pass, each)
+				for w := 0; w < writers; w++ {
+					for i := 0; i < each; i++ {
+						m.record(event(pass, w, i))
+					}
+				}
+			}
+			at := time.Duration(fence+1) * time.Hour
+			r.Seal(at)
+			m.seal(at)
+			if got, want := r.Journal(), m.journal(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("wrap=%v fence %d: journal diverged from the sequential replay", wrap, fence)
+			}
+			if r.Dropped() != m.dropped {
+				t.Fatalf("wrap=%v fence %d: Dropped %d, sequential %d", wrap, fence, r.Dropped(), m.dropped)
+			}
+		}
+	}
+
+	r := New(ringCap)
+	record(r, 0, 3*ringCap)
+	sealed := r.Seal(time.Hour)
+	if total := uint64(sealed) + r.Dropped(); sealed > ringCap || total != writers*3*ringCap {
+		t.Fatalf("laps: %d sealed + %d dropped, want %d recorded, at most %d sealed", sealed, r.Dropped(), writers*3*ringCap, ringCap)
+	}
+	seen := map[Event]bool{}
+	for _, e := range r.Journal()[:sealed] {
+		if w, i := int(e.Proc[1]-'0'), int(e.At); seen[e] || e != event(0, w, i) {
+			t.Fatalf("laps: journaled %+v twice or mixed", e)
+		}
+		seen[e] = true
+	}
+}
+
+// TestSealNearlySortedMatchesSort: whatever order a batch arrives in,
+// Seal gives it slices.SortFunc's order. A sorted batch and one with a
+// few events out of place stay within the insertion pass's budget of
+// len(batch) shifts (its inversions); a reversed and a random batch
+// exceed it and take the fallback.
+func TestSealNearlySortedMatchesSort(t *testing.T) {
+	const n = 311
+	next := popgen.NewRand(56).Intn
+	sorted := make([]Event, n)
+	for i := range sorted {
+		// Ties on time, and some events equal in every field.
+		sorted[i] = Event{At: time.Duration(i / 3), Kind: Kind(1 + next(2)), Name: fmt.Sprintf("n%d", next(3)), Proc: "p"}
+	}
+	slices.SortFunc(sorted, compare)
+	nearly := slices.Clone(sorted)
+	for range 18 {
+		i := next(n - 1)
+		nearly[i], nearly[i+1] = nearly[i+1], nearly[i]
+	}
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	random := slices.Clone(sorted)
+	for i := range random {
+		j := next(i + 1)
+		random[i], random[j] = random[j], random[i]
+	}
+	for _, c := range []struct {
+		label    string
+		batch    []Event
+		fallback bool
+	}{{"sorted", sorted, false}, {"nearly sorted", nearly, false}, {"reversed", reversed, true}, {"random", random, true}} {
+		inversions := 0
+		for i := range c.batch {
+			for j := i + 1; j < n; j++ {
+				if compare(c.batch[i], c.batch[j]) > 0 {
+					inversions++
+				}
+			}
+		}
+		if inversions > n != c.fallback {
+			t.Fatalf("%s: %d inversions against a budget of %d shifts; the case lost its point", c.label, inversions, n)
+		}
+		r := New(n)
+		for _, e := range c.batch {
+			r.Record(e.At, e.Kind, e.Name, e.Proc, e.Detail)
+		}
+		r.Seal(time.Hour)
+		want := slices.Clone(c.batch)
+		slices.SortFunc(want, compare)
+		want = append(want, Event{At: time.Hour, Kind: KindFence, Proc: "engine"})
+		if got := r.Journal(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: sealed out of slices.SortFunc's order", c.label)
+		}
+	}
+}
+
+// TestLappedSlotCountsAsDropped: a writer lapped between its claim and
+// its stamp neither blocks the writer that laps it nor mixes its event
+// into that one's slot. The lapping writer leaves the slot alone, the
+// late writer's stamp is stale, and the slot is counted as dropped and
+// never journaled, by Journal, Dropped and Seal alike.
+func TestLappedSlotCountsAsDropped(t *testing.T) {
+	r := New(4)
+	late := r.claims.Add(1) - 1 // claims slot 0, then stalls
+	for i := 1; i <= 4; i++ {   // the fourth laps the stalled writer's slot
+		r.Record(time.Duration(i), KindResolution, "n", "p", "")
+	}
+	r.buf[0] = Event{At: 0, Kind: KindRedefine, Name: "late", Proc: "p"}
+	r.stamps[0].Store(late + 1) // the stalled writer finishes
+	want := []Event{{At: 1, Kind: KindResolution, Name: "n", Proc: "p"},
+		{At: 2, Kind: KindResolution, Name: "n", Proc: "p"}, {At: 3, Kind: KindResolution, Name: "n", Proc: "p"}}
+	if got := r.Journal(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal with a stale slot = %+v, want %+v", got, want)
+	}
+	// The late event was overwritten by the wrap; the fourth was lost.
+	if r.Dropped() != 2 {
+		t.Fatalf("Dropped = %d, want 2", r.Dropped())
+	}
+	if sealed := r.Seal(5); sealed != 3 || r.Dropped() != 2 {
+		t.Fatalf("Seal sealed %d with %d dropped, want 3 and 2", sealed, r.Dropped())
+	}
+	// The next round writes slot 0 afresh.
+	r.Record(6, KindResolution, "m", "p", "")
+	if j := r.Journal(); len(j) != 5 || j[4].Name != "m" {
+		t.Fatalf("round after the stale slot journaled %+v", j)
 	}
 }

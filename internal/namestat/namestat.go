@@ -25,6 +25,8 @@
 package namestat
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"sort"
 	"sync"
@@ -36,24 +38,46 @@ import (
 // TopK is a space-saving top-k sketch. All methods are nil-safe.
 //
 // The k entries live by value in a fixed array; heap is a min-heap of
-// their indices ordered by (count, name), so the entry a full sketch
-// replaces — the minimum count, ties broken by the smaller name, which
-// keeps the sketch's evolution independent of storage order — is always
-// heap[0]. Observing allocates nothing.
+// small nodes over them ordered by (count, name), so the entry a full
+// sketch replaces — the minimum count, ties broken by the smaller name,
+// which keeps the sketch's evolution independent of storage order — is
+// always heap[0]. An observation hashes its name once and finds its
+// node by scanning the k hashes kept beside the heap, a string compare
+// confirming, unless held shows no hash with its low byte; no map is
+// kept, so a replacement deletes and inserts nothing. A node carries its
+// name's first eight bytes as an integer, so names are compared only
+// when those are equal. Observing allocates nothing.
 type TopK struct {
 	mu   sync.Mutex
-	slot map[string]int32 // name → index into ents
-	ents []topEntry       // at most cap(ents) = k, never reordered
-	heap []int32          // ents indices, min (count, name) first
+	ents []topEntry  // at most cap(ents) = k, never reordered
+	heap []node      // min (count, name) first
+	hash []uint64    // hash[p] is heap[p]'s name's hash under seed
+	held [256]uint32 // held[b]: hashes whose low byte is b
+}
+
+// node is one entry's heap position: its count, its name's prefixKey
+// and its index into ents.
+type node struct {
+	count, key uint64
+	i          int32
 }
 
 type topEntry struct {
-	name  string
-	count uint64
-	err   uint64 // overestimate bound inherited at replacement
-	at    int32  // this entry's index in heap
+	name string
+	err  uint64 // overestimate bound inherited at replacement
 	churn
 }
+
+// prefixKey is name's first eight bytes, big-endian and zero-padded:
+// keys order as their names do, or are equal.
+func prefixKey(name string) uint64 {
+	var b [8]byte
+	copy(b[:], name)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// seed keys every sketch's name hashes.
+var seed = maphash.MakeSeed()
 
 // churn is one tracked name's estimator state.
 type churn struct {
@@ -76,19 +100,20 @@ func NewTopK(k int) *TopK {
 		k = 1
 	}
 	return &TopK{
-		slot: make(map[string]int32, k),
 		ents: make([]topEntry, 0, k),
-		heap: make([]int32, 0, k),
+		heap: make([]node, 0, k),
+		hash: make([]uint64, 0, k),
 	}
 }
 
-// Observe records one occurrence of name: O(log k), no allocation.
+// Observe records one occurrence of name: O(k), no allocation.
 func (t *TopK) Observe(name string) {
 	if t == nil {
 		return
 	}
+	h := maphash.String(seed, name)
 	t.mu.Lock()
-	t.count(name)
+	t.count(h, name)
 	t.mu.Unlock()
 }
 
@@ -98,51 +123,72 @@ func (t *TopK) ObserveResolution(name string, at time.Duration) {
 	if t == nil {
 		return
 	}
+	h := maphash.String(seed, name)
 	t.mu.Lock()
-	t.ents[t.count(name)].res.observe(at)
+	t.ents[t.count(h, name)].res.observe(at)
 	t.mu.Unlock()
 }
 
-// count records one occurrence of name and returns its entry's index.
-// The caller holds mu.
-func (t *TopK) count(name string) int32 {
-	if i, ok := t.slot[name]; ok {
-		t.ents[i].count++
-		t.down(int(t.ents[i].at))
+// find returns the heap position of name's node, whose hash is h, or
+// -1. The caller holds mu.
+func (t *TopK) find(h uint64, name string) int {
+	if t.held[uint8(h)] == 0 {
+		return -1
+	}
+	for p, x := range t.hash {
+		if x == h && t.ents[t.heap[p].i].name == name {
+			return p
+		}
+	}
+	return -1
+}
+
+// count records one occurrence of name, whose hash is h, and returns its
+// entry's index. The caller holds mu.
+func (t *TopK) count(h uint64, name string) int32 {
+	if p := t.find(h, name); p >= 0 {
+		i := t.heap[p].i
+		t.heap[p].count++
+		t.down(p)
 		return i
 	}
 	if len(t.ents) < cap(t.ents) {
 		i := int32(len(t.ents))
-		t.ents = append(t.ents, topEntry{name: name, count: 1, at: i})
-		t.heap = append(t.heap, i)
-		t.slot[name] = i
+		t.ents = append(t.ents, topEntry{name: name})
+		t.heap = append(t.heap, node{count: 1, key: prefixKey(name), i: i})
+		t.hash = append(t.hash, h)
+		t.held[uint8(h)]++
 		t.up(int(i))
 		return i
 	}
 	// Replace the minimum entry: the newcomer inherits its count as the
 	// error bound, and none of its churn state.
-	i := t.heap[0]
-	e := &t.ents[i]
-	delete(t.slot, e.name)
-	t.slot[name] = i
-	*e = topEntry{name: name, count: e.count + 1, err: e.count}
+	n := t.heap[0]
+	t.ents[n.i] = topEntry{name: name, err: n.count}
+	t.heap[0] = node{count: n.count + 1, key: prefixKey(name), i: n.i}
+	t.held[uint8(t.hash[0])]--
+	t.held[uint8(h)]++
+	t.hash[0] = h
 	t.down(0)
-	return i
+	return n.i
 }
 
-// before reports whether the entry at heap index a orders before the
-// one at b.
+// before reports whether the node at heap index a orders before the one
+// at b.
 func (t *TopK) before(a, b int) bool {
-	x, y := &t.ents[t.heap[a]], &t.ents[t.heap[b]]
+	x, y := &t.heap[a], &t.heap[b]
 	if x.count != y.count {
 		return x.count < y.count
 	}
-	return x.name < y.name
+	if x.key != y.key {
+		return x.key < y.key
+	}
+	return t.ents[x.i].name < t.ents[y.i].name
 }
 
 func (t *TopK) swap(a, b int) {
 	t.heap[a], t.heap[b] = t.heap[b], t.heap[a]
-	t.ents[t.heap[a]].at, t.ents[t.heap[b]].at = int32(a), int32(b)
+	t.hash[a], t.hash[b] = t.hash[b], t.hash[a]
 }
 
 func (t *TopK) up(i int) {
@@ -180,9 +226,9 @@ func (t *TopK) Snapshot() []Item {
 		return nil
 	}
 	t.mu.Lock()
-	items := make([]Item, 0, len(t.ents))
-	for _, e := range t.ents {
-		items = append(items, Item{Name: e.name, Count: e.count, Err: e.err})
+	items := make([]Item, 0, len(t.heap))
+	for _, n := range t.heap {
+		items = append(items, Item{Name: t.ents[n.i].name, Count: n.count, Err: t.ents[n.i].err})
 	}
 	t.mu.Unlock()
 	sort.Slice(items, func(i, j int) bool {
@@ -233,9 +279,10 @@ func (t *TopK) update(name string, f func(*churn)) {
 	if t == nil {
 		return
 	}
+	h := maphash.String(seed, name)
 	t.mu.Lock()
-	if i, ok := t.slot[name]; ok {
-		f(&t.ents[i].churn)
+	if p := t.find(h, name); p >= 0 {
+		f(&t.ents[t.heap[p].i].churn)
 	}
 	t.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -263,38 +264,49 @@ func TestConstructorClamps(t *testing.T) {
 	}
 }
 
-// refTopK is the sketch's previous implementation — a map scanned in
-// full for the (count, name) minimum on every replacement — kept as the
-// reference the heap must match step for step.
+// refTopK is the sketch's first implementation — a map scanned in full
+// for the (count, name) minimum on every replacement, each entry holding
+// its name's estimators — kept as the reference the sketch must match
+// step for step.
 type refTopK struct {
-	k      int
-	counts map[string]*[2]uint64 // count, err
+	k    int
+	ents map[string]*refEntry
 }
 
-func (r *refTopK) observe(name string) {
-	if e, ok := r.counts[name]; ok {
-		e[0]++
-		return
+type refEntry struct {
+	count, err uint64
+	churn
+}
+
+func newRefTopK(k int) *refTopK { return &refTopK{k: k, ents: map[string]*refEntry{}} }
+
+func (r *refTopK) observe(name string) *refEntry {
+	if e, ok := r.ents[name]; ok {
+		e.count++
+		return e
 	}
-	if len(r.counts) < r.k {
-		r.counts[name] = &[2]uint64{1, 0}
-		return
+	if len(r.ents) < r.k {
+		e := &refEntry{count: 1}
+		r.ents[name] = e
+		return e
 	}
 	var victim string
-	var min *[2]uint64
-	for n, e := range r.counts {
-		if min == nil || e[0] < min[0] || (e[0] == min[0] && n < victim) {
+	var min *refEntry
+	for n, e := range r.ents {
+		if min == nil || e.count < min.count || (e.count == min.count && n < victim) {
 			victim, min = n, e
 		}
 	}
-	delete(r.counts, victim)
-	r.counts[name] = &[2]uint64{min[0] + 1, min[0]}
+	delete(r.ents, victim)
+	e := &refEntry{count: min.count + 1, err: min.count}
+	r.ents[name] = e
+	return e
 }
 
 func (r *refTopK) snapshot() []Item {
-	items := make([]Item, 0, len(r.counts))
-	for n, e := range r.counts {
-		items = append(items, Item{Name: n, Count: e[0], Err: e[1]})
+	items := make([]Item, 0, len(r.ents))
+	for n, e := range r.ents {
+		items = append(items, Item{Name: n, Count: e.count, Err: e.err})
 	}
 	sort.Slice(items, func(i, j int) bool {
 		if items[i].Count != items[j].Count {
@@ -305,7 +317,40 @@ func (r *refTopK) snapshot() []Item {
 	return items
 }
 
+func (r *refTopK) rates() []RateItem {
+	items := make([]RateItem, 0, len(r.ents))
+	for n, e := range r.ents {
+		items = append(items, RateItem{Name: n, Resolutions: e.res.count, Redefinitions: e.redef.count,
+			ResRateMilliHz: milli(e.res.rateHz), RedefRateMilliHz: milli(e.redef.rateHz)})
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].Name < items[j].Name })
+	return items
+}
+
+func (r *refTopK) redefRateHz(name string) float64 {
+	if e, ok := r.ents[name]; ok {
+		return e.redef.rateHz
+	}
+	return 0
+}
+
+// tieNames are names whose order the sketch's integer keys cannot
+// decide alone: popgen-shaped names sharing their first eight bytes,
+// names that are prefixes of one another, names holding NUL bytes (whose
+// zero bytes the keys' padding also uses), and the empty name.
+func tieNames() []string {
+	var names []string
+	for l := 0; l <= 12; l++ {
+		names = append(names, "abcdefghijkl"[:l], "abcdefghijkl"[:l]+"\x00", strings.Repeat("\x00", l))
+	}
+	for i := 0; i < 40; i++ {
+		names = append(names, fmt.Sprintf("eng.ops.n%d", i), fmt.Sprintf("eng.ops.n%d\x00", i))
+	}
+	return names
+}
+
 func TestTopKMatchesReference(t *testing.T) {
+	nested := tieNames()
 	streams := map[string]func(r *popgen.Rand) string{
 		// Zipf-ish: a hot head the sketch keeps, a long tail churning the minimum.
 		"random": func(r *popgen.Rand) string {
@@ -317,11 +362,20 @@ func TestTopKMatchesReference(t *testing.T) {
 		// Tie-heavy: near-uniform draws keep every count within one of the
 		// minimum, so the name tie-break decides almost every victim.
 		"ties": func(r *popgen.Rand) string { return fmt.Sprintf("t%02d", r.Intn(24)) },
+		// The same, on popgen-shaped names whose first eight bytes are
+		// equal: every tie falls through to the full names.
+		"prefix8": func(r *popgen.Rand) string {
+			if r.Intn(4) == 0 {
+				return fmt.Sprintf("eng.ops.hot%d", r.Intn(4))
+			}
+			return fmt.Sprintf("eng.ops.n%d", r.Intn(90))
+		},
+		"nested": func(r *popgen.Rand) string { return nested[r.Intn(len(nested))] },
 	}
 	for label, draw := range streams {
-		for _, k := range []int{1, 2, 7, 16} {
+		for _, k := range []int{1, 2, 7, 16, 32, 48} {
 			rng := popgen.NewRand(uint64(k) + 17)
-			tk, ref := NewTopK(k), &refTopK{k: k, counts: map[string]*[2]uint64{}}
+			tk, ref := NewTopK(k), newRefTopK(k)
 			// twin counts through ObserveResolution: the same sketch, and
 			// each entry's resolutions are the ones since its admission.
 			twin := NewTopK(k)
@@ -354,6 +408,52 @@ func TestTopKMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTopKMatchesReference runs fuzz-chosen observations over a small
+// alphabet of names that tie in their first eight bytes, prefix one
+// another or hold NUL bytes, through the sketch and the reference; after
+// every step Snapshot, Rates and RedefRateHz must agree. The first byte
+// picks k (1 to 8), each later byte an operation — Observe,
+// ObserveResolution or ObserveRedefinition — and its name; the clock
+// advances a millisecond every other step, so some gaps are zero.
+func FuzzTopKMatchesReference(f *testing.F) {
+	alphabet := []string{"", "\x00", "a", "a\x00", "ab", "eng.ops", "eng.ops.", "eng.ops.\x00",
+		"eng.ops.n1", "eng.ops.n10", "eng.ops.n1\x00", "eng.ops.n2"}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		k := 1 + int(ops[0]%8)
+		tk, ref := NewTopK(k), newRefTopK(k)
+		for step, b := range ops[1:] {
+			name, at := alphabet[int(b/3)%len(alphabet)], time.Duration(step/2)*time.Millisecond
+			switch b % 3 {
+			case 0:
+				tk.Observe(name)
+				ref.observe(name)
+			case 1:
+				tk.ObserveResolution(name, at)
+				ref.observe(name).res.observe(at)
+			case 2:
+				tk.ObserveRedefinition(name, at)
+				if e, ok := ref.ents[name]; ok {
+					e.redef.observe(at)
+				}
+			}
+			if got, want := tk.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d step %d: Snapshot %+v, reference %+v", k, step, got, want)
+			}
+			if got, want := tk.Rates(), ref.rates(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d step %d: Rates %+v, reference %+v", k, step, got, want)
+			}
+			for _, n := range alphabet {
+				if got, want := tk.RedefRateHz(n), ref.redefRateHz(n); got != want {
+					t.Fatalf("k=%d step %d: RedefRateHz(%q) = %v, reference %v", k, step, n, got, want)
+				}
+			}
+		}
+	})
 }
 
 func TestObserveZeroAlloc(t *testing.T) {

@@ -64,7 +64,8 @@ func describe(p *pipe) proto.Descriptor {
 	}
 }
 
-// open opens a pipe end, creating the pipe on request.
+// open opens a pipe end, creating the pipe on request; a closed pipe
+// takes no new writer, but stays bound for its readers to drain.
 func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
 	var id uint32
 	switch {
@@ -80,13 +81,18 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, func(p *pipe) {
+	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, func(p *pipe) error {
+		writes := mode&(proto.ModeWrite|proto.ModeAppend) != 0
+		if writes && p.closed {
+			return proto.ErrEndOfFile // what a write would answer
+		}
 		if mode&proto.ModeRead != 0 {
 			p.readers++
 		}
-		if mode&(proto.ModeWrite|proto.ModeAppend) != 0 {
+		if writes {
 			p.writers++
 		}
+		return nil
 	})
 }
 

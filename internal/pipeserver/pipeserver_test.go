@@ -106,10 +106,62 @@ func TestPipeEOFAfterWriterCloses(t *testing.T) {
 	if _, err := r.Read(buf); err != io.EOF {
 		t.Fatalf("closed empty pipe err = %v", err)
 	}
-	// Writes to a closed pipe fail.
-	w2 := open(t, wProc, s, "p", proto.ModeWrite)
-	if _, err := w2.Write([]byte("x")); err == nil {
-		t.Fatal("write to closed pipe should fail")
+	// A closed pipe takes no new writer.
+	if err := openErr(wProc, s, "p", proto.ModeWrite); !errors.Is(err, proto.ErrEndOfFile) {
+		t.Fatalf("open for writing of a closed pipe: %v, want end-of-file", err)
+	}
+}
+
+func openErr(proc *kernel.Process, s *Server, name string, mode uint32) error {
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(core.CtxDefault), name)
+	proto.SetOpenMode(req, mode)
+	reply, err := proc.Send(req, s.PID())
+	if err != nil {
+		return err
+	}
+	return proto.ReplyError(reply.Op)
+}
+
+// TestClosedPipeRefusesWritersKeepsReaders: once its last writer has
+// closed it, a pipe refuses every open for writing, creating or
+// appending with the end-of-file a write gets, where it used to open
+// one whose every write then failed; its name stays bound, and a reader
+// opened after the close still drains what was buffered, then reads
+// end-of-file.
+func TestClosedPipeRefusesWritersKeepsReaders(t *testing.T) {
+	s, wProc, rProc := startRig(t)
+	w := open(t, wProc, s, "p", proto.ModeWrite|proto.ModeCreate)
+	if _, err := w.Write([]byte("left")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []uint32{proto.ModeWrite, proto.ModeWrite | proto.ModeCreate, proto.ModeAppend, proto.ModeRead | proto.ModeWrite} {
+		if err := openErr(wProc, s, "p", mode); !errors.Is(err, proto.ErrEndOfFile) {
+			t.Fatalf("open mode %#x of a closed pipe: %v, want end-of-file", mode, err)
+		}
+	}
+	r := open(t, rProc, s, "p", proto.ModeRead)
+	buf := make([]byte, 16)
+	if n, err := r.Read(buf); err != nil || string(buf[:n]) != "left" {
+		t.Fatalf("drain read %q, %v", buf[:n], err)
+	}
+	if _, err := r.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(buf); err != io.EOF {
+		t.Fatalf("drained closed pipe err = %v", err)
+	}
+	q := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(q, uint32(core.CtxDefault), "p")
+	reply, err := rProc.Send(q, s.PID())
+	if err != nil || reply.Op != proto.ReplyOK {
+		t.Fatalf("query of the closed pipe = %v, %v", reply, err)
+	}
+	if d, _, err := proto.DecodeDescriptor(reply.Segment); err != nil || d.TypeSpecific != [2]uint32{1, 0} {
+		t.Fatalf("readers/writers after refused opens = %+v, %v; want [1 0]", d.TypeSpecific, err)
 	}
 }
 
