@@ -16,7 +16,7 @@ COVERAGE_FLOOR ?= 92.0
 # Every such function is reached by a program or deleted unless ROADMAP
 # item 9 says why it stays. Lower it when the count falls; never raise it
 # to make a regression pass.
-REACH_CEILING ?= 22
+REACH_CEILING ?= 19
 
 # The deterministic documents `vbench -<doc> FILE` exports, each pinned
 # byte-for-byte by the committed BENCH_<doc>.json (EXPERIMENTS.md
@@ -61,11 +61,15 @@ check: vet
 # lock; a group's members write their send's subtree from their own
 # goroutines under its lock. Four goroutines record into one histogram
 # and four send over one wire: the totals equal a sequential replay's.
-# Four goroutines' first events race to publish one lease meter's count:
-# its series counts each event once (TestPublishedSeriesCountOnce). Four
+# Four goroutines' lease hits race a registry's install: it counts each
+# hit after its install once (TestPublishedSeriesCountOnce). Three team
+# workers and two clients record into one server's and one target's
+# series while a goroutine swaps registries: each install's one reading
+# is the outgoing registry's final value and the incoming one's base, so
+# every event lands in exactly one (TestSeriesHandlesSharedByTeam). Four
 # goroutines record into the flight ring, which takes no lock: sealed,
 # it equals a sequential replay.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts|TestPublishedSeriesCountOnce|TestConcurrentRecordsSealAsSequential' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/ ./internal/flight/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts|TestPublishedSeriesCountOnce|TestSeriesHandlesSharedByTeam|TestConcurrentRecordsSealAsSequential' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/ ./internal/flight/ ./internal/core/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last three are the file path's: a block
 # read lands in the reader's buffer, no block reads Info(), and a block

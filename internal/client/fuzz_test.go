@@ -5,9 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/lease"
+	"repro/internal/netsim"
 	"repro/internal/prefix"
 	"repro/internal/proto"
+	"repro/internal/vtime"
 )
 
 // FuzzCacheKey fuzzes the name-cache key derivation: the routine that
@@ -30,6 +33,7 @@ func FuzzNegativeCacheKey(f *testing.F) {
 	f.Add("[ [] ]gap")
 	f.Add("[\x00]nul")
 	f.Add("[b]")
+	k := kernel.New(netsim.New(vtime.DefaultModel(), 1))
 	f.Fuzz(func(t *testing.T, name string) {
 		pfx, _, err := cacheKey(name)
 		if err != nil {
@@ -47,7 +51,7 @@ func FuzzNegativeCacheKey(f *testing.F) {
 			t.Fatalf("define key %q diverges from cache key %q", addKey, pfx)
 		}
 		// And the callback path drops exactly that entry.
-		lc := lease.NewCache(lease.NewMeter("client", "fuzz"))
+		lc := lease.NewCache(lease.NewMeter(k, "client", "fuzz"))
 		lc.Store(pfx, lease.Entry{Negative: true})
 		if !lc.Drop(addKey) {
 			t.Fatalf("invalidation of %q stranded negative entry %q", addKey, pfx)

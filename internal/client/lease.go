@@ -41,7 +41,7 @@ type LeaseStats struct {
 // rides with it) if the session has none.
 func (s *Session) enableCache() {
 	if s.cache == nil {
-		s.cache = lease.NewCache(lease.NewMeter("client", s.proc.Name()))
+		s.cache = lease.NewCache(lease.NewMeter(s.proc.Kernel(), "client", s.proc.Name()))
 		s.widestStale = make(map[string]time.Duration)
 	}
 }

@@ -8,24 +8,44 @@ import (
 	"repro/internal/vtime"
 )
 
-// ServeSeries is a server's per-op series in the metrics registry, each
-// looked up by label once per (registry, op): serve_latency of the
-// requests it answers, whose count is published as server_requests_total,
-// and server_forwarded_total of those it passes on. Server is the label
-// they carry.
+// ServeSeries is a server's series, kept by the server and read by its
+// domain's registry: serve_latency of the requests it answers, whose
+// count is server_requests_total, and server_forwarded_total of those it
+// passes on, each by op and made at its op's first event while a
+// registry is installed; and server_handoffs_total, its team's
+// handoffs. The server's name is the label they carry.
 type ServeSeries struct {
-	Server    string
-	answered  metrics.Handles[*metrics.Histogram]
-	forwarded metrics.Handles[*metrics.Counter]
+	server    string
+	answered  metrics.PerOp[metrics.Histogram]
+	forwarded metrics.PerOp[metrics.Counter]
+	handoffs  *metrics.Counter
 }
 
-// Forwarded counts one request of op passed on to another server.
+// NewServeSeries returns server's series, added to k's catalogue.
+func NewServeSeries(k *kernel.Kernel, server string) *ServeSeries {
+	ss := &ServeSeries{server: server, handoffs: k.NewCounter("server_handoffs_total", metrics.Labels{Server: server})}
+	k.AddSeries(ss.read)
+	return ss
+}
+
+func (ss *ServeSeries) read(r *metrics.Reading) {
+	ss.answered.Each(func(op uint16, h *metrics.Histogram) {
+		l := metrics.Labels{Server: ss.server, Op: proto.Code(op).String()}
+		r.Histogram("serve_latency", l, h, false)
+		r.Counter("server_requests_total", l, h.Count(), false)
+	})
+	ss.forwarded.Each(func(op uint16, c *metrics.Counter) {
+		r.Counter("server_forwarded_total", metrics.Labels{Server: ss.server, Op: proto.Code(op).String()}, c.Value(), false)
+	})
+}
+
+// Forwarded counts one request of op that p passes on to another server.
 // Callers count before the Forward delivers: the terminal server may
 // serve and unblock the client before the forwarder runs again.
-func (ss *ServeSeries) Forwarded(reg *metrics.Registry, op proto.Code) {
-	ss.forwarded.Resolve(reg, uint16(op), func() *metrics.Counter {
-		return reg.Counter("server_forwarded_total", metrics.Labels{Server: ss.Server, Op: op.String()})
-	}).Inc()
+func (ss *ServeSeries) Forwarded(p *kernel.Process, op proto.Code) {
+	if p.Kernel().Metrics() != nil {
+		ss.forwarded.Get(uint16(op)).Inc()
+	}
 }
 
 // Serving is one request under observation, from the moment its serving
@@ -77,14 +97,9 @@ func (sv Serving) Reply(reply *proto.Message, series *ServeSeries) {
 		sv.tr.Fail(sv.span, p.Now(), class)
 	}
 	if reg := p.Kernel().Metrics(); reg != nil && series != nil {
-		series.answered.Resolve(reg, uint16(sv.op), func() *metrics.Histogram {
-			lbl := metrics.Labels{Server: series.Server, Op: sv.op.String()}
-			h := reg.Histogram("serve_latency", lbl)
-			reg.Counter("server_requests_total", lbl).Read(h.Observations())
-			return h
-		}).Record(p.Now() - sv.start)
+		series.answered.Get(uint16(sv.op)).Record(p.Now() - sv.start)
 		if class != "" {
-			reg.Counter("server_failures_total", metrics.Labels{Server: series.Server, Op: sv.op.String()}).Inc()
+			reg.Counter("server_failures_total", metrics.Labels{Server: series.server, Op: sv.op.String()}).Inc()
 		}
 	}
 	// A failed reply means the sender died or became unreachable; the

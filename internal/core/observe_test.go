@@ -49,10 +49,11 @@ func served(reg *metrics.Registry) (sends, serves, requests, handoffs uint64) {
 }
 
 // TestSeriesHandlesFollowRegistry swaps the registry under emitters that
-// hold their series as handles: what was resolved from registry A must
-// not be recorded into once A is removed, nothing may panic while there
-// is none, and B sees exactly the traffic after its install. A handle
-// cache that forgets to compare the registry fails the first check.
+// keep their own series — the target's send_latency, the server's serve
+// series and handoff count: removed registry A stops where it stood,
+// nothing may panic while there is none, and B counts exactly the traffic
+// after its install. A registry that read its emitters past its removal
+// fails the first check.
 func TestSeriesHandlesFollowRegistry(t *testing.T) {
 	k := newDomain()
 	ts := startToyTeam(t, k.NewHost("srv"), "toy", 3)
@@ -80,9 +81,11 @@ func TestSeriesHandlesFollowRegistry(t *testing.T) {
 }
 
 // TestSeriesHandlesSharedByTeam is the -race leg: three workers record
-// through one server's handles, two clients through one target's, while
-// a fourth goroutine swaps registries. Every event lands in whichever
-// registry was installed when it happened, so the two see all of them.
+// into one server's serve series, two clients into one target's
+// send_latency, while a fourth goroutine swaps registries. Each install
+// takes one reading, the outgoing registry's final value and the
+// incoming one's base, so every event lands in exactly one registry and
+// the two see all of them.
 func TestSeriesHandlesSharedByTeam(t *testing.T) {
 	k := newDomain()
 	ts := startToyTeam(t, k.NewHost("srv"), "toy", 3)
@@ -116,12 +119,15 @@ func TestSeriesHandlesSharedByTeam(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-swapped
-	var requests uint64
+	var sum [4]uint64
 	for _, reg := range regs {
-		_, _, n, _ := served(reg)
-		requests += n
+		sends, serves, requests, handoffs := served(reg)
+		for i, n := range [4]uint64{sends, serves, requests, handoffs} {
+			sum[i] += n
+		}
 	}
-	if requests != clients*each {
-		t.Fatalf("%d requests recorded across the two registries, want %d", requests, clients*each)
+	if want := uint64(clients * each); sum != [4]uint64{want, want, want, want} {
+		t.Fatalf("%d sends, %d serves, %d requests, %d handoffs recorded across the two registries, want %d of each",
+			sum[0], sum[1], sum[2], sum[3], want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/kernel"
-	"repro/internal/metrics"
 	"repro/internal/proto"
 )
 
@@ -65,20 +64,15 @@ type Server struct {
 	// not keep either past their return.
 	req Request
 
-	// The server's registry series, resolved once per registry.
-	series   ServeSeries
-	handoffs metrics.Handles[*metrics.Counter]
+	series *ServeSeries
 }
 
 // NewServer assembles a CSNH server from its process, store and handler,
 // served by a team of the given size (§3.1; NewTeam). Only the file
 // server runs more than one process: every other server passes 1.
 func NewServer(proc *kernel.Process, store ContextStore, handler Handler, team int) *Server {
-	s := &Server{proc: proc, store: store, handler: handler, series: ServeSeries{Server: proc.Name()}}
-	s.team = NewTeam(proc, team, s.serveOne, func() {
-		metrics.CounterIn(&s.handoffs, s.proc.Kernel().Metrics(),
-			"server_handoffs_total", metrics.Labels{Server: s.proc.Name()}).Inc()
-	})
+	s := &Server{proc: proc, store: store, handler: handler, series: NewServeSeries(proc.Kernel(), proc.Name())}
+	s.team = NewTeam(proc, team, s.serveOne, s.series.handoffs.Inc)
 	return s
 }
 
@@ -124,7 +118,7 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 	req.Msg, req.From, req.srv, req.proc = msg, from, s, p
 	req.name, req.res = "", nil
 	if reply := s.serve(req); reply != nil {
-		sv.Reply(reply, &s.series)
+		sv.Reply(reply, s.series)
 	} else {
 		sv.Passed()
 	}
@@ -179,7 +173,7 @@ func (s *Server) serveCSName(req *Request) *proto.Message {
 		return s.faultReply(err)
 	}
 	if fwd != nil {
-		s.series.Forwarded(req.Proc().Kernel().Metrics(), req.Msg.Op)
+		s.series.Forwarded(req.Proc(), req.Msg.Op)
 		proto.RewriteCSName(req.Msg, uint32(fwd.Pair.Ctx), fwd.Index)
 		// A failed forward has already failed the sender's transaction.
 		_ = req.Proc().Forward(req.Msg, req.From, fwd.Pair.Server)

@@ -68,8 +68,8 @@ type FileServer struct {
 	readAhead bool
 	readOnly  bool
 	teamSize  int
-	name      string
-	hitMiss   [2]metrics.Handles[*metrics.Counter] // buffer-cache hits, misses: their registry series
+	hits      *metrics.Counter // buffer-cache hits, the fs_cache_hits_total series
+	misses    *metrics.Counter // and misses
 }
 
 // Start spawns a file server process on host and runs it.
@@ -87,7 +87,8 @@ func Start(host *kernel.Host, name string, opts ...Option) (*FileServer, error) 
 		reg:       vio.NewRegistry(),
 		readAhead: true,
 		teamSize:  1,
-		name:      name,
+		hits:      host.Kernel().NewCounter("fs_cache_hits_total", metrics.Labels{Server: name}),
+		misses:    host.Kernel().NewCounter("fs_cache_misses_total", metrics.Labels{Server: name}),
 	}
 	for _, opt := range opts {
 		opt(fs)
@@ -554,12 +555,10 @@ func (fi *fileInstance) ReadAt(p *kernel.Process, off int64, buf []byte) (int, e
 		// Buffer cache hit: no disk time (§3.1's "already in the file
 		// server's memory buffers").
 		ready = now
-		metrics.CounterIn(&fi.fs.hitMiss[0], p.Kernel().Metrics(),
-			"fs_cache_hits_total", metrics.Labels{Server: fi.fs.name}).Inc()
+		fi.fs.hits.Inc()
 	default:
 		ready = fi.fs.disk.Fetch(now)
-		metrics.CounterIn(&fi.fs.hitMiss[1], p.Kernel().Metrics(),
-			"fs_cache_misses_total", metrics.Labels{Server: fi.fs.name}).Inc()
+		fi.fs.misses.Inc()
 	}
 	clock.Observe(ready)
 	if fi.fs.readAhead {

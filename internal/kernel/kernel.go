@@ -12,6 +12,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/proto"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -86,10 +87,11 @@ type Kernel struct {
 	// a virtual clock either way.
 	tracer atomic.Pointer[trace.Tracer]
 
-	// metrics caches the registry and the domain-wide instruments the
-	// send path bumps, behind one atomic load — same zero-virtual-cost
-	// contract as the tracer.
-	metrics atomic.Pointer[kernelMetrics]
+	// metrics is the domain's catalogue of series, whose installed
+	// registry is one atomic load away — same zero-virtual-cost contract
+	// as the tracer. ipc is what the IPC primitives count while one is.
+	metrics metrics.Catalogue
+	ipc     *ipcCounts
 
 	// flight is the always-on flight recorder (PROTOCOL.md §15), under
 	// the same observer contract: a nil recorder accepts every Record
@@ -109,11 +111,21 @@ type Kernel struct {
 
 // New creates a V domain over the given network.
 func New(n *netsim.Network) *Kernel {
+	c := &ipcCounts{}
 	k := &Kernel{
 		net:   n,
 		model: n.Model(),
+		ipc:   c,
 	}
 	k.hosts.Store(&[]*Host{nil})
+	k.metrics.Add(func(r *metrics.Reading) {
+		var none metrics.Labels
+		r.Counter("kernel_sends_total", none, c.sends.Value(), true)
+		r.Counter("kernel_forwards_total", none, c.forwards.Value(), true)
+		r.Counter("kernel_replies_total", none, c.replies.Value(), true)
+		r.Counter("kernel_getpid_total", none, c.getpids.Value(), true)
+		r.Gauge("kernel_inflight", none, c.inflight.Load())
+	})
 	return k
 }
 
@@ -135,42 +147,32 @@ func (k *Kernel) SetFlight(r *flight.Recorder) { k.flight.Store(r) }
 // recorder, so call sites record unconditionally.
 func (k *Kernel) Flight() *flight.Recorder { return k.flight.Load() }
 
-// kernelMetrics is the pre-resolved instrument set the IPC hot path
-// records into, so a send costs one atomic pointer load plus a few
-// atomic adds — no registry lookups.
-type kernelMetrics struct {
-	reg      *metrics.Registry
-	sends    *metrics.Counter
-	forwards *metrics.Counter
-	replies  *metrics.Counter
-	getpids  *metrics.Counter
-	inflight *metrics.Gauge
+// ipcCounts is what the IPC primitives count, domain-wide.
+type ipcCounts struct {
+	sends, forwards, replies, getpids metrics.Counter
+	inflight                          atomic.Int64
 }
 
 // SetMetrics installs (or, with nil, removes) the domain's metrics
-// registry. Recording charges zero virtual time.
-func (k *Kernel) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		k.metrics.Store(nil)
-		return
-	}
-	k.metrics.Store(&kernelMetrics{
-		reg:      reg,
-		sends:    reg.Counter("kernel_sends_total", metrics.Labels{}),
-		forwards: reg.Counter("kernel_forwards_total", metrics.Labels{}),
-		replies:  reg.Counter("kernel_replies_total", metrics.Labels{}),
-		getpids:  reg.Counter("kernel_getpid_total", metrics.Labels{}),
-		inflight: reg.Gauge("kernel_inflight", metrics.Labels{}),
-	})
-}
+// registry, which counts what the domain's emitters count from this call
+// until the next (metrics.Catalogue). Recording charges zero virtual
+// time.
+func (k *Kernel) SetMetrics(reg *metrics.Registry) { k.metrics.Install(reg) }
 
 // Metrics returns the installed registry, or nil. A nil *Registry (and
 // every instrument it hands out) accepts calls as no-ops.
-func (k *Kernel) Metrics() *metrics.Registry {
-	if km := k.metrics.Load(); km != nil {
-		return km.reg
-	}
-	return nil
+func (k *Kernel) Metrics() *metrics.Registry { return k.metrics.Registry() }
+
+// AddSeries registers an emitter's series with the domain, once: every
+// registry installed reads them through read.
+func (k *Kernel) AddSeries(read func(*metrics.Reading)) { k.metrics.Add(read) }
+
+// NewCounter returns a count an emitter keeps, added to the domain as
+// the series name{l}.
+func (k *Kernel) NewCounter(name string, l metrics.Labels) *metrics.Counter {
+	c := new(metrics.Counter)
+	k.AddSeries(func(r *metrics.Reading) { r.Counter(name, l, c.Value(), false) })
+	return c
 }
 
 // Model returns the cost model in force.
@@ -341,13 +343,20 @@ func (h *Host) NewProcess(name string) (*Process, error) {
 			break
 		}
 	}
+	lat := new(metrics.PerOp[metrics.Histogram])
 	p := &Process{
-		pid:  MakePID(h.id, h.nextLocal),
-		name: name,
-		host: h,
-		mbox: make(chan *envelope, mailboxDepth),
-		done: make(chan struct{}),
+		pid:     MakePID(h.id, h.nextLocal),
+		name:    name,
+		host:    h,
+		mbox:    make(chan *envelope, mailboxDepth),
+		done:    make(chan struct{}),
+		sendLat: lat,
 	}
+	h.kernel.AddSeries(func(r *metrics.Reading) {
+		lat.Each(func(op uint16, h *metrics.Histogram) {
+			r.Histogram("send_latency", metrics.Labels{Server: name, Op: proto.Code(op).String()}, h, false)
+		})
+	})
 	h.storeProcs(p.pid, p)
 	return p, nil
 }

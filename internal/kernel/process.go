@@ -156,8 +156,10 @@ type Process struct {
 	dead    atomic.Bool
 	crashed bool        // died with its host, not by clean Destroy
 	pending []*envelope // received but not yet replied, one per origin, in arrival order
-	// sendLat is the send_latency series of sends to this process, by op.
-	sendLat metrics.Handles[*metrics.Histogram]
+	// sendLat is the send_latency series of sends to this process, by op,
+	// apart from it: the domain's catalogue reads it past the process's
+	// death, and must not keep the process.
+	sendLat *metrics.PerOp[metrics.Histogram]
 	// curSpan is the span this process's own activity currently nests
 	// under (a serve, handoff or client-op span): a trace.SpanID, atomic
 	// because every traced Send, Reply and Forward reads it.
@@ -256,10 +258,10 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 	// Metrics, like the tracer, charge zero virtual time. The start time
 	// is read before any cost accrues so the histogram sees the full
 	// transaction latency; the send span starts then too.
-	km := k.metrics.Load()
-	if km != nil {
-		km.sends.Inc()
-		km.inflight.Add(1)
+	reg := k.Metrics()
+	if reg != nil {
+		k.ipc.sends.Inc()
+		k.ipc.inflight.Add(1)
 	}
 	sendStart := p.clock.Now()
 	target, hostUp := k.findProcess(dst)
@@ -271,14 +273,14 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 		} else {
 			err = fmt.Errorf("%w: %v", ErrNonexistentProcess, dst)
 		}
-		return p.sendFailed(km, p.startSend(op, dst, sendStart), err)
+		return p.sendFailed(reg, p.startSend(op, dst, sendStart), err)
 	}
 	d, det, err := k.net.UnicastDetail(p.host.id, dst.Host(), msg.WireSize(), sendStart)
 	if err != nil {
 		sp := p.startSend(op, dst, sendStart)
 		p.clock.Advance(time.Duration(failedSendRetries) * k.model.RetransmitTimeout)
 		err = fmt.Errorf("send to %v: %w", dst, err)
-		return p.sendFailed(km, sp, err)
+		return p.sendFailed(reg, sp, err)
 	}
 	var sp trace.SpanID
 	if tr != nil {
@@ -291,22 +293,20 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 		// Never delivered: no completion can exist.
 		p.chargeFailedSend(dst, true)
 		err := fmt.Errorf("%w: %v", ErrNonexistentProcess, dst)
-		return p.sendFailed(km, sp, err)
+		return p.sendFailed(reg, sp, err)
 	}
 	ev := rec.await()
 	p.finish(rec)
 	if ev.err != nil {
 		p.clock.Advance(k.model.RetransmitTimeout)
 		err := fmt.Errorf("send to %v: %w", dst, ev.err)
-		return p.sendFailed(km, sp, err)
+		return p.sendFailed(reg, sp, err)
 	}
 	p.clock.Observe(ev.at)
 	tr.End(sp, p.clock.Now())
-	if km != nil {
-		km.inflight.Add(-1)
-		target.sendLat.Resolve(km.reg, uint16(op), func() *metrics.Histogram {
-			return km.reg.Histogram("send_latency", metrics.Labels{Server: target.name, Op: op.String()})
-		}).Record(p.clock.Now() - sendStart)
+	if reg != nil {
+		k.ipc.inflight.Add(-1)
+		target.sendLat.Get(uint16(op)).Record(p.clock.Now() - sendStart)
 	}
 	return ev.msg, nil
 }
@@ -319,11 +319,11 @@ func (p *Process) startSend(op proto.Code, dst PID, at vtime.Time) trace.SpanID 
 
 // sendFailed ends a failed Send: its span classified and, with metrics
 // on, the failure counted by class.
-func (p *Process) sendFailed(km *kernelMetrics, sp trace.SpanID, err error) (*proto.Message, error) {
+func (p *Process) sendFailed(reg *metrics.Registry, sp trace.SpanID, err error) (*proto.Message, error) {
 	p.Tracer().Fail(sp, p.clock.Now(), FailureClass(err))
-	if km != nil {
-		km.inflight.Add(-1)
-		km.reg.Counter("kernel_send_failures_total", metrics.Labels{Class: FailureClass(err)}).Inc()
+	if reg != nil {
+		p.host.kernel.ipc.inflight.Add(-1)
+		reg.Counter("kernel_send_failures_total", metrics.Labels{Class: FailureClass(err)}).Inc()
 	}
 	return nil, err
 }
@@ -562,8 +562,8 @@ func (p *Process) Reply(msg *proto.Message, to PID) error {
 		tr.Transfer(p.spanUnder(env), trace.KindReply, opTo(msg.Op, " -> ", to), now, p.TraceID(),
 			trace.Hop{Name: "reply", Start: now, Dur: d, Bytes: msg.WireSize(), Detail: det, Local: env.origin.Host() == p.host.id}, now+d)
 	}
-	if km := k.metrics.Load(); km != nil {
-		km.replies.Inc()
+	if k.Metrics() != nil {
+		k.ipc.replies.Inc()
 	}
 	env.complete(msg, p.clock.Now()+d)
 	return nil
@@ -596,8 +596,8 @@ func (p *Process) Forward(msg *proto.Message, from PID, to PID) error {
 	// Count before delivering: the recipient may serve and unblock the
 	// original sender before this goroutine runs again, and a sample
 	// taken then must already include this forward.
-	if km := k.metrics.Load(); km != nil {
-		km.forwards.Inc()
+	if k.Metrics() != nil {
+		k.ipc.forwards.Inc()
 	}
 	// Recorded, wire and end, before delivering, for Reply's reasons. If
 	// delivery fails below, the failure classification lands on the root
@@ -703,8 +703,8 @@ func (p *Process) GetPid(service Service, scope Scope) (PID, error) {
 	if tr != nil {
 		sp = tr.Start(p.CurrentSpan(), trace.KindGetPid, service.String(), p.clock.Now(), p.TraceID())
 	}
-	if km := k.metrics.Load(); km != nil {
-		km.getpids.Inc()
+	if k.Metrics() != nil {
+		k.ipc.getpids.Inc()
 	}
 	if scope != ScopeRemote {
 		p.clock.Advance(m.GetPidLocalCost)

@@ -7,8 +7,8 @@
 // expiry rule: an entry is valid strictly before its Expire.
 //
 // The holder side is a Cache; the granter side is Wanted, Grant and
-// Holders; a Meter shared by both counts what happened, publishes the
-// counts as registry series, and fans each event out to the tracer and
+// Holders; a Meter shared by both counts what happened — its counts are
+// registry series — and fans each event out to the tracer and
 // the flight recorder.
 //
 // The paper's §2.2 strawman — cache a resolution and trust it until a
@@ -96,19 +96,29 @@ var events = [numEvents]struct {
 // Stats is a snapshot of a Meter's counters, indexed by Event.
 type Stats [numEvents]uint64
 
-// Meter counts one tier's lease events and publishes the counts: each
-// is its event's registry series. Counters are atomics: a callback
-// process bumps Invalidation concurrently with the serving goroutine's
-// hit path.
+// Meter counts one tier's lease events: each count is its event's
+// series, which its domain's registry reads. Counters are atomics: a
+// callback process bumps Invalidation concurrently with the serving
+// goroutine's hit path.
 type Meter struct {
 	class, owner string
 	n            [numEvents]metrics.Counter
-	series       metrics.Published
 }
 
-// NewMeter returns a meter publishing under class ("client", "tier" or
-// "prefix") in owner's name.
-func NewMeter(class, owner string) *Meter { return &Meter{class: class, owner: owner} }
+// NewMeter returns a meter counting under class ("client", "tier" or
+// "prefix") in owner's name, its series added to k's catalogue.
+func NewMeter(k *kernel.Kernel, class, owner string) *Meter {
+	m := &Meter{class: class, owner: owner}
+	k.AddSeries(m.read)
+	return m
+}
+
+func (m *Meter) read(r *metrics.Reading) {
+	l := metrics.Labels{Server: m.owner, Class: m.class}
+	for ev := range m.n {
+		r.Counter(events[ev].metric, l, m.n[ev].Value(), false)
+	}
+}
 
 func (m *Meter) load() (s Stats) {
 	for i := range s {
@@ -120,20 +130,13 @@ func (m *Meter) load() (s Stats) {
 // Snapshot returns a torn-read-resistant copy of the counters.
 func (m *Meter) Snapshot() Stats { return metrics.Stable(m.load) }
 
-// add bumps ev's counter, which is its registry series, by n.
-func (m *Meter) add(p *kernel.Process, ev Event, n uint64) {
-	m.series.Publish(p.Kernel().Metrics(), uint16(ev), events[ev].metric,
-		metrics.Labels{Server: m.owner, Class: m.class}, &m.n[ev])
-	m.n[ev].Add(n)
-}
-
 // Observe records one ev about name at virtual time at: its counter
-// (the registry series), flight record and zero-length trace span, as
+// (its series), flight record and zero-length trace span, as
 // the event calls for. A stamped span carries e's lease; an unstamped
 // entry has no stamp to carry and records none, so the staleness
 // invariant (trace.CheckOptions.LeaseBound) only ever sees real leases.
 func (m *Meter) Observe(p *kernel.Process, ev Event, name string, at time.Duration, e Entry) {
-	m.add(p, ev, 1)
+	m.n[ev].Inc()
 	d := &events[ev]
 	if d.kind != 0 {
 		p.Kernel().Flight().Record(at, d.kind, name, m.owner, d.detail)
@@ -451,6 +454,6 @@ func (m *Meter) Notify(p *kernel.Process, gid kernel.PID, name string, commit ti
 	if err != nil || n <= 0 {
 		return 0
 	}
-	m.add(p, Notified, uint64(n))
+	m.n[Notified].Add(uint64(n))
 	return n
 }

@@ -63,7 +63,7 @@ func newRig(t *testing.T) *rig {
 // leased.
 func (r *rig) cache(t *testing.T, leased bool, propagate func(*kernel.Process, string, time.Duration)) *Cache {
 	t.Helper()
-	c := NewCache(NewMeter("client", "holder"))
+	c := NewCache(NewMeter(r.k, "client", "holder"))
 	if leased {
 		if err := c.Listen(r.host, "holder/cb", propagate); err != nil {
 			t.Fatal(err)
@@ -334,13 +334,13 @@ func TestWanted(t *testing.T) {
 // returns — and a holder that died is skipped, not waited for.
 func TestHolders(t *testing.T) {
 	r := newRig(t)
-	h := NewHolders(NewMeter("tier", "granter"))
+	h := NewHolders(NewMeter(r.k, "tier", "granter"))
 	if n := h.Invalidate(r.holder, "home", 0); n != 0 {
 		t.Fatalf("invalidate with no group notified %d", n)
 	}
 	var caches []*Cache
 	for i := 0; i < 3; i++ {
-		c := NewCache(NewMeter("client", "holder"))
+		c := NewCache(NewMeter(r.k, "client", "holder"))
 		if err := c.Listen(r.host, "cb"+string(rune('0'+i)), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +462,7 @@ func TestStoreHeldNameZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
-	c := NewCache(NewMeter("client", "holder"))
+	c := NewCache(NewMeter(kernel.New(netsim.New(vtime.DefaultModel(), 1)), "client", "holder"))
 	names := make([]string, 1000)
 	for i := range names {
 		names[i] = "proj.user" + strconv.Itoa(i) + ".src"
@@ -564,7 +564,7 @@ func TestCallbackAnswersInItsClone(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < holders; i++ {
-			h := NewCache(NewMeter("client", "holder"))
+			h := NewCache(NewMeter(r.k, "client", "holder"))
 			if err := h.Listen(r.host, "cb"+strconv.Itoa(i), nil); err != nil {
 				t.Fatal(err)
 			}
@@ -573,7 +573,7 @@ func TestCallbackAnswersInItsClone(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m := NewMeter("prefix", "granter")
+		m := NewMeter(r.k, "prefix", "granter")
 		return testing.AllocsPerRun(100, func() {
 			if n := m.Notify(r.holder, gid, "home", 0); n != holders {
 				t.Fatalf("%d of %d holders acknowledged", n, holders)

@@ -36,7 +36,6 @@ const (
 type Histogram struct {
 	buckets [histBuckets]bucket
 	max     atomic.Int64
-	ex      exemplars
 }
 
 type bucket struct {
@@ -64,16 +63,6 @@ func bucketIndex(v int64) int {
 	return idx
 }
 
-// bucketBounds returns the inclusive value range of a bucket.
-func bucketBounds(idx int) (lo, hi int64) {
-	if idx < histSub {
-		return int64(idx), int64(idx)
-	}
-	shift := idx/histSub - 1
-	m := int64(idx - shift*histSub) // in [histSub, 2*histSub)
-	return m << uint(shift), (m+1)<<uint(shift) - 1
-}
-
 // Record adds one latency observation. Zero virtual cost; safe from any
 // goroutine.
 func (h *Histogram) Record(d vtime.Time) {
@@ -92,21 +81,18 @@ func (h *Histogram) Record(d vtime.Time) {
 	}
 }
 
-// Observations is how many observations h holds, as a Source.
-func (h *Histogram) Observations() Source { return (*observations)(h) }
-
-type observations Histogram
-
-func (o *observations) Value() (n uint64) {
-	for i := range o.buckets {
-		n += o.buckets[i].count.Load()
+// Count is how many observations h holds.
+func (h *Histogram) Count() (n uint64) {
+	for i := range h.buckets {
+		n += h.buckets[i].count.Load()
 	}
 	return n
 }
 
-// histRead is one pass over a histogram's buckets: a copy of every
-// bucket and the totals summed from it, from which a snapshot computes
-// every statistic it reports without reading the live buckets again.
+// histRead is a histogram as read — a copy of every bucket and the
+// totals summed from it, or the sum or difference of several such — from
+// which a snapshot computes every statistic it reports without reading
+// the live buckets again.
 type histRead struct {
 	counts [histBuckets]uint64
 	sums   [histBuckets]int64
@@ -115,16 +101,31 @@ type histRead struct {
 	max    int64
 }
 
-// read fills r from h's buckets, reading each once.
-func (h *Histogram) read(r *histRead) {
-	r.n, r.sum, r.max = 0, 0, h.max.Load()
+// add adds h's buckets to r, reading each once; r's maximum becomes the
+// larger.
+func (r *histRead) add(h *Histogram) {
+	r.max = max(r.max, h.max.Load())
 	for i := range h.buckets {
 		b := &h.buckets[i]
 		c, s := b.count.Load(), b.sum.Load()
-		r.counts[i], r.sums[i] = c, s
+		r.counts[i] += c
+		r.sums[i] += s
 		r.n += c
 		r.sum += s
 	}
+}
+
+// merge adds o to r bucket by bucket, or with sign -1 subtracts it. The
+// maximum is the larger either way: an emitter's never falls, so an
+// earlier reading's is no larger than a later one's.
+func (r *histRead) merge(o *histRead, sign int64) {
+	for i := range o.counts {
+		r.counts[i] += uint64(sign) * o.counts[i]
+		r.sums[i] += sign * o.sums[i]
+	}
+	r.n += uint64(sign) * o.n
+	r.sum += sign * o.sum
+	r.max = max(r.max, o.max)
 }
 
 // quantile returns the q-quantile (0 < q ≤ 1) by the nearest-rank

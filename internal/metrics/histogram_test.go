@@ -9,10 +9,21 @@ import (
 	"repro/internal/raceflag"
 )
 
+// bucketBounds returns the inclusive value range of a bucket: the
+// layout's inverse of bucketIndex.
+func bucketBounds(idx int) (lo, hi int64) {
+	if idx < histSub {
+		return int64(idx), int64(idx)
+	}
+	shift := idx/histSub - 1
+	m := int64(idx - shift*histSub) // in [histSub, 2*histSub)
+	return m << uint(shift), (m+1)<<uint(shift) - 1
+}
+
 // readOf is one read of h, for a test to inspect.
 func readOf(h *Histogram) *histRead {
 	r := new(histRead)
-	h.read(r)
+	r.add(h)
 	return r
 }
 

@@ -4,11 +4,15 @@
 // §9), every instrument charges zero virtual time — recording never
 // touches a process clock, so a fully instrumented run is byte-identical
 // to an uninstrumented one in every virtual-time result. The registry is
-// safe for concurrent use from real goroutines: it is one locked table,
-// an emitter on a hot path holds its series as Handles — the one fast
-// path — and the instruments themselves are plain atomics. A count an
-// emitter keeps already is not mirrored: its counter series reads it
-// (Counter.Read).
+// safe for concurrent use from real goroutines, and the instruments
+// themselves are plain atomics.
+//
+// The registry reads; emitters count. An emitter keeps the instruments on
+// a request's success path and adds its series once to its kernel's or
+// network's Catalogue. A registry counts what happens while it is
+// installed, from SetMetrics(reg) until SetMetrics(other or nil). Rare
+// series (failure classes, chaos) are the registry's own, looked up by
+// label in the one installed when the event happens.
 //
 // Determinism contract: an instrument update is reproducible (safe to
 // include in golden-pinned output) only when it is ordered before the
@@ -21,7 +25,7 @@
 package metrics
 
 import (
-	"slices"
+	"cmp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,30 +43,16 @@ type Labels struct {
 	Class  string `json:"class,omitempty"`  // failure / event class
 }
 
-// less orders labels deterministically for snapshot output.
-func (l Labels) less(o Labels) bool {
-	if l.Server != o.Server {
-		return l.Server < o.Server
-	}
-	if l.Op != o.Op {
-		return l.Op < o.Op
-	}
-	if l.Host != o.Host {
-		return l.Host < o.Host
-	}
-	return l.Class < o.Class
-}
-
 type instKey struct {
 	name   string
 	labels Labels
 }
 
+// less orders keys deterministically for snapshot output.
 func (k instKey) less(o instKey) bool {
-	if k.name != o.name {
-		return k.name < o.name
-	}
-	return k.labels.less(o.labels)
+	a, b := k.labels, o.labels
+	return cmp.Or(cmp.Compare(k.name, o.name), cmp.Compare(a.Server, b.Server), cmp.Compare(a.Op, b.Op),
+		cmp.Compare(a.Host, b.Host), cmp.Compare(a.Class, b.Class)) < 0
 }
 
 // Stable returns a torn-read-resistant result of load, a function that
@@ -82,23 +72,17 @@ func Stable[T comparable](load func() T) T {
 	return prev
 }
 
-// Counter is a monotonically increasing count: what is added to it, plus
-// what the sources it reads count. All methods are nil-safe no-ops so
-// instrument sites need no registry-presence checks.
+// Counter is a monotonically increasing count. All methods are nil-safe
+// no-ops so instrument sites need no registry-presence checks.
 type Counter struct {
-	v     atomic.Uint64
-	reads atomic.Pointer[[]read] // copy-on-write
+	v  atomic.Uint64
+	of *series // a registry's own counter: its registry and key
 }
 
-// A Source is a count its emitter keeps, which a counter series reads
-// instead of counting each event again (Counter.Read). It is comparable,
-// so one source is read once; a *Counter is one.
-type Source interface{ Value() uint64 }
-
-// read is a published source and what it had counted at publication.
-type read struct {
-	src  Source
-	base uint64
+// series is a registry's key of one of its own counters.
+type series struct {
+	r *Registry
+	k instKey
 }
 
 // Inc adds one.
@@ -115,66 +99,17 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count.
+// Value returns the current count; a registry's counter reads as its
+// series, with what the registry reads of its catalogues under the same
+// name and labels.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	v := c.v.Load()
-	if rs := c.reads.Load(); rs != nil {
-		for _, r := range *rs {
-			v += r.src.Value() - r.base
-		}
+	if c.of != nil {
+		return c.of.r.read(true)[c.of.k].n
 	}
-	return v
-}
-
-// Read makes c read src from now on: c counts what src counts after this
-// call, beside whatever else it counts. Reading a source again adds
-// nothing.
-func (c *Counter) Read(src Source) {
-	for c != nil {
-		p := c.reads.Load()
-		var rs []read
-		if p != nil {
-			if slices.ContainsFunc(*p, func(r read) bool { return r.src == src }) {
-				return
-			}
-			rs = *p
-		}
-		rs = append(rs[:len(rs):len(rs)], read{src, src.Value()})
-		if c.reads.CompareAndSwap(p, &rs) {
-			return
-		}
-	}
-}
-
-// Gauge is an instantaneous atomic value.
-type Gauge struct {
-	v        atomic.Int64
-	volatile bool
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adds delta (negative to decrement).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
+	return c.v.Load()
 }
 
 // StatePoint is one transition on a Timeline: at virtual time At the
@@ -218,25 +153,27 @@ func (t *Timeline) Points() []StatePoint {
 	return out
 }
 
-// Registry holds the instruments: one table per kind under one lock. A
-// by-label lookup takes the lock; an emitter on a hot path holds its
-// series as Handles and does not look up at all.
+// Registry holds its own instruments, one table per kind under one lock,
+// and reads the catalogues it is installed on. A by-label lookup takes
+// the lock; an emitter on a hot path keeps its instruments and does not
+// look up at all.
 type Registry struct {
 	mu        sync.Mutex
 	lookups   uint64 // by-label lookups served; see Lookups
 	counters  map[instKey]*Counter
-	gauges    map[instKey]*Gauge
+	gauges    map[instKey]GaugePoint
 	hists     map[instKey]*Histogram
 	timelines map[instKey]*Timeline
+	tallies   []*tally // what it counted of each catalogue it was installed on
 }
 
 // New returns an empty registry.
 func New() *Registry { return &Registry{} }
 
-// Lookups returns how many by-label lookups (Counter, Gauge, Histogram,
-// Timeline) the registry has served. An emitter on a
-// hot path holds its series as Handles, so a steady-state run leaves the
-// count where it was (rig.TestSteadyStateResolvesNoSeries).
+// Lookups returns how many by-label lookups (Counter, Histogram,
+// Timeline) the registry has served. An emitter on a hot path keeps its
+// instruments, so a steady-state run leaves the count where it was
+// (rig.TestSteadyStateResolvesNoSeries).
 func (r *Registry) Lookups() uint64 {
 	if r == nil {
 		return 0
@@ -251,20 +188,12 @@ func (r *Registry) Counter(name string, l Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	return lookup(r, &r.counters, instKey{name, l}, func() *Counter { return &Counter{} })
+	k := instKey{name, l}
+	return lookup(r, &r.counters, k, func() *Counter { return &Counter{of: &series{r, k}} })
 }
 
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string, l Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return lookup(r, &r.gauges, instKey{name, l}, func() *Gauge { return &Gauge{} })
-}
-
-// SetGauges sets every gauge in points, creating the ones the registry
-// lacks — volatile if the point says so — under one hold of the lock. It
-// is the write side of Snapshot().Gauges, for publishers of a few
+// SetGauges sets every gauge in points, volatile if the point says so,
+// under one hold of the lock. It is the write side of Snapshot().Gauges, for publishers of a few
 // hundred gauges at a time (namestat.Publish).
 func (r *Registry) SetGauges(points []GaugePoint) {
 	if r == nil {
@@ -272,8 +201,11 @@ func (r *Registry) SetGauges(points []GaugePoint) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.gauges == nil {
+		r.gauges = make(map[instKey]GaugePoint)
+	}
 	for _, p := range points {
-		get(&r.gauges, instKey{p.Name, p.Labels}, func() *Gauge { return &Gauge{volatile: p.Volatile} }).Set(p.Value)
+		r.gauges[instKey{p.Name, p.Labels}] = p
 	}
 }
 
@@ -299,11 +231,6 @@ func lookup[V any](r *Registry, table *map[instKey]*V, k instKey, mk func() *V) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.lookups++
-	return get(table, k, mk)
-}
-
-// get returns k's instrument in table, made if missing; r.mu is held.
-func get[V any](table *map[instKey]*V, k instKey, mk func() *V) *V {
 	if v, ok := (*table)[k]; ok {
 		return v
 	}
@@ -313,6 +240,50 @@ func get[V any](table *map[instKey]*V, k instKey, mk func() *V) *V {
 	v := mk()
 	(*table)[k] = v
 	return v
+}
+
+// tallyOf returns what r has counted of c, made at r's first install on c.
+func (r *Registry) tallyOf(c *Catalogue) *tally {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, t := range r.tallies {
+		if t.cat == c {
+			return t
+		}
+	}
+	t := &tally{reg: r, cat: c, adj: reading{}}
+	r.tallies = append(r.tallies, t)
+	return t
+}
+
+// read is what r lists: its own instruments and what it counted of its
+// catalogues — their histograms too unless levels — summed under each
+// key.
+func (r *Registry) read(levels bool) reading {
+	out := reading{}
+	if r == nil {
+		return out
+	}
+	r.mu.Lock()
+	for k, c := range r.counters {
+		out.at(k, kindCounter, true).n += c.v.Load()
+	}
+	for k, g := range r.gauges {
+		v := out.at(k, kindGauge, true)
+		v.n, v.volatile = uint64(g.Value), g.Volatile
+	}
+	for k, h := range r.hists {
+		out.at(k, kindHist, true).addHist(h)
+	}
+	for k, t := range r.timelines {
+		out.at(k, kindTimeline, true).points = t.Points()
+	}
+	tallies := r.tallies
+	r.mu.Unlock()
+	for _, t := range tallies {
+		t.cat.counted(t, levels, out)
+	}
+	return out
 }
 
 // CounterPoint is one counter in a snapshot.
@@ -342,10 +313,6 @@ type HistPoint struct {
 	P90US  int64  `json:"p90_us"`
 	P99US  int64  `json:"p99_us"`
 	MaxUS  int64  `json:"max_us"`
-	// Exemplars link buckets to retained trace span ids (exemplar.go).
-	// Span ids are interleaving-dependent, so they are excluded from the
-	// JSON rendering — deterministic documents stay byte-identical.
-	Exemplars []Exemplar `json:"-"`
 }
 
 // TimelineSeries is one state timeline in a snapshot.
@@ -367,69 +334,35 @@ type Snapshot struct {
 	Timelines  []TimelineSeries `json:"timelines,omitempty"`
 }
 
-// Snapshot captures the registry.
-func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
-	if r == nil {
-		return s
-	}
-	s.Counters, s.Gauges = r.levels()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var hr histRead
-	for k, h := range r.hists {
-		h.read(&hr)
-		s.Histograms = append(s.Histograms, HistPoint{
-			Name:      k.name,
-			Labels:    k.labels,
-			Count:     hr.n,
-			SumUS:     us(vtime.Time(hr.sum)),
-			P50US:     us(hr.quantile(0.50)),
-			P90US:     us(hr.quantile(0.90)),
-			P99US:     us(hr.quantile(0.99)),
-			MaxUS:     us(vtime.Time(hr.max)),
-			Exemplars: h.Exemplars(),
-		})
-	}
-	sort.Slice(s.Histograms, func(i, j int) bool {
-		return instKey{s.Histograms[i].Name, s.Histograms[i].Labels}.less(instKey{s.Histograms[j].Name, s.Histograms[j].Labels})
-	})
-	for k, t := range r.timelines {
-		s.Timelines = append(s.Timelines, TimelineSeries{Name: k.name, Labels: k.labels, Points: t.Points()})
-	}
-	sort.Slice(s.Timelines, func(i, j int) bool {
-		return instKey{s.Timelines[i].Name, s.Timelines[i].Labels}.less(instKey{s.Timelines[j].Name, s.Timelines[j].Labels})
-	})
-	return s
-}
+// Snapshot captures the registry: its own instruments and what it reads
+// of its catalogues.
+func (r *Registry) Snapshot() Snapshot { return r.read(false).points() }
 
-// levels captures the counters and gauges alone — all a sampler tick
-// keeps — without pricing every histogram's quantiles.
-func (r *Registry) levels() (counters []CounterPoint, gauges []GaugePoint) {
-	if r == nil {
-		return nil, nil
+// points lists m in (name, labels) order.
+func (m reading) points() (s Snapshot) {
+	keys := make([]instKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters != nil {
-		counters = make([]CounterPoint, 0, len(r.counters))
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	for _, k := range keys {
+		switch v := m[k]; v.kind {
+		case kindCounter:
+			s.Counters = append(s.Counters, CounterPoint{k.name, k.labels, v.n})
+		case kindGauge:
+			s.Gauges = append(s.Gauges, GaugePoint{k.name, k.labels, int64(v.n), v.volatile})
+		case kindTimeline:
+			s.Timelines = append(s.Timelines, TimelineSeries{k.name, k.labels, v.points})
+		default:
+			p := HistPoint{Name: k.name, Labels: k.labels}
+			if hr := v.h; hr != nil {
+				p.Count, p.SumUS, p.MaxUS = hr.n, us(vtime.Time(hr.sum)), us(vtime.Time(hr.max))
+				p.P50US, p.P90US, p.P99US = us(hr.quantile(0.50)), us(hr.quantile(0.90)), us(hr.quantile(0.99))
+			}
+			s.Histograms = append(s.Histograms, p)
+		}
 	}
-	for k, c := range r.counters {
-		counters = append(counters, CounterPoint{Name: k.name, Labels: k.labels, Value: c.Value()})
-	}
-	sort.Slice(counters, func(i, j int) bool {
-		return instKey{counters[i].Name, counters[i].Labels}.less(instKey{counters[j].Name, counters[j].Labels})
-	})
-	if r.gauges != nil {
-		gauges = make([]GaugePoint, 0, len(r.gauges))
-	}
-	for k, g := range r.gauges {
-		gauges = append(gauges, GaugePoint{Name: k.name, Labels: k.labels, Value: g.Value(), Volatile: g.volatile})
-	}
-	sort.Slice(gauges, func(i, j int) bool {
-		return instKey{gauges[i].Name, gauges[i].Labels}.less(instKey{gauges[j].Name, gauges[j].Labels})
-	})
-	return counters, gauges
+	return s
 }
 
 // Deterministic strips volatile gauges, leaving only series that are

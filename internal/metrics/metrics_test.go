@@ -12,7 +12,7 @@ func TestRegistrySnapshotOrderAndTotals(t *testing.T) {
 	r.Counter("ops_total", Labels{Server: "fs2"}).Add(3)
 	r.Counter("ops_total", Labels{Server: "fs1"}).Inc()
 	r.Counter("aaa_total", Labels{}).Add(7)
-	r.Gauge("inflight", Labels{}).Set(2)
+	r.SetGauges([]GaugePoint{{Name: "inflight", Value: 2}})
 	r.SetGauges([]GaugePoint{{Name: "pool", Value: 9, Volatile: true}})
 	r.Histogram("lat", Labels{Server: "fs1", Op: "Echo"}).Record(2560 * time.Microsecond)
 	r.Timeline(TimelineServerUp, Labels{Host: "fs1"}).Mark(100*time.Millisecond, 0)
@@ -47,7 +47,7 @@ func TestRegistrySnapshotOrderAndTotals(t *testing.T) {
 	// Nil registry and nil instruments are no-ops throughout.
 	var nr *Registry
 	nr.Counter("x", Labels{}).Inc()
-	nr.Gauge("x", Labels{}).Add(1)
+	nr.SetGauges([]GaugePoint{{Name: "x", Value: 1}})
 	nr.Histogram("x", Labels{}).Record(1)
 	nr.Timeline("x", Labels{}).Mark(0, 0)
 	if got := nr.Snapshot(); len(got.Counters) != 0 {
@@ -138,7 +138,7 @@ func TestHealthReportWindows(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := New()
 	r.Counter("ops_total", Labels{Server: "fs1", Op: "Echo"}).Add(2)
-	r.Gauge("inflight", Labels{}).Set(1)
+	r.SetGauges([]GaugePoint{{Name: "inflight", Value: 1}})
 	r.Histogram("lat", Labels{Server: "fs1"}).Record(2560 * time.Microsecond)
 	r.Timeline(TimelineServerUp, Labels{Host: "fs1"}).Mark(time.Millisecond, 0)
 	var buf strings.Builder
@@ -195,11 +195,9 @@ func TestSetGaugesMatchesOneByOne(t *testing.T) {
 		{Name: "top", Labels: Labels{Server: "pfx", Op: "bin"}, Value: 9, Volatile: true}, // again: the last value stands
 	}
 	one, batch := New(), New()
-	batch.Gauge("inflight", Labels{}).Set(40) // one gauge exists already
+	batch.SetGauges([]GaugePoint{{Name: "inflight", Value: 40}}) // one gauge exists already
 	for _, p := range points {
-		g := one.Gauge(p.Name, p.Labels)
-		g.volatile = p.Volatile
-		g.Set(p.Value)
+		one.SetGauges([]GaugePoint{p})
 	}
 	batch.SetGauges(points)
 	if got, want := batch.Snapshot(), one.Snapshot(); !reflect.DeepEqual(got, want) {
@@ -209,31 +207,36 @@ func TestSetGaugesMatchesOneByOne(t *testing.T) {
 	none.SetGauges(points) // must not panic
 }
 
-// TestPublishedCountsFromFirstEvent: an emitter's published count is read
-// by the series of each registry its events see, from the first event
-// under that registry on; a series reading two sources sums them, and a
-// source read twice is read once.
+// TestPublishedCountsFromFirstEvent: a registry counts an emitter's
+// events while it is installed on the emitter's catalogue, from install
+// to removal or replacement, summing the emitters under one key. A
+// registry removed, then installed again, counts both periods and
+// nothing in between; a registry never installed counts nothing.
 func TestPublishedCountsFromFirstEvent(t *testing.T) {
 	a, b := New(), New()
+	var cat Catalogue
 	var count, other Counter
-	var pub Published
-	event := func(reg *Registry, n int) {
-		for i := 0; i < n; i++ {
-			pub.Publish(reg, 0, "events_total", Labels{}, &count)
-			count.Inc()
-		}
-	}
-	event(nil, 2)
-	event(a, 3)
-	event(b, 5)
-	series := a.Counter("events_total", Labels{})
-	series.Read(&other)
-	series.Read(&other)
+	cat.Add(func(r *Reading) {
+		r.Counter("events_total", Labels{}, count.Value(), false)
+		r.Counter("events_total", Labels{}, other.Value(), false)
+	})
+	count.Add(2)
+	cat.Install(a)
+	count.Add(3)
+	cat.Install(b)
+	count.Add(5)
 	other.Add(7)
-	if got := series.Value(); got != 3+5+7 {
-		t.Errorf("A counts %d, want %d", got, 3+5+7)
+	cat.Install(a)
+	count.Add(11)
+	cat.Install(nil)
+	count.Add(13)
+	if got, want := a.Counter("events_total", Labels{}).Value(), uint64(3+11); got != want {
+		t.Errorf("A counts %d, want %d", got, want)
 	}
-	if got := b.Counter("events_total", Labels{}).Value(); got != 5 {
-		t.Errorf("B counts %d, want 5", got)
+	if got, want := b.Counter("events_total", Labels{}).Value(), uint64(5+7); got != want {
+		t.Errorf("B counts %d, want %d", got, want)
+	}
+	if got := New().Snapshot().Counters; len(got) != 0 {
+		t.Errorf("a registry never installed lists %v", got)
 	}
 }

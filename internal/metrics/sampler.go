@@ -71,7 +71,8 @@ func (s *Sampler) AdvanceTo(now vtime.Time) {
 	defer s.mu.Unlock()
 	for at := vtime.Time(s.next) * s.tick; at <= now; at = vtime.Time(s.next) * s.tick {
 		sample := Sample{At: at}
-		sample.Counters, sample.Gauges = s.reg.levels()
+		p := s.reg.read(true).points()
+		sample.Counters, sample.Gauges = p.Counters, p.Gauges
 		s.samples = append(s.samples, sample)
 		s.next++
 	}

@@ -14,7 +14,7 @@ func textFixture() (*Registry, *Sampler) {
 	reg.Counter("ops_total", Labels{Server: "fs1"}).Inc()
 	s.AdvanceTo(60 * time.Millisecond)
 	reg.Counter("ops_total", Labels{Server: "fs1"}).Add(2)
-	reg.Gauge("inflight", Labels{}).Set(3)
+	reg.SetGauges([]GaugePoint{{Name: "inflight", Value: 3}})
 	reg.SetGauges([]GaugePoint{{Name: "pool_size", Value: 7, Volatile: true}})
 	reg.Histogram("latency", Labels{Server: "fs1", Op: "Read"}).Record(vtime.Time(2560 * time.Microsecond))
 	reg.Timeline("server_up", Labels{Host: "fs1"}).Mark(100*time.Millisecond, 0)

@@ -55,15 +55,13 @@ type Stats struct {
 // upstream leases, and the lease.Holders of the sub-leases granted from
 // them, on one meter.
 type Tier struct {
-	name     string
 	proc     *kernel.Process
 	upstream kernel.PID
 	leaseLen time.Duration
 
 	cache   *lease.Cache
 	holders *lease.Holders
-	fwds    metrics.Counter // the ncache_forwards_total series
-	series  metrics.Published
+	fwds    *metrics.Counter // the ncache_forwards_total series
 }
 
 // Start spawns a cache tier on host, fronting the upstream prefix
@@ -74,13 +72,13 @@ func Start(host *kernel.Host, name string, upstream kernel.PID, leaseLen time.Du
 	if leaseLen <= 0 {
 		return nil, fmt.Errorf("ncache: sub-lease length must be positive")
 	}
-	meter := lease.NewMeter("tier", name)
+	meter := lease.NewMeter(host.Kernel(), "tier", name)
 	t := &Tier{
-		name:     name,
 		upstream: upstream,
 		leaseLen: leaseLen,
 		cache:    lease.NewCache(meter),
 		holders:  lease.NewHolders(meter),
+		fwds:     host.Kernel().NewCounter("ncache_forwards_total", metrics.Labels{Server: name, Class: "tier"}),
 	}
 	// An upstream invalidation propagates to the tier's own holders —
 	// waiting for every reachable one — before it is acknowledged.
@@ -135,7 +133,6 @@ func (t *Tier) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID) 
 
 	pfx, bare, cb, ok := t.leaseWanted(msg)
 	if !ok {
-		t.series.Publish(p.Kernel().Metrics(), 0, "ncache_forwards_total", metrics.Labels{Server: t.name, Class: "tier"}, &t.fwds)
 		t.fwds.Inc()
 		_ = p.Forward(msg, from, t.upstream)
 		sv.Passed()

@@ -70,31 +70,6 @@ type Stats struct {
 	WireBusyFor time.Duration
 }
 
-// netMetrics is one installation of a metrics registry, or of none: the
-// series the wire path records queueing delays into, and the Stats its
-// wire_*_total series read — the network's own while installed, then a
-// copy frozen at its removal (written under the wire lock).
-type netMetrics struct {
-	reg       *metrics.Registry
-	queueWait *metrics.Histogram
-	stats     *Stats
-}
-
-// wireCount is one count of an installation's Stats, as a
-// metrics.Source.
-type wireCount struct {
-	n  *Network
-	nm *netMetrics
-	i  int
-}
-
-func (c wireCount) Value() uint64 {
-	c.n.mu.Lock()
-	defer c.n.mu.Unlock()
-	s := c.nm.stats
-	return [...]uint64{s.Packets, s.Bytes, s.Broadcasts, s.Multicasts, s.Drops}[c.i]
-}
-
 // Network is the simulated shared Ethernet. The zero value is not usable;
 // construct with New.
 type Network struct {
@@ -103,9 +78,14 @@ type Network struct {
 	// The loss probability and the partition map are read on every hop;
 	// they are atomics / copy-on-write so the common read never takes
 	// the wire mutex.
-	metrics  atomic.Pointer[netMetrics]
 	dropBits atomic.Uint64         // math.Float64bits of the drop rate
 	parts    atomic.Pointer[[]int] // partition group by host id; nil, or past its end, is group 0
+
+	// metrics is the catalogue of the wire's series — Stats, and
+	// queueWait, each frame's queueing delay while a registry is
+	// installed — and the registry installed to read them.
+	metrics   metrics.Catalogue
+	queueWait *metrics.Histogram
 
 	mu       sync.Mutex
 	stats    Stats // every frame's counters, bumped under mu with the wire
@@ -121,8 +101,8 @@ type Network struct {
 // New returns a network using the given cost model and a deterministic RNG
 // seed for loss injection.
 func New(model *vtime.CostModel, seed int64) *Network {
-	n := &Network{model: model, rng: rand.New(rand.NewSource(seed))}
-	n.metrics.Store(&netMetrics{})
+	n := &Network{model: model, rng: rand.New(rand.NewSource(seed)), queueWait: metrics.NewHistogram()}
+	n.metrics.Add(n.series)
 	return n
 }
 
@@ -224,24 +204,28 @@ func (n *Network) Stats() Stats {
 	return n.stats
 }
 
-// SetMetrics installs (or, with nil, removes) a metrics registry. Its
-// wire_*_total counter series read Stats, counting the traffic from this
-// call until the registry is removed; the wire path records its queueing
-// delays into wire_queue_wait. Zero virtual cost, same contract as the
-// frame recorder.
-func (n *Network) SetMetrics(reg *metrics.Registry) {
-	old := n.metrics.Load()
-	if old.reg == reg {
-		return
-	}
-	nm := &netMetrics{reg, reg.Histogram("wire_queue_wait", metrics.Labels{}), &n.stats}
-	n.mu.Lock()
-	gone := n.stats
-	old.stats = &gone
-	n.metrics.Store(nm)
-	n.mu.Unlock()
-	for i, name := range [...]string{"wire_frames_total", "wire_bytes_total", "wire_broadcasts_total", "wire_multicasts_total", "wire_drops_total"} {
-		reg.Counter(name, metrics.Labels{}).Read(wireCount{n, nm, i})
+// SetMetrics installs (or, with nil, removes) a metrics registry, which
+// counts the wire's traffic from this call until the next
+// (metrics.Catalogue): Stats as its wire_*_total series, queueing delays
+// as wire_queue_wait. Zero virtual cost, same contract as the frame
+// recorder.
+func (n *Network) SetMetrics(reg *metrics.Registry) { n.metrics.Install(reg) }
+
+// series reads the wire's series, Stats in one hold of the wire lock.
+func (n *Network) series(r *metrics.Reading) {
+	s, none := n.Stats(), metrics.Labels{}
+	r.Counter("wire_frames_total", none, s.Packets, true)
+	r.Counter("wire_bytes_total", none, s.Bytes, true)
+	r.Counter("wire_broadcasts_total", none, s.Broadcasts, true)
+	r.Counter("wire_multicasts_total", none, s.Multicasts, true)
+	r.Counter("wire_drops_total", none, s.Drops, true)
+	r.Histogram("wire_queue_wait", none, n.queueWait, true)
+}
+
+// waited records a frame's queueing delay while a registry is installed.
+func (n *Network) waited(queue time.Duration) {
+	if n.metrics.Registry() != nil {
+		n.queueWait.Record(queue)
 	}
 }
 
@@ -313,7 +297,7 @@ func (n *Network) UnicastDetail(a, b HostID, bytes int, at vtime.Time) (time.Dur
 	packets := packetsFor(bytes, n.model.MaxDataPerPacket)
 	n.stats.Packets += uint64(packets)
 	n.stats.Bytes += uint64(bytes)
-	n.metrics.Load().queueWait.Record(queue)
+	n.waited(queue)
 	det := HopDetail{Queue: queue, Packets: packets, Retransmits: retries}
 	n.recordLocked(FrameEvent{
 		Src: a, Dst: b, Cast: "unicast",
@@ -334,7 +318,7 @@ func (n *Network) Broadcast(a HostID, bytes int, at vtime.Time) time.Duration {
 	n.stats.Bytes += uint64(bytes)
 	queue := n.reserveWireLocked(at, bytes)
 	d := queue + n.model.RemoteHop(bytes)
-	n.metrics.Load().queueWait.Record(queue)
+	n.waited(queue)
 	n.recordLocked(FrameEvent{
 		Src: a, Cast: "broadcast", Bytes: bytes, Packets: 1,
 		At: at, Queue: queue, Latency: d,
@@ -353,7 +337,7 @@ func (n *Network) Multicast(a HostID, bytes int, at vtime.Time) time.Duration {
 	n.stats.Bytes += uint64(bytes)
 	queue := n.reserveWireLocked(at, bytes)
 	d := queue + n.model.RemoteHop(bytes)
-	n.metrics.Load().queueWait.Record(queue)
+	n.waited(queue)
 	n.recordLocked(FrameEvent{
 		Src: a, Cast: "multicast", Bytes: bytes, Packets: 1,
 		At: at, Queue: queue, Latency: d,

@@ -139,12 +139,10 @@ type Server struct {
 	dirty    []string
 
 	// forwards is Stats.Forwards and the prefix_forwards_total series.
-	// leases counts and publishes the granting side of the lease protocol.
-	forwards  metrics.Counter
-	forwarded metrics.Published
-	leases    *lease.Meter
-	// The server's registry series, resolved once per registry.
-	series core.ServeSeries
+	// leases counts the granting side of the lease protocol.
+	forwards *metrics.Counter
+	leases   *lease.Meter
+	series   *core.ServeSeries
 
 	// Observability (PROTOCOL.md §15): the always-on hot-name sketch,
 	// whose entries carry each name's churn estimators — an observer,
@@ -204,8 +202,9 @@ func newServer(proc *kernel.Process, owner string, opts ...Option) *Server {
 		index:        nametree.New[tableEntry](),
 		lastResolved: make(map[string]kernel.PID),
 		orphans:      make(map[string]kernel.PID),
-		leases:       lease.NewMeter("prefix", proc.Name()),
-		series:       core.ServeSeries{Server: proc.Name()},
+		forwards:     proc.Kernel().NewCounter("prefix_forwards_total", metrics.Labels{Server: proc.Name()}),
+		leases:       lease.NewMeter(proc.Kernel(), "prefix", proc.Name()),
+		series:       core.NewServeSeries(proc.Kernel(), proc.Name()),
 		names:        namestat.NewTopK(32),
 	}
 	for _, opt := range opts {
@@ -384,7 +383,7 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 		sv.Passed()
 		return
 	}
-	sv.Reply(reply, &s.series)
+	sv.Reply(reply, s.series)
 }
 
 // handleCSName routes any CSname request: a bracketed prefix selects a
@@ -484,7 +483,6 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	proto.RewriteCSName(msg, uint32(pair.Ctx), rest)
 	p.Kernel().Flight().Record(p.Now(), flight.KindForward, pfx, s.proc.Name(), "")
 	// Counted before the Forward delivers (see core.ServeSeries.Forwarded).
-	s.forwarded.Publish(p.Kernel().Metrics(), 0, "prefix_forwards_total", metrics.Labels{Server: s.proc.Name()}, &s.forwards)
 	s.forwards.Inc()
 	// A failed forward already failed the client's transaction.
 	_ = p.Forward(msg, from, pair.Server)

@@ -95,9 +95,10 @@ func TestObservedOpFootprint(t *testing.T) {
 	}
 }
 
-// TestSteadyStateResolvesNoSeries pins "a series is a handle": once every
-// emitter has seen each of its ops, 10³ more operations look nothing up in
-// the registry by label and create no series.
+// TestSteadyStateResolvesNoSeries pins "the registry reads; emitters
+// count": once every emitter has seen each of its ops, 10³ more
+// operations look nothing up in the registry by label and list no new
+// series.
 func TestSteadyStateResolvesNoSeries(t *testing.T) {
 	const warm, more = 500, 125
 	_, reg, drive := observedZipf(t, true, warm+more)

@@ -2,10 +2,13 @@ package rig
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/client"
 	"repro/internal/kernel"
 	"repro/internal/lease"
 	"repro/internal/metrics"
@@ -13,12 +16,12 @@ import (
 	"repro/internal/vtime"
 )
 
-// TestPublishedSeriesCountOnce: a series that reads a count its emitter
-// keeps means what it meant when every event also added to it. Sources
+// TestPublishedSeriesCountOnce: a series read from a count its emitter
+// keeps means what it meant when every event also added to it. Emitters
 // under one key are summed, a registry installed after traffic counts
-// from its install (the wire) or from its first event (a forward), a
-// re-created server does not publish its requests twice, and racing first
-// events neither lose an event nor count one twice.
+// from its install (the wire and a forward alike), a re-created server
+// does not count its requests twice, and first events racing an
+// install neither lose an event nor count one twice.
 func TestPublishedSeriesCountOnce(t *testing.T) {
 	holder := metrics.Labels{Server: "holder", Class: "client"}
 	hitsOf := func(c *lease.Cache) uint64 { return c.Snapshot()[lease.Hit] }
@@ -31,7 +34,7 @@ func TestPublishedSeriesCountOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		caches := []*lease.Cache{lease.NewCache(lease.NewMeter("client", "holder")), lease.NewCache(lease.NewMeter("client", "holder"))}
+		caches := []*lease.Cache{lease.NewCache(lease.NewMeter(k, "client", "holder")), lease.NewCache(lease.NewMeter(k, "client", "holder"))}
 		for i, c := range caches {
 			c.Store("n", lease.Entry{Expire: lease.Never})
 			for j := 0; j < 2+i; j++ {
@@ -55,7 +58,8 @@ func TestPublishedSeriesCountOnce(t *testing.T) {
 			}
 		}
 		// The boot registry is removed, traffic runs with none, then a
-		// fresh one is installed.
+		// fresh one is installed: the wire and the forward count from its
+		// install alike.
 		r.Kernel.SetMetrics(nil)
 		r.Net.SetMetrics(nil)
 		frames0 := r.Net.Stats().Packets
@@ -119,7 +123,7 @@ func TestPublishedSeriesCountOnce(t *testing.T) {
 			procs[i] = p
 		}
 		for round := 0; round < 20; round++ {
-			c := lease.NewCache(lease.NewMeter("client", "holder"))
+			c := lease.NewCache(lease.NewMeter(k, "client", "holder"))
 			c.Store("n", lease.Entry{Expire: lease.Never})
 			k.SetMetrics(nil)
 			c.Lookup(procs[0], "n", 0) // under no registry: the meter's alone
@@ -154,4 +158,91 @@ func requestsOf(reg *metrics.Registry, server string) (n uint64) {
 		}
 	}
 	return n
+}
+
+// TestRemovedRegistryStopsCounting: a registry counts what happens while
+// it is installed. Removed, every series it lists stops where it stood —
+// a forward's as much as the wire's; replaced, it stops and its successor
+// counts the events from the swap on.
+func TestRemovedRegistryStopsCounting(t *testing.T) {
+	t.Run("removed", func(t *testing.T) {
+		r := mustNew(t, DefaultConfig())
+		s, ps := r.WS[0].Session, r.WS[0].Prefix
+		read := func(n int) {
+			for i := 0; i < n; i++ {
+				s.FlushNameCache()
+				if _, err := s.ReadFile("[bin]hello"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		forwarded := metrics.Labels{Server: "context-prefix[mann]"}
+		read(1)
+		r.Kernel.SetMetrics(nil)
+		r.Net.SetMetrics(nil)
+		before := r.Metrics.Snapshot()
+		read(3)
+		if got := r.Metrics.Counter("prefix_forwards_total", forwarded).Value(); got != 1 || ps.Stats().Forwards != 4 {
+			t.Errorf("the removed registry reads %d forwards, want the 1 of its install; the server forwarded %d",
+				got, ps.Stats().Forwards)
+		}
+		if after := r.Metrics.Snapshot(); !reflect.DeepEqual(after.Deterministic(), before.Deterministic()) {
+			t.Errorf("the removed registry's snapshot moved:\n%+v\n%+v", before.Counters, after.Counters)
+		}
+	})
+
+	t.Run("swapped", func(t *testing.T) {
+		sw, err := Scenario{Kind: SharedPrefix, Shards: 2, ClientsPerShard: 3, Requests: 8, Seed: 11,
+			Lease: 500 * time.Millisecond, CacheTier: true}.Boot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		install := func(reg *metrics.Registry) {
+			sw.Kernel.SetMetrics(reg)
+			sw.Net.SetMetrics(reg)
+		}
+		counts := func(reg *metrics.Registry) (hits, forwards uint64) {
+			s := metrics.Sample{Counters: reg.Snapshot().Counters}
+			return s.Total("lease_hits_total"), s.Total("ncache_forwards_total")
+		}
+		hitsNow := func() (n uint64) {
+			for _, wc := range sw.Clients {
+				n += uint64(wc.Session.LeaseCacheStats().Hits)
+			}
+			return n + sw.Tier.Stats().Hits
+		}
+		proc, err := sw.Hosts[0].NewProcess("plain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := client.New(proc, sw.Tier.PID(), sw.Shards[0].RootPair(), "plain")
+		drive := func() {
+			RunWorkload(sw.Clients)
+			if _, err := plain.Query("[shard0]" + ShardHotPath); err != nil { // forwarded by the tier
+				t.Fatal(err)
+			}
+		}
+		a, b := metrics.New(), metrics.New()
+		install(a)
+		drive()
+		hitsA, forwardsA := counts(a)
+		hits0, forwards0 := hitsNow(), sw.Tier.Stats().Forwards
+		if hitsA != hits0 || forwardsA != forwards0 || hitsA == 0 || forwardsA == 0 {
+			t.Fatalf("A counts %d lease hits and %d tier forwards; the emitters counted %d and %d",
+				hitsA, forwardsA, hits0, forwards0)
+		}
+		install(b)
+		drive()
+		if hits, forwards := counts(a); hits != hitsA || forwards != forwardsA {
+			t.Errorf("A, replaced, went on to %d lease hits and %d tier forwards from %d and %d",
+				hits, forwards, hitsA, forwardsA)
+		}
+		hits, forwards := counts(b)
+		if want := hitsNow() - hits0; hits != want || want == 0 {
+			t.Errorf("B counts %d lease hits, %d since the swap", hits, want)
+		}
+		if want := sw.Tier.Stats().Forwards - forwards0; forwards != want || want == 0 {
+			t.Errorf("B counts %d tier forwards, %d since the swap", forwards, want)
+		}
+	})
 }
