@@ -100,8 +100,10 @@ bench:
 # one root-module benchmark — W=ZipfMiss, W=ZipfHit, W=ZipfObserved,
 # W=ZipfChurn and W=FileIO are the ledger's resolve_miss, resolve_hit,
 # resolve_observed, define_churn and paper_fileio shapes at a tenth of the
-# size, on one P as the ledger pins it — kept in a temp dir, hottest 25 by
-# cumulative share printed. Then the live heap: one more iteration with
+# size, on one P as the ledger pins it; W=ZipfChurnSetup is define_churn's
+# set-up alone at full size, 3×10⁵ names bound and nothing driven (a
+# tenth-size shape keeps its names in cache) — kept in a temp dir, hottest
+# 25 by cumulative share printed. Then the live heap: one more iteration with
 # every 512th byte sampled, whose profile is written after a final GC with
 # the booted topology still referenced (benchLive), largest 25 holders
 # printed — the ledger's heap_live_mb point. Read this before attributing

@@ -558,6 +558,36 @@ func BenchmarkZipfChurn(b *testing.B) {
 	})
 }
 
+// BenchmarkZipfChurnSetup is define_churn's set-up at the ledger's own
+// size, for `make profile W=ZipfChurnSetup`: an iteration boots the
+// 3×10⁵-name topology, the population bound with one DefineAll, and
+// drives nothing. The rig is asked for one arrival per client, as
+// bench/'s build asks it, and the population is generated once outside
+// the timer, as bench/ generates its inputs outside setup_s. At a tenth
+// of the size (BenchmarkZipfChurn) the names stay in cache, so the
+// misses of reading them in sorted order do not show there. It claims
+// nothing.
+func BenchmarkZipfChurnSetup(b *testing.B) {
+	cfg := rig.ZipfConfig{Population: 300_000, Skew: 0.99, Lease: 2 * time.Second,
+		Interarrival: 64 * time.Millisecond, Arrivals: 1, Shards: 4, ClientsPerShard: 2, Seed: 42}
+	cfg.Pop = popgen.NewPopulation(cfg.Population, cfg.Skew, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchLive = nil
+		zw, err := rig.NewZipfWorkload(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		benchLive = zw
+		for _, h := range append(zw.Hosts, zw.PrefixHost) {
+			h.Crash()
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkFileIO is the repository benchmark's paper_fileio shape
 // (bench/fileio.go) at a tenth of the size, for `make profile W=FileIO`:
 // the paper's rig, ~2 000 files of 2-6 KB in 20 directories over both

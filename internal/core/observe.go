@@ -87,7 +87,9 @@ func (sv Serving) Passed() {
 // moment the client resumes never sees a half-open serve. series, if
 // non-nil, records the request before it for the same reason, and only
 // here: a forwarded request is recorded by the server that answers it.
-// The failure counter is the rare class and keeps the plain lookup.
+// The failure counter is the rare class and keeps the plain lookup. An
+// end-of-file answer is how a read learns where the object ends, so it
+// counts as no failure, though its span carries the class.
 func (sv Serving) Reply(reply *proto.Message, series *ServeSeries) {
 	p, class := sv.p, ""
 	if reply.Op != proto.ReplyOK {
@@ -98,7 +100,7 @@ func (sv Serving) Reply(reply *proto.Message, series *ServeSeries) {
 	}
 	if reg := p.Kernel().Metrics(); reg != nil && series != nil {
 		series.answered.Get(uint16(sv.op)).Record(p.Now() - sv.start)
-		if class != "" {
+		if class != "" && reply.Op != proto.ReplyEndOfFile {
 			reg.Counter("server_failures_total", metrics.Labels{Server: series.server, Op: sv.op.String()}).Inc()
 		}
 	}

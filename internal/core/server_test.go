@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/raceflag"
+	"repro/internal/trace"
 	"repro/internal/vio"
 )
 
@@ -557,5 +558,57 @@ func TestMapContextAnswersInRequest(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, send); allocs != want {
 			t.Errorf("MapContext %q: %v allocs/op, want %v", name, allocs, want)
 		}
+	}
+}
+
+// TestWholeFileReadCountsNoFailure: the end-of-file answer that ends a
+// whole-file read is how the protocol says "no more", not a failure. The
+// server counts every ReadInstance it answered, that one included, and
+// no failure; the serve span still carries the answer's class.
+func TestWholeFileReadCountsNoFailure(t *testing.T) {
+	k := newDomain()
+	reg, tr := metrics.New(), trace.New()
+	k.SetMetrics(reg)
+	k.SetTracer(tr)
+	ts := startToyServer(t, k.NewHost("srv"), "toy")
+	content := strings.Repeat("V-System naming!", 4*vio.DefaultBlockSize/16)
+	ts.addObject(CtxDefault, "doc", []byte(content))
+	client := newClientProc(t, k.NewHost("ws"))
+
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetCSName(req, uint32(CtxDefault), "doc")
+	proto.SetOpenMode(req, proto.ModeRead)
+	reply, err := Transact(client, ts.srv.PID(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := vio.NewFile(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
+	if got, err := f.ReadAll(); err != nil || string(got) != content {
+		t.Fatalf("ReadAll = %d bytes, %v", len(got), err)
+	}
+	reads := uint64(0)
+	for _, c := range reg.Snapshot().Counters {
+		switch {
+		case c.Labels.Server != "toy":
+		case c.Name == "server_failures_total":
+			t.Errorf("%s{op=%q} = %d after a whole-file read", c.Name, c.Labels.Op, c.Value)
+		case c.Name == "server_requests_total" && c.Labels.Op == proto.OpReadInstance.String():
+			reads = c.Value
+		}
+	}
+	// Four whole blocks, then the block past them twice: once to end
+	// ReadAll's first window, once to end the file. Both answer
+	// end-of-file.
+	if want := uint64(6); reads != want {
+		t.Fatalf("server_requests_total{op=ReadInstance} = %d, want %d", reads, want)
+	}
+	eof := 0
+	for _, sp := range tr.Snapshot() {
+		if sp.Kind == trace.KindServe && sp.Err == proto.ReplyEndOfFile.String() {
+			eof++
+		}
+	}
+	if eof != 2 {
+		t.Fatalf("%d serve spans carry class %s, want 2", eof, proto.ReplyEndOfFile)
 	}
 }

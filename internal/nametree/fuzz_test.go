@@ -11,9 +11,12 @@ import (
 // insert/lookup/delete and cross-checks every answer against a plain
 // map. The input is split into up to 300 keys by splitKeys; every prefix
 // of every key is used as a lookup probe so the descent is exercised at
-// each divergence point. The last two seeds are the records the arena
-// encodes past one-byte fields: a 100,000-byte label and a node with all
-// 256 children.
+// each divergence point. Two seeds are the records the arena encodes past
+// one-byte fields: a 100,000-byte label and a node with all 256 children.
+// The rest are ranges of shortRange-1, shortRange and shortRange+1 keys
+// under one common prefix, with and without the key that is the prefix,
+// and with that key repeated: both of Load's sorts, and its refusal from
+// each.
 func FuzzNametreeLookup(f *testing.F) {
 	f.Add("[storage]/shared/archive/2026/paper.mss")
 	f.Add("[]x")
@@ -33,6 +36,12 @@ func FuzzNametreeLookup(f *testing.F) {
 	}
 	wide.WriteString(".")
 	f.Add(wide.String())
+	for _, n := range []int{shortRange - 1, shortRange, shortRange + 1} {
+		f.Add(strings.Join(rangeKeys(n, false), "|"))
+		keys := strings.Join(rangeKeys(n, true), "|")
+		f.Add(keys)
+		f.Add(keys + "|pre")
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		keys := splitKeys(input)
 		if len(keys) > 300 {

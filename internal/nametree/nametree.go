@@ -539,13 +539,19 @@ func (a *arena[V]) settle(n node, root bool) (uint32, bool) {
 	return a.put(c), false
 }
 
+// shortRange is the most keys bucket sorts by insertion. Below it,
+// moving a few keys costs less than clearing and summing 257 counters,
+// which every branching record of a population's tree would otherwise
+// pay for a handful of children.
+const shortRange = 32
+
 // loader is one Load's state: the keys, their values, and the buffers
 // its byte-at-a-time sort shares across the recursion.
 type loader[V any] struct {
 	a    *arena[V]
 	keys []string
 	val  func(int) V
-	tmp  []int32    // the bucketed copy of a range
+	tmp  []int32    // the bucketed copy of a long range
 	next []byte     // each key's byte after the range's common prefix
 	cnt  [257]int32 // bucket counts: keys that end there, then each byte
 }
@@ -606,23 +612,51 @@ func (l *loader[V]) build(idx []int32, from int, root bool) (uint32, error) {
 }
 
 // bucket reorders idx, whose keys all start with prefix, by their byte
-// after it — the key that is prefix itself first — with one counting
-// pass. Two keys that are prefix itself are a repeated key.
+// after it, stably, the key that is prefix itself first: a short range
+// by insertion, a long one with one counting pass. Two keys that are
+// prefix itself are a repeated key.
 func (l *loader[V]) bucket(idx []int32, prefix string) error {
 	end := len(prefix)
 	next := l.next[:len(idx)]
-	l.cnt = [257]int32{}
+	ended := 0
 	for i, j := range idx {
 		if k := l.keys[j]; len(k) > end {
 			next[i] = k[end]
-			l.cnt[int(k[end])+1]++
 		} else {
-			idx[i] = ^j // marks bucket 0
-			l.cnt[0]++
+			idx[i] = ^j // marks the key that is prefix
+			ended++
 		}
 	}
-	if l.cnt[0] > 1 {
+	if ended > 1 {
 		return fmt.Errorf("nametree: load: key %q repeats", prefix)
+	}
+	if len(idx) > shortRange {
+		l.count(idx, next, ended)
+		return nil
+	}
+	for i := 1; i < len(idx); i++ {
+		j, b := idx[i], next[i]
+		p := i
+		for ; p > 0 && (j < 0 || idx[p-1] >= 0 && next[p-1] > b); p-- {
+			idx[p], next[p] = idx[p-1], next[p-1]
+		}
+		idx[p], next[p] = j, b
+	}
+	if idx[0] < 0 {
+		idx[0] = ^idx[0]
+	}
+	return nil
+}
+
+// count is bucket's counting pass over a long range: ended keys (at
+// most one) that are the prefix, marked, then a bucket per next byte.
+func (l *loader[V]) count(idx []int32, next []byte, ended int) {
+	l.cnt = [257]int32{}
+	l.cnt[0] = int32(ended)
+	for i, j := range idx {
+		if j >= 0 {
+			l.cnt[int(next[i])+1]++
+		}
 	}
 	sum := int32(0)
 	for c, n := range l.cnt {
@@ -641,7 +675,6 @@ func (l *loader[V]) bucket(idx []int32, prefix string) error {
 		l.cnt[c]++
 	}
 	copy(idx, tmp)
-	return nil
 }
 
 // compact copies the records the root reaches into fresh chunks — and

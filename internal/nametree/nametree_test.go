@@ -347,6 +347,100 @@ func TestLoadMatchesInsert(t *testing.T) {
 	checkTree(t, bulk)
 }
 
+// rangeKeys returns n keys that all start with "pre", shuffled: when
+// withPrefix, "pre" itself is one of them. The byte after "pre" is one
+// of five, 0x00 and 0xff among them, so the range has buckets of several
+// keys and a key that sorts right after the one that is the prefix.
+func rangeKeys(n int, withPrefix bool) []string {
+	var keys []string
+	if withPrefix {
+		keys = append(keys, "pre")
+	}
+	for i := 0; len(keys) < n; i++ {
+		keys = append(keys, "pre"+string("\x00am\xffb"[i%5])+strconv.Itoa(i))
+	}
+	r := rand.New(rand.NewSource(int64(n)))
+	r.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return keys
+}
+
+// TestLoadSortsShortAndLongRanges covers both ways Load's bucket orders
+// a range: by insertion up to shortRange keys, by counting past it. At
+// shortRange-1, shortRange and shortRange+1 keys under one common
+// prefix, with and without a key that is the prefix, Load builds the
+// tree one-at-a-time Insert builds (same Walk, same GetSteps), and
+// insertion leaves every range in the counting pass's order. A repeat of
+// the prefix key is refused from a short range and a long one with the
+// same error, and leaves the table as it was.
+func TestLoadSortsShortAndLongRanges(t *testing.T) {
+	for _, n := range []int{shortRange - 1, shortRange, shortRange + 1} {
+		for _, withPrefix := range []bool{false, true} {
+			keys := rangeKeys(n, withPrefix)
+			one := New[int]()
+			for i, k := range keys {
+				one.Insert(k, i)
+			}
+			bulk := New[int]()
+			if err := bulk.Load(keys, func(i int) int { return i }); err != nil {
+				t.Fatal(err)
+			}
+			checkTree(t, bulk)
+			if w1, w2 := walkKeys(one), walkKeys(bulk); !slices.Equal(w1, w2) {
+				t.Fatalf("%d keys, prefix %v: Insert walks %q, Load %q", n, withPrefix, w1, w2)
+			}
+			for i, k := range keys {
+				_, _, s1 := one.GetSteps(k)
+				v, ok, s2 := bulk.GetSteps(k)
+				if !ok || v != i || s1 != s2 {
+					t.Fatalf("GetSteps(%q): %d steps after Insert, (%d, %v, %d) after Load", k, s1, v, ok, s2)
+				}
+			}
+
+			if n > shortRange {
+				continue
+			}
+			l := &loader[int]{keys: keys, next: make([]byte, n), tmp: make([]int32, n)}
+			sorted, counted := make([]int32, n), make([]int32, n)
+			ended := 0
+			for i, k := range keys {
+				sorted[i], counted[i] = int32(i), int32(i)
+				if k == "pre" {
+					counted[i] = ^counted[i]
+					ended++
+				} else {
+					l.next[i] = k[3]
+				}
+			}
+			l.count(counted, l.next, ended)
+			if err := l.bucket(sorted, "pre"); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sorted, counted) {
+				t.Fatalf("%d keys, prefix %v: insertion orders %v, counting %v", n, withPrefix, sorted, counted)
+			}
+		}
+	}
+
+	var errs []string
+	for _, n := range []int{shortRange - 1, shortRange + 1} {
+		tr := New[int]()
+		tr.Insert("kept", 1)
+		keys := append(rangeKeys(n, true), "pre")
+		err := tr.Load(keys, func(i int) int { return i })
+		if err == nil {
+			t.Fatalf("Load of %d keys accepted \"pre\" twice", len(keys))
+		}
+		errs = append(errs, err.Error())
+		checkTree(t, tr)
+		if w := walkKeys(tr); !slices.Equal(w, []string{"kept"}) {
+			t.Fatalf("failed Load of %d keys left %q", len(keys), w)
+		}
+	}
+	if errs[0] != errs[1] || errs[0] != `nametree: load: key "pre" repeats` {
+		t.Fatalf("short and long ranges refuse the repeat with %q and %q", errs[0], errs[1])
+	}
+}
+
 // TestFiveNameTreeFootprint bounds the live heap of a table of a
 // handful of names — the paper rig's prefix tables — at 800 bytes (720
 // measured): the tree, its image, and record and value chunks that start

@@ -215,7 +215,7 @@ func TestGrantLeavesIndexUntouched(t *testing.T) {
 	defer proc.Destroy()
 	ps := newServer(proc, "mann", WithLease(time.Second))
 	pop := popgen.NewPopulation(100_000, 0.99, 1)
-	if err := ps.DefineAll(pop.Names, make([]core.ContextPair, len(pop.Names))); err != nil {
+	if err := ps.DefineAll(pop.Names, func(int) core.ContextPair { return core.ContextPair{} }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,7 +262,7 @@ func TestHolderGroupsBeyond16Bits(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i)
 	}
-	if err := ps.DefineAll(names, make([]core.ContextPair, len(names))); err != nil {
+	if err := ps.DefineAll(names, func(int) core.ContextPair { return core.ContextPair{} }); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range names {

@@ -245,15 +245,14 @@ func (s *Server) DefineDynamic(name string, service kernel.Service, wellKnown co
 	return s.define(name, Binding{Dynamic: true, Service: service, WellKnown: wellKnown})
 }
 
-// DefineAll creates the static bindings names[i] → pairs[i], all of
+// DefineAll creates the static bindings names[i] → pair(i), all of
 // them or, if one name is malformed, repeated or already bound, none.
 // It is Define for a population: the table is rebuilt out of sight and
 // published once (nametree.Load), where a Define per name would copy a
-// path of the index for each.
-func (s *Server) DefineAll(names []string, pairs []core.ContextPair) error {
-	if len(names) != len(pairs) {
-		return fmt.Errorf("%w: %d names for %d pairs", proto.ErrBadArgs, len(names), len(pairs))
-	}
+// path of the index for each. Load asks for the bindings in key order,
+// so a pair computed from the index costs no read of a slice in random
+// order.
+func (s *Server) DefineAll(names []string, pair func(i int) core.ContextPair) error {
 	keys := make([]string, len(names))
 	for i, name := range names {
 		var err error
@@ -273,7 +272,7 @@ func (s *Server) DefineAll(names []string, pairs []core.ContextPair) error {
 	base := uint32(len(s.groups))
 	entry := func(i int) tableEntry {
 		if i < len(names) {
-			return newEntry(Binding{Pair: pairs[i]}, base+uint32(i))
+			return newEntry(Binding{Pair: pair(i)}, base+uint32(i))
 		}
 		return old[i-len(names)]
 	}
@@ -287,11 +286,24 @@ func (s *Server) DefineAll(names []string, pairs []core.ContextPair) error {
 	return nil
 }
 
-// tableName strips the optional brackets off a name being defined and
-// checks what is left can key the table.
+// tableName strips the brackets off both ends of a name being defined
+// and checks that what is left can key the table: not empty, and no
+// bracket or slash inside. Every byte of those is ASCII, so no byte of
+// a multi-byte UTF-8 character can be taken for one.
 func tableName(name string) (string, error) {
-	name = strings.Trim(name, "[]")
-	if name == "" || strings.ContainsAny(name, "[]/") {
+	lo, hi := 0, len(name)
+	for lo < hi && (name[lo] == '[' || name[lo] == ']') {
+		lo++
+	}
+	for hi > lo && (name[hi-1] == '[' || name[hi-1] == ']') {
+		hi--
+	}
+	name = name[lo:hi]
+	i := 0
+	for i < len(name) && name[i] != '[' && name[i] != ']' && name[i] != '/' {
+		i++
+	}
+	if name == "" || i < len(name) {
 		return "", fmt.Errorf("%w: bad prefix name %q", proto.ErrBadArgs, name)
 	}
 	return name, nil

@@ -242,15 +242,45 @@ func TestDefineValidation(t *testing.T) {
 	}
 }
 
+// TestTableNameMatchesTrim: tableName's byte loops give the result and
+// the error its definition by the strings package gave — the brackets
+// trimmed off both ends, then refused if empty or holding a bracket or
+// a slash — on the edges of that definition, multi-byte UTF-8 and
+// invalid UTF-8 included.
+func TestTableNameMatchesTrim(t *testing.T) {
+	reference := func(name string) (string, error) {
+		name = strings.Trim(name, "[]")
+		if name == "" || strings.ContainsAny(name, "[]/") {
+			return "", fmt.Errorf("%w: bad prefix name %q", proto.ErrBadArgs, name)
+		}
+		return name, nil
+	}
+	for _, name := range []string{
+		"", "[", "]", "[]", "][", "[[a]]", "]a[", "a]b", "a[b", "a/b", "[a/b]", "/", "[/]",
+		"a", "[a]", "a.b.n17", "[storage]", "héllo", "[日本語]", "[日]本", "\xff[", "[\xff]", "\xe6\x97[",
+	} {
+		got, err := tableName(name)
+		want, wantErr := reference(name)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) || errors.Is(err, proto.ErrBadArgs) != (wantErr != nil) {
+			t.Errorf("tableName(%q) = (%q, %v), reference (%q, %v)", name, got, err, want, wantErr)
+		}
+	}
+}
+
+// pairsAt binds name i to pairs[i].
+func pairsAt(pairs ...core.ContextPair) func(int) core.ContextPair {
+	return func(i int) core.ContextPair { return pairs[i] }
+}
+
 // TestDefineAll: a batch binds beside what the table holds — brackets
 // optional, the inverse mapping kept — or, when any name is malformed,
 // repeated or already bound, binds nothing at all.
 func TestDefineAll(t *testing.T) {
 	ps, _, target, _ := newPrefixRig(t)
 	a, b := core.ContextPair{Server: 7, Ctx: 1}, core.ContextPair{Server: 7, Ctx: 2}
-	pairs := []core.ContextPair{a, b, a}
+	pairs := pairsAt(a, b, a)
 	for _, bad := range [][]string{
-		{"x", "y"},
+		{"x", "[y]z", "a.first"},
 		{"x", "has/slash", "y"},
 		{"x", "", "y"},
 		{"x", "y", "[x]"},
@@ -401,7 +431,7 @@ func TestPrefixProcessingChargesCalibratedCost(t *testing.T) {
 func TestInverseResolutionEndToEnd(t *testing.T) {
 	pair, other := core.ContextPair{Server: 7, Ctx: 1}, core.ContextPair{Server: 7, Ctx: 2}
 	five := []string{"m3", "m1", "m5", "m2", "m4"}
-	pairs := []core.ContextPair{pair, pair, pair, pair, pair}
+	pairs := func(int) core.ContextPair { return pair }
 	routes := map[string]func(t *testing.T, ps *Server){
 		"Define": func(t *testing.T, ps *Server) {
 			for _, name := range five {
@@ -411,10 +441,10 @@ func TestInverseResolutionEndToEnd(t *testing.T) {
 			}
 		},
 		"DefineAll into a non-empty table": func(t *testing.T, ps *Server) {
-			if err := ps.DefineAll(five[:2], pairs[:2]); err != nil {
+			if err := ps.DefineAll(five[:2], pairs); err != nil {
 				t.Fatal(err)
 			}
-			if err := ps.DefineAll(five[2:], pairs[2:]); err != nil {
+			if err := ps.DefineAll(five[2:], pairs); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -423,11 +453,13 @@ func TestInverseResolutionEndToEnd(t *testing.T) {
 			// other contexts — before and after the five names.
 			pop := popgen.NewPopulation(10_000, 0.99, 1)
 			names := append(pop.Names[:len(pop.Names):len(pop.Names)], five...)
-			all := make([]core.ContextPair, len(pop.Names), len(names))
-			for i := range all {
-				all[i] = core.ContextPair{Server: pair.Server, Ctx: pair.Ctx + 2 + core.ContextID(i)}
+			all := func(i int) core.ContextPair {
+				if i < len(pop.Names) {
+					return core.ContextPair{Server: pair.Server, Ctx: pair.Ctx + 2 + core.ContextID(i)}
+				}
+				return pair
 			}
-			if err := ps.DefineAll(names, append(all, pairs...)); err != nil {
+			if err := ps.DefineAll(names, all); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -543,7 +575,7 @@ func TestPackedEntryDropsNothing(t *testing.T) {
 	for _, err := range []error{
 		ps.Define("storage", core.ContextPair{Server: 0x2A0001, Ctx: 7}),
 		ps.DefineDynamic("bin", kernel.ServiceStorage, core.CtxStdPrograms),
-		ps.DefineAll([]string{"x", "[y]"}, []core.ContextPair{{Server: 9, Ctx: 1}, {Server: 9, Ctx: 0xFFFFFFFF}}),
+		ps.DefineAll([]string{"x", "[y]"}, pairsAt(core.ContextPair{Server: 9, Ctx: 1}, core.ContextPair{Server: 9, Ctx: 0xFFFFFFFF})),
 		ps.modifyFromRecord(record("x", 1, uint32(kernel.ServiceMail), 3)),
 		ps.modifyFromRecord(record("bin", 0, 0x10002, 5)),
 	} {
@@ -621,7 +653,7 @@ func TestPrefixSnapshotRoundTrip(t *testing.T) {
 	if err := src.DefineDynamic("bin", kernel.ServiceStorage, core.CtxStdPrograms); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.DefineAll([]string{"a", "z"}, []core.ContextPair{{Server: 9, Ctx: 1}, {Server: 9, Ctx: 0xFFFFFFFF}}); err != nil {
+	if err := src.DefineAll([]string{"a", "z"}, pairsAt(core.ContextPair{Server: 9, Ctx: 1}, core.ContextPair{Server: 9, Ctx: 0xFFFFFFFF})); err != nil {
 		t.Fatal(err)
 	}
 	dst, err := Start(src.proc.Kernel().NewHost("ws2"), "mann")

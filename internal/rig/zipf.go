@@ -113,11 +113,11 @@ func (t *Topology) addZipfClients() error {
 	}
 	// Bind the whole population: rank r lives on shard r mod Shards, so
 	// every shard carries its share of the popularity head and tail.
-	pairs := make([]core.ContextPair, len(pop.Names))
-	for r := range pairs {
-		pairs[r] = t.Shards[r%sc.Shards].RootPair()
+	roots := make([]core.ContextPair, sc.Shards)
+	for i := range roots {
+		roots[i] = t.Shards[i].RootPair()
 	}
-	if err := t.Prefix.DefineAll(pop.Names, pairs); err != nil {
+	if err := t.Prefix.DefineAll(pop.Names, func(r int) core.ContextPair { return roots[r%sc.Shards] }); err != nil {
 		return fmt.Errorf("bind population: %w", err)
 	}
 
