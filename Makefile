@@ -39,8 +39,10 @@ check: vet
 # Determinism: -count=2 runs each schedule twice in one process, so
 # state leaking between runs (pools, package variables) shows up as a
 # byte difference that a single run cannot see. TestDocumentReruns
-# reruns committed document scenarios and compares their evidence.
-	$(GO) test -race -count=2 -run 'TestChaosScheduleDeterministic|TestA10Deterministic|TestA11Deterministic|TestExperimentsDeterministic|TestObsJSONDeterministic|TestZipfDeterministic|TestReplicaDeterministic|TestScenarioIsPlainData|TestDocumentReruns|TestRunScenarioDeterministic' ./internal/chaos/ ./internal/experiments/ ./internal/popgen/ ./internal/rig/
+# reruns committed document scenarios and compares their evidence; the
+# rig's fault tests run through one harness (internal/rig/swarm_test.go),
+# whose two-run compare the schedule tests here switch on.
+	$(GO) test -race -count=2 -run 'TestChaosScheduleDeterministic|TestA10Deterministic|TestA11Deterministic|TestExperimentsDeterministic|TestObsJSONDeterministic|TestZipfDeterministic|TestReplicaDeterministic|TestScenarioIsPlainData|TestDocumentReruns|TestRunScenarioDeterministic' ./internal/experiments/ ./internal/popgen/ ./internal/rig/
 # Engine equivalence on two P: the engine folds its lanes onto at most
 # GOMAXPROCS goroutines, so four lanes share two that really run at once,
 # each stepping two lanes' clients in key order (at one P the engine is a
@@ -55,8 +57,9 @@ check: vet
 # runs no more goroutines than processors.
 # Four readers of the name index beside a writer that compacts its arena
 # under them. Four clients using each of the nine CSNH servers at once.
-# Generated fault schedules over fs1's three replicated members, run
-# through rig.Run with the trace and image oracles. The sampled tracer
+# Generated fault schedules over fs1's three replicated members and over
+# the sharded engine, run through the one harness: rig.Run holds each
+# seed to every oracle, the trace and image ones among them. The sampled tracer
 # keeps the same roots at one P and at four, its spans written with no
 # lock; a group's members write their send's subtree from their own
 # goroutines under its lock. Four goroutines record into one histogram
@@ -69,7 +72,7 @@ check: vet
 # every event lands in exactly one (TestSeriesHandlesSharedByTeam). Four
 # goroutines record into the flight ring, which takes no lock: sealed,
 # it equals a sequential replay.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts|TestPublishedSeriesCountOnce|TestSeriesHandlesSharedByTeam|TestConcurrentRecordsSealAsSequential' ./internal/chaos/ ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/ ./internal/flight/ ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts|TestPublishedSeriesCountOnce|TestSeriesHandlesSharedByTeam|TestConcurrentRecordsSealAsSequential' ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/ ./internal/flight/ ./internal/core/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last three are the file path's: a block
 # read lands in the reader's buffer, no block reads Info(), and a block

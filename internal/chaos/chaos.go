@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -43,7 +44,8 @@ const (
 	Crash
 	// Restart brings Host back up (empty tables; re-created servers get
 	// new pids — the §4.2 rebinding scenario). The engine's RestartHook,
-	// if set, then re-creates the host's servers.
+	// if set, then re-creates the host's servers. A host that is already
+	// up is left as it is, and no hook runs.
 	Restart
 	// Redefine deletes and re-adds the context prefix Name, bound to
 	// shard Shard's root, through an admin session on the prefix host —
@@ -157,51 +159,42 @@ func (e *Engine) fireLocked(ev Event) {
 	// on the health timeline.
 	reg := e.k.Metrics()
 	reg.Counter("chaos_events_total", metrics.Labels{Class: ev.Action.String()}).Inc()
-	var outcome string
-	switch ev.Action {
-	case SetLoss:
+	h := e.k.HostByName(ev.Host)
+	outcome := "host=" + ev.Host
+	switch {
+	case ev.Action == SetLoss:
 		e.k.Network().SetDropRate(ev.Rate)
 		outcome = fmt.Sprintf("rate=%.2f", ev.Rate)
-	case Partition:
-		if h := e.k.HostByName(ev.Host); h != nil {
-			e.k.Network().Partition(h.ID(), ev.Group)
-			outcome = fmt.Sprintf("host=%s group=%d", ev.Host, ev.Group)
-		} else {
-			outcome = fmt.Sprintf("host=%s unknown", ev.Host)
-		}
-	case Heal:
+	case ev.Action == Heal:
 		e.k.Network().Heal()
 		outcome = "all groups -> 0"
-	case Crash:
-		if h := e.k.HostByName(ev.Host); h != nil {
-			h.Crash()
-			reg.Timeline(metrics.TimelineServerUp, metrics.Labels{Host: ev.Host}).Mark(ev.At, 0)
-			outcome = "host=" + ev.Host
-		} else {
-			outcome = fmt.Sprintf("host=%s unknown", ev.Host)
-		}
-	case Restart:
-		if h := e.k.HostByName(ev.Host); h != nil {
-			h.Restart()
-			reg.Timeline(metrics.TimelineServerUp, metrics.Labels{Host: ev.Host}).Mark(ev.At, 1)
-			outcome = "host=" + ev.Host
-			if e.RestartHook != nil {
-				if err := e.RestartHook(ev.Host); err != nil {
-					outcome += " hook-error=" + err.Error()
-				}
-			}
-		} else {
-			outcome = fmt.Sprintf("host=%s unknown", ev.Host)
-		}
-	case Redefine:
+	case ev.Action == Redefine:
 		outcome = "ok"
 		if e.RedefineHook == nil {
 			outcome = "error=no redefine hook installed"
 		} else if err := e.RedefineHook(ev); err != nil {
 			outcome = "error=" + err.Error()
 		}
-	default:
+	case ev.Action < 0 || int(ev.Action) >= len(actionNames):
 		outcome = "unknown action"
+	// The rest — Partition, Crash and Restart — act on a host.
+	case h == nil:
+		outcome += " unknown"
+	case ev.Action == Partition:
+		e.k.Network().Partition(h.ID(), ev.Group)
+		outcome += fmt.Sprintf(" group=%d", ev.Group)
+	case ev.Action == Crash:
+		h.Crash()
+		reg.Timeline(metrics.TimelineServerUp, metrics.Labels{Host: ev.Host}).Mark(ev.At, 0)
+	case !h.Restart(): // its servers live on: re-creating them would orphan them
+		outcome += " already up"
+	default:
+		reg.Timeline(metrics.TimelineServerUp, metrics.Labels{Host: ev.Host}).Mark(ev.At, 1)
+		if e.RestartHook != nil {
+			if err := e.RestartHook(ev.Host); err != nil {
+				outcome += " hook-error=" + err.Error()
+			}
+		}
 	}
 	line := fmt.Sprintf("t=%08dus %-9s %s", ev.At.Microseconds(), ev.Action, outcome)
 	if ev.Note != "" {
@@ -219,6 +212,20 @@ func (e *Engine) Log() []string {
 	out := make([]string, len(e.log))
 	copy(out, e.log)
 	return out
+}
+
+// CheckLog returns the first line of a fired-event log whose event was
+// not carried out, as an error: a restart hook failed, or the event named
+// an unknown host or action. A Redefine that fails is not one: it is
+// logged as error=… and the run goes on.
+func CheckLog(log []string) error {
+	for _, line := range log {
+		// The outcome precedes the event's note, which is free text.
+		if outcome, _, _ := strings.Cut(line, " ("); strings.Contains(outcome, " hook-error=") || strings.Contains(outcome, " unknown") {
+			return fmt.Errorf("chaos: event not carried out: %s", line)
+		}
+	}
+	return nil
 }
 
 // NextEventAt returns the fire time of the earliest event that has not
@@ -257,6 +264,9 @@ type Profile struct {
 	// past Duration, so no host stays down and no pulse stays on.
 	Duration time.Duration
 	// Hosts are the outage candidates, picked uniformly per outage.
+	// Outages on one host may overlap: the second crash finds it down
+	// already, and the first restart ends both (the second is logged
+	// "already up").
 	Hosts []string
 	// MeanOutageEvery is the average gap between outage starts; zero
 	// disables outages.

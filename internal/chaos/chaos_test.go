@@ -61,12 +61,18 @@ func TestEngineFiresInOrder(t *testing.T) {
 	}
 }
 
+// TestRestartHookRuns: two overlapping outages of one host — crash,
+// crash, restart, restart. The first restart brings the host up and runs
+// the hook, whose error is logged; the second finds it up and re-creates
+// nothing, so the servers the hook made are not orphaned.
 func TestRestartHookRuns(t *testing.T) {
 	k := newDomain(t)
 	k.NewHost("fs")
 	e := New(k, []Event{
 		{At: 1 * time.Millisecond, Action: Crash, Host: "fs"},
-		{At: 2 * time.Millisecond, Action: Restart, Host: "fs"},
+		{At: 2 * time.Millisecond, Action: Crash, Host: "fs"},
+		{At: 3 * time.Millisecond, Action: Restart, Host: "fs"},
+		{At: 4 * time.Millisecond, Action: Restart, Host: "fs"},
 	})
 	var hooked []string
 	e.RestartHook = func(host string) error {
@@ -77,8 +83,9 @@ func TestRestartHookRuns(t *testing.T) {
 	if !reflect.DeepEqual(hooked, []string{"fs"}) {
 		t.Fatalf("hooked = %v, want [fs]", hooked)
 	}
-	if log := e.Log(); !strings.HasSuffix(log[1], "host=fs hook-error=no image") {
-		t.Fatalf("hook error not logged: %q", log)
+	log := e.Log()
+	if !strings.HasSuffix(log[2], "host=fs hook-error=no image") || !strings.HasSuffix(log[3], "host=fs already up") {
+		t.Fatalf("restarts logged %q", log)
 	}
 }
 

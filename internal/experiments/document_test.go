@@ -489,7 +489,7 @@ func TestDocumentReruns(t *testing.T) {
 				if leg.Label != c.label {
 					continue
 				}
-				_, ev, err := runChecked(*leg.Scenario)
+				_, ev, err := rig.Run(*leg.Scenario)
 				if err != nil {
 					t.Fatal(err)
 				}

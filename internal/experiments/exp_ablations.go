@@ -270,13 +270,14 @@ func a4() ([]Row, error) {
 // restartFS1 crashes and restarts fs1 through the rig's chaos engine at
 // the first session's virtual time, the one way fs1 is re-created: cold,
 // under a new pid, holding only /bin/hello (the §4.2 rebinding
-// scenario). It fails if the restart hook did or fs1 kept its pid.
+// scenario). It fails if either event was not carried out or fs1 kept
+// its pid.
 func restartFS1(r *rig.Rig) error {
 	old, now := r.FS1.PID(), r.WS[0].Session.Proc().Now()
 	eng := r.NewChaos([]chaos.Event{{At: now, Action: chaos.Crash, Host: "fs1"}, {At: now, Action: chaos.Restart, Host: "fs1"}})
 	eng.AdvanceTo(now)
-	if log := strings.Join(eng.Log(), "; "); strings.Contains(log, "hook-error") || r.FS1.PID() == old {
-		return fmt.Errorf("fs1 not re-created under a new pid: %s", log)
+	if err := chaos.CheckLog(eng.Log()); err != nil || r.FS1.PID() == old {
+		return fmt.Errorf("fs1 not re-created under a new pid: %s", strings.Join(eng.Log(), "; "))
 	}
 	return nil
 }

@@ -111,7 +111,7 @@ func a17ChaosScenario(kind string) rig.Scenario {
 
 // a17Collect runs every leg once: the sweep legs read their makespan,
 // and the fault legs' trace is the deliverable — their evidence holds the
-// fired schedule and the stale windows runChecked held to the lease.
+// fired schedule and the stale windows rig.Run held to the lease.
 func a17Collect() (Result, error) {
 	var res Result
 	for _, tier := range []bool{false, true} {

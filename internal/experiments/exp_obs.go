@@ -190,9 +190,9 @@ func a19Sampled() (Leg, error) {
 
 // sampledRun runs a head-sampled scenario and reads what the tracer
 // kept: the retained subtrees must pass the span invariant checker
-// (runChecked) and stay O(k) in the sampling budget.
+// (rig.Run) and stay O(k) in the sampling budget.
 func sampledRun(label string, sc rig.Scenario) (Leg, rig.Evidence, error) {
-	_, ev, err := runChecked(sc)
+	_, ev, err := rig.Run(sc)
 	if err != nil {
 		return Leg{}, ev, err
 	}

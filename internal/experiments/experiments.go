@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -74,11 +73,11 @@ type Series struct {
 // reads is a leg's name → number readings.
 type reads = map[string]float64
 
-// runLeg runs sc through runChecked and records it as a leg: the
-// scenario as given, the evidence as recorded and what read takes from
-// the result and the booted topology, which no document holds.
+// runLeg runs sc, held to every oracle (rig.Run), and records it as a
+// leg: the scenario as given, the evidence as recorded and what read
+// takes from the result and the booted topology, which no document holds.
 func runLeg(label string, sc rig.Scenario, read func(*rig.WorkloadResult, rig.Evidence) reads) (Leg, error) {
-	res, ev, err := runChecked(sc)
+	res, ev, err := rig.Run(sc)
 	if err != nil {
 		return Leg{}, err
 	}
@@ -269,25 +268,6 @@ func Print(w io.Writer, res Result) {
 
 // ms renders a virtual duration in the paper's unit.
 func ms(d time.Duration) string { return vtime.Milliseconds(d) }
-
-// runChecked runs a scenario and holds it to every oracle that applies:
-// without faults no operation may fail; where the scenario asks for the
-// sequential reference the engine must equal it; a recorded trace must
-// satisfy the span invariants, among them every stale window within the
-// lease bound (trace invariant #7).
-func runChecked(sc rig.Scenario) (*rig.WorkloadResult, rig.Evidence, error) {
-	res, ev, err := rig.Run(sc)
-	switch {
-	case err != nil:
-	case len(sc.Faults) == 0 && ev.Errors != 0:
-		err = fmt.Errorf("%d requests failed", ev.Errors)
-	case sc.Sequential && !ev.EqualToSequential:
-		err = errors.New("engine result differs from sequential")
-	case ev.TraceErr != nil:
-		err = fmt.Errorf("trace violates the span or lease staleness invariants: %w", ev.TraceErr)
-	}
-	return res, ev, err
-}
 
 // hitRate is the share of client cache lookups answered locally.
 func hitRate(st client.LeaseStats) float64 {

@@ -401,10 +401,11 @@ func (h *Host) Crash() {
 // Restart brings a crashed host back up with empty process and service
 // tables. Local pid allocation continues from where it left off, so
 // re-created servers get different pids — the §4.2 rebinding scenario.
-func (h *Host) Restart() {
+// It reports whether the host was down; a live host is left as it is.
+func (h *Host) Restart() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.alive.Store(true)
+	return !h.alive.Swap(true)
 }
 
 // ProcessByPID returns the live process with the given pid on this host.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -179,48 +178,6 @@ func TestReplicatedNamesFailOver(t *testing.T) {
 	}
 }
 
-// TestGeneratedReplicatedSchedules runs generated crash/restart and loss
-// schedules over fs1's three members through Run, the way the swarm runs
-// a scenario: plain data in, evidence out. On every schedule the trace
-// holds its invariants, every live member still holds the seed image,
-// and every operation either completed or failed.
-func TestGeneratedReplicatedSchedules(t *testing.T) {
-	policy := replicaRetryPolicy()
-	var crashes, retries uint64
-	for seed := int64(1); seed <= 20; seed++ {
-		sc := Scenario{Kind: Paper, Users: []string{"mann"}, Seed: seed, ReadAhead: true, Replicas: 3,
-			Trace: true, Retry: &policy, Requests: 60, FlushEvery: 10,
-			Faults: chaos.Generate(seed, chaos.Profile{
-				Duration:           600 * time.Millisecond,
-				Hosts:              []string{"fs1", "fs1b", "fs1c"},
-				MeanOutageEvery:    150 * time.Millisecond,
-				OutageLength:       100 * time.Millisecond,
-				MeanLossPulseEvery: 300 * time.Millisecond,
-				LossPulseLength:    50 * time.Millisecond,
-				LossRate:           0.9,
-			})}
-		_, ev := mustRun(t, sc)
-		if ev.TraceErr != nil {
-			t.Fatalf("seed %d: %v", seed, ev.TraceErr)
-		}
-		if err := ev.Topology.CheckFS1(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if ev.Completed+ev.Errors != sc.Requests {
-			t.Fatalf("seed %d: %d completed + %d failed, want %d operations", seed, ev.Completed, ev.Errors, sc.Requests)
-		}
-		for _, line := range ev.ChaosLog {
-			if strings.Contains(line, "crash") {
-				crashes++
-			}
-		}
-		retries += recovered(ev.Topology, "retries")
-	}
-	if crashes == 0 || retries == 0 {
-		t.Fatalf("%d crashes and %d retries: the schedules tested no recovery", crashes, retries)
-	}
-}
-
 // TestElectionTieBreak: nothing elects which of several identical members
 // serves. GetPid picks the lowest live member host, through every crash
 // and restart: fs1, then fs1b once fs1 is down, fs1c once both are, and
@@ -259,7 +216,7 @@ type pacedRun struct {
 }
 
 // replicatedScenario runs a fixed crash/restart schedule against a
-// replicated rig, timing each operation.
+// replicated rig, timing each operation, held to Run's oracles.
 func replicatedScenario(t *testing.T) pacedRun {
 	t.Helper()
 	policy := replicaRetryPolicy()
@@ -269,27 +226,23 @@ func replicatedScenario(t *testing.T) pacedRun {
 		{At: 500 * time.Millisecond, Action: chaos.Crash, Host: "fs1b"},
 		{At: 700 * time.Millisecond, Action: chaos.Restart, Host: "fs1b"},
 	}
-	r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
-		Requests: 80, FlushEvery: 10, Faults: faults})
-	s := r.WS[0].Session
-	s.EnableNameCache(true)
 	var run pacedRun
 	crashes := []vtime.Time{faults[0].At, faults[2].At}
-	r.Clients[0].Op = func(s *client.Session, i int) error {
-		start := s.Proc().Now()
-		err := OpenClose("[bin]hello")(s, i)
-		d := s.Proc().Now() - start
-		run.latencies = append(run.latencies, d)
-		if len(run.failovers) < len(crashes) && start >= crashes[len(run.failovers)] {
-			run.failovers = append(run.failovers, d)
+	_, ev := schedules{setup: func(r *Topology) {
+		r.WS[0].Session.EnableNameCache(true)
+		r.Clients[0].Op = func(s *client.Session, i int) error {
+			start := s.Proc().Now()
+			err := OpenClose("[bin]hello")(s, i)
+			d := s.Proc().Now() - start
+			run.latencies = append(run.latencies, d)
+			if len(run.failovers) < len(crashes) && start >= crashes[len(run.failovers)] {
+				run.failovers = append(run.failovers, d)
+			}
+			return err
 		}
-		return err
-	}
-	r.Run()
-	if err := r.CheckFS1(); err != nil {
-		t.Fatal(err)
-	}
-	run.failed = recovered(r, "op_failures")
+	}}.once(t, 1, Scenario{Kind: Paper, Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: 3, Retry: &policy,
+		Requests: 80, FlushEvery: 10, Faults: faults})
+	run.failed = recovered(ev.Topology, "op_failures")
 	return run
 }
 

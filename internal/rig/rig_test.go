@@ -1324,9 +1324,6 @@ func TestNewIsBoot(t *testing.T) {
 	// Run boots the same topology and paces its one client.
 	cfg.Requests = 20
 	_, ev := mustRun(t, cfg)
-	if ev.Completed != cfg.Requests || ev.Errors != 0 {
-		t.Fatalf("Run(Paper) completed %d and failed %d, want %d operations", ev.Completed, ev.Errors, cfg.Requests)
-	}
 	if sa, sr := shape(a), shape(ev.Topology); !reflect.DeepEqual(sa, sr) {
 		t.Fatalf("New and Run differ:\n%v\n%v", sa, sr)
 	}

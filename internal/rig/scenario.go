@@ -351,6 +351,8 @@ type Evidence struct {
 // flight recorder at the quiescent cut, a Paper one paced (pace). The
 // Sequential reference is the ungated sequential driver RunWorkload, or,
 // with Faults or on Paper, the same drive with every client in lane 0.
+// Its error is the first oracle the run violates (check), returned with
+// the evidence.
 func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 	var seq *WorkloadResult
 	var ref *Topology
@@ -379,7 +381,32 @@ func Run(sc Scenario) (*WorkloadResult, Evidence, error) {
 		reflect.DeepEqual(ref.Latencies, t.Latencies) && ref.leaseTotals() == ev.Client &&
 		reflect.DeepEqual(refLog, ev.ChaosLog) &&
 		(len(sc.Faults) == 0 || reflect.DeepEqual(ref.Flight.Journal(), ev.Journal))
-	return res, ev, nil
+	return res, ev, t.check(ev)
+}
+
+// check holds a run's evidence to every oracle that applies to its
+// scenario and names the first it violates: no operation is lost; none
+// fails without Faults; the engine equals the Sequential reference; the
+// trace holds its invariants; every live replicated fs1 member holds the
+// seed image; and every fault was carried out (chaos.CheckLog).
+func (t *Topology) check(ev Evidence) error {
+	requests, fs1, faults := 0, t.CheckFS1(), chaos.CheckLog(ev.ChaosLog)
+	for _, c := range t.Clients {
+		requests += c.Requests
+	}
+	switch {
+	case ev.Completed+ev.Errors != requests:
+		return fmt.Errorf("rig: %d operations completed and %d failed of %d: the rest were lost", ev.Completed, ev.Errors, requests)
+	case len(t.sc.Faults) == 0 && ev.Errors != 0:
+		return fmt.Errorf("rig: %d operations failed without faults", ev.Errors)
+	case t.sc.Sequential && !ev.EqualToSequential:
+		return errors.New("rig: engine result differs from the sequential reference")
+	case ev.TraceErr != nil:
+		return fmt.Errorf("rig: trace violates the span or lease staleness invariants: %w", ev.TraceErr)
+	case fs1 != nil:
+		return fs1
+	}
+	return faults
 }
 
 // Run drives a booted topology's clients, firing its scenario's Faults,
