@@ -17,9 +17,9 @@
 //	vstat -top          # also render the prefix server's hot-name sketch
 //	vstat -rates        # also render per-prefix churn estimates + lease counters
 //
-// The -flight/-top/-rates views run the workload through the lease
-// cache (PROTOCOL.md §13) so grants, renewals and invalidations flow;
-// the plain snapshot keeps the seed workload shape.
+// The -flight/-top/-rates views run the workload through the lease cache
+// (PROTOCOL.md §13); the plain snapshot keeps the seed workload shape. A
+// run the rig's oracles refuse prints their verdict and exits 1.
 package main
 
 import (
@@ -100,7 +100,9 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	r.Run()
+	if _, _, err := r.Run(); err != nil {
+		return err
+	}
 	horizon := s.Proc().Now()
 
 	snap := r.Metrics.Snapshot()

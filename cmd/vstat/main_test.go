@@ -34,6 +34,19 @@ func TestVstatSnapshot(t *testing.T) {
 	}
 }
 
+// TestVstatVerdict: a run the rig's oracles refuse is run's error, so
+// vstat exits 1 with nothing rendered. Fewer than no operations leave
+// requests no run can account for, which the oracle calls lost.
+func TestVstatVerdict(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-ops", "-1"}, &sb); err == nil || !strings.Contains(err.Error(), "lost") {
+		t.Fatalf("run = %v, want the lost-operations verdict", err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("a refused run rendered:\n%s", sb.String())
+	}
+}
+
 func TestVstatProm(t *testing.T) {
 	out := runVstat(t, "-ops", "30", "-prom")
 	for _, want := range []string{

@@ -32,35 +32,26 @@ func a10() ([]Row, error) {
 		{"dynamic binding, invalidate-and-retry", false, "retry"},
 	}
 
-	run := func(static bool, cache string, outageEvery time.Duration) (float64, metrics.Snapshot, error) {
+	run := func(static bool, cache string, outageEvery time.Duration) (rig.Evidence, error) {
 		r, err := rig.New(a10Scenario(outageEvery))
-		if err != nil {
-			return 0, metrics.Snapshot{}, err
+		if err == nil {
+			// FS2 replicates the standard-programs context so a rebinding
+			// client has somewhere to go during an FS1 outage.
+			err = r.MirrorBinOnFS2()
 		}
-		s := r.WS[0].Session
-
-		// FS2 replicates the standard-programs context so a rebinding
-		// client has somewhere to go during an FS1 outage.
-		if err := r.MirrorBinOnFS2(); err != nil {
-			return 0, metrics.Snapshot{}, err
-		}
-
-		if static {
+		if err == nil && static {
 			// A static binding captures FS1's (pid, ctx) at define time.
-			if err := r.WS[0].Prefix.Define("sbin", r.BinCtx); err != nil {
-				return 0, metrics.Snapshot{}, err
-			}
+			err = r.WS[0].Prefix.Define("sbin", r.BinCtx)
 			r.Clients[0].Op = rig.OpenClose("[sbin]hello")
 		}
-		switch cache {
-		case "naive":
-			s.EnableNameCache(false)
-		case "retry":
-			s.EnableNameCache(true)
+		if err != nil {
+			return rig.Evidence{}, err
 		}
-
-		_, ev := r.Run()
-		return float64(ev.Completed) / a10Ops, r.Metrics.Snapshot(), nil
+		if cache != "none" {
+			r.WS[0].Session.EnableNameCache(cache == "retry")
+		}
+		_, ev, err := r.Run()
+		return ev, err
 	}
 
 	var rows []Row
@@ -68,13 +59,13 @@ func a10() ([]Row, error) {
 	for _, v := range variants {
 		fracs := make([]string, len(a10OutageRates))
 		for i, rate := range a10OutageRates {
-			frac, sum, err := run(v.static, v.cache, rate)
+			ev, err := run(v.static, v.cache, rate)
 			if err != nil {
 				return nil, fmt.Errorf("%s @ %v: %w", v.label, rate, err)
 			}
-			fracs[i] = fmt.Sprintf("%.2f", frac)
+			fracs[i] = fmt.Sprintf("%.2f", float64(ev.Completed)/a10Ops)
 			if !v.static && v.cache == "retry" && i == 1 {
-				key = sum
+				key = ev.Topology.Metrics.Snapshot()
 			}
 		}
 		note := ""

@@ -166,11 +166,10 @@ func a14Team(team int) (Leg, metrics.HistPoint, error) {
 // client never touches the dead pid.
 func a14Chaos() (Leg, error) {
 	sc := a14ChaosScenario(0)
-	r, ok, horizon, err := a14ChaosLoad(sc, rig.OpenClose("[bin]hello"))
+	ev, snap, health, err := a14ChaosLoad(sc, rig.OpenClose("[bin]hello"))
 	if err != nil {
 		return Leg{}, err
 	}
-	snap := r.Metrics.Snapshot().Deterministic()
 	return Leg{
 		Label:    "chaos: FS1 crash/restart schedule, dynamic binding + retry, FS2 replica",
 		Scenario: &sc,
@@ -180,11 +179,11 @@ func a14Chaos() (Leg, error) {
 				"client_op_failures_total", "client_retries_total", "client_rebinds_total",
 				"client_failovers_total", "prefix_forwards_total", "prefix_rebinds_total",
 				"prefix_dead_targets_total", "kernel_send_failures_total"),
-			RequestsPerTick: metrics.CounterSeries(r.Sampler.Samples(), "client_ops_total"),
-			FailuresPerTick: metrics.CounterSeries(r.Sampler.Samples(), "client_op_failures_total"),
-			Health:          metrics.Health(snap, r.Sampler.Samples(), horizon, 0.90),
+			RequestsPerTick: metrics.CounterSeries(ev.Topology.Sampler.Samples(), "client_ops_total"),
+			FailuresPerTick: metrics.CounterSeries(ev.Topology.Sampler.Samples(), "client_op_failures_total"),
+			Health:          health,
 		},
-		Reads: reads{"completed": float64(ok)},
+		Reads: reads{"completed": float64(ev.Completed)},
 	}, nil
 }
 
@@ -207,20 +206,23 @@ func a14ChaosScenario(replicas int) rig.Scenario {
 
 // a14ChaosLoad boots sc and paces the A10 failover shape through it
 // (dynamic [bin] binding, FS2 mirror, name cache on), byte for byte the
-// same for A14 and A15: the rig, the successful operations, the horizon.
+// same for A14 and A15: the evidence, the registry's deterministic
+// snapshot, its health report at the horizon, and the run's verdict.
 // op opens and closes [bin]hello; A15's also times it.
-func a14ChaosLoad(sc rig.Scenario, op func(*client.Session, int) error) (r *rig.Rig, ok int, horizon vtime.Time, err error) {
-	if r, err = rig.New(sc); err == nil {
+func a14ChaosLoad(sc rig.Scenario, op func(*client.Session, int) error) (ev rig.Evidence, snap metrics.Snapshot, health *metrics.HealthReport, err error) {
+	r, err := rig.New(sc)
+	if err == nil {
 		err = r.MirrorBinOnFS2()
 	}
 	if err != nil {
-		return nil, 0, 0, err
+		return ev, snap, nil, err
 	}
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
 	r.Clients[0].Op = op
-	_, ev := r.Run()
-	return r, ev.Completed, s.Proc().Now(), nil
+	_, ev, err = r.Run()
+	snap = r.Metrics.Snapshot().Deterministic()
+	return ev, snap, metrics.Health(snap, r.Sampler.Samples(), s.Proc().Now(), 0.90), err
 }
 
 // fs1Health finds the fs1 host's entry in a health report.

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/metrics"
 	"repro/internal/rig"
 	"repro/internal/vtime"
 )
@@ -61,25 +60,19 @@ func a15Collect() (Result, error) {
 		}
 		return err
 	}
-	r, ok, horizon, err := a14ChaosLoad(sc, timed)
+	ev, snap, health, err := a14ChaosLoad(sc, timed)
 	if err != nil {
-		return Result{}, err
-	}
-	if ok != ops {
-		return Result{}, fmt.Errorf("a15: %d/%d operations failed under replication", ops-ok, ops)
-	}
-	// The schedule has run: every live member still holds the seed image.
-	if err := r.CheckFS1(); err != nil {
 		return Result{}, fmt.Errorf("a15: %w", err)
 	}
-	snap := r.Metrics.Snapshot().Deterministic()
-	health := metrics.Health(snap, r.Sampler.Samples(), horizon, 0.90)
+	if ev.Completed != ops {
+		return Result{}, fmt.Errorf("a15: %d/%d operations failed under replication", ops-ev.Completed, ops)
+	}
 	fs1, err := fs1Health(health)
 	if err != nil {
 		return Result{}, fmt.Errorf("a15: %w", err)
 	}
 	downtime := time.Duration(total(snap, "client_backoff_ns_total"))
-	rd := reads{"completed": float64(ok), "downtime_ns": float64(downtime), "slowest_op_ns": float64(slowest)}
+	rd := reads{"completed": float64(ev.Completed), "downtime_ns": float64(downtime), "slowest_op_ns": float64(slowest)}
 	for i, d := range failovers {
 		rd[fmt.Sprintf("failover%d_ns", i)] = float64(d)
 	}
@@ -108,7 +101,7 @@ func a15Collect() (Result, error) {
 			Measured: fmt.Sprintf("%.3f", availability),
 			Note:     "1 − backoff downtime/horizon; the unreplicated A14 service measured 0.667"},
 		{Label: "operation success under chaos", Paper: "-",
-			Measured: fmt.Sprintf("%d/%d", ok, ops),
+			Measured: fmt.Sprintf("%d/%d", ev.Completed, ops),
 			Note:     "every op retried through to a live member; A14 succeeded 1.00 only via the FS2 copy"},
 		{Label: "failover latency, p50 / p99", Paper: "-",
 			Measured: usms(p50.Microseconds()) + " / " + usms(p99.Microseconds()),

@@ -383,16 +383,11 @@ func (h *Host) Crash() {
 		h.mu.Unlock()
 		return
 	}
+	procs := h.Processes()
 	h.alive.Store(false)
-	old := *h.procs.Load()
-	procs := make([]*Process, 0, len(old))
-	for _, p := range old {
-		procs = append(procs, p)
-	}
 	h.procs.Store(&map[PID]*Process{})
 	h.services.Store(&map[Service]svcEntry{})
 	h.mu.Unlock()
-	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
 	for _, p := range procs {
 		p.terminate(true)
 	}
@@ -406,6 +401,19 @@ func (h *Host) Restart() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return !h.alive.Swap(true)
+}
+
+// Processes returns the host's live processes in pid order, none while
+// the host is down.
+func (h *Host) Processes() []*Process {
+	var procs []*Process
+	if h.alive.Load() {
+		for _, p := range *h.procs.Load() {
+			procs = append(procs, p)
+		}
+	}
+	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
+	return procs
 }
 
 // ProcessByPID returns the live process with the given pid on this host.

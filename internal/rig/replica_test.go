@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,7 +118,9 @@ func TestReplicatedFailoverInFlight(t *testing.T) {
 		slowest = max(slowest, s.Proc().Now()-start)
 		return nil
 	}
-	r.Run()
+	if _, _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
 
 	safe("the schedule")
 
@@ -168,8 +171,8 @@ func TestReplicatedNamesFailOver(t *testing.T) {
 				_, err := s.ReadFile(name)
 				return err
 			}
-			if _, ev := r.Run(); ev.Completed != 30 {
-				t.Fatalf("%d/30 reads succeeded; chaos log:\n%v", ev.Completed, ev.ChaosLog)
+			if _, ev, err := r.Run(); err != nil || ev.Completed != 30 {
+				t.Fatalf("%d/30 reads succeeded (%v); chaos log:\n%v", ev.Completed, err, ev.ChaosLog)
 			}
 			if pid := storagePID(t, r); pid != r.FS1Members[1].PID() {
 				t.Fatalf("GetPid after fs1's crash answers %v, want fs1b's member %v", pid, r.FS1Members[1].PID())
@@ -317,6 +320,47 @@ func TestCrashRejoinSnapshotSync(t *testing.T) {
 	}
 	if err := s.Remove("users/mann/welcome.txt"); !errors.Is(err, proto.ErrNoPermission) {
 		t.Fatalf("Remove on the re-created member = %v, want ErrNoPermission", err)
+	}
+}
+
+// TestCheckFS1ReadsTheKernel: the fs1 oracle judges every file server
+// the kernel reports live on a member host, not only the listed members.
+// A restart hook run on a host that is up re-creates its member and
+// orphans the old one; a storage server started beside a member, or in a
+// dead member's place, is not the member either. Each is named by host
+// though every listed image is the seed's, and the unreplicated fs1 is
+// held to the same rule.
+func TestCheckFS1ReadsTheKernel(t *testing.T) {
+	restart := func(r *Rig, host string) error { return r.restartFS1(host) }
+	beside := func(r *Rig, host string) error {
+		_, err := startStorage(r.Kernel.HostByName(host))
+		return err
+	}
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		host     string
+		extra    func(*Rig, string) error
+	}{
+		{"restart of a live member", 3, "fs1b", restart},
+		{"a storage server beside a member", 3, "fs1c", beside},
+		{"restart of a live unreplicated fs1", 0, "fs1", restart},
+		{"a storage server in a dead member's place", 3, "fs1b", func(r *Rig, host string) error {
+			r.FS1Members[1].Proc().Destroy()
+			return beside(r, host)
+		}},
+	} {
+		r := mustNew(t, Config{Users: []string{"mann"}, Seed: 1, ReadAhead: true, Replicas: tc.replicas})
+		if err := r.CheckFS1(); err != nil {
+			t.Fatalf("%s: freshly booted: %v", tc.name, err)
+		}
+		if err := tc.extra(r, tc.host); err != nil {
+			t.Fatal(err)
+		}
+		want := "host " + tc.host + " runs a file server that is not its member"
+		if err := r.CheckFS1(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: CheckFS1 = %v, want %q", tc.name, err, want)
+		}
 	}
 }
 

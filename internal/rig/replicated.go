@@ -23,13 +23,20 @@ func fsMemberHost(i int) string {
 	return fmt.Sprintf("fs1%c", 'a'+i)
 }
 
-// CheckFS1 is the replicated fs1's safety oracle: every live member's
-// volume image equals the seed image. It names the first member that
-// differs; an unreplicated fs1 has no members to compare.
+// CheckFS1 is the fs1 service's safety oracle, read from the kernel:
+// every file server live on a member host (fs1, fs1b, …) is the member
+// FS1Members lists, and on a replicated fs1 its volume image equals the
+// seed image. It names the first host that breaks either.
 func (t *Topology) CheckFS1() error {
 	for _, fs := range t.FS1Members {
-		if fs.Proc().Err() == nil && !bytes.Equal(fs.Image(), t.fs1Seed) {
-			return fmt.Errorf("rig: fs1 member on %s diverged from the seed image", fs.Proc().Host().Name())
+		for _, p := range fs.Proc().Host().Processes() {
+			switch {
+			case p.Name() != fs.Proc().Name():
+			case p != fs.Proc():
+				return fmt.Errorf("rig: fs1 member host %s runs a file server that is not its member", p.Host().Name())
+			case t.fs1Seed != nil && !bytes.Equal(fs.Image(), t.fs1Seed):
+				return fmt.Errorf("rig: fs1 member on %s diverged from the seed image", p.Host().Name())
+			}
 		}
 	}
 	return nil

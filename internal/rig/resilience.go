@@ -98,20 +98,18 @@ func seedBin(fs *fileserver.FileServer) error {
 // only /bin/hello (seedBin).
 func (r *Rig) restartFS1(host string) error {
 	i := slices.IndexFunc(r.FS1Members, func(fs *fileserver.FileServer) bool { return fs.Proc().Host().Name() == host })
-	if i < 0 && (r.FS1Members != nil || host != "fs1") {
+	if i < 0 {
 		return nil
 	}
 	fs, err := startStorage(r.Kernel.HostByName(host), r.sc.fsOpts(true)...)
 	if err != nil {
 		return err
 	}
-	if i < 0 {
+	if r.FS1Members[i] = fs; i == 0 {
 		r.FS1 = fs
-		return seedBin(fs)
 	}
-	r.FS1Members[i] = fs
-	if i == 0 {
-		r.FS1 = fs
+	if r.fs1Seed == nil {
+		return seedBin(fs)
 	}
 	_, err = r.seedFS1Volume(fs)
 	return err

@@ -140,11 +140,10 @@ func (r *Rig) bootFileServers() error {
 		}
 	}
 	r.BinCtx = core.ContextPair{Server: r.FS1.PID(), Ctx: binCtx}
-	if len(vols) > 1 {
-		r.FS1Members, r.fs1Seed = vols, vols[0].Image()
-		return r.CheckFS1()
+	if r.FS1Members = vols; len(vols) > 1 {
+		r.fs1Seed = vols[0].Image()
 	}
-	return nil
+	return r.CheckFS1()
 }
 
 // startStorage boots a file server named after its host and registers
@@ -277,7 +276,7 @@ func (r *Rig) bootWorkstation(user string) (*Workstation, error) {
 	// GetPid re-resolves it per use, so the name reaches the lowest live
 	// member (PROTOCOL.md §11). An unreplicated fs1 keeps its static pairs.
 	onFS1 := func(name string, pair core.ContextPair) def {
-		if r.FS1Members != nil {
+		if r.fs1Seed != nil {
 			return def{name: name, svc: kernel.ServiceStorage, ctx: pair.Ctx}
 		}
 		return def{name: name, pair: pair}

@@ -29,8 +29,8 @@ type schedules struct {
 	// netSeed makes each seed the scenario's Seed as well.
 	netSeed bool
 	// setup, when set, prepares the booted topology before it is driven,
-	// for a run Run cannot express: Boot, setup, (*Topology).Run, check.
-	// It has no Sequential reference.
+	// for a run Run cannot express: Boot, setup, (*Topology).Run. It has
+	// no Sequential reference.
 	setup func(*Topology)
 	// twice runs each seed again: both runs must agree in result, chaos
 	// log, sealed journal, registry snapshot and trace shape.
@@ -80,8 +80,7 @@ func (s schedules) once(t *testing.T, seed int64, sc Scenario) (*WorkloadResult,
 		var top *Topology
 		if top, err = sc.Boot(); err == nil {
 			s.setup(top)
-			res, ev = top.Run()
-			err = top.check(ev)
+			res, ev, err = top.Run()
 		}
 	}
 	if err != nil {
@@ -130,20 +129,25 @@ func allFired(t *testing.T, ev Evidence) {
 	}
 }
 
-// TestRunVerdict: Run returns the first oracle a run violates. A fault
-// naming no host or no action was not carried out; a failed redefine and
-// a restart of a live host are logged outcomes the run goes on from, and
-// an event's note is free text the verdict does not read. The oracles no
-// plain data can violate are held to evidence tampered after a clean run.
+// TestRunVerdict: Run returns the first oracle a run violates, and so
+// does (*Topology).Run on a topology booted and set up by hand (a mirror
+// and a name cache, as the paced experiments do). A fault naming no host
+// or no action was not carried out; a failed redefine and a restart of a
+// live host are logged outcomes the run goes on from, and an event's
+// note is free text the verdict does not read. The oracles no plain data
+// can violate are held to evidence tampered after a clean run.
 func TestRunVerdict(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		fault  *chaos.Event
+		setup  bool // boot, set up, then (*Topology).Run
 		tamper func(*Evidence)
 		want   string // a substring of the verdict; "" for none
 	}{
 		{name: "clean"},
+		{name: "clean, set up", setup: true},
 		{name: "crash of an unknown host", fault: &chaos.Event{Action: chaos.Crash, Host: "nowhere"}, want: "host=nowhere unknown"},
+		{name: "crash of an unknown host, set up", setup: true, fault: &chaos.Event{Action: chaos.Crash, Host: "nowhere"}, want: "host=nowhere unknown"},
 		{name: "partition of an unknown host", fault: &chaos.Event{Action: chaos.Partition, Host: "nowhere", Group: 1}, want: "host=nowhere unknown"},
 		{name: "restart of an unknown host", fault: &chaos.Event{Action: chaos.Restart, Host: "nowhere"}, want: "host=nowhere unknown"},
 		{name: "unknown action", fault: &chaos.Event{Action: chaos.Redefine + 1}, want: "unknown action"},
@@ -157,7 +161,18 @@ func TestRunVerdict(t *testing.T) {
 		if tc.fault != nil {
 			sc.Faults = []chaos.Event{*tc.fault}
 		}
-		_, ev, err := Run(sc)
+		var ev Evidence
+		var err error
+		if tc.setup {
+			r := mustNew(t, sc)
+			if err := r.MirrorBinOnFS2(); err != nil {
+				t.Fatal(err)
+			}
+			r.WS[0].Session.EnableNameCache(true)
+			_, ev, err = r.Run()
+		} else {
+			_, ev, err = Run(sc)
+		}
 		if tc.tamper != nil && err == nil {
 			tc.tamper(&ev)
 			err = ev.Topology.check(ev)
