@@ -34,13 +34,14 @@ func TestVstatSnapshot(t *testing.T) {
 	}
 }
 
-// TestVstatVerdict: a run the rig's oracles refuse is run's error, so
-// vstat exits 1 with nothing rendered. Fewer than no operations leave
-// requests no run can account for, which the oracle calls lost.
+// TestVstatVerdict: a run the rig refuses, at boot or by its oracles, is
+// run's error, so vstat exits 1 with nothing rendered. Fewer than no
+// operations are refused at boot, by name, not driven into a verdict of
+// lost operations.
 func TestVstatVerdict(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-ops", "-1"}, &sb); err == nil || !strings.Contains(err.Error(), "lost") {
-		t.Fatalf("run = %v, want the lost-operations verdict", err)
+	if err := run([]string{"-ops", "-1"}, &sb); err == nil || !strings.Contains(err.Error(), "requests must not be negative") {
+		t.Fatalf("run = %v, want the refusal of a negative operation count", err)
 	}
 	if sb.Len() != 0 {
 		t.Errorf("a refused run rendered:\n%s", sb.String())

@@ -1,5 +1,6 @@
-// Package flight is the always-on flight recorder: a bounded
-// ring-buffer journal of the structured events the naming plane emits —
+// Package flight is the flight recorder, installed where something reads
+// it (a tracer, faults, the auto-tuner, the paper testbed): a bounded
+// ring journal of the structured events the naming plane emits —
 // resolutions, lease grants and renewals, invalidation callbacks,
 // redefinitions, forwards, failovers and engine fences. Like the tracer
 // and the metrics registry (PROTOCOL.md §9, §15), the recorder is

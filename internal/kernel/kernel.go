@@ -93,9 +93,9 @@ type Kernel struct {
 	metrics metrics.Catalogue
 	ipc     *ipcCounts
 
-	// flight is the always-on flight recorder (PROTOCOL.md §15), under
-	// the same observer contract: a nil recorder accepts every Record
-	// as a no-op, and recording never advances a virtual clock.
+	// flight is the flight recorder (PROTOCOL.md §15), installed where
+	// something can read it: a nil recorder accepts every Record as a
+	// no-op, and recording never advances a virtual clock.
 	flight atomic.Pointer[flight.Recorder]
 
 	// hosts is a copy-on-write snapshot indexed by host id: ids are dense

@@ -100,6 +100,12 @@ type Stats struct {
 // Option configures a prefix server.
 type Option func(*Server)
 
+// WithNameStats installs the hot-name sketch that TopNames, NameRates,
+// PublishNamestat and the lease auto-tuner read; without it they read nothing.
+func WithNameStats() Option {
+	return func(s *Server) { s.names = namestat.NewTopK(32) }
+}
+
 // Server is one user's context prefix server. It normally runs on the
 // user's workstation, so the request that reaches it always pays only a
 // local hop (§6).
@@ -144,10 +150,10 @@ type Server struct {
 	leases   *lease.Meter
 	series   *core.ServeSeries
 
-	// Observability (PROTOCOL.md §15): the always-on hot-name sketch,
-	// whose entries carry each name's churn estimators — an observer,
-	// zero virtual cost — plus the optional lease auto-tuner it feeds
-	// (tuner.go).
+	// Observability (PROTOCOL.md §15): the hot-name sketch (nil unless
+	// WithNameStats), whose entries carry each name's churn estimators —
+	// an observer, zero virtual cost — plus the optional lease auto-tuner
+	// it feeds (tuner.go).
 	names *namestat.TopK
 	tuner *autoTuner
 }
@@ -205,7 +211,6 @@ func newServer(proc *kernel.Process, owner string, opts ...Option) *Server {
 		forwards:     proc.Kernel().NewCounter("prefix_forwards_total", metrics.Labels{Server: proc.Name()}),
 		leases:       lease.NewMeter(proc.Kernel(), "prefix", proc.Name()),
 		series:       core.NewServeSeries(proc.Kernel(), proc.Name()),
-		names:        namestat.NewTopK(32),
 	}
 	for _, opt := range opts {
 		opt(s)

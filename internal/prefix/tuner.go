@@ -36,10 +36,11 @@ const redefLowHz = 1.0
 
 // WithLeaseAutoTune enables lease granting with per-name auto-tuned
 // lengths in [min, max]. Negative leases and brand-new names start at
-// min; see the package comment for the control rule. Implies WithLease:
-// min is also the fixed fallback for paths the tuner does not touch.
+// min; see the package comment for the control rule. Implies WithNameStats,
+// and WithLease: min is the fixed fallback where the tuner does not reach.
 func WithLeaseAutoTune(min, max time.Duration) Option {
 	return func(s *Server) {
+		WithNameStats()(s)
 		if max < min {
 			max = min
 		}

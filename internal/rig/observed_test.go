@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -178,4 +179,48 @@ func rootShapes(spans []trace.Span) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestObserversOnlyWhereRead pins where Boot installs the flight ring
+// and the prefix server's hot-name sketch: beside something that reads
+// them — a tracer, a fault schedule, the lease auto-tuner, the Paper
+// testbed — and nowhere else. Leaving them out changes no result: an
+// unobserved Zipf run's result and latencies equal the sampled run's.
+func TestObserversOnlyWhereRead(t *testing.T) {
+	zipf := Scenario{Kind: Zipf, Population: 1000, Skew: 0.5, PopSeed: 1, Shards: 2, ClientsPerShard: 2,
+		Requests: 200, Interarrival: 20 * time.Millisecond, Lease: 5 * time.Millisecond, Seed: 3}
+	traced, sampled, faulted, tuned := zipf, zipf, zipf, zipf
+	traced.Trace = true
+	sampled.TraceSample = &trace.SampleConfig{HeadEvery: 32, SlowOver: 50 * time.Millisecond}
+	faulted.Faults = []chaos.Event{{At: 100 * time.Millisecond, Action: chaos.SetLoss}}
+	tuned.AutoTuneMax = 80 * time.Millisecond
+	type run struct {
+		res *WorkloadResult
+		ev  Evidence
+	}
+	runs := map[string]run{}
+	for _, c := range []struct {
+		name     string
+		sc       Scenario
+		observed bool
+	}{
+		{"zipf", zipf, false}, {"shared-prefix", sharedPrefixShape, false},
+		{"trace", traced, true}, {"sampled", sampled, true}, {"faults", faulted, true},
+		{"auto-tune", tuned, true}, {"paper", Scenario{Kind: Paper, Users: []string{"mann"}, Seed: 1, Requests: 10}, true},
+	} {
+		res, ev := mustRun(t, c.sc)
+		runs[c.name] = run{res, ev}
+		pfx := ev.Topology.Prefix
+		if c.sc.Kind == Paper {
+			pfx = ev.Topology.WS[0].Prefix
+		}
+		ring, names := ev.Topology.Flight != nil, len(pfx.TopNames())
+		if ring != c.observed || (names > 0) != c.observed {
+			t.Errorf("%s: flight ring %v, %d hot names; want both only if observed (%v)", c.name, ring, names, c.observed)
+		}
+	}
+	plain, observed := runs["zipf"], runs["sampled"]
+	if !reflect.DeepEqual(plain.res, observed.res) || !reflect.DeepEqual(plain.ev.Topology.Latencies, observed.ev.Topology.Latencies) {
+		t.Fatal("the unobserved Zipf run's result or latencies differ from the sampled run's")
+	}
 }

@@ -62,8 +62,11 @@ func New(cfg Config) (*Rig, error) {
 	return cfg.Boot()
 }
 
-// checkPaper fills in the default users.
+// checkPaper refuses a negative Requests and fills in the default users.
 func (sc *Scenario) checkPaper() error {
+	if sc.Requests < 0 {
+		return fmt.Errorf("paper testbed: requests must not be negative, got %d", sc.Requests)
+	}
 	if len(sc.Users) == 0 {
 		sc.Users = []string{"mann", "cheriton"}
 	}
@@ -244,7 +247,7 @@ func (r *Rig) bootWorkstation(user string) (*Workstation, error) {
 	ws := &Workstation{Host: host, User: user}
 
 	var err error
-	if ws.Prefix, err = prefix.Start(host, user, r.sc.leaseOpts()...); err != nil {
+	if ws.Prefix, err = prefix.Start(host, user, r.prefixOpts()...); err != nil {
 		return nil, err
 	}
 	if ws.Term, err = termserver.Start(host); err != nil {

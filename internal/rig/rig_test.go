@@ -41,6 +41,15 @@ func TestBootTopology(t *testing.T) {
 	}
 }
 
+// TestBootRefusesNegativeRequests: a Paper scenario asking for fewer
+// than no operations is refused at boot with the count named, as the
+// sharded kinds refuse theirs, not driven to a lost-operations verdict.
+func TestBootRefusesNegativeRequests(t *testing.T) {
+	if _, err := (Scenario{Kind: Paper, Requests: -1}).Boot(); err == nil || !strings.Contains(err.Error(), "requests must not be negative, got -1") {
+		t.Fatalf("Boot = %v, want the refusal of a negative operation count", err)
+	}
+}
+
 // TestBootIsDeterministic: i-node numbers are object ids on the wire, so
 // every boot must hand /bin's programs the same ones — boot after boot on
 // the single server, and on every member volume of a replicated fs1.

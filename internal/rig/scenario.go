@@ -151,10 +151,10 @@ type Topology struct {
 	Model  *vtime.CostModel
 	// Tracer is the installed tracer (nil unless Trace or TraceSample).
 	Tracer *trace.Tracer
-	// Flight is the always-on flight recorder (PROTOCOL.md §15): a
-	// bounded ring journal of naming events, zero virtual cost and zero
-	// hot-path allocations, sealed deterministically at engine fences and
-	// dumped on chaos-test failure.
+	// Flight is the flight recorder (PROTOCOL.md §15), nil where nothing
+	// reads it (Boot): a bounded ring journal of naming events, zero
+	// virtual cost and zero hot-path allocations, sealed at engine fences
+	// and dumped on chaos-test failure.
 	Flight *flight.Recorder
 
 	// Metrics is the paper testbed's metrics registry; instruments charge
@@ -249,8 +249,13 @@ func (sc Scenario) Boot() (*Topology, error) {
 	}
 	net := netsim.New(model, sc.Seed)
 	k := kernel.New(net)
-	t := &Topology{Kernel: k, Net: net, Model: model, Flight: flight.New(1 << 14), sc: sc, owner: kind.owner}
-	k.SetFlight(t.Flight)
+	t := &Topology{Kernel: k, Net: net, Model: model, sc: sc, owner: kind.owner}
+	// The flight ring, and with it the prefix servers' sketch (prefixOpts),
+	// only beside a reader: Paper, a tracer, faults, the lease auto-tuner.
+	if sc.Kind == Paper || sc.Trace || sc.TraceSample != nil || len(sc.Faults) > 0 || sc.AutoTuneMax > 0 {
+		t.Flight = flight.New(1 << 14)
+		k.SetFlight(t.Flight)
+	}
 	if sc.TraceSample != nil {
 		t.Tracer = trace.NewSampled(*sc.TraceSample)
 	} else if sc.Trace {
@@ -266,16 +271,17 @@ func (sc Scenario) Boot() (*Topology, error) {
 	return t, nil
 }
 
-// leaseOpts is the lease option every prefix server the scenario boots
-// runs with: none, a fixed length, or the auto-tuner with Lease as floor.
-func (sc *Scenario) leaseOpts() []prefix.Option {
-	switch {
-	case sc.Lease <= 0:
-		return nil
-	case sc.AutoTuneMax > 0:
-		return []prefix.Option{prefix.WithLeaseAutoTune(sc.Lease, sc.AutoTuneMax)}
+// prefixOpts is the option list every prefix server the topology boots
+// runs with: its lease policy, and the hot-name sketch beside the flight ring.
+func (t *Topology) prefixOpts() []prefix.Option {
+	opts := []prefix.Option{prefix.WithLease(t.sc.Lease)}
+	if t.sc.Lease > 0 && t.sc.AutoTuneMax > 0 {
+		opts[0] = prefix.WithLeaseAutoTune(t.sc.Lease, t.sc.AutoTuneMax)
 	}
-	return []prefix.Option{prefix.WithLease(sc.Lease)}
+	if t.Flight != nil {
+		opts = append(opts, prefix.WithNameStats())
+	}
+	return opts
 }
 
 // session starts a naming session on proc addressing resolver, with the
@@ -335,7 +341,7 @@ type Evidence struct {
 	WidestStale  time.Duration
 
 	// Journal is the flight recorder's journal (sealed at every fence on
-	// the sharded kinds).
+	// the sharded kinds; nil without a flight ring).
 	Journal []flight.Event `json:"-"`
 
 	// EqualToSequential is the Sequential verdict: WorkloadResult, per-op

@@ -64,7 +64,7 @@ func (sc *Scenario) checkSharded() error {
 func sharded(add func(*Topology) error) func(*Topology) error {
 	return func(t *Topology) error {
 		t.PrefixHost = t.Kernel.NewHost("nexus")
-		ps, err := prefix.Start(t.PrefixHost, t.owner, t.sc.leaseOpts()...)
+		ps, err := prefix.Start(t.PrefixHost, t.owner, t.prefixOpts()...)
 		if err != nil {
 			return fmt.Errorf("prefix server: %w", err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/popgen"
 	"repro/internal/raceflag"
+	"repro/internal/trace"
 )
 
 func zipfTestConfig() ZipfConfig {
@@ -208,11 +209,13 @@ func TestBoundNameFootprint(t *testing.T) {
 // TestNameRatesCoverHottestNames: at population scale the prefix
 // server's churn estimators are those of its hottest names, because they
 // ride the hot-name sketch's entries — not those of whichever names
-// happened to resolve first. resolve_miss's skew over 10⁴ names.
+// happened to resolve first. resolve_miss's skew over 10⁴ names, sampled
+// as resolve_observed is, so the sketch is installed.
 func TestNameRatesCoverHottestNames(t *testing.T) {
 	_, ev := mustRun(t, Scenario{Kind: Zipf, Population: 10_000, Skew: 0.5, PopSeed: 1,
 		Shards: 4, ClientsPerShard: 2, Requests: 3000, Interarrival: 56 * time.Millisecond,
-		Lease: 5 * time.Millisecond, Seed: 11})
+		Lease: 5 * time.Millisecond, Seed: 11,
+		TraceSample: &trace.SampleConfig{HeadEvery: 32, SlowOver: 50 * time.Millisecond}})
 	pfx := ev.Topology.Prefix
 	rated := make(map[string]bool)
 	for _, it := range pfx.NameRates() {
