@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// TestObsZeroCost pins this tentpole's central promise, extending the
-// TestMetricsZeroCost contract: the flight recorder and the namestat
-// sketches are now installed on every rig boot, and they too must charge
-// zero virtual time. Each checked experiment's rendered section must
-// still appear verbatim in the committed seed vbench_output.txt.
+// TestObsZeroCost extends the TestMetricsZeroCost contract to the
+// flight recorder and the namestat sketch: they too must charge zero
+// virtual time. Only observed scenarios boot them, and a Paper run is
+// one, so the four Paper experiments checked here run with both. Each
+// one's rendered section must still appear verbatim in the committed
+// seed vbench_output.txt.
 func TestObsZeroCost(t *testing.T) {
 	seed, err := os.ReadFile("../../vbench_output.txt")
 	if err != nil {

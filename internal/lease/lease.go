@@ -7,9 +7,10 @@
 // expiry rule: an entry is valid strictly before its Expire.
 //
 // The holder side is a Cache; the granter side is Wanted, Grant and
-// Holders; a Meter shared by both counts what happened — its counts are
-// registry series — and fans each event out to the tracer and
-// the flight recorder.
+// Holders; a Meter shared by both is the naming plane's one emit path:
+// each lease event, and each naming event at the prefix server, is a row
+// of its table, which alone says what the event counts (its series),
+// journals (the flight recorder), traces and ticks in the sketch.
 //
 // The paper's §2.2 strawman — cache a resolution and trust it until a
 // use fails — is the degenerate policy of the same mechanism: a Cache
@@ -27,6 +28,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
+	"repro/internal/namestat"
 	"repro/internal/proto"
 	"repro/internal/trace"
 )
@@ -50,7 +52,8 @@ type Entry struct {
 func (e Entry) Stamped() bool { return e.Expire != Never }
 
 // Event is one thing that happens to a lease, on either side of the
-// protocol. Each indexes a Meter counter.
+// protocol, or to a name at the prefix server that grants them. Each
+// is a row of the events table.
 type Event uint8
 
 const (
@@ -67,16 +70,23 @@ const (
 	GrantedNegative              // granter: NotFound stamp
 	Commit                       // granter: a binding change committed
 	Notified                     // granter: holders that acknowledged a Commit
+	Resolved                     // prefix server: a [prefix] name interpreted
+	Forwarded                    // prefix server: a request rewritten and passed on
+	DeadTarget                   // prefix server: a dynamic binding's target is dead
+	Rebound                      // prefix server: a dynamic binding moved to a new pid
+	Redefined                    // prefix server: a binding defined, deleted or modified
 	numEvents
 )
 
-// events says where each Event goes besides its counter.
+// events says what each Event records.
 var events = [numEvents]struct {
-	metric string      // registry counter, labelled {server, class}
-	span   string      // trace lease-event name; "" records none
-	stamp  bool        // the span carries the entry's grant/expire stamp
-	kind   flight.Kind // flight-journal record; 0 records none
-	detail string
+	metric  string      // counter series; "" counts nothing
+	noClass bool        // the series is labelled {server}, not {server, class}
+	span    string      // trace lease-event name; "" records none
+	stamp   bool        // the span carries the entry's grant/expire stamp
+	kind    flight.Kind // flight-journal record; 0 records none
+	detail  string
+	sketch  func(*namestat.TopK, string, time.Duration) // estimator ticked; nil none
 }{
 	Hit:             {metric: "lease_hits_total", span: "hit", stamp: true},
 	NegativeHit:     {metric: "lease_negative_hits_total", span: "negative-hit", stamp: true},
@@ -87,22 +97,28 @@ var events = [numEvents]struct {
 	Invalidation:    {metric: "lease_invalidations_total", span: "callback", kind: flight.KindInvalidate, detail: "callback"},
 	Stale:           {metric: "lease_stale_total", kind: flight.KindFailover, detail: "stale"},
 	Granted:         {metric: "lease_grants_total", span: "grant", stamp: true, kind: flight.KindLeaseGrant},
-	Regranted:       {metric: "lease_regrants_total", span: "grant", stamp: true, kind: flight.KindLeaseRenew},
+	Regranted:       {metric: "lease_regrants_total", span: "grant", stamp: true, kind: flight.KindLeaseRenew, sketch: (*namestat.TopK).ObserveRenewal},
 	GrantedNegative: {metric: "lease_negative_grants_total", span: "grant", stamp: true, kind: flight.KindLeaseGrant, detail: "negative"},
 	Commit:          {metric: "lease_commits_total", span: "invalidate"},
 	Notified:        {metric: "lease_holders_notified_total"},
+	Resolved:        {kind: flight.KindResolution, sketch: (*namestat.TopK).ObserveResolution},
+	Forwarded:       {metric: "prefix_forwards_total", noClass: true, kind: flight.KindForward},
+	DeadTarget:      {metric: "prefix_dead_targets_total", noClass: true, kind: flight.KindFailover, detail: "dead-target"},
+	Rebound:         {metric: "prefix_rebinds_total", noClass: true, kind: flight.KindFailover, detail: "rebind"},
+	Redefined:       {kind: flight.KindRedefine, sketch: (*namestat.TopK).ObserveRedefinition},
 }
 
 // Stats is a snapshot of a Meter's counters, indexed by Event.
 type Stats [numEvents]uint64
 
-// Meter counts one tier's lease events: each count is its event's
-// series, which its domain's registry reads. Counters are atomics: a
-// callback process bumps Invalidation concurrently with the serving
-// goroutine's hit path.
+// Meter records one tier's events: each count is its event's series,
+// which its domain's registry reads. Counters are atomics: a callback
+// process bumps Invalidation concurrently with the serving goroutine's
+// hit path.
 type Meter struct {
 	class, owner string
 	n            [numEvents]metrics.Counter
+	Names        *namestat.TopK // the prefix server's hot-name sketch; nil elsewhere
 }
 
 // NewMeter returns a meter counting under class ("client", "tier" or
@@ -114,9 +130,15 @@ func NewMeter(k *kernel.Kernel, class, owner string) *Meter {
 }
 
 func (m *Meter) read(r *metrics.Reading) {
-	l := metrics.Labels{Server: m.owner, Class: m.class}
-	for ev := range m.n {
-		r.Counter(events[ev].metric, l, m.n[ev].Value(), false)
+	for ev, d := range &events {
+		if d.metric == "" {
+			continue
+		}
+		l := metrics.Labels{Server: m.owner}
+		if !d.noClass {
+			l.Class = m.class
+		}
+		r.Counter(d.metric, l, m.n[ev].Value(), false)
 	}
 }
 
@@ -130,16 +152,21 @@ func (m *Meter) load() (s Stats) {
 // Snapshot returns a torn-read-resistant copy of the counters.
 func (m *Meter) Snapshot() Stats { return metrics.Stable(m.load) }
 
-// Observe records one ev about name at virtual time at: its counter
-// (its series), flight record and zero-length trace span, as
-// the event calls for. A stamped span carries e's lease; an unstamped
-// entry has no stamp to carry and records none, so the staleness
-// invariant (trace.CheckOptions.LeaseBound) only ever sees real leases.
+// Observe records one ev about name at virtual time at: its counter,
+// flight record, sketch tick and zero-length trace span, as its row says.
+// A stamped span carries e's lease; an unstamped entry has no stamp to
+// carry and records none, so the staleness invariant
+// (trace.CheckOptions.LeaseBound) only ever sees real leases.
 func (m *Meter) Observe(p *kernel.Process, ev Event, name string, at time.Duration, e Entry) {
-	m.n[ev].Inc()
 	d := &events[ev]
+	if d.metric != "" {
+		m.n[ev].Inc()
+	}
 	if d.kind != 0 {
 		p.Kernel().Flight().Record(at, d.kind, name, m.owner, d.detail)
+	}
+	if d.sketch != nil {
+		d.sketch(m.Names, name, at)
 	}
 	if tr := p.Tracer(); tr != nil && d.span != "" && (!d.stamp || e.Stamped()) {
 		var grant, expire time.Duration
@@ -445,8 +472,8 @@ func (h *Holders) Invalidate(p *kernel.Process, name string, commit time.Duratio
 
 // Notify multicasts OpCacheInvalidate for name, committed at commit, to
 // the holder group gid and waits for every reachable holder to apply it.
-// It returns how many acknowledged; holders it cannot reach are bounded
-// by their lease expiry instead.
+// It returns how many acknowledged, the sketch's fan-out; holders it
+// cannot reach are bounded by their lease expiry instead.
 func (m *Meter) Notify(p *kernel.Process, gid kernel.PID, name string, commit time.Duration) int {
 	msg := &proto.Message{}
 	proto.SetCacheInvalidate(msg, name, int64(commit))
@@ -455,5 +482,6 @@ func (m *Meter) Notify(p *kernel.Process, gid kernel.PID, name string, commit ti
 		return 0
 	}
 	m.n[Notified].Add(uint64(n))
+	m.Names.ObserveInvalidation(name, n)
 	return n
 }

@@ -2,6 +2,7 @@ package lease
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
+	"repro/internal/namestat"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/raceflag"
@@ -331,7 +333,8 @@ func TestWanted(t *testing.T) {
 
 // TestHolders: invalidating a name nobody holds is a no-op; with holders
 // it is a barrier — every live holder has dropped the name when it
-// returns — and a holder that died is skipped, not waited for.
+// returns, the sketch taking its fan-out — and a holder that died is
+// skipped, not waited for.
 func TestHolders(t *testing.T) {
 	r := newRig(t)
 	h := NewHolders(NewMeter(r.k, "tier", "granter"))
@@ -350,8 +353,13 @@ func TestHolders(t *testing.T) {
 		caches = append(caches, c)
 	}
 	caches[2].Close()
+	h.Names = namestat.NewTopK(4)
+	h.Names.Observe("home")
 	if n := h.Invalidate(r.holder, "home", 5*ms); n != 2 {
 		t.Fatalf("invalidate notified %d holders, want the 2 alive", n)
+	}
+	if rates := h.Names.Rates(); rates[0].Invalidations != 1 || rates[0].FanoutMilli != 2000 {
+		t.Fatalf("sketch %+v, want one invalidation of fan-out 2", rates[0])
 	}
 	for i, c := range caches[:2] {
 		if _, ok := c.Peek("home"); ok {
@@ -367,44 +375,151 @@ func TestHolders(t *testing.T) {
 	}
 }
 
-// TestObserveFanOut: one Observe reaches the counter, the registry
-// series (labelled by class), the flight journal and the tracer — and an
-// unstamped entry, having no lease to carry, leaves no lease span. The
-// events have no open parent, so each is a subtree of its own that
-// retires as it is recorded: a sampled tracer must keep its stamp too.
+// TestObserveFanOut: one Observe of each table row reaches what the
+// row names and nothing else — its counter and series (labelled
+// {server} for the prefix server's own rows, {server, class} for the
+// lease family), its flight record, its lease span and its sketch
+// estimator — and an unstamped entry, having no lease to carry, leaves
+// no lease span. The events have no open parent, so each is a subtree of
+// its own that retires as it is recorded: a sampled tracer must keep its
+// stamp too.
 func TestObserveFanOut(t *testing.T) {
+	type want struct {
+		metric string
+		class  bool // series labelled {server, class}, not {server}
+		kind   flight.Kind
+		detail string
+		span   string // lease span name; "" records none
+		stamp  bool   // the span carries the entry's stamp
+		tick   string // the sketch estimator ticked; "" none
+	}
+	wants := [numEvents]want{
+		Hit:             {metric: "lease_hits_total", class: true, span: "hit", stamp: true},
+		NegativeHit:     {metric: "lease_negative_hits_total", class: true, span: "negative-hit", stamp: true},
+		Miss:            {metric: "lease_misses_total", class: true},
+		Renewal:         {metric: "lease_renewals_total", class: true, kind: flight.KindLeaseRenew, detail: "expired", span: "expired", stamp: true},
+		Acquired:        {metric: "lease_acquired_total", class: true, span: "grant", stamp: true},
+		Renewed:         {metric: "lease_renewed_total", class: true, span: "renew", stamp: true},
+		Invalidation:    {metric: "lease_invalidations_total", class: true, kind: flight.KindInvalidate, detail: "callback", span: "callback"},
+		Stale:           {metric: "lease_stale_total", class: true, kind: flight.KindFailover, detail: "stale"},
+		Granted:         {metric: "lease_grants_total", class: true, kind: flight.KindLeaseGrant, span: "grant", stamp: true},
+		Regranted:       {metric: "lease_regrants_total", class: true, kind: flight.KindLeaseRenew, span: "grant", stamp: true, tick: "renewal"},
+		GrantedNegative: {metric: "lease_negative_grants_total", class: true, kind: flight.KindLeaseGrant, detail: "negative", span: "grant", stamp: true},
+		Commit:          {metric: "lease_commits_total", class: true, span: "invalidate"},
+		Notified:        {metric: "lease_holders_notified_total", class: true},
+		Resolved:        {kind: flight.KindResolution, tick: "resolution"},
+		Forwarded:       {metric: "prefix_forwards_total", kind: flight.KindForward},
+		DeadTarget:      {metric: "prefix_dead_targets_total", kind: flight.KindFailover, detail: "dead-target"},
+		Rebound:         {metric: "prefix_rebinds_total", kind: flight.KindFailover, detail: "rebind"},
+		Redefined:       {kind: flight.KindRedefine, tick: "redefinition"},
+	}
 	for _, tr := range []*trace.Tracer{trace.New(), trace.NewSampled(trace.SampleConfig{HeadEvery: 1})} {
 		r := newRig(t)
-		reg, fl := metrics.New(), flight.New(16)
+		reg, fl := metrics.New(), flight.New(4*int(numEvents))
 		r.k.SetMetrics(reg)
 		r.k.SetTracer(tr)
 		r.k.SetFlight(fl)
-		c := r.cache(t, false, nil)
-		c.Store("leased", Entry{Pair: pair, Grant: 1 * ms, Expire: 100 * ms})
-		c.Store("plain", Entry{Pair: pair, Grant: 1 * ms, Expire: Never})
-		c.Lookup(r.holder, "leased", 2*ms)
-		c.Lookup(r.holder, "plain", 2*ms)
-		c.Lookup(r.holder, "leased", 100*ms) // lapses: flight-recorded
-
-		lbl := metrics.Labels{Server: "holder", Class: "client"}
-		if hits := reg.Counter("lease_hits_total", lbl).Value(); hits != 2 || c.Snapshot()[Hit] != 2 {
-			t.Fatalf("hits: registry %d, counter %d; want 2", hits, c.Snapshot()[Hit])
-		}
-		var spans []trace.Span
-		for _, sp := range tr.Snapshot() {
-			if sp.Kind == trace.KindLease {
-				spans = append(spans, sp)
+		m := NewMeter(r.k, "prefix", "granter")
+		m.Names = namestat.NewTopK(2 * int(numEvents))
+		counters := func() map[string]uint64 {
+			out := map[string]uint64{}
+			for _, c := range reg.Snapshot().Counters {
+				out[c.Name+"{"+c.Labels.Server+","+c.Labels.Class+"}"] = c.Value
 			}
+			return out
 		}
-		if len(spans) != 2 || spans[0].Name != "hit leased" || spans[1].Name != "expired leased" {
-			t.Fatalf("lease spans %+v, want the stamped entry's hit and lapse only", spans)
+		spans := func() (out []trace.Span) {
+			for _, sp := range tr.Snapshot() {
+				if sp.Kind == trace.KindLease {
+					out = append(out, sp)
+				}
+			}
+			return out
 		}
-		if spans[0].LeaseGrant != int64(1*ms) || spans[0].LeaseExpire != int64(100*ms) {
-			t.Fatalf("hit span stamp %d..%d", spans[0].LeaseGrant, spans[0].LeaseExpire)
+		ticks := func(name string) (out []string) {
+			for _, it := range m.Names.Rates() {
+				if it.Name != name {
+					continue
+				}
+				for _, e := range []struct {
+					est string
+					n   uint64
+				}{{"resolution", it.Resolutions}, {"renewal", it.Renewals}, {"redefinition", it.Redefinitions}} {
+					for range e.n {
+						out = append(out, e.est)
+					}
+				}
+			}
+			return out
 		}
-		j := fl.Journal()
-		if len(j) != 1 || j[0].Kind != flight.KindLeaseRenew || j[0].Name != "leased" || j[0].Proc != "holder" {
-			t.Fatalf("flight journal %+v, want one lease-renew by holder", j)
+		for ev := Event(0); ev < numEvents; ev++ {
+			w := wants[ev]
+			name := "n" + strconv.Itoa(int(ev))
+			m.Names.Observe(name) // held, so a churn event ticks it
+			at := time.Duration(ev+1) * ms
+			before, journal, spanN := counters(), len(fl.Journal()), len(spans())
+			m.Observe(r.holder, ev, name, at, Entry{Pair: pair, Grant: at - ms, Expire: at + 100*ms})
+			m.Observe(r.holder, ev, name, at, Entry{Pair: pair, Grant: at - ms, Expire: Never})
+
+			after := counters()
+			moved := []string{}
+			for k, v := range after {
+				if v != before[k] {
+					moved = append(moved, k+"+"+strconv.FormatUint(v-before[k], 10))
+				}
+			}
+			wantMoved := []string{}
+			if w.metric != "" {
+				class := ""
+				if w.class {
+					class = "prefix"
+				}
+				wantMoved = append(wantMoved, w.metric+"{granter,"+class+"}+2")
+			}
+			if !slices.Equal(moved, wantMoved) || m.Snapshot()[ev] != uint64(len(wantMoved))*2 {
+				t.Errorf("event %d: series moved %v, meter counts %d; want %v", ev, moved, m.Snapshot()[ev], wantMoved)
+			}
+
+			j := fl.Journal()[journal:]
+			if w.kind == 0 && len(j) != 0 {
+				t.Errorf("event %d: flight records %+v, want none", ev, j)
+			}
+			for _, e := range j {
+				if w.kind == 0 || e.Kind != w.kind || e.Detail != w.detail || e.Name != name || e.Proc != "granter" || e.At != at {
+					t.Errorf("event %d: flight record %+v, want kind %v detail %q by granter", ev, e, w.kind, w.detail)
+				}
+			}
+			if w.kind != 0 && len(j) != 2 {
+				t.Errorf("event %d: %d flight records, want 2", ev, len(j))
+			}
+
+			sp := spans()[spanN:]
+			wantSpans := 0
+			switch {
+			case w.span != "" && w.stamp:
+				wantSpans = 1 // the unstamped entry has no lease to carry
+			case w.span != "":
+				wantSpans = 2
+			}
+			if len(sp) != wantSpans {
+				t.Errorf("event %d: %d lease spans, want %d", ev, len(sp), wantSpans)
+			}
+			for _, s := range sp {
+				if s.Name != w.span+" "+name {
+					t.Errorf("event %d: lease span %q, want %q", ev, s.Name, w.span+" "+name)
+				}
+				if w.stamp && (s.LeaseGrant != int64(at-ms) || s.LeaseExpire != int64(at+100*ms)) {
+					t.Errorf("event %d: span stamp %d..%d", ev, s.LeaseGrant, s.LeaseExpire)
+				}
+			}
+
+			wantTicks := []string{}
+			if w.tick != "" {
+				wantTicks = []string{w.tick, w.tick}
+			}
+			if got := ticks(name); !slices.Equal(got, wantTicks) {
+				t.Errorf("event %d: sketch ticked %v, want %v", ev, got, wantTicks)
+			}
 		}
 	}
 }

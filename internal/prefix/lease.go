@@ -21,7 +21,6 @@ package prefix
 import (
 	"time"
 
-	"repro/internal/flight"
 	"repro/internal/kernel"
 	"repro/internal/lease"
 	"repro/internal/proto"
@@ -72,7 +71,7 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 		// Auto-tuned per-name length (tuner.go); negative leases stay at
 		// the floor — an absent name's definition is the churn event the
 		// tuner has no estimator for yet.
-		length = s.tuner.leaseFor(pfx, s.names)
+		length = s.tuner.leaseFor(pfx, s.leases.Names)
 	}
 	regrant, err := s.joinHolders(p, pfx, cb, !negative, slot)
 	if err != nil {
@@ -91,7 +90,6 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 		// name before, so this grant re-validates — the closest the
 		// granting side comes to seeing a renewal.
 		ev = lease.Regranted
-		s.names.ObserveRenewal(pfx, now)
 	}
 	s.leases.Observe(p, ev, pfx, now, stamp)
 }
@@ -141,9 +139,8 @@ func (s *Server) invalidateName(p *kernel.Process, name string) {
 	// The redefinition is journaled and estimated whether or not leases
 	// are on — churn analytics do not depend on the coherence protocol.
 	commit := p.Now()
-	s.names.ObserveRedefinition(name, commit)
+	s.leases.Observe(p, lease.Redefined, name, commit, lease.Entry{})
 	s.tuner.observeRedefinition(name)
-	p.Kernel().Flight().Record(commit, flight.KindRedefine, name, s.proc.Name(), "")
 	if s.leaseLen <= 0 {
 		return
 	}
@@ -160,9 +157,7 @@ func (s *Server) invalidateName(p *kernel.Process, name string) {
 	if gid == kernel.NilPID {
 		return
 	}
-	if n := s.leases.Notify(p, gid, name, commit); n > 0 {
-		s.names.ObserveInvalidation(name, n)
-	}
+	s.leases.Notify(p, gid, name, commit)
 }
 
 // drainDirty invalidates every name a directory-record write marked

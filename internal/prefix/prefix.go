@@ -24,7 +24,6 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/flight"
 	"repro/internal/kernel"
 	"repro/internal/lease"
 	"repro/internal/metrics"
@@ -86,12 +85,9 @@ type Binding struct {
 	WellKnown core.ContextID
 }
 
-// Stats counts the prefix server's forwarding. Its recovery activity is
-// counted in the registry alone: prefix_rebinds_total, the uses of a
-// dynamic binding that resolved to a different pid than its previous use
-// (the service failed over to a replica or was re-implemented by a new
-// process, §4.2), and prefix_dead_targets_total, the requests answered
-// with a bounded-time failure because no live target could be resolved.
+// Stats counts the prefix server's forwarding. Its rebinds and dead
+// targets (§4.2) are only its meter's series, prefix_rebinds_total and
+// prefix_dead_targets_total.
 type Stats struct {
 	// Forwards counts CSname requests rewritten and passed on.
 	Forwards uint64
@@ -100,10 +96,11 @@ type Stats struct {
 // Option configures a prefix server.
 type Option func(*Server)
 
-// WithNameStats installs the hot-name sketch that TopNames, NameRates,
-// PublishNamestat and the lease auto-tuner read; without it they read nothing.
+// WithNameStats installs the hot-name sketch, in the server's meter,
+// that TopNames, NameRates, PublishNamestat and the lease auto-tuner
+// read; without it they read nothing.
 func WithNameStats() Option {
-	return func(s *Server) { s.names = namestat.NewTopK(32) }
+	return func(s *Server) { s.leases.Names = namestat.NewTopK(32) }
 }
 
 // Server is one user's context prefix server. It normally runs on the
@@ -144,18 +141,13 @@ type Server struct {
 	orphans  map[string]kernel.PID
 	dirty    []string
 
-	// forwards is Stats.Forwards and the prefix_forwards_total series.
-	// leases counts the granting side of the lease protocol.
-	forwards *metrics.Counter
-	leases   *lease.Meter
-	series   *core.ServeSeries
-
-	// Observability (PROTOCOL.md §15): the hot-name sketch (nil unless
-	// WithNameStats), whose entries carry each name's churn estimators —
-	// an observer, zero virtual cost — plus the optional lease auto-tuner
-	// it feeds (tuner.go).
-	names *namestat.TopK
-	tuner *autoTuner
+	// leases records every naming event (lease.Event) into its counters,
+	// the flight recorder and its hot-name sketch (nil unless
+	// WithNameStats): observers, zero virtual cost. tuner is the
+	// optional lease auto-tuner the sketch feeds (tuner.go).
+	leases *lease.Meter
+	series *core.ServeSeries
+	tuner  *autoTuner
 }
 
 // tableEntry is one prefix table entry: the binding plus the index of
@@ -208,7 +200,6 @@ func newServer(proc *kernel.Process, owner string, opts ...Option) *Server {
 		index:        nametree.New[tableEntry](),
 		lastResolved: make(map[string]kernel.PID),
 		orphans:      make(map[string]kernel.PID),
-		forwards:     proc.Kernel().NewCounter("prefix_forwards_total", metrics.Labels{Server: proc.Name()}),
 		leases:       lease.NewMeter(proc.Kernel(), "prefix", proc.Name()),
 		series:       core.NewServeSeries(proc.Kernel(), proc.Name()),
 	}
@@ -436,10 +427,8 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	// Observers only — neither the sketch nor the flight recorder
-	// charges virtual time.
-	s.names.ObserveResolution(pfx, p.Now())
-	p.Kernel().Flight().Record(p.Now(), flight.KindResolution, pfx, s.proc.Name(), "")
+	// An observer: it charges no virtual time.
+	s.leases.Observe(p, lease.Resolved, pfx, p.Now(), lease.Entry{})
 	// The resolution fast path: one lock-free descent of the radix index
 	// yields the binding and its holder group's slot together.
 	e, ok := s.index.Get(pfx)
@@ -470,9 +459,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	if b.Dynamic {
 		if !p.Kernel().ProcessAlive(pair.Server) {
 			p.ChargeCompute(model.RetransmitTimeout)
-			p.Kernel().Metrics().
-				Counter("prefix_dead_targets_total", metrics.Labels{Server: s.proc.Name()}).Inc()
-			p.Kernel().Flight().Record(p.Now(), flight.KindFailover, pfx, s.proc.Name(), "dead-target")
+			s.leases.Observe(p, lease.DeadTarget, pfx, p.Now(), lease.Entry{})
 			return core.ErrorReplyMsg(fmt.Errorf("prefix %q: no live server for service %v: %w",
 				pfx, b.Service, proto.ErrTimeout))
 		}
@@ -482,9 +469,7 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 		s.lastResolved[pfx] = pair.Server
 		s.mu.Unlock()
 		if rebound {
-			p.Kernel().Metrics().
-				Counter("prefix_rebinds_total", metrics.Labels{Server: s.proc.Name()}).Inc()
-			p.Kernel().Flight().Record(p.Now(), flight.KindFailover, pfx, s.proc.Name(), "rebind")
+			s.leases.Observe(p, lease.Rebound, pfx, p.Now(), lease.Entry{})
 		}
 	}
 	if wantLease {
@@ -498,28 +483,27 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 		return reply
 	}
 	proto.RewriteCSName(msg, uint32(pair.Ctx), rest)
-	p.Kernel().Flight().Record(p.Now(), flight.KindForward, pfx, s.proc.Name(), "")
 	// Counted before the Forward delivers (see core.ServeSeries.Forwarded).
-	s.forwards.Inc()
+	s.leases.Observe(p, lease.Forwarded, pfx, p.Now(), lease.Entry{})
 	// A failed forward already failed the client's transaction.
 	_ = p.Forward(msg, from, pair.Server)
 	return nil
 }
 
 // Stats returns the forwarding count.
-func (s *Server) Stats() Stats { return Stats{Forwards: s.forwards.Value()} }
+func (s *Server) Stats() Stats { return Stats{Forwards: s.leases.Snapshot()[lease.Forwarded]} }
 
 // TopNames returns the server's hot-name sketch, count-descending.
-func (s *Server) TopNames() []namestat.Item { return s.names.Snapshot() }
+func (s *Server) TopNames() []namestat.Item { return s.leases.Names.Snapshot() }
 
 // NameRates returns the churn estimators of the names the sketch holds.
-func (s *Server) NameRates() []namestat.RateItem { return s.names.Rates() }
+func (s *Server) NameRates() []namestat.RateItem { return s.leases.Names.Rates() }
 
 // PublishNamestat copies the sketch and estimator state into reg as
 // volatile gauges — on demand, so deterministic metrics documents never
 // see them (namestat.Publish).
 func (s *Server) PublishNamestat(reg *metrics.Registry) {
-	namestat.Publish(reg, s.proc.Name(), s.names)
+	namestat.Publish(reg, s.proc.Name(), s.leases.Names)
 }
 
 // resolveBinding maps a binding to a concrete context pair; dynamic

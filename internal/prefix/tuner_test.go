@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lease"
 	"repro/internal/namestat"
 )
 
 // TestAutoTunerGrowth: quiet names double per grant from min to max and
 // stay capped there.
 func TestAutoTunerGrowth(t *testing.T) {
-	s := &Server{}
+	s := &Server{leases: new(lease.Meter)}
 	WithLeaseAutoTune(20*time.Millisecond, 320*time.Millisecond)(s)
 	names := namestat.NewTopK(32)
 
@@ -33,7 +34,7 @@ func TestAutoTunerGrowth(t *testing.T) {
 // TestAutoTunerSharpDecrease: a redefinition resets the name to the
 // floor, and the non-decaying EWMA keeps it there while churn is recent.
 func TestAutoTunerSharpDecrease(t *testing.T) {
-	s := &Server{}
+	s := &Server{leases: new(lease.Meter)}
 	WithLeaseAutoTune(20*time.Millisecond, 320*time.Millisecond)(s)
 	names := namestat.NewTopK(32)
 	// The sketch keeps churn estimators for the names it has seen resolve.
@@ -67,7 +68,7 @@ func TestAutoTunerSharpDecrease(t *testing.T) {
 // TestAutoTunerBoundsAndFallback: max is clamped to min, and a
 // tuner-less server reports its fixed length.
 func TestAutoTunerBoundsAndFallback(t *testing.T) {
-	s := &Server{}
+	s := &Server{leases: new(lease.Meter)}
 	WithLeaseAutoTune(80*time.Millisecond, 20*time.Millisecond)(s)
 	if s.tuner.min != 80*time.Millisecond || s.tuner.max != 80*time.Millisecond {
 		t.Fatalf("bounds = [%v, %v], want clamped [80ms, 80ms]", s.tuner.min, s.tuner.max)
