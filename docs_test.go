@@ -108,8 +108,8 @@ func TestChangesLinesCapped(t *testing.T) {
 // docBudgets is each narrative document's size ceiling in bytes. Lower
 // a budget when its document shrinks; never raise one to pass.
 var docBudgets = map[string]int64{
-	"EXPERIMENTS.md": 121813,
-	"PROTOCOL.md":    83902,
+	"EXPERIMENTS.md": 121778,
+	"PROTOCOL.md":    83877,
 	"DESIGN.md":      63242,
 }
 

@@ -31,7 +31,7 @@ func OpenInstance(reg *vio.Registry, owner kernel.PID, inst vio.Instance, name s
 // DescriptorFabricateCost each — before the instance exists, and only
 // those — and opened as a context directory whose written-back records go
 // to modify (nil: read-only).
-func OpenDirectory(p *kernel.Process, reg *vio.Registry, owner kernel.PID, stream []byte, count int, name string, modify func(proto.Descriptor) error) *proto.Message {
+func OpenDirectory(p *kernel.Process, reg *vio.Registry, owner kernel.PID, stream []byte, count int, name string, modify func(*kernel.Process, proto.Descriptor) error) *proto.Message {
 	p.ChargeCompute(time.Duration(count) * p.Kernel().Model().DescriptorFabricateCost)
 	return OpenInstance(reg, owner, vio.NewDirectoryInstance(stream, modify), name)
 }

@@ -337,8 +337,8 @@ func (fs *FileServer) openDirectoryInstance(p *kernel.Process, ctx core.ContextI
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	return core.OpenDirectory(p, fs.reg, fs.proc.PID(), stream, count, name, func(rec proto.Descriptor) error {
-		return fs.vol.modify(ctx, rec, fs.proc.Now())
+	return core.OpenDirectory(p, fs.reg, fs.proc.PID(), stream, count, name, func(p *kernel.Process, rec proto.Descriptor) error {
+		return fs.vol.modify(ctx, rec, p.Now())
 	})
 }
 

@@ -129,16 +129,19 @@ func NewMeter(k *kernel.Kernel, class, owner string) *Meter {
 	return m
 }
 
+// read offers the reading each counted event's row, but only once it has
+// counted: counts never fall, and a reading drops a zero row anyway.
 func (m *Meter) read(r *metrics.Reading) {
 	for ev, d := range &events {
-		if d.metric == "" {
+		n := m.n[ev].Value()
+		if d.metric == "" || n == 0 {
 			continue
 		}
 		l := metrics.Labels{Server: m.owner}
 		if !d.noClass {
 			l.Class = m.class
 		}
-		r.Counter(d.metric, l, m.n[ev].Value(), false)
+		r.Counter(d.metric, l, n, false)
 	}
 }
 

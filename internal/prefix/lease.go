@@ -128,24 +128,26 @@ func (s *Server) joinHolders(p *kernel.Process, pfx string, cb kernel.PID, bound
 	return regrant, k.JoinGroup(gid, cb)
 }
 
-// invalidateName is the invalidation commit for one name: it records the
-// commit point in the trace (the instant the staleness invariant keys
-// on), then multicasts OpCacheInvalidate to the name's holders and waits
-// for every reachable holder to apply it. Called from the serving
-// process after the binding mutation, before its reply — so when the
-// mutating client's operation returns, every reachable cache has dropped
-// the name.
+// invalidateName is the commit step of every binding change — a define,
+// a delete, a written record: it forgets the name's last resolution (so
+// the change is never counted as a §4.2 rebind), records the commit
+// point in the trace (the instant the staleness invariant keys on), then
+// multicasts OpCacheInvalidate to the name's holders and waits for every
+// reachable holder to apply it. Called from the serving process after
+// the binding mutation, before its reply — so when the mutating client's
+// operation returns, every reachable cache has dropped the name.
 func (s *Server) invalidateName(p *kernel.Process, name string) {
 	// The redefinition is journaled and estimated whether or not leases
 	// are on — churn analytics do not depend on the coherence protocol.
 	commit := p.Now()
 	s.leases.Observe(p, lease.Redefined, name, commit, lease.Entry{})
 	s.tuner.observeRedefinition(name)
-	if s.leaseLen <= 0 {
-		return
+	if s.leaseLen > 0 {
+		s.leases.Observe(p, lease.Commit, name, commit, lease.Entry{})
 	}
-	s.leases.Observe(p, lease.Commit, name, commit, lease.Entry{})
 	s.mu.Lock()
+	delete(s.lastResolved, name)
+	// Without leases no holder group exists: gid stays NilPID.
 	gid := kernel.NilPID
 	if e, ok := s.index.Get(name); ok {
 		gid = s.groups[e.slot]
@@ -158,18 +160,4 @@ func (s *Server) invalidateName(p *kernel.Process, name string) {
 		return
 	}
 	s.leases.Notify(p, gid, name, commit)
-}
-
-// drainDirty invalidates every name a directory-record write marked
-// dirty (modifyFromRecord runs inside the vio instance's write handler,
-// which has no process context — the serve loop drains it before the
-// write's reply).
-func (s *Server) drainDirty(p *kernel.Process) {
-	s.mu.Lock()
-	dirty := s.dirty
-	s.dirty = nil
-	s.mu.Unlock()
-	for _, name := range dirty {
-		s.invalidateName(p, name)
-	}
 }

@@ -122,6 +122,25 @@ func TestLeaseGrantAndInvalidate(t *testing.T) {
 		t.Fatalf("add: op=%v err=%v", reply.Op, err)
 	}
 	leaseMap(t, client, ps, callback.PID(), "[tgt]")
+
+	// A record written through the directory is a redefinition too: its
+	// barrier runs inside the write, so the holder has heard it when
+	// Write returns.
+	before := ps.LeaseStats().Invalidations
+	rec := proto.Descriptor{Tag: proto.TagContextPrefix, Name: "tgt", TypeSpecific: [2]uint32{uint32(ps.PID()), 8}}
+	writeDirectory(t, client, ps, rec.AppendEncoded(nil))
+	select {
+	case name := <-invalidated:
+		if name != "tgt" {
+			t.Fatalf("record write invalidated %q, want tgt", name)
+		}
+	default:
+		t.Fatal("holder never heard the record write")
+	}
+	if got := ps.LeaseStats().Invalidations; got != before+1 {
+		t.Fatalf("invalidations after the record write = %d, want %d", got, before+1)
+	}
+
 	del2 := &proto.Message{Op: proto.OpDeleteContextName}
 	proto.SetCSName(del2, 0, "tgt")
 	if _, err := client.Send(del2, ps.PID()); err != nil {

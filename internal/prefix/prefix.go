@@ -129,17 +129,16 @@ type Server struct {
 	// node names that binding's group for good.
 	groups []kernel.PID
 	// lastResolved remembers, per dynamic prefix, the pid its last use
-	// resolved to, so rebinds (§4.2) are counted.
+	// resolved to, so rebinds (§4.2) are counted; a binding change
+	// forgets it (invalidateName).
 	lastResolved map[string]kernel.PID
 
 	// Lease state (lease.go). leaseLen > 0 enables lease granting;
 	// orphans holds the holder groups of names with no current binding
 	// (negative leases, and groups parked across a delete so identity
-	// survives a redefine); dirty queues names a directory-record write
-	// modified, invalidated by the serve loop before the write's reply.
+	// survives a redefine).
 	leaseLen time.Duration
 	orphans  map[string]kernel.PID
-	dirty    []string
 
 	// leases records every naming event (lease.Event) into its counters,
 	// the flight recorder and its hot-name sketch (nil unless
@@ -383,9 +382,6 @@ func (s *Server) serveOne(p *kernel.Process, msg *proto.Message, from kernel.PID
 			reply = proto.NewReply(proto.ReplyIllegalRequest)
 		}
 	}
-	// A directory-record write may have redefined prefixes: invalidate
-	// their lease holders before the write's reply commits it.
-	s.drainDirty(p)
 	if reply == nil {
 		// The request was forwarded along a prefix binding.
 		sv.Passed()
@@ -596,23 +592,23 @@ func (s *Server) openDirectory(p *kernel.Process, msg *proto.Message) *proto.Mes
 }
 
 // modifyFromRecord applies a written directory record as a modification
-// of the named prefix.
-func (s *Server) modifyFromRecord(d proto.Descriptor) error {
+// of the named prefix, committed on the serving process p before the
+// write's reply.
+func (s *Server) modifyFromRecord(p *kernel.Process, d proto.Descriptor) error {
 	if d.Tag != proto.TagContextPrefix {
 		return fmt.Errorf("%w: record tag %v", proto.ErrBadArgs, d.Tag)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.index.Get(d.Name)
 	if !ok {
+		s.mu.Unlock()
 		return fmt.Errorf("prefix %q: %w", d.Name, proto.ErrNotFound)
 	}
 	// A written record reads as describe wrote it: ObjectID selects the
 	// arm, TypeSpecific holds it.
 	s.index.Insert(d.Name, tableEntry{target: d.TypeSpecific, slot: e.slot, dynamic: d.ObjectID == 1})
-	// The vio write handler has no process context: queue the name and
-	// let the serve loop invalidate holders before the write's reply.
-	s.dirty = append(s.dirty, d.Name)
+	s.mu.Unlock()
+	s.invalidateName(p, d.Name)
 	return nil
 }
 
@@ -659,7 +655,6 @@ func (s *Server) handleDelete(p *kernel.Process, msg *proto.Message) *proto.Mess
 	}
 	s.index.Delete(key)
 	s.unbound(key, e.slot)
-	delete(s.lastResolved, key)
 	s.mu.Unlock()
 	s.invalidateName(p, key)
 	return core.OkReply()

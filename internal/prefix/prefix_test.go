@@ -374,7 +374,7 @@ func TestModifyThroughDirectoryRecord(t *testing.T) {
 		Name:         "tgt",
 		TypeSpecific: [2]uint32{uint32(target.PID()), 77},
 	}
-	if err := ps.modifyFromRecord(rec); err != nil {
+	if err := ps.modifyFromRecord(ps.proc, rec); err != nil {
 		t.Fatal(err)
 	}
 	b := ps.Bindings()["tgt"]
@@ -383,13 +383,13 @@ func TestModifyThroughDirectoryRecord(t *testing.T) {
 	}
 	// Unknown prefix rejected.
 	rec.Name = "ghost"
-	if err := ps.modifyFromRecord(rec); !errors.Is(err, proto.ErrNotFound) {
+	if err := ps.modifyFromRecord(ps.proc, rec); !errors.Is(err, proto.ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	// Wrong tag rejected.
 	rec.Name = "tgt"
 	rec.Tag = proto.TagFile
-	if err := ps.modifyFromRecord(rec); !errors.Is(err, proto.ErrBadArgs) {
+	if err := ps.modifyFromRecord(ps.proc, rec); !errors.Is(err, proto.ErrBadArgs) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -576,8 +576,8 @@ func TestPackedEntryDropsNothing(t *testing.T) {
 		ps.Define("storage", core.ContextPair{Server: 0x2A0001, Ctx: 7}),
 		ps.DefineDynamic("bin", kernel.ServiceStorage, core.CtxStdPrograms),
 		ps.DefineAll([]string{"x", "[y]"}, pairsAt(core.ContextPair{Server: 9, Ctx: 1}, core.ContextPair{Server: 9, Ctx: 0xFFFFFFFF})),
-		ps.modifyFromRecord(record("x", 1, uint32(kernel.ServiceMail), 3)),
-		ps.modifyFromRecord(record("bin", 0, 0x10002, 5)),
+		ps.modifyFromRecord(ps.proc, record("x", 1, uint32(kernel.ServiceMail), 3)),
+		ps.modifyFromRecord(ps.proc, record("bin", 0, 0x10002, 5)),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -691,6 +691,23 @@ func TestDirectoryWriteSpansBlocks(t *testing.T) {
 		records[i] = proto.Descriptor{Tag: proto.TagContextPrefix, Name: name, Owner: "mann",
 			TypeSpecific: [2]uint32{uint32(target.PID()), uint32(100 + i)}}
 	}
+	stream := proto.EncodeDescriptors(records)
+	if len(stream) != 880 {
+		t.Fatalf("20 records encode to %d bytes, want 880", len(stream))
+	}
+	writeDirectory(t, client, ps, stream)
+	bindings := ps.Bindings()
+	for i, rec := range records {
+		if got := bindings[rec.Name].Pair.Ctx; got != core.ContextID(100+i) {
+			t.Fatalf("%s after the write is bound to context %d, want %d", rec.Name, got, 100+i)
+		}
+	}
+}
+
+// writeDirectory writes stream back through ps's table directory, opened
+// for writing by client (§5.6), and fails t unless all of it is taken.
+func writeDirectory(t *testing.T, client *kernel.Process, ps *Server, stream []byte) {
+	t.Helper()
 	open := &proto.Message{Op: proto.OpCreateInstance}
 	proto.SetCSName(open, 0, "")
 	proto.SetOpenMode(open, proto.ModeDirectory|proto.ModeRead|proto.ModeWrite)
@@ -699,14 +716,7 @@ func TestDirectoryWriteSpansBlocks(t *testing.T) {
 		t.Fatalf("open context directory: %v, %v", opened, err)
 	}
 	dir := vio.NewFile(client, ps.PID(), proto.GetInstanceInfo(opened))
-	stream := proto.EncodeDescriptors(records)
-	if n, err := dir.Write(stream); n != 880 || len(stream) != 880 || err != nil {
+	if n, err := dir.Write(stream); n != len(stream) || err != nil {
 		t.Fatalf("Write of %d bytes = %d, %v", len(stream), n, err)
-	}
-	bindings := ps.Bindings()
-	for i, rec := range records {
-		if got := bindings[rec.Name].Pair.Ctx; got != core.ContextID(100+i) {
-			t.Fatalf("%s after the write is bound to context %d, want %d", rec.Name, got, 100+i)
-		}
 	}
 }

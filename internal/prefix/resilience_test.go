@@ -137,4 +137,21 @@ func TestDynamicBindingRebindCounted(t *testing.T) {
 	if rebinds != 1 || st.Forwards != 2 || dead != 0 {
 		t.Fatalf("after rebind %d rebinds, %d dead targets, stats = %+v", rebinds, dead, st)
 	}
+
+	// A written record that moves [svc] to another service redefines it
+	// (§5.6): the next use resolves elsewhere, and that is no rebind.
+	mail := serveTarget(t, srvHost, "mail", nil)
+	defer mail.Destroy()
+	if err := srvHost.SetPid(kernel.ServiceMail, mail.PID(), kernel.ScopeBoth); err != nil {
+		t.Fatal(err)
+	}
+	rec := proto.Descriptor{Tag: proto.TagContextPrefix, Name: "svc", ObjectID: 1,
+		TypeSpecific: [2]uint32{uint32(kernel.ServiceMail), uint32(core.CtxDefault)}}
+	writeDirectory(t, cli, ps, rec.AppendEncoded(nil))
+	if op := use(); op != proto.ReplyOK {
+		t.Fatalf("post-redefinition use reply = %v", op)
+	}
+	if rebinds := recoveries(reg, ps, "rebinds"); rebinds != 1 {
+		t.Fatalf("a written record counted as a rebind: %d rebinds, want 1", rebinds)
+	}
 }

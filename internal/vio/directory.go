@@ -11,7 +11,8 @@ import (
 
 // DirectoryInstance serves a context directory: a stream of encoded
 // description records, where writing a record back invokes modify on the
-// corresponding object (§5.6). With no modify it is read-only.
+// corresponding object (§5.6) as the serving process. With no modify it
+// is read-only.
 //
 // File.Write splits its data at block boundaries, so a write that ends on
 // one may end inside a record: that torn tail is kept and completes the
@@ -21,7 +22,7 @@ import (
 // write fails if it starts elsewhere, and Release fails if none comes.
 type DirectoryInstance struct {
 	stream []byte
-	modify func(proto.Descriptor) error
+	modify func(*kernel.Process, proto.Descriptor) error
 
 	mu     sync.Mutex
 	torn   []byte
@@ -30,7 +31,7 @@ type DirectoryInstance struct {
 
 // NewDirectoryInstance serves stream, applying records written back with
 // modify.
-func NewDirectoryInstance(stream []byte, modify func(proto.Descriptor) error) *DirectoryInstance {
+func NewDirectoryInstance(stream []byte, modify func(*kernel.Process, proto.Descriptor) error) *DirectoryInstance {
 	return &DirectoryInstance{stream: stream, modify: modify}
 }
 
@@ -54,7 +55,7 @@ func (d *DirectoryInstance) ReadAt(_ *kernel.Process, off int64, buf []byte) (in
 
 // WriteAt implements Instance: it applies every whole record data
 // completes.
-func (d *DirectoryInstance) WriteAt(_ *kernel.Process, off int64, data []byte) (int, error) {
+func (d *DirectoryInstance) WriteAt(p *kernel.Process, off int64, data []byte) (int, error) {
 	if d.modify == nil {
 		return 0, proto.ErrModeNotSupported
 	}
@@ -75,7 +76,7 @@ func (d *DirectoryInstance) WriteAt(_ *kernel.Process, off int64, data []byte) (
 	// Whole records decode; the copy is theirs, as data is the writer's.
 	records, _ := proto.DecodeDescriptors(slices.Clone(data[:whole]))
 	for _, rec := range records {
-		if err := d.modify(rec); err != nil {
+		if err := d.modify(p, rec); err != nil {
 			return 0, err
 		}
 	}

@@ -363,7 +363,7 @@ func TestFileWriteSinkFails(t *testing.T) {
 	r := newFileRig(t)
 	calls := 0
 	listed := proto.Descriptor{Tag: proto.TagFile, Name: "a"}
-	inst := NewDirectoryInstance(listed.AppendEncoded(nil), func(proto.Descriptor) error {
+	inst := NewDirectoryInstance(listed.AppendEncoded(nil), func(*kernel.Process, proto.Descriptor) error {
 		calls++
 		return proto.ErrNoPermission
 	})
@@ -389,7 +389,7 @@ func TestFileCloseReportsTornRecord(t *testing.T) {
 		records = append(records, proto.Descriptor{Tag: proto.TagFile, Name: "record"})
 	}
 	applied := 0
-	f := r.open(t, NewDirectoryInstance(nil, func(proto.Descriptor) error { applied++; return nil }), "dir")
+	f := r.open(t, NewDirectoryInstance(nil, func(*kernel.Process, proto.Descriptor) error { applied++; return nil }), "dir")
 	if n, err := f.Write(proto.EncodeDescriptors(records)[:DefaultBlockSize]); n != DefaultBlockSize || err != nil {
 		t.Fatalf("Write = %d, %v", n, err)
 	}

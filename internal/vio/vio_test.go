@@ -136,7 +136,7 @@ func TestBytesInstanceRead(t *testing.T) {
 // TestBytesInstanceReadOnlyWriteFails: a directory instance grants write
 // only with a modify to apply records to, and refuses a write without.
 func TestBytesInstanceReadOnlyWriteFails(t *testing.T) {
-	ro, rw := NewDirectoryInstance([]byte("x"), nil), NewDirectoryInstance(nil, func(proto.Descriptor) error { return nil })
+	ro, rw := NewDirectoryInstance([]byte("x"), nil), NewDirectoryInstance(nil, func(*kernel.Process, proto.Descriptor) error { return nil })
 	if ro.Info().Flags != proto.ModeRead || rw.Info().Flags != proto.ModeRead|proto.ModeWrite {
 		t.Fatalf("flags %#x without modify, %#x with", ro.Info().Flags, rw.Info().Flags)
 	}
@@ -187,7 +187,7 @@ func TestBytesInstanceNegativeWriteOffset(t *testing.T) {
 func TestBytesInstanceWriteSink(t *testing.T) {
 	stream := proto.EncodeDescriptors([]proto.Descriptor{{Tag: proto.TagFile, Name: "snapshot"}})
 	var got []proto.Descriptor
-	b := NewDirectoryInstance(stream, func(d proto.Descriptor) error {
+	b := NewDirectoryInstance(stream, func(_ *kernel.Process, d proto.Descriptor) error {
 		got = append(got, d)
 		return nil
 	})
@@ -241,7 +241,7 @@ func TestDirectoryInstanceReadDecodes(t *testing.T) {
 
 func TestDirectoryInstanceWriteInvokesModify(t *testing.T) {
 	var modified []proto.Descriptor
-	inst := NewDirectoryInstance(nil, func(d proto.Descriptor) error {
+	inst := NewDirectoryInstance(nil, func(_ *kernel.Process, d proto.Descriptor) error {
 		modified = append(modified, d)
 		return nil
 	})
@@ -285,7 +285,7 @@ func TestDirectoryInstanceTornRecordNeverCompleted(t *testing.T) {
 	}
 	stream := proto.EncodeDescriptors(records)
 	applied := 0
-	inst := NewDirectoryInstance(nil, func(proto.Descriptor) error { applied++; return nil })
+	inst := NewDirectoryInstance(nil, func(*kernel.Process, proto.Descriptor) error { applied++; return nil })
 	if n, err := inst.WriteAt(nil, 0, stream[:DefaultBlockSize]); n != DefaultBlockSize || err != nil || applied != 14 {
 		t.Fatalf("first block: WriteAt = %d, %v, %d applied", n, err, applied)
 	}
@@ -304,7 +304,7 @@ func TestDirectoryInstanceTornRecordNeverCompleted(t *testing.T) {
 }
 
 func TestDirectoryInstanceWriteCorruptRecord(t *testing.T) {
-	inst := NewDirectoryInstance(nil, func(proto.Descriptor) error { return nil })
+	inst := NewDirectoryInstance(nil, func(*kernel.Process, proto.Descriptor) error { return nil })
 	if _, err := inst.WriteAt(nil, 0, []byte{1, 2, 3}); !errors.Is(err, proto.ErrBadArgs) {
 		t.Fatalf("err = %v", err)
 	}
