@@ -5,9 +5,10 @@
 // A Session carries a program's naming state: the pid of the user's
 // context prefix server and the current context. Every CSname routine
 // funnels through one common routing check — a name starting with '[' goes
-// to the workstation's context prefix server, anything else is sent
-// directly to the server implementing the current context, which is what
-// makes current-context access cheap (§6).
+// to the workstation's context prefix server (or, with a name cache, to
+// the pair cached for its prefix), anything else is sent directly to the
+// server implementing the current context, which is what makes
+// current-context access cheap (§6).
 package client
 
 import (
@@ -40,13 +41,6 @@ type Session struct {
 	cache       *lease.Cache
 	cacheRetry  bool
 	widestStale map[string]time.Duration
-
-	// lastRouted records the server pid the most recent routed attempt
-	// actually targeted. With the cache on, a prefixed request goes
-	// straight to the cached pair's server — not the prefix server
-	// s.route() reports — so fallbacks that need "the server the request
-	// went to" must read this, not re-route the name.
-	lastRouted kernel.PID
 
 	// currentName is the CSname the current context was entered by, kept
 	// so the recovery policy can re-map the context if its server dies
@@ -86,13 +80,14 @@ func (s *Session) SetCurrent(pair core.ContextPair) { s.current = pair }
 // whose server has died.
 func (s *Session) SetCurrentName(name string) { s.currentName = name }
 
-// route decides where a CSname request goes: the single common routine
-// that checks for the standard context prefix character (§6).
-func (s *Session) route(name string) (server kernel.PID, ctx core.ContextID) {
+// route decides where a CSname request goes when no cache answers for
+// it: the single common check for the standard context prefix character
+// (§6).
+func (s *Session) route(name string) core.ContextPair {
 	if prefix.HasPrefix(name) {
-		return s.prefixServer, core.CtxDefault
+		return core.ContextPair{Server: s.prefixServer, Ctx: core.CtxDefault}
 	}
-	return s.current.Server, s.current.Ctx
+	return s.current
 }
 
 // metric resolves a registry counter labelled with this session's process
@@ -102,70 +97,85 @@ func (s *Session) metric(name string) *metrics.Counter {
 	return s.proc.Kernel().Metrics().Counter(name, metrics.Labels{Server: s.proc.Name()})
 }
 
-// send charges the client stub cost, routes, and performs the
-// transaction under the session's recovery policy: each attempt re-routes
-// the name, so a retry picks up re-resolved bindings.
-func (s *Session) send(name string, req *proto.Message) (*proto.Message, error) {
-	return s.withRecovery(name, func() (*proto.Message, error) { return s.sendOnce(name, req) })
+// send is the one routine every named request goes through: sendOnce
+// under the session's recovery policy, so each attempt re-routes the name
+// and a retry picks up re-resolved bindings. fill, if non-nil, appends
+// what rides the segment after the name; moveDst is the MoveTo buffer, if
+// any.
+func (s *Session) send(name string, req *proto.Message, moveDst []byte, fill func(*proto.Message)) (*proto.Message, error) {
+	orig := *req
+	return s.withRecovery(name, func() (*proto.Message, error) {
+		return s.sendOnce(name, req, &orig, moveDst, fill, true)
+	})
 }
 
-// sendOnce is one attempt of send: prefixed names go through the cache
-// when the session has one.
-func (s *Session) sendOnce(name string, req *proto.Message) (*proto.Message, error) {
-	if s.cache != nil && prefix.HasPrefix(name) {
-		return s.sendLeased(name, req, true)
+// sendOnce is one attempt of send. It restores the request as the caller
+// built it (orig) — a reply lost on its way back may have landed in req —
+// and routes the name: a prefixed name through the session's cache, if
+// it has one, any other through route. It then encodes the
+// server-relative name, lets fill append its payload, charges the stub,
+// sends and converts the reply. A failed send to a cached pair is stale
+// (see stale), re-resolved and sent once more if mayRetry and the policy
+// allow.
+func (s *Session) sendOnce(name string, req, orig *proto.Message, moveDst []byte, fill func(*proto.Message), mayRetry bool) (*proto.Message, error) {
+	*req = *orig
+	var (
+		pfx   string
+		rest  int
+		entry lease.Entry
+		err   error
+	)
+	viaCache := s.cache != nil && prefix.HasPrefix(name)
+	if viaCache {
+		if pfx, rest, entry, err = s.cached(name); err != nil {
+			return nil, err
+		}
+	} else {
+		entry.Pair = s.route(name)
 	}
-	return s.sendUncachedOnce(name, req, nil, nil)
-}
-
-// sendUncachedOnce is one attempt of the common routine with the cache
-// out of the way: route, encode the name, let fill append whatever
-// payload rides the segment after it, charge the stub, send (moveDst is
-// the MoveTo buffer, if any) and convert the reply. Requests with a
-// payload after the name must come here and never through the cache,
-// whose SetCSName(name[rest:]) rewrite would wipe it. Name and payload
-// are re-encoded on every attempt: SetCSName resets the segment, and
-// routing may have changed after a rebind.
-func (s *Session) sendUncachedOnce(name string, req *proto.Message, moveDst []byte, fill func(req *proto.Message, ctx uint32)) (*proto.Message, error) {
-	server, ctx := s.route(name)
-	s.lastRouted = server
-	proto.SetCSName(req, uint32(ctx), name)
+	proto.SetCSName(req, uint32(entry.Pair.Ctx), name[rest:])
 	if fill != nil {
-		fill(req, uint32(ctx))
+		fill(req)
 	}
 	s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-	reply, err := s.proc.SendMove(req, server, nil, moveDst)
+	reply, err := s.proc.SendMove(req, entry.Pair.Server, nil, moveDst)
+	if err != nil && viaCache {
+		if s.stale(pfx, entry, mayRetry) {
+			return s.sendOnce(name, req, orig, moveDst, fill, false)
+		}
+		return nil, fmt.Errorf("%q (stale cached resolution): %w", name, err)
+	}
+	if err == nil {
+		err = core.ReplyToError(reply)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%q: %w", name, err)
 	}
-	if err := core.ReplyToError(reply); err != nil {
-		return nil, fmt.Errorf("%q: %w", name, err)
-	}
 	return reply, nil
-}
-
-// sendUncached is sendUncachedOnce under the session's recovery policy.
-func (s *Session) sendUncached(name string, req *proto.Message, moveDst []byte, fill func(req *proto.Message, ctx uint32)) (*proto.Message, error) {
-	return s.withRecovery(name, func() (*proto.Message, error) { return s.sendUncachedOnce(name, req, moveDst, fill) })
 }
 
 // sendTo is send with an explicit destination (non-name operations).
 // Recovery here only waits out transient unreachability — there is no
 // name to re-resolve a fixed pid by.
 func (s *Session) sendTo(server kernel.PID, req *proto.Message) (*proto.Message, error) {
-	return s.withRecovery("", func() (*proto.Message, error) { return s.sendToOnce(server, req) })
+	return s.withRecovery("", func() (*proto.Message, error) {
+		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
+		reply, err := s.proc.Send(req, server)
+		if err == nil {
+			err = core.ReplyToError(reply)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return reply, nil
+	})
 }
 
-func (s *Session) sendToOnce(server kernel.PID, req *proto.Message) (*proto.Message, error) {
-	s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
-	reply, err := s.proc.Send(req, server)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.ReplyToError(reply); err != nil {
-		return nil, err
-	}
-	return reply, nil
+// opened is the instance an open reply describes, at the server the
+// reply names as implementing it (core.OpenInstance): a forwarded open's
+// instance lives at the final server, not the one the request went to.
+func (s *Session) opened(reply *proto.Message) *vio.File {
+	return vio.NewFile(s.proc, kernel.PID(proto.InstanceOwner(reply)), proto.GetInstanceInfo(reply))
 }
 
 // Open opens the named file-like object and returns its instance (§6's
@@ -173,40 +183,17 @@ func (s *Session) sendToOnce(server kernel.PID, req *proto.Message) (*proto.Mess
 func (s *Session) Open(name string, mode uint32) (*vio.File, error) {
 	req := &proto.Message{Op: proto.OpCreateInstance}
 	proto.SetOpenMode(req, mode)
-	reply, err := s.send(name, req)
+	reply, err := s.send(name, req, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The route the successful attempt actually used (recovery retries
-	// re-route, and the name cache sends straight to the cached pair's
-	// server — re-routing here would wrongly yield the prefix server).
-	server := s.lastRouted
-	// When the open was forwarded (through the prefix server or across
-	// file servers) the instance lives at the final server. The reply's
-	// sender is not visible at this layer, so servers return instances
-	// valid at the pid the reply carries; for directly-routed opens that
-	// is the routed server.
-	info := proto.GetInstanceInfo(reply)
-	owner := kernel.PID(proto.InstanceOwner(reply))
-	if owner == kernel.NilPID {
-		owner = server
-	}
-	return vio.NewFile(s.proc, owner, info), nil
-}
-
-// OpenDirectory opens the context directory of the named context (§5.6).
-func (s *Session) OpenDirectory(name string) (*vio.File, error) {
-	return s.Open(name, proto.ModeRead|proto.ModeDirectory)
+	return s.opened(reply), nil
 }
 
 // List reads the context directory of the named context and decodes its
 // description records.
 func (s *Session) List(name string) ([]proto.Descriptor, error) {
-	f, err := s.OpenDirectory(name)
-	if err != nil {
-		return nil, err
-	}
-	return readRecords(f)
+	return s.ListPattern(name, "")
 }
 
 // readRecords reads an open context directory to its end, decodes its
@@ -223,20 +210,16 @@ func readRecords(f *vio.File) ([]proto.Descriptor, error) {
 
 // ListPattern reads the named context directory with a server-side match
 // pattern ('*' and '?' globbing): only matching objects are collated and
-// transmitted — the §5.6 extension.
+// transmitted — the §5.6 extension. An empty pattern matches every
+// object.
 func (s *Session) ListPattern(name, pattern string) ([]proto.Descriptor, error) {
-	reply, err := s.sendUncached(name, &proto.Message{Op: proto.OpCreateInstance}, nil, func(req *proto.Message, _ uint32) {
-		proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
-		proto.SetDirPattern(req, pattern)
-	})
+	req := &proto.Message{Op: proto.OpCreateInstance}
+	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
+	reply, err := s.send(name, req, nil, func(req *proto.Message) { proto.SetDirPattern(req, pattern) })
 	if err != nil {
 		return nil, err
 	}
-	owner := kernel.PID(proto.InstanceOwner(reply))
-	if owner == kernel.NilPID {
-		owner = s.lastRouted
-	}
-	return readRecords(vio.NewFile(s.proc, owner, proto.GetInstanceInfo(reply)))
+	return readRecords(s.opened(reply))
 }
 
 // ListPrefixes reads the context directory of the user's prefix server —
@@ -249,7 +232,7 @@ func (s *Session) ListPrefixes() ([]proto.Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readRecords(vio.NewFile(s.proc, s.prefixServer, proto.GetInstanceInfo(reply)))
+	return readRecords(s.opened(reply))
 }
 
 // ReadFile opens, reads and closes the named file.
@@ -277,8 +260,7 @@ func (s *Session) WriteFile(name string, data []byte) error {
 
 // Query returns the typed description record of the named object (§5.5).
 func (s *Session) Query(name string) (proto.Descriptor, error) {
-	req := &proto.Message{Op: proto.OpQueryObject}
-	reply, err := s.send(name, req)
+	reply, err := s.send(name, &proto.Message{Op: proto.OpQueryObject}, nil, nil)
 	if err != nil {
 		return proto.Descriptor{}, err
 	}
@@ -289,7 +271,7 @@ func (s *Session) Query(name string) (proto.Descriptor, error) {
 // Modify overwrites the modifiable fields of the named object's
 // description (§5.5).
 func (s *Session) Modify(name string, d proto.Descriptor) error {
-	_, err := s.sendUncached(name, &proto.Message{Op: proto.OpModifyObject}, nil, func(req *proto.Message, _ uint32) {
+	_, err := s.send(name, &proto.Message{Op: proto.OpModifyObject}, nil, func(req *proto.Message) {
 		req.Segment = d.AppendEncoded(req.Segment)
 	})
 	return err
@@ -297,8 +279,7 @@ func (s *Session) Modify(name string, d proto.Descriptor) error {
 
 // Remove deletes the named object.
 func (s *Session) Remove(name string) error {
-	req := &proto.Message{Op: proto.OpRemoveObject}
-	_, err := s.send(name, req)
+	_, err := s.send(name, &proto.Message{Op: proto.OpRemoveObject}, nil, nil)
 	return err
 }
 
@@ -310,8 +291,7 @@ func (s *Session) Rename(oldName, newName string) error {
 	return s.sendTwoNames(proto.OpRenameObject, "rename", oldName, newName)
 }
 
-// sendTwoNames sends a request carrying a second name after the first
-// (SetRenameNames re-encodes the first with it).
+// sendTwoNames sends a request carrying a second name after the first.
 func (s *Session) sendTwoNames(op proto.Code, what, oldName, newName string) error {
 	if prefix.HasPrefix(oldName) && prefix.HasPrefix(newName) {
 		oldPfx, _, err := prefix.Parse(oldName, 0)
@@ -327,9 +307,7 @@ func (s *Session) sendTwoNames(op proto.Code, what, oldName, newName string) err
 		}
 		newName = newName[rest:]
 	}
-	_, err := s.sendUncached(oldName, &proto.Message{Op: op}, nil, func(req *proto.Message, ctx uint32) {
-		proto.SetRenameNames(req, ctx, oldName, newName)
-	})
+	_, err := s.send(oldName, &proto.Message{Op: op}, nil, func(req *proto.Message) { proto.AppendNewName(req, newName) })
 	return err
 }
 
@@ -352,12 +330,12 @@ func (s *Session) Link(oldName, newName string) error {
 
 // MapContext resolves a name to a fully-qualified context pair (§5.7).
 func (s *Session) MapContext(name string) (core.ContextPair, error) {
-	reply, err := s.withRecovery(name, func() (*proto.Message, error) {
-		// Re-initialised per attempt: a reply lost on its way back may
-		// already have landed in it.
-		s.mapReq = proto.Message{Op: proto.OpMapContext, Segment: s.mapReq.Segment[:0]}
-		return s.sendOnce(name, &s.mapReq)
-	})
+	s.mapReq = proto.Message{Op: proto.OpMapContext, Segment: s.mapReq.Segment[:0]}
+	return mapped(s.send(name, &s.mapReq, nil, nil))
+}
+
+// mapped reads the context pair a MapContext reply carries.
+func mapped(reply *proto.Message, err error) (core.ContextPair, error) {
 	if err != nil {
 		return core.ContextPair{}, err
 	}
@@ -411,7 +389,7 @@ func (s *Session) DeleteName(prefixName string) error {
 func (s *Session) AddLink(name string, target core.ContextPair) error {
 	req := &proto.Message{Op: proto.OpAddContextName}
 	proto.SetAddContextTarget(req, uint32(target.Server), uint32(target.Ctx))
-	_, err := s.send(name, req)
+	_, err := s.send(name, req, nil, nil)
 	return err
 }
 
@@ -419,8 +397,7 @@ func (s *Session) AddLink(name string, target core.ContextPair) error {
 // context name) without following it — OpDeleteContextName interpreted at
 // the server holding the binding (§5.7).
 func (s *Session) Unlink(name string) error {
-	req := &proto.Message{Op: proto.OpDeleteContextName}
-	_, err := s.send(name, req)
+	_, err := s.send(name, &proto.Message{Op: proto.OpDeleteContextName}, nil, nil)
 	return err
 }
 
@@ -428,7 +405,7 @@ func (s *Session) Unlink(name string) error {
 // returning the number of bytes loaded — the diskless workstation program
 // load (§3.1).
 func (s *Session) LoadProgram(name string, buf []byte) (int, error) {
-	reply, err := s.sendUncached(name, &proto.Message{Op: proto.OpLoadProgram}, buf, nil)
+	reply, err := s.send(name, &proto.Message{Op: proto.OpLoadProgram}, buf, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -442,7 +419,7 @@ func (s *Session) LoadProgram(name string, buf []byte) (int, error) {
 // program starts with the invoker's current context (§6). It returns the
 // program's name in the programs-in-execution context and its pid.
 func (s *Session) Exec(name string) (progName string, pid kernel.PID, err error) {
-	reply, err := s.sendUncached(name, &proto.Message{Op: proto.OpExecProgram}, nil, func(req *proto.Message, _ uint32) {
+	reply, err := s.send(name, &proto.Message{Op: proto.OpExecProgram}, nil, func(req *proto.Message) {
 		proto.SetExecEnvironment(req, uint32(s.prefixServer), uint32(s.current.Server), uint32(s.current.Ctx))
 	})
 	if err != nil {

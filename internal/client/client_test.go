@@ -7,8 +7,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/fileserver"
+	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/rig"
 )
@@ -504,37 +507,39 @@ func TestFileOpsAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// TestPayloadRoutinesBypassCache exercises each routine whose payload
+// TestPayloadRoutinesUseCache exercises each routine whose payload
 // rides the segment after the name — plus the MoveTo program load — with
-// the name cache on and warm for their prefixes: every one must work (a
-// trip through the cache's name rewrite would wipe the payload) and none
-// may touch the cache.
-func TestPayloadRoutinesBypassCache(t *testing.T) {
+// the name cache on and warm for their prefixes: every one must work (the
+// cache's name rewrite must leave the payload whole), and each prefixed
+// call is one hit, neither a miss nor a renewal. A payload request on a
+// negatively leased prefix is answered locally, and one sent to a stale
+// cached pair is counted, dropped and re-resolved once.
+func TestPayloadRoutinesUseCache(t *testing.T) {
 	r := boot(t)
 	s := r.WS[0].Session
 	s.EnableNameCache(true)
-	for _, name := range []string{"[home]welcome.txt", "[bin]hello"} {
-		if _, err := s.Query(name); err != nil {
+	for _, name := range []string{"[home]", "[bin]", "[exec]"} {
+		if _, err := s.MapContext(name); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.WriteFile("[home]a.mss", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	warm := s.LeaseCacheStats()
 
 	for _, tc := range []struct {
 		label string
+		hits  int // prefixed calls, each served by its warm entry
 		run   func() error
 	}{
-		{"ListPattern", func() error {
+		{"ListPattern", 1, func() error {
 			records, err := s.ListPattern("[home]", "*.mss")
 			if err == nil && (len(records) != 1 || records[0].Name != "a.mss") {
 				err = fmt.Errorf("matched %+v, want a.mss alone", records)
 			}
 			return err
 		}},
-		{"Modify", func() error {
+		{"Modify", 1, func() error {
 			d, err := s.Query("welcome.txt") // relative: not via the cache
 			if err != nil {
 				return err
@@ -548,27 +553,27 @@ func TestPayloadRoutinesBypassCache(t *testing.T) {
 			}
 			return err
 		}},
-		{"Rename", func() error {
+		{"Rename", 1, func() error {
 			if err := s.Rename("[home]a.mss", "[home]notes/b.mss"); err != nil {
 				return err
 			}
 			_, err := s.Query("notes/b.mss")
 			return err
 		}},
-		{"Rename across prefixes", func() error {
+		{"Rename across prefixes", 0, func() error {
 			if err := s.Rename("[home]notes/b.mss", "[storage2]b.mss"); !errors.Is(err, proto.ErrIllegalRequest) {
 				return fmt.Errorf("err = %v, want ErrIllegalRequest", err)
 			}
 			return nil
 		}},
-		{"Link", func() error {
+		{"Link", 1, func() error {
 			if err := s.Link("[home]notes/b.mss", "[home]alias.mss"); err != nil {
 				return err
 			}
 			_, err := s.Query("alias.mss")
 			return err
 		}},
-		{"LoadProgram", func() error {
+		{"LoadProgram", 1, func() error {
 			buf := make([]byte, 2*1024)
 			n, err := s.LoadProgram("[bin]hello", buf)
 			if err == nil && (n != len(buf) || !strings.HasPrefix(string(buf), "V-PROGRAM:hello")) {
@@ -576,14 +581,14 @@ func TestPayloadRoutinesBypassCache(t *testing.T) {
 			}
 			return err
 		}},
-		{"Exec", func() error {
+		{"Exec", 1, func() error {
 			prog, pid, err := s.Exec("[exec]hello")
 			if err == nil && (prog == "" || pid == 0) {
 				err = fmt.Errorf("started %q pid %v", prog, pid)
 			}
 			return err
 		}},
-		{"Exec of nothing", func() error {
+		{"Exec of nothing", 1, func() error {
 			if _, _, err := s.Exec("[exec]nosuch"); !errors.Is(err, proto.ErrNotFound) {
 				return fmt.Errorf("err = %v, want ErrNotFound", err)
 			}
@@ -591,14 +596,60 @@ func TestPayloadRoutinesBypassCache(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.label, func(t *testing.T) {
+			want := s.LeaseCacheStats()
+			want.Hits += tc.hits
 			if err := tc.run(); err != nil {
 				t.Fatal(err)
 			}
-			if st := s.LeaseCacheStats(); st != warm {
-				t.Fatalf("cache moved: %+v, was %+v", st, warm)
+			if st := s.LeaseCacheStats(); st != want {
+				t.Fatalf("cache stats %+v, want %+v", st, want)
 			}
 		})
 	}
+
+	t.Run("negative lease", func(t *testing.T) {
+		r := bootLeased(t, 200*time.Millisecond)
+		s := r.WS[0].Session
+		if _, err := s.Query("[nosuch]x"); !errors.Is(err, proto.ErrNotFound) {
+			t.Fatalf("query of absent prefix: %v", err)
+		}
+		sends := func() uint64 {
+			return metrics.Sample{Counters: r.Metrics.Snapshot().Counters}.Total("kernel_sends_total")
+		}
+		before, negative := sends(), s.LeaseCacheStats().NegativeHits
+		if err := s.Modify("[nosuch]x", proto.Descriptor{}); !errors.Is(err, proto.ErrNotFound) {
+			t.Fatalf("modify under a negative lease: %v", err)
+		}
+		if got := sends(); got != before {
+			t.Fatalf("a negatively leased modify sent %d messages", got-before)
+		}
+		if st := s.LeaseCacheStats(); st.NegativeHits != negative+1 {
+			t.Fatalf("stats %+v, want one more negative hit", st)
+		}
+	})
+
+	t.Run("stale pair", func(t *testing.T) {
+		r := boot(t)
+		s := r.WS[0].Session
+		s.EnableNameCache(true)
+		buf := make([]byte, 2*1024)
+		if _, err := s.LoadProgram("[bin]hello", buf); err != nil {
+			t.Fatal(err)
+		}
+		now := s.Proc().Now()
+		eng := r.NewChaos([]chaos.Event{{At: now, Action: chaos.Crash, Host: "fs1"}, {At: now, Action: chaos.Restart, Host: "fs1"}})
+		eng.AdvanceTo(now)
+		if err := chaos.CheckLog(eng.Log()); err != nil {
+			t.Fatal(err)
+		}
+		// The re-created fs1 holds only the short "hello image" (seedBin).
+		if n, err := s.LoadProgram("[bin]hello", buf); err != nil || string(buf[:n]) != "hello image" {
+			t.Fatalf("load after fs1's restart: %q, %v", buf[:n], err)
+		}
+		if st := s.LeaseCacheStats(); st.Stale != 1 || st.Misses != 2 {
+			t.Fatalf("stats %+v, want one stale use re-resolved by a second miss", st)
+		}
+	})
 }
 
 // TestFlushRacesProbe: the engine classifiers probe LeasedRoute from

@@ -176,17 +176,17 @@ func cacheKey(name string) (pfx string, rest int, err error) {
 	return prefix.Parse(name, 0)
 }
 
-// sendLeased routes a prefixed request through the cache: a valid
-// positive entry sends straight to the cached pair, a valid negative
-// lease answers locally, and anything else resolves the prefix through
-// the prefix server first. The validity check happens at the clock's
-// value on entry — before any compute is charged — which is the same
-// instant LeasedRoute probes, so the engine classifiers predict this
+// cached resolves a prefixed name through the cache: a valid positive
+// entry is the route, a valid negative lease answers NotFound locally,
+// and anything else resolves the prefix through the prefix server first.
+// It returns the cache key, the index where the server-relative name
+// begins, and the entry to send to. The validity check happens at the
+// clock's value on entry — before any compute is charged — which is the
+// same instant LeasedRoute probes, so the engine classifiers predict this
 // routing exactly.
-func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*proto.Message, error) {
-	pfx, rest, err := cacheKey(name)
-	if err != nil {
-		return nil, fmt.Errorf("%q: %w", name, err)
+func (s *Session) cached(name string) (pfx string, rest int, entry lease.Entry, err error) {
+	if pfx, rest, err = cacheKey(name); err != nil {
+		return "", 0, entry, fmt.Errorf("%q: %w", name, err)
 	}
 	stub := s.proc.Kernel().Model().ClientStubCost
 	entry, state := s.cache.Lookup(s.proc, pfx, s.proc.Now())
@@ -194,7 +194,7 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 		// The name is known absent: answer locally. The stub still costs
 		// its constant — the library ran — but no message leaves the host.
 		s.proc.ChargeCompute(stub)
-		return nil, fmt.Errorf("%q: %w", name, proto.ErrNotFound)
+		return "", 0, entry, fmt.Errorf("%q: %w", name, proto.ErrNotFound)
 	}
 	if state != lease.Valid {
 		s.proc.ChargeCompute(stub)
@@ -202,40 +202,31 @@ func (s *Session) sendLeased(name string, req *proto.Message, mayRetry bool) (*p
 		// The bare prefix is the name's own bytes: Parse makes
 		// name[:len(pfx)+2] exactly prefix.Quote(pfx).
 		entry, mreply, _, err = s.cache.Acquire(s.proc, s.prefixServer, pfx, name[:len(pfx)+2], state)
+		if err == nil {
+			err = core.ReplyToError(mreply)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%q: %w", name, err)
-		}
-		if err := core.ReplyToError(mreply); err != nil {
-			return nil, fmt.Errorf("%q: %w", name, err)
+			return "", 0, entry, fmt.Errorf("%q: %w", name, err)
 		}
 	}
+	return pfx, rest, entry, nil
+}
 
-	proto.SetCSName(req, uint32(entry.Pair.Ctx), name[rest:])
-	s.lastRouted = entry.Pair.Server
-	s.proc.ChargeCompute(stub)
-	op := req.Op
-	reply, err := s.proc.Send(req, entry.Pair.Server)
-	if err != nil {
-		// The cached resolution outlived its server — inside the lease
-		// window, before any invalidation could be delivered, or with no
-		// lease at all: the inconsistency §2.2 predicts. It is counted,
-		// journaled as a failover, and measured: the window's width
-		// (failure time minus grant) feeds the client's churn estimator
-		// (§15). The naive policy then keeps the entry (it has no way to
-		// know the failure was the cache's fault); otherwise it is dropped
-		// and the request re-resolved once.
-		failedAt := s.proc.Now()
-		s.cache.Observe(s.proc, lease.Stale, pfx, failedAt, entry)
-		s.widestStale[pfx] = max(s.widestStale[pfx], failedAt-entry.Grant)
-		if s.cacheRetry && mayRetry {
-			s.cache.Drop(pfx)
-			req.Op = op // a reply lost on its way back may have landed in req
-			return s.sendLeased(name, req, false)
-		}
-		return nil, fmt.Errorf("%q (stale cached resolution): %w", name, err)
+// stale handles a failed send to pfx's cached pair, reporting whether to
+// re-resolve and send once more. The cached resolution outlived its
+// server — inside the lease window, before any invalidation could be
+// delivered, or with no lease at all: the inconsistency §2.2 predicts. It
+// is counted, journaled as a failover, and measured: the window's width
+// (failure time minus grant) feeds the client's churn estimator (§15).
+// The naive policy then keeps the entry (it has no way to know the
+// failure was the cache's fault); otherwise, if mayRetry, it is dropped.
+func (s *Session) stale(pfx string, entry lease.Entry, mayRetry bool) bool {
+	failedAt := s.proc.Now()
+	s.cache.Observe(s.proc, lease.Stale, pfx, failedAt, entry)
+	s.widestStale[pfx] = max(s.widestStale[pfx], failedAt-entry.Grant)
+	if !s.cacheRetry || !mayRetry {
+		return false
 	}
-	if err := core.ReplyToError(reply); err != nil {
-		return nil, fmt.Errorf("%q: %w", name, err)
-	}
-	return reply, nil
+	s.cache.Drop(pfx)
+	return true
 }

@@ -209,7 +209,8 @@ func TestRenameDuplicateTargetFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &proto.Message{Op: proto.OpRenameObject}
-	proto.SetRenameNames(req, uint32(core.CtxDefault), "a", "b")
+	proto.SetCSName(req, uint32(core.CtxDefault), "a")
+	proto.AppendNewName(req, "b")
 	if reply := send(t, client, fs, req); reply.Op != proto.ReplyDuplicateName {
 		t.Fatalf("reply = %v", reply.Op)
 	}
@@ -251,7 +252,8 @@ func TestInverseMappingAfterRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &proto.Message{Op: proto.OpRenameObject}
-	proto.SetRenameNames(req, uint32(core.CtxDefault), "old/place", "old/renamed")
+	proto.SetCSName(req, uint32(core.CtxDefault), "old/place")
+	proto.AppendNewName(req, "old/renamed")
 	if reply := send(t, client, fs, req); reply.Op != proto.ReplyOK {
 		t.Fatalf("rename = %v", reply.Op)
 	}

@@ -112,9 +112,11 @@ func TestReplicatedFileServer(t *testing.T) {
 		return req
 	}
 	rename := &proto.Message{Op: proto.OpRenameObject}
-	proto.SetRenameNames(rename, uint32(core.CtxDefault), "bin/hello", "bin/bye")
+	proto.SetCSName(rename, uint32(core.CtxDefault), "bin/hello")
+	proto.AppendNewName(rename, "bin/bye")
 	link := &proto.Message{Op: proto.OpLinkObject}
-	proto.SetRenameNames(link, uint32(core.CtxDefault), "bin/hello", "bin/alias")
+	proto.SetCSName(link, uint32(core.CtxDefault), "bin/hello")
+	proto.AppendNewName(link, "bin/alias")
 	for _, c := range []struct {
 		what string
 		req  *proto.Message

@@ -299,7 +299,8 @@ func TestListingFollowsEveryChange(t *testing.T) {
 		}},
 		{"an alias into a second directory", []string{"a", "b"}, func() {
 			alias := &proto.Message{Op: proto.OpLinkObject}
-			proto.SetRenameNames(alias, uint32(core.CtxDefault), "a/f", "b/g")
+			proto.SetCSName(alias, uint32(core.CtxDefault), "a/f")
+			proto.AppendNewName(alias, "b/g")
 			ok(send(t, client, fs, alias))
 		}},
 		{"a mkdir in a subdirectory", []string{"a", "a/sub"}, func() {

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"strconv"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/raceflag"
@@ -125,5 +127,26 @@ func TestSpanNamesRenderAsBefore(t *testing.T) {
 	}
 	if got := opTo(proto.ReplyOK, " -> ", MakePID(1, 2)).String(); got != "OK -> pid(1.2)" {
 		t.Errorf("span name %q", got)
+	}
+}
+
+// TestIdleCountersOfferNothing: a NewCounter series that has counted
+// nothing offers a reading no row, so a registry snapshot costs as much
+// with sixteen idle counters as with none.
+func TestIdleCountersOfferNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun counts the race detector's own allocations")
+	}
+	snapshot := func(counters int) float64 {
+		k := New(netsim.New(vtime.DefaultModel(), 1))
+		reg := metrics.New()
+		k.SetMetrics(reg)
+		for i := range counters {
+			k.NewCounter("idle_total", metrics.Labels{Server: "s" + strconv.Itoa(i)})
+		}
+		return testing.AllocsPerRun(100, func() { reg.Snapshot() })
+	}
+	if idle, none := snapshot(16), snapshot(0); idle != none {
+		t.Fatalf("a snapshot with 16 idle counters allocates %v, with none %v", idle, none)
 	}
 }

@@ -129,19 +129,18 @@ func NewMeter(k *kernel.Kernel, class, owner string) *Meter {
 	return m
 }
 
-// read offers the reading each counted event's row, but only once it has
-// counted: counts never fall, and a reading drops a zero row anyway.
+// read offers the reading each counted event's row (Reading.Counter
+// passes over one still at zero).
 func (m *Meter) read(r *metrics.Reading) {
 	for ev, d := range &events {
-		n := m.n[ev].Value()
-		if d.metric == "" || n == 0 {
+		if d.metric == "" {
 			continue
 		}
 		l := metrics.Labels{Server: m.owner}
 		if !d.noClass {
 			l.Class = m.class
 		}
-		r.Counter(d.metric, l, n, false)
+		r.Counter(d.metric, l, m.n[ev].Value(), false)
 	}
 }
 

@@ -97,8 +97,12 @@ type Reading struct {
 }
 
 // Counter reads a count its emitter keeps. A registry lists it once the
-// count moves while installed, or from its install if always.
+// count moves while installed, or from its install if always; a count
+// still at zero offers no row, since counts never fall.
 func (r *Reading) Counter(name string, l Labels, n uint64, always bool) {
+	if n == 0 && !always {
+		return
+	}
 	r.m.at(instKey{name, l}, kindCounter, always).n += n
 }
 

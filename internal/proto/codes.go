@@ -44,7 +44,7 @@ const (
 	// OpRemoveObject deletes the named object.
 	OpRemoveObject
 	// OpRenameObject renames the named object; the new name follows the
-	// old in the segment (see SetRenameNames).
+	// old in the segment (see AppendNewName).
 	OpRenameObject
 	// OpAddContextName defines a name for an existing context in another
 	// server — optional, ordinarily implemented only by context prefix

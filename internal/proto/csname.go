@@ -58,11 +58,11 @@ func RewriteCSName(m *Message, ctx uint32, index int) {
 	m.F[fieldIndex] = uint32(index)
 }
 
-// SetRenameNames encodes an OpRenameObject request: the old name occupies
-// the standard name fields; the new name follows it in the segment, with
-// its length in F[3]. Both names are interpreted by the receiving server.
-func SetRenameNames(m *Message, ctx uint32, oldName, newName string) {
-	SetCSName(m, ctx, oldName)
+// AppendNewName completes an OpRenameObject or OpLinkObject request whose
+// old name SetCSName has encoded: the new name follows it in the segment,
+// with its length in F[3]. Both names are interpreted by the receiving
+// server.
+func AppendNewName(m *Message, newName string) {
 	m.F[3] = uint32(len(newName))
 	m.Segment = append(m.Segment, newName...)
 }

@@ -81,7 +81,8 @@ func TestCSNameArbitraryBytes(t *testing.T) {
 
 func TestRenameNames(t *testing.T) {
 	m := &Message{Op: OpRenameObject}
-	SetRenameNames(m, 3, "old/name", "new-name")
+	SetCSName(m, 3, "old/name")
+	AppendNewName(m, "new-name")
 	oldName, _, err := CSName(m)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +98,8 @@ func TestRenameNames(t *testing.T) {
 
 func TestRenameNewNameTruncated(t *testing.T) {
 	m := &Message{Op: OpRenameObject}
-	SetRenameNames(m, 3, "old", "new")
+	SetCSName(m, 3, "old")
+	AppendNewName(m, "new")
 	m.F[3] = 50
 	if _, err := RenameNewName(m); !errors.Is(err, ErrBadArgs) {
 		t.Fatalf("truncated rename err = %v", err)

@@ -272,7 +272,7 @@ func TestModifyThroughContextDirectory(t *testing.T) {
 	// the modification operation.
 	r := boot(t)
 	s := r.WS[0].Session
-	f, err := s.OpenDirectory("[home]")
+	f, err := s.Open("[home]", proto.ModeRead|proto.ModeDirectory)
 	if err != nil {
 		t.Fatal(err)
 	}
