@@ -140,12 +140,26 @@ func TestRebindCountsOnlyRealDrops(t *testing.T) {
 
 // TestRebindRemapsCurrentContext: when the current context's server
 // dies, a relative name's retry re-maps the context from the name it was
-// entered by — and leaves a live context alone.
+// entered by — and leaves a live context alone. With a cache that holds
+// the dead pair for that name, the re-map drops it and resolves afresh
+// rather than sending to it.
 func TestRebindRemapsCurrentContext(t *testing.T) {
+	t.Run("uncached", func(t *testing.T) { rebindRemapsCurrentContext(t, nil) })
+	t.Run("naive cache", func(t *testing.T) { rebindRemapsCurrentContext(t, []bool{false}) })
+	t.Run("retrying cache", func(t *testing.T) { rebindRemapsCurrentContext(t, []bool{true}) })
+}
+
+func rebindRemapsCurrentContext(t *testing.T, cache []bool) {
 	s, host, a := rebindRig(t)
 	s.rebind("x")
 	if st := recovery(s); st[1] != 0 || s.Current() != a.pair() {
 		t.Fatalf("rebind of a live context: %v, current %v", st, s.Current())
+	}
+	for _, retry := range cache {
+		s.EnableNameCache(retry)
+		if _, err := s.MapContext("[a]"); err != nil { // warm: [a] cached as a
+			t.Fatal(err)
+		}
 	}
 
 	b := spawnToy(t, host, "b")
@@ -164,6 +178,9 @@ func TestRebindRemapsCurrentContext(t *testing.T) {
 	}
 	if st := recovery(s); st[1] != 1 || st[2] != 1 {
 		t.Fatalf("retries, rebinds, failovers = %v, want one rebind, one failover", st)
+	}
+	if cs := s.LeaseCacheStats(); cs.Stale != 0 {
+		t.Fatalf("cache %+v: the re-map sent to the dead pair", cs)
 	}
 
 	// With no name to re-map from, there is nothing to rebind.
