@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/lease"
-	"repro/internal/metrics"
 	"repro/internal/prefix"
 	"repro/internal/proto"
 	"repro/internal/vio"
@@ -88,13 +87,6 @@ func (s *Session) route(name string) core.ContextPair {
 		return core.ContextPair{Server: s.prefixServer, Ctx: core.CtxDefault}
 	}
 	return s.current
-}
-
-// metric resolves a registry counter labelled with this session's process
-// name. Updates run on the client's own goroutine, so they are always
-// ordered before the operation's result is observed (metrics package doc).
-func (s *Session) metric(name string) *metrics.Counter {
-	return s.proc.Kernel().Metrics().Counter(name, metrics.Labels{Server: s.proc.Name()})
 }
 
 // send is the one routine every named request goes through: sendOnce

@@ -75,10 +75,10 @@ func rebindRig(t *testing.T) (*Session, *kernel.Host, *toy) {
 }
 
 // recovery reads the session's retries, rebinds and failovers from the
-// registry.
+// counters its recovery policy keeps.
 func recovery(s *Session) [3]uint64 {
-	return [3]uint64{s.metric("client_retries_total").Value(),
-		s.metric("client_rebinds_total").Value(), s.metric("client_failovers_total").Value()}
+	r := s.recovery
+	return [3]uint64{r.retries.Value(), r.rebinds.Value(), r.failovers.Value()}
 }
 
 // TestRebindIgnoresDeadHint: a retryable Timeout names no successor, and
@@ -127,7 +127,7 @@ func TestRebindCountsOnlyRealDrops(t *testing.T) {
 	if err := s.Remove("[a]x"); !errors.Is(err, kernel.ErrNonexistentProcess) {
 		t.Fatalf("op on a dead binding: %v", err)
 	}
-	if st, failed := recovery(s), s.metric("client_op_failures_total").Value(); st[0] != 3 || st[1] != 1 || failed != 1 {
+	if st, failed := recovery(s), s.recovery.opFailures.Value(); st[0] != 3 || st[1] != 1 || failed != 1 {
 		t.Fatalf("retries, rebinds, failovers = %v, %d failed; want three retries but only the first rebind counted", st, failed)
 	}
 	if cs := s.LeaseCacheStats(); cs.Stale != 1 {

@@ -13,8 +13,8 @@
 //     through the context prefix server (whose dynamic bindings rebind
 //     via GetPid at time of use, §4.2), and a dangling current context
 //     is re-mapped from the name it was entered by;
-//   - recovery counted in the kernel's metrics registry, per session
-//     process: client_{ops,op_failures,retries,rebinds,failovers}_total
+//   - recovery counted by the session, added to its kernel's series per
+//     session process: client_{ops,op_failures,retries,rebinds,failovers}_total
 //     and client_backoff_ns_total, the virtual time spent backing off.
 package client
 
@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/prefix"
 	"repro/internal/proto"
@@ -53,19 +54,26 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 400 * time.Millisecond}
 }
 
-// resilience is the per-session recovery state.
+// resilience is the per-session recovery state and what the policy
+// counts, on the client's own goroutine.
 type resilience struct {
-	policy   RetryPolicy
-	observer func(vtime.Time)
+	policy                                                  RetryPolicy
+	observer                                                func(vtime.Time)
+	ops, opFailures, retries, backoffNS, failovers, rebinds *metrics.Counter
 }
 
 // EnableResilience turns on the recovery policy for every operation on
-// this session.
+// this session, its counts added to the kernel's series labelled with
+// the session's process name.
 func (s *Session) EnableResilience(policy RetryPolicy) {
 	if policy.MaxAttempts < 1 {
 		policy.MaxAttempts = 1
 	}
-	s.recovery = &resilience{policy: policy}
+	k, l := s.proc.Kernel(), metrics.Labels{Server: s.proc.Name()}
+	s.recovery = &resilience{policy: policy,
+		ops: k.NewCounter("client_ops_total", l), opFailures: k.NewCounter("client_op_failures_total", l),
+		retries: k.NewCounter("client_retries_total", l), backoffNS: k.NewCounter("client_backoff_ns_total", l),
+		failovers: k.NewCounter("client_failovers_total", l), rebinds: k.NewCounter("client_rebinds_total", l)}
 }
 
 // SetRetryObserver installs a callback invoked with the session's
@@ -123,7 +131,7 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 		tr.Fail(root, s.proc.Now(), failureClass(err))
 		return reply, err
 	}
-	s.metric("client_ops_total").Inc()
+	r.ops.Inc()
 	a := tr.Start(root, trace.KindAttempt, "attempt 1", s.proc.Now(), s.proc.TraceID())
 	s.proc.SetCurrentSpan(a)
 	reply, err := attempt()
@@ -131,7 +139,7 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 	tr.Fail(a, s.proc.Now(), failureClass(err))
 	if err == nil || !Retryable(err) {
 		if err != nil {
-			s.metric("client_op_failures_total").Inc()
+			r.opFailures.Inc()
 		}
 		tr.Fail(root, s.proc.Now(), failureClass(err))
 		return reply, err
@@ -140,8 +148,8 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 	for try := 1; try < r.policy.MaxAttempts; try++ {
 		// Back off in virtual time. The observer (typically the chaos
 		// engine) sees the new clock before the retry routes.
-		s.metric("client_retries_total").Inc()
-		s.metric("client_backoff_ns_total").Add(uint64(delay))
+		r.retries.Inc()
+		r.backoffNS.Add(uint64(delay))
 		b := tr.StartName(root, trace.KindBackoff, numbered("backoff", try), s.proc.Now(), s.proc.TraceID())
 		s.proc.ChargeCompute(delay)
 		tr.End(b, s.proc.Now())
@@ -162,7 +170,7 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 		s.proc.SetCurrentSpan(0)
 		tr.Fail(a, s.proc.Now(), failureClass(err))
 		if err == nil {
-			s.metric("client_failovers_total").Inc()
+			r.failovers.Inc()
 			tr.End(root, s.proc.Now())
 			return reply, nil
 		}
@@ -170,7 +178,7 @@ func (s *Session) withRecovery(name string, attempt func() (*proto.Message, erro
 			break
 		}
 	}
-	s.metric("client_op_failures_total").Inc()
+	r.opFailures.Inc()
 	tr.Fail(root, s.proc.Now(), failureClass(err))
 	return nil, err
 }
@@ -199,7 +207,7 @@ func (s *Session) rebind(name string) {
 		// cached resolution the failed attempt may have used is dropped
 		// first, so that attempt re-resolves.
 		if s.uncache(name) {
-			s.metric("client_rebinds_total").Inc()
+			s.recovery.rebinds.Inc()
 		}
 		return
 	}
@@ -212,7 +220,7 @@ func (s *Session) rebind(name string) {
 		s.uncache(s.currentName)
 		if pair, err := s.mapContextDirect(s.currentName); err == nil {
 			s.current = pair
-			s.metric("client_rebinds_total").Inc()
+			s.recovery.rebinds.Inc()
 		}
 	}
 }

@@ -26,10 +26,15 @@ func bootResilient(t *testing.T) *rig.Rig {
 	return r
 }
 
-// recovery reads the session's recovery counters from the registry:
-// client_<name>_total, as its process counted them.
-func recovery(s *client.Session, name string) uint64 {
-	return s.Proc().Kernel().Metrics().Counter("client_"+name+"_total", metrics.Labels{Server: s.Proc().Name()}).Value()
+// recovery reads the session's recovery counters from a snapshot of the
+// registry: client_<name>_total, as its process counted them.
+func recovery(s *client.Session, name string) (n uint64) {
+	for _, c := range s.Proc().Kernel().Metrics().Snapshot().Counters {
+		if c.Name == "client_"+name+"_total" && c.Labels == (metrics.Labels{Server: s.Proc().Name()}) {
+			n += c.Value
+		}
+	}
+	return n
 }
 
 // makeFS2Replica turns FS2 into a true storage replica for the standard

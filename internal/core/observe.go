@@ -10,15 +10,16 @@ import (
 
 // ServeSeries is a server's series, kept by the server and read by its
 // domain's registry: serve_latency of the requests it answers, whose
-// count is server_requests_total, and server_forwarded_total of those it
-// passes on, each by op and made at its op's first event while a
-// registry is installed; and server_handoffs_total, its team's
-// handoffs. The server's name is the label they carry.
+// count is server_requests_total, server_failures_total of those it
+// answers with a failure and server_forwarded_total of those it passes
+// on, each by op and made at its op's first event while a registry is
+// installed; and server_handoffs_total, its team's handoffs. The
+// server's name is the label they carry.
 type ServeSeries struct {
-	server    string
-	answered  metrics.PerOp[metrics.Histogram]
-	forwarded metrics.PerOp[metrics.Counter]
-	handoffs  *metrics.Counter
+	server            string
+	answered          metrics.PerOp[metrics.Histogram]
+	failed, forwarded metrics.PerOp[metrics.Counter]
+	handoffs          *metrics.Counter
 }
 
 // NewServeSeries returns server's series, added to k's catalogue.
@@ -33,6 +34,9 @@ func (ss *ServeSeries) read(r *metrics.Reading) {
 		l := metrics.Labels{Server: ss.server, Op: proto.Code(op).String()}
 		r.Histogram("serve_latency", l, h, false)
 		r.Counter("server_requests_total", l, h.Count(), false)
+	})
+	ss.failed.Each(func(op uint16, c *metrics.Counter) {
+		r.Counter("server_failures_total", metrics.Labels{Server: ss.server, Op: proto.Code(op).String()}, c.Value(), false)
 	})
 	ss.forwarded.Each(func(op uint16, c *metrics.Counter) {
 		r.Counter("server_forwarded_total", metrics.Labels{Server: ss.server, Op: proto.Code(op).String()}, c.Value(), false)
@@ -87,8 +91,7 @@ func (sv Serving) Passed() {
 // moment the client resumes never sees a half-open serve. series, if
 // non-nil, records the request before it for the same reason, and only
 // here: a forwarded request is recorded by the server that answers it.
-// The failure counter is the rare class and keeps the plain lookup. An
-// end-of-file answer is how a read learns where the object ends, so it
+// An end-of-file answer is how a read learns where the object ends, so it
 // counts as no failure, though its span carries the class.
 func (sv Serving) Reply(reply *proto.Message, series *ServeSeries) {
 	p, class := sv.p, ""
@@ -98,10 +101,10 @@ func (sv Serving) Reply(reply *proto.Message, series *ServeSeries) {
 	if sv.tr != nil {
 		sv.tr.Fail(sv.span, p.Now(), class)
 	}
-	if reg := p.Kernel().Metrics(); reg != nil && series != nil {
+	if series != nil && p.Kernel().Metrics() != nil {
 		series.answered.Get(uint16(sv.op)).Record(p.Now() - sv.start)
 		if class != "" && reply.Op != proto.ReplyEndOfFile {
-			reg.Counter("server_failures_total", metrics.Labels{Server: series.server, Op: sv.op.String()}).Inc()
+			series.failed.Get(uint16(sv.op)).Inc()
 		}
 	}
 	// A failed reply means the sender died or became unreachable; the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -17,6 +18,20 @@ func query(t *testing.T, client *kernel.Process, ts *toyServer, n int) {
 		proto.SetCSName(req, uint32(CtxDefault), "hello.txt")
 		if _, err := Transact(client, ts.srv.PID(), req); err != nil {
 			t.Errorf("query %d: %v", i, err)
+			return
+		}
+	}
+}
+
+// missing sends n QueryObjects of a name ts does not hold from client,
+// each answered NotFound.
+func missing(t *testing.T, client *kernel.Process, ts *toyServer, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		req := &proto.Message{Op: proto.OpQueryObject}
+		proto.SetCSName(req, uint32(CtxDefault), "missing.txt")
+		if _, err := Transact(client, ts.srv.PID(), req); !errors.Is(err, proto.ErrNotFound) {
+			t.Errorf("query %d of a missing name: %v", i, err)
 			return
 		}
 	}
@@ -81,11 +96,11 @@ func TestSeriesHandlesFollowRegistry(t *testing.T) {
 }
 
 // TestSeriesHandlesSharedByTeam is the -race leg: three workers record
-// into one server's serve series, two clients into one target's
-// send_latency, while a fourth goroutine swaps registries. Each install
-// takes one reading, the outgoing registry's final value and the
-// incoming one's base, so every event lands in exactly one registry and
-// the two see all of them.
+// into one server's serve series, its failures among them, two clients
+// into one target's send_latency, while a fourth goroutine swaps
+// registries. Each install takes one reading, the outgoing registry's
+// final value and the incoming one's base, so every event lands in
+// exactly one registry and the two see all of them.
 func TestSeriesHandlesSharedByTeam(t *testing.T) {
 	k := newDomain()
 	ts := startToyTeam(t, k.NewHost("srv"), "toy", 3)
@@ -93,7 +108,7 @@ func TestSeriesHandlesSharedByTeam(t *testing.T) {
 	regs := []*metrics.Registry{metrics.New(), metrics.New()}
 	k.SetMetrics(regs[0])
 
-	const clients, each = 2, 200
+	const clients, each, failing = 2, 200, 50
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	swapped := make(chan struct{})
@@ -114,20 +129,21 @@ func TestSeriesHandlesSharedByTeam(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			query(t, client, ts, each)
+			missing(t, client, ts, failing)
 		}()
 	}
 	wg.Wait()
 	close(stop)
 	<-swapped
-	var sum [4]uint64
+	var sum [5]uint64
 	for _, reg := range regs {
 		sends, serves, requests, handoffs := served(reg)
-		for i, n := range [4]uint64{sends, serves, requests, handoffs} {
+		for i, n := range [5]uint64{sends, serves, requests, handoffs, counted(reg, "toy")["server_failures_total"]} {
 			sum[i] += n
 		}
 	}
-	if want := uint64(clients * each); sum != [4]uint64{want, want, want, want} {
-		t.Fatalf("%d sends, %d serves, %d requests, %d handoffs recorded across the two registries, want %d of each",
-			sum[0], sum[1], sum[2], sum[3], want)
+	if want := uint64(clients * (each + failing)); sum != [5]uint64{want, want, want, want, clients * failing} {
+		t.Fatalf("%d sends, %d serves, %d requests, %d handoffs, %d failures recorded across the two registries, want %d of each and %d failures",
+			sum[0], sum[1], sum[2], sum[3], sum[4], want, clients*failing)
 	}
 }

@@ -49,32 +49,38 @@ var (
 // before giving up on an unreachable or dead remote host.
 const failedSendRetries = 3
 
-// FailureClass maps a kernel-level error to the short classification
-// string attached to failed trace spans. The mapping is checked most
-// specific first: a wrapped ErrHostDown stays "host-down" even though
-// the wrapping error chain may also carry ErrNonexistentProcess.
-func FailureClass(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrHostDown):
-		return "host-down"
-	case errors.Is(err, netsim.ErrUnreachable):
-		return "unreachable"
-	case errors.Is(err, ErrNonexistentProcess):
-		return "nonexistent-process"
-	case errors.Is(err, ErrProcessDead):
-		return "process-dead"
-	case errors.Is(err, ErrNoPendingMessage):
-		return "no-pending-message"
-	case errors.Is(err, ErrNotFound):
-		return "service-not-found"
-	case errors.Is(err, ErrNoSuchGroup):
-		return "no-such-group"
-	default:
-		return "error"
-	}
+// failureClasses is the kernel's one table of failure classes, most
+// specific first, so a wrapped ErrHostDown stays "host-down": no error is
+// none, and one no sentinel matches is "error". FailureClass reads it, and
+// a failed Send counts kernel_send_failures_total by its row.
+var failureClasses = [...]struct {
+	err   error
+	class string
+}{
+	{nil, ""},
+	{ErrHostDown, "host-down"},
+	{netsim.ErrUnreachable, "unreachable"},
+	{ErrNonexistentProcess, "nonexistent-process"},
+	{ErrProcessDead, "process-dead"},
+	{ErrNoPendingMessage, "no-pending-message"},
+	{ErrNotFound, "service-not-found"},
+	{ErrNoSuchGroup, "no-such-group"},
+	{nil, "error"},
 }
+
+// failureRow returns the row of failureClasses that classifies err.
+func failureRow(err error) int {
+	for i, f := range failureClasses {
+		if errors.Is(err, f.err) {
+			return i
+		}
+	}
+	return len(failureClasses) - 1
+}
+
+// FailureClass maps a kernel-level error to the short classification
+// string attached to failed trace spans.
+func FailureClass(err error) string { return failureClasses[failureRow(err)].class }
 
 // Kernel is one simulated V domain: the set of logical hosts running the
 // distributed V kernel over one local network (§4.1).
@@ -125,6 +131,9 @@ func New(n *netsim.Network) *Kernel {
 		r.Counter("kernel_replies_total", none, c.replies.Value(), true)
 		r.Counter("kernel_getpid_total", none, c.getpids.Value(), true)
 		r.Gauge("kernel_inflight", none, c.inflight.Load())
+		for i, f := range failureClasses {
+			r.Counter("kernel_send_failures_total", metrics.Labels{Class: f.class}, c.sendFailures[i].Value(), false)
+		}
 	})
 	return k
 }
@@ -147,9 +156,11 @@ func (k *Kernel) SetFlight(r *flight.Recorder) { k.flight.Store(r) }
 // recorder, so call sites record unconditionally.
 func (k *Kernel) Flight() *flight.Recorder { return k.flight.Load() }
 
-// ipcCounts is what the IPC primitives count, domain-wide.
+// ipcCounts is what the IPC primitives count, domain-wide: sendFailures
+// by row of failureClasses.
 type ipcCounts struct {
 	sends, forwards, replies, getpids metrics.Counter
+	sendFailures                      [len(failureClasses)]metrics.Counter
 	inflight                          atomic.Int64
 }
 

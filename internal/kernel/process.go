@@ -320,10 +320,11 @@ func (p *Process) startSend(op proto.Code, dst PID, at vtime.Time) trace.SpanID 
 // sendFailed ends a failed Send: its span classified and, with metrics
 // on, the failure counted by class.
 func (p *Process) sendFailed(reg *metrics.Registry, sp trace.SpanID, err error) (*proto.Message, error) {
-	p.Tracer().Fail(sp, p.clock.Now(), FailureClass(err))
+	row := failureRow(err)
+	p.Tracer().Fail(sp, p.clock.Now(), failureClasses[row].class)
 	if reg != nil {
 		p.host.kernel.ipc.inflight.Add(-1)
-		reg.Counter("kernel_send_failures_total", metrics.Labels{Class: FailureClass(err)}).Inc()
+		p.host.kernel.ipc.sendFailures[row].Inc()
 	}
 	return nil, err
 }

@@ -28,11 +28,11 @@ const (
 	histBuckets  = (histMaxShift + 2) * histSub // 2304
 )
 
-// Histogram is a fixed-bucket latency histogram with atomic recording.
-// A bucket's count and value sum sit side by side, so Record touches one
-// cache line of buckets (a bucket is 16 bytes and the table starts the
-// struct, which the allocator aligns); the totals are not kept but summed
-// from the buckets on read, which only snapshots do.
+// Histogram is a fixed-bucket latency histogram with atomic recording,
+// empty at its zero value. A bucket's count and value sum sit side by
+// side, so Record touches one cache line of buckets (a bucket is 16 bytes
+// and the table starts the struct, which the allocator aligns); the totals
+// are not kept but summed from the buckets on read, which only snapshots do.
 type Histogram struct {
 	buckets [histBuckets]bucket
 	max     atomic.Int64
@@ -42,9 +42,6 @@ type bucket struct {
 	count atomic.Uint64
 	sum   atomic.Int64
 }
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a nanosecond value to its bucket.
 func bucketIndex(v int64) int {

@@ -86,7 +86,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 // TestHistogramQuantiles pins the nearest-rank quantile math on an exact
 // distribution (values 1..100 ns, all in singleton buckets).
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	if got := readOf(h).quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
@@ -118,7 +118,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // even when the value lands in a wide bucket. This is what lets A14
 // print the paper's 2.56 ms at the median.
 func TestHistogramDegenerateExact(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	v := 2560 * time.Microsecond // 2.56 ms: a >1 µs-wide bucket
 	lo, hi := bucketBounds(bucketIndex(int64(v)))
 	if lo == hi {
@@ -141,7 +141,7 @@ func TestHistogramDegenerateExact(t *testing.T) {
 // TestHistogramBucketMeanBound: mixed values within one bucket report
 // the bucket mean, which stays inside the bucket's bounds.
 func TestHistogramBucketMeanBound(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	idx := bucketIndex(1 << 20)
 	lo, hi := bucketBounds(idx)
 	h.Record(time.Duration(lo))
@@ -168,7 +168,7 @@ func TestHistogramConcurrentRecordsMatchReference(t *testing.T) {
 			vals[w] = append(vals[w], time.Duration(rng.Int63n(1<<uint(rng.Intn(44)+1))))
 		}
 	}
-	h, ref := NewHistogram(), NewHistogram()
+	h, ref := new(Histogram), new(Histogram)
 	var wg sync.WaitGroup
 	for w := range vals {
 		wg.Add(1)
@@ -205,7 +205,7 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
 	}
-	h := NewHistogram()
+	h := new(Histogram)
 	v := time.Duration(0)
 	if allocs := testing.AllocsPerRun(1000, func() { v += 997; h.Record(v) }); allocs != 0 {
 		t.Fatalf("Record: %v allocs", allocs)

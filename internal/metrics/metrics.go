@@ -7,12 +7,13 @@
 // safe for concurrent use from real goroutines, and the instruments
 // themselves are plain atomics.
 //
-// The registry reads; emitters count. An emitter keeps the instruments on
-// a request's success path and adds its series once to its kernel's or
-// network's Catalogue. A registry counts what happens while it is
-// installed, from SetMetrics(reg) until SetMetrics(other or nil). Rare
-// series (failure classes, chaos) are the registry's own, looked up by
-// label in the one installed when the event happens.
+// The registry reads; emitters count. Every count the modelled system
+// makes, on a request's success or failure path, is an instrument its
+// emitter keeps and adds once to its kernel's or network's Catalogue. A
+// registry counts what happens while it is installed, from
+// SetMetrics(reg) until SetMetrics(other or nil). Only what stands
+// outside the modelled system, the chaos engine, keeps series of the
+// registry's own, looked up by label in the one installed.
 //
 // Determinism contract: an instrument update is reproducible (safe to
 // include in golden-pinned output) only when it is ordered before the
@@ -72,18 +73,9 @@ func Stable[T comparable](load func() T) T {
 	return prev
 }
 
-// Counter is a monotonically increasing count. All methods are nil-safe
-// no-ops so instrument sites need no registry-presence checks.
-type Counter struct {
-	v  atomic.Uint64
-	of *series // a registry's own counter: its registry and key
-}
-
-// series is a registry's key of one of its own counters.
-type series struct {
-	r *Registry
-	k instKey
-}
+// Counter is a monotonically increasing count: one atomic, whose methods
+// are nil-safe no-ops on a nil *Counter.
+type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
@@ -99,15 +91,10 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count; a registry's counter reads as its
-// series, with what the registry reads of its catalogues under the same
-// name and labels.
+// Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
-	}
-	if c.of != nil {
-		return c.of.r.read(true)[c.of.k].n
 	}
 	return c.v.Load()
 }
@@ -188,8 +175,7 @@ func (r *Registry) Counter(name string, l Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := instKey{name, l}
-	return lookup(r, &r.counters, k, func() *Counter { return &Counter{of: &series{r, k}} })
+	return lookup(r, &r.counters, instKey{name, l})
 }
 
 // SetGauges sets every gauge in points, volatile if the point says so,
@@ -214,7 +200,7 @@ func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return lookup(r, &r.hists, instKey{name, l}, NewHistogram)
+	return lookup(r, &r.hists, instKey{name, l})
 }
 
 // Timeline returns (creating if needed) the named state timeline.
@@ -222,12 +208,12 @@ func (r *Registry) Timeline(name string, l Labels) *Timeline {
 	if r == nil {
 		return nil
 	}
-	return lookup(r, &r.timelines, instKey{name, l}, func() *Timeline { return &Timeline{} })
+	return lookup(r, &r.timelines, instKey{name, l})
 }
 
 // lookup is one by-label lookup in table: k's instrument, made if the
 // table lacks it.
-func lookup[V any](r *Registry, table *map[instKey]*V, k instKey, mk func() *V) *V {
+func lookup[V any](r *Registry, table *map[instKey]*V, k instKey) *V {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.lookups++
@@ -237,7 +223,7 @@ func lookup[V any](r *Registry, table *map[instKey]*V, k instKey, mk func() *V) 
 	if *table == nil {
 		*table = make(map[instKey]*V)
 	}
-	v := mk()
+	v := new(V)
 	(*table)[k] = v
 	return v
 }

@@ -230,10 +230,10 @@ func TestPublishedCountsFromFirstEvent(t *testing.T) {
 	count.Add(11)
 	cat.Install(nil)
 	count.Add(13)
-	if got, want := a.Counter("events_total", Labels{}).Value(), uint64(3+11); got != want {
+	if got, want := (Sample{Counters: a.Snapshot().Counters}).Total("events_total"), uint64(3+11); got != want {
 		t.Errorf("A counts %d, want %d", got, want)
 	}
-	if got, want := b.Counter("events_total", Labels{}).Value(), uint64(5+7); got != want {
+	if got, want := (Sample{Counters: b.Snapshot().Counters}).Total("events_total"), uint64(5+7); got != want {
 		t.Errorf("B counts %d, want %d", got, want)
 	}
 	if got := New().Snapshot().Counters; len(got) != 0 {

@@ -14,25 +14,22 @@ import (
 // this is a live surface, not a golden one.
 func WritePrometheus(w io.Writer, s Snapshot) {
 	lastType := ""
-	for _, c := range s.Counters {
-		if lastType != "counter/"+c.Name {
-			fmt.Fprintf(w, "# TYPE %s counter\n", c.Name)
-			lastType = "counter/" + c.Name
+	header := func(name, kind string) {
+		if lastType != kind+"/"+name {
+			fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
+			lastType = kind + "/" + name
 		}
+	}
+	for _, c := range s.Counters {
+		header(c.Name, "counter")
 		fmt.Fprintf(w, "%s%s %d\n", c.Name, promLabels(c.Labels, ""), c.Value)
 	}
 	for _, g := range s.Gauges {
-		if lastType != "gauge/"+g.Name {
-			fmt.Fprintf(w, "# TYPE %s gauge\n", g.Name)
-			lastType = "gauge/" + g.Name
-		}
+		header(g.Name, "gauge")
 		fmt.Fprintf(w, "%s%s %d\n", g.Name, promLabels(g.Labels, ""), g.Value)
 	}
 	for _, h := range s.Histograms {
-		if lastType != "summary/"+h.Name {
-			fmt.Fprintf(w, "# TYPE %s summary\n", h.Name)
-			lastType = "summary/" + h.Name
-		}
+		header(h.Name, "summary")
 		fmt.Fprintf(w, "%s%s %d\n", h.Name, promLabels(h.Labels, `quantile="0.5"`), h.P50US*1000)
 		fmt.Fprintf(w, "%s%s %d\n", h.Name, promLabels(h.Labels, `quantile="0.9"`), h.P90US*1000)
 		fmt.Fprintf(w, "%s%s %d\n", h.Name, promLabels(h.Labels, `quantile="0.99"`), h.P99US*1000)
@@ -40,10 +37,7 @@ func WritePrometheus(w io.Writer, s Snapshot) {
 		fmt.Fprintf(w, "%s_count%s %d\n", h.Name, promLabels(h.Labels, ""), h.Count)
 	}
 	for _, tl := range s.Timelines {
-		if lastType != "gauge/"+tl.Name {
-			fmt.Fprintf(w, "# TYPE %s gauge\n", tl.Name)
-			lastType = "gauge/" + tl.Name
-		}
+		header(tl.Name, "gauge")
 		value := int64(1) // implicit initial state: up
 		if n := len(tl.Points); n > 0 {
 			value = tl.Points[n-1].Value

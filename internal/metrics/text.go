@@ -16,28 +16,18 @@ import (
 // compare them across runs.
 func (s Snapshot) WriteText(w io.Writer) {
 	nameW := 0
-	measure := func(name string, l Labels) string {
-		id := name + promLabels(l, "")
-		if len(id) > nameW {
-			nameW = len(id)
-		}
-		return id
+	width := func(name string, l Labels) { nameW = max(nameW, len(name+promLabels(l, ""))) }
+	for _, c := range s.Counters {
+		width(c.Name, c.Labels)
 	}
-	counterIDs := make([]string, len(s.Counters))
-	for i, c := range s.Counters {
-		counterIDs[i] = measure(c.Name, c.Labels)
+	for _, g := range s.Gauges {
+		width(g.Name, g.Labels)
 	}
-	gaugeIDs := make([]string, len(s.Gauges))
-	for i, g := range s.Gauges {
-		gaugeIDs[i] = measure(g.Name, g.Labels)
+	for _, h := range s.Histograms {
+		width(h.Name, h.Labels)
 	}
-	histIDs := make([]string, len(s.Histograms))
-	for i, h := range s.Histograms {
-		histIDs[i] = measure(h.Name, h.Labels)
-	}
-	tlIDs := make([]string, len(s.Timelines))
-	for i, t := range s.Timelines {
-		tlIDs[i] = measure(t.Name, t.Labels)
+	for _, t := range s.Timelines {
+		width(t.Name, t.Labels)
 	}
 
 	vol := func(v bool) string {
@@ -48,29 +38,29 @@ func (s Snapshot) WriteText(w io.Writer) {
 	}
 	if len(s.Counters) > 0 {
 		fmt.Fprintln(w, "counters:")
-		for i, c := range s.Counters {
-			fmt.Fprintf(w, "  %-*s %12d\n", nameW, counterIDs[i], c.Value)
+		for _, c := range s.Counters {
+			fmt.Fprintf(w, "  %-*s %12d\n", nameW, c.Name+promLabels(c.Labels, ""), c.Value)
 		}
 	}
 	if len(s.Gauges) > 0 {
 		fmt.Fprintln(w, "gauges:")
-		for i, g := range s.Gauges {
-			fmt.Fprintf(w, "  %-*s %12d%s\n", nameW, gaugeIDs[i], g.Value, vol(g.Volatile))
+		for _, g := range s.Gauges {
+			fmt.Fprintf(w, "  %-*s %12d%s\n", nameW, g.Name+promLabels(g.Labels, ""), g.Value, vol(g.Volatile))
 		}
 	}
 	if len(s.Histograms) > 0 {
 		fmt.Fprintln(w, "histograms:")
 		fmt.Fprintf(w, "  %-*s %8s  %10s  %10s  %10s  %10s\n",
 			nameW, "", "count", "p50", "p90", "p99", "max")
-		for i, h := range s.Histograms {
+		for _, h := range s.Histograms {
 			fmt.Fprintf(w, "  %-*s %8d  %10s  %10s  %10s  %10s\n",
-				nameW, histIDs[i], h.Count, usText(h.P50US), usText(h.P90US), usText(h.P99US), usText(h.MaxUS))
+				nameW, h.Name+promLabels(h.Labels, ""), h.Count, usText(h.P50US), usText(h.P90US), usText(h.P99US), usText(h.MaxUS))
 		}
 	}
 	if len(s.Timelines) > 0 {
 		fmt.Fprintln(w, "timelines:")
-		for i, t := range s.Timelines {
-			fmt.Fprintf(w, "  %-*s", nameW, tlIDs[i])
+		for _, t := range s.Timelines {
+			fmt.Fprintf(w, "  %-*s", nameW, t.Name+promLabels(t.Labels, ""))
 			for _, p := range t.Points {
 				fmt.Fprintf(w, "  %s=%d", vtime.Milliseconds(p.At), p.Value)
 			}

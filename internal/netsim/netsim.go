@@ -101,7 +101,7 @@ type Network struct {
 // New returns a network using the given cost model and a deterministic RNG
 // seed for loss injection.
 func New(model *vtime.CostModel, seed int64) *Network {
-	n := &Network{model: model, rng: rand.New(rand.NewSource(seed)), queueWait: metrics.NewHistogram()}
+	n := &Network{model: model, rng: rand.New(rand.NewSource(seed)), queueWait: new(metrics.Histogram)}
 	n.metrics.Add(n.series)
 	return n
 }

@@ -18,9 +18,15 @@ import (
 // different pid is counted as a §4.2 rebind. Both are counted in the
 // registry alone.
 
-// recoveries reads ps's prefix_<name>_total series in reg.
-func recoveries(reg *metrics.Registry, ps *Server, name string) uint64 {
-	return reg.Counter("prefix_"+name+"_total", metrics.Labels{Server: ps.proc.Name()}).Value()
+// recoveries reads ps's prefix_<name>_total series from a snapshot of
+// reg.
+func recoveries(reg *metrics.Registry, ps *Server, name string) (n uint64) {
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "prefix_"+name+"_total" && c.Labels == (metrics.Labels{Server: ps.proc.Name()}) {
+			n += c.Value
+		}
+	}
+	return n
 }
 
 func TestDynamicBindingDeadTargetBoundedFailure(t *testing.T) {

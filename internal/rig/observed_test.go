@@ -1,6 +1,7 @@
 package rig
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -11,8 +12,11 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/kernel"
 	"repro/internal/metrics"
+	"repro/internal/proto"
 	"repro/internal/raceflag"
 	"repro/internal/trace"
 )
@@ -99,11 +103,45 @@ func TestObservedOpFootprint(t *testing.T) {
 // TestSteadyStateResolvesNoSeries pins "the registry reads; emitters
 // count": once every emitter has seen each of its ops, 10³ more
 // operations look nothing up in the registry by label and list no new
-// series.
+// series. Failures are emitters' events too: between the drives a session
+// under a retry policy queries a server whose host has crashed, and one
+// whose server answers NotFound, and their failure series move by what
+// the policy and the server count, with no lookup either.
 func TestSteadyStateResolvesNoSeries(t *testing.T) {
-	const warm, more = 500, 125
-	_, reg, drive := observedZipf(t, true, warm+more)
+	const warm, more, failing = 500, 125, 5
+	const attempts = 3
+	zw, reg, drive := observedZipf(t, true, warm+more)
+	probe, err := zw.Kernel.NewHost("probe").NewProcess("prober")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := zw.Kernel.NewHost("gone")
+	dead, err := gone.NewProcess("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Crash()
+	s := client.New(probe, zw.Prefix.PID(), zw.Shards[0].RootPair(), "prober")
+	s.EnableResilience(client.RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
+	fail := func() {
+		for i := 0; i < failing; i++ {
+			s.SetCurrent(core.ContextPair{Server: dead.PID(), Ctx: core.CtxDefault})
+			if _, err := s.Query("x"); !errors.Is(err, kernel.ErrNonexistentProcess) {
+				t.Fatalf("query on the crashed host: %v", err)
+			}
+			s.SetCurrent(zw.Shards[0].RootPair())
+			if _, err := s.Query("no-such-name"); !errors.Is(err, proto.ErrNotFound) {
+				t.Fatalf("query of a missing name: %v", err)
+			}
+		}
+	}
+	failures := func() [3]uint64 {
+		return [3]uint64{countOf(reg, "kernel_send_failures_total", metrics.Labels{Class: "nonexistent-process"}),
+			countOf(reg, "server_failures_total", metrics.Labels{Server: zw.Shards[0].Proc().Name(), Op: proto.OpQueryObject.String()}),
+			countOf(reg, "client_retries_total", metrics.Labels{Server: "prober"})}
+	}
 	drive(0, warm)
+	fail()
 	series := func() (names []string) {
 		s := reg.Snapshot()
 		for _, c := range s.Counters {
@@ -114,15 +152,21 @@ func TestSteadyStateResolvesNoSeries(t *testing.T) {
 		}
 		return names
 	}
-	before, lookups := series(), reg.Lookups()
+	before, lookups, failed := series(), reg.Lookups(), failures()
 	if res := drive(warm, more); res.Requests != 8*more {
 		t.Fatalf("ran %d requests", res.Requests)
 	}
+	fail()
 	if got := reg.Lookups() - lookups; got != 0 {
-		t.Fatalf("%d steady-state operations did %d registry lookups", 8*more, got)
+		t.Fatalf("%d steady-state operations and %d failing ones did %d registry lookups", 8*more, 2*failing, got)
 	}
 	if after := series(); !reflect.DeepEqual(after, before) || len(before) == 0 {
 		t.Fatalf("steady state created series: %d before, %d after", len(before), len(after))
+	}
+	// Each query on the crashed host fails every attempt's Send and
+	// retries all but the last; each NotFound is one failed answer.
+	if got, want := failures(), [3]uint64{failed[0] + attempts*failing, failed[1] + failing, failed[2] + (attempts-1)*failing}; got != want {
+		t.Fatalf("send failures, server failures, retries = %v, want %v", got, want)
 	}
 }
 

@@ -62,7 +62,8 @@ func New(cfg Config) (*Rig, error) {
 	return cfg.Boot()
 }
 
-// checkPaper refuses a negative Requests and fills in the default users.
+// checkPaper refuses a negative Requests and the sharded kinds' fields,
+// and fills in the default users.
 func (sc *Scenario) checkPaper() error {
 	if sc.Requests < 0 {
 		return fmt.Errorf("paper testbed: requests must not be negative, got %d", sc.Requests)
@@ -70,7 +71,7 @@ func (sc *Scenario) checkPaper() error {
 	if len(sc.Users) == 0 {
 		sc.Users = []string{"mann", "cheriton"}
 	}
-	return nil
+	return sc.ignores("Shards ClientsPerShard CacheTier Population", sc.Shards != 0, sc.ClientsPerShard != 0, sc.CacheTier, sc.Population != 0)
 }
 
 // bootPaper is the Paper kind's step: the metrics registry and its

@@ -50,6 +50,42 @@ func TestBootRefusesNegativeRequests(t *testing.T) {
 	}
 }
 
+// TestBootRefusesIgnoredFields: a scenario that sets a field its kind
+// ignores is refused at boot with ErrIgnoredField and the field named,
+// not run as if the field were unset; the same scenario without it
+// boots.
+func TestBootRefusesIgnoredFields(t *testing.T) {
+	paper := Scenario{Kind: Paper}
+	shared := Scenario{Kind: SharedPrefix, Shards: 1, ClientsPerShard: 1, Requests: 1}
+	zipf := Scenario{Kind: Zipf, Shards: 1, ClientsPerShard: 1, Requests: 1, Population: 8,
+		Lease: time.Second, Interarrival: time.Millisecond}
+	for _, c := range []struct {
+		base  Scenario
+		field string
+		set   func(*Scenario)
+	}{
+		{paper, "Shards", func(sc *Scenario) { sc.Shards = 2 }},
+		{paper, "ClientsPerShard", func(sc *Scenario) { sc.ClientsPerShard = 1 }},
+		{paper, "CacheTier", func(sc *Scenario) { sc.CacheTier = true }},
+		{paper, "Population", func(sc *Scenario) { sc.Population = 100 }},
+		{shared, "Replicas", func(sc *Scenario) { sc.Replicas = 2 }},
+		{shared, "Baseline", func(sc *Scenario) { sc.Baseline = true }},
+		{shared, "Users", func(sc *Scenario) { sc.Users = []string{"mann"} }},
+		{zipf, "Replicas", func(sc *Scenario) { sc.Replicas = 3 }},
+		{zipf, "Baseline", func(sc *Scenario) { sc.Baseline = true }},
+		{zipf, "Users", func(sc *Scenario) { sc.Users = []string{"mann"} }},
+	} {
+		if _, err := c.base.Boot(); err != nil {
+			t.Fatalf("%s without %s: %v", c.base.Kind, c.field, err)
+		}
+		sc := c.base
+		c.set(&sc)
+		if _, err := sc.Boot(); !errors.Is(err, ErrIgnoredField) || !strings.HasSuffix(err.Error(), " sets "+c.field) {
+			t.Errorf("%s with %s: Boot = %v, want %v naming the field", sc.Kind, c.field, err, ErrIgnoredField)
+		}
+	}
+}
+
 // TestBootIsDeterministic: i-node numbers are object ids on the wire, so
 // every boot must hand /bin's programs the same ones — boot after boot on
 // the single server, and on every member volume of a replicated fs1.

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"time"
 
@@ -229,6 +230,21 @@ var kinds = map[Kind]struct {
 	Paper:        {"", (*Scenario).checkPaper, (*Topology).bootPaper},
 	SharedPrefix: {"bench", (*Scenario).checkSharded, sharded((*Topology).addSharedPrefixClients)},
 	Zipf:         {"pop", (*Scenario).checkZipf, sharded((*Topology).addZipfClients)},
+}
+
+// ErrIgnoredField is Boot's refusal of a scenario that sets a field its
+// Kind ignores: a shape that would otherwise pass vacuously.
+var ErrIgnoredField = errors.New("rig: scenario sets a field its kind ignores")
+
+// ignores refuses sc if it sets one of the fields names lists, in order,
+// which its Kind ignores.
+func (sc *Scenario) ignores(names string, set ...bool) error {
+	for i, name := range strings.Fields(names) {
+		if set[i] {
+			return fmt.Errorf("%w: %s sets %s", ErrIgnoredField, sc.Kind, name)
+		}
+	}
+	return nil
 }
 
 // Boot boots the scenario's topology without running it: the substrate

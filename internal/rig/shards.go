@@ -36,9 +36,10 @@ import (
 // A11 team experiment uses for its hot phase.
 const ShardHotPath = "deep/a/b/c/d/e/f/hot.dat"
 
-// checkSharded validates the counts every sharded kind needs and applies
-// the lease rule: lease coherence retires the blind flush, because expiry
-// and callbacks bound staleness instead (PROTOCOL.md §13).
+// checkSharded validates the counts every sharded kind needs, refuses
+// the Paper kind's fields, and applies the lease rule: lease coherence
+// retires the blind flush, because expiry and callbacks bound staleness
+// instead (PROTOCOL.md §13).
 func (sc *Scenario) checkSharded() error {
 	what := string(sc.Kind) + " workload"
 	if sc.Shards <= 0 || sc.ClientsPerShard <= 0 || sc.Requests <= 0 {
@@ -50,7 +51,7 @@ func (sc *Scenario) checkSharded() error {
 	if sc.Lease > 0 {
 		sc.FlushEvery = 0
 	}
-	return nil
+	return sc.ignores("Replicas Baseline Users", sc.Replicas > 1, sc.Baseline, len(sc.Users) > 0)
 }
 
 // sharded is a sharded kind's boot step: the prefix server (fixed or
