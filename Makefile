@@ -73,8 +73,9 @@ check: vet
 # is the outgoing registry's final value and the incoming one's base, so
 # every event lands in exactly one (TestSeriesHandlesSharedByTeam). Four
 # goroutines record into the flight ring, which takes no lock: sealed,
-# it equals a sequential replay.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts|TestPublishedSeriesCountOnce|TestSeriesHandlesSharedByTeam|TestConcurrentRecordsSealAsSequential' ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/ ./internal/flight/ ./internal/core/
+# it equals a sequential replay. A session's results survive its next
+# requests, which reuse its one message, a retry's re-mapping among them.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts|TestPublishedSeriesCountOnce|TestSeriesHandlesSharedByTeam|TestConcurrentRecordsSealAsSequential|TestSessionResultsSurviveNextRequest' ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/ ./internal/flight/ ./internal/core/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last three are the file path's: a block
 # read lands in the reader's buffer, no block reads Info(), and a block
@@ -85,8 +86,10 @@ check: vet
 # A truncated file's rewrite takes back the pages it freed:
 # TestRewriteReusesFreedPages. Recording a histogram observation and a
 # buffer-cache hit, miss or eviction allocate nothing:
-# TestHistogramRecordZeroAlloc, TestBlockCacheAccessZeroAlloc.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestIdleMetersOfferNothing|TestIdleCountersOfferNothing|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestRewriteReusesFreedPages|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce|TestInstanceOpsAnswerInRequest|TestHistogramRecordZeroAlloc|TestBlockCacheAccessZeroAlloc' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/ ./internal/metrics/
+# TestHistogramRecordZeroAlloc, TestBlockCacheAccessZeroAlloc. The
+# paper's routines allocate what they hand back and what the servers
+# keep: TestPaperRoutinesAllocate.
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestIdleMetersOfferNothing|TestIdleCountersOfferNothing|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestRewriteReusesFreedPages|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce|TestInstanceOpsAnswerInRequest|TestHistogramRecordZeroAlloc|TestBlockCacheAccessZeroAlloc|TestPaperRoutinesAllocate' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/ ./internal/metrics/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover
@@ -108,8 +111,10 @@ bench:
 # size, on one P as the ledger pins it; W=ZipfChurnSetup is define_churn's
 # set-up alone at full size, 3×10⁵ names bound and nothing driven (a
 # tenth-size shape keeps its names in cache) — kept in a temp dir, hottest
-# 25 by cumulative share printed. Then the live heap: one more iteration with
-# every 512th byte sampled, whose profile is written after a final GC with
+# 25 by cumulative share printed, and the 25 sites that allocate the most
+# objects (alloc_objects, flat: where allocs_per_op comes from). Then the
+# live heap: one more iteration with every 512th byte sampled, whose
+# profile is written after a final GC with
 # the booted topology still referenced (benchLive), largest 25 holders
 # printed — the ledger's heap_live_mb point. Read this before attributing
 # a remainder bench/'s probes leave unexplained. PROFILE_N is the
@@ -124,6 +129,7 @@ profile:
 		-cpuprofile $$tmp/cpu.pprof -memprofile $$tmp/mem.pprof -o $$tmp/repro.test .; \
 	$(GO) tool pprof -top -cum -nodecount 25 $$tmp/repro.test $$tmp/cpu.pprof; \
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 25 $$tmp/repro.test $$tmp/mem.pprof; \
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $$tmp/repro.test $$tmp/mem.pprof; \
 	$$tmp/repro.test -test.run '^$$' -test.bench 'Benchmark$(W)$$' -test.benchtime 1x -test.cpu 1 \
 		-test.memprofilerate 512 -test.memprofile $$tmp/heap.pprof >/dev/null; \
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount 25 $$tmp/repro.test $$tmp/heap.pprof; \

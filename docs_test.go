@@ -108,9 +108,9 @@ func TestChangesLinesCapped(t *testing.T) {
 // docBudgets is each narrative document's size ceiling in bytes. Lower
 // a budget when its document shrinks; never raise one to pass.
 var docBudgets = map[string]int64{
-	"EXPERIMENTS.md": 121739,
-	"PROTOCOL.md":    83756,
-	"DESIGN.md":      63188,
+	"EXPERIMENTS.md": 121718,
+	"PROTOCOL.md":    83755,
+	"DESIGN.md":      63175,
 }
 
 // TestDocsWithinBudget: no document grows past its committed budget, so

@@ -49,8 +49,13 @@ type Session struct {
 	// to every operation (resilience.go).
 	recovery *resilience
 
-	// mapReq is the request MapContext sends and its answer lands in.
-	mapReq proto.Message
+	// req is the session's one request message, as a V process has one
+	// message buffer: every routine re-initialises it (request), sends it,
+	// and reads its answer there (PROTOCOL.md §7). file is the instance
+	// ReadFile, WriteFile, List and MakeContext open, use and close, one
+	// at a time.
+	req  proto.Message
+	file vio.File
 }
 
 // New builds a session for a program running as proc, using the given
@@ -79,6 +84,13 @@ func (s *Session) SetCurrent(pair core.ContextPair) { s.current = pair }
 // whose server has died.
 func (s *Session) SetCurrentName(name string) { s.currentName = name }
 
+// request re-initialises the session's request message for op, keeping
+// its segment's storage, and returns it.
+func (s *Session) request(op proto.Code) *proto.Message {
+	s.req = proto.Message{Op: op, Segment: s.req.Segment[:0]}
+	return &s.req
+}
+
 // route decides where a CSname request goes when no cache answers for
 // it: the single common check for the standard context prefix character
 // (§6).
@@ -102,9 +114,10 @@ func (s *Session) send(name string, req *proto.Message, moveDst []byte, fill fun
 }
 
 // sendOnce is one attempt of send. It restores the request as the caller
-// built it (orig) — a reply lost on its way back may have landed in req —
-// and routes the name: a prefixed name through the session's cache, if
-// it has one, any other through route. It then encodes the
+// built it (orig) — a reply lost on its way back, or the recovery path's
+// re-mapping of the current context (mapContextDirect), may have landed
+// in req — and routes the name: a prefixed name through the session's
+// cache, if it has one, any other through route. It then encodes the
 // server-relative name, lets fill append its payload, charges the stub,
 // sends and converts the reply. A failed send to a cached pair is stale
 // (see stale), re-resolved and sent once more if mayRetry and the policy
@@ -146,11 +159,15 @@ func (s *Session) sendOnce(name string, req, orig *proto.Message, moveDst []byte
 	return reply, nil
 }
 
-// sendTo is send with an explicit destination (non-name operations).
-// Recovery here only waits out transient unreachability — there is no
-// name to re-resolve a fixed pid by.
-func (s *Session) sendTo(server kernel.PID, req *proto.Message) (*proto.Message, error) {
+// sendTo is send with an explicit destination (non-name operations):
+// each attempt re-initialises the session's request for op and lets build
+// fill it in, since a failed attempt's reply or a rebind's re-mapping may
+// have landed there. Recovery here only waits out transient
+// unreachability — there is no name to re-resolve a fixed pid by.
+func (s *Session) sendTo(server kernel.PID, op proto.Code, build func(*proto.Message)) (*proto.Message, error) {
 	return s.withRecovery("", func() (*proto.Message, error) {
+		req := s.request(op)
+		build(req)
 		s.proc.ChargeCompute(s.proc.Kernel().Model().ClientStubCost)
 		reply, err := s.proc.Send(req, server)
 		if err == nil {
@@ -163,23 +180,30 @@ func (s *Session) sendTo(server kernel.PID, req *proto.Message) (*proto.Message,
 	})
 }
 
-// opened is the instance an open reply describes, at the server the
+// opened makes f the instance an open reply describes, at the server the
 // reply names as implementing it (core.OpenInstance): a forwarded open's
 // instance lives at the final server, not the one the request went to.
-func (s *Session) opened(reply *proto.Message) *vio.File {
-	return vio.NewFile(s.proc, kernel.PID(proto.InstanceOwner(reply)), proto.GetInstanceInfo(reply))
+func (s *Session) opened(f *vio.File, reply *proto.Message) *vio.File {
+	return f.Init(s.proc, kernel.PID(proto.InstanceOwner(reply)), proto.GetInstanceInfo(reply))
+}
+
+// open opens name in mode as f — the session's own routines open s.file;
+// pattern, for a directory open, rides the segment after the name
+// (empty: none).
+func (s *Session) open(f *vio.File, name string, mode uint32, pattern string) (*vio.File, error) {
+	req := s.request(proto.OpCreateInstance)
+	proto.SetOpenMode(req, mode)
+	reply, err := s.send(name, req, nil, func(req *proto.Message) { proto.SetDirPattern(req, pattern) })
+	if err != nil {
+		return nil, err
+	}
+	return s.opened(f, reply), nil
 }
 
 // Open opens the named file-like object and returns its instance (§6's
 // Open routine). The mode is a proto.Mode* bitmask.
 func (s *Session) Open(name string, mode uint32) (*vio.File, error) {
-	req := &proto.Message{Op: proto.OpCreateInstance}
-	proto.SetOpenMode(req, mode)
-	reply, err := s.send(name, req, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return s.opened(reply), nil
+	return s.open(new(vio.File), name, mode, "")
 }
 
 // List reads the context directory of the named context and decodes its
@@ -205,31 +229,29 @@ func readRecords(f *vio.File) ([]proto.Descriptor, error) {
 // transmitted — the §5.6 extension. An empty pattern matches every
 // object.
 func (s *Session) ListPattern(name, pattern string) ([]proto.Descriptor, error) {
-	req := &proto.Message{Op: proto.OpCreateInstance}
-	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
-	reply, err := s.send(name, req, nil, func(req *proto.Message) { proto.SetDirPattern(req, pattern) })
+	f, err := s.open(&s.file, name, proto.ModeRead|proto.ModeDirectory, pattern)
 	if err != nil {
 		return nil, err
 	}
-	return readRecords(s.opened(reply))
+	return readRecords(f)
 }
 
 // ListPrefixes reads the context directory of the user's prefix server —
 // the per-user table of top-level context prefixes (§6).
 func (s *Session) ListPrefixes() ([]proto.Descriptor, error) {
-	req := &proto.Message{Op: proto.OpCreateInstance}
-	proto.SetCSName(req, uint32(core.CtxDefault), "")
-	proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
-	reply, err := s.sendTo(s.prefixServer, req)
+	reply, err := s.sendTo(s.prefixServer, proto.OpCreateInstance, func(req *proto.Message) {
+		proto.SetCSName(req, uint32(core.CtxDefault), "")
+		proto.SetOpenMode(req, proto.ModeRead|proto.ModeDirectory)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return readRecords(s.opened(reply))
+	return readRecords(s.opened(&s.file, reply))
 }
 
 // ReadFile opens, reads and closes the named file.
 func (s *Session) ReadFile(name string) ([]byte, error) {
-	f, err := s.Open(name, proto.ModeRead)
+	f, err := s.open(&s.file, name, proto.ModeRead, "")
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +261,7 @@ func (s *Session) ReadFile(name string) ([]byte, error) {
 
 // WriteFile creates or truncates the named file with the given contents.
 func (s *Session) WriteFile(name string, data []byte) error {
-	f, err := s.Open(name, proto.ModeRead|proto.ModeWrite|proto.ModeCreate|proto.ModeTruncate)
+	f, err := s.open(&s.file, name, proto.ModeRead|proto.ModeWrite|proto.ModeCreate|proto.ModeTruncate, "")
 	if err != nil {
 		return err
 	}
@@ -252,10 +274,11 @@ func (s *Session) WriteFile(name string, data []byte) error {
 
 // Query returns the typed description record of the named object (§5.5).
 func (s *Session) Query(name string) (proto.Descriptor, error) {
-	reply, err := s.send(name, &proto.Message{Op: proto.OpQueryObject}, nil, nil)
+	reply, err := s.send(name, s.request(proto.OpQueryObject), nil, nil)
 	if err != nil {
 		return proto.Descriptor{}, err
 	}
+	// The name is a copy: the record's bytes are the session's request.
 	d, _, err := proto.DecodeDescriptor(reply.Segment)
 	return d, err
 }
@@ -263,7 +286,7 @@ func (s *Session) Query(name string) (proto.Descriptor, error) {
 // Modify overwrites the modifiable fields of the named object's
 // description (§5.5).
 func (s *Session) Modify(name string, d proto.Descriptor) error {
-	_, err := s.send(name, &proto.Message{Op: proto.OpModifyObject}, nil, func(req *proto.Message) {
+	_, err := s.send(name, s.request(proto.OpModifyObject), nil, func(req *proto.Message) {
 		req.Segment = d.AppendEncoded(req.Segment)
 	})
 	return err
@@ -271,7 +294,7 @@ func (s *Session) Modify(name string, d proto.Descriptor) error {
 
 // Remove deletes the named object.
 func (s *Session) Remove(name string) error {
-	_, err := s.send(name, &proto.Message{Op: proto.OpRemoveObject}, nil, nil)
+	_, err := s.send(name, s.request(proto.OpRemoveObject), nil, nil)
 	return err
 }
 
@@ -299,14 +322,14 @@ func (s *Session) sendTwoNames(op proto.Code, what, oldName, newName string) err
 		}
 		newName = newName[rest:]
 	}
-	_, err := s.send(oldName, &proto.Message{Op: op}, nil, func(req *proto.Message) { proto.AppendNewName(req, newName) })
+	_, err := s.send(oldName, s.request(op), nil, func(req *proto.Message) { proto.AppendNewName(req, newName) })
 	return err
 }
 
 // MakeContext creates a new (empty) context with the given name — a
 // directory-mode create, the protocol's mkdir.
 func (s *Session) MakeContext(name string) error {
-	f, err := s.Open(name, proto.ModeRead|proto.ModeDirectory|proto.ModeCreate)
+	f, err := s.open(&s.file, name, proto.ModeRead|proto.ModeDirectory|proto.ModeCreate, "")
 	if err != nil {
 		return err
 	}
@@ -322,8 +345,7 @@ func (s *Session) Link(oldName, newName string) error {
 
 // MapContext resolves a name to a fully-qualified context pair (§5.7).
 func (s *Session) MapContext(name string) (core.ContextPair, error) {
-	s.mapReq = proto.Message{Op: proto.OpMapContext, Segment: s.mapReq.Segment[:0]}
-	return mapped(s.send(name, &s.mapReq, nil, nil))
+	return mapped(s.send(name, s.request(proto.OpMapContext), nil, nil))
 }
 
 // mapped reads the context pair a MapContext reply carries.
@@ -350,10 +372,10 @@ func (s *Session) ChangeContext(name string) error {
 // AddName defines a context prefix at the user's prefix server, bound
 // statically to a context pair (§5.7 optional operation).
 func (s *Session) AddName(prefixName string, target core.ContextPair) error {
-	req := &proto.Message{Op: proto.OpAddContextName}
-	proto.SetCSName(req, 0, prefixName)
-	proto.SetAddContextTarget(req, uint32(target.Server), uint32(target.Ctx))
-	_, err := s.sendTo(s.prefixServer, req)
+	_, err := s.sendTo(s.prefixServer, proto.OpAddContextName, func(req *proto.Message) {
+		proto.SetCSName(req, 0, prefixName)
+		proto.SetAddContextTarget(req, uint32(target.Server), uint32(target.Ctx))
+	})
 	return err
 }
 
@@ -361,25 +383,23 @@ func (s *Session) AddName(prefixName string, target core.ContextPair) error {
 // (service, well-known-context) pair, re-resolved with GetPid per use
 // (§6).
 func (s *Session) AddDynamicName(prefixName string, service kernel.Service, wellKnown core.ContextID) error {
-	req := &proto.Message{Op: proto.OpAddContextName}
-	proto.SetCSName(req, 0, prefixName)
-	proto.SetAddContextDynamicTarget(req, uint32(service), uint32(wellKnown))
-	_, err := s.sendTo(s.prefixServer, req)
+	_, err := s.sendTo(s.prefixServer, proto.OpAddContextName, func(req *proto.Message) {
+		proto.SetCSName(req, 0, prefixName)
+		proto.SetAddContextDynamicTarget(req, uint32(service), uint32(wellKnown))
+	})
 	return err
 }
 
 // DeleteName removes a context prefix definition.
 func (s *Session) DeleteName(prefixName string) error {
-	req := &proto.Message{Op: proto.OpDeleteContextName}
-	proto.SetCSName(req, 0, prefixName)
-	_, err := s.sendTo(s.prefixServer, req)
+	_, err := s.sendTo(s.prefixServer, proto.OpDeleteContextName, func(req *proto.Message) { proto.SetCSName(req, 0, prefixName) })
 	return err
 }
 
 // AddLink binds a name on a file server to a context on another server —
 // the cross-server pointer of Figure 4.
 func (s *Session) AddLink(name string, target core.ContextPair) error {
-	req := &proto.Message{Op: proto.OpAddContextName}
+	req := s.request(proto.OpAddContextName)
 	proto.SetAddContextTarget(req, uint32(target.Server), uint32(target.Ctx))
 	_, err := s.send(name, req, nil, nil)
 	return err
@@ -389,7 +409,7 @@ func (s *Session) AddLink(name string, target core.ContextPair) error {
 // context name) without following it — OpDeleteContextName interpreted at
 // the server holding the binding (§5.7).
 func (s *Session) Unlink(name string) error {
-	_, err := s.send(name, &proto.Message{Op: proto.OpDeleteContextName}, nil, nil)
+	_, err := s.send(name, s.request(proto.OpDeleteContextName), nil, nil)
 	return err
 }
 
@@ -397,7 +417,7 @@ func (s *Session) Unlink(name string) error {
 // returning the number of bytes loaded — the diskless workstation program
 // load (§3.1).
 func (s *Session) LoadProgram(name string, buf []byte) (int, error) {
-	reply, err := s.send(name, &proto.Message{Op: proto.OpLoadProgram}, buf, nil)
+	reply, err := s.send(name, s.request(proto.OpLoadProgram), buf, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -411,7 +431,7 @@ func (s *Session) LoadProgram(name string, buf []byte) (int, error) {
 // program starts with the invoker's current context (§6). It returns the
 // program's name in the programs-in-execution context and its pid.
 func (s *Session) Exec(name string) (progName string, pid kernel.PID, err error) {
-	reply, err := s.send(name, &proto.Message{Op: proto.OpExecProgram}, nil, func(req *proto.Message) {
+	reply, err := s.send(name, s.request(proto.OpExecProgram), nil, func(req *proto.Message) {
 		proto.SetExecEnvironment(req, uint32(s.prefixServer), uint32(s.current.Server), uint32(s.current.Ctx))
 	})
 	if err != nil {
@@ -426,18 +446,17 @@ func (s *Session) Exec(name string) (progName string, pid kernel.PID, err error)
 // server's root; if no prefix matches, the server-relative path is
 // returned alone.
 func (s *Session) CurrentName() (string, error) {
-	req := &proto.Message{Op: proto.OpGetContextName}
-	req.F[0] = uint32(s.current.Ctx)
-	reply, err := s.sendTo(s.current.Server, req)
+	current := s.current
+	reply, err := s.sendTo(current.Server, proto.OpGetContextName, func(req *proto.Message) { req.F[0] = uint32(current.Ctx) })
 	if err != nil {
 		return "", err
 	}
 	path := string(reply.Segment)
 
-	preq := &proto.Message{Op: proto.OpGetContextName}
-	preq.F[0] = uint32(core.CtxDefault)
-	preq.F[1] = uint32(s.current.Server)
-	preply, err := s.sendTo(s.prefixServer, preq)
+	preply, err := s.sendTo(s.prefixServer, proto.OpGetContextName, func(req *proto.Message) {
+		req.F[0] = uint32(core.CtxDefault)
+		req.F[1] = uint32(current.Server)
+	})
 	if err != nil {
 		// No prefix names this server: return the server-relative path,
 		// the best available answer (§6).

@@ -226,9 +226,12 @@ func (s *Session) rebind(name string) {
 }
 
 // mapContextDirect resolves a name to a context pair in one attempt,
-// without recovery (used inside the recovery path itself).
+// without recovery (used inside the recovery path itself). It sends the
+// session's one request message, which the operation being retried
+// rebuilds at its next attempt.
 func (s *Session) mapContextDirect(name string) (core.ContextPair, error) {
-	return mapped(s.sendOnce(name, new(proto.Message), &proto.Message{Op: proto.OpMapContext}, nil, nil, true))
+	orig := proto.Message{Op: proto.OpMapContext, Segment: s.req.Segment[:0]}
+	return mapped(s.sendOnce(name, &s.req, &orig, nil, nil, true))
 }
 
 // uncache drops the cached resolution of name's prefix, reporting

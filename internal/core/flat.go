@@ -11,29 +11,39 @@ import (
 )
 
 // OpenInstance registers inst in reg under the name it was opened by and
-// builds the open reply every CSNH server sends: the instance parameters
-// and the pid of the server implementing it — a team's receptionist, the
-// address instance operations go to (§3.2).
-func OpenInstance(reg *vio.Registry, owner kernel.PID, inst vio.Instance, name string) *proto.Message {
+// answers the open request msg, in msg itself (proto.AnswerIn), as every
+// CSNH server does: the instance parameters and the pid of the server
+// implementing it — a team's receptionist, the address instance
+// operations go to (§3.2). A failure is a fresh message.
+func OpenInstance(msg *proto.Message, reg *vio.Registry, owner kernel.PID, inst vio.Instance, name string) *proto.Message {
 	info, err := reg.Open(inst, name)
 	if err != nil {
 		return ErrorReplyMsg(err)
 	}
-	reply := OkReply()
+	reply := proto.AnswerIn(msg, proto.ReplyOK)
 	proto.SetInstanceInfo(reply, info)
 	proto.SetInstanceOwner(reply, uint32(owner))
 	return reply
 }
 
-// OpenDirectory answers a directory open (§5.6) from a context's
-// directory stream: the count records the pattern selected and stream
-// encodes are charged to the serving process p at
+// OpenDirectory answers the directory open msg (§5.6), as OpenInstance
+// does, from a context's directory stream: the count records the pattern
+// selected and stream encodes are charged to the serving process p at
 // DescriptorFabricateCost each — before the instance exists, and only
 // those — and opened as a context directory whose written-back records go
 // to modify (nil: read-only).
-func OpenDirectory(p *kernel.Process, reg *vio.Registry, owner kernel.PID, stream []byte, count int, name string, modify func(*kernel.Process, proto.Descriptor) error) *proto.Message {
+func OpenDirectory(p *kernel.Process, msg *proto.Message, reg *vio.Registry, owner kernel.PID, stream []byte, count int, name string, modify func(*kernel.Process, proto.Descriptor) error) *proto.Message {
 	p.ChargeCompute(time.Duration(count) * p.Kernel().Model().DescriptorFabricateCost)
-	return OpenInstance(reg, owner, vio.NewDirectoryInstance(stream, modify), name)
+	return OpenInstance(msg, reg, owner, vio.NewDirectoryInstance(stream, modify), name)
+}
+
+// AnswerDescriptor answers the query request msg with d, encoded into
+// msg's own segment (proto.AnswerIn). The handler must have read all it
+// needs of the request: the name it resolved is a copy.
+func AnswerDescriptor(msg *proto.Message, d proto.Descriptor) *proto.Message {
+	reply := proto.AnswerIn(msg, proto.ReplyOK)
+	reply.Segment = d.AppendEncoded(reply.Segment)
+	return reply
 }
 
 // FlatKind is what is particular to one flat server; the protocol half is
@@ -112,7 +122,7 @@ func (f *Flat[T]) ByName() []uint32 {
 	names, _ := f.Store.Names(f.kind.Ctx) // a context never added lists nothing
 	ids := make([]uint32, 0, len(names))
 	for _, n := range names {
-		if e, err := f.Store.Lookup(f.kind.Ctx, n); err == nil && e.Object != nil {
+		if e, err := f.Store.Lookup(f.kind.Ctx, n); err == nil && e.Kind == EntryObject {
 			ids = append(ids, e.Object.ID)
 		}
 	}
@@ -155,10 +165,11 @@ func (f *Flat[T]) Remove(id uint32, name string) (*T, error) {
 	return obj, f.Store.Unbind(f.kind.Ctx, name)
 }
 
-// OpenObject opens object id, asked for in mode, as an instance granting
-// flags (proto.ModeRead, proto.ModeWrite); opened, if set, runs with Mu
-// held on the object found, and an error it returns refuses the open.
-func (f *Flat[T]) OpenObject(id uint32, name string, mode, flags uint32, opened func(*T) error) *proto.Message {
+// OpenObject answers the open request msg (OpenInstance): object id,
+// asked for in mode, as an instance granting flags (proto.ModeRead,
+// proto.ModeWrite); opened, if set, runs with Mu held on the object
+// found, and an error it returns refuses the open.
+func (f *Flat[T]) OpenObject(msg *proto.Message, id uint32, name string, mode, flags uint32, opened func(*T) error) *proto.Message {
 	f.Mu.Lock()
 	obj := f.objs[id]
 	var err error
@@ -171,7 +182,7 @@ func (f *Flat[T]) OpenObject(id uint32, name string, mode, flags uint32, opened 
 	if err != nil {
 		return ErrorReplyMsg(err)
 	}
-	return OpenInstance(f.reg, f.PID(), &flatInstance[T]{f: f, obj: obj, mode: mode, flags: flags}, name)
+	return OpenInstance(msg, f.reg, f.PID(), &flatInstance[T]{f: f, obj: obj, mode: mode, flags: flags}, name)
 }
 
 // flatInstance is an open object of a flat server: each operation takes
@@ -232,7 +243,7 @@ func (f *Flat[T]) HandleNamed(req *Request, res *Resolution) *proto.Message {
 		return f.kind.Open(req, res, mode)
 
 	case proto.OpQueryObject:
-		if res.Entry == nil || res.Entry.Object == nil {
+		if res.Entry == nil || res.Entry.Kind != EntryObject {
 			return ErrorReplyMsg(proto.ErrNotFound)
 		}
 		f.Mu.Lock()
@@ -246,12 +257,10 @@ func (f *Flat[T]) HandleNamed(req *Request, res *Resolution) *proto.Message {
 			return ErrorReplyMsg(proto.ErrNotFound)
 		}
 		req.Proc().ChargeCompute(req.Proc().Kernel().Model().DescriptorFabricateCost)
-		reply := OkReply()
-		reply.Segment = d.AppendEncoded(nil)
-		return reply
+		return AnswerDescriptor(req.Msg, d)
 
 	case proto.OpRemoveObject:
-		if res.Entry == nil || res.Entry.Object == nil {
+		if res.Entry == nil || res.Entry.Kind != EntryObject {
 			return ErrorReplyMsg(proto.ErrNotFound)
 		}
 		if _, err := f.Remove(res.Entry.Object.ID, res.Last); err != nil {
@@ -290,7 +299,7 @@ func (f *Flat[T]) openDirectory(req *Request, res *Resolution) *proto.Message {
 		records = f.describeContexts(ctx)
 	}
 	records = FilterRecords(records, pattern)
-	return OpenDirectory(req.Proc(), f.reg, f.PID(), proto.EncodeDescriptors(records), len(records), res.Name, nil)
+	return OpenDirectory(req.Proc(), req.Msg, f.reg, f.PID(), proto.EncodeDescriptors(records), len(records), res.Name, nil)
 }
 
 // describeAll snapshots the objects' records in listing order.
@@ -322,8 +331,8 @@ func (f *Flat[T]) describeContexts(ctx ContextID) []proto.Descriptor {
 	names, _ := f.Store.Names(ctx) // ctx is where the name resolved: it exists
 	records := make([]proto.Descriptor, 0, len(names))
 	for _, n := range names {
-		if e, err := f.Store.Lookup(ctx, n); err == nil && e.Local != nil {
-			records = append(records, proto.Descriptor{Tag: proto.TagDirectory, Name: n, ObjectID: uint32(*e.Local)})
+		if e, err := f.Store.Lookup(ctx, n); err == nil && e.Kind == EntryContext {
+			records = append(records, proto.Descriptor{Tag: proto.TagDirectory, Name: n, ObjectID: uint32(e.Local)})
 		}
 	}
 	return records

@@ -56,7 +56,7 @@ func startThingServer(t *testing.T, h *kernel.Host, byName bool) *thingServer {
 	return s
 }
 
-func (s *thingServer) open(_ *Request, res *Resolution, mode uint32) *proto.Message {
+func (s *thingServer) open(req *Request, res *Resolution, mode uint32) *proto.Message {
 	var id uint32
 	switch {
 	case res.Entry == nil && mode&proto.ModeCreate == 0:
@@ -69,7 +69,7 @@ func (s *thingServer) open(_ *Request, res *Resolution, mode uint32) *proto.Mess
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, mode, proto.ModeRead, nil)
+	return s.OpenObject(req.Msg, id, res.Last, mode, proto.ModeRead, nil)
 }
 
 // thingClient drives a thingServer over the wire.
@@ -91,7 +91,7 @@ func (c thingClient) open(name string, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	return vio.NewFile(c.proc, c.srv, proto.GetInstanceInfo(reply)).Close()
+	return new(vio.File).Init(c.proc, c.srv, proto.GetInstanceInfo(reply)).Close()
 }
 
 func (c thingClient) query(name string) (proto.Descriptor, error) {
@@ -108,7 +108,7 @@ func (c thingClient) list() ([]proto.Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := vio.NewFile(c.proc, c.srv, proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(c.proc, c.srv, proto.GetInstanceInfo(reply))
 	defer f.Close()
 	raw, err := f.ReadAll()
 	if err != nil {

@@ -63,26 +63,36 @@ type ObjectRef struct {
 	ID  uint32
 }
 
-// Entry is the result of looking one name component up in a context.
-// Exactly one of the three fields is set.
+// EntryKind says which arm of an Entry holds its binding.
+type EntryKind uint8
+
+const (
+	// EntryObject is a terminal object implemented by this server.
+	EntryObject EntryKind = iota + 1
+	// EntryContext is a sub-context on this server.
+	EntryContext
+	// EntryRemote is a context on another server; interpretation
+	// continues there by forwarding the request (§5.4).
+	EntryRemote
+)
+
+// Entry is the result of looking one name component up in a context: a
+// value, whose Kind says which one of Object, Local and Remote is set.
 type Entry struct {
-	// Object is a terminal object implemented by this server.
-	Object *ObjectRef
-	// Local is a sub-context on this server.
-	Local *ContextID
-	// Remote is a context on another server; interpretation continues
-	// there by forwarding the request (§5.4).
-	Remote *ContextPair
+	Kind   EntryKind
+	Object ObjectRef
+	Local  ContextID
+	Remote ContextPair
 }
 
 // ObjectEntry, ContextEntry and RemoteEntry build the three Entry arms.
 func ObjectEntry(tag proto.DescriptorTag, id uint32) Entry {
-	return Entry{Object: &ObjectRef{Tag: tag, ID: id}}
+	return Entry{Kind: EntryObject, Object: ObjectRef{Tag: tag, ID: id}}
 }
 
-func ContextEntry(ctx ContextID) Entry { return Entry{Local: &ctx} }
+func ContextEntry(ctx ContextID) Entry { return Entry{Kind: EntryContext, Local: ctx} }
 
-func RemoteEntry(pair ContextPair) Entry { return Entry{Remote: &pair} }
+func RemoteEntry(pair ContextPair) Entry { return Entry{Kind: EntryRemote, Remote: pair} }
 
 // ContextStore is the object model a server plugs into the name-mapping
 // engine: a mapping from (context, component) to entries.
@@ -93,8 +103,9 @@ type ContextStore interface {
 	// proto.ErrBadContext for identifiers this server does not implement.
 	NormalizeContext(ctx ContextID) (ContextID, error)
 	// LookupComponent looks one name component up in a context,
-	// returning proto.ErrNotFound if the component is unbound and
-	// proto.ErrBadContext if the context is invalid.
+	// returning proto.ErrNotFound itself if the component is unbound —
+	// interpret reports the component, and a create meets it on every
+	// call — and proto.ErrBadContext if the context is invalid.
 	LookupComponent(ctx ContextID, component string) (Entry, error)
 }
 
@@ -118,9 +129,10 @@ type Resolution struct {
 	// and not-found) or when Last is empty.
 	Entry *Entry
 
-	// bound is where Entry points when it is set, so a resolution is one
-	// piece of storage.
+	// bound is where Entry points when it is set, and fwd where a forward
+	// interpret returns points, so a resolution is one piece of storage.
 	bound Entry
+	fwd   Forward
 }
 
 // ResolvesToContext reports whether the resolution denotes a context on
@@ -129,8 +141,8 @@ func (r *Resolution) ResolvesToContext() (ContextID, bool) {
 	if r.Last == "" {
 		return r.Final, true
 	}
-	if r.Entry != nil && r.Entry.Local != nil {
-		return *r.Entry.Local, true
+	if r.Entry != nil && r.Entry.Kind == EntryContext {
+		return r.Entry.Local, true
 	}
 	return 0, false
 }
@@ -201,11 +213,11 @@ func Interpret(store ContextStore, proc *kernel.Process, name string, index int,
 }
 
 // interpret is the procedure behind Interpret: it overwrites res, the
-// storage of the Resolution it returns. forwardFinal false is the variant
-// for operations on the *binding* of the final component rather than the
-// entity it names (delete-context-name, §5.7): a final component bound to
-// a remote context resolves here, to the local binding, instead of being
-// forwarded to the remote server.
+// storage of the Resolution or Forward it returns. forwardFinal false is
+// the variant for operations on the *binding* of the final component
+// rather than the entity it names (delete-context-name, §5.7): a final
+// component bound to a remote context resolves here, to the local
+// binding, instead of being forwarded to the remote server.
 func interpret(res *Resolution, store ContextStore, proc *kernel.Process, name string, index int, ctx ContextID, forwardFinal bool) (*Resolution, *Forward, error) {
 	model := proc.Kernel().Model()
 	if index < 0 || index > len(name) {
@@ -261,10 +273,11 @@ func interpret(res *Resolution, store ContextStore, proc *kernel.Process, name s
 			return nil, nil, err
 		}
 
-		if entry.Remote != nil && (forwardFinal || !last) {
+		if entry.Kind == EntryRemote && (forwardFinal || !last) {
 			// Interpretation continues at another server: forward with
 			// the index at the first character not yet parsed (§5.4).
-			return nil, &Forward{Pair: *entry.Remote, Index: next}, nil
+			res.fwd = Forward{Pair: entry.Remote, Index: next}
+			return nil, &res.fwd, nil
 		}
 		if last {
 			res.Final = cur
@@ -273,10 +286,10 @@ func interpret(res *Resolution, store ContextStore, proc *kernel.Process, name s
 			res.Entry = &res.bound
 			return res, nil, nil
 		}
-		if entry.Local == nil {
+		if entry.Kind != EntryContext {
 			return nil, nil, &NameError{Component: component, Index: pos, Ctx: cur, Err: proto.ErrNotAContext}
 		}
-		cur = *entry.Local
+		cur = entry.Local
 		res.Final = cur
 		pos = next
 	}

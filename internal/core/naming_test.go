@@ -74,7 +74,7 @@ func TestInterpretObject(t *testing.T) {
 	if err != nil || fwd != nil {
 		t.Fatalf("err=%v fwd=%v", err, fwd)
 	}
-	if res.Final != 11 || res.Last != "naming.mss" || res.Entry == nil || res.Entry.Object == nil {
+	if res.Final != 11 || res.Last != "naming.mss" || res.Entry == nil || res.Entry.Kind != EntryObject {
 		t.Fatalf("res = %+v", res)
 	}
 	if res.Entry.Object.ID != 100 {
@@ -107,7 +107,7 @@ func TestInterpretWellKnownContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Entry == nil || res.Entry.Object == nil || res.Entry.Object.ID != 100 {
+	if res.Entry == nil || res.Entry.Kind != EntryObject || res.Entry.Object.ID != 100 {
 		t.Fatalf("well-known home context resolution = %+v", res)
 	}
 }
@@ -120,7 +120,7 @@ func TestInterpretAbsoluteResetsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Entry == nil || res.Entry.Local == nil || *res.Entry.Local != 11 {
+	if res.Entry == nil || res.Entry.Kind != EntryContext || res.Entry.Local != 11 {
 		t.Fatalf("res = %+v", res)
 	}
 }
@@ -158,7 +158,7 @@ func TestInterpretDotComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Entry == nil || res.Entry.Object == nil || res.Entry.Object.ID != 100 {
+	if res.Entry == nil || res.Entry.Kind != EntryObject || res.Entry.Object.ID != 100 {
 		t.Fatalf("dot components mishandled: %+v", res)
 	}
 }
@@ -170,7 +170,7 @@ func TestInterpretDoubleSlashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Entry == nil || res.Entry.Object == nil {
+	if res.Entry == nil || res.Entry.Kind != EntryObject {
 		t.Fatalf("double separators mishandled: %+v", res)
 	}
 }
@@ -263,7 +263,7 @@ func TestInterpretResumesAtIndex(t *testing.T) {
 	if err != nil || fwd != nil {
 		t.Fatalf("err=%v fwd=%v", err, fwd)
 	}
-	if res.Entry == nil || res.Entry.Object == nil || res.Entry.Object.ID != 100 {
+	if res.Entry == nil || res.Entry.Kind != EntryObject || res.Entry.Object.ID != 100 {
 		t.Fatalf("res = %+v", res)
 	}
 }
@@ -312,7 +312,7 @@ func TestInterpretPropertyBoundPathsResolve(t *testing.T) {
 		}
 		parts = append(parts, "obj")
 		res, fwd, err := Interpret(s, p, strings.Join(parts, "/"), 0, CtxDefault)
-		if err != nil || fwd != nil || res.Entry == nil || res.Entry.Object == nil {
+		if err != nil || fwd != nil || res.Entry == nil || res.Entry.Kind != EntryObject {
 			return false
 		}
 		return res.Entry.Object.ID == objID
@@ -357,7 +357,7 @@ func TestMapStoreBindUnbind(t *testing.T) {
 		t.Fatalf("duplicate bind err = %v", err)
 	}
 	e, err := s.Lookup(CtxDefault, "x")
-	if err != nil || e.Object == nil || e.Object.ID != 1 {
+	if err != nil || e.Kind != EntryObject || e.Object.ID != 1 {
 		t.Fatalf("lookup after a refused duplicate = %+v, %v", e, err)
 	}
 	if err := s.Unbind(CtxDefault, "x"); err != nil {
@@ -409,7 +409,9 @@ func TestMapStoreBadContextOps(t *testing.T) {
 
 // TestEntryKinds: each constructor sets exactly its own arm of an Entry.
 func TestEntryKinds(t *testing.T) {
-	arms := func(e Entry) [3]bool { return [3]bool{e.Object != nil, e.Local != nil, e.Remote != nil} }
+	arms := func(e Entry) [3]bool {
+		return [3]bool{e.Kind == EntryObject, e.Kind == EntryContext, e.Kind == EntryRemote}
+	}
 	if arms(ObjectEntry(proto.TagFile, 1)) != [3]bool{true, false, false} ||
 		arms(ContextEntry(5)) != [3]bool{false, true, false} ||
 		arms(RemoteEntry(ContextPair{})) != [3]bool{false, false, true} ||

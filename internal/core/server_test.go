@@ -51,7 +51,7 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 		if res.Entry == nil {
 			return ErrorReplyMsg(proto.ErrNotFound)
 		}
-		if res.Entry.Object == nil {
+		if res.Entry.Kind != EntryObject {
 			return ErrorReplyMsg(proto.ErrNotAContext)
 		}
 		ts.mu.Lock()
@@ -86,13 +86,13 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 				}
 				d := proto.Descriptor{Name: n}
 				switch {
-				case e.Object != nil:
+				case e.Kind == EntryObject:
 					d.Tag = e.Object.Tag
 					d.ObjectID = e.Object.ID
-				case e.Local != nil:
+				case e.Kind == EntryContext:
 					d.Tag = proto.TagDirectory
-					d.ObjectID = uint32(*e.Local)
-				case e.Remote != nil:
+					d.ObjectID = uint32(e.Local)
+				case e.Kind == EntryRemote:
 					d.Tag = proto.TagLink
 					d.TypeSpecific = [2]uint32{uint32(e.Remote.Server), uint32(e.Remote.Ctx)}
 				}
@@ -106,7 +106,7 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 			proto.SetInstanceInfo(reply, info)
 			return reply
 		}
-		if res.Entry == nil || res.Entry.Object == nil {
+		if res.Entry == nil || res.Entry.Kind != EntryObject {
 			return ErrorReplyMsg(proto.ErrNotFound)
 		}
 		ts.mu.Lock()
@@ -199,7 +199,7 @@ func TestServerOpenReadInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := vio.NewFile(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
 	got, err := f.ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestServerInstanceNameInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := vio.NewFile(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
 	name, err := f.InstanceName()
 	if err != nil || name != "doc" {
 		t.Fatalf("InstanceName = %q, %v", name, err)
@@ -255,7 +255,7 @@ func TestServerContextDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := vio.NewFile(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
 	raw, err := f.ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -582,7 +582,7 @@ func TestWholeFileReadCountsNoFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := vio.NewFile(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, ts.srv.PID(), proto.GetInstanceInfo(reply))
 	if got, err := f.ReadAll(); err != nil || string(got) != content {
 		t.Fatalf("ReadAll = %d bytes, %v", len(got), err)
 	}

@@ -106,7 +106,8 @@ func (s *MapStore) LookupComponent(ctx ContextID, component string) (Entry, erro
 	}
 	e, bound := c[component]
 	if !bound {
-		return Entry{}, fmt.Errorf("%q: %w", component, proto.ErrNotFound)
+		// Bare, as interpret needs it: see the ContextStore contract.
+		return Entry{}, proto.ErrNotFound
 	}
 	return e, nil
 }

@@ -94,7 +94,7 @@ func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Mes
 
 	case proto.OpRemoveObject:
 		// Removing a program's name from the context kills it.
-		if res.Entry == nil || res.Entry.Object == nil {
+		if res.Entry == nil || res.Entry.Kind != core.EntryObject {
 			return core.ErrorReplyMsg(proto.ErrNotFound)
 		}
 		return s.kill(res.Entry.Object.ID, res.Last)

@@ -55,7 +55,7 @@ func programs(t *testing.T, client *kernel.Process, s *Server) []proto.Descripto
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("open dir = %v, %v", reply, err)
 	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 	defer f.Close()
 	raw, err := f.ReadAll()
 	if err != nil {

@@ -117,7 +117,7 @@ func TestOpenCreateAndEOF(t *testing.T) {
 	if reply.Op != proto.ReplyOK {
 		t.Fatalf("open reply = %v", reply.Op)
 	}
-	f := vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 	if _, err := f.Write([]byte("contents")); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestReadChargesDiskTime(t *testing.T) {
 	proto.SetCSName(req, uint32(core.CtxDefault), "f")
 	proto.SetOpenMode(req, proto.ModeRead)
 	reply := send(t, client, fs, req)
-	f := vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 	start := client.Now()
 	if _, err := f.ReadBlock(0, nil); err != nil {
 		t.Fatal(err)
@@ -414,7 +414,7 @@ func TestWriteIsWriteBehind(t *testing.T) {
 	proto.SetCSName(req, uint32(core.CtxDefault), "f")
 	proto.SetOpenMode(req, proto.ModeWrite)
 	reply := send(t, client, fs, req)
-	f := vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 	start := client.Now()
 	if _, err := f.Write(make([]byte, 512)); err != nil {
 		t.Fatal(err)
@@ -430,21 +430,29 @@ func TestOpenByUIDAndRemoveByUID(t *testing.T) {
 	if err := fs.WriteFile("/f", "o", []byte("uid test")); err != nil {
 		t.Fatal(err)
 	}
-	q := &proto.Message{Op: proto.OpQueryObject}
-	proto.SetCSName(q, uint32(core.CtxDefault), "f")
-	d, _, err := proto.DecodeDescriptor(send(t, client, fs, q).Segment)
+	// Each send builds its request afresh: a successful answer lands in
+	// the request that asked.
+	query := func() *proto.Message {
+		q := &proto.Message{Op: proto.OpQueryObject}
+		proto.SetCSName(q, uint32(core.CtxDefault), "f")
+		return q
+	}
+	d, _, err := proto.DecodeDescriptor(send(t, client, fs, query()).Segment)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	open := &proto.Message{Op: proto.OpOpenByUID}
-	proto.SetOpenMode(open, proto.ModeRead)
-	open.F[3] = d.ObjectID
-	reply := send(t, client, fs, open)
+	open := func() *proto.Message {
+		m := &proto.Message{Op: proto.OpOpenByUID}
+		proto.SetOpenMode(m, proto.ModeRead)
+		m.F[3] = d.ObjectID
+		return m
+	}
+	reply := send(t, client, fs, open())
 	if reply.Op != proto.ReplyOK {
 		t.Fatalf("open by uid = %v", reply.Op)
 	}
-	f := vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 	got, err := f.ReadAll()
 	if err != nil || string(got) != "uid test" {
 		t.Fatalf("read %q, %v", got, err)
@@ -455,11 +463,11 @@ func TestOpenByUIDAndRemoveByUID(t *testing.T) {
 	if reply := send(t, client, fs, rm); reply.Op != proto.ReplyOK {
 		t.Fatalf("remove by uid = %v", reply.Op)
 	}
-	if reply := send(t, client, fs, open.Clone()); reply.Op != proto.ReplyNotFound {
+	if reply := send(t, client, fs, open()); reply.Op != proto.ReplyNotFound {
 		t.Fatalf("open after remove = %v", reply.Op)
 	}
 	// The name is gone too (name lives with the object).
-	if reply := send(t, client, fs, q.Clone()); reply.Op != proto.ReplyNotFound {
+	if reply := send(t, client, fs, query()); reply.Op != proto.ReplyNotFound {
 		t.Fatalf("query after remove = %v", reply.Op)
 	}
 }
@@ -486,7 +494,7 @@ func TestVolumePropertyWriteThenRead(t *testing.T) {
 		if err != nil || reply.Op != proto.ReplyOK {
 			return false
 		}
-		file := vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+		file := new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 		got, err := file.ReadAll()
 		if err != nil {
 			return false
@@ -511,7 +519,7 @@ func TestBufferCacheServesRepeatedReads(t *testing.T) {
 		proto.SetCSName(req, uint32(core.CtxDefault), "f")
 		proto.SetOpenMode(req, proto.ModeRead)
 		reply := send(t, client, fs, req)
-		return vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+		return new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 	}
 	// First read: disk time.
 	f1 := open()
@@ -554,7 +562,7 @@ func TestBufferCacheInvalidatedByTruncate(t *testing.T) {
 	proto.SetCSName(req, uint32(core.CtxDefault), "f")
 	proto.SetOpenMode(req, proto.ModeRead)
 	reply := send(t, client, fs, req)
-	f := vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 	if _, err := f.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +577,7 @@ func TestBufferCacheInvalidatedByTruncate(t *testing.T) {
 	proto.SetCSName(req2, uint32(core.CtxDefault), "f")
 	proto.SetOpenMode(req2, proto.ModeRead)
 	reply = send(t, client, fs, req2)
-	f2 := vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+	f2 := new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 	start := client.Now()
 	if _, err := f2.ReadAll(); err != nil {
 		t.Fatal(err)

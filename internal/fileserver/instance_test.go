@@ -29,7 +29,7 @@ func openNamed(t *testing.T, client *kernel.Process, fs *FileServer, name string
 	if reply.Op != proto.ReplyOK {
 		t.Fatalf("open %q: %v", name, reply.Op)
 	}
-	return vio.NewFile(client, fs.PID(), proto.GetInstanceInfo(reply))
+	return new(vio.File).Init(client, fs.PID(), proto.GetInstanceInfo(reply))
 }
 
 // TestOpenInstanceAcrossRestore: /kept is rewritten in place (same

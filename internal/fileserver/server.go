@@ -124,8 +124,8 @@ func (fs *FileServer) MkdirAll(path, owner string) (core.ContextID, error) {
 		}
 		e, err := fs.vol.LookupComponent(ctx, comp)
 		switch {
-		case err == nil && e.Local != nil:
-			ctx = *e.Local
+		case err == nil && e.Kind == core.EntryContext:
+			ctx = e.Local
 			continue
 		case err == nil:
 			return 0, fmt.Errorf("%q: %w", comp, proto.ErrNotAContext)
@@ -151,7 +151,7 @@ func (fs *FileServer) WriteFile(path, owner string, contents []byte) error {
 	e, err := fs.vol.LookupComponent(ctx, base)
 	var id uint32
 	switch {
-	case err == nil && e.Object != nil:
+	case err == nil && e.Kind == core.EntryObject:
 		id = e.Object.ID
 		if err := fs.vol.truncate(id, fs.proc.Now()); err != nil {
 			return err
@@ -254,7 +254,7 @@ func (fs *FileServer) HandleOp(req *core.Request) *proto.Message {
 		// Baseline support (§2.2 comparison): open by the low-level
 		// identifier a centralized name server handed out, bypassing
 		// name interpretation.
-		return fs.openFileInstance(req.Proc(), req.Msg.F[3], "", proto.OpenMode(req.Msg))
+		return fs.openFileInstance(req.Proc(), req.Msg, req.Msg.F[3], "", proto.OpenMode(req.Msg))
 	case proto.OpRemoveByUID:
 		if err := fs.vol.removeByIno(req.Msg.F[3], req.Proc().Now()); err != nil {
 			return core.ErrorReplyMsg(err)
@@ -291,7 +291,7 @@ func (fs *FileServer) handleOpen(req *core.Request, res *core.Resolution) *proto
 		if err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-		return fs.openDirectoryInstance(req.Proc(), ctx, res.Name, pattern)
+		return fs.openDirectoryInstance(req.Proc(), req.Msg, ctx, res.Name, pattern)
 	}
 	if _, isCtx := res.ResolvesToContext(); isCtx {
 		return core.ErrorReplyMsg(fmt.Errorf("%w: opening a directory requires directory mode", proto.ErrModeNotSupported))
@@ -304,12 +304,14 @@ func (fs *FileServer) handleOpen(req *core.Request, res *core.Resolution) *proto
 		if err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-		return fs.openFileInstance(req.Proc(), uint32(n.id), res.Name, mode)
+		return fs.openFileInstance(req.Proc(), req.Msg, uint32(n.id), res.Name, mode)
 	}
-	return fs.openFileInstance(req.Proc(), res.Entry.Object.ID, res.Name, mode)
+	return fs.openFileInstance(req.Proc(), req.Msg, res.Entry.Object.ID, res.Name, mode)
 }
 
-func (fs *FileServer) openFileInstance(p *kernel.Process, id uint32, name string, mode uint32) *proto.Message {
+// openFileInstance answers the open request msg with an instance of file
+// id, in msg itself (core.OpenInstance).
+func (fs *FileServer) openFileInstance(p *kernel.Process, msg *proto.Message, id uint32, name string, mode uint32) *proto.Message {
 	perms, err := fs.vol.filePerms(id)
 	if err != nil {
 		return core.ErrorReplyMsg(err)
@@ -329,15 +331,17 @@ func (fs *FileServer) openFileInstance(p *kernel.Process, id uint32, name string
 		fs.cache.invalidate(id)
 	}
 	inst := &fileInstance{fs: fs, ino: id, mode: mode, prefetchBlock: -1}
-	return core.OpenInstance(fs.reg, fs.proc.PID(), inst, name)
+	return core.OpenInstance(msg, fs.reg, fs.proc.PID(), inst, name)
 }
 
-func (fs *FileServer) openDirectoryInstance(p *kernel.Process, ctx core.ContextID, name, pattern string) *proto.Message {
+// openDirectoryInstance answers the directory open msg with context ctx's
+// listing, in msg itself (core.OpenDirectory).
+func (fs *FileServer) openDirectoryInstance(p *kernel.Process, msg *proto.Message, ctx core.ContextID, name, pattern string) *proto.Message {
 	stream, count, err := fs.vol.listing(ctx, pattern)
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	return core.OpenDirectory(p, fs.reg, fs.proc.PID(), stream, count, name, func(p *kernel.Process, rec proto.Descriptor) error {
+	return core.OpenDirectory(p, msg, fs.reg, fs.proc.PID(), stream, count, name, func(p *kernel.Process, rec proto.Descriptor) error {
 		return fs.vol.modify(ctx, rec, p.Now())
 	})
 }
@@ -357,9 +361,7 @@ func (fs *FileServer) handleQuery(req *core.Request, res *core.Resolution) *prot
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	reply := core.OkReply()
-	reply.Segment = d.AppendEncoded(nil)
-	return reply
+	return core.AnswerDescriptor(req.Msg, d)
 }
 
 func (fs *FileServer) handleModify(req *core.Request, res *core.Resolution) *proto.Message {
@@ -473,7 +475,7 @@ func (fs *FileServer) handleAddLink(req *core.Request, res *core.Resolution) *pr
 // path (§3.1). Program text is assumed to be in the server's memory
 // buffers, as in the paper's measurement.
 func (fs *FileServer) handleLoadProgram(req *core.Request, res *core.Resolution) *proto.Message {
-	if res.Entry == nil || res.Entry.Object == nil {
+	if res.Entry == nil || res.Entry.Kind != core.EntryObject {
 		return core.ErrorReplyMsg(proto.ErrNotFound)
 	}
 	data, err := fs.vol.snapshot(res.Entry.Object.ID)

@@ -68,7 +68,7 @@ func TestTeamStressFileServer(t *testing.T) {
 					errs <- fmt.Errorf("client %d open %d: %v, %v", i, j, reply, err)
 					return
 				}
-				f := vio.NewFile(proc, fs.PID(), proto.GetInstanceInfo(reply))
+				f := new(vio.File).Init(proc, fs.PID(), proto.GetInstanceInfo(reply))
 				got, err := f.ReadAll()
 				if err != nil || string(got) != want {
 					errs <- fmt.Errorf("client %d read %d: %q, %v", i, j, got, err)

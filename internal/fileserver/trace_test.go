@@ -43,7 +43,7 @@ func TestTraceInvariantsFileServer(t *testing.T) {
 		if err != nil || reply.Op != proto.ReplyOK {
 			t.Fatalf("open %d: %v, %v", j, reply, err)
 		}
-		f := vio.NewFile(proc, fs.PID(), proto.GetInstanceInfo(reply))
+		f := new(vio.File).Init(proc, fs.PID(), proto.GetInstanceInfo(reply))
 		if got, err := f.ReadAll(); err != nil || string(got) != "traced payload" {
 			t.Fatalf("read %d: %q, %v", j, got, err)
 		}

@@ -159,7 +159,9 @@ func (v *volume) LookupComponent(ctx core.ContextID, component string) (core.Ent
 	}
 	i, ok := d.find(component)
 	if !ok {
-		return core.Entry{}, fmt.Errorf("%q: %w", component, proto.ErrNotFound)
+		// Bare: interpret names the component in its own error, and an
+		// unbound last component (a create) is no error at all.
+		return core.Entry{}, proto.ErrNotFound
 	}
 	child := d.entries[i].child
 	if child == nil {

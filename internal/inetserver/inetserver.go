@@ -103,7 +103,7 @@ func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *pro
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, nil)
+	return s.OpenObject(req.Msg, id, res.Last, mode, proto.ModeRead|proto.ModeWrite, nil)
 }
 
 // read drains the inbox; offsets are ignored because a connection is a

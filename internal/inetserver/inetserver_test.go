@@ -40,7 +40,7 @@ func list(t *testing.T, client *kernel.Process, s *Server, name, pattern string)
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("list %q: reply = %v, %v", name, reply, err)
 	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 	defer f.Close()
 	raw, err := f.ReadAll()
 	if err != nil {
@@ -65,7 +65,7 @@ func dial(t *testing.T, client *kernel.Process, s *Server, dest string) *vio.Fil
 	if err := proto.ReplyError(reply.Op); err != nil {
 		t.Fatalf("dial %q: %v", dest, err)
 	}
-	return vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	return new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 }
 
 func TestDialCreatesConnection(t *testing.T) {

@@ -31,7 +31,7 @@ func TestTraceInvariantsInetServer(t *testing.T) {
 	if err != nil || proto.ReplyError(reply.Op) != nil {
 		t.Fatalf("dial: %v, %v", reply, err)
 	}
-	f := vio.NewFile(proc, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(proc, s.PID(), proto.GetInstanceInfo(reply))
 	msg := "traced ping"
 	if _, err := f.Write([]byte(msg)); err != nil {
 		t.Fatal(err)

@@ -109,3 +109,68 @@ func TestSendFailuresCountedByClass(t *testing.T) {
 		t.Fatalf("failed send spans by class %v, kernel_send_failures_total %v, want %v of each", spans, counted, want)
 	}
 }
+
+// TestGroupSendCounted: a Send to a group is one Send in
+// kernel_sends_total, as a Send to a process is, and a failed one is
+// counted in kernel_send_failures_total by the class its span carries;
+// kernel_inflight reads 0 after each. An empty group fails as
+// nonexistent-process; a group with a live member answers.
+func TestGroupSendCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		members  int
+		failures map[string]uint64
+	}{
+		{"empty", 0, map[string]uint64{"nonexistent-process": 1}},
+		{"live", 1, map[string]uint64{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newDomain(t)
+			tr, reg := trace.New(), metrics.New()
+			k.SetTracer(tr)
+			k.SetMetrics(reg)
+			a, b := k.NewHost("a"), k.NewHost("b")
+			client := newClient(t, a, "client")
+			gid, err := k.CreateGroup()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.members; i++ {
+				if err := k.JoinGroup(gid, spawnEcho(t, b).PID()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = client.Send(&proto.Message{Op: proto.OpEcho}, gid)
+			if (err != nil) != (tc.members == 0) {
+				t.Fatalf("send to the group: %v", err)
+			}
+			sends, failures, inflight := uint64(0), map[string]uint64{}, int64(-1)
+			snap := reg.Snapshot()
+			for _, c := range snap.Counters {
+				switch c.Name {
+				case "kernel_sends_total":
+					sends = c.Value
+				case "kernel_send_failures_total":
+					if c.Value != 0 {
+						failures[c.Labels.Class] = c.Value
+					}
+				}
+			}
+			for _, g := range snap.Gauges {
+				if g.Name == "kernel_inflight" {
+					inflight = g.Value
+				}
+			}
+			spans := map[string]uint64{}
+			for _, sp := range tr.Snapshot() {
+				if sp.Kind == trace.KindSend && sp.Err != "" {
+					spans[sp.Err]++
+				}
+			}
+			if sends != 1 || inflight != 0 || !reflect.DeepEqual(failures, tc.failures) || !reflect.DeepEqual(spans, tc.failures) {
+				t.Fatalf("kernel_sends_total %d, kernel_inflight %d, kernel_send_failures_total %v, failed send spans %v; want 1, 0, %v, %v",
+					sends, inflight, failures, spans, tc.failures, tc.failures)
+			}
+		})
+	}
+}

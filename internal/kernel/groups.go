@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -244,8 +245,10 @@ func (p *Process) groupSend(msg *proto.Message, sep string, gid PID, moveSrc, mo
 }
 
 // sendGroup is Send to a group: each live member gets its own copy, all by
-// one multicast frame, and the first reply unblocks the sender.
-func (p *Process) sendGroup(msg *proto.Message, gid PID, moveSrc, moveDst []byte) (*proto.Message, error) {
+// one multicast frame, and the first reply unblocks the sender. SendMove
+// counted it as a Send when reg is set; its end here takes it out of
+// kernel_inflight, and a failure is counted by class (sendFailed).
+func (p *Process) sendGroup(reg *metrics.Registry, msg *proto.Message, gid PID, moveSrc, moveDst []byte) (*proto.Message, error) {
 	tr, sp, rec := p.groupSend(msg, " -> ", gid, moveSrc, moveDst)
 	defer p.finish(rec)
 	n, err := p.multicast(msg, gid, sp, &fanIn{into: &rec.envelope}, false)
@@ -260,13 +263,15 @@ func (p *Process) sendGroup(msg *proto.Message, gid PID, moveSrc, moveDst []byte
 		if ev.err == nil {
 			p.clock.Observe(ev.at)
 			tr.End(sp, p.clock.Now())
+			if reg != nil {
+				p.host.kernel.ipc.inflight.Add(-1)
+			}
 			return ev.msg, nil
 		}
 		p.clock.Advance(timeout)
 		err = fmt.Errorf("send to group %v: %w", gid, ev.err)
 	}
-	tr.Fail(sp, p.clock.Now(), FailureClass(err))
-	return nil, err
+	return p.sendFailed(reg, sp, err)
 }
 
 // SendGroupAll multicasts msg to every member of a group and waits for

@@ -248,21 +248,22 @@ func (p *Process) SendMove(msg *proto.Message, dst PID, moveSrc, moveDst []byte)
 	if p.isDead() {
 		return nil, ErrProcessDead
 	}
-	if dst.IsGroup() {
-		return p.sendGroup(msg, dst, moveSrc, moveDst)
-	}
 	k := p.host.kernel
-	// Read once: the reply may land in msg.
-	op := msg.Op
-	tr := k.Tracer()
-	// Metrics, like the tracer, charge zero virtual time. The start time
-	// is read before any cost accrues so the histogram sees the full
-	// transaction latency; the send span starts then too.
+	// Metrics, like the tracer, charge zero virtual time. A Send to a
+	// group counts as one Send, and its failure by its class.
 	reg := k.Metrics()
 	if reg != nil {
 		k.ipc.sends.Inc()
 		k.ipc.inflight.Add(1)
 	}
+	if dst.IsGroup() {
+		return p.sendGroup(reg, msg, dst, moveSrc, moveDst)
+	}
+	// Read once: the reply may land in msg.
+	op := msg.Op
+	tr := k.Tracer()
+	// The start time is read before any cost accrues so the histogram
+	// sees the full transaction latency; the send span starts then too.
 	sendStart := p.clock.Now()
 	target, hostUp := k.findProcess(dst)
 	if target == nil {

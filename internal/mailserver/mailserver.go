@@ -89,7 +89,7 @@ func describe(mb *mailbox) proto.Descriptor {
 // open opens a mailbox instance — reads return the concatenated messages
 // (separated by newlines), writes deliver a new message — registering the
 // address on request.
-func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *proto.Message {
 	var id uint32
 	switch {
 	case res.Entry == nil && mode&proto.ModeCreate == 0:
@@ -102,7 +102,7 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, nil)
+	return s.OpenObject(req.Msg, id, res.Last, mode, proto.ModeRead|proto.ModeWrite, nil)
 }
 
 func read(_ *kernel.Process, mb *mailbox, off int64, buf []byte) (int, error) {

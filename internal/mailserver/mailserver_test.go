@@ -102,7 +102,7 @@ func openBox(t *testing.T, client *kernel.Process, s *Server, addr string, mode 
 	if err := proto.ReplyError(reply.Op); err != nil {
 		t.Fatalf("open %q: %v", addr, err)
 	}
-	return vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	return new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 }
 
 func TestDeliverAndRead(t *testing.T) {
@@ -200,7 +200,7 @@ func TestDirectorySortedByAddress(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("reply = %v, %v", reply, err)
 	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 	raw, err := f.ReadAll()
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestTraceInvariantsMailServer(t *testing.T) {
 		if err != nil || proto.ReplyError(reply.Op) != nil {
 			t.Fatalf("msg %d open: %v, %v", j, reply, err)
 		}
-		f := vio.NewFile(proc, s.PID(), proto.GetInstanceInfo(reply))
+		f := new(vio.File).Init(proc, s.PID(), proto.GetInstanceInfo(reply))
 		if _, err := f.Write([]byte("traced note")); err != nil {
 			t.Fatalf("msg %d write: %v", j, err)
 		}

@@ -66,7 +66,7 @@ func describe(p *pipe) proto.Descriptor {
 
 // open opens a pipe end, creating the pipe on request; a closed pipe
 // takes no new writer, but stays bound for its readers to drain.
-func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *proto.Message {
 	var id uint32
 	switch {
 	case res.Entry == nil && mode&proto.ModeCreate == 0:
@@ -76,12 +76,12 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 		if err := s.Add(id, res.Last, &pipe{id: id, name: res.Last, capacity: DefaultCapacity}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-	case res.Entry.Object == nil:
+	case res.Entry.Kind != core.EntryObject:
 		return core.ErrorReplyMsg(proto.ErrNotAContext)
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, res.Last, mode, proto.ModeRead|proto.ModeWrite, func(p *pipe) error {
+	return s.OpenObject(req.Msg, id, res.Last, mode, proto.ModeRead|proto.ModeWrite, func(p *pipe) error {
 		writes := mode&(proto.ModeWrite|proto.ModeAppend) != 0
 		if writes && p.closed {
 			return proto.ErrEndOfFile // what a write would answer

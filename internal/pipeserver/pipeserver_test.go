@@ -50,7 +50,7 @@ func open(t *testing.T, proc *kernel.Process, s *Server, name string, mode uint3
 	if err := proto.ReplyError(reply.Op); err != nil {
 		t.Fatalf("open %q: %v", name, err)
 	}
-	return vio.NewFile(proc, s.PID(), proto.GetInstanceInfo(reply))
+	return new(vio.File).Init(proc, s.PID(), proto.GetInstanceInfo(reply))
 }
 
 func TestPipeTransfer(t *testing.T) {
@@ -213,7 +213,7 @@ func TestPipeDirectoryAndQuery(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("open dir = %v, %v", reply, err)
 	}
-	f := vio.NewFile(rProc, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(rProc, s.PID(), proto.GetInstanceInfo(reply))
 	raw, err := f.ReadAll()
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func TestTraceInvariantsPipeServer(t *testing.T) {
 		if err := proto.ReplyError(reply.Op); err != nil {
 			return nil, err
 		}
-		return vio.NewFile(proc, s.PID(), proto.GetInstanceInfo(reply)), nil
+		return new(vio.File).Init(proc, s.PID(), proto.GetInstanceInfo(reply)), nil
 	}
 
 	wProc, err := d.K.NewHost("wr").NewProcess("writer")

@@ -588,7 +588,7 @@ func (s *Server) openDirectory(p *kernel.Process, msg *proto.Message) *proto.Mes
 		return true
 	})
 	records = core.FilterRecords(records, pattern)
-	return core.OpenDirectory(p, s.reg, s.proc.PID(), proto.EncodeDescriptors(records), len(records), Quote(""), s.modifyFromRecord)
+	return core.OpenDirectory(p, msg, s.reg, s.proc.PID(), proto.EncodeDescriptors(records), len(records), Quote(""), s.modifyFromRecord)
 }
 
 // modifyFromRecord applies a written directory record as a modification

@@ -628,7 +628,7 @@ func directoryRecords(t *testing.T, client *kernel.Process, ps *Server) []proto.
 	if err != nil || opened.Op != proto.ReplyOK {
 		t.Fatalf("open context directory: %v, %v", opened, err)
 	}
-	dir := vio.NewFile(client, ps.PID(), proto.GetInstanceInfo(opened))
+	dir := new(vio.File).Init(client, ps.PID(), proto.GetInstanceInfo(opened))
 	defer dir.Close()
 	stream, err := dir.ReadAll()
 	if err != nil {
@@ -715,7 +715,7 @@ func writeDirectory(t *testing.T, client *kernel.Process, ps *Server, stream []b
 	if err != nil || opened.Op != proto.ReplyOK {
 		t.Fatalf("open context directory: %v, %v", opened, err)
 	}
-	dir := vio.NewFile(client, ps.PID(), proto.GetInstanceInfo(opened))
+	dir := new(vio.File).Init(client, ps.PID(), proto.GetInstanceInfo(opened))
 	if n, err := dir.Write(stream); n != len(stream) || err != nil {
 		t.Fatalf("Write of %d bytes = %d, %v", len(stream), n, err)
 	}

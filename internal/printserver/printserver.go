@@ -120,7 +120,7 @@ func (s *Server) position(id uint32) int {
 // name from the queue context: the standard remove, once the job is out
 // of the queue.
 func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Message {
-	if req.Msg.Op == proto.OpRemoveObject && res.Entry != nil && res.Entry.Object != nil {
+	if req.Msg.Op == proto.OpRemoveObject && res.Entry != nil && res.Entry.Kind == core.EntryObject {
 		s.Mu.Lock()
 		if i := s.position(res.Entry.Object.ID); i > 0 {
 			s.queue = append(s.queue[:i-1], s.queue[i:]...)
@@ -133,7 +133,7 @@ func (s *Server) HandleNamed(req *core.Request, res *core.Resolution) *proto.Mes
 // open submits a job — created in spooling state and opened for writing;
 // releasing the instance queues it — or re-opens an existing job, which
 // gives read access to its data.
-func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *proto.Message {
 	var id uint32
 	switch {
 	case res.Entry == nil && mode&proto.ModeCreate != 0:
@@ -141,12 +141,12 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 		if err := s.Add(id, res.Last, &job{id: id, name: res.Last, state: stateSpooling}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-	case res.Entry == nil || res.Entry.Object == nil:
+	case res.Entry == nil || res.Entry.Kind != core.EntryObject:
 		return core.ErrorReplyMsg(proto.ErrNotFound)
 	default:
 		id, mode = res.Entry.Object.ID, proto.ModeRead
 	}
-	return s.OpenObject(id, res.Last, mode, mode, nil)
+	return s.OpenObject(req.Msg, id, res.Last, mode, mode, nil)
 }
 
 func read(_ *kernel.Process, j *job, off int64, buf []byte) (int, error) {

@@ -40,7 +40,7 @@ func submit(t *testing.T, client *kernel.Process, s *Server, name string, data [
 	if err := proto.ReplyError(reply.Op); err != nil {
 		t.Fatal(err)
 	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 	if _, err := f.Write(data); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func queue(t *testing.T, client *kernel.Process, s *Server) []proto.Descriptor {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("open dir = %v, %v", reply, err)
 	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 	defer f.Close()
 	raw, err := f.ReadAll()
 	if err != nil {
@@ -155,7 +155,7 @@ func TestWriteAfterQueueingRejected(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("reopen = %v, %v", reply, err)
 	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 	if _, err := f.Write([]byte("more")); err == nil {
 		t.Fatal("write to a queued job must fail")
 	}
@@ -224,7 +224,7 @@ func TestCancelledSpoolingJobLeavesNoGhost(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("create = %v, %v", reply, err)
 	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 	if _, err := f.Write([]byte("doomed")); err != nil {
 		t.Fatal(err)
 	}

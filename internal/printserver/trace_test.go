@@ -34,7 +34,7 @@ func TestTraceInvariantsPrintServer(t *testing.T) {
 		if err != nil || proto.ReplyError(reply.Op) != nil {
 			t.Fatalf("job %d open: %v, %v", j, reply, err)
 		}
-		f := vio.NewFile(proc, s.PID(), proto.GetInstanceInfo(reply))
+		f := new(vio.File).Init(proc, s.PID(), proto.GetInstanceInfo(reply))
 		if _, err := f.Write([]byte("%!PS")); err != nil {
 			t.Fatalf("job %d write: %v", j, err)
 		}

@@ -63,7 +63,7 @@ func open(p *kernel.Process, server kernel.PID, name string, mode uint32) (*vio.
 	if err != nil {
 		return nil, err
 	}
-	return vio.NewFile(p, server, proto.GetInstanceInfo(reply)), nil
+	return new(vio.File).Init(p, server, proto.GetInstanceInfo(reply)), nil
 }
 
 // echo writes msg to f and reads it back from the start.
@@ -475,7 +475,7 @@ func TestProtocolIsUniform(t *testing.T) {
 				if reply.Op != proto.ReplyOK {
 					t.Fatalf("directory open with pattern %q = %v", pattern, reply.Op)
 				}
-				f := vio.NewFile(client, srv.pid, proto.GetInstanceInfo(reply))
+				f := new(vio.File).Init(client, srv.pid, proto.GetInstanceInfo(reply))
 				raw, err := f.ReadAll()
 				if err != nil {
 					t.Fatal(err)

@@ -65,7 +65,7 @@ func describe(t *terminal) proto.Descriptor {
 // contents, writes append to the screen. Opening CreateName with
 // ModeCreate allocates a terminal, whose name is derived from the numeric
 // identifier the server chose for it (§4.3).
-func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto.Message {
+func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *proto.Message {
 	var id uint32
 	name := res.Last
 	switch {
@@ -75,12 +75,12 @@ func (s *Server) open(_ *core.Request, res *core.Resolution, mode uint32) *proto
 		if err := s.Add(id, name, &terminal{id: id, name: name}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
-	case res.Entry == nil || res.Entry.Object == nil:
+	case res.Entry == nil || res.Entry.Kind != core.EntryObject:
 		return core.ErrorReplyMsg(proto.ErrNotFound)
 	default:
 		id = res.Entry.Object.ID
 	}
-	return s.OpenObject(id, name, mode, proto.ModeRead|proto.ModeWrite, nil)
+	return s.OpenObject(req.Msg, id, name, mode, proto.ModeRead|proto.ModeWrite, nil)
 }
 
 func read(_ *kernel.Process, t *terminal, off int64, buf []byte) (int, error) {

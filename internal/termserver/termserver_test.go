@@ -40,7 +40,7 @@ func open(t *testing.T, client *kernel.Process, s *Server, name string, mode uin
 	if err := proto.ReplyError(reply.Op); err != nil {
 		t.Fatalf("open %q: %v", name, err)
 	}
-	return vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	return new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 }
 
 // terminals lists the server's directory: one record per terminal.
@@ -71,7 +71,7 @@ func screen(client *kernel.Process, s *Server, name string) ([]byte, error) {
 	if err := proto.ReplyError(reply.Op); err != nil {
 		return nil, err
 	}
-	f := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply))
 	defer f.Close()
 	return f.ReadAll()
 }

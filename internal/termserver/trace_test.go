@@ -32,7 +32,7 @@ func TestTraceInvariantsTermServer(t *testing.T) {
 	if err != nil || proto.ReplyError(reply.Op) != nil {
 		t.Fatalf("create: %v, %v", reply, err)
 	}
-	f := vio.NewFile(proc, s.PID(), proto.GetInstanceInfo(reply))
+	f := new(vio.File).Init(proc, s.PID(), proto.GetInstanceInfo(reply))
 	const writes = 3
 	for j := 0; j < writes; j++ {
 		if _, err := f.Write([]byte("traced line\n")); err != nil {

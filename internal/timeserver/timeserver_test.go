@@ -111,7 +111,7 @@ func TestClockContextIsListable(t *testing.T) {
 		if reply.Op != proto.ReplyOK {
 			return reply, nil
 		}
-		raw, err := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply)).ReadAll()
+		raw, err := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply)).ReadAll()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestClockStays(t *testing.T) {
 	if err != nil || reply.Op != proto.ReplyOK {
 		t.Fatalf("directory open = %v, %v", reply, err)
 	}
-	raw, err := vio.NewFile(client, s.PID(), proto.GetInstanceInfo(reply)).ReadAll()
+	raw, err := new(vio.File).Init(client, s.PID(), proto.GetInstanceInfo(reply)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,19 @@ type File struct {
 	// req is the request message of every instance operation: a
 	// transaction is over when Send returns, so one message serves all.
 	req proto.Message
+	// spare is the block a read that cannot land in the reader's buffer
+	// is granted, so the server never allocates one; kept across Init.
+	spare []byte
 }
 
-// NewFile wraps an already-opened instance. Most callers use the client
-// package's Open, which performs the name-mapped OpCreateInstance.
-func NewFile(proc *kernel.Process, server kernel.PID, info proto.InstanceInfo) *File {
-	return &File{proc: proc, server: server, info: info}
+// Init makes f the client side of an already-opened instance, keeping
+// only f's spare block, and returns it: a caller that opens instance
+// after instance, one at a time, reuses one File. Most callers use the
+// client package's Open, which performs the name-mapped
+// OpCreateInstance.
+func (f *File) Init(proc *kernel.Process, server kernel.PID, info proto.InstanceInfo) *File {
+	*f = File{proc: proc, server: server, info: info, spare: f.spare}
+	return f
 }
 
 // Server returns the pid of the server implementing the instance.
@@ -91,7 +98,9 @@ func (f *File) Read(p []byte) (int, error) {
 // itself whenever dst has the room. A block read from its start is
 // granted to the server when both dst's spare room and the limit hold a
 // whole one — never past the limit, so Read writes nothing beyond len(p) —
-// and the server writes it in place, where the append finds it.
+// and the server writes it in place, where the append finds it. Any other
+// read, such as the re-read of a short last block before end-of-file, is
+// granted the File's spare block and copied from there.
 func (f *File) appendRead(dst []byte, limit int) ([]byte, error) {
 	bs := int64(f.info.BlockSize)
 	if bs == 0 {
@@ -103,6 +112,11 @@ func (f *File) appendRead(dst []byte, limit int) ([]byte, error) {
 		var grant []byte
 		if within == 0 && int64(cap(dst)-len(dst)) >= bs && int64(limit-total) >= bs {
 			grant = dst[len(dst) : len(dst)+int(bs)]
+		} else {
+			if int64(len(f.spare)) != bs {
+				f.spare = make([]byte, bs)
+			}
+			grant = f.spare
 		}
 		data, err := f.ReadBlock(block, grant)
 		if err != nil {
