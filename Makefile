@@ -74,8 +74,9 @@ check: vet
 # every event lands in exactly one (TestSeriesHandlesSharedByTeam). Four
 # goroutines record into the flight ring, which takes no lock: sealed,
 # it equals a sequential replay. A session's results survive its next
-# requests, which reuse its one message, a retry's re-mapping among them.
-	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts|TestPublishedSeriesCountOnce|TestSeriesHandlesSharedByTeam|TestConcurrentRecordsSealAsSequential|TestSessionResultsSurviveNextRequest' ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/ ./internal/flight/ ./internal/core/
+# requests, which reuse its one message, a retry's re-mapping among them;
+# so does every name a server kept from that message.
+	GOMAXPROCS=4 $(GO) test -race -run 'TestReplicaDeterministic|TestGeneratedReplicatedSchedules|TestA11Deterministic|TestChaosScheduleDeterministic|TestA6IndependentOfGOMAXPROCS|TestTierAnswersInEachClientsRequest|TestGroup|TestForwardToGroup|TestConcurrentGroupSends|GroupUnderPartition|RacingGroupIPC|TestServedIndistinguishable|TestFaultedRunEqualsSequential|TestEngineFoldsLanesOntoProcessors|TestConcurrentReaders|TestProtocolIsUniformConcurrent|TestSampledRetentionIndependentOfGOMAXPROCS|TestHistogramConcurrentRecordsMatchReference|TestStatsSumConcurrentUnicasts|TestPublishedSeriesCountOnce|TestSeriesHandlesSharedByTeam|TestConcurrentRecordsSealAsSequential|TestSessionResultsSurviveNextRequest|TestServersKeepNoBorrowedName' ./internal/experiments/ ./internal/rig/ ./internal/ncache/ ./internal/kernel/ ./internal/nametree/ ./internal/trace/ ./internal/metrics/ ./internal/netsim/ ./internal/flight/ ./internal/core/
 # Zero-allocation gates skip themselves under the race detector, whose
 # instrumentation allocates. The last three are the file path's: a block
 # read lands in the reader's buffer, no block reads Info(), and a block
@@ -88,8 +89,10 @@ check: vet
 # buffer-cache hit, miss or eviction allocate nothing:
 # TestHistogramRecordZeroAlloc, TestBlockCacheAccessZeroAlloc. The
 # paper's routines allocate what they hand back and what the servers
-# keep: TestPaperRoutinesAllocate.
-	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestIdleMetersOfferNothing|TestIdleCountersOfferNothing|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestRewriteReusesFreedPages|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce|TestInstanceOpsAnswerInRequest|TestHistogramRecordZeroAlloc|TestBlockCacheAccessZeroAlloc|TestPaperRoutinesAllocate' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/ ./internal/metrics/
+# keep: TestPaperRoutinesAllocate. A server reads a request's name where
+# it lies: TestCSNameBorrowsSegment, and a repeat lease grant allocates
+# nothing (TestGrantLeavesIndexUntouched).
+	$(GO) test -count=1 -run 'TestResolve10e5ZeroAlloc|TestSendZeroAllocUntraced|TestServedSendZeroAllocUntraced|TestGroupSendAllocs|TestMapContextAnswersInRequest|TestLeaseHitZeroAlloc|TestCallbackAnswersInItsClone|TestUntracedRetryZeroAlloc|TestRecordZeroAlloc|TestSealSteadyStateZeroAlloc|TestSampledDroppedRootZeroAlloc|TestObserveZeroAlloc|TestStoreHeldNameZeroAlloc|TestIdleMetersOfferNothing|TestIdleCountersOfferNothing|TestGrantLeavesIndexUntouched|TestBoundNameFootprint|TestObservedOpFootprint|TestCodeStringZeroAlloc|TestDecodeDescriptorsAllocatesOnce|TestListAllocatesOnlyItsResult|TestInvalidateUncachedFileZeroAlloc|TestRewriteReusesFreedPages|TestReadAllLandsInReadersBuffer|TestRegistryReadsInfoOnce|TestInstanceOpsAnswerInRequest|TestHistogramRecordZeroAlloc|TestBlockCacheAccessZeroAlloc|TestPaperRoutinesAllocate|TestCSNameBorrowsSegment' ./internal/nametree/ ./internal/kernel/ ./internal/core/ ./internal/client/ ./internal/flight/ ./internal/trace/ ./internal/namestat/ ./internal/lease/ ./internal/prefix/ ./internal/proto/ ./internal/fileserver/ ./internal/rig/ ./internal/vio/ ./internal/metrics/
 	$(MAKE) bench-smoke
 	$(MAKE) golden-guard
 	$(MAKE) cover

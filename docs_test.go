@@ -109,8 +109,8 @@ func TestChangesLinesCapped(t *testing.T) {
 // a budget when its document shrinks; never raise one to pass.
 var docBudgets = map[string]int64{
 	"EXPERIMENTS.md": 121718,
-	"PROTOCOL.md":    83755,
-	"DESIGN.md":      63175,
+	"PROTOCOL.md":    83718,
+	"DESIGN.md":      63150,
 }
 
 // TestDocsWithinBudget: no document grows past its committed budget, so

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 // answers the open request msg, in msg itself (proto.AnswerIn), as every
 // CSNH server does: the instance parameters and the pid of the server
 // implementing it — a team's receptionist, the address instance
-// operations go to (§3.2). A failure is a fresh message.
+// operations go to (§3.2). A failure is a fresh message. name may be a
+// view of msg: the registry keeps a copy, made before the answer.
 func OpenInstance(msg *proto.Message, reg *vio.Registry, owner kernel.PID, inst vio.Instance, name string) *proto.Message {
 	info, err := reg.Open(inst, name)
 	if err != nil {
@@ -27,20 +29,24 @@ func OpenInstance(msg *proto.Message, reg *vio.Registry, owner kernel.PID, inst 
 }
 
 // OpenDirectory answers the directory open msg (§5.6), as OpenInstance
-// does, from a context's directory stream: the count records the pattern
-// selected and stream encodes are charged to the serving process p at
-// DescriptorFabricateCost each — before the instance exists, and only
-// those — and opened as a context directory whose written-back records go
-// to modify (nil: read-only).
-func OpenDirectory(p *kernel.Process, msg *proto.Message, reg *vio.Registry, owner kernel.PID, stream []byte, count int, name string, modify func(*kernel.Process, proto.Descriptor) error) *proto.Message {
+// does, from context ctx's directory stream: the count records the
+// pattern selected and stream encodes are charged to the serving process
+// p at DescriptorFabricateCost each — before the instance exists, and
+// only those — and opened as a context directory whose written-back
+// records go to modify with ctx (nil: read-only).
+func OpenDirectory(p *kernel.Process, msg *proto.Message, reg *vio.Registry, owner kernel.PID, stream []byte, count int, name string, ctx ContextID, modify vio.WriteBack) *proto.Message {
 	p.ChargeCompute(time.Duration(count) * p.Kernel().Model().DescriptorFabricateCost)
-	return OpenInstance(msg, reg, owner, vio.NewDirectoryInstance(stream, modify), name)
+	return OpenInstance(msg, reg, owner, vio.NewDirectoryInstance(stream, uint32(ctx), modify), name)
 }
 
 // AnswerDescriptor answers the query request msg with d, encoded into
 // msg's own segment (proto.AnswerIn). The handler must have read all it
-// needs of the request: the name it resolved is a copy.
+// needs of the request. A string of d that is a view of msg's segment
+// (proto.CSName) is copied out first: the record is written over it.
 func AnswerDescriptor(msg *proto.Message, d proto.Descriptor) *proto.Message {
+	if proto.Borrows(msg, d.Name) || proto.Borrows(msg, d.Owner) {
+		d.Name, d.Owner = strings.Clone(d.Name), strings.Clone(d.Owner)
+	}
 	reply := proto.AnswerIn(msg, proto.ReplyOK)
 	reply.Segment = d.AppendEncoded(reply.Segment)
 	return reply
@@ -138,7 +144,8 @@ func (f *Flat[T]) NewID() uint32 {
 }
 
 // Add enters obj in the table under id and binds name to it; a refused
-// bind (a duplicate or empty name) leaves no object behind.
+// bind (a duplicate or empty name) leaves no object behind. The store
+// keeps name (MapStore.Bind).
 func (f *Flat[T]) Add(id uint32, name string, obj *T) error {
 	f.Mu.Lock()
 	f.objs[id] = obj
@@ -299,7 +306,7 @@ func (f *Flat[T]) openDirectory(req *Request, res *Resolution) *proto.Message {
 		records = f.describeContexts(ctx)
 	}
 	records = FilterRecords(records, pattern)
-	return OpenDirectory(req.Proc(), req.Msg, f.reg, f.PID(), proto.EncodeDescriptors(records), len(records), res.Name, nil)
+	return OpenDirectory(req.Proc(), req.Msg, f.reg, f.PID(), proto.EncodeDescriptors(records), len(records), res.Name, ctx, nil)
 }
 
 // describeAll snapshots the objects' records in listing order.

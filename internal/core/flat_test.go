@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -63,7 +64,8 @@ func (s *thingServer) open(req *Request, res *Resolution, mode uint32) *proto.Me
 		return ErrorReplyMsg(proto.ErrNotFound)
 	case res.Entry == nil:
 		id = s.NewID()
-		if err := s.Add(id, res.Last, &thing{id: id, name: res.Last}); err != nil {
+		name := strings.Clone(res.Last) // res.Last lies in the request
+		if err := s.Add(id, name, &thing{id: id, name: name}); err != nil {
 			return ErrorReplyMsg(err)
 		}
 	default:
@@ -275,5 +277,28 @@ func TestFlatTeamConcurrentClients(t *testing.T) {
 	}
 	if count(s.Flat) != want {
 		t.Fatalf("table holds %d objects, the models %d", count(s.Flat), want)
+	}
+}
+
+// TestAnswerDescriptorOverlappingName: a record whose name is a view of
+// the very request it answers (proto.CSName) — the overlapping write the
+// answer would otherwise make over the name's bytes — encodes intact,
+// whether the name lies at the front of the segment or further in, and
+// the answer still lands in the request.
+func TestAnswerDescriptorOverlappingName(t *testing.T) {
+	for _, name := range []string{"users/mann/naming.mss", "[storage]users/mann/naming.mss"} {
+		msg := &proto.Message{Op: proto.OpQueryObject}
+		proto.SetCSName(msg, 0, name)
+		view, _, _ := proto.CSName(msg)
+		last := view[strings.LastIndexByte(view, '/')+1:]
+		owner := view[:5]
+		reply := AnswerDescriptor(msg, proto.Descriptor{Tag: proto.TagFile, ObjectID: 7, Name: last, Owner: owner})
+		if reply != msg || reply.Op != proto.ReplyOK {
+			t.Fatalf("%q: reply %+v, not in its request", name, reply)
+		}
+		d, _, err := proto.DecodeDescriptor(reply.Segment)
+		if err != nil || d.Name != "naming.mss" || d.Owner != name[:5] || d.ObjectID != 7 {
+			t.Errorf("%q: decoded %+v, %v", name, d, err)
+		}
 	}
 }

@@ -114,7 +114,8 @@ type ContextStore interface {
 // to.
 type Resolution struct {
 	// Name is the full name from the request, Index the position where
-	// this server began interpreting.
+	// this server began interpreting. Name and Last are views of the
+	// request's segment (proto.CSName).
 	Name  string
 	Index int
 	// Final is the context in which the final component was (or would

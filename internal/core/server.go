@@ -39,7 +39,8 @@ type Handler interface {
 	// HandleNamed processes a CSname request whose name interpretation
 	// completed at this server (it was not forwarded). It returns the
 	// reply message, or nil if the handler already replied or forwarded
-	// itself.
+	// itself. res's Name and Last lie in req.Msg (proto.CSName): what the
+	// handler keeps of them past its reply, it copies.
 	HandleNamed(req *Request, res *Resolution) *proto.Message
 	// HandleOp processes a request that carries no CSname (instance
 	// operations, inverse mappings, ...). Same reply convention.

@@ -98,7 +98,7 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 				}
 				records = append(records, d)
 			}
-			info, err := ts.reg.Open(vio.NewDirectoryInstance(proto.EncodeDescriptors(records), nil), res.Name)
+			info, err := ts.reg.Open(vio.NewDirectoryInstance(proto.EncodeDescriptors(records), 0, nil), res.Name)
 			if err != nil {
 				return ErrorReplyMsg(err)
 			}
@@ -113,7 +113,7 @@ func (ts *toyServer) HandleNamed(req *Request, res *Resolution) *proto.Message {
 		content := ts.objects[res.Entry.Object.ID]
 		ts.mu.Unlock()
 		// A read-only stream of the object's bytes.
-		info, err := ts.reg.Open(vio.NewDirectoryInstance(content, nil), res.Name)
+		info, err := ts.reg.Open(vio.NewDirectoryInstance(content, 0, nil), res.Name)
 		if err != nil {
 			return ErrorReplyMsg(err)
 		}
@@ -524,11 +524,10 @@ func TestServerSeries(t *testing.T) {
 
 // TestMapContextAnswersInRequest pins the serve path's allocation
 // contract: an untraced OpMapContext through a team-of-one Server is
-// answered in the request itself and allocates nothing — except, for a
-// name that is not empty, the copy of it CSName takes out of the
-// request's segment. The request's resolution lives in the server's
-// reused storage, and the kernel transaction and the serving turn
-// allocate nothing.
+// answered in the request itself and allocates nothing, an empty name or
+// not: the name is read where it lies in the request's segment. The
+// request's resolution lives in the server's reused storage, and the
+// kernel transaction and the serving turn allocate nothing.
 func TestMapContextAnswersInRequest(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
@@ -540,7 +539,7 @@ func TestMapContextAnswersInRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := newClientProc(t, h)
-	for name, want := range map[string]float64{"": 0, "users": 1} {
+	for name, want := range map[string]float64{"": 0, "users": 0} {
 		req := &proto.Message{}
 		send := func() {
 			// Re-initialised per call: the last answer landed in it.

@@ -32,7 +32,8 @@ func (s *MapStore) AddContext(ctx ContextID) {
 }
 
 // Bind defines name in ctx. It fails with proto.ErrDuplicateName if the
-// name is already bound.
+// name is already bound. The store keeps name: it must not be a view of
+// a request (proto.CSName).
 func (s *MapStore) Bind(ctx ContextID, name string, e Entry) error {
 	if name == "" {
 		return fmt.Errorf("%w: empty name", proto.ErrBadArgs)

@@ -9,6 +9,7 @@ package execserver
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/client"
@@ -161,7 +162,7 @@ func (s *Server) exec(serving *kernel.Process, image string, req *proto.Message)
 	p := &program{
 		id:       id,
 		name:     fmt.Sprintf("%s.%d", image, id),
-		image:    image,
+		image:    strings.Clone(image), // image lies in the request
 		pid:      proc.PID(),
 		started:  serving.Now(),
 		sizeText: loaded,

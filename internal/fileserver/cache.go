@@ -23,6 +23,7 @@ type blockCache struct {
 	shift uint8            // 64 − log2(len(index))
 	files map[uint32]*page // each file's chain of buffered pages
 	lru   page             // ring sentinel: lru.older is the most recently used page
+	free  *page            // pages invalidate dropped, chained by next, for access to take back
 }
 
 type pageKey struct {
@@ -130,9 +131,14 @@ func (c *blockCache) access(ino uint32, block int64, add bool) (hit bool) {
 	if !add {
 		return false
 	}
-	if c.size < c.cap {
+	switch {
+	case c.free != nil:
+		// A page a truncate or remove dropped.
+		p, c.free = c.free, c.free.next
+		*p = page{key: key}
+	case c.size < c.cap:
 		p = &page{key: key}
-	} else {
+	default:
 		// A full cache recycles its victim's page for the newcomer; the
 		// victim's removal may move entries, so the probe is redone.
 		p = c.lru.newer
@@ -150,11 +156,15 @@ func (c *blockCache) access(ino uint32, block int64, add bool) (hit bool) {
 	return false
 }
 
-// invalidate drops all buffered pages of one file (truncate/remove).
+// invalidate drops all buffered pages of one file (truncate/remove) onto
+// the free list, where the next pages access adds come from: the pages
+// never exceed the budget, so neither does the list.
 func (c *blockCache) invalidate(ino uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for p := c.files[ino]; p != nil; p = c.files[ino] {
 		c.drop(p)
+		*p = page{next: c.free}
+		c.free = p
 	}
 }

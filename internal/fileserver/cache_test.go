@@ -170,7 +170,8 @@ func TestInvalidateUncachedFileZeroAlloc(t *testing.T) {
 
 // TestBlockCacheAccessZeroAlloc: on a full cache, a hit, a miss that
 // buffers nothing and a miss that evicts for its page are each a probe
-// of the fixed table and a few pointer writes, never an allocation.
+// of the fixed table and a few pointer writes, never an allocation; nor
+// is the rewrite of a truncated file, whose pages the truncate freed.
 func TestBlockCacheAccessZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
@@ -187,6 +188,14 @@ func TestBlockCacheAccessZeroAlloc(t *testing.T) {
 		{"hit", func() { c.access(uint32(block%7), block, true); block = (block + 1) % defaultCachePages }},
 		{"miss", func() { c.access(99, block, false); block++ }},
 		{"evicting miss", func() { c.access(3, 1<<40+block, true); block++ }},
+		// A truncated file's pages go to the free list and its rewrite
+		// takes them back, though the cache is then under budget.
+		{"truncate then rewrite", func() {
+			c.invalidate(50)
+			for b := int64(0); b < 4; b++ {
+				c.access(50, b, true)
+			}
+		}},
 	} {
 		if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
 			t.Errorf("%s: %v allocs", tc.name, allocs)

@@ -70,6 +70,9 @@ type FileServer struct {
 	teamSize  int
 	hits      *metrics.Counter // buffer-cache hits, the fs_cache_hits_total series
 	misses    *metrics.Counter // and misses
+	// writeBack applies a record written into any directory the server
+	// opened (its instance carries the context): one function, made once.
+	writeBack vio.WriteBack
 }
 
 // Start spawns a file server process on host and runs it.
@@ -92,6 +95,9 @@ func Start(host *kernel.Host, name string, opts ...Option) (*FileServer, error) 
 	}
 	for _, opt := range opts {
 		opt(fs)
+	}
+	fs.writeBack = func(p *kernel.Process, ctx uint32, rec proto.Descriptor) error {
+		return fs.vol.modify(core.ContextID(ctx), rec, p.Now())
 	}
 	fs.srv = core.NewServer(proc, fs.vol, fs, fs.teamSize)
 	if err := fs.srv.Start(); err != nil {
@@ -341,9 +347,7 @@ func (fs *FileServer) openDirectoryInstance(p *kernel.Process, msg *proto.Messag
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	return core.OpenDirectory(p, msg, fs.reg, fs.proc.PID(), stream, count, name, func(p *kernel.Process, rec proto.Descriptor) error {
-		return fs.vol.modify(ctx, rec, p.Now())
-	})
+	return core.OpenDirectory(p, msg, fs.reg, fs.proc.PID(), stream, count, name, ctx, fs.writeBack)
 }
 
 func (fs *FileServer) handleQuery(req *core.Request, res *core.Resolution) *proto.Message {

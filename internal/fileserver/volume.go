@@ -17,6 +17,7 @@ package fileserver
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -190,7 +191,8 @@ func (v *volume) dirFor(ctx core.ContextID, name string) (*node, error) {
 }
 
 // insert binds name in directory d to e's object, refusing a duplicate,
-// and drops the listing that shows it. With v.mu held.
+// and drops the listing that shows it. With v.mu held. The entry keeps
+// name: callers pass a copy, never a view of a request (proto.CSName).
 func (v *volume) insert(d *node, name string, e dirent, now vtime.Time) error {
 	i, dup := d.find(name)
 	if dup {
@@ -212,6 +214,7 @@ func (v *volume) create(kind nodeKind, ctx core.ContextID, name, owner string, n
 	if err != nil {
 		return nil, err
 	}
+	name = strings.Clone(name)
 	n := &node{id: v.next + 1, kind: kind, parent: d.id, name: name, owner: owner,
 		perms: proto.PermRead | proto.PermWrite, mtime: now, nlink: 1}
 	if err := v.insert(d, name, dirent{child: n}, now); err != nil {
@@ -238,7 +241,7 @@ func (v *volume) addAlias(ctx core.ContextID, name string, id uint32, now vtime.
 	if n.kind != kindFile {
 		return fmt.Errorf("%w: only files can be aliased", proto.ErrIllegalRequest)
 	}
-	if err := v.insert(d, name, dirent{child: n}, now); err != nil {
+	if err := v.insert(d, strings.Clone(name), dirent{child: n}, now); err != nil {
 		return err
 	}
 	n.nlink++
@@ -256,7 +259,7 @@ func (v *volume) addLink(ctx core.ContextID, name string, target core.ContextPai
 	if err != nil {
 		return err
 	}
-	return v.insert(d, name, dirent{remote: target}, now)
+	return v.insert(d, strings.Clone(name), dirent{remote: target}, now)
 }
 
 // remove unbinds name from ctx, deleting the object it names. Directories
@@ -347,6 +350,7 @@ func (v *volume) rename(oldCtx core.ContextID, oldName string, newCtx core.Conte
 		return fmt.Errorf("%q: %w", newName, proto.ErrDuplicateName)
 	}
 	e := from.entries[i]
+	newName = strings.Clone(newName)
 	e.name = newName
 	from.entries = slices.Delete(from.entries, i, i+1)
 	// Found only now: from and to may be one directory.

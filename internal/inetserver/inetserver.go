@@ -12,6 +12,7 @@ package inetserver
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -97,7 +98,8 @@ func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *pro
 		return core.ErrorReplyMsg(proto.ErrNotFound)
 	case res.Entry == nil:
 		id = s.NewID()
-		if err := s.Add(id, res.Last, &conn{id: id, dest: res.Last, opened: req.Proc().Now()}); err != nil {
+		dest := strings.Clone(res.Last) // res.Last lies in the request
+		if err := s.Add(id, dest, &conn{id: id, dest: dest, opened: req.Proc().Now()}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
 	default:

@@ -340,6 +340,71 @@ func TestCrashWhileHandlerParkedInNestedSend(t *testing.T) {
 	}
 }
 
+// TestCrashSweepLeavesRequestToHandler: a handler reads its request's
+// name where it lies (proto.CSName, no copy) and parks in a nested Send;
+// its host crashes, and the sweep fails the sender's transaction. The
+// sender's goroutine is the one running the handler, so it cannot rewrite
+// its message under the handler: the name still reads as sent after the
+// crash, and the sender's Send returns only once the handler is done.
+func TestCrashSweepLeavesRequestToHandler(t *testing.T) {
+	k := newDomain(t)
+	h1, h2 := k.NewHost("srv"), k.NewHost("backend")
+	parked, release := make(chan struct{}), make(chan struct{})
+	backend, err := h2.Spawn("backend", func(p *Process) {
+		for {
+			_, from, err := p.Receive()
+			if err != nil {
+				return
+			}
+			close(parked)
+			<-release
+			_ = p.Reply(&proto.Message{Op: proto.ReplyOK}, from)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(backend.Destroy)
+
+	const sent = "users/mann/naming.mss"
+	srv := newClient(t, h1, "srv")
+	var afterCrash string
+	var handled atomic.Bool
+	srv.Serve(func(msg *proto.Message, from PID) {
+		name, _, err := proto.CSName(msg)
+		if err != nil {
+			return
+		}
+		_, _ = srv.Send(&proto.Message{Op: proto.OpEcho}, backend.PID())
+		afterCrash = strings.Clone(name)
+		handled.Store(true)
+	})
+	client := newClient(t, h2, "client")
+	req := &proto.Message{Op: proto.OpQueryObject}
+	proto.SetCSName(req, 0, sent)
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := client.Send(req, srv.PID())
+		if !handled.Load() {
+			err = errors.New("the Send returned while its handler still ran")
+		}
+		// What a sender does next: rewrite its one message.
+		proto.SetCSName(req, 0, strings.Repeat("z", len(sent)))
+		errCh <- err
+	}()
+	<-parked
+	h1.Crash()
+	close(release)
+	within(t, "sender of a crashed served process", func() {
+		if err := <-errCh; !errors.Is(err, ErrNonexistentProcess) {
+			t.Errorf("err = %v, want ErrNonexistentProcess", err)
+		}
+	})
+	if afterCrash != sent {
+		t.Errorf("the handler read %q after the crash, want %q", afterCrash, sent)
+	}
+}
+
 func TestGroupForwardStragglerCannotCompleteNextSend(t *testing.T) {
 	// The client's Send is forwarded to a group of two served members:
 	// prompt replies in its turn, straggler parks the transaction and

@@ -21,6 +21,7 @@ package lease
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -153,6 +154,33 @@ func (m *Meter) load() (s Stats) {
 
 // Snapshot returns a torn-read-resistant copy of the counters.
 func (m *Meter) Snapshot() Stats { return metrics.Stable(m.load) }
+
+// Borrowed is a name read where it lies in a request (proto.CSName): a
+// view of the request's segment until the first of its keepers — an
+// observer that keeps names, a server's table — asks Keep, which copies
+// it, so one request copies it at most once.
+type Borrowed struct {
+	Name  string
+	owned bool
+}
+
+// Keep returns the name as a copy its server may keep.
+func (b *Borrowed) Keep() string {
+	if !b.owned {
+		b.Name, b.owned = strings.Clone(b.Name), true
+	}
+	return b.Name
+}
+
+// Borrow returns name, read from p's request, copied at once when what p
+// observes keeps names: a flight ring, the hot-name sketch or a tracer.
+func (m *Meter) Borrow(p *kernel.Process, name string) Borrowed {
+	b := Borrowed{Name: name}
+	if m.Names != nil || p.Kernel().Flight() != nil || p.Tracer() != nil {
+		b.Keep()
+	}
+	return b
+}
 
 // Observe records one ev about name at virtual time at: its counter,
 // flight record, sketch tick and zero-length trace span, as its row says.
@@ -443,19 +471,20 @@ func NewHolders(m *Meter) *Holders {
 	return &Holders{Meter: m, groups: make(map[string]kernel.PID)}
 }
 
-// Join adds cb to name's group, creating the group on first use. It
-// fails when the kernel has no group left to create: nobody would call
-// that holder back, so it must be granted no time.
-func (h *Holders) Join(k *kernel.Kernel, name string, cb kernel.PID) error {
+// Join adds cb to name's group, creating the group on first use, under
+// the name's kept copy. It fails when the kernel has no group left to
+// create: nobody would call that holder back, so it must be granted no
+// time.
+func (h *Holders) Join(k *kernel.Kernel, name *Borrowed, cb kernel.PID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	gid, ok := h.groups[name]
+	gid, ok := h.groups[name.Name]
 	if !ok {
 		var err error
 		if gid, err = k.CreateGroup(); err != nil {
 			return err
 		}
-		h.groups[name] = gid
+		h.groups[name.Keep()] = gid
 	}
 	return k.JoinGroup(gid, cb)
 }

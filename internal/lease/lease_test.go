@@ -348,8 +348,8 @@ func TestHolders(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Store("home", Entry{Pair: pair, Expire: 100 * ms})
-		h.Join(r.k, "home", c.Callback())
-		h.Join(r.k, "home", c.Callback()) // idempotent
+		h.Join(r.k, &Borrowed{Name: "home"}, c.Callback())
+		h.Join(r.k, &Borrowed{Name: "home"}, c.Callback()) // idempotent
 		caches = append(caches, c)
 	}
 	caches[2].Close()

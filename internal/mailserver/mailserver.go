@@ -64,6 +64,7 @@ func (s *Server) add(address string) (uint32, error) {
 		return 0, fmt.Errorf("%w: %q is not a mail address", proto.ErrBadArgs, address)
 	}
 	id := s.NewID()
+	address = strings.Clone(address) // an open's address lies in its request
 	return id, s.Add(id, address, &mailbox{id: id, address: address})
 }
 

@@ -161,10 +161,15 @@ func (t *Tier) leaseWanted(msg *proto.Message) (pfx, bare string, cb kernel.PID,
 // or through the upstream server on a miss, re-granting a sub-lease
 // bounded by the backing upstream lease. A success lands in msg; a
 // failure is a fresh message.
-func (t *Tier) serveLease(p *kernel.Process, msg *proto.Message, pfx, bare string, cb kernel.PID) *proto.Message {
+//
+// pfx and bare lie in msg (proto.CSName): the tier copies pfx once, for
+// the observers that keep names or for its tables, and reads bare before
+// anything writes msg.
+func (t *Tier) serveLease(p *kernel.Process, msg *proto.Message, view, bare string, cb kernel.PID) *proto.Message {
 	p.ChargeCompute(p.Kernel().Model().PrefixRewriteCost)
 	now := p.Now()
-	e, state := t.cache.Lookup(p, pfx, now)
+	pfx := t.cache.Borrow(p, view)
+	e, state := t.cache.Lookup(p, pfx.Name, now)
 	var reply *proto.Message
 	switch {
 	case state != lease.Valid:
@@ -177,9 +182,9 @@ func (t *Tier) serveLease(p *kernel.Process, msg *proto.Message, pfx, bare strin
 		// cannot be called back about.
 		var held bool
 		var err error
-		e, reply, held, err = t.cache.Acquire(p, t.upstream, pfx, bare, state)
+		e, reply, held, err = t.cache.Acquire(p, t.upstream, pfx.Keep(), bare, state)
 		if err != nil {
-			return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, err))
+			return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx.Name, err))
 		}
 		reply = relay(msg, reply)
 		if !held {
@@ -187,7 +192,7 @@ func (t *Tier) serveLease(p *kernel.Process, msg *proto.Message, pfx, bare strin
 		}
 		now = e.Grant
 	case e.Negative:
-		reply = core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, proto.ErrNotFound))
+		reply = core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx.Name, proto.ErrNotFound))
 	default:
 		reply = proto.AnswerIn(msg, proto.ReplyOK)
 		proto.SetMapContextReply(reply, uint32(e.Pair.Server), uint32(e.Pair.Ctx))
@@ -196,7 +201,7 @@ func (t *Tier) serveLease(p *kernel.Process, msg *proto.Message, pfx, bare strin
 	// the backing upstream lease — or at once, when the tier could not
 	// note whom to call back.
 	length := t.leaseLen
-	if t.holders.Join(p.Kernel(), pfx, cb) != nil {
+	if t.holders.Join(p.Kernel(), &pfx, cb) != nil {
 		length = 0
 	}
 	lease.Grant(reply, now, length, e.Expire)

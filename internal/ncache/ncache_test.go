@@ -338,3 +338,73 @@ func TestTierAnswersInEachClientsRequest(t *testing.T) {
 		t.Fatalf("tier stats %+v: want the upstream walked repeatedly beside hits", ts)
 	}
 }
+
+// TestTierKeepsNoBorrowedName: the tier reads a lease request's prefix
+// where it lies in the client's message and keeps a copy in its lease
+// table: once the client's next request has overwritten the message, a
+// repeat of the first request still finds the tier's entry, and the
+// name's deletion still reaches the client through the tier's holder
+// group.
+func TestTierKeepsNoBorrowedName(t *testing.T) {
+	sw := bootTiered(t, time.Second)
+	host := sw.Hosts[0]
+	p, err := host.NewProcess("borrower")
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalidated := make(chan string, 4)
+	cb, err := host.NewProcess("borrower-cb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb.Serve(func(msg *proto.Message, from kernel.PID) {
+		if name, _, err := proto.CacheInvalidate(msg); err == nil {
+			invalidated <- name
+		}
+		_ = cb.Reply(proto.NewReply(proto.ReplyOK), from)
+	})
+	req := &proto.Message{}
+	lease := func(name string) *proto.Message {
+		t.Helper()
+		*req = proto.Message{Op: proto.OpMapContext, Segment: req.Segment[:0]}
+		proto.SetCSName(req, 0, name)
+		proto.SetLeaseRequest(req, uint32(cb.PID()))
+		reply, err := p.Send(req, sw.Tier.PID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	if reply := lease("[shard0]"); reply.Op != proto.ReplyOK {
+		t.Fatalf("first lease: %v", reply.Op)
+	}
+	// The same length: the overwrite reuses every byte the first read.
+	if reply := lease("[zzzzz0]"); reply.Op != proto.ReplyNotFound {
+		t.Fatalf("overwriting lease: %v", reply.Op)
+	}
+	// The repeat comes in a new message, so nothing restores the bytes
+	// the first request's prefix was read from.
+	req = &proto.Message{}
+	before := sw.Tier.Stats()
+	if reply := lease("[shard0]"); reply.Op != proto.ReplyOK {
+		t.Fatalf("repeat lease: %v", reply.Op)
+	}
+	if after := sw.Tier.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("repeat lease: tier stats %+v after %+v, want one more hit", after, before)
+	}
+	proc, err := sw.PrefixHost.NewProcess("admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.New(proc, sw.Tier.PID(), sw.Shards[0].RootPair(), "admin").DeleteName("shard0"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case name := <-invalidated:
+		if name != "shard0" {
+			t.Fatalf("invalidated %q, want shard0", name)
+		}
+	default:
+		t.Fatal("the redefinition's invalidation did not reach the tier's holder")
+	}
+}

@@ -12,6 +12,7 @@ package pipeserver
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -73,7 +74,8 @@ func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *pro
 		return core.ErrorReplyMsg(proto.ErrNotFound)
 	case res.Entry == nil:
 		id = s.NewID()
-		if err := s.Add(id, res.Last, &pipe{id: id, name: res.Last, capacity: DefaultCapacity}); err != nil {
+		name := strings.Clone(res.Last) // res.Last lies in the request
+		if err := s.Add(id, name, &pipe{id: id, name: name, capacity: DefaultCapacity}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
 	case res.Entry.Kind != core.EntryObject:

@@ -63,15 +63,16 @@ func (s *Server) LeaseStats() LeaseStats {
 // registers the callback as a holder of pfx. negative marks a NotFound
 // stamp; otherwise slot is the binding's, read off the index node during
 // the resolution descent, so the grant needs no second table lookup and
-// writes nothing to the index.
-func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string, cb kernel.PID, negative bool, slot uint32) {
+// writes nothing to the index. A positive reply is the request answered
+// in place: stamping writes its fields, never the segment pfx lies in.
+func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx *lease.Borrowed, cb kernel.PID, negative bool, slot uint32) {
 	now := p.Now()
 	length := s.leaseLen
 	if s.tuner != nil && !negative {
 		// Auto-tuned per-name length (tuner.go); negative leases stay at
 		// the floor — an absent name's definition is the churn event the
 		// tuner has no estimator for yet.
-		length = s.tuner.leaseFor(pfx, s.leases.Names)
+		length = s.tuner.leaseFor(pfx.Keep(), s.leases.Names)
 	}
 	regrant, err := s.joinHolders(p, pfx, cb, !negative, slot)
 	if err != nil {
@@ -91,7 +92,7 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 		// granting side comes to seeing a renewal.
 		ev = lease.Regranted
 	}
-	s.leases.Observe(p, ev, pfx, now, stamp)
+	s.leases.Observe(p, ev, pfx.Name, now, stamp)
 }
 
 // joinHolders adds cb to pfx's holder group, creating the group on first
@@ -100,7 +101,7 @@ func (s *Server) stampLease(p *kernel.Process, reply *proto.Message, pfx string,
 // Membership is idempotent and survives invalidations: a holder that
 // re-leases after a callback is already in the group, and destroyed
 // processes leave every group via the kernel's destroy path.
-func (s *Server) joinHolders(p *kernel.Process, pfx string, cb kernel.PID, bound bool, slot uint32) (regrant bool, err error) {
+func (s *Server) joinHolders(p *kernel.Process, pfx *lease.Borrowed, cb kernel.PID, bound bool, slot uint32) (regrant bool, err error) {
 	k := p.Kernel()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -108,10 +109,10 @@ func (s *Server) joinHolders(p *kernel.Process, pfx string, cb kernel.PID, bound
 		// The binding was deleted since resolution read its slot: join
 		// whatever a later change of the name will call back.
 		var e tableEntry
-		e, bound = s.index.Get(pfx)
+		e, bound = s.index.Get(pfx.Name)
 		slot = e.slot
 	}
-	gid := s.orphans[pfx]
+	gid := s.orphans[pfx.Name]
 	if bound {
 		gid = s.groups[slot]
 	}
@@ -122,7 +123,7 @@ func (s *Server) joinHolders(p *kernel.Process, pfx string, cb kernel.PID, bound
 		if bound {
 			s.groups[slot] = gid
 		} else {
-			s.orphans[pfx] = gid
+			s.orphans[pfx.Keep()] = gid
 		}
 	}
 	return regrant, k.JoinGroup(gid, cb)

@@ -2,12 +2,16 @@ package prefix
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/kernel"
+	"repro/internal/lease"
+	"repro/internal/namestat"
 	"repro/internal/netsim"
 	"repro/internal/popgen"
 	"repro/internal/proto"
@@ -218,10 +222,10 @@ func TestInvalidateWithoutHolders(t *testing.T) {
 // stamping a lease finds the holder group through the slot read off the
 // index entry and writes nothing to the index, and the kernel group it
 // joins is a record in a table, not a heap of maps. The grant is
-// answered in its request, so a first grant allocates twice (the name
-// parsed off the request, the group's member slice) and a repeat grant
-// only the first. An index write publishes a new image, an allocation
-// neither cap leaves room for.
+// answered in its request and reads the name where it lies there (no
+// observer keeps it), so a first grant allocates once (the group's
+// member slice) and a repeat grant nothing. An index write publishes a
+// new image, an allocation neither cap leaves room for.
 func TestGrantLeavesIndexUntouched(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun counts the race detector's own allocations")
@@ -261,11 +265,98 @@ func TestGrantLeavesIndexUntouched(t *testing.T) {
 		t.Fatalf("grants = %d, want %d", st.Grants, 2*(leased+1))
 	}
 	t.Logf("allocs: first grant %.1f, repeat grant %.1f", first, repeat)
-	if first > 2 {
-		t.Fatalf("a first grant allocates %.1f, want the parsed name and the member slice (2)", first)
+	if first > 1 {
+		t.Fatalf("a first grant allocates %.1f, want the member slice (1)", first)
 	}
-	if repeat > 1 {
-		t.Fatalf("a repeat grant allocates %.1f, want the parsed name (1)", repeat)
+	if repeat != 0 {
+		t.Fatalf("a repeat grant allocates %.1f, want 0: the name is read where it lies", repeat)
+	}
+}
+
+// TestPrefixKeepsNoBorrowedName: the prefix server reads a request's
+// prefix where it lies (proto.CSName) and keeps only copies — in
+// orphans (a negative lease, a leased name deleted), in lastResolved (a
+// dynamic binding's use) and, with observers that keep names, in the
+// flight journal and the sketch, which a leased grant feeds after its
+// answer has landed in the request. One client message carries every
+// request; a last request overwrites it; every kept name must still
+// find its entry.
+func TestPrefixKeepsNoBorrowedName(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("observed=%v", observed), func(t *testing.T) {
+			ps, client, callback, _ := newLeaseRig(t)
+			k := client.Kernel()
+			if observed {
+				k.SetFlight(flight.New(1 << 10))
+				ps.leases.Names = namestat.NewTopK(8)
+			}
+			if err := client.SetPid(kernel.ServicePipe, client.PID(), kernel.ScopeLocal); err != nil {
+				t.Fatal(err)
+			}
+			long := func(tag string) string { return tag + strings.Repeat("-borrowed", 20) }
+			dynamic, absent, deleted := long("dynamic"), long("absent"), long("deleted")
+			if err := ps.DefineDynamic(dynamic, kernel.ServicePipe, core.CtxDefault); err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.Define(deleted, core.ContextPair{Server: client.PID(), Ctx: 3}); err != nil {
+				t.Fatal(err)
+			}
+			req := &proto.Message{Segment: make([]byte, 0, 512)}
+			send := func(op proto.Code, name string, leased bool) proto.Code {
+				t.Helper()
+				*req = proto.Message{Op: op, Segment: req.Segment[:0]}
+				proto.SetCSName(req, 0, name)
+				if leased {
+					proto.SetLeaseRequest(req, uint32(callback.PID()))
+				}
+				reply, err := client.Send(req, ps.PID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return reply.Op
+			}
+			for name, want := range map[string]proto.Code{dynamic: proto.ReplyOK, absent: proto.ReplyNotFound, deleted: proto.ReplyOK} {
+				if got := send(proto.OpMapContext, Quote(name), true); got != want {
+					t.Fatalf("leased map of %s = %v, want %v", name, got, want)
+				}
+			}
+			if got := send(proto.OpDeleteContextName, deleted, false); got != proto.ReplyOK {
+				t.Fatalf("delete = %v", got)
+			}
+			filler := strings.Repeat("z", cap(req.Segment)-2)
+			if got := send(proto.OpMapContext, Quote(filler), false); got != proto.ReplyNotFound {
+				t.Fatalf("filler = %v", got)
+			}
+
+			ps.mu.Lock()
+			_, absentParked := ps.orphans[absent]
+			_, deletedParked := ps.orphans[deleted]
+			_, resolved := ps.lastResolved[dynamic]
+			kept := len(ps.orphans) + len(ps.lastResolved)
+			ps.mu.Unlock()
+			if !absentParked || !deletedParked || !resolved || kept != 3 {
+				t.Errorf("orphans hold %s %v, %s %v; lastResolved %s %v; %d kept, want 3",
+					absent, absentParked, deleted, deletedParked, dynamic, resolved, kept)
+			}
+			if !observed {
+				return
+			}
+			used := map[string]bool{dynamic: true, absent: true, deleted: true, "tgt": true, filler: true}
+			for _, ev := range k.Flight().Journal() {
+				if ev.Name != "" && !used[ev.Name] {
+					t.Errorf("the flight journal keeps %q", ev.Name)
+				}
+			}
+			top := ps.TopNames()
+			for _, it := range top {
+				if !used[it.Name] {
+					t.Errorf("the sketch keeps %q", it.Name)
+				}
+			}
+			if len(top) < 3 {
+				t.Errorf("the sketch holds %d names, want the 3 leased", len(top))
+			}
+		})
 	}
 }
 
@@ -324,7 +415,7 @@ func TestGrantAfterDeleteJoinsTheNamesNextLife(t *testing.T) {
 		}
 	}
 	lateGrant := func(name string, slot uint32) {
-		ps.stampLease(client, core.OkReply(), name, callback.PID(), false, slot)
+		ps.stampLease(client, core.OkReply(), &lease.Borrowed{Name: name}, callback.PID(), false, slot)
 	}
 	heard := func(when string) {
 		t.Helper()

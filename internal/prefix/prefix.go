@@ -147,6 +147,8 @@ type Server struct {
 	leases *lease.Meter
 	series *core.ServeSeries
 	tuner  *autoTuner
+	// writeBack is modifyFromRecord, bound once for every directory open.
+	writeBack vio.WriteBack
 }
 
 // tableEntry is one prefix table entry: the binding plus the index of
@@ -202,6 +204,7 @@ func newServer(proc *kernel.Process, owner string, opts ...Option) *Server {
 		leases:       lease.NewMeter(proc.Kernel(), "prefix", proc.Name()),
 		series:       core.NewServeSeries(proc.Kernel(), proc.Name()),
 	}
+	s.writeBack = s.modifyFromRecord
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -335,9 +338,9 @@ func (s *Server) bound(name string, slot uint32) {
 // unbound is bound's inverse for a slot the index no longer has: its
 // holder group is parked so the invalidation of whatever removed the
 // binding reaches it and a later define re-adopts it. Caller holds mu.
-func (s *Server) unbound(name string, slot uint32) {
+func (s *Server) unbound(name *lease.Borrowed, slot uint32) {
 	if g := s.groups[slot]; g != kernel.NilPID {
-		s.orphans[name] = g
+		s.orphans[name.Keep()] = g
 	} else {
 		s.groups[slot] = retired
 	}
@@ -419,25 +422,27 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	// table and rewriting the message (§6).
 	p.ChargeCompute(model.PrefixRewriteCost)
 
-	pfx, rest, err := Parse(name, index)
+	parsed, rest, err := Parse(name, index)
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
+	// pfx lies in msg, copied once if an observer or a table keeps it.
+	pfx := s.leases.Borrow(p, parsed)
 	// An observer: it charges no virtual time.
-	s.leases.Observe(p, lease.Resolved, pfx, p.Now(), lease.Entry{})
+	s.leases.Observe(p, lease.Resolved, pfx.Name, p.Now(), lease.Entry{})
 	// The resolution fast path: one lock-free descent of the radix index
 	// yields the binding and its holder group's slot together.
-	e, ok := s.index.Get(pfx)
+	e, ok := s.index.Get(pfx.Name)
 	b := e.binding()
 	cb, wantLease := lease.Wanted(msg, name, rest)
 	wantLease = wantLease && s.leaseLen > 0
 	if !ok {
-		reply := core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx, proto.ErrNotFound))
+		reply := core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", pfx.Name, proto.ErrNotFound))
 		if wantLease {
 			// Unknown prefix, lease requested: grant a negative lease so
 			// the holder answers repeated lookups locally until a define
 			// invalidates it (lease.go).
-			s.stampLease(p, reply, pfx, cb, true, 0)
+			s.stampLease(p, reply, &pfx, cb, true, 0)
 		}
 		return reply
 	}
@@ -455,32 +460,37 @@ func (s *Server) handleCSName(p *kernel.Process, msg *proto.Message, from kernel
 	if b.Dynamic {
 		if !p.Kernel().ProcessAlive(pair.Server) {
 			p.ChargeCompute(model.RetransmitTimeout)
-			s.leases.Observe(p, lease.DeadTarget, pfx, p.Now(), lease.Entry{})
+			s.leases.Observe(p, lease.DeadTarget, pfx.Name, p.Now(), lease.Entry{})
 			return core.ErrorReplyMsg(fmt.Errorf("prefix %q: no live server for service %v: %w",
-				pfx, b.Service, proto.ErrTimeout))
+				pfx.Name, b.Service, proto.ErrTimeout))
 		}
 		s.mu.Lock()
-		prev, ok := s.lastResolved[pfx]
+		prev, ok := s.lastResolved[pfx.Name]
 		rebound := ok && prev != pair.Server
-		s.lastResolved[pfx] = pair.Server
+		if !ok || rebound {
+			// Assigned only when it changes: a map keeps the key it is
+			// assigned under, even over an equal one.
+			s.lastResolved[pfx.Keep()] = pair.Server
+		}
 		s.mu.Unlock()
 		if rebound {
-			s.leases.Observe(p, lease.Rebound, pfx, p.Now(), lease.Entry{})
+			s.leases.Observe(p, lease.Rebound, pfx.Name, p.Now(), lease.Entry{})
 		}
 	}
 	if wantLease {
 		// A bare-prefix MapContext asking for a lease is answered directly
 		// from the table — the server knows the pair and must be the one
 		// stamping the expiry and tracking the holder — where the plain
-		// protocol would forward it to the target server (lease.go).
+		// protocol would forward it to the target server (lease.go). The
+		// answer writes no byte of the segment pfx lies in.
 		reply := proto.AnswerIn(msg, proto.ReplyOK)
 		proto.SetMapContextReply(reply, uint32(pair.Server), uint32(pair.Ctx))
-		s.stampLease(p, reply, pfx, cb, false, e.slot)
+		s.stampLease(p, reply, &pfx, cb, false, e.slot)
 		return reply
 	}
 	proto.RewriteCSName(msg, uint32(pair.Ctx), rest)
 	// Counted before the Forward delivers (see core.ServeSeries.Forwarded).
-	s.leases.Observe(p, lease.Forwarded, pfx, p.Now(), lease.Entry{})
+	s.leases.Observe(p, lease.Forwarded, pfx.Name, p.Now(), lease.Entry{})
 	// A failed forward already failed the client's transaction.
 	_ = p.Forward(msg, from, pair.Server)
 	return nil
@@ -588,13 +598,14 @@ func (s *Server) openDirectory(p *kernel.Process, msg *proto.Message) *proto.Mes
 		return true
 	})
 	records = core.FilterRecords(records, pattern)
-	return core.OpenDirectory(p, msg, s.reg, s.proc.PID(), proto.EncodeDescriptors(records), len(records), Quote(""), s.modifyFromRecord)
+	return core.OpenDirectory(p, msg, s.reg, s.proc.PID(), proto.EncodeDescriptors(records), len(records), Quote(""), core.CtxDefault, s.writeBack)
 }
 
 // modifyFromRecord applies a written directory record as a modification
 // of the named prefix, committed on the serving process p before the
-// write's reply.
-func (s *Server) modifyFromRecord(p *kernel.Process, d proto.Descriptor) error {
+// write's reply. The record is the directory instance's own decoded
+// copy, so its name may be kept.
+func (s *Server) modifyFromRecord(p *kernel.Process, _ uint32, d proto.Descriptor) error {
 	if d.Tag != proto.TagContextPrefix {
 		return fmt.Errorf("%w: record tag %v", proto.ErrBadArgs, d.Tag)
 	}
@@ -631,11 +642,11 @@ func (s *Server) handleAdd(p *kernel.Process, msg *proto.Message) *proto.Message
 	} else {
 		b.Pair = core.ContextPair{Server: kernel.PID(pidOrService), Ctx: core.ContextID(ctx)}
 	}
-	key := strings.Trim(name[index:], "[]")
-	if err := s.define(key, b); err != nil {
+	key := s.leases.Borrow(p, strings.Trim(name[index:], "[]"))
+	if err := s.define(key.Name, b); err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	s.invalidateName(p, key)
+	s.invalidateName(p, key.Name)
 	return core.OkReply()
 }
 
@@ -646,17 +657,17 @@ func (s *Server) handleDelete(p *kernel.Process, msg *proto.Message) *proto.Mess
 	if err != nil {
 		return core.ErrorReplyMsg(err)
 	}
-	key := strings.Trim(name[index:], "[]")
+	key := s.leases.Borrow(p, strings.Trim(name[index:], "[]"))
 	s.mu.Lock()
-	e, ok := s.index.Get(key)
+	e, ok := s.index.Get(key.Name)
 	if !ok {
 		s.mu.Unlock()
-		return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", key, proto.ErrNotFound))
+		return core.ErrorReplyMsg(fmt.Errorf("prefix %q: %w", key.Name, proto.ErrNotFound))
 	}
-	s.index.Delete(key)
-	s.unbound(key, e.slot)
+	s.index.Delete(key.Name)
+	s.unbound(&key, e.slot)
 	s.mu.Unlock()
-	s.invalidateName(p, key)
+	s.invalidateName(p, key.Name)
 	return core.OkReply()
 }
 

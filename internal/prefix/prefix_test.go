@@ -374,7 +374,7 @@ func TestModifyThroughDirectoryRecord(t *testing.T) {
 		Name:         "tgt",
 		TypeSpecific: [2]uint32{uint32(target.PID()), 77},
 	}
-	if err := ps.modifyFromRecord(ps.proc, rec); err != nil {
+	if err := ps.modifyFromRecord(ps.proc, 0, rec); err != nil {
 		t.Fatal(err)
 	}
 	b := ps.Bindings()["tgt"]
@@ -383,13 +383,13 @@ func TestModifyThroughDirectoryRecord(t *testing.T) {
 	}
 	// Unknown prefix rejected.
 	rec.Name = "ghost"
-	if err := ps.modifyFromRecord(ps.proc, rec); !errors.Is(err, proto.ErrNotFound) {
+	if err := ps.modifyFromRecord(ps.proc, 0, rec); !errors.Is(err, proto.ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	// Wrong tag rejected.
 	rec.Name = "tgt"
 	rec.Tag = proto.TagFile
-	if err := ps.modifyFromRecord(ps.proc, rec); !errors.Is(err, proto.ErrBadArgs) {
+	if err := ps.modifyFromRecord(ps.proc, 0, rec); !errors.Is(err, proto.ErrBadArgs) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -576,8 +576,8 @@ func TestPackedEntryDropsNothing(t *testing.T) {
 		ps.Define("storage", core.ContextPair{Server: 0x2A0001, Ctx: 7}),
 		ps.DefineDynamic("bin", kernel.ServiceStorage, core.CtxStdPrograms),
 		ps.DefineAll([]string{"x", "[y]"}, pairsAt(core.ContextPair{Server: 9, Ctx: 1}, core.ContextPair{Server: 9, Ctx: 0xFFFFFFFF})),
-		ps.modifyFromRecord(ps.proc, record("x", 1, uint32(kernel.ServiceMail), 3)),
-		ps.modifyFromRecord(ps.proc, record("bin", 0, 0x10002, 5)),
+		ps.modifyFromRecord(ps.proc, 0, record("x", 1, uint32(kernel.ServiceMail), 3)),
+		ps.modifyFromRecord(ps.proc, 0, record("bin", 0, 0x10002, 5)),
 	} {
 		if err != nil {
 			t.Fatal(err)

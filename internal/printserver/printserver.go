@@ -8,6 +8,7 @@ package printserver
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -138,7 +139,8 @@ func (s *Server) open(req *core.Request, res *core.Resolution, mode uint32) *pro
 	switch {
 	case res.Entry == nil && mode&proto.ModeCreate != 0:
 		id, mode = s.NewID(), proto.ModeWrite
-		if err := s.Add(id, res.Last, &job{id: id, name: res.Last, state: stateSpooling}); err != nil {
+		name := strings.Clone(res.Last) // res.Last lies in the request
+		if err := s.Add(id, name, &job{id: id, name: name, state: stateSpooling}); err != nil {
 			return core.ErrorReplyMsg(err)
 		}
 	case res.Entry == nil || res.Entry.Kind != core.EntryObject:

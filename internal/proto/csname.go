@@ -1,6 +1,9 @@
 package proto
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Standard CSname request field conventions (§5.3). Every CSname request
 // carries, at fixed positions independent of the operation code:
@@ -37,6 +40,9 @@ func CSNameContext(m *Message) uint32 { return m.F[fieldContext] }
 // CSName returns the full name carried by the request and the index at
 // which interpretation should continue. It fails if the standard fields
 // are inconsistent with the segment.
+// The name is a view of m's segment, not a copy, valid until the handler
+// replies, forwards or writes into m; what a server keeps past that, it
+// copies (PROTOCOL.md §7).
 func CSName(m *Message) (name string, index int, err error) {
 	n := int(m.F[fieldNameLen])
 	if n > len(m.Segment) {
@@ -46,7 +52,23 @@ func CSName(m *Message) (name string, index int, err error) {
 	if idx > n {
 		return "", 0, fmt.Errorf("%w: name index %d exceeds name length %d", ErrBadArgs, idx, n)
 	}
-	return string(m.Segment[:n]), idx, nil
+	return view(m.Segment[:n]), idx, nil
+}
+
+// view is b as a string sharing its bytes: a name read where it lies in
+// a segment.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// Borrows reports whether s lies in the storage of m's segment: a name
+// read with CSName, RenameNewName or DirPattern that m's answer would
+// overwrite.
+func Borrows(m *Message, s string) bool {
+	if len(s) == 0 || cap(m.Segment) == 0 {
+		return false
+	}
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(m.Segment)))
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return p >= base && p < base+uintptr(cap(m.Segment))
 }
 
 // RewriteCSName updates the interpretation state of a request before it is
@@ -67,14 +89,15 @@ func AppendNewName(m *Message, newName string) {
 	m.Segment = append(m.Segment, newName...)
 }
 
-// RenameNewName extracts the new name from an OpRenameObject request.
+// RenameNewName extracts the new name from an OpRenameObject request,
+// a view of m's segment as CSName's is.
 func RenameNewName(m *Message) (string, error) {
 	oldLen := int(m.F[fieldNameLen])
 	newLen := int(m.F[3])
 	if oldLen+newLen > len(m.Segment) {
 		return "", fmt.Errorf("%w: rename names exceed segment", ErrBadArgs)
 	}
-	return string(m.Segment[oldLen : oldLen+newLen]), nil
+	return view(m.Segment[oldLen : oldLen+newLen]), nil
 }
 
 // AddContextName target encodings. An added name may bind either to a
@@ -119,7 +142,9 @@ func AddContextTarget(m *Message) (dynamic bool, pidOrService uint32, ctx uint32
 //
 // A zero F[2] marks a failure reply without fault details.
 
-// SetNameFault records fault details in a failure reply.
+// SetNameFault records fault details in a failure reply. component may
+// be a view of m's own segment (a request answered in place): it is
+// copied out before the segment is replaced.
 func SetNameFault(m *Message, index int, server uint32, component string) {
 	m.F[1] = uint32(index)
 	m.F[2] = server
@@ -157,8 +182,8 @@ func SetDirPattern(m *Message, pattern string) {
 	m.Segment = append(m.Segment, pattern...)
 }
 
-// DirPattern extracts the match pattern from a directory-open request;
-// empty means "all objects".
+// DirPattern extracts the match pattern from a directory-open request,
+// a view of m's segment as CSName's is; empty means "all objects".
 func DirPattern(m *Message) (string, error) {
 	n := int(m.F[5])
 	if n == 0 {
@@ -168,7 +193,7 @@ func DirPattern(m *Message) (string, error) {
 	if nameLen+n > len(m.Segment) {
 		return "", fmt.Errorf("%w: pattern exceeds segment", ErrBadArgs)
 	}
-	return string(m.Segment[nameLen : nameLen+n]), nil
+	return view(m.Segment[nameLen : nameLen+n]), nil
 }
 
 // SetOpenMode stores the open mode of an OpCreateInstance request.

@@ -3,7 +3,6 @@ package proto
 import (
 	"encoding/binary"
 	"fmt"
-	"unsafe"
 )
 
 // DescriptorTag identifies the type of object a description record
@@ -198,7 +197,7 @@ func DecodeDescriptors(buf []byte) ([]Descriptor, error) {
 		return nil, nil
 	}
 	out := make([]Descriptor, count)
-	s := unsafe.String(unsafe.SliceData(buf), len(buf))
+	s := view(buf)
 	off := 0
 	for i := range out {
 		off += out[i].decode(buf[off:], s[off+descriptorFixedBytes:])

@@ -48,6 +48,55 @@ func TestCSNameFields(t *testing.T) {
 	}
 }
 
+// TestCSNameBorrowsSegment: CSName reads the name where it lies — a
+// view of the request's segment, allocating nothing — so a write into
+// the segment shows through it; RenameNewName and DirPattern read theirs
+// the same way.
+func TestCSNameBorrowsSegment(t *testing.T) {
+	m := &Message{Op: OpRenameObject}
+	SetCSName(m, 0, "users/mann/old")
+	AppendNewName(m, "users/mann/new")
+	var name string
+	if !raceflag.Enabled {
+		if allocs := testing.AllocsPerRun(1000, func() { name, _, _ = CSName(m) }); allocs != 0 {
+			t.Fatalf("CSName allocates %v times, want 0", allocs)
+		}
+	}
+	name, _, _ = CSName(m)
+	newName, err := RenameNewName(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Borrows(m, name) || !Borrows(m, newName) || Borrows(m, strings.Clone(name)) || Borrows(m, "") {
+		t.Fatal("Borrows does not tell the segment's names from a copy")
+	}
+	m.Segment[0] = 'U'
+	if name != "Users/mann/old" {
+		t.Fatalf("name after a write into the segment = %q: not a view of it", name)
+	}
+
+	d := &Message{Op: OpCreateInstance}
+	SetCSName(d, 0, "dir")
+	SetDirPattern(d, "f*")
+	if pattern, err := DirPattern(d); err != nil || pattern != "f*" || !Borrows(d, pattern) {
+		t.Fatalf("DirPattern = %q, %v; a view %v", pattern, err, Borrows(d, pattern))
+	}
+}
+
+// TestSetNameFaultReadsItsOwnSegment: a fault's component may be a view
+// of the message the fault is written into; it is copied out first.
+func TestSetNameFaultReadsItsOwnSegment(t *testing.T) {
+	m := &Message{Op: OpQueryObject}
+	SetCSName(m, 0, "users/mann/missing")
+	name, _, _ := CSName(m)
+	last := name[len("users/mann/"):]
+	m.Op = ReplyNotFound
+	SetNameFault(m, len("users/mann/"), 7, last)
+	if idx, server, component, ok := NameFault(m); !ok || idx != 11 || server != 7 || component != "missing" {
+		t.Fatalf("NameFault = %d %d %q %v", idx, server, component, ok)
+	}
+}
+
 func TestCSNameBadFields(t *testing.T) {
 	m := &Message{Op: OpQueryObject}
 	SetCSName(m, 0, "abc")

@@ -9,10 +9,15 @@ import (
 	"repro/internal/proto"
 )
 
+// WriteBack applies a description record written back into the
+// directory of context ctx (§5.6), as the serving process p.
+type WriteBack func(p *kernel.Process, ctx uint32, d proto.Descriptor) error
+
 // DirectoryInstance serves a context directory: a stream of encoded
 // description records, where writing a record back invokes modify on the
 // corresponding object (§5.6) as the serving process. With no modify it
-// is read-only.
+// is read-only. The instance carries its context, so a server's one
+// modify serves every directory it opens.
 //
 // File.Write splits its data at block boundaries, so a write that ends on
 // one may end inside a record: that torn tail is kept and completes the
@@ -22,17 +27,18 @@ import (
 // write fails if it starts elsewhere, and Release fails if none comes.
 type DirectoryInstance struct {
 	stream []byte
-	modify func(*kernel.Process, proto.Descriptor) error
+	ctx    uint32
+	modify WriteBack
 
 	mu     sync.Mutex
 	torn   []byte
 	tornAt int64 // the offset the write continuing torn starts at
 }
 
-// NewDirectoryInstance serves stream, applying records written back with
-// modify.
-func NewDirectoryInstance(stream []byte, modify func(*kernel.Process, proto.Descriptor) error) *DirectoryInstance {
-	return &DirectoryInstance{stream: stream, modify: modify}
+// NewDirectoryInstance serves stream, the directory of context ctx,
+// applying records written back with modify.
+func NewDirectoryInstance(stream []byte, ctx uint32, modify WriteBack) *DirectoryInstance {
+	return &DirectoryInstance{stream: stream, ctx: ctx, modify: modify}
 }
 
 // Info implements Instance.
@@ -76,7 +82,7 @@ func (d *DirectoryInstance) WriteAt(p *kernel.Process, off int64, data []byte) (
 	// Whole records decode; the copy is theirs, as data is the writer's.
 	records, _ := proto.DecodeDescriptors(slices.Clone(data[:whole]))
 	for _, rec := range records {
-		if err := d.modify(p, rec); err != nil {
+		if err := d.modify(p, d.ctx, rec); err != nil {
 			return 0, err
 		}
 	}

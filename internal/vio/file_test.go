@@ -363,7 +363,7 @@ func TestFileWriteSinkFails(t *testing.T) {
 	r := newFileRig(t)
 	calls := 0
 	listed := proto.Descriptor{Tag: proto.TagFile, Name: "a"}
-	inst := NewDirectoryInstance(listed.AppendEncoded(nil), func(*kernel.Process, proto.Descriptor) error {
+	inst := NewDirectoryInstance(listed.AppendEncoded(nil), 0, func(*kernel.Process, uint32, proto.Descriptor) error {
 		calls++
 		return proto.ErrNoPermission
 	})
@@ -373,7 +373,7 @@ func TestFileWriteSinkFails(t *testing.T) {
 		t.Fatalf("Write = %d, %v after %d modify calls", n, err, calls)
 	}
 	// A read-only instance refuses before the sink is reached.
-	ro := r.open(t, NewDirectoryInstance(nil, nil), "ro")
+	ro := r.open(t, NewDirectoryInstance(nil, 0, nil), "ro")
 	if _, err := ro.Write([]byte("x")); !errors.Is(err, proto.ErrModeNotSupported) {
 		t.Fatalf("read-only Write err = %v", err)
 	}
@@ -389,7 +389,7 @@ func TestFileCloseReportsTornRecord(t *testing.T) {
 		records = append(records, proto.Descriptor{Tag: proto.TagFile, Name: "record"})
 	}
 	applied := 0
-	f := r.open(t, NewDirectoryInstance(nil, func(*kernel.Process, proto.Descriptor) error { applied++; return nil }), "dir")
+	f := r.open(t, NewDirectoryInstance(nil, 0, func(*kernel.Process, uint32, proto.Descriptor) error { applied++; return nil }), "dir")
 	if n, err := f.Write(proto.EncodeDescriptors(records)[:DefaultBlockSize]); n != DefaultBlockSize || err != nil {
 		t.Fatalf("Write = %d, %v", n, err)
 	}
@@ -534,7 +534,7 @@ func TestInstanceOpsAnswerInRequest(t *testing.T) {
 	}
 	files := make([]*File, 101) // AllocsPerRun runs once more than asked
 	for i := range files {
-		files[i] = r.open(t, NewDirectoryInstance(nil, nil), "f")
+		files[i] = r.open(t, NewDirectoryInstance(nil, 0, nil), "f")
 	}
 	next := 0
 	if allocs := testing.AllocsPerRun(100, func() {

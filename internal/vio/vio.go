@@ -11,6 +11,7 @@ package vio
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/kernel"
@@ -64,7 +65,7 @@ func CheckStored(n int64) error {
 // reuse (§4.3).
 type Registry struct {
 	mu        sync.Mutex
-	instances map[uint16]*slot
+	instances map[uint16]slot // by value: an open allocates no slot
 	next      uint16
 }
 
@@ -79,11 +80,12 @@ type slot struct {
 
 // NewRegistry returns an empty instance registry.
 func NewRegistry() *Registry {
-	return &Registry{instances: make(map[uint16]*slot)}
+	return &Registry{instances: make(map[uint16]slot)}
 }
 
 // Open registers an instance, recording the name it was opened under, and
-// returns its parameters with its new instance identifier.
+// returns its parameters with its new instance identifier. name may be a
+// view of the open request (proto.CSName): the slot keeps a copy.
 func (r *Registry) Open(inst Instance, name string) (proto.InstanceInfo, error) {
 	info := inst.Info()
 	r.mu.Lock()
@@ -100,18 +102,18 @@ func (r *Registry) Open(inst Instance, name string) (proto.InstanceInfo, error) 
 			break
 		}
 	}
-	r.instances[r.next] = &slot{inst: inst, name: name, blockSize: info.BlockSize, flags: info.Flags}
+	r.instances[r.next] = slot{inst: inst, name: strings.Clone(name), blockSize: info.BlockSize, flags: info.Flags}
 	info.ID = r.next
 	return info, nil
 }
 
 // get returns the slot of the instance with the given identifier.
-func (r *Registry) get(id uint16) (*slot, error) {
+func (r *Registry) get(id uint16) (slot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.instances[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: instance %d", proto.ErrBadArgs, id)
+		return slot{}, fmt.Errorf("%w: instance %d", proto.ErrBadArgs, id)
 	}
 	return s, nil
 }

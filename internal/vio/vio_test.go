@@ -14,7 +14,7 @@ import (
 
 func TestRegistryOpenGetRelease(t *testing.T) {
 	r := NewRegistry()
-	inst := NewDirectoryInstance([]byte("abc"), nil)
+	inst := NewDirectoryInstance([]byte("abc"), 0, nil)
 	info, err := r.Open(inst, "file-a")
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +38,11 @@ func TestRegistryOpenGetRelease(t *testing.T) {
 func TestRegistryIDsNotImmediatelyReused(t *testing.T) {
 	// §4.3: servers maximize the time before reusing an instance id.
 	r := NewRegistry()
-	a, _ := r.Open(NewDirectoryInstance(nil, nil), "a")
+	a, _ := r.Open(NewDirectoryInstance(nil, 0, nil), "a")
 	if err := r.Release(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := r.Open(NewDirectoryInstance(nil, nil), "b")
+	b, _ := r.Open(NewDirectoryInstance(nil, 0, nil), "b")
 	if a.ID == b.ID {
 		t.Fatal("instance id reused immediately")
 	}
@@ -51,7 +51,7 @@ func TestRegistryIDsNotImmediatelyReused(t *testing.T) {
 func TestRegistryCount(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 5; i++ {
-		if _, err := r.Open(NewDirectoryInstance(nil, nil), "x"); err != nil {
+		if _, err := r.Open(NewDirectoryInstance(nil, 0, nil), "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func (m *memInstance) Release() error {
 // TestBytesInstanceRead: a directory instance serves its stream's bytes
 // from any offset, and end-of-file past them.
 func TestBytesInstanceRead(t *testing.T) {
-	b := NewDirectoryInstance([]byte("hello world"), nil)
+	b := NewDirectoryInstance([]byte("hello world"), 0, nil)
 	buf := make([]byte, 5)
 	n, err := b.ReadAt(nil, 6, buf)
 	if err != nil || n != 5 || string(buf) != "world" {
@@ -136,7 +136,7 @@ func TestBytesInstanceRead(t *testing.T) {
 // TestBytesInstanceReadOnlyWriteFails: a directory instance grants write
 // only with a modify to apply records to, and refuses a write without.
 func TestBytesInstanceReadOnlyWriteFails(t *testing.T) {
-	ro, rw := NewDirectoryInstance([]byte("x"), nil), NewDirectoryInstance(nil, func(*kernel.Process, proto.Descriptor) error { return nil })
+	ro, rw := NewDirectoryInstance([]byte("x"), 0, nil), NewDirectoryInstance(nil, 0, func(*kernel.Process, uint32, proto.Descriptor) error { return nil })
 	if ro.Info().Flags != proto.ModeRead || rw.Info().Flags != proto.ModeRead|proto.ModeWrite {
 		t.Fatalf("flags %#x without modify, %#x with", ro.Info().Flags, rw.Info().Flags)
 	}
@@ -187,7 +187,7 @@ func TestBytesInstanceNegativeWriteOffset(t *testing.T) {
 func TestBytesInstanceWriteSink(t *testing.T) {
 	stream := proto.EncodeDescriptors([]proto.Descriptor{{Tag: proto.TagFile, Name: "snapshot"}})
 	var got []proto.Descriptor
-	b := NewDirectoryInstance(stream, func(_ *kernel.Process, d proto.Descriptor) error {
+	b := NewDirectoryInstance(stream, 0, func(_ *kernel.Process, _ uint32, d proto.Descriptor) error {
 		got = append(got, d)
 		return nil
 	})
@@ -210,7 +210,7 @@ func TestBytesInstanceReadWriteProperty(t *testing.T) {
 			return true
 		}
 		o := int64(off) % int64(len(data))
-		b := NewDirectoryInstance(append([]byte(nil), data...), nil)
+		b := NewDirectoryInstance(append([]byte(nil), data...), 0, nil)
 		buf := make([]byte, len(data))
 		n, err := b.ReadAt(nil, o, buf)
 		if err != nil || n != len(data)-int(o) {
@@ -228,7 +228,7 @@ func TestDirectoryInstanceReadDecodes(t *testing.T) {
 		{Tag: proto.TagFile, Name: "a", Size: 1},
 		{Tag: proto.TagDirectory, Name: "d"},
 	}
-	inst := NewDirectoryInstance(proto.EncodeDescriptors(records), nil)
+	inst := NewDirectoryInstance(proto.EncodeDescriptors(records), 0, nil)
 	buf := make([]byte, inst.Info().SizeBytes)
 	if _, err := inst.ReadAt(nil, 0, buf); err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestDirectoryInstanceReadDecodes(t *testing.T) {
 
 func TestDirectoryInstanceWriteInvokesModify(t *testing.T) {
 	var modified []proto.Descriptor
-	inst := NewDirectoryInstance(nil, func(_ *kernel.Process, d proto.Descriptor) error {
+	inst := NewDirectoryInstance(nil, 0, func(_ *kernel.Process, _ uint32, d proto.Descriptor) error {
 		modified = append(modified, d)
 		return nil
 	})
@@ -285,7 +285,7 @@ func TestDirectoryInstanceTornRecordNeverCompleted(t *testing.T) {
 	}
 	stream := proto.EncodeDescriptors(records)
 	applied := 0
-	inst := NewDirectoryInstance(nil, func(*kernel.Process, proto.Descriptor) error { applied++; return nil })
+	inst := NewDirectoryInstance(nil, 0, func(*kernel.Process, uint32, proto.Descriptor) error { applied++; return nil })
 	if n, err := inst.WriteAt(nil, 0, stream[:DefaultBlockSize]); n != DefaultBlockSize || err != nil || applied != 14 {
 		t.Fatalf("first block: WriteAt = %d, %v, %d applied", n, err, applied)
 	}
@@ -304,14 +304,14 @@ func TestDirectoryInstanceTornRecordNeverCompleted(t *testing.T) {
 }
 
 func TestDirectoryInstanceWriteCorruptRecord(t *testing.T) {
-	inst := NewDirectoryInstance(nil, func(*kernel.Process, proto.Descriptor) error { return nil })
+	inst := NewDirectoryInstance(nil, 0, func(*kernel.Process, uint32, proto.Descriptor) error { return nil })
 	if _, err := inst.WriteAt(nil, 0, []byte{1, 2, 3}); !errors.Is(err, proto.ErrBadArgs) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestDirectoryInstanceWithoutModifyIsReadOnly(t *testing.T) {
-	inst := NewDirectoryInstance(nil, nil)
+	inst := NewDirectoryInstance(nil, 0, nil)
 	if _, err := inst.WriteAt(nil, 0, []byte("x")); !errors.Is(err, proto.ErrModeNotSupported) {
 		t.Fatalf("err = %v", err)
 	}
@@ -361,7 +361,7 @@ func TestHandleOpQueryReadWriteRelease(t *testing.T) {
 
 func TestHandleOpReadPastEnd(t *testing.T) {
 	r, p := NewRegistry(), newFileRig(t).server
-	info, _ := r.Open(NewDirectoryInstance([]byte("ab"), nil), "f")
+	info, _ := r.Open(NewDirectoryInstance([]byte("ab"), 0, nil), "f")
 	id := info.ID
 	read := &proto.Message{Op: proto.OpReadInstance, F: [6]uint32{uint32(id), 9}}
 	if reply := r.HandleOp(p, read, kernel.NilPID); reply.Op != proto.ReplyEndOfFile {
@@ -371,7 +371,7 @@ func TestHandleOpReadPastEnd(t *testing.T) {
 
 func TestHandleOpWriteToReadOnly(t *testing.T) {
 	r := NewRegistry()
-	info, _ := r.Open(NewDirectoryInstance([]byte("ab"), nil), "f")
+	info, _ := r.Open(NewDirectoryInstance([]byte("ab"), 0, nil), "f")
 	id := info.ID
 	w := &proto.Message{Op: proto.OpWriteInstance, F: [6]uint32{uint32(id)}, Segment: []byte("x")}
 	if reply := r.HandleOp(nil, w, kernel.NilPID); reply.Op != proto.ReplyModeNotSupported {
@@ -396,7 +396,7 @@ func TestHandleOpUnhandledReturnsNil(t *testing.T) {
 
 func TestHandleOpGetInstanceName(t *testing.T) {
 	r := NewRegistry()
-	info, _ := r.Open(NewDirectoryInstance(nil, nil), "[storage]/users/mann/f")
+	info, _ := r.Open(NewDirectoryInstance(nil, 0, nil), "[storage]/users/mann/f")
 	id := info.ID
 	req := &proto.Message{Op: proto.OpGetInstanceName, F: [6]uint32{uint32(id)}}
 	reply := r.HandleOp(nil, req, kernel.NilPID)
